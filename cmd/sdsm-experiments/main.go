@@ -55,11 +55,6 @@ func main() {
 		scaleT    = flag.Bool("scale", false, "large-machine scaling matrix: ownership directory + compressed relay at 8..128 nodes")
 		micro     = flag.Bool("micro", false, "Section 5 primitive costs")
 		trOvh     = flag.Bool("trace-overhead", false, "run jacobi/large traced and untraced; verify virtual times are identical and report the wall cost of tracing")
-		bench     = flag.String("bench-json", "", "write machine-readable benchmark output (protocol stats + wall times) to this file")
-		benchCmp  = flag.String("bench-compare", "", "compare a baseline BENCH json (this flag) against a new one (next argument): usage `-bench-compare old.json new.json`; exits 1 on a tracked regression beyond the per-metric tolerances")
-		benchTol  = flag.Float64("bench-tolerance", harness.DefaultBenchTolerancePct, "allowed virtual-time regression percentage for -bench-compare")
-		benchWTol = flag.Float64("bench-wall-tolerance", harness.DefaultBenchWallTolerancePct, "allowed wall-time regression percentage for -bench-compare (generous: wall times are hardware-dependent; <= 0 disables)")
-		benchATol = flag.Float64("bench-alloc-tolerance", harness.DefaultBenchAllocTolerancePct, "allowed allocation-count regression percentage for -bench-compare (tight: allocs are near-deterministic; <= 0 disables)")
 		serve     = flag.Bool("serve", false, "run the DSM-as-a-service load experiment and print Table D")
 		srvListen = flag.Bool("serve-listen", false, "with -serve: skip the load run, print the coordinator address, and serve sdsm-client/sdsm-node -pool peers until interrupted")
 		srvJobs   = flag.Int("serve-jobs", 200, "total jobs for the -serve load run")
@@ -87,57 +82,13 @@ func main() {
 		fmt.Printf("note: %s backend — virtual times are scheduling-dependent; the paper's\n"+
 			"deterministic numbers require the sim backend (the default).\n\n", *backend)
 	}
-	if !(*all || *table1 || *table2 || *fig5 || *fig6 || *fig7 || *adaptT || *scaleT || *micro || *trOvh || *serve || *bench != "" || *benchCmp != "") {
+	if !(*all || *table1 || *table2 || *fig5 || *fig6 || *fig7 || *adaptT || *scaleT || *micro || *trOvh || *serve) {
 		flag.Usage()
 		os.Exit(2)
 	}
 	fail := func(err error) {
 		fmt.Fprintln(os.Stderr, "sdsm-experiments:", err)
 		os.Exit(1)
-	}
-
-	if *benchCmp != "" {
-		// The trajectory gate: `-bench-compare old.json new.json`. Virtual
-		// times are deterministic, so comparing a fresh report against a
-		// checked-in baseline catches perf regressions that the exact
-		// golden tables would only report as opaque byte diffs.
-		if flag.NArg() != 1 {
-			fmt.Fprintln(os.Stderr, "sdsm-experiments: -bench-compare needs the new report as its argument: -bench-compare old.json new.json")
-			os.Exit(2)
-		}
-		old, err := harness.LoadBenchReport(*benchCmp)
-		if err != nil {
-			fail(err)
-		}
-		fresh, err := harness.LoadBenchReport(flag.Arg(0))
-		if err != nil {
-			fail(err)
-		}
-		tols := harness.BenchTolerances{VirtualPct: *benchTol, WallPct: *benchWTol, AllocPct: *benchATol}
-		regs, compared := harness.CompareBench(old, fresh, tols)
-		if compared == 0 {
-			// Zero overlap means the baseline no longer tracks anything the
-			// fresh report measures (renamed apps, changed procs, stale
-			// baseline) — exactly the no-coverage case the gate exists to
-			// prevent, so it must fail loudly, not pass vacuously.
-			fmt.Fprintf(os.Stderr, "sdsm-experiments: bench compare matched 0 of %d entries against %s — regenerate the baseline\n",
-				len(fresh.Entries), *benchCmp)
-			os.Exit(1)
-		}
-		if len(regs) > 0 {
-			fmt.Fprintf(os.Stderr, "sdsm-experiments: %d regression(s) beyond tolerance (virtual %.0f%%, wall %.0f%%, alloc %.0f%%):\n",
-				len(regs), tols.VirtualPct, tols.WallPct, tols.AllocPct)
-			for _, r := range regs {
-				fmt.Fprintln(os.Stderr, "  "+r)
-			}
-			os.Exit(1)
-		}
-		fmt.Printf("bench compare: %d of %d tracked entries compared, all within tolerance (virtual %.0f%%, wall %.0f%%, alloc %.0f%%) of %s\n",
-			compared, len(fresh.Entries), tols.VirtualPct, tols.WallPct, tols.AllocPct, *benchCmp)
-		if compared < len(fresh.Entries) {
-			fmt.Printf("note: %d entries have no baseline — regenerate %s to track them\n",
-				len(fresh.Entries)-compared, *benchCmp)
-		}
 	}
 
 	if *serve {
@@ -323,11 +274,5 @@ func main() {
 			fail(err)
 		}
 		fmt.Println(harness.FormatScaleTable(rows))
-	}
-	if *bench != "" {
-		if err := harness.WriteBenchJSON(*bench, *procs, workers); err != nil {
-			fail(err)
-		}
-		fmt.Printf("wrote benchmark report to %s\n", *bench)
 	}
 }

@@ -99,10 +99,17 @@ func (nw *Network) account(from, to, bytes int) { nw.stats.Account(from, to, byt
 // Send transmits payload from p to node `to`. The sender is charged send
 // overhead; the message arrives after wire latency plus bandwidth time.
 func (nw *Network) Send(p host.Proc, to int, tag Tag, payload any, bytes int) {
+	p.Charge(nw.costs.SendOverhead)
+	nw.deliver(p, to, tag, payload, bytes)
+}
+
+// deliver files one message from p in to's mailbox, arriving one wire
+// latency plus bandwidth time from now, accounts it, and wakes to's
+// receiver if the message matches its wait.
+func (nw *Network) deliver(p host.Proc, to int, tag Tag, payload any, bytes int) {
 	if to == p.ID() {
 		panic("cluster: send to self")
 	}
-	p.Charge(nw.costs.SendOverhead)
 	m := Msg{
 		From:    p.ID(),
 		To:      to,
@@ -217,23 +224,7 @@ func (nw *Network) StartRequest(p host.Proc, to int, req any, reqBytes int) *Pen
 func (nw *Network) SendShared(p host.Proc, tos []int, tag Tag, payload any, bytes int) {
 	p.Charge(nw.costs.SendOverhead)
 	for _, to := range tos {
-		if to == p.ID() {
-			panic("cluster: send to self")
-		}
-		m := Msg{
-			From:    p.ID(),
-			To:      to,
-			Tag:     tag,
-			Payload: payload,
-			Bytes:   bytes,
-			Arrival: p.Now() + nw.costs.OneWay(bytes),
-		}
-		nw.account(p.ID(), to, bytes)
-		nw.boxes[to] = append(nw.boxes[to], m)
-		if w := nw.waits[to]; w != nil && (w.from == AnySender || w.from == m.From) && w.tag == m.Tag {
-			nw.waits[to] = nil
-			p.Wake(w.p, m.Arrival)
-		}
+		nw.deliver(p, to, tag, payload, bytes)
 	}
 }
 

@@ -7,6 +7,7 @@
 package harness
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -25,7 +26,6 @@ import (
 	"sdsm/internal/sim"
 	"sdsm/internal/tmk"
 	"sdsm/internal/vm"
-	"sdsm/internal/xhpf"
 )
 
 // SystemKind selects one of the four systems the paper compares.
@@ -195,14 +195,27 @@ func Run(cfg Config) (*Result, error) {
 	case XHPF:
 		if !cfg.App.XHPF {
 			return nil, fmt.Errorf("harness: %s cannot be parallelized by the XHPF stand-in: %s",
-				cfg.App.Name, xhpf.RejectionReason(cfg.App.Name))
+				cfg.App.Name, xhpfRejection(cfg.App.Name))
 		}
 		return runMP(cfg, cfg.App.XHPFOverhead)
 	}
 	return nil, fmt.Errorf("harness: unknown system %q", cfg.System)
 }
 
-func runDSM(cfg Config) (*Result, error) {
+// xhpfRejection explains why the XHPF stand-in refuses an application,
+// mirroring the paper's discussion. A real data-parallel compiler
+// generates owner-computes message passing; the stand-in reuses the
+// hand-coded schedules with a per-phase distribution overhead
+// (App.XHPFOverhead) and refuses the programs such a compiler cannot
+// handle (App.XHPF false).
+func xhpfRejection(app string) string {
+	if app == "is" {
+		return "indirect access to the main array in the computation"
+	}
+	return ""
+}
+
+func runDSM(cfg Config) (res *Result, err error) {
 	prog := cfg.App.Build(cfg.Procs)
 	params := prog.Prepare(cfg.App.Sets[cfg.Set], cfg.Procs)
 
@@ -226,6 +239,32 @@ func runDSM(cfg Config) (*Result, error) {
 		// Virtual timeline on sim (deterministic, WT pinned to zero), wall
 		// clocks on the concurrent backends.
 		m = obs.NewMachine(cfg.Procs, cfg.TraceCap, cfg.Backend != BackendSim)
+	}
+	var sys *tmk.System
+	if cfg.Arenas != nil {
+		// Once the machine holds arena loans every exit path must end them:
+		// a job can fail, its slots cannot stay poisoned for the next
+		// tenant. Registered before the host exists so that a net backend
+		// is closed first — after a failed run its service loops may still
+		// be reading node memory. Guard audit before release: release ends
+		// the loans the audit inspects. A violation means this job overran
+		// its own address space — in a shared pool a cross-job hazard, so
+		// it fails the job loudly.
+		defer func() {
+			if sys == nil {
+				return
+			}
+			for i, ar := range cfg.Arenas {
+				if ar == nil {
+					continue
+				}
+				if gerr := ar.CheckGuards(); gerr != nil {
+					res, err = nil, errors.Join(err, fmt.Errorf("harness: %s/%s rank %d: %w", cfg.App.Name, cfg.Set, i, gerr))
+					break
+				}
+			}
+			sys.ReleaseWarm()
+		}()
 	}
 	var h host.Host
 	var nw host.Transport
@@ -255,7 +294,7 @@ func runDSM(cfg Config) (*Result, error) {
 		h = e
 		nw = cluster.New(h, cfg.Costs)
 	}
-	sys := tmk.NewWarm(h, nw, layout, cfg.Arenas)
+	sys = tmk.NewWarm(h, nw, layout, cfg.Arenas)
 	if cfg.Adapt {
 		sys.EnableAdapt(adapt.Config{K: cfg.AdaptK, ReprobeM: cfg.AdaptM})
 	}
@@ -304,21 +343,6 @@ func runDSM(cfg Config) (*Result, error) {
 	st := nw.Stats()
 	vmc, ps := sys.Stats()
 	smax, smean := sys.ServeBalance()
-	if cfg.Arenas != nil {
-		// Guard audit before release: release ends the loans the audit
-		// inspects. A violation means this job overran its own address
-		// space — in a shared pool that is a cross-job hazard, so it fails
-		// the job loudly instead of poisoning the next tenant.
-		for i, ar := range cfg.Arenas {
-			if ar == nil {
-				continue
-			}
-			if err := ar.CheckGuards(); err != nil {
-				return nil, fmt.Errorf("harness: %s/%s rank %d: %w", cfg.App.Name, cfg.Set, i, err)
-			}
-		}
-		sys.ReleaseWarm()
-	}
 	var rs tmk.RecoveryStats
 	for _, nd := range sys.Nodes {
 		rs.Checkpoints += nd.RecStats.Checkpoints

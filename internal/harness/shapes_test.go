@@ -2,6 +2,7 @@ package harness
 
 import (
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -93,8 +94,18 @@ func TestPaperShapeFig5(t *testing.T) {
 
 func TestPaperShapeXHPFRejectsIS(t *testing.T) {
 	a, _ := apps.ByName("is")
-	if _, err := Run(Config{App: a, Set: Small, System: XHPF, Procs: 4}); err == nil {
+	_, err := Run(Config{App: a, Set: Small, System: XHPF, Procs: 4})
+	if err == nil {
 		t.Fatal("XHPF must reject IS (indirect access to the main array)")
+	}
+	if !strings.Contains(err.Error(), "indirect access to the main array") {
+		t.Errorf("IS rejection must be explained, got: %v", err)
+	}
+	for _, name := range []string{"jacobi", "fft", "shallow", "gauss", "mgs"} {
+		a, _ := apps.ByName(name)
+		if _, err := Run(Config{App: a, Set: Small, System: XHPF, Procs: 4}); err != nil {
+			t.Errorf("%s should be parallelizable: %v", name, err)
+		}
 	}
 }
 

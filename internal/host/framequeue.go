@@ -27,8 +27,7 @@ import (
 //     storage (wire.GetBuf) and never touch the slice again.
 //   - Frames enqueued on one queue are written in FIFO order; the
 //     coalesced flush preserves per-connection ordering exactly. No
-//     cross-queue ordering is promised — none existed when every frame
-//     was a separate locked Write either.
+//     cross-queue ordering is promised.
 //   - Coalescing moves bytes, not time: all virtual-time charges and
 //     arrival stamps are fixed by the sender before Enqueue, so batching
 //     is invisible to the cost model (DESIGN.md, "Zero-allocation wire

@@ -252,21 +252,18 @@ func (s *Stats) Account(from, to, bytes int) {
 	s.Node[to].BytesRecv += int64(bytes)
 }
 
-// Transport is the interconnect seam: everything the DSM run-time and the
-// message-passing layer need from the wire. Every payload that crosses it
-// must be a wire value (package wire) or a plain data slice — never a
-// pointer into another node's protocol state — so that socket transports
-// can encode it. Package cluster implements the seam in-process over any
-// Host; NewNet implements it over loopback sockets.
+// Mailbox is the message-passing half of the interconnect seam: selective
+// send/receive between ranks with latency, bandwidth, and CPU overhead
+// accounting. It is everything the mp layer needs — its ranks are
+// share-nothing by construction — so a rank living alone in its own OS
+// process implements just this (internal/mpnet). Payloads must be wire
+// values (package wire) or plain data slices, so that socket transports
+// can encode them.
 //
-// Transport methods must be called inside a protocol section.
-type Transport interface {
-	// Costs returns the platform cost model in force.
-	Costs() model.Costs
+// Mailbox methods must be called inside a protocol section.
+type Mailbox interface {
 	// Stats returns a snapshot of the traffic counters.
 	Stats() Stats
-	// ResetStats zeroes all counters.
-	ResetStats()
 
 	// Send transmits payload to node to; the sender pays send overhead
 	// and the message arrives after wire latency plus bandwidth time.
@@ -280,6 +277,24 @@ type Transport interface {
 	// Recv blocks until a matching message is available and delivers the
 	// earliest-arriving match.
 	Recv(p Proc, from int, tag Tag) Msg
+}
+
+// Transport is the full interconnect seam: the Mailbox plus what the DSM
+// run-time needs from the wire — request/reply exchanges served at the
+// target, out-of-band protocol payloads, and multi-hop accounting. Every
+// payload that crosses it must be a wire value — never a pointer into
+// another node's protocol state. Package cluster implements the seam
+// in-process over any Host; NewNet implements it over loopback sockets.
+//
+// Transport methods must be called inside a protocol section.
+type Transport interface {
+	Mailbox
+
+	// Costs returns the platform cost model in force.
+	Costs() model.Costs
+	// ResetStats zeroes all counters.
+	ResetStats()
+
 	// Message accounts for a protocol message between two nodes that may
 	// both differ from the caller (multi-hop exchanges such as lock
 	// forwarding) and returns the time the receiver has fielded it.

@@ -3,8 +3,6 @@ package host
 import (
 	"fmt"
 	"net"
-	"os"
-	"path/filepath"
 	"sync"
 	"time"
 
@@ -15,23 +13,24 @@ import (
 
 // Net is the wire backend: a Real host whose Transport carries every
 // payload over OS sockets on loopback in the versioned wire format
-// (package wire). Each node owns one connection to a central switch; a
-// mailbox send, a diff request/reply, a lock grant, or a barrier
+// (package wire). Each node owns one Endpoint connected to a central
+// Switch; a mailbox send, a diff request/reply, a lock grant, or a barrier
 // departure is encoded, written to the node's socket, routed by the
 // switch, and decoded by the destination's delivery loop before the
 // protocol sees it — the deployment shape of a process-per-node DSM,
 // with the node bodies still hosted in-process (see DESIGN.md §3 for the
 // contract and cmd/sdsm-node for the genuinely multi-process
-// message-passing deployment).
+// message-passing deployment, the same switch with its endpoints in
+// other processes).
 //
 // Concurrency structure, per node i:
 //
 //   - The app/protocol goroutine (a Real processor) encodes outbound
 //     frames into pooled buffers and enqueues them on the node's
-//     FrameQueue (whose writer goroutine coalesces a flurry into one
+//     endpoint (whose writer goroutine coalesces a flurry into one
 //     vectored write), and blocks — releasing the protocol token — when
 //     it needs an inbound frame (Recv, TakeHand, Await).
-//   - A delivery goroutine reads node i's connection, decodes frames, and
+//   - A delivery goroutine reads node i's endpoint, decodes frames, and
 //     files them (mailbox, hand slots, reply table) under the transport
 //     mutex, waking the blocked processor when a frame matches its wait.
 //     It never takes the protocol token, so delivery cannot deadlock
@@ -57,13 +56,8 @@ type Net struct {
 	*Real
 	costs model.Costs
 
-	ln  net.Listener
-	dir string // temp dir holding the unix socket, "" for TCP
-
-	conns  []net.Conn    // client side, per node
-	outq   []*FrameQueue // batched writer per client conn
-	sconns []net.Conn    // switch side, per node
-	swq    []*FrameQueue // batched writer per switch conn
+	sw  *Switch
+	eps []*Endpoint // per node; replaced by Reattach
 
 	nmu    sync.Mutex // guards boxes, hands, waits, reqs, stats
 	boxes  [][]Msg
@@ -80,13 +74,10 @@ type Net struct {
 	svcQ    [][]*wire.Frame
 	svcHead []int // per-node index of the next unserviced svcQ entry
 
-	// Recovery state (EnableRecovery): detaching marks a node whose
-	// links are being dropped on purpose (linkDown tolerates them), and
-	// reacc carries re-handshaked switch-side connections from the
-	// persistent accept loop to Reattach.
+	// detaching (EnableRecovery) marks a node whose links are being
+	// dropped on purpose: linkDown tolerates them.
 	recMu     sync.Mutex
 	detaching []bool
-	reacc     chan reConn
 
 	// Observability counters (EnableObs); all nil on untraced runs.
 	obsFrames   *obs.Counter
@@ -94,48 +85,7 @@ type Net struct {
 	obsPeerDown *obs.Counter
 	obsReattach *obs.Counter
 
-	closed  chan struct{}
-	closeMu sync.Mutex
-	wg      sync.WaitGroup
-}
-
-// reConn is one re-handshaked connection: the node that said hello and
-// its switch-side socket.
-type reConn struct {
-	node int
-	c    net.Conn
-}
-
-// handshakeTimeout bounds every hello/start handshake read and write: a
-// peer that connects and then never speaks (or never drains) fails the
-// handshake with a clear error instead of hanging the machine. A
-// variable so tests can shorten it.
-var handshakeTimeout = 10 * time.Second
-
-// readHello reads one hello frame from a fresh connection under the
-// handshake deadline and returns the sender's node id.
-func readHello(c net.Conn, n int) (int, error) {
-	c.SetReadDeadline(time.Now().Add(handshakeTimeout))
-	f, err := wire.ReadFrame(c)
-	c.SetReadDeadline(time.Time{})
-	if err != nil {
-		return 0, fmt.Errorf("host: handshake: reading hello: %w", err)
-	}
-	if f.Kind != wire.FHello || int(f.From) < 0 || int(f.From) >= n {
-		return 0, fmt.Errorf("host: handshake: bad hello (kind %d from %d)", f.Kind, f.From)
-	}
-	return int(f.From), nil
-}
-
-// writeHello sends the hello frame under the handshake deadline.
-func writeHello(c net.Conn, id int) error {
-	c.SetWriteDeadline(time.Now().Add(handshakeTimeout))
-	err := wire.WriteFrame(c, &wire.Frame{Kind: wire.FHello, From: int32(id)})
-	c.SetWriteDeadline(time.Time{})
-	if err != nil {
-		return fmt.Errorf("host: handshake: writing hello: %w", err)
-	}
-	return nil
+	wg sync.WaitGroup // delivery and service loops
 }
 
 // netWait is what a node's blocked protocol goroutine is waiting for.
@@ -192,24 +142,6 @@ func (rs *reqState) ResolveReply(p Proc) {
 	rs.pd.Arrival = rs.reqArrival + rs.service + nw.costs.OneWay(rs.respBytes)
 }
 
-// ListenLoopback opens the loopback listener the socket deployments
-// share: a Unix socket in a private temp directory, falling back to TCP
-// on 127.0.0.1. The returned dir (when non-empty) holds the socket file
-// and is the caller's to remove.
-func ListenLoopback() (net.Listener, string, error) {
-	if dir, err := os.MkdirTemp("", "sdsm"); err == nil {
-		if ln, err := net.Listen("unix", filepath.Join(dir, "switch.sock")); err == nil {
-			return ln, dir, nil
-		}
-		os.RemoveAll(dir)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, "", err
-	}
-	return ln, "", nil
-}
-
 // NewNet creates a wire-backend machine of n nodes: a loopback switch (a
 // Unix socket, falling back to TCP on 127.0.0.1) with every node
 // connected. Close must be called when done.
@@ -223,14 +155,10 @@ func NewNet(n int, costs model.Costs) (*Net, error) {
 		wslots:  make([]netWait, n),
 		reqs:    make([]map[int32]*reqState, n),
 		nextID:  make([]int32, n),
-		conns:   make([]net.Conn, n),
-		outq:    make([]*FrameQueue, n),
-		sconns:  make([]net.Conn, n),
-		swq:     make([]*FrameQueue, n),
+		eps:     make([]*Endpoint, n),
 		svcQ:    make([][]*wire.Frame, n),
 		svcHead: make([]int, n),
 		stats:   Stats{Node: make([]NodeStats, n)},
-		closed:  make(chan struct{}),
 	}
 	for i := 0; i < n; i++ {
 		nw.hands[i] = map[Tag]any{}
@@ -238,118 +166,83 @@ func NewNet(n int, costs model.Costs) (*Net, error) {
 		nw.svcCond = append(nw.svcCond, sync.NewCond(&nw.svcMu))
 	}
 
-	ln, dir, err := ListenLoopback()
+	sw, err := NewSwitch(n, nil, nw.linkDown)
 	if err != nil {
-		return nil, fmt.Errorf("host: net backend cannot listen: %w", err)
+		return nil, fmt.Errorf("host: net backend: %w", err)
 	}
-	nw.ln, nw.dir = ln, dir
-
-	// Dial every node and pair the accepted connections by hello frame.
-	// The hello read runs under the handshake deadline: a connection
-	// that never identifies itself fails the construction with a clear
-	// timeout instead of hanging it.
-	accepted := make(chan error, 1)
-	go func() {
-		for range nw.conns {
-			c, err := nw.ln.Accept()
-			if err != nil {
-				accepted <- err
-				return
-			}
-			id, err := readHello(c, n)
-			if err != nil {
-				c.Close()
-				accepted <- err
-				return
-			}
-			nw.sconns[id] = c
+	nw.sw = sw
+	paired := make(chan error, 1)
+	go func() { paired <- sw.Pair() }()
+	for i := range nw.eps {
+		if nw.eps[i], err = nw.dial(i); err != nil {
+			sw.ln.Close() // fails the pairing, which is joined below
+			break
 		}
-		accepted <- nil
-	}()
-	// On failure the accept goroutine must be joined (via the accepted
-	// channel) before Close touches sconns, which it writes.
-	abort := func(err error) (*Net, error) {
-		nw.ln.Close()
-		<-accepted
+	}
+	if perr := <-paired; err == nil {
+		err = perr
+	}
+	if err != nil {
 		nw.Close()
 		return nil, err
 	}
-	for i := range nw.conns {
-		c, err := net.Dial(nw.ln.Addr().Network(), nw.ln.Addr().String())
-		if err != nil {
-			return abort(fmt.Errorf("host: net backend dial: %w", err))
-		}
-		nw.conns[i] = c
-		if err := writeHello(c, i); err != nil {
-			return abort(err)
-		}
-	}
-	if err := <-accepted; err != nil {
-		nw.Close()
-		return nil, err
-	}
-
-	// Every queue must exist before any switch loop runs (a loop routes
-	// to arbitrary destinations' queues).
-	for i := range nw.conns {
-		i := i
-		nw.outq[i] = NewFrameQueue(nw.conns[i], func(err error) { nw.linkDown(i, err) })
-		nw.swq[i] = NewFrameQueue(nw.sconns[i], func(err error) { nw.linkDown(i, err) })
-	}
-	for i := range nw.conns {
-		nw.wg.Add(3)
-		go nw.switchLoop(i, nw.sconns[i])
-		go nw.deliveryLoop(i, nw.conns[i])
+	sw.Start()
+	for i := range nw.eps {
+		nw.wg.Add(2)
+		go nw.deliveryLoop(i, nw.eps[i])
 		go nw.serviceLoop(i)
 	}
 	return nw, nil
 }
 
-// Close shuts the switch down: sockets close, loops exit, the socket file
-// is removed. Safe to call more than once. On a clean shutdown the writer
-// queues are drained before their sockets close (the reader loops are
-// still alive to consume the flush) and Close returns nil; after an abort
-// the sockets close first — a drain could block forever on a dead reader
-// — and Close returns the first queue error, including how many frames
-// each lossy queue dropped.
+// dial connects node i's endpoint to the switch.
+func (nw *Net) dial(i int) (*Endpoint, error) {
+	c, err := net.Dial(nw.sw.Addr().Network(), nw.sw.Addr().String())
+	if err != nil {
+		return nil, fmt.Errorf("host: net backend dial: %w", err)
+	}
+	ep, err := NewEndpoint(c, i, nw.costs, func(err error) { nw.linkDown(i, err) })
+	if err != nil {
+		c.Close()
+		return nil, err
+	}
+	if nw.obsFrames != nil {
+		ep.SetObs(nw.obsFrames, nw.obsFlushes)
+	}
+	return ep, nil
+}
+
+// Close shuts the machine down: sockets close, loops exit, the socket
+// file is removed. Safe to call more than once. On a clean shutdown the
+// writer queues are drained before their sockets close (the reader loops
+// are still alive to consume the flush) and Close returns nil; after an
+// abort the sockets close first — a drain could block forever on a dead
+// reader — and Close returns the first queue error, including how many
+// frames each lossy queue dropped.
 func (nw *Net) Close() error {
-	nw.closeMu.Lock()
-	select {
-	case <-nw.closed:
-	default:
-		close(nw.closed)
-	}
-	nw.closeMu.Unlock()
-	nw.ln.Close()
+	nw.sw.closing.Store(true)
+	abort := nw.aborted()
 	closeConns := func() {
-		for _, c := range nw.conns {
-			if c != nil {
-				c.Close()
-			}
-		}
-		for _, c := range nw.sconns {
-			if c != nil {
-				c.Close()
+		for _, ep := range nw.eps {
+			if ep != nil {
+				ep.conn.Close()
 			}
 		}
 	}
-	if nw.aborted() {
+	if abort {
 		closeConns()
 	}
 	var firstErr error
-	closeQueue := func(q *FrameQueue, side string, i int) {
-		if q == nil {
-			return
+	for i, ep := range nw.eps {
+		if ep == nil {
+			continue
 		}
-		if err := q.Close(); err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("host: node %d %s queue: %w", i, side, err)
+		if err := ep.q.Close(); err != nil && firstErr == nil {
+			firstErr = fmt.Errorf("host: node %d outbound queue: %w", i, err)
 		}
 	}
-	for i, q := range nw.outq {
-		closeQueue(q, "outbound", i)
-	}
-	for i, q := range nw.swq {
-		closeQueue(q, "switch", i)
+	if err := nw.sw.Close(!abort); err != nil && firstErr == nil {
+		firstErr = err
 	}
 	closeConns()
 	nw.svcMu.Lock()
@@ -358,9 +251,6 @@ func (nw *Net) Close() error {
 	}
 	nw.svcMu.Unlock()
 	nw.wg.Wait()
-	if nw.dir != "" {
-		os.RemoveAll(nw.dir)
-	}
 	return firstErr
 }
 
@@ -375,23 +265,12 @@ func (nw *Net) aborted() bool {
 	}
 }
 
-// closing reports whether Close has begun (link errors after that are
-// expected teardown, not peer failures).
-func (nw *Net) closing() bool {
-	select {
-	case <-nw.closed:
-		return true
-	default:
-		return false
-	}
-}
-
 // linkDown handles a link error: expected during Close and while the
 // node is deliberately detached for recovery, a peer failure otherwise —
 // the host aborts so every blocked processor unwinds and Run reports
 // the loss.
 func (nw *Net) linkDown(node int, err error) {
-	if nw.closing() || nw.isDetaching(node) {
+	if nw.sw.Closing() || nw.isDetaching(node) {
 		return
 	}
 	if nw.obsPeerDown != nil {
@@ -411,10 +290,10 @@ func (nw *Net) EnableObs(reg *obs.Registry) {
 	nw.obsFlushes = reg.Counter("net.flushes")
 	nw.obsPeerDown = reg.Counter("net.peer.down")
 	nw.obsReattach = reg.Counter("net.peer.reattach")
-	for i := range nw.outq {
-		nw.outq[i].SetObs(nw.obsFrames, nw.obsFlushes)
-		nw.swq[i].SetObs(nw.obsFrames, nw.obsFlushes)
+	for _, ep := range nw.eps {
+		ep.SetObs(nw.obsFrames, nw.obsFlushes)
 	}
+	nw.sw.SetObs(nw.obsFrames, nw.obsFlushes)
 }
 
 // isDetaching reports whether node's links are being dropped on purpose.
@@ -424,57 +303,25 @@ func (nw *Net) isDetaching(node int) bool {
 	return nw.detaching != nil && nw.detaching[node]
 }
 
-// switchLoop routes raw frames arriving from node i to their destination
-// queue without decoding payloads. Each frame is read into pooled
-// storage it owns (the destination queue recycles it after the write),
-// so routing a frame allocates nothing in steady state. The connection
-// is captured at launch: a loop outliving its node's Detach must keep
-// reading the dead socket, never the replacement one.
-func (nw *Net) switchLoop(i int, c net.Conn) {
-	defer nw.wg.Done()
-	for {
-		raw, err := wire.ReadRawFrameInto(c, wire.GetBuf())
-		if err != nil {
-			nw.linkDown(i, err)
-			return
-		}
-		_, _, to, _, err := wire.RawFields(raw)
-		if err != nil || int(to) < 0 || int(to) >= nw.N() {
-			nw.linkDown(i, fmt.Errorf("unroutable frame: to=%d err=%v", to, err))
-			return
-		}
-		if err := nw.swq[to].Enqueue(raw); err != nil {
-			nw.linkDown(int(to), err)
-			return
-		}
-	}
-}
-
 // deliveryLoop decodes frames arriving at node i and files them, waking
 // the node's blocked processor when a frame matches its wait. It never
-// enters a protocol section.
-func (nw *Net) deliveryLoop(i int, c net.Conn) {
+// enters a protocol section. The endpoint is captured at launch: a loop
+// outliving its node's Detach must keep reading the dead socket, never
+// the replacement one.
+func (nw *Net) deliveryLoop(i int, ep *Endpoint) {
 	defer nw.wg.Done()
-	fr := wire.NewFrameReader(c)
 	// One Frame struct serves every delivery: the decoded payloads own
 	// their storage, so filing them does not retain f. Only the FReq path
 	// queues the whole frame and clones it first.
 	var f wire.Frame
 	for {
-		if err := fr.ReadInto(&f); err != nil {
+		if err := ep.ReadInto(&f); err != nil {
 			nw.linkDown(i, err)
 			return
 		}
 		switch f.Kind {
 		case wire.FMsg:
-			payload := f.Payload
-			if fs, ok := payload.(wire.Float64s); ok {
-				payload = []float64(fs) // mp's native payload type
-			}
-			m := Msg{
-				From: int(f.From), To: i, Tag: Tag(f.Tag),
-				Payload: payload, Bytes: int(f.Bytes), Arrival: time.Duration(f.Time),
-			}
+			m := ep.Msg(&f)
 			nw.nmu.Lock()
 			nw.boxes[i] = append(nw.boxes[i], m)
 			if w := nw.waits[i]; w != nil && w.kind == 'm' && (w.from == AnySender || w.from == m.From) && w.tag == m.Tag {
@@ -510,7 +357,7 @@ func (nw *Net) deliveryLoop(i int, c net.Conn) {
 			rs.reply = f.Payload
 			rs.respBytes = int(f.Bytes)
 			rs.service = time.Duration(f.Time)
-			nw.account(int(f.From), i, rs.respBytes)
+			nw.stats.Account(int(f.From), i, rs.respBytes)
 			if w := nw.waits[i]; w != nil && w.kind == 'r' && w.rs == rs {
 				nw.waits[i] = nil
 				nw.wake(w.p, 0)
@@ -532,10 +379,10 @@ func (nw *Net) serviceLoop(i int) {
 	rp := nw.Real.procs[i]
 	for {
 		nw.svcMu.Lock()
-		for nw.svcHead[i] == len(nw.svcQ[i]) && !nw.closing() {
+		for nw.svcHead[i] == len(nw.svcQ[i]) && !nw.sw.Closing() {
 			nw.svcCond[i].Wait()
 		}
-		if nw.closing() && nw.svcHead[i] == len(nw.svcQ[i]) {
+		if nw.sw.Closing() && nw.svcHead[i] == len(nw.svcQ[i]) {
 			nw.svcMu.Unlock()
 			return
 		}
@@ -559,7 +406,7 @@ func (nw *Net) serviceLoop(i int) {
 		rp.compMu.Unlock()
 		nw.Real.mu.Unlock()
 
-		err := nw.write(i, &wire.Frame{
+		err := nw.eps[i].Write(&wire.Frame{
 			Kind: wire.FReply, From: int32(i), To: f.From, Tag: f.Tag,
 			Bytes: int32(respBytes), Time: int64(service), Payload: resp,
 		})
@@ -577,28 +424,15 @@ func (nw *Net) wake(p Proc, at time.Duration) {
 	rp.Wake(rp, at)
 }
 
-// write encodes f into pooled storage and hands it to node i's outbound
-// queue (which recycles the buffer after the coalesced write).
-func (nw *Net) write(i int, f *wire.Frame) error {
-	raw, err := wire.AppendFrame(wire.GetBuf(), f)
+// must is the protocol-goroutine check on node i's endpoint writes: a
+// link failure panics (unwinding the processor), matching the failure
+// contract.
+func (nw *Net) must(i int, err error) {
 	if err != nil {
-		wire.PutBuf(raw)
-		return err
-	}
-	return nw.outq[i].Enqueue(raw)
-}
-
-// mustWrite is write for protocol-goroutine callers: a link failure
-// panics (unwinding the processor), matching the failure contract.
-func (nw *Net) mustWrite(i int, f *wire.Frame) {
-	if err := nw.write(i, f); err != nil {
 		nw.linkDown(i, err)
 		panic(errAborted)
 	}
 }
-
-// account tallies one message (caller holds nmu).
-func (nw *Net) account(from, to, bytes int) { nw.stats.Account(from, to, bytes) }
 
 // ---- Transport implementation ----
 
@@ -632,88 +466,35 @@ func (nw *Net) Serve(fn Server) {
 // Send transmits payload to node to over the wire; the sender pays send
 // overhead and the message arrives after wire latency plus bandwidth time.
 func (nw *Net) Send(p Proc, to int, tag Tag, payload any, bytes int) {
-	if to == p.ID() {
-		panic("host: net send to self")
-	}
-	p.Charge(nw.costs.SendOverhead)
-	arrival := p.Now() + nw.costs.OneWay(bytes)
 	nw.nmu.Lock()
-	nw.account(p.ID(), to, bytes)
+	nw.stats.Account(p.ID(), to, bytes)
 	nw.nmu.Unlock()
-	nw.mustWrite(p.ID(), &wire.Frame{
-		Kind: wire.FMsg, From: int32(p.ID()), To: int32(to), Tag: int32(tag),
-		Bytes: int32(bytes), Time: int64(arrival), Payload: payload,
-	})
+	nw.must(p.ID(), nw.eps[p.ID()].Send(p, to, tag, payload, bytes))
 }
 
 // SendShared transmits one payload to several recipients charging the
-// sender's injection overhead once (switch-assisted broadcast). The
-// payload is encoded once; each recipient's frame is a copy of the
-// shared encoding with only the destination header field patched — the
-// copies are needed because the outbound queue writes asynchronously,
-// so a single patched buffer could be restamped before it drains.
+// sender's injection overhead once (switch-assisted broadcast).
 func (nw *Net) SendShared(p Proc, tos []int, tag Tag, payload any, bytes int) {
-	p.Charge(nw.costs.SendOverhead)
-	arrival := p.Now() + nw.costs.OneWay(bytes)
-	raw, err := wire.AppendFrame(wire.GetBuf(), &wire.Frame{
-		Kind: wire.FMsg, From: int32(p.ID()), Tag: int32(tag),
-		Bytes: int32(bytes), Time: int64(arrival), Payload: payload,
-	})
-	if err != nil {
-		panic(fmt.Sprintf("host: net send shared: %v", err))
-	}
 	nw.nmu.Lock()
 	for _, to := range tos {
-		if to == p.ID() {
-			nw.nmu.Unlock()
-			panic("host: net send to self")
-		}
-		nw.account(p.ID(), to, bytes)
+		nw.stats.Account(p.ID(), to, bytes)
 	}
 	nw.nmu.Unlock()
-	for _, to := range tos {
-		cp := append(wire.GetBuf(), raw...)
-		wire.PatchRawTo(cp, int32(to))
-		if err := nw.outq[p.ID()].Enqueue(cp); err != nil {
-			nw.linkDown(p.ID(), err)
-			panic(errAborted)
-		}
-	}
-	wire.PutBuf(raw)
+	nw.must(p.ID(), nw.eps[p.ID()].SendShared(p, tos, tag, payload, bytes))
 }
 
 // Broadcast sends payload to every other node, serializing the
-// per-message send overhead at the sender. Unlike SendShared the
-// overheads accumulate, so arrival times differ per recipient: the
-// payload is still encoded only once, and each recipient's copy of the
-// shared encoding gets its destination and arrival stamp patched in —
-// charges and accounting are identical to a loop of Send calls.
+// per-message send overhead at the sender; charges and accounting are
+// identical to a loop of Send calls.
 func (nw *Net) Broadcast(p Proc, tag Tag, payload any, bytes int) {
-	raw, err := wire.AppendFrame(wire.GetBuf(), &wire.Frame{
-		Kind: wire.FMsg, From: int32(p.ID()), Tag: int32(tag),
-		Bytes: int32(bytes), Payload: payload,
-	})
-	if err != nil {
-		panic(fmt.Sprintf("host: net broadcast: %v", err))
-	}
+	nw.nmu.Lock()
 	for to := 0; to < nw.N(); to++ {
-		if to == p.ID() {
-			continue
-		}
-		p.Charge(nw.costs.SendOverhead)
-		arrival := p.Now() + nw.costs.OneWay(bytes)
-		nw.nmu.Lock()
-		nw.account(p.ID(), to, bytes)
-		nw.nmu.Unlock()
-		cp := append(wire.GetBuf(), raw...)
-		wire.PatchRawTo(cp, int32(to))
-		wire.PatchRawTime(cp, int64(arrival))
-		if err := nw.outq[p.ID()].Enqueue(cp); err != nil {
-			nw.linkDown(p.ID(), err)
-			panic(errAborted)
+		if to != p.ID() {
+			nw.stats.Account(p.ID(), to, bytes)
 		}
 	}
-	wire.PutBuf(raw)
+	nw.nmu.Unlock()
+	nw.must(p.ID(), nw.eps[p.ID()].Broadcast(p, nw.N(), tag, payload, bytes))
 }
 
 // Recv blocks until a matching message has been delivered off the wire,
@@ -721,7 +502,8 @@ func (nw *Net) Broadcast(p Proc, tag Tag, payload any, bytes int) {
 func (nw *Net) Recv(p Proc, from int, tag Tag) Msg {
 	for {
 		nw.nmu.Lock()
-		if m, ok := nw.take(p.ID(), from, tag); ok {
+		if m, rest, ok := TakeMatch(nw.boxes[p.ID()], from, tag); ok {
+			nw.boxes[p.ID()] = rest
 			nw.nmu.Unlock()
 			p.SetClock(m.Arrival)
 			p.Charge(nw.costs.RecvOverhead)
@@ -731,14 +513,6 @@ func (nw *Net) Recv(p Proc, from int, tag Tag) Msg {
 		nw.nmu.Unlock()
 		p.Block("net recv")
 	}
-}
-
-// take removes the earliest matching message from to's mailbox (caller
-// holds nmu).
-func (nw *Net) take(to, from int, tag Tag) (Msg, bool) {
-	m, rest, ok := TakeMatch(nw.boxes[to], from, tag)
-	nw.boxes[to] = rest
-	return m, ok
 }
 
 // Message accounts for a protocol control message between two nodes (lock
@@ -751,7 +525,7 @@ func (nw *Net) Message(from, to int, depart time.Duration, bytes int) time.Durat
 	nw.Proc(from).Charge(nw.costs.SendOverhead)
 	nw.Proc(to).Charge(nw.costs.RecvOverhead)
 	nw.nmu.Lock()
-	nw.account(from, to, bytes)
+	nw.stats.Account(from, to, bytes)
 	nw.nmu.Unlock()
 	return depart + nw.costs.SendOverhead + nw.costs.OneWay(bytes) + nw.costs.RecvOverhead
 }
@@ -767,15 +541,15 @@ func (nw *Net) StartRequest(p Proc, to int, req any, reqBytes int) *Pending {
 
 	rs := &reqState{nw: nw, reqArrival: reqArrival}
 	nw.nmu.Lock()
-	nw.account(p.ID(), to, reqBytes)
+	nw.stats.Account(p.ID(), to, reqBytes)
 	nw.nextID[p.ID()]++
 	id := nw.nextID[p.ID()]
 	nw.reqs[p.ID()][id] = rs
 	nw.nmu.Unlock()
-	nw.mustWrite(p.ID(), &wire.Frame{
+	nw.must(p.ID(), nw.eps[p.ID()].Write(&wire.Frame{
 		Kind: wire.FReq, From: int32(p.ID()), To: int32(to), Tag: id,
 		Bytes: int32(reqBytes), Payload: req,
-	})
+	}))
 
 	rs.pd.SetResolver(rs)
 	return &rs.pd
@@ -800,10 +574,10 @@ func (nw *Net) AwaitAll(p Proc, pds []*Pending) {
 // Hand ships a staged protocol payload (lock grant, barrier departure) to
 // node to over the wire.
 func (nw *Net) Hand(p Proc, to int, slot Tag, payload any) {
-	nw.mustWrite(p.ID(), &wire.Frame{
+	nw.must(p.ID(), nw.eps[p.ID()].Write(&wire.Frame{
 		Kind: wire.FHand, From: int32(p.ID()), To: int32(to), Tag: int32(slot),
 		Payload: payload,
-	})
+	}))
 }
 
 // TakeHand retrieves the payload staged for the caller in slot, waiting
@@ -824,44 +598,14 @@ func (nw *Net) TakeHand(p Proc, slot Tag) any {
 
 // ---- Recovery (tmk.Recoverer) ----
 
-// EnableRecovery arms Detach/Reattach: the listener stays open for
-// re-handshakes (a persistent accept loop replaces the construction-time
-// one) and a deliberately detached node's link errors stop counting as
-// peer death. Off by default — without it the abort-on-link-loss
-// contract is exactly as before. Idempotent.
+// EnableRecovery arms Detach/Reattach: a deliberately detached node's
+// link errors stop counting as peer death. Off by default — without it
+// the abort-on-link-loss contract has no exception. Idempotent.
 func (nw *Net) EnableRecovery() {
 	nw.recMu.Lock()
 	defer nw.recMu.Unlock()
-	if nw.reacc != nil {
-		return
-	}
-	nw.detaching = make([]bool, nw.N())
-	nw.reacc = make(chan reConn)
-	nw.wg.Add(1)
-	go nw.acceptLoop()
-}
-
-// acceptLoop accepts and identifies re-handshaking nodes until the
-// listener closes (Net.Close). Connections that fail the handshake are
-// dropped; Reattach collects the good ones.
-func (nw *Net) acceptLoop() {
-	defer nw.wg.Done()
-	for {
-		c, err := nw.ln.Accept()
-		if err != nil {
-			return
-		}
-		id, err := readHello(c, nw.N())
-		if err != nil {
-			c.Close()
-			continue
-		}
-		select {
-		case nw.reacc <- reConn{node: id, c: c}:
-		case <-nw.closed:
-			c.Close()
-			return
-		}
+	if nw.detaching == nil {
+		nw.detaching = make([]bool, nw.N())
 	}
 }
 
@@ -870,68 +614,46 @@ func (nw *Net) acceptLoop() {
 // is quiescent: nothing is in flight to or from i, so the node's writer
 // queues are empty and its reader loops are idle. The loops exit on the
 // socket close; the service loop stays — it is blocked on its empty
-// queue and picks up the replacement sockets through nw.outq at its
+// queue and picks up the replacement endpoint through nw.eps at its
 // next request.
 func (nw *Net) Detach(i int) error {
 	nw.recMu.Lock()
-	if nw.reacc == nil {
+	if nw.detaching == nil {
 		nw.recMu.Unlock()
 		return fmt.Errorf("host: net recovery not enabled")
 	}
 	nw.detaching[i] = true
 	nw.recMu.Unlock()
-	if err := nw.outq[i].Close(); err != nil {
+	if err := nw.eps[i].Close(); err != nil {
 		return fmt.Errorf("host: detaching node %d: %w", i, err)
 	}
-	if err := nw.swq[i].Close(); err != nil {
+	if err := nw.sw.detach(i); err != nil {
 		return fmt.Errorf("host: detaching node %d: %w", i, err)
 	}
-	nw.conns[i].Close()
-	nw.sconns[i].Close()
 	return nil
 }
 
-// Reattach re-pairs node i: a fresh dial and hello, matched with the
-// switch-side connection from the accept loop, fresh writer queues, and
-// relaunched reader loops.
+// Reattach re-pairs node i: a fresh endpoint says hello, the switch
+// matches it and relaunches the node's router, and a new delivery loop
+// reads the new endpoint.
 func (nw *Net) Reattach(i int) error {
-	c, err := net.Dial(nw.ln.Addr().Network(), nw.ln.Addr().String())
+	ep, err := nw.dial(i)
+	if err == nil {
+		if err = nw.sw.Repair(i, nil); err != nil {
+			ep.Close()
+		}
+	}
 	if err != nil {
 		return fmt.Errorf("host: reattaching node %d: %w", i, err)
 	}
-	if err := writeHello(c, i); err != nil {
-		c.Close()
-		return fmt.Errorf("host: reattaching node %d: %w", i, err)
-	}
-	var sc net.Conn
-	select {
-	case rc := <-nw.reacc:
-		if rc.node != i {
-			rc.c.Close()
-			c.Close()
-			return fmt.Errorf("host: reattaching node %d: unexpected hello from node %d", i, rc.node)
-		}
-		sc = rc.c
-	case <-time.After(handshakeTimeout):
-		c.Close()
-		return fmt.Errorf("host: reattaching node %d: handshake timeout", i)
-	case <-nw.closed:
-		c.Close()
-		return fmt.Errorf("host: reattaching node %d: transport closed", i)
-	}
-	nw.conns[i], nw.sconns[i] = c, sc
-	nw.outq[i] = NewFrameQueue(c, func(err error) { nw.linkDown(i, err) })
-	nw.swq[i] = NewFrameQueue(sc, func(err error) { nw.linkDown(i, err) })
-	if nw.obsFrames != nil {
-		nw.outq[i].SetObs(nw.obsFrames, nw.obsFlushes)
-		nw.swq[i].SetObs(nw.obsFrames, nw.obsFlushes)
+	nw.eps[i] = ep
+	if nw.obsReattach != nil {
 		nw.obsReattach.Inc()
 	}
 	nw.recMu.Lock()
 	nw.detaching[i] = false
 	nw.recMu.Unlock()
-	nw.wg.Add(2)
-	go nw.switchLoop(i, sc)
-	go nw.deliveryLoop(i, c)
+	nw.wg.Add(1)
+	go nw.deliveryLoop(i, ep)
 	return nil
 }

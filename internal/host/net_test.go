@@ -4,18 +4,20 @@ import (
 	"errors"
 	"io"
 	"net"
-	"os"
-	"runtime"
 	"strings"
 	"testing"
 	"time"
 
+	"sdsm/internal/leaktest"
 	"sdsm/internal/model"
 	"sdsm/internal/wire"
 )
 
+// newTestNet builds a machine that is closed, and then audited for
+// leaked goroutines and sockets, when the test ends.
 func newTestNet(t *testing.T, n int) *Net {
 	t.Helper()
+	leaktest.Check(t)
 	nw, err := NewNet(n, model.SP2())
 	if err != nil {
 		t.Fatal(err)
@@ -167,20 +169,11 @@ func TestNetPeerFailure(t *testing.T) {
 	}
 }
 
-// countFDs returns the number of open file descriptors of this process.
-func countFDs(t *testing.T) int {
-	t.Helper()
-	ents, err := os.ReadDir("/proc/self/fd")
-	if err != nil {
-		t.Skipf("cannot count fds: %v", err)
-	}
-	return len(ents)
-}
-
 // TestHandshakeTimeout pins the handshake deadline: a peer that accepts
 // a connection and then never says hello must produce a clear timeout
 // error within the deadline, not hang the machine forever.
 func TestHandshakeTimeout(t *testing.T) {
+	leaktest.Check(t)
 	old := handshakeTimeout
 	handshakeTimeout = 50 * time.Millisecond
 	defer func() { handshakeTimeout = old }()
@@ -211,11 +204,9 @@ func TestHandshakeTimeout(t *testing.T) {
 // a forced abort (a node panicking mid-run) Close must unwind every
 // goroutine the machine started — switch, delivery, and service loops,
 // and the frame-queue writers — and close every socket. Goroutine and
-// fd counts are compared against the pre-machine baseline.
+// fd counts are compared against the pre-machine baseline (leaktest).
 func TestAbortReleasesResources(t *testing.T) {
-	baseGo := runtime.NumGoroutine()
-	baseFD := countFDs(t)
-
+	leaktest.Check(t)
 	nw, err := NewNet(3, model.SP2())
 	if err != nil {
 		t.Fatal(err)
@@ -232,21 +223,6 @@ func TestAbortReleasesResources(t *testing.T) {
 		t.Fatalf("Run error = %v, want the injected abort", err)
 	}
 	nw.Close() // abort path: conns first, queues after; may report drops
-
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		runtime.GC() // finalize dropped conns so fd counts settle
-		g, f := runtime.NumGoroutine(), countFDs(t)
-		if g <= baseGo && f <= baseFD {
-			return
-		}
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<20)
-			t.Fatalf("leak after abort: %d goroutines (base %d), %d fds (base %d)\n%s",
-				g, baseGo, f, baseFD, buf[:runtime.Stack(buf, true)])
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
 }
 
 // shortConn is a net.Conn whose writes stop short without reporting an
@@ -269,6 +245,7 @@ func (c *shortConn) Write(b []byte) (int, error) {
 // enqueues fail loudly, and Close reports how many frames were dropped
 // unwritten instead of letting a lossy shutdown pass silently.
 func TestFrameQueueShortWrite(t *testing.T) {
+	leaktest.Check(t)
 	errCh := make(chan error, 4)
 	fq := NewFrameQueue(&shortConn{n: 3}, func(err error) { errCh <- err })
 
@@ -307,6 +284,7 @@ func TestFrameQueueShortWrite(t *testing.T) {
 // TestFrameQueueCloseAfterClose checks enqueue-after-close fails loudly
 // on a healthy queue too.
 func TestFrameQueueCloseLoud(t *testing.T) {
+	leaktest.Check(t)
 	c1, c2 := net.Pipe()
 	defer c2.Close()
 	go func() { // drain whatever arrives

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"time"
 
+	"sdsm/internal/compiler"
 	"sdsm/internal/ir"
 	"sdsm/internal/rsd"
 	"sdsm/internal/shm"
@@ -70,18 +71,7 @@ func RunDSM(prog *ir.Program, sys *tmk.System, params rsd.Env, epilogue ...func(
 // paper's uniprocessor baseline ("obtained by removing all
 // synchronization from the TreadMarks programs").
 func SeqTime(prog *ir.Program, params rsd.Env) time.Duration {
-	layout := buildLayout(prog, params)
-	t := &seqTarget{mem: make([]float64, layout.Words())}
-	x := &executor{
-		prog:   prog,
-		layout: layout,
-		params: params,
-		nprocs: 1,
-		env:    prog.Env(params, 0, 1),
-		tgt:    t,
-		scale:  costScale(params),
-	}
-	x.exec(prog.Body)
+	_, t := runSeq(prog, params)
 	return t.elapsed
 }
 
@@ -99,7 +89,12 @@ func costScale(params rsd.Env) int {
 // costs) and returns the layout and final memory image, the reference for
 // verification.
 func RunSeq(prog *ir.Program, params rsd.Env) (*shm.Layout, []float64) {
-	layout := buildLayout(prog, params)
+	layout, t := runSeq(prog, params)
+	return layout, t.mem
+}
+
+func runSeq(prog *ir.Program, params rsd.Env) (*shm.Layout, *seqTarget) {
+	layout := compiler.BuildLayout(prog, params)
 	t := &seqTarget{mem: make([]float64, layout.Words())}
 	x := &executor{
 		prog:   prog,
@@ -111,23 +106,7 @@ func RunSeq(prog *ir.Program, params rsd.Env) (*shm.Layout, []float64) {
 		scale:  costScale(params),
 	}
 	x.exec(prog.Body)
-	return layout, t.mem
-}
-
-func buildLayout(prog *ir.Program, params rsd.Env) *shm.Layout {
-	l := shm.NewLayout()
-	env := rsd.Env{}
-	for k, v := range params {
-		env[k] = v
-	}
-	for _, a := range prog.Arrays {
-		dims := make([]int, len(a.Dims))
-		for i, d := range a.Dims {
-			dims[i] = d.Eval(env)
-		}
-		l.Alloc(a.Name, dims...)
-	}
-	return l
+	return layout, t
 }
 
 // dsmTarget runs on a DSM node.

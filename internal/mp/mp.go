@@ -20,7 +20,7 @@ import (
 // World is one message-passing machine.
 type World struct {
 	H  host.Host
-	NW host.Transport
+	NW host.Mailbox
 }
 
 // NewWorld creates an n-rank world over the SP/2 cost model on the

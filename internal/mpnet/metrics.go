@@ -56,12 +56,12 @@ func serveMetrics(spec string, rank int, reg *obs.Registry) (io.Closer, error) {
 }
 
 // EnableObs attaches traffic counters to the worker transport: frames and
-// wire bytes in each direction, plus coalesced writer flushes. Nil-gated
-// at every touch point, so an untraced worker does no extra work.
+// accounted payload bytes in each direction, plus coalesced writer
+// flushes. Nil-gated at every touch point, so an untraced worker does no
+// extra work.
 func (t *workerTransport) EnableObs(reg *obs.Registry) {
-	t.obsSent = reg.Counter("mp.frames.sent")
+	t.ep.SetObs(reg.Counter("mp.frames.sent"), reg.Counter("mp.flushes"))
 	t.obsSentBytes = reg.Counter("mp.bytes.sent")
 	t.obsRecv = reg.Counter("mp.frames.recv")
 	t.obsRecvBytes = reg.Counter("mp.bytes.recv")
-	t.obsFlushes = reg.Counter("mp.flushes")
 }

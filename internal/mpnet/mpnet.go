@@ -9,14 +9,18 @@
 // same application code runs unmodified against a socket-backed transport
 // in another process.
 //
-// The coordinator listens, spawns workers (the sdsm-node binary, or a
-// re-exec of the current executable), routes frames between them by
-// destination rank, accounts traffic, and collects each worker's final
-// virtual clock and checksum contribution. A worker process dials in,
-// identifies itself (hello), receives its run configuration (start),
-// re-derives the problem parameters deterministically from it, runs the
-// application's MP function against a proxy Host/Transport whose
-// communication methods speak frames, and reports its result (done).
+// The deployment is a configuration of the rank-routed wire stack in
+// package host (DESIGN.md §3). The coordinator is a host.Switch plus
+// process spawn plus a replay log: it spawns workers (the sdsm-node
+// binary, or a re-exec of the current executable), lets the switch pair
+// them and route frames between them by destination rank, and — through
+// the switch's per-frame tap — accounts traffic and collects each
+// worker's final virtual clock and checksum contribution. A worker
+// process is one host.Endpoint: it dials in, identifies itself (hello),
+// receives its run configuration (start), re-derives the problem
+// parameters deterministically from it, runs the application's MP
+// function against a single-processor Host and a host.Mailbox whose
+// sends are the endpoint's, and reports its result (done).
 //
 // With Options.Recover set, the coordinator is also a pessimistic
 // message logger: every frame delivered to a worker — the start frame
@@ -48,7 +52,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"sdsm/internal/apps"
@@ -62,11 +65,6 @@ import (
 // WorkerEnv is the environment variable carrying a spawned worker's
 // connection target and rank: "network;address;rank".
 const WorkerEnv = "SDSM_MP_WORKER"
-
-// handshakeTimeout bounds both sides of the worker handshake: the
-// coordinator's wait for a spawned worker to dial in and say hello, and
-// the worker's wait for its start frame. A var so tests can shorten it.
-var handshakeTimeout = 30 * time.Second
 
 // maxRestarts caps worker respawns per run: a worker that dies
 // deterministically on replay would otherwise crash-loop forever.
@@ -132,43 +130,26 @@ type Options struct {
 	Fault *FaultSpec
 }
 
-// Run executes one mp application with one OS process per rank, with the
-// historical positional configuration. See RunOpts.
-func Run(app *apps.App, set apps.DataSet, procs int, overhead time.Duration, verify bool, nodeBin string, costs model.Costs) (*Result, error) {
-	return RunOpts(app, set, procs, Options{Overhead: overhead, Verify: verify, NodeBin: nodeBin, Costs: costs})
-}
-
-// link is the coordinator's per-worker outbound state. Its mutex makes
-// (log, enqueue) atomic per destination and guards the queue swap during
-// a respawn: a frame routed concurrently with the destination's
-// recovery lands either in the dead queue (and is redelivered from the
-// log) or in the new queue after the replay — never between replayed
-// frames.
-type link struct {
-	mu   sync.Mutex
-	conn net.Conn
-	q    *host.FrameQueue
-	log  [][]byte // inbound replay log (start frame first); Recover only
-}
-
-// coordinator is the state shared by the router goroutines.
+// coordinator is the state behind the switch's two hooks: tap sees every
+// frame a worker sends, down every lost worker link. The per-rank slices
+// indexed by sending rank (sent, skip, done) are touched only by that
+// rank's router; log[r] is guarded by the switch's lock on link r.
 type coordinator struct {
-	procs   int
-	nodeBin string
-	network string
-	addr    string
-	ln      net.Listener
-	opts    Options
+	opts Options
+	sw   *host.Switch
 
-	links []*link
-	sent  []int // frames routed from each rank; rank r's router only
+	sent    []int      // frames routed from each rank
+	skip    []int      // re-emitted frames still to swallow after a respawn
+	done    []bool     // rank has reported (done frame or fatal error)
+	log     [][][]byte // inbound replay log per rank (start frame first); Recover only
+	faulted bool       // the injected kill has fired; fault rank's router only
+	doneCh  chan doneMsg
 
 	cmdMu sync.Mutex
 	cmds  []*exec.Cmd
 
-	respawnMu sync.Mutex // serializes respawns: accept must pair by rank
+	respawnMu sync.Mutex // serializes respawns: the switch pairs by arrival order
 	restarts  int        // under respawnMu
-	closed    atomic.Bool
 
 	res     *Result
 	statsMu sync.Mutex
@@ -190,79 +171,52 @@ func RunOpts(app *apps.App, set apps.DataSet, procs int, opts Options) (*Result,
 	if opts.Fault != nil && (opts.Fault.Rank < 0 || opts.Fault.Rank >= procs) {
 		return nil, fmt.Errorf("mpnet: fault rank %d out of range", opts.Fault.Rank)
 	}
-	nodeBin := opts.NodeBin
-	if nodeBin == "" {
+	if opts.NodeBin == "" {
 		exe, err := os.Executable()
 		if err != nil {
 			return nil, fmt.Errorf("mpnet: cannot locate own executable: %w", err)
 		}
-		nodeBin = exe
-	}
-
-	ln, dir, err := host.ListenLoopback()
-	if err != nil {
-		return nil, fmt.Errorf("mpnet: cannot listen: %w", err)
-	}
-	defer ln.Close()
-	if dir != "" {
-		defer os.RemoveAll(dir)
+		opts.NodeBin = exe
 	}
 
 	co := &coordinator{
-		procs: procs, nodeBin: nodeBin,
-		network: ln.Addr().Network(), addr: ln.Addr().String(),
-		ln: ln, opts: opts,
-		links: make([]*link, procs),
-		sent:  make([]int, procs),
-		cmds:  make([]*exec.Cmd, procs),
-		res:   &Result{Stats: host.Stats{Node: make([]host.NodeStats, procs)}},
-	}
-	for r := 0; r < procs; r++ {
-		co.links[r] = &link{}
+		opts:   opts,
+		sent:   make([]int, procs),
+		skip:   make([]int, procs),
+		done:   make([]bool, procs),
+		log:    make([][][]byte, procs),
+		doneCh: make(chan doneMsg, procs), // every rank reports at most once
+		cmds:   make([]*exec.Cmd, procs),
+		res:    &Result{Stats: host.Stats{Node: make([]host.NodeStats, procs)}},
 	}
 	// Reap every worker on exit — normally-exited children are waited,
-	// stragglers killed first. Registered before the queue-close defer
-	// below runs (defers run in reverse), so sockets and queues are
-	// already torn down and no writer can block the reaping.
+	// stragglers killed first. Registered before the switch's Close below
+	// (defers run in reverse), so sockets and queues are already torn down
+	// and no writer can block the reaping.
 	defer co.killAll()
+	sw, err := host.NewSwitch(procs, co.tap, co.down)
+	if err != nil {
+		return nil, fmt.Errorf("mpnet: %w", err)
+	}
+	co.sw = sw
+	// Sockets close before queues: a wedged writer errors out instead of
+	// blocking the join, and any frames dropped that way are addressed to
+	// workers that already reported done (or are being torn down). Once
+	// the switch is closing, the routers' read errors unwind them — never
+	// respawn workers for a machine that no longer exists.
+	defer sw.Close(false)
 
-	// Spawn the workers.
 	for r := 0; r < procs; r++ {
 		if err := co.spawn(r); err != nil {
 			return nil, err
 		}
 	}
-
-	// Accept and pair connections by hello. A worker binary that does not
-	// call MaybeWorker never dials in; the deadline turns that into a
-	// diagnosable error instead of a hang.
-	deadline := time.Now().Add(handshakeTimeout)
-	for i := 0; i < procs; i++ {
-		c, r, err := acceptHello(ln, deadline, procs)
-		if err != nil {
-			return nil, fmt.Errorf("mpnet: worker handshake (does the worker binary call mpnet.MaybeWorker?): %w", err)
-		}
-		if co.links[r].conn != nil {
-			c.Close()
-			return nil, fmt.Errorf("mpnet: duplicate hello from rank %d", r)
-		}
-		co.links[r].conn = c
+	// A worker binary that does not call MaybeWorker never dials in; the
+	// handshake deadline turns that into a diagnosable error instead of a
+	// hang.
+	if err := sw.Pair(); err != nil {
+		return nil, fmt.Errorf("mpnet: worker handshake (does the worker binary call mpnet.MaybeWorker?): %w", err)
 	}
-	// The join defer is registered after the killAll defer so it runs
-	// before it: closing the sockets first guarantees a wedged writer
-	// errors out instead of blocking the join — any frames dropped that
-	// way are addressed to workers that already reported done (or are
-	// being torn down).
-	defer func() {
-		for _, lk := range co.links {
-			if lk.conn != nil {
-				lk.conn.Close()
-			}
-			if lk.q != nil {
-				lk.q.Close()
-			}
-		}
-	}()
 
 	// Configure every worker. The start frame heads each inbound log: a
 	// replayed worker re-derives its configuration from it like a fresh
@@ -273,32 +227,23 @@ func RunOpts(app *apps.App, set apps.DataSet, procs int, opts Options) (*Result,
 		if err != nil {
 			return nil, fmt.Errorf("mpnet: encoding start frame: %w", err)
 		}
-		lk := co.links[r]
-		lk.q = host.NewFrameQueue(lk.conn, nil)
 		if opts.Recover {
-			lk.log = append(lk.log, blob)
+			co.log[r] = append(co.log[r], blob)
 		}
-		if err := lk.q.Enqueue(append(wire.GetBuf(), blob...)); err != nil {
+		if err := sw.Enqueue(r, append(wire.GetBuf(), blob...)); err != nil {
 			return nil, fmt.Errorf("mpnet: configuring worker %d: %w", r, err)
 		}
 	}
 
-	// Once Run returns, the teardown defers close every socket; the
-	// routers' read errors must then unwind them, never respawn workers
-	// for a machine that no longer exists. Registered last so it runs
-	// before the socket-closing defers.
-	defer co.closed.Store(true)
-
 	// Route frames until every worker reports done. The first error
 	// returns immediately: the deferred teardown closes the sockets,
 	// which errors out any router still blocked on a read.
-	doneCh := make(chan doneMsg, procs)
-	for r := 0; r < procs; r++ {
-		r := r
-		go func() { doneCh <- co.route(r) }()
+	if opts.Fault != nil {
+		co.injectFault(opts.Fault.Rank) // AfterFrames 0: before its first frame
 	}
+	sw.Start()
 	for i := 0; i < procs; i++ {
-		d := <-doneCh
+		d := <-co.doneCh
 		if d.err != nil {
 			return nil, d.err
 		}
@@ -322,10 +267,16 @@ type doneMsg struct {
 	err   error
 }
 
+// report files rank r's outcome; a rank reports once.
+func (co *coordinator) report(d doneMsg) {
+	co.done[d.rank] = true
+	co.doneCh <- d
+}
+
 // spawn starts (or restarts) rank r's worker process.
 func (co *coordinator) spawn(r int) error {
-	cmd := exec.Command(co.nodeBin)
-	cmd.Env = append(os.Environ(), fmt.Sprintf("%s=%s;%s;%d", WorkerEnv, co.network, co.addr, r))
+	cmd := exec.Command(co.opts.NodeBin)
+	cmd.Env = append(os.Environ(), fmt.Sprintf("%s=%s;%s;%d", WorkerEnv, co.sw.Addr().Network(), co.sw.Addr().String(), r))
 	cmd.Stderr = os.Stderr
 	if err := cmd.Start(); err != nil {
 		return fmt.Errorf("mpnet: spawning worker %d: %w", r, err)
@@ -336,16 +287,23 @@ func (co *coordinator) spawn(r int) error {
 	return nil
 }
 
+// kill kills rank r's worker process, if it has one.
+func (co *coordinator) kill(r int) {
+	co.cmdMu.Lock()
+	defer co.cmdMu.Unlock()
+	if c := co.cmds[r]; c != nil && c.Process != nil {
+		c.Process.Kill()
+	}
+}
+
 // killAll kills any worker still running and reaps every child: no
 // coordinator path leaves a zombie behind.
 func (co *coordinator) killAll() {
+	for r := range co.cmds {
+		co.kill(r)
+	}
 	co.cmdMu.Lock()
 	defer co.cmdMu.Unlock()
-	for _, c := range co.cmds {
-		if c != nil && c.Process != nil {
-			c.Process.Kill()
-		}
-	}
 	for _, c := range co.cmds {
 		if c != nil {
 			c.Wait()
@@ -353,129 +311,95 @@ func (co *coordinator) killAll() {
 	}
 }
 
-// acceptHello accepts one worker connection and reads its hello,
-// returning the rank it claims.
-func acceptHello(ln net.Listener, deadline time.Time, procs int) (net.Conn, int, error) {
-	type deadliner interface{ SetDeadline(time.Time) error }
-	if d, ok := ln.(deadliner); ok {
-		d.SetDeadline(deadline)
-	}
-	c, err := ln.Accept()
-	if err != nil {
-		return nil, 0, err
-	}
-	c.SetReadDeadline(deadline)
-	f, err := wire.ReadFrame(c)
-	if err != nil || f.Kind != wire.FHello || int(f.From) < 0 || int(f.From) >= procs {
-		c.Close()
-		return nil, 0, fmt.Errorf("bad hello: %v", err)
-	}
-	c.SetReadDeadline(time.Time{})
-	return c, int(f.From), nil
-}
-
-// route is rank r's router: it reads frames off r's connection and
-// forwards them by destination until r reports done. With recovery on,
-// a read failure before done means the worker died: the router respawns
-// it, replays its inbound log, and continues on the new connection,
-// suppressing the re-emitted frames it has already routed.
-func (co *coordinator) route(r int) doneMsg {
-	conn := co.links[r].conn
-	skip := 0
-	faultArmed := co.opts.Fault != nil && co.opts.Fault.Rank == r
-	for {
-		if faultArmed && co.sent[r] >= co.opts.Fault.AfterFrames {
-			faultArmed = false
-			co.cmdMu.Lock()
-			if c := co.cmds[r]; c != nil && c.Process != nil {
-				c.Process.Kill()
-			}
-			co.cmdMu.Unlock()
-		}
-		raw, err := wire.ReadRawFrameInto(conn, wire.GetBuf())
-		if err != nil {
-			if co.opts.Recover && !co.closed.Load() {
-				nc, rerr := co.respawn(r)
-				if rerr != nil {
-					return doneMsg{rank: r, err: rerr}
-				}
-				// Everything routed from r so far will be re-emitted by
-				// the replayed process, byte-identical; swallow it.
-				conn, skip = nc, co.sent[r]
-				continue
-			}
-			return doneMsg{rank: r, err: fmt.Errorf("mpnet: rank %d link lost: %w", r, err)}
-		}
-		kind, _, to, bytes, err := wire.RawFields(raw)
-		if err != nil {
-			return doneMsg{rank: r, err: err}
-		}
-		if skip > 0 {
-			skip--
-			wire.PutBuf(raw)
-			continue
-		}
-		if kind == wire.FDone {
-			f, _, err := wire.ParseFrame(raw)
-			wire.PutBuf(raw)
-			if err != nil {
-				return doneMsg{rank: r, err: err}
-			}
-			d := f.Payload.(wire.Done)
-			if d.Err != "" {
-				return doneMsg{rank: r, err: fmt.Errorf("mpnet: rank %d failed: %s", r, d.Err)}
-			}
-			return doneMsg{rank: r, clock: time.Duration(f.Time), sum: d.Checksum}
-		}
-		if int(to) < 0 || int(to) >= co.procs {
-			return doneMsg{rank: r, err: fmt.Errorf("mpnet: rank %d sent unroutable frame", r)}
-		}
-		if kind == wire.FMsg {
-			// Accounted from the raw header — the payload is forwarded
-			// verbatim, never decoded here. One router goroutine runs per
-			// sending rank, so the shared counters need the lock.
-			co.statsMu.Lock()
-			co.res.Stats.Account(r, int(to), int(bytes))
-			co.statsMu.Unlock()
-		}
-		if err := co.deliver(int(to), raw); err != nil {
-			return doneMsg{rank: r, err: fmt.Errorf("mpnet: routing to rank %d: %w", to, err)}
-		}
-		co.sent[r]++
+// injectFault fires the configured worker death once the coordinator has
+// routed AfterFrames frames from the fault rank r.
+func (co *coordinator) injectFault(r int) {
+	if f := co.opts.Fault; f != nil && f.Rank == r && !co.faulted && co.sent[r] >= f.AfterFrames {
+		co.faulted = true
+		co.kill(r)
 	}
 }
 
-// deliver hands one frame to a destination's outbound queue, logging it
-// first when recovery is on (log before enqueue: the log must cover
-// every frame the worker could ever have observed). In recovery mode an
-// enqueue failure is swallowed — the destination's connection is dying
-// or mid-respawn, and its replay redelivers the frame from the log.
-func (co *coordinator) deliver(to int, raw []byte) error {
-	lk := co.links[to]
-	lk.mu.Lock()
-	defer lk.mu.Unlock()
+// tap is the switch's per-frame hook, run on the sending rank's router
+// under the destination link's lock. It swallows the frames a replayed
+// worker re-emits, takes the done report, accounts traffic, and — with
+// recovery on — logs the frame before the switch enqueues it (the log
+// must cover every frame the worker could ever have observed).
+func (co *coordinator) tap(from int, raw []byte, kind byte, to, bytes int32) bool {
+	if co.skip[from] > 0 {
+		co.skip[from]--
+		return false
+	}
+	if kind == wire.FDone {
+		d := doneMsg{rank: from}
+		f, _, err := wire.ParseFrame(raw)
+		if err != nil {
+			d.err = err
+		} else if res := f.Payload.(wire.Done); res.Err != "" {
+			d.err = fmt.Errorf("mpnet: rank %d failed: %s", from, res.Err)
+		} else {
+			d.clock, d.sum = time.Duration(f.Time), res.Checksum
+		}
+		co.report(d)
+		return false
+	}
+	if kind == wire.FMsg {
+		// Accounted from the raw header — the payload is forwarded
+		// verbatim, never decoded here. One router goroutine runs per
+		// sending rank, so the shared counters need the lock.
+		co.statsMu.Lock()
+		co.res.Stats.Account(from, int(to), int(bytes))
+		co.statsMu.Unlock()
+	}
 	if co.opts.Recover {
-		lk.log = append(lk.log, append([]byte(nil), raw...))
-		lk.q.Enqueue(raw)
-		return nil
+		co.log[to] = append(co.log[to], append([]byte(nil), raw...))
 	}
-	return lk.q.Enqueue(raw)
+	co.sent[from]++
+	co.injectFault(from)
+	return true
 }
 
-// respawn replaces rank r's dead worker process: reap, spawn, accept the
-// new connection, swap it in, and replay the inbound log. Serialized so
+// down is the switch's link-down hook, run on rank r's router. Before r
+// has reported, a lost link means the worker died: with recovery on the
+// rank is respawned and replayed (its fresh router swallows the frames
+// the replay re-emits); otherwise the run fails. A frame the switch
+// dropped on r's dead link needs no handling here — it is in r's log, and
+// the replay redelivers it.
+func (co *coordinator) down(r int, err error) {
+	if co.done[r] || co.sw.Closing() {
+		return
+	}
+	if co.opts.Recover {
+		// Everything routed from r so far will be re-emitted by the
+		// replayed process, byte-identical.
+		co.skip[r] = co.sent[r]
+		if err = co.respawn(r); err == nil {
+			return
+		}
+	} else {
+		err = fmt.Errorf("mpnet: rank %d link lost: %w", r, err)
+	}
+	co.report(doneMsg{rank: r, err: err})
+}
+
+// respawn replaces rank r's dead worker process: reap, spawn, and
+// re-pair, replaying the inbound log into the new link before any
+// concurrently routed frame can slip in — the switch's per-link lock
+// makes replay-then-new-traffic the only observable order. Serialized so
 // concurrent respawns cannot steal each other's accepted connections.
-func (co *coordinator) respawn(r int) (net.Conn, error) {
+func (co *coordinator) respawn(r int) error {
 	co.respawnMu.Lock()
 	defer co.respawnMu.Unlock()
-	if co.closed.Load() {
-		return nil, fmt.Errorf("mpnet: rank %d died during shutdown", r)
+	if co.sw.Closing() {
+		return fmt.Errorf("mpnet: rank %d died during shutdown", r)
 	}
 	if co.restarts++; co.restarts > maxRestarts {
-		return nil, fmt.Errorf("mpnet: rank %d died after %d restarts; giving up", r, maxRestarts)
+		return fmt.Errorf("mpnet: rank %d died after %d restarts; giving up", r, maxRestarts)
 	}
-	// Reap the dead child before its replacement exists: the pid slot
-	// must never hold a zombie.
+	// Reap the old child before its replacement exists: the pid slot must
+	// never hold a zombie. Killed first — a link can fail under a worker
+	// that is still alive.
+	co.kill(r)
 	co.cmdMu.Lock()
 	old := co.cmds[r]
 	co.cmdMu.Unlock()
@@ -483,36 +407,20 @@ func (co *coordinator) respawn(r int) (net.Conn, error) {
 		old.Wait()
 	}
 	if err := co.spawn(r); err != nil {
-		return nil, err
+		return err
 	}
-	c, hr, err := acceptHello(co.ln, time.Now().Add(handshakeTimeout), co.procs)
-	if err != nil {
-		return nil, fmt.Errorf("mpnet: respawned rank %d handshake: %w", r, err)
-	}
-	if hr != r {
-		c.Close()
-		return nil, fmt.Errorf("mpnet: respawned rank %d answered hello as rank %d", r, hr)
-	}
-	lk := co.links[r]
-	lk.mu.Lock()
-	defer lk.mu.Unlock()
-	// Tear down the dead connection's queue (its unwritten frames are all
-	// in the log), swap in the new one, and queue the full replay before
-	// any concurrently routed frame can slip in: the per-link lock makes
-	// replay-then-new-traffic the only observable order.
-	if lk.conn != nil {
-		lk.conn.Close()
-	}
-	if lk.q != nil {
-		lk.q.Close()
-	}
-	lk.conn, lk.q = c, host.NewFrameQueue(c, nil)
-	for _, e := range lk.log {
-		if err := lk.q.Enqueue(append(wire.GetBuf(), e...)); err != nil {
-			return nil, fmt.Errorf("mpnet: replaying to respawned rank %d: %w", r, err)
+	err := co.sw.Repair(r, func(q *host.FrameQueue) error {
+		for _, e := range co.log[r] {
+			if err := q.Enqueue(append(wire.GetBuf(), e...)); err != nil {
+				return fmt.Errorf("replaying: %w", err)
+			}
 		}
+		return nil
+	})
+	if err != nil {
+		return fmt.Errorf("mpnet: respawned rank %d: %w", r, err)
 	}
-	return c, nil
+	return nil
 }
 
 // RunWorker dials the coordinator and runs one rank to completion: the
@@ -522,22 +430,15 @@ func RunWorker(network, addr string, rank int) error {
 	if err != nil {
 		return fmt.Errorf("dialing coordinator: %w", err)
 	}
-	defer conn.Close()
-	// The handshake — hello out, start frame back — runs under a
-	// deadline: a coordinator that accepted but never configures this
-	// rank must surface as a clear timeout error, not a silent hang.
-	if err := conn.SetDeadline(time.Now().Add(handshakeTimeout)); err != nil {
-		return err
-	}
-	if err := wire.WriteFrame(conn, &wire.Frame{Kind: wire.FHello, From: int32(rank)}); err != nil {
-		return fmt.Errorf("sending hello: %w", err)
-	}
-	f, err := wire.ReadFrame(conn)
+	ep, err := host.NewEndpoint(conn, rank, model.SP2(), nil)
 	if err != nil {
-		return fmt.Errorf("reading start frame (handshake deadline %v): %w", handshakeTimeout, err)
-	}
-	if err := conn.SetDeadline(time.Time{}); err != nil {
+		conn.Close()
 		return err
+	}
+	defer ep.Close()
+	var f wire.Frame
+	if err := ep.ReadHandshake(&f); err != nil {
+		return fmt.Errorf("reading start frame: %w", err)
 	}
 	start, ok := f.Payload.(wire.Start)
 	if !ok || f.Kind != wire.FStart {
@@ -558,7 +459,7 @@ func RunWorker(network, addr string, rank int) error {
 	prog := app.Build(n)
 	params := prog.Prepare(app.Sets[set], n)
 
-	w := newWorkerWorld(conn, rank, n, model.SP2())
+	w := newWorkerWorld(ep, rank, n)
 	if spec := os.Getenv(MetricsEnv); spec != "" {
 		reg := obs.NewRegistry()
 		w.tr.EnableObs(reg)
@@ -568,33 +469,23 @@ func RunWorker(network, addr string, rank int) error {
 		}
 		defer closer.Close()
 	}
-	var sum float64
-	var runErr error
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				runErr = fmt.Errorf("rank %d panicked: %v", rank, r)
-			}
-		}()
-		runErr = w.world.Run(func(r *mp.Rank) {
-			if cs, ok := params["cscale"]; ok {
-				r.SetCostScale(cs)
-			}
-			sum = app.MP(r, params, time.Duration(start.Overhead), start.Verify)
-		})
-	}()
-	done := wire.Done{Checksum: sum}
+	// A panic in the rank body — a lost link included — comes back as
+	// Run's error (workerHost.Run) and travels in the done report.
+	var done wire.Done
+	runErr := w.world.Run(func(r *mp.Rank) {
+		if cs, ok := params["cscale"]; ok {
+			r.SetCostScale(cs)
+		}
+		done.Checksum = app.MP(r, params, time.Duration(start.Overhead), start.Verify)
+	})
 	if runErr != nil {
 		done.Err = runErr.Error()
 	}
 	// The done report rides the same outbound queue as the data frames so
 	// it cannot overtake them, then the queue is drained to the socket.
-	raw, err := wire.AppendFrame(wire.GetBuf(), &wire.Frame{
-		Kind: wire.FDone, From: int32(rank), Time: int64(w.proc.clock), Payload: done,
-	})
+	err = ep.Write(&wire.Frame{Kind: wire.FDone, From: int32(rank), Time: int64(w.proc.clock), Payload: done})
 	if err != nil {
 		return err
 	}
-	w.tr.enqueue(raw)
-	return w.tr.flush()
+	return ep.Flush()
 }

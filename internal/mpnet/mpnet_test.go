@@ -7,6 +7,7 @@ import (
 
 	"sdsm/internal/apps"
 	"sdsm/internal/harness"
+	"sdsm/internal/leaktest"
 	"sdsm/internal/model"
 	"sdsm/internal/mpnet"
 )
@@ -23,6 +24,7 @@ func TestMain(m *testing.M) {
 // Reduction order follows real frame arrival, so comparison is the
 // approximate one (apps.Close), as documented.
 func TestDistributedMP(t *testing.T) {
+	leaktest.Check(t)
 	cases := []struct {
 		app   string
 		procs int
@@ -41,7 +43,7 @@ func TestDistributedMP(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := mpnet.Run(a, apps.Small, c.procs, 0, true, "", model.SP2())
+			res, err := mpnet.RunOpts(a, apps.Small, c.procs, mpnet.Options{Verify: true, Costs: model.SP2()})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -63,6 +65,7 @@ func TestDistributedMP(t *testing.T) {
 // caveat). AfterFrames values probe a kill before the rank's first frame
 // and one in the middle of the exchange pattern.
 func TestDistributedRecovery(t *testing.T) {
+	leaktest.Check(t)
 	a, err := apps.ByName("jacobi")
 	if err != nil {
 		t.Fatal(err)
@@ -91,6 +94,7 @@ func TestDistributedRecovery(t *testing.T) {
 // TestRecoverNoFault checks the logging path is invisible when no worker
 // dies: recovery armed, nothing killed, result as usual.
 func TestRecoverNoFault(t *testing.T) {
+	leaktest.Check(t)
 	a, err := apps.ByName("is")
 	if err != nil {
 		t.Fatal(err)
@@ -112,6 +116,7 @@ func TestRecoverNoFault(t *testing.T) {
 // TestHarnessNetMP exercises the harness plumbing: a PVMe run on the net
 // backend spawns worker processes through harness.Run.
 func TestHarnessNetMP(t *testing.T) {
+	leaktest.Check(t)
 	a, err := apps.ByName("shallow")
 	if err != nil {
 		t.Fatal(err)
@@ -133,6 +138,7 @@ func TestHarnessNetMP(t *testing.T) {
 // config surface (FaultPlan.AfterFrames on a PVMe net run) and checks
 // the respawn is reported through the unified recovery counters.
 func TestHarnessMPFault(t *testing.T) {
+	leaktest.Check(t)
 	a, err := apps.ByName("jacobi")
 	if err != nil {
 		t.Fatal(err)

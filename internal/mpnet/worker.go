@@ -2,12 +2,9 @@ package mpnet
 
 import (
 	"fmt"
-	"net"
-	"sync"
 	"time"
 
 	"sdsm/internal/host"
-	"sdsm/internal/model"
 	"sdsm/internal/mp"
 	"sdsm/internal/obs"
 	"sdsm/internal/wire"
@@ -15,20 +12,19 @@ import (
 
 // workerWorld is the worker-process side of the distributed mp machine: a
 // single-processor Host whose processor carries the rank's virtual clock,
-// and a Transport whose communication methods speak wire frames over the
-// coordinator connection. Everything else a Transport can do (requests,
-// hands, multi-hop accounting) belongs to the DSM layer and panics here:
-// the mp layer is share-nothing by construction and uses only mailboxes.
+// and a Mailbox whose communication methods speak wire frames over the
+// rank's endpoint to the coordinator's switch. The mp layer is
+// share-nothing by construction and uses only mailboxes.
 type workerWorld struct {
 	world *mp.World
 	proc  *workerProc
 	tr    *workerTransport
 }
 
-func newWorkerWorld(conn net.Conn, rank, n int, costs model.Costs) *workerWorld {
+func newWorkerWorld(ep *host.Endpoint, rank, n int) *workerWorld {
 	w := &workerWorld{proc: &workerProc{id: rank}}
 	h := &workerHost{proc: w.proc, n: n}
-	w.tr = newWorkerTransport(conn, costs, rank, n)
+	w.tr = &workerTransport{ep: ep, rank: rank, n: n}
 	w.world = &mp.World{H: h, NW: w.tr}
 	return w
 }
@@ -98,202 +94,67 @@ func (h *workerHost) Run(body func(p host.Proc)) (err error) {
 	return nil
 }
 
-// workerTransport speaks frames over the coordinator connection. Inbound
-// frames are buffered in a local mailbox so selective receives (by sender
-// and tag) work exactly as in-process. Outbound frames go through an
-// unbounded queue drained by a writer goroutine: the rank's goroutine
-// never blocks on a full socket buffer, so a pairwise exchange of large
-// payloads cannot wedge two workers (and their coordinator routers) in
-// simultaneous writes — the worker always progresses to its Recv, which
-// drains its connection and unblocks the routers.
+// workerTransport is the rank's Mailbox: sends go out through the
+// endpoint (whose unbounded queue means the rank's goroutine never blocks
+// on a full socket buffer — it always progresses to its Recv, which
+// drains its connection and unblocks the coordinator's routers), and
+// inbound frames are buffered in a local mailbox so selective receives
+// (by sender and tag) work exactly as in-process.
 type workerTransport struct {
-	conn  net.Conn
-	fr    *wire.FrameReader // inbound reader, rank goroutine only
-	costs model.Costs
-	rank  int
-	n     int
-	box   []host.Msg
-
-	wmu     sync.Mutex
-	wcond   *sync.Cond
-	wqueue  [][]byte
-	pending int
-	werr    error
+	ep   *host.Endpoint
+	rank int
+	n    int
+	box  []host.Msg
 
 	// Observability counters (EnableObs in metrics.go); all nil on
 	// untraced workers.
-	obsSent      *obs.Counter
 	obsSentBytes *obs.Counter
 	obsRecv      *obs.Counter
 	obsRecvBytes *obs.Counter
-	obsFlushes   *obs.Counter
 }
-
-func newWorkerTransport(conn net.Conn, costs model.Costs, rank, n int) *workerTransport {
-	t := &workerTransport{conn: conn, fr: wire.NewFrameReader(conn), costs: costs, rank: rank, n: n}
-	t.wcond = sync.NewCond(&t.wmu)
-	go t.writerLoop()
-	return t
-}
-
-// writerLoop drains the outbound queue to the socket, coalescing
-// everything queued at wakeup into one vectored write (net.Buffers) and
-// recycling each frame's pooled buffer afterwards. The queue and batch
-// slices are double-buffered, so a steady-state flush allocates nothing.
-func (t *workerTransport) writerLoop() {
-	var batch [][]byte
-	var scratch [][]byte
-	// bufs lives outside the loop: WriteTo takes its address, which would
-	// heap-allocate the slice header on every flush if it were loop-local.
-	var bufs net.Buffers
-	t.wmu.Lock()
-	for {
-		for len(t.wqueue) == 0 {
-			t.wcond.Wait()
-		}
-		batch, t.wqueue = t.wqueue, batch[:0]
-		if t.obsFlushes != nil {
-			t.obsFlushes.Inc()
-		}
-		t.wmu.Unlock()
-
-		// WriteTo consumes its receiver in place on partial writes, so it
-		// runs on a scratch copy of the slice headers; batch keeps the
-		// originals for recycling.
-		scratch = append(scratch[:0], batch...)
-		bufs = net.Buffers(scratch)
-		_, err := bufs.WriteTo(t.conn)
-		for i, b := range batch {
-			wire.PutBuf(b)
-			batch[i] = nil
-		}
-
-		t.wmu.Lock()
-		t.pending -= len(batch)
-		if err != nil && t.werr == nil {
-			t.werr = err
-		}
-		t.wcond.Broadcast()
-		if t.werr != nil {
-			t.wmu.Unlock()
-			return
-		}
-	}
-}
-
-// enqueue hands an encoded frame to the writer goroutine.
-func (t *workerTransport) enqueue(raw []byte) {
-	if t.obsSent != nil {
-		t.obsSent.Inc()
-		t.obsSentBytes.Add(int64(len(raw)))
-	}
-	t.wmu.Lock()
-	defer t.wmu.Unlock()
-	if t.werr != nil {
-		panic(fmt.Sprintf("mpnet: rank %d link lost: %v", t.rank, t.werr))
-	}
-	t.wqueue = append(t.wqueue, raw)
-	t.pending++
-	t.wcond.Signal()
-}
-
-// flush waits until every enqueued frame has reached the socket.
-func (t *workerTransport) flush() error {
-	t.wmu.Lock()
-	defer t.wmu.Unlock()
-	for t.pending > 0 && t.werr == nil {
-		t.wcond.Wait()
-	}
-	return t.werr
-}
-
-func (t *workerTransport) Costs() model.Costs { return t.costs }
 
 // Stats are accounted at the coordinator, which sees every frame.
 func (t *workerTransport) Stats() host.Stats { return host.Stats{Node: make([]host.NodeStats, t.n)} }
-func (t *workerTransport) ResetStats()       {}
 
-func (t *workerTransport) send(p host.Proc, to int, tag host.Tag, payload any, bytes int, arrival time.Duration) {
-	if to == t.rank {
-		panic("mpnet: send to self")
-	}
-	raw, err := wire.AppendFrame(wire.GetBuf(), &wire.Frame{
-		Kind: wire.FMsg, From: int32(t.rank), To: int32(to), Tag: int32(tag),
-		Bytes: int32(bytes), Time: int64(arrival), Payload: payload,
-	})
+// sent finishes one send call of frames messages: it counts the traffic
+// and turns a lost link into the rank's death.
+func (t *workerTransport) sent(frames, bytes int, err error) {
 	if err != nil {
-		panic(fmt.Sprintf("mpnet: rank %d unencodable payload: %v", t.rank, err))
+		panic(fmt.Sprintf("mpnet: rank %d link lost: %v", t.rank, err))
 	}
-	t.enqueue(raw)
+	if t.obsSentBytes != nil {
+		t.obsSentBytes.Add(int64(frames * bytes))
+	}
 }
 
 // Send transmits payload to rank to over the coordinator switch.
 func (t *workerTransport) Send(p host.Proc, to int, tag host.Tag, payload any, bytes int) {
-	p.Charge(t.costs.SendOverhead)
-	t.send(p, to, tag, payload, bytes, p.Now()+t.costs.OneWay(bytes))
+	t.sent(1, bytes, t.ep.Send(p, to, tag, payload, bytes))
 }
 
 // SendShared transmits one payload to several recipients, charging the
-// sender's injection overhead once. The payload is encoded once; each
-// recipient gets a copy of the shared encoding with the destination
-// header field patched (the async writer forbids reusing one buffer).
+// sender's injection overhead once.
 func (t *workerTransport) SendShared(p host.Proc, tos []int, tag host.Tag, payload any, bytes int) {
-	p.Charge(t.costs.SendOverhead)
-	arrival := p.Now() + t.costs.OneWay(bytes)
-	raw, err := wire.AppendFrame(wire.GetBuf(), &wire.Frame{
-		Kind: wire.FMsg, From: int32(t.rank), Tag: int32(tag),
-		Bytes: int32(bytes), Time: int64(arrival), Payload: payload,
-	})
-	if err != nil {
-		panic(fmt.Sprintf("mpnet: rank %d unencodable payload: %v", t.rank, err))
-	}
-	for _, to := range tos {
-		if to == t.rank {
-			panic("mpnet: send to self")
-		}
-		cp := append(wire.GetBuf(), raw...)
-		wire.PatchRawTo(cp, int32(to))
-		t.enqueue(cp)
-	}
-	wire.PutBuf(raw)
+	t.sent(len(tos), bytes, t.ep.SendShared(p, tos, tag, payload, bytes))
 }
 
-// Broadcast sends payload to every other rank. The per-message send
-// overheads accumulate (arrival times differ per recipient), but the
-// payload is encoded only once: each recipient's copy gets its
-// destination and arrival stamp patched into the shared encoding.
+// Broadcast sends payload to every other rank.
 func (t *workerTransport) Broadcast(p host.Proc, tag host.Tag, payload any, bytes int) {
-	raw, err := wire.AppendFrame(wire.GetBuf(), &wire.Frame{
-		Kind: wire.FMsg, From: int32(t.rank), Tag: int32(tag),
-		Bytes: int32(bytes), Payload: payload,
-	})
-	if err != nil {
-		panic(fmt.Sprintf("mpnet: rank %d unencodable payload: %v", t.rank, err))
-	}
-	for to := 0; to < t.n; to++ {
-		if to == t.rank {
-			continue
-		}
-		p.Charge(t.costs.SendOverhead)
-		cp := append(wire.GetBuf(), raw...)
-		wire.PatchRawTo(cp, int32(to))
-		wire.PatchRawTime(cp, int64(p.Now()+t.costs.OneWay(bytes)))
-		t.enqueue(cp)
-	}
-	wire.PutBuf(raw)
+	t.sent(t.n-1, bytes, t.ep.Broadcast(p, t.n, tag, payload, bytes))
 }
 
 // Recv blocks until a matching message is available, reading frames off
 // the socket and buffering non-matching ones.
 func (t *workerTransport) Recv(p host.Proc, from int, tag host.Tag) host.Msg {
+	var f wire.Frame
 	for {
-		if m, ok := t.take(from, tag); ok {
+		if m, rest, ok := host.TakeMatch(t.box, from, tag); ok {
+			t.box = rest
 			p.SetClock(m.Arrival)
-			p.Charge(t.costs.RecvOverhead)
+			p.Charge(t.ep.Costs().RecvOverhead)
 			return m
 		}
-		f, err := t.fr.Read()
-		if err != nil {
+		if err := t.ep.ReadInto(&f); err != nil {
 			panic(fmt.Sprintf("mpnet: rank %d link lost: %v", t.rank, err))
 		}
 		if f.Kind != wire.FMsg {
@@ -303,44 +164,6 @@ func (t *workerTransport) Recv(p host.Proc, from int, tag host.Tag) host.Msg {
 			t.obsRecv.Inc()
 			t.obsRecvBytes.Add(int64(f.Bytes))
 		}
-		payload := f.Payload
-		if fs, ok := payload.(wire.Float64s); ok {
-			payload = []float64(fs)
-		}
-		t.box = append(t.box, host.Msg{
-			From: int(f.From), To: t.rank, Tag: host.Tag(f.Tag),
-			Payload: payload, Bytes: int(f.Bytes), Arrival: time.Duration(f.Time),
-		})
+		t.box = append(t.box, t.ep.Msg(&f))
 	}
-}
-
-// take removes the earliest-arriving matching message from the mailbox.
-func (t *workerTransport) take(from int, tag host.Tag) (host.Msg, bool) {
-	m, rest, ok := host.TakeMatch(t.box, from, tag)
-	t.box = rest
-	return m, ok
-}
-
-// The DSM-layer transport surface is unreachable from the mp layer.
-
-func (t *workerTransport) Message(from, to int, depart time.Duration, bytes int) time.Duration {
-	panic("mpnet: Message unsupported on the worker transport")
-}
-func (t *workerTransport) Serve(fn host.Server) {
-	panic("mpnet: Serve unsupported on the worker transport")
-}
-func (t *workerTransport) StartRequest(p host.Proc, to int, req any, reqBytes int) *host.Pending {
-	panic("mpnet: StartRequest unsupported on the worker transport")
-}
-func (t *workerTransport) Await(p host.Proc, pd *host.Pending) {
-	panic("mpnet: Await unsupported on the worker transport")
-}
-func (t *workerTransport) AwaitAll(p host.Proc, pds []*host.Pending) {
-	panic("mpnet: AwaitAll unsupported on the worker transport")
-}
-func (t *workerTransport) Hand(p host.Proc, to int, slot host.Tag, payload any) {
-	panic("mpnet: Hand unsupported on the worker transport")
-}
-func (t *workerTransport) TakeHand(p host.Proc, slot host.Tag) any {
-	panic("mpnet: TakeHand unsupported on the worker transport")
 }

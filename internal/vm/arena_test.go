@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"runtime"
 	"testing"
 
 	"sdsm/internal/model"
@@ -95,5 +96,27 @@ func TestWarmMemBitIdentical(t *testing.T) {
 	data, _, _ := a.Idle()
 	if data != 1 {
 		t.Fatalf("idle data stores after release: %d, want 1", data)
+	}
+}
+
+// TestWarmMemReusesDataStore pins what a warm arena exists for: once the
+// arena holds an idle store, building a Mem over it must not allocate an
+// address space on the heap (per-page bookkeeping only — a fraction of
+// the store's size).
+func TestWarmMemReusesDataStore(t *testing.T) {
+	const words = 512 * shm.PageWords // a 2 MiB store
+	a := NewArena()
+	warm := func() {
+		m := NewWarm(0, words, model.SP2(), nil, a)
+		m.Release()
+		a.ReleaseData()
+	}
+	warm() // the cold job pays for the store
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	warm()
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > words*8/4 {
+		t.Errorf("warm NewWarm allocated %d bytes for a %d-byte store it already had", got, words*8)
 	}
 }

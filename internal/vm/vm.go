@@ -153,9 +153,11 @@ func New(node int, words int, costs model.Costs, handler FaultHandler) *Mem {
 // exactly NewWarm with nil.
 func NewWarm(node int, words int, costs model.Costs, handler FaultHandler, arena *Arena) *Mem {
 	pages := (words + shm.PageWords - 1) / shm.PageWords
-	data := make([]float64, pages*shm.PageWords)
+	var data []float64
 	if arena != nil {
 		data = arena.TakeData(pages * shm.PageWords)
+	} else {
+		data = make([]float64, pages*shm.PageWords)
 	}
 	return &Mem{
 		Node:    node,

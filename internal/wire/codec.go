@@ -35,7 +35,7 @@ func (e *enc) f64s(vs []float64) {
 	}
 }
 
-// pageSet encodes a sorted page list in the version-7 raw-or-span form:
+// pageSet encodes a sorted page list in raw-or-span form:
 // a one-byte mode — 0 for the raw i32 list, 1 for run-length spans (a
 // count of runs, then (lo, hi) half-open i32 pairs) — chosen per list by
 // the same size heuristic FetchedBytes prices with, so sparse sets stay

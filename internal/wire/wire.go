@@ -22,32 +22,9 @@
 // decode/encode/decode identity).
 package wire
 
-import "fmt"
-
 // Version is the wire-format version carried by every frame. Peers reject
 // frames with any other version (the format has no negotiation; both ends
-// of a machine are the same build). Version 2 added the adaptive
-// protocol's Update payload and the Fetched relay fields on barrier
-// arrivals and departures; version 3 added the Pushed field on lock
-// grants (lock-scope adaptive updates piggybacked on the grant); version 4
-// added write extents on page references and switched the adaptive push
-// payloads (Update, Grant.Pushed) to run-length section encoding
-// (DiffSpan): one header per contiguous page span instead of one per
-// page; version 5 added the Floors field on SyncInfo — the acquirer's
-// applied timestamps for the pages its hand-off edge is bound to, which
-// let the releaser trim the piggybacked diff chains to what the acquirer
-// actually lacks; version 6 added the FCkpt frame and Checkpoint payload
-// (barrier-epoch recovery records streamed to a SnapshotSink); version 7
-// switched the Fetched relay page lists (Arrival, Depart, Checkpoint) to
-// a per-list raw-or-span encoding (dense sets cost two words per
-// contiguous run instead of one per page), added ownership-directory
-// redirects on DiffReply, the Direct flag on DiffRequest (chain-exhausted
-// requesters forcing a payload serve), and the owner map on Checkpoint;
-// version 8 added the service control plane — the job frames (FJob,
-// FJobAccept, FJobReject, FJobState, FJobResult, FPoolHello) and their
-// payloads (JobSpec, JobDecision, JobProgress, JobResult) that carry
-// multi-job traffic between clients, the coordinator, and warm pool
-// daemons (internal/svc, DESIGN.md §13).
+// of a machine are the same build).
 const Version = 8
 
 // MaxFrame bounds the encoded size of one frame (64 MiB), a sanity limit
@@ -103,40 +80,6 @@ const (
 	// rank-slot capacity, and there is no payload.
 	FPoolHello
 )
-
-func frameKindName(k byte) string {
-	switch k {
-	case FHello:
-		return "hello"
-	case FMsg:
-		return "msg"
-	case FHand:
-		return "hand"
-	case FReq:
-		return "req"
-	case FReply:
-		return "reply"
-	case FStart:
-		return "start"
-	case FDone:
-		return "done"
-	case FCkpt:
-		return "ckpt"
-	case FJob:
-		return "job"
-	case FJobAccept:
-		return "job-accept"
-	case FJobReject:
-		return "job-reject"
-	case FJobState:
-		return "job-state"
-	case FJobResult:
-		return "job-result"
-	case FPoolHello:
-		return "pool-hello"
-	}
-	return fmt.Sprintf("frame(%d)", k)
-}
 
 // Frame is one wire exchange: the envelope plus a decoded payload.
 type Frame struct {
@@ -246,8 +189,8 @@ type PageOwner struct {
 // 0 means the extent is unknown and readers must assume the whole page.
 // The extents exist for the adaptive protocol, so their cost follows the
 // adaptive convention: ExtentBytes is charged on top of NoticeBytes only
-// when adaptation is enabled — adapt-off notice accounting is unchanged
-// from version 3.
+// when adaptation is enabled — adapt-off notice accounting never includes
+// them.
 type PageRef struct {
 	Page         int32
 	Whole        bool
@@ -377,7 +320,7 @@ type WSyncNeed struct {
 // remote serve path never touches another node's applied state). Empty
 // when adaptation is off or the predicted edge is unbound, and accounted
 // (FloorBytes) only when adaptation is on — adapt-off request accounting
-// is unchanged from version 4.
+// never includes them.
 type SyncInfo struct {
 	VC     []int32
 	Needs  []WSyncNeed
@@ -399,7 +342,7 @@ func FloorBytes(pages, n int) int { return pages * (4 + 4*n) }
 // compiler-known data (empty when adaptation is disabled or the hand-off
 // edge is not bound), and coalesced into section spans — the releaser's
 // chains repeat the same header across a critical section's contiguous
-// pages, so a span costs one header where version 3 paid one per page.
+// pages, so a span costs one header instead of one per page.
 // Receivers expand the spans and apply Served and Pushed through the same
 // diff path. Bytes is the accounted size of the grant message.
 type Grant struct {
