@@ -1,16 +1,21 @@
 //go:build !race
 
-// Pinned allocation ceilings for the zero-allocation wire path. These are
-// assertions, not benchmarks: a hot-path change that reintroduces
-// steady-state allocations fails `go test` outright instead of silently
-// shifting a benchmark number. They are excluded under the race detector,
-// whose runtime instrumentation allocates on its own account.
+// Pinned allocation ceilings for the zero-allocation wire path and the
+// interpreter's inner loop. These are assertions, not benchmarks: a
+// hot-path change that reintroduces steady-state allocations fails
+// `go test` outright instead of silently shifting a benchmark number. They
+// are excluded under the race detector, whose runtime instrumentation
+// allocates on its own account.
 
 package sdsm_test
 
 import (
 	"testing"
+	"time"
 
+	"sdsm/internal/interp"
+	"sdsm/internal/ir"
+	"sdsm/internal/rsd"
 	"sdsm/internal/wire"
 )
 
@@ -26,7 +31,7 @@ func TestNetBarrierFlurryAllocs(t *testing.T) {
 		t.Skip("allocation pinning needs the long flurry run")
 	}
 	const ceiling = 127
-	per := flurryAllocsPerEpoch(t, 4, 40, 160)
+	per := allocsPerIter(t, 40, 160, func(iters int) error { return runBarrierFlurry(4, iters) })
 	if per > ceiling {
 		t.Fatalf("net barrier flurry allocates %.1f/epoch, ceiling %d (was ~636 before pooling; the wire path regressed)", per, ceiling)
 	}
@@ -49,5 +54,38 @@ func TestWireEncodePooledAllocs(t *testing.T) {
 	})
 	if per > 0 {
 		t.Fatalf("pooled encode allocates %.1f/op, want 0", per)
+	}
+}
+
+// TestInterpInnerLoopAllocs pins the interpreter's vectorized inner loop
+// (execAssignVector: resolve every reference of the assignment, ensure
+// the spans, run the tight loop) at zero allocations once the executor's
+// scratch has grown: a 4-point stencil column costs nothing per column,
+// where resolving each reference through a fresh index slice used to cost
+// one allocation per reference plus one per loop (6 here).
+func TestInterpInnerLoopAllocs(t *testing.T) {
+	i, j, m := rsd.Var("i"), rsd.Var("j"), rsd.Var("m")
+	dims := []rsd.Lin{m, rsd.Var("cols")}
+	prog := &ir.Program{
+		Name:   "stencil",
+		Arrays: []ir.ArrayDecl{{Name: "a", Dims: dims}, {Name: "b", Dims: dims}},
+		Params: []rsd.Sym{"m", "cols"},
+		Body: []ir.Stmt{ir.Loop{Var: "j", Lo: rsd.Const(2), Hi: rsd.Var("cols").Plus(-1), Body: []ir.Stmt{
+			ir.Loop{Var: "i", Lo: rsd.Const(2), Hi: m.Plus(-1), Body: []ir.Stmt{ir.Assign{
+				LHS:  ir.At("a", i, j),
+				RHS:  []ir.Ref{ir.At("b", i.Plus(-1), j), ir.At("b", i.Plus(1), j), ir.At("b", i, j.Plus(-1)), ir.At("b", i, j.Plus(1))},
+				Fn:   func(s []float64) float64 { return 0.25 * (s[0] + s[1] + s[2] + s[3]) },
+				Cost: time.Nanosecond,
+			}}},
+		}}},
+	}
+	per := allocsPerIter(t, 64, 1024, func(cols int) error {
+		interp.RunSeq(prog, rsd.Env{"m": 32, "cols": cols})
+		return nil
+	})
+	// A regression costs at least one allocation per loop; the margin
+	// absorbs the handful of mallocs by which two runs of the process differ.
+	if per > 0.1 {
+		t.Fatalf("interp inner loop allocates %.2f/loop, want 0", per)
 	}
 }

@@ -65,24 +65,24 @@ func runBarrierFlurry(n, iters int) error {
 	})
 }
 
-// flurryAllocsPerEpoch measures the machine-wide heap allocations one
-// steady-state epoch costs: two runs differing only in iteration count
-// cancel the setup/teardown allocations, leaving the per-epoch rate. The
-// Mallocs counter is process-global, so callers must not run anything
-// concurrently.
-func flurryAllocsPerEpoch(tb testing.TB, n, base, extra int) float64 {
-	run := func(iters int) uint64 {
+// allocsPerIter measures the process-wide heap allocations one iteration
+// of run costs in steady state: two runs differing only in iteration
+// count cancel the setup/teardown allocations, leaving the per-iteration
+// rate. The Mallocs counter is process-global, so callers must not run
+// anything concurrently.
+func allocsPerIter(tb testing.TB, base, extra int, run func(iters int) error) float64 {
+	mallocs := func(iters int) uint64 {
 		runtime.GC()
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
-		if err := runBarrierFlurry(n, iters); err != nil {
+		if err := run(iters); err != nil {
 			tb.Fatal(err)
 		}
 		runtime.ReadMemStats(&m1)
 		return m1.Mallocs - m0.Mallocs
 	}
-	short := run(base)
-	long := run(base + extra)
+	short := mallocs(base)
+	long := mallocs(base + extra)
 	if long < short {
 		return 0
 	}

@@ -129,13 +129,14 @@ func fftProg(nprocs int) *ir.Program {
 			e := ctx.Env()
 			nxv, nyv := e["nx"], e["ny"]
 			zb, ze := e["zb"], e["ze"]
-			re := ctx.WriteRegion(ctx.Addr("re", 1, 1, zb), ctx.Addr("re", nxv, nyv, ze)+1)
-			im := ctx.WriteRegion(ctx.Addr("im", 1, 1, zb), ctx.Addr("im", nxv, nyv, ze)+1)
+			reA, imA := ctx.Array("re"), ctx.Array("im")
+			re := ctx.WriteRegion(reA.Index(1, 1, zb), reA.Index(nxv, nyv, ze)+1)
+			im := ctx.WriteRegion(imA.Index(1, 1, zb), imA.Index(nxv, nyv, ze)+1)
 			for kk := zb; kk <= ze; kk++ {
 				for jj := 1; jj <= nyv; jj++ {
 					for ii := 1; ii <= nxv; ii++ {
-						re[ctx.Addr("re", ii, jj, kk)] = fftInitRe(ii, jj, kk)
-						im[ctx.Addr("im", ii, jj, kk)] = fftInitIm(ii, jj, kk)
+						re[reA.Index(ii, jj, kk)] = fftInitRe(ii, jj, kk)
+						im[imA.Index(ii, jj, kk)] = fftInitIm(ii, jj, kk)
 					}
 				}
 			}
@@ -155,19 +156,20 @@ func fftProg(nprocs int) *ir.Program {
 			e := ctx.Env()
 			nxv, nyv := e["nx"], e["ny"]
 			zb, ze := e["zb"], e["ze"]
-			lo := ctx.Addr("re", 1, 1, zb)
-			hi := ctx.Addr("re", nxv, nyv, ze) + 1
+			reA, imA := ctx.Array("re"), ctx.Array("im")
+			lo := reA.Index(1, 1, zb)
+			hi := reA.Index(nxv, nyv, ze) + 1
 			re := ctx.ReadRegion(lo, hi)
 			re = ctx.WriteRegion(lo, hi)
-			ilo := ctx.Addr("im", 1, 1, zb)
-			ihi := ctx.Addr("im", nxv, nyv, ze) + 1
+			ilo := imA.Index(1, 1, zb)
+			ihi := imA.Index(nxv, nyv, ze) + 1
 			im := ctx.ReadRegion(ilo, ihi)
 			im = ctx.WriteRegion(ilo, ihi)
 			elems := nxv * nyv * (ze - zb + 1)
 			// Evolve: damp towards zero so values stay bounded.
 			for kk := zb; kk <= ze; kk++ {
-				base := ctx.Addr("re", 1, 1, kk)
-				ibase := ctx.Addr("im", 1, 1, kk)
+				base := reA.Index(1, 1, kk)
+				ibase := imA.Index(1, 1, kk)
 				for t := 0; t < nxv*nyv; t++ {
 					re[base+t] *= 0.5
 					im[ibase+t] *= 0.5
@@ -177,8 +179,8 @@ func fftProg(nprocs int) *ir.Program {
 			// FFT along x: contiguous pencils.
 			for kk := zb; kk <= ze; kk++ {
 				for jj := 1; jj <= nyv; jj++ {
-					a := ctx.Addr("re", 1, jj, kk)
-					b := ctx.Addr("im", 1, jj, kk)
+					a := reA.Index(1, jj, kk)
+					b := imA.Index(1, jj, kk)
 					fft1d(re[a:a+nxv], im[b:b+nxv])
 				}
 			}
@@ -189,13 +191,13 @@ func fftProg(nprocs int) *ir.Program {
 			for kk := zb; kk <= ze; kk++ {
 				for ii := 1; ii <= nxv; ii++ {
 					for jj := 1; jj <= nyv; jj++ {
-						sr[jj-1] = re[ctx.Addr("re", ii, jj, kk)]
-						si[jj-1] = im[ctx.Addr("im", ii, jj, kk)]
+						sr[jj-1] = re[reA.Index(ii, jj, kk)]
+						si[jj-1] = im[imA.Index(ii, jj, kk)]
 					}
 					fft1d(sr, si)
 					for jj := 1; jj <= nyv; jj++ {
-						re[ctx.Addr("re", ii, jj, kk)] = sr[jj-1]
-						im[ctx.Addr("im", ii, jj, kk)] = si[jj-1]
+						re[reA.Index(ii, jj, kk)] = sr[jj-1]
+						im[imA.Index(ii, jj, kk)] = si[jj-1]
 					}
 				}
 			}
@@ -213,18 +215,19 @@ func fftProg(nprocs int) *ir.Program {
 			e := ctx.Env()
 			nyv, nzv := e["ny"], e["nz"]
 			xb, xe := e["xb"], e["xe"]
-			lo := ctx.Addr("re2", 1, 1, xb)
-			hi := ctx.Addr("re2", nzv, nyv, xe) + 1
+			reA, imA := ctx.Array("re2"), ctx.Array("im2")
+			lo := reA.Index(1, 1, xb)
+			hi := reA.Index(nzv, nyv, xe) + 1
 			re2 := ctx.ReadRegion(lo, hi)
 			re2 = ctx.WriteRegion(lo, hi)
-			ilo := ctx.Addr("im2", 1, 1, xb)
-			ihi := ctx.Addr("im2", nzv, nyv, xe) + 1
+			ilo := imA.Index(1, 1, xb)
+			ihi := imA.Index(nzv, nyv, xe) + 1
 			im2 := ctx.ReadRegion(ilo, ihi)
 			im2 = ctx.WriteRegion(ilo, ihi)
 			for ii := xb; ii <= xe; ii++ {
 				for jj := 1; jj <= nyv; jj++ {
-					a := ctx.Addr("re2", 1, jj, ii)
-					b := ctx.Addr("im2", 1, jj, ii)
+					a := reA.Index(1, jj, ii)
+					b := imA.Index(1, jj, ii)
 					fft1d(re2[a:a+nzv], im2[b:b+nzv])
 				}
 			}

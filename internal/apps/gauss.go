@@ -78,10 +78,11 @@ func gaussProg(nprocs int) *ir.Program {
 		Run: func(ctx ir.KernelCtx) {
 			e := ctx.Env()
 			mm, n, p := e["m"], e["nprocs"], e["p"]
+			a := ctx.Array("A")
 			for j := p + 1; j <= mm; j += n {
-				data := ctx.WriteRegion(ctx.Addr("A", 1, j), ctx.Addr("A", mm, j)+1)
+				data := ctx.WriteRegion(a.Index(1, j), a.Index(mm, j)+1)
 				for i := 1; i <= mm; i++ {
-					data[ctx.Addr("A", i, j)] = gaussInit(i, j, mm)
+					data[a.Index(i, j)] = gaussInit(i, j, mm)
 				}
 			}
 			ctx.Charge(time.Duration(mm*(mm/n+1)) * (10 * time.Nanosecond))

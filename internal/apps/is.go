@@ -95,7 +95,7 @@ func isProg(nprocs int) *ir.Program {
 		Run: func(ctx ir.KernelCtx) {
 			e := ctx.Env()
 			nb, klo, khi, p := e["buckets"], e["klo"], e["khi"], e["p"]
-			lo := ctx.Addr("priv", 1, p+1)
+			lo := ctx.Array("priv").Index(1, p+1)
 			data := ctx.WriteRegion(lo, lo+nb)
 			for t := lo; t < lo+nb; t++ {
 				data[t] = 0
@@ -155,7 +155,7 @@ func isProg(nprocs int) *ir.Program {
 		Run: func(ctx ir.KernelCtx) {
 			e := ctx.Env()
 			nb, klo, khi := e["buckets"], e["klo"], e["khi"]
-			blo := ctx.Addr("buckets", 1)
+			blo := ctx.Array("buckets").Index(1)
 			bdata := ctx.ReadRegion(blo, blo+nb)
 			// Prefix sums: rank of a key k is the number of keys < k.
 			prefix := make([]float64, nb)
@@ -164,7 +164,7 @@ func isProg(nprocs int) *ir.Program {
 				prefix[t] = run
 				run += bdata[blo+t]
 			}
-			rlo := ctx.Addr("ranks", klo)
+			rlo := ctx.Array("ranks").Index(klo)
 			rdata := ctx.WriteRegion(rlo, rlo+khi-klo+1)
 			for g := klo - 1; g <= khi-1; g++ {
 				rdata[rlo+g-(klo-1)] = prefix[isKey(g, nb)]

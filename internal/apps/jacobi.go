@@ -100,10 +100,11 @@ func jacobiProg() *ir.Program {
 		Run: func(ctx ir.KernelCtx) {
 			env := ctx.Env()
 			mm, lo, hi := env["m"], env["ibegin"], env["iend"]
-			data := ctx.WriteRegion(ctx.Addr("b", 1, lo), ctx.Addr("b", mm, hi)+1)
+			b := ctx.Array("b")
+			data := ctx.WriteRegion(b.Index(1, lo), b.Index(mm, hi)+1)
 			for j := lo; j <= hi; j++ {
 				for i := 1; i <= mm; i++ {
-					data[ctx.Addr("b", i, j)] = jacInit(i, j, mm)
+					data[b.Index(i, j)] = jacInit(i, j, mm)
 				}
 			}
 			ctx.Charge(time.Duration(mm*(hi-lo+1)) * jacCopyCost)

@@ -75,10 +75,11 @@ func mgsProg(nprocs int) *ir.Program {
 		Run: func(ctx ir.KernelCtx) {
 			e := ctx.Env()
 			mm, nv, n, p := e["m"], e["nvec"], e["nprocs"], e["p"]
+			vv := ctx.Array("V")
 			for j := p + 1; j <= nv; j += n {
-				data := ctx.WriteRegion(ctx.Addr("V", 1, j), ctx.Addr("V", mm, j)+1)
+				data := ctx.WriteRegion(vv.Index(1, j), vv.Index(mm, j)+1)
 				for i := 1; i <= mm; i++ {
-					data[ctx.Addr("V", i, j)] = mgsInit(i, j)
+					data[vv.Index(i, j)] = mgsInit(i, j)
 				}
 			}
 			ctx.Charge(time.Duration(mm*(nv/n+1)) * (10 * time.Nanosecond))
@@ -98,7 +99,7 @@ func mgsProg(nprocs int) *ir.Program {
 				Run: func(ctx ir.KernelCtx) {
 					e := ctx.Env()
 					mm, i := e["m"], e["i"]
-					lo := ctx.Addr("V", 1, i)
+					lo := ctx.Array("V").Index(1, i)
 					data := ctx.ReadRegion(lo, lo+mm)
 					data = ctx.WriteRegion(lo, lo+mm)
 					norm := 0.0
@@ -128,11 +129,12 @@ func mgsProg(nprocs int) *ir.Program {
 			if jf > nv {
 				return
 			}
-			vlo := ctx.Addr("V", 1, i)
+			vv := ctx.Array("V")
+			vlo := vv.Index(1, i)
 			vi := ctx.ReadRegion(vlo, vlo+mm)
 			ops := 0
 			for j := jf; j <= nv; j += n {
-				lo := ctx.Addr("V", 1, j)
+				lo := vv.Index(1, j)
 				col := ctx.ReadRegion(lo, lo+mm)
 				col = ctx.WriteRegion(lo, lo+mm)
 				dot := 0.0

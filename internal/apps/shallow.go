@@ -73,17 +73,18 @@ func shallowProg() *ir.Program {
 		Run: func(ctx ir.KernelCtx) {
 			e := ctx.Env()
 			mm, lo, hi := e["m"], e["ibegin"], e["iend"]
-			for _, arr := range []string{"u", "v", "p"} {
-				data := ctx.WriteRegion(ctx.Addr(arr, 1, lo), ctx.Addr(arr, mm, hi)+1)
+			for _, name := range []string{"u", "v", "p"} {
+				arr := ctx.Array(name)
+				data := ctx.WriteRegion(arr.Index(1, lo), arr.Index(mm, hi)+1)
 				for j := lo; j <= hi; j++ {
 					for i := 1; i <= mm; i++ {
-						switch arr {
+						switch name {
 						case "u":
-							data[ctx.Addr(arr, i, j)] = shInitU(i, j)
+							data[arr.Index(i, j)] = shInitU(i, j)
 						case "v":
-							data[ctx.Addr(arr, i, j)] = shInitV(i, j)
+							data[arr.Index(i, j)] = shInitV(i, j)
 						case "p":
-							data[ctx.Addr(arr, i, j)] = shInitP(i, j)
+							data[arr.Index(i, j)] = shInitP(i, j)
 						}
 					}
 				}

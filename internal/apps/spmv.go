@@ -105,7 +105,7 @@ func spmvProg(nprocs int) *ir.Program {
 		Run: func(ctx ir.KernelCtx) {
 			e := ctx.Env()
 			lo, hi := e["lo"], e["hi"]
-			base := ctx.Addr("val", 1)
+			base := ctx.Array("val").Index(1)
 			data := ctx.WriteRegion(base+lo-1, base+hi)
 			for g := lo - 1; g <= hi-1; g++ {
 				data[base+g] = spmvInit(g)
@@ -136,7 +136,7 @@ func spmvProg(nprocs int) *ir.Program {
 		Run: func(ctx ir.KernelCtx) {
 			e := ctx.Env()
 			n, lo, hi := e["n"], e["lo"], e["hi"]
-			vbase := ctx.Addr("val", 1)
+			vbase := ctx.Array("val").Index(1)
 			// Establish read access over exactly the pages the owned
 			// elements' neighbors touch, one Ensure per contiguous page run
 			// (the irregular analogue of a regular app's section validate).
@@ -152,7 +152,7 @@ func spmvProg(nprocs int) *ir.Program {
 				rhi := minInt(run[1]*shm.PageWords, vbase+n)
 				data = ctx.ReadRegion(rlo, rhi)
 			}
-			wbase := ctx.Addr("nval", 1)
+			wbase := ctx.Array("nval").Index(1)
 			out := ctx.WriteRegion(wbase+lo-1, wbase+hi)
 			for g := lo - 1; g <= hi-1; g++ {
 				s := 0.0
@@ -184,8 +184,8 @@ func spmvProg(nprocs int) *ir.Program {
 		Run: func(ctx ir.KernelCtx) {
 			e := ctx.Env()
 			lo, hi := e["lo"], e["hi"]
-			nbase := ctx.Addr("nval", 1)
-			vbase := ctx.Addr("val", 1)
+			nbase := ctx.Array("nval").Index(1)
+			vbase := ctx.Array("val").Index(1)
 			in := ctx.ReadRegion(nbase+lo-1, nbase+hi)
 			out := ctx.WriteRegion(vbase+lo-1, vbase+hi)
 			for g := lo - 1; g <= hi-1; g++ {

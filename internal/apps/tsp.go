@@ -174,7 +174,7 @@ func tspProg(nprocs int) *ir.Program {
 		}},
 		Run: func(ctx ir.KernelCtx) {
 			e := ctx.Env()
-			q := ctx.Addr("queue", 1)
+			q := ctx.Array("queue").Index(1)
 			data := ctx.ReadRegion(q, q+1)
 			data = ctx.WriteRegion(q, q+1)
 			t := int(data[q])
@@ -210,7 +210,7 @@ func tspProg(nprocs int) *ir.Program {
 		Run: func(ctx ir.KernelCtx) {
 			e := ctx.Env()
 			p, cities := e["p"], e["cities"]
-			base := ctx.Addr("best", 1)
+			base := ctx.Array("best").Index(1)
 			data := ctx.ReadRegion(base, base+1+cities)
 			data = ctx.WriteRegion(base, base+1+cities)
 			cur := int(data[base])

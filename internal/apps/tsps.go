@@ -120,12 +120,13 @@ func tspsProg(nprocs int) *ir.Program {
 		Run: func(ctx ir.KernelCtx) {
 			e := ctx.Env()
 			n, tasks := e["nprocs"], e["tasks"]
-			lo := ctx.Addr("deq", 1, 1)
-			hi := ctx.Addr("deq", shm.PageWords, n) + 1
+			deq := ctx.Array("deq")
+			lo := deq.Index(1, 1)
+			hi := deq.Index(shm.PageWords, n) + 1
 			data := ctx.WriteRegion(lo, hi)
 			for row := 0; row < n; row++ {
 				start, cnt := tspsRowStart(tasks, n, row), tspsRowLen(tasks, n, row)
-				base := ctx.Addr("deq", 1, row+1)
+				base := deq.Index(1, row+1)
 				data[base] = 0              // head
 				data[base+1] = float64(cnt) // tail
 				for i := 0; i < cnt; i++ {
@@ -148,7 +149,7 @@ func tspsProg(nprocs int) *ir.Program {
 		}},
 		Run: func(ctx ir.KernelCtx) {
 			e := ctx.Env()
-			base := ctx.Addr("deq", 1, e["p"]+1)
+			base := ctx.Array("deq").Index(1, e["p"]+1)
 			data := ctx.ReadRegion(base, base+shm.PageWords)
 			head, tail := int(data[base]), int(data[base+1])
 			e["mytask"], e["got"] = 0, 0
@@ -174,7 +175,7 @@ func tspsProg(nprocs int) *ir.Program {
 		}},
 		Run: func(ctx ir.KernelCtx) {
 			e := ctx.Env()
-			base := ctx.Addr("deq", 1, e["victim"]+1)
+			base := ctx.Array("deq").Index(1, e["victim"]+1)
 			data := ctx.ReadRegion(base, base+shm.PageWords)
 			head, tail := int(data[base]), int(data[base+1])
 			if head < tail {
@@ -212,7 +213,7 @@ func tspsProg(nprocs int) *ir.Program {
 		Run: func(ctx ir.KernelCtx) {
 			e := ctx.Env()
 			p, cities := e["p"], e["cities"]
-			base := ctx.Addr("best", 1)
+			base := ctx.Array("best").Index(1)
 			data := ctx.ReadRegion(base, base+1+cities)
 			data = ctx.WriteRegion(base, base+1+cities)
 			cur := int(data[base])

@@ -7,6 +7,7 @@ import (
 
 	"sdsm/internal/apps"
 	"sdsm/internal/ir"
+	"sdsm/internal/leaktest"
 	"sdsm/internal/rsd"
 	"sdsm/internal/vm"
 )
@@ -66,6 +67,10 @@ func TestFailedJobReleasesArenas(t *testing.T) {
 	for _, backend := range []Backend{BackendSim, BackendNet} {
 		for _, c := range cases {
 			t.Run(string(backend)+"/"+c.name, func(t *testing.T) {
+				// Rank 0 is parked at the barrier when rank 1 dies: the
+				// backend must unwind it, not leave it pinning the node
+				// images (the sim engine used to).
+				leaktest.Check(t)
 				pool := []*vm.Arena{vm.NewArena(), vm.NewArena()}
 				loans := func() (n int) {
 					for _, ar := range pool {

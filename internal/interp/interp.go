@@ -127,13 +127,19 @@ func (t *dsmTarget) acquire(id int)          { t.nd.Acquire(id) }
 func (t *dsmTarget) release(id int)          { t.nd.Release(id) }
 
 func (t *dsmTarget) validate(at ir.AccessType, regions []shm.Region, wsync, async bool) {
-	acc := map[ir.AccessType]tmk.AccessType{
-		ir.Read:         tmk.AccRead,
-		ir.Write:        tmk.AccWrite,
-		ir.ReadWrite:    tmk.AccReadWrite,
-		ir.WriteAll:     tmk.AccWriteAll,
-		ir.ReadWriteAll: tmk.AccReadWriteAll,
-	}[at]
+	var acc tmk.AccessType
+	switch at {
+	case ir.Read:
+		acc = tmk.AccRead
+	case ir.Write:
+		acc = tmk.AccWrite
+	case ir.ReadWrite:
+		acc = tmk.AccReadWrite
+	case ir.WriteAll:
+		acc = tmk.AccWriteAll
+	case ir.ReadWriteAll:
+		acc = tmk.AccReadWriteAll
+	}
 	if wsync {
 		t.nd.ValidateWSync(acc, regions)
 		return
@@ -171,7 +177,12 @@ type executor struct {
 	env    rsd.Env
 	tgt    target
 	scale  int // compute cost multiplier (cscale parameter)
-	srcs   []float64
+
+	// Scratch reused across statements: operand values, the index tuple
+	// being resolved, and the references of a vectorized assignment.
+	srcs []float64
+	idx  []int
+	refs []mov
 }
 
 // advance charges scaled compute time.
@@ -273,39 +284,51 @@ func (x *executor) execLoop(st ir.Loop) {
 	delete(x.env, st.Var)
 }
 
-// addrAndStep resolves a reference to (address at v=at, address step per
-// unit of v).
-func (x *executor) addrAndStep(ref ir.Ref, v rsd.Sym, at int) (addr, step int) {
-	arr := x.layout.Array(ref.Array)
-	x.env[v] = at
-	idx := make([]int, len(ref.Idx))
+// mov is one reference of a vectorized assignment: its address at the
+// first iteration and its address step per iteration.
+type mov struct{ addr, step int }
+
+// addr resolves a reference in the current environment.
+func (x *executor) addr(arr *shm.Array, ref ir.Ref) int {
+	if cap(x.idx) < len(ref.Idx) {
+		x.idx = make([]int, len(ref.Idx))
+	}
+	idx := x.idx[:len(ref.Idx)]
 	for d, e := range ref.Idx {
 		idx[d] = e.Eval(x.env)
-		step += e.T[v] * arr.Stride(d)
 	}
-	delete(x.env, v)
-	return arr.Index(idx...), step
+	return arr.Index(idx...)
+}
+
+// move resolves a reference of a loop over v, with v bound in the
+// environment to the first iteration.
+func (x *executor) move(ref ir.Ref, v rsd.Sym) mov {
+	arr := x.layout.Array(ref.Array)
+	m := mov{addr: x.addr(arr, ref)}
+	for d, e := range ref.Idx {
+		m.step += e.T[v] * arr.Stride(d)
+	}
+	return m
 }
 
 // execAssignVector runs `for v = lo..hi: lhs = Fn(rhs...)` as one ensured
 // span plus a tight loop. Unit- and zero-stride references are ensured as
 // single spans; larger constant strides are ensured page by page along
 // the traversal (exactly the pages a strided access touches). Returns
-// false when a reference moves backwards.
+// false when a reference moves backwards. The executor's scratch slices
+// make a warmed call allocation-free (pinned by the root alloc_test.go).
 func (x *executor) execAssignVector(v rsd.Sym, lo, hi int, a ir.Assign) bool {
-	type mov struct{ addr, step int }
-	refs := make([]mov, 0, len(a.RHS)+1)
-	la, ls := x.addrAndStep(a.LHS, v, lo)
-	if ls < 0 {
-		return false
-	}
-	refs = append(refs, mov{la, ls})
+	x.env[v] = lo
+	refs := append(x.refs[:0], x.move(a.LHS, v))
 	for _, r := range a.RHS {
-		ra, rs := x.addrAndStep(r, v, lo)
-		if rs < 0 {
+		refs = append(refs, x.move(r, v))
+	}
+	delete(x.env, v)
+	x.refs = refs
+	for _, m := range refs {
+		if m.step < 0 {
 			return false
 		}
-		refs = append(refs, mov{ra, rs})
 	}
 	n := hi - lo + 1
 	ensure := func(m mov, write bool) {
@@ -360,23 +383,13 @@ func (x *executor) execAssignVector(v rsd.Sym, lo, hi int, a ir.Assign) bool {
 // execAssignScalar runs one instance of an assignment with the current
 // environment.
 func (x *executor) execAssignScalar(a ir.Assign) {
-	arr := x.layout.Array(a.LHS.Array)
-	idx := make([]int, len(a.LHS.Idx))
-	for d, e := range a.LHS.Idx {
-		idx[d] = e.Eval(x.env)
-	}
-	lhs := arr.Index(idx...)
+	lhs := x.addr(x.layout.Array(a.LHS.Array), a.LHS)
 	if cap(x.srcs) < len(a.RHS) {
 		x.srcs = make([]float64, len(a.RHS))
 	}
 	srcs := x.srcs[:len(a.RHS)]
 	for j, r := range a.RHS {
-		ra := x.layout.Array(r.Array)
-		ridx := make([]int, len(r.Idx))
-		for d, e := range r.Idx {
-			ridx[d] = e.Eval(x.env)
-		}
-		addr := ra.Index(ridx...)
+		addr := x.addr(x.layout.Array(r.Array), r)
 		x.tgt.ensureRead(addr, addr+1)
 		srcs[j] = x.tgt.data()[addr]
 	}
@@ -410,8 +423,6 @@ func (k *kernelCtx) WriteRegion(lo, hi int) []float64 {
 	return k.x.tgt.data()
 }
 
-func (k *kernelCtx) Addr(array string, idx ...int) int {
-	return k.x.layout.Array(array).Index(idx...)
-}
+func (k *kernelCtx) Array(name string) *shm.Array { return k.x.layout.Array(name) }
 
 func (k *kernelCtx) Charge(d time.Duration) { k.x.advance(d) }

@@ -181,9 +181,9 @@ func TestKernelCtx(t *testing.T) {
 			Run: func(ctx ir.KernelCtx) {
 				e := ctx.Env()
 				lo, hi := e["lo"], e["hi"]
-				a := ctx.Addr("x", lo)
-				d := ctx.WriteRegion(a, ctx.Addr("x", hi)+1)
-				for w := a; w <= ctx.Addr("x", hi); w++ {
+				a := ctx.Array("x").Index(lo)
+				d := ctx.WriteRegion(a, ctx.Array("x").Index(hi)+1)
+				for w := a; w <= ctx.Array("x").Index(hi); w++ {
 					d[w] = 9
 				}
 				ctx.Charge(time.Microsecond)

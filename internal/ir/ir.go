@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"sdsm/internal/rsd"
+	"sdsm/internal/shm"
 )
 
 // AccessType mirrors the augmented run-time's access patterns without
@@ -186,8 +187,10 @@ type KernelCtx interface {
 	ReadRegion(lo, hi int) []float64
 	// WriteRegion establishes write access and returns the memory image.
 	WriteRegion(lo, hi int) []float64
-	// Addr resolves a 1-based array index to a word address.
-	Addr(array string, idx ...int) int
+	// Array looks up a shared array; its Index resolves 1-based indices
+	// to word addresses. Kernels that address per element look the array
+	// up once, outside the loop.
+	Array(name string) *shm.Array
 	// Charge adds virtual compute time.
 	Charge(d time.Duration)
 }

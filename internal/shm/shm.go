@@ -112,6 +112,8 @@ type Array struct {
 	Name string
 	Base int   // word address of element (1,1,...)
 	Dims []int // extent per dimension
+
+	strides []int // Stride(d) for each dimension, fixed at Alloc
 }
 
 // Words returns the total number of words in the array.
@@ -125,13 +127,7 @@ func (a *Array) Words() int {
 
 // Stride returns the distance in words between consecutive elements along
 // dimension d (column-major: dimension 0 is contiguous).
-func (a *Array) Stride(d int) int {
-	s := 1
-	for i := 0; i < d; i++ {
-		s *= a.Dims[i]
-	}
-	return s
-}
+func (a *Array) Stride(d int) int { return a.strides[d] }
 
 // Index returns the word address of the element with the given 1-based
 // indices.
@@ -144,7 +140,7 @@ func (a *Array) Index(idx ...int) int {
 		if i < 1 || i > a.Dims[d] {
 			panic(fmt.Sprintf("shm: index %d out of range [1,%d] in dim %d of %s", i, a.Dims[d], d, a.Name))
 		}
-		addr += (i - 1) * a.Stride(d)
+		addr += (i - 1) * a.strides[d]
 	}
 	return addr
 }
@@ -173,7 +169,12 @@ func (l *Layout) Alloc(name string, dims ...int) *Array {
 	if _, dup := l.arrays[name]; dup {
 		panic("shm: duplicate array " + name)
 	}
-	a := &Array{Name: name, Base: l.words, Dims: append([]int(nil), dims...)}
+	a := &Array{Name: name, Base: l.words, Dims: append([]int(nil), dims...), strides: make([]int, len(dims))}
+	stride := 1
+	for d, n := range dims {
+		a.strides[d] = stride
+		stride *= n
+	}
 	l.arrays[name] = a
 	l.order = append(l.order, a)
 	w := a.Words()

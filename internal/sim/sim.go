@@ -1,10 +1,18 @@
 // Package sim provides a deterministic, sequential discrete-event
 // simulation engine for a collection of virtual processors.
 //
-// Each processor runs as a goroutine, but the engine admits exactly one
-// runnable processor at a time and always resumes the runnable processor
-// with the smallest virtual clock (ties broken by processor id). This makes
-// every simulation deterministic regardless of the Go scheduler.
+// Run is one scheduler loop on its caller's goroutine. Each processor
+// body is a coroutine (iter.Pull) that the loop resumes and that switches
+// back to the loop when it yields, blocks or returns; the loop always
+// resumes the runnable processor with the smallest virtual clock (ties
+// broken by processor id). Exactly one of the loop and the bodies runs at
+// any instant, so the engine needs no lock, every simulation is
+// deterministic regardless of the Go scheduler, and a hand-off is two
+// direct goroutine switches that never enter the Go scheduler (DESIGN.md
+// §3 has the measurement that ruled out channels). Because the loop owns
+// termination, no coroutine outlives Run: on deadlock, after a body panic,
+// or when a body exits its goroutine, every unfinished body is unwound
+// before Run returns.
 //
 // Processors advance their own clocks with Advance, block with Block, and
 // are woken by other processors with Wake. Higher layers (network,
@@ -13,9 +21,9 @@ package sim
 
 import (
 	"fmt"
+	"iter"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"sdsm/internal/host"
@@ -32,26 +40,36 @@ const (
 	stateDone
 )
 
-// Proc is a simulated processor, implementing host.Proc. All methods
-// except Wake and Charge must be called from the goroutine running this
-// processor's body.
+// Proc is a simulated processor, implementing host.Proc. Advance, Yield
+// and Block switch coroutines and must be called from the processor's own
+// body (not from a goroutine the body started); every other method only
+// reads or writes scheduler state and may be called on any processor by
+// whichever body is currently running. A body that exits its goroutine
+// (runtime.Goexit, t.FailNow) ends the goroutine that called Run, after
+// Run has unwound the other bodies.
 type Proc struct {
 	id int
 
 	e      *Engine
 	clock  time.Duration
 	state  procState
-	resume chan struct{}
 	reason string // why the processor is blocked, for deadlock reports
+
+	// The body's coroutine, valid during one Run: the loop resumes it
+	// with next, the body switches back with yield, and stop makes a
+	// parked yield return false (or, before the first next, ends the
+	// coroutine without running the body).
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
 }
 
 // Engine coordinates a fixed set of processors.
 type Engine struct {
-	mu    sync.Mutex
-	procs []*Proc
-	live  int
-	done  chan struct{}
-	err   error
+	procs  []*Proc
+	live   int
+	err    error
+	picked *Proc // Yield's choice, so the loop need not scan again
 
 	// dispatches, when non-nil, counts scheduler hand-offs (one per
 	// processor resume) for the observability layer. Nil on untraced
@@ -70,9 +88,9 @@ func NewEngine(n int) *Engine {
 	if n <= 0 {
 		panic("sim: engine needs at least one processor")
 	}
-	e := &Engine{done: make(chan struct{})}
+	e := &Engine{}
 	for i := 0; i < n; i++ {
-		e.procs = append(e.procs, &Proc{id: i, e: e, resume: make(chan struct{}, 1)})
+		e.procs = append(e.procs, &Proc{id: i, e: e})
 	}
 	return e
 }
@@ -85,97 +103,89 @@ func (e *Engine) Proc(i int) host.Proc { return e.procs[i] }
 
 // Run executes body once per processor and returns when all processors have
 // finished. It returns an error if the simulation deadlocks (every live
-// processor blocked) or if a body panics.
-func (e *Engine) Run(body func(p host.Proc)) error {
-	e.mu.Lock()
-	e.live = len(e.procs)
+// processor blocked) or as soon as a body panics. However it ends, every
+// body has returned or been unwound by then, and the engine can Run again.
+func (e *Engine) Run(body func(p host.Proc)) (err error) {
+	e.live, e.err, e.picked = len(e.procs), nil, nil
 	for _, p := range e.procs {
-		p.state = stateRunnable
-		p.clock = 0
+		p.clock, p.state, p.reason = 0, stateRunnable, ""
+		p.next, p.stop = iter.Pull(p.coroutine(body))
 	}
-	e.mu.Unlock()
-
-	for _, p := range e.procs {
-		p := p
-		go func() {
-			defer func() {
-				if r := recover(); r != nil {
-					e.mu.Lock()
-					if e.err == nil {
-						e.err = fmt.Errorf("sim: processor %d panicked: %v", p.id, r)
-					}
-					p.state = stateDone
-					e.live--
-					e.scheduleNextLocked()
-					e.mu.Unlock()
-					return
-				}
-				e.finish(p)
-			}()
-			<-p.resume // wait until scheduled for the first time
-			body(p)
-		}()
-	}
-
-	e.mu.Lock()
-	e.scheduleNextLocked()
-	e.mu.Unlock()
-
-	<-e.done
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.err
-}
-
-// finish marks p done and hands the token to the next runnable processor.
-func (e *Engine) finish(p *Proc) {
-	e.mu.Lock()
-	p.state = stateDone
-	e.live--
-	e.scheduleNextLocked()
-	e.mu.Unlock()
-}
-
-// scheduleNextLocked picks the runnable processor with the smallest
-// (clock, id) and signals it. Caller holds e.mu.
-func (e *Engine) scheduleNextLocked() {
-	if e.live == 0 {
-		select {
-		case <-e.done:
-		default:
-			close(e.done)
+	// Deferred, not sequential: a Goexit in a body propagates out of
+	// next and must still release the other bodies.
+	defer func() {
+		for _, p := range e.procs {
+			p.stop()
 		}
-		return
+		err = e.err
+	}()
+	for e.live > 0 && e.err == nil {
+		p := e.picked
+		e.picked = nil
+		if p == nil {
+			p = e.pick()
+		}
+		if p == nil {
+			e.err = fmt.Errorf("sim: deadlock: %s", e.blockReport())
+			break
+		}
+		e.dispatch(p)
+		p.next()
 	}
+	return
+}
+
+// stopped is the panic value that unwinds a body parked in Yield or Block
+// when Run ends without it. Engine calls made by the body's deferred
+// functions while it unwinds panic with it again rather than park.
+type stopped struct{}
+
+// coroutine wraps body as p's coroutine: it converts a panic into the
+// run's error and retires p however body ends.
+func (p *Proc) coroutine(body func(host.Proc)) iter.Seq[struct{}] {
+	return func(yield func(struct{}) bool) {
+		p.yield = yield
+		defer func() {
+			p.state = stateDone
+			p.e.live--
+			if r := recover(); r != nil && r != (stopped{}) && p.e.err == nil {
+				p.e.err = fmt.Errorf("sim: processor %d panicked: %v", p.id, r)
+			}
+		}()
+		body(p)
+	}
+}
+
+// pick returns the runnable processor with the smallest (clock, id), or
+// nil if there is none. procs is in id order, so the strict comparison
+// breaks clock ties towards the smaller id.
+func (e *Engine) pick() *Proc {
 	var next *Proc
 	for _, q := range e.procs {
-		if q.state != stateRunnable {
-			continue
-		}
-		if next == nil || q.clock < next.clock || (q.clock == next.clock && q.id < next.id) {
+		if q.state == stateRunnable && (next == nil || q.clock < next.clock) {
 			next = q
 		}
 	}
-	if next == nil {
-		// Every live processor is blocked: deadlock.
-		if e.err == nil {
-			e.err = fmt.Errorf("sim: deadlock: %s", e.blockReportLocked())
-		}
-		select {
-		case <-e.done:
-		default:
-			close(e.done)
-		}
-		return
-	}
-	next.state = stateRunning
+	return next
+}
+
+// dispatch hands the token to p.
+func (e *Engine) dispatch(p *Proc) {
+	p.state = stateRunning
 	if e.dispatches != nil {
 		e.dispatches.Inc()
 	}
-	next.resume <- struct{}{}
 }
 
-func (e *Engine) blockReportLocked() string {
+// park switches to the scheduler loop and returns when p is dispatched
+// again.
+func (p *Proc) park() {
+	if !p.yield(struct{}{}) {
+		panic(stopped{})
+	}
+}
+
+func (e *Engine) blockReport() string {
 	var parts []string
 	for _, q := range e.procs {
 		if q.state == stateBlocked {
@@ -213,26 +223,25 @@ func (p *Proc) Charge(d time.Duration) {
 	p.clock += d
 }
 
-// Yield gives other processors with smaller clocks a chance to run.
+// Yield gives other processors with smaller clocks a chance to run. A
+// processor that is still the minimum is dispatched again without a
+// coroutine switch.
 func (p *Proc) Yield() {
-	e := p.e
-	e.mu.Lock()
 	p.state = stateRunnable
-	e.scheduleNextLocked()
-	e.mu.Unlock()
-	<-p.resume
+	q := p.e.pick()
+	if q == p {
+		p.e.dispatch(p)
+		return
+	}
+	p.e.picked = q
+	p.park()
 }
 
 // Block suspends the processor until another processor calls Wake on it.
 // reason appears in deadlock reports.
 func (p *Proc) Block(reason string) {
-	e := p.e
-	e.mu.Lock()
-	p.state = stateBlocked
-	p.reason = reason
-	e.scheduleNextLocked()
-	e.mu.Unlock()
-	<-p.resume
+	p.state, p.reason = stateBlocked, reason
+	p.park()
 }
 
 // Wake makes a blocked processor runnable again, moving its clock forward
@@ -241,9 +250,6 @@ func (p *Proc) Block(reason string) {
 // wakes are direct handoffs, never broadcasts.
 func (p *Proc) Wake(target host.Proc, at time.Duration) {
 	q := target.(*Proc)
-	e := p.e
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	if q.state != stateBlocked {
 		panic(fmt.Sprintf("sim: Wake on non-blocked processor %d", q.id))
 	}
@@ -262,18 +268,12 @@ func (p *Proc) SetClock(at time.Duration) {
 	}
 }
 
-// Begin is a no-op: the engine already admits one processor at a time, so
-// every instant is a protocol section.
-func (p *Proc) Begin() {}
-
-// End is a no-op (see Begin).
-func (p *Proc) End() {}
-
-// BeginCompute is a no-op (see Begin).
+// Begin, End, BeginCompute and EndCompute are no-ops: the engine already
+// admits one processor at a time, so every instant is a protocol section.
+func (p *Proc) Begin()        {}
+func (p *Proc) End()          {}
 func (p *Proc) BeginCompute() {}
-
-// EndCompute is a no-op (see Begin).
-func (p *Proc) EndCompute() {}
+func (p *Proc) EndCompute()   {}
 
 // Hold runs fn directly: no processor computes while another runs.
 func (p *Proc) Hold(q host.Proc, fn func()) { fn() }
