@@ -22,34 +22,15 @@ import (
 	"sdsm/internal/model"
 )
 
-// Tag distinguishes message classes within a mailbox.
-type Tag = host.Tag
-
-// AnySender matches messages from every sender in Recv.
-const AnySender = host.AnySender
-
-// Msg is a delivered message.
-type Msg = host.Msg
-
-// NodeStats counts traffic at one node.
-type NodeStats = host.NodeStats
-
-// Stats aggregates network traffic. The DSM statistics the paper reports
-// ("msg" and "data" in Table 2) are derived from these counters.
-type Stats = host.Stats
-
-// Pending is an in-flight request/reply exchange.
-type Pending = host.Pending
-
 type waiter struct {
 	p    host.Proc
 	from int
-	tag  Tag
+	tag  host.Tag
 }
 
 type handKey struct {
 	to   int
-	slot Tag
+	slot host.Tag
 }
 
 // Network implements host.Transport over any host backend: the mailbox and
@@ -59,11 +40,11 @@ type handKey struct {
 type Network struct {
 	h      host.Host
 	costs  model.Costs
-	boxes  [][]Msg // pending messages per destination
+	boxes  [][]host.Msg // pending messages per destination
 	waits  []*waiter
 	hands  map[handKey]any // staged protocol payloads (grants, departures)
 	server host.Server
-	stats  Stats
+	stats  host.Stats
 }
 
 // New creates a network for every processor of h.
@@ -72,10 +53,10 @@ func New(h host.Host, costs model.Costs) *Network {
 	return &Network{
 		h:     h,
 		costs: costs,
-		boxes: make([][]Msg, n),
+		boxes: make([][]host.Msg, n),
 		waits: make([]*waiter, n),
 		hands: map[handKey]any{},
-		stats: Stats{Node: make([]NodeStats, n)},
+		stats: host.Stats{Node: make([]host.NodeStats, n)},
 	}
 }
 
@@ -83,22 +64,22 @@ func New(h host.Host, costs model.Costs) *Network {
 func (nw *Network) Costs() model.Costs { return nw.costs }
 
 // Stats returns a snapshot of the traffic counters.
-func (nw *Network) Stats() Stats {
+func (nw *Network) Stats() host.Stats {
 	s := nw.stats
-	s.Node = append([]NodeStats(nil), nw.stats.Node...)
+	s.Node = append([]host.NodeStats(nil), nw.stats.Node...)
 	return s
 }
 
 // ResetStats zeroes all counters (used between experiment phases).
 func (nw *Network) ResetStats() {
-	nw.stats = Stats{Node: make([]NodeStats, nw.h.N())}
+	nw.stats = host.Stats{Node: make([]host.NodeStats, nw.h.N())}
 }
 
 func (nw *Network) account(from, to, bytes int) { nw.stats.Account(from, to, bytes) }
 
 // Send transmits payload from p to node `to`. The sender is charged send
 // overhead; the message arrives after wire latency plus bandwidth time.
-func (nw *Network) Send(p host.Proc, to int, tag Tag, payload any, bytes int) {
+func (nw *Network) Send(p host.Proc, to int, tag host.Tag, payload any, bytes int) {
 	p.Charge(nw.costs.SendOverhead)
 	nw.deliver(p, to, tag, payload, bytes)
 }
@@ -106,11 +87,11 @@ func (nw *Network) Send(p host.Proc, to int, tag Tag, payload any, bytes int) {
 // deliver files one message from p in to's mailbox, arriving one wire
 // latency plus bandwidth time from now, accounts it, and wakes to's
 // receiver if the message matches its wait.
-func (nw *Network) deliver(p host.Proc, to int, tag Tag, payload any, bytes int) {
+func (nw *Network) deliver(p host.Proc, to int, tag host.Tag, payload any, bytes int) {
 	if to == p.ID() {
 		panic("cluster: send to self")
 	}
-	m := Msg{
+	m := host.Msg{
 		From:    p.ID(),
 		To:      to,
 		Tag:     tag,
@@ -120,7 +101,7 @@ func (nw *Network) deliver(p host.Proc, to int, tag Tag, payload any, bytes int)
 	}
 	nw.account(p.ID(), to, bytes)
 	nw.boxes[to] = append(nw.boxes[to], m)
-	if w := nw.waits[to]; w != nil && (w.from == AnySender || w.from == m.From) && w.tag == m.Tag {
+	if w := nw.waits[to]; w != nil && (w.from == host.AnySender || w.from == m.From) && w.tag == m.Tag {
 		nw.waits[to] = nil
 		p.Wake(w.p, m.Arrival)
 	}
@@ -128,7 +109,7 @@ func (nw *Network) deliver(p host.Proc, to int, tag Tag, payload any, bytes int)
 
 // Broadcast sends payload to every other node, serializing the per-message
 // send overhead at the sender (how MPL broadcast behaves for small n).
-func (nw *Network) Broadcast(p host.Proc, tag Tag, payload any, bytes int) {
+func (nw *Network) Broadcast(p host.Proc, tag host.Tag, payload any, bytes int) {
 	for to := 0; to < nw.h.N(); to++ {
 		if to != p.ID() {
 			nw.Send(p, to, tag, payload, bytes)
@@ -139,7 +120,7 @@ func (nw *Network) Broadcast(p host.Proc, tag Tag, payload any, bytes int) {
 // Recv blocks p until a message with the given tag (and sender, unless
 // AnySender) is available, then delivers the earliest-arriving match.
 // Receiving charges the interrupt/dispatch overhead.
-func (nw *Network) Recv(p host.Proc, from int, tag Tag) Msg {
+func (nw *Network) Recv(p host.Proc, from int, tag host.Tag) host.Msg {
 	for {
 		if m, ok := nw.take(p.ID(), from, tag); ok {
 			p.SetClock(m.Arrival)
@@ -155,7 +136,7 @@ func (nw *Network) Recv(p host.Proc, from int, tag Tag) Msg {
 }
 
 // take removes the earliest matching message from to's mailbox.
-func (nw *Network) take(to, from int, tag Tag) (Msg, bool) {
+func (nw *Network) take(to, from int, tag host.Tag) (host.Msg, bool) {
 	m, rest, ok := host.TakeMatch(nw.boxes[to], from, tag)
 	nw.boxes[to] = rest
 	return m, ok
@@ -194,7 +175,7 @@ func (nw *Network) Serve(fn host.Server) {
 // the server charges to the target (for example creating diffs) extends
 // the reply's arrival; the target is additionally charged interrupt,
 // service, and reply-injection overheads.
-func (nw *Network) StartRequest(p host.Proc, to int, req any, reqBytes int) *Pending {
+func (nw *Network) StartRequest(p host.Proc, to int, req any, reqBytes int) *host.Pending {
 	if to == p.ID() {
 		panic("cluster: request to self")
 	}
@@ -209,7 +190,7 @@ func (nw *Network) StartRequest(p host.Proc, to int, req any, reqBytes int) *Pen
 	service := target.Now() - before
 	nw.account(to, p.ID(), respBytes)
 
-	return &Pending{
+	return &host.Pending{
 		Reply:   resp,
 		Arrival: reqArrival + service + nw.costs.OneWay(respBytes),
 		Bytes:   respBytes,
@@ -221,7 +202,7 @@ func (nw *Network) StartRequest(p host.Proc, to int, req any, reqBytes int) *Pen
 // switch-assisted broadcast the augmented run-time uses at barriers when a
 // processor sends identical data to everyone). Each delivery is still
 // accounted as a message.
-func (nw *Network) SendShared(p host.Proc, tos []int, tag Tag, payload any, bytes int) {
+func (nw *Network) SendShared(p host.Proc, tos []int, tag host.Tag, payload any, bytes int) {
 	p.Charge(nw.costs.SendOverhead)
 	for _, to := range tos {
 		nw.deliver(p, to, tag, payload, bytes)
@@ -230,7 +211,7 @@ func (nw *Network) SendShared(p host.Proc, tos []int, tag Tag, payload any, byte
 
 // Await advances p to the completion of one in-flight exchange and charges
 // the receive overhead.
-func (nw *Network) Await(p host.Proc, pd *Pending) {
+func (nw *Network) Await(p host.Proc, pd *host.Pending) {
 	pd.Resolve(p)
 	p.SetClock(pd.Arrival)
 	p.Charge(nw.costs.RecvOverhead)
@@ -238,7 +219,7 @@ func (nw *Network) Await(p host.Proc, pd *Pending) {
 
 // AwaitAll completes a set of in-flight exchanges, processing replies in
 // arrival order (the receive overheads serialize at the requester).
-func (nw *Network) AwaitAll(p host.Proc, pds []*Pending) {
+func (nw *Network) AwaitAll(p host.Proc, pds []*host.Pending) {
 	host.AwaitInArrivalOrder(p, pds, nw.Await)
 }
 
@@ -246,7 +227,7 @@ func (nw *Network) AwaitAll(p host.Proc, pds []*Pending) {
 // departures); the recipient consumes it with TakeHand after being woken.
 // Delivery is immediate in-process; cost accounting is the caller's
 // affair, via Message.
-func (nw *Network) Hand(p host.Proc, to int, slot Tag, payload any) {
+func (nw *Network) Hand(p host.Proc, to int, slot host.Tag, payload any) {
 	k := handKey{to: to, slot: slot}
 	if _, dup := nw.hands[k]; dup {
 		panic(fmt.Sprintf("cluster: hand slot %d for node %d already staged", slot, to))
@@ -257,7 +238,7 @@ func (nw *Network) Hand(p host.Proc, to int, slot Tag, payload any) {
 // TakeHand retrieves the payload staged for the caller in slot. The
 // protocol stages hands before waking their consumers, so in-process the
 // payload is always present.
-func (nw *Network) TakeHand(p host.Proc, slot Tag) any {
+func (nw *Network) TakeHand(p host.Proc, slot host.Tag) any {
 	k := handKey{to: p.ID(), slot: slot}
 	payload, ok := nw.hands[k]
 	if !ok {

@@ -9,7 +9,7 @@ import (
 	"sdsm/internal/sim"
 )
 
-const tagData Tag = 1
+const tagData host.Tag = 1
 
 func TestSendRecvTiming(t *testing.T) {
 	e := sim.NewEngine(2)
@@ -173,7 +173,7 @@ func TestAwaitAllSerializesReceives(t *testing.T) {
 		case 0:
 			c1 := nw.StartRequest(p, 1, nil, 0)
 			c2 := nw.StartRequest(p, 2, nil, 0)
-			nw.AwaitAll(p, []*Pending{c1, c2})
+			nw.AwaitAll(p, []*host.Pending{c1, c2})
 			done = p.Now()
 		default:
 			p.Advance(time.Millisecond)
@@ -252,7 +252,7 @@ func TestPerSenderOrderingByArrival(t *testing.T) {
 }
 
 func TestRecvByTagSelectsCorrectly(t *testing.T) {
-	const tagA, tagB Tag = 10, 11
+	const tagA, tagB host.Tag = 10, 11
 	e := sim.NewEngine(2)
 	nw := New(e, model.SP2())
 	err := e.Run(func(p host.Proc) {

@@ -54,11 +54,39 @@ func TestSpeedupGuards(t *testing.T) {
 	}
 }
 
+// Run validates what it is given before building anything: each bad
+// configuration must come back as an error naming the field — never a
+// panic from a lower layer, never a silently unarmed fault.
 func TestRunRejectsUnknownBackend(t *testing.T) {
 	a, _ := apps.ByName("jacobi")
-	for _, sys := range []SystemKind{Base, PVMe} { // MP systems must validate too
-		if _, err := Run(Config{App: a, Set: Small, System: sys, Procs: 2, Backend: "reall"}); err == nil {
-			t.Errorf("%s: unknown backend must error", sys)
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		want string // substring the error must contain
+	}{
+		{"backend", Config{Procs: 2, Backend: "reall"}, `backend "reall"`},
+		{"zero procs", Config{Procs: 0}, "Procs"},
+		{"negative procs", Config{Procs: -3}, "Procs"},
+		{"fault rank beyond machine", Config{Procs: 3, Fault: &FaultPlan{Rank: 7, Epoch: 1}}, "Fault.Rank"},
+		{"negative fault rank", Config{Procs: 3, Fault: &FaultPlan{Rank: -1, Epoch: 1}}, "Fault.Rank"},
+	} {
+		for _, sys := range []SystemKind{Base, PVMe} { // MP systems must validate too
+			cfg := tc.cfg
+			cfg.App, cfg.Set, cfg.System = a, Small, sys
+			if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s/%s: error = %v, want one mentioning %s", tc.name, sys, err, tc.want)
+			}
 		}
+	}
+	// A fault epoch is a DSM notion: message-passing plans place the kill
+	// by AfterFrames and legitimately leave Epoch zero.
+	noEpoch := Config{App: a, Set: Small, Procs: 3, Fault: &FaultPlan{Rank: 1}}
+	noEpoch.System = Base
+	if _, err := Run(noEpoch); err == nil || !strings.Contains(err.Error(), "Fault.Epoch") {
+		t.Errorf("DSM fault without an epoch: error = %v, want one mentioning Fault.Epoch", err)
+	}
+	noEpoch.System = PVMe
+	if _, err := Run(noEpoch); err != nil {
+		t.Errorf("message-passing fault plan without an epoch must run: %v", err)
 	}
 }

@@ -187,6 +187,19 @@ func Run(cfg Config) (*Result, error) {
 	default:
 		return nil, fmt.Errorf("harness: unknown backend %q", cfg.Backend)
 	}
+	if cfg.Procs < 1 {
+		return nil, fmt.Errorf("harness: Procs must be at least 1, got %d", cfg.Procs)
+	}
+	if f := cfg.Fault; f != nil {
+		if f.Rank < 0 || f.Rank >= cfg.Procs {
+			return nil, fmt.Errorf("harness: Fault.Rank %d is outside [0, %d): the fault could never fire", f.Rank, cfg.Procs)
+		}
+		// Message-passing fault plans place the kill by AfterFrames and
+		// leave Epoch zero; only a DSM fault names a barrier epoch.
+		if (cfg.System == Base || cfg.System == Opt) && f.Epoch < 1 {
+			return nil, fmt.Errorf("harness: Fault.Epoch must be at least 1 (barrier arrivals are 1-based), got %d", f.Epoch)
+		}
+	}
 	switch cfg.System {
 	case Base, Opt:
 		return runDSM(cfg)
@@ -345,11 +358,7 @@ func runDSM(cfg Config) (res *Result, err error) {
 	smax, smean := sys.ServeBalance()
 	var rs tmk.RecoveryStats
 	for _, nd := range sys.Nodes {
-		rs.Checkpoints += nd.RecStats.Checkpoints
-		rs.FullCheckpoints += nd.RecStats.FullCheckpoints
-		rs.CheckpointBytes += nd.RecStats.CheckpointBytes
-		rs.Failures += nd.RecStats.Failures
-		rs.Restores += nd.RecStats.Restores
+		obs.AddFields(&rs, &nd.RecStats)
 	}
 	return &Result{
 		Time:      sys.MaxTime(),

@@ -1,71 +1,24 @@
 package harness
 
-import (
-	"sdsm/internal/obs"
-)
+import "sdsm/internal/obs"
 
-// Snapshot folds one Result into the unified metrics snapshot: the
-// formerly scattered reporting paths (network traffic, vm counters,
-// tmk.ProtocolStats, the adaptive counters, tmk.RecoveryStats) become
-// namespaced counters in one obs.Snapshot, merged over the trace
-// registry's own counters and histograms when the run was traced. Zero
-// counters are omitted, so a plain run's snapshot reads exactly like the
-// old conditional stat lines: adaptive counters only appear on adaptive
-// runs, recovery counters only on recovery runs.
+// Snapshot folds one Result into the unified metrics snapshot: network
+// traffic, vm.Counters, tmk.ProtocolStats and tmk.RecoveryStats become
+// namespaced counters in one obs.Snapshot (each named by the obs tag on
+// its struct field), merged over the trace registry's own counters and
+// histograms when the run was traced. Zero counters are omitted:
+// adaptive counters only appear on adaptive runs, recovery counters only
+// on recovery runs.
 func Snapshot(res *Result) *obs.Snapshot {
 	s := obs.NewSnapshot()
 	if res.Trace != nil {
 		s = res.Trace.Reg.Snapshot()
 	}
 	s.Set("time.ns", int64(res.Time))
-
 	s.Set("net.msgs", res.Msgs)
 	s.Set("net.bytes", res.Bytes)
-
-	s.Set("vm.faults.read", res.VM.ReadFaults)
-	s.Set("vm.faults.write", res.VM.WriteFaults)
-	s.Set("vm.prot.ops", res.VM.ProtOps)
-	s.Set("vm.twins", res.VM.Twins)
-	s.Set("vm.diffs", res.VM.Diffs)
-	s.Set("vm.diff.words", res.VM.DiffWords)
-
-	p := &res.Protocol
-	s.Set("protocol.lock.acquires", p.LockAcquires)
-	s.Set("protocol.barriers", p.Barriers)
-	s.Set("protocol.validates", p.Validates)
-	s.Set("protocol.pushes", p.Pushes)
-	s.Set("protocol.wsync.serves", p.WSyncServes)
-	s.Set("protocol.wsync.bcasts", p.WSyncBcasts)
-	s.Set("protocol.diff.fetches", p.DiffFetches)
-	s.Set("protocol.diffs.applied", p.DiffsApplied)
-	s.Set("protocol.words.applied", p.WordsApplied)
-	s.Set("protocol.invalidations", p.Invalidations)
-	s.Set("protocol.lock.fetches", p.LockFetches)
-
-	s.Set("protocol.diff.serves", p.DiffServes)
-	s.Set("scale.dir.redirects", p.DirRedirects)
-	s.Set("scale.dir.hops", p.DirHops)
-	s.Set("scale.dir.fallbacks", p.DirFallbacks)
-	s.Set("scale.relay.bytes", p.AdaptRelayBytes)
-
-	s.Set("adapt.promotions", p.AdaptPromotions)
-	s.Set("adapt.splits", p.AdaptSplits)
-	s.Set("adapt.joins", p.AdaptJoins)
-	s.Set("adapt.decays", p.AdaptDecays)
-	s.Set("adapt.updates", p.AdaptUpdates)
-	s.Set("adapt.spans", p.AdaptSpans)
-	s.Set("adapt.pages.pushed", p.AdaptPagesPushed)
-	s.Set("adapt.lock.grants", p.AdaptLockGrants)
-	s.Set("adapt.lock.pages", p.AdaptLockPagesPush)
-	s.Set("adapt.lock.promotions", p.AdaptLockPromotions)
-	s.Set("adapt.lock.decays", p.AdaptLockDecays)
-	s.Set("adapt.lock.probes", p.AdaptLockProbes)
-	s.Set("adapt.lock.stale.drops", p.AdaptLockStaleDrops)
-
-	s.Set("recovery.checkpoints", res.Recovery.Checkpoints)
-	s.Set("recovery.full", res.Recovery.FullCheckpoints)
-	s.Set("recovery.bytes", res.Recovery.CheckpointBytes)
-	s.Set("recovery.failures", res.Recovery.Failures)
-	s.Set("recovery.restores", res.Recovery.Restores)
+	s.SetFields(&res.VM)
+	s.SetFields(&res.Protocol)
+	s.SetFields(&res.Recovery)
 	return s
 }

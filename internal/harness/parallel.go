@@ -66,22 +66,3 @@ dispatch:
 	defer errMu.Unlock()
 	return first
 }
-
-// RunMany executes independent configurations across a worker pool,
-// returning results in input order. workers <= 1 degenerates to a
-// sequential sweep.
-func RunMany(cfgs []Config, workers int) ([]*Result, error) {
-	results := make([]*Result, len(cfgs))
-	err := parallelDo(len(cfgs), workers, func(i int) error {
-		r, err := Run(cfgs[i])
-		if err != nil {
-			return err
-		}
-		results[i] = r
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return results, nil
-}

@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -297,25 +298,45 @@ func Fig7(procs, workers int) ([]Fig7Row, error) {
 	return rows, err
 }
 
-// AdaptRow is one system variant of the adaptive-protocol comparison: the
-// same application and data set under baseline invalidate ("tmk"), the
-// run-time adaptive update protocol ("adapt-tmk"), and — where the
-// compiler's regular-section analysis applies — the compiler-optimized
-// configuration with static pushes ("opt-tmk").
-type AdaptRow struct {
-	App     string
-	Set     apps.DataSet
-	System  string
-	Applies bool // false: the compiler cannot analyze this application
-	Time    time.Duration
-	Segv    int64
-	Msgs    int64
-	Bytes   int64
-	Promos  int64
-	Splits  int64 // pages bound sub-page (two-writer false sharing)
-	Decays  int64
-	Updates int64
-	Spans   int64 // section spans shipped in the update messages
+// RunRow is one run of a comparison grid (Tables A, B and C): which cell
+// it is, plus the run's Result, whose counters the formatters read
+// directly. System is "tmk" (invalidate baseline), "adapt-tmk" (the same
+// system under the run-time adaptive protocol) or "opt-tmk" (the per-app
+// best compiler configuration); a nil Result prints as n/a — the compiler
+// cannot analyze the application.
+type RunRow struct {
+	App    string
+	Set    apps.DataSet
+	System string
+	Procs  int
+	*Result
+}
+
+// gridCell is one configured run of a comparison grid; na cells are not
+// run and yield a row with a nil Result.
+type gridCell struct {
+	cfg Config
+	na  bool
+}
+
+// runGrid executes the cells across workers, one self-contained run per
+// job, and returns one row per cell in cell order.
+func runGrid(cells []gridCell, workers int) ([]RunRow, error) {
+	rows := make([]RunRow, len(cells))
+	err := parallelDo(len(cells), workers, func(i int) error {
+		cfg := cells[i].cfg
+		rows[i] = RunRow{App: cfg.App.Name, Set: cfg.Set, System: string(cfg.System), Procs: cfg.Procs}
+		if cfg.Adapt {
+			rows[i].System = "adapt-" + rows[i].System
+		}
+		if cells[i].na {
+			return nil
+		}
+		res, err := Run(cfg)
+		rows[i].Result = res
+		return err
+	})
+	return rows, err
 }
 
 // adaptGrid is the application/data-set grid of the adaptive comparison:
@@ -341,75 +362,23 @@ func adaptGrid() []appSet {
 	return out
 }
 
-// AdaptTable runs the adaptive-protocol comparison at the given processor
-// count, one (app, set) pair per worker job: for each, baseline invalidate
-// TreadMarks, the same system with the run-time adaptive update protocol,
-// and the per-app best compiler configuration where the compiler applies.
-func AdaptTable(procs, workers int) ([]AdaptRow, error) {
-	cases := adaptGrid()
-	rows := make([][]AdaptRow, len(cases))
-	err := parallelDo(len(cases), workers, func(i int) error {
-		a, set := cases[i].app, cases[i].set
-		out := make([]AdaptRow, 0, 3)
-		base, err := Run(Config{App: a, Set: set, System: Base, Procs: procs})
-		if err != nil {
-			return err
-		}
-		out = append(out, AdaptRow{
-			App: a.Name, Set: set, System: "tmk", Applies: true,
-			Time: base.Time, Segv: base.Segv, Msgs: base.Msgs, Bytes: base.Bytes,
-		})
-		ad, err := Run(Config{App: a, Set: set, System: Base, Procs: procs, Adapt: true})
-		if err != nil {
-			return err
-		}
-		out = append(out, AdaptRow{
-			App: a.Name, Set: set, System: "adapt-tmk", Applies: true,
-			Time: ad.Time, Segv: ad.Segv, Msgs: ad.Msgs, Bytes: ad.Bytes,
-			Promos: ad.Protocol.AdaptPromotions, Splits: ad.Protocol.AdaptSplits,
-			Decays:  ad.Protocol.AdaptDecays,
-			Updates: ad.Protocol.AdaptUpdates, Spans: ad.Protocol.AdaptSpans,
-		})
-		opt := AdaptRow{App: a.Name, Set: set, System: "opt-tmk"}
-		if a.XHPF || a.WSyncApplicable || a.PushApplicable {
-			res, err := Run(Config{App: a, Set: set, System: Opt, Procs: procs})
-			if err != nil {
-				return err
-			}
-			opt.Applies = true
-			opt.Time, opt.Segv, opt.Msgs, opt.Bytes = res.Time, res.Segv, res.Msgs, res.Bytes
-		}
-		rows[i] = append(out, opt)
-		return nil
-	})
-	if err != nil {
-		return nil, err
+// AdaptTable runs the adaptive-protocol comparison (Table A) at the given
+// processor count: for each (app, set), baseline invalidate TreadMarks,
+// the same system with the run-time adaptive update protocol, and the
+// per-app best compiler configuration where the compiler's
+// regular-section analysis applies.
+func AdaptTable(procs, workers int) ([]RunRow, error) {
+	var cells []gridCell
+	for _, c := range adaptGrid() {
+		a := c.app
+		base := Config{App: a, Set: c.set, System: Base, Procs: procs}
+		ad, opt := base, base
+		ad.Adapt = true
+		opt.System = Opt
+		cells = append(cells, gridCell{cfg: base}, gridCell{cfg: ad},
+			gridCell{cfg: opt, na: !(a.XHPF || a.WSyncApplicable || a.PushApplicable)})
 	}
-	var flat []AdaptRow
-	for _, rs := range rows {
-		flat = append(flat, rs...)
-	}
-	return flat, nil
-}
-
-// AdaptLockRow is one system variant of the lock-scope adaptive
-// comparison (Table B): the same application and data set under baseline
-// invalidate ("tmk") and under the adaptive protocol ("adapt-tmk"), with
-// the lock-scope counters. LockFaults counts pages demand-fetched while
-// holding a lock — the traffic the grant piggyback exists to remove.
-type AdaptLockRow struct {
-	App        string
-	Set        apps.DataSet
-	System     string
-	Time       time.Duration
-	LockFaults int64
-	Segv       int64
-	Msgs       int64
-	Bytes      int64
-	Promos     int64 // hand-off edges bound to grant piggybacking
-	Decays     int64
-	Grants     int64 // grants that carried piggybacked diffs
-	Probes     int64 // staleness re-probes
+	return runGrid(cells, workers)
 }
 
 // lockGrid is the application/data-set grid of Table B: the two
@@ -426,50 +395,21 @@ func lockGrid() []appSet {
 	return out
 }
 
-// AdaptLockTable runs the lock-scope adaptive comparison at the given
-// processor count, one (app, set) pair per worker job: baseline
-// invalidate TreadMarks against the same system with the adaptive
-// protocol, reporting lock faults, messages, and the lock detector's
-// transitions.
-func AdaptLockTable(procs, workers int) ([]AdaptLockRow, error) {
-	cases := lockGrid()
-	rows := make([][]AdaptLockRow, len(cases))
-	err := parallelDo(len(cases), workers, func(i int) error {
-		a, set := cases[i].app, cases[i].set
-		base, err := Run(Config{App: a, Set: set, System: Base, Procs: procs})
-		if err != nil {
-			return err
-		}
-		ad, err := Run(Config{App: a, Set: set, System: Base, Procs: procs, Adapt: true})
-		if err != nil {
-			return err
-		}
-		rows[i] = []AdaptLockRow{
-			{
-				App: a.Name, Set: set, System: "tmk",
-				Time: base.Time, LockFaults: base.Protocol.LockFetches,
-				Segv: base.Segv, Msgs: base.Msgs, Bytes: base.Bytes,
-			},
-			{
-				App: a.Name, Set: set, System: "adapt-tmk",
-				Time: ad.Time, LockFaults: ad.Protocol.LockFetches,
-				Segv: ad.Segv, Msgs: ad.Msgs, Bytes: ad.Bytes,
-				Promos: ad.Protocol.AdaptLockPromotions,
-				Decays: ad.Protocol.AdaptLockDecays,
-				Grants: ad.Protocol.AdaptLockGrants,
-				Probes: ad.Protocol.AdaptLockProbes,
-			},
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
+// AdaptLockTable runs the lock-scope adaptive comparison (Table B) at the
+// given processor count: baseline invalidate TreadMarks against the same
+// system with the adaptive protocol. The formatter reports lock faults
+// (Protocol.LockFetches: pages demand-fetched while holding a lock — the
+// traffic the grant piggyback exists to remove), messages, and the lock
+// detector's transitions.
+func AdaptLockTable(procs, workers int) ([]RunRow, error) {
+	var cells []gridCell
+	for _, c := range lockGrid() {
+		base := Config{App: c.app, Set: c.set, System: Base, Procs: procs}
+		ad := base
+		ad.Adapt = true
+		cells = append(cells, gridCell{cfg: base}, gridCell{cfg: ad})
 	}
-	var flat []AdaptLockRow
-	for _, rs := range rows {
-		flat = append(flat, rs...)
-	}
-	return flat, nil
+	return runGrid(cells, workers)
 }
 
 // ScaleProcs is the node-count axis of the scaling matrix. The paper's
@@ -477,26 +417,6 @@ func AdaptLockTable(procs, workers int) ([]AdaptLockRow, error) {
 // at cluster sizes where a static per-page manager and a re-carried
 // barrier relay stop being harmless.
 var ScaleProcs = []int{8, 16, 32, 64, 128}
-
-// ScaleRow is one (application, node count) cell of the scaling matrix,
-// run in scale mode (distributed ownership directory + span-compressed,
-// broadcast-once barrier relay) with the adaptive protocol armed so the
-// fetch-list relay traffic it compresses actually flows.
-type ScaleRow struct {
-	App       string
-	Set       apps.DataSet
-	Procs     int
-	Time      time.Duration
-	Segv      int64
-	Msgs      int64
-	Bytes     int64
-	Relay     int64 // barrier fetch-list relay bytes (span-compressed)
-	Redirects int64 // directory redirects issued by probable owners
-	Hops      int64 // forwarding-chain hops walked by requesters
-	Fallbacks int64 // chases abandoned to a Direct re-request
-	ServeMax  int64 // busiest node's diff-serve count
-	ServeMean float64
-}
 
 // scaleGrid is the workload pair of the scaling matrix: tsps, the
 // sharded-queue lock workload built for large machines (hot incumbent
@@ -509,50 +429,37 @@ func scaleGrid() []appSet {
 	return []appSet{{ts, Small}, {j, Small}}
 }
 
-// ScaleTable runs the scaling matrix on the deterministic sim backend,
-// one (app, node count) cell per worker job. Every run verifies its
-// checksum against the sequential reference, so the table doubles as a
-// correctness matrix for the directory at sizes the equivalence tests'
-// concurrent backends cannot reach.
-func ScaleTable(workers int) ([]ScaleRow, error) {
-	grid := scaleGrid()
-	type cell struct {
-		as appSet
-		n  int
-	}
-	var cases []cell
-	for _, as := range grid {
+// ScaleTable runs the scaling matrix (Table C) on the deterministic sim
+// backend, one (application, node count) cell per row, in scale mode
+// (distributed ownership directory + span-compressed, broadcast-once
+// barrier relay) with the adaptive protocol armed so the fetch-list relay
+// traffic it compresses actually flows. Every run verifies its checksum
+// against the sequential reference, so the table doubles as a correctness
+// matrix for the directory at sizes the equivalence tests' concurrent
+// backends cannot reach.
+func ScaleTable(workers int) ([]RunRow, error) {
+	var cells []gridCell
+	want := map[string]float64{}
+	for _, c := range scaleGrid() {
+		want[c.app.Name] = SeqChecksum(c.app, c.set)
 		for _, n := range ScaleProcs {
-			cases = append(cases, cell{as, n})
+			cells = append(cells, gridCell{cfg: Config{
+				App: c.app, Set: c.set, System: Base, Procs: n,
+				Adapt: true, Scale: true, Verify: true,
+			}})
 		}
 	}
-	rows := make([]ScaleRow, len(cases))
-	err := parallelDo(len(cases), workers, func(i int) error {
-		a, set, n := cases[i].as.app, cases[i].as.set, cases[i].n
-		res, err := Run(Config{
-			App: a, Set: set, System: Base, Procs: n,
-			Adapt: true, Scale: true, Verify: true,
-		})
-		if err != nil {
-			return err
+	rows, err := runGrid(cells, workers)
+	if err != nil {
+		return nil, err
+	}
+	for _, r := range rows {
+		if !apps.Close(r.Checksum, want[r.App]) {
+			return nil, fmt.Errorf("scale %s/%s at %d nodes: checksum %v differs from sequential %v",
+				r.App, r.Set, r.Procs, r.Checksum, want[r.App])
 		}
-		if want := SeqChecksum(a, set); !apps.Close(res.Checksum, want) {
-			return fmt.Errorf("scale %s/%s at %d nodes: checksum %v differs from sequential %v",
-				a.Name, set, n, res.Checksum, want)
-		}
-		rows[i] = ScaleRow{
-			App: a.Name, Set: set, Procs: n,
-			Time: res.Time, Segv: res.Segv, Msgs: res.Msgs, Bytes: res.Bytes,
-			Relay:     res.Protocol.AdaptRelayBytes,
-			Redirects: res.Protocol.DirRedirects,
-			Hops:      res.Protocol.DirHops,
-			Fallbacks: res.Protocol.DirFallbacks,
-			ServeMax:  res.ServeMax,
-			ServeMean: res.ServeMean,
-		}
-		return nil
-	})
-	return rows, err
+	}
+	return rows, nil
 }
 
 // Micro reports the Section 5 primitive costs measured on the simulated
@@ -709,8 +616,17 @@ func FormatFig7(rows []Fig7Row, procs int) string {
 	return b.String()
 }
 
+// adaptCell renders one adaptive-protocol counter of a comparison row:
+// "-" on every row but the adaptive run's.
+func adaptCell(r RunRow, v int64) string {
+	if r.System != "adapt-tmk" {
+		return "-"
+	}
+	return strconv.FormatInt(v, 10)
+}
+
 // FormatAdaptTable renders the adaptive-protocol comparison.
-func FormatAdaptTable(rows []AdaptRow, procs int) string {
+func FormatAdaptTable(rows []RunRow, procs int) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Table A: run-time adaptive update protocol at %d processors\n", procs)
 	fmt.Fprintf(&b, "(tmk = invalidate baseline, adapt-tmk = run-time detection + update push,\n")
@@ -719,29 +635,21 @@ func FormatAdaptTable(rows []AdaptRow, procs int) string {
 	fmt.Fprintf(&b, "%-8s %-6s %-10s %10s %8s %8s %8s %6s %6s %6s %8s %6s\n",
 		"app", "set", "system", "time", "segv", "msg", "MB", "promo", "split", "decay", "updates", "spans")
 	for _, r := range rows {
-		if !r.Applies {
+		if r.Result == nil {
 			fmt.Fprintf(&b, "%-8s %-6s %-10s %10s\n", r.App, r.Set, r.System, "n/a")
 			continue
 		}
-		ad := []string{"-", "-", "-", "-", "-"}
-		if r.System == "adapt-tmk" {
-			ad = []string{
-				fmt.Sprintf("%d", r.Promos),
-				fmt.Sprintf("%d", r.Splits),
-				fmt.Sprintf("%d", r.Decays),
-				fmt.Sprintf("%d", r.Updates),
-				fmt.Sprintf("%d", r.Spans),
-			}
-		}
+		p := r.Protocol
 		fmt.Fprintf(&b, "%-8s %-6s %-10s %10s %8d %8d %8.2f %6s %6s %6s %8s %6s\n",
-			r.App, r.Set, r.System, fmtDur(r.Time), r.Segv, r.Msgs,
-			float64(r.Bytes)/1e6, ad[0], ad[1], ad[2], ad[3], ad[4])
+			r.App, r.Set, r.System, fmtDur(r.Time), r.Segv, r.Msgs, float64(r.Bytes)/1e6,
+			adaptCell(r, p.AdaptPromotions), adaptCell(r, p.AdaptSplits), adaptCell(r, p.AdaptDecays),
+			adaptCell(r, p.AdaptUpdates), adaptCell(r, p.AdaptSpans))
 	}
 	return b.String()
 }
 
 // FormatAdaptLockTable renders the lock-scope adaptive comparison.
-func FormatAdaptLockTable(rows []AdaptLockRow, procs int) string {
+func FormatAdaptLockTable(rows []RunRow, procs int) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Table B: lock-scope adaptive updates at %d processors\n", procs)
 	fmt.Fprintf(&b, "(tmk = invalidate baseline, adapt-tmk = per-lock migratory detection with\n")
@@ -749,24 +657,17 @@ func FormatAdaptLockTable(rows []AdaptLockRow, procs int) string {
 	fmt.Fprintf(&b, "%-8s %-6s %-10s %10s %8s %8s %8s %8s %6s %6s %7s %6s\n",
 		"app", "set", "system", "time", "lockf", "segv", "msg", "MB", "promo", "decay", "grants", "probe")
 	for _, r := range rows {
-		ad := []string{"-", "-", "-", "-"}
-		if r.System == "adapt-tmk" {
-			ad = []string{
-				fmt.Sprintf("%d", r.Promos),
-				fmt.Sprintf("%d", r.Decays),
-				fmt.Sprintf("%d", r.Grants),
-				fmt.Sprintf("%d", r.Probes),
-			}
-		}
+		p := r.Protocol
 		fmt.Fprintf(&b, "%-8s %-6s %-10s %10s %8d %8d %8d %8.2f %6s %6s %7s %6s\n",
-			r.App, r.Set, r.System, fmtDur(r.Time), r.LockFaults, r.Segv, r.Msgs,
-			float64(r.Bytes)/1e6, ad[0], ad[1], ad[2], ad[3])
+			r.App, r.Set, r.System, fmtDur(r.Time), p.LockFetches, r.Segv, r.Msgs, float64(r.Bytes)/1e6,
+			adaptCell(r, p.AdaptLockPromotions), adaptCell(r, p.AdaptLockDecays),
+			adaptCell(r, p.AdaptLockGrants), adaptCell(r, p.AdaptLockProbes))
 	}
 	return b.String()
 }
 
 // FormatScaleTable renders the scaling matrix.
-func FormatScaleTable(rows []ScaleRow) string {
+func FormatScaleTable(rows []RunRow) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Table C: large-machine scaling, sim backend, adapt + scale mode\n")
 	fmt.Fprintf(&b, "(relay = barrier fetch-list relay bytes, span-compressed and broadcast-once;\n")
@@ -779,10 +680,11 @@ func FormatScaleTable(rows []ScaleRow) string {
 		if r.ServeMean > 0 {
 			bal = float64(r.ServeMax) / r.ServeMean
 		}
+		p := r.Protocol
 		fmt.Fprintf(&b, "%-8s %-6s %4d %10s %8d %8d %8.2f %9.1f %7d %7d %7d %7d %8.1f %6.2f\n",
 			r.App, r.Set, r.Procs, fmtDur(r.Time), r.Segv, r.Msgs,
-			float64(r.Bytes)/1e6, float64(r.Relay)/1e3,
-			r.Redirects, r.Hops, r.Fallbacks, r.ServeMax, r.ServeMean, bal)
+			float64(r.Bytes)/1e6, float64(p.AdaptRelayBytes)/1e3,
+			p.DirRedirects, p.DirHops, p.DirFallbacks, r.ServeMax, r.ServeMean, bal)
 	}
 	return b.String()
 }

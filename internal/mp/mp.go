@@ -74,7 +74,7 @@ func (r *Rank) SetCostScale(s int) {
 }
 
 const (
-	tagData cluster.Tag = iota + 1
+	tagData host.Tag = iota + 1
 	tagBarrier
 	tagReduce
 )
@@ -138,7 +138,7 @@ func (r *Rank) Barrier() {
 	defer r.p.End()
 	if r.ID == 0 {
 		for i := 1; i < r.N; i++ {
-			r.w.NW.Recv(r.p, cluster.AnySender, tagBarrier)
+			r.w.NW.Recv(r.p, host.AnySender, tagBarrier)
 		}
 		r.w.NW.Broadcast(r.p, tagBarrier, nil, 0)
 		return
@@ -157,7 +157,7 @@ func (r *Rank) AllReduceSum(data []float64) []float64 {
 	if r.ID == 0 {
 		acc := append([]float64(nil), data...)
 		for i := 1; i < r.N; i++ {
-			m := r.w.NW.Recv(r.p, cluster.AnySender, tagReduce)
+			m := r.w.NW.Recv(r.p, host.AnySender, tagReduce)
 			for j, v := range m.Payload.([]float64) {
 				acc[j] += v
 			}

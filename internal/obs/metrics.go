@@ -2,6 +2,7 @@ package obs
 
 import (
 	"fmt"
+	"reflect"
 	"sort"
 	"strings"
 	"sync"
@@ -179,6 +180,32 @@ func (r *Registry) Snapshot() *Snapshot {
 func (s *Snapshot) Set(name string, v int64) {
 	if v != 0 {
 		s.Counters[name] = v
+	}
+}
+
+// SetFields stores every field of the struct v points to that carries an
+// `obs:"name"` tag under that name. The tag is the one place a run
+// aggregate's snapshot name is written (vm.Counters, tmk.ProtocolStats,
+// tmk.RecoveryStats); tagged fields must be int64. Reflection runs once
+// per snapshot, off every hot path.
+func (s *Snapshot) SetFields(v any) {
+	rv := reflect.ValueOf(v).Elem()
+	for i := 0; i < rv.NumField(); i++ {
+		if name := rv.Type().Field(i).Tag.Get("obs"); name != "" {
+			s.Set(name, rv.Field(i).Int())
+		}
+	}
+}
+
+// AddFields adds every int64 field of *src into the same field of *dst:
+// the per-node → machine sum of a counter struct, written once for all of
+// them (once per run, like SetFields).
+func AddFields[T any](dst, src *T) {
+	d, s := reflect.ValueOf(dst).Elem(), reflect.ValueOf(src).Elem()
+	for i := 0; i < d.NumField(); i++ {
+		if f := d.Field(i); f.Kind() == reflect.Int64 {
+			f.SetInt(f.Int() + s.Field(i).Int())
+		}
 	}
 }
 

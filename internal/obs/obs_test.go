@@ -141,3 +141,26 @@ func TestFormatSnapshot(t *testing.T) {
 		t.Fatalf("FormatSnapshot = %q, want %q", got, want)
 	}
 }
+
+// AddFields sums int64 fields only; SetFields names tagged fields by their
+// obs tag, skips untagged ones, and drops zeros like Set.
+func TestAddAndSetFields(t *testing.T) {
+	type ctrs struct {
+		A    int64 `obs:"x.a"`
+		B    int64 `obs:"x.b"`
+		Zero int64 `obs:"x.zero"`
+		Note string
+		Raw  int64
+	}
+	sum := ctrs{A: 1, Note: "kept"}
+	AddFields(&sum, &ctrs{A: 2, B: 3, Raw: 4, Note: "ignored"})
+	AddFields(&sum, &ctrs{B: 5})
+	if want := (ctrs{A: 3, B: 8, Raw: 4, Note: "kept"}); sum != want {
+		t.Fatalf("AddFields: got %+v, want %+v", sum, want)
+	}
+	s := NewSnapshot()
+	s.SetFields(&sum)
+	if len(s.Counters) != 2 || s.Counters["x.a"] != 3 || s.Counters["x.b"] != 8 {
+		t.Fatalf("SetFields: got %v, want x.a=3 x.b=8 only", s.Counters)
+	}
+}

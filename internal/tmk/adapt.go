@@ -5,7 +5,6 @@ import (
 
 	"sdsm/internal/adapt"
 	"sdsm/internal/obs"
-	"sdsm/internal/vm"
 	"sdsm/internal/wire"
 )
 
@@ -93,7 +92,7 @@ func (nd *Node) adaptStep(oldBar []int32, fetched []wire.NodePages) {
 	ep := adapt.Epoch{Writers: map[int][]adapt.WriteExt{}, Readers: map[int][]int{}}
 	for o := range nd.vc {
 		for idx := oldBar[o] + 1; idx <= nd.vc[o]; idx++ {
-			for _, ref := range nd.know[o][idx-1].pages {
+			for _, ref := range nd.know[o][idx-1].Pages {
 				pg := int(ref.Page)
 				ws := ep.Writers[pg]
 				if n := len(ws); n > 0 && ws[n-1].Node == o {
@@ -204,7 +203,7 @@ func (nd *Node) adaptStep(oldBar []int32, fetched []wire.NodePages) {
 				nd.flushLocalDiff(pg, false)
 			}
 			for _, d := range nd.diffs[pg] {
-				if d.creator == nd.ID && d.to > oldBar[nd.ID] {
+				if int(d.Creator) == nd.ID && d.To > oldBar[nd.ID] {
 					ds = append(ds, d.toWire())
 				}
 			}
@@ -220,10 +219,11 @@ func (nd *Node) adaptStep(oldBar []int32, fetched []wire.NodePages) {
 		nd.Stats.AdaptUpdates++
 	}
 
-	// Receive phase, in producer order for determinism. The pushed spans
-	// run through the normal application path — ordering, applied-
-	// timestamp advancement, notice pruning, and revalidation all behave
-	// exactly as if the consumer had fetched the expanded per-page diffs —
+	// Receive phase, in producer order for determinism. The span form is a
+	// header economy on the wire only: the pushed spans expand to the
+	// per-page diffs they encode and run through the normal application
+	// path — ordering, applied-timestamp advancement, notice pruning, and
+	// revalidation all behave exactly as if the consumer had fetched them —
 	// which is why adapt-on and adapt-off runs produce bit-identical
 	// memory images. (Split pages receive one span from each half's
 	// producer; their runs are disjoint by the watershed, so the producer
@@ -235,46 +235,7 @@ func (nd *Node) adaptStep(oldBar []int32, fetched []wire.NodePages) {
 	sort.Ints(producers)
 	for _, q := range producers {
 		m := s.NW.Recv(nd.p, q, tagAdapt)
-		nd.applySpans(m.Payload.(wire.Update).Spans)
+		nd.applyDiffs(wire.ExpandSpans(m.Payload.(wire.Update).Spans))
 	}
 	nd.ad.fetched = map[int]bool{}
-}
-
-// applySpans applies received update spans. A span whose every page
-// applies cleanly — the diff advances the page's applied timestamp and
-// its chain is contiguous with the local floor — goes through one
-// vm.ApplySpan call for the whole contiguous range, with the per-page
-// bookkeeping (applied timestamps, diff caching, notice pruning) done
-// exactly as applyDiffs would. Anything else expands to per-page diffs
-// and takes the normal applyDiffs path, so content and virtual-time
-// charges are identical either way.
-func (nd *Node) applySpans(spans []wire.DiffSpan) {
-	var rest []wire.Diff
-	for _, sp := range spans {
-		diffs := sp.Expand()
-		stored := make([]*storedDiff, len(diffs))
-		clean := len(diffs) > 0
-		for i, w := range diffs {
-			stored[i] = diffFromWire(w)
-			applied := nd.applied[stored[i].page]
-			if !stored[i].helps(applied) || (!stored[i].whole && stored[i].from > applied[stored[i].creator]) {
-				clean = false
-				break
-			}
-		}
-		if !clean {
-			rest = append(rest, diffs...)
-			continue
-		}
-		perPage := make([][]vm.Run, len(stored))
-		for i, d := range stored {
-			perPage[i] = d.runs
-		}
-		nd.Mem.ApplySpan(nd.p, int(sp.Page), perPage)
-		for _, d := range stored {
-			nd.recordApplied(d)
-			nd.prunePending(d.page)
-		}
-	}
-	nd.applyDiffs(rest)
 }

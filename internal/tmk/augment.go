@@ -260,7 +260,7 @@ func (nd *Node) applyPushChunk(sender int, ivl int32, ch wire.Chunk) {
 		if pageEnd < end {
 			end = pageEnd
 		}
-		nd.Mem.ApplyRuns(nd.p, pg, []vm.Run{{Off: lo - pg*shm.PageWords, Vals: ch.Vals[lo-int(ch.Lo) : end-int(ch.Lo)]}})
+		nd.Mem.ApplyRuns(nd.p, pg, []wire.Run{{Off: int32(lo - pg*shm.PageWords), Vals: ch.Vals[lo-int(ch.Lo) : end-int(ch.Lo)]}})
 		if nd.recTouched != nil {
 			// Pushed data moves the image without a diff store; the next
 			// incremental record must frame the page (recovery.go).
@@ -279,6 +279,3 @@ func (nd *Node) applyPushChunk(sender int, ivl int32, ch wire.Chunk) {
 		lo = end
 	}
 }
-
-// PagesOf exposes section-to-page translation for tests and tools.
-func PagesOf(regions []shm.Region) []int { return pagesOf(regions) }

@@ -11,33 +11,20 @@ import (
 // benchDiff builds a realistic twin-based diff: runs words modified words
 // spread over the page in short runs, as the accumulate phases produce.
 func benchDiff(creator int, to int32, words int) *storedDiff {
-	d := &storedDiff{
-		page: 1, creator: creator,
-		from: to - 1, to: to,
-		covers: []int32{to, 3, 7, 1, 0, 2, 4, 9},
-	}
+	d := &storedDiff{Diff: wire.Diff{
+		Page: 1, Creator: int32(creator),
+		From: to - 1, To: to,
+		Covers: []int32{to, 3, 7, 1, 0, 2, 4, 9},
+	}}
 	runLen := 4
-	for off := 0; off < shm.PageWords && vm.RunsWords(d.runs) < words; off += 2 * runLen {
+	for off := 0; off < shm.PageWords && vm.RunsWords(d.Runs) < words; off += 2 * runLen {
 		vals := make([]float64, runLen)
 		for i := range vals {
 			vals[i] = float64(off + i)
 		}
-		d.runs = append(d.runs, vm.Run{Off: off, Vals: vals})
+		d.Runs = append(d.Runs, wire.Run{Off: int32(off), Vals: vals})
 	}
 	return d
-}
-
-// BenchmarkDiffEncode measures converting a cached diff to its wire value
-// (the serve path's per-requester copy).
-func BenchmarkDiffEncode(b *testing.B) {
-	d := benchDiff(0, 5, 128)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		w := d.toWire()
-		if len(w.Runs) == 0 {
-			b.Fatal("empty encode")
-		}
-	}
 }
 
 // BenchmarkDiffApply measures merging received wire diffs into a node's
@@ -57,8 +44,8 @@ func BenchmarkDiffApply(b *testing.B) {
 		}
 		to := int32(i%1024 + 1)
 		reply := []wire.Diff{
-			benchDiff(1, to, 128).toWire(),
-			benchDiff(2, to, 64).toWire(),
+			benchDiff(1, to, 128).Diff,
+			benchDiff(2, to, 64).Diff,
 		}
 		nd.applyDiffs(reply)
 	}
@@ -79,23 +66,6 @@ func BenchmarkServeDiffs(b *testing.B) {
 		out, _, bytes := nd.serveDiffs(3, []int{1}, applied, false)
 		if len(out) == 0 || bytes == 0 {
 			b.Fatal("nothing served")
-		}
-	}
-}
-
-// BenchmarkWriteNoticeEncode measures converting an interval record (a
-// write notice) to its wire value, the per-interval cost of every grant
-// and barrier message.
-func BenchmarkWriteNoticeEncode(b *testing.B) {
-	iv := interval{vc: []int32{5, 3, 7, 1, 0, 2, 4, 9}}
-	for pg := 0; pg < 64; pg++ {
-		iv.pages = append(iv.pages, wire.PageRef{Page: int32(pg), Whole: pg%7 == 0})
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		w := iv.toWire()
-		if len(w.Pages) != 64 {
-			b.Fatal("bad encode")
 		}
 	}
 }

@@ -81,9 +81,6 @@ func (s *System) EnableScale() {
 	}
 }
 
-// ScaleOn reports whether the machine runs with the ownership directory.
-func (s *System) ScaleOn() bool { return s.scale }
-
 // OwnerHint returns a node's current probable-owner hint for a page (-1
 // unknown). Deterministic across backends only at barrier points, where
 // resetDirectory has rebuilt the directory from the merged notice set.
@@ -225,15 +222,15 @@ func (nd *Node) resetDirectory() {
 	for o := range nd.vc {
 		for idx := int32(1); idx <= nd.vc[o]; idx++ {
 			iv := nd.know[o][idx-1]
-			if iv.split {
+			if iv.Split {
 				continue
 			}
-			for _, ref := range iv.pages {
+			for _, ref := range iv.Pages {
 				if !ref.Whole && ref.ExtHi == 0 {
 					continue // dirty-persist re-notice: no new write fact
 				}
 				pg := int(ref.Page)
-				cands[pg] = append(cands[pg], cand{owner: o, idx: idx, vc: iv.vc})
+				cands[pg] = append(cands[pg], cand{owner: o, idx: idx, vc: iv.VC})
 			}
 		}
 	}

@@ -86,26 +86,3 @@ func TestStaggeredFalseShared(t *testing.T) {
 	defer func() { failf = nil }()
 	staggeredRun(t, 8, shm.PageWords/2, 3) // two sections per page
 }
-
-func TestStaggeredTraced(t *testing.T) {
-	if !testing.Verbose() {
-		t.Skip("tracing run; use -v")
-	}
-	failf = t.Errorf
-	defer func() { failf = nil }()
-	debugHook = func(ev string, args ...any) {
-		pgIdx := 2
-		if ev == "flush" || ev == "enablewrite" {
-			pgIdx = 1
-		}
-		if len(args) > pgIdx {
-			if pg, ok := args[pgIdx].(int); ok && pg == 1 {
-				if args[0].(int) == 3 || ev == "apply" || ev == "notice" {
-					t.Logf("%s %v", ev, args)
-				}
-			}
-		}
-	}
-	defer func() { debugHook = nil }()
-	staggeredRun(t, 8, shm.PageWords/2, 3)
-}

@@ -13,11 +13,12 @@ import (
 )
 
 // storedDiff is a unit of modification data held in a node's diff cache:
-// either a twin-based diff covering the creator's intervals (from, to], or
-// a whole-page snapshot (WRITE_ALL pages have no twins).
+// the wire.Diff itself — a twin-based diff covering the creator's intervals
+// (From, To], or a whole-page snapshot (WRITE_ALL pages have no twins) —
+// plus what only the cache needs.
 //
-// covers is the creator's per-owner applied timestamps for the page at
-// creation time, with its own entry raised to `to`. It is the diff's
+// Covers is the creator's per-owner applied timestamps for the page at
+// creation time, with its own entry raised to To. It is the diff's
 // ordering timestamp: diffs from different creators may overlap (migratory
 // data under locks), and if creator B wrote after creator A under the
 // synchronization chain, B fetched and applied A's modifications before
@@ -27,30 +28,31 @@ import (
 // interval's vector time, the coverage is honest even for a diff flushed
 // long after its writes (a lazy flush can span epochs, giving it a closing
 // time that postdates a fresher concurrent diff).
+//
+// A stored diff is immutable: nothing writes through Covers, Runs or a
+// run's Vals after creation. That is what makes aliasing sound — the
+// cached value is the value served (toWire), and on the in-process
+// backends every receiver's cache entry shares the creator's arrays. The
+// one exception is storage, not content: see pooled.
 type storedDiff struct {
-	page    int
-	creator int
-	from    int32 // exclusive
-	to      int32 // inclusive
-	whole   bool
-	covers  []int32
-	runs    []vm.Run
+	wire.Diff
 
 	// pooled marks a locally created whole-page snapshot whose run values
 	// are vm freelist storage: when the snapshot is pruned from the cache
-	// the page is handed back (vm.RecyclePage). Diffs built from wire
-	// values are never pooled — their values alias decoded frame storage.
+	// the page is handed back (vm.RecyclePage) and overwritten, so what a
+	// requester is handed must be a copy (served). Diffs received from a
+	// peer are never pooled.
 	pooled bool
+	served []wire.Run // a pooled snapshot's served copy of Runs, built on first serve
 
-	coverSum int64      // cached ordering key: sum of covers
-	wired    *wire.Diff // cached wire form, built on first serve
+	coverSum int64 // cached ordering key: sum of Covers
 }
 
 // orderKey returns the scalar used to linearize coverage order (see the
 // type comment).
 func (d *storedDiff) orderKey() int64 {
 	if d.coverSum == 0 {
-		for _, x := range d.covers {
+		for _, x := range d.Covers {
 			d.coverSum += int64(x)
 		}
 	}
@@ -60,76 +62,37 @@ func (d *storedDiff) orderKey() int64 {
 // helps reports whether applying d would advance the given per-owner
 // applied timestamps.
 func (d *storedDiff) helps(applied []int32) bool {
-	if d.whole {
-		for o, c := range d.covers {
+	if d.Whole {
+		for o, c := range d.Covers {
 			if c > applied[o] {
 				return true
 			}
 		}
 		return false
 	}
-	return d.to > applied[d.creator]
-}
-
-// maxCover is used to order diff application (older data first).
-func (d *storedDiff) maxCover() int32 {
-	if !d.whole {
-		return d.to
-	}
-	var m int32
-	for _, c := range d.covers {
-		if c > m {
-			m = c
-		}
-	}
-	return m
+	return d.To > applied[d.Creator]
 }
 
 // wireBytes is the transfer size of the diff.
-func (d *storedDiff) wireBytes() int { return 16 + vm.RunsBytes(d.runs) }
+func (d *storedDiff) wireBytes() int { return 16 + vm.RunsBytes(d.Runs) }
 
-// toWire converts a cached diff to its wire value. The wire form is built
-// once and cached — a diff is immutable after creation, so every requester
-// can share it. Slices alias the cache where the storage is itself
-// immutable (covers, twin-diff run values); only a pooled snapshot's page
-// values are copied, because their freelist storage is recycled when the
-// snapshot is pruned while the wire form may long outlive it at a
-// receiver. (The historical contract copied everything so no receiver
-// held a pointer into the creator's cache; it is weakened to "no one
-// mutates or recycles what the wire form references" — see the interval
-// type comment for the same trade.)
+// toWire returns the value a requester is handed: the cached diff itself,
+// except for a pooled snapshot, whose page values are copied once (every
+// requester shares the copy) because the original storage is recycled on
+// prune while the served value may long outlive it at a receiver.
 func (d *storedDiff) toWire() wire.Diff {
-	if d.wired == nil {
-		w := &wire.Diff{
-			Page: int32(d.page), Creator: int32(d.creator),
-			From: d.from, To: d.to, Whole: d.whole,
-			Covers: d.covers,
-			Runs:   make([]wire.Run, len(d.runs)),
+	if !d.pooled {
+		return d.Diff
+	}
+	if d.served == nil {
+		d.served = make([]wire.Run, len(d.Runs))
+		for i, r := range d.Runs {
+			d.served[i] = wire.Run{Off: r.Off, Vals: append([]float64(nil), r.Vals...)}
 		}
-		for i, r := range d.runs {
-			vals := r.Vals
-			if d.pooled {
-				vals = append([]float64(nil), vals...)
-			}
-			w.Runs[i] = wire.Run{Off: int32(r.Off), Vals: vals}
-		}
-		d.wired = w
 	}
-	return *d.wired
-}
-
-// diffFromWire converts a received diff into a fresh cache entry.
-func diffFromWire(w wire.Diff) *storedDiff {
-	d := &storedDiff{
-		page: int(w.Page), creator: int(w.Creator),
-		from: w.From, to: w.To, whole: w.Whole,
-		covers: w.Covers,
-		runs:   make([]vm.Run, len(w.Runs)),
-	}
-	for i, r := range w.Runs {
-		d.runs[i] = vm.Run{Off: int(r.Off), Vals: r.Vals}
-	}
-	return d
+	w := d.Diff
+	w.Runs = d.served
+	return w
 }
 
 // diffKey identifies a diff by content — (creator, page, coverage) is
@@ -209,9 +172,6 @@ func (nd *Node) enableWrite(page int, noTwin bool) {
 	}
 	nd.Mem.SetProt(nd.p, page, vm.ReadWrite)
 	nd.dirty[page] = true
-	if debugHook != nil {
-		debugHook("enablewrite", nd.ID, page, int(nd.vc[nd.ID]), noTwin)
-	}
 }
 
 // closeInterval ends the node's open interval at a release point (lock
@@ -239,9 +199,9 @@ func (nd *Node) closeInterval() {
 	}
 	sort.Ints(pages)
 	nd.pgScratch = pages
-	iv := interval{pages: make([]wire.PageRef, len(pages)), vc: append([]int32(nil), nd.vc...)}
+	iv := wire.Interval{Pages: make([]wire.PageRef, len(pages)), VC: append([]int32(nil), nd.vc...)}
 	for i, pg := range pages {
-		iv.pages[i] = nd.pageRefFor(pg, nd.noTwin[pg], true)
+		iv.Pages[i] = nd.pageRefFor(pg, nd.noTwin[pg], true)
 	}
 	nd.know[nd.ID] = append(nd.know[nd.ID], iv)
 	if nd.tr != nil {
@@ -260,73 +220,90 @@ func (nd *Node) closeInterval() {
 // from the dirty set. The page stays write-enabled (no protection cost):
 // exact analysis guarantees the next writer re-Validates first.
 func (nd *Node) snapshotWholePage(pg int) {
-	covers := make([]int32, nd.sys.N())
-	copy(covers, nd.applied[pg])
-	covers[nd.ID] = nd.vc[nd.ID]
-	d := &storedDiff{
-		page: pg, creator: nd.ID,
-		from: nd.lastDiffed[pg], to: nd.vc[nd.ID],
-		whole: true, covers: covers,
-		runs:   nd.Mem.WholePageRuns(nd.p, pg),
-		pooled: true,
-	}
-	nd.storeDiff(d)
-	nd.lastDiffed[pg] = nd.vc[nd.ID]
+	nd.storeOwnDiff(pg, nd.vc[nd.ID], true, nd.Mem.WholePageRuns(nd.p, pg))
 	delete(nd.dirty, pg)
 	delete(nd.noTwin, pg)
+}
+
+// storeOwnDiff caches this node's own modifications of page for its
+// intervals (lastDiffed, to] — twin-diff runs, or a whole-page snapshot
+// when whole — and advances lastDiffed. Covers is the page's applied row
+// with the node's own entry raised to to (the ordering timestamp, see
+// storedDiff). A local whole snapshot's values are always vm freelist
+// storage (WholePageRuns), hence pooled.
+func (nd *Node) storeOwnDiff(page int, to int32, whole bool, runs []wire.Run) {
+	covers := make([]int32, nd.sys.N())
+	copy(covers, nd.applied[page])
+	covers[nd.ID] = to
+	nd.storeDiff(&storedDiff{
+		Diff: wire.Diff{
+			Page: int32(page), Creator: int32(nd.ID),
+			From: nd.lastDiffed[page], To: to,
+			Whole: whole, Covers: covers, Runs: runs,
+		},
+		pooled: whole,
+	})
+	nd.lastDiffed[page] = to
 }
 
 // storeDiff adds d to the diff cache, dropping any older diffs a whole
 // snapshot subsumes (bounding memory: a page that is repeatedly
 // WRITE_ALL-validated keeps only its newest snapshot). A pruned pooled
-// snapshot's page storage goes back to the vm freelist — its cached wire
-// form, if any, owns separate copies, so receivers are unaffected.
+// snapshot's page storage goes back to the vm freelist — what requesters
+// were handed is a separate copy (toWire), so receivers are unaffected.
 func (nd *Node) storeDiff(d *storedDiff) {
+	pg := int(d.Page)
 	if nd.recTouched != nil {
 		// Recovery is on: the page's diff chain (and, on the apply path,
 		// its image) moved, so the next incremental record must frame it
 		// (recovery.go).
-		nd.recTouched[d.page] = true
+		nd.recTouched[pg] = true
 	}
-	cache := nd.diffs[d.page]
-	if d.whole {
+	cache := nd.diffs[pg]
+	if d.Whole {
 		kept := cache[:0]
 		for _, old := range cache {
 			if subsumes(d, old) {
-				if old.pooled {
-					for _, r := range old.runs {
-						nd.Mem.RecyclePage(r.Vals)
-					}
-				}
+				nd.recycle(old)
 				continue
 			}
 			kept = append(kept, old)
 		}
 		cache = kept
 	}
-	nd.diffs[d.page] = append(cache, d)
+	nd.diffs[pg] = append(cache, d)
+}
+
+// recycle hands a pooled snapshot's page storage back to the vm freelist
+// as it leaves the cache.
+func (nd *Node) recycle(d *storedDiff) {
+	if d.pooled {
+		for _, r := range d.Runs {
+			nd.Mem.RecyclePage(r.Vals)
+		}
+	}
 }
 
 // subsumes reports whether whole snapshot w makes diff d redundant.
 func subsumes(w, d *storedDiff) bool {
-	if !w.whole {
+	if !w.Whole {
 		return false
 	}
-	if d.whole {
-		for o := range d.covers {
-			if d.covers[o] > w.covers[o] {
+	if d.Whole {
+		for o := range d.Covers {
+			if d.Covers[o] > w.Covers[o] {
 				return false
 			}
 		}
 		return true
 	}
-	return w.covers[d.creator] >= d.to
+	return w.Covers[d.Creator] >= d.To
 }
 
 // learnInterval records a remote interval and invalidates the affected
 // pages, unless their modifications were already applied (for example via
 // Push).
-func (nd *Node) learnInterval(owner int, idx int32, iv interval) {
+func (nd *Node) learnInterval(owner int, idx int32, iv wire.Interval) {
 	if owner == nd.ID {
 		panic("tmk: node taught its own interval")
 	}
@@ -336,16 +313,13 @@ func (nd *Node) learnInterval(owner int, idx int32, iv interval) {
 	}
 	nd.know[owner] = append(nd.know[owner], iv)
 	nd.vc[owner] = idx
-	for _, ref := range iv.pages {
+	for _, ref := range iv.Pages {
 		pg := int(ref.Page)
 		nd.noteRemoteWrite(pg, owner)
 		if nd.applied[pg][owner] >= idx {
 			continue
 		}
 		nd.pending[pg] = append(nd.pending[pg], notice{owner: owner, idx: idx, whole: ref.Whole})
-		if debugHook != nil {
-			debugHook("notice", nd.ID, owner, pg, int(idx))
-		}
 		nd.invalidate(pg)
 	}
 }
@@ -393,17 +367,7 @@ func (nd *Node) flushLocalDiff(page int, disarm bool) {
 			to = nd.splitInterval(page, true)
 		}
 		// Snapshot an open WRITE_ALL page so the content stays servable.
-		covers := make([]int32, nd.sys.N())
-		copy(covers, nd.applied[page])
-		covers[nd.ID] = to
-		nd.storeDiff(&storedDiff{
-			page: page, creator: nd.ID,
-			from: nd.lastDiffed[page], to: to,
-			whole: true, covers: covers,
-			runs:   nd.Mem.WholePageRuns(nd.p, page),
-			pooled: true,
-		})
-		nd.lastDiffed[page] = to
+		nd.storeOwnDiff(page, to, true, nd.Mem.WholePageRuns(nd.p, page))
 		if disarm {
 			delete(nd.noTwin, page)
 			delete(nd.dirty, page)
@@ -418,21 +382,10 @@ func (nd *Node) flushLocalDiff(page int, disarm bool) {
 			to = nd.splitInterval(page, false)
 		}
 		if len(runs) > 0 || nd.lastDiffed[page] < to {
-			covers := make([]int32, nd.sys.N())
-			copy(covers, nd.applied[page])
-			covers[nd.ID] = to
-			nd.storeDiff(&storedDiff{
-				page: page, creator: nd.ID,
-				from: nd.lastDiffed[page], to: to,
-				covers: covers,
-				runs:   runs,
-			})
+			nd.storeOwnDiff(page, to, false, runs)
 		}
 	}
 	nd.lastDiffed[page] = to
-	if debugHook != nil {
-		debugHook("flush", nd.ID, page, int(to), disarm, nd.Mem.Data()[page*512+88], nd.Mem.HasTwin(page))
-	}
 	if disarm {
 		delete(nd.dirty, page)
 		// The page leaves the dirty set outside closeInterval, so the
@@ -449,24 +402,15 @@ func (nd *Node) flushLocalDiff(page int, disarm bool) {
 	nd.Mem.MakeTwin(nd.p, page) // re-arm detection against the served state
 }
 
-// SetDebugHook installs a protocol event observer (test diagnostics).
-func SetDebugHook(fn func(event string, args ...any)) { debugHook = fn }
-
-// debugHook, when set by a test, observes protocol events:
-// ("flush", node, page, to, disarm), ("apply", node, creator, page, to,
-// whole, words), ("notice", node, owner, page, idx), ("skip", node,
-// creator, page, to).
-var debugHook func(event string, args ...any)
-
 // splitInterval closes a fresh interval containing just the given page
 // and returns its index.
 func (nd *Node) splitInterval(page int, whole bool) int32 {
 	idx := nd.vc[nd.ID] + 1
 	nd.vc[nd.ID] = idx
-	nd.know[nd.ID] = append(nd.know[nd.ID], interval{
-		pages: []wire.PageRef{nd.pageRefFor(page, whole, false)},
-		vc:    append([]int32(nil), nd.vc...),
-		split: true,
+	nd.know[nd.ID] = append(nd.know[nd.ID], wire.Interval{
+		Pages: []wire.PageRef{nd.pageRefFor(page, whole, false)},
+		VC:    append([]int32(nil), nd.vc...),
+		Split: true,
 	})
 	nd.noteWritten(page)
 	return idx
@@ -754,9 +698,6 @@ func (nd *Node) serveDiffs(reqID int, pages []int, reqApplied [][]int32, direct 
 	bytes := 16
 	served := false
 	for i, pg := range pages {
-		if debugHook != nil {
-			debugHook("serve", nd.ID, reqID, pg, nd.dirty[pg], int(nd.Mem.Prot(pg)), int(nd.lastDiffed[pg]), int(nd.vc[nd.ID]), nd.Mem.Data()[pg*512+88])
-		}
 		if nd.sys.scale && !direct {
 			if nxt := nd.dirNext[pg]; nxt >= 0 && int(nxt) != reqID {
 				redir = append(redir, wire.PageOwner{Page: int32(pg), Owner: nxt})
@@ -805,11 +746,11 @@ func (nd *Node) collectDiffs(reqID, pg int, applied []int32) []*storedDiff {
 	cand := nd.cdScratch[:0]
 	var best *storedDiff // newest whole snapshot, if any
 	for _, d := range nd.diffs[pg] {
-		if d.creator == reqID || !d.helps(applied) {
+		if int(d.Creator) == reqID || !d.helps(applied) {
 			continue
 		}
 		cand = append(cand, d)
-		if d.whole && (best == nil || subsumes(d, best)) {
+		if d.Whole && (best == nil || subsumes(d, best)) {
 			best = d
 		}
 	}
@@ -835,39 +776,36 @@ func (nd *Node) collectDiffs(reqID, pg int, applied []int32) []*storedDiff {
 // applyDiffs merges received diffs, oldest coverage first, updating the
 // applied timestamps, pruning satisfied notices, caching the diffs for
 // later forwarding, and revalidating pages whose notices are all applied.
-// The wire values become fresh cache entries at this node: nothing is
-// shared with the sender.
+// Each wire value becomes this node's cache entry as it is (see storedDiff
+// for why sharing its arrays with the sender is sound).
 func (nd *Node) applyDiffs(in []wire.Diff) {
 	reply := nd.sortScratch[:0]
-	for i := range in {
-		reply = append(reply, diffFromWire(in[i]))
+	for _, w := range in {
+		reply = append(reply, &storedDiff{Diff: w})
 	}
 	// slices.SortStableFunc keeps SliceStable's ordering semantics without
 	// the reflection machinery (which allocates per call).
 	slices.SortStableFunc(reply, func(a, b *storedDiff) int {
-		if a.page != b.page {
-			return cmp.Compare(a.page, b.page)
+		if a.Page != b.Page {
+			return cmp.Compare(a.Page, b.Page)
 		}
 		if a.orderKey() != b.orderKey() {
 			return cmp.Compare(a.orderKey(), b.orderKey())
 		}
-		if a.creator != b.creator {
-			return cmp.Compare(a.creator, b.creator)
+		if a.Creator != b.Creator {
+			return cmp.Compare(a.Creator, b.Creator)
 		}
-		return cmp.Compare(a.to, b.to)
+		return cmp.Compare(a.To, b.To)
 	})
 	// reply is page-sorted, so applied pages can be pruned in order after
 	// the pass by watching for page transitions — no set needed.
 	lastTouched := -1
 	for _, d := range reply {
-		pg := d.page
+		pg := int(d.Page)
 		if !d.helps(nd.applied[pg]) {
-			if debugHook != nil {
-				debugHook("skip", nd.ID, d.creator, pg, int(d.to))
-			}
 			continue
 		}
-		nd.Mem.ApplyRuns(nd.p, pg, d.runs)
+		nd.Mem.ApplyRuns(nd.p, pg, d.Runs)
 		nd.recordApplied(d)
 		if pg != lastTouched {
 			if lastTouched >= 0 {
@@ -887,34 +825,21 @@ func (nd *Node) applyDiffs(in []wire.Diff) {
 	nd.sortScratch = reply[:0]
 }
 
-// recordApplied performs the bookkeeping shared by every path that has
-// just merged a diff's runs into memory (applyDiffs, and applySpans'
-// span fast path): the trace hook, the applied/words statistics, the
-// applied-timestamp advancement, and caching the diff for later
-// forwarding. Keeping it in one place is what keeps the span fast path
-// behaviorally identical to the per-page path — the adapt-on/adapt-off
-// bit-equivalence depends on that.
+// recordApplied performs the bookkeeping for a diff whose runs were just
+// merged into memory: the applied/words statistics, the applied-timestamp
+// advancement, and caching the diff for later forwarding.
 func (nd *Node) recordApplied(d *storedDiff) {
-	applied := nd.applied[d.page]
-	if debugHook != nil {
-		sum := 0.0
-		for _, r := range d.runs {
-			for i, v := range r.Vals {
-				sum += v * float64(r.Off+i+1)
-			}
-		}
-		debugHook("apply", nd.ID, d.creator, d.page, int(d.to), d.whole, vm.RunsWords(d.runs), int(d.from), sum)
-	}
+	applied := nd.applied[d.Page]
 	nd.Stats.DiffsApplied++
-	nd.Stats.WordsApplied += int64(vm.RunsWords(d.runs))
-	if d.whole {
-		for o, c := range d.covers {
+	nd.Stats.WordsApplied += int64(vm.RunsWords(d.Runs))
+	if d.Whole {
+		for o, c := range d.Covers {
 			if c > applied[o] {
 				applied[o] = c
 			}
 		}
-	} else if d.to > applied[d.creator] {
-		applied[d.creator] = d.to
+	} else if d.To > applied[d.Creator] {
+		applied[d.Creator] = d.To
 	}
 	nd.storeDiff(d)
 }

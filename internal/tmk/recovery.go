@@ -87,11 +87,11 @@ type Recoverer interface {
 // outside ProtocolStats: recovery is off in every table run, and the
 // reported tables must not change shape when it is on.
 type RecoveryStats struct {
-	Checkpoints     int64
-	FullCheckpoints int64
-	CheckpointBytes int64
-	Failures        int64
-	Restores        int64
+	Checkpoints     int64 `obs:"recovery.checkpoints"`
+	FullCheckpoints int64 `obs:"recovery.full"`
+	CheckpointBytes int64 `obs:"recovery.bytes"`
+	Failures        int64 `obs:"recovery.failures"`
+	Restores        int64 `obs:"recovery.restores"`
 }
 
 // recoveryPoll is the virtual time a failed node burns per check while
@@ -146,7 +146,7 @@ func (nd *Node) writeRecord() {
 	for o := 0; o < n; o++ {
 		for idx := base[o] + 1; idx <= nd.vc[o]; idx++ {
 			ck.Intervals = append(ck.Intervals, wire.OwnedInterval{
-				Owner: int32(o), Idx: idx, IV: nd.know[o][idx-1].toWire(),
+				Owner: int32(o), Idx: idx, IV: nd.know[o][idx-1],
 			})
 		}
 	}
@@ -231,7 +231,7 @@ func (nd *Node) recordPages(full bool, base []int32) []int {
 		set[pg] = true
 	}
 	for idx := base[nd.ID] + 1; idx <= nd.vc[nd.ID]; idx++ {
-		for _, ref := range nd.know[nd.ID][idx-1].pages {
+		for _, ref := range nd.know[nd.ID][idx-1].Pages {
 			set[int(ref.Page)] = true
 		}
 	}
@@ -323,11 +323,7 @@ func (nd *Node) failAndRecover(b *barrier) {
 func (nd *Node) wipe() {
 	for pg, ds := range nd.diffs {
 		for _, d := range ds {
-			if d.pooled {
-				for _, r := range d.runs {
-					nd.Mem.RecyclePage(r.Vals)
-				}
-			}
+			nd.recycle(d)
 		}
 		delete(nd.diffs, pg)
 	}
@@ -383,7 +379,7 @@ func (nd *Node) restore() {
 				panic(fmt.Sprintf("tmk: node %d record gap: owner %d at %d, next record %d",
 					nd.ID, o, len(nd.know[o]), oi.Idx))
 			}
-			nd.know[o] = append(nd.know[o], intervalFromWire(oi.IV))
+			nd.know[o] = append(nd.know[o], oi.IV)
 		}
 		for _, fr := range ck.Frames {
 			pg := int(fr.Page)
@@ -404,7 +400,7 @@ func (nd *Node) restore() {
 		}
 		for _, wd := range ck.Diffs {
 			pg := int(wd.Page)
-			nd.diffs[pg] = append(nd.diffs[pg], diffFromWire(wd))
+			nd.diffs[pg] = append(nd.diffs[pg], &storedDiff{Diff: wd})
 		}
 		last = ck
 	}
@@ -424,7 +420,7 @@ func (nd *Node) restore() {
 			continue
 		}
 		for idx := int32(1); idx <= nd.vc[o]; idx++ {
-			for _, ref := range nd.know[o][idx-1].pages {
+			for _, ref := range nd.know[o][idx-1].Pages {
 				pg := int(ref.Page)
 				if nd.applied[pg][o] >= idx {
 					continue

@@ -86,15 +86,15 @@ func (s *System) lock(id int) *lock {
 // the acquirer will fault on these pages in its critical section, so the
 // releaser flushes them and attaches every diff the acquirer's presented
 // vector time proves it cannot have seen — the run-time analogue of the
-// compiler's Validate_w_sync data, riding the same message. The result is
-// a wire value sharing nothing with this node's cache.
+// compiler's Validate_w_sync data, riding the same message. The result
+// references this node's cached (immutable) diffs and intervals directly.
 func (nd *Node) buildGrant(reqID int, info wire.SyncInfo, pushPages []int) wire.Grant {
 	g := wire.Grant{}
 	for o := range nd.vc {
 		for idx := info.VC[o] + 1; idx <= nd.vc[o]; idx++ {
-			w := nd.know[o][idx-1].toWire()
-			g.Intervals = append(g.Intervals, wire.OwnedInterval{Owner: int32(o), Idx: idx, IV: w})
-			g.Bytes += int32(w.AccountedBytes(nd.sys.adaptOn(), shm.PageWords))
+			iv := nd.know[o][idx-1]
+			g.Intervals = append(g.Intervals, wire.OwnedInterval{Owner: int32(o), Idx: idx, IV: iv})
+			g.Bytes += int32(iv.AccountedBytes(nd.sys.adaptOn(), shm.PageWords))
 		}
 	}
 	for _, need := range info.Needs {
@@ -105,7 +105,7 @@ func (nd *Node) buildGrant(reqID int, info wire.SyncInfo, pushPages []int) wire.
 				nd.flushLocalDiff(pg, false)
 			}
 			for _, d := range nd.diffs[pg] {
-				if d.creator == reqID {
+				if int(d.Creator) == reqID {
 					continue
 				}
 				if d.helps(need.Applied[i]) {
@@ -187,7 +187,7 @@ func (nd *Node) buildGrant(reqID int, info wire.SyncInfo, pushPages []int) wire.
 // adapt-off runs produce bit-identical memory images.
 func (nd *Node) applyGrant(g wire.Grant) {
 	for _, oi := range g.Intervals {
-		nd.learnInterval(int(oi.Owner), oi.Idx, intervalFromWire(oi.IV))
+		nd.learnInterval(int(oi.Owner), oi.Idx, oi.IV)
 	}
 	diffs := g.Served
 	if len(g.Pushed) > 0 {
@@ -665,7 +665,7 @@ func (s *System) runBarrier(b *barrier, executor *Node) {
 			if int(oi.Owner) == master.ID || oi.Idx <= master.vc[oi.Owner] {
 				continue
 			}
-			master.learnInterval(int(oi.Owner), oi.Idx, intervalFromWire(oi.IV))
+			master.learnInterval(int(oi.Owner), oi.Idx, oi.IV)
 		}
 	}
 	// The master fields n-1 arrival interrupts back to back.
@@ -710,7 +710,7 @@ func (s *System) runBarrier(b *barrier, executor *Node) {
 				}
 				var nServed int32
 				for _, d := range resp.diffs[pg] {
-					if d.creator == a.id || (d.creator != r && !d.whole) {
+					if int(d.Creator) == a.id || (int(d.Creator) != r && !d.Whole) {
 						continue
 					}
 					if d.helps(applied[pg]) {
@@ -791,9 +791,9 @@ func (s *System) runBarrier(b *barrier, executor *Node) {
 		}
 		for o := range master.vc {
 			for idx := a.arr.VC[o] + 1; idx <= master.vc[o]; idx++ {
-				w := master.know[o][idx-1].toWire()
-				ivs = append(ivs, wire.OwnedInterval{Owner: int32(o), Idx: idx, IV: w})
-				bytes += w.AccountedBytes(adaptOn, shm.PageWords)
+				iv := master.know[o][idx-1]
+				ivs = append(ivs, wire.OwnedInterval{Owner: int32(o), Idx: idx, IV: iv})
+				bytes += iv.AccountedBytes(adaptOn, shm.PageWords)
 			}
 		}
 		s.Nodes[a.id].depScratch = ivs
@@ -828,7 +828,7 @@ func (nd *Node) postBarrier() wire.Depart {
 		if int(oi.Owner) == nd.ID {
 			continue
 		}
-		nd.learnInterval(int(oi.Owner), oi.Idx, intervalFromWire(oi.IV))
+		nd.learnInterval(int(oi.Owner), oi.Idx, oi.IV)
 	}
 	nd.applyDiffs(d.Served)
 	nd.consumeWSync()
@@ -856,7 +856,7 @@ func (nd *Node) wsyncResponder(req int, appliedPg []int32, pg int) []int {
 			continue
 		}
 		for idx := appliedPg[o] + 1; idx <= nd.vc[o]; idx++ {
-			ref, ok := nd.know[o][idx-1].find(pg)
+			ref, ok := find(nd.know[o][idx-1], pg)
 			if !ok {
 				continue
 			}
@@ -880,10 +880,11 @@ func (nd *Node) wsyncResponder(req int, appliedPg []int32, pg int) []int {
 	return out
 }
 
-func (iv interval) find(pg int) (wire.PageRef, bool) {
-	i := sort.Search(len(iv.pages), func(i int) bool { return int(iv.pages[i].Page) >= pg })
-	if i < len(iv.pages) && int(iv.pages[i].Page) == pg {
-		return iv.pages[i], true
+// find returns the interval's reference to page pg (Pages is sorted).
+func find(iv wire.Interval, pg int) (wire.PageRef, bool) {
+	i := sort.Search(len(iv.Pages), func(i int) bool { return int(iv.Pages[i].Page) >= pg })
+	if i < len(iv.Pages) && int(iv.Pages[i].Page) == pg {
+		return iv.Pages[i], true
 	}
 	return wire.PageRef{}, false
 }

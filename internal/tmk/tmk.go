@@ -28,8 +28,8 @@
 // learned from lost updates the cross-backend stress tests found:
 //
 //   - Coverage ordering. Overlapping diffs of one page are ordered by
-//     their creation-time applied coverage (storedDiff.covers /
-//     wire.Diff.Covers), never by the closing interval's vector time —
+//     their creation-time applied coverage (wire.Diff.Covers), never by
+//     the closing interval's vector time —
 //     a lazy multi-epoch flush closes long after concurrent fresher
 //     diffs, so closing-time stamps lie (applyDiffs).
 //
@@ -38,14 +38,14 @@
 //     receivers prune write notices by applied coverage, so a diff whose
 //     From lies beyond the floor advances the timestamp over content its
 //     runs do not contain, silently dropping the gap (collectDiffs ships
-//     full chains; usablePushed and applySpans check contiguity).
+//     full chains; usablePushed checks contiguity).
 //
 //   - One-pass application of overlaps. Overlapping diffs order
 //     correctly only within a single applyDiffs pass; applying a partial
 //     newer set now and an older overlapping diff later regresses
 //     content. Piggybacked pages therefore apply complete-or-nothing
-//     (usablePushed), and update spans take the fast path only when each
-//     page applies cleanly.
+//     (usablePushed), and an update's spans expand into one applyDiffs
+//     pass.
 //
 // The adaptive layer adds a fourth: no negotiation. Every replicated
 // decision (the barrier detector's bindings, the derived update exchange
@@ -108,51 +108,54 @@ func (a AccessType) noTwin() bool { return a == AccWriteAll || a == AccReadWrite
 func (a AccessType) fetches() bool { return a != AccWriteAll }
 
 // ProtocolStats counts run-time events beyond the vm and network counters.
+// A counter is named once, here: the obs tag is its name in the metrics
+// snapshot, and the per-node sum (System.Stats) and the snapshot fold
+// (harness.Snapshot) walk the fields, so a new counter is one line.
 type ProtocolStats struct {
-	LockAcquires  int64
-	Barriers      int64
-	Validates     int64
-	Pushes        int64
-	WSyncServes   int64 // diff messages sent in response to Validate_w_sync
-	WSyncBcasts   int64 // of which broadcast
-	DiffFetches   int64 // RPC exchanges performed to fetch diffs
-	DiffsApplied  int64
-	WordsApplied  int64
-	Invalidations int64
-	LockFetches   int64 // pages demand-fetched while holding a lock (lock faults)
+	LockAcquires  int64 `obs:"protocol.lock.acquires"`
+	Barriers      int64 `obs:"protocol.barriers"`
+	Validates     int64 `obs:"protocol.validates"`
+	Pushes        int64 `obs:"protocol.pushes"`
+	WSyncServes   int64 `obs:"protocol.wsync.serves"` // diff messages sent in response to Validate_w_sync
+	WSyncBcasts   int64 `obs:"protocol.wsync.bcasts"` // of which broadcast
+	DiffFetches   int64 `obs:"protocol.diff.fetches"` // RPC exchanges performed to fetch diffs
+	DiffsApplied  int64 `obs:"protocol.diffs.applied"`
+	WordsApplied  int64 `obs:"protocol.words.applied"`
+	Invalidations int64 `obs:"protocol.invalidations"`
+	LockFetches   int64 `obs:"protocol.lock.fetches"` // pages demand-fetched while holding a lock (lock faults)
 
 	// Adaptive protocol counters (EnableAdapt). Promotions, splits, joins
 	// and decays are machine-global detector transitions, reported once (at
 	// node 0); updates, spans and pushed pages are counted at the producing
 	// node.
-	AdaptPromotions  int64 // pages switched invalidate → update (whole page)
-	AdaptSplits      int64 // pages switched to sub-page split bindings
-	AdaptJoins       int64 // of promotions: pages that joined an adjacent section early
-	AdaptDecays      int64 // bound pages switched back to invalidate
-	AdaptUpdates     int64 // update messages sent at barrier departures
-	AdaptSpans       int64 // section spans shipped in update messages
-	AdaptPagesPushed int64 // page push deliveries (one per page per consumer)
+	AdaptPromotions  int64 `obs:"adapt.promotions"`   // pages switched invalidate → update (whole page)
+	AdaptSplits      int64 `obs:"adapt.splits"`       // pages switched to sub-page split bindings
+	AdaptJoins       int64 `obs:"adapt.joins"`        // of promotions: pages that joined an adjacent section early
+	AdaptDecays      int64 `obs:"adapt.decays"`       // bound pages switched back to invalidate
+	AdaptUpdates     int64 `obs:"adapt.updates"`      // update messages sent at barrier departures
+	AdaptSpans       int64 `obs:"adapt.spans"`        // section spans shipped in update messages
+	AdaptPagesPushed int64 `obs:"adapt.pages.pushed"` // page push deliveries (one per page per consumer)
 
 	// Lock-scope adaptive counters (EnableAdapt). Grants and pages are
 	// counted at the releasing node; the detector transition counters are
 	// machine-global (the per-lock detectors live with the lock control
 	// state) and are folded in by System.Stats.
-	AdaptLockGrants     int64 // grants that carried piggybacked diffs
-	AdaptLockPagesPush  int64 // pages piggybacked (one per page per grant)
-	AdaptLockPromotions int64 // hand-off edges bound to grant piggybacking
-	AdaptLockDecays     int64 // bindings dropped on a broken pattern
-	AdaptLockProbes     int64 // piggybacks withheld for a staleness re-probe
-	AdaptLockStaleDrops int64 // bindings dropped because a re-probe went unread
+	AdaptLockGrants     int64 `obs:"adapt.lock.grants"`      // grants that carried piggybacked diffs
+	AdaptLockPagesPush  int64 `obs:"adapt.lock.pages"`       // pages piggybacked (one per page per grant)
+	AdaptLockPromotions int64 `obs:"adapt.lock.promotions"`  // hand-off edges bound to grant piggybacking
+	AdaptLockDecays     int64 `obs:"adapt.lock.decays"`      // bindings dropped on a broken pattern
+	AdaptLockProbes     int64 `obs:"adapt.lock.probes"`      // piggybacks withheld for a staleness re-probe
+	AdaptLockStaleDrops int64 `obs:"adapt.lock.stale.drops"` // bindings dropped because a re-probe went unread
 
 	// Ownership-directory counters (directory.go). DiffServes is
 	// maintained unconditionally — it is the serve-balance numerator the
 	// scaling table reports; the Dir* counters and the relay accounting
 	// only move in scale mode (EnableScale).
-	DiffServes      int64 // diff requests answered with at least one diff payload
-	DirRedirects    int64 // diff requests answered with a forwarding hint instead
-	DirHops         int64 // forwarding hops followed while chasing redirects
-	DirFallbacks    int64 // chases that exhausted and left pages to the Direct retry
-	AdaptRelayBytes int64 // accounted bytes of the barrier fetch-list relay (master)
+	DiffServes      int64 `obs:"protocol.diff.serves"` // diff requests answered with at least one diff payload
+	DirRedirects    int64 `obs:"scale.dir.redirects"`  // diff requests answered with a forwarding hint instead
+	DirHops         int64 `obs:"scale.dir.hops"`       // forwarding hops followed while chasing redirects
+	DirFallbacks    int64 `obs:"scale.dir.fallbacks"`  // chases that exhausted and left pages to the Direct retry
+	AdaptRelayBytes int64 `obs:"scale.relay.bytes"`    // accounted bytes of the barrier fetch-list relay (master)
 }
 
 // System is one DSM machine: N nodes over a network sharing a page-based
@@ -208,7 +211,7 @@ func NewWarm(h host.Host, nw host.Transport, layout *shm.Layout, arenas []*vm.Ar
 			sys:     s,
 			vc:      make([]int32, n),
 			lastBar: make([]int32, n),
-			know:    make([][]interval, n),
+			know:    make([][]wire.Interval, n),
 			dirty:   map[int]bool{},
 			noTwin:  map[int]bool{},
 			pending: map[int][]notice{},
@@ -318,38 +321,8 @@ func (s *System) Stats() (vm.Counters, ProtocolStats) {
 	var vc vm.Counters
 	var ps ProtocolStats
 	for _, nd := range s.Nodes {
-		c := nd.Mem.Counters
-		vc.ReadFaults += c.ReadFaults
-		vc.WriteFaults += c.WriteFaults
-		vc.ProtOps += c.ProtOps
-		vc.Twins += c.Twins
-		vc.Diffs += c.Diffs
-		vc.DiffWords += c.DiffWords
-		ps.LockAcquires += nd.Stats.LockAcquires
-		ps.Barriers += nd.Stats.Barriers
-		ps.Validates += nd.Stats.Validates
-		ps.Pushes += nd.Stats.Pushes
-		ps.WSyncServes += nd.Stats.WSyncServes
-		ps.WSyncBcasts += nd.Stats.WSyncBcasts
-		ps.DiffFetches += nd.Stats.DiffFetches
-		ps.DiffsApplied += nd.Stats.DiffsApplied
-		ps.WordsApplied += nd.Stats.WordsApplied
-		ps.Invalidations += nd.Stats.Invalidations
-		ps.LockFetches += nd.Stats.LockFetches
-		ps.AdaptPromotions += nd.Stats.AdaptPromotions
-		ps.AdaptSplits += nd.Stats.AdaptSplits
-		ps.AdaptJoins += nd.Stats.AdaptJoins
-		ps.AdaptDecays += nd.Stats.AdaptDecays
-		ps.AdaptUpdates += nd.Stats.AdaptUpdates
-		ps.AdaptSpans += nd.Stats.AdaptSpans
-		ps.AdaptPagesPushed += nd.Stats.AdaptPagesPushed
-		ps.AdaptLockGrants += nd.Stats.AdaptLockGrants
-		ps.AdaptLockPagesPush += nd.Stats.AdaptLockPagesPush
-		ps.DiffServes += nd.Stats.DiffServes
-		ps.DirRedirects += nd.Stats.DirRedirects
-		ps.DirHops += nd.Stats.DirHops
-		ps.DirFallbacks += nd.Stats.DirFallbacks
-		ps.AdaptRelayBytes += nd.Stats.AdaptRelayBytes
+		obs.AddFields(&vc, &nd.Mem.Counters)
+		obs.AddFields(&ps, &nd.Stats)
 	}
 	// The per-lock detectors are machine state (they live with the lock
 	// control blocks, serialized like the holder and queue fields), so
@@ -388,43 +361,6 @@ type notice struct {
 	whole bool
 }
 
-// interval records the pages one owner modified in one interval (as wire
-// page references — page number, whole-page overwrite flag, and the
-// declared write extent from the vm's EnsureWrite bookkeeping), plus the
-// owner's vector time when the interval closed. Lazily created diffs take
-// their ordering timestamp from here: stamping them with the (later)
-// flush-time clock would overstate their causal position and invert the
-// application order of overlapping diffs.
-//
-// An interval record is immutable once closed. That is what lets the wire
-// conversions below alias its slices instead of copying them: every
-// holder — the creator, the transport, any number of receivers — reads
-// the same frozen arrays. (The historical contract was stronger, "nothing
-// handed to the transport aliases protocol state"; it is deliberately
-// weakened to "nothing mutates an interval after close" because the copy
-// per send dominated the steady-state allocation profile.)
-type interval struct {
-	pages []wire.PageRef
-	vc    []int32
-	// split marks a mid-epoch serve-path split (splitInterval): its
-	// position in the chain is schedule-dependent, so the ownership
-	// directory's replicated reset skips it (resetDirectory).
-	split bool
-}
-
-// toWire converts an interval record to its wire value, aliasing its
-// slices (see the type comment for why that is sound).
-func (iv interval) toWire() wire.Interval {
-	return wire.Interval{Pages: iv.pages, VC: iv.vc, Split: iv.split}
-}
-
-// intervalFromWire converts a received interval record, aliasing the wire
-// value's slices: a decoded frame owns its storage, and on the in-process
-// backends the shared arrays are immutable.
-func intervalFromWire(w wire.Interval) interval {
-	return interval{pages: w.Pages, vc: w.VC, split: w.Split}
-}
-
 // intervalsSince collects, as write notices, every interval this node
 // knows beyond base, sorted by (owner, index) — what a barrier arrival
 // message carries (base = the vector time at the last barrier departure,
@@ -437,7 +373,7 @@ func (nd *Node) intervalsSince(base []int32) []wire.OwnedInterval {
 	for o := range nd.vc {
 		for idx := base[o] + 1; idx <= nd.vc[o]; idx++ {
 			out = append(out, wire.OwnedInterval{
-				Owner: int32(o), Idx: idx, IV: nd.know[o][idx-1].toWire(),
+				Owner: int32(o), Idx: idx, IV: nd.know[o][idx-1],
 			})
 		}
 	}
@@ -478,9 +414,15 @@ type Node struct {
 	Mem *vm.Mem
 	p   host.Proc
 
-	vc         []int32          // vc[o]: latest interval of owner o known here
-	lastBar    []int32          // vc at the last barrier departure (arrival deltas)
-	know       [][]interval     // know[o][i]: interval i+1 of owner o
+	vc      []int32 // vc[o]: latest interval of owner o known here
+	lastBar []int32 // vc at the last barrier departure (arrival deltas)
+	// know[o][i] is interval i+1 of owner o: the pages it modified (page
+	// number, whole-page overwrite flag, declared write extent) and o's
+	// vector time when it closed. A closed interval is immutable, which is
+	// why the record is the wire value itself and is sent and learned
+	// without a copy: every holder — the creator, the transport, any
+	// number of in-process receivers — reads the same frozen arrays.
+	know       [][]wire.Interval
 	applied    [][]int32        // applied[page][o]: o's latest interval reflected in the local copy
 	pending    map[int][]notice // unapplied write notices per page
 	dirty      map[int]bool     // pages writable in the current/open interval

@@ -532,3 +532,41 @@ func TestReacquireOwnLockIsCheap(t *testing.T) {
 		}
 	})
 }
+
+// A pooled whole-page snapshot's storage is recycled when a newer snapshot
+// subsumes it, so what a requester was handed must be a copy — the one
+// copy the serve path still makes. Serve a snapshot, let a newer one prune
+// it, let the next one take the recycled page and overwrite it: the served
+// value must not move.
+func TestServedSnapshotSurvivesRecycle(t *testing.T) {
+	s := testSystem(2, shm.PageWords)
+	nd := s.Nodes[0]
+	snapshot := func(base float64) *storedDiff {
+		nd.Validate(AccWriteAll, region(0, shm.PageWords), false)
+		for i, d := 0, nd.Mem.PageData(0); i < len(d); i++ {
+			d[i] = base + float64(i)
+		}
+		nd.closeInterval() // a WRITE_ALL page is snapshotted at the release point
+		if c := nd.diffs[0]; len(c) != 1 || !c[0].Whole || !c[0].pooled {
+			t.Fatalf("cache after snapshot %v: %+v, want exactly one pooled whole-page diff", base, c)
+		}
+		return nd.diffs[0][0]
+	}
+	first := snapshot(1000)
+	out, _, _ := nd.serveDiffs(1, []int{0}, [][]int32{make([]int32, 2)}, false)
+	if len(out) != 1 || !out[0].Whole {
+		t.Fatalf("served %+v, want the one whole-page snapshot", out)
+	}
+	handed := out[0].Runs[0].Vals
+
+	snapshot(2000) // subsumes and prunes first: its page returns to the freelist
+	third := snapshot(3000)
+	if &third.Runs[0].Vals[0] != &first.Runs[0].Vals[0] {
+		t.Fatal("third snapshot did not reuse the pruned snapshot's page; the test no longer exercises recycling")
+	}
+	for i, v := range handed {
+		if v != 1000+float64(i) {
+			t.Fatalf("served word %d = %v after the snapshot's page was recycled, want %v", i, v, 1000+float64(i))
+		}
+	}
+}

@@ -88,9 +88,9 @@ func (nd *Node) traceServe(req int, pages []int32, out []wire.Diff, bytes int, v
 
 // traceNotices records one write-notice event per page of the interval the
 // node just closed (extents in words; C is the interval index).
-func (nd *Node) traceNotices(iv interval, idx int32) {
+func (nd *Node) traceNotices(iv wire.Interval, idx int32) {
 	vt, wt := int64(nd.p.Now()), nd.tr.WallNow()
-	for _, ref := range iv.pages {
+	for _, ref := range iv.Pages {
 		nd.tr.Emit(obs.Event{
 			Kind: obs.EvNotice, VT: vt, WT: wt,
 			Page: ref.Page, A: ref.ExtLo, B: ref.ExtHi, C: idx,

@@ -19,6 +19,7 @@ import (
 	"sdsm/internal/model"
 	"sdsm/internal/obs"
 	"sdsm/internal/shm"
+	"sdsm/internal/wire"
 )
 
 // Prot is a page protection state.
@@ -62,11 +63,10 @@ type FaultHandler interface {
 }
 
 // Run is a contiguous span of modified words within a page, the unit a
-// diff is made of.
-type Run struct {
-	Off  int // word offset within the page
-	Vals []float64
-}
+// diff is made of. It is the wire value itself: what DiffAgainstTwin
+// produces is what a diff reply carries and what ApplyRuns consumes, with
+// no conversion on the way.
+type Run = wire.Run
 
 // RunsBytes returns the wire size of a set of runs: one word of header per
 // run plus the data words.
@@ -88,14 +88,15 @@ func RunsWords(runs []Run) int {
 }
 
 // Counters tallies MMU events for one node; the paper's "segv" column in
-// Table 2 is ReadFaults+WriteFaults.
+// Table 2 is ReadFaults+WriteFaults. The obs tag is the counter's name in
+// the metrics snapshot (obs.Snapshot.SetFields).
 type Counters struct {
-	ReadFaults  int64
-	WriteFaults int64
-	ProtOps     int64
-	Twins       int64
-	Diffs       int64
-	DiffWords   int64
+	ReadFaults  int64 `obs:"vm.faults.read"`
+	WriteFaults int64 `obs:"vm.faults.write"`
+	ProtOps     int64 `obs:"vm.prot.ops"`
+	Twins       int64 `obs:"vm.twins"`
+	Diffs       int64 `obs:"vm.diffs"`
+	DiffWords   int64 `obs:"vm.diff.words"`
 }
 
 // Mem is one node's view of the shared address space.
@@ -203,11 +204,6 @@ func (m *Mem) Data() []float64 { return m.data }
 // PageData returns the words of one page.
 func (m *Mem) PageData(page int) []float64 {
 	return m.data[page*shm.PageWords : (page+1)*shm.PageWords]
-}
-
-// PageRegion returns the region covered by page.
-func PageRegion(page int) shm.Region {
-	return shm.Region{Lo: page * shm.PageWords, Hi: (page + 1) * shm.PageWords}
 }
 
 // Prot returns the protection of page.
@@ -491,7 +487,7 @@ func (m *Mem) DiffAgainstTwin(p host.Proc, page int) []Run {
 		for j < shm.PageWords && cur[j] != tw[j] {
 			j++
 		}
-		runs = append(runs, Run{Off: i, Vals: append([]float64(nil), cur[i:j]...)})
+		runs = append(runs, Run{Off: int32(i), Vals: append([]float64(nil), cur[i:j]...)})
 		i = j
 	}
 	m.Counters.Diffs++
@@ -519,32 +515,20 @@ func (m *Mem) WholePageRuns(p host.Proc, page int) []Run {
 	return []Run{{Off: 0, Vals: vals}}
 }
 
-// ApplySpan merges received modification runs for a contiguous span of
-// pages starting at page0 — perPage[i] holds page0+i's runs — in one
-// call, the receive-side counterpart of a section-granular update push.
-// It is ApplyRuns applied per page: the per-word apply cost is linear,
-// so the span form charges exactly what page-by-page calls would — span
-// application is a header economy on the wire, never a timing change.
-func (m *Mem) ApplySpan(p host.Proc, page0 int, perPage [][]Run) {
-	for i, runs := range perPage {
-		m.ApplyRuns(p, page0+i, runs)
-	}
-}
-
 // ApplyRuns merges received modification runs into page, charging the
 // apply cost.
 func (m *Mem) ApplyRuns(p host.Proc, page int, runs []Run) {
 	dst := m.PageData(page)
 	words := 0
 	for _, r := range runs {
-		copy(dst[r.Off:r.Off+len(r.Vals)], r.Vals)
+		copy(dst[r.Off:], r.Vals)
 		words += len(r.Vals)
 	}
 	// Applying must not corrupt an armed twin: if the page has a twin, the
 	// twin receives the same data so local modifications remain detectable.
 	if tw, ok := m.twins[page]; ok {
 		for _, r := range runs {
-			copy(tw[r.Off:r.Off+len(r.Vals)], r.Vals)
+			copy(tw[r.Off:], r.Vals)
 		}
 	}
 	p.Charge(time.Duration(words) * m.costs.ApplyPerWord)

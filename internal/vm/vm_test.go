@@ -9,6 +9,7 @@ import (
 	"sdsm/internal/model"
 	"sdsm/internal/shm"
 	"sdsm/internal/sim"
+	"sdsm/internal/wire"
 )
 
 // grantAll upgrades any faulting page to the access requested.
@@ -139,7 +140,9 @@ func TestApplyRunsUpdatesTwin(t *testing.T) {
 
 func TestDiffRoundTripProperty(t *testing.T) {
 	// Property: for random modifications, diff(twin, page) applied to the
-	// twin reconstructs the page exactly.
+	// twin reconstructs the page exactly — both handed over in process and
+	// carried through the wire codec, with no conversion in between: what
+	// DiffAgainstTwin returns is what a frame carries and ApplyRuns takes.
 	f := func(mods []struct {
 		Off uint16
 		Val float64
@@ -160,14 +163,28 @@ func TestDiffRoundTripProperty(t *testing.T) {
 			want := append([]float64(nil), m.PageData(0)...)
 			runs := m.DiffAgainstTwin(p, 0)
 
+			frame, err := wire.AppendFrame(nil, &wire.Frame{
+				Kind: wire.FReply, Payload: wire.DiffReply{Diffs: []wire.Diff{{To: 1, Runs: runs}}},
+			})
+			if err != nil {
+				t.Fatalf("encoding the diff: %v", err)
+			}
+			f, _, err := wire.ParseFrame(frame)
+			if err != nil {
+				t.Fatalf("decoding the diff: %v", err)
+			}
+			decoded := f.Payload.(wire.DiffReply).Diffs[0].Runs
+
 			// Reconstruct from the original plus runs.
-			m2 := newMem(shm.PageWords)
-			copy(m2.Data(), orig)
-			m2.ApplyRuns(p, 0, runs)
-			for i := range want {
-				if m2.Data()[i] != want[i] {
-					ok = false
-					return
+			for _, rs := range [][]Run{runs, decoded} {
+				m2 := newMem(shm.PageWords)
+				copy(m2.Data(), orig)
+				m2.ApplyRuns(p, 0, rs)
+				for i := range want {
+					if m2.Data()[i] != want[i] {
+						ok = false
+						return
+					}
 				}
 			}
 		})

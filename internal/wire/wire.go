@@ -11,7 +11,10 @@
 // cached at one node was the same object at every node), which made a
 // process-per-node deployment impossible. Everything that crosses the seam
 // is now expressible as a wire value; the in-process transports pass the
-// values directly, the socket transports encode them.
+// values directly, the socket transports encode them. The layers above
+// hold their protocol data in these types too — vm's diff runs, tmk's
+// interval log and diff cache — so there is no second representation to
+// convert to or from (DESIGN.md §1).
 //
 // Encoding rules: frames are length-prefixed (u32 little-endian) and carry
 // a one-byte format version, a one-byte frame kind, fixed-width routing
@@ -121,7 +124,8 @@ const (
 )
 
 // Run is a contiguous span of modified words within a page, the unit a
-// diff is made of (the vm package's Run, expressed as a wire value).
+// diff is made of: Off is the word offset within the page. The vm package
+// produces and applies these values directly (vm.Run is this type).
 type Run struct {
 	Off  int32
 	Vals []float64
@@ -405,10 +409,10 @@ type Push struct {
 // consumer's invalidate-and-fault fetch for pages whose producer→consumer
 // pattern has stabilized — run-length section encoded, one DiffSpan per
 // contiguous page span the binding covers (a 16-page producer span costs
-// one header and is applied receiver-side through a single ApplySpan
-// call). Epoch is the producer's barrier count when the update was sent
-// (diagnostic; the diffs carry their own ordering timestamps and
-// receivers apply them through the normal diff path).
+// one header; receivers expand it back to per-page diffs, so the span is
+// a header economy only). Epoch is the producer's barrier count when the
+// update was sent (diagnostic; the diffs carry their own ordering
+// timestamps and receivers apply them through the normal diff path).
 type Update struct {
 	Epoch int32
 	Spans []DiffSpan
