@@ -13,9 +13,14 @@ import (
 	"testing"
 	"time"
 
+	"sdsm/internal/cluster"
 	"sdsm/internal/interp"
 	"sdsm/internal/ir"
+	"sdsm/internal/model"
 	"sdsm/internal/rsd"
+	"sdsm/internal/shm"
+	"sdsm/internal/sim"
+	"sdsm/internal/tmk"
 	"sdsm/internal/wire"
 )
 
@@ -88,4 +93,63 @@ func TestInterpInnerLoopAllocs(t *testing.T) {
 	if per > 0.1 {
 		t.Fatalf("interp inner loop allocates %.2f/loop, want 0", per)
 	}
+}
+
+// TestPushMemoAllocs pins a repeated PushStmt whose section bounds do not
+// move at zero allocations per execution: the interpreter evaluates the
+// bounds into scratch, finds them unchanged and hands the runtime the
+// region sets it built the first time, where every execution used to cost
+// a fresh environment plus 2·nprocs Concrete.Regions/Normalize results
+// (internal/interp's TestPushMemo covers the bounds that do move).
+func TestPushMemoAllocs(t *testing.T) {
+	sec := []rsd.Section{{Array: "a", Dims: []rsd.Bound{rsd.Dense(rsd.Const(2), rsd.Var("m").Plus(-1)), rsd.Dense(rsd.Var("j"), rsd.Var("j"))}}}
+	dims := []rsd.Lin{rsd.Var("m"), rsd.Var("m")}
+	prog := &ir.Program{
+		Name:   "pushes",
+		Arrays: []ir.ArrayDecl{{Name: "a", Dims: dims}},
+		Params: []rsd.Sym{"m", "iters"},
+		Body: []ir.Stmt{ir.Loop{Var: "j", Lo: rsd.Const(3), Hi: rsd.Const(3), Body: []ir.Stmt{
+			ir.Loop{Var: "k", Lo: rsd.Const(1), Hi: rsd.Var("iters"), Body: []ir.Stmt{
+				ir.PushStmt{ReplacedBarrier: 1, Reads: sec, Writes: sec},
+			}},
+		}}},
+	}
+	per := allocsPerIter(t, 64, 1024, func(iters int) error {
+		interp.RunSeq(prog, rsd.Env{"m": 32, "iters": iters})
+		return nil
+	})
+	if per > 0.1 {
+		t.Fatalf("repeated Push with unchanged bounds allocates %.2f/execution, want 0", per)
+	}
+}
+
+// TestWSyncBarrierAllocs pins the allocations of one warmed
+// Validate_w_sync barrier epoch on sim (4 nodes, each rewriting its own
+// page and registering all four) at what its protocol values cost — the
+// interval, the arrival's applied rows, the twin and the diff: measured
+// 103.4. The master's responder resolution adds nothing to that (it reads a
+// table into node scratch; internal/tmk's TestWSyncResponderAllocs pins the
+// call itself at zero), where the log scan it replaced built a map and a
+// slice per requested page per requester: 131.4 for the same epoch.
+func TestWSyncBarrierAllocs(t *testing.T) {
+	const n, ceiling = 4, 115
+	per := allocsPerIter(t, 40, 160, func(iters int) error {
+		e := sim.NewEngine(n)
+		layout := shm.NewLayout()
+		arr := layout.Alloc("mem", n*shm.PageWords)
+		sys := tmk.New(e, cluster.New(e, model.SP2()), layout)
+		return sys.Run(func(nd *tmk.Node) {
+			for it := 0; it < iters; it++ {
+				lo := arr.Base + nd.ID*shm.PageWords
+				nd.Mem.EnsureWrite(nd.Proc(), shm.Region{Lo: lo, Hi: lo + 64})
+				nd.Mem.Data()[lo+it%64] = float64(it)
+				nd.ValidateWSync(tmk.AccRead, []shm.Region{arr.Whole()})
+				nd.Barrier(1)
+			}
+		})
+	})
+	if per > ceiling {
+		t.Fatalf("Validate_w_sync barrier epoch allocates %.1f, ceiling %d", per, ceiling)
+	}
+	t.Logf("Validate_w_sync barrier epoch: %.1f allocs (ceiling %d)", per, ceiling)
 }

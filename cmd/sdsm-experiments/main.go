@@ -38,6 +38,7 @@ import (
 	"sdsm/internal/apps"
 	"sdsm/internal/harness"
 	"sdsm/internal/mpnet"
+	"sdsm/internal/obs"
 	"sdsm/internal/svc"
 	"sdsm/internal/wire"
 )
@@ -65,6 +66,8 @@ func main() {
 		procs     = flag.Int("procs", harness.DefaultProcs, "processor count")
 		par       = flag.Int("parallel", 1, "worker pool size for independent experiment runs (0 = GOMAXPROCS)")
 		backend   = flag.String("backend", "sim", "host backend for the runs: sim (deterministic paper numbers), real, net (times become scheduling-dependent)")
+		cpuProf   = flag.String("cpuprofile", "", "write a host CPU profile of the selected experiments to this file (go tool pprof)")
+		memProf   = flag.String("memprofile", "", "write a host heap profile taken after the last experiment to this file")
 	)
 	flag.Parse()
 	workers := *par
@@ -90,6 +93,15 @@ func main() {
 		fmt.Fprintln(os.Stderr, "sdsm-experiments:", err)
 		os.Exit(1)
 	}
+	stopProf, err := obs.StartProfiles(*cpuProf, *memProf)
+	if err != nil {
+		fail(err)
+	}
+	defer func() {
+		if err := stopProf(); err != nil {
+			fail(err)
+		}
+	}()
 
 	if *serve {
 		// The service experiment: a warm-pool coordinator, a mixed load

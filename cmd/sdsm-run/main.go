@@ -8,6 +8,7 @@
 //	sdsm-run -app is -system pvme -backend net -verify
 //	sdsm-run -app jacobi -recover -checkpoint-every 4 -verify
 //	sdsm-run -app gauss -recover -fail-rank 1 -fail-epoch 2 -verify
+//	sdsm-run -app gauss -set small -cpuprofile cpu.pprof -memprofile heap.pprof
 //
 // -backend real runs the DSM nodes as goroutines genuinely in parallel
 // (results are identical to the deterministic sim backend; virtual times
@@ -53,6 +54,8 @@ func main() {
 		trace   = flag.Bool("trace", false, "record a protocol event trace and the full metrics registry (tmk/opt-tmk)")
 		trOut   = flag.String("trace-out", "", "write the trace as Chrome trace-event JSON, loadable in Perfetto (implies -trace)")
 		trCap   = flag.Int("trace-cap", 0, "per-node trace ring capacity in events (0 = default; oldest events drop on overflow)")
+		cpuProf = flag.String("cpuprofile", "", "write a host CPU profile of the run to this file (go tool pprof)")
+		memProf = flag.String("memprofile", "", "write a host heap profile taken after the run to this file")
 	)
 	flag.Parse()
 	harness.NodeBin = *nodeBin
@@ -79,7 +82,15 @@ func main() {
 	if *failAt >= 0 {
 		cfg.Fault = &harness.FaultPlan{Rank: *failAt, Epoch: *failEp, AfterFrames: *failAfr}
 	}
+	stopProf, err := obs.StartProfiles(*cpuProf, *memProf)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "sdsm-run:", err)
+		os.Exit(1)
+	}
 	res, err := harness.Run(cfg)
+	if err == nil {
+		err = stopProf()
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "sdsm-run:", err)
 		os.Exit(1)

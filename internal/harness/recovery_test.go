@@ -101,6 +101,43 @@ func TestRecoveryAdapt(t *testing.T) {
 	}
 }
 
+// TestRecoveryOpt kills a node of a compiler-optimised run: the victim
+// is the barrier master — rank 0, which owns the Validate_w_sync responder
+// table, an index over the interval log that wipe drops and the restored
+// log rebuilds — and a non-master rank, early and late, with incremental
+// records in the chain. gauss resolves Validate_w_sync at every barrier,
+// jacobi and fft replace barriers by Push. Checksums must match the
+// uninterrupted optimised run. -short keeps the early epoch only.
+func TestRecoveryOpt(t *testing.T) {
+	epochs := []int{2, 5}
+	if testing.Short() {
+		epochs = epochs[:1]
+	}
+	for _, name := range []string{"gauss", "jacobi", "fft"} {
+		name := name
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			a, err := apps.ByName(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := Run(Config{App: a, Set: apps.Small, System: Opt, Procs: 4, Verify: true})
+			if err != nil {
+				t.Fatalf("reference run: %v", err)
+			}
+			for _, rank := range []int{0, 2} {
+				for _, epoch := range epochs {
+					res := runRecovery(t, Config{App: a, Set: apps.Small, System: Opt, Procs: 4, Verify: true,
+						CheckpointEvery: 3, Fault: &FaultPlan{Rank: rank, Epoch: epoch}})
+					if res.Checksum != ref.Checksum {
+						t.Errorf("rank %d epoch %d: recovery checksum %v != reference %v", rank, epoch, res.Checksum, ref.Checksum)
+					}
+				}
+			}
+		})
+	}
+}
+
 // TestRecoveryMatrix sweeps the fault space: first and last killable
 // rank, at each of the first barrier epochs, across node counts, with
 // both always-full and periodic-incremental record cadences. Checksums

@@ -13,6 +13,8 @@ package interp
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"time"
 
 	"sdsm/internal/compiler"
@@ -183,6 +185,14 @@ type executor struct {
 	srcs []float64
 	idx  []int
 	refs []mov
+
+	// Push memo (execPush), built at the first PushStmt: per-statement
+	// region sets, every rank's parameter environment, and the scratch the
+	// bounds are evaluated with.
+	pushes  map[int]pushMemo
+	rankEnv []rsd.Env
+	pushEnv rsd.Env
+	bounds  []int
 }
 
 // advance charges scaled compute time.
@@ -223,12 +233,7 @@ func (x *executor) exec(stmts []ir.Stmt) {
 		case ir.CallBoundary:
 			// Analysis boundary only; nothing happens at run time.
 		case ir.ValidateStmt:
-			var regions []shm.Region
-			for _, sec := range st.Secs {
-				cc := sec.Eval(x.env)
-				regions = append(regions, cc.Regions(x.layout)...)
-			}
-			regions = shm.Normalize(regions)
+			regions := x.regions(st.Secs, x.env)
 			if len(regions) == 0 {
 				continue
 			}
@@ -241,27 +246,67 @@ func (x *executor) exec(stmts []ir.Stmt) {
 	}
 }
 
+// pushMemo is what execPush last built for one PushStmt: every rank's
+// region sets and the concrete section bounds they were built from.
+type pushMemo struct {
+	bounds        []int
+	reads, writes [][]shm.Region
+}
+
+// regions evaluates sections in env to one normalized region set.
+func (x *executor) regions(secs []rsd.Section, env rsd.Env) []shm.Region {
+	var out []shm.Region
+	for _, sec := range secs {
+		out = append(out, sec.Eval(env).Regions(x.layout)...)
+	}
+	return shm.Normalize(out)
+}
+
+// envOfRank returns rank i's evaluation environment in the pushEnv
+// scratch: its parameter environment plus the enclosing loop variables and
+// computed symbols of this executor, identical on all procs.
+func (x *executor) envOfRank(i int) rsd.Env {
+	clear(x.pushEnv)
+	maps.Copy(x.pushEnv, x.env)
+	maps.Copy(x.pushEnv, x.rankEnv[i])
+	return x.pushEnv
+}
+
 // execPush evaluates the per-processor sections and invokes the runtime.
+// Only the section bounds of every rank are evaluated each time; the region
+// sets are rebuilt when a bound moved since this statement (identified by
+// the barrier it replaced) last ran, and reused otherwise — the runtime
+// only reads them.
 func (x *executor) execPush(st ir.PushStmt) {
-	reads := make([][]shm.Region, x.nprocs)
-	writes := make([][]shm.Region, x.nprocs)
-	for i := 0; i < x.nprocs; i++ {
-		env := x.prog.Env(x.params, i, x.nprocs)
-		for k, v := range x.env {
-			if _, ok := env[k]; !ok {
-				env[k] = v // enclosing loop variables, identical on all procs
+	if x.pushes == nil {
+		x.pushes, x.pushEnv = map[int]pushMemo{}, rsd.Env{}
+		for i := 0; i < x.nprocs; i++ {
+			x.rankEnv = append(x.rankEnv, x.prog.Env(x.params, i, x.nprocs))
+		}
+	}
+	m := x.pushes[st.ReplacedBarrier]
+	bounds := x.bounds[:0]
+	for i := range x.rankEnv {
+		env := x.envOfRank(i)
+		for _, secs := range [2][]rsd.Section{st.Reads, st.Writes} {
+			for _, sec := range secs {
+				for _, d := range sec.Dims {
+					bounds = append(bounds, d.Lo.Eval(env), d.Hi.Eval(env))
+				}
 			}
 		}
-		for _, sec := range st.Reads {
-			reads[i] = append(reads[i], sec.Eval(env).Regions(x.layout)...)
-		}
-		for _, sec := range st.Writes {
-			writes[i] = append(writes[i], sec.Eval(env).Regions(x.layout)...)
-		}
-		reads[i] = shm.Normalize(reads[i])
-		writes[i] = shm.Normalize(writes[i])
 	}
-	x.tgt.push(reads, writes)
+	x.bounds = bounds
+	if m.reads == nil || !slices.Equal(bounds, m.bounds) {
+		m.bounds = append(m.bounds[:0], bounds...)
+		m.reads, m.writes = make([][]shm.Region, x.nprocs), make([][]shm.Region, x.nprocs)
+		for i := range x.rankEnv {
+			env := x.envOfRank(i)
+			m.reads[i], m.writes[i] = x.regions(st.Reads, env), x.regions(st.Writes, env)
+		}
+		x.pushes[st.ReplacedBarrier] = m
+	}
+	x.tgt.push(m.reads, m.writes)
 }
 
 // execLoop runs a counted loop; a loop whose body is a single assignment

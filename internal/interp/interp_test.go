@@ -1,6 +1,7 @@
 package interp
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -198,5 +199,50 @@ func TestKernelCtx(t *testing.T) {
 	}
 	if got := SeqTime(p, rsd.Env{"n": 8}); got != time.Microsecond {
 		t.Fatalf("kernel charge = %v", got)
+	}
+}
+
+// pushRecorder is a target that keeps what execPush hands the runtime.
+type pushRecorder struct {
+	seqTarget
+	reads, writes [][][]shm.Region
+}
+
+func (r *pushRecorder) push(reads, writes [][]shm.Region) {
+	r.reads, r.writes = append(r.reads, reads), append(r.writes, writes)
+}
+
+// TestPushMemo is the correctness half of execPush's memo: a Push whose
+// section bounds move between executions gets the regions of the new
+// bounds every time — for every rank, not just the executor's — and one
+// whose bounds stand still is handed the very slices built the first time.
+func TestPushMemo(t *testing.T) {
+	const nprocs, n, iters = 3, 48, 4
+	k := rsd.Var("k")
+	block := []rsd.Section{{Array: "x", Dims: []rsd.Bound{rsd.Dense(rsd.Var("lo"), rsd.Var("hi"))}}}
+	sliding := []rsd.Section{{Array: "x", Dims: []rsd.Bound{rsd.Dense(rsd.Var("lo").Add(k), rsd.Var("lo").Add(k).Plus(2))}}}
+	prog := prog1d(ir.Loop{Var: "k", Lo: rsd.Const(1), Hi: rsd.Const(iters), Body: []ir.Stmt{
+		ir.PushStmt{ReplacedBarrier: 1, Reads: sliding, Writes: block},
+		ir.PushStmt{ReplacedBarrier: 2, Reads: block, Writes: block},
+	}})
+	params := rsd.Env{"n": n}
+	rec := &pushRecorder{}
+	x := &executor{prog: prog, layout: compiler.BuildLayout(prog, params), params: params,
+		nprocs: nprocs, env: prog.Env(params, 1, nprocs), tgt: rec, scale: 1}
+	x.exec(prog.Body)
+	if len(rec.reads) != 2*iters {
+		t.Fatalf("%d pushes reached the runtime, want %d", len(rec.reads), 2*iters)
+	}
+	for it := 0; it < iters; it++ {
+		for p := 0; p < nprocs; p++ {
+			lo := p*n/nprocs + 1
+			want := []shm.Region{{Lo: lo + it, Hi: lo + it + 3}} // x is 1-based at word 0: x[lo+k .. lo+k+2], k = it+1
+			if got := rec.reads[2*it][p]; !slices.Equal(got, want) {
+				t.Fatalf("iteration %d rank %d: sliding reads %v, want %v", it+1, p, got, want)
+			}
+		}
+		if it > 0 && &rec.reads[2*it+1][0][0] != &rec.reads[1][0][0] {
+			t.Fatalf("iteration %d: the fixed Push rebuilt its region sets", it+1)
+		}
 	}
 }

@@ -219,7 +219,8 @@ type ValidateStmt struct {
 // PushStmt replaces a barrier by a point-to-point exchange. Reads and
 // Writes are the per-processor sections in terms of the symbols "p",
 // "nprocs", and the derived parameters; the interpreter evaluates them for
-// every processor id.
+// every processor id, and keeps what it built under ReplacedBarrier — a
+// program's barrier ids are distinct, so it names the statement.
 type PushStmt struct {
 	ReplacedBarrier int
 	Reads           []rsd.Section

@@ -32,17 +32,7 @@ func (nd *Node) Validate(at AccessType, regions []shm.Region, async bool) {
 	pages := pagesOf(regions)
 	nd.p.Charge(time.Duration(len(pages)) * nd.sys.Costs.ValidatePerPage)
 
-	// The consistency-disabling treatment (no fetch for WRITE_ALL, no twin
-	// for both *_ALL types) is sound only for pages the section covers
-	// completely: a page shared with another processor's data keeps
-	// twin-based detection so its foreign words are never misattributed.
-	fullCover := map[int]bool{}
-	if at.noTwin() {
-		full, _ := splitCoverage(regions, pages)
-		for _, pg := range full {
-			fullCover[pg] = true
-		}
-	}
+	fullCover := fullyCovered(at, regions, pages)
 	effective := func(pg int) AccessType {
 		if at.noTwin() && !fullCover[pg] {
 			return AccReadWrite
@@ -104,9 +94,17 @@ func (nd *Node) ValidateWSync(at AccessType, regions []shm.Region) {
 	nd.wsync = append(nd.wsync, wsyncRequest{at: at, pages: pages, regions: regions})
 }
 
-// splitCoverage partitions pages into those fully covered by the
-// normalized region set and those only partially covered.
-func splitCoverage(regions []shm.Region, pages []int) (full, partial []int) {
+// fullyCovered returns the pages a *_ALL Validate's normalized regions cover
+// completely. The consistency-disabling treatment (no fetch for WRITE_ALL,
+// no twin for both *_ALL types) is sound only for those: a page shared with
+// another processor's data keeps twin-based detection so its foreign words
+// are never misattributed. Nil for the other access types, which never
+// consult it.
+func fullyCovered(at AccessType, regions []shm.Region, pages []int) map[int]bool {
+	if !at.noTwin() {
+		return nil
+	}
+	full := map[int]bool{}
 	for _, pg := range pages {
 		page := shm.Region{Lo: pg * shm.PageWords, Hi: (pg + 1) * shm.PageWords}
 		covered := 0
@@ -114,12 +112,10 @@ func splitCoverage(regions []shm.Region, pages []int) (full, partial []int) {
 			covered += r.Intersect(page).Words()
 		}
 		if covered >= shm.PageWords {
-			full = append(full, pg)
-		} else {
-			partial = append(partial, pg)
+			full[pg] = true
 		}
 	}
-	return full, partial
+	return full
 }
 
 // discardObligations marks every known remote interval as applied for a
@@ -131,7 +127,7 @@ func (nd *Node) discardObligations(pg int) {
 			nd.applied[pg][o] = nd.vc[o]
 		}
 	}
-	delete(nd.pending, pg)
+	nd.pending[pg] = nd.pending[pg][:0]
 }
 
 // applyAccessType performs the per-page consistency action of a Validate
@@ -157,13 +153,7 @@ func (nd *Node) applyAccessType(pg int, at AccessType) {
 // dropped (their pages were never accessed in the phase).
 func (nd *Node) consumeWSync() {
 	for _, ws := range nd.wsync {
-		fullCover := map[int]bool{}
-		if ws.at.noTwin() {
-			full, _ := splitCoverage(ws.regions, ws.pages)
-			for _, pg := range full {
-				fullCover[pg] = true
-			}
-		}
+		fullCover := fullyCovered(ws.at, ws.regions, ws.pages)
 		for _, pg := range ws.pages {
 			if len(nd.pending[pg]) > 0 {
 				continue

@@ -319,9 +319,23 @@ func (nd *Node) learnInterval(owner int, idx int32, iv wire.Interval) {
 		if nd.applied[pg][owner] >= idx {
 			continue
 		}
-		nd.pending[pg] = append(nd.pending[pg], notice{owner: owner, idx: idx, whole: ref.Whole})
+		nd.addNotice(pg, notice{owner: int32(owner), idx: idx, whole: ref.Whole})
 		nd.invalidate(pg)
 	}
+}
+
+// addNotice records an unapplied write notice for pg, newer than any the
+// page holds from the same owner, which it replaces: every reader of
+// pending asks only for each owner's newest notice (package doc).
+func (nd *Node) addNotice(pg int, nt notice) {
+	pend := nd.pending[pg]
+	for i := range pend {
+		if pend[i].owner == nt.owner {
+			pend[i] = nt
+			return
+		}
+	}
+	nd.pending[pg] = append(pend, nt)
 }
 
 // invalidate removes access to a page. Local modifications are saved as a
@@ -456,28 +470,21 @@ func (nd *Node) responderFor(page int) []int {
 		return nil
 	}
 	latest := pend[0]
-	single := true // all notices share one owner (the steady-state case)
-	for _, n := range pend {
-		if n.owner != pend[0].owner {
-			single = false
-		}
+	for _, n := range pend[1:] {
 		if n.idx > latest.idx || (n.idx == latest.idx && n.owner > latest.owner) {
 			latest = n
 		}
 	}
-	if latest.whole || single {
-		// One responder; the result is consumed before the next call, so
-		// the per-node scratch slot avoids an allocation per fault.
-		nd.respScratch[0] = latest.owner
+	if latest.whole || len(pend) == 1 {
+		// One responder (the steady-state case); the result is consumed
+		// before the next call, so the per-node scratch slot avoids an
+		// allocation per fault.
+		nd.respScratch[0] = int(latest.owner)
 		return nd.respScratch[:1]
 	}
-	owners := map[int]bool{}
-	for _, n := range pend {
-		owners[n.owner] = true
-	}
-	out := make([]int, 0, len(owners))
-	for o := range owners {
-		out = append(out, o)
+	out := make([]int, len(pend)) // one notice per owner
+	for i, n := range pend {
+		out[i] = int(n.owner)
 	}
 	sort.Ints(out)
 	return out
@@ -644,7 +651,7 @@ func (nd *Node) completeInflight() {
 			reqs := map[int][]int{}
 			for _, pg := range pages {
 				for _, n := range nd.pending[pg] {
-					reqs[n.owner] = append(reqs[n.owner], pg)
+					reqs[int(n.owner)] = append(reqs[int(n.owner)], pg)
 				}
 			}
 			var round []wire.Diff
@@ -853,8 +860,6 @@ func (nd *Node) prunePending(page int) {
 			pend = append(pend, n)
 		}
 	}
-	// The emptied slice stays in the map (every reader tests len, never
-	// membership) so its capacity is reused by the page's next notices.
 	nd.pending[page] = pend
 	if len(pend) == 0 && nd.Mem.Prot(page) == vm.NoAccess {
 		nd.Mem.SetProt(nd.p, page, vm.ReadOnly)

@@ -343,6 +343,7 @@ func (nd *Node) wipe() {
 		nd.lastDiffed[pg] = 0
 	}
 	clear(nd.pending)
+	nd.wsLast, nd.wsSeen = nil, nil // the responder index dies with the log it indexes
 	clear(nd.dirty)
 	clear(nd.noTwin)
 	nd.inflight = nd.inflight[:0]
@@ -425,11 +426,14 @@ func (nd *Node) restore() {
 				if nd.applied[pg][o] >= idx {
 					continue
 				}
-				nd.pending[pg] = append(nd.pending[pg], notice{owner: o, idx: idx, whole: ref.Whole})
+				nd.addNotice(pg, notice{owner: int32(o), idx: idx, whole: ref.Whole})
 			}
 		}
 	}
-	for pg := range nd.pending {
+	for pg, pend := range nd.pending {
+		if len(pend) == 0 {
+			continue
+		}
 		if nd.dirty[pg] {
 			panic(fmt.Sprintf("tmk: node %d restored page %d dirty with pending notices", nd.ID, pg))
 		}

@@ -2,6 +2,7 @@ package tmk
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -510,9 +511,15 @@ type barrierArrival struct {
 // the time of the barrier").
 type remoteWSync struct {
 	req    int
-	pages  []int
 	served []wire.Diff
 	bytes  int
+}
+
+// wsyncPage is one page of a requester's Validate_w_sync needs with the
+// applied row its arrival message presented for it.
+type wsyncPage struct {
+	pg      int
+	applied []int32
 }
 
 // servedFor returns the Validate_w_sync payload resolved for requester id.
@@ -682,38 +689,34 @@ func (s *System) runBarrier(b *barrier, executor *Node) {
 		if len(a.arr.Needs) == 0 {
 			continue
 		}
-		applied := map[int][]int32{}
+		// The requested pages in ascending order, each once: one need's
+		// pages already are, several needs may interleave or overlap (every
+		// row for a page is the same snapshot, so which one survives is moot).
+		pages := s.wsPages[:0]
 		for _, need := range a.arr.Needs {
 			for i, pg := range need.Pages {
-				applied[int(pg)] = need.Applied[i]
+				pages = append(pages, wsyncPage{pg: int(pg), applied: need.Applied[i]})
 			}
 		}
-		if len(applied) == 0 {
-			continue
+		s.wsPages = pages
+		if len(a.arr.Needs) > 1 {
+			slices.SortStableFunc(pages, func(x, y wsyncPage) int { return x.pg - y.pg })
+			pages = slices.CompactFunc(pages, func(x, y wsyncPage) bool { return x.pg == y.pg })
 		}
 		rw := remoteWSync{req: a.id}
-		pages := make([]int, 0, len(applied))
-		for pg := range applied {
-			pages = append(pages, pg)
-		}
-		sort.Ints(pages)
-		for _, pg := range pages {
-			rw.pages = append(rw.pages, pg)
-			for _, r := range master.wsyncResponder(a.id, applied[pg], pg) {
-				if r == a.id {
-					continue
-				}
+		for _, wp := range pages {
+			for _, r := range master.wsyncResponder(a.id, wp.applied, wp.pg) {
 				resp := s.Nodes[r]
 				resp.p.Charge(c.SectionScanPerPage)
-				if resp.dirty[pg] {
-					resp.flushLocalDiff(pg, false)
+				if resp.dirty[wp.pg] {
+					resp.flushLocalDiff(wp.pg, false)
 				}
 				var nServed int32
-				for _, d := range resp.diffs[pg] {
+				for _, d := range resp.diffs[wp.pg] {
 					if int(d.Creator) == a.id || (int(d.Creator) != r && !d.Whole) {
 						continue
 					}
-					if d.helps(applied[pg]) {
+					if d.helps(wp.applied) {
 						rw.served = append(rw.served, d.toWire())
 						rw.bytes += d.wireBytes()
 						resp.Stats.WSyncServes++
@@ -723,7 +726,7 @@ func (s *System) runBarrier(b *barrier, executor *Node) {
 				if nServed > 0 && resp.tr != nil {
 					resp.tr.Emit(obs.Event{
 						Kind: obs.EvWSync, VT: int64(resp.p.Now()), WT: resp.tr.WallNow(),
-						Page: int32(pg), Peer: int32(a.id), A: nServed,
+						Page: int32(wp.pg), Peer: int32(a.id), A: nServed,
 					})
 				}
 			}
@@ -844,47 +847,49 @@ func (nd *Node) postBarrier() wire.Depart {
 	return d
 }
 
-// wsyncResponder determines, from post-barrier global knowledge, which
-// node answers requester req's Validate_w_sync for page pg, given the
-// requester's applied timestamps for the page (from its arrival message).
-// Every node computes the same assignment independently.
+// wsyncResponder determines, from the barrier master's merged knowledge,
+// which nodes answer requester req's Validate_w_sync for page pg, given the
+// requester's applied timestamps for the page (from its arrival message):
+// every other owner with an interval naming pg beyond the requester's
+// floor, or the latest such writer alone when it overwrote the whole page.
+// Only each owner's last interval naming pg matters, so the answer is read
+// off wsLast, which is first brought up to vc: the table is a function of
+// know[..vc] alone (splits a responder's flush appended a moment ago
+// included) and needs no hook where intervals are learned or closed. The
+// result is the node's wsResp scratch, ascending, valid until the next call.
 func (nd *Node) wsyncResponder(req int, appliedPg []int32, pg int) []int {
-	var latest notice
-	owners := map[int]bool{}
-	for o := range nd.vc {
-		if o == req {
+	n := len(nd.vc)
+	if nd.wsLast == nil {
+		nd.wsLast = make([]int32, len(nd.applied)*n)
+		nd.wsSeen = make([]int32, n)
+	}
+	for o, seen := range nd.wsSeen {
+		for ; seen < nd.vc[o]; seen++ {
+			for _, ref := range nd.know[o][seen].Pages {
+				v := (seen + 1) << 1
+				if ref.Whole {
+					v |= 1
+				}
+				nd.wsLast[int(ref.Page)*n+o] = v
+			}
+		}
+		nd.wsSeen[o] = seen
+	}
+	out := nd.wsResp[:0]
+	var latest int32
+	latestOwner := -1
+	for o, v := range nd.wsLast[pg*n : (pg+1)*n] {
+		if o == req || v>>1 <= appliedPg[o] {
 			continue
 		}
-		for idx := appliedPg[o] + 1; idx <= nd.vc[o]; idx++ {
-			ref, ok := find(nd.know[o][idx-1], pg)
-			if !ok {
-				continue
-			}
-			owners[o] = true
-			if idx > latest.idx || (idx == latest.idx && o > latest.owner) {
-				latest = notice{owner: o, idx: idx, whole: ref.Whole}
-			}
+		out = append(out, o)
+		if v>>1 >= latest>>1 { // ties go to the larger owner: o ascends
+			latest, latestOwner = v, o
 		}
 	}
-	if len(owners) == 0 {
-		return nil
+	if latest&1 != 0 {
+		out = append(out[:0], latestOwner) // the latest writer overwrote the whole page
 	}
-	if latest.whole {
-		return []int{latest.owner}
-	}
-	out := make([]int, 0, len(owners))
-	for o := range owners {
-		out = append(out, o)
-	}
-	sort.Ints(out)
+	nd.wsResp = out
 	return out
-}
-
-// find returns the interval's reference to page pg (Pages is sorted).
-func find(iv wire.Interval, pg int) (wire.PageRef, bool) {
-	i := sort.Search(len(iv.Pages), func(i int) bool { return int(iv.Pages[i].Page) >= pg })
-	if i < len(iv.Pages) && int(iv.Pages[i].Page) == pg {
-		return iv.Pages[i], true
-	}
-	return wire.PageRef{}, false
 }

@@ -52,6 +52,14 @@
 // schedule) must be a pure function of globally relayed observations,
 // identical at every node — a divergent replica deadlocks the
 // send/receive pairing of the update exchange (package adapt).
+//
+// And one rule keeps the notice bookkeeping small: Node.pending holds, per
+// page, at most one unapplied write notice per owner — its newest
+// (addNotice replaces) — because every reader asks only for maxima: who
+// the newest writer is and whether it overwrote the page (responderFor),
+// whether an owner's newest interval is covered yet (prunePending,
+// usablePushed), which owners remain (completeInflight). A page nobody
+// reads holds N-1 notices however many barriers pass.
 package tmk
 
 import (
@@ -179,6 +187,8 @@ type System struct {
 	// departScratch backs runBarrier's departure-time table. Barriers are
 	// serialized by the protocol token, so one machine-wide buffer works.
 	departScratch []time.Duration
+	// wsPages backs runBarrier's per-requester Validate_w_sync page list.
+	wsPages []wsyncPage
 }
 
 // New builds a DSM system for every processor of h. All pages start
@@ -214,7 +224,6 @@ func NewWarm(h host.Host, nw host.Transport, layout *shm.Layout, arenas []*vm.Ar
 			know:    make([][]wire.Interval, n),
 			dirty:   map[int]bool{},
 			noTwin:  map[int]bool{},
-			pending: map[int][]notice{},
 			diffs:   map[int][]*storedDiff{},
 			mode:    map[int]AccessType{},
 		}
@@ -233,6 +242,7 @@ func NewWarm(h host.Host, nw host.Transport, layout *shm.Layout, arenas []*vm.Ar
 			nd.applied[pg] = make([]int32, n)
 		}
 		nd.lastDiffed = make([]int32, pages)
+		nd.pending = make([][]notice, pages)
 		// The serve body is prebuilt per node so the hot request path does
 		// not allocate a closure per exchange; arguments and results pass
 		// through the srv* fields (safe: serves hold the protocol token,
@@ -356,7 +366,7 @@ func (s *System) MaxTime() time.Duration {
 // (WRITE_ALL), which lets a fetch from the latest such writer subsume
 // older modifications.
 type notice struct {
-	owner int
+	owner int32
 	idx   int32
 	whole bool
 }
@@ -423,10 +433,10 @@ type Node struct {
 	// without a copy: every holder — the creator, the transport, any
 	// number of in-process receivers — reads the same frozen arrays.
 	know       [][]wire.Interval
-	applied    [][]int32        // applied[page][o]: o's latest interval reflected in the local copy
-	pending    map[int][]notice // unapplied write notices per page
-	dirty      map[int]bool     // pages writable in the current/open interval
-	noTwin     map[int]bool     // dirty pages in WRITE_ALL mode
+	applied    [][]int32    // applied[page][o]: o's latest interval reflected in the local copy
+	pending    [][]notice   // pending[page]: each owner's newest unapplied write notice (addNotice)
+	dirty      map[int]bool // pages writable in the current/open interval
+	noTwin     map[int]bool // dirty pages in WRITE_ALL mode
 	diffs      map[int][]*storedDiff
 	lastDiffed []int32 // per page: own modifications diffed up to this interval
 
@@ -455,6 +465,13 @@ type Node struct {
 	respScratch [1]int        // responderFor's single-responder result slot
 	sortScratch []*storedDiff // applyDiffs' reusable sort buffer
 	cdScratch   []*storedDiff // collectDiffs' candidate buffer
+
+	// The barrier master's Validate_w_sync responder index (wsyncResponder),
+	// nil until a request is first resolved: wsLast[pg*N+o] packs the last
+	// interval of owner o naming pg (idx<<1 | whole) among
+	// know[o][:wsSeen[o]]. wsResp is the result scratch.
+	wsLast, wsSeen []int32
+	wsResp         []int
 
 	// Prebuilt serve body with its argument/result slots; serves hold the
 	// protocol token, so the slots cannot race (see System.serve).

@@ -1,0 +1,237 @@
+package tmk
+
+import (
+	"math/rand"
+	"slices"
+	"sort"
+	"testing"
+
+	"sdsm/internal/shm"
+	"sdsm/internal/wire"
+)
+
+// wsyncResponderLogScan is the interval-log scan the responder table
+// replaced, kept as the reference it must agree with: walk every interval
+// of every other owner beyond the requester's floor, binary-searching each
+// for the page.
+func wsyncResponderLogScan(nd *Node, req int, appliedPg []int32, pg int) []int {
+	find := func(iv wire.Interval) (wire.PageRef, bool) {
+		i := sort.Search(len(iv.Pages), func(i int) bool { return int(iv.Pages[i].Page) >= pg })
+		if i < len(iv.Pages) && int(iv.Pages[i].Page) == pg {
+			return iv.Pages[i], true
+		}
+		return wire.PageRef{}, false
+	}
+	var latest notice
+	owners := map[int]bool{}
+	for o := range nd.vc {
+		if o == req {
+			continue
+		}
+		for idx := appliedPg[o] + 1; idx <= nd.vc[o]; idx++ {
+			ref, ok := find(nd.know[o][idx-1])
+			if !ok {
+				continue
+			}
+			owners[o] = true
+			if idx > latest.idx || (idx == latest.idx && int32(o) > latest.owner) {
+				latest = notice{owner: int32(o), idx: idx, whole: ref.Whole}
+			}
+		}
+	}
+	if latest.whole {
+		return []int{int(latest.owner)}
+	}
+	out := make([]int, 0, len(owners))
+	for o := range owners {
+		out = append(out, o)
+	}
+	sort.Ints(out)
+	return out
+}
+
+// randomInterval builds a closed interval over a random sorted page set
+// (one page when split), each reference Whole with probability 1/3.
+func randomInterval(rng *rand.Rand, pages int, split bool) wire.Interval {
+	iv := wire.Interval{Split: split}
+	for pg := 0; pg < pages; pg++ {
+		if !split && rng.Intn(3) == 0 {
+			iv.Pages = append(iv.Pages, wire.PageRef{Page: int32(pg), Whole: rng.Intn(3) == 0})
+		}
+	}
+	if split {
+		iv.Pages = []wire.PageRef{{Page: int32(rng.Intn(pages)), Whole: rng.Intn(3) == 0}}
+	}
+	return iv
+}
+
+// appendRandomLog grows every owner's log at nd by a few random intervals,
+// as the arrivals of one barrier would (the node's own included: the master
+// indexes its own intervals like anyone's).
+func appendRandomLog(rng *rand.Rand, nd *Node, pages int) {
+	for o := range nd.vc {
+		for k := rng.Intn(4); k > 0; k-- {
+			nd.know[o] = append(nd.know[o], randomInterval(rng, pages, rng.Intn(4) == 0))
+			nd.vc[o]++
+		}
+	}
+}
+
+func TestWSyncResponderMatchesLogScan(t *testing.T) {
+	const n, pages = 5, 7
+	for seed := int64(0); seed < 30; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		nd := testSystem(n, pages*shm.PageWords).Nodes[0]
+		for barrier := 0; barrier < 8; barrier++ {
+			if barrier == 5 {
+				nd.wipe() // a master that fails restarts its log, and the table with it
+			}
+			appendRandomLog(rng, nd, pages)
+			for q := 0; q < 60; q++ {
+				req, pg := rng.Intn(n), rng.Intn(pages)
+				applied := make([]int32, n)
+				for o := range applied {
+					switch rng.Intn(4) {
+					case 0: // never fetched: the whole history is news
+					case 1:
+						applied[o] = nd.vc[o]
+					default:
+						applied[o] = int32(rng.Intn(int(nd.vc[o]) + 1))
+					}
+				}
+				want := wsyncResponderLogScan(nd, req, applied, pg)
+				got := nd.wsyncResponder(req, applied, pg)
+				if !slices.Equal(got, want) {
+					t.Fatalf("seed %d barrier %d: req %d page %d applied %v vc %v: table says %v, log scan %v",
+						seed, barrier, req, pg, applied, nd.vc, got, want)
+				}
+				if q%20 == 0 {
+					// A responder's flush may split an interval between two
+					// calls of one resolution; the table must see it.
+					o := rng.Intn(n)
+					nd.know[o] = append(nd.know[o], randomInterval(rng, pages, true))
+					nd.vc[o]++
+				}
+			}
+		}
+	}
+}
+
+// responderForAppendAll is responderFor over a pending list that keeps
+// every unapplied notice (what learnInterval used to append), the
+// reference for the compacted per-owner form.
+func responderForAppendAll(pend []notice) []int {
+	if len(pend) == 0 {
+		return nil
+	}
+	latest := pend[0]
+	owners := map[int]bool{}
+	for _, n := range pend {
+		owners[int(n.owner)] = true
+		if n.idx > latest.idx || (n.idx == latest.idx && n.owner > latest.owner) {
+			latest = n
+		}
+	}
+	if latest.whole {
+		return []int{int(latest.owner)}
+	}
+	out := make([]int, 0, len(owners))
+	for o := range owners {
+		out = append(out, o)
+	}
+	sort.Ints(out)
+	return out
+}
+
+// TestPendingCompaction feeds a node k barriers' worth of notices it never
+// fetches, with a reference that appends every one: a page holds at most
+// one notice per remote owner however long it goes unread, and the readers
+// — responderFor, and prunePending's emptiness after applied timestamps
+// advance — agree with the append-everything list throughout.
+func TestPendingCompaction(t *testing.T) {
+	const n, pages, me = 4, 5, 2
+	for seed := int64(0); seed < 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		nd := testSystem(n, pages*shm.PageWords).Nodes[me]
+		ref := make([][]notice, pages)
+		check := func(when string) {
+			t.Helper()
+			for pg := 0; pg < pages; pg++ {
+				if len(nd.pending[pg]) > n-1 {
+					t.Fatalf("seed %d %s: page %d holds %d notices, more than one per remote owner: %+v",
+						seed, when, pg, len(nd.pending[pg]), nd.pending[pg])
+				}
+				got, want := append([]int(nil), nd.responderFor(pg)...), responderForAppendAll(ref[pg])
+				if !slices.Equal(got, want) {
+					t.Fatalf("seed %d %s: page %d responders %v, append-everything reference %v", seed, when, pg, got, want)
+				}
+			}
+		}
+		for barrier := 0; barrier < 12; barrier++ {
+			for o := 0; o < n; o++ {
+				if o == me {
+					continue
+				}
+				for k := rng.Intn(3); k > 0; k-- {
+					iv, idx := randomInterval(rng, pages, rng.Intn(4) == 0), nd.vc[o]+1
+					for _, r := range iv.Pages {
+						if nd.applied[r.Page][o] < idx {
+							ref[r.Page] = append(ref[r.Page], notice{owner: int32(o), idx: idx, whole: r.Whole})
+						}
+					}
+					nd.learnInterval(o, idx, iv)
+				}
+			}
+			check("after learning")
+			// Some data arrives: a page's applied row advances for one owner
+			// and the satisfied notices are pruned from both lists.
+			pg, o := rng.Intn(pages), rng.Intn(n)
+			nd.applied[pg][o] = max(nd.applied[pg][o], int32(rng.Intn(int(nd.vc[o])+1)))
+			nd.prunePending(pg)
+			ref[pg] = slices.DeleteFunc(ref[pg], func(nt notice) bool { return nt.idx <= nd.applied[pg][nt.owner] })
+			check("after pruning")
+		}
+	}
+}
+
+// TestPushReadsItsArguments pins what lets the interpreter hand Push the
+// same region sets again (interp's Push memo): Push and the set
+// intersection under it leave reads and writes exactly as passed.
+func TestPushReadsItsArguments(t *testing.T) {
+	const n = 3
+	s := testSystem(n, n*shm.PageWords)
+	reads, writes := make([][]shm.Region, n), make([][]shm.Region, n)
+	for i := range reads {
+		writes[i] = region(i*shm.PageWords, i*shm.PageWords+40)
+		reads[i] = shm.Normalize(append(region(0, 16), region((i+1)%n*shm.PageWords+8, (i+1)%n*shm.PageWords+24)...))
+	}
+	clone := func(sets [][]shm.Region) [][]shm.Region {
+		out := make([][]shm.Region, len(sets))
+		for i := range sets {
+			out[i] = slices.Clone(sets[i])
+		}
+		return out
+	}
+	wantR, wantW := clone(reads), clone(writes)
+	run(t, s, func(nd *Node) {
+		for it := 0; it < 3; it++ {
+			w(nd, nd.ID*shm.PageWords+it, float64(it+1))
+			nd.Push(reads, writes)
+			nd.Barrier(1)
+		}
+	})
+	for i := range reads {
+		if !slices.Equal(reads[i], wantR[i]) || !slices.Equal(writes[i], wantW[i]) {
+			t.Fatalf("Push changed its arguments for rank %d: reads %v (want %v), writes %v (want %v)",
+				i, reads[i], wantR[i], writes[i], wantW[i])
+		}
+	}
+	inter := shm.IntersectSets(writes[0], reads[1])
+	if len(inter) == 0 {
+		t.Fatal("test sections do not intersect")
+	}
+	inter[0] = shm.Region{}
+	if !slices.Equal(writes[0], wantW[0]) || !slices.Equal(reads[1], wantR[1]) {
+		t.Fatal("IntersectSets returned a slice aliasing an argument")
+	}
+}
