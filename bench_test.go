@@ -1,29 +1,16 @@
-// Package sdsm's top-level benchmarks regenerate every table and figure of
-// the paper's evaluation. Each benchmark runs the corresponding experiment
-// once per iteration and reports the headline quantity as custom metrics
-// (virtual speedups, reduction percentages, primitive latencies), so
-//
-//	go test -bench=. -benchmem
-//
-// reproduces the evaluation and cmd/sdsm-experiments pretty-prints it.
-// EXPERIMENTS.md records a reference run next to the paper's numbers.
-// The sweep benchmarks fan their independent runs across all cores via the
-// harness's experiment scheduler; virtual-time metrics are unaffected.
-//
-// The BenchmarkWire* benchmarks pin the wall-clock cost of the wire
-// codec's hot paths (diff payload encode/decode, full run sweeps); the
-// protocol-side hot paths (diff apply, serve, write-notice encode) are
-// benchmarked in internal/tmk. Together they are the baseline for later
-// performance PRs against the net backend.
+// Package sdsm's top-level benchmarks and allocation gates cover the wire
+// backend's hot paths. runBarrierFlurry, allocsPerIter and benchDiffReply
+// are the fixtures alloc_test.go pins allocation counts with; the
+// BenchmarkWire* benchmarks beside them time the wire codec (diff payload
+// encode/decode, grant round trips). Whole-run host time, per-layer
+// timings and the paper's tables are measured by the benchmark in bench/
+// (bash bench/run.sh) and printed by cmd/sdsm-experiments.
 package sdsm_test
 
 import (
-	"fmt"
 	"runtime"
 	"testing"
 
-	"sdsm/internal/apps"
-	"sdsm/internal/harness"
 	"sdsm/internal/host"
 	"sdsm/internal/model"
 	"sdsm/internal/shm"
@@ -256,172 +243,5 @@ func BenchmarkWireDecodeGrantPiggyback(b *testing.B) {
 		if _, _, err := wire.ParseFrame(buf); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkMicro measures the Section 5 primitives (365 µs roundtrip,
-// 427 µs lock acquire, 893 µs barrier).
-func BenchmarkMicro(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		m, err := harness.Micro()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.ReportMetric(float64(m.RoundTrip.Microseconds()), "roundtrip-µs")
-			b.ReportMetric(float64(m.LockAcquire.Microseconds()), "lock-µs")
-			b.ReportMetric(float64(m.Barrier8.Microseconds()), "barrier8-µs")
-		}
-	}
-}
-
-// BenchmarkTable1 regenerates the uniprocessor execution times.
-func BenchmarkTable1(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := harness.Table1(runtime.GOMAXPROCS(0))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			for _, r := range rows {
-				b.ReportMetric(r.Measured.Seconds(), r.App+"/"+string(r.Set)+"-s")
-			}
-		}
-	}
-}
-
-// BenchmarkTable2 regenerates the segv/msg/data reductions of Opt vs Base.
-func BenchmarkTable2(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := harness.Table2(harness.DefaultProcs, runtime.GOMAXPROCS(0))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			for _, r := range rows {
-				b.ReportMetric(r.MsgPct, r.App+"/"+string(r.Set)+"-msg%")
-			}
-		}
-	}
-}
-
-// BenchmarkFig5 regenerates the four-system speedup comparison; one
-// sub-benchmark per application and data set.
-func BenchmarkFig5(b *testing.B) {
-	for _, a := range apps.Registry() {
-		for _, set := range []apps.DataSet{harness.Large, harness.Small} {
-			a, set := a, set
-			b.Run(fmt.Sprintf("%s/%s", a.Name, set), func(b *testing.B) {
-				uni, err := harness.UniTime(a, set, model.SP2())
-				if err != nil {
-					b.Fatal(err)
-				}
-				for i := 0; i < b.N; i++ {
-					for _, sys := range []harness.SystemKind{harness.Base, harness.Opt, harness.XHPF, harness.PVMe} {
-						if sys == harness.XHPF && !a.XHPF {
-							continue
-						}
-						res, err := harness.Run(harness.Config{App: a, Set: set, System: sys, Procs: harness.DefaultProcs})
-						if err != nil {
-							b.Fatal(err)
-						}
-						if i == 0 {
-							b.ReportMetric(harness.Speedup(uni, res.Time), string(sys)+"-speedup")
-						}
-					}
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkFig6 regenerates the optimization-level sweep.
-func BenchmarkFig6(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := harness.Fig6(harness.DefaultProcs, runtime.GOMAXPROCS(0))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			for _, r := range rows {
-				b.ReportMetric(r.Levels[4], r.App+"/"+string(r.Set)+"-best")
-			}
-		}
-	}
-}
-
-// BenchmarkFig7 regenerates the synchronous vs asynchronous comparison.
-func BenchmarkFig7(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := harness.Fig7(harness.DefaultProcs, runtime.GOMAXPROCS(0))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			for _, r := range rows {
-				b.ReportMetric(r.Async, r.App+"-async")
-				b.ReportMetric(r.Sync, r.App+"-sync")
-			}
-		}
-	}
-}
-
-// BenchmarkAblationProcs extends the evaluation beyond the paper's 8
-// processors (its Section 6.4 conjectures Push grows more beneficial at
-// larger counts): the optimized Jacobi at 2-16 processors.
-func BenchmarkAblationProcs(b *testing.B) {
-	a, err := apps.ByName("jacobi")
-	if err != nil {
-		b.Fatal(err)
-	}
-	uni, err := harness.UniTime(a, harness.Large, model.SP2())
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, n := range []int{2, 4, 8, 16} {
-		n := n
-		b.Run(fmt.Sprintf("procs-%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res, err := harness.Run(harness.Config{App: a, Set: harness.Large, System: harness.Opt, Procs: n})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if i == 0 {
-					b.ReportMetric(harness.Speedup(uni, res.Time), "speedup")
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkAblationPushAtScale quantifies the Push-vs-barrier gain for
-// Jacobi as the processor count grows (the design choice DESIGN.md calls
-// out: barrier replacement matters when synchronization is the bottleneck).
-func BenchmarkAblationPushAtScale(b *testing.B) {
-	a, err := apps.ByName("jacobi")
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, n := range []int{4, 8, 16} {
-		n := n
-		b.Run(fmt.Sprintf("procs-%d", n), func(b *testing.B) {
-			prog := a.Build(n)
-			params := prog.Prepare(a.Sets[harness.Small], n)
-			levels := harness.Levels(a, n, params)
-			for i := 0; i < b.N; i++ {
-				noPush, err := harness.Run(harness.Config{App: a, Set: harness.Small, System: harness.Opt, Procs: n, Level: levels[3]})
-				if err != nil {
-					b.Fatal(err)
-				}
-				withPush, err := harness.Run(harness.Config{App: a, Set: harness.Small, System: harness.Opt, Procs: n, Level: levels[4]})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if i == 0 {
-					gain := 100 * (1 - float64(withPush.Time)/float64(noPush.Time))
-					b.ReportMetric(gain, "push-gain-%")
-				}
-			}
-		})
 	}
 }

@@ -25,7 +25,6 @@ import (
 
 	"sdsm/internal/apps"
 	"sdsm/internal/harness"
-	"sdsm/internal/model"
 	"sdsm/internal/mpnet"
 	"sdsm/internal/obs"
 )
@@ -96,11 +95,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	uni, err := harness.UniTime(a, ds, model.SP2())
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "sdsm-run:", err)
-		os.Exit(1)
-	}
+	uni := harness.UniTime(a, ds)
 
 	fmt.Printf("application:   %s (%s set)\n", a.Name, ds)
 	shownBackend := *backend

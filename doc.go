@@ -9,8 +9,8 @@
 //
 // Start with README.md for a tour, DESIGN.md for the system inventory and
 // the substitution rules (what is simulated and why), and EXPERIMENTS.md
-// for the reproduced evaluation next to the paper's numbers. The top-level
-// benchmarks in bench_test.go regenerate the evaluation; the packages
-// under internal/ implement the system; cmd/ and examples/ are the entry
-// points.
+// for the reproduced evaluation next to the paper's numbers.
+// cmd/sdsm-experiments regenerates the evaluation and bench/ measures the
+// program's own host time; the packages under internal/ implement the
+// system; cmd/ and examples/ are the entry points.
 package sdsm

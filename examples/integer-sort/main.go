@@ -14,7 +14,6 @@ import (
 
 	"sdsm/internal/apps"
 	"sdsm/internal/harness"
-	"sdsm/internal/model"
 )
 
 func main() {
@@ -30,11 +29,7 @@ func main() {
 		fmt.Printf("XHPF stand-in: %v\n\n", err)
 	}
 
-	uni, err := harness.UniTime(a, set, model.SP2())
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
+	uni := harness.UniTime(a, set)
 
 	type out struct {
 		name string

@@ -15,7 +15,6 @@ import (
 	"sdsm/internal/apps"
 	"sdsm/internal/compiler"
 	"sdsm/internal/harness"
-	"sdsm/internal/model"
 	"sdsm/internal/rsd"
 )
 
@@ -42,11 +41,7 @@ func main() {
 	fmt.Println()
 
 	// The run-time side: the four systems of Figure 5.
-	uni, err := harness.UniTime(a, set, model.SP2())
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
+	uni := harness.UniTime(a, set)
 	fmt.Printf("%-28s %12s %8s %6s %10s\n", "system", "time", "speedup", "msgs", "data")
 	for _, sys := range []harness.SystemKind{harness.Base, harness.Opt, harness.XHPF, harness.PVMe} {
 		res, err := harness.Run(harness.Config{App: a, Set: set, System: sys, Procs: *procs, Verify: true})

@@ -60,17 +60,28 @@ func TestSpeedupGuards(t *testing.T) {
 func TestRunRejectsUnknownBackend(t *testing.T) {
 	a, _ := apps.ByName("jacobi")
 	for _, tc := range []struct {
-		name string
-		cfg  Config
-		want string // substring the error must contain
+		name   string
+		cfg    Config
+		want   string // substring the error must contain
+		mpOnly bool   // a DSM option that only a message-passing system must refuse
 	}{
-		{"backend", Config{Procs: 2, Backend: "reall"}, `backend "reall"`},
-		{"zero procs", Config{Procs: 0}, "Procs"},
-		{"negative procs", Config{Procs: -3}, "Procs"},
-		{"fault rank beyond machine", Config{Procs: 3, Fault: &FaultPlan{Rank: 7, Epoch: 1}}, "Fault.Rank"},
-		{"negative fault rank", Config{Procs: 3, Fault: &FaultPlan{Rank: -1, Epoch: 1}}, "Fault.Rank"},
+		{"backend", Config{Procs: 2, Backend: "reall"}, `backend "reall"`, false},
+		{"zero procs", Config{Procs: 0}, "Procs", false},
+		{"negative procs", Config{Procs: -3}, "Procs", false},
+		{"fault rank beyond machine", Config{Procs: 3, Fault: &FaultPlan{Rank: 7, Epoch: 1}}, "Fault.Rank", false},
+		{"negative fault rank", Config{Procs: 3, Fault: &FaultPlan{Rank: -1, Epoch: 1}}, "Fault.Rank", false},
+		{"adapt", Config{Procs: 2, Adapt: true}, "Adapt", true},
+		{"scale", Config{Procs: 2, Scale: true}, "Scale", true},
+		// A message-passing fault is a process kill, placed by AfterFrames
+		// (Epoch is a DSM notion and legitimately zero): only the net
+		// backend has processes to kill. mpnet.TestHarnessMPFault covers
+		// the plan that runs.
+		{"process kill off net", Config{Procs: 3, Backend: BackendSim, Fault: &FaultPlan{Rank: 0, AfterFrames: 3}}, "Fault", true},
 	} {
 		for _, sys := range []SystemKind{Base, PVMe} { // MP systems must validate too
+			if tc.mpOnly && sys == Base {
+				continue
+			}
 			cfg := tc.cfg
 			cfg.App, cfg.Set, cfg.System = a, Small, sys
 			if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
@@ -78,15 +89,8 @@ func TestRunRejectsUnknownBackend(t *testing.T) {
 			}
 		}
 	}
-	// A fault epoch is a DSM notion: message-passing plans place the kill
-	// by AfterFrames and legitimately leave Epoch zero.
-	noEpoch := Config{App: a, Set: Small, Procs: 3, Fault: &FaultPlan{Rank: 1}}
-	noEpoch.System = Base
+	noEpoch := Config{App: a, Set: Small, System: Base, Procs: 3, Fault: &FaultPlan{Rank: 1}}
 	if _, err := Run(noEpoch); err == nil || !strings.Contains(err.Error(), "Fault.Epoch") {
 		t.Errorf("DSM fault without an epoch: error = %v, want one mentioning Fault.Epoch", err)
-	}
-	noEpoch.System = PVMe
-	if _, err := Run(noEpoch); err != nil {
-		t.Errorf("message-passing fault plan without an epoch must run: %v", err)
 	}
 }

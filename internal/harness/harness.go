@@ -126,8 +126,10 @@ type Config struct {
 	// Result.Trace for export (obs.WriteTrace) and snapshotting. On the
 	// sim backend the trace carries the virtual timeline and is
 	// deterministic; on real/net it carries wall clocks. Off by default:
-	// with Trace unset, no tracer exists and every emit site is a nil
-	// check (the golden tables and the alloc gate pin this).
+	// with Trace unset, no tracer exists and every emit site is a call
+	// into tmk's trace.go that returns on its nil test (the golden tables,
+	// the alloc gates and the benchmark's sim-base row pin that this is
+	// free).
 	Trace bool
 	// TraceCap overrides the per-node event ring capacity (0 =
 	// obs.DefaultRingCap). Older events beyond the capacity are dropped
@@ -386,9 +388,19 @@ func runMP(cfg Config, overhead time.Duration) (*Result, error) {
 	if cfg.App.MP == nil {
 		return nil, fmt.Errorf("harness: %s has no message-passing implementation", cfg.App.Name)
 	}
-	if cfg.Trace {
+	// A DSM-only option on a message-passing system would be silently
+	// ignored and the run would still verify: reject it, naming the field.
+	switch {
+	case cfg.Trace:
 		return nil, fmt.Errorf("harness: tracing instruments the DSM protocol; %s has no event trace (worker processes expose a metrics endpoint via %s instead)",
 			cfg.System, mpnet.MetricsEnv)
+	case cfg.Adapt:
+		return nil, fmt.Errorf("harness: Adapt is a DSM protocol mode; %s moves no pages to adapt", cfg.System)
+	case cfg.Scale:
+		return nil, fmt.Errorf("harness: Scale is a DSM protocol mode; %s has no ownership directory", cfg.System)
+	case cfg.Fault != nil && cfg.Backend != BackendNet:
+		return nil, fmt.Errorf("harness: Fault on %s kills a rank's process, which only Backend %q has (got %q): the fault could never fire",
+			cfg.System, BackendNet, cfg.Backend)
 	}
 	if cfg.Backend == BackendNet {
 		opts := mpnet.Options{
@@ -453,10 +465,10 @@ func SeqChecksum(app *apps.App, set apps.DataSet) float64 {
 // UniTime measures the uniprocessor execution time, the basis for
 // speedups. As in the paper, it is the program with all synchronization
 // (and DSM machinery) removed: pure compute.
-func UniTime(app *apps.App, set apps.DataSet, costs model.Costs) (time.Duration, error) {
+func UniTime(app *apps.App, set apps.DataSet) time.Duration {
 	prog := app.Build(1)
 	params := prog.Prepare(app.Sets[set], 1)
-	return interp.SeqTime(prog, params), nil
+	return interp.SeqTime(prog, params)
 }
 
 // Speedup is uniprocessor time over parallel time.

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"sdsm/internal/apps"
-	"sdsm/internal/model"
 )
 
 // sweepWorkers sizes the experiment scheduler's pool for the full-size
@@ -214,10 +213,7 @@ func TestSpeedupScalesWithProcs(t *testing.T) {
 	// Extension: speedups grow with processor count for the well-behaved
 	// codes (the paper's evaluation stops at 8; this guards monotonicity).
 	a, _ := apps.ByName("jacobi")
-	uni, err := UniTime(a, Large, model.SP2())
-	if err != nil {
-		t.Fatal(err)
-	}
+	uni := UniTime(a, Large)
 	prev := 0.0
 	for _, n := range []int{2, 4, 8} {
 		res, err := Run(Config{App: a, Set: Large, System: Opt, Procs: n})

@@ -64,21 +64,27 @@ func appSets() []appSet {
 func Table1(workers int) ([]Table1Row, error) {
 	cases := appSets()
 	rows := make([]Table1Row, len(cases))
-	err := parallelDo(len(cases), workers, func(i int) error {
+	for i, t := range uniTimes(cases, workers) {
 		a, set := cases[i].app, cases[i].set
-		t, err := UniTime(a, set, model.SP2())
-		if err != nil {
-			return err
-		}
 		rows[i] = Table1Row{
 			App: a.Name, Set: set,
 			Params:   paramString(a, set),
 			Measured: t,
 			Paper:    time.Duration(Table1Paper[a.Name+"/"+string(set)] * float64(time.Second)),
 		}
+	}
+	return rows, nil
+}
+
+// uniTimes measures every case's uniprocessor time (the speedup basis of
+// Figures 5 to 7), one sequential run per worker job.
+func uniTimes(cases []appSet, workers int) []time.Duration {
+	out := make([]time.Duration, len(cases))
+	_ = parallelDo(len(cases), workers, func(i int) error { // the job cannot fail
+		out[i] = UniTime(cases[i].app, cases[i].set)
 		return nil
 	})
-	return rows, err
+	return out
 }
 
 // Large/Small/Bound aliases re-exported for callers of the harness.
@@ -131,31 +137,33 @@ func pctReduction(base, opt int64) float64 {
 }
 
 // Table2 runs base and optimized TreadMarks and reports the reductions in
-// page faults, messages, and data, one (app, set) pair per worker job.
+// page faults, messages, and data, one run per worker job.
 func Table2(procs, workers int) ([]Table2Row, error) {
 	cases := appSets()
+	var cells []gridCell
+	for _, c := range cases {
+		base := Config{App: c.app, Set: c.set, System: Base, Procs: procs}
+		opt := base
+		opt.System = Opt
+		cells = append(cells, gridCell{cfg: base}, gridCell{cfg: opt})
+	}
+	runs, err := runGrid(cells, workers)
+	if err != nil {
+		return nil, err
+	}
 	rows := make([]Table2Row, len(cases))
-	err := parallelDo(len(cases), workers, func(i int) error {
-		a, set := cases[i].app, cases[i].set
-		base, err := Run(Config{App: a, Set: set, System: Base, Procs: procs})
-		if err != nil {
-			return err
-		}
-		opt, err := Run(Config{App: a, Set: set, System: Opt, Procs: procs})
-		if err != nil {
-			return err
-		}
-		paper := Table2Paper[a.Name+"/"+string(set)]
+	for i, c := range cases {
+		base, opt := runs[2*i], runs[2*i+1]
+		paper := Table2Paper[c.app.Name+"/"+string(c.set)]
 		rows[i] = Table2Row{
-			App: a.Name, Set: set,
+			App: c.app.Name, Set: c.set,
 			SegvPct:   pctReduction(base.Segv, opt.Segv),
 			MsgPct:    pctReduction(base.Msgs, opt.Msgs),
 			DataPct:   pctReduction(base.Bytes, opt.Bytes),
 			PaperSegv: paper[0], PaperMsg: paper[1], PaperData: paper[2],
 		}
-		return nil
-	})
-	return rows, err
+	}
+	return rows, nil
 }
 
 // Fig5Row is one application/data-set speedup comparison across the four
@@ -167,41 +175,41 @@ type Fig5Row struct {
 }
 
 // Fig5 computes the Figure 5 speedups at the given processor count, one
-// (app, set) pair per worker job.
+// run per worker job.
 func Fig5(procs, workers int) ([]Fig5Row, error) {
 	cases := appSets()
-	rows := make([]Fig5Row, len(cases))
-	err := parallelDo(len(cases), workers, func(i int) error {
-		a, set := cases[i].app, cases[i].set
-		uni, err := UniTime(a, set, model.SP2())
-		if err != nil {
-			return err
-		}
-		row := Fig5Row{App: a.Name, Set: set}
+	var cells []gridCell
+	for _, c := range cases {
 		for _, sys := range []SystemKind{Base, Opt, XHPF, PVMe} {
-			if sys == XHPF && !a.XHPF {
-				continue
-			}
-			res, err := Run(Config{App: a, Set: set, System: sys, Procs: procs})
-			if err != nil {
-				return err
-			}
-			sp := Speedup(uni, res.Time)
-			switch sys {
-			case Base:
-				row.Base = sp
-			case Opt:
-				row.Opt = sp
-			case XHPF:
-				row.XHPF = sp
-			case PVMe:
-				row.PVMe = sp
-			}
+			cells = append(cells, gridCell{
+				cfg: Config{App: c.app, Set: c.set, System: sys, Procs: procs},
+				na:  sys == XHPF && !c.app.XHPF,
+			})
 		}
-		rows[i] = row
-		return nil
-	})
-	return rows, err
+	}
+	runs, err := runGrid(cells, workers)
+	if err != nil {
+		return nil, err
+	}
+	unis := uniTimes(cases, workers)
+	rows := make([]Fig5Row, len(cases))
+	for i, c := range cases {
+		sp := speedups(unis[i], runs[4*i:4*i+4])
+		rows[i] = Fig5Row{App: c.app.Name, Set: c.set, Base: sp[0], Opt: sp[1], XHPF: sp[2], PVMe: sp[3]}
+	}
+	return rows, nil
+}
+
+// speedups converts a case's runs to speedups over its uniprocessor time;
+// a cell that was not run (nil Result) yields 0.
+func speedups(uni time.Duration, runs []RunRow) []float64 {
+	out := make([]float64, len(runs))
+	for i, r := range runs {
+		if r.Result != nil {
+			out[i] = Speedup(uni, r.Time)
+		}
+	}
+	return out
 }
 
 // Fig6Row is one application/data-set speedup sweep over the optimization
@@ -214,48 +222,38 @@ type Fig6Row struct {
 	Applies [5]bool
 }
 
-// Fig6 sweeps the cumulative optimization levels of Figure 6, one
-// (app, set) pair per worker job (the levels within a row stay
-// sequential: inapplicable levels repeat the previous one).
+// Fig6 sweeps the cumulative optimization levels of Figure 6, one run per
+// worker job; an inapplicable level is not run and repeats the previous
+// level's speedup.
 func Fig6(procs, workers int) ([]Fig6Row, error) {
 	cases := appSets()
 	rows := make([]Fig6Row, len(cases))
-	err := parallelDo(len(cases), workers, func(i int) error {
-		a, set := cases[i].app, cases[i].set
-		uni, err := UniTime(a, set, model.SP2())
-		if err != nil {
-			return err
-		}
+	var cells []gridCell
+	for i, c := range cases {
+		a := c.app
+		rows[i] = Fig6Row{App: a.Name, Set: c.set, Applies: [5]bool{true, true, true, a.WSyncApplicable, a.PushApplicable}}
 		prog := a.Build(procs)
-		params := prog.Prepare(a.Sets[set], procs)
-		row := Fig6Row{App: a.Name, Set: set}
-		for li, lvl := range Levels(a, procs, params) {
-			applies := true
-			switch li {
-			case 3:
-				applies = a.WSyncApplicable
-			case 4:
-				applies = a.PushApplicable
-			}
-			row.Applies[li] = applies
-			if !applies {
-				row.Levels[li] = row.Levels[li-1]
-				continue
-			}
-			cfg := Config{App: a, Set: set, System: Opt, Procs: procs, Level: lvl}
+		for li, lvl := range Levels(a, procs, prog.Prepare(a.Sets[c.set], procs)) {
+			cfg := Config{App: a, Set: c.set, System: Opt, Procs: procs, Level: lvl}
 			if lvl == nil {
 				cfg.System = Base
 			}
-			res, err := Run(cfg)
-			if err != nil {
-				return err
-			}
-			row.Levels[li] = Speedup(uni, res.Time)
+			cells = append(cells, gridCell{cfg: cfg, na: !rows[i].Applies[li]})
 		}
-		rows[i] = row
-		return nil
-	})
-	return rows, err
+	}
+	runs, err := runGrid(cells, workers)
+	if err != nil {
+		return nil, err
+	}
+	for i, uni := range uniTimes(cases, workers) {
+		copy(rows[i].Levels[:], speedups(uni, runs[5*i:5*i+5]))
+		for li, applies := range rows[i].Applies {
+			if !applies {
+				rows[i].Levels[li] = rows[i].Levels[li-1]
+			}
+		}
+	}
+	return rows, nil
 }
 
 // Fig7Row compares synchronous and asynchronous data fetching (large data
@@ -265,45 +263,38 @@ type Fig7Row struct {
 	Base, Sync, Async float64
 }
 
-// Fig7 computes the Figure 7 comparison, one application per worker job.
+// Fig7 computes the Figure 7 comparison, one run per worker job.
 func Fig7(procs, workers int) ([]Fig7Row, error) {
-	registry := apps.Registry()
-	rows := make([]Fig7Row, len(registry))
-	err := parallelDo(len(registry), workers, func(i int) error {
-		a := registry[i]
-		uni, err := UniTime(a, Large, model.SP2())
-		if err != nil {
-			return err
-		}
-		base, err := Run(Config{App: a, Set: Large, System: Base, Procs: procs})
-		if err != nil {
-			return err
-		}
-		syncRes, err := Run(Config{App: a, Set: Large, System: Opt, Procs: procs, SyncFetch: true})
-		if err != nil {
-			return err
-		}
-		asyncRes, err := Run(Config{App: a, Set: Large, System: Opt, Procs: procs})
-		if err != nil {
-			return err
-		}
-		rows[i] = Fig7Row{
-			App:   a.Name,
-			Base:  Speedup(uni, base.Time),
-			Sync:  Speedup(uni, syncRes.Time),
-			Async: Speedup(uni, asyncRes.Time),
-		}
-		return nil
-	})
-	return rows, err
+	var cases []appSet
+	var cells []gridCell
+	for _, a := range apps.Registry() {
+		cases = append(cases, appSet{a, Large})
+		base := Config{App: a, Set: Large, System: Base, Procs: procs}
+		async := base
+		async.System = Opt
+		syncFetch := async
+		syncFetch.SyncFetch = true
+		cells = append(cells, gridCell{cfg: base}, gridCell{cfg: syncFetch}, gridCell{cfg: async})
+	}
+	runs, err := runGrid(cells, workers)
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]Fig7Row, len(cases))
+	for i, uni := range uniTimes(cases, workers) {
+		sp := speedups(uni, runs[3*i:3*i+3])
+		rows[i] = Fig7Row{App: cases[i].app.Name, Base: sp[0], Sync: sp[1], Async: sp[2]}
+	}
+	return rows, nil
 }
 
-// RunRow is one run of a comparison grid (Tables A, B and C): which cell
-// it is, plus the run's Result, whose counters the formatters read
-// directly. System is "tmk" (invalidate baseline), "adapt-tmk" (the same
-// system under the run-time adaptive protocol) or "opt-tmk" (the per-app
-// best compiler configuration); a nil Result prints as n/a — the compiler
-// cannot analyze the application.
+// RunRow is one run of a grid (the paper's tables and figures, Tables A, B
+// and C): which cell it is, plus the run's Result, whose counters the
+// formatters read directly. System is the configured system — "tmk" (the
+// invalidate baseline), "opt-tmk" (the per-app best compiler configuration
+// unless the cell sets a level), "xhpf", "pvme" — prefixed "adapt-" under
+// the run-time adaptive protocol; a nil Result is a cell that was not run
+// because the system cannot take the application (it prints as n/a).
 type RunRow struct {
 	App    string
 	Set    apps.DataSet

@@ -1,10 +1,9 @@
 package tmk
 
 import (
-	"sort"
+	"fmt"
 
 	"sdsm/internal/adapt"
-	"sdsm/internal/obs"
 	"sdsm/internal/wire"
 )
 
@@ -18,7 +17,7 @@ const tagAdapt = 102
 // arrival.
 type adaptNode struct {
 	det     *adapt.Detector
-	fetched map[int]bool // pages demand-fetched since the last barrier departure
+	fetched map[int32]bool // pages demand-fetched since the last barrier departure
 }
 
 // EnableAdapt switches the machine to the adaptive update protocol: the
@@ -30,18 +29,97 @@ type adaptNode struct {
 // shared two-writer pages carry sub-page split bindings (DESIGN.md §8).
 // It also arms the lock-scope detectors: each lock's hand-off history
 // drives a per-lock adapt.LockDetector whose bound edges piggyback the
-// predicted critical-section working set on the grant (see lockGrant in
+// predicted critical-section working set on the grant (see grantTo in
 // sync.go). Must be called after New and before Run.
+//
+// This file is also where the protocol's call sites learn that the mode is
+// off: every function below that the base protocol calls unconditionally
+// (noteFetch, fetchedSorted, epochBase, adaptStep, the lock hooks) tests
+// nd.ad or the lock's detector itself and does nothing without one.
 func (s *System) EnableAdapt(cfg adapt.Config) {
 	s.adaptCfg = cfg
 	for _, nd := range s.Nodes {
-		nd.ad = &adaptNode{det: adapt.New(cfg), fetched: map[int]bool{}}
-		nd.ad.det.LogTrans = s.trace != nil
+		nd.ad = &adaptNode{det: adapt.New(cfg), fetched: map[int32]bool{}}
 	}
 }
 
 // adaptOn reports whether the machine runs the adaptive protocol.
 func (s *System) adaptOn() bool { return s.Nodes[0].ad != nil }
+
+// adaptDet returns the lock's detector, creating it on first use when the
+// machine runs the adaptive protocol.
+func (l *lock) adaptDet(s *System) *adapt.LockDetector {
+	if !s.adaptOn() {
+		return nil
+	}
+	if l.det == nil {
+		l.det = adapt.NewLock(s.adaptCfg)
+	}
+	return l.det
+}
+
+// handOff records the hand-off from → to on the lock's detector and returns
+// the pages it predicts the acquirer will fault on in its critical section —
+// the grant's piggyback (buildGrant). Nil without a detector.
+func (l *lock) handOff(s *System, from, to int) []int {
+	if det := l.adaptDet(s); det != nil {
+		return det.Grant(from, to)
+	}
+	return nil
+}
+
+// released reports the departing holder's critical-section fetch set to the
+// lock's detector.
+func (l *lock) released(s *System, fetched []int) {
+	if det := l.adaptDet(s); det != nil {
+		det.Hold(fetched)
+	}
+}
+
+// acquireFloors assembles the applied floors an acquire request carries
+// for chain trimming: when the detector has bound the upcoming hand-off
+// edge (granter → this node), the floors cover the bound pages, so the
+// granter piggybacks only the chain tails the acquirer actually lacks
+// instead of its full cached chains, and their accounted size
+// (wire.FloorBytes) is charged on the request legs. Adapt-off machines —
+// and unbound edges — carry nothing, keeping the request bytes identical
+// to the base protocol. The granter is predicted here, and the prediction
+// is exact: everything from the request to the grant runs under the
+// protocol token, the queue is FIFO, and a queued acquirer is granted by
+// the waiter enqueued directly ahead of it (or the current holder). The
+// read is prediction-only: the detector is neither created nor mutated
+// (the hand-off itself is recorded by handOff at grant time, which may
+// rebind the edge — buildGrant falls back to a zero floor for any pushed
+// page the floors missed).
+func (nd *Node) acquireFloors(l *lock) ([]wire.WSyncNeed, int) {
+	if l.det == nil {
+		return nil, 0
+	}
+	granter := l.lastReleaser
+	if l.holder != -1 {
+		granter = l.holder
+		if n := len(l.queue); n > 0 {
+			granter = l.queue[n-1].id
+		}
+	}
+	if granter == nd.ID {
+		return nil, 0
+	}
+	pages, ok := l.det.Bound(granter, nd.ID)
+	if !ok || len(pages) == 0 {
+		return nil, 0
+	}
+	return []wire.WSyncNeed{nd.appliedRows(pages)}, wire.FloorBytes(len(pages), nd.sys.N())
+}
+
+// newFetchSet returns the page set a newly held lock collects its
+// critical-section demand fetches in (noteFetch); nil off adapt.
+func (nd *Node) newFetchSet() map[int]bool {
+	if nd.ad == nil {
+		return nil
+	}
+	return map[int]bool{}
+}
 
 // noteFetch logs a demand fetch: always as a lock fault when a lock is
 // held (the Table B metric, maintained with or without adaptation), and —
@@ -56,21 +134,49 @@ func (nd *Node) noteFetch(page int) {
 		}
 	}
 	if nd.ad != nil {
-		nd.ad.fetched[page] = true
+		nd.ad.fetched[int32(page)] = true
 	}
 }
 
-// fetchedSorted returns the epoch's demand-fetched pages, sorted.
+// fetchedSorted returns the epoch's demand-fetched pages, sorted — what the
+// node's barrier arrival and its recovery record carry. Nil off adapt.
 func (nd *Node) fetchedSorted() []int32 {
-	if len(nd.ad.fetched) == 0 {
+	if nd.ad == nil {
 		return nil
 	}
-	out := make([]int32, 0, len(nd.ad.fetched))
-	for pg := range nd.ad.fetched {
-		out = append(out, int32(pg))
+	return sortedKeys(nd.ad.fetched)
+}
+
+// epochBase snapshots, at a barrier arrival, the shared vector time of the
+// last departure before this departure overwrites it: adaptStep attributes
+// the intervals in (epochBase, vc] to the ending epoch. Nil off adapt.
+func (nd *Node) epochBase() []int32 {
+	if nd.ad == nil {
+		return nil
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return append([]int32(nil), nd.lastBar...)
+}
+
+// checkpointAdapt adds the adaptive state to a recovery record: the epoch's
+// fetch log and the serialized detector.
+func (nd *Node) checkpointAdapt(ck *wire.Checkpoint) {
+	if nd.ad != nil {
+		ck.Fetched, ck.Adapt = nd.fetchedSorted(), nd.ad.det.Snapshot()
+	}
+}
+
+// restoreAdapt rebuilds the adaptive state from the newest recovery record.
+func (nd *Node) restoreAdapt(ck wire.Checkpoint) {
+	if nd.ad == nil {
+		return
+	}
+	if err := nd.ad.det.RestoreSnapshot(ck.Adapt); err != nil {
+		panic(fmt.Sprintf("tmk: node %d restoring detector: %v", nd.ID, err))
+	}
+	nd.ad.fetched = map[int32]bool{}
+	for _, pg := range ck.Fetched {
+		nd.ad.fetched[pg] = true
+	}
 }
 
 // adaptFetchedBytes is the accounted wire size of one relayed fetch list.
@@ -86,8 +192,11 @@ func adaptFetchedBytes(pages int) int { return 8 + 4*pages }
 // interval records — and the readers from the departure's relayed
 // per-node fetch lists. Both sides of every exchange therefore derive the
 // same send/receive schedule independently, the way Push's send and
-// receive phases already pair up on all backends.
+// receive phases already pair up on all backends. A no-op off adapt.
 func (nd *Node) adaptStep(oldBar []int32, fetched []wire.NodePages) {
+	if nd.ad == nil {
+		return
+	}
 	s := nd.sys
 	ep := adapt.Epoch{Writers: map[int][]adapt.WriteExt{}, Readers: map[int][]int{}}
 	for o := range nd.vc {
@@ -120,6 +229,7 @@ func (nd *Node) adaptStep(oldBar []int32, fetched []wire.NodePages) {
 			ep.Readers[int(pg)] = append(ep.Readers[int(pg)], int(np.Node))
 		}
 	}
+	nd.ad.det.LogTrans = nd.tracing()
 	nd.ad.det.Advance(ep)
 	if nd.ID == 0 {
 		// Detector transitions are machine-global (every replica counts the
@@ -129,26 +239,13 @@ func (nd *Node) adaptStep(oldBar []int32, fetched []wire.NodePages) {
 		nd.Stats.AdaptSplits = st.Splits
 		nd.Stats.AdaptJoins = st.SectionJoins
 		nd.Stats.AdaptDecays = st.Decays
-		if nd.tr != nil {
-			vt, wt := int64(nd.p.Now()), nd.tr.WallNow()
-			for _, t := range nd.ad.det.Trans {
-				nd.tr.Emit(obs.Event{
-					Kind: obs.EvAdapt, VT: vt, WT: wt,
-					Page: int32(t.Page), A: int32(t.Kind),
-				})
-			}
-		}
+		nd.traceAdapt(nd.ad.det.Trans)
 	}
 
 	// The exchange schedule: for every page written this epoch and bound
 	// to update, its producer — or, for split-bound pages, each writing
 	// pair member — pushes this epoch's own diffs to every bound consumer
 	// but itself, one aggregated message per consumer.
-	pages := make([]int, 0, len(ep.Writers))
-	for pg := range ep.Writers {
-		pages = append(pages, pg)
-	}
-	sort.Ints(pages)
 	sends := map[int][]int{} // consumer -> pages this node pushes
 	recvs := map[int]bool{}  // producers this node expects a push from
 	route := func(producer int, consumers []int, pg int) {
@@ -163,7 +260,7 @@ func (nd *Node) adaptStep(oldBar []int32, fetched []wire.NodePages) {
 			}
 		}
 	}
-	for _, pg := range pages {
+	for _, pg := range sortedKeys(ep.Writers) {
 		ws := ep.Writers[pg]
 		if pair, _, consumers, ok := nd.ad.det.Split(pg); ok {
 			// Sub-page binding: every pair member that wrote this epoch
@@ -191,12 +288,7 @@ func (nd *Node) adaptStep(oldBar []int32, fetched []wire.NodePages) {
 	// epoch produced, coalesced into one section span per contiguous run
 	// of compatible headers (wire.CoalesceDiffs), one message per bound
 	// consumer.
-	consumers := make([]int, 0, len(sends))
-	for c := range sends {
-		consumers = append(consumers, c)
-	}
-	sort.Ints(consumers)
-	for _, c := range consumers {
+	for _, c := range sortedKeys(sends) {
 		var ds []wire.Diff
 		for _, pg := range sends[c] {
 			if nd.dirty[pg] {
@@ -228,14 +320,9 @@ func (nd *Node) adaptStep(oldBar []int32, fetched []wire.NodePages) {
 	// memory images. (Split pages receive one span from each half's
 	// producer; their runs are disjoint by the watershed, so the producer
 	// application order cannot affect content.)
-	producers := make([]int, 0, len(recvs))
-	for q := range recvs {
-		producers = append(producers, q)
-	}
-	sort.Ints(producers)
-	for _, q := range producers {
+	for _, q := range sortedKeys(recvs) {
 		m := s.NW.Recv(nd.p, q, tagAdapt)
 		nd.applyDiffs(wire.ExpandSpans(m.Payload.(wire.Update).Spans))
 	}
-	nd.ad.fetched = map[int]bool{}
+	nd.ad.fetched = map[int32]bool{}
 }

@@ -251,11 +251,7 @@ func (nd *Node) applyPushChunk(sender int, ivl int32, ch wire.Chunk) {
 			end = pageEnd
 		}
 		nd.Mem.ApplyRuns(nd.p, pg, []wire.Run{{Off: int32(lo - pg*shm.PageWords), Vals: ch.Vals[lo-int(ch.Lo) : end-int(ch.Lo)]}})
-		if nd.recTouched != nil {
-			// Pushed data moves the image without a diff store; the next
-			// incremental record must frame the page (recovery.go).
-			nd.recTouched[pg] = true
-		}
+		nd.touch(pg) // pushed data moves the image without a diff store
 		// A page only counts as applied when the chunk delivers all of it;
 		// partially pushed pages keep their obligations (the paper: Push
 		// guarantees consistency only for the received sections).

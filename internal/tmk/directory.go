@@ -2,7 +2,9 @@ package tmk
 
 import (
 	"math/bits"
+	"slices"
 
+	"sdsm/internal/vm"
 	"sdsm/internal/wire"
 )
 
@@ -78,6 +80,17 @@ func (s *System) EnableScale() {
 			nd.dirOwner[pg] = -1
 			nd.dirNext[pg] = -1
 		}
+	}
+}
+
+// releaseDirectory hands the directory arrays of a warm-pool node back to
+// its arena (they are arena loans, see EnableScale). Nothing to return off
+// scale.
+func (nd *Node) releaseDirectory(ar *vm.Arena) {
+	if nd.dirOwner != nil {
+		ar.RecycleInt32(nd.dirOwner)
+		ar.RecycleInt32(nd.dirNext)
+		nd.dirOwner, nd.dirNext = nil, nil
 	}
 }
 
@@ -160,13 +173,9 @@ func (nd *Node) chaseRedirects(redirs []wire.PageOwner) {
 		redirs = redirs[:0]
 		var round []wire.Diff
 		for _, r := range sortedKeys(reqs) {
-			pgs := dedupInts(reqs[r])
-			if nd.tr != nil {
-				nd.traceFetchReq(pgs[0], r, len(pgs))
-			}
-			pd := nd.sys.NW.StartRequest(nd.p, r, nd.diffRequest(pgs), 16+8*len(pgs))
+			slices.Sort(reqs[r])
+			pd := nd.startFetch(r, slices.Compact(reqs[r]), false)
 			nd.sys.NW.Await(nd.p, pd)
-			nd.Stats.DiffFetches++
 			nd.Stats.DirHops++
 			rep := pd.Reply.(wire.DiffReply)
 			round = append(round, rep.Diffs...)
@@ -207,7 +216,12 @@ func (nd *Node) chaseRedirects(redirs []wire.PageOwner) {
 // outcome only depends on the barrier structure, not on how splits and
 // re-notices inflate either side's chain). Ties — concurrent writers of
 // a falsely shared page — break on the larger creator id.
+//
+// A no-op off scale: the base protocol calls it at every departure.
 func (nd *Node) resetDirectory() {
+	if nd.dirOwner == nil {
+		return
+	}
 	for pg := range nd.dirOwner {
 		nd.dirOwner[pg] = -1
 		nd.dirNext[pg] = -1

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
 	"sdsm/internal/host"
 	"sdsm/internal/shm"
@@ -116,11 +115,10 @@ func keyOf(d wire.Diff) diffKey {
 // responder, as TreadMarks does per fault), and finally arms write
 // detection for write faults.
 func (nd *Node) Fault(p host.Proc, page int, acc vm.Access) {
-	if nd.tr != nil {
-		// Deferred first, so the span closes after the protection batch
-		// below flushes; the start stamps are evaluated here, at entry.
-		defer nd.traceFault(page, acc, nd.p.Now(), nd.tr.WallNow())
-	}
+	// Deferred first, so the span closes after the protection batch below
+	// flushes; the start stamps are taken here, at entry.
+	vt, wt := nd.traceStart()
+	defer nd.traceFault(page, acc, vt, wt)
 	nd.Mem.BeginProtBatch()
 	defer nd.Mem.FlushProtBatch(nd.p)
 	nd.completeInflight()
@@ -197,16 +195,14 @@ func (nd *Node) closeInterval() {
 	for pg := range nd.dirty {
 		pages = append(pages, pg)
 	}
-	sort.Ints(pages)
+	slices.Sort(pages)
 	nd.pgScratch = pages
 	iv := wire.Interval{Pages: make([]wire.PageRef, len(pages)), VC: append([]int32(nil), nd.vc...)}
 	for i, pg := range pages {
 		iv.Pages[i] = nd.pageRefFor(pg, nd.noTwin[pg], true)
 	}
 	nd.know[nd.ID] = append(nd.know[nd.ID], iv)
-	if nd.tr != nil {
-		nd.traceNotices(iv, idx)
-	}
+	nd.traceNotices(iv, idx)
 	for _, pg := range pages {
 		nd.noteWritten(pg)
 		if nd.noTwin[pg] {
@@ -253,12 +249,7 @@ func (nd *Node) storeOwnDiff(page int, to int32, whole bool, runs []wire.Run) {
 // were handed is a separate copy (toWire), so receivers are unaffected.
 func (nd *Node) storeDiff(d *storedDiff) {
 	pg := int(d.Page)
-	if nd.recTouched != nil {
-		// Recovery is on: the page's diff chain (and, on the apply path,
-		// its image) moved, so the next incremental record must frame it
-		// (recovery.go).
-		nd.recTouched[pg] = true
-	}
+	nd.touch(pg) // the page's diff chain (and, on the apply path, its image) moved
 	cache := nd.diffs[pg]
 	if d.Whole {
 		kept := cache[:0]
@@ -359,7 +350,13 @@ func (nd *Node) invalidate(page int) {
 // single-page interval is closed on the spot so the diff carries a
 // coverage no earlier diff claims. Without the split, two diffs with
 // identical (creator, to) would exist and receivers would drop the newer
-// one.
+// one. The invalidation path must also split for a page whose writes all
+// belong to the open interval while lastDiffed trails vc only because the
+// node closed intervals over other pages: no closed interval names the
+// page, and disarming takes it out of the dirty set, so the closing
+// interval will not name it either — unsplit, the modifications would be
+// cached under an interval no node was ever told about, and lost. (On the
+// serve path the page stays dirty, so the closing interval announces it.)
 //
 // disarm selects what happens to write detection afterwards. On the
 // invalidation path the page loses all access, so the next local write
@@ -375,7 +372,7 @@ func (nd *Node) flushLocalDiff(page int, disarm bool) {
 		return
 	}
 	to := nd.vc[nd.ID]
-	mustSplit := nd.lastDiffed[page] == to
+	mustSplit := nd.lastDiffed[page] == to || disarm && !nd.noticedSince(page, nd.lastDiffed[page])
 	if nd.noTwin[page] {
 		if mustSplit {
 			to = nd.splitInterval(page, true)
@@ -414,6 +411,23 @@ func (nd *Node) flushLocalDiff(page int, disarm bool) {
 		return
 	}
 	nd.Mem.MakeTwin(nd.p, page) // re-arm detection against the served state
+}
+
+// noticedSince reports whether an own interval closed after since names
+// page. A page that was dirty at the last close is named by it (dirty pages
+// are re-noticed at every close), so the walk from the newest interval
+// usually ends at once.
+func (nd *Node) noticedSince(page int, since int32) bool {
+	own := nd.know[nd.ID]
+	for i := len(own) - 1; i >= int(since); i-- {
+		_, found := slices.BinarySearchFunc(own[i].Pages, int32(page), func(r wire.PageRef, pg int32) int {
+			return cmp.Compare(r.Page, pg)
+		})
+		if found {
+			return true
+		}
+	}
+	return false
 }
 
 // splitInterval closes a fresh interval containing just the given page
@@ -486,7 +500,7 @@ func (nd *Node) responderFor(page int) []int {
 	for i, n := range pend {
 		out[i] = int(n.owner)
 	}
-	sort.Ints(out)
+	slices.Sort(out)
 	return out
 }
 
@@ -497,29 +511,16 @@ type inflightFetch struct {
 	pages []int // nil for a single-page fetch
 }
 
-// diffRequest assembles the wire request for a set of pages: the
-// requester's applied timestamps travel with the pages, so the responder
-// needs nothing from the requester's memory.
-func (nd *Node) diffRequest(pages []int) wire.DiffRequest {
-	req := wire.DiffRequest{
-		Req:     int32(nd.ID),
-		Pages:   make([]int32, len(pages)),
-		Applied: make([][]int32, len(pages)),
-	}
-	for i, pg := range pages {
-		req.Pages[i] = int32(pg)
-		req.Applied[i] = append([]int32(nil), nd.applied[pg]...)
-	}
-	return req
-}
-
-// diffRequest1 is diffRequest for the single-page fast path.
-func (nd *Node) diffRequest1(pg int) wire.DiffRequest {
-	return wire.DiffRequest{
-		Req:     int32(nd.ID),
-		Pages:   []int32{int32(pg)},
-		Applied: [][]int32{append([]int32(nil), nd.applied[pg]...)},
-	}
+// startFetch launches one diff exchange: it asks responder r for pages pgs.
+// The requester's applied timestamps travel with the pages (appliedRows),
+// so the responder needs nothing from the requester's memory. direct
+// forbids a directory redirect in the answer (see completeInflight).
+func (nd *Node) startFetch(r int, pgs []int, direct bool) *host.Pending {
+	nd.traceFetchReq(r, pgs)
+	nd.Stats.DiffFetches++
+	rows := nd.appliedRows(pgs)
+	req := wire.DiffRequest{Req: int32(nd.ID), Pages: rows.Pages, Applied: rows.Applied, Direct: direct}
+	return nd.sys.NW.StartRequest(nd.p, r, req, 16+8*len(pgs))
 }
 
 // fetchPages retrieves outstanding modifications for the given pages,
@@ -529,57 +530,36 @@ func (nd *Node) diffRequest1(pg int) wire.DiffRequest {
 // exchanges are left in flight and completed at the next fault on an
 // affected page or at the next synchronization point.
 func (nd *Node) fetchPages(pages []int, async bool) {
+	started := len(nd.inflight)
 	if len(pages) == 1 {
 		// Fast path for the base fault case: one page needs no
-		// responder-aggregation map, and responders are already sorted
-		// (responderFor returns ascending ids).
+		// responder-aggregation map, responders are already sorted
+		// (responderFor returns ascending ids), and the in-flight record
+		// names the page without retaining the caller's slice.
 		pg := pages[0]
 		rs := nd.responderFor(pg)
-		if len(rs) == 0 {
-			return
-		}
-		nd.noteFetch(pg)
-		for _, r := range rs {
-			if nd.tr != nil {
-				nd.traceFetchReq(pg, r, 1)
-			}
-			pd := nd.sys.NW.StartRequest(nd.p, r, nd.diffRequest1(pg), 16+8)
-			nd.inflight = append(nd.inflight, inflightFetch{pd: pd, pg: pg})
-			nd.Stats.DiffFetches++
-		}
-		if !async {
-			nd.completeInflight()
-		}
-		return
-	}
-	reqs := map[int][]int{} // responder -> pages
-	for _, pg := range pages {
-		rs := nd.responderFor(pg)
 		if len(rs) > 0 {
-			nd.noteFetch(pg) // adaptive profiling: this page cost a demand fetch
+			nd.noteFetch(pg)
 		}
 		for _, r := range rs {
-			reqs[r] = append(reqs[r], pg)
+			nd.inflight = append(nd.inflight, inflightFetch{pd: nd.startFetch(r, pages, false), pg: pg})
+		}
+	} else {
+		reqs := map[int][]int{} // responder -> pages
+		for _, pg := range pages {
+			rs := nd.responderFor(pg)
+			if len(rs) > 0 {
+				nd.noteFetch(pg) // adaptive profiling: this page cost a demand fetch
+			}
+			for _, r := range rs {
+				reqs[r] = append(reqs[r], pg)
+			}
+		}
+		for _, r := range sortedKeys(reqs) {
+			nd.inflight = append(nd.inflight, inflightFetch{pd: nd.startFetch(r, reqs[r], false), pages: reqs[r]})
 		}
 	}
-	if len(reqs) == 0 {
-		return
-	}
-	responders := make([]int, 0, len(reqs))
-	for r := range reqs {
-		responders = append(responders, r)
-	}
-	sort.Ints(responders)
-	for _, r := range responders {
-		pgs := reqs[r]
-		if nd.tr != nil {
-			nd.traceFetchReq(pgs[0], r, len(pgs))
-		}
-		pd := nd.sys.NW.StartRequest(nd.p, r, nd.diffRequest(pgs), 16+8*len(pgs))
-		nd.inflight = append(nd.inflight, inflightFetch{pd: pd, pages: pgs})
-		nd.Stats.DiffFetches++
-	}
-	if !async {
+	if !async && len(nd.inflight) > started {
 		nd.completeInflight()
 	}
 }
@@ -618,37 +598,26 @@ func (nd *Node) completeInflight() {
 		if len(redirs) > 0 {
 			nd.chaseRedirects(redirs)
 		}
-		var retry map[int]bool // lazily built: the steady state has no retries
+		var pages []int // pages still owing diffs; the steady state has none
 		for _, f := range fetches {
-			if f.pages == nil {
-				if len(nd.pending[f.pg]) > 0 {
-					if retry == nil {
-						retry = map[int]bool{}
-					}
-					retry[f.pg] = true
-				}
-				continue
+			pgs := f.pages
+			if pgs == nil {
+				pgs = []int{f.pg}
 			}
-			for _, pg := range f.pages {
+			for _, pg := range pgs {
 				if len(nd.pending[pg]) > 0 {
-					if retry == nil {
-						retry = map[int]bool{}
-					}
-					retry[pg] = true
+					pages = append(pages, pg)
 				}
 			}
 		}
-		if len(retry) > 0 {
-			pages := make([]int, 0, len(retry))
-			for pg := range retry {
-				pages = append(pages, pg)
-			}
-			sort.Ints(pages)
+		if len(pages) > 0 {
+			slices.Sort(pages)
+			pages = slices.Compact(pages)
 			// Ask each remaining owner directly; owners can always serve
 			// their own diffs. Direct forbids directory redirects — this is
 			// the forwarding chain's backstop, so the owner must answer with
 			// payload even when its delegation pointer says otherwise.
-			reqs := map[int][]int{}
+			reqs := map[int][]int{} // owner -> pages, ascending, each once
 			for _, pg := range pages {
 				for _, n := range nd.pending[pg] {
 					reqs[int(n.owner)] = append(reqs[int(n.owner)], pg)
@@ -656,15 +625,8 @@ func (nd *Node) completeInflight() {
 			}
 			var round []wire.Diff
 			for _, r := range sortedKeys(reqs) {
-				pgs := dedupInts(reqs[r])
-				if nd.tr != nil {
-					nd.traceFetchReq(pgs[0], r, len(pgs))
-				}
-				dreq := nd.diffRequest(pgs)
-				dreq.Direct = true
-				pd := nd.sys.NW.StartRequest(nd.p, r, dreq, 16+8*len(pgs))
+				pd := nd.startFetch(r, reqs[r], true)
 				nd.sys.NW.Await(nd.p, pd)
-				nd.Stats.DiffFetches++
 				round = append(round, pd.Reply.(wire.DiffReply).Diffs...)
 			}
 			nd.applyDiffs(round)
@@ -864,24 +826,4 @@ func (nd *Node) prunePending(page int) {
 	if len(pend) == 0 && nd.Mem.Prot(page) == vm.NoAccess {
 		nd.Mem.SetProt(nd.p, page, vm.ReadOnly)
 	}
-}
-
-func sortedKeys(m map[int][]int) []int {
-	out := make([]int, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Ints(out)
-	return out
-}
-
-func dedupInts(xs []int) []int {
-	sort.Ints(xs)
-	out := xs[:0]
-	for i, x := range xs {
-		if i == 0 || x != xs[i-1] {
-			out = append(out, x)
-		}
-	}
-	return out
 }

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"sdsm/internal/obs"
 	"sdsm/internal/vm"
 	"sdsm/internal/wire"
 )
@@ -94,6 +93,16 @@ type RecoveryStats struct {
 	Restores        int64 `obs:"recovery.restores"`
 }
 
+// recoveryState is a node's checkpoint bookkeeping: recLast is the vector
+// clock of its previous record (nil before the first), recTouched the
+// pages a diff was stored for or data pushed into since (nil unless
+// EnableRecovery ran), recEpoch the record counter.
+type recoveryState struct {
+	recLast    []int32
+	recTouched map[int]bool
+	recEpoch   int32
+}
+
 // recoveryPoll is the virtual time a failed node burns per check while
 // draining its peers into the barrier before restoring.
 const recoveryPoll = time.Microsecond
@@ -111,10 +120,21 @@ func (s *System) EnableRecovery(cfg RecoveryConfig) {
 	}
 }
 
-// faultsNow reports whether the injected fault fires at this arrival.
-func (nd *Node) faultsNow() bool {
-	f := nd.sys.rec.Fault
-	return f != nil && f.Rank == nd.ID && int64(f.Epoch) == nd.Stats.Barriers
+// touch marks a page whose image or diff chain moved outside the dirty
+// set's view — a diff stored or applied, pushed data written in place — so
+// the next incremental record frames it. Nothing to mark off recovery.
+func (nd *Node) touch(pg int) {
+	if nd.recTouched != nil {
+		nd.recTouched[pg] = true
+	}
+}
+
+// injectFault fires the configured fault if this barrier arrival is its
+// (rank, epoch): the node dies and recovers in place before arriving at b.
+func (nd *Node) injectFault(b *barrier) {
+	if r := nd.sys.rec; r != nil && r.Fault != nil && r.Fault.Rank == nd.ID && int64(r.Fault.Epoch) == nd.Stats.Barriers {
+		nd.failAndRecover(b)
+	}
 }
 
 // writeRecord serializes one recovery record and hands it to the sink.
@@ -125,10 +145,13 @@ func (nd *Node) faultsNow() bool {
 // touched by a diff store or push (recTouched), dirty pages, and pages
 // in own intervals closed since. A page absent from every frame set is
 // provably still zero-filled and untouched, so a restore needs no
-// frame for it.
+// frame for it. A no-op unless recovery is armed.
 func (nd *Node) writeRecord() {
 	s := nd.sys
 	r := s.rec
+	if r == nil {
+		return
+	}
 	n := s.N()
 	nd.recEpoch++
 	full := nd.recLast == nil || r.Every <= 1 || (int(nd.recEpoch)-1)%r.Every == 0
@@ -171,18 +194,13 @@ func (nd *Node) writeRecord() {
 			ck.Diffs = append(ck.Diffs, d.toWire())
 		}
 	}
-	if nd.ad != nil {
-		ck.Fetched = nd.fetchedSorted()
-		ck.Adapt = nd.ad.det.Snapshot()
-	}
-	if nd.dirOwner != nil {
-		// The complete probable-owner map rides every record (it is small:
-		// one pair per hinted page), so a restore takes the newest record's
-		// map alone instead of merging increments.
-		for pg, o := range nd.dirOwner {
-			if o >= 0 {
-				ck.Owners = append(ck.Owners, wire.PageOwner{Page: int32(pg), Owner: o})
-			}
+	nd.checkpointAdapt(&ck)
+	// The complete probable-owner map rides every record (it is small: one
+	// pair per hinted page; none off scale), so a restore takes the newest
+	// record's map alone instead of merging increments.
+	for pg, o := range nd.dirOwner {
+		if o >= 0 {
+			ck.Owners = append(ck.Owners, wire.PageOwner{Page: int32(pg), Owner: o})
 		}
 	}
 	blob, err := wire.AppendFrame(nil, &wire.Frame{Kind: wire.FCkpt, From: int32(nd.ID), Payload: ck})
@@ -199,16 +217,7 @@ func (nd *Node) writeRecord() {
 		nd.RecStats.FullCheckpoints++
 	}
 	nd.RecStats.CheckpointBytes += int64(len(blob))
-	if nd.tr != nil {
-		var b int32
-		if full {
-			b = 1
-		}
-		nd.tr.Emit(obs.Event{
-			Kind: obs.EvCkpt, VT: int64(nd.p.Now()), WT: nd.tr.WallNow(),
-			A: int32(len(blob)), B: b, C: ck.Epoch,
-		})
-	}
+	nd.traceCkpt(len(blob), full, ck.Epoch)
 }
 
 // recordPages returns the sorted page set a record must frame.
@@ -235,12 +244,7 @@ func (nd *Node) recordPages(full bool, base []int32) []int {
 			set[int(ref.Page)] = true
 		}
 	}
-	pages = make([]int, 0, len(set))
-	for pg := range set {
-		pages = append(pages, pg)
-	}
-	sort.Ints(pages)
-	return pages
+	return sortedKeys(set)
 }
 
 // rowNonZero reports whether any applied timestamp in the row is set.
@@ -263,20 +267,16 @@ func rowNonZero(row []int32) bool {
 // backends with real connections), wipes its memory image and protocol
 // state, restores from the sink, and reattaches. Returning, the node
 // proceeds into the barrier as the last arriver and so runs the barrier
-// itself.
+// itself. (A single node has no peers to drain and nothing new to record.)
 func (nd *Node) failAndRecover(b *barrier) {
 	s := nd.sys
 	if len(nd.held) > 0 {
 		panic("tmk: injected fault while holding a lock")
 	}
 	nd.RecStats.Failures++
-	if nd.tr != nil {
-		nd.tr.Emit(obs.Event{
-			Kind: obs.EvRecover, VT: int64(nd.p.Now()), WT: nd.tr.WallNow(),
-			A: 0, Peer: int32(nd.ID),
-		})
-	}
-	if b != nil {
+	vt, wt := nd.traceStart()
+	nd.traceRecover(0, vt, wt)
+	if s.N() > 1 {
 		for len(b.arrivals) < s.N()-1 {
 			nd.p.End()
 			nd.p.Advance(recoveryPoll)
@@ -287,11 +287,7 @@ func (nd *Node) failAndRecover(b *barrier) {
 		nd.writeRecord()
 	}
 	rec, _ := s.NW.(Recoverer)
-	var rvt time.Duration
-	var rwt int64
-	if nd.tr != nil {
-		rvt, rwt = nd.p.Now(), nd.tr.WallNow()
-	}
+	vt, wt = nd.traceStart()
 	if rec != nil {
 		if err := rec.Detach(nd.ID); err != nil {
 			panic(fmt.Sprintf("tmk: detaching node %d: %v", nd.ID, err))
@@ -305,13 +301,7 @@ func (nd *Node) failAndRecover(b *barrier) {
 		}
 	}
 	nd.RecStats.Restores++
-	if nd.tr != nil {
-		nd.tr.Emit(obs.Event{
-			Kind: obs.EvRecover, VT: int64(rvt), WT: rwt,
-			Dur: int64(nd.p.Now() - rvt), WDur: nd.tr.WallNow() - rwt,
-			A: 1, Peer: int32(nd.ID),
-		})
-	}
+	nd.traceRecover(1, vt, wt)
 }
 
 // wipe discards everything a restore rebuilds: the memory image (with
@@ -439,24 +429,14 @@ func (nd *Node) restore() {
 		}
 		nd.Mem.SetProtInit(pg, vm.NoAccess)
 	}
-	if nd.ad != nil {
-		if err := nd.ad.det.RestoreSnapshot(last.Adapt); err != nil {
-			panic(fmt.Sprintf("tmk: node %d restoring detector: %v", nd.ID, err))
-		}
-		nd.ad.fetched = map[int]bool{}
-		for _, pg := range last.Fetched {
-			nd.ad.fetched[int(pg)] = true
-		}
-	}
-	if nd.dirOwner != nil {
-		// wipe reset both directory arrays; the newest record carries the
-		// complete probable-owner map, so no merge across the chain. The
-		// delegation pointers (dirNext) restart empty — they are routing
-		// hints whose loss only costs the first post-restore requester a
-		// payload serve from this node instead of a redirect.
-		for _, po := range last.Owners {
-			nd.dirOwner[po.Page] = po.Owner
-		}
+	nd.restoreAdapt(last)
+	// wipe reset both directory arrays; the newest record carries the
+	// complete probable-owner map (empty off scale), so no merge across the
+	// chain. The delegation pointers (dirNext) restart empty — they are
+	// routing hints whose loss only costs the first post-restore requester
+	// a payload serve from this node instead of a redirect.
+	for _, po := range last.Owners {
+		nd.dirOwner[po.Page] = po.Owner
 	}
 	nd.recLast = append([]int32(nil), last.VC...)
 	nd.recEpoch = last.Epoch

@@ -175,7 +175,7 @@ func TestScaleRandomMigrationNet(t *testing.T) {
 					base := ((node + rot) % n) * chunk
 					for k := 0; k < 1+rng.intn(2); k++ {
 						lo := base + rng.intn(chunk-1)
-						hi := lo + 1 + rng.intn(minI(chunk-(lo-base)-1, 300))
+						hi := lo + 1 + rng.intn(min(chunk-(lo-base)-1, 300))
 						schedule[rd] = append(schedule[rd], randWrite{
 							node: node, lo: lo, hi: hi,
 							val: float64(rd*1000 + node*10 + k),

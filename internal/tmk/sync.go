@@ -1,14 +1,13 @@
 package tmk
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"time"
 
 	"sdsm/internal/adapt"
 	"sdsm/internal/host"
-	"sdsm/internal/obs"
 	"sdsm/internal/shm"
 	"sdsm/internal/wire"
 )
@@ -37,24 +36,12 @@ type lock struct {
 	queue        []*lockWaiter
 	det          *adapt.LockDetector
 
-	// grantSeq numbers this lock's grants for trace flow arrows (advanced
-	// only when tracing is on). Like the rest of the control state it is
-	// machine-shared on every backend, and the acquirer can read the
-	// sequence of its own grant after waking: no later grant of this lock
-	// can exist until the new holder releases.
+	// grantSeq numbers this lock's grants for trace flow arrows (advanced by
+	// traceGrant, so only when tracing is on). Like the rest of the control
+	// state it is machine-shared on every backend, and the acquirer can read
+	// the sequence of its own grant after waking: no later grant of this
+	// lock can exist until the new holder releases.
 	grantSeq int32
-}
-
-// adaptDet returns the lock's detector, creating it on first use when the
-// machine runs the adaptive protocol.
-func (l *lock) adaptDet(s *System) *adapt.LockDetector {
-	if !s.adaptOn() {
-		return nil
-	}
-	if l.det == nil {
-		l.det = adapt.NewLock(s.adaptCfg)
-	}
-	return l.det
 }
 
 // lockWaiter is a queued acquire: the waiter's identity plus the
@@ -219,7 +206,7 @@ func (nd *Node) usablePushed(served, pushed []wire.Diff) []wire.Diff {
 		pages[int(d.Page)] = append(pages[int(d.Page)], d)
 	}
 	var out []wire.Diff
-	for _, pg := range sortedPageKeys(pages) {
+	for _, pg := range sortedKeys(pages) {
 		staged := append([]wire.Diff(nil), pages[pg]...)
 		for _, d := range served {
 			if int(d.Page) == pg {
@@ -262,17 +249,11 @@ func (nd *Node) usablePushed(served, pushed []wire.Diff) []wire.Diff {
 	return out
 }
 
-func sortedPageKeys(m map[int][]wire.Diff) []int {
-	out := make([]int, 0, len(m))
-	for pg := range m {
-		out = append(out, pg)
-	}
-	sort.Ints(out)
-	return out
-}
-
 // Acquire obtains lock id, receiving the releaser's write notices
-// (invalidations happen here, per lazy release consistency).
+// (invalidations happen here, per lazy release consistency). The request
+// goes to the lock's home, which forwards it to whoever will build the
+// grant: the holder, at its release (the acquirer queues and blocks), or —
+// the lock being free — the last releaser, now.
 func (nd *Node) Acquire(id int) {
 	nd.p.Begin()
 	defer nd.p.End()
@@ -280,152 +261,83 @@ func (nd *Node) Acquire(id int) {
 	defer nd.Mem.FlushProtBatch(nd.p)
 	nd.completeInflight()
 	nd.Stats.LockAcquires++
-	var avt time.Duration
-	var awt int64
-	if nd.tr != nil {
-		avt, awt = nd.p.Now(), nd.tr.WallNow()
-	}
+	avt, awt := nd.traceStart()
 	s := nd.sys
 	c := s.Costs
+	// The grant stays empty, and its trace sequence zero, when none crosses
+	// nodes: a single node, or re-acquiring a lock this node released last.
+	var g wire.Grant
+	var seq int32
 	if s.N() == 1 {
 		nd.p.Charge(c.LockMgmt)
-		nd.consumeWSync()
-		nd.pushHeld(id)
-		if nd.tr != nil {
-			nd.traceLockAcq(id, 0, avt, awt)
-		}
-		return
-	}
-	l := s.lock(id)
-	// Chain-trim: when the detector has bound the upcoming hand-off edge,
-	// the acquire request carries the acquirer's applied floors for the
-	// bound pages, so the granter piggybacks only the chain tails the
-	// acquirer actually lacks instead of its full cached chains. The
-	// granter is predicted here, and the prediction is exact: everything
-	// from this request to the grant runs under the protocol token, the
-	// queue is FIFO, and a queued acquirer is granted by the waiter
-	// enqueued directly ahead of it (or the current holder).
-	floors, floorBytes := nd.acquireFloors(l)
-	t := nd.p.Now()
-	if l.home != nd.ID {
-		t = s.NW.Message(nd.ID, l.home, t, floorBytes)
-	}
-	s.H.Proc(l.home).Charge(c.LockMgmt)
-	t += c.LockMgmt
-
-	if l.holder != -1 {
-		if l.holder != l.home {
-			t = s.NW.Message(l.home, l.holder, t, floorBytes)
-			s.H.Proc(l.holder).Charge(c.LockMgmt)
-			t += c.LockMgmt
-		}
-		info := nd.syncInfo()
-		info.Floors = floors
-		l.queue = append(l.queue, &lockWaiter{id: nd.ID, p: nd.p, info: info, tAtHolder: t})
-		nd.p.Block("lock")
-		g := s.NW.TakeHand(nd.p, slotGrant).(wire.Grant)
-		nd.applyGrant(g)
-		nd.pushHeld(id)
-		if nd.tr != nil {
-			nd.traceLockAcq(id, l.grantSeq, avt, awt)
-		}
-		return
-	}
-
-	l.holder = nd.ID
-	r := l.lastReleaser
-	if r == nd.ID {
-		// Re-acquiring a lock we released last: nothing new to learn. The
-		// detector still records the self hand-off — it is part of the
-		// lock's serialized chain (never bound: there is nothing to
-		// piggyback to yourself).
-		if det := l.adaptDet(s); det != nil {
-			det.Grant(nd.ID, nd.ID)
-		}
+	} else {
+		l := s.lock(id)
+		floors, floorBytes := nd.acquireFloors(l)
+		t := nd.p.Now()
 		if l.home != nd.ID {
-			t = s.NW.Message(l.home, nd.ID, t, 0)
+			t = s.NW.Message(nd.ID, l.home, t, floorBytes)
 		}
-		nd.p.SetClock(t)
-		nd.consumeWSync()
-		nd.pushHeld(id)
-		if nd.tr != nil {
-			nd.traceLockAcq(id, 0, avt, awt)
-		}
-		return
-	}
-	if r != l.home {
-		t = s.NW.Message(l.home, r, t, floorBytes)
-		s.H.Proc(r).Charge(c.LockMgmt)
+		s.H.Proc(l.home).Charge(c.LockMgmt)
 		t += c.LockMgmt
-	}
-	// The last releaser may be mid-computation on the real host; Hold
-	// serializes the grant construction (which may flush its diffs)
-	// against its compute section. The grant itself is a wire value built
-	// from the acquirer's presented info. The lock detector's hand-off
-	// record and piggyback decision happen here too: both run under the
-	// protocol-section token, in the lock's serialized order.
-	info := nd.syncInfo()
-	info.Floors = floors
-	var g wire.Grant
-	nd.p.Hold(s.Nodes[r].p, func() {
-		var pushPages []int
-		if det := l.adaptDet(s); det != nil {
-			pushPages = det.Grant(r, nd.ID)
+		granter := l.holder
+		if granter == -1 {
+			granter = l.lastReleaser
 		}
-		g = s.Nodes[r].buildGrant(nd.ID, info, pushPages)
-	})
-	if nd.tr != nil {
-		l.grantSeq++
-		s.traceGrant(s.Nodes[r], id, nd.ID, g, l.grantSeq)
+		if l.holder == -1 && granter == nd.ID {
+			// Nothing new to learn; the home just answers. The detector
+			// still records the self hand-off — it is part of the lock's
+			// serialized chain (never bound: there is nothing to piggyback
+			// to yourself).
+			l.holder = nd.ID
+			l.handOff(s, nd.ID, nd.ID)
+			if l.home != nd.ID {
+				t = s.NW.Message(l.home, nd.ID, t, 0)
+			}
+			nd.p.SetClock(t)
+		} else {
+			if granter != l.home {
+				t = s.NW.Message(l.home, granter, t, floorBytes)
+				s.H.Proc(granter).Charge(c.LockMgmt)
+				t += c.LockMgmt
+			}
+			info := nd.syncInfo()
+			info.Floors = floors
+			if l.holder != -1 {
+				l.queue = append(l.queue, &lockWaiter{id: nd.ID, p: nd.p, info: info, tAtHolder: t})
+				nd.p.Block("lock")
+				g = s.NW.TakeHand(nd.p, slotGrant).(wire.Grant)
+			} else {
+				// The last releaser may be mid-computation on the real
+				// host; Hold serializes the grant construction (which may
+				// flush its diffs) against its compute section.
+				l.holder = nd.ID
+				from := s.Nodes[granter]
+				var built wire.Grant // the closure's own variable: g stays off the heap on the other paths
+				nd.p.Hold(from.p, func() { built = from.grantTo(l, nd.ID, info) })
+				g = built
+				s.H.Proc(granter).Charge(c.LockMgmt)
+				t += c.LockMgmt
+				nd.p.SetClock(s.NW.Message(granter, nd.ID, t, int(g.Bytes)))
+			}
+			// No later grant of this lock can exist until this node releases.
+			seq = l.grantSeq
+		}
 	}
-	s.H.Proc(r).Charge(c.LockMgmt)
-	t += c.LockMgmt
-	t = s.NW.Message(r, nd.ID, t, int(g.Bytes))
-	nd.p.SetClock(t)
 	nd.applyGrant(g)
 	nd.pushHeld(id)
-	if nd.tr != nil {
-		nd.traceLockAcq(id, l.grantSeq, avt, awt)
-	}
+	nd.traceLockAcq(id, seq, avt, awt)
 }
 
-// acquireFloors assembles the applied floors an acquire request carries
-// for chain trimming: if the lock detector has bound the predicted
-// hand-off edge (granter → this node), the floors cover the bound pages
-// and their accounted size (wire.FloorBytes) is charged on the request
-// legs. Adapt-off machines — and unbound edges — carry nothing, keeping
-// the request bytes identical to the base protocol. The read is
-// prediction-only: the detector is neither created nor mutated here (the
-// hand-off itself is recorded by det.Grant at grant time, which may
-// rebind the edge — buildGrant falls back to a zero floor for any pushed
-// page the floors missed).
-func (nd *Node) acquireFloors(l *lock) ([]wire.WSyncNeed, int) {
-	if l.det == nil {
-		return nil, 0
-	}
-	granter := l.lastReleaser
-	if l.holder != -1 {
-		granter = l.holder
-		if n := len(l.queue); n > 0 {
-			granter = l.queue[n-1].id
-		}
-	}
-	if granter == nd.ID {
-		return nil, 0
-	}
-	pages, ok := l.det.Bound(granter, nd.ID)
-	if !ok || len(pages) == 0 {
-		return nil, 0
-	}
-	need := wire.WSyncNeed{
-		Pages:   make([]int32, len(pages)),
-		Applied: make([][]int32, len(pages)),
-	}
-	for i, pg := range pages {
-		need.Pages[i] = int32(pg)
-		need.Applied[i] = append([]int32(nil), nd.applied[pg]...)
-	}
-	return []wire.WSyncNeed{need}, wire.FloorBytes(len(pages), nd.sys.N())
+// grantTo builds, at the granting node, the grant that hands lock l to
+// acquirer to, from the synchronization info the acquirer presented — a
+// wire value either way, staged or returned by the caller. The lock
+// detector's hand-off record and piggyback decision happen here: both
+// callers run under the protocol-section token, in the lock's serialized
+// order.
+func (nd *Node) grantTo(l *lock, to int, info wire.SyncInfo) wire.Grant {
+	g := nd.buildGrant(to, info, l.handOff(nd.sys, nd.ID, to))
+	nd.traceGrant(l, to, g)
+	return g
 }
 
 // Release ends the critical section: the open interval closes (a release
@@ -438,13 +350,8 @@ func (nd *Node) Release(id int) {
 	defer nd.Mem.FlushProtBatch(nd.p)
 	nd.completeInflight()
 	nd.closeInterval()
+	nd.traceLockRel(id)
 	s := nd.sys
-	if nd.tr != nil {
-		nd.tr.Emit(obs.Event{
-			Kind: obs.EvLockRel, VT: int64(nd.p.Now()), WT: nd.tr.WallNow(),
-			A: int32(id),
-		})
-	}
 	if s.N() == 1 {
 		nd.popHeld(id)
 		return
@@ -455,11 +362,7 @@ func (nd *Node) Release(id int) {
 	}
 	// The departing holder's critical-section fetch report closes its
 	// observation on the lock's chain before any hand-off is decided.
-	fetched := nd.popHeld(id)
-	det := l.adaptDet(s)
-	if det != nil {
-		det.Hold(fetched)
-	}
+	l.released(s, nd.popHeld(id))
 	l.lastReleaser = nd.ID
 	if len(l.queue) == 0 {
 		l.holder = -1
@@ -468,20 +371,8 @@ func (nd *Node) Release(id int) {
 	w := l.queue[0]
 	l.queue = l.queue[1:]
 	l.holder = w.id
-	var pushPages []int
-	if det != nil {
-		pushPages = det.Grant(nd.ID, w.id)
-	}
-	g := nd.buildGrant(w.id, w.info, pushPages)
-	if nd.tr != nil {
-		l.grantSeq++
-		s.traceGrant(nd, id, w.id, g, l.grantSeq)
-	}
-	t := nd.p.Now()
-	if w.tAtHolder > t {
-		t = w.tAtHolder
-	}
-	t += s.Costs.LockMgmt
+	g := nd.grantTo(l, w.id, w.info)
+	t := max(nd.p.Now(), w.tAtHolder) + s.Costs.LockMgmt
 	t = s.NW.Message(nd.ID, w.id, t, int(g.Bytes))
 	s.NW.Hand(nd.p, w.id, slotGrant, g)
 	nd.p.Wake(w.p, t)
@@ -556,76 +447,28 @@ func (nd *Node) Barrier(id int) {
 	nd.closeInterval()
 	nd.Stats.Barriers++
 	s := nd.sys
-	if s.rec != nil {
-		// Log before send: the record is durable before the arrival —
-		// the first message derived from this epoch's state — is built.
-		nd.writeRecord()
-	}
-	if s.N() == 1 {
-		if s.rec != nil && nd.faultsNow() {
-			nd.failAndRecover(nil)
-		}
-		if nd.tr != nil {
-			avt, awt := nd.p.Now(), nd.tr.WallNow()
-			nd.tr.Emit(obs.Event{
-				Kind: obs.EvBarArrive, VT: int64(avt), WT: awt,
-				A: int32(id), B: int32(nd.Stats.Barriers),
-			})
-			nd.consumeWSync()
-			nd.traceBarDepart(id, int32(nd.Stats.Barriers), avt, awt)
-			return
-		}
-		nd.consumeWSync()
-		return
-	}
-	var oldBar []int32
-	if nd.ad != nil {
-		// Snapshot the shared epoch base before departure overwrites it:
-		// the adaptive step attributes the intervals in (oldBar, vc] to the
-		// ending epoch.
-		oldBar = append([]int32(nil), nd.lastBar...)
-	}
+	// Log before send: the recovery record is durable before the arrival —
+	// the first message derived from this epoch's state — is built.
+	nd.writeRecord()
+	oldBar := nd.epochBase()
 	b := s.barrier(id)
-	if s.rec != nil && nd.faultsNow() {
-		nd.failAndRecover(b)
-	}
-	info := nd.syncInfo()
-	arr := wire.Arrival{VC: info.VC, Intervals: nd.intervalsSince(nd.lastBar), Needs: info.Needs}
-	if nd.ad != nil {
-		arr.Fetched = nd.fetchedSorted()
-	}
-	var avt time.Duration
-	var awt int64
-	if nd.tr != nil {
-		avt, awt = nd.p.Now(), nd.tr.WallNow()
-		nd.tr.Emit(obs.Event{
-			Kind: obs.EvBarArrive, VT: int64(avt), WT: awt,
-			A: int32(id), B: int32(nd.Stats.Barriers),
-		})
-	}
-	b.arrivals = append(b.arrivals, barrierArrival{
-		id: nd.ID, p: nd.p, at: nd.p.Now(), arr: arr,
-	})
-	if len(b.arrivals) < s.N() {
-		nd.p.Block("barrier")
-		dep := nd.postBarrier()
-		if nd.tr != nil {
-			nd.traceBarDepart(id, int32(nd.Stats.Barriers), avt, awt)
+	nd.injectFault(b)
+	avt, awt := nd.traceBarArrive(id)
+	if s.N() > 1 {
+		info := nd.syncInfo()
+		b.arrivals = append(b.arrivals, barrierArrival{id: nd.ID, p: nd.p, at: nd.p.Now(), arr: wire.Arrival{
+			VC: info.VC, Intervals: nd.intervalsSince(nd.lastBar), Needs: info.Needs, Fetched: nd.fetchedSorted(),
+		}})
+		if len(b.arrivals) < s.N() {
+			nd.p.Block("barrier")
+		} else {
+			s.runBarrier(b, nd)
+			b.arrivals = b.arrivals[:0]
 		}
-		if nd.ad != nil {
-			nd.adaptStep(oldBar, dep.Fetched)
-		}
-		return
 	}
-	s.runBarrier(b, nd)
-	b.arrivals = b.arrivals[:0]
 	dep := nd.postBarrier()
-	if nd.tr != nil {
-		nd.traceBarDepart(id, int32(nd.Stats.Barriers), avt, awt)
-	}
-	if nd.ad != nil {
-		nd.adaptStep(oldBar, dep.Fetched)
-	}
+	nd.traceBarDepart(id, avt, awt)
+	nd.adaptStep(oldBar, dep.Fetched)
 }
 
 // runBarrier executes the master logic in the last arriver's context,
@@ -723,12 +566,7 @@ func (s *System) runBarrier(b *barrier, executor *Node) {
 						nServed++
 					}
 				}
-				if nServed > 0 && resp.tr != nil {
-					resp.tr.Emit(obs.Event{
-						Kind: obs.EvWSync, VT: int64(resp.p.Now()), WT: resp.tr.WallNow(),
-						Page: int32(wp.pg), Peer: int32(a.id), A: nServed,
-					})
-				}
+				resp.traceWSync(wp.pg, a.id, nServed)
 			}
 		}
 		allWS = append(allWS, rw)
@@ -762,7 +600,7 @@ func (s *System) runBarrier(b *barrier, executor *Node) {
 				fetchedBytes += s.relayFetchedBytes(a.arr.Fetched)
 			}
 		}
-		sort.Slice(fetched, func(i, j int) bool { return fetched[i].Node < fetched[j].Node })
+		slices.SortFunc(fetched, func(x, y wire.NodePages) int { return cmp.Compare(x.Node, y.Node) })
 	}
 
 	// Departure messages, serialized at the master; Validate_w_sync
@@ -823,10 +661,14 @@ func (s *System) runBarrier(b *barrier, executor *Node) {
 // postBarrier consumes the departure message staged by runBarrier:
 // departure time, missing write notices, and Validate_w_sync data. It
 // returns the departure so the adaptive step can read the relayed fetch
-// observations.
+// observations. A single node has no master to hear from: its departure
+// is empty and its clock stays.
 func (nd *Node) postBarrier() wire.Depart {
-	d := nd.sys.NW.TakeHand(nd.p, slotDepart).(wire.Depart)
-	nd.p.SetClock(time.Duration(d.Time))
+	var d wire.Depart
+	if nd.sys.N() > 1 {
+		d = nd.sys.NW.TakeHand(nd.p, slotDepart).(wire.Depart)
+		nd.p.SetClock(time.Duration(d.Time))
+	}
 	for _, oi := range d.Intervals {
 		if int(oi.Owner) == nd.ID {
 			continue
@@ -835,12 +677,10 @@ func (nd *Node) postBarrier() wire.Depart {
 	}
 	nd.applyDiffs(d.Served)
 	nd.consumeWSync()
-	if nd.dirOwner != nil {
-		// Rebuild the ownership directory from the merged notice set before
-		// the epoch base advances: mid-epoch hints depend on serve order,
-		// which the concurrent backends do not reproduce (directory.go).
-		nd.resetDirectory()
-	}
+	// Rebuild the ownership directory from the merged notice set before the
+	// epoch base advances: mid-epoch hints depend on serve order, which the
+	// concurrent backends do not reproduce (directory.go).
+	nd.resetDirectory()
 	// After a departure every node holds the same merged vector time; the
 	// snapshot bounds the next arrival's interval delta.
 	copy(nd.lastBar, nd.vc)

@@ -24,6 +24,22 @@
 // recovers the push benefit at run time for accesses the compiler cannot
 // analyze, at section and sub-page granularity (DESIGN.md §6–§8).
 //
+// The protocol lives in protocol.go (intervals, twins and diffs, fetch and
+// serve), sync.go (locks and barriers), augment.go (the compiler calls) and
+// this file. The four opt-in modes stand beside it, one file each: adapt.go
+// (EnableAdapt), directory.go (EnableScale), recovery.go (EnableRecovery)
+// and trace.go (EnableTrace). The protocol files call a mode's functions
+// unconditionally at the points it attaches to — a page demand-fetched, an
+// interval closed, a barrier arrival and departure, a grant being built, a
+// diff stored — and the mode's own file holds the one test of whether the
+// mode is armed, returning at once when it is not. What remains in the
+// protocol files of any mode is a choice of byte formula the goldens pin
+// (adaptOn for Interval.AccountedBytes and the fetch-list relay, scale for
+// relay-once pricing and the redirect answer in serveDiffs), never whether
+// a mode runs. That a call into an unarmed mode is free is measured, not
+// assumed: the allocation gates (root alloc_test.go) and the benchmark's
+// sim-base row.
+//
 // Three invariants are load-bearing for every feature that moves diffs,
 // learned from lost updates the cross-backend stress tests found:
 //
@@ -63,8 +79,10 @@
 package tmk
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"time"
 
 	"sdsm/internal/adapt"
@@ -278,16 +296,10 @@ func (s *System) serve(p host.Proc, at int, req any) (any, int) {
 	// provides the exclusion — and the happens-before edge — against nd's
 	// compute sections.
 	nd.srvReq = r
-	var svt time.Duration
-	var swt int64
-	if nd.tr != nil {
-		svt, swt = nd.p.Now(), nd.tr.WallNow()
-	}
+	svt, swt := nd.traceStart()
 	p.Hold(nd.p, nd.srvFn)
 	out, redir, bytes := nd.srvOut, nd.srvRedir, nd.srvBytes
-	if nd.tr != nil {
-		nd.traceServe(int(r.Req), r.Pages, out, bytes, svt, swt)
-	}
+	nd.traceServe(int(r.Req), r.Pages, out, bytes, svt, swt)
 	nd.srvReq, nd.srvOut, nd.srvRedir = wire.DiffRequest{}, nil, nil
 	return wire.DiffReply{Diffs: out, Redirects: redir}, bytes
 }
@@ -316,11 +328,7 @@ func (s *System) ReleaseWarm() {
 		if ar == nil {
 			continue
 		}
-		if nd.dirOwner != nil {
-			ar.RecycleInt32(nd.dirOwner)
-			ar.RecycleInt32(nd.dirNext)
-			nd.dirOwner, nd.dirNext = nil, nil
-		}
+		nd.releaseDirectory(ar)
 		nd.Mem.Release()
 		ar.ReleaseData()
 	}
@@ -404,17 +412,25 @@ func (nd *Node) syncInfo() wire.SyncInfo {
 	copy(nd.vcScratch, nd.vc)
 	info := wire.SyncInfo{VC: nd.vcScratch}
 	for _, ws := range nd.wsync {
-		need := wire.WSyncNeed{
-			Pages:   make([]int32, len(ws.pages)),
-			Applied: make([][]int32, len(ws.pages)),
-		}
-		for i, pg := range ws.pages {
-			need.Pages[i] = int32(pg)
-			need.Applied[i] = append([]int32(nil), nd.applied[pg]...)
-		}
-		info.Needs = append(info.Needs, need)
+		info.Needs = append(info.Needs, nd.appliedRows(ws.pages))
 	}
 	return info
+}
+
+// appliedRows pairs pages with a copy of each one's applied row: the form in
+// which a requester presents what it already has — Validate_w_sync needs,
+// lock-grant floors, diff requests — so the responder filters against the
+// message and never reads the requester's memory.
+func (nd *Node) appliedRows(pages []int) wire.WSyncNeed {
+	need := wire.WSyncNeed{
+		Pages:   make([]int32, len(pages)),
+		Applied: make([][]int32, len(pages)),
+	}
+	for i, pg := range pages {
+		need.Pages[i] = int32(pg)
+		need.Applied[i] = append([]int32(nil), nd.applied[pg]...)
+	}
+	return need
 }
 
 // Node is one processor's DSM runtime state.
@@ -453,14 +469,8 @@ type Node struct {
 	held     []heldLock         // locks currently held, innermost last
 	tr       *obs.NodeTracer    // event ring; nil unless EnableTrace (trace.go)
 
-	// Recovery bookkeeping (recovery.go); recTouched is nil unless
-	// EnableRecovery ran. recLast is the vector clock of this node's
-	// previous record (nil before the first), recTouched the pages a
-	// diff was applied to since, recEpoch the record counter.
-	recLast    []int32
-	recTouched map[int]bool
-	recEpoch   int32
-	RecStats   RecoveryStats
+	recoveryState // checkpoint/restore bookkeeping (recovery.go)
+	RecStats      RecoveryStats
 
 	respScratch [1]int        // responderFor's single-responder result slot
 	sortScratch []*storedDiff // applyDiffs' reusable sort buffer
@@ -504,16 +514,12 @@ type Node struct {
 // critical-section working set the per-lock detector observes).
 type heldLock struct {
 	id      int
-	fetched map[int]bool // nil unless EnableAdapt
+	fetched map[int]bool // nil unless EnableAdapt (newFetchSet)
 }
 
 // pushHeld records a lock acquisition on the held stack.
 func (nd *Node) pushHeld(id int) {
-	h := heldLock{id: id}
-	if nd.ad != nil {
-		h.fetched = map[int]bool{}
-	}
-	nd.held = append(nd.held, h)
+	nd.held = append(nd.held, heldLock{id: id, fetched: nd.newFetchSet()})
 }
 
 // popHeld removes the topmost held entry for id and returns the sorted
@@ -526,15 +532,7 @@ func (nd *Node) popHeld(id int) []int {
 		}
 		h := nd.held[i]
 		nd.held = append(nd.held[:i], nd.held[i+1:]...)
-		if len(h.fetched) == 0 {
-			return nil
-		}
-		out := make([]int, 0, len(h.fetched))
-		for pg := range h.fetched {
-			out = append(out, pg)
-		}
-		sort.Ints(out)
-		return out
+		return sortedKeys(h.fetched)
 	}
 	return nil
 }
@@ -548,16 +546,25 @@ func (nd *Node) Time() time.Duration { return nd.p.Now() }
 // pagesOf expands regions to the set of overlapped page numbers, sorted.
 func pagesOf(regions []shm.Region) []int {
 	seen := map[int]bool{}
-	var out []int
 	for _, r := range regions {
 		p0, p1 := r.Pages()
 		for pg := p0; pg < p1; pg++ {
-			if !seen[pg] {
-				seen[pg] = true
-				out = append(out, pg)
-			}
+			seen[pg] = true
 		}
 	}
-	sort.Ints(out)
-	return out
+	return sortedKeys(seen)
+}
+
+// sortedKeys returns m's keys in ascending order, nil for an empty map: the
+// one place the protocol turns a set it built into the deterministic order
+// every replicated decision needs. One exactly sized allocation —
+// slices.Sorted(maps.Keys(m)) costs four to ten (iterator closures plus
+// append growth), which the allocation gates and the ledger would show.
+func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	if len(m) == 0 {
+		return nil
+	}
+	keys := slices.AppendSeq(make([]K, 0, len(m)), maps.Keys(m))
+	slices.Sort(keys)
+	return keys
 }
