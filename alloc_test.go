@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"sdsm/internal/adapt"
 	"sdsm/internal/cluster"
 	"sdsm/internal/interp"
 	"sdsm/internal/ir"
@@ -152,4 +153,108 @@ func TestWSyncBarrierAllocs(t *testing.T) {
 		t.Fatalf("Validate_w_sync barrier epoch allocates %.1f, ceiling %d", per, ceiling)
 	}
 	t.Logf("Validate_w_sync barrier epoch: %.1f allocs (ceiling %d)", per, ceiling)
+}
+
+// adaptEpochAllocs measures the machine-wide allocations of one steady-state
+// barrier epoch on sim, 4 nodes: every node rewrites a slice of each of its
+// own `pages` pages, barriers, and — when consumed — reads the same slices
+// of its neighbour's pages, then barriers again. With adapt armed the
+// consumed pattern is bound after three cycles and the reads are served by
+// pushes; the unconsumed one never binds, so all adapt adds to it is the
+// observation and the detector.
+func adaptEpochAllocs(t *testing.T, pages int, consumed, armed bool) float64 {
+	const n = 4
+	return allocsPerIter(t, 40, 160, func(iters int) error {
+		e := sim.NewEngine(n)
+		layout := shm.NewLayout()
+		arr := layout.Alloc("mem", n*pages*shm.PageWords)
+		sys := tmk.New(e, cluster.New(e, model.SP2()), layout)
+		if armed {
+			sys.EnableAdapt(adapt.Config{})
+		}
+		return sys.Run(func(nd *tmk.Node) {
+			for it := 0; it < iters; it++ {
+				for pg := 0; pg < pages; pg++ {
+					lo := arr.Base + (nd.ID*pages+pg)*shm.PageWords
+					nd.Mem.EnsureWrite(nd.Proc(), shm.Region{Lo: lo, Hi: lo + 8})
+					nd.Mem.Data()[lo+it%8] = float64(it)
+				}
+				nd.Barrier(1)
+				for pg := 0; consumed && pg < pages; pg++ {
+					lo := arr.Base + ((nd.ID+1)%n*pages+pg)*shm.PageWords
+					nd.Mem.EnsureRead(nd.Proc(), shm.Region{Lo: lo, Hi: lo + 8})
+				}
+				nd.Barrier(2)
+			}
+		})
+	})
+}
+
+// TestAdaptEpochAllocs pins what arming adapt adds to a steady-state barrier
+// epoch at nothing that grows with the pages written. On a pattern nobody
+// consumes, adapt is the observation and the detector alone, and they
+// allocate nothing once their scratch has grown (they used to cost two maps,
+// two sorted key lists and a slice and a map per page: +4 232 allocations
+// per epoch at 64 pages a node). On a bound producer→consumer pattern the
+// pushes replace the faults, and the update exchange must not allocate more
+// than the demand fetches it removes (it used to: 10 625 against 3 103).
+func TestAdaptEpochAllocs(t *testing.T) {
+	for _, pages := range []int{2, 64} {
+		for _, consumed := range []bool{false, true} {
+			off := adaptEpochAllocs(t, pages, consumed, false)
+			on := adaptEpochAllocs(t, pages, consumed, true)
+			slack := 2.0
+			if consumed {
+				// One update message per consumer where the faults had none
+				// to send: measured +18 at 2 pages, −934 at 64.
+				slack = 32
+			}
+			if on > off+slack {
+				t.Errorf("%d pages a node, consumed=%v: %.1f allocs/epoch with adapt armed, %.1f without; want within %.0f",
+					pages, consumed, on, off, slack)
+			}
+			t.Logf("%d pages a node, consumed=%v: %.1f allocs/epoch armed, %.1f off", pages, consumed, on, off)
+		}
+	}
+}
+
+// TestCheckpointRecordAllocs pins a steady-state full recovery record into
+// MemSink at O(1) allocations and no bytes proportional to the image: the
+// record aliases the live pages, is encoded into the node's reused buffer,
+// and lands in a buffer the sink recycled from the chain it retires. Two
+// nodes checkpoint an image of `pages` valid pages at every barrier; eight
+// times the image must cost the same allocations and — within a fiftieth of
+// the extra image, which amortised buffer regrowth stays far below — the
+// same bytes. Copying each frame and encoding from nil used to allocate
+// several times the image per record: 3.5 MB an epoch at 64 pages.
+func TestCheckpointRecordAllocs(t *testing.T) {
+	const n, small, large = 2, 8, 64
+	epoch := func(pages int) (allocs, bytes float64) {
+		return memPerIter(t, 40, 160, func(iters int) error {
+			e := sim.NewEngine(n)
+			layout := shm.NewLayout()
+			arr := layout.Alloc("mem", pages*shm.PageWords)
+			sys := tmk.New(e, cluster.New(e, model.SP2()), layout)
+			sys.EnableRecovery(tmk.RecoveryConfig{})
+			return sys.Run(func(nd *tmk.Node) {
+				nd.Mem.EnsureRead(nd.Proc(), arr.Whole()) // every page valid: every full record frames it
+				for it := 0; it < iters; it++ {
+					lo := arr.Base + nd.ID*shm.PageWords
+					nd.Mem.EnsureWrite(nd.Proc(), shm.Region{Lo: lo, Hi: lo + 8})
+					nd.Mem.Data()[lo+it%8] = float64(it)
+					nd.Barrier(1)
+				}
+			})
+		})
+	}
+	allocsS, bytesS := epoch(small)
+	allocsL, bytesL := epoch(large)
+	t.Logf("full record epoch: %d pages %.1f allocs %.0f B, %d pages %.1f allocs %.0f B", small, allocsS, bytesS, large, allocsL, bytesL)
+	if allocsL > allocsS+2 {
+		t.Errorf("a %d-page image costs %.1f allocs/epoch, a %d-page image %.1f: records allocate per page", large, allocsL, small, allocsS)
+	}
+	if extra := float64(n * (large - small) * shm.PageWords * 8); bytesL-bytesS > extra/50 {
+		t.Errorf("a %d-page image costs %.0f B/epoch, a %d-page image %.0f: more than 2%% of the %.0f B of extra image",
+			large, bytesL, small, bytesS, extra)
+	}
 }

@@ -58,7 +58,14 @@ func runBarrierFlurry(n, iters int) error {
 // rate. The Mallocs counter is process-global, so callers must not run
 // anything concurrently.
 func allocsPerIter(tb testing.TB, base, extra int, run func(iters int) error) float64 {
-	mallocs := func(iters int) uint64 {
+	allocs, _ := memPerIter(tb, base, extra, run)
+	return allocs
+}
+
+// memPerIter is allocsPerIter with the bytes allocated per iteration beside
+// the allocation count.
+func memPerIter(tb testing.TB, base, extra int, run func(iters int) error) (allocs, bytes float64) {
+	measure := func(iters int) (uint64, uint64) {
 		runtime.GC()
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
@@ -66,14 +73,17 @@ func allocsPerIter(tb testing.TB, base, extra int, run func(iters int) error) fl
 			tb.Fatal(err)
 		}
 		runtime.ReadMemStats(&m1)
-		return m1.Mallocs - m0.Mallocs
+		return m1.Mallocs - m0.Mallocs, m1.TotalAlloc - m0.TotalAlloc
 	}
-	short := mallocs(base)
-	long := mallocs(base + extra)
-	if long < short {
-		return 0
+	perIter := func(short, long uint64) float64 {
+		if long < short {
+			return 0
+		}
+		return float64(long-short) / float64(extra)
 	}
-	return float64(long-short) / float64(extra)
+	shortN, shortB := measure(base)
+	longN, longB := measure(base + extra)
+	return perIter(shortN, longN), perIter(shortB, longB)
 }
 
 // BenchmarkNetBarrierFlurry measures the wall and allocation cost of one

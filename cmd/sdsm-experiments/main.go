@@ -68,6 +68,7 @@ func main() {
 		backend   = flag.String("backend", "sim", "host backend for the runs: sim (deterministic paper numbers), real, net (times become scheduling-dependent)")
 		cpuProf   = flag.String("cpuprofile", "", "write a host CPU profile of the selected experiments to this file (go tool pprof)")
 		memProf   = flag.String("memprofile", "", "write a host heap profile taken after the last experiment to this file")
+		execTr    = flag.String("exectrace", "", "write a Go execution trace of the selected experiments to this file (go tool trace)")
 	)
 	flag.Parse()
 	workers := *par
@@ -93,7 +94,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "sdsm-experiments:", err)
 		os.Exit(1)
 	}
-	stopProf, err := obs.StartProfiles(*cpuProf, *memProf)
+	stopProf, err := obs.StartProfiles(*cpuProf, *memProf, *execTr)
 	if err != nil {
 		fail(err)
 	}

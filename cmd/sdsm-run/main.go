@@ -8,7 +8,7 @@
 //	sdsm-run -app is -system pvme -backend net -verify
 //	sdsm-run -app jacobi -recover -checkpoint-every 4 -verify
 //	sdsm-run -app gauss -recover -fail-rank 1 -fail-epoch 2 -verify
-//	sdsm-run -app gauss -set small -cpuprofile cpu.pprof -memprofile heap.pprof
+//	sdsm-run -app gauss -set small -cpuprofile cpu.pprof -memprofile heap.pprof -exectrace exec.trace
 //
 // -backend real runs the DSM nodes as goroutines genuinely in parallel
 // (results are identical to the deterministic sim backend; virtual times
@@ -55,6 +55,7 @@ func main() {
 		trCap   = flag.Int("trace-cap", 0, "per-node trace ring capacity in events (0 = default; oldest events drop on overflow)")
 		cpuProf = flag.String("cpuprofile", "", "write a host CPU profile of the run to this file (go tool pprof)")
 		memProf = flag.String("memprofile", "", "write a host heap profile taken after the run to this file")
+		execTr  = flag.String("exectrace", "", "write a Go execution trace of the run to this file (go tool trace)")
 	)
 	flag.Parse()
 	harness.NodeBin = *nodeBin
@@ -81,7 +82,7 @@ func main() {
 	if *failAt >= 0 {
 		cfg.Fault = &harness.FaultPlan{Rank: *failAt, Epoch: *failEp, AfterFrames: *failAfr}
 	}
-	stopProf, err := obs.StartProfiles(*cpuProf, *memProf)
+	stopProf, err := obs.StartProfiles(*cpuProf, *memProf, *execTr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "sdsm-run:", err)
 		os.Exit(1)

@@ -58,7 +58,7 @@ package adapt
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"sdsm/internal/rsd"
@@ -110,10 +110,24 @@ func (w WriteExt) known() bool { return w.Hi > 0 }
 // page, the nodes that closed write intervals covering it (with their
 // write extents), and the nodes that demand-fetched remote data for it.
 // Writers come from the write notices every node learns at the barrier;
-// Readers from the relayed arrival fetch lists.
+// Readers from the relayed arrival fetch lists. Pages are >= 0 and a page
+// in Writers has at least one writer (an unwritten page has no entry);
+// Advance panics on an Epoch that breaks either.
 type Epoch struct {
 	Writers map[int][]WriteExt
 	Readers map[int][]int
+}
+
+// PageObs is one page's share of an epoch's observation: its writers in
+// ascending node order, one entry per node, and its readers in any order.
+// An epoch is a []PageObs in strictly ascending page order, pages >= 0 —
+// the form the protocol layer builds in reused storage and AdvancePages
+// consumes; the detector keeps no reference to it. No writers means the
+// page was not written this epoch.
+type PageObs struct {
+	Page    int
+	Writers []WriteExt
+	Readers []int
 }
 
 // Mode is a page's current protocol.
@@ -136,10 +150,11 @@ const (
 // hysteresis are mutually exclusive: a single-writer cycle resets the
 // pair tracking and vice versa, so at most one promotion path is armed.
 type pattern struct {
+	seen      bool  // the page has been observed (absent pages are all-zero)
 	producer  int   // last single writer; -1 before any write
 	consumers []int // sorted consumer set of the last completed cycle
-	cur       map[int]bool
-	streak    int // consecutive cycles with a stable producer+consumer set
+	cur       []int // sorted readers of the cycle in flight, emptied in place
+	streak    int   // consecutive cycles with a stable producer+consumer set
 	mode      Mode
 	bound     []int // sorted consumer set pushed to while bound
 
@@ -154,14 +169,14 @@ type pattern struct {
 func (p *pattern) clearPair() {
 	p.pairLo, p.pairHi = -1, -1
 	p.cut = 0
-	p.pairCons = nil
+	p.pairCons = p.pairCons[:0]
 	p.pairStreak = 0
 }
 
 // clearSingle resets the single-producer hysteresis.
 func (p *pattern) clearSingle() {
 	p.producer = -1
-	p.consumers = nil
+	p.consumers = p.consumers[:0]
 	p.streak = 0
 }
 
@@ -198,7 +213,7 @@ type Transition struct {
 // its bindings are identical everywhere.
 type Detector struct {
 	cfg   Config
-	pages map[int]*pattern
+	pages []pattern // indexed by page, grown on demand; unobserved pages are !seen
 	Stats Stats
 
 	// LogTrans enables the per-epoch transition log (observability only —
@@ -211,35 +226,59 @@ type Detector struct {
 
 // New creates a detector.
 func New(cfg Config) *Detector {
-	return &Detector{cfg: cfg, pages: map[int]*pattern{}}
+	return &Detector{cfg: cfg}
 }
 
-// Advance feeds one epoch's observation through the detector. Reads are
-// attributed before writes: a fetch observed in the same epoch as the next
-// write belongs to the cycle that write closes (the fetch happened while
-// the previous production was current). Pages are visited in sorted order
-// — required for replica determinism, because the section-join rule reads
-// neighbor pages' states mid-transition.
+// Advance feeds one epoch's observation, given as maps, through the
+// detector: it sorts the maps into the page-ascending form and hands that
+// to AdvancePages, the one implementation.
 func (d *Detector) Advance(ep Epoch) {
-	d.Trans = d.Trans[:0]
-	for _, pg := range sortedKeys(ep.Readers) {
-		p := d.page(pg)
-		for _, r := range ep.Readers[pg] {
-			p.cur[r] = true
+	obs := make([]PageObs, 0, len(ep.Writers)+len(ep.Readers))
+	for pg, ws := range ep.Writers {
+		if pg < 0 || len(ws) == 0 {
+			panic(fmt.Sprintf("adapt: Advance: page %d listed with %d writers", pg, len(ws)))
+		}
+		obs = append(obs, PageObs{Page: pg, Writers: ws, Readers: ep.Readers[pg]})
+	}
+	for pg, rs := range ep.Readers {
+		if _, written := ep.Writers[pg]; !written {
+			obs = append(obs, PageObs{Page: pg, Readers: rs})
 		}
 	}
-	for _, pg := range sortedKeys(ep.Writers) {
-		writers := ep.Writers[pg]
-		p := d.page(pg)
-		switch {
+	slices.SortFunc(obs, func(a, b PageObs) int { return a.Page - b.Page })
+	d.AdvancePages(obs)
+}
+
+// AdvancePages feeds one epoch's observation through the detector. Within
+// a page, reads are attributed before writes: a fetch observed in the same
+// epoch as the next write belongs to the cycle that write closes (the
+// fetch happened while the previous production was current). Pages are
+// visited in ascending order — required for replica determinism, because
+// the section-join rule reads neighbor pages' mode, producer and binding
+// mid-transition (never their in-flight readers, which is why a page's
+// reads need not precede its neighbors' writes).
+func (d *Detector) AdvancePages(obs []PageObs) {
+	d.Trans = d.Trans[:0]
+	if n := len(obs); n > 0 {
+		d.grow(obs[n-1].Page)
+	}
+	for _, o := range obs {
+		p := d.page(o.Page)
+		for _, r := range o.Readers {
+			if i, found := slices.BinarySearch(p.cur, r); !found {
+				p.cur = slices.Insert(p.cur, i, r)
+			}
+		}
+		switch writers := o.Writers; {
+		case len(writers) == 0:
 		case len(writers) == 1:
-			d.single(pg, p, writers[0])
+			d.single(o.Page, p, writers[0])
 		case len(writers) == 2 && disjoint(writers[0], writers[1]):
-			d.pair(pg, p, writers)
+			d.pair(o.Page, p, writers)
 		default:
 			// Three or more writers, or two with overlapping or unknown
 			// extents: a genuine conflict no binding shape can serve.
-			d.reset(pg, p)
+			d.reset(o.Page, p)
 		}
 	}
 }
@@ -263,7 +302,7 @@ func (d *Detector) single(pg int, p *pattern, w WriteExt) {
 		// the pair pattern broke before promoting. Its in-flight reads were
 		// observed under that broken pattern and must not seed the single-
 		// producer streak — the mirror of pair()'s transition discard.
-		p.cur = map[int]bool{}
+		p.cur = p.cur[:0]
 		p.clearPair()
 	}
 	if p.producer >= 0 && w.Node != p.producer {
@@ -281,22 +320,19 @@ func (d *Detector) single(pg int, p *pattern, w WriteExt) {
 	// closes write intervals for bookkeeping reasons too (a lazy diff
 	// flush while serving splits an interval), and a producer may write
 	// across several epochs before anyone reads.
-	cycle := setToSorted(p.cur)
-	p.cur = map[int]bool{}
 	if p.mode == Update {
 		// Pushed pages no longer fault, so an empty cycle means the
 		// pushes kept the consumers satisfied. Any reads that do appear
 		// are consumers the pushes missed — extend the binding.
-		if grown := union(p.bound, cycle); len(grown) != len(p.bound) {
-			p.bound = grown
-		}
+		d.extend(p)
 		return
 	}
+	cycle := p.takeCycle()
 	if len(cycle) == 0 {
 		return
 	}
-	if !equalInts(cycle, p.consumers) {
-		p.consumers = cycle
+	if !slices.Equal(cycle, p.consumers) {
+		p.consumers = append(p.consumers[:0], cycle...)
 		p.streak = 1
 	} else {
 		p.streak++
@@ -315,8 +351,10 @@ func (d *Detector) single(pg int, p *pattern, w WriteExt) {
 	// (Pages are visited in ascending order, so the neighbor states read
 	// here are identical at every replica.)
 	for _, nb := range [2]int{pg - 1, pg + 1} {
-		q, ok := d.pages[nb]
-		if ok && q.mode == Update && q.producer == p.producer && equalInts(q.bound, cycle) {
+		if nb < 0 || nb >= len(d.pages) {
+			continue
+		}
+		if q := &d.pages[nb]; q.mode == Update && q.producer == p.producer && slices.Equal(q.bound, cycle) {
 			p.mode = Update
 			p.bound = append([]int(nil), cycle...)
 			d.Stats.Promotions++
@@ -360,22 +398,21 @@ func (d *Detector) pair(pg int, p *pattern, writers []WriteExt) {
 		// were observed under that broken pattern and must not seed the
 		// pair hysteresis — the same discard single() performs on a
 		// producer change, keeping the K-cycle guard symmetric.
-		p.cur = map[int]bool{}
+		p.cur = p.cur[:0]
 	}
 	p.clearSingle()
-	cycle := setToSorted(p.cur)
-	p.cur = map[int]bool{}
+	cycle := p.takeCycle()
 	if !samePair {
 		p.pairLo, p.pairHi = lo.Node, hi.Node
 		p.cut = (lo.Hi + hi.Lo + 1) / 2
-		p.pairCons = nil
+		p.pairCons = p.pairCons[:0]
 		p.pairStreak = 0
 	}
 	if len(cycle) == 0 {
 		return // production extension, as in the single-writer path
 	}
-	if !equalInts(cycle, p.pairCons) {
-		p.pairCons = cycle
+	if !slices.Equal(cycle, p.pairCons) {
+		p.pairCons = append(p.pairCons[:0], cycle...)
 		p.pairStreak = 1
 	} else {
 		p.pairStreak++
@@ -391,11 +428,17 @@ func (d *Detector) pair(pg int, p *pattern, writers []WriteExt) {
 // extend folds the in-flight reads of a bound page into its binding
 // (consumers the pushes missed fault once and join).
 func (d *Detector) extend(p *pattern) {
-	cycle := setToSorted(p.cur)
-	p.cur = map[int]bool{}
-	if grown := union(p.bound, cycle); len(grown) != len(p.bound) {
-		p.bound = grown
-	}
+	p.bound = union(p.bound, p.takeCycle())
+}
+
+// takeCycle closes the production cycle in flight: it returns the sorted
+// readers gathered since the last one closed and empties the set in place.
+// The result shares cur's storage — valid until the page's next observed
+// read, so callers that keep it copy it.
+func (p *pattern) takeCycle() []int {
+	cycle := p.cur
+	p.cur = p.cur[:0]
+	return cycle
 }
 
 // logTrans appends to the per-epoch transition log when it is enabled.
@@ -415,7 +458,7 @@ func (d *Detector) reset(pg int, p *pattern) {
 	p.bound = nil
 	p.clearSingle()
 	p.clearPair()
-	p.cur = map[int]bool{}
+	p.cur = p.cur[:0]
 }
 
 // Push reports whether page is whole-page bound to the update protocol,
@@ -423,10 +466,10 @@ func (d *Detector) reset(pg int, p *pattern) {
 // The caller pushes only when it is the producer and actually wrote the
 // page this epoch.
 func (d *Detector) Push(page int) (producer int, consumers []int, ok bool) {
-	p, present := d.pages[page]
-	if !present || p.mode != Update {
+	if page >= len(d.pages) || d.pages[page].mode != Update {
 		return 0, nil, false
 	}
+	p := &d.pages[page]
 	return p.producer, p.bound, true
 }
 
@@ -435,17 +478,17 @@ func (d *Detector) Push(page int) (producer int, consumers []int, ok bool) {
 // bound consumers. Each pair member pushes its own diffs — which cover
 // exactly its half — to every bound consumer but itself.
 func (d *Detector) Split(page int) (pair [2]int, cut int, consumers []int, ok bool) {
-	p, present := d.pages[page]
-	if !present || p.mode != Split {
+	if page >= len(d.pages) || d.pages[page].mode != Split {
 		return [2]int{}, 0, nil, false
 	}
+	p := &d.pages[page]
 	return [2]int{p.pairLo, p.pairHi}, p.cut, p.bound, true
 }
 
 // Mode returns the page's current protocol.
 func (d *Detector) Mode(page int) Mode {
-	if p, ok := d.pages[page]; ok {
-		return p.mode
+	if page < len(d.pages) {
+		return d.pages[page].mode
 	}
 	return Invalidate
 }
@@ -467,15 +510,14 @@ type Section struct {
 // sections.
 func (d *Detector) Sections() []Section {
 	var pages []int
-	for pg, p := range d.pages {
-		if p.mode != Invalidate {
+	for pg := range d.pages {
+		if d.pages[pg].mode != Invalidate {
 			pages = append(pages, pg)
 		}
 	}
-	sort.Ints(pages)
 	same := func(a, b int) bool {
-		pa, pb := d.pages[a], d.pages[b]
-		if pa.mode != pb.mode || !equalInts(pa.bound, pb.bound) {
+		pa, pb := &d.pages[a], &d.pages[b]
+		if pa.mode != pb.mode || !slices.Equal(pa.bound, pb.bound) {
 			return false
 		}
 		if pa.mode == Split {
@@ -485,7 +527,7 @@ func (d *Detector) Sections() []Section {
 	}
 	var out []Section
 	for _, sp := range rsd.Coalesce(pages, same) {
-		p := d.pages[sp.Lo]
+		p := &d.pages[sp.Lo]
 		sec := Section{Span: sp, Consumers: p.bound, Producer: p.producer}
 		if p.mode == Split {
 			sec.Split = true
@@ -504,15 +546,13 @@ func (d *Detector) Sections() []Section {
 func (d *Detector) Fingerprint() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "k=%d stats=%+v\n", d.cfg.k(), d.Stats)
-	pages := make([]int, 0, len(d.pages))
 	for pg := range d.pages {
-		pages = append(pages, pg)
-	}
-	sort.Ints(pages)
-	for _, pg := range pages {
-		p := d.pages[pg]
+		p := &d.pages[pg]
+		if !p.seen {
+			continue
+		}
 		fmt.Fprintf(&b, "%d prod=%d cons=%v cur=%v streak=%d mode=%d bound=%v pair=%d/%d@%d cons=%v/%d\n",
-			pg, p.producer, p.consumers, setToSorted(p.cur), p.streak, p.mode, p.bound,
+			pg, p.producer, p.consumers, p.cur, p.streak, p.mode, p.bound,
 			p.pairLo, p.pairHi, p.cut, p.pairCons, p.pairStreak)
 	}
 	for _, s := range d.Sections() {
@@ -522,11 +562,19 @@ func (d *Detector) Fingerprint() string {
 	return b.String()
 }
 
+// grow extends the page table to hold page pg.
+func (d *Detector) grow(pg int) {
+	if pg >= len(d.pages) {
+		d.pages = append(d.pages, make([]pattern, pg+1-len(d.pages))...)
+	}
+}
+
+// page returns the state of a page the caller has grown d.pages to hold,
+// initializing it at its first observation.
 func (d *Detector) page(pg int) *pattern {
-	p, ok := d.pages[pg]
-	if !ok {
-		p = &pattern{producer: -1, pairLo: -1, pairHi: -1, cur: map[int]bool{}}
-		d.pages[pg] = p
+	p := &d.pages[pg]
+	if !p.seen {
+		*p = pattern{seen: true, producer: -1, pairLo: -1, pairHi: -1}
 	}
 	return p
 }
@@ -541,48 +589,18 @@ func disjoint(a, b WriteExt) bool {
 	return a.Hi <= b.Lo || b.Hi <= a.Lo
 }
 
-// sortedKeys returns a map's keys in ascending order — map iteration
-// order must never reach a replicated decision.
-func sortedKeys[V any](m map[int]V) []int {
-	out := make([]int, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Ints(out)
-	return out
-}
-
-func setToSorted(s map[int]bool) []int {
-	if len(s) == 0 {
-		return nil
-	}
-	out := make([]int, 0, len(s))
-	for v := range s {
-		out = append(out, v)
-	}
-	sort.Ints(out)
-	return out
-}
-
+// union returns the sorted union of two sorted sets: a itself when b adds
+// nothing, fresh storage otherwise (a binding handed out by Push or Split
+// is never modified in place).
 func union(a, b []int) []int {
-	seen := map[int]bool{}
-	for _, v := range a {
-		seen[v] = true
-	}
+	out := a
 	for _, v := range b {
-		seen[v] = true
-	}
-	return setToSorted(seen)
-}
-
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
+		if i, found := slices.BinarySearch(out, v); !found {
+			if len(out) == len(a) {
+				out = slices.Clone(a)
+			}
+			out = slices.Insert(out, i, v)
 		}
 	}
-	return true
+	return out
 }

@@ -30,8 +30,8 @@ func read(pages map[int][]int) Epoch {
 func TestPromoteAfterK(t *testing.T) {
 	d := New(Config{K: 3})
 	for cycle := 1; cycle <= 3; cycle++ {
-		d.Advance(read(map[int][]int{7: {1, 2}}))
-		d.Advance(write(map[int]int{7: 0}))
+		advance(t, d, read(map[int][]int{7: {1, 2}}))
+		advance(t, d, write(map[int]int{7: 0}))
 		_, _, ok := d.Push(7)
 		if want := cycle == 3; ok != want {
 			t.Fatalf("cycle %d: Push ok = %v, want %v", cycle, ok, want)
@@ -53,8 +53,8 @@ func TestDefaultK(t *testing.T) {
 		if _, _, ok := d.Push(3); ok {
 			t.Fatalf("promoted before cycle %d with default K", cycle)
 		}
-		d.Advance(read(map[int][]int{3: {4}}))
-		d.Advance(write(map[int]int{3: 2}))
+		advance(t, d, read(map[int][]int{3: {4}}))
+		advance(t, d, write(map[int]int{3: 2}))
 	}
 	if _, _, ok := d.Push(3); !ok {
 		t.Fatalf("not promoted after %d cycles", DefaultK)
@@ -69,7 +69,7 @@ func TestSameEpochReadWrite(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		ep := write(map[int]int{5: 1})
 		ep.Readers[5] = []int{0}
-		d.Advance(ep)
+		advance(t, d, ep)
 	}
 	prod, cons, ok := d.Push(5)
 	if !ok || prod != 1 || !reflect.DeepEqual(cons, []int{0}) {
@@ -83,9 +83,9 @@ func TestSameEpochReadWrite(t *testing.T) {
 func TestBookkeepingWriteKeepsStreak(t *testing.T) {
 	d := New(Config{K: 2})
 	for cycle := 0; cycle < 2; cycle++ {
-		d.Advance(read(map[int][]int{9: {3}}))
-		d.Advance(write(map[int]int{9: 0})) // closes the cycle
-		d.Advance(write(map[int]int{9: 0})) // empty: production continues
+		advance(t, d, read(map[int][]int{9: {3}}))
+		advance(t, d, write(map[int]int{9: 0})) // closes the cycle
+		advance(t, d, write(map[int]int{9: 0})) // empty: production continues
 	}
 	if _, _, ok := d.Push(9); !ok {
 		t.Fatal("empty production cycles reset the streak")
@@ -98,13 +98,13 @@ func TestBookkeepingWriteKeepsStreak(t *testing.T) {
 func TestDecayOnWriterConflict(t *testing.T) {
 	d := New(Config{K: 2})
 	for cycle := 0; cycle < 2; cycle++ {
-		d.Advance(read(map[int][]int{4: {2}}))
-		d.Advance(write(map[int]int{4: 1}))
+		advance(t, d, read(map[int][]int{4: {2}}))
+		advance(t, d, write(map[int]int{4: 1}))
 	}
 	if _, _, ok := d.Push(4); !ok {
 		t.Fatal("not promoted")
 	}
-	d.Advance(write(map[int]int{4: 2})) // different writer
+	advance(t, d, write(map[int]int{4: 2})) // different writer
 	if _, _, ok := d.Push(4); ok {
 		t.Fatal("no decay on producer change")
 	}
@@ -112,13 +112,13 @@ func TestDecayOnWriterConflict(t *testing.T) {
 		t.Fatalf("decays = %d, want 1", d.Stats.Decays)
 	}
 	// One stable cycle under the new producer must not re-promote (K=2).
-	d.Advance(read(map[int][]int{4: {1}}))
-	d.Advance(write(map[int]int{4: 2}))
+	advance(t, d, read(map[int][]int{4: {1}}))
+	advance(t, d, write(map[int]int{4: 2}))
 	if _, _, ok := d.Push(4); ok {
 		t.Fatal("re-promoted without full hysteresis")
 	}
-	d.Advance(read(map[int][]int{4: {1}}))
-	d.Advance(write(map[int]int{4: 2}))
+	advance(t, d, read(map[int][]int{4: {1}}))
+	advance(t, d, write(map[int]int{4: 2}))
 	if prod, cons, ok := d.Push(4); !ok || prod != 2 || !reflect.DeepEqual(cons, []int{1}) {
 		t.Fatalf("Push = (%d, %v, %v) after re-stabilizing, want (2, [1], true)", prod, cons, ok)
 	}
@@ -129,13 +129,13 @@ func TestDecayOnWriterConflict(t *testing.T) {
 func TestDecayOnMultiWriter(t *testing.T) {
 	d := New(Config{K: 2})
 	for cycle := 0; cycle < 2; cycle++ {
-		d.Advance(read(map[int][]int{4: {2}}))
-		d.Advance(write(map[int]int{4: 1}))
+		advance(t, d, read(map[int][]int{4: {2}}))
+		advance(t, d, write(map[int]int{4: 1}))
 	}
 	// Both write the whole page: overlapping extents, a genuine conflict
 	// (the disjoint-extent pair shape is TestSplitPromotion's subject).
 	ep := Epoch{Writers: map[int][]WriteExt{4: {{Node: 1, Lo: 0, Hi: 512}, {Node: 3, Lo: 0, Hi: 512}}}, Readers: map[int][]int{}}
-	d.Advance(ep)
+	advance(t, d, ep)
 	if _, _, ok := d.Push(4); ok {
 		t.Fatal("no decay on multi-writer epoch")
 	}
@@ -150,16 +150,16 @@ func TestConsumerChurnBlocksPromotion(t *testing.T) {
 	d := New(Config{K: 2})
 	sets := [][]int{{1}, {2}, {1, 2}}
 	for _, rs := range sets {
-		d.Advance(read(map[int][]int{6: rs}))
-		d.Advance(write(map[int]int{6: 0}))
+		advance(t, d, read(map[int][]int{6: rs}))
+		advance(t, d, write(map[int]int{6: 0}))
 		if _, _, ok := d.Push(6); ok {
 			t.Fatalf("promoted on churning consumer sets")
 		}
 	}
 	// Now hold the set stable for K cycles.
 	for i := 0; i < 2; i++ {
-		d.Advance(read(map[int][]int{6: {1, 2}}))
-		d.Advance(write(map[int]int{6: 0}))
+		advance(t, d, read(map[int][]int{6: {1, 2}}))
+		advance(t, d, write(map[int]int{6: 0}))
 	}
 	if _, cons, ok := d.Push(6); !ok || !reflect.DeepEqual(cons, []int{1, 2}) {
 		t.Fatalf("Push = (%v, %v) after stabilizing, want ([1 2], true)", cons, ok)
@@ -172,14 +172,14 @@ func TestConsumerChurnBlocksPromotion(t *testing.T) {
 func TestBindingExtension(t *testing.T) {
 	d := New(Config{K: 2})
 	for cycle := 0; cycle < 2; cycle++ {
-		d.Advance(read(map[int][]int{8: {1}}))
-		d.Advance(write(map[int]int{8: 0}))
+		advance(t, d, read(map[int][]int{8: {1}}))
+		advance(t, d, write(map[int]int{8: 0}))
 	}
 	if _, cons, ok := d.Push(8); !ok || !reflect.DeepEqual(cons, []int{1}) {
 		t.Fatalf("Push = (%v, %v), want ([1], true)", cons, ok)
 	}
-	d.Advance(read(map[int][]int{8: {3}}))
-	d.Advance(write(map[int]int{8: 0}))
+	advance(t, d, read(map[int][]int{8: {3}}))
+	advance(t, d, write(map[int]int{8: 0}))
 	if _, cons, ok := d.Push(8); !ok || !reflect.DeepEqual(cons, []int{1, 3}) {
 		t.Fatalf("Push = (%v, %v) after extension, want ([1 3], true)", cons, ok)
 	}
@@ -193,8 +193,8 @@ func TestBindingExtension(t *testing.T) {
 func TestReadOnlyAndPrivatePages(t *testing.T) {
 	d := New(Config{K: 1})
 	for i := 0; i < 5; i++ {
-		d.Advance(read(map[int][]int{1: {2}})) // read-only page 1
-		d.Advance(write(map[int]int{2: 0}))    // private page 2
+		advance(t, d, read(map[int][]int{1: {2}})) // read-only page 1
+		advance(t, d, write(map[int]int{2: 0}))    // private page 2
 	}
 	if _, _, ok := d.Push(1); ok {
 		t.Fatal("promoted a never-written page")
@@ -204,5 +204,24 @@ func TestReadOnlyAndPrivatePages(t *testing.T) {
 	}
 	if d.Mode(1) != Invalidate || d.Mode(2) != Invalidate {
 		t.Fatal("modes drifted from invalidate")
+	}
+}
+
+// TestAdvanceRejectsMalformedEpoch: the map adapter fails loudly on the two
+// inputs the dense form has no meaning for, instead of drifting silently.
+func TestAdvanceRejectsMalformedEpoch(t *testing.T) {
+	for name, ep := range map[string]Epoch{
+		"empty writer list":     {Writers: map[int][]WriteExt{3: {}}},
+		"negative written page": {Writers: map[int][]WriteExt{-1: {{Node: 0, Hi: 512}}}},
+		"negative read page":    {Readers: map[int][]int{-1: {2}}},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: Advance did not panic", name)
+				}
+			}()
+			New(Config{}).Advance(ep)
+		}()
 	}
 }

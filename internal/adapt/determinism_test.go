@@ -1,8 +1,12 @@
 package adapt
 
 import (
+	"bytes"
+	"crypto/sha256"
 	"fmt"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 )
 
@@ -60,6 +64,7 @@ func TestBarrierDetectorDeterminism(t *testing.T) {
 	const nodes = 6
 	const pages = 24
 	rng := rand.New(rand.NewSource(1))
+	digest := sha256.New()
 	for trial := 0; trial < 40; trial++ {
 		dets := make([]*Detector, replicas)
 		rngs := make([]*rand.Rand, replicas)
@@ -101,9 +106,11 @@ func TestBarrierDetectorDeterminism(t *testing.T) {
 				}
 			}
 			for i, d := range dets {
-				d.Advance(buildEpoch(rngs[i], obs))
+				advance(t, d, buildEpoch(rngs[i], obs))
 			}
 			want := dets[0].Fingerprint()
+			digest.Write([]byte(want))
+			digest.Write(dets[0].Snapshot())
 			for i := 1; i < replicas; i++ {
 				if got := dets[i].Fingerprint(); got != want {
 					t.Fatalf("trial %d epoch %d: replica %d state diverged:\n--- replica 0 ---\n%s\n--- replica %d ---\n%s",
@@ -111,6 +118,16 @@ func TestBarrierDetectorDeterminism(t *testing.T) {
 				}
 			}
 		}
+	}
+	// The stream is seeded, so replica 0's state after every epoch is a
+	// constant. This digest of its Fingerprint and Snapshot bytes was taken
+	// at 277804d, before the observation went dense and reads stopped being
+	// attributed machine-wide ahead of all writes: it pins the detector's
+	// semantics and snapshot format to that commit's, which comparing the
+	// two entry points of one implementation (advance) cannot.
+	const parent = "1f2094b41d08fbdf291178ac3d363c08af54917601b249cd3369742ceb03cb3d"
+	if got := fmt.Sprintf("%x", digest.Sum(nil)); got != parent {
+		t.Fatalf("detector state digest %s, want %s (the 277804d detector's)", got, parent)
 	}
 }
 
@@ -225,5 +242,42 @@ func TestLockDetectorDeterminism(t *testing.T) {
 					trial, i, fingerprints[0], i, fingerprints[i])
 			}
 		}
+	}
+}
+
+// advance is how every barrier-detector test feeds an epoch, so that each
+// suite exercises both entry points: d takes the epoch through the
+// Advance(Epoch) map adapter while a twin — cloned from d's snapshot just
+// before — takes the same observation through AdvancePages in the sorted
+// form, built here independently of the adapter (and with each reader list
+// reversed: reader order carries no meaning). The two must then agree on
+// Fingerprint and on Snapshot bytes.
+func advance(t testing.TB, d *Detector, ep Epoch) {
+	t.Helper()
+	twin := New(d.cfg)
+	if err := twin.RestoreSnapshot(d.Snapshot()); err != nil {
+		t.Fatalf("cloning the detector: %v", err)
+	}
+	pages := map[int]bool{}
+	for pg := range ep.Writers {
+		pages[pg] = true
+	}
+	for pg := range ep.Readers {
+		pages[pg] = true
+	}
+	var obs []PageObs
+	for pg := range pages {
+		rs := slices.Clone(ep.Readers[pg])
+		slices.Reverse(rs)
+		obs = append(obs, PageObs{Page: pg, Writers: ep.Writers[pg], Readers: rs})
+	}
+	sort.Slice(obs, func(i, j int) bool { return obs[i].Page < obs[j].Page })
+	d.Advance(ep)
+	twin.AdvancePages(obs)
+	if got, want := twin.Fingerprint(), d.Fingerprint(); got != want {
+		t.Fatalf("entry points diverged:\n--- AdvancePages ---\n%s\n--- Advance(Epoch) ---\n%s", got, want)
+	}
+	if !bytes.Equal(twin.Snapshot(), d.Snapshot()) {
+		t.Fatal("entry points agree on Fingerprint but not on Snapshot bytes")
 	}
 }

@@ -2,6 +2,7 @@ package adapt
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -183,7 +184,7 @@ func (ld *LockDetector) Hold(fetched []int) {
 		}
 		return
 	}
-	if equalInts(f, es.want) {
+	if slices.Equal(f, es.want) {
 		es.wantRun++
 	} else {
 		es.want = f

@@ -3,12 +3,17 @@ package adapt
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 )
 
 // snapshotVersion guards the detector snapshot blob format. The blob
 // rides inside wire.Checkpoint.Adapt, so it carries its own version:
 // the wire codec treats it as opaque bytes.
 const snapshotVersion = 1
+
+// maxSnapshotPage bounds the page numbers a snapshot may name, so a corrupt
+// blob cannot size the page table.
+const maxSnapshotPage = 1 << 24
 
 // Snapshot serializes the detector's full mutable state — per-page
 // patterns and transition stats — as a deterministic byte blob: pages
@@ -29,14 +34,22 @@ func (d *Detector) Snapshot() []byte {
 	v(d.Stats.Splits)
 	v(d.Stats.SectionJoins)
 	v(d.Stats.Decays)
-	pages := sortedKeys(d.pages)
-	v(int64(len(pages)))
-	for _, pg := range pages {
-		p := d.pages[pg]
+	seen := 0
+	for pg := range d.pages {
+		if d.pages[pg].seen {
+			seen++
+		}
+	}
+	v(int64(seen))
+	for pg := range d.pages {
+		p := &d.pages[pg]
+		if !p.seen {
+			continue
+		}
 		v(int64(pg))
 		v(int64(p.producer))
 		ints(p.consumers)
-		ints(setToSorted(p.cur))
+		ints(p.cur)
 		v(int64(p.streak))
 		v(int64(p.mode))
 		ints(p.bound)
@@ -80,14 +93,23 @@ func (d *Detector) RestoreSnapshot(b []byte) error {
 		return out
 	}
 	d.Stats = Stats{Promotions: v(), Splits: v(), SectionJoins: v(), Decays: v()}
-	d.pages = map[int]*pattern{}
+	d.pages = nil
 	npages := v()
 	for i := int64(0); i < npages && err == nil; i++ {
 		pg := int(v())
-		p := &pattern{producer: int(v()), consumers: ints(), cur: map[int]bool{}}
-		for _, r := range ints() {
-			p.cur[r] = true
+		if err != nil {
+			break
 		}
+		if pg < 0 || pg > maxSnapshotPage {
+			return fmt.Errorf("adapt: snapshot names page %d", pg)
+		}
+		d.grow(pg)
+		p := d.page(pg)
+		p.producer, p.consumers, p.cur = int(v()), ints(), ints()
+		// Snapshot writes the set sorted; a blob that did not must still
+		// restore to one, as it did when cur was a map.
+		slices.Sort(p.cur)
+		p.cur = slices.Compact(p.cur)
 		p.streak = int(v())
 		p.mode = Mode(v())
 		p.bound = ints()
@@ -96,7 +118,6 @@ func (d *Detector) RestoreSnapshot(b []byte) error {
 		p.cut = int(v())
 		p.pairCons = ints()
 		p.pairStreak = int(v())
-		d.pages[pg] = p
 	}
 	return err
 }

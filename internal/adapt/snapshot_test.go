@@ -9,7 +9,7 @@ import "testing"
 // advancing identically.
 func TestSnapshotRoundTrip(t *testing.T) {
 	ep := func(d *Detector, writers map[int][]WriteExt, readers map[int][]int) {
-		d.Advance(Epoch{Writers: writers, Readers: readers})
+		advance(t, d, Epoch{Writers: writers, Readers: readers})
 	}
 	d := New(Config{K: 2})
 	for i := 0; i < 3; i++ {

@@ -27,8 +27,8 @@ func pairWrite(pg, loNode, loHi, hiNode, hiLo int) Epoch {
 func TestSplitPromotion(t *testing.T) {
 	d := New(Config{K: 3})
 	for cycle := 1; cycle <= 3; cycle++ {
-		d.Advance(read(map[int][]int{17: {0, 1}}))
-		d.Advance(pairWrite(17, 0, 256, 1, 256))
+		advance(t, d, read(map[int][]int{17: {0, 1}}))
+		advance(t, d, pairWrite(17, 0, 256, 1, 256))
 		_, _, _, ok := d.Split(17)
 		if want := cycle == 3; ok != want {
 			t.Fatalf("cycle %d: Split ok = %v, want %v", cycle, ok, want)
@@ -48,12 +48,12 @@ func TestSplitPromotion(t *testing.T) {
 	}
 	// Satisfied cycles (no reads — the pushes cover both halves) keep the
 	// binding; a read by a third node extends it.
-	d.Advance(pairWrite(17, 0, 256, 1, 256))
+	advance(t, d, pairWrite(17, 0, 256, 1, 256))
 	if _, _, _, ok := d.Split(17); !ok {
 		t.Fatal("binding decayed on a satisfied cycle")
 	}
-	d.Advance(read(map[int][]int{17: {5}}))
-	d.Advance(pairWrite(17, 0, 256, 1, 256))
+	advance(t, d, read(map[int][]int{17: {5}}))
+	advance(t, d, pairWrite(17, 0, 256, 1, 256))
 	if _, _, cons, _ := d.Split(17); !reflect.DeepEqual(cons, []int{0, 1, 5}) {
 		t.Fatalf("binding after extension = %v, want [0 1 5]", cons)
 	}
@@ -65,19 +65,19 @@ func TestSplitPromotion(t *testing.T) {
 // producer change does, so a split binding still takes K *pair* cycles.
 func TestPairDiscardsSingleCycleReads(t *testing.T) {
 	d := New(Config{K: 2})
-	d.Advance(read(map[int][]int{6: {0, 1}}))
-	d.Advance(write(map[int]int{6: 0})) // single-producer cycle with readers {0,1}
+	advance(t, d, read(map[int][]int{6: {0, 1}}))
+	advance(t, d, write(map[int]int{6: 0})) // single-producer cycle with readers {0,1}
 	// The pair appears. The in-flight reads belonged to the broken single
 	// pattern; this epoch contributes no pair cycle with consumers.
-	d.Advance(read(map[int][]int{6: {0, 1}}))
-	d.Advance(pairWrite(6, 0, 256, 1, 256))
-	d.Advance(read(map[int][]int{6: {0, 1}}))
-	d.Advance(pairWrite(6, 0, 256, 1, 256))
+	advance(t, d, read(map[int][]int{6: {0, 1}}))
+	advance(t, d, pairWrite(6, 0, 256, 1, 256))
+	advance(t, d, read(map[int][]int{6: {0, 1}}))
+	advance(t, d, pairWrite(6, 0, 256, 1, 256))
 	if _, _, _, ok := d.Split(6); ok {
 		t.Fatal("split binding formed with a cycle inherited from the single pattern")
 	}
-	d.Advance(read(map[int][]int{6: {0, 1}}))
-	d.Advance(pairWrite(6, 0, 256, 1, 256))
+	advance(t, d, read(map[int][]int{6: {0, 1}}))
+	advance(t, d, pairWrite(6, 0, 256, 1, 256))
 	if _, _, _, ok := d.Split(6); !ok {
 		t.Fatal("split binding missing after K genuine pair cycles")
 	}
@@ -88,19 +88,19 @@ func TestPairDiscardsSingleCycleReads(t *testing.T) {
 // the single-producer streak when the pair breaks to one writer.
 func TestSingleDiscardsPairCycleReads(t *testing.T) {
 	d := New(Config{K: 2})
-	d.Advance(read(map[int][]int{6: {2, 3}}))
-	d.Advance(pairWrite(6, 0, 256, 1, 256)) // pair cycle with readers {2,3}
-	d.Advance(read(map[int][]int{6: {2, 3}}))
-	d.Advance(write(map[int]int{6: 0})) // pair breaks to a single writer
+	advance(t, d, read(map[int][]int{6: {2, 3}}))
+	advance(t, d, pairWrite(6, 0, 256, 1, 256)) // pair cycle with readers {2,3}
+	advance(t, d, read(map[int][]int{6: {2, 3}}))
+	advance(t, d, write(map[int]int{6: 0})) // pair breaks to a single writer
 	// The reads of epoch 3 consumed the pair's production; they must not
 	// count as a single-producer cycle.
-	d.Advance(read(map[int][]int{6: {2, 3}}))
-	d.Advance(write(map[int]int{6: 0}))
+	advance(t, d, read(map[int][]int{6: {2, 3}}))
+	advance(t, d, write(map[int]int{6: 0}))
 	if _, _, ok := d.Push(6); ok {
 		t.Fatal("promoted with a cycle inherited from the pair pattern")
 	}
-	d.Advance(read(map[int][]int{6: {2, 3}}))
-	d.Advance(write(map[int]int{6: 0}))
+	advance(t, d, read(map[int][]int{6: {2, 3}}))
+	advance(t, d, write(map[int]int{6: 0}))
 	if _, _, ok := d.Push(6); !ok {
 		t.Fatal("not promoted after K genuine single-producer cycles")
 	}
@@ -112,8 +112,8 @@ func TestSingleDiscardsPairCycleReads(t *testing.T) {
 func TestSplitRequiresDisjointExtents(t *testing.T) {
 	d := New(Config{K: 2})
 	for cycle := 0; cycle < 4; cycle++ {
-		d.Advance(read(map[int][]int{9: {0, 1}}))
-		d.Advance(Epoch{Writers: map[int][]WriteExt{9: {
+		advance(t, d, read(map[int][]int{9: {0, 1}}))
+		advance(t, d, Epoch{Writers: map[int][]WriteExt{9: {
 			{Node: 0, Lo: 0, Hi: 300},
 			{Node: 1, Lo: 200, Hi: 512},
 		}}, Readers: map[int][]int{}})
@@ -124,8 +124,8 @@ func TestSplitRequiresDisjointExtents(t *testing.T) {
 	// Unknown extents (Hi == 0) are equally disqualifying.
 	d2 := New(Config{K: 2})
 	for cycle := 0; cycle < 4; cycle++ {
-		d2.Advance(read(map[int][]int{9: {0, 1}}))
-		d2.Advance(Epoch{Writers: map[int][]WriteExt{9: {
+		advance(t, d2, read(map[int][]int{9: {0, 1}}))
+		advance(t, d2, Epoch{Writers: map[int][]WriteExt{9: {
 			{Node: 0}, {Node: 1, Lo: 256, Hi: 512},
 		}}, Readers: map[int][]int{}})
 	}
@@ -140,8 +140,8 @@ func TestSplitDecay(t *testing.T) {
 	bind := func() *Detector {
 		d := New(Config{K: 2})
 		for cycle := 0; cycle < 2; cycle++ {
-			d.Advance(read(map[int][]int{3: {0, 1}}))
-			d.Advance(pairWrite(3, 0, 128, 1, 384))
+			advance(t, d, read(map[int][]int{3: {0, 1}}))
+			advance(t, d, pairWrite(3, 0, 128, 1, 384))
 		}
 		if _, _, _, ok := d.Split(3); !ok {
 			t.Fatal("setup: no split binding")
@@ -150,7 +150,7 @@ func TestSplitDecay(t *testing.T) {
 	}
 
 	d := bind()
-	d.Advance(pairWrite(3, 2, 128, 1, 384)) // different pair
+	advance(t, d, pairWrite(3, 2, 128, 1, 384)) // different pair
 	if _, _, _, ok := d.Split(3); ok {
 		t.Fatal("no decay on a pair change")
 	}
@@ -159,7 +159,7 @@ func TestSplitDecay(t *testing.T) {
 	}
 
 	d = bind()
-	d.Advance(Epoch{Writers: map[int][]WriteExt{3: {
+	advance(t, d, Epoch{Writers: map[int][]WriteExt{3: {
 		{Node: 0, Lo: 0, Hi: 128}, {Node: 1, Lo: 384, Hi: 512}, {Node: 2, Lo: 200, Hi: 210},
 	}}, Readers: map[int][]int{}})
 	if _, _, _, ok := d.Split(3); ok {
@@ -168,7 +168,7 @@ func TestSplitDecay(t *testing.T) {
 
 	d = bind()
 	// The low writer's extent crosses the watershed (cut = 256).
-	d.Advance(pairWrite(3, 0, 400, 1, 400))
+	advance(t, d, pairWrite(3, 0, 400, 1, 400))
 	if _, _, _, ok := d.Split(3); ok {
 		t.Fatal("no decay on a write across the watershed")
 	}
@@ -176,12 +176,12 @@ func TestSplitDecay(t *testing.T) {
 	// A single writer from the pair, by contrast, is a satisfied producer
 	// epoch — the binding must hold.
 	d = bind()
-	d.Advance(write(map[int]int{3: 0}))
+	advance(t, d, write(map[int]int{3: 0}))
 	if _, _, _, ok := d.Split(3); !ok {
 		t.Fatal("binding decayed when one pair member produced alone")
 	}
 	// But a single outside writer takes the page.
-	d.Advance(write(map[int]int{3: 7}))
+	advance(t, d, write(map[int]int{3: 7}))
 	if _, _, _, ok := d.Split(3); ok {
 		t.Fatal("no decay on an outside single writer")
 	}
@@ -193,16 +193,16 @@ func TestSplitDecay(t *testing.T) {
 func TestSectionJoin(t *testing.T) {
 	d := New(Config{K: 3})
 	for cycle := 0; cycle < 3; cycle++ {
-		d.Advance(read(map[int][]int{10: {1, 2}}))
-		d.Advance(write(map[int]int{10: 0}))
+		advance(t, d, read(map[int][]int{10: {1, 2}}))
+		advance(t, d, write(map[int]int{10: 0}))
 	}
 	if _, _, ok := d.Push(10); !ok {
 		t.Fatal("setup: page 10 not bound")
 	}
 	// Page 11: same producer and consumers, adjacent to the bound page —
 	// one cycle suffices.
-	d.Advance(read(map[int][]int{11: {1, 2}}))
-	d.Advance(write(map[int]int{11: 0}))
+	advance(t, d, read(map[int][]int{11: {1, 2}}))
+	advance(t, d, write(map[int]int{11: 0}))
 	if _, cons, ok := d.Push(11); !ok || !reflect.DeepEqual(cons, []int{1, 2}) {
 		t.Fatalf("Push(11) = (%v, %v), want join with [1 2]", cons, ok)
 	}
@@ -211,14 +211,14 @@ func TestSectionJoin(t *testing.T) {
 	}
 	// Page 12: adjacent but a different consumer set — no join, full
 	// hysteresis applies.
-	d.Advance(read(map[int][]int{12: {5}}))
-	d.Advance(write(map[int]int{12: 0}))
+	advance(t, d, read(map[int][]int{12: {5}}))
+	advance(t, d, write(map[int]int{12: 0}))
 	if _, _, ok := d.Push(12); ok {
 		t.Fatal("page with a different consumer set joined the section")
 	}
 	// Page 13 written by a different producer — no join either.
-	d.Advance(read(map[int][]int{13: {1, 2}}))
-	d.Advance(write(map[int]int{13: 4}))
+	advance(t, d, read(map[int][]int{13: {1, 2}}))
+	advance(t, d, write(map[int]int{13: 4}))
 	if _, _, ok := d.Push(13); ok {
 		t.Fatal("page with a different producer joined the section")
 	}
@@ -232,8 +232,8 @@ func TestSectionsClustering(t *testing.T) {
 	d := New(Config{K: 2})
 	drive := func(pg int, prod int, readers []int) {
 		for cycle := 0; cycle < 2; cycle++ {
-			d.Advance(read(map[int][]int{pg: readers}))
-			d.Advance(write(map[int]int{pg: prod}))
+			advance(t, d, read(map[int][]int{pg: readers}))
+			advance(t, d, write(map[int]int{pg: prod}))
 		}
 	}
 	drive(4, 0, []int{1})
@@ -241,8 +241,8 @@ func TestSectionsClustering(t *testing.T) {
 	drive(6, 0, []int{2}) // same producer, different consumer: must split
 	drive(7, 3, []int{2}) // same consumer, different producer: must split
 	for cycle := 0; cycle < 2; cycle++ {
-		d.Advance(read(map[int][]int{9: {0, 1}}))
-		d.Advance(pairWrite(9, 0, 256, 1, 256))
+		advance(t, d, read(map[int][]int{9: {0, 1}}))
+		advance(t, d, pairWrite(9, 0, 256, 1, 256))
 	}
 	got := d.Sections()
 	want := []Section{

@@ -3,6 +3,8 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -162,5 +164,47 @@ func TestAddAndSetFields(t *testing.T) {
 	s.SetFields(&sum)
 	if len(s.Counters) != 2 || s.Counters["x.a"] != 3 || s.Counters["x.b"] != 8 {
 		t.Fatalf("SetFields: got %v, want x.a=3 x.b=8 only", s.Counters)
+	}
+}
+
+// TestStartProfilesWritesEachFile pins what the commands' -cpuprofile,
+// -memprofile and -exectrace flags promise: each path given to
+// StartProfiles is a non-empty file once stop returns, alone or together,
+// and no path means no file.
+func TestStartProfilesWritesEachFile(t *testing.T) {
+	dir := t.TempDir()
+	for _, c := range [][3]string{{"cpu", "", ""}, {"", "mem", ""}, {"", "", "trace"}, {"cpu", "mem", "trace"}, {"", "", ""}} {
+		var paths [3]string
+		for i, name := range c {
+			if name != "" {
+				paths[i] = filepath.Join(dir, strings.Join(c[:], "-")+"."+name)
+			}
+		}
+		stop, err := StartProfiles(paths[0], paths[1], paths[2])
+		if err != nil {
+			t.Fatalf("%v: start: %v", c, err)
+		}
+		sink := 0.0
+		for i := 0; i < 1_000_000; i++ { // something for the profilers to see
+			sink += float64(i)
+		}
+		_ = sink
+		if err := stop(); err != nil {
+			t.Fatalf("%v: stop: %v", c, err)
+		}
+		for _, p := range paths {
+			if p == "" {
+				continue
+			}
+			if st, err := os.Stat(p); err != nil || st.Size() == 0 {
+				t.Errorf("%v: %s: %v, want a non-empty file", c, filepath.Base(p), err)
+			}
+		}
+	}
+	if left, _ := filepath.Glob(filepath.Join(dir, "*")); len(left) != 6 {
+		t.Errorf("%d files written, want 6: %q", len(left), left)
+	}
+	if _, err := StartProfiles("", "", filepath.Join(dir, "no", "such", "dir")); err == nil {
+		t.Error("an uncreatable -exectrace path was accepted")
 	}
 }

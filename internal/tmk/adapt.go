@@ -2,6 +2,7 @@ package tmk
 
 import (
 	"fmt"
+	"slices"
 
 	"sdsm/internal/adapt"
 	"sdsm/internal/wire"
@@ -18,6 +19,31 @@ const tagAdapt = 102
 type adaptNode struct {
 	det     *adapt.Detector
 	fetched map[int32]bool // pages demand-fetched since the last barrier departure
+
+	// Epoch-lifetime scratch, rebuilt by every adaptStep and dead when it
+	// returns (the detector keeps no reference to an observation): the
+	// observation itself — obs, page-ascending, its writer and reader lists
+	// carved out of wbuf and rbuf — the page-indexed tally it is laid out
+	// from, the exchange schedule (sends[c]: pages pushed to consumer c;
+	// recvs[q]: a push is due from producer q), one message's diffs, and
+	// the arrival's copy of the last departure's vector time.
+	obs    []adapt.PageObs
+	wbuf   []adapt.WriteExt
+	rbuf   []int
+	tally  []pageTally
+	epoch  int32
+	sends  [][]int
+	recvs  []bool
+	ds     []wire.Diff
+	oldBar []int32
+}
+
+// pageTally is one page's entry in the table observe lays an epoch's
+// observation out from: how many write notices and reads name the page,
+// then its index in obs. An entry is meaningful only while its stamp equals
+// the node's current epoch, so nothing is cleared between barriers.
+type pageTally struct {
+	stamp, w, r, slot int32
 }
 
 // EnableAdapt switches the machine to the adaptive update protocol: the
@@ -39,7 +65,11 @@ type adaptNode struct {
 func (s *System) EnableAdapt(cfg adapt.Config) {
 	s.adaptCfg = cfg
 	for _, nd := range s.Nodes {
-		nd.ad = &adaptNode{det: adapt.New(cfg), fetched: map[int32]bool{}}
+		nd.ad = &adaptNode{
+			det: adapt.New(cfg), fetched: map[int32]bool{},
+			tally: make([]pageTally, nd.Mem.Pages()),
+			sends: make([][]int, s.N()), recvs: make([]bool, s.N()),
+		}
 	}
 }
 
@@ -154,7 +184,8 @@ func (nd *Node) epochBase() []int32 {
 	if nd.ad == nil {
 		return nil
 	}
-	return append([]int32(nil), nd.lastBar...)
+	nd.ad.oldBar = append(nd.ad.oldBar[:0], nd.lastBar...)
+	return nd.ad.oldBar
 }
 
 // checkpointAdapt adds the adaptive state to a recovery record: the epoch's
@@ -173,7 +204,7 @@ func (nd *Node) restoreAdapt(ck wire.Checkpoint) {
 	if err := nd.ad.det.RestoreSnapshot(ck.Adapt); err != nil {
 		panic(fmt.Sprintf("tmk: node %d restoring detector: %v", nd.ID, err))
 	}
-	nd.ad.fetched = map[int32]bool{}
+	clear(nd.ad.fetched)
 	for _, pg := range ck.Fetched {
 		nd.ad.fetched[pg] = true
 	}
@@ -181,6 +212,83 @@ func (nd *Node) restoreAdapt(ck wire.Checkpoint) {
 
 // adaptFetchedBytes is the accounted wire size of one relayed fetch list.
 func adaptFetchedBytes(pages int) int { return 8 + 4*pages }
+
+// observe assembles the ending epoch's observation in the node's scratch:
+// per page, the writers with their write extents — from the write notices
+// in (oldBar, vc] — and the readers, from the departure's relayed per-node
+// fetch lists. The first pass counts each page's notices and reads; a walk
+// over the touched page range then lays the pages out in ascending order,
+// giving each a window of wbuf and rbuf sized by its counts; the second
+// pass fills the windows. Nothing is sorted and, once the buffers have
+// grown to the epoch's size, nothing is allocated.
+func (nd *Node) observe(oldBar []int32, fetched []wire.NodePages) []adapt.PageObs {
+	ad := nd.ad
+	ad.epoch++
+	lo, hi, nw, nr := len(ad.tally), 0, 0, 0
+	count := func(pg int32) *pageTally {
+		t := &ad.tally[pg]
+		if t.stamp != ad.epoch {
+			*t = pageTally{stamp: ad.epoch}
+			lo, hi = min(lo, int(pg)), max(hi, int(pg)+1)
+		}
+		return t
+	}
+	for o := range nd.vc {
+		for idx := oldBar[o] + 1; idx <= nd.vc[o]; idx++ {
+			for _, ref := range nd.know[o][idx-1].Pages {
+				count(ref.Page).w++
+				nw++
+			}
+		}
+	}
+	for _, np := range fetched {
+		for _, pg := range np.Pages {
+			count(pg).r++
+			nr++
+		}
+	}
+	ad.wbuf, ad.rbuf = slices.Grow(ad.wbuf[:0], nw), slices.Grow(ad.rbuf[:0], nr)
+	obs, nw, nr := ad.obs[:0], 0, 0
+	for pg := lo; pg < hi; pg++ {
+		t := &ad.tally[pg]
+		if t.stamp != ad.epoch {
+			continue
+		}
+		w, r := nw+int(t.w), nr+int(t.r)
+		t.slot = int32(len(obs))
+		obs = append(obs, adapt.PageObs{Page: pg, Writers: ad.wbuf[nw:nw:w], Readers: ad.rbuf[nr:nr:r]})
+		nw, nr = w, r
+	}
+	ad.obs = obs
+	for o := range nd.vc {
+		for idx := oldBar[o] + 1; idx <= nd.vc[o]; idx++ {
+			for _, ref := range nd.know[o][idx-1].Pages {
+				ob := &obs[ad.tally[ref.Page].slot]
+				ext := adapt.WriteExt{Node: o, Lo: int(ref.ExtLo), Hi: int(ref.ExtHi)}
+				if n := len(ob.Writers); n > 0 && ob.Writers[n-1].Node == o {
+					// The owner closed several intervals covering the page
+					// this epoch (a lazy-flush split): union the extents, an
+					// unknown extent poisoning the union to unknown.
+					last := &ob.Writers[n-1]
+					if last.Hi == 0 || ext.Hi == 0 {
+						last.Lo, last.Hi = 0, 0
+					} else {
+						last.Lo, last.Hi = min(last.Lo, ext.Lo), max(last.Hi, ext.Hi)
+					}
+					continue
+				}
+				ob.Writers = append(ob.Writers, ext)
+			}
+		}
+	}
+	for _, np := range fetched {
+		for _, pg := range np.Pages {
+			ob := &obs[ad.tally[pg].slot]
+			ob.Readers = append(ob.Readers, int(np.Node))
+		}
+	}
+	return obs
+}
 
 // adaptStep runs right after a barrier departure: it assembles the epoch's
 // observation from globally shared state, advances the detector, and
@@ -194,75 +302,47 @@ func adaptFetchedBytes(pages int) int { return 8 + 4*pages }
 // same send/receive schedule independently, the way Push's send and
 // receive phases already pair up on all backends. A no-op off adapt.
 func (nd *Node) adaptStep(oldBar []int32, fetched []wire.NodePages) {
-	if nd.ad == nil {
+	ad := nd.ad
+	if ad == nil {
 		return
 	}
 	s := nd.sys
-	ep := adapt.Epoch{Writers: map[int][]adapt.WriteExt{}, Readers: map[int][]int{}}
-	for o := range nd.vc {
-		for idx := oldBar[o] + 1; idx <= nd.vc[o]; idx++ {
-			for _, ref := range nd.know[o][idx-1].Pages {
-				pg := int(ref.Page)
-				ws := ep.Writers[pg]
-				if n := len(ws); n > 0 && ws[n-1].Node == o {
-					// The owner closed several intervals covering the page
-					// this epoch (a lazy-flush split): union the extents, an
-					// unknown extent poisoning the union to unknown.
-					if ws[n-1].Hi == 0 || ref.ExtHi == 0 {
-						ws[n-1].Lo, ws[n-1].Hi = 0, 0
-					} else {
-						if int(ref.ExtLo) < ws[n-1].Lo {
-							ws[n-1].Lo = int(ref.ExtLo)
-						}
-						if int(ref.ExtHi) > ws[n-1].Hi {
-							ws[n-1].Hi = int(ref.ExtHi)
-						}
-					}
-					continue
-				}
-				ep.Writers[pg] = append(ws, adapt.WriteExt{Node: o, Lo: int(ref.ExtLo), Hi: int(ref.ExtHi)})
-			}
-		}
-	}
-	for _, np := range fetched {
-		for _, pg := range np.Pages {
-			ep.Readers[int(pg)] = append(ep.Readers[int(pg)], int(np.Node))
-		}
-	}
-	nd.ad.det.LogTrans = nd.tracing()
-	nd.ad.det.Advance(ep)
+	obs := nd.observe(oldBar, fetched)
+	ad.det.LogTrans = nd.tracing()
+	ad.det.AdvancePages(obs)
 	if nd.ID == 0 {
 		// Detector transitions are machine-global (every replica counts the
 		// same ones); node 0 reports them so the aggregate is not N-fold.
-		st := nd.ad.det.Stats
+		st := ad.det.Stats
 		nd.Stats.AdaptPromotions = st.Promotions
 		nd.Stats.AdaptSplits = st.Splits
 		nd.Stats.AdaptJoins = st.SectionJoins
 		nd.Stats.AdaptDecays = st.Decays
-		nd.traceAdapt(nd.ad.det.Trans)
+		nd.traceAdapt(ad.det.Trans)
 	}
 
 	// The exchange schedule: for every page written this epoch and bound
 	// to update, its producer — or, for split-bound pages, each writing
 	// pair member — pushes this epoch's own diffs to every bound consumer
 	// but itself, one aggregated message per consumer.
-	sends := map[int][]int{} // consumer -> pages this node pushes
-	recvs := map[int]bool{}  // producers this node expects a push from
+	for c := range ad.sends {
+		ad.sends[c], ad.recvs[c] = ad.sends[c][:0], false
+	}
 	route := func(producer int, consumers []int, pg int) {
 		for _, c := range consumers {
 			if c == producer {
 				continue
 			}
 			if producer == nd.ID {
-				sends[c] = append(sends[c], pg)
+				ad.sends[c] = append(ad.sends[c], pg)
 			} else if c == nd.ID {
-				recvs[producer] = true
+				ad.recvs[producer] = true
 			}
 		}
 	}
-	for _, pg := range sortedKeys(ep.Writers) {
-		ws := ep.Writers[pg]
-		if pair, _, consumers, ok := nd.ad.det.Split(pg); ok {
+	for _, ob := range obs {
+		ws, pg := ob.Writers, ob.Page
+		if pair, _, consumers, ok := ad.det.Split(pg); ok {
 			// Sub-page binding: every pair member that wrote this epoch
 			// pushes its own diffs — which cover exactly its half — so each
 			// consumer's pending notices are satisfied by the paired pushes.
@@ -274,23 +354,26 @@ func (nd *Node) adaptStep(oldBar []int32, fetched []wire.NodePages) {
 			continue
 		}
 		if len(ws) != 1 {
-			continue // conflicting writers: the detector just decayed it
+			continue // unwritten, or conflicting writers: the detector just decayed it
 		}
-		prod, consumers, ok := nd.ad.det.Push(pg)
+		prod, consumers, ok := ad.det.Push(pg)
 		if !ok || prod != ws[0].Node {
 			continue
 		}
 		route(prod, consumers, pg)
 	}
 
-	// Send phase: flush the pushed pages' outstanding modifications (the
-	// same lazy flush a serve would trigger) and ship every own diff the
-	// epoch produced, coalesced into one section span per contiguous run
-	// of compatible headers (wire.CoalesceDiffs), one message per bound
-	// consumer.
-	for _, c := range sortedKeys(sends) {
-		var ds []wire.Diff
-		for _, pg := range sends[c] {
+	// Send phase, in consumer order: flush the pushed pages' outstanding
+	// modifications (the same lazy flush a serve would trigger) and ship
+	// every own diff the epoch produced, coalesced into one section span per
+	// contiguous run of compatible headers (wire.CoalesceDiffs, which copies
+	// the headers out of ds), one message per bound consumer.
+	for c, pages := range ad.sends {
+		if len(pages) == 0 {
+			continue
+		}
+		ds := ad.ds[:0]
+		for _, pg := range pages {
 			if nd.dirty[pg] {
 				nd.flushLocalDiff(pg, false)
 			}
@@ -301,6 +384,7 @@ func (nd *Node) adaptStep(oldBar []int32, fetched []wire.NodePages) {
 			}
 			nd.Stats.AdaptPagesPushed++
 		}
+		ad.ds = ds
 		u := wire.Update{Epoch: int32(nd.Stats.Barriers), Spans: wire.CoalesceDiffs(ds)}
 		bytes := 16
 		for _, sp := range u.Spans {
@@ -320,9 +404,11 @@ func (nd *Node) adaptStep(oldBar []int32, fetched []wire.NodePages) {
 	// memory images. (Split pages receive one span from each half's
 	// producer; their runs are disjoint by the watershed, so the producer
 	// application order cannot affect content.)
-	for _, q := range sortedKeys(recvs) {
-		m := s.NW.Recv(nd.p, q, tagAdapt)
-		nd.applyDiffs(wire.ExpandSpans(m.Payload.(wire.Update).Spans))
+	for q, due := range ad.recvs {
+		if due {
+			m := s.NW.Recv(nd.p, q, tagAdapt)
+			nd.applyDiffs(wire.ExpandSpans(m.Payload.(wire.Update).Spans))
+		}
 	}
-	nd.ad.fetched = map[int32]bool{}
+	clear(ad.fetched)
 }

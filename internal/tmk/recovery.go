@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -49,9 +50,12 @@ import (
 
 // SnapshotSink stores recovery records. Put receives one encoded record
 // (a complete FCkpt wire frame); a full record makes every older record
-// of that node dead, and sinks may discard them. Records returns a
-// node's live chain — the newest full record first, then every
-// incremental record after it, in write order.
+// of that node dead, and sinks may discard them — after the new record is
+// stored, so a failed Put leaves the previous chain intact. Put must not
+// retain rec after it returns: the node encodes its next record into the
+// same buffer. Records returns a node's live chain — the newest full
+// record first, then every incremental record after it, in write order —
+// as blobs the caller owns and may hold across any later Put.
 type SnapshotSink interface {
 	Put(node int, epoch int32, full bool, rec []byte) error
 	Records(node int) ([][]byte, error)
@@ -96,11 +100,20 @@ type RecoveryStats struct {
 // recoveryState is a node's checkpoint bookkeeping: recLast is the vector
 // clock of its previous record (nil before the first), recTouched the
 // pages a diff was stored for or data pushed into since (nil unless
-// EnableRecovery ran), recEpoch the record counter.
+// EnableRecovery ran), recEpoch the record counter. The rest is
+// writeRecord's scratch, reused from record to record: the frame set, the
+// checkpoint's three lists, and the encoded frame (a record is dead to the
+// node once the sink's Put returns).
 type recoveryState struct {
 	recLast    []int32
 	recTouched map[int]bool
 	recEpoch   int32
+
+	recPages  []int
+	recIvs    []wire.OwnedInterval
+	recFrames []wire.PageFrame
+	recDiffs  []wire.Diff
+	recBuf    []byte
 }
 
 // recoveryPoll is the virtual time a failed node burns per check while
@@ -146,6 +159,13 @@ func (nd *Node) injectFault(b *barrier) {
 // in own intervals closed since. A page absent from every frame set is
 // provably still zero-filled and untouched, so a restore needs no
 // frame for it. A no-op unless recovery is armed.
+//
+// The wire.Checkpoint is a view, not a copy: its vector times, applied
+// rows, page images, twins and diff runs alias the node's live state. That
+// is safe because the record is encoded — into the node's reused buffer —
+// before this function returns, and the caller holds the protocol token
+// throughout, so nothing the view names can move under the encoder; the
+// sink sees only the encoded bytes.
 func (nd *Node) writeRecord() {
 	s := nd.sys
 	r := s.rec
@@ -156,44 +176,39 @@ func (nd *Node) writeRecord() {
 	nd.recEpoch++
 	full := nd.recLast == nil || r.Every <= 1 || (int(nd.recEpoch)-1)%r.Every == 0
 	ck := wire.Checkpoint{
-		Node:    int32(nd.ID),
-		Epoch:   nd.recEpoch,
-		Full:    full,
-		VC:      append([]int32(nil), nd.vc...),
-		LastBar: append([]int32(nil), nd.lastBar...),
-	}
-	base := nd.recLast
-	if full {
-		base = make([]int32, n)
+		Node: int32(nd.ID), Epoch: nd.recEpoch, Full: full, VC: nd.vc, LastBar: nd.lastBar,
+		Intervals: nd.recIvs[:0], Frames: nd.recFrames[:0], Diffs: nd.recDiffs[:0],
 	}
 	for o := 0; o < n; o++ {
-		for idx := base[o] + 1; idx <= nd.vc[o]; idx++ {
+		var from int32 // a full record carries the whole log
+		if !full {
+			from = nd.recLast[o]
+		}
+		for idx := from + 1; idx <= nd.vc[o]; idx++ {
 			ck.Intervals = append(ck.Intervals, wire.OwnedInterval{
 				Owner: int32(o), Idx: idx, IV: nd.know[o][idx-1],
 			})
 		}
 	}
-	for _, pg := range nd.recordPages(full, base) {
-		fr := wire.PageFrame{
+	for _, pg := range nd.recordPages(full) {
+		ck.Frames = append(ck.Frames, wire.PageFrame{
 			Page:       int32(pg),
 			Prot:       uint8(nd.Mem.Prot(pg)),
 			Dirty:      nd.dirty[pg],
 			LastDiffed: nd.lastDiffed[pg],
-			Applied:    append([]int32(nil), nd.applied[pg]...),
-			Words:      append([]float64(nil), nd.Mem.PageData(pg)...),
-		}
-		if tw := nd.Mem.TwinData(pg); tw != nil {
-			fr.Twin = append([]float64(nil), tw...)
-		}
-		ck.Frames = append(ck.Frames, fr)
+			Applied:    nd.applied[pg],
+			Words:      nd.Mem.PageData(pg),
+			Twin:       nd.Mem.TwinData(pg),
+		})
 		// The framed page's cached diff chain rides along, in cache
 		// order: a restore replaces the page's cache with the newest
 		// record's copy, so every record must carry the chains of
 		// exactly the pages it frames (storeDiff marks recTouched).
 		for _, d := range nd.diffs[pg] {
-			ck.Diffs = append(ck.Diffs, d.toWire())
+			ck.Diffs = append(ck.Diffs, d.Diff)
 		}
 	}
+	nd.recIvs, nd.recFrames, nd.recDiffs = ck.Intervals, ck.Frames, ck.Diffs
 	nd.checkpointAdapt(&ck)
 	// The complete probable-owner map rides every record (it is small: one
 	// pair per hinted page; none off scale), so a restore takes the newest
@@ -203,14 +218,15 @@ func (nd *Node) writeRecord() {
 			ck.Owners = append(ck.Owners, wire.PageOwner{Page: int32(pg), Owner: o})
 		}
 	}
-	blob, err := wire.AppendFrame(nil, &wire.Frame{Kind: wire.FCkpt, From: int32(nd.ID), Payload: ck})
+	blob, err := wire.AppendFrame(nd.recBuf[:0], &wire.Frame{Kind: wire.FCkpt, From: int32(nd.ID), Payload: ck})
 	if err != nil {
 		panic(fmt.Sprintf("tmk: encoding checkpoint record: %v", err))
 	}
+	nd.recBuf = blob
 	if err := r.Sink.Put(nd.ID, ck.Epoch, full, blob); err != nil {
 		panic(fmt.Sprintf("tmk: storing checkpoint record: %v", err))
 	}
-	nd.recLast = ck.VC
+	nd.recLast = append(nd.recLast[:0], nd.vc...)
 	clear(nd.recTouched)
 	nd.RecStats.Checkpoints++
 	if full {
@@ -220,9 +236,10 @@ func (nd *Node) writeRecord() {
 	nd.traceCkpt(len(blob), full, ck.Epoch)
 }
 
-// recordPages returns the sorted page set a record must frame.
-func (nd *Node) recordPages(full bool, base []int32) []int {
-	var pages []int
+// recordPages returns the sorted page set a record must frame, in the
+// node's scratch.
+func (nd *Node) recordPages(full bool) []int {
+	pages := nd.recPages[:0]
 	if full {
 		for pg := 0; pg < nd.Mem.Pages(); pg++ {
 			if nd.dirty[pg] || nd.lastDiffed[pg] > 0 || len(nd.diffs[pg]) > 0 ||
@@ -230,21 +247,23 @@ func (nd *Node) recordPages(full bool, base []int32) []int {
 				pages = append(pages, pg)
 			}
 		}
-		return pages
-	}
-	set := map[int]bool{}
-	for pg := range nd.recTouched {
-		set[pg] = true
-	}
-	for pg := range nd.dirty {
-		set[pg] = true
-	}
-	for idx := base[nd.ID] + 1; idx <= nd.vc[nd.ID]; idx++ {
-		for _, ref := range nd.know[nd.ID][idx-1].Pages {
-			set[int(ref.Page)] = true
+	} else {
+		for pg := range nd.recTouched {
+			pages = append(pages, pg)
 		}
+		for pg := range nd.dirty {
+			pages = append(pages, pg)
+		}
+		for idx := nd.recLast[nd.ID] + 1; idx <= nd.vc[nd.ID]; idx++ {
+			for _, ref := range nd.know[nd.ID][idx-1].Pages {
+				pages = append(pages, int(ref.Page))
+			}
+		}
+		slices.Sort(pages)
+		pages = slices.Compact(pages)
 	}
-	return sortedKeys(set)
+	nd.recPages = pages
+	return pages
 }
 
 // rowNonZero reports whether any applied timestamp in the row is set.
@@ -438,16 +457,20 @@ func (nd *Node) restore() {
 	for _, po := range last.Owners {
 		nd.dirOwner[po.Page] = po.Owner
 	}
-	nd.recLast = append([]int32(nil), last.VC...)
+	nd.recLast = append(nd.recLast[:0], last.VC...)
 	nd.recEpoch = last.Epoch
 	clear(nd.recTouched)
 }
 
 // MemSink is the in-memory SnapshotSink: one live record chain per
-// node, a full record dropping the chain before it.
+// node, a full record dropping the chain before it. The dropped chain's
+// buffers are recycled for later records (Records hands out copies, so no
+// caller can be holding one), which is what keeps a steady-state record
+// from allocating anything proportional to the image.
 type MemSink struct {
 	mu     sync.Mutex
 	chains map[int][][]byte
+	free   [][]byte
 }
 
 // NewMemSink returns an empty in-memory sink.
@@ -457,14 +480,39 @@ func NewMemSink() *MemSink { return &MemSink{chains: map[int][][]byte{}} }
 func (m *MemSink) Put(node int, epoch int32, full bool, rec []byte) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	buf := append(m.buffer(len(rec)), rec...)
 	if full {
+		m.free = append(m.free, m.chains[node]...)
 		m.chains[node] = m.chains[node][:0]
 	}
-	m.chains[node] = append(m.chains[node], append([]byte(nil), rec...))
+	m.chains[node] = append(m.chains[node], buf)
 	return nil
 }
 
-// Records returns a copy of the node's live chain.
+// buffer takes a recycled buffer for an n-byte record off the free list:
+// the smallest that holds it or, with none large enough, the largest, which
+// append then regrows with room to spare (full records grow with the
+// interval log, so each is a little larger than the buffer its predecessor
+// left). Nil when nothing has been retired yet.
+func (m *MemSink) buffer(n int) []byte {
+	if len(m.free) == 0 {
+		return nil
+	}
+	best := 0
+	for i, b := range m.free {
+		c, bc := cap(b), cap(m.free[best])
+		if (c >= n && (bc < n || c < bc)) || (bc < n && c > bc) {
+			best = i
+		}
+	}
+	buf := m.free[best]
+	last := len(m.free) - 1
+	m.free[best], m.free[last] = m.free[last], nil
+	m.free = m.free[:last]
+	return buf[:0]
+}
+
+// Records returns a deep copy of the node's live chain.
 func (m *MemSink) Records(node int) ([][]byte, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -472,12 +520,16 @@ func (m *MemSink) Records(node int) ([][]byte, error) {
 	if len(c) == 0 {
 		return nil, fmt.Errorf("tmk: no checkpoint records for node %d", node)
 	}
-	return append([][]byte(nil), c...), nil
+	out := make([][]byte, len(c))
+	for i, rec := range c {
+		out[i] = slices.Clone(rec)
+	}
+	return out, nil
 }
 
 // FileSink spills records to Dir, one file per record, named so a
 // lexicographic listing is chain order. A full record removes the
-// node's older files.
+// node's other files once it is itself in place.
 type FileSink struct {
 	Dir string
 }
@@ -490,20 +542,39 @@ func (fs *FileSink) name(node int, epoch int32, full bool) string {
 	return fmt.Sprintf("ckpt-n%04d-e%08d-%c.bin", node, epoch, k)
 }
 
-// Put writes the record, dropping the node's dead records first.
+// Put writes the record under a temporary name (which Records never lists),
+// renames it into place, and only then drops the records a full one makes
+// dead: a write that fails or is interrupted leaves the previous chain
+// readable. A full record removes every other file of the node, higher
+// epochs included — those are an earlier run's leftovers in a reused Dir,
+// and Records (which starts at the newest full file) would restore from them.
 func (fs *FileSink) Put(node int, epoch int32, full bool, rec []byte) error {
-	if full {
-		old, err := fs.files(node)
-		if err != nil {
+	path := filepath.Join(fs.Dir, fs.name(node, epoch, full))
+	tmp := path + ".tmp"
+	err := os.WriteFile(tmp, rec, 0o644)
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		_ = os.Remove(tmp) // best effort: Records never lists a temporary file
+		return err
+	}
+	if !full {
+		return nil
+	}
+	files, err := fs.files(node)
+	if err != nil {
+		return err
+	}
+	for _, f := range files {
+		if f == path {
+			continue
+		}
+		if err := os.Remove(f); err != nil {
 			return err
 		}
-		for _, f := range old {
-			if err := os.Remove(f); err != nil {
-				return err
-			}
-		}
 	}
-	return os.WriteFile(filepath.Join(fs.Dir, fs.name(node, epoch, full)), rec, 0o644)
+	return nil
 }
 
 // Records reads the node's chain from the newest full record on.

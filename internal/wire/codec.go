@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 )
 
 // ErrTruncated reports input that ended inside a frame or field.
@@ -21,17 +22,28 @@ func (e *enc) i64(v int64)   { e.b = binary.LittleEndian.AppendUint64(e.b, uint6
 func (e *enc) f64(v float64) { e.b = binary.LittleEndian.AppendUint64(e.b, math.Float64bits(v)) }
 func (e *enc) count(n int)   { e.b = binary.AppendUvarint(e.b, uint64(n)) }
 
+// reserve extends the buffer by n bytes in one step and returns them for
+// the caller to store into: word lists (page images, diff runs, vector
+// times) are sized once instead of grown an append at a time.
+func (e *enc) reserve(n int) []byte {
+	at := len(e.b)
+	e.b = slices.Grow(e.b, n)[:at+n]
+	return e.b[at:]
+}
+
 func (e *enc) i32s(vs []int32) {
 	e.count(len(vs))
-	for _, v := range vs {
-		e.i32(v)
+	dst := e.reserve(4 * len(vs))
+	for i, v := range vs {
+		binary.LittleEndian.PutUint32(dst[4*i:], uint32(v))
 	}
 }
 
 func (e *enc) f64s(vs []float64) {
 	e.count(len(vs))
-	for _, v := range vs {
-		e.f64(v)
+	dst := e.reserve(8 * len(vs))
+	for i, v := range vs {
+		binary.LittleEndian.PutUint64(dst[8*i:], math.Float64bits(v))
 	}
 }
 
@@ -215,9 +227,13 @@ func (d *dec) i32s() []int32 {
 	if n == 0 {
 		return nil
 	}
+	src := d.take(4 * n)
+	if src == nil {
+		return nil
+	}
 	out := d.allocI32(n)
 	for i := range out {
-		out[i] = d.i32()
+		out[i] = int32(binary.LittleEndian.Uint32(src[4*i:]))
 	}
 	return out
 }
@@ -227,9 +243,13 @@ func (d *dec) f64s() []float64 {
 	if n == 0 {
 		return nil
 	}
+	src := d.take(8 * n)
+	if src == nil {
+		return nil
+	}
 	out := d.allocF64(n)
 	for i := range out {
-		out[i] = d.f64()
+		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
 	}
 	return out
 }

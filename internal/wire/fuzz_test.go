@@ -21,7 +21,9 @@ import (
 // The seed corpus under testdata/fuzz covers every frame kind and payload
 // type (regenerate with -write-corpus after a format change).
 func FuzzWireRoundTrip(f *testing.F) {
-	for _, fr := range sampleFrames() {
+	// awkwardFrames seeds NaN-payload and signed-zero words; it is not part
+	// of the checked-in corpus, which sampleFrames alone generates.
+	for _, fr := range append(sampleFrames(), awkwardFrames()...) {
 		b, err := AppendFrame(nil, fr)
 		if err != nil {
 			f.Fatal(err)

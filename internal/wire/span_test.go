@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 )
@@ -96,4 +97,25 @@ func diffKey(d Diff) string {
 		panic(err)
 	}
 	return string(b)
+}
+
+// BenchmarkCoalesceDiffs is the join search's worst shape, a lock grant's
+// chains at 32 procs: every diff its own header, nothing to join, so each
+// diff walks every span before it. 60 is the most headers one message of
+// the sim-modes workload carries (tsps/small, -scale, 32 procs).
+func BenchmarkCoalesceDiffs(b *testing.B) {
+	for _, n := range []int{8, 60, 250} {
+		ds := make([]Diff, n)
+		for i := range ds {
+			cov := make([]int32, 32)
+			cov[i%32] = int32(i)
+			ds[i] = Diff{Page: int32(i / 4), Creator: int32(i % 32), From: int32(i), To: int32(i + 1), Covers: cov}
+		}
+		b.Run(fmt.Sprintf("headers=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				CoalesceDiffs(ds)
+			}
+		})
+	}
 }

@@ -2,7 +2,9 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
+	"math"
 	"reflect"
 	"testing"
 )
@@ -278,5 +280,79 @@ func TestCountOverflowRejected(t *testing.T) {
 func TestUnencodablePayload(t *testing.T) {
 	if _, err := AppendFrame(nil, &Frame{Kind: FMsg, Payload: struct{ X int }{1}}); err == nil {
 		t.Fatal("encode accepted an unencodable payload")
+	}
+}
+
+// awkwardWords are float64 bit patterns a value-level copy could rewrite:
+// quiet and signalling NaNs with payloads, both signs, both zeros, the
+// infinities and a denormal. The word lists of the codec move bits.
+var awkwardWords = []uint64{
+	0x7ff8000000000001, 0x7ff0000000000001, 0xfff8dead0000beef, 0xfff0000000000123,
+	0x0000000000000000, 0x8000000000000000, 0x7ff0000000000000, 0xfff0000000000000,
+	0x0000000000000001, 0x3ff0000000000000,
+}
+
+// awkwardFrames carries awkwardWords through every f64s site of the codec
+// that a recovery record or a diff payload uses.
+func awkwardFrames() []*Frame {
+	vals := make([]float64, len(awkwardWords))
+	for i, w := range awkwardWords {
+		vals[i] = math.Float64frombits(w)
+	}
+	return []*Frame{
+		{Kind: FMsg, From: 1, To: 2, Payload: Float64s(vals)},
+		{Kind: FReply, Payload: DiffReply{Diffs: []Diff{{Page: 1, Covers: []int32{1, -1}, Runs: []Run{{Off: 3, Vals: vals}}}}}},
+		{Kind: FCkpt, Payload: Checkpoint{VC: []int32{math.MinInt32, math.MaxInt32}, Frames: []PageFrame{
+			{Page: 2, Applied: []int32{0, -7}, Words: vals, Twin: vals[:4]},
+		}}},
+	}
+}
+
+// TestWordListsBitExact pins the bulk f64s/i32s paths: every word of a
+// list lands in the frame as its little-endian bits, in order, and decodes
+// back to the same bits — NaN payloads and the sign of zero included.
+func TestWordListsBitExact(t *testing.T) {
+	var image []byte
+	for _, w := range awkwardWords {
+		image = binary.LittleEndian.AppendUint64(image, w)
+	}
+	for i, f := range awkwardFrames() {
+		b, err := AppendFrame(nil, f)
+		if err != nil {
+			t.Fatalf("frame %d: encode: %v", i, err)
+		}
+		if !bytes.Contains(b, image) {
+			t.Fatalf("frame %d: the word list's bits are not in the encoding", i)
+		}
+		got, _, err := ParseFrame(b)
+		if err != nil {
+			t.Fatalf("frame %d: decode: %v", i, err)
+		}
+		var vals []float64
+		switch p := got.Payload.(type) {
+		case Float64s:
+			vals = p
+		case DiffReply:
+			vals = p.Diffs[0].Runs[0].Vals
+		case Checkpoint:
+			vals = p.Frames[0].Words
+			if a, w := p.Frames[0].Applied, p.VC; a[1] != -7 || w[0] != math.MinInt32 || w[1] != math.MaxInt32 {
+				t.Fatalf("frame %d: i32 lists decoded as %v, %v", i, a, w)
+			}
+		}
+		if len(vals) != len(awkwardWords) {
+			t.Fatalf("frame %d: decoded %d words, want %d", i, len(vals), len(awkwardWords))
+		}
+		for j, v := range vals {
+			if math.Float64bits(v) != awkwardWords[j] {
+				t.Fatalf("frame %d word %d: %#x decoded as %#x", i, j, awkwardWords[j], math.Float64bits(v))
+			}
+		}
+		// Appending to a buffer with spare capacity and stale contents must
+		// produce the same bytes as encoding from nil.
+		stale := bytes.Repeat([]byte{0xa5}, 2*len(b))
+		if again, err := AppendFrame(stale[:0], f); err != nil || !bytes.Equal(again, b) {
+			t.Fatalf("frame %d: encoding into a reused buffer differs (err %v)", i, err)
+		}
 	}
 }
