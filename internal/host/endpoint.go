@@ -1,70 +1,42 @@
 package host
 
 import (
-	"fmt"
 	"net"
 	"time"
 
 	"sdsm/internal/model"
-	"sdsm/internal/obs"
 	"sdsm/internal/wire"
 )
 
-// Endpoint is one rank's side of its link to a Switch: the connection,
-// the hello that identifies the rank, an unbounded outbound FrameQueue —
-// the sending goroutine never blocks on a full socket buffer, so a
-// pairwise exchange of large payloads cannot wedge two ranks (and their
-// routers) in simultaneous writes — and the mailbox send paths, which
-// charge the sender, stamp the arrival time, encode the payload exactly
-// once, and enqueue. The inbound side is only a frame reader: what a
+// Endpoint is one rank's side of its link to a Switch: a Link, the hello
+// that identifies the rank, and the mailbox send paths, which charge the
+// sender, stamp the arrival time, encode the payload exactly once, and
+// enqueue — on the link's unbounded queue, so a pairwise exchange of large
+// payloads cannot wedge two ranks (and their routers) in simultaneous
+// writes. The inbound side is only the link's frame reader: what a
 // received frame means is the owner's business (Net files it for a
 // blocked processor, an mpnet worker's Recv reads inline).
 //
 // Send errors are the queue's latched write error; owners turn them into
 // their own failure (Net aborts the machine, a worker process dies).
 type Endpoint struct {
+	*Link
 	rank  int
 	costs model.Costs
-	conn  net.Conn
-	fr    *wire.FrameReader
-	q     *FrameQueue
 }
 
 // NewEndpoint says hello as rank on c, a fresh connection to a switch,
-// and starts the outbound queue. onErr (optional) is the queue's: called
-// once, from its writer goroutine, when a write first fails. On error
-// the connection is still the caller's to close.
+// and frames it (NewLink). On error the connection is still the caller's
+// to close.
 func NewEndpoint(c net.Conn, rank int, costs model.Costs, onErr func(error)) (*Endpoint, error) {
 	if err := writeHello(c, rank); err != nil {
 		return nil, err
 	}
-	return &Endpoint{rank: rank, costs: costs, conn: c, fr: wire.NewFrameReader(c), q: NewFrameQueue(c, onErr)}, nil
+	return &Endpoint{Link: NewLink(c, onErr), rank: rank, costs: costs}, nil
 }
 
 // Costs returns the cost model the endpoint charges its sends with.
 func (e *Endpoint) Costs() model.Costs { return e.costs }
-
-// SetObs attaches frame/flush counters to the outbound queue
-// (observability only).
-func (e *Endpoint) SetObs(frames, flushes *obs.Counter) { e.q.SetObs(frames, flushes) }
-
-// ReadInto reads and decodes the next inbound frame into *f (see
-// wire.FrameReader.ReadInto). One goroutine reads an endpoint.
-func (e *Endpoint) ReadInto(f *wire.Frame) error { return e.fr.ReadInto(f) }
-
-// ReadHandshake is ReadInto under the handshake deadline, for the first
-// frame of a deployment whose switch answers the hello: a switch that
-// accepted but never configures this rank surfaces as a clear timeout,
-// not a silent hang.
-func (e *Endpoint) ReadHandshake(f *wire.Frame) error {
-	e.conn.SetReadDeadline(time.Now().Add(handshakeTimeout))
-	err := e.fr.ReadInto(f)
-	e.conn.SetReadDeadline(time.Time{})
-	if err != nil {
-		return fmt.Errorf("host: handshake: awaiting the switch's first frame (deadline %v): %w", handshakeTimeout, err)
-	}
-	return nil
-}
 
 // Msg converts a received FMsg frame to the mailbox message it carries.
 func (e *Endpoint) Msg(f *wire.Frame) Msg {
@@ -76,29 +48,6 @@ func (e *Endpoint) Msg(f *wire.Frame) Msg {
 		From: int(f.From), To: e.rank, Tag: Tag(f.Tag),
 		Payload: payload, Bytes: int(f.Bytes), Arrival: time.Duration(f.Time),
 	}
-}
-
-// Write encodes f into pooled storage and hands it to the outbound queue
-// (which recycles the buffer after the coalesced write).
-func (e *Endpoint) Write(f *wire.Frame) error {
-	raw, err := wire.AppendFrame(wire.GetBuf(), f)
-	if err != nil {
-		wire.PutBuf(raw)
-		return err
-	}
-	return e.q.Enqueue(raw)
-}
-
-// Flush blocks until every frame written so far has been handed to the
-// connection, or returns the latched write error.
-func (e *Endpoint) Flush() error { return e.q.Flush() }
-
-// Close drains the outbound queue, then closes the connection; it
-// returns the queue's latched write error, if any.
-func (e *Endpoint) Close() error {
-	err := e.q.Close()
-	e.conn.Close()
-	return err
 }
 
 // msgFrame is the mailbox frame for one payload from this rank.

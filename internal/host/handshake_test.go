@@ -14,13 +14,16 @@ import (
 	"sdsm/internal/leaktest"
 	"sdsm/internal/model"
 	"sdsm/internal/mpnet"
+	"sdsm/internal/svc"
 	"sdsm/internal/wire"
 )
 
 // The process-per-rank deployment's handshake is the switch's and the
 // endpoint's (TestHandshakeTimeout pins the primitive); these tests pin
 // it end to end through mpnet, whose coordinator spawns THIS test binary
-// as its workers. They live here because the deadline they shorten does.
+// as its workers, and through svc, whose coordinator reads an accepted
+// connection's first frame under the same deadline. They live here
+// because the deadline they shorten does.
 
 // badWorkerEnv, set on a spawned worker, selects how it breaks the
 // handshake (see badWorker).
@@ -132,5 +135,41 @@ func TestWorkerSilentCoordinator(t *testing.T) {
 	}
 	if c := <-accepted; c != nil {
 		c.Close()
+	}
+}
+
+// TestServiceSilentPeer: a connection the service coordinator accepted
+// that never sends a first frame is closed within the handshake deadline
+// and costs nothing else — a client dialed afterwards is served.
+func TestServiceSilentPeer(t *testing.T) {
+	leaktest.Check(t)
+	defer host.SetHandshakeTimeout(500 * time.Millisecond)()
+	co, err := svc.Start(svc.Config{Slots: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer co.Close()
+	silent, err := net.Dial(co.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer silent.Close()
+	start := time.Now()
+	silent.SetReadDeadline(start.Add(10 * time.Second))
+	if _, err := silent.Read(make([]byte, 1)); err == nil || isTimeout(err) {
+		t.Fatalf("silent connection: read = %v, want the coordinator's close", err)
+	}
+	if e := time.Since(start); e > 5*time.Second {
+		t.Errorf("close took %v, deadline was 500ms", e)
+	}
+
+	cl, err := svc.Dial(co.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	res, err := cl.Do(wire.JobSpec{App: "jacobi", Set: "small", Procs: 1, Verify: true})
+	if err != nil || res.Err != "" {
+		t.Errorf("job after the silent peer: err %v, result error %q", err, res.Err)
 	}
 }

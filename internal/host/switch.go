@@ -42,19 +42,19 @@ type Switch struct {
 	tap  Tap
 	down LinkDown
 
-	links   []link
+	links   []rankLink
 	wg      sync.WaitGroup
 	closing atomic.Bool
 
 	frames, flushes *obs.Counter // SetObs; nil on untraced runs
 }
 
-// link is the switch's state for one rank. Its mutex makes (tap, enqueue)
+// rankLink is the switch's state for one rank. Its mutex makes (tap, enqueue)
 // atomic per destination and guards the socket/queue swap of a Repair: a
 // frame routed concurrently with the destination's re-pairing lands
 // either in the dead queue (dropped — the tap saw it first) or in the new
 // queue after Repair's prime — never between primed frames.
-type link struct {
+type rankLink struct {
 	mu   sync.Mutex
 	conn net.Conn
 	q    *FrameQueue
@@ -74,7 +74,7 @@ type LinkDown func(rank int, err error)
 
 // handshakeTimeout bounds every step of a handshake — the switch's wait
 // for a rank to connect, each hello read and write, and a rank's wait
-// for the switch's first frame: a peer that never dials, connects and
+// for its peer's first frame: a peer that never dials, connects and
 // never speaks, or never drains fails the handshake with a clear error
 // instead of hanging the machine. Sized for the slowest rank to join: a
 // freshly spawned OS process on a loaded machine. A variable so tests can
@@ -132,7 +132,7 @@ func NewSwitch(n int, tap Tap, down LinkDown) (*Switch, error) {
 	if err != nil {
 		return nil, fmt.Errorf("host: switch cannot listen: %w", err)
 	}
-	return &Switch{n: n, ln: ln, dir: dir, tap: tap, down: down, links: make([]link, n)}, nil
+	return &Switch{n: n, ln: ln, dir: dir, tap: tap, down: down, links: make([]rankLink, n)}, nil
 }
 
 // Addr is the address ranks dial.

@@ -5,17 +5,19 @@ import (
 	"net"
 	"sync"
 
+	"sdsm/internal/host"
 	"sdsm/internal/wire"
 )
 
-// Client is one connection to a coordinator. It multiplexes any number
-// of concurrent submissions: each submit carries a connection-local
-// nonce the coordinator echoes on the accept/reject verdict, and every
-// later frame about the job carries both the nonce and the job ID.
-// Safe for concurrent use.
+// Client is the requesting side of one link: a submitter's connection to
+// a coordinator, or a coordinator's accepted link to a pool daemon — the
+// exchange is the same. It multiplexes any number of concurrent
+// submissions: each submit carries a link-local nonce the server echoes
+// on the accept/reject verdict, and every later frame about the job
+// carries both the nonce and the job ID. Safe for concurrent use.
 type Client struct {
-	c   net.Conn
-	wmu sync.Mutex // serializes submit frames
+	l    *host.Link
+	peer string // what the far end is, for error text
 
 	mu      sync.Mutex
 	nextTag int32
@@ -36,41 +38,51 @@ type Job struct {
 	result  chan wire.JobResult
 }
 
-// Dial connects to a coordinator (address from Coordinator.Addr).
+// Dial connects to a coordinator (address from Coordinator.Addr). The
+// coordinator waits for a connection's first frame only as long as the
+// handshake deadline: dial when there is a job to submit.
 func Dial(network, addr string) (*Client, error) {
 	c, err := net.Dial(network, addr)
 	if err != nil {
 		return nil, fmt.Errorf("svc: dial coordinator: %w", err)
 	}
+	return newClient(newLink(c), "coordinator"), nil
+}
+
+// newClient starts the requester on l; its reader is l's one reader from
+// here on.
+func newClient(l *host.Link, peer string) *Client {
 	cl := &Client{
-		c:       c,
+		l:       l,
+		peer:    peer,
 		pending: map[int32]*Job{},
 		active:  map[int64]*Job{},
 		done:    make(chan struct{}),
 	}
 	go cl.reader()
-	return cl, nil
+	return cl
 }
 
 // Close severs the connection. In-flight jobs fail with the close.
 func (cl *Client) Close() error {
-	err := cl.c.Close()
+	err := cl.l.Close()
 	<-cl.done
 	return err
 }
 
-// reader demultiplexes coordinator frames: verdicts route by nonce,
+// reader demultiplexes the server's frames: verdicts route by nonce,
 // progress and results by job ID. It owns the pending/active maps'
 // mutations past submission, so verdict routing can atomically promote
 // a pending job to active before any later frame about it is read —
-// frames for one job are ordered on the wire.
+// frames for one job are ordered on the wire. When the link ends, every
+// job still in either table fails with the loss.
 func (cl *Client) reader() {
 	defer close(cl.done)
+	var f wire.Frame
 	for {
-		f, err := wire.ReadFrame(cl.c)
-		if err != nil {
+		if err := cl.l.ReadInto(&f); err != nil {
 			cl.mu.Lock()
-			cl.err = fmt.Errorf("svc: coordinator connection lost: %w", err)
+			cl.err = fmt.Errorf("svc: %s connection lost: %w", cl.peer, err)
 			for tag, j := range cl.pending {
 				delete(cl.pending, tag)
 				j.reason = cl.err.Error()
@@ -83,68 +95,39 @@ func (cl *Client) reader() {
 			cl.mu.Unlock()
 			return
 		}
-		switch f.Kind {
-		case wire.FJobAccept:
-			d, ok := f.Payload.(wire.JobDecision)
-			if !ok {
-				continue
-			}
-			cl.mu.Lock()
+		// Frames route by payload type; Kind only tells the two verdicts
+		// apart. Deliveries happen under mu and cannot block: the reader is
+		// each channel's only sender, a job gets one verdict and one result
+		// (it leaves its table on the first), and a stale progress update is
+		// discarded before the fresh one is sent.
+		cl.mu.Lock()
+		switch p := f.Payload.(type) {
+		case wire.JobDecision:
 			if j := cl.pending[f.Tag]; j != nil {
 				delete(cl.pending, f.Tag)
-				j.ID = d.ID
-				cl.active[d.ID] = j
-				close(j.decided)
-			}
-			cl.mu.Unlock()
-		case wire.FJobReject:
-			d, ok := f.Payload.(wire.JobDecision)
-			if !ok {
-				continue
-			}
-			cl.mu.Lock()
-			if j := cl.pending[f.Tag]; j != nil {
-				delete(cl.pending, f.Tag)
-				j.reason = d.Reason
-				close(j.decided)
-			}
-			cl.mu.Unlock()
-		case wire.FJobState:
-			p, ok := f.Payload.(wire.JobProgress)
-			if !ok {
-				continue
-			}
-			cl.mu.Lock()
-			j := cl.active[p.ID]
-			cl.mu.Unlock()
-			if j != nil {
-				// Latest-wins: drop the stale update if the consumer lags.
-				select {
-				case j.state <- p.State:
-				default:
-					select {
-					case <-j.state:
-					default:
-					}
-					select {
-					case j.state <- p.State:
-					default:
-					}
+				if f.Kind == wire.FJobAccept {
+					j.ID = p.ID
+					cl.active[p.ID] = j
+				} else {
+					j.reason = p.Reason
 				}
+				close(j.decided)
 			}
-		case wire.FJobResult:
-			r, ok := f.Payload.(wire.JobResult)
-			if !ok {
-				continue
+		case wire.JobProgress:
+			if j := cl.active[p.ID]; j != nil {
+				select {
+				case <-j.state: // latest-wins: the consumer lagged
+				default:
+				}
+				j.state <- p.State
 			}
-			cl.mu.Lock()
-			j := cl.active[r.ID]
-			delete(cl.active, r.ID)
-			cl.mu.Unlock()
-			if j != nil {
-				j.result <- r
+		case wire.JobResult:
+			if j := cl.active[p.ID]; j != nil {
+				delete(cl.active, p.ID)
+				j.result <- p
 			}
 		}
+		cl.mu.Unlock()
 	}
 }
 
@@ -158,24 +141,19 @@ func (cl *Client) Submit(spec wire.JobSpec) (*Job, error) {
 		state:   make(chan byte, 1),
 		result:  make(chan wire.JobResult, 1),
 	}
+	// The submit frame is enqueued under mu, so the reader cannot look for
+	// the job before it is registered.
 	cl.mu.Lock()
-	if cl.err != nil {
-		err := cl.err
-		cl.mu.Unlock()
-		return nil, err
+	err := cl.err
+	if err == nil {
+		cl.nextTag++
+		err = cl.l.Write(&wire.Frame{Kind: wire.FJob, Tag: cl.nextTag, Payload: spec})
 	}
-	cl.nextTag++
-	tag := cl.nextTag
-	cl.pending[tag] = j
+	if err == nil {
+		cl.pending[cl.nextTag] = j
+	}
 	cl.mu.Unlock()
-
-	cl.wmu.Lock()
-	err := wire.WriteFrame(cl.c, &wire.Frame{Kind: wire.FJob, Tag: tag, Payload: spec})
-	cl.wmu.Unlock()
 	if err != nil {
-		cl.mu.Lock()
-		delete(cl.pending, tag)
-		cl.mu.Unlock()
 		return nil, fmt.Errorf("svc: submit: %w", err)
 	}
 	<-j.decided

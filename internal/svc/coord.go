@@ -1,9 +1,7 @@
 package svc
 
 import (
-	"errors"
 	"fmt"
-	"io"
 	"net"
 	"os"
 	"sync"
@@ -27,16 +25,9 @@ type Config struct {
 	QueueCap int
 }
 
-// ServiceStats counts control-plane outcomes. All fields are atomics;
-// Snapshot returns a plain copy.
-type ServiceStats struct {
-	Accepted  atomic.Int64
-	Rejected  atomic.Int64
-	Completed atomic.Int64 // results delivered, including jobs whose Err is set
-	Failed    atomic.Int64 // of Completed: results carrying Err
-}
-
-// StatsSnapshot is a point-in-time copy of ServiceStats.
+// StatsSnapshot is a point-in-time copy of the control-plane counters.
+// Completed counts results delivered, including jobs whose Err is set;
+// Failed is the part of Completed whose results carry Err.
 type StatsSnapshot struct {
 	Accepted, Rejected, Completed, Failed int64
 }
@@ -44,47 +35,91 @@ type StatsSnapshot struct {
 // job is one accepted submission in flight through the queue.
 type job struct {
 	spec wire.JobSpec
-	tag  int32 // the client's correlation nonce, echoed on every frame about the job
-	cl   *clientConn
+	tag  int32 // the submitter's correlation nonce, echoed on every frame about the job
+	s    *session
 }
 
-// clientConn serializes all coordinator→client writes on one
-// connection. The mutex also sequences admission: accept/reject frames
-// are written under the same lock the enqueue decision is made under,
-// so a worker's progress or result frames can never overtake the accept
-// that announced the job.
-type clientConn struct {
+// session is the serving side of one link whose peer submits jobs: a
+// client's connection, or — inside a pool daemon — the link the daemon
+// dialed. Every frame it sends is an enqueue on the link's unbounded
+// queue, so a peer that stops reading can park nothing but its own
+// link's writer goroutine.
+//
+// mu is the admission lock. Queueing a job and announcing the verdict
+// happen under it, and workers take it for each frame they send about a
+// job, so a progress or result frame can never overtake the accept that
+// announced the job. It guards two non-blocking enqueues (the job queue,
+// the link's frame queue), never a socket write.
+type session struct {
+	l  *host.Link
 	mu sync.Mutex
-	c  net.Conn
 }
 
-func (cl *clientConn) send(f *wire.Frame) {
-	cl.mu.Lock()
-	defer cl.mu.Unlock()
-	// A write error means the client went away; its jobs still run and
-	// their results are dropped here. The pool must survive its clients.
-	_ = wire.WriteFrame(cl.c, f)
+// send enqueues one frame for the session's peer. An error means the
+// peer went away; its jobs still run and their results are dropped here.
+// The pool must survive its clients.
+func (s *session) send(kind byte, tag int32, payload any) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	_ = s.l.Write(&wire.Frame{Kind: kind, Tag: tag, Payload: payload})
+}
+
+// newLink frames a control-plane connection. A failed write closes the
+// socket, so the loss surfaces where every other loss does: at the
+// link's one reader.
+func newLink(c net.Conn) *host.Link {
+	return host.NewLink(c, func(error) { c.Close() })
 }
 
 // Coordinator is the multi-job control plane: it owns the bounded job
 // queue, admits or rejects submissions, and dispatches accepted jobs to
-// the local warm pool and any attached pool daemons.
+// its executors — the local warm pool and any attached pool daemons. A
+// pool daemon is itself a Coordinator: one without a listener, serving
+// the single link it dialed (RunPoolDaemon).
 type Coordinator struct {
 	pool   *Pool
-	ln     net.Listener
-	dir    string // temp dir of the unix socket, "" for tcp
+	ln     net.Listener // nil inside a pool daemon
+	dir    string       // temp dir of the unix socket, "" for tcp
 	jobs   chan *job
 	nextID atomic.Int64
-	maxCap atomic.Int64 // largest executor capacity seen (admission bound)
 
-	Stats ServiceStats
+	accepted, rejected, completed, failed atomic.Int64 // Snapshot
 
-	quit chan struct{} // closed by Close; workers and forwarders watch it
+	quit chan struct{} // closed by Close; workers watch it
 
+	// mu guards the registry: every live link with the executor capacity
+	// it contributes (a daemon's slot count, 0 for a client), and the
+	// admission bound derived from it.
 	mu     sync.Mutex
-	conns  map[net.Conn]bool
+	links  map[*host.Link]int
+	local  int // the local pool's slot count
+	bound  int // largest live executor capacity, local included
 	closed bool
 	wg     sync.WaitGroup
+}
+
+// newCoordinator builds the queue and the local pool's workers; it
+// listens on nothing.
+func newCoordinator(cfg Config) *Coordinator {
+	qc := cfg.QueueCap
+	if qc <= 0 {
+		qc = DefaultQueueCap
+	}
+	co := &Coordinator{
+		jobs:  make(chan *job, qc),
+		quit:  make(chan struct{}),
+		links: map[*host.Link]int{},
+		local: cfg.Slots,
+		bound: cfg.Slots,
+	}
+	if cfg.Slots > 0 {
+		co.pool = NewPool(cfg.Slots)
+		co.wg.Add(cfg.Slots)
+		for w := 0; w < cfg.Slots; w++ {
+			go co.worker(co.pool.Run, nil)
+		}
+	}
+	return co
 }
 
 // Start launches a coordinator on a fresh loopback listener (unix
@@ -94,25 +129,8 @@ func Start(cfg Config) (*Coordinator, error) {
 	if err != nil {
 		return nil, fmt.Errorf("svc: listen: %w", err)
 	}
-	qc := cfg.QueueCap
-	if qc <= 0 {
-		qc = DefaultQueueCap
-	}
-	co := &Coordinator{
-		ln:    ln,
-		dir:   dir,
-		jobs:  make(chan *job, qc),
-		quit:  make(chan struct{}),
-		conns: map[net.Conn]bool{},
-	}
-	if cfg.Slots > 0 {
-		co.pool = NewPool(cfg.Slots)
-		co.maxCap.Store(int64(cfg.Slots))
-		for w := 0; w < cfg.Slots; w++ {
-			co.wg.Add(1)
-			go co.localWorker()
-		}
-	}
+	co := newCoordinator(cfg)
+	co.ln, co.dir = ln, dir
 	co.wg.Add(1)
 	go co.acceptLoop()
 	return co, nil
@@ -130,16 +148,16 @@ func (co *Coordinator) LocalPool() *Pool { return co.pool }
 // Snapshot copies the service counters.
 func (co *Coordinator) Snapshot() StatsSnapshot {
 	return StatsSnapshot{
-		Accepted:  co.Stats.Accepted.Load(),
-		Rejected:  co.Stats.Rejected.Load(),
-		Completed: co.Stats.Completed.Load(),
-		Failed:    co.Stats.Failed.Load(),
+		Accepted:  co.accepted.Load(),
+		Rejected:  co.rejected.Load(),
+		Completed: co.completed.Load(),
+		Failed:    co.failed.Load(),
 	}
 }
 
 // Close shuts the control plane down: stop accepting, sever every
-// connection, and wait for workers to drain. Jobs still queued are
-// dropped (their clients are gone with the connections).
+// link, and wait for workers to drain. Jobs still queued are dropped
+// (their clients are gone with the links).
 func (co *Coordinator) Close() {
 	co.mu.Lock()
 	if co.closed {
@@ -147,14 +165,15 @@ func (co *Coordinator) Close() {
 		return
 	}
 	co.closed = true
-	co.ln.Close()
-	for c := range co.conns {
-		c.Close()
+	if co.ln != nil {
+		co.ln.Close()
+	}
+	for l := range co.links {
+		l.Close()
 	}
 	co.mu.Unlock()
 	// The jobs channel is never closed: a racing submit may still try a
-	// non-blocking send. Workers leave via quit instead; queued jobs are
-	// dropped with their clients' connections.
+	// non-blocking send. Workers leave via quit instead.
 	close(co.quit)
 	co.wg.Wait()
 	if co.dir != "" {
@@ -169,218 +188,192 @@ func (co *Coordinator) acceptLoop() {
 		if err != nil {
 			return // listener closed
 		}
+		l := newLink(c)
 		co.mu.Lock()
 		if co.closed {
 			co.mu.Unlock()
-			c.Close()
+			l.Close()
 			return
 		}
-		co.conns[c] = true
+		co.links[l] = 0
 		co.wg.Add(1)
 		co.mu.Unlock()
-		go co.serveConn(c)
+		go co.serve(l)
 	}
 }
 
-func (co *Coordinator) dropConn(c net.Conn) {
+// dropLink retires a link.
+func (co *Coordinator) dropLink(l *host.Link) {
 	co.mu.Lock()
-	delete(co.conns, c)
+	delete(co.links, l)
 	co.mu.Unlock()
-	c.Close()
+	l.Close()
 }
 
-// serveConn handles one inbound connection. The first frame declares
-// the peer: FPoolHello attaches a daemon (Tag carries its slot count),
-// FJob begins a client session. Anything else — including bytes that do
-// not decode as a frame at all — closes the connection; the pool and
-// every other session are untouched.
-func (co *Coordinator) serveConn(c net.Conn) {
-	defer co.wg.Done()
-	defer co.dropConn(c)
-	f, err := wire.ReadFrame(c)
-	if err != nil {
-		return
+// setCap records the executor capacity l contributes — a daemon's slot
+// count while it is attached, 0 from when its link ends — and makes the
+// admission bound follow the live executors. Queued jobs the bound no
+// longer covers are finished with a per-job error instead of waiting for
+// an executor that will never come.
+func (co *Coordinator) setCap(l *host.Link, slots int) {
+	var orphans []*job
+	co.mu.Lock()
+	co.links[l] = slots
+	co.bound = co.local
+	for _, c := range co.links {
+		co.bound = max(co.bound, c)
 	}
-	switch f.Kind {
-	case wire.FPoolHello:
-		co.serveDaemon(c, int(f.Tag))
-	case wire.FJob:
-		cl := &clientConn{c: c}
-		co.submit(cl, f)
-		for {
-			f, err := wire.ReadFrame(c)
-			if err != nil {
-				return
+	// Admission enqueues under mu, so nothing is added while the queue is
+	// rotated once; workers may still take from it.
+	for n := len(co.jobs); n > 0; n-- {
+		select {
+		case j := <-co.jobs:
+			if int(j.spec.Procs) > co.bound {
+				orphans = append(orphans, j)
+			} else {
+				co.jobs <- j
 			}
-			if f.Kind != wire.FJob {
-				return
-			}
-			co.submit(cl, f)
+		default:
 		}
 	}
+	co.mu.Unlock()
+	for _, j := range orphans {
+		co.finish(j, wire.JobResult{ID: j.spec.ID, Err: "svc: no executor left that can hold the job"})
+	}
 }
 
-// submit admits or rejects one job submission. The enqueue decision and
-// its announcement happen under the client's write lock, so accept and
-// reject frames are ordered before any worker traffic for the job.
-func (co *Coordinator) submit(cl *clientConn, f *wire.Frame) {
+// serve handles one accepted link. The first frame, read under the
+// handshake deadline, declares the peer: FPoolHello attaches a daemon
+// (Tag carries its slot count), FJob begins a client session. Anything
+// else — silence included, and bytes that do not decode as a frame at
+// all — closes the link; the pool and every other session are untouched.
+func (co *Coordinator) serve(l *host.Link) {
+	defer co.wg.Done()
+	defer co.dropLink(l)
+	var f wire.Frame
+	if err := l.ReadHandshake(&f); err != nil {
+		return
+	}
+	if f.Kind == wire.FPoolHello {
+		co.attach(l, int(f.Tag))
+		return
+	}
+	_ = co.serveJobs(l, &f)
+}
+
+// serveJobs is the session loop, entered with the peer's first frame in
+// *f: every FJob it sends is admitted or rejected, until the link ends or
+// it sends anything else (the returned error says which).
+func (co *Coordinator) serveJobs(l *host.Link, f *wire.Frame) error {
+	s := &session{l: l}
+	for f.Kind == wire.FJob {
+		co.submit(s, f)
+		if err := l.ReadInto(f); err != nil {
+			return err
+		}
+	}
+	return fmt.Errorf("svc: frame kind %d does not belong on a job session", f.Kind)
+}
+
+// submit admits or rejects one job submission: the spec must denote a
+// run, some live executor must be able to hold it, and the queue must
+// have room. The bound check and the enqueue share the registry lock with
+// setCap, so a job cannot slip into the queue behind the last executor
+// able to run it. The enqueue and its announcement happen under the
+// session's admission lock, so accept and reject frames are ordered
+// before any worker traffic for the job.
+func (co *Coordinator) submit(s *session, f *wire.Frame) {
 	spec, ok := f.Payload.(wire.JobSpec)
-	reject := func(reason string) {
-		co.Stats.Rejected.Add(1)
-		cl.mu.Lock()
-		defer cl.mu.Unlock()
-		_ = wire.WriteFrame(cl.c, &wire.Frame{
-			Kind: wire.FJobReject, Tag: f.Tag,
-			Payload: wire.JobDecision{Reason: reason},
-		})
-	}
+	var reason string
 	if !ok {
-		reject("svc: job frame carries no spec")
-		return
-	}
-	if _, err := JobConfig(spec); err != nil {
-		reject(err.Error())
-		return
-	}
-	if c := co.maxCap.Load(); int64(spec.Procs) > c {
-		reject(fmt.Sprintf("svc: no executor with %d ranks (max capacity %d)", spec.Procs, c))
-		return
+		reason = "svc: job frame carries no spec"
+	} else if _, err := JobConfig(spec); err != nil {
+		reason = err.Error()
 	}
 	spec.ID = co.nextID.Add(1)
-	j := &job{spec: spec, tag: f.Tag, cl: cl}
-	cl.mu.Lock()
-	defer cl.mu.Unlock()
-	select {
-	case co.jobs <- j:
-		co.Stats.Accepted.Add(1)
-		_ = wire.WriteFrame(cl.c, &wire.Frame{
-			Kind: wire.FJobAccept, Tag: f.Tag,
-			Payload: wire.JobDecision{ID: spec.ID},
-		})
-		_ = wire.WriteFrame(cl.c, &wire.Frame{
-			Kind: wire.FJobState, Tag: f.Tag,
-			Payload: wire.JobProgress{ID: spec.ID, State: wire.JobQueued},
-		})
-	default:
-		co.Stats.Rejected.Add(1)
-		_ = wire.WriteFrame(cl.c, &wire.Frame{
-			Kind: wire.FJobReject, Tag: f.Tag,
-			Payload: wire.JobDecision{Reason: "svc: queue full"},
-		})
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if reason == "" {
+		co.mu.Lock()
+		if int(spec.Procs) > co.bound {
+			reason = fmt.Sprintf("svc: no executor with %d ranks (max capacity %d)", spec.Procs, co.bound)
+		} else {
+			select {
+			case co.jobs <- &job{spec: spec, tag: f.Tag, s: s}:
+			default:
+				reason = "svc: queue full"
+			}
+		}
+		co.mu.Unlock()
 	}
+	if reason != "" {
+		co.rejected.Add(1)
+		_ = s.l.Write(&wire.Frame{Kind: wire.FJobReject, Tag: f.Tag, Payload: wire.JobDecision{Reason: reason}})
+		return
+	}
+	co.accepted.Add(1)
+	_ = s.l.Write(&wire.Frame{Kind: wire.FJobAccept, Tag: f.Tag, Payload: wire.JobDecision{ID: spec.ID}})
+	_ = s.l.Write(&wire.Frame{Kind: wire.FJobState, Tag: f.Tag,
+		Payload: wire.JobProgress{ID: spec.ID, State: wire.JobQueued}})
 }
 
-// finish delivers a job's result to its client and counts it.
+// finish delivers a job's result to its submitter and counts it.
 func (co *Coordinator) finish(j *job, res wire.JobResult) {
-	co.Stats.Completed.Add(1)
+	co.completed.Add(1)
 	if res.Err != "" {
-		co.Stats.Failed.Add(1)
+		co.failed.Add(1)
 	}
-	j.cl.send(&wire.Frame{Kind: wire.FJobResult, Tag: j.tag, Payload: res})
+	j.s.send(wire.FJobResult, j.tag, res)
 }
 
-// localWorker drains the queue onto the local warm pool. One worker per
-// slot: at most Slots jobs run concurrently, and slot acquisition
-// inside Pool.Run enforces the per-rank exclusivity below that.
-func (co *Coordinator) localWorker() {
+// worker is the one worker loop: it drains the queue onto one slot of
+// one executor — run is Pool.Run for the local pool, a round trip over
+// the daemon's link for an attached daemon (attach) — until the
+// coordinator closes or the executor is gone (nil for the local pool,
+// which never leaves). One worker per slot bounds the executor's jobs in
+// flight; slot acquisition inside Pool.Run enforces the per-rank
+// exclusivity below that.
+func (co *Coordinator) worker(run func(wire.JobSpec) wire.JobResult, gone <-chan struct{}) {
 	defer co.wg.Done()
 	for {
 		select {
 		case <-co.quit:
 			return
+		case <-gone:
+			return
 		case j := <-co.jobs:
-			j.cl.send(&wire.Frame{Kind: wire.FJobState, Tag: j.tag,
-				Payload: wire.JobProgress{ID: j.spec.ID, State: wire.JobRunning}})
-			co.finish(j, co.pool.Run(j.spec))
+			j.s.send(wire.FJobState, j.tag, wire.JobProgress{ID: j.spec.ID, State: wire.JobRunning})
+			co.finish(j, run(j.spec))
 		}
 	}
 }
 
-// serveDaemon runs the coordinator side of an attached pool daemon:
-// slots forwarder goroutines pull jobs and ship them over the
-// connection; one reader routes results back to the waiting forwarder,
-// which relays to the job's client. In-flight jobs are bounded by the
-// daemon's declared slot count.
-func (co *Coordinator) serveDaemon(c net.Conn, slots int) {
+// attach runs the coordinator's side of a pool daemon's link. The
+// daemon serves the exchange a coordinator serves its clients, so the
+// requester is a Client over the accepted link, and the daemon's slots
+// are that many workers whose executor submits to it and waits — the
+// daemon assigns its own job ID, the coordinator's is restored on the
+// result. When the link ends the Client fails whatever was in flight on
+// it (those jobs' results carry Err), the workers leave, and the bound
+// shrinks; jobs still queued that another executor can hold stay queued.
+// The pool survives its daemons.
+func (co *Coordinator) attach(l *host.Link, slots int) {
 	if slots < 1 {
 		return
 	}
-	if prev := co.maxCap.Load(); int64(slots) > prev {
-		co.maxCap.Store(int64(slots))
-	}
-	var wmu sync.Mutex
-	var pmu sync.Mutex
-	pending := map[int64]chan wire.JobResult{}
-	readerGone := make(chan struct{})
-
-	var fwg sync.WaitGroup
+	cl := newClient(l, "pool daemon")
+	co.setCap(l, slots)
+	co.wg.Add(slots)
 	for i := 0; i < slots; i++ {
-		fwg.Add(1)
-		go func() {
-			defer fwg.Done()
-			for {
-				var j *job
-				select {
-				case <-co.quit:
-					return
-				case <-readerGone:
-					return
-				case j = <-co.jobs:
-				}
-				done := make(chan wire.JobResult, 1)
-				pmu.Lock()
-				pending[j.spec.ID] = done
-				pmu.Unlock()
-				wmu.Lock()
-				err := wire.WriteFrame(c, &wire.Frame{Kind: wire.FJob, Payload: j.spec})
-				wmu.Unlock()
-				if err != nil {
-					co.finish(j, wire.JobResult{ID: j.spec.ID, Err: "svc: pool daemon unreachable"})
-					return
-				}
-				j.cl.send(&wire.Frame{Kind: wire.FJobState, Tag: j.tag,
-					Payload: wire.JobProgress{ID: j.spec.ID, State: wire.JobRunning}})
-				select {
-				case res := <-done:
-					co.finish(j, res)
-				case <-readerGone:
-					co.finish(j, wire.JobResult{ID: j.spec.ID, Err: "svc: pool daemon died"})
-					return
-				}
-				pmu.Lock()
-				delete(pending, j.spec.ID)
-				pmu.Unlock()
+		go co.worker(func(spec wire.JobSpec) wire.JobResult {
+			res, err := cl.Do(spec)
+			if err != nil {
+				res.Err = err.Error()
 			}
-		}()
+			res.ID = spec.ID
+			return res
+		}, cl.done)
 	}
-	for {
-		f, err := wire.ReadFrame(c)
-		if err != nil {
-			if !errors.Is(err, io.EOF) && !co.isClosed() {
-				// Daemon death mid-run: forwarders holding jobs fail them
-				// via readerGone; queued jobs stay queued for other
-				// executors. The pool survives its daemons.
-				_ = err
-			}
-			close(readerGone)
-			fwg.Wait()
-			return
-		}
-		res, ok := f.Payload.(wire.JobResult)
-		if f.Kind != wire.FJobResult || !ok {
-			continue
-		}
-		pmu.Lock()
-		done := pending[res.ID]
-		pmu.Unlock()
-		if done != nil {
-			done <- res
-		}
-	}
-}
-
-func (co *Coordinator) isClosed() bool {
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	return co.closed
+	<-cl.done
+	co.setCap(l, 0)
 }

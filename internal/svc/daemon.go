@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"sync"
 
 	"sdsm/internal/wire"
 )
@@ -17,9 +16,11 @@ import (
 // warm in them — survives every job; only daemon death discards it.
 //
 // The attach handshake is one FPoolHello frame with the slot count in
-// Tag. After it, traffic is FJob in (spec with ID assigned) and
-// FJobResult out, up to `slots` jobs in flight — the coordinator
-// enforces the bound, the daemon just runs what arrives.
+// Tag. After it the daemon is a coordinator without a listener: the
+// link it dialed gets the session a coordinator gives a client (FJob in;
+// FJobAccept, FJobState, FJobResult out), in front of `slots` local
+// workers. The far side keeps at most `slots` jobs in flight, so the
+// daemon's queue of that size never rejects.
 func RunPoolDaemon(network, addr string, slots int, stop <-chan struct{}) error {
 	if slots < 1 {
 		return fmt.Errorf("svc: pool daemon needs at least 1 slot, got %d", slots)
@@ -28,49 +29,36 @@ func RunPoolDaemon(network, addr string, slots int, stop <-chan struct{}) error 
 	if err != nil {
 		return fmt.Errorf("svc: pool daemon dial: %w", err)
 	}
-	defer c.Close()
-	if err := wire.WriteFrame(c, &wire.Frame{Kind: wire.FPoolHello, Tag: int32(slots)}); err != nil {
+	l := newLink(c)
+	returned := make(chan struct{})
+	go func() {
+		select {
+		case <-stop:
+		case <-returned:
+		}
+		l.Close() // unblocks the session's read
+	}()
+	defer close(returned)
+	if err := l.Write(&wire.Frame{Kind: wire.FPoolHello, Tag: int32(slots)}); err != nil {
 		return fmt.Errorf("svc: pool daemon hello: %w", err)
 	}
-	if stop != nil {
-		go func() {
-			<-stop
-			c.Close() // unblocks the read loop
-		}()
+	co := newCoordinator(Config{Slots: slots, QueueCap: slots})
+	var f wire.Frame
+	if err = l.ReadInto(&f); err == nil {
+		err = co.serveJobs(l, &f)
 	}
-	pool := NewPool(slots)
-	var wmu sync.Mutex
-	var wg sync.WaitGroup
-	for {
-		f, err := wire.ReadFrame(c)
-		if err != nil {
-			// Coordinator gone (or stop fired): drain in-flight jobs —
-			// their results have nowhere to go, but the runs complete and
-			// release their slots cleanly — then decide how we left. A
-			// clean coordinator shutdown (EOF) is the daemon's documented
-			// end of life, not an error.
-			wg.Wait()
-			select {
-			case <-stop:
-				return nil
-			default:
-			}
-			if errors.Is(err, io.EOF) {
-				return nil
-			}
-			return fmt.Errorf("svc: pool daemon: coordinator connection lost: %w", err)
-		}
-		spec, ok := f.Payload.(wire.JobSpec)
-		if f.Kind != wire.FJob || !ok {
-			continue // not job traffic; ignore rather than die
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			res := pool.Run(spec)
-			wmu.Lock()
-			defer wmu.Unlock()
-			_ = wire.WriteFrame(c, &wire.Frame{Kind: wire.FJobResult, Payload: res})
-		}()
+	// Coordinator gone (or stop fired): in-flight jobs run out — their
+	// results have nowhere to go, but the runs complete and release their
+	// slots cleanly — then decide how we left. A clean coordinator
+	// shutdown (EOF) is the daemon's documented end of life, not an error.
+	co.Close()
+	select {
+	case <-stop:
+		return nil
+	default:
 	}
+	if errors.Is(err, io.EOF) {
+		return nil
+	}
+	return fmt.Errorf("svc: pool daemon: coordinator connection lost: %w", err)
 }

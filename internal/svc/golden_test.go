@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"sdsm/internal/leaktest"
 	"sdsm/internal/wire"
 )
 
@@ -18,6 +19,7 @@ var updateGolden = flag.Bool("update", false, "rewrite the Table D golden")
 // pinned). The mix doubles as a miniature of the CI load smoke: mixed
 // apps, mixed rank counts, protocol modes on and off.
 func TestTableDGolden(t *testing.T) {
+	leaktest.Check(t)
 	_, cl := startService(t, Config{Slots: 8, QueueCap: 64})
 	rep, err := RunLoad(cl, LoadConfig{
 		Jobs:        24,

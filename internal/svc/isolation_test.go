@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"sdsm/internal/harness"
+	"sdsm/internal/leaktest"
 	"sdsm/internal/wire"
 )
 
@@ -18,6 +19,7 @@ import (
 // layer's race workout: slots are handed between concurrent jobs
 // constantly.
 func TestCrossJobIsolation(t *testing.T) {
+	leaktest.Check(t)
 	mix := []wire.JobSpec{
 		{App: "jacobi", Set: "small", Procs: 4, Verify: true},
 		{App: "spmv", Set: "small", Procs: 2, Verify: true, Scale: true},

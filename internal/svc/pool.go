@@ -30,7 +30,11 @@
 //
 // The wire protocol (frames FJob, FJobAccept, FJobReject, FJobState,
 // FJobResult, FPoolHello) is versioned with the rest of package wire
-// and fuzz-covered by the same corpus.
+// and fuzz-covered by the same corpus. Every connection that carries it
+// is a host.Link, and both directions of attachment speak one exchange:
+// a pool daemon serves the coordinator that dispatches to it exactly as
+// a coordinator serves a client, so there is one requester (Client), one
+// session loop, and one worker loop.
 package svc
 
 import (
@@ -78,8 +82,15 @@ func NewPool(n int) *Pool {
 func (p *Pool) Slots() int { return p.n }
 
 // Arena exposes slot i's arena, for tests that poison or inspect warm
-// state between jobs.
-func (p *Pool) Arena(i int) *vm.Arena { return p.arenas[i] }
+// state between jobs. It takes the pool lock: a job releases its slots
+// under that lock before its result is sent, so whoever has seen the
+// result also sees, in the Go memory model and not only through the
+// socket the result crossed, everything the job did to the arena.
+func (p *Pool) Arena(i int) *vm.Arena {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.arenas[i]
+}
 
 // acquire takes n exclusive slots, blocking until n are free at once.
 // All-or-nothing: a waiter holds no slots while it waits, so concurrent

@@ -6,6 +6,7 @@ import (
 
 	"sdsm/internal/apps"
 	"sdsm/internal/harness"
+	"sdsm/internal/leaktest"
 	"sdsm/internal/wire"
 )
 
@@ -75,6 +76,7 @@ func checkBitIdentical(t *testing.T, label string, got wire.JobResult, want *har
 // the whole sweep, so each app also inherits the previous apps' warm
 // state — reuse under changing layouts is part of the claim.
 func TestPoolVsFreshEquivalence(t *testing.T) {
+	leaktest.Check(t)
 	_, cl := startService(t, Config{Slots: 4})
 	for _, a := range apps.Registry() {
 		spec := wire.JobSpec{App: a.Name, Set: "small", Procs: 4, Verify: true}
@@ -104,6 +106,7 @@ func TestPoolVsFreshEquivalence(t *testing.T) {
 // Adaptive and scale modes ride along: their detectors and directory
 // arrays are exactly the state that would leak if reset were partial.
 func TestPoolReuseResets(t *testing.T) {
+	leaktest.Check(t)
 	co, cl := startService(t, Config{Slots: 4})
 	specs := []wire.JobSpec{
 		{App: "jacobi", Set: "small", Procs: 4, Verify: true},
@@ -147,6 +150,7 @@ func TestPoolReuseResets(t *testing.T) {
 // machine (a panic or a wrong result, not a quiet pass). A following
 // 4-rank scale job must be bit-identical to a fresh 4-rank run.
 func TestWarmDirectoryRankSubset(t *testing.T) {
+	leaktest.Check(t)
 	co, cl := startService(t, Config{Slots: 8})
 	wide := wire.JobSpec{App: "spmv", Set: "small", Procs: 8, Verify: true, Scale: true}
 	mustDo(t, cl, wide)

@@ -61,24 +61,26 @@ const (
 	// Checkpoint frames never travel between peers mid-protocol; they are
 	// streamed to a coordinator or spooled to disk at barrier arrivals.
 	FCkpt
-	// FJob submits one job (payload JobSpec). Client → coordinator, where
-	// Tag is the client's correlation nonce echoed on the admission
-	// decision; coordinator → pool daemon, where the spec carries the
-	// assigned job id and no decision is sent back.
+	// FJob submits one job (payload JobSpec) from a requester to whoever
+	// serves it — client → coordinator, and coordinator → pool daemon, the
+	// same exchange on both hops. Tag is the requester's correlation nonce,
+	// echoed on every frame about the job.
 	FJob
-	// FJobAccept admits a submitted job (coordinator → client): Tag echoes
-	// the submit nonce, the JobDecision payload carries the assigned id.
+	// FJobAccept admits a submitted job (server → requester): Tag echoes
+	// the submit nonce, the JobDecision payload carries the id the server
+	// assigned.
 	FJobAccept
-	// FJobReject refuses a submitted job (coordinator → client): Tag
-	// echoes the submit nonce, the JobDecision payload carries the reason.
+	// FJobReject refuses a submitted job (server → requester): Tag echoes
+	// the submit nonce, the JobDecision payload carries the reason.
 	// Rejection is a per-job verdict, never a connection error — the
-	// coordinator keeps serving the connection and the pool.
+	// server keeps serving the connection and the pool.
 	FJobReject
 	// FJobState reports a job's lifecycle transition (payload JobProgress),
-	// coordinator → client.
+	// server → requester.
 	FJobState
-	// FJobResult reports a finished job (payload JobResult): pool daemon →
-	// coordinator → client.
+	// FJobResult reports a finished job (payload JobResult), server →
+	// requester; a coordinator relaying a daemon's result puts its own job
+	// id back on it.
 	FJobResult
 	// FPoolHello attaches a warm pool daemon to the coordinator
 	// (daemon → coordinator): From is unused, Tag carries the daemon's
@@ -617,8 +619,9 @@ type Checkpoint struct {
 // frame is the worker's whole configuration, which is what lets a dead
 // coordinator or daemon be replaced without shared state.
 type JobSpec struct {
-	// ID is the coordinator-assigned job id: zero on the client's submit
-	// frame, set on the frame the coordinator dispatches to a pool daemon.
+	// ID is the job id of whoever last admitted the spec: zero on a
+	// client's submit frame, the coordinator's on the frame it dispatches
+	// to a pool daemon (which assigns its own for the run).
 	ID int64
 	// App, Set and System name the run (apps.ByName, harness.SystemKind
 	// "tmk"/"opt-tmk"). Backend names the host backend per job ("" = sim —
