@@ -35,7 +35,7 @@ func main() {
 	}
 	prog := a.Build(*procs)
 	params := prog.Prepare(a.Sets[apps.DataSet(*set)], *procs)
-	levels := compiler.Levels(*procs, params, true)
+	levels := compiler.Levels(*procs, params)
 	if *level < 1 || *level >= len(levels) {
 		fmt.Fprintf(os.Stderr, "sdsm-compile: level must be 1-%d\n", len(levels)-1)
 		os.Exit(1)

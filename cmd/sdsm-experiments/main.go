@@ -40,7 +40,6 @@ import (
 	"sdsm/internal/mpnet"
 	"sdsm/internal/obs"
 	"sdsm/internal/svc"
-	"sdsm/internal/wire"
 )
 
 func main() {
@@ -138,12 +137,7 @@ func main() {
 		rep, err := svc.RunLoad(cl, svc.LoadConfig{
 			Jobs:        *srvJobs,
 			Concurrency: *srvConc,
-			Mix: []wire.JobSpec{
-				{App: "jacobi", Set: "small", Procs: 2, Verify: true},
-				{App: "spmv", Set: "small", Procs: 4, Verify: true, Scale: true},
-				{App: "tsp", Set: "small", Procs: 2, Verify: true},
-				{App: "jacobi", Set: "bound", Procs: 2, Verify: true, Adapt: true},
-			},
+			Mix:         svc.TableDMix(),
 		})
 		snap := co.Snapshot()
 		cl.Close()

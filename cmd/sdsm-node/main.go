@@ -35,7 +35,6 @@ func main() {
 		network = flag.String("network", "unix", "coordinator socket network: unix, tcp")
 		addr    = flag.String("addr", "", "coordinator socket address")
 		rank    = flag.Int("rank", -1, "this worker's rank")
-		metrics = flag.String("metrics", "", "serve metrics snapshots on this address (e.g. 127.0.0.1:0; sets "+mpnet.MetricsEnv+")")
 		pool    = flag.Bool("pool", false, "run as a long-lived warm-pool daemon attached to a service coordinator")
 		slots   = flag.Int("slots", 8, "warm pool slots to offer in -pool mode")
 	)
@@ -54,9 +53,6 @@ func main() {
 	if *addr == "" || *rank < 0 {
 		fmt.Fprintln(os.Stderr, "sdsm-node: -addr and -rank are required (or spawn via the coordinator)")
 		os.Exit(2)
-	}
-	if *metrics != "" {
-		os.Setenv(mpnet.MetricsEnv, *metrics)
 	}
 	if err := mpnet.RunWorker(*network, *addr, *rank); err != nil {
 		fmt.Fprintf(os.Stderr, "sdsm-node: rank %d: %v\n", *rank, err)

@@ -39,8 +39,6 @@ func main() {
 		verify  = flag.Bool("verify", false, "verify the result against the sequential reference")
 		sync    = flag.Bool("sync", false, "force synchronous data fetching (opt-tmk only)")
 		adaptOn = flag.Bool("adapt", false, "enable the run-time adaptive update protocol, barrier- and lock-scope (tmk/opt-tmk)")
-		adaptK  = flag.Int("adapt-k", 0, "adaptive promotion hysteresis in production cycles (0 = default)")
-		adaptM  = flag.Int("adapt-m", 0, "lock-binding re-probe period: piggybacked grants between staleness probes (0 = default)")
 		scaleOn = flag.Bool("scale", false, "enable scale mode: per-page ownership directory + span-compressed barrier relay (tmk/opt-tmk)")
 		backend = flag.String("backend", "sim", "host backend: sim (deterministic), real (goroutine per node), net (wire transport over loopback sockets; process per rank for pvme/xhpf)")
 		nodeBin = flag.String("node-bin", "", "worker binary for -backend net message-passing runs (default: re-exec this binary)")
@@ -75,7 +73,7 @@ func main() {
 		App: a, Set: ds, System: harness.SystemKind(*system),
 		Procs: *procs, Verify: *verify, SyncFetch: *sync,
 		Backend: harness.Backend(*backend),
-		Adapt:   *adaptOn, AdaptK: *adaptK, AdaptM: *adaptM, Scale: *scaleOn,
+		Adapt:   *adaptOn, Scale: *scaleOn,
 		Recover: *recov, CheckpointEvery: *ckEvery, CheckpointDir: *ckDir,
 		Trace: *trace || *trOut != "", TraceCap: *trCap,
 	}

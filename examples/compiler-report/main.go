@@ -21,7 +21,7 @@ func main() {
 		fmt.Printf("==== %s ====\n", a.Name)
 		prog := a.Build(procs)
 		params := prog.Prepare(a.Sets[apps.Large], procs)
-		levels := compiler.Levels(procs, params, true)
+		levels := compiler.Levels(procs, params)
 		for li := 1; li < len(levels); li++ {
 			_, rep := compiler.Compile(prog, levels[li])
 			fmt.Printf("-- level %d (%s): %d validates, %d merged, %d pushes\n",

@@ -182,16 +182,13 @@ func v(s string) rsd.Lin { return rsd.Var(rsd.Sym(s)) }
 func blockLow(m, p, n int) int  { return p*m/n + 1 }
 func blockHigh(m, p, n int) int { return (p + 1) * m / n }
 
-func maxInt(a, b int) int {
-	if a > b {
-		return a
+// gatherSum is the message-passing twins' checksum tail: every rank's
+// partial sum gathered at rank 0 and added in rank order. Non-roots
+// return 0.
+func gatherSum(r *mp.Rank, sum float64) float64 {
+	total := 0.0
+	for _, p := range r.Gather(0, []float64{sum}) {
+		total += p[0]
 	}
-	return b
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
+	return total
 }

@@ -120,7 +120,7 @@ func TestAllLevelsMatchSeq(t *testing.T) {
 		want := harness.SeqChecksum(a, apps.Small)
 		prog := a.Build(4)
 		params := prog.Prepare(a.Sets[apps.Small], 4)
-		for li, lvl := range harness.Levels(a, 4, params) {
+		for li, lvl := range harness.Levels(4, params) {
 			if lvl == nil {
 				continue
 			}

@@ -425,15 +425,7 @@ func fftMP(r *mp.Rank, params rsd.Env, perIter time.Duration, verify bool) float
 			sum += ChecksumSlice(row, (zb+kk-1)*nx*ny+(j-1)*nx)
 		}
 	}
-	parts := r.Gather(0, []float64{sum})
-	if parts == nil {
-		return 0
-	}
-	total := 0.0
-	for _, p := range parts {
-		total += p[0]
-	}
-	return total
+	return gatherSum(r, sum)
 }
 
 // unpackTranspose scatters a transpose block (i-range, all j, k-range of

@@ -206,13 +206,5 @@ func gaussMP(r *mp.Rank, params rsd.Env, perIter time.Duration, verify bool) flo
 		copy(colVals, local[li*m:li*m+m])
 		mpadSum += ChecksumSlice(colVals, (j-1)*mpad)
 	}
-	parts := r.Gather(0, []float64{mpadSum})
-	if parts == nil {
-		return 0
-	}
-	total := 0.0
-	for _, p := range parts {
-		total += p[0]
-	}
-	return total
+	return gatherSum(r, mpadSum)
 }

@@ -262,13 +262,5 @@ func isMP(r *mp.Rank, params rsd.Env, perIter time.Duration, verify bool) float6
 		return 0
 	}
 	sum := ChecksumSlice(ranks, klo)
-	parts := r.Gather(0, []float64{sum})
-	if parts == nil {
-		return 0
-	}
-	total := 0.0
-	for _, p := range parts {
-		total += p[0]
-	}
-	return total
+	return gatherSum(r, sum)
 }

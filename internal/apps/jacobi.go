@@ -80,8 +80,8 @@ func jacobiProg() *ir.Program {
 		Derived: []ir.DerivedParam{
 			// Interior work range: the owned full-partition columns clamped
 			// to 2..m-1, so the work and ownership partitions agree.
-			{Name: "begin", Fn: func(e rsd.Env) int { return maxInt(2, blockLow(e["m"], e["p"], e["nprocs"])) }},
-			{Name: "end", Fn: func(e rsd.Env) int { return minInt(e["m"]-1, blockHigh(e["m"], e["p"], e["nprocs"])) }},
+			{Name: "begin", Fn: func(e rsd.Env) int { return max(2, blockLow(e["m"], e["p"], e["nprocs"])) }},
+			{Name: "end", Fn: func(e rsd.Env) int { return min(e["m"]-1, blockHigh(e["m"], e["p"], e["nprocs"])) }},
 			{Name: "ibegin", Fn: func(e rsd.Env) int { return blockLow(e["m"], e["p"], e["nprocs"]) }},
 			{Name: "iend", Fn: func(e rsd.Env) int { return blockHigh(e["m"], e["p"], e["nprocs"]) }},
 		},
@@ -161,8 +161,8 @@ func jacobiMP(r *mp.Rank, params rsd.Env, perIter time.Duration, verify bool) fl
 	m, iters := params["m"], params["iters"]
 	ibegin := blockLow(m, r.ID, r.N)
 	iend := blockHigh(m, r.ID, r.N)
-	begin := maxInt(2, ibegin)
-	end := minInt(m-1, iend)
+	begin := max(2, ibegin)
+	end := min(m-1, iend)
 
 	// Local storage: columns ibegin-1 .. iend+1 (ghosts).
 	lo := ibegin - 1
@@ -229,13 +229,5 @@ func jacobiMP(r *mp.Rank, params rsd.Env, perIter time.Duration, verify bool) fl
 	for j := ibegin; j <= iend; j++ {
 		sum += ChecksumSlice(b[col(j):col(j)+m], (j-1)*m)
 	}
-	parts := r.Gather(0, []float64{sum})
-	if parts == nil {
-		return 0
-	}
-	total := 0.0
-	for _, p := range parts {
-		total += p[0]
-	}
-	return total
+	return gatherSum(r, sum)
 }

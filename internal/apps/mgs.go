@@ -233,13 +233,5 @@ func mgsMP(r *mp.Rank, params rsd.Env, perIter time.Duration, verify bool) float
 		copy(colVals, local[li*m:li*m+m])
 		sum += ChecksumSlice(colVals, (j-1)*mpad)
 	}
-	parts := r.Gather(0, []float64{sum})
-	if parts == nil {
-		return 0
-	}
-	total := 0.0
-	for _, p := range parts {
-		total += p[0]
-	}
-	return total
+	return gatherSum(r, sum)
 }

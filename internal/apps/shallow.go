@@ -53,8 +53,8 @@ func shallowProg() *ir.Program {
 		Name:   "shallow",
 		Params: []rsd.Sym{"m", "mc", "iters"},
 		Derived: []ir.DerivedParam{
-			{Name: "begin", Fn: func(e rsd.Env) int { return maxInt(2, blockLow(e["mc"], e["p"], e["nprocs"])) }},
-			{Name: "end", Fn: func(e rsd.Env) int { return minInt(e["mc"]-1, blockHigh(e["mc"], e["p"], e["nprocs"])) }},
+			{Name: "begin", Fn: func(e rsd.Env) int { return max(2, blockLow(e["mc"], e["p"], e["nprocs"])) }},
+			{Name: "end", Fn: func(e rsd.Env) int { return min(e["mc"]-1, blockHigh(e["mc"], e["p"], e["nprocs"])) }},
 			{Name: "ibegin", Fn: func(e rsd.Env) int { return blockLow(e["mc"], e["p"], e["nprocs"]) }},
 			{Name: "iend", Fn: func(e rsd.Env) int { return blockHigh(e["mc"], e["p"], e["nprocs"]) }},
 		},
@@ -166,8 +166,8 @@ func colSection(arr string, m rsd.Lin, lo, hi rsd.Sym) rsd.Section {
 func shallowMP(r *mp.Rank, params rsd.Env, perIter time.Duration, verify bool) float64 {
 	m, mc, iters := params["m"], params["mc"], params["iters"]
 	ibegin, iend := blockLow(mc, r.ID, r.N), blockHigh(mc, r.ID, r.N)
-	begin, end := maxInt(2, ibegin), minInt(mc-1, iend)
-	lo, hi := maxInt(1, ibegin-1), minInt(mc, iend+1)
+	begin, end := max(2, ibegin), min(mc-1, iend)
+	lo, hi := max(1, ibegin-1), min(mc, iend+1)
 	cols := hi - lo + 1
 	col := func(j int) int { return (j - lo) * m }
 
@@ -270,13 +270,5 @@ func shallowMP(r *mp.Rank, params rsd.Env, perIter time.Duration, verify bool) f
 	for j := ibegin; j <= iend; j++ {
 		sum += ChecksumSlice(g["p"][col(j):col(j)+m], (j-1)*m)
 	}
-	parts := r.Gather(0, []float64{sum})
-	if parts == nil {
-		return 0
-	}
-	total := 0.0
-	for _, p := range parts {
-		total += p[0]
-	}
-	return total
+	return gatherSum(r, sum)
 }

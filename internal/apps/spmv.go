@@ -148,8 +148,8 @@ func spmvProg(nprocs int) *ir.Program {
 			}
 			var data []float64
 			for _, run := range pageRuns(touched) {
-				rlo := maxInt(run[0]*shm.PageWords, vbase)
-				rhi := minInt(run[1]*shm.PageWords, vbase+n)
+				rlo := max(run[0]*shm.PageWords, vbase)
+				rhi := min(run[1]*shm.PageWords, vbase+n)
 				data = ctx.ReadRegion(rlo, rhi)
 			}
 			wbase := ctx.Array("nval").Index(1)

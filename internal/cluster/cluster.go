@@ -1,7 +1,7 @@
 // Package cluster simulates the interconnect of a distributed-memory
 // machine on top of the sim engine: point-to-point messages with latency
-// and bandwidth charges, broadcast, synchronous request/reply (RPC), and
-// message/byte accounting.
+// and bandwidth charges, shared-injection multicast, synchronous
+// request/reply (RPC), and message/byte accounting.
 //
 // Two communication styles are offered:
 //
@@ -33,10 +33,10 @@ type handKey struct {
 	slot host.Tag
 }
 
-// Network implements host.Transport over any host backend: the mailbox and
-// RPC state is shared, so all methods must be called inside a protocol
-// section (the sim host makes every instant one; the real host's run-time
-// layers bracket their entry points).
+// Network implements host.Transport and host.Mailbox over any host
+// backend: the mailbox and RPC state is shared, so all methods must be
+// called inside a protocol section (the sim host makes every instant one;
+// the real host's run-time layers bracket their entry points).
 type Network struct {
 	h      host.Host
 	costs  model.Costs
@@ -70,11 +70,6 @@ func (nw *Network) Stats() host.Stats {
 	return s
 }
 
-// ResetStats zeroes all counters (used between experiment phases).
-func (nw *Network) ResetStats() {
-	nw.stats = host.Stats{Node: make([]host.NodeStats, nw.h.N())}
-}
-
 func (nw *Network) account(from, to, bytes int) { nw.stats.Account(from, to, bytes) }
 
 // Send transmits payload from p to node `to`. The sender is charged send
@@ -104,16 +99,6 @@ func (nw *Network) deliver(p host.Proc, to int, tag host.Tag, payload any, bytes
 	if w := nw.waits[to]; w != nil && (w.from == host.AnySender || w.from == m.From) && w.tag == m.Tag {
 		nw.waits[to] = nil
 		p.Wake(w.p, m.Arrival)
-	}
-}
-
-// Broadcast sends payload to every other node, serializing the per-message
-// send overhead at the sender (how MPL broadcast behaves for small n).
-func (nw *Network) Broadcast(p host.Proc, tag host.Tag, payload any, bytes int) {
-	for to := 0; to < nw.h.N(); to++ {
-		if to != p.ID() {
-			nw.Send(p, to, tag, payload, bytes)
-		}
 	}
 }
 

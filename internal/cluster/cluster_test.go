@@ -110,7 +110,8 @@ func TestStatsCount(t *testing.T) {
 	nw := New(e, model.SP2())
 	err := e.Run(func(p host.Proc) {
 		if p.ID() == 0 {
-			nw.Broadcast(p, tagData, nil, 100)
+			nw.Send(p, 1, tagData, nil, 100)
+			nw.Send(p, 2, tagData, nil, 100)
 		} else {
 			nw.Recv(p, 0, tagData)
 		}

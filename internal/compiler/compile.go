@@ -29,9 +29,10 @@ type Options struct {
 	Async bool
 }
 
-// Levels returns the cumulative option sets used for the Figure 6 sweep.
-func Levels(n int, params rsd.Env, async bool) []Options {
-	base := Options{NProcs: n, Params: params, Async: async}
+// Levels returns the cumulative option sets used for the Figure 6 sweep,
+// all with asynchronous fetching (Figure 7 turns it off per run).
+func Levels(n int, params rsd.Env) []Options {
+	base := Options{NProcs: n, Params: params, Async: true}
 	l1 := base
 	l1.Aggregate = true
 	l2 := l1
@@ -251,7 +252,7 @@ func (c *compilation) transformBody(body []ir.Stmt, cyclic bool) []ir.Stmt {
 		// The region this fetch point covers: the following segment.
 		var after Summary
 		if j, ok := next(i); ok && els[j].seg != nil {
-			after = Summarize(c.prog, els[j].seg)
+			after = Summarize(els[j].seg)
 		}
 		// Push rule: only barriers, preceded by a segment whose preceding
 		// fetch point is a barrier, succeeded (after the region) by a
@@ -313,7 +314,7 @@ func (c *compilation) branchWithValidates(body []ir.Stmt) []ir.Stmt {
 	if containsFetch(body) {
 		return c.transformBody(body, false)
 	}
-	sum := Summarize(c.prog, body)
+	sum := Summarize(body)
 	var vs []ir.Stmt
 	for _, a := range sum.Accesses {
 		if v, desc := c.plainValidate(a); v != nil {
@@ -481,7 +482,7 @@ func (c *compilation) tryPush(els []element, i int, bar ir.Barrier, after Summar
 	// Writes of the preceding region.
 	var beforeSum Summary
 	if j, ok := prev(i); ok && els[j].seg != nil {
-		beforeSum = Summarize(c.prog, els[j].seg)
+		beforeSum = Summarize(els[j].seg)
 	}
 	var writes, reads []rsd.Section
 	for _, a := range beforeSum.Accesses {

@@ -50,7 +50,7 @@ func TestJacobiSummary(t *testing.T) {
 	prog := a.Build(8)
 	// Find the time loop and its first segment (the stencil nest).
 	loop := prog.Body[2].(ir.Loop)
-	sum := compiler.Summarize(prog, loop.Body[:1])
+	sum := compiler.Summarize(loop.Body[:1])
 	var readB, writeA *compiler.Access
 	for i := range sum.Accesses {
 		acc := &sum.Accesses[i]
@@ -78,7 +78,7 @@ func TestCopyPhaseWriteFirst(t *testing.T) {
 	a, _ := apps.ByName("jacobi")
 	prog := a.Build(8)
 	loop := prog.Body[2].(ir.Loop)
-	sum := compiler.Summarize(prog, loop.Body[2:3])
+	sum := compiler.Summarize(loop.Body[2:3])
 	for _, acc := range sum.Accesses {
 		if acc.Sec.Array == "b" {
 			if !acc.Tag.Has(rsd.WriteFirst) {

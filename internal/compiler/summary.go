@@ -27,14 +27,6 @@ type Access struct {
 	Exact bool
 }
 
-func (a Access) String() string {
-	ex := ""
-	if !a.Exact {
-		ex = " (inexact)"
-	}
-	return fmt.Sprintf("%v %v%s", a.Sec, a.Tag, ex)
-}
-
 // Summary is the access summary of one analysis region (the code between
 // two consecutive fetch points).
 type Summary struct {
@@ -50,10 +42,8 @@ type varBound struct {
 
 // summarizer accumulates accesses while walking a region.
 type summarizer struct {
-	prog   *ir.Program
 	bounds map[rsd.Sym]varBound // loop variables opened inside the region
-	order  []rsd.Sym
-	writes []Access // write sections seen so far, for write-first analysis
+	writes []Access             // write sections seen so far, for write-first analysis
 	out    []Access
 }
 
@@ -61,8 +51,8 @@ type summarizer struct {
 // statement list). Loop variables bound outside the region (for example
 // the induction variable of a lock-carrying loop) stay symbolic in the
 // resulting sections.
-func Summarize(prog *ir.Program, region []ir.Stmt) Summary {
-	s := &summarizer{prog: prog, bounds: map[rsd.Sym]varBound{}}
+func Summarize(region []ir.Stmt) Summary {
+	s := &summarizer{bounds: map[rsd.Sym]varBound{}}
 	s.walk(region, true)
 	// A section that is written but never read (reads covered by earlier
 	// writes in the region were dropped) acquires write-first.
@@ -80,10 +70,8 @@ func (s *summarizer) walk(stmts []ir.Stmt, exact bool) {
 		switch st := st.(type) {
 		case ir.Loop:
 			s.bounds[st.Var] = varBound{lo: st.Lo, hi: st.Hi, step: st.StepOr1()}
-			s.order = append(s.order, st.Var)
 			s.walk(st.Body, exact)
 			delete(s.bounds, st.Var)
-			s.order = s.order[:len(s.order)-1]
 		case ir.Compute:
 			// Binds an opaque symbol; contributes no accesses. Sections
 			// referencing it stay symbolic.
@@ -111,12 +99,7 @@ func (s *summarizer) walk(stmts []ir.Stmt, exact bool) {
 // addRef converts an array reference under the current loop bounds into a
 // section and records it.
 func (s *summarizer) addRef(ref ir.Ref, tag rsd.Tag, exact bool) {
-	sec, ok := s.refSection(ref)
-	if !ok {
-		// Unanalyzable subscript: conservative whole-array section.
-		sec = s.wholeArray(ref.Array)
-		exact = false
-	}
+	sec := s.refSection(ref)
 	if tag == rsd.Read {
 		// Reaching-writes check: a read covered by an earlier write in the
 		// same region does not read stale data (Section 4.1 step 2d).
@@ -135,8 +118,9 @@ func (s *summarizer) addRef(ref ir.Ref, tag rsd.Tag, exact bool) {
 
 // refSection builds the regular section a reference touches across the
 // region's loop bounds. Subscripts may depend on at most one region-bound
-// induction variable (the paper's limitation).
-func (s *summarizer) refSection(ref ir.Ref) (rsd.Section, bool) {
+// induction variable (the paper's limitation); the programs are built in
+// package apps, so one that does not is a bug there, not input.
+func (s *summarizer) refSection(ref ir.Ref) rsd.Section {
 	sec := rsd.Section{Array: ref.Array, Dims: make([]rsd.Bound, len(ref.Idx))}
 	for d, idx := range ref.Idx {
 		var ivs []rsd.Sym
@@ -161,23 +145,10 @@ func (s *summarizer) refSection(ref ir.Ref) (rsd.Section, bool) {
 			}
 			sec.Dims[d] = rsd.Bound{Lo: lo, Hi: hi, Stride: stride}
 		default:
-			return rsd.Section{}, false
+			panic(fmt.Sprintf("compiler: subscript %d of %s depends on %d induction variables", d, ref.Array, len(ivs)))
 		}
 	}
-	return sec, true
-}
-
-func (s *summarizer) wholeArray(name string) rsd.Section {
-	for _, a := range s.prog.Arrays {
-		if a.Name == name {
-			sec := rsd.Section{Array: name, Dims: make([]rsd.Bound, len(a.Dims))}
-			for d, dim := range a.Dims {
-				sec.Dims[d] = rsd.Bound{Lo: rsd.Const(1), Hi: dim, Stride: 1}
-			}
-			return sec
-		}
-	}
-	panic("compiler: unknown array " + name)
+	return sec
 }
 
 // add merges the access into the summary: identical sections merge tags;

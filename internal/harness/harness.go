@@ -67,7 +67,6 @@ type Config struct {
 	Set    apps.DataSet
 	System SystemKind
 	Procs  int
-	Costs  model.Costs
 	Verify bool
 	// Backend picks the host backend; empty means DefaultBackend.
 	// Message-passing systems run on the sim backend (their receive-any
@@ -88,13 +87,6 @@ type Config struct {
 	// it also arms the lock-scope detectors that piggyback migratory
 	// pages' diffs on lock grants.
 	Adapt bool
-	// AdaptK overrides the promotion hysteresis (0 = adapt.DefaultK).
-	AdaptK int
-	// AdaptM overrides the lock-binding re-probe period (0 =
-	// adapt.DefaultReprobeM): after M consecutive piggybacked grants on a
-	// hand-off edge, one grant withholds the piggyback to detect
-	// consumers that stopped reading.
-	AdaptM int
 	// Scale enables the large-machine protocol mode (tmk.EnableScale):
 	// the distributed per-page ownership directory spreads diff serving
 	// across readers instead of queueing on the last writer, and the
@@ -178,9 +170,6 @@ type Result struct {
 
 // Run executes one configuration.
 func Run(cfg Config) (*Result, error) {
-	if cfg.Costs == (model.Costs{}) {
-		cfg.Costs = model.SP2()
-	}
 	if cfg.Backend == "" {
 		cfg.Backend = DefaultBackend
 	}
@@ -283,6 +272,7 @@ func runDSM(cfg Config) (res *Result, err error) {
 	}
 	var h host.Host
 	var nw host.Transport
+	costs := model.SP2()
 	switch cfg.Backend {
 	case BackendReal:
 		r := host.NewReal(cfg.Procs)
@@ -290,9 +280,9 @@ func runDSM(cfg Config) (res *Result, err error) {
 			r.EnableObs(m.Reg)
 		}
 		h = r
-		nw = cluster.New(h, cfg.Costs)
+		nw = cluster.New(h, costs)
 	case BackendNet:
-		n, err := host.NewNet(cfg.Procs, cfg.Costs)
+		n, err := host.NewNet(cfg.Procs, costs)
 		if err != nil {
 			return nil, fmt.Errorf("harness: net backend: %w", err)
 		}
@@ -307,11 +297,11 @@ func runDSM(cfg Config) (res *Result, err error) {
 			e.EnableObs(m.Reg)
 		}
 		h = e
-		nw = cluster.New(h, cfg.Costs)
+		nw = cluster.New(h, costs)
 	}
 	sys = tmk.NewWarm(h, nw, layout, cfg.Arenas)
 	if cfg.Adapt {
-		sys.EnableAdapt(adapt.Config{K: cfg.AdaptK, ReprobeM: cfg.AdaptM})
+		sys.EnableAdapt(adapt.Config{})
 	}
 	if cfg.Scale {
 		sys.EnableScale()
@@ -392,8 +382,7 @@ func runMP(cfg Config, overhead time.Duration) (*Result, error) {
 	// ignored and the run would still verify: reject it, naming the field.
 	switch {
 	case cfg.Trace:
-		return nil, fmt.Errorf("harness: tracing instruments the DSM protocol; %s has no event trace (worker processes expose a metrics endpoint via %s instead)",
-			cfg.System, mpnet.MetricsEnv)
+		return nil, fmt.Errorf("harness: tracing instruments the DSM protocol; %s has no event trace", cfg.System)
 	case cfg.Adapt:
 		return nil, fmt.Errorf("harness: Adapt is a DSM protocol mode; %s moves no pages to adapt", cfg.System)
 	case cfg.Scale:
@@ -405,7 +394,7 @@ func runMP(cfg Config, overhead time.Duration) (*Result, error) {
 	if cfg.Backend == BackendNet {
 		opts := mpnet.Options{
 			Overhead: overhead, Verify: cfg.Verify,
-			NodeBin: NodeBin, Costs: cfg.Costs,
+			NodeBin: NodeBin,
 			Recover: cfg.Recover || cfg.Fault != nil,
 		}
 		if f := cfg.Fault; f != nil {
@@ -429,7 +418,7 @@ func runMP(cfg Config, overhead time.Duration) (*Result, error) {
 		out.Recovery.Restores = int64(res.Restarts)
 		return out, nil
 	}
-	w := mp.NewWorld(cfg.Procs, cfg.Costs)
+	w := mp.NewWorld(cfg.Procs, model.SP2())
 	var checksum float64
 	err := w.Run(func(r *mp.Rank) {
 		prog := cfg.App.Build(cfg.Procs)
@@ -484,8 +473,8 @@ var LevelNames = []string{"Base", "Comm.Aggr", "+Cons.Elim", "+Sync+Data", "+Pus
 
 // Levels returns Figure 6's cumulative option sets for an app (nil for
 // level 0 = base).
-func Levels(app *apps.App, n int, params rsd.Env) []*compiler.Options {
-	ls := compiler.Levels(n, params, true)
+func Levels(n int, params rsd.Env) []*compiler.Options {
+	ls := compiler.Levels(n, params)
 	out := make([]*compiler.Options, len(ls))
 	for i := range ls {
 		if i == 0 {

@@ -233,7 +233,7 @@ func Fig6(procs, workers int) ([]Fig6Row, error) {
 		a := c.app
 		rows[i] = Fig6Row{App: a.Name, Set: c.set, Applies: [5]bool{true, true, true, a.WSyncApplicable, a.PushApplicable}}
 		prog := a.Build(procs)
-		for li, lvl := range Levels(a, procs, prog.Prepare(a.Sets[c.set], procs)) {
+		for li, lvl := range Levels(procs, prog.Prepare(a.Sets[c.set], procs)) {
 			cfg := Config{App: a, Set: c.set, System: Opt, Procs: procs, Level: lvl}
 			if lvl == nil {
 				cfg.System = Base

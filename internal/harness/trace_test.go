@@ -2,8 +2,11 @@ package harness
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
 	"sdsm/internal/apps"
@@ -109,5 +112,82 @@ func TestTraceInvisible(t *testing.T) {
 	}
 	if events == 0 {
 		t.Error("traced run recorded no events")
+	}
+}
+
+// TestTraceLockContention runs the lock-dominated app traced and reads
+// the exported trace back through the analyzer: the lock-contention table
+// must carry a row for tsp's work-queue lock (ID 0) with waits and
+// grants on it, the report sdsm-trace exists to give.
+func TestTraceLockContention(t *testing.T) {
+	a, err := apps.ByName("tsp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, js := traceJSON(t, Config{App: a, Set: Small, System: Base, Procs: 4, Trace: true})
+	rep, err := obs.Analyze(js, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, table, ok := strings.Cut(rep, "\nlock contention:\n")
+	if !ok {
+		t.Fatalf("report has no lock-contention section:\n%s", rep)
+	}
+	for _, line := range strings.Split(table, "\n")[1:] { // [0] is the header
+		var lock, waits, grants, piggy, bytes int
+		var waitUS, maxUS float64
+		if n, _ := fmt.Sscan(line, &lock, &waits, &waitUS, &maxUS, &grants, &piggy, &bytes); n == 7 && lock == 0 {
+			if waits == 0 || grants == 0 || waitUS <= 0 {
+				t.Errorf("work-queue lock row shows no contention: %q", line)
+			}
+			return
+		}
+	}
+	t.Fatalf("lock table has no row for the work-queue lock:\n%s", table)
+}
+
+// TestTraceRecovery arms tracing, checkpointing and an injected fault
+// together: every node's ring must hold checkpoint events, and the
+// victim's both recovery phases — the death, then the restore span. The
+// net leg is also the one test that arms the backends' own counters
+// (host.Net.EnableObs and the queue/switch SetObs under it).
+func TestTraceRecovery(t *testing.T) {
+	a, err := apps.ByName("jacobi")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, be := range []Backend{BackendSim, BackendNet} {
+		t.Run(string(be), func(t *testing.T) {
+			const victim = 1
+			res := runRecovery(t, Config{
+				App: a, Set: Small, System: Base, Procs: 3, Backend: be,
+				Recover: true, Fault: &FaultPlan{Rank: victim, Epoch: 2}, Trace: true,
+			})
+			for i, nt := range res.Trace.Nodes {
+				var ckpts int
+				var phases []int32
+				for _, e := range nt.Events() {
+					switch e.Kind {
+					case obs.EvCkpt:
+						ckpts++
+					case obs.EvRecover:
+						phases = append(phases, e.A)
+					}
+				}
+				if ckpts == 0 {
+					t.Errorf("node %d: no checkpoint events in the ring", i)
+				}
+				want := []int32(nil)
+				if i == victim {
+					want = []int32{0, 1}
+				}
+				if !slices.Equal(phases, want) {
+					t.Errorf("node %d: recovery phases %v, want %v", i, phases, want)
+				}
+			}
+			if be == BackendNet && res.Trace.Reg.Snapshot().Counters["net.frames"] == 0 {
+				t.Error("traced net run counted no frames")
+			}
+		})
 	}
 }

@@ -69,53 +69,24 @@ func (e *Endpoint) Send(p Proc, to int, tag Tag, payload any, bytes int) error {
 	return e.Write(&f)
 }
 
-// encodeShared encodes payload once for a multi-recipient send; every
-// recipient gets a copy of the encoding with the destination and
-// arrival-stamp header fields patched (enqueueCopy).
-func (e *Endpoint) encodeShared(tag Tag, payload any, bytes int) ([]byte, error) {
-	f := e.msgFrame(0, tag, payload, bytes, 0)
-	return wire.AppendFrame(wire.GetBuf(), &f)
-}
-
-// enqueueCopy queues one recipient's patched copy of a shared encoding.
-// The copies are needed because the queue writes asynchronously: a
-// single patched buffer could be restamped before it drains.
-func (e *Endpoint) enqueueCopy(raw []byte, to int, arrival time.Duration) error {
-	if to == e.rank {
-		panic("host: send to self")
-	}
-	cp := append(wire.GetBuf(), raw...)
-	wire.PatchRawTo(cp, int32(to))
-	wire.PatchRawTime(cp, int64(arrival))
-	return e.q.Enqueue(cp)
-}
-
 // SendShared transmits one payload to several recipients charging the
-// sender's injection overhead once (switch-assisted broadcast).
+// sender's injection overhead once (switch-assisted broadcast). The
+// payload is encoded once; every recipient gets its own copy of the
+// encoding with the destination header field patched — copies, because
+// the queue writes asynchronously and a single buffer could be restamped
+// before it drains.
 func (e *Endpoint) SendShared(p Proc, tos []int, tag Tag, payload any, bytes int) error {
 	p.Charge(e.costs.SendOverhead)
-	arrival := p.Now() + e.costs.OneWay(bytes)
-	raw, err := e.encodeShared(tag, payload, bytes)
+	f := e.msgFrame(0, tag, payload, bytes, p.Now()+e.costs.OneWay(bytes))
+	raw, err := wire.AppendFrame(wire.GetBuf(), &f)
 	defer wire.PutBuf(raw)
 	for i := 0; i < len(tos) && err == nil; i++ {
-		err = e.enqueueCopy(raw, tos[i], arrival)
-	}
-	return err
-}
-
-// Broadcast sends payload to every other rank of an n-rank machine,
-// serializing the per-message send overhead at the sender. Unlike
-// SendShared the overheads accumulate, so arrival times differ per
-// recipient; charges are identical to a loop of Send calls.
-func (e *Endpoint) Broadcast(p Proc, n int, tag Tag, payload any, bytes int) error {
-	raw, err := e.encodeShared(tag, payload, bytes)
-	defer wire.PutBuf(raw)
-	for to := 0; to < n && err == nil; to++ {
-		if to == e.rank {
-			continue
+		if tos[i] == e.rank {
+			panic("host: send to self")
 		}
-		p.Charge(e.costs.SendOverhead)
-		err = e.enqueueCopy(raw, to, p.Now()+e.costs.OneWay(bytes))
+		cp := append(wire.GetBuf(), raw...)
+		wire.PatchRawTo(cp, int32(tos[i]))
+		err = e.q.Enqueue(cp)
 	}
 	return err
 }

@@ -12,7 +12,6 @@ import (
 	"sdsm/internal/apps"
 	"sdsm/internal/host"
 	"sdsm/internal/leaktest"
-	"sdsm/internal/model"
 	"sdsm/internal/mpnet"
 	"sdsm/internal/svc"
 	"sdsm/internal/wire"
@@ -72,7 +71,7 @@ func TestCoordinatorSilentWorker(t *testing.T) {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	_, err = mpnet.RunOpts(a, apps.Small, 2, mpnet.Options{Costs: model.SP2()})
+	_, err = mpnet.RunOpts(a, apps.Small, 2, mpnet.Options{})
 	if err == nil {
 		t.Fatal("run succeeded with workers that never said hello")
 	}
@@ -98,7 +97,7 @@ func TestCoordinatorBadHello(t *testing.T) {
 		t.Run(mode, func(t *testing.T) {
 			leaktest.Check(t)
 			t.Setenv(badWorkerEnv, mode)
-			_, err := mpnet.RunOpts(a, apps.Small, 1, mpnet.Options{Costs: model.SP2()})
+			_, err := mpnet.RunOpts(a, apps.Small, 1, mpnet.Options{})
 			if err == nil || !strings.Contains(err.Error(), "bad hello") || !strings.Contains(err.Error(), want) {
 				t.Errorf("error = %v, want a bad hello naming %q", err, want)
 			}

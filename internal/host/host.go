@@ -271,29 +271,31 @@ type Mailbox interface {
 	// SendShared transmits one payload to several recipients charging the
 	// sender's injection overhead once (switch-assisted broadcast).
 	SendShared(p Proc, tos []int, tag Tag, payload any, bytes int)
-	// Broadcast sends payload to every other node, serializing the
-	// per-message send overhead at the sender.
-	Broadcast(p Proc, tag Tag, payload any, bytes int)
 	// Recv blocks until a matching message is available and delivers the
 	// earliest-arriving match.
 	Recv(p Proc, from int, tag Tag) Msg
 }
 
-// Transport is the full interconnect seam: the Mailbox plus what the DSM
-// run-time needs from the wire — request/reply exchanges served at the
-// target, out-of-band protocol payloads, and multi-hop accounting. Every
-// payload that crosses it must be a wire value — never a pointer into
-// another node's protocol state. Package cluster implements the seam
-// in-process over any Host; NewNet implements it over loopback sockets.
+// Transport is the DSM half of the interconnect seam, exactly what the
+// tmk run-time calls: point-to-point Send/Recv (its barrier arrivals and
+// update pushes), request/reply exchanges served at the target,
+// out-of-band protocol payloads, and multi-hop accounting. It shares
+// Stats, Send and Recv with Mailbox by signature, not by embedding: tmk
+// never multicasts, so a DSM transport owes no SendShared. Every payload
+// that crosses it must be a wire value — never a pointer into another
+// node's protocol state. Package cluster implements both halves
+// in-process over any Host; NewNet implements this one over loopback
+// sockets.
 //
 // Transport methods must be called inside a protocol section.
 type Transport interface {
-	Mailbox
+	// Stats, Send and Recv are Mailbox's.
+	Stats() Stats
+	Send(p Proc, to int, tag Tag, payload any, bytes int)
+	Recv(p Proc, from int, tag Tag) Msg
 
 	// Costs returns the platform cost model in force.
 	Costs() model.Costs
-	// ResetStats zeroes all counters.
-	ResetStats()
 
 	// Message accounts for a protocol message between two nodes that may
 	// both differ from the caller (multi-hop exchanges such as lock

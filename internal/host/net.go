@@ -448,13 +448,6 @@ func (nw *Net) Stats() Stats {
 	return s
 }
 
-// ResetStats zeroes all counters.
-func (nw *Net) ResetStats() {
-	nw.nmu.Lock()
-	defer nw.nmu.Unlock()
-	nw.stats = Stats{Node: make([]NodeStats, nw.N())}
-}
-
 // Serve registers the request handler run by the service loops.
 func (nw *Net) Serve(fn Server) {
 	if nw.server != nil {
@@ -470,31 +463,6 @@ func (nw *Net) Send(p Proc, to int, tag Tag, payload any, bytes int) {
 	nw.stats.Account(p.ID(), to, bytes)
 	nw.nmu.Unlock()
 	nw.must(p.ID(), nw.eps[p.ID()].Send(p, to, tag, payload, bytes))
-}
-
-// SendShared transmits one payload to several recipients charging the
-// sender's injection overhead once (switch-assisted broadcast).
-func (nw *Net) SendShared(p Proc, tos []int, tag Tag, payload any, bytes int) {
-	nw.nmu.Lock()
-	for _, to := range tos {
-		nw.stats.Account(p.ID(), to, bytes)
-	}
-	nw.nmu.Unlock()
-	nw.must(p.ID(), nw.eps[p.ID()].SendShared(p, tos, tag, payload, bytes))
-}
-
-// Broadcast sends payload to every other node, serializing the
-// per-message send overhead at the sender; charges and accounting are
-// identical to a loop of Send calls.
-func (nw *Net) Broadcast(p Proc, tag Tag, payload any, bytes int) {
-	nw.nmu.Lock()
-	for to := 0; to < nw.N(); to++ {
-		if to != p.ID() {
-			nw.stats.Account(p.ID(), to, bytes)
-		}
-	}
-	nw.nmu.Unlock()
-	nw.must(p.ID(), nw.eps[p.ID()].Broadcast(p, nw.N(), tag, payload, bytes))
 }
 
 // Recv blocks until a matching message has been delivered off the wire,

@@ -7,7 +7,6 @@
 package mp
 
 import (
-	"fmt"
 	"time"
 
 	"sdsm/internal/cluster"
@@ -76,7 +75,6 @@ func (r *Rank) SetCostScale(s int) {
 const (
 	tagData host.Tag = iota + 1
 	tagBarrier
-	tagReduce
 )
 
 // Advance charges compute time, scaled by the cost multiplier.
@@ -129,7 +127,9 @@ func (r *Rank) Bcast(root int, data []float64) []float64 {
 	return m.Payload.([]float64)
 }
 
-// Barrier synchronizes all ranks (gather/scatter at rank 0).
+// Barrier synchronizes all ranks: gather at rank 0, which then releases
+// the others in ascending rank order, paying the send overhead per
+// release (how MPL broadcast behaves for small n).
 func (r *Rank) Barrier() {
 	if r.N == 1 {
 		return
@@ -140,38 +140,13 @@ func (r *Rank) Barrier() {
 		for i := 1; i < r.N; i++ {
 			r.w.NW.Recv(r.p, host.AnySender, tagBarrier)
 		}
-		r.w.NW.Broadcast(r.p, tagBarrier, nil, 0)
+		for i := 1; i < r.N; i++ {
+			r.w.NW.Send(r.p, i, tagBarrier, nil, 0)
+		}
 		return
 	}
 	r.w.NW.Send(r.p, 0, tagBarrier, nil, 0)
 	r.w.NW.Recv(r.p, 0, tagBarrier)
-}
-
-// AllReduceSum sums a vector across all ranks (gather at 0, broadcast).
-func (r *Rank) AllReduceSum(data []float64) []float64 {
-	if r.N == 1 {
-		return data
-	}
-	r.p.Begin()
-	defer r.p.End()
-	if r.ID == 0 {
-		acc := append([]float64(nil), data...)
-		for i := 1; i < r.N; i++ {
-			m := r.w.NW.Recv(r.p, host.AnySender, tagReduce)
-			for j, v := range m.Payload.([]float64) {
-				acc[j] += v
-			}
-		}
-		tos := make([]int, r.N-1)
-		for i := 1; i < r.N; i++ {
-			tos[i-1] = i
-		}
-		r.w.NW.SendShared(r.p, tos, tagReduce, acc, len(acc)*shm.WordBytes)
-		return acc
-	}
-	r.w.NW.Send(r.p, 0, tagReduce, append([]float64(nil), data...), len(data)*shm.WordBytes)
-	m := r.w.NW.Recv(r.p, 0, tagReduce)
-	return m.Payload.([]float64)
 }
 
 // Gather collects per-rank slices at root; root receives them indexed by
@@ -197,5 +172,3 @@ func (r *Rank) Gather(root int, data []float64) [][]float64 {
 	}
 	return out
 }
-
-func (r *Rank) String() string { return fmt.Sprintf("rank %d/%d", r.ID, r.N) }

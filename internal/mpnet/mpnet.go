@@ -58,7 +58,6 @@ import (
 	"sdsm/internal/host"
 	"sdsm/internal/model"
 	"sdsm/internal/mp"
-	"sdsm/internal/obs"
 	"sdsm/internal/wire"
 )
 
@@ -122,7 +121,6 @@ type Options struct {
 	// NodeBin names the worker binary; empty means re-exec the current
 	// executable (which must call MaybeWorker).
 	NodeBin string
-	Costs   model.Costs
 	// Recover arms coordinator-side crash recovery: inbound message
 	// logging, and respawn-with-replay when a worker process dies.
 	Recover bool
@@ -156,15 +154,9 @@ type coordinator struct {
 }
 
 // RunOpts executes one mp application with one OS process per rank.
-//
-// Workers derive their entire configuration — cost model included — from
-// the start frame; the frame does not carry cost constants, so only the
-// SP/2 model the workers assume is accepted (a non-SP2 model would
-// silently misprice every worker clock otherwise).
+// Workers derive their entire configuration from the start frame and
+// charge the SP/2 cost model (model.SP2).
 func RunOpts(app *apps.App, set apps.DataSet, procs int, opts Options) (*Result, error) {
-	if opts.Costs != model.SP2() {
-		return nil, fmt.Errorf("mpnet: the process-per-rank deployment supports the SP2 cost model only")
-	}
 	if opts.Fault != nil && !opts.Recover {
 		return nil, fmt.Errorf("mpnet: fault injection requires Recover")
 	}
@@ -460,15 +452,6 @@ func RunWorker(network, addr string, rank int) error {
 	params := prog.Prepare(app.Sets[set], n)
 
 	w := newWorkerWorld(ep, rank, n)
-	if spec := os.Getenv(MetricsEnv); spec != "" {
-		reg := obs.NewRegistry()
-		w.tr.EnableObs(reg)
-		closer, err := serveMetrics(spec, rank, reg)
-		if err != nil {
-			return fmt.Errorf("rank %d: %w", rank, err)
-		}
-		defer closer.Close()
-	}
 	// A panic in the rank body — a lost link included — comes back as
 	// Run's error (workerHost.Run) and travels in the done report.
 	var done wire.Done

@@ -8,7 +8,6 @@ import (
 	"sdsm/internal/apps"
 	"sdsm/internal/harness"
 	"sdsm/internal/leaktest"
-	"sdsm/internal/model"
 	"sdsm/internal/mpnet"
 )
 
@@ -43,7 +42,7 @@ func TestDistributedMP(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := mpnet.RunOpts(a, apps.Small, c.procs, mpnet.Options{Verify: true, Costs: model.SP2()})
+			res, err := mpnet.RunOpts(a, apps.Small, c.procs, mpnet.Options{Verify: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -75,7 +74,7 @@ func TestDistributedRecovery(t *testing.T) {
 		after := after
 		t.Run(fmt.Sprintf("after%d", after), func(t *testing.T) {
 			res, err := mpnet.RunOpts(a, apps.Small, 3, mpnet.Options{
-				Verify: true, Costs: model.SP2(),
+				Verify:  true,
 				Recover: true, Fault: &mpnet.FaultSpec{Rank: 1, AfterFrames: after},
 			})
 			if err != nil {
@@ -100,7 +99,7 @@ func TestRecoverNoFault(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := mpnet.RunOpts(a, apps.Small, 2, mpnet.Options{
-		Verify: true, Costs: model.SP2(), Recover: true,
+		Verify: true, Recover: true,
 	})
 	if err != nil {
 		t.Fatal(err)

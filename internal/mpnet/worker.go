@@ -6,7 +6,6 @@ import (
 
 	"sdsm/internal/host"
 	"sdsm/internal/mp"
-	"sdsm/internal/obs"
 	"sdsm/internal/wire"
 )
 
@@ -18,14 +17,12 @@ import (
 type workerWorld struct {
 	world *mp.World
 	proc  *workerProc
-	tr    *workerTransport
 }
 
 func newWorkerWorld(ep *host.Endpoint, rank, n int) *workerWorld {
 	w := &workerWorld{proc: &workerProc{id: rank}}
 	h := &workerHost{proc: w.proc, n: n}
-	w.tr = &workerTransport{ep: ep, rank: rank, n: n}
-	w.world = &mp.World{H: h, NW: w.tr}
+	w.world = &mp.World{H: h, NW: &workerTransport{ep: ep, rank: rank, n: n}}
 	return w
 }
 
@@ -105,42 +102,27 @@ type workerTransport struct {
 	rank int
 	n    int
 	box  []host.Msg
-
-	// Observability counters (EnableObs in metrics.go); all nil on
-	// untraced workers.
-	obsSentBytes *obs.Counter
-	obsRecv      *obs.Counter
-	obsRecvBytes *obs.Counter
 }
 
 // Stats are accounted at the coordinator, which sees every frame.
 func (t *workerTransport) Stats() host.Stats { return host.Stats{Node: make([]host.NodeStats, t.n)} }
 
-// sent finishes one send call of frames messages: it counts the traffic
-// and turns a lost link into the rank's death.
-func (t *workerTransport) sent(frames, bytes int, err error) {
+// must turns a lost link into the rank's death.
+func (t *workerTransport) must(err error) {
 	if err != nil {
 		panic(fmt.Sprintf("mpnet: rank %d link lost: %v", t.rank, err))
-	}
-	if t.obsSentBytes != nil {
-		t.obsSentBytes.Add(int64(frames * bytes))
 	}
 }
 
 // Send transmits payload to rank to over the coordinator switch.
 func (t *workerTransport) Send(p host.Proc, to int, tag host.Tag, payload any, bytes int) {
-	t.sent(1, bytes, t.ep.Send(p, to, tag, payload, bytes))
+	t.must(t.ep.Send(p, to, tag, payload, bytes))
 }
 
 // SendShared transmits one payload to several recipients, charging the
 // sender's injection overhead once.
 func (t *workerTransport) SendShared(p host.Proc, tos []int, tag host.Tag, payload any, bytes int) {
-	t.sent(len(tos), bytes, t.ep.SendShared(p, tos, tag, payload, bytes))
-}
-
-// Broadcast sends payload to every other rank.
-func (t *workerTransport) Broadcast(p host.Proc, tag host.Tag, payload any, bytes int) {
-	t.sent(t.n-1, bytes, t.ep.Broadcast(p, t.n, tag, payload, bytes))
+	t.must(t.ep.SendShared(p, tos, tag, payload, bytes))
 }
 
 // Recv blocks until a matching message is available, reading frames off
@@ -154,15 +136,9 @@ func (t *workerTransport) Recv(p host.Proc, from int, tag host.Tag) host.Msg {
 			p.Charge(t.ep.Costs().RecvOverhead)
 			return m
 		}
-		if err := t.ep.ReadInto(&f); err != nil {
-			panic(fmt.Sprintf("mpnet: rank %d link lost: %v", t.rank, err))
-		}
+		t.must(t.ep.ReadInto(&f))
 		if f.Kind != wire.FMsg {
 			panic(fmt.Sprintf("mpnet: rank %d received unexpected frame kind %d", t.rank, f.Kind))
-		}
-		if t.obsRecv != nil {
-			t.obsRecv.Inc()
-			t.obsRecvBytes.Add(int64(f.Bytes))
 		}
 		t.box = append(t.box, t.ep.Msg(&f))
 	}

@@ -42,7 +42,7 @@ const (
 	EvLockAcq        // acquiring node: A = lock id; Dur = wait (request→grant applied); Seq links to the grant
 	EvLockGrant      // granting node: A = lock id, Peer = new holder, B = grant bytes, C = piggybacked page spans, Seq = grant seq
 	EvLockRel        // releasing node: A = lock id
-	EvAdapt          // node 0 (transitions are machine-global): Page, A = transition (0 promote, 1 split, 2 join, 3 decay)
+	EvAdapt          // node 0 (transitions are machine-global): Page, A = adapt.TransKind (0 promote, 1 split, 2 join, 3 decay)
 	EvCkpt           // checkpointing node: A = record bytes, B = 1 if a full record, C = epoch
 	EvRecover        // surviving node: A = phase (0 fail detected, 1 restore done), Peer = failed rank; Dur = restore span
 	evKinds          // count; keep last
@@ -68,14 +68,6 @@ var evNames = [evKinds]string{
 	EvCkpt:      "checkpoint",
 	EvRecover:   "recover",
 }
-
-// Adapt transition codes carried in EvAdapt's A field.
-const (
-	AdaptPromote = 0
-	AdaptSplit   = 1
-	AdaptJoin    = 2
-	AdaptDecay   = 3
-)
 
 // Event is one fixed-size trace record. VT is the virtual clock in
 // nanoseconds (the cost model's time; deterministic on sim) and WT the wall

@@ -38,14 +38,6 @@ func Const(c int) Lin { return Lin{C: c} }
 // Var returns the expression 1·s.
 func Var(s Sym) Lin { return Lin{T: map[Sym]int{s: 1}} }
 
-// Term returns the expression k·s.
-func Term(k int, s Sym) Lin {
-	if k == 0 {
-		return Lin{}
-	}
-	return Lin{T: map[Sym]int{s: k}}
-}
-
 // Add returns l + o.
 func (l Lin) Add(o Lin) Lin {
 	out := Lin{C: l.C + o.C, T: map[Sym]int{}}

@@ -9,7 +9,7 @@ import (
 // inverse, and Eval is a homomorphism.
 func TestLinGroupProperties(t *testing.T) {
 	mk := func(c int8, ka, kb int8) Lin {
-		return Const(int(c)).Add(Term(int(ka), "a")).Add(Term(int(kb), "b"))
+		return Const(int(c)).Add(Var("a").Scale(int(ka))).Add(Var("b").Scale(int(kb)))
 	}
 	env := Env{"a": 3, "b": -7}
 	f := func(c1, ka1, kb1, c2, ka2, kb2 int8) bool {
@@ -30,7 +30,7 @@ func TestLinGroupProperties(t *testing.T) {
 // Property: Subst then Eval equals Eval with the substituted binding.
 func TestSubstEvalCommute(t *testing.T) {
 	f := func(c, ka, kb, sub int8) bool {
-		l := Const(int(c)).Add(Term(int(ka), "a")).Add(Term(int(kb), "b"))
+		l := Const(int(c)).Add(Var("a").Scale(int(ka))).Add(Var("b").Scale(int(kb)))
 		replaced := l.Subst("a", Const(int(sub)))
 		return replaced.Eval(Env{"b": 5}) == l.Eval(Env{"a": int(sub), "b": 5})
 	}

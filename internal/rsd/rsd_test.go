@@ -27,9 +27,9 @@ func TestLinAlgebra(t *testing.T) {
 
 func TestLinSubst(t *testing.T) {
 	// 2*i + j + 3 with i := p+1  →  2p + j + 5
-	l := Term(2, "i").Add(Var("j")).Plus(3)
+	l := Var("i").Scale(2).Add(Var("j")).Plus(3)
 	got := l.Subst("i", Var("p").Plus(1))
-	want := Term(2, "p").Add(Var("j")).Plus(5)
+	want := Var("p").Scale(2).Add(Var("j")).Plus(5)
 	if !got.Equal(want) {
 		t.Fatalf("subst = %v, want %v", got, want)
 	}
@@ -187,7 +187,11 @@ func TestRegionsElemCountProperty(t *testing.T) {
 		if c.Empty() {
 			return true
 		}
-		return shm.TotalWords(c.Regions(l)) == c.Elems()
+		words := 0
+		for _, r := range c.Regions(l) {
+			words += r.Words()
+		}
+		return words == c.Elems()
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -135,15 +135,6 @@ func symMax(a, b Lin) (Lin, bool) {
 	return b, true
 }
 
-// Subst substitutes sym := e in every bound.
-func (s Section) Subst(sym Sym, e Lin) Section {
-	out := Section{Array: s.Array, Dims: make([]Bound, len(s.Dims))}
-	for i, d := range s.Dims {
-		out.Dims[i] = Bound{Lo: d.Lo.Subst(sym, e), Hi: d.Hi.Subst(sym, e), Stride: d.Stride}
-	}
-	return out
-}
-
 // Eval resolves the section against env.
 func (s Section) Eval(env Env) Concrete {
 	out := Concrete{Array: s.Array, Dims: make([]CBound, len(s.Dims))}
@@ -206,11 +197,11 @@ func (c Concrete) Intersect(o Concrete) Concrete {
 	out := Concrete{Array: c.Array, Dims: make([]CBound, len(c.Dims))}
 	for i := range c.Dims {
 		a, b := c.Dims[i], o.Dims[i]
-		lo := maxInt(a.Lo, b.Lo)
-		hi := minInt(a.Hi, b.Hi)
-		stride := maxInt(a.Stride, b.Stride)
+		lo := max(a.Lo, b.Lo)
+		hi := min(a.Hi, b.Hi)
+		stride := max(a.Stride, b.Stride)
 		if a.Stride != b.Stride {
-			if minInt(a.Stride, b.Stride) != 1 {
+			if min(a.Stride, b.Stride) != 1 {
 				return Concrete{} // incompatible strides: treat as disjoint
 			}
 			// Align lo to the strided side's phase.
@@ -276,18 +267,4 @@ func (c Concrete) Regions(l *shm.Layout) []shm.Region {
 // check before WRITE_ALL conversions (Section 4.2).
 func (c Concrete) ContiguousIn(l *shm.Layout) bool {
 	return len(c.Regions(l)) == 1
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -22,9 +22,6 @@ type Span struct {
 // Pages returns the number of pages in the span.
 func (s Span) Pages() int { return s.Hi - s.Lo }
 
-// Contains reports whether page pg lies in the span.
-func (s Span) Contains(pg int) bool { return s.Lo <= pg && pg < s.Hi }
-
 func (s Span) String() string { return fmt.Sprintf("[%d,%d)", s.Lo, s.Hi) }
 
 // SpansOfSorted clusters a sorted, duplicate-free int32 page list into

@@ -46,11 +46,6 @@ func (r Region) Intersect(s Region) Region {
 	return Region{lo, hi}
 }
 
-// Contains reports whether r fully covers s.
-func (r Region) Contains(s Region) bool {
-	return s.Empty() || (r.Lo <= s.Lo && s.Hi <= r.Hi)
-}
-
 // Pages returns the page index range [p0, p1) overlapped by r.
 func (r Region) Pages() (p0, p1 int) {
 	if r.Empty() {
@@ -58,8 +53,6 @@ func (r Region) Pages() (p0, p1 int) {
 	}
 	return r.Lo / PageWords, (r.Hi + PageWords - 1) / PageWords
 }
-
-func (r Region) String() string { return fmt.Sprintf("[%d,%d)", r.Lo, r.Hi) }
 
 // Normalize sorts regions, drops empties, and merges overlapping or
 // adjacent ranges.
@@ -95,15 +88,6 @@ func IntersectSets(a, b []Region) []Region {
 		}
 	}
 	return Normalize(out)
-}
-
-// TotalWords sums the sizes of a region set.
-func TotalWords(rs []Region) int {
-	n := 0
-	for _, r := range rs {
-		n += r.Words()
-	}
-	return n
 }
 
 // Array is a column-major array in the shared address space. Indices are
@@ -145,19 +129,12 @@ func (a *Array) Index(idx ...int) int {
 	return addr
 }
 
-// Col returns the region holding elements (lo..hi, j) of a 2-D array:
-// a contiguous span within column j.
-func (a *Array) Col(j, lo, hi int) Region {
-	return Region{a.Index(lo, j), a.Index(hi, j) + 1}
-}
-
 // Whole returns the region covering the entire array.
 func (a *Array) Whole() Region { return Region{a.Base, a.Base + a.Words()} }
 
 // Layout allocates arrays in a single shared address space.
 type Layout struct {
 	arrays map[string]*Array
-	order  []*Array
 	words  int
 }
 
@@ -176,7 +153,6 @@ func (l *Layout) Alloc(name string, dims ...int) *Array {
 		stride *= n
 	}
 	l.arrays[name] = a
-	l.order = append(l.order, a)
 	w := a.Words()
 	w = (w + PageWords - 1) / PageWords * PageWords
 	l.words += w
@@ -192,25 +168,8 @@ func (l *Layout) Array(name string) *Array {
 	return a
 }
 
-// Arrays returns all arrays in allocation order.
-func (l *Layout) Arrays() []*Array { return l.order }
-
 // Words returns the total size of the address space in words.
 func (l *Layout) Words() int { return l.words }
 
 // Pages returns the total number of pages in the address space.
 func (l *Layout) Pages() int { return (l.words + PageWords - 1) / PageWords }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -13,8 +13,9 @@ import (
 // a coordinator, or a coordinator's accepted link to a pool daemon — the
 // exchange is the same. It multiplexes any number of concurrent
 // submissions: each submit carries a link-local nonce the server echoes
-// on the accept/reject verdict, and every later frame about the job
-// carries both the nonce and the job ID. Safe for concurrent use.
+// on the accept/reject verdict, and the result frame carries both the
+// nonce and the job ID. A job is three frames: submit, verdict, result.
+// Safe for concurrent use.
 type Client struct {
 	l    *host.Link
 	peer string // what the far end is, for error text
@@ -34,7 +35,6 @@ type Job struct {
 
 	decided chan struct{} // accept or reject read
 	reason  string        // non-empty: rejected
-	state   chan byte     // progress updates, latest-wins
 	result  chan wire.JobResult
 }
 
@@ -71,7 +71,7 @@ func (cl *Client) Close() error {
 }
 
 // reader demultiplexes the server's frames: verdicts route by nonce,
-// progress and results by job ID. It owns the pending/active maps'
+// results by job ID. It owns the pending/active maps'
 // mutations past submission, so verdict routing can atomically promote
 // a pending job to active before any later frame about it is read —
 // frames for one job are ordered on the wire. When the link ends, every
@@ -97,9 +97,8 @@ func (cl *Client) reader() {
 		}
 		// Frames route by payload type; Kind only tells the two verdicts
 		// apart. Deliveries happen under mu and cannot block: the reader is
-		// each channel's only sender, a job gets one verdict and one result
-		// (it leaves its table on the first), and a stale progress update is
-		// discarded before the fresh one is sent.
+		// each channel's only sender, and a job gets one verdict and one
+		// result (it leaves its table on the first).
 		cl.mu.Lock()
 		switch p := f.Payload.(type) {
 		case wire.JobDecision:
@@ -113,14 +112,6 @@ func (cl *Client) reader() {
 				}
 				close(j.decided)
 			}
-		case wire.JobProgress:
-			if j := cl.active[p.ID]; j != nil {
-				select {
-				case <-j.state: // latest-wins: the consumer lagged
-				default:
-				}
-				j.state <- p.State
-			}
 		case wire.JobResult:
 			if j := cl.active[p.ID]; j != nil {
 				delete(cl.active, p.ID)
@@ -133,12 +124,12 @@ func (cl *Client) reader() {
 
 // Submit sends one job and waits for the coordinator's admission
 // verdict: an accepted *Job to wait on, or the rejection reason as an
-// error. Rejection is a per-job verdict — the client stays usable.
+// error (errors.Is(err, ErrQueueFull) when the queue was full).
+// Rejection is a per-job verdict — the client stays usable.
 func (cl *Client) Submit(spec wire.JobSpec) (*Job, error) {
 	j := &Job{
 		Spec:    spec,
 		decided: make(chan struct{}),
-		state:   make(chan byte, 1),
 		result:  make(chan wire.JobResult, 1),
 	}
 	// The submit frame is enqueued under mu, so the reader cannot look for
@@ -157,21 +148,13 @@ func (cl *Client) Submit(spec wire.JobSpec) (*Job, error) {
 		return nil, fmt.Errorf("svc: submit: %w", err)
 	}
 	<-j.decided
-	if j.reason != "" {
-		return nil, fmt.Errorf("svc: job rejected: %s", j.reason)
+	switch j.reason {
+	case "":
+		return j, nil
+	case queueFullReason:
+		return nil, fmt.Errorf("svc: job rejected: %w", ErrQueueFull)
 	}
-	return j, nil
-}
-
-// State drains the latest progress update, if any (wire.JobQueued,
-// wire.JobRunning), without blocking.
-func (j *Job) State() (byte, bool) {
-	select {
-	case s := <-j.state:
-		return s, true
-	default:
-		return 0, false
-	}
+	return nil, fmt.Errorf("svc: job rejected: %s", j.reason)
 }
 
 // Wait blocks until the job's result frame arrives. A job that failed

@@ -1,6 +1,7 @@
 package svc
 
 import (
+	"errors"
 	"net"
 	"strings"
 	"testing"
@@ -162,7 +163,7 @@ func TestQueueFullRejected(t *testing.T) {
 		t.Fatalf("job 2: %v", err)
 	}
 	// Job 3: queue full, rejected.
-	if _, err := cl.Submit(spec); err == nil || !strings.Contains(err.Error(), "queue full") {
+	if _, err := cl.Submit(spec); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("job 3: err %v, want queue-full rejection", err)
 	}
 	// Unwedge: give job 1 its verdict and result — the exchange a daemon

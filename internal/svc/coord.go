@@ -1,6 +1,7 @@
 package svc
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"os"
@@ -12,9 +13,18 @@ import (
 )
 
 // DefaultQueueCap bounds the coordinator's job queue when Config leaves
-// it zero: submits beyond the bound are rejected immediately ("queue
-// full"), the admission-control half of the service contract.
+// it zero: submits beyond the bound are rejected immediately
+// (ErrQueueFull), the admission-control half of the service contract.
 const DefaultQueueCap = 64
+
+// queueFullReason is the verdict text for a submit that found the queue
+// full: written by the coordinator, recognised by Client.Submit.
+const queueFullReason = "svc: queue full"
+
+// ErrQueueFull is what Client.Submit's error wraps when the job was
+// rejected because the coordinator's queue was full — the one rejection
+// a patient client retries.
+var ErrQueueFull = errors.New(queueFullReason)
 
 // Config shapes one coordinator.
 type Config struct {
@@ -46,22 +56,22 @@ type job struct {
 // link's writer goroutine.
 //
 // mu is the admission lock. Queueing a job and announcing the verdict
-// happen under it, and workers take it for each frame they send about a
-// job, so a progress or result frame can never overtake the accept that
-// announced the job. It guards two non-blocking enqueues (the job queue,
-// the link's frame queue), never a socket write.
+// happen under it, and a worker takes it to send the job's result, so a
+// result can never overtake the accept that announced the job. It guards
+// two non-blocking enqueues (the job queue, the link's frame queue),
+// never a socket write.
 type session struct {
 	l  *host.Link
 	mu sync.Mutex
 }
 
-// send enqueues one frame for the session's peer. An error means the
-// peer went away; its jobs still run and their results are dropped here.
-// The pool must survive its clients.
-func (s *session) send(kind byte, tag int32, payload any) {
+// result enqueues a job's result frame for the session's peer. An error
+// means the peer went away; its jobs still run and their results are
+// dropped here. The pool must survive its clients.
+func (s *session) result(tag int32, res wire.JobResult) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	_ = s.l.Write(&wire.Frame{Kind: kind, Tag: tag, Payload: payload})
+	_ = s.l.Write(&wire.Frame{Kind: wire.FJobResult, Tag: tag, Payload: res})
 }
 
 // newLink frames a control-plane connection. A failed write closes the
@@ -301,7 +311,7 @@ func (co *Coordinator) submit(s *session, f *wire.Frame) {
 			select {
 			case co.jobs <- &job{spec: spec, tag: f.Tag, s: s}:
 			default:
-				reason = "svc: queue full"
+				reason = queueFullReason
 			}
 		}
 		co.mu.Unlock()
@@ -313,8 +323,6 @@ func (co *Coordinator) submit(s *session, f *wire.Frame) {
 	}
 	co.accepted.Add(1)
 	_ = s.l.Write(&wire.Frame{Kind: wire.FJobAccept, Tag: f.Tag, Payload: wire.JobDecision{ID: spec.ID}})
-	_ = s.l.Write(&wire.Frame{Kind: wire.FJobState, Tag: f.Tag,
-		Payload: wire.JobProgress{ID: spec.ID, State: wire.JobQueued}})
 }
 
 // finish delivers a job's result to its submitter and counts it.
@@ -323,7 +331,7 @@ func (co *Coordinator) finish(j *job, res wire.JobResult) {
 	if res.Err != "" {
 		co.failed.Add(1)
 	}
-	j.s.send(wire.FJobResult, j.tag, res)
+	j.s.result(j.tag, res)
 }
 
 // worker is the one worker loop: it drains the queue onto one slot of
@@ -342,7 +350,6 @@ func (co *Coordinator) worker(run func(wire.JobSpec) wire.JobResult, gone <-chan
 		case <-gone:
 			return
 		case j := <-co.jobs:
-			j.s.send(wire.FJobState, j.tag, wire.JobProgress{ID: j.spec.ID, State: wire.JobRunning})
 			co.finish(j, run(j.spec))
 		}
 	}

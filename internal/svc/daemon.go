@@ -18,7 +18,7 @@ import (
 // The attach handshake is one FPoolHello frame with the slot count in
 // Tag. After it the daemon is a coordinator without a listener: the
 // link it dialed gets the session a coordinator gives a client (FJob in;
-// FJobAccept, FJobState, FJobResult out), in front of `slots` local
+// FJobAccept, FJobResult out), in front of `slots` local
 // workers. The far side keeps at most `slots` jobs in flight, so the
 // daemon's queue of that size never rejects.
 func RunPoolDaemon(network, addr string, slots int, stop <-chan struct{}) error {

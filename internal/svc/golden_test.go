@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"sdsm/internal/leaktest"
-	"sdsm/internal/wire"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite the Table D golden")
@@ -16,20 +15,14 @@ var updateGolden = flag.Bool("update", false, "rewrite the Table D golden")
 // mix through the warm pool must aggregate to byte-identical job
 // counts, checksums, and virtual times on every machine and every pool
 // topology (wall-clock latency is reported by FormatTableD but never
-// pinned). The mix doubles as a miniature of the CI load smoke: mixed
-// apps, mixed rank counts, protocol modes on and off.
+// pinned). The mix is the CI load smoke's (TableDMix).
 func TestTableDGolden(t *testing.T) {
 	leaktest.Check(t)
 	_, cl := startService(t, Config{Slots: 8, QueueCap: 64})
 	rep, err := RunLoad(cl, LoadConfig{
 		Jobs:        24,
 		Concurrency: 6,
-		Mix: []wire.JobSpec{
-			{App: "jacobi", Set: "small", Procs: 2, Verify: true},
-			{App: "spmv", Set: "small", Procs: 4, Verify: true, Scale: true},
-			{App: "tsp", Set: "small", Procs: 2, Verify: true},
-			{App: "jacobi", Set: "bound", Procs: 2, Verify: true, Adapt: true},
-		},
+		Mix:         TableDMix(),
 	})
 	if err != nil {
 		t.Fatal(err)

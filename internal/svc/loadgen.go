@@ -1,6 +1,7 @@
 package svc
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -20,6 +21,18 @@ type LoadConfig struct {
 	// Mix is the set of job shapes, assigned round-robin by job index:
 	// job i runs Mix[i%len(Mix)]. Spec IDs are assigned by the service.
 	Mix []wire.JobSpec
+}
+
+// TableDMix is Table D's job mix: mixed apps, mixed rank counts, protocol
+// modes on and off. The load smoke (sdsm-experiments -serve) and the
+// Table D golden run the same four shapes.
+func TableDMix() []wire.JobSpec {
+	return []wire.JobSpec{
+		{App: "jacobi", Set: "small", Procs: 2, Verify: true},
+		{App: "spmv", Set: "small", Procs: 4, Verify: true, Scale: true},
+		{App: "tsp", Set: "small", Procs: 2, Verify: true},
+		{App: "jacobi", Set: "bound", Procs: 2, Verify: true, Adapt: true},
+	}
 }
 
 // MixRow aggregates every completed job of one mix entry. The
@@ -107,7 +120,7 @@ func RunLoad(cl *Client, cfg LoadConfig) (*LoadReport, error) {
 				for {
 					j, err := cl.Submit(cfg.Mix[mi])
 					if err != nil {
-						if strings.Contains(err.Error(), "queue full") {
+						if errors.Is(err, ErrQueueFull) {
 							retries++
 							time.Sleep(time.Duration(1+retries) * time.Millisecond)
 							continue

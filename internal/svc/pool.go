@@ -25,11 +25,11 @@
 //
 //   - Admission control is a bounded queue: a submit either enters the
 //     queue (FJobAccept) or is rejected immediately (FJobReject,
-//     "queue full"); malformed specs are rejected per-job without
+//     ErrQueueFull); malformed specs are rejected per-job without
 //     disturbing the connection or the pool.
 //
-// The wire protocol (frames FJob, FJobAccept, FJobReject, FJobState,
-// FJobResult, FPoolHello) is versioned with the rest of package wire
+// The wire protocol (frames FJob, FJobAccept, FJobReject, FJobResult,
+// FPoolHello) is versioned with the rest of package wire
 // and fuzz-covered by the same corpus. Every connection that carries it
 // is a host.Link, and both directions of attachment speak one exchange:
 // a pool daemon serves the coordinator that dispatches to it exactly as
@@ -175,8 +175,6 @@ func JobConfig(spec wire.JobSpec) (harness.Config, error) {
 		Backend: be,
 		Verify:  spec.Verify,
 		Adapt:   spec.Adapt,
-		AdaptK:  int(spec.AdaptK),
-		AdaptM:  int(spec.AdaptM),
 		Scale:   spec.Scale,
 	}, nil
 }

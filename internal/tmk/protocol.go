@@ -568,81 +568,78 @@ func (nd *Node) fetchPages(pages []int, async bool) {
 // replies. Pages still missing diffs afterwards (a responder lacked some
 // other owner's diff) are re-fetched synchronously per owner, mirroring
 // the paper's "other diffs cause an access miss and are faulted in".
+// Nothing it calls starts an asynchronous fetch (the follow-ups are
+// startFetch+Await), so the in-flight list is emptied in place.
 func (nd *Node) completeInflight() {
-	for len(nd.inflight) > 0 {
-		fetches := nd.inflight
-		// Double-buffer the in-flight list: fetches started while this
-		// round applies (none today, but the loop contract allows it) land
-		// in the spare array instead of clobbering the round's entries.
-		nd.inflight = nd.ifSpare[:0]
-		nd.ifSpare = fetches
-		pds := nd.pdScratch[:0]
-		for i := range fetches {
-			pds = append(pds, fetches[i].pd)
+	if len(nd.inflight) == 0 {
+		return
+	}
+	fetches := nd.inflight
+	pds := nd.pdScratch[:0]
+	for i := range fetches {
+		pds = append(pds, fetches[i].pd)
+	}
+	nd.pdScratch = pds
+	nd.sys.NW.AwaitAll(nd.p, pds)
+	// Apply every reply of the round together: diffs from different
+	// responders may overlap (migratory and falsely shared pages), and
+	// only a global sort preserves vector-time order. The scratch is
+	// consumed by applyDiffs before this node issues another fetch.
+	all := nd.dfScratch[:0]
+	var redirs []wire.PageOwner // nil off scale: replies never carry redirects
+	for _, f := range fetches {
+		rep := f.pd.Reply.(wire.DiffReply)
+		all = append(all, rep.Diffs...)
+		redirs = append(redirs, rep.Redirects...)
+	}
+	nd.dfScratch = all
+	nd.applyDiffs(all)
+	if len(redirs) > 0 {
+		nd.chaseRedirects(redirs)
+	}
+	var pages []int // pages still owing diffs; the steady state has none
+	for _, f := range fetches {
+		pgs := f.pages
+		if pgs == nil {
+			pgs = []int{f.pg}
 		}
-		nd.pdScratch = pds
-		nd.sys.NW.AwaitAll(nd.p, pds)
-		// Apply every reply of the round together: diffs from different
-		// responders may overlap (migratory and falsely shared pages), and
-		// only a global sort preserves vector-time order. The scratch is
-		// consumed by applyDiffs before this node issues another fetch.
-		all := nd.dfScratch[:0]
-		var redirs []wire.PageOwner // nil off scale: replies never carry redirects
-		for _, f := range fetches {
-			rep := f.pd.Reply.(wire.DiffReply)
-			all = append(all, rep.Diffs...)
-			redirs = append(redirs, rep.Redirects...)
-		}
-		nd.dfScratch = all
-		nd.applyDiffs(all)
-		if len(redirs) > 0 {
-			nd.chaseRedirects(redirs)
-		}
-		var pages []int // pages still owing diffs; the steady state has none
-		for _, f := range fetches {
-			pgs := f.pages
-			if pgs == nil {
-				pgs = []int{f.pg}
+		for _, pg := range pgs {
+			if len(nd.pending[pg]) > 0 {
+				pages = append(pages, pg)
 			}
-			for _, pg := range pgs {
-				if len(nd.pending[pg]) > 0 {
-					pages = append(pages, pg)
-				}
-			}
-		}
-		if len(pages) > 0 {
-			slices.Sort(pages)
-			pages = slices.Compact(pages)
-			// Ask each remaining owner directly; owners can always serve
-			// their own diffs. Direct forbids directory redirects — this is
-			// the forwarding chain's backstop, so the owner must answer with
-			// payload even when its delegation pointer says otherwise.
-			reqs := map[int][]int{} // owner -> pages, ascending, each once
-			for _, pg := range pages {
-				for _, n := range nd.pending[pg] {
-					reqs[int(n.owner)] = append(reqs[int(n.owner)], pg)
-				}
-			}
-			var round []wire.Diff
-			for _, r := range sortedKeys(reqs) {
-				pd := nd.startFetch(r, reqs[r], true)
-				nd.sys.NW.Await(nd.p, pd)
-				round = append(round, pd.Reply.(wire.DiffReply).Diffs...)
-			}
-			nd.applyDiffs(round)
-			for _, pg := range pages {
-				if len(nd.pending[pg]) > 0 {
-					panic(fmt.Sprintf("tmk: node %d cannot resolve notices for page %d: %+v",
-						nd.ID, pg, nd.pending[pg]))
-				}
-			}
-		}
-		// Drop the round's pointers so the recycled array does not keep
-		// replies alive until its next use.
-		for i := range fetches {
-			fetches[i] = inflightFetch{}
 		}
 	}
+	if len(pages) > 0 {
+		slices.Sort(pages)
+		pages = slices.Compact(pages)
+		// Ask each remaining owner directly; owners can always serve
+		// their own diffs. Direct forbids directory redirects — this is
+		// the forwarding chain's backstop, so the owner must answer with
+		// payload even when its delegation pointer says otherwise.
+		reqs := map[int][]int{} // owner -> pages, ascending, each once
+		for _, pg := range pages {
+			for _, n := range nd.pending[pg] {
+				reqs[int(n.owner)] = append(reqs[int(n.owner)], pg)
+			}
+		}
+		var round []wire.Diff
+		for _, r := range sortedKeys(reqs) {
+			pd := nd.startFetch(r, reqs[r], true)
+			nd.sys.NW.Await(nd.p, pd)
+			round = append(round, pd.Reply.(wire.DiffReply).Diffs...)
+		}
+		nd.applyDiffs(round)
+		for _, pg := range pages {
+			if len(nd.pending[pg]) > 0 {
+				panic(fmt.Sprintf("tmk: node %d cannot resolve notices for page %d: %+v",
+					nd.ID, pg, nd.pending[pg]))
+			}
+		}
+	}
+	// Drop the round's pointers so the recycled array does not keep
+	// replies alive until its next use.
+	clear(fetches)
+	nd.inflight = fetches[:0]
 }
 
 // serveDiffs runs at the responder (inside the transport's request

@@ -108,22 +108,6 @@ const (
 	AccReadWriteAll
 )
 
-func (a AccessType) String() string {
-	switch a {
-	case AccRead:
-		return "READ"
-	case AccWrite:
-		return "WRITE"
-	case AccReadWrite:
-		return "READ&WRITE"
-	case AccWriteAll:
-		return "WRITE_ALL"
-	case AccReadWriteAll:
-		return "READ&WRITE_ALL"
-	}
-	return fmt.Sprintf("AccessType(%d)", int(a))
-}
-
 // writes reports whether the access type enables writing.
 func (a AccessType) writes() bool { return a != AccRead }
 
@@ -490,7 +474,6 @@ type Node struct {
 	srvOut    []wire.Diff
 	srvRedir  []wire.PageOwner
 	srvBytes  int
-	ifSpare   []inflightFetch // completeInflight's double buffer
 	pdScratch []*host.Pending // completeInflight's await list
 	dfScratch []wire.Diff     // completeInflight's merged-reply buffer
 
@@ -539,9 +522,6 @@ func (nd *Node) popHeld(id int) []int {
 
 // Proc returns the processor the node runs on.
 func (nd *Node) Proc() host.Proc { return nd.p }
-
-// Time returns the node's current virtual time.
-func (nd *Node) Time() time.Duration { return nd.p.Now() }
 
 // pagesOf expands regions to the set of overlapped page numbers, sorted.
 func pagesOf(regions []shm.Region) []int {

@@ -429,18 +429,12 @@ func (e *enc) payload(p any) error {
 		e.str(v.Backend)
 		e.i32(v.Procs)
 		e.bool(v.Adapt)
-		e.i32(v.AdaptK)
-		e.i32(v.AdaptM)
 		e.bool(v.Scale)
 		e.bool(v.Verify)
 	case JobDecision:
 		e.u8(pJobDecision)
 		e.i64(v.ID)
 		e.str(v.Reason)
-	case JobProgress:
-		e.u8(pJobProgress)
-		e.i64(v.ID)
-		e.u8(v.State)
 	case JobResult:
 		e.u8(pJobResult)
 		e.i64(v.ID)
@@ -596,13 +590,10 @@ func (d *dec) payload() any {
 		return JobSpec{
 			ID: d.i64(), App: d.str(), Set: d.str(), System: d.str(),
 			Backend: d.str(), Procs: d.i32(),
-			Adapt: d.bool(), AdaptK: d.i32(), AdaptM: d.i32(),
-			Scale: d.bool(), Verify: d.bool(),
+			Adapt: d.bool(), Scale: d.bool(), Verify: d.bool(),
 		}
 	case pJobDecision:
 		return JobDecision{ID: d.i64(), Reason: d.str()}
-	case pJobProgress:
-		return JobProgress{ID: d.i64(), State: d.u8()}
 	case pJobResult:
 		return JobResult{
 			ID: d.i64(), Checksum: d.f64(), VirtualNS: d.i64(),
@@ -808,7 +799,7 @@ func parseFrameInto(f *Frame, b []byte, ar *decArena) (int, error) {
 	}
 	switch f.Kind {
 	case FHello, FMsg, FHand, FReq, FReply, FStart, FDone, FCkpt,
-		FJob, FJobAccept, FJobReject, FJobState, FJobResult, FPoolHello:
+		FJob, FJobAccept, FJobReject, FJobResult, FPoolHello:
 	default:
 		return 0, fmt.Errorf("wire: unknown frame kind %d", f.Kind)
 	}

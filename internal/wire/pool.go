@@ -116,7 +116,7 @@ func NewFrameReader(r io.Reader) *FrameReader {
 
 // ReadRaw reads one frame and returns its raw encoded bytes. The slice
 // aliases the reader's internal buffer: it is invalidated by the next
-// ReadRaw or Read call.
+// ReadRaw or ReadInto call.
 func (fr *FrameReader) ReadRaw() ([]byte, error) {
 	raw, err := ReadRawFrameInto(fr.r, fr.buf)
 	if err != nil {
@@ -124,17 +124,6 @@ func (fr *FrameReader) ReadRaw() ([]byte, error) {
 	}
 	fr.buf = raw
 	return raw, nil
-}
-
-// Read reads and decodes one frame. The returned frame owns all its
-// storage (decoding copies), so it remains valid indefinitely. On a
-// cleanly closed stream it returns io.EOF.
-func (fr *FrameReader) Read() (*Frame, error) {
-	f := new(Frame)
-	if err := fr.ReadInto(f); err != nil {
-		return nil, err
-	}
-	return f, nil
 }
 
 // ReadInto reads and decodes one frame into *f, reusing the struct. The
@@ -149,13 +138,4 @@ func (fr *FrameReader) ReadInto(f *Frame) error {
 	}
 	_, err = parseFrameInto(f, raw, &fr.ar)
 	return err
-}
-
-// PatchRawTime rewrites the virtual-time field of an encoded frame in
-// place (broadcasts encode a shared payload once and restamp the header
-// per recipient, whose arrival times differ by the serialized send
-// overheads).
-func PatchRawTime(raw []byte, t int64) {
-	// layout: len(4) version(1) kind(1) from(4) to(4) tag(4) bytes(4) time(8)
-	binary.LittleEndian.PutUint64(raw[22:], uint64(t))
 }

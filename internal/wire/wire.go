@@ -30,7 +30,7 @@ import "slices"
 // Version is the wire-format version carried by every frame. Peers reject
 // frames with any other version (the format has no negotiation; both ends
 // of a machine are the same build).
-const Version = 8
+const Version = 9
 
 // MaxFrame bounds the encoded size of one frame (64 MiB), a sanity limit
 // protecting the decoder from corrupt length prefixes.
@@ -75,9 +75,6 @@ const (
 	// Rejection is a per-job verdict, never a connection error — the
 	// server keeps serving the connection and the pool.
 	FJobReject
-	// FJobState reports a job's lifecycle transition (payload JobProgress),
-	// server → requester.
-	FJobState
 	// FJobResult reports a finished job (payload JobResult), server →
 	// requester; a coordinator relaying a daemon's result puts its own job
 	// id back on it.
@@ -123,7 +120,6 @@ const (
 	pCheckpoint
 	pJobSpec
 	pJobDecision
-	pJobProgress
 	pJobResult
 )
 
@@ -629,11 +625,9 @@ type JobSpec struct {
 	App, Set, System, Backend string
 	// Procs is the rank-subset size the job claims from the pool.
 	Procs int32
-	// Adapt/AdaptK/AdaptM and Scale arm the adaptive protocol and scale
-	// mode for the job, exactly as the same-named harness.Config fields.
-	Adapt          bool
-	AdaptK, AdaptM int32
-	Scale          bool
+	// Adapt and Scale arm the adaptive protocol and scale mode for the
+	// job, exactly as the same-named harness.Config fields.
+	Adapt, Scale bool
 	// Verify computes the job's checksum against its layout (the field
 	// every service equivalence test pins).
 	Verify bool
@@ -645,21 +639,6 @@ type JobSpec struct {
 type JobDecision struct {
 	ID     int64
 	Reason string
-}
-
-// Job lifecycle states carried by JobProgress.
-const (
-	// JobQueued: admitted and waiting in the bounded job queue.
-	JobQueued byte = 1 + iota
-	// JobRunning: claimed its rank subset and executing.
-	JobRunning
-)
-
-// JobProgress reports a job lifecycle transition to the submitting
-// client.
-type JobProgress struct {
-	ID    int64
-	State byte
 }
 
 // JobResult is a finished job's report: the checksum and deterministic

@@ -144,14 +144,14 @@ func sampleFrames() []*Frame {
 		}},
 		{Kind: FJob, Tag: 17, Payload: JobSpec{
 			App: "jacobi", Set: "small", System: "tmk", Procs: 4,
-			Adapt: true, AdaptK: 3, AdaptM: 2, Verify: true,
+			Adapt: true, Verify: true,
 		}},
 		{Kind: FJob, To: 1, Tag: 9, Payload: JobSpec{
 			ID: 42, App: "spmv", Set: "bound", Backend: "net", Procs: 8, Scale: true,
 		}},
 		{Kind: FJobAccept, Tag: 17, Payload: JobDecision{ID: 42}},
 		{Kind: FJobReject, Tag: 18, Payload: JobDecision{Reason: "queue full"}},
-		{Kind: FJobState, Tag: 17, Payload: JobProgress{ID: 42, State: JobRunning}},
+		{Kind: FJobReject, Tag: 19, Payload: JobDecision{Reason: "svc: no executor with 8 ranks (max capacity 4)"}},
 		{Kind: FJobResult, From: 1, Tag: 17, Payload: JobResult{
 			ID: 42, Checksum: 40399.25, VirtualNS: 123456789, WallNS: 987654,
 			Msgs: 320, Bytes: 81920, Segv: 12, DiffFetches: 7,
