@@ -11,7 +11,6 @@ package sdsm_test
 
 import (
 	"testing"
-	"time"
 
 	"sdsm/internal/adapt"
 	"sdsm/internal/cluster"
@@ -64,29 +63,15 @@ func TestWireEncodePooledAllocs(t *testing.T) {
 }
 
 // TestInterpInnerLoopAllocs pins the interpreter's vectorized inner loop
-// (execAssignVector: resolve every reference of the assignment, ensure
-// the spans, run the tight loop) at zero allocations once the executor's
-// scratch has grown: a 4-point stencil column costs nothing per column,
-// where resolving each reference through a fresh index slice used to cost
-// one allocation per reference plus one per loop (6 here).
+// (execVector: resolve every reference of the assignment, ensure the
+// spans, run the tight loop) at zero allocations: the executor's scratch is
+// sized when the program is lowered, so a 4-point stencil column costs
+// nothing per column, where resolving each reference through a fresh index
+// slice once cost one allocation per reference plus one per loop (6 here).
 func TestInterpInnerLoopAllocs(t *testing.T) {
-	i, j, m := rsd.Var("i"), rsd.Var("j"), rsd.Var("m")
-	dims := []rsd.Lin{m, rsd.Var("cols")}
-	prog := &ir.Program{
-		Name:   "stencil",
-		Arrays: []ir.ArrayDecl{{Name: "a", Dims: dims}, {Name: "b", Dims: dims}},
-		Params: []rsd.Sym{"m", "cols"},
-		Body: []ir.Stmt{ir.Loop{Var: "j", Lo: rsd.Const(2), Hi: rsd.Var("cols").Plus(-1), Body: []ir.Stmt{
-			ir.Loop{Var: "i", Lo: rsd.Const(2), Hi: m.Plus(-1), Body: []ir.Stmt{ir.Assign{
-				LHS:  ir.At("a", i, j),
-				RHS:  []ir.Ref{ir.At("b", i.Plus(-1), j), ir.At("b", i.Plus(1), j), ir.At("b", i, j.Plus(-1)), ir.At("b", i, j.Plus(1))},
-				Fn:   func(s []float64) float64 { return 0.25 * (s[0] + s[1] + s[2] + s[3]) },
-				Cost: time.Nanosecond,
-			}}},
-		}}},
-	}
+	prog := stencilProg()
 	per := allocsPerIter(t, 64, 1024, func(cols int) error {
-		interp.RunSeq(prog, rsd.Env{"m": 32, "cols": cols})
+		interp.RunSeq(prog, rsd.Env{"m": 32, "cols": cols, "iters": 1})
 		return nil
 	})
 	// A regression costs at least one allocation per loop; the margin
@@ -121,6 +106,34 @@ func TestPushMemoAllocs(t *testing.T) {
 	})
 	if per > 0.1 {
 		t.Fatalf("repeated Push with unchanged bounds allocates %.2f/execution, want 0", per)
+	}
+}
+
+// TestValidateMemoAllocs pins a repeated ValidateStmt whose section bounds
+// do not move at zero allocations per execution, like the Push above and
+// through the same memo: the bounds go into scratch, compare equal, and the
+// run-time is handed the region set built the first time. Every execution
+// used to cost a Concrete per section plus its Regions and a Normalize —
+// 42 % of the objects a compiler-optimised run allocated.
+func TestValidateMemoAllocs(t *testing.T) {
+	sec := []rsd.Section{{Array: "a", Dims: []rsd.Bound{rsd.Dense(rsd.Const(2), rsd.Var("m").Plus(-1)), rsd.Dense(rsd.Var("j"), rsd.Var("j").Plus(1))}}}
+	dims := []rsd.Lin{rsd.Var("m"), rsd.Var("m")}
+	prog := &ir.Program{
+		Name:   "validates",
+		Arrays: []ir.ArrayDecl{{Name: "a", Dims: dims}},
+		Params: []rsd.Sym{"m", "iters"},
+		Body: []ir.Stmt{ir.Loop{Var: "j", Lo: rsd.Const(3), Hi: rsd.Const(3), Body: []ir.Stmt{
+			ir.Loop{Var: "k", Lo: rsd.Const(1), Hi: rsd.Var("iters"), Body: []ir.Stmt{
+				ir.ValidateStmt{At: ir.ReadWrite, Secs: sec},
+			}},
+		}}},
+	}
+	per := allocsPerIter(t, 64, 1024, func(iters int) error {
+		interp.RunSeq(prog, rsd.Env{"m": 32, "iters": iters})
+		return nil
+	})
+	if per > 0.1 {
+		t.Fatalf("repeated Validate with unchanged bounds allocates %.2f/execution, want 0", per)
 	}
 }
 

@@ -10,9 +10,14 @@ package sdsm_test
 import (
 	"runtime"
 	"testing"
+	"time"
 
+	"sdsm/internal/apps"
 	"sdsm/internal/host"
+	"sdsm/internal/interp"
+	"sdsm/internal/ir"
 	"sdsm/internal/model"
+	"sdsm/internal/rsd"
 	"sdsm/internal/shm"
 	"sdsm/internal/tmk"
 	"sdsm/internal/wire"
@@ -84,6 +89,63 @@ func memPerIter(tb testing.TB, base, extra int, run func(iters int) error) (allo
 	shortN, shortB := measure(base)
 	longN, longB := measure(base + extra)
 	return perIter(shortN, longN), perIter(shortB, longB)
+}
+
+// stencilProg is the interpreter's inner-loop fixture: iters sweeps of a
+// 4-point stencil over the interior of an m×cols array, one vectorized
+// loop of m-2 elements per column.
+func stencilProg() *ir.Program {
+	i, j, m := rsd.Var("i"), rsd.Var("j"), rsd.Var("m")
+	dims := []rsd.Lin{m, rsd.Var("cols")}
+	return &ir.Program{
+		Name:   "stencil",
+		Arrays: []ir.ArrayDecl{{Name: "a", Dims: dims}, {Name: "b", Dims: dims}},
+		Params: []rsd.Sym{"m", "cols", "iters"},
+		Body: []ir.Stmt{ir.Loop{Var: "it", Lo: rsd.Const(1), Hi: rsd.Var("iters"), Body: []ir.Stmt{
+			ir.Loop{Var: "j", Lo: rsd.Const(2), Hi: rsd.Var("cols").Plus(-1), Body: []ir.Stmt{
+				ir.Loop{Var: "i", Lo: rsd.Const(2), Hi: m.Plus(-1), Body: []ir.Stmt{ir.Assign{
+					LHS:  ir.At("a", i, j),
+					RHS:  []ir.Ref{ir.At("b", i.Plus(-1), j), ir.At("b", i.Plus(1), j), ir.At("b", i, j.Plus(-1)), ir.At("b", i, j.Plus(1))},
+					Fn:   func(s []float64) float64 { return 0.25 * (s[0] + s[1] + s[2] + s[3]) },
+					Cost: time.Nanosecond,
+				}}},
+			}},
+		}}},
+	}
+}
+
+// benchStencil runs b.N sweeps of the stencil over 32 interior columns of
+// m-2 elements and reports the cost per unit of work, a unit being per
+// elements of the sweep.
+func benchStencil(b *testing.B, m, per int, unit string) {
+	const cols = 34
+	prog := stencilProg()
+	b.ResetTimer()
+	interp.RunSeq(prog, rsd.Env{"m": m, "cols": cols, "iters": b.N})
+	work := float64(b.N) * float64((cols-2)*(m-2)/per)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/work, unit)
+}
+
+// BenchmarkInterpStencilColumn is the interpreter's per-element cost on the
+// shape every regular application spends its time in: a 510-element column
+// of a 4-point stencil (resolve five references, ensure five spans, run
+// the tight loop), through the sequential target, so none of it is DSM.
+func BenchmarkInterpStencilColumn(b *testing.B) { benchStencil(b, 512, 1, "ns/element") }
+
+// BenchmarkInterpShortLoop is the same statement over 8-element columns:
+// what one execution of an innermost loop costs before its first element.
+func BenchmarkInterpShortLoop(b *testing.B) { benchStencil(b, 10, 8, "ns/loop") }
+
+// BenchmarkInterpSeqJacobi is the sequential reference of a whole
+// application (jacobi/small: init kernel, loop nests, barriers ignored),
+// which every verified run pays once more on top of the DSM run.
+func BenchmarkInterpSeqJacobi(b *testing.B) {
+	app := apps.Jacobi()
+	prog := app.Build(1)
+	params := prog.Prepare(app.Sets[apps.Small], 1)
+	for i := 0; i < b.N; i++ {
+		interp.RunSeq(prog, params)
+	}
 }
 
 // BenchmarkNetBarrierFlurry measures the wall and allocation cost of one

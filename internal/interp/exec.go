@@ -1,0 +1,357 @@
+package interp
+
+import (
+	"fmt"
+	"slices"
+	"time"
+
+	"sdsm/internal/ir"
+	"sdsm/internal/rsd"
+	"sdsm/internal/shm"
+)
+
+// executor runs a lowered program for one processor. Its environment is
+// the slot vector env; everything else is scratch sized once from the
+// program, so a warmed statement allocates nothing (pinned by the root
+// alloc_test.go).
+type executor struct {
+	lp   *program
+	rank int
+	env  []int
+	tgt  target
+	kctx kernelCtx
+
+	// The map the opaque callbacks read the environment through (envView),
+	// and the slot values it was last brought up to.
+	view rsd.Env
+	seen []int
+
+	srcs []float64 // operand values of the assignment being run
+	movs []mov     // its references, resolved for a vectorized loop
+
+	memos  []memo // per Validate/Push statement (regionSets)
+	bounds []int  // the section bounds being compared with a memo's
+	penv   []int  // another rank's environment, for Push (envOfRank)
+}
+
+func newExecutor(lp *program, rank int, tgt target) *executor {
+	x := &executor{
+		lp:    lp,
+		rank:  rank,
+		env:   slices.Clone(lp.row(rank)),
+		tgt:   tgt,
+		srcs:  make([]float64, max(lp.maxRefs, 4)), // gather reads four abreast
+		movs:  make([]mov, lp.maxRefs),
+		memos: make([]memo, lp.memos),
+	}
+	x.kctx.x = x
+	return x
+}
+
+// advance charges scaled compute time.
+func (x *executor) advance(d time.Duration) {
+	x.tgt.advance(d * time.Duration(x.lp.scale))
+}
+
+// envView returns the environment as the map Compute, If and Kernel
+// callbacks take. The slots are the environment; the view is
+// ir.Program.Env's map for this rank (so it also holds the parameters no
+// affine expression mentions) brought up to the slots that changed since
+// it was last asked for. What a callback stores under a name of its own
+// stays for the next callback (tsp hands "mytask" from kernel to kernel);
+// a store under a name the program binds does not reach the slot.
+func (x *executor) envView() rsd.Env {
+	fresh := x.view == nil
+	if fresh {
+		x.view = x.lp.prog.Env(x.lp.params, x.rank, x.lp.nprocs)
+		x.seen = make([]int, len(x.env))
+	}
+	for s, v := range x.env {
+		if fresh || v != x.seen[s] {
+			x.seen[s], x.view[x.lp.syms[s]] = v, v
+		}
+	}
+	return x.view
+}
+
+func (x *executor) exec(stmts []stmt) {
+	for _, st := range stmts {
+		switch st := st.(type) {
+		case *loop:
+			x.execLoop(st)
+		case *assign:
+			x.execScalar(st)
+		case *compute:
+			x.env[st.slot] = st.fn(x.envView())
+		case ir.Barrier:
+			x.tgt.barrier(st.ID)
+		case *lock:
+			if id := st.id.eval(x.env); st.release {
+				x.tgt.release(id)
+			} else {
+				x.tgt.acquire(id)
+			}
+		case *cond:
+			if st.cond(x.envView()) {
+				x.exec(st.then)
+			} else {
+				x.exec(st.els)
+			}
+		case kernel:
+			// Kernels run inside a compute section; the context suspends
+			// it around region faults (see kernelCtx).
+			x.tgt.beginCompute()
+			st(&x.kctx)
+			x.tgt.endCompute()
+		case *validate:
+			if regions := x.regionSets(&st.sections)[0]; len(regions) > 0 {
+				x.tgt.validate(st.at, regions, st.wsync, st.async)
+			}
+		case *push:
+			sets := x.regionSets(&st.sections)
+			x.tgt.push(sets[:x.lp.nprocs], sets[x.lp.nprocs:])
+		}
+	}
+}
+
+// memo is what regionSets last built for one statement: the region sets
+// and the concrete section bounds they were built from.
+type memo struct {
+	bounds []int
+	sets   [][]shm.Region
+}
+
+// envOfRank returns rank i's environment in the penv scratch: what the
+// parameters bind for that rank, and this executor's loop variables and
+// computed symbols, identical on all ranks.
+func (x *executor) envOfRank(i int) []int {
+	if x.penv == nil {
+		x.penv = make([]int, len(x.env))
+	}
+	copy(x.penv, x.env)
+	row := x.lp.row(i)
+	for _, s := range x.lp.initSlots {
+		x.penv[s] = row[s]
+	}
+	return x.penv
+}
+
+// regionSets returns one normalized region set per section list of st (per
+// list and rank when st is a Push: list j of rank i at j·nprocs+i). Only
+// the bounds are evaluated each time; the sets are rebuilt when a bound
+// moved since the statement last ran and are otherwise the ones built then
+// — the run-time only reads them, and may hold them until the next barrier.
+func (x *executor) regionSets(st *sections) [][]shm.Region {
+	ranks := 1
+	if st.perRank {
+		ranks = x.lp.nprocs
+	}
+	b := x.bounds[:0]
+	for i := 0; i < ranks; i++ {
+		env := x.env
+		if st.perRank {
+			env = x.envOfRank(i)
+		}
+		for _, secs := range st.lists {
+			for s := range secs {
+				for d := range secs[s].dims {
+					b = append(b, secs[s].dims[d].lo.eval(env), secs[s].dims[d].hi.eval(env))
+				}
+			}
+		}
+	}
+	x.bounds = b
+	m := &x.memos[st.memo]
+	if m.sets != nil && slices.Equal(b, m.bounds) {
+		return m.sets
+	}
+	m.bounds = append(m.bounds[:0], b...)
+	m.sets = make([][]shm.Region, ranks*len(st.lists))
+	for i := 0; i < ranks; i++ {
+		for j, secs := range st.lists {
+			var out []shm.Region
+			for _, sec := range secs {
+				c := rsd.Concrete{Array: sec.array, Dims: make([]rsd.CBound, len(sec.dims))}
+				for d := range c.Dims {
+					c.Dims[d] = rsd.CBound{Lo: b[0], Hi: b[1], Stride: sec.dims[d].stride}
+					b = b[2:]
+				}
+				out = append(out, c.Regions(x.lp.layout)...)
+			}
+			m.sets[j*ranks+i] = shm.Normalize(out)
+		}
+	}
+	return m.sets
+}
+
+// execLoop runs a counted loop. The variable's slot goes back to zero —
+// what a callback reads for a name nothing binds — when the loop ends.
+func (x *executor) execLoop(l *loop) {
+	lo, hi := l.lo.eval(x.env), l.hi.eval(x.env)
+	if hi < lo {
+		return
+	}
+	if l.vec != nil {
+		x.env[l.v] = lo
+		x.execVector(l.vec, hi-lo+1)
+	} else {
+		for v := lo; v <= hi; v += l.step {
+			x.env[l.v] = v
+			x.exec(l.body)
+		}
+	}
+	x.env[l.v] = 0
+}
+
+// mov is one reference of a vectorized assignment: its address at the
+// iteration about to run and its address step per iteration.
+type mov struct{ addr, step int }
+
+// addr resolves the reference in env, range-checking every subscript
+// there and k iterations of the enclosing loop later. Subscripts are
+// affine, so the two ends bound everything between.
+func (r *ref) addr(env []int, k int) int {
+	addr := r.arr.Base
+	for d := range r.dims {
+		dm := &r.dims[d]
+		i := dm.sub.eval(env)
+		if last := i + k*dm.vcoef; i < 1 || i > dm.extent || last < 1 || last > dm.extent {
+			r.outOfRange(d, i)
+		}
+		addr += (i - 1) * dm.stride
+	}
+	return addr
+}
+
+// outOfRange panics as shm.Array.Index does, naming the first index of
+// dimension d to leave the array when the subscript starts at i.
+func (r *ref) outOfRange(d, i int) {
+	dm := &r.dims[d]
+	if i >= 1 && i <= dm.extent {
+		if c := dm.vcoef; c > 0 {
+			i += c * ((dm.extent-i)/c + 1)
+		} else {
+			i += c * ((i-1)/-c + 1)
+		}
+	}
+	panic(fmt.Sprintf("shm: index %d out of range [1,%d] in dim %d of %s", i, dm.extent, d, r.arr.Name))
+}
+
+// ensureSpan establishes access to the words [lo, hi).
+func (x *executor) ensureSpan(lo, hi int, write bool) {
+	if write {
+		x.tgt.ensureWrite(lo, hi)
+	} else {
+		x.tgt.ensureRead(lo, hi)
+	}
+}
+
+// ensure establishes access to the n elements a reference visits from m.
+// Unit- and zero-stride references are ensured as single spans; larger
+// constant strides page by page along the traversal (exactly the pages a
+// strided access touches).
+func (x *executor) ensure(m mov, n int, write bool) {
+	switch m.step {
+	case 0:
+		x.ensureSpan(m.addr, m.addr+1, write)
+	case 1:
+		x.ensureSpan(m.addr, m.addr+n, write)
+	default:
+		last := -1
+		for t := 0; t < n; t++ {
+			addr := m.addr + m.step*t
+			if pg := addr / shm.PageWords; pg != last {
+				last = pg
+				x.ensureSpan(addr, addr+1, write)
+			}
+		}
+	}
+}
+
+// execVector runs the n iterations of `for v = lo..: lhs = fn(rhs...)`,
+// v's slot holding lo, as one ensured span per reference plus a tight loop.
+func (x *executor) execVector(a *assign, n int) {
+	movs := x.movs[:len(a.refs)]
+	for r := range a.refs {
+		movs[r] = mov{addr: a.refs[r].addr(x.env, n-1), step: a.refs[r].step}
+	}
+	dst, rhs := movs[0], movs[1:]
+	x.ensure(dst, n, true)
+	for _, m := range rhs {
+		x.ensure(m, n, false)
+	}
+	data := x.tgt.data()
+	srcs := x.srcs[:len(rhs)]
+	x.tgt.beginCompute()
+	gather(data, dst, rhs, srcs, n, a.fn)
+	x.tgt.endCompute()
+	x.advance(time.Duration(n) * a.cost)
+}
+
+// gather is the tight loop of execVector: element t of dst from element t
+// of every operand. Two to four operands — the applications' stencils and
+// eliminations — are read four abreast, which keeps their addresses out of
+// an inner loop the call to fn would spill around; the missing ones of
+// fewer than four read word 0 and are not passed on.
+func gather(data []float64, dst mov, rhs []mov, srcs []float64, n int, fn func([]float64) float64) {
+	if len(rhs) < 2 || len(rhs) > 4 {
+		for t := 0; t < n; t++ {
+			for j, m := range rhs {
+				srcs[j] = data[m.addr+m.step*t]
+			}
+			data[dst.addr+dst.step*t] = fn(srcs)
+		}
+		return
+	}
+	var w [4]mov
+	copy(w[:], rhs)
+	a, b, c, d := w[0], w[1], w[2], w[3]
+	s4 := srcs[:4]
+	for t := 0; t < n; t++ {
+		s4[0], s4[1], s4[2], s4[3] = data[a.addr+a.step*t], data[b.addr+b.step*t], data[c.addr+c.step*t], data[d.addr+d.step*t]
+		data[dst.addr+dst.step*t] = fn(srcs)
+	}
+}
+
+// execScalar runs one instance of an assignment in the current environment.
+func (x *executor) execScalar(a *assign) {
+	lhs := a.refs[0].addr(x.env, 0)
+	srcs := x.srcs[:len(a.refs)-1]
+	for j := range srcs {
+		addr := a.refs[j+1].addr(x.env, 0)
+		x.tgt.ensureRead(addr, addr+1)
+		srcs[j] = x.tgt.data()[addr]
+	}
+	x.tgt.ensureWrite(lhs, lhs+1)
+	x.tgt.beginCompute()
+	x.tgt.data()[lhs] = a.fn(srcs)
+	x.tgt.endCompute()
+	x.advance(a.cost)
+}
+
+// kernelCtx adapts the executor for opaque kernels.
+type kernelCtx struct{ x *executor }
+
+func (k *kernelCtx) Env() rsd.Env { return k.x.envView() }
+
+// ReadRegion and WriteRegion suspend the kernel's compute section while
+// the fault path runs (protocol sections and compute sections must not
+// nest, see internal/host), then resume it.
+
+func (k *kernelCtx) ReadRegion(lo, hi int) []float64 {
+	k.x.tgt.endCompute()
+	k.x.tgt.ensureRead(lo, hi)
+	k.x.tgt.beginCompute()
+	return k.x.tgt.data()
+}
+
+func (k *kernelCtx) WriteRegion(lo, hi int) []float64 {
+	k.x.tgt.endCompute()
+	k.x.tgt.ensureWrite(lo, hi)
+	k.x.tgt.beginCompute()
+	return k.x.tgt.data()
+}
+
+func (k *kernelCtx) Array(name string) *shm.Array { return k.x.lp.array(name) }
+
+func (k *kernelCtx) Charge(d time.Duration) { k.x.advance(d) }

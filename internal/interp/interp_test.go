@@ -1,6 +1,7 @@
 package interp
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 	"time"
@@ -202,7 +203,7 @@ func TestKernelCtx(t *testing.T) {
 	}
 }
 
-// pushRecorder is a target that keeps what execPush hands the runtime.
+// pushRecorder is a target that keeps what a Push hands the runtime.
 type pushRecorder struct {
 	seqTarget
 	reads, writes [][][]shm.Region
@@ -212,7 +213,7 @@ func (r *pushRecorder) push(reads, writes [][]shm.Region) {
 	r.reads, r.writes = append(r.reads, reads), append(r.writes, writes)
 }
 
-// TestPushMemo is the correctness half of execPush's memo: a Push whose
+// TestPushMemo is the correctness half of regionSets' memo: a Push whose
 // section bounds move between executions gets the regions of the new
 // bounds every time — for every rank, not just the executor's — and one
 // whose bounds stand still is handed the very slices built the first time.
@@ -227,9 +228,8 @@ func TestPushMemo(t *testing.T) {
 	}})
 	params := rsd.Env{"n": n}
 	rec := &pushRecorder{}
-	x := &executor{prog: prog, layout: compiler.BuildLayout(prog, params), params: params,
-		nprocs: nprocs, env: prog.Env(params, 1, nprocs), tgt: rec, scale: 1}
-	x.exec(prog.Body)
+	lp := lower(prog, compiler.BuildLayout(prog, params), params, nprocs)
+	newExecutor(lp, 1, rec).exec(lp.body)
 	if len(rec.reads) != 2*iters {
 		t.Fatalf("%d pushes reached the runtime, want %d", len(rec.reads), 2*iters)
 	}
@@ -243,6 +243,56 @@ func TestPushMemo(t *testing.T) {
 		}
 		if it > 0 && &rec.reads[2*it+1][0][0] != &rec.reads[1][0][0] {
 			t.Fatalf("iteration %d: the fixed Push rebuilt its region sets", it+1)
+		}
+	}
+}
+
+// panicOf runs f and returns what it panicked with, "" if it did not.
+func panicOf(f func()) (msg string) {
+	defer func() {
+		if r := recover(); r != nil {
+			msg = fmt.Sprint(r)
+		}
+	}()
+	f()
+	return ""
+}
+
+// TestRangeCheckEndpoints: a loop that runs off the end of an array stops
+// with shm.Array.Index's message whether it runs as spans or iteration by
+// iteration (the same loop with a second statement in its body) — the
+// subscripts are affine, so checking both ends of the span checks all of
+// it. The tree-walker checked the first iteration only and let the
+// vectorized loop write into the next column.
+func TestRangeCheckEndpoints(t *testing.T) {
+	i, j := rsd.Var("i"), rsd.Var("j")
+	one := func([]float64) float64 { return 1 }
+	for _, tc := range []struct {
+		name string
+		ref  ir.Ref
+		want string
+	}{
+		{"past the last row", ir.At("a", i, j), "shm: index 9 out of range [1,8] in dim 0 of a"},
+		{"below the first row", ir.At("a", i.Scale(-1).Plus(9), i), "shm: index 0 out of range [1,8] in dim 0 of a"},
+		{"two rows a step", ir.At("a", i.Scale(2).Plus(-1), j), "shm: index 9 out of range [1,8] in dim 0 of a"},
+	} {
+		prog := func(body ...ir.Stmt) *ir.Program {
+			dims := []rsd.Lin{rsd.Const(8), rsd.Const(9)}
+			return &ir.Program{Name: "t", Arrays: []ir.ArrayDecl{{Name: "a", Dims: dims}, {Name: "b", Dims: dims}},
+				Body: []ir.Stmt{ir.Loop{Var: "j", Lo: rsd.Const(1), Hi: rsd.Const(1), Body: []ir.Stmt{
+					ir.Loop{Var: "i", Lo: rsd.Const(1), Hi: rsd.Const(9), Body: body},
+				}}}}
+		}
+		vector := prog(ir.Assign{LHS: tc.ref, Fn: one})
+		scalar := prog(ir.Assign{LHS: tc.ref, Fn: one}, ir.Assign{LHS: ir.At("b", rsd.Const(1), rsd.Const(1)), Fn: one})
+		if got := panicOf(func() { RunSeq(vector, rsd.Env{}) }); got != tc.want {
+			t.Errorf("%s, vectorized: panic %q, want %q", tc.name, got, tc.want)
+		}
+		if got := panicOf(func() { RunSeq(scalar, rsd.Env{}) }); got != tc.want {
+			t.Errorf("%s, iteration by iteration: panic %q, want %q", tc.name, got, tc.want)
+		}
+		if got := panicOf(func() { refRunSeq(scalar, rsd.Env{}) }); got != tc.want {
+			t.Errorf("%s, reference iteration by iteration: panic %q, want %q", tc.name, got, tc.want)
 		}
 	}
 }

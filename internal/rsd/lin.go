@@ -8,8 +8,10 @@
 // processor id) plus a constant stride. Sections support the operations the
 // paper's analysis needs: union (dimension-wise bounding box), symbolic
 // comparison, evaluation against a concrete environment, intersection of
-// concrete sections (used by Push at run time), and conversion to address
-// regions for the run-time interface.
+// concrete sections, and conversion to address regions for the run-time
+// interface. (Push does not intersect sections at run time: the
+// interpreter hands the run-time every rank's read and write region sets
+// and tmk intersects those, shm.IntersectSets.)
 package rsd
 
 import (
