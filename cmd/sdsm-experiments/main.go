@@ -26,6 +26,7 @@
 package main
 
 import (
+	"cmp"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -46,14 +47,6 @@ func main() {
 	mpnet.MaybeWorker() // worker re-exec path; does not return if spawned
 	var (
 		all       = flag.Bool("all", false, "run every experiment")
-		table1    = flag.Bool("table1", false, "uniprocessor execution times")
-		table2    = flag.Bool("table2", false, "reduction in page faults, messages, data")
-		fig5      = flag.Bool("fig5", false, "speedups: Tmk, Opt-Tmk, XHPF, PVMe")
-		fig6      = flag.Bool("fig6", false, "speedups under optimization levels")
-		fig7      = flag.Bool("fig7", false, "synchronous vs asynchronous fetching")
-		adaptT    = flag.Bool("adapt", false, "adaptive update protocol vs invalidate baseline and compiler push")
-		scaleT    = flag.Bool("scale", false, "large-machine scaling matrix: ownership directory + compressed relay at 8..128 nodes")
-		micro     = flag.Bool("micro", false, "Section 5 primitive costs")
 		trOvh     = flag.Bool("trace-overhead", false, "run jacobi/large traced and untraced; verify virtual times are identical and report the wall cost of tracing")
 		serve     = flag.Bool("serve", false, "run the DSM-as-a-service load experiment and print Table D")
 		srvListen = flag.Bool("serve-listen", false, "with -serve: skip the load run, print the coordinator address, and serve sdsm-client/sdsm-node -pool peers until interrupted")
@@ -69,6 +62,14 @@ func main() {
 		memProf   = flag.String("memprofile", "", "write a host heap profile taken after the last experiment to this file")
 		execTr    = flag.String("exectrace", "", "write a Go execution trace of the selected experiments to this file (go tool trace)")
 	)
+	// One flag per harness.Experiments entry (an entry riding another's
+	// flag — Table B under -adapt — shares its switch).
+	picked := map[string]*bool{}
+	for _, e := range harness.Experiments {
+		if e.With == "" {
+			picked[e.Name] = flag.Bool(e.Name, false, e.Help)
+		}
+	}
 	flag.Parse()
 	workers := *par
 	if workers <= 0 {
@@ -85,7 +86,11 @@ func main() {
 		fmt.Printf("note: %s backend — virtual times are scheduling-dependent; the paper's\n"+
 			"deterministic numbers require the sim backend (the default).\n\n", *backend)
 	}
-	if !(*all || *table1 || *table2 || *fig5 || *fig6 || *fig7 || *adaptT || *scaleT || *micro || *trOvh || *serve) {
+	chosen := *all || *trOvh || *serve
+	for _, on := range picked {
+		chosen = chosen || *on
+	}
+	if !chosen {
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -218,68 +223,13 @@ func main() {
 		fmt.Println("  virtual times identical: tracing is invisible to the cost model")
 		fmt.Println()
 	}
-	if *all || *micro {
-		m, err := harness.Micro()
-		if err != nil {
-			fail(err)
+	for _, e := range harness.Experiments {
+		if *all || *picked[cmp.Or(e.With, e.Name)] {
+			out, err := e.Run(*procs, workers)
+			if err != nil {
+				fail(err)
+			}
+			fmt.Println(out)
 		}
-		fmt.Println(harness.FormatMicro(m))
-	}
-	if *all || *table1 {
-		rows, err := harness.Table1(workers)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(harness.FormatTable1(rows))
-	}
-	if *all || *table2 {
-		rows, err := harness.Table2(*procs, workers)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(harness.FormatTable2(rows))
-	}
-	if *all || *fig5 {
-		rows, err := harness.Fig5(*procs, workers)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(harness.FormatFig5(rows, *procs))
-	}
-	if *all || *fig6 {
-		rows, err := harness.Fig6(*procs, workers)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(harness.FormatFig6(rows, *procs))
-	}
-	if *all || *fig7 {
-		rows, err := harness.Fig7(*procs, workers)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(harness.FormatFig7(rows, *procs))
-	}
-	if *all || *adaptT {
-		rows, err := harness.AdaptTable(*procs, workers)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(harness.FormatAdaptTable(rows, *procs))
-		lrows, err := harness.AdaptLockTable(*procs, workers)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(harness.FormatAdaptLockTable(lrows, *procs))
-	}
-	if *all || *scaleT {
-		// The scaling matrix ignores -procs: its node-count axis is the
-		// experiment (8 through 128 on the sim backend, every run verified
-		// against the sequential reference).
-		rows, err := harness.ScaleTable(workers)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(harness.FormatScaleTable(rows))
 	}
 }

@@ -40,3 +40,29 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Fatal("truncated snapshot accepted")
 	}
 }
+
+// TestRestoreSnapshotTotal pins that restoring is total over damaged
+// blobs: every proper prefix is rejected, and no single flipped byte —
+// a set count of 2^62 included, which used to size a slice — panics.
+func TestRestoreSnapshotTotal(t *testing.T) {
+	d := New(Config{K: 2})
+	for i := 0; i < 3; i++ {
+		advance(t, d, Epoch{
+			Writers: map[int][]WriteExt{4: {{Node: 0, Lo: 0, Hi: 512}}, 90: {{Node: 1, Lo: 0, Hi: 256}, {Node: 2, Lo: 256, Hi: 512}}},
+			Readers: map[int][]int{4: {1, 2}, 90: {0}},
+		})
+	}
+	blob := d.Snapshot()
+	for cut := range blob {
+		if err := New(Config{K: 2}).RestoreSnapshot(blob[:cut]); err == nil {
+			t.Fatalf("a %d-byte prefix of a %d-byte snapshot was accepted", cut, len(blob))
+		}
+	}
+	for i := 1; i < len(blob); i++ {
+		for _, flip := range []byte{0x7f, 0x80, 0xff} {
+			bad := append([]byte(nil), blob...)
+			bad[i] ^= flip
+			New(Config{K: 2}).RestoreSnapshot(bad)
+		}
+	}
+}

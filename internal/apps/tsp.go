@@ -70,6 +70,48 @@ func tspLexLess(a, b []int) bool {
 	return false
 }
 
+// tspMergeKernel is the incumbent update both TSP programs run under the
+// lock guarding "best": processor p's candidate (candCost[p], candTour[p];
+// cost 0 = none) replaces the shared incumbent when it is cheaper, or
+// equally cheap and lexicographically smaller — the tie-break that makes
+// the result independent of merge order — and view[p] records the
+// incumbent cost p saw, the bound of its next expansion.
+func tspMergeKernel(candCost []int, candTour [][]int, view []int) ir.Kernel {
+	return ir.Kernel{
+		Name: "merge",
+		Accesses: []ir.TaggedSection{{
+			Sec:   rsd.Section{Array: "best", Dims: []rsd.Bound{rsd.Dense(rsd.Const(1), rsd.Var("cities").Plus(1))}},
+			Tag:   rsd.Read | rsd.Write,
+			Exact: false,
+		}},
+		Run: func(ctx ir.KernelCtx) {
+			e := ctx.Env()
+			p, cities := e["p"], e["cities"]
+			base := ctx.Array("best").Index(1)
+			data := ctx.ReadRegion(base, base+1+cities)
+			data = ctx.WriteRegion(base, base+1+cities)
+			cur := int(data[base])
+			better := candCost[p] != 0 && (cur == 0 || candCost[p] < cur)
+			if !better && candCost[p] != 0 && candCost[p] == cur {
+				curTour := make([]int, cities)
+				for i := range curTour {
+					curTour[i] = int(data[base+1+i])
+				}
+				better = tspLexLess(candTour[p], curTour)
+			}
+			if better {
+				data[base] = float64(candCost[p])
+				for i, city := range candTour[p] {
+					data[base+1+i] = float64(city)
+				}
+				cur = candCost[p]
+			}
+			view[p] = cur
+			ctx.Charge(tspMergeCost)
+		},
+	}
+}
+
 // tspExpand explores one task's subtree by depth-first search with
 // bound pruning and returns the best complete tour found (cost 0 when the
 // whole subtree pruned). bound 0 means unbounded; pruning keeps any tour
@@ -200,40 +242,6 @@ func tspProg(nprocs int) *ir.Program {
 		},
 	}
 
-	mergeKernel := ir.Kernel{
-		Name: "merge",
-		Accesses: []ir.TaggedSection{{
-			Sec:   rsd.Section{Array: "best", Dims: []rsd.Bound{rsd.Dense(c(1), v("cities").Plus(1))}},
-			Tag:   rsd.Read | rsd.Write,
-			Exact: false,
-		}},
-		Run: func(ctx ir.KernelCtx) {
-			e := ctx.Env()
-			p, cities := e["p"], e["cities"]
-			base := ctx.Array("best").Index(1)
-			data := ctx.ReadRegion(base, base+1+cities)
-			data = ctx.WriteRegion(base, base+1+cities)
-			cur := int(data[base])
-			better := candCost[p] != 0 && (cur == 0 || candCost[p] < cur)
-			if !better && candCost[p] != 0 && candCost[p] == cur {
-				curTour := make([]int, cities)
-				for i := range curTour {
-					curTour[i] = int(data[base+1+i])
-				}
-				better = tspLexLess(candTour[p], curTour)
-			}
-			if better {
-				data[base] = float64(candCost[p])
-				for i, city := range candTour[p] {
-					data[base+1+i] = float64(city)
-				}
-				cur = candCost[p]
-			}
-			view[p] = cur
-			ctx.Charge(tspMergeCost)
-		},
-	}
-
 	prog.Body = []ir.Stmt{
 		ir.Barrier{ID: 0},
 		ir.Loop{Var: "r", Lo: c(1), Hi: v("rounds"), Body: []ir.Stmt{
@@ -242,7 +250,7 @@ func tspProg(nprocs int) *ir.Program {
 			ir.LockRelease{ID: c(0)},
 			expandKernel,
 			ir.LockAcquire{ID: c(1)},
-			mergeKernel,
+			tspMergeKernel(candCost, candTour, view),
 			ir.LockRelease{ID: c(1)},
 		}},
 		ir.Barrier{ID: 1},

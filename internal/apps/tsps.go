@@ -203,40 +203,6 @@ func tspsProg(nprocs int) *ir.Program {
 		},
 	}
 
-	mergeKernel := ir.Kernel{
-		Name: "merge",
-		Accesses: []ir.TaggedSection{{
-			Sec:   rsd.Section{Array: "best", Dims: []rsd.Bound{rsd.Dense(c(1), v("cities").Plus(1))}},
-			Tag:   rsd.Read | rsd.Write,
-			Exact: false,
-		}},
-		Run: func(ctx ir.KernelCtx) {
-			e := ctx.Env()
-			p, cities := e["p"], e["cities"]
-			base := ctx.Array("best").Index(1)
-			data := ctx.ReadRegion(base, base+1+cities)
-			data = ctx.WriteRegion(base, base+1+cities)
-			cur := int(data[base])
-			better := candCost[p] != 0 && (cur == 0 || candCost[p] < cur)
-			if !better && candCost[p] != 0 && candCost[p] == cur {
-				curTour := make([]int, cities)
-				for i := range curTour {
-					curTour[i] = int(data[base+1+i])
-				}
-				better = tspLexLess(candTour[p], curTour)
-			}
-			if better {
-				data[base] = float64(candCost[p])
-				for i, city := range candTour[p] {
-					data[base+1+i] = float64(city)
-				}
-				cur = candCost[p]
-			}
-			view[p] = cur
-			ctx.Charge(tspMergeCost)
-		},
-	}
-
 	// Lock map: 1 guards "best"; 2+row is row's deque stripe. The steal
 	// victim rotates deterministically through the other rows, so over
 	// successive empty rounds a processor probes the whole machine.
@@ -267,7 +233,7 @@ func tspsProg(nprocs int) *ir.Program {
 			},
 			expandKernel,
 			ir.LockAcquire{ID: c(1)},
-			mergeKernel,
+			tspMergeKernel(candCost, candTour, view),
 			ir.LockRelease{ID: c(1)},
 		}},
 		ir.Barrier{ID: 1},

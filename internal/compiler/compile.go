@@ -317,12 +317,26 @@ func (c *compilation) branchWithValidates(body []ir.Stmt) []ir.Stmt {
 	sum := Summarize(body)
 	var vs []ir.Stmt
 	for _, a := range sum.Accesses {
-		if v, desc := c.plainValidate(a); v != nil {
-			vs = append(vs, *v)
-			c.rep.Validates = append(c.rep.Validates, desc+" (in branch)")
+		if !c.hoistable(a, "in branch") {
+			continue
 		}
+		v, desc := c.plainValidate(a)
+		vs = append(vs, *v)
+		c.rep.Validates = append(c.rep.Validates, desc+" (in branch)")
 	}
 	return append(vs, body...)
+}
+
+// hoistable reports whether an access's section can be evaluated at the
+// head of its region, where a Validate for it would run. A section that
+// mentions a symbol bound by a Compute inside the region cannot — there
+// the symbol is unbound, or stale from the previous trip — so it is left
+// to the run-time's demand fetches and listed as skipped.
+func (c *compilation) hoistable(a Access, where string) bool {
+	if a.boundInside != "" {
+		c.rep.Skipped = append(c.rep.Skipped, fmt.Sprintf("validate %v %s: %s is bound inside the region", a.Sec, where, a.boundInside))
+	}
+	return a.boundInside == ""
 }
 
 // writesOnly strips read-only accesses from a summary.
@@ -371,6 +385,9 @@ func (c *compilation) validatesFor(f ir.Stmt, after Summary, pushed bool) (befor
 	}
 
 	for _, a := range after.Accesses {
+		if !c.hoistable(a, "after "+stmtName(f)) {
+			continue
+		}
 		// Rule 2: exact, contiguous, fully written sections disable
 		// consistency maintenance.
 		if c.opts.ConsElim && a.Exact && a.Tag.Has(rsd.Write) && c.contiguousForAll(a.Sec) {
@@ -489,6 +506,9 @@ func (c *compilation) tryPush(els []element, i int, bar ir.Barrier, after Summar
 		if !a.Tag.Has(rsd.Write) {
 			continue
 		}
+		if sym := c.movesWith(a); sym != "" {
+			return nil, fmt.Sprintf("push at barrier %d: section %v moves with %s", bar.ID, a.Sec, sym)
+		}
 		if !a.Exact {
 			return nil, fmt.Sprintf("push at barrier %d: write section %v inexact", bar.ID, a.Sec)
 		}
@@ -501,6 +521,9 @@ func (c *compilation) tryPush(els []element, i int, bar ir.Barrier, after Summar
 		if !a.Tag.Has(rsd.Read) {
 			continue
 		}
+		if sym := c.movesWith(a); sym != "" {
+			return nil, fmt.Sprintf("push at barrier %d: section %v moves with %s", bar.ID, a.Sec, sym)
+		}
 		if !a.Exact && !a.Tag.Has(rsd.Write) {
 			// Reads may be over-approximated only by analyzable sections.
 			return nil, fmt.Sprintf("push at barrier %d: read section %v unknown", bar.ID, a.Sec)
@@ -509,6 +532,20 @@ func (c *compilation) tryPush(els []element, i int, bar ir.Barrier, after Summar
 	}
 	push := &ir.PushStmt{ReplacedBarrier: bar.ID, Reads: reads, Writes: writes}
 	return push, fmt.Sprintf("barrier %d replaced: writes %v, reads %v", bar.ID, writes, reads)
+}
+
+// movesWith returns a symbol that takes a new value on every trip of the
+// loop carrying a barrier and that the access's section mentions ("" if
+// none): a Compute inside the region, or a loop variable of the nest around
+// the barrier. The exchange is checked once, at compile time, for all trips
+// (pushUseful), and such a section has no one value to check.
+func (c *compilation) movesWith(a Access) rsd.Sym {
+	for _, lv := range c.enclosing {
+		if mentioned(a.Sec, []rsd.Sym{lv.name}) != "" {
+			return lv.name
+		}
+	}
+	return a.boundInside
 }
 
 // pushUseful evaluates a candidate Push numerically and reports whether

@@ -245,3 +245,38 @@ func TestMGSBroadcastSection(t *testing.T) {
 		t.Errorf("MGS must not get Push: %v", rep.Pushes)
 	}
 }
+
+// TestSectionsBoundInsideTheirRegionStayPut: a Validate or Push runs at the
+// head of the region it serves, so a section that moves with a symbol
+// rebound inside the region's loop nest (a Compute per trip; for a Push
+// also the variable of the loop carrying the barrier) must be left to
+// demand fetches and reported, not evaluated there with the symbol unbound.
+func TestSectionsBoundInsideTheirRegionStayPut(t *testing.T) {
+	j, sixteen := rsd.Var("j"), []rsd.Lin{rsd.Const(16)}
+	nest := func(rhs rsd.Lin) ir.Stmt {
+		return ir.Loop{Var: "j", Lo: rsd.Const(1), Hi: rsd.Const(8), Body: []ir.Stmt{
+			ir.Compute{Sym: "off", Fn: func(e rsd.Env) int { return e["j"] % 2 }},
+			ir.Assign{LHS: ir.At("a", j), RHS: []ir.Ref{ir.At("b", rhs)}, Fn: func(s []float64) float64 { return s[0] }},
+		}}
+	}
+	prog := &ir.Program{
+		Name:   "minimal",
+		Arrays: []ir.ArrayDecl{{Name: "a", Dims: sixteen}, {Name: "b", Dims: sixteen}},
+		Body: []ir.Stmt{
+			ir.Barrier{ID: 0},
+			nest(j.Add(rsd.Var("off"))),
+			ir.Loop{Var: "it", Lo: rsd.Const(1), Hi: rsd.Const(2), Body: []ir.Stmt{
+				ir.Barrier{ID: 1}, nest(j.Add(rsd.Var("it"))), ir.Barrier{ID: 2}, nest(j),
+			}},
+		},
+	}
+	_, rep := compiler.Compile(prog, opts(2, rsd.Env{}))
+	if text := strings.Join(append(rep.Validates, rep.WSyncs...), "\n"); strings.Contains(text, "off") {
+		t.Errorf("a section over off was hoisted out of the nest that binds it:\n%s", rep)
+	}
+	for _, want := range []string{"b[off+1:off+8] after barrier 0: off is bound inside the region", "moves with it"} {
+		if !strings.Contains(strings.Join(rep.Skipped, "\n"), want) {
+			t.Errorf("report does not skip %q:\n%s", want, rep)
+		}
+	}
+}

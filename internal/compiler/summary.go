@@ -25,6 +25,11 @@ type Access struct {
 	// accessed data: affine subscripts, no conditionals, and (for writes)
 	// no holes introduced by bounding-box unions.
 	Exact bool
+	// boundInside, when set, is a symbol the section mentions that a
+	// Compute inside the region binds: the section has no meaning at the
+	// region's head, where inserted run-time calls execute, so it may
+	// neither be validated there nor ride a Push.
+	boundInside rsd.Sym
 }
 
 // Summary is the access summary of one analysis region (the code between
@@ -42,9 +47,10 @@ type varBound struct {
 
 // summarizer accumulates accesses while walking a region.
 type summarizer struct {
-	bounds map[rsd.Sym]varBound // loop variables opened inside the region
-	writes []Access             // write sections seen so far, for write-first analysis
-	out    []Access
+	bounds   map[rsd.Sym]varBound // loop variables opened inside the region
+	computed []rsd.Sym            // symbols the region's own Computes bind
+	writes   []Access             // write sections seen so far, for write-first analysis
+	out      []Access
 }
 
 // Summarize computes the access summary of a region (a fetch-point-free
@@ -61,6 +67,7 @@ func Summarize(region []ir.Stmt) Summary {
 		if a.Tag.Has(rsd.Write) && !a.Tag.Has(rsd.Read) {
 			a.Tag |= rsd.WriteFirst
 		}
+		a.boundInside = mentioned(a.Sec, s.computed)
 	}
 	return Summary{Accesses: s.out}
 }
@@ -74,7 +81,8 @@ func (s *summarizer) walk(stmts []ir.Stmt, exact bool) {
 			delete(s.bounds, st.Var)
 		case ir.Compute:
 			// Binds an opaque symbol; contributes no accesses. Sections
-			// referencing it stay symbolic.
+			// referencing it stay symbolic, and cannot leave the region.
+			s.computed = append(s.computed, st.Sym)
 		case ir.Assign:
 			for _, ref := range st.RHS {
 				s.addRef(ref, rsd.Read, exact)
@@ -149,6 +157,21 @@ func (s *summarizer) refSection(ref ir.Ref) rsd.Section {
 		}
 	}
 	return sec
+}
+
+// mentioned returns the least symbol of syms that a bound of sec mentions
+// ("" if none).
+func mentioned(sec rsd.Section, syms []rsd.Sym) (found rsd.Sym) {
+	for _, sym := range syms {
+		for _, d := range sec.Dims {
+			_, lo := d.Lo.T[sym]
+			_, hi := d.Hi.T[sym]
+			if (lo || hi) && (found == "" || sym < found) {
+				found = sym
+			}
+		}
+	}
+	return found
 }
 
 // add merges the access into the summary: identical sections merge tags;

@@ -10,79 +10,6 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite the golden experiment tables")
 
-// goldenTables are the sdsm-experiments outputs, one golden file per
-// generator. The fast ones run in -short mode; the full evaluation runs
-// otherwise. slow marks the generators skipped under -short.
-var goldenTables = []struct {
-	name string
-	slow bool
-	gen  func(workers int) (string, error)
-}{
-	{"micro", false, func(int) (string, error) {
-		m, err := Micro()
-		if err != nil {
-			return "", err
-		}
-		return FormatMicro(m), nil
-	}},
-	{"table1", false, func(workers int) (string, error) {
-		rows, err := Table1(workers)
-		if err != nil {
-			return "", err
-		}
-		return FormatTable1(rows), nil
-	}},
-	{"table2", true, func(workers int) (string, error) {
-		rows, err := Table2(DefaultProcs, workers)
-		if err != nil {
-			return "", err
-		}
-		return FormatTable2(rows), nil
-	}},
-	{"fig5", true, func(workers int) (string, error) {
-		rows, err := Fig5(DefaultProcs, workers)
-		if err != nil {
-			return "", err
-		}
-		return FormatFig5(rows, DefaultProcs), nil
-	}},
-	{"fig6", true, func(workers int) (string, error) {
-		rows, err := Fig6(DefaultProcs, workers)
-		if err != nil {
-			return "", err
-		}
-		return FormatFig6(rows, DefaultProcs), nil
-	}},
-	{"fig7", true, func(workers int) (string, error) {
-		rows, err := Fig7(DefaultProcs, workers)
-		if err != nil {
-			return "", err
-		}
-		return FormatFig7(rows, DefaultProcs), nil
-	}},
-	{"adapt", true, func(workers int) (string, error) {
-		rows, err := AdaptTable(DefaultProcs, workers)
-		if err != nil {
-			return "", err
-		}
-		return FormatAdaptTable(rows, DefaultProcs), nil
-	}},
-	{"scale", true, func(workers int) (string, error) {
-		rows, err := ScaleTable(workers)
-		if err != nil {
-			return "", err
-		}
-		return FormatScaleTable(rows), nil
-	}},
-	{"adaptlock", true, func(workers int) (string, error) {
-		rows, err := AdaptLockTable(DefaultProcs, workers)
-		if err != nil {
-			return "", err
-		}
-		return FormatAdaptLockTable(rows, DefaultProcs), nil
-	}},
-}
-
 // TestGoldenTables pins the deterministic sim-backend experiment output —
 // the paper's virtual-time numbers — byte for byte against checked-in
 // snapshots. Any refactor of the engine, protocol, transport, or cost
@@ -91,21 +18,22 @@ var goldenTables = []struct {
 //
 //	go test ./internal/harness -run TestGoldenTables -update
 //
-// This replaces the manual "diff sdsm-experiments output before and after"
+// The list is harness.Experiments — the table sdsm-experiments itself
+// dispatches over; the fast entries run in -short mode, the full
+// evaluation otherwise. This replaces the manual "diff sdsm-experiments output before and after"
 // ritual the repo used through PR 1.
 func TestGoldenTables(t *testing.T) {
 	workers := runtime.GOMAXPROCS(0)
-	for _, g := range goldenTables {
-		g := g
-		t.Run(g.name, func(t *testing.T) {
-			if g.slow && testing.Short() {
+	for _, g := range Experiments {
+		t.Run(g.Name, func(t *testing.T) {
+			if g.Slow && testing.Short() {
 				t.Skip("full evaluation table; run without -short")
 			}
-			got, err := g.gen(workers)
+			got, err := g.Run(DefaultProcs, workers)
 			if err != nil {
 				t.Fatal(err)
 			}
-			path := filepath.Join("testdata", g.name+".golden")
+			path := filepath.Join("testdata", g.Name+".golden")
 			if *updateGolden {
 				if err := os.MkdirAll("testdata", 0o755); err != nil {
 					t.Fatal(err)
@@ -121,7 +49,7 @@ func TestGoldenTables(t *testing.T) {
 			}
 			if got != string(want) {
 				t.Errorf("%s output differs from %s byte-for-byte.\n--- got ---\n%s\n--- want ---\n%s",
-					g.name, path, got, want)
+					g.Name, path, got, want)
 			}
 		})
 	}

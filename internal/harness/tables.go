@@ -703,3 +703,73 @@ func fmtDur(d time.Duration) string {
 		return fmt.Sprintf("%.1fµs", float64(d)/1e3)
 	}
 }
+
+// ---- the experiment list ----
+
+// Experiment is one entry of the evaluation: a generator and its
+// formatter under the name sdsm-experiments selects it by.
+type Experiment struct {
+	// Name is the experiment's flag and its golden file (testdata/Name.golden).
+	Name string
+	// Help is the flag's usage line.
+	Help string
+	// With names the experiment whose flag also selects this one, which
+	// then has no flag of its own (-adapt prints Tables A and B).
+	With string
+	// Slow marks the full-evaluation tables the golden test skips under
+	// -short.
+	Slow bool
+	// Run generates the table at procs processors (the sizes that fix their
+	// own node counts ignore it) over a pool of workers and renders it; the
+	// string is meaningful only when the error is nil.
+	Run func(procs, workers int) (string, error)
+}
+
+// Experiments is the evaluation in `sdsm-experiments -all` order. The
+// command registers its flags and dispatches by ranging over this table,
+// and TestGoldenTables pins every entry's output, so an experiment added
+// here is selectable and golden-checked without a second list to extend.
+var Experiments = []Experiment{
+	{Name: "micro", Help: "Section 5 primitive costs", Run: func(int, int) (string, error) {
+		m, err := Micro()
+		if err != nil {
+			return "", err
+		}
+		return FormatMicro(m), nil
+	}},
+	{Name: "table1", Help: "uniprocessor execution times", Run: func(_, w int) (string, error) {
+		rows, err := Table1(w)
+		return FormatTable1(rows), err
+	}},
+	{Name: "table2", Help: "reduction in page faults, messages, data", Slow: true, Run: func(p, w int) (string, error) {
+		rows, err := Table2(p, w)
+		return FormatTable2(rows), err
+	}},
+	{Name: "fig5", Help: "speedups: Tmk, Opt-Tmk, XHPF, PVMe", Slow: true, Run: func(p, w int) (string, error) {
+		rows, err := Fig5(p, w)
+		return FormatFig5(rows, p), err
+	}},
+	{Name: "fig6", Help: "speedups under optimization levels", Slow: true, Run: func(p, w int) (string, error) {
+		rows, err := Fig6(p, w)
+		return FormatFig6(rows, p), err
+	}},
+	{Name: "fig7", Help: "synchronous vs asynchronous fetching", Slow: true, Run: func(p, w int) (string, error) {
+		rows, err := Fig7(p, w)
+		return FormatFig7(rows, p), err
+	}},
+	{Name: "adapt", Help: "adaptive update protocol vs invalidate baseline and compiler push", Slow: true, Run: func(p, w int) (string, error) {
+		rows, err := AdaptTable(p, w)
+		return FormatAdaptTable(rows, p), err
+	}},
+	{Name: "adaptlock", With: "adapt", Slow: true, Run: func(p, w int) (string, error) {
+		rows, err := AdaptLockTable(p, w)
+		return FormatAdaptLockTable(rows, p), err
+	}},
+	// The scaling matrix ignores procs: its node-count axis is the
+	// experiment (8 through 128 on the sim backend, every run verified
+	// against the sequential reference).
+	{Name: "scale", Help: "large-machine scaling matrix: ownership directory + compressed relay at 8..128 nodes", Slow: true, Run: func(_, w int) (string, error) {
+		rows, err := ScaleTable(w)
+		return FormatScaleTable(rows), err
+	}},
+}

@@ -156,10 +156,8 @@ func (fq *FrameQueue) writerLoop() {
 		}
 		batch, fq.q = fq.q, batch[:0]
 		fq.inflight = len(batch)
-		if fq.frames != nil {
-			fq.frames.Add(int64(len(batch)))
-			fq.flushes.Inc()
-		}
+		fq.frames.Add(int64(len(batch)))
+		fq.flushes.Inc()
 		fq.mu.Unlock()
 
 		lost := len(batch) // frames not (fully) written this round

@@ -6,7 +6,7 @@
 //
 //   - A Host: a fixed set of processors with virtual clocks and the
 //     blocking primitives the protocol layers are written against
-//     (Advance/Charge, Block/Wake, Yield).
+//     (Advance/Charge, Block/Wake).
 //   - A Transport: the interconnect carrying mailbox messages and
 //     request/reply (RPC) exchanges with latency, bandwidth, and CPU
 //     overhead accounting (package cluster is the reference
@@ -74,8 +74,6 @@ type Proc interface {
 	// called on any processor (including a blocked one) to account for
 	// overhead imposed remotely, such as servicing an interrupt.
 	Charge(d time.Duration)
-	// Yield gives other processors a chance to run.
-	Yield()
 	// Block suspends the processor until another processor calls Wake on
 	// it. reason appears in deadlock reports. Inside a protocol section,
 	// the section token is released while blocked.

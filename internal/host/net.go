@@ -206,9 +206,7 @@ func (nw *Net) dial(i int) (*Endpoint, error) {
 		c.Close()
 		return nil, err
 	}
-	if nw.obsFrames != nil {
-		ep.SetObs(nw.obsFrames, nw.obsFlushes)
-	}
+	ep.SetObs(nw.obsFrames, nw.obsFlushes)
 	return ep, nil
 }
 
@@ -273,9 +271,7 @@ func (nw *Net) linkDown(node int, err error) {
 	if nw.sw.Closing() || nw.isDetaching(node) {
 		return
 	}
-	if nw.obsPeerDown != nil {
-		nw.obsPeerDown.Inc()
-	}
+	nw.obsPeerDown.Inc()
 	nw.fail(fmt.Errorf("host: node %d link lost: %v", node, err))
 }
 
@@ -615,9 +611,7 @@ func (nw *Net) Reattach(i int) error {
 		return fmt.Errorf("host: reattaching node %d: %w", i, err)
 	}
 	nw.eps[i] = ep
-	if nw.obsReattach != nil {
-		nw.obsReattach.Inc()
-	}
+	nw.obsReattach.Inc()
 	nw.recMu.Lock()
 	nw.detaching[i] = false
 	nw.recMu.Unlock()

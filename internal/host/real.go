@@ -148,9 +148,6 @@ func (p *RealProc) Charge(d time.Duration) {
 	p.clock.Add(int64(d))
 }
 
-// Yield is a no-op: the Go scheduler is already in charge.
-func (p *RealProc) Yield() {}
-
 // SetClock forces the clock to at if at is later.
 func (p *RealProc) SetClock(at time.Duration) {
 	for {
@@ -184,9 +181,7 @@ func (p *RealProc) Block(reason string) {
 	}
 	p.h.mu.Lock()
 	p.inSection = true
-	if p.h.sections != nil {
-		p.h.sections.Inc()
-	}
+	p.h.sections.Inc()
 }
 
 // Wake makes a blocked processor runnable. The protocol only wakes
@@ -205,9 +200,7 @@ func (p *RealProc) Wake(q Proc, at time.Duration) {
 func (p *RealProc) Begin() {
 	p.h.mu.Lock()
 	p.inSection = true
-	if p.h.sections != nil {
-		p.h.sections.Inc()
-	}
+	p.h.sections.Inc()
 	select {
 	case <-p.h.abort:
 		p.inSection = false

@@ -174,9 +174,7 @@ func (sw *Switch) acceptHello() (net.Conn, int, error) {
 // the socket so the loss surfaces at the rank's router (see Switch).
 func (sw *Switch) newQueue(c net.Conn) *FrameQueue {
 	q := NewFrameQueue(c, func(error) { c.Close() })
-	if sw.frames != nil {
-		q.SetObs(sw.frames, sw.flushes)
-	}
+	q.SetObs(sw.frames, sw.flushes)
 	return q
 }
 

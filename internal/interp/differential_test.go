@@ -246,7 +246,7 @@ func (g *generator) phase(w, r string) ir.Stmt {
 		g.shapes["cyclic"]++
 	}
 	syms := []rsd.Sym{"i", "j", "p", "begin", "end"}
-	if _, ok := g.ranges["it"]; ok && !g.analyzable {
+	if _, ok := g.ranges["it"]; ok {
 		syms = append(syms, "it")
 	}
 	rows := func(syms []rsd.Sym) ir.Stmt {
@@ -255,11 +255,7 @@ func (g *generator) phase(w, r string) ir.Stmt {
 		}}
 	}
 	for n := 1 + g.rnd.Intn(3); n > 0; n-- {
-		shape := g.rnd.Intn(5)
-		if g.analyzable && shape == 0 {
-			shape = 4 // the compiler hoists sections above a Compute inside the nest
-		}
-		switch shape {
+		switch g.rnd.Intn(5) {
 		case 0:
 			cols.Body = append(cols.Body,
 				// "i" is dead here: a name no live loop binds reads as zero.

@@ -35,7 +35,6 @@ type workerProc struct {
 
 func (p *workerProc) ID() int             { return p.id }
 func (p *workerProc) Now() time.Duration  { return p.clock }
-func (p *workerProc) Yield()              {}
 func (p *workerProc) Begin()              {}
 func (p *workerProc) End()                {}
 func (p *workerProc) BeginCompute()       {}

@@ -15,19 +15,30 @@ import (
 // the protocol/VM/host/recovery aggregates into it after a run, commands
 // print it through FormatSnapshot, and sdsm-node serves it as JSON.
 
-// Counter is a monotonically increasing metric.
+// Counter is a monotonically increasing metric. A nil *Counter is the
+// counter of an unobserved run: it counts nothing and reads zero, so
+// emit sites hold a possibly-nil counter and call it unguarded.
 type Counter struct {
 	v int64
 }
 
 // Add increments the counter by d.
-func (c *Counter) Add(d int64) { atomic.AddInt64(&c.v, d) }
+func (c *Counter) Add(d int64) {
+	if c != nil {
+		atomic.AddInt64(&c.v, d)
+	}
+}
 
 // Inc increments the counter by one.
-func (c *Counter) Inc() { atomic.AddInt64(&c.v, 1) }
+func (c *Counter) Inc() { c.Add(1) }
 
 // Value reads the counter.
-func (c *Counter) Value() int64 { return atomic.LoadInt64(&c.v) }
+func (c *Counter) Value() int64 {
+	if c == nil {
+		return 0
+	}
+	return atomic.LoadInt64(&c.v)
+}
 
 // Histogram counts observations into fixed buckets. Bounds are inclusive
 // upper limits ("le"); an implicit overflow bucket catches everything above

@@ -208,3 +208,20 @@ func TestStartProfilesWritesEachFile(t *testing.T) {
 		t.Error("an uncreatable -exectrace path was accepted")
 	}
 }
+
+// TestNilCounter pins the unobserved-run contract emit sites rely on: a
+// nil *Counter accepts Add and Inc and reads zero.
+func TestNilCounter(t *testing.T) {
+	var c *Counter
+	c.Inc()
+	c.Add(41)
+	if v := c.Value(); v != 0 {
+		t.Fatalf("nil counter reads %d", v)
+	}
+	c = new(Counter)
+	c.Inc()
+	c.Add(41)
+	if v := c.Value(); v != 42 {
+		t.Fatalf("counter reads %d, want 42", v)
+	}
+}

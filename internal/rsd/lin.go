@@ -7,11 +7,10 @@
 // symbolic parameters (array extents, per-processor partition bounds, the
 // processor id) plus a constant stride. Sections support the operations the
 // paper's analysis needs: union (dimension-wise bounding box), symbolic
-// comparison, evaluation against a concrete environment, intersection of
-// concrete sections, and conversion to address regions for the run-time
-// interface. (Push does not intersect sections at run time: the
-// interpreter hands the run-time every rank's read and write region sets
-// and tmk intersects those, shm.IntersectSets.)
+// comparison, evaluation against a concrete environment, and conversion to
+// address regions for the run-time interface. Sections are never
+// intersected: Push gets every rank's read and write region sets from the
+// interpreter and tmk intersects those (shm.IntersectSets).
 package rsd
 
 import (

@@ -62,30 +62,3 @@ func TestUnionEvalContainment(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// Property: Intersect is commutative and idempotent for dense sections.
-func TestIntersectAlgebra(t *testing.T) {
-	f := func(alo, ahi, blo, bhi uint8) bool {
-		a := Concrete{Array: "z", Dims: []CBound{{int(alo), int(ahi), 1}}}
-		b := Concrete{Array: "z", Dims: []CBound{{int(blo), int(bhi), 1}}}
-		ab := a.Intersect(b)
-		ba := b.Intersect(a)
-		if ab.Empty() != ba.Empty() {
-			return false
-		}
-		if !ab.Empty() && (ab.Dims[0] != ba.Dims[0]) {
-			return false
-		}
-		aa := a.Intersect(a)
-		if a.Empty() != aa.Empty() {
-			return false
-		}
-		if !a.Empty() && aa.Dims[0] != a.Dims[0] {
-			return false
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}

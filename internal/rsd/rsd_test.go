@@ -107,44 +107,6 @@ func TestEvalAndElems(t *testing.T) {
 	}
 }
 
-func TestConcreteIntersect(t *testing.T) {
-	a := Concrete{Array: "a", Dims: []CBound{{1, 100, 1}, {10, 20, 1}}}
-	b := Concrete{Array: "a", Dims: []CBound{{50, 200, 1}, {1, 15, 1}}}
-	x := a.Intersect(b)
-	if x.Empty() || x.Dims[0] != (CBound{50, 100, 1}) || x.Dims[1] != (CBound{10, 15, 1}) {
-		t.Fatalf("intersect = %+v", x)
-	}
-	// Disjoint in dim 1.
-	c := Concrete{Array: "a", Dims: []CBound{{1, 100, 1}, {30, 40, 1}}}
-	if got := a.Intersect(c); !got.Empty() {
-		t.Fatalf("expected empty, got %+v", got)
-	}
-}
-
-func TestStridedIntersectPhase(t *testing.T) {
-	// Cyclic column distributions: stride nprocs, different phases are
-	// disjoint; same phase intersects.
-	a := Concrete{Array: "a", Dims: []CBound{{1, 8, 4}}}  // 1,5
-	b := Concrete{Array: "a", Dims: []CBound{{3, 8, 4}}}  // 3,7
-	c := Concrete{Array: "a", Dims: []CBound{{5, 16, 4}}} // 5,9,13
-	if !a.Intersect(b).Empty() {
-		t.Fatal("different phase must be disjoint")
-	}
-	x := a.Intersect(c)
-	if x.Empty() || x.Dims[0].Lo != 5 || x.Dims[0].Hi != 8 {
-		t.Fatalf("same phase intersect = %+v", x)
-	}
-}
-
-func TestDenseVsStridedIntersect(t *testing.T) {
-	dense := Concrete{Array: "a", Dims: []CBound{{1, 100, 1}}}
-	strided := Concrete{Array: "a", Dims: []CBound{{2, 99, 3}}} // 2,5,...,98
-	x := dense.Intersect(strided)
-	if x.Empty() || x.Dims[0].Stride != 3 || x.Dims[0].Lo != 2 {
-		t.Fatalf("intersect = %+v", x)
-	}
-}
-
 func TestRegionsColumnMajor(t *testing.T) {
 	l := shm.NewLayout()
 	l.Alloc("b", 100, 50)
@@ -192,28 +154,6 @@ func TestRegionsElemCountProperty(t *testing.T) {
 			words += r.Words()
 		}
 		return words == c.Elems()
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestIntersectProperty(t *testing.T) {
-	// Property: for dense 1-D sections, intersection selects exactly the
-	// common indices.
-	f := func(alo, ahi, blo, bhi uint8) bool {
-		a := Concrete{Array: "z", Dims: []CBound{{int(alo), int(ahi), 1}}}
-		b := Concrete{Array: "z", Dims: []CBound{{int(blo), int(bhi), 1}}}
-		x := a.Intersect(b)
-		for i := 0; i < 256; i++ {
-			inA := i >= a.Dims[0].Lo && i <= a.Dims[0].Hi
-			inB := i >= b.Dims[0].Lo && i <= b.Dims[0].Hi
-			inX := !x.Empty() && i >= x.Dims[0].Lo && i <= x.Dims[0].Hi
-			if inX != (inA && inB) {
-				return false
-			}
-		}
-		return true
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -185,49 +185,6 @@ func (c Concrete) Elems() int {
 	return n
 }
 
-// Intersect computes the element-wise intersection of two concrete
-// sections over the same array. Mixed strides fall back to stride-1 over
-// the overlapping box only when either side is dense; otherwise the
-// intersection is approximated by the denser stride (safe for Push, which
-// only uses matching distributions in practice).
-func (c Concrete) Intersect(o Concrete) Concrete {
-	if c.Array != o.Array || len(c.Dims) != len(o.Dims) {
-		return Concrete{}
-	}
-	out := Concrete{Array: c.Array, Dims: make([]CBound, len(c.Dims))}
-	for i := range c.Dims {
-		a, b := c.Dims[i], o.Dims[i]
-		lo := max(a.Lo, b.Lo)
-		hi := min(a.Hi, b.Hi)
-		stride := max(a.Stride, b.Stride)
-		if a.Stride != b.Stride {
-			if min(a.Stride, b.Stride) != 1 {
-				return Concrete{} // incompatible strides: treat as disjoint
-			}
-			// Align lo to the strided side's phase.
-			s := a
-			if b.Stride > a.Stride {
-				s = b
-			}
-			if rem := (lo - s.Lo) % s.Stride; rem != 0 {
-				lo += s.Stride - rem
-			}
-		} else if stride > 1 {
-			if (a.Lo-b.Lo)%stride != 0 {
-				return Concrete{} // same stride, different phase: disjoint
-			}
-			if rem := (lo - a.Lo) % stride; rem != 0 {
-				lo += stride - rem
-			}
-		}
-		if hi < lo {
-			return Concrete{}
-		}
-		out.Dims[i] = CBound{Lo: lo, Hi: hi, Stride: stride}
-	}
-	return out
-}
-
 // Regions converts the section to word-address regions under the layout.
 // Column-major: dimension 0 is contiguous when its stride is 1; outer
 // dimensions are enumerated. Adjacent or overlapping regions are merged.

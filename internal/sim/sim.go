@@ -172,9 +172,7 @@ func (e *Engine) pick() *Proc {
 // dispatch hands the token to p.
 func (e *Engine) dispatch(p *Proc) {
 	p.state = stateRunning
-	if e.dispatches != nil {
-		e.dispatches.Inc()
-	}
+	e.dispatches.Inc()
 }
 
 // park switches to the scheduler loop and returns when p is dispatched

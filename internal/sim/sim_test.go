@@ -423,7 +423,7 @@ func runOnEngine(t *testing.T, prog [][]op) (seq []dispatch, counted int64) {
 			case opAdvance:
 				p.Advance(o.d)
 			case opYield:
-				p.Yield()
+				p.(*Proc).Yield()
 			case opBlock:
 				if m.active == 1 {
 					continue

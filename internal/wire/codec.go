@@ -12,103 +12,34 @@ import (
 // ErrTruncated reports input that ended inside a frame or field.
 var ErrTruncated = errors.New("wire: truncated input")
 
-// enc is an append-based encoder.
-type enc struct{ b []byte }
-
-func (e *enc) u8(v byte)     { e.b = append(e.b, v) }
-func (e *enc) bool(v bool)   { e.b = append(e.b, b2u(v)) }
-func (e *enc) i32(v int32)   { e.b = binary.LittleEndian.AppendUint32(e.b, uint32(v)) }
-func (e *enc) i64(v int64)   { e.b = binary.LittleEndian.AppendUint64(e.b, uint64(v)) }
-func (e *enc) f64(v float64) { e.b = binary.LittleEndian.AppendUint64(e.b, math.Float64bits(v)) }
-func (e *enc) count(n int)   { e.b = binary.AppendUvarint(e.b, uint64(n)) }
-
-// reserve extends the buffer by n bytes in one step and returns them for
-// the caller to store into: word lists (page images, diff runs, vector
-// times) are sized once instead of grown an append at a time.
-func (e *enc) reserve(n int) []byte {
-	at := len(e.b)
-	e.b = slices.Grow(e.b, n)[:at+n]
-	return e.b[at:]
+// coder walks wire values in one of two directions. Encoding (dec false)
+// appends every visited field to b; decoding (dec true) consumes b and
+// stores every field through the same pointer, into zero values whose
+// slice storage comes from ar. Each type has exactly one walker, which
+// names its fields once in wire order, so the two directions cannot
+// disagree and a new field is one line. Decoding is bounds-checked with
+// a latched error: the first failure drops the rest of the input, so
+// every later primitive is a no-op and every later count reads zero.
+// Encoding never stores through a field pointer — senders share diffs
+// and interval records across goroutines.
+type coder struct {
+	b   []byte
+	dec bool
+	err error
+	ar  decArena
 }
 
-func (e *enc) i32s(vs []int32) {
-	e.count(len(vs))
-	dst := e.reserve(4 * len(vs))
-	for i, v := range vs {
-		binary.LittleEndian.PutUint32(dst[4*i:], uint32(v))
-	}
-}
-
-func (e *enc) f64s(vs []float64) {
-	e.count(len(vs))
-	dst := e.reserve(8 * len(vs))
-	for i, v := range vs {
-		binary.LittleEndian.PutUint64(dst[8*i:], math.Float64bits(v))
-	}
-}
-
-// pageSet encodes a sorted page list in raw-or-span form:
-// a one-byte mode — 0 for the raw i32 list, 1 for run-length spans (a
-// count of runs, then (lo, hi) half-open i32 pairs) — chosen per list by
-// the same size heuristic FetchedBytes prices with, so sparse sets stay
-// one word per page and dense sets collapse to two words per run. The
-// run count pass is allocation-free; mode 1 is only chosen for strictly
-// ascending run structure, which sorted deduplicated input (the protocol
-// invariant) always has.
-func (e *enc) pageSet(vs []int32) {
-	runs := countRuns(vs)
-	if 2*runs >= len(vs) {
-		e.u8(0)
-		e.i32s(vs)
-		return
-	}
-	e.u8(1)
-	e.count(runs)
-	for i := 0; i < len(vs); {
-		j := i + 1
-		for j < len(vs) && vs[j] == vs[j-1]+1 {
-			j++
-		}
-		e.i32(vs[i])
-		e.i32(vs[i] + int32(j-i))
-		i = j
-	}
-}
-
-func (e *enc) rows(vs [][]int32) {
-	e.count(len(vs))
-	for _, row := range vs {
-		e.i32s(row)
-	}
-}
-
-func (e *enc) str(s string) {
-	e.count(len(s))
-	e.b = append(e.b, s...)
-}
-
-func (e *enc) bytes(b []byte) {
-	e.count(len(b))
-	e.b = append(e.b, b...)
-}
-
-func b2u(v bool) byte {
-	if v {
-		return 1
-	}
-	return 0
-}
-
-// decArena is the chunked allocation state behind a decoder. Composite
-// decode results (vector times, covers rows, run lists, diff lists, page
-// refs) are carved out of per-type chunks rather than allocated one make
-// per field: a departure or diff-reply frame carries dozens of tiny
-// slices, and the arena collapses them into a handful of allocations.
-// Every handed-out slice is capacity-capped (three-index), so each
-// decoded frame still fully owns disjoint storage — nothing aliases, and
-// appending to a decoded slice cannot clobber a neighbour. An arena may
-// therefore also persist across frames (FrameReader holds one), which
-// amortizes chunk refills over an entire connection.
+// decArena is the chunked allocation state behind a decoding coder.
+// Composite decode results (vector times, covers rows, run lists, diff
+// lists, page refs) are carved out of per-type chunks rather than
+// allocated one make per field: a departure or diff-reply frame carries
+// dozens of tiny slices, and the arena collapses them into a handful of
+// allocations. Every handed-out slice is capacity-capped (three-index),
+// so each decoded frame still fully owns disjoint storage — nothing
+// aliases, and appending to a decoded slice cannot clobber a neighbour.
+// An arena may therefore also persist across frames (FrameReader's coder
+// keeps its own), which amortizes chunk refills over an entire
+// connection.
 type decArena struct {
 	i32 []int32
 	f64 []float64
@@ -119,14 +50,6 @@ type decArena struct {
 	row [][]int32
 }
 
-// dec is a bounds-checked decoder over one frame body, drawing slice
-// storage from ar.
-type dec struct {
-	b   []byte
-	err error
-	ar  *decArena
-}
-
 // arenaMin is the chunk size (in elements) of the decode arenas: small
 // enough that a long-retained slice (a learned interval's vector time)
 // pins little dead space, large enough to absorb a whole payload's worth
@@ -134,8 +57,12 @@ type dec struct {
 const arenaMin = 128
 
 // arenaAlloc carves an owned n-element slice off the chunk *a, refilling
-// the chunk when it runs dry.
+// the chunk when it runs dry. A type without a chunk (a nil a: the rare or
+// large lists) gets one exact make.
 func arenaAlloc[T any](a *[]T, n int) []T {
+	if a == nil {
+		return make([]T, n)
+	}
 	if n > len(*a) {
 		c := n
 		if c < arenaMin {
@@ -148,629 +75,615 @@ func arenaAlloc[T any](a *[]T, n int) []T {
 	return out
 }
 
-func (d *dec) allocI32(n int) []int32   { return arenaAlloc(&d.ar.i32, n) }
-func (d *dec) allocF64(n int) []float64 { return arenaAlloc(&d.ar.f64, n) }
-func (d *dec) allocRef(n int) []PageRef { return arenaAlloc(&d.ar.ref, n) }
-
-func (d *dec) fail(err error) {
-	if d.err == nil {
-		d.err = err
+// fail latches the first error and drops the rest of the input, so every
+// later read fails too (and every later count reads zero).
+func (c *coder) fail(err error) {
+	if c.err == nil {
+		c.err = err
 	}
+	c.b = nil
 }
 
-func (d *dec) take(n int) []byte {
-	if d.err != nil {
+// take consumes the next n input bytes, or latches ErrTruncated.
+func (c *coder) take(n int) []byte {
+	if n < 0 || n > len(c.b) {
+		c.fail(ErrTruncated)
 		return nil
 	}
-	if n < 0 || n > len(d.b) {
-		d.fail(ErrTruncated)
-		return nil
-	}
-	out := d.b[:n]
-	d.b = d.b[n:]
+	out := c.b[:n]
+	c.b = c.b[n:]
 	return out
 }
 
-func (d *dec) u8() byte {
-	if b := d.take(1); b != nil {
-		return b[0]
-	}
-	return 0
+// reserve extends the output by n bytes in one step and returns them for
+// the caller to store into: word lists (page images, diff runs, vector
+// times) are sized once instead of grown an append at a time.
+func (c *coder) reserve(n int) []byte {
+	at := len(c.b)
+	c.b = slices.Grow(c.b, n)[:at+n]
+	return c.b[at:]
 }
 
-func (d *dec) bool() bool { return d.u8() != 0 }
-
-func (d *dec) i32() int32 {
-	if b := d.take(4); b != nil {
-		return int32(binary.LittleEndian.Uint32(b))
+func (c *coder) u8(v *byte) {
+	if !c.dec {
+		c.b = append(c.b, *v)
+	} else if b := c.take(1); b != nil {
+		*v = b[0]
 	}
-	return 0
 }
 
-func (d *dec) i64() int64 {
-	if b := d.take(8); b != nil {
-		return int64(binary.LittleEndian.Uint64(b))
-	}
-	return 0
+// tag writes a constant byte (the format version, a page-set mode); the
+// decoding direction reads it into the returned value.
+func (c *coder) tag(k byte) byte {
+	c.u8(&k)
+	return k
 }
 
-func (d *dec) f64() float64 {
-	if b := d.take(8); b != nil {
-		return math.Float64frombits(binary.LittleEndian.Uint64(b))
-	}
-	return 0
+// kind writes a payload's kind byte ahead of its walker.
+func (c *coder) kind(k byte) *coder {
+	c.u8(&k)
+	return c
 }
 
-// count reads an element count and bounds it by the bytes remaining, given
-// each element occupies at least min bytes, so corrupt counts cannot force
-// huge allocations. The bound is computed by division: multiplying the
-// attacker-controlled count would overflow and defeat the guard.
-func (d *dec) count(min int) int {
-	if d.err != nil {
+func (c *coder) bool(v *bool) {
+	if b := c.tag(b2u(*v)); c.dec {
+		*v = b != 0
+	}
+}
+
+func (c *coder) i32(v *int32) {
+	if !c.dec {
+		c.b = binary.LittleEndian.AppendUint32(c.b, uint32(*v))
+	} else if b := c.take(4); b != nil {
+		*v = int32(binary.LittleEndian.Uint32(b))
+	}
+}
+
+func (c *coder) i64(v *int64) {
+	if !c.dec {
+		c.b = binary.LittleEndian.AppendUint64(c.b, uint64(*v))
+	} else if b := c.take(8); b != nil {
+		*v = int64(binary.LittleEndian.Uint64(b))
+	}
+}
+
+func (c *coder) f64(v *float64) {
+	if !c.dec {
+		c.b = binary.LittleEndian.AppendUint64(c.b, math.Float64bits(*v))
+	} else if b := c.take(8); b != nil {
+		*v = math.Float64frombits(binary.LittleEndian.Uint64(b))
+	}
+}
+
+// count walks an element count: encoding writes n and returns it,
+// decoding reads it. A decoded count is bounded by the bytes remaining,
+// given each element occupies at least min bytes, so corrupt counts
+// cannot force huge allocations. The bound is computed by division:
+// multiplying the attacker-controlled count would overflow and defeat the
+// guard.
+func (c *coder) count(n, min int) int {
+	if !c.dec {
+		c.b = binary.AppendUvarint(c.b, uint64(n))
+		return n
+	}
+	v, w := binary.Uvarint(c.b)
+	if w <= 0 {
+		c.fail(ErrTruncated)
 		return 0
 	}
-	v, n := binary.Uvarint(d.b)
-	if n <= 0 {
-		d.fail(ErrTruncated)
-		return 0
-	}
-	d.b = d.b[n:]
-	if v > uint64(len(d.b))/uint64(min) {
-		d.fail(fmt.Errorf("wire: count %d exceeds remaining input", v))
+	c.b = c.b[w:]
+	if v > uint64(len(c.b))/uint64(min) {
+		c.fail(fmt.Errorf("wire: count %d exceeds remaining input", v))
 		return 0
 	}
 	return int(v)
 }
 
-func (d *dec) i32s() []int32 {
-	n := d.count(4)
-	if n == 0 {
-		return nil
+// list opens a counted list of composite elements, each at least min
+// bytes on the wire, and returns the elements for the caller to walk in
+// place. Decoding sizes *vs first, from the type's arena chunk (nil if it
+// has none), and leaves it nil for an empty list.
+func list[T any](c *coder, vs *[]T, min int, chunk *[]T) []T {
+	if n := c.count(len(*vs), min); c.dec && n > 0 {
+		*vs = arenaAlloc(chunk, n)
 	}
-	src := d.take(4 * n)
-	if src == nil {
-		return nil
-	}
-	out := d.allocI32(n)
-	for i := range out {
-		out[i] = int32(binary.LittleEndian.Uint32(src[4*i:]))
-	}
-	return out
+	return *vs
 }
 
-func (d *dec) f64s() []float64 {
-	n := d.count(8)
-	if n == 0 {
-		return nil
+// i32s and f64s are the bulk word lists: one count, then the words copied
+// in a single sized step in either direction.
+func (c *coder) i32s(vs *[]int32) {
+	n := c.count(len(*vs), 4)
+	if !c.dec {
+		dst := c.reserve(4 * n)
+		for i, v := range *vs {
+			binary.LittleEndian.PutUint32(dst[4*i:], uint32(v))
+		}
+	} else if src := c.take(4 * n); n > 0 && src != nil {
+		*vs = arenaAlloc(&c.ar.i32, n)
+		for i := range *vs {
+			(*vs)[i] = int32(binary.LittleEndian.Uint32(src[4*i:]))
+		}
 	}
-	src := d.take(8 * n)
-	if src == nil {
-		return nil
-	}
-	out := d.allocF64(n)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
-	}
-	return out
 }
 
-// pageSet decodes the raw-or-span page-list form of enc.pageSet. Mode-1
-// spans are validated (hi > lo) and their total expansion is bounded
-// before any allocation, so a corrupt span list cannot force a huge
-// decoded slice; expansion lands in the arena like every other i32
-// field.
-func (d *dec) pageSet() []int32 {
-	switch mode := d.u8(); mode {
-	case 0:
-		return d.i32s()
-	case 1:
-		n := d.count(8)
-		if n == 0 {
-			return nil
+func (c *coder) f64s(vs *[]float64) {
+	n := c.count(len(*vs), 8)
+	if !c.dec {
+		dst := c.reserve(8 * n)
+		for i, v := range *vs {
+			binary.LittleEndian.PutUint64(dst[8*i:], math.Float64bits(v))
 		}
-		spans := d.take(8 * n)
-		if spans == nil {
-			return nil
+	} else if src := c.take(8 * n); n > 0 && src != nil {
+		*vs = arenaAlloc(&c.ar.f64, n)
+		for i := range *vs {
+			(*vs)[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
 		}
-		total := 0
-		for i := 0; i < n; i++ {
-			lo := int32(binary.LittleEndian.Uint32(spans[8*i:]))
-			hi := int32(binary.LittleEndian.Uint32(spans[8*i+4:]))
-			if hi <= lo {
-				d.fail(fmt.Errorf("wire: page span [%d, %d) is empty or inverted", lo, hi))
-				return nil
-			}
-			total += int(hi - lo)
-			if total > MaxFrame/4 {
-				d.fail(fmt.Errorf("wire: page spans expand to %d pages", total))
-				return nil
-			}
-		}
-		out := d.allocI32(total)[:0]
-		for i := 0; i < n; i++ {
-			lo := int32(binary.LittleEndian.Uint32(spans[8*i:]))
-			hi := int32(binary.LittleEndian.Uint32(spans[8*i+4:]))
-			for p := lo; p < hi; p++ {
-				out = append(out, p)
-			}
-		}
-		return out
+	}
+}
+
+// pageSet walks a sorted page list in raw-or-span form: a one-byte mode —
+// 0 for the raw i32 list, 1 for run-length spans (a count of runs, then
+// (lo, hi) half-open i32 pairs). The encoder chooses per list by the same
+// size heuristic FetchedBytes prices with, so sparse sets stay one word
+// per page and dense sets collapse to two words per run; the run count
+// pass is allocation-free, and mode 1 is only chosen for strictly
+// ascending run structure, which sorted deduplicated input (the protocol
+// invariant) always has. The decoder accepts either mode for any list.
+func (c *coder) pageSet(vs *[]int32) {
+	runs := countRuns(*vs)
+	switch mode := c.tag(b2u(2*runs < len(*vs))); {
+	case mode == 0:
+		c.i32s(vs)
+	case mode > 1:
+		c.fail(fmt.Errorf("wire: unknown page-set mode %d", mode))
+	case c.dec:
+		c.expandSpans(vs)
 	default:
-		d.fail(fmt.Errorf("wire: unknown page-set mode %d", mode))
-		return nil
+		c.count(runs, 8)
+		for i, pages := 0, *vs; i < len(pages); {
+			j := i + 1
+			for j < len(pages) && pages[j] == pages[j-1]+1 {
+				j++
+			}
+			lo, hi := pages[i], pages[i]+int32(j-i)
+			c.i32(&lo)
+			c.i32(&hi)
+			i = j
+		}
 	}
 }
 
-func (d *dec) rows() [][]int32 {
-	n := d.count(1)
-	if n == 0 {
-		return nil
+// expandSpans decodes pageSet's mode-1 body. Spans are validated
+// (hi > lo) and their total expansion is bounded before any allocation,
+// so a corrupt span list cannot force a huge decoded slice; expansion
+// lands in the arena like every other i32 field.
+func (c *coder) expandSpans(vs *[]int32) {
+	n := c.count(0, 8)
+	spans := c.take(8 * n)
+	if n == 0 || spans == nil {
+		return
 	}
-	out := arenaAlloc(&d.ar.row, n)
-	for i := range out {
-		out[i] = d.i32s()
+	total := 0
+	for i := 0; i < n; i++ {
+		lo := int32(binary.LittleEndian.Uint32(spans[8*i:]))
+		hi := int32(binary.LittleEndian.Uint32(spans[8*i+4:]))
+		if hi <= lo {
+			c.fail(fmt.Errorf("wire: page span [%d, %d) is empty or inverted", lo, hi))
+			return
+		}
+		total += int(hi - lo)
+		if total > MaxFrame/4 {
+			c.fail(fmt.Errorf("wire: page spans expand to %d pages", total))
+			return
+		}
 	}
-	return out
+	out := arenaAlloc(&c.ar.i32, total)[:0]
+	for i := 0; i < n; i++ {
+		lo := int32(binary.LittleEndian.Uint32(spans[8*i:]))
+		hi := int32(binary.LittleEndian.Uint32(spans[8*i+4:]))
+		for p := lo; p < hi; p++ {
+			out = append(out, p)
+		}
+	}
+	*vs = out
 }
 
-func (d *dec) str() string {
-	n := d.count(1)
-	if n == 0 {
-		return ""
+func (c *coder) rows(vs *[][]int32) {
+	rows := list(c, vs, 1, &c.ar.row)
+	for i := range rows {
+		c.i32s(&rows[i])
 	}
-	return string(d.take(n))
 }
 
-func (d *dec) bytesv() []byte {
-	n := d.count(1)
-	if n == 0 {
-		return nil
+func (c *coder) str(s *string) {
+	n := c.count(len(*s), 1)
+	if !c.dec {
+		c.b = append(c.b, *s...)
+	} else if n > 0 {
+		*s = string(c.take(n))
 	}
-	return append([]byte(nil), d.take(n)...)
 }
 
-// ---- payload codec ----
+func (c *coder) bytes(b *[]byte) {
+	n := c.count(len(*b), 1)
+	if !c.dec {
+		c.b = append(c.b, *b...)
+	} else if n > 0 {
+		*b = append([]byte(nil), c.take(n)...)
+	}
+}
 
-func (e *enc) payload(p any) error {
-	switch v := p.(type) {
+func b2u(v bool) byte {
+	if v {
+		return 1
+	}
+	return 0
+}
+
+// ---- payload walkers ----
+
+// payload walks a frame's payload: the kind byte, then the kind's walker.
+// The two switches below are the only place a payload type and its kind
+// meet; a kind's field order lives in its walker alone.
+func (c *coder) payload(p *any) {
+	if c.dec {
+		*p = c.decoded(c.tag(pNil))
+		return
+	}
+	switch v := (*p).(type) {
 	case nil:
-		e.u8(pNil)
+		c.kind(pNil)
 	case Float64s:
-		e.u8(pFloat64s)
-		e.f64s(v)
+		c.kind(pFloat64s).float64s(&v)
 	case []float64:
 		// The mp layer's native payload type; decodes as Float64s.
-		e.u8(pFloat64s)
-		e.f64s(v)
+		c.kind(pFloat64s).f64s(&v)
 	case DiffRequest:
-		e.u8(pDiffRequest)
-		e.i32(v.Req)
-		e.i32s(v.Pages)
-		e.rows(v.Applied)
-		e.bool(v.Direct)
+		c.kind(pDiffRequest).diffRequest(&v)
 	case DiffReply:
-		e.u8(pDiffReply)
-		e.diffs(v.Diffs)
-		e.pageOwners(v.Redirects)
+		c.kind(pDiffReply).diffReply(&v)
 	case Grant:
-		e.u8(pGrant)
-		e.intervals(v.Intervals)
-		e.diffs(v.Served)
-		e.spans(v.Pushed)
-		e.i32(v.Bytes)
+		c.kind(pGrant).grant(&v)
 	case Arrival:
-		e.u8(pArrival)
-		e.i32s(v.VC)
-		e.intervals(v.Intervals)
-		e.needs(v.Needs)
-		e.pageSet(v.Fetched)
+		c.kind(pArrival).arrival(&v)
 	case Depart:
-		e.u8(pDepart)
-		e.i64(v.Time)
-		e.intervals(v.Intervals)
-		e.diffs(v.Served)
-		e.nodePages(v.Fetched)
+		c.kind(pDepart).depart(&v)
 	case Push:
-		e.u8(pPush)
-		e.i32(v.Ivl)
-		e.count(len(v.Chunks))
-		for _, ch := range v.Chunks {
-			e.i32(ch.Lo)
-			e.f64s(ch.Vals)
-		}
+		c.kind(pPush).push(&v)
 	case SyncInfo:
-		e.u8(pSyncInfo)
-		e.i32s(v.VC)
-		e.needs(v.Needs)
-		e.needs(v.Floors)
+		c.kind(pSyncInfo).syncInfo(&v)
 	case Start:
-		e.u8(pStart)
-		e.str(v.App)
-		e.str(v.Set)
-		e.i32(v.N)
-		e.i64(v.Overhead)
-		e.bool(v.Verify)
+		c.kind(pStart).start(&v)
 	case Done:
-		e.u8(pDone)
-		e.f64(v.Checksum)
-		e.str(v.Err)
+		c.kind(pDone).done(&v)
 	case Update:
-		e.u8(pUpdate)
-		e.i32(v.Epoch)
-		e.spans(v.Spans)
+		c.kind(pUpdate).update(&v)
 	case Checkpoint:
-		e.u8(pCheckpoint)
-		e.i32(v.Node)
-		e.i32(v.Epoch)
-		e.bool(v.Full)
-		e.i32s(v.VC)
-		e.i32s(v.LastBar)
-		e.intervals(v.Intervals)
-		e.count(len(v.Frames))
-		for _, fr := range v.Frames {
-			e.i32(fr.Page)
-			e.u8(fr.Prot)
-			e.bool(fr.Dirty)
-			e.i32(fr.LastDiffed)
-			e.i32s(fr.Applied)
-			e.f64s(fr.Words)
-			e.f64s(fr.Twin)
-		}
-		e.diffs(v.Diffs)
-		e.pageSet(v.Fetched)
-		e.bytes(v.Adapt)
-		e.pageOwners(v.Owners)
+		c.kind(pCheckpoint).checkpoint(&v)
 	case JobSpec:
-		e.u8(pJobSpec)
-		e.i64(v.ID)
-		e.str(v.App)
-		e.str(v.Set)
-		e.str(v.System)
-		e.str(v.Backend)
-		e.i32(v.Procs)
-		e.bool(v.Adapt)
-		e.bool(v.Scale)
-		e.bool(v.Verify)
+		c.kind(pJobSpec).jobSpec(&v)
 	case JobDecision:
-		e.u8(pJobDecision)
-		e.i64(v.ID)
-		e.str(v.Reason)
+		c.kind(pJobDecision).jobDecision(&v)
 	case JobResult:
-		e.u8(pJobResult)
-		e.i64(v.ID)
-		e.f64(v.Checksum)
-		e.i64(v.VirtualNS)
-		e.i64(v.WallNS)
-		e.i64(v.Msgs)
-		e.i64(v.Bytes)
-		e.i64(v.Segv)
-		e.i64(v.DiffFetches)
-		e.i64(v.Barriers)
-		e.i64(v.LockAcquires)
-		e.str(v.Err)
+		c.kind(pJobResult).jobResult(&v)
 	default:
-		return fmt.Errorf("wire: unencodable payload type %T", p)
-	}
-	return nil
-}
-
-func (e *enc) runs(rs []Run) {
-	e.count(len(rs))
-	for _, r := range rs {
-		e.i32(r.Off)
-		e.f64s(r.Vals)
+		c.fail(fmt.Errorf("wire: unencodable payload type %T", v))
 	}
 }
 
-func (e *enc) spans(ss []DiffSpan) {
-	e.count(len(ss))
-	for _, s := range ss {
-		e.i32(s.Page)
-		e.i32(s.Creator)
-		e.i32(s.From)
-		e.i32(s.To)
-		e.bool(s.Whole)
-		e.i32s(s.Covers)
-		e.count(len(s.Pages))
-		for _, rs := range s.Pages {
-			e.runs(rs)
-		}
-	}
-}
-
-func (e *enc) diffs(ds []Diff) {
-	e.count(len(ds))
-	for _, d := range ds {
-		e.i32(d.Page)
-		e.i32(d.Creator)
-		e.i32(d.From)
-		e.i32(d.To)
-		e.bool(d.Whole)
-		e.i32s(d.Covers)
-		e.runs(d.Runs)
-	}
-}
-
-func (e *enc) intervals(ivs []OwnedInterval) {
-	e.count(len(ivs))
-	for _, oi := range ivs {
-		e.i32(oi.Owner)
-		e.i32(oi.Idx)
-		e.count(len(oi.IV.Pages))
-		for _, pr := range oi.IV.Pages {
-			e.i32(pr.Page)
-			e.bool(pr.Whole)
-			e.i32(pr.ExtLo)
-			e.i32(pr.ExtHi)
-		}
-		e.i32s(oi.IV.VC)
-		e.bool(oi.IV.Split)
-	}
-}
-
-func (e *enc) nodePages(ns []NodePages) {
-	e.count(len(ns))
-	for _, n := range ns {
-		e.i32(n.Node)
-		e.pageSet(n.Pages)
-	}
-}
-
-func (e *enc) pageOwners(ps []PageOwner) {
-	e.count(len(ps))
-	for _, p := range ps {
-		e.i32(p.Page)
-		e.i32(p.Owner)
-	}
-}
-
-func (e *enc) needs(ns []WSyncNeed) {
-	e.count(len(ns))
-	for _, n := range ns {
-		e.i32s(n.Pages)
-		e.rows(n.Applied)
-	}
-}
-
-func (d *dec) payload() any {
-	switch k := d.u8(); k {
+// decoded builds the payload of kind k from the input.
+func (c *coder) decoded(k byte) any {
+	switch k {
 	case pNil:
 		return nil
 	case pFloat64s:
-		return Float64s(d.f64s())
+		return walked(c, (*coder).float64s)
 	case pDiffRequest:
-		return DiffRequest{Req: d.i32(), Pages: d.i32s(), Applied: d.rows(), Direct: d.bool()}
+		return walked(c, (*coder).diffRequest)
 	case pDiffReply:
-		return DiffReply{Diffs: d.diffs(), Redirects: d.pageOwners()}
+		return walked(c, (*coder).diffReply)
 	case pGrant:
-		return Grant{Intervals: d.intervals(), Served: d.diffs(), Pushed: d.spans(), Bytes: d.i32()}
+		return walked(c, (*coder).grant)
 	case pArrival:
-		return Arrival{VC: d.i32s(), Intervals: d.intervals(), Needs: d.needs(), Fetched: d.pageSet()}
+		return walked(c, (*coder).arrival)
 	case pDepart:
-		return Depart{Time: d.i64(), Intervals: d.intervals(), Served: d.diffs(), Fetched: d.nodePages()}
+		return walked(c, (*coder).depart)
 	case pPush:
-		p := Push{Ivl: d.i32()}
-		n := d.count(5)
-		for i := 0; i < n; i++ {
-			p.Chunks = append(p.Chunks, Chunk{Lo: d.i32(), Vals: d.f64s()})
-		}
-		return p
+		return walked(c, (*coder).push)
 	case pSyncInfo:
-		return SyncInfo{VC: d.i32s(), Needs: d.needs(), Floors: d.needs()}
+		return walked(c, (*coder).syncInfo)
 	case pStart:
-		return Start{App: d.str(), Set: d.str(), N: d.i32(), Overhead: d.i64(), Verify: d.bool()}
+		return walked(c, (*coder).start)
 	case pDone:
-		return Done{Checksum: d.f64(), Err: d.str()}
+		return walked(c, (*coder).done)
 	case pUpdate:
-		return Update{Epoch: d.i32(), Spans: d.spans()}
+		return walked(c, (*coder).update)
 	case pCheckpoint:
-		ck := Checkpoint{
-			Node: d.i32(), Epoch: d.i32(), Full: d.bool(),
-			VC: d.i32s(), LastBar: d.i32s(),
-			Intervals: d.intervals(),
-		}
-		n := d.count(12)
-		for i := 0; i < n; i++ {
-			fr := PageFrame{
-				Page: d.i32(), Prot: d.u8(), Dirty: d.bool(),
-				LastDiffed: d.i32(), Applied: d.i32s(), Words: d.f64s(),
-				Twin: d.f64s(),
-			}
-			ck.Frames = append(ck.Frames, fr)
-			if d.err != nil {
-				return ck
-			}
-		}
-		ck.Diffs = d.diffs()
-		ck.Fetched = d.pageSet()
-		ck.Adapt = d.bytesv()
-		ck.Owners = d.pageOwners()
-		return ck
+		return walked(c, (*coder).checkpoint)
 	case pJobSpec:
-		return JobSpec{
-			ID: d.i64(), App: d.str(), Set: d.str(), System: d.str(),
-			Backend: d.str(), Procs: d.i32(),
-			Adapt: d.bool(), Scale: d.bool(), Verify: d.bool(),
-		}
+		return walked(c, (*coder).jobSpec)
 	case pJobDecision:
-		return JobDecision{ID: d.i64(), Reason: d.str()}
+		return walked(c, (*coder).jobDecision)
 	case pJobResult:
-		return JobResult{
-			ID: d.i64(), Checksum: d.f64(), VirtualNS: d.i64(),
-			WallNS: d.i64(), Msgs: d.i64(), Bytes: d.i64(), Segv: d.i64(),
-			DiffFetches: d.i64(), Barriers: d.i64(), LockAcquires: d.i64(),
-			Err: d.str(),
-		}
+		return walked(c, (*coder).jobResult)
 	default:
-		d.fail(fmt.Errorf("wire: unknown payload kind %d", k))
+		c.fail(fmt.Errorf("wire: unknown payload kind %d", k))
 		return nil
 	}
 }
 
-func (d *dec) runs() []Run {
-	n := d.count(5)
-	if n == 0 {
-		return nil
-	}
-	out := arenaAlloc(&d.ar.run, n)[:0]
-	for i := 0; i < n; i++ {
-		out = append(out, Run{Off: d.i32(), Vals: d.f64s()})
-		if d.err != nil {
-			return out
-		}
-	}
-	return out
+// walked decodes one T with its walker. (Inlined at each case above, the
+// walker is a static call and c stays on ParseFrame's stack.)
+func walked[T any](c *coder, walk func(*coder, *T)) any {
+	var v T
+	walk(c, &v)
+	return v
 }
 
-func (d *dec) diffs() []Diff {
-	n := d.count(18)
-	if n == 0 {
-		return nil
-	}
-	out := arenaAlloc(&d.ar.df, n)[:0]
-	for i := 0; i < n; i++ {
-		df := Diff{
-			Page: d.i32(), Creator: d.i32(), From: d.i32(), To: d.i32(),
-			Whole: d.bool(), Covers: d.i32s(),
-		}
-		df.Runs = d.runs()
-		out = append(out, df)
-		if d.err != nil {
-			return out
-		}
-	}
-	return out
+func (c *coder) float64s(v *Float64s) { c.f64s((*[]float64)(v)) }
+
+func (c *coder) diffRequest(v *DiffRequest) {
+	c.i32(&v.Req)
+	c.i32s(&v.Pages)
+	c.rows(&v.Applied)
+	c.bool(&v.Direct)
 }
 
-func (d *dec) spans() []DiffSpan {
-	n := d.count(19)
-	var out []DiffSpan
-	for i := 0; i < n; i++ {
-		s := DiffSpan{
-			Page: d.i32(), Creator: d.i32(), From: d.i32(), To: d.i32(),
-			Whole: d.bool(), Covers: d.i32s(),
-		}
-		pn := d.count(1)
-		for j := 0; j < pn; j++ {
-			s.Pages = append(s.Pages, d.runs())
-			if d.err != nil {
-				break
-			}
-		}
-		out = append(out, s)
-		if d.err != nil {
-			return out
-		}
-	}
-	return out
+func (c *coder) diffReply(v *DiffReply) {
+	c.diffs(&v.Diffs)
+	c.pageOwners(&v.Redirects)
 }
 
-func (d *dec) intervals() []OwnedInterval {
-	n := d.count(10)
-	if n == 0 {
-		return nil
-	}
-	out := arenaAlloc(&d.ar.iv, n)[:0]
-	for i := 0; i < n; i++ {
-		oi := OwnedInterval{Owner: d.i32(), Idx: d.i32()}
-		pn := d.count(13)
-		if pn > 0 {
-			refs := d.allocRef(pn)
-			for j := range refs {
-				refs[j] = PageRef{Page: d.i32(), Whole: d.bool(), ExtLo: d.i32(), ExtHi: d.i32()}
-			}
-			oi.IV.Pages = refs
-		}
-		oi.IV.VC = d.i32s()
-		oi.IV.Split = d.bool()
-		out = append(out, oi)
-		if d.err != nil {
-			return out
-		}
-	}
-	return out
+func (c *coder) grant(v *Grant) {
+	c.intervals(&v.Intervals)
+	c.diffs(&v.Served)
+	c.spans(&v.Pushed)
+	c.i32(&v.Bytes)
 }
 
-func (d *dec) nodePages() []NodePages {
-	n := d.count(5)
-	var out []NodePages
-	for i := 0; i < n; i++ {
-		out = append(out, NodePages{Node: d.i32(), Pages: d.pageSet()})
-		if d.err != nil {
-			return out
-		}
-	}
-	return out
+func (c *coder) arrival(v *Arrival) {
+	c.i32s(&v.VC)
+	c.intervals(&v.Intervals)
+	c.needs(&v.Needs)
+	c.pageSet(&v.Fetched)
 }
 
-func (d *dec) pageOwners() []PageOwner {
-	n := d.count(8)
-	var out []PageOwner
-	for i := 0; i < n; i++ {
-		out = append(out, PageOwner{Page: d.i32(), Owner: d.i32()})
-		if d.err != nil {
-			return out
-		}
-	}
-	return out
+func (c *coder) depart(v *Depart) {
+	c.i64(&v.Time)
+	c.intervals(&v.Intervals)
+	c.diffs(&v.Served)
+	c.nodePages(&v.Fetched)
 }
 
-func (d *dec) needs() []WSyncNeed {
-	n := d.count(2)
-	var out []WSyncNeed
-	for i := 0; i < n; i++ {
-		out = append(out, WSyncNeed{Pages: d.i32s(), Applied: d.rows()})
-		if d.err != nil {
-			return out
+func (c *coder) push(v *Push) {
+	c.i32(&v.Ivl)
+	chunks := list(c, &v.Chunks, 5, nil)
+	for i := range chunks {
+		ch := &chunks[i]
+		c.i32(&ch.Lo)
+		c.f64s(&ch.Vals)
+	}
+}
+
+func (c *coder) syncInfo(v *SyncInfo) {
+	c.i32s(&v.VC)
+	c.needs(&v.Needs)
+	c.needs(&v.Floors)
+}
+
+func (c *coder) start(v *Start) {
+	c.str(&v.App)
+	c.str(&v.Set)
+	c.i32(&v.N)
+	c.i64(&v.Overhead)
+	c.bool(&v.Verify)
+}
+
+func (c *coder) done(v *Done) {
+	c.f64(&v.Checksum)
+	c.str(&v.Err)
+}
+
+func (c *coder) update(v *Update) {
+	c.i32(&v.Epoch)
+	c.spans(&v.Spans)
+}
+
+func (c *coder) checkpoint(v *Checkpoint) {
+	c.i32(&v.Node)
+	c.i32(&v.Epoch)
+	c.bool(&v.Full)
+	c.i32s(&v.VC)
+	c.i32s(&v.LastBar)
+	c.intervals(&v.Intervals)
+	frames := list(c, &v.Frames, 12, nil)
+	for i := range frames {
+		fr := &frames[i]
+		c.i32(&fr.Page)
+		c.u8(&fr.Prot)
+		c.bool(&fr.Dirty)
+		c.i32(&fr.LastDiffed)
+		c.i32s(&fr.Applied)
+		c.f64s(&fr.Words)
+		c.f64s(&fr.Twin)
+	}
+	c.diffs(&v.Diffs)
+	c.pageSet(&v.Fetched)
+	c.bytes(&v.Adapt)
+	c.pageOwners(&v.Owners)
+}
+
+func (c *coder) jobSpec(v *JobSpec) {
+	c.i64(&v.ID)
+	c.str(&v.App)
+	c.str(&v.Set)
+	c.str(&v.System)
+	c.str(&v.Backend)
+	c.i32(&v.Procs)
+	c.bool(&v.Adapt)
+	c.bool(&v.Scale)
+	c.bool(&v.Verify)
+}
+
+func (c *coder) jobDecision(v *JobDecision) {
+	c.i64(&v.ID)
+	c.str(&v.Reason)
+}
+
+func (c *coder) jobResult(v *JobResult) {
+	c.i64(&v.ID)
+	c.f64(&v.Checksum)
+	c.i64(&v.VirtualNS)
+	c.i64(&v.WallNS)
+	c.i64(&v.Msgs)
+	c.i64(&v.Bytes)
+	c.i64(&v.Segv)
+	c.i64(&v.DiffFetches)
+	c.i64(&v.Barriers)
+	c.i64(&v.LockAcquires)
+	c.str(&v.Err)
+}
+
+// ---- nested types ----
+
+func (c *coder) runs(vs *[]Run) {
+	runs := list(c, vs, 5, &c.ar.run)
+	for i := range runs {
+		r := &runs[i]
+		c.i32(&r.Off)
+		c.f64s(&r.Vals)
+	}
+}
+
+func (c *coder) diffs(vs *[]Diff) {
+	diffs := list(c, vs, 18, &c.ar.df)
+	for i := range diffs {
+		d := &diffs[i]
+		c.i32(&d.Page)
+		c.i32(&d.Creator)
+		c.i32(&d.From)
+		c.i32(&d.To)
+		c.bool(&d.Whole)
+		c.i32s(&d.Covers)
+		c.runs(&d.Runs)
+	}
+}
+
+func (c *coder) spans(vs *[]DiffSpan) {
+	spans := list(c, vs, 19, nil)
+	for i := range spans {
+		s := &spans[i]
+		c.i32(&s.Page)
+		c.i32(&s.Creator)
+		c.i32(&s.From)
+		c.i32(&s.To)
+		c.bool(&s.Whole)
+		c.i32s(&s.Covers)
+		pages := list(c, &s.Pages, 1, nil)
+		for j := range pages {
+			c.runs(&pages[j])
 		}
 	}
-	return out
+}
+
+func (c *coder) intervals(vs *[]OwnedInterval) {
+	ivs := list(c, vs, 10, &c.ar.iv)
+	for i := range ivs {
+		oi := &ivs[i]
+		c.i32(&oi.Owner)
+		c.i32(&oi.Idx)
+		refs := list(c, &oi.IV.Pages, 13, &c.ar.ref)
+		for j := range refs {
+			pr := &refs[j]
+			c.i32(&pr.Page)
+			c.bool(&pr.Whole)
+			c.i32(&pr.ExtLo)
+			c.i32(&pr.ExtHi)
+		}
+		c.i32s(&oi.IV.VC)
+		c.bool(&oi.IV.Split)
+	}
+}
+
+func (c *coder) nodePages(vs *[]NodePages) {
+	nodes := list(c, vs, 5, nil)
+	for i := range nodes {
+		n := &nodes[i]
+		c.i32(&n.Node)
+		c.pageSet(&n.Pages)
+	}
+}
+
+func (c *coder) pageOwners(vs *[]PageOwner) {
+	owners := list(c, vs, 8, nil)
+	for i := range owners {
+		o := &owners[i]
+		c.i32(&o.Page)
+		c.i32(&o.Owner)
+	}
+}
+
+func (c *coder) needs(vs *[]WSyncNeed) {
+	needs := list(c, vs, 2, nil)
+	for i := range needs {
+		n := &needs[i]
+		c.i32s(&n.Pages)
+		c.rows(&n.Applied)
+	}
 }
 
 // ---- framing ----
+
+// frame walks one frame body: version, envelope, payload.
+func (c *coder) frame(f *Frame) {
+	if v := c.tag(Version); v != Version {
+		c.fail(fmt.Errorf("wire: version %d, want %d", v, Version))
+	}
+	c.u8(&f.Kind)
+	c.i32(&f.From)
+	c.i32(&f.To)
+	c.i32(&f.Tag)
+	c.i32(&f.Bytes)
+	c.i64(&f.Time)
+	c.payload(&f.Payload)
+}
 
 // AppendFrame encodes f (length prefix included) onto dst and returns the
 // extended slice. It fails only on an unencodable payload type or an
 // oversized frame.
 func AppendFrame(dst []byte, f *Frame) ([]byte, error) {
-	e := &enc{b: dst}
-	start := len(e.b)
-	e.i32(0) // length, patched below
-	e.u8(Version)
-	e.u8(f.Kind)
-	e.i32(f.From)
-	e.i32(f.To)
-	e.i32(f.Tag)
-	e.i32(f.Bytes)
-	e.i64(f.Time)
-	if err := e.payload(f.Payload); err != nil {
-		return dst, err
+	c := coder{b: dst}
+	c.reserve(4) // length prefix, patched below
+	c.frame(f)
+	if c.err != nil {
+		return dst, c.err
 	}
-	body := len(e.b) - start - 4
+	body := len(c.b) - len(dst) - 4
 	if body > MaxFrame {
 		return dst, fmt.Errorf("wire: frame of %d bytes exceeds MaxFrame", body)
 	}
-	binary.LittleEndian.PutUint32(e.b[start:], uint32(body))
-	return e.b, nil
+	binary.LittleEndian.PutUint32(c.b[len(dst):], uint32(body))
+	return c.b, nil
 }
 
 // ParseFrame decodes one frame from b, returning the frame and the number
 // of bytes consumed.
 func ParseFrame(b []byte) (*Frame, int, error) {
 	f := new(Frame)
-	var ar decArena
-	n, err := parseFrameInto(f, b, &ar)
+	var c coder
+	n, err := c.parseFrame(f, b)
 	if err != nil {
 		return nil, 0, err
 	}
 	return f, n, nil
 }
 
-// parseFrameInto decodes one frame from b into *f, drawing slice storage
-// from ar. The decoded frame fully owns its storage (the arena never
-// reuses handed-out chunks), so ar may be shared across frames and f may
+// parseFrame decodes one frame from b into *f, drawing slice storage from
+// c's arena. The decoded frame fully owns its storage (the arena never
+// reuses handed-out chunks), so c may be reused across frames and f may
 // be reused once its previous contents are dead.
-func parseFrameInto(f *Frame, b []byte, ar *decArena) (int, error) {
+func (c *coder) parseFrame(f *Frame, b []byte) (int, error) {
 	if len(b) < 4 {
 		return 0, ErrTruncated
 	}
@@ -781,21 +694,14 @@ func parseFrameInto(f *Frame, b []byte, ar *decArena) (int, error) {
 	if uint64(len(b)-4) < uint64(body) {
 		return 0, ErrTruncated
 	}
-	d := dec{b: b[4 : 4+body], ar: ar}
-	if v := d.u8(); d.err == nil && v != Version {
-		return 0, fmt.Errorf("wire: version %d, want %d", v, Version)
+	c.b, c.dec, c.err = b[4:4+body], true, nil
+	*f = Frame{}
+	c.frame(f)
+	if c.err != nil {
+		return 0, c.err
 	}
-	*f = Frame{
-		Kind: d.u8(),
-		From: d.i32(), To: d.i32(),
-		Tag: d.i32(), Bytes: d.i32(), Time: d.i64(),
-	}
-	f.Payload = d.payload()
-	if d.err != nil {
-		return 0, d.err
-	}
-	if len(d.b) != 0 {
-		return 0, fmt.Errorf("wire: %d trailing bytes in frame", len(d.b))
+	if len(c.b) != 0 {
+		return 0, fmt.Errorf("wire: %d trailing bytes in frame", len(c.b))
 	}
 	switch f.Kind {
 	case FHello, FMsg, FHand, FReq, FReply, FStart, FDone, FCkpt,

@@ -23,13 +23,24 @@ var pageSetCases = [][]int32{
 	{100, 101, 102, 103, 200, 300, 301}, // mixed: spans
 }
 
+// enc hand-builds encoder output a primitive at a time — value-taking
+// wrappers over the coder's encoding direction — for the inputs its own
+// walkers never produce: a forced page-set mode, malformed spans, an
+// overflowing count.
+type enc struct{ coder }
+
+func (e *enc) u8(v byte)   { e.coder.u8(&v) }
+func (e *enc) i32(v int32) { e.coder.i32(&v) }
+func (e *enc) i64(v int64) { e.coder.i64(&v) }
+func (e *enc) count(n int) { e.coder.count(n, 1) }
+
 func encodePageSet(t *testing.T, mode byte, pages []int32) []byte {
 	t.Helper()
 	e := &enc{}
 	switch mode {
 	case 0:
 		e.u8(0)
-		e.i32s(pages)
+		e.i32s(&pages)
 	case 1:
 		e.u8(1)
 		spans := 0
@@ -54,9 +65,9 @@ func encodePageSet(t *testing.T, mode byte, pages []int32) []byte {
 
 func decodePageSet(t *testing.T, b []byte) []int32 {
 	t.Helper()
-	var ar decArena
-	d := dec{b: b, ar: &ar}
-	out := d.pageSet()
+	d := coder{b: b, dec: true}
+	var out []int32
+	d.pageSet(&out)
 	if d.err != nil {
 		t.Fatalf("pageSet decode failed: %v", d.err)
 	}
@@ -79,7 +90,7 @@ func TestPageSetModesDecodeIdentically(t *testing.T) {
 			t.Errorf("%v: raw decode %v != span decode %v", pages, raw, spanned)
 		}
 		e := &enc{}
-		e.pageSet(pages)
+		e.pageSet(&pages)
 		chosen := decodePageSet(t, e.b)
 		if len(pages) == 0 {
 			if chosen != nil {
@@ -108,7 +119,7 @@ func TestPageSetHeuristicMatchesAccounting(t *testing.T) {
 			t.Errorf("%v: FetchedBytes = %d, want %d", pages, got, want)
 		}
 		e := &enc{}
-		e.pageSet(pages)
+		e.pageSet(&pages)
 		alt := len(encodePageSet(t, 0, pages))
 		if s := encodePageSet(t, 1, pages); len(s) < alt {
 			alt = len(s)
@@ -139,9 +150,9 @@ func TestPageSetRejectsMalformedSpans(t *testing.T) {
 	for name, build := range cases {
 		e := &enc{}
 		build(e)
-		var ar decArena
-		d := dec{b: e.b, ar: &ar}
-		d.pageSet()
+		d := coder{b: e.b, dec: true}
+		var out []int32
+		d.pageSet(&out)
 		if d.err == nil {
 			t.Errorf("%s: decoder accepted malformed page set", name)
 		}

@@ -106,7 +106,7 @@ func ReadRawFrameInto(r io.Reader, buf []byte) ([]byte, error) {
 type FrameReader struct {
 	r   io.Reader
 	buf []byte
-	ar  decArena // persists across frames, amortizing chunk refills
+	c   coder // its arena persists across frames, amortizing chunk refills
 }
 
 // NewFrameReader returns a FrameReader over r.
@@ -136,6 +136,6 @@ func (fr *FrameReader) ReadInto(f *Frame) error {
 	if err != nil {
 		return err
 	}
-	_, err = parseFrameInto(f, raw, &fr.ar)
+	_, err = fr.c.parseFrame(f, raw)
 	return err
 }

@@ -23,6 +23,12 @@
 // total: malformed input yields an error, never a panic, and allocations
 // are bounded by the input length (FuzzWireRoundTrip enforces both, plus
 // decode/encode/decode identity).
+//
+// The codec is one direction-agnostic coder (codec.go): every type has a
+// single walker that names its fields once, in wire order, and the same
+// walker encodes and decodes — a field added to a type is one line, and
+// the two directions cannot disagree about it
+// (TestWalkersRoundTripEveryPayload, DESIGN.md §9).
 package wire
 
 import "slices"
