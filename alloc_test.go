@@ -271,3 +271,26 @@ func TestCheckpointRecordAllocs(t *testing.T) {
 			large, bytesL, small, bytesS, extra)
 	}
 }
+
+// TestMachineBuildAllocs pins machine construction at a number of
+// allocations independent of the address space: tmk.New for 8 nodes over
+// 1 024 pages allocates what it does over 64, within a small constant. A
+// node's per-page consistency state is one table carved from two slabs and
+// the vm's per-page state is dense slices, so a page costs bytes, never an
+// object — an applied row per page per node used to make this 7 680 apart.
+func TestMachineBuildAllocs(t *testing.T) {
+	const n, small, large, slack = 8, 64, 1024, 8
+	build := func(pages int) float64 {
+		layout := shm.NewLayout()
+		layout.Alloc("mem", pages*shm.PageWords)
+		return testing.AllocsPerRun(5, func() {
+			e := sim.NewEngine(n) // with its network, the same at any size
+			tmk.New(e, cluster.New(e, model.SP2()), layout)
+		})
+	}
+	s, l := build(small), build(large)
+	if l > s+slack {
+		t.Fatalf("tmk.New allocates %.0f objects over %d pages, %.0f over %d; want within %d", l, large, s, small, slack)
+	}
+	t.Logf("tmk.New at %d nodes: %.0f allocs over %d pages, %.0f over %d", n, s, small, l, large)
+}

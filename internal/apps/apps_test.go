@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"sdsm/internal/apps"
+	"sdsm/internal/compiler"
 	"sdsm/internal/harness"
 	"sdsm/internal/rsd"
 )
@@ -120,13 +121,13 @@ func TestAllLevelsMatchSeq(t *testing.T) {
 		want := harness.SeqChecksum(a, apps.Small)
 		prog := a.Build(4)
 		params := prog.Prepare(a.Sets[apps.Small], 4)
-		for li, lvl := range harness.Levels(4, params) {
-			if lvl == nil {
-				continue
+		for li, lvl := range compiler.Levels(4, params) {
+			if li == 0 {
+				continue // base: no compilation
 			}
 			res, err := harness.Run(harness.Config{
 				App: a, Set: apps.Small, System: harness.Opt, Procs: 4,
-				Verify: true, Level: lvl,
+				Verify: true, Level: &lvl,
 			})
 			if err != nil {
 				t.Fatalf("%s level %d: %v", name, li, err)

@@ -21,7 +21,6 @@ import (
 	"sdsm/internal/mp"
 	"sdsm/internal/mpnet"
 	"sdsm/internal/obs"
-	"sdsm/internal/rsd"
 	"sdsm/internal/shm"
 	"sdsm/internal/sim"
 	"sdsm/internal/tmk"
@@ -470,18 +469,3 @@ func Speedup(uni, par time.Duration) float64 {
 
 // LevelName names the Figure 6 optimization levels.
 var LevelNames = []string{"Base", "Comm.Aggr", "+Cons.Elim", "+Sync+Data", "+Push"}
-
-// Levels returns Figure 6's cumulative option sets for an app (nil for
-// level 0 = base).
-func Levels(n int, params rsd.Env) []*compiler.Options {
-	ls := compiler.Levels(n, params)
-	out := make([]*compiler.Options, len(ls))
-	for i := range ls {
-		if i == 0 {
-			continue // base: no compilation
-		}
-		l := ls[i]
-		out[i] = &l
-	}
-	return out
-}

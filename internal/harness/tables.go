@@ -9,6 +9,7 @@ import (
 
 	"sdsm/internal/apps"
 	"sdsm/internal/cluster"
+	"sdsm/internal/compiler"
 	"sdsm/internal/host"
 	"sdsm/internal/model"
 	"sdsm/internal/rsd"
@@ -233,10 +234,10 @@ func Fig6(procs, workers int) ([]Fig6Row, error) {
 		a := c.app
 		rows[i] = Fig6Row{App: a.Name, Set: c.set, Applies: [5]bool{true, true, true, a.WSyncApplicable, a.PushApplicable}}
 		prog := a.Build(procs)
-		for li, lvl := range Levels(procs, prog.Prepare(a.Sets[c.set], procs)) {
-			cfg := Config{App: a, Set: c.set, System: Opt, Procs: procs, Level: lvl}
-			if lvl == nil {
-				cfg.System = Base
+		for li, lvl := range compiler.Levels(procs, prog.Prepare(a.Sets[c.set], procs)) {
+			cfg := Config{App: a, Set: c.set, System: Base, Procs: procs}
+			if li > 0 { // level 0 is base: no compilation
+				cfg.System, cfg.Level = Opt, &lvl
 			}
 			cells = append(cells, gridCell{cfg: cfg, na: !rows[i].Applies[li]})
 		}

@@ -58,6 +58,9 @@ type Net struct {
 
 	sw  *Switch
 	eps []*Endpoint // per node; replaced by Reattach
+	// delivered[i] is closed when the delivery loop reading eps[i] has
+	// exited; every loop is launched with a fresh one (startDelivery).
+	delivered []chan struct{}
 
 	nmu    sync.Mutex // guards boxes, hands, waits, reqs, stats
 	boxes  [][]Msg
@@ -147,18 +150,19 @@ func (rs *reqState) ResolveReply(p Proc) {
 // connected. Close must be called when done.
 func NewNet(n int, costs model.Costs) (*Net, error) {
 	nw := &Net{
-		Real:    NewReal(n),
-		costs:   costs,
-		boxes:   make([][]Msg, n),
-		hands:   make([]map[Tag]any, n),
-		waits:   make([]*netWait, n),
-		wslots:  make([]netWait, n),
-		reqs:    make([]map[int32]*reqState, n),
-		nextID:  make([]int32, n),
-		eps:     make([]*Endpoint, n),
-		svcQ:    make([][]*wire.Frame, n),
-		svcHead: make([]int, n),
-		stats:   Stats{Node: make([]NodeStats, n)},
+		Real:      NewReal(n),
+		costs:     costs,
+		boxes:     make([][]Msg, n),
+		hands:     make([]map[Tag]any, n),
+		waits:     make([]*netWait, n),
+		wslots:    make([]netWait, n),
+		reqs:      make([]map[int32]*reqState, n),
+		nextID:    make([]int32, n),
+		eps:       make([]*Endpoint, n),
+		delivered: make([]chan struct{}, n),
+		svcQ:      make([][]*wire.Frame, n),
+		svcHead:   make([]int, n),
+		stats:     Stats{Node: make([]NodeStats, n)},
 	}
 	for i := 0; i < n; i++ {
 		nw.hands[i] = map[Tag]any{}
@@ -188,11 +192,18 @@ func NewNet(n int, costs model.Costs) (*Net, error) {
 	}
 	sw.Start()
 	for i := range nw.eps {
-		nw.wg.Add(2)
-		go nw.deliveryLoop(i, nw.eps[i])
+		nw.startDelivery(i)
+		nw.wg.Add(1)
 		go nw.serviceLoop(i)
 	}
 	return nw, nil
+}
+
+// startDelivery launches node i's delivery loop on its current endpoint.
+func (nw *Net) startDelivery(i int) {
+	nw.delivered[i] = make(chan struct{})
+	nw.wg.Add(1)
+	go nw.deliveryLoop(i, nw.eps[i], nw.delivered[i])
 }
 
 // dial connects node i's endpoint to the switch.
@@ -303,9 +314,10 @@ func (nw *Net) isDetaching(node int) bool {
 // the node's blocked processor when a frame matches its wait. It never
 // enters a protocol section. The endpoint is captured at launch: a loop
 // outliving its node's Detach must keep reading the dead socket, never
-// the replacement one.
-func (nw *Net) deliveryLoop(i int, ep *Endpoint) {
+// the replacement one. done is closed on exit.
+func (nw *Net) deliveryLoop(i int, ep *Endpoint, done chan struct{}) {
 	defer nw.wg.Done()
+	defer close(done)
 	// One Frame struct serves every delivery: the decoded payloads own
 	// their storage, so filing them does not retain f. Only the FReq path
 	// queues the whole frame and clones it first.
@@ -576,10 +588,14 @@ func (nw *Net) EnableRecovery() {
 // Detach drops node i's links. The caller (the recovering node's own
 // protocol goroutine, see tmk's failAndRecover) guarantees the machine
 // is quiescent: nothing is in flight to or from i, so the node's writer
-// queues are empty and its reader loops are idle. The loops exit on the
-// socket close; the service loop stays — it is blocked on its empty
-// queue and picks up the replacement endpoint through nw.eps at its
-// next request.
+// queues are empty and its reader loops are idle. The two readers of the
+// link — the node's delivery loop and the switch's router for it — exit
+// on the socket close, and Detach returns only after both have: each
+// reports its read error through linkDown whenever it is next scheduled,
+// and one still to run when Reattach clears the detaching mark would be
+// taken for a peer failure and abort the machine. The service loop stays
+// — it is blocked on its empty queue and picks up the replacement
+// endpoint through nw.eps at its next request.
 func (nw *Net) Detach(i int) error {
 	nw.recMu.Lock()
 	if nw.detaching == nil {
@@ -588,10 +604,12 @@ func (nw *Net) Detach(i int) error {
 	}
 	nw.detaching[i] = true
 	nw.recMu.Unlock()
-	if err := nw.eps[i].Close(); err != nil {
-		return fmt.Errorf("host: detaching node %d: %w", i, err)
+	err := nw.eps[i].Close()
+	if derr := nw.sw.detach(i); err == nil {
+		err = derr
 	}
-	if err := nw.sw.detach(i); err != nil {
+	<-nw.delivered[i] // both sockets are closed whatever the queues reported
+	if err != nil {
 		return fmt.Errorf("host: detaching node %d: %w", i, err)
 	}
 	return nil
@@ -615,7 +633,6 @@ func (nw *Net) Reattach(i int) error {
 	nw.recMu.Lock()
 	nw.detaching[i] = false
 	nw.recMu.Unlock()
-	nw.wg.Add(1)
-	go nw.deliveryLoop(i, ep)
+	nw.startDelivery(i)
 	return nil
 }

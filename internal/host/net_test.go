@@ -308,3 +308,54 @@ func TestFrameQueueCloseLoud(t *testing.T) {
 	}
 	c1.Close()
 }
+
+// TestDetachJoinsLinkReaders pins what keeps a recovery from being taken
+// for a peer failure: Detach returns only after both readers of the
+// dropped link — the node's delivery loop and the switch's router for the
+// rank — have exited, so neither can report its read error through
+// linkDown after Reattach has cleared the detaching mark. Every rank of a
+// quiescent machine is cycled many times; one late reader aborts the
+// machine and fails the Run below.
+func TestDetachJoinsLinkReaders(t *testing.T) {
+	const n, rounds = 4, 200
+	nw := newTestNet(t, n)
+	nw.EnableRecovery()
+	exited := func(done chan struct{}) bool {
+		select {
+		case <-done:
+			return true
+		default:
+			return false
+		}
+	}
+	for round := 0; round < rounds; round++ {
+		for i := 0; i < n; i++ {
+			delivered, routed := nw.delivered[i], nw.sw.links[i].routed
+			if err := nw.Detach(i); err != nil {
+				t.Fatal(err)
+			}
+			if !exited(delivered) || !exited(routed) {
+				t.Fatalf("round %d: Detach(%d) returned with a reader of the old link running (delivery exited %v, router exited %v)",
+					round, i, exited(delivered), exited(routed))
+			}
+			if err := nw.Reattach(i); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	err := nw.Run(func(p Proc) {
+		p.Begin()
+		defer p.End()
+		next := (p.ID() + 1) % n
+		nw.Send(p, next, 1, wire.Float64s{float64(p.ID())}, 8)
+		if m := nw.Recv(p, AnySender, 1); m.From != (p.ID()+n-1)%n {
+			panic("message from the wrong rank")
+		}
+	})
+	if err != nil {
+		t.Fatalf("Run after %d detach/reattach cycles per rank: %v", rounds, err)
+	}
+	if err := nw.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+}

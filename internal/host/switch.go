@@ -58,6 +58,9 @@ type rankLink struct {
 	mu   sync.Mutex
 	conn net.Conn
 	q    *FrameQueue
+	// routed is closed when the router reading conn has exited; every
+	// router is launched with a fresh one (launch).
+	routed chan struct{}
 }
 
 // Tap, when non-nil, sees every routable frame before it is enqueued,
@@ -202,9 +205,17 @@ func (sw *Switch) Pair() error {
 // Start launches one router per rank. Call after Pair.
 func (sw *Switch) Start() {
 	for r := range sw.links {
-		sw.wg.Add(1)
-		go sw.route(r, sw.links[r].conn)
+		sw.launch(r)
 	}
+}
+
+// launch starts rank r's router on the link's current socket. The caller
+// holds the link's lock, or is Start, which runs before any router does.
+func (sw *Switch) launch(r int) {
+	lk := &sw.links[r]
+	lk.routed = make(chan struct{})
+	sw.wg.Add(1)
+	go sw.route(r, lk.conn, lk.routed)
 }
 
 // Enqueue hands one encoded frame (pooled storage, ownership transferred)
@@ -221,9 +232,10 @@ func (sw *Switch) Enqueue(to int, raw []byte) error {
 // owns (the destination queue recycles it after the write), so routing a
 // frame allocates nothing in steady state. The connection is captured at
 // launch: a router outliving its rank's re-pairing must keep reading the
-// dead socket, never the replacement one.
-func (sw *Switch) route(r int, c net.Conn) {
+// dead socket, never the replacement one. done is closed on exit.
+func (sw *Switch) route(r int, c net.Conn, done chan struct{}) {
 	defer sw.wg.Done()
+	defer close(done)
 	for {
 		raw, err := wire.ReadRawFrameInto(c, wire.GetBuf())
 		if err == nil {
@@ -258,13 +270,17 @@ func (sw *Switch) forward(from int, raw []byte) error {
 
 // detach drops rank's switch-side link: the queue is drained (the caller
 // guarantees nothing is in flight), the socket closed; the rank's router
-// exits through the LinkDown hook.
+// exits through the LinkDown hook, and detach returns only once it has —
+// whatever the hook is going to be told about the dead socket, it has
+// been told by then.
 func (sw *Switch) detach(rank int) error {
 	lk := &sw.links[rank]
 	lk.mu.Lock()
-	defer lk.mu.Unlock()
 	err := lk.q.Close()
 	lk.conn.Close()
+	routed := lk.routed
+	lk.mu.Unlock()
+	<-routed
 	return err
 }
 
@@ -300,8 +316,7 @@ func (sw *Switch) Repair(rank int, prime func(q *FrameQueue) error) error {
 			return err
 		}
 	}
-	sw.wg.Add(1)
-	go sw.route(rank, c)
+	sw.launch(rank)
 	return nil
 }
 

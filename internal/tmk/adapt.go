@@ -374,10 +374,10 @@ func (nd *Node) adaptStep(oldBar []int32, fetched []wire.NodePages) {
 		}
 		ds := ad.ds[:0]
 		for _, pg := range pages {
-			if nd.dirty[pg] {
+			if nd.pages[pg].dirty {
 				nd.flushLocalDiff(pg, false)
 			}
-			for _, d := range nd.diffs[pg] {
+			for _, d := range nd.pages[pg].diffs {
 				if int(d.Creator) == nd.ID && d.To > oldBar[nd.ID] {
 					ds = append(ds, d.toWire())
 				}

@@ -61,17 +61,17 @@ func (nd *Node) Validate(at AccessType, regions []shm.Region, async bool) {
 
 	var need []int
 	for _, pg := range pages {
-		if len(nd.pending[pg]) > 0 {
+		if len(nd.pages[pg].pending) > 0 {
 			need = append(need, pg)
 		}
 	}
 	if async {
 		for _, pg := range need {
-			nd.mode[pg] = effective(pg)
+			nd.deferMode(pg, effective(pg))
 		}
 		nd.fetchPages(need, true)
 		for _, pg := range pages {
-			if _, deferred := nd.mode[pg]; !deferred {
+			if !nd.pages[pg].deferred {
 				nd.applyAccessType(pg, effective(pg))
 			}
 		}
@@ -122,12 +122,11 @@ func fullyCovered(at AccessType, regions []shm.Region, pages []int) map[int]bool
 // page that is about to be entirely overwritten. Correct only under exact
 // compiler analysis, as the paper requires.
 func (nd *Node) discardObligations(pg int) {
-	for o := range nd.vc {
-		if nd.vc[o] > nd.applied[pg][o] {
-			nd.applied[pg][o] = nd.vc[o]
-		}
+	e := &nd.pages[pg]
+	for o, v := range nd.vc {
+		e.applied[o] = max(e.applied[o], v)
 	}
-	nd.pending[pg] = nd.pending[pg][:0]
+	e.pending = e.pending[:0]
 }
 
 // applyAccessType performs the per-page consistency action of a Validate
@@ -155,7 +154,7 @@ func (nd *Node) consumeWSync() {
 	for _, ws := range nd.wsync {
 		fullCover := fullyCovered(ws.at, ws.regions, ws.pages)
 		for _, pg := range ws.pages {
-			if len(nd.pending[pg]) > 0 {
+			if len(nd.pages[pg].pending) > 0 {
 				continue
 			}
 			at := ws.at
@@ -166,8 +165,8 @@ func (nd *Node) consumeWSync() {
 		}
 	}
 	nd.wsync = nil
-	for pg := range nd.mode {
-		delete(nd.mode, pg)
+	for pg := 0; nd.ndeferred > 0; pg++ {
+		nd.undefer(pg)
 	}
 }
 
@@ -255,8 +254,8 @@ func (nd *Node) applyPushChunk(sender int, ivl int32, ch wire.Chunk) {
 		// A page only counts as applied when the chunk delivers all of it;
 		// partially pushed pages keep their obligations (the paper: Push
 		// guarantees consistency only for the received sections).
-		if ivl > nd.applied[pg][sender] && end-lo == shm.PageWords {
-			nd.applied[pg][sender] = ivl
+		if row := nd.pages[pg].applied; ivl > row[sender] && end-lo == shm.PageWords {
+			row[sender] = ivl
 		}
 		nd.prunePending(pg)
 		if nd.Mem.Prot(pg) == vm.NoAccess {

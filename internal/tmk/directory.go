@@ -76,10 +76,16 @@ func (s *System) EnableScale() {
 			nd.dirOwner = make([]int32, pages)
 			nd.dirNext = make([]int32, pages)
 		}
-		for pg := 0; pg < pages; pg++ {
-			nd.dirOwner[pg] = -1
-			nd.dirNext[pg] = -1
-		}
+		nd.forgetDirectory()
+	}
+}
+
+// forgetDirectory clears every probable-owner hint and delegation (-1:
+// none). Off scale there is nothing to clear.
+func (nd *Node) forgetDirectory() {
+	for pg := range nd.dirOwner {
+		nd.dirOwner[pg] = -1
+		nd.dirNext[pg] = -1
 	}
 }
 
@@ -145,7 +151,7 @@ func (nd *Node) chaseRedirects(redirs []wire.PageOwner) {
 		reqs := map[int][]int{} // responder -> pages
 		for _, po := range redirs {
 			pg, owner := int(po.Page), int(po.Owner)
-			if len(nd.pending[pg]) == 0 || owner == nd.ID {
+			if len(nd.pages[pg].pending) == 0 || owner == nd.ID {
 				continue
 			}
 			if owner < 0 || owner >= nd.sys.N() {
@@ -184,7 +190,7 @@ func (nd *Node) chaseRedirects(redirs []wire.PageOwner) {
 		nd.applyDiffs(round)
 	}
 	for pg := range visited {
-		if len(nd.pending[pg]) > 0 {
+		if len(nd.pages[pg].pending) > 0 {
 			nd.Stats.DirFallbacks++
 		}
 	}
@@ -222,10 +228,7 @@ func (nd *Node) resetDirectory() {
 	if nd.dirOwner == nil {
 		return
 	}
-	for pg := range nd.dirOwner {
-		nd.dirOwner[pg] = -1
-		nd.dirNext[pg] = -1
-	}
+	nd.forgetDirectory()
 	type cand struct {
 		owner int
 		idx   int32

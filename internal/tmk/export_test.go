@@ -2,6 +2,7 @@ package tmk
 
 import (
 	"fmt"
+	"slices"
 
 	"sdsm/internal/vm"
 	"sdsm/internal/wire"
@@ -37,18 +38,17 @@ func ReferenceRecord(s *System, node int, full bool) []byte {
 	}
 	set := map[int]bool{}
 	if full {
-		for pg := 0; pg < nd.Mem.Pages(); pg++ {
-			if nd.dirty[pg] || nd.lastDiffed[pg] > 0 || len(nd.diffs[pg]) > 0 ||
-				nd.Mem.Prot(pg) != vm.NoAccess || rowNonZero(nd.applied[pg]) {
+		for pg, e := range nd.pages {
+			if e.dirty || e.lastDiffed > 0 || len(e.diffs) > 0 ||
+				nd.Mem.Prot(pg) != vm.NoAccess || slices.Max(e.applied) > 0 {
 				set[pg] = true
 			}
 		}
 	} else {
-		for pg := range nd.recTouched {
-			set[pg] = true
-		}
-		for pg := range nd.dirty {
-			set[pg] = true
+		for pg, e := range nd.pages {
+			if e.touched || e.dirty {
+				set[pg] = true
+			}
 		}
 		for idx := base[nd.ID] + 1; idx <= nd.vc[nd.ID]; idx++ {
 			for _, ref := range nd.know[nd.ID][idx-1].Pages {
@@ -57,19 +57,20 @@ func ReferenceRecord(s *System, node int, full bool) []byte {
 		}
 	}
 	for _, pg := range sortedKeys(set) {
+		e := nd.pages[pg]
 		fr := wire.PageFrame{
 			Page:       int32(pg),
 			Prot:       uint8(nd.Mem.Prot(pg)),
-			Dirty:      nd.dirty[pg],
-			LastDiffed: nd.lastDiffed[pg],
-			Applied:    append([]int32(nil), nd.applied[pg]...),
+			Dirty:      e.dirty,
+			LastDiffed: e.lastDiffed,
+			Applied:    append([]int32(nil), e.applied...),
 			Words:      append([]float64(nil), nd.Mem.PageData(pg)...),
 		}
 		if tw := nd.Mem.TwinData(pg); tw != nil {
 			fr.Twin = append([]float64(nil), tw...)
 		}
 		ck.Frames = append(ck.Frames, fr)
-		for _, d := range nd.diffs[pg] {
+		for _, d := range e.diffs {
 			wd := d.Diff
 			wd.Covers = append([]int32(nil), d.Covers...)
 			wd.Runs = make([]wire.Run, len(d.Runs))

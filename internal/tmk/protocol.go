@@ -122,22 +122,27 @@ func (nd *Node) Fault(p host.Proc, page int, acc vm.Access) {
 	nd.Mem.BeginProtBatch()
 	defer nd.Mem.FlushProtBatch(nd.p)
 	nd.completeInflight()
-	if len(nd.pending[page]) > 0 || nd.Mem.Prot(page) == vm.NoAccess {
+	if len(nd.pages[page].pending) > 0 || nd.Mem.Prot(page) == vm.NoAccess {
 		nd.fetchPages([]int{page}, false)
 	}
-	if at, ok := nd.mode[page]; ok {
+	if nd.pages[page].deferred {
 		// Deferred consistency actions from an asynchronous Validate: one
 		// fault resumes the remainder of the Validate for every deferred
 		// page (the data arrived with completeInflight above), exactly as
 		// the paper's asynchronous variant finishes in the fault handler.
-		for pg, m := range nd.mode {
-			if pg == page || len(nd.pending[pg]) > 0 {
-				continue
+		// The walk ascends and stops once it has seen every deferred page;
+		// the faulting page's own action comes last.
+		at := nd.pages[page].mode
+		nd.undefer(page)
+		for pg, left := 0, nd.ndeferred; left > 0; pg++ {
+			if e := &nd.pages[pg]; e.deferred {
+				left--
+				if len(e.pending) == 0 {
+					nd.applyAccessType(pg, e.mode)
+					nd.undefer(pg)
+				}
 			}
-			nd.applyAccessType(pg, m)
-			delete(nd.mode, pg)
 		}
-		delete(nd.mode, page)
 		nd.applyAccessType(page, at)
 		if acc == vm.Write && !at.writes() {
 			nd.enableWrite(page, false)
@@ -154,22 +159,23 @@ func (nd *Node) Fault(p host.Proc, page int, acc vm.Access) {
 // enableWrite arms the multiple-writer machinery for a page: twin (unless
 // noTwin mode) and write access.
 func (nd *Node) enableWrite(page int, noTwin bool) {
-	if noTwin && nd.dirty[page] && !nd.noTwin[page] {
+	e := &nd.pages[page]
+	if noTwin && e.dirty && !e.noTwin {
 		// Transition from twin-based detection to WRITE_ALL mode: capture
 		// the outstanding twin-based modifications first so earlier
 		// intervals stay servable, then switch modes.
 		nd.flushLocalDiff(page, true)
 	}
-	if nd.dirty[page] && nd.Mem.Prot(page) == vm.ReadWrite {
+	if e.dirty && nd.Mem.Prot(page) == vm.ReadWrite {
 		return
 	}
 	if noTwin {
-		nd.noTwin[page] = true
+		e.noTwin = true
 	} else if !nd.Mem.HasTwin(page) {
 		nd.Mem.MakeTwin(nd.p, page)
 	}
 	nd.Mem.SetProt(nd.p, page, vm.ReadWrite)
-	nd.dirty[page] = true
+	nd.setDirty(page, true)
 }
 
 // closeInterval ends the node's open interval at a release point (lock
@@ -183,29 +189,33 @@ func (nd *Node) enableWrite(page int, noTwin bool) {
 // a diff) and they leave the dirty set; the compiler's exactness contract
 // guarantees a new Validate precedes the next write to them.
 func (nd *Node) closeInterval() {
-	if len(nd.dirty) == 0 {
+	if nd.ndirty == 0 {
 		return
 	}
 	idx := nd.vc[nd.ID] + 1
 	nd.vc[nd.ID] = idx
-	// pgScratch is safe to borrow here: its other user (serve) runs under
-	// the protocol token too, so the two can never interleave, and the
-	// slice is fully consumed before this function returns.
+	// The dirty pages in page order: an ascending walk of the table that
+	// stops at the last dirty entry. pgScratch is safe to borrow here: its
+	// other user (serve) runs under the protocol token too, so the two can
+	// never interleave, and the slice is fully consumed before this
+	// function returns.
 	pages := nd.pgScratch[:0]
-	for pg := range nd.dirty {
-		pages = append(pages, pg)
+	for pg := 0; len(pages) < nd.ndirty; pg++ {
+		if nd.pages[pg].dirty {
+			pages = append(pages, pg)
+		}
 	}
-	slices.Sort(pages)
 	nd.pgScratch = pages
 	iv := wire.Interval{Pages: make([]wire.PageRef, len(pages)), VC: append([]int32(nil), nd.vc...)}
 	for i, pg := range pages {
-		iv.Pages[i] = nd.pageRefFor(pg, nd.noTwin[pg], true)
+		iv.Pages[i] = nd.pageRefFor(pg, nd.pages[pg].noTwin, true)
 	}
 	nd.know[nd.ID] = append(nd.know[nd.ID], iv)
 	nd.traceNotices(iv, idx)
 	for _, pg := range pages {
 		nd.noteWritten(pg)
-		if nd.noTwin[pg] {
+		nd.touch(pg) // an own interval names the page: the next record frames it
+		if nd.pages[pg].noTwin {
 			nd.snapshotWholePage(pg)
 		}
 	}
@@ -217,8 +227,7 @@ func (nd *Node) closeInterval() {
 // exact analysis guarantees the next writer re-Validates first.
 func (nd *Node) snapshotWholePage(pg int) {
 	nd.storeOwnDiff(pg, nd.vc[nd.ID], true, nd.Mem.WholePageRuns(nd.p, pg))
-	delete(nd.dirty, pg)
-	delete(nd.noTwin, pg)
+	nd.setDirty(pg, false)
 }
 
 // storeOwnDiff caches this node's own modifications of page for its
@@ -228,18 +237,18 @@ func (nd *Node) snapshotWholePage(pg int) {
 // storedDiff). A local whole snapshot's values are always vm freelist
 // storage (WholePageRuns), hence pooled.
 func (nd *Node) storeOwnDiff(page int, to int32, whole bool, runs []wire.Run) {
-	covers := make([]int32, nd.sys.N())
-	copy(covers, nd.applied[page])
+	e := &nd.pages[page]
+	covers := slices.Clone(e.applied)
 	covers[nd.ID] = to
 	nd.storeDiff(&storedDiff{
 		Diff: wire.Diff{
 			Page: int32(page), Creator: int32(nd.ID),
-			From: nd.lastDiffed[page], To: to,
+			From: e.lastDiffed, To: to,
 			Whole: whole, Covers: covers, Runs: runs,
 		},
 		pooled: whole,
 	})
-	nd.lastDiffed[page] = to
+	e.lastDiffed = to
 }
 
 // storeDiff adds d to the diff cache, dropping any older diffs a whole
@@ -250,7 +259,7 @@ func (nd *Node) storeOwnDiff(page int, to int32, whole bool, runs []wire.Run) {
 func (nd *Node) storeDiff(d *storedDiff) {
 	pg := int(d.Page)
 	nd.touch(pg) // the page's diff chain (and, on the apply path, its image) moved
-	cache := nd.diffs[pg]
+	cache := nd.pages[pg].diffs
 	if d.Whole {
 		kept := cache[:0]
 		for _, old := range cache {
@@ -262,7 +271,7 @@ func (nd *Node) storeDiff(d *storedDiff) {
 		}
 		cache = kept
 	}
-	nd.diffs[pg] = append(cache, d)
+	nd.pages[pg].diffs = append(cache, d)
 }
 
 // recycle hands a pooled snapshot's page storage back to the vm freelist
@@ -307,7 +316,7 @@ func (nd *Node) learnInterval(owner int, idx int32, iv wire.Interval) {
 	for _, ref := range iv.Pages {
 		pg := int(ref.Page)
 		nd.noteRemoteWrite(pg, owner)
-		if nd.applied[pg][owner] >= idx {
+		if nd.pages[pg].applied[owner] >= idx {
 			continue
 		}
 		nd.addNotice(pg, notice{owner: int32(owner), idx: idx, whole: ref.Whole})
@@ -319,20 +328,20 @@ func (nd *Node) learnInterval(owner int, idx int32, iv wire.Interval) {
 // page holds from the same owner, which it replaces: every reader of
 // pending asks only for each owner's newest notice (package doc).
 func (nd *Node) addNotice(pg int, nt notice) {
-	pend := nd.pending[pg]
+	pend := nd.pages[pg].pending
 	for i := range pend {
 		if pend[i].owner == nt.owner {
 			pend[i] = nt
 			return
 		}
 	}
-	nd.pending[pg] = append(pend, nt)
+	nd.pages[pg].pending = append(pend, nt)
 }
 
 // invalidate removes access to a page. Local modifications are saved as a
 // diff first so they can still be served (diff on invalidate).
 func (nd *Node) invalidate(page int) {
-	if nd.dirty[page] {
+	if nd.pages[page].dirty {
 		nd.flushLocalDiff(page, true)
 	}
 	if nd.Mem.Prot(page) != vm.NoAccess {
@@ -368,20 +377,20 @@ func (nd *Node) invalidate(page int) {
 // the page keeps write access and the dirty mark, and a fresh twin
 // snapshots the served state so later writes diff against it.
 func (nd *Node) flushLocalDiff(page int, disarm bool) {
-	if !nd.dirty[page] {
+	e := &nd.pages[page]
+	if !e.dirty {
 		return
 	}
 	to := nd.vc[nd.ID]
-	mustSplit := nd.lastDiffed[page] == to || disarm && !nd.noticedSince(page, nd.lastDiffed[page])
-	if nd.noTwin[page] {
+	mustSplit := e.lastDiffed == to || disarm && !nd.noticedSince(page, e.lastDiffed)
+	if e.noTwin {
 		if mustSplit {
 			to = nd.splitInterval(page, true)
 		}
 		// Snapshot an open WRITE_ALL page so the content stays servable.
 		nd.storeOwnDiff(page, to, true, nd.Mem.WholePageRuns(nd.p, page))
 		if disarm {
-			delete(nd.noTwin, page)
-			delete(nd.dirty, page)
+			nd.setDirty(page, false)
 			nd.Mem.TakeWriteExtent(page)
 			nd.Mem.SetProt(nd.p, page, vm.ReadOnly)
 		}
@@ -392,13 +401,13 @@ func (nd *Node) flushLocalDiff(page int, disarm bool) {
 		if len(runs) > 0 && mustSplit {
 			to = nd.splitInterval(page, false)
 		}
-		if len(runs) > 0 || nd.lastDiffed[page] < to {
+		if len(runs) > 0 || e.lastDiffed < to {
 			nd.storeOwnDiff(page, to, false, runs)
 		}
 	}
-	nd.lastDiffed[page] = to
+	e.lastDiffed = to
 	if disarm {
-		delete(nd.dirty, page)
+		nd.setDirty(page, false)
 		// The page leaves the dirty set outside closeInterval, so the
 		// closing walk will never consume its extent accumulator: discard
 		// it here. Every notice describing the flushed state has already
@@ -441,6 +450,7 @@ func (nd *Node) splitInterval(page int, whole bool) int32 {
 		Split: true,
 	})
 	nd.noteWritten(page)
+	nd.touch(page)
 	return idx
 }
 
@@ -479,7 +489,7 @@ func (nd *Node) pageRefFor(pg int, whole, consume bool) wire.PageRef {
 // most recent notice is a whole-page overwrite, its owner alone suffices;
 // otherwise every noticed owner is asked for its own diffs.
 func (nd *Node) responderFor(page int) []int {
-	pend := nd.pending[page]
+	pend := nd.pages[page].pending
 	if len(pend) == 0 {
 		return nil
 	}
@@ -604,7 +614,7 @@ func (nd *Node) completeInflight() {
 			pgs = []int{f.pg}
 		}
 		for _, pg := range pgs {
-			if len(nd.pending[pg]) > 0 {
+			if len(nd.pages[pg].pending) > 0 {
 				pages = append(pages, pg)
 			}
 		}
@@ -618,7 +628,7 @@ func (nd *Node) completeInflight() {
 		// payload even when its delegation pointer says otherwise.
 		reqs := map[int][]int{} // owner -> pages, ascending, each once
 		for _, pg := range pages {
-			for _, n := range nd.pending[pg] {
+			for _, n := range nd.pages[pg].pending {
 				reqs[int(n.owner)] = append(reqs[int(n.owner)], pg)
 			}
 		}
@@ -630,9 +640,9 @@ func (nd *Node) completeInflight() {
 		}
 		nd.applyDiffs(round)
 		for _, pg := range pages {
-			if len(nd.pending[pg]) > 0 {
+			if pend := nd.pages[pg].pending; len(pend) > 0 {
 				panic(fmt.Sprintf("tmk: node %d cannot resolve notices for page %d: %+v",
-					nd.ID, pg, nd.pending[pg]))
+					nd.ID, pg, pend))
 			}
 		}
 	}
@@ -703,15 +713,15 @@ func (nd *Node) serveDiffs(reqID int, pages []int, reqApplied [][]int32, direct 
 // prunes notices by applied coverage, so a chain gap would silently drop
 // the missing intervals' content.
 func (nd *Node) collectDiffs(reqID, pg int, applied []int32) []*storedDiff {
-	if nd.dirty[pg] {
+	if nd.pages[pg].dirty {
 		nd.flushLocalDiff(pg, false)
 	}
 	// The candidate list is consumed by the caller before the next
 	// collectDiffs call on this node, so one scratch buffer suffices (the
-	// pointers it holds are cache entries, retained by nd.diffs anyway).
+	// pointers it holds are cache entries, retained by the page table anyway).
 	cand := nd.cdScratch[:0]
 	var best *storedDiff // newest whole snapshot, if any
-	for _, d := range nd.diffs[pg] {
+	for _, d := range nd.pages[pg].diffs {
 		if int(d.Creator) == reqID || !d.helps(applied) {
 			continue
 		}
@@ -768,7 +778,7 @@ func (nd *Node) applyDiffs(in []wire.Diff) {
 	lastTouched := -1
 	for _, d := range reply {
 		pg := int(d.Page)
-		if !d.helps(nd.applied[pg]) {
+		if !d.helps(nd.pages[pg].applied) {
 			continue
 		}
 		nd.Mem.ApplyRuns(nd.p, pg, d.Runs)
@@ -795,7 +805,7 @@ func (nd *Node) applyDiffs(in []wire.Diff) {
 // merged into memory: the applied/words statistics, the applied-timestamp
 // advancement, and caching the diff for later forwarding.
 func (nd *Node) recordApplied(d *storedDiff) {
-	applied := nd.applied[d.Page]
+	applied := nd.pages[d.Page].applied
 	nd.Stats.DiffsApplied++
 	nd.Stats.WordsApplied += int64(vm.RunsWords(d.Runs))
 	if d.Whole {
@@ -813,13 +823,14 @@ func (nd *Node) recordApplied(d *storedDiff) {
 // prunePending drops satisfied notices and restores read access when a
 // page has no outstanding modifications left.
 func (nd *Node) prunePending(page int) {
-	pend := nd.pending[page][:0]
-	for _, n := range nd.pending[page] {
-		if n.idx > nd.applied[page][n.owner] {
+	e := &nd.pages[page]
+	pend := e.pending[:0]
+	for _, n := range e.pending {
+		if n.idx > e.applied[n.owner] {
 			pend = append(pend, n)
 		}
 	}
-	nd.pending[page] = pend
+	e.pending = pend
 	if len(pend) == 0 && nd.Mem.Prot(page) == vm.NoAccess {
 		nd.Mem.SetProt(nd.p, page, vm.ReadOnly)
 	}

@@ -98,16 +98,14 @@ type RecoveryStats struct {
 }
 
 // recoveryState is a node's checkpoint bookkeeping: recLast is the vector
-// clock of its previous record (nil before the first), recTouched the
-// pages a diff was stored for or data pushed into since (nil unless
-// EnableRecovery ran), recEpoch the record counter. The rest is
-// writeRecord's scratch, reused from record to record: the frame set, the
-// checkpoint's three lists, and the encoded frame (a record is dead to the
-// node once the sink's Put returns).
+// clock of its previous record (nil before the first), recEpoch the record
+// counter; which pages moved since that record is the page table's touched
+// bit. The rest is writeRecord's scratch, reused from record to record: the
+// frame set, the checkpoint's three lists, and the encoded frame (a record
+// is dead to the node once the sink's Put returns).
 type recoveryState struct {
-	recLast    []int32
-	recTouched map[int]bool
-	recEpoch   int32
+	recLast  []int32
+	recEpoch int32
 
 	recPages  []int
 	recIvs    []wire.OwnedInterval
@@ -128,17 +126,14 @@ func (s *System) EnableRecovery(cfg RecoveryConfig) {
 		cfg.Sink = NewMemSink()
 	}
 	s.rec = &cfg
-	for _, nd := range s.Nodes {
-		nd.recTouched = map[int]bool{}
-	}
 }
 
-// touch marks a page whose image or diff chain moved outside the dirty
-// set's view — a diff stored or applied, pushed data written in place — so
-// the next incremental record frames it. Nothing to mark off recovery.
+// touch marks a page the next incremental record must frame although it may
+// not be dirty by then: an own interval named it, a diff was stored or
+// applied, pushed data was written in place. Nothing to mark off recovery.
 func (nd *Node) touch(pg int) {
-	if nd.recTouched != nil {
-		nd.recTouched[pg] = true
+	if nd.sys.rec != nil {
+		nd.pages[pg].touched = true
 	}
 }
 
@@ -154,9 +149,9 @@ func (nd *Node) injectFault(b *barrier) {
 // Full records carry the whole interval log and a frame for every page
 // with any history; incremental records carry the per-owner interval
 // delta since the previous record and frames only for pages whose
-// image, diff cache, or bookkeeping could have moved since — pages
-// touched by a diff store or push (recTouched), dirty pages, and pages
-// in own intervals closed since. A page absent from every frame set is
+// image, diff cache, or bookkeeping could have moved since — dirty pages
+// and touched ones (a diff store or push, an own interval closed since:
+// touch). A page absent from every frame set is
 // provably still zero-filled and untouched, so a restore needs no
 // frame for it. A no-op unless recovery is armed.
 //
@@ -191,20 +186,21 @@ func (nd *Node) writeRecord() {
 		}
 	}
 	for _, pg := range nd.recordPages(full) {
+		e := &nd.pages[pg]
 		ck.Frames = append(ck.Frames, wire.PageFrame{
 			Page:       int32(pg),
 			Prot:       uint8(nd.Mem.Prot(pg)),
-			Dirty:      nd.dirty[pg],
-			LastDiffed: nd.lastDiffed[pg],
-			Applied:    nd.applied[pg],
+			Dirty:      e.dirty,
+			LastDiffed: e.lastDiffed,
+			Applied:    e.applied,
 			Words:      nd.Mem.PageData(pg),
 			Twin:       nd.Mem.TwinData(pg),
 		})
 		// The framed page's cached diff chain rides along, in cache
 		// order: a restore replaces the page's cache with the newest
 		// record's copy, so every record must carry the chains of
-		// exactly the pages it frames (storeDiff marks recTouched).
-		for _, d := range nd.diffs[pg] {
+		// exactly the pages it frames (storeDiff touches the page).
+		for _, d := range e.diffs {
 			ck.Diffs = append(ck.Diffs, d.Diff)
 		}
 	}
@@ -227,7 +223,11 @@ func (nd *Node) writeRecord() {
 		panic(fmt.Sprintf("tmk: storing checkpoint record: %v", err))
 	}
 	nd.recLast = append(nd.recLast[:0], nd.vc...)
-	clear(nd.recTouched)
+	// Only now, with the record stored: a sink may look at the node from
+	// inside Put (the record-bytes tests' reference encoder does).
+	for pg := range nd.pages {
+		nd.pages[pg].touched = false
+	}
 	nd.RecStats.Checkpoints++
 	if full {
 		nd.RecStats.FullCheckpoints++
@@ -236,44 +236,24 @@ func (nd *Node) writeRecord() {
 	nd.traceCkpt(len(blob), full, ck.Epoch)
 }
 
-// recordPages returns the sorted page set a record must frame, in the
-// node's scratch.
+// recordPages returns the ascending page set a record must frame, in the
+// node's scratch: one walk of the page table, asking of each entry whether
+// it has any history (a full record) or moved since the last record.
 func (nd *Node) recordPages(full bool) []int {
 	pages := nd.recPages[:0]
-	if full {
-		for pg := 0; pg < nd.Mem.Pages(); pg++ {
-			if nd.dirty[pg] || nd.lastDiffed[pg] > 0 || len(nd.diffs[pg]) > 0 ||
-				nd.Mem.Prot(pg) != vm.NoAccess || rowNonZero(nd.applied[pg]) {
-				pages = append(pages, pg)
-			}
+	for pg := range nd.pages {
+		e := &nd.pages[pg]
+		frame := e.dirty || e.touched
+		if full {
+			frame = e.dirty || e.lastDiffed > 0 || len(e.diffs) > 0 ||
+				nd.Mem.Prot(pg) != vm.NoAccess || slices.Max(e.applied) > 0
 		}
-	} else {
-		for pg := range nd.recTouched {
+		if frame {
 			pages = append(pages, pg)
 		}
-		for pg := range nd.dirty {
-			pages = append(pages, pg)
-		}
-		for idx := nd.recLast[nd.ID] + 1; idx <= nd.vc[nd.ID]; idx++ {
-			for _, ref := range nd.know[nd.ID][idx-1].Pages {
-				pages = append(pages, int(ref.Page))
-			}
-		}
-		slices.Sort(pages)
-		pages = slices.Compact(pages)
 	}
 	nd.recPages = pages
 	return pages
-}
-
-// rowNonZero reports whether any applied timestamp in the row is set.
-func rowNonZero(row []int32) bool {
-	for _, x := range row {
-		if x != 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // failAndRecover simulates this node's death at a barrier arrival and
@@ -326,40 +306,27 @@ func (nd *Node) failAndRecover(b *barrier) {
 // wipe discards everything a restore rebuilds: the memory image (with
 // twins and protections), the interval log, timestamps, the diff cache,
 // and the notice bookkeeping. Application-level run-time state survives
-// — held locks (none at a fault), Validate registrations (wsync, mode)
-// and the adaptNode pointer — as does Stats: the tables report the run,
-// not the surviving replica.
+// — held locks (none at a fault), Validate registrations (wsync, a page's
+// deferred mode) and the adaptNode pointer — as does Stats: the tables
+// report the run, not the surviving replica. A page table entry keeps its
+// applied and pending storage, emptied.
 func (nd *Node) wipe() {
-	for pg, ds := range nd.diffs {
-		for _, d := range ds {
+	for pg := range nd.pages {
+		e := &nd.pages[pg]
+		for _, d := range e.diffs {
 			nd.recycle(d)
 		}
-		delete(nd.diffs, pg)
+		clear(e.applied)
+		*e = page{applied: e.applied, pending: e.pending[:0], mode: e.mode, deferred: e.deferred}
 	}
+	nd.ndirty = 0
 	nd.Mem.WipeForRestore()
-	for i := range nd.vc {
-		nd.vc[i] = 0
-		nd.lastBar[i] = 0
-	}
-	for o := range nd.know {
-		nd.know[o] = nil
-	}
-	for pg := range nd.applied {
-		row := nd.applied[pg]
-		for i := range row {
-			row[i] = 0
-		}
-		nd.lastDiffed[pg] = 0
-	}
-	clear(nd.pending)
+	clear(nd.vc)
+	clear(nd.lastBar)
+	clear(nd.know)
 	nd.wsLast, nd.wsSeen = nil, nil // the responder index dies with the log it indexes
-	clear(nd.dirty)
-	clear(nd.noTwin)
 	nd.inflight = nd.inflight[:0]
-	for pg := range nd.dirOwner {
-		nd.dirOwner[pg] = -1
-		nd.dirNext[pg] = -1
-	}
+	nd.forgetDirectory()
 }
 
 // restore replays the node's record chain from the sink. See the file
@@ -397,20 +364,17 @@ func (nd *Node) restore() {
 				panic(fmt.Sprintf("tmk: node %d record frames dirty page %d without a twin", nd.ID, pg))
 			}
 			nd.Mem.RestorePage(pg, fr.Words, vm.Prot(fr.Prot), fr.Twin)
-			copy(nd.applied[pg], fr.Applied)
-			nd.lastDiffed[pg] = fr.LastDiffed
-			if fr.Dirty {
-				nd.dirty[pg] = true
-			} else {
-				delete(nd.dirty, pg)
-			}
+			e := &nd.pages[pg]
+			copy(e.applied, fr.Applied)
+			e.lastDiffed = fr.LastDiffed
+			nd.setDirty(pg, fr.Dirty)
 			// The record's diff chain (appended below) supersedes whatever
 			// an earlier record in the chain restored for this page.
-			delete(nd.diffs, pg)
+			e.diffs = nil
 		}
 		for _, wd := range ck.Diffs {
-			pg := int(wd.Page)
-			nd.diffs[pg] = append(nd.diffs[pg], &storedDiff{Diff: wd})
+			e := &nd.pages[wd.Page]
+			e.diffs = append(e.diffs, &storedDiff{Diff: wd})
 		}
 		last = ck
 	}
@@ -432,18 +396,18 @@ func (nd *Node) restore() {
 		for idx := int32(1); idx <= nd.vc[o]; idx++ {
 			for _, ref := range nd.know[o][idx-1].Pages {
 				pg := int(ref.Page)
-				if nd.applied[pg][o] >= idx {
+				if nd.pages[pg].applied[o] >= idx {
 					continue
 				}
 				nd.addNotice(pg, notice{owner: int32(o), idx: idx, whole: ref.Whole})
 			}
 		}
 	}
-	for pg, pend := range nd.pending {
-		if len(pend) == 0 {
+	for pg := range nd.pages {
+		if len(nd.pages[pg].pending) == 0 {
 			continue
 		}
-		if nd.dirty[pg] {
+		if nd.pages[pg].dirty {
 			panic(fmt.Sprintf("tmk: node %d restored page %d dirty with pending notices", nd.ID, pg))
 		}
 		nd.Mem.SetProtInit(pg, vm.NoAccess)
@@ -459,7 +423,6 @@ func (nd *Node) restore() {
 	}
 	nd.recLast = append(nd.recLast[:0], last.VC...)
 	nd.recEpoch = last.Epoch
-	clear(nd.recTouched)
 }
 
 // MemSink is the in-memory SnapshotSink: one live record chain per

@@ -89,10 +89,10 @@ func (nd *Node) buildGrant(reqID int, info wire.SyncInfo, pushPages []int) wire.
 		for i, pg32 := range need.Pages {
 			pg := int(pg32)
 			nd.p.Charge(nd.sys.Costs.SectionScanPerPage)
-			if nd.dirty[pg] {
+			if nd.pages[pg].dirty {
 				nd.flushLocalDiff(pg, false)
 			}
-			for _, d := range nd.diffs[pg] {
+			for _, d := range nd.pages[pg].diffs {
 				if int(d.Creator) == reqID {
 					continue
 				}
@@ -218,7 +218,7 @@ func (nd *Node) usablePushed(served, pushed []wire.Diff) []wire.Diff {
 		// coverage has reached its From (content below From is not in its
 		// runs, even though applyDiffs would advance the timestamp past
 		// it). Whole snapshots cover everything up to their Covers.
-		applied := append([]int32(nil), nd.applied[pg]...)
+		applied := append([]int32(nil), nd.pages[pg].applied...)
 		for changed := true; changed; {
 			changed = false
 			for _, d := range staged {
@@ -236,7 +236,7 @@ func (nd *Node) usablePushed(served, pushed []wire.Diff) []wire.Diff {
 			}
 		}
 		complete := true
-		for _, nt := range nd.pending[pg] {
+		for _, nt := range nd.pages[pg].pending {
 			if nt.idx > applied[nt.owner] {
 				complete = false
 				break
@@ -551,11 +551,11 @@ func (s *System) runBarrier(b *barrier, executor *Node) {
 			for _, r := range master.wsyncResponder(a.id, wp.applied, wp.pg) {
 				resp := s.Nodes[r]
 				resp.p.Charge(c.SectionScanPerPage)
-				if resp.dirty[wp.pg] {
+				if resp.pages[wp.pg].dirty {
 					resp.flushLocalDiff(wp.pg, false)
 				}
 				var nServed int32
-				for _, d := range resp.diffs[wp.pg] {
+				for _, d := range resp.pages[wp.pg].diffs {
 					if int(d.Creator) == a.id || (int(d.Creator) != r && !d.Whole) {
 						continue
 					}
@@ -700,7 +700,7 @@ func (nd *Node) postBarrier() wire.Depart {
 func (nd *Node) wsyncResponder(req int, appliedPg []int32, pg int) []int {
 	n := len(nd.vc)
 	if nd.wsLast == nil {
-		nd.wsLast = make([]int32, len(nd.applied)*n)
+		nd.wsLast = make([]int32, len(nd.pages)*n)
 		nd.wsSeen = make([]int32, n)
 	}
 	for o, seen := range nd.wsSeen {

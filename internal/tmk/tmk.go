@@ -40,6 +40,25 @@
 // assumed: the allocation gates (root alloc_test.go) and the benchmark's
 // sim-base row.
 //
+// A page has one entry. Everything a node knows about a shared page beyond
+// its contents lives in Node.pages[pg], the page table TreadMarks keeps: the
+// applied timestamps, the unapplied write notices, the cached diff chain,
+// how far the node's own writes are diffed, the action an asynchronous
+// Validate deferred, and the dirty, WRITE_ALL and touched-since-the-last-
+// record bits. Set membership is a bit, a visit in protocol order is an
+// ascending walk of the table (closing an interval, resuming deferred
+// Validates, framing a recovery record, wiping for a restore), and a
+// wire.PageFrame is an entry beside its vm half. The table is built once
+// (newPageTable) from two slabs — every applied row, and room for each
+// page's first notice — carved with capacity-capped three-index slices, so
+// a page costs bytes and never an allocation, and an append that outgrows
+// its share reallocates instead of writing into the neighbouring page's.
+// Four page-indexed things stay outside, on purpose: the scale directory's
+// dirOwner/dirNext, which are warm-arena loans with a reuse protocol of
+// their own (EnableScale); the barrier master's wsLast index, built lazily
+// and only at node 0; adapt's per-epoch tally, which belongs to the mode;
+// and the sets a single call builds and drops.
+//
 // Three invariants are load-bearing for every feature that moves diffs,
 // learned from lost updates the cross-backend stress tests found:
 //
@@ -69,9 +88,9 @@
 // identical at every node — a divergent replica deadlocks the
 // send/receive pairing of the update exchange (package adapt).
 //
-// And one rule keeps the notice bookkeeping small: Node.pending holds, per
-// page, at most one unapplied write notice per owner — its newest
-// (addNotice replaces) — because every reader asks only for maxima: who
+// And one rule keeps the notice bookkeeping small: page.pending holds at
+// most one unapplied write notice per owner — its newest (addNotice
+// replaces) — because every reader asks only for maxima: who
 // the newest writer is and whether it overwrote the page (responderFor),
 // whether an owner's newest interval is covered yet (prunePending,
 // usablePushed), which owners remain (completeInflight). A page nobody
@@ -224,10 +243,6 @@ func NewWarm(h host.Host, nw host.Transport, layout *shm.Layout, arenas []*vm.Ar
 			vc:      make([]int32, n),
 			lastBar: make([]int32, n),
 			know:    make([][]wire.Interval, n),
-			dirty:   map[int]bool{},
-			noTwin:  map[int]bool{},
-			diffs:   map[int][]*storedDiff{},
-			mode:    map[int]AccessType{},
 		}
 		// Bind the processor now, not at Run: protocol code may Hold or
 		// Wake a peer whose body has not started yet (a first acquire of a
@@ -238,13 +253,7 @@ func NewWarm(h host.Host, nw host.Transport, layout *shm.Layout, arenas []*vm.Ar
 			ar = arenas[i]
 		}
 		nd.Mem = vm.NewWarm(i, layout.Words(), s.Costs, nd, ar)
-		pages := nd.Mem.Pages()
-		nd.applied = make([][]int32, pages)
-		for pg := range nd.applied {
-			nd.applied[pg] = make([]int32, n)
-		}
-		nd.lastDiffed = make([]int32, pages)
-		nd.pending = make([][]notice, pages)
+		nd.pages = newPageTable(nd.Mem.Pages(), n)
 		// The serve body is prebuilt per node so the hot request path does
 		// not allocate a closure per exchange; arguments and results pass
 		// through the srv* fields (safe: serves hold the protocol token,
@@ -363,6 +372,78 @@ type notice struct {
 	whole bool
 }
 
+// page is one shared page's consistency record at one node — the record
+// TreadMarks keeps per page. The vm holds the other half (contents,
+// protection, twin, write extent); see the package comment for what stays
+// outside the table.
+type page struct {
+	applied []int32       // applied[o]: o's latest interval reflected in the local copy
+	pending []notice      // each owner's newest unapplied write notice (addNotice)
+	diffs   []*storedDiff // the cached diffs of the page, own and received, in store order
+	// mode is the consistency action an asynchronous Validate deferred to
+	// the page's first fault; it means something only while deferred is set.
+	mode       AccessType
+	lastDiffed int32 // own modifications diffed up to this interval
+	deferred   bool
+	dirty      bool // writable in the current/open interval
+	noTwin     bool // dirty in WRITE_ALL mode: no twin, snapshotted at the close
+	touched    bool // named by an own interval, or image or diff chain moved, since the last recovery record (touch)
+}
+
+// newPageTable builds the page table of an n-node machine's node. It is the
+// only place page-table storage is allocated, and it allocates three
+// objects whatever the page count: the table, one slab holding every
+// applied row, and one holding room for each page's first pending notice.
+// Every slice is carved with its capacity capped at its own share
+// (s[lo:hi:hi]), so an append past that share reallocates instead of
+// writing into the neighbouring page's — a page's second concurrent notice
+// moves its list to the heap, and most pages never see one.
+func newPageTable(pages, n int) []page {
+	tab := make([]page, pages)
+	rows := make([]int32, pages*n)
+	first := make([]notice, pages)
+	for pg := range tab {
+		tab[pg].applied = rows[pg*n : (pg+1)*n : (pg+1)*n]
+		tab[pg].pending = first[pg : pg : pg+1]
+	}
+	return tab
+}
+
+// setDirty sets or clears a page's dirty bit, keeping ndirty in step. A page
+// that leaves the dirty set leaves WRITE_ALL mode with it.
+func (nd *Node) setDirty(pg int, on bool) {
+	e := &nd.pages[pg]
+	if e.dirty == on {
+		return
+	}
+	e.dirty = on
+	if on {
+		nd.ndirty++
+	} else {
+		nd.ndirty--
+		e.noTwin = false
+	}
+}
+
+// deferMode registers at as the consistency action the page's first fault
+// performs (an asynchronous Validate), keeping ndeferred in step.
+func (nd *Node) deferMode(pg int, at AccessType) {
+	e := &nd.pages[pg]
+	if !e.deferred {
+		e.deferred = true
+		nd.ndeferred++
+	}
+	e.mode = at
+}
+
+// undefer retires the page's deferred action, if it has one.
+func (nd *Node) undefer(pg int) {
+	if e := &nd.pages[pg]; e.deferred {
+		e.deferred = false
+		nd.ndeferred--
+	}
+}
+
 // intervalsSince collects, as write notices, every interval this node
 // knows beyond base, sorted by (owner, index) — what a barrier arrival
 // message carries (base = the vector time at the last barrier departure,
@@ -412,7 +493,7 @@ func (nd *Node) appliedRows(pages []int) wire.WSyncNeed {
 	}
 	for i, pg := range pages {
 		need.Pages[i] = int32(pg)
-		need.Applied[i] = append([]int32(nil), nd.applied[pg]...)
+		need.Applied[i] = append([]int32(nil), nd.pages[pg].applied...)
 	}
 	return need
 }
@@ -432,13 +513,15 @@ type Node struct {
 	// why the record is the wire value itself and is sent and learned
 	// without a copy: every holder — the creator, the transport, any
 	// number of in-process receivers — reads the same frozen arrays.
-	know       [][]wire.Interval
-	applied    [][]int32    // applied[page][o]: o's latest interval reflected in the local copy
-	pending    [][]notice   // pending[page]: each owner's newest unapplied write notice (addNotice)
-	dirty      map[int]bool // pages writable in the current/open interval
-	noTwin     map[int]bool // dirty pages in WRITE_ALL mode
-	diffs      map[int][]*storedDiff
-	lastDiffed []int32 // per page: own modifications diffed up to this interval
+	know [][]wire.Interval
+	// pages is the page table: one entry per shared page, indexed by page
+	// number, holding all of the page's consistency state. ndirty and
+	// ndeferred count the entries with the dirty and the deferred bit set —
+	// what lets closeInterval, Fault and consumeWSync return at once, or
+	// stop their ascending walk early, when few pages are marked.
+	pages     []page
+	ndirty    int
+	ndeferred int
 
 	// Ownership directory (directory.go); nil unless EnableScale ran.
 	// dirOwner[pg] is this node's probable-owner hint, dirNext[pg] the
@@ -446,12 +529,11 @@ type Node struct {
 	dirOwner []int32
 	dirNext  []int32
 
-	inflight []inflightFetch    // asynchronous fetches not yet completed
-	mode     map[int]AccessType // deferred consistency action for async Validate
-	wsync    []wsyncRequest     // Validate_w_sync registrations for the next sync
-	ad       *adaptNode         // adaptive protocol state; nil unless EnableAdapt
-	held     []heldLock         // locks currently held, innermost last
-	tr       *obs.NodeTracer    // event ring; nil unless EnableTrace (trace.go)
+	inflight []inflightFetch // asynchronous fetches not yet completed
+	wsync    []wsyncRequest  // Validate_w_sync registrations for the next sync
+	ad       *adaptNode      // adaptive protocol state; nil unless EnableAdapt
+	held     []heldLock      // locks currently held, innermost last
+	tr       *obs.NodeTracer // event ring; nil unless EnableTrace (trace.go)
 
 	recoveryState // checkpoint/restore bookkeeping (recovery.go)
 	RecStats      RecoveryStats
@@ -523,16 +605,20 @@ func (nd *Node) popHeld(id int) []int {
 // Proc returns the processor the node runs on.
 func (nd *Node) Proc() host.Proc { return nd.p }
 
-// pagesOf expands regions to the set of overlapped page numbers, sorted.
+// pagesOf expands regions to the set of overlapped page numbers, sorted,
+// each once. The compiler hands Validate and Push normalized ascending
+// regions, so the sort usually sees sorted input; nothing depends on that.
 func pagesOf(regions []shm.Region) []int {
-	seen := map[int]bool{}
+	var pages []int
 	for _, r := range regions {
 		p0, p1 := r.Pages()
+		pages = slices.Grow(pages, p1-p0)
 		for pg := p0; pg < p1; pg++ {
-			seen[pg] = true
+			pages = append(pages, pg)
 		}
 	}
-	return sortedKeys(seen)
+	slices.Sort(pages)
+	return slices.Compact(pages)
 }
 
 // sortedKeys returns m's keys in ascending order, nil for an empty map: the

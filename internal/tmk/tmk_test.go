@@ -64,7 +64,7 @@ func TestInvalidateOnBarrierDeparture(t *testing.T) {
 		nd.Barrier(1)
 	})
 	// Node 1 must have the page invalidated (lazy: data not moved yet).
-	if len(s.Nodes[1].pending[0]) == 0 {
+	if len(s.Nodes[1].pages[0].pending) == 0 {
 		t.Fatal("node 1 has no pending notice for page 0")
 	}
 	vc, _ := s.Stats()
@@ -547,10 +547,10 @@ func TestServedSnapshotSurvivesRecycle(t *testing.T) {
 			d[i] = base + float64(i)
 		}
 		nd.closeInterval() // a WRITE_ALL page is snapshotted at the release point
-		if c := nd.diffs[0]; len(c) != 1 || !c[0].Whole || !c[0].pooled {
+		if c := nd.pages[0].diffs; len(c) != 1 || !c[0].Whole || !c[0].pooled {
 			t.Fatalf("cache after snapshot %v: %+v, want exactly one pooled whole-page diff", base, c)
 		}
-		return nd.diffs[0][0]
+		return nd.pages[0].diffs[0]
 	}
 	first := snapshot(1000)
 	out, _, _ := nd.serveDiffs(1, []int{0}, [][]int32{make([]int32, 2)}, false)

@@ -80,7 +80,7 @@ func TestChaseGuardOutOfRange(t *testing.T) {
 	// names rank 99. The guard must skip it without issuing a request —
 	// if it tried, the transport would be asked for a node the host does
 	// not have and the test would die rather than fail gracefully.
-	nd.pending[1] = []notice{{owner: 1, idx: 1}}
+	nd.pages[1].pending = []notice{{owner: 1, idx: 1}}
 	before := nd.Stats.DirFallbacks
 	nd.chaseRedirects([]wire.PageOwner{{Page: 1, Owner: 99}})
 	if nd.Stats.DirFallbacks != before+1 {

@@ -157,9 +157,9 @@ func TestPendingCompaction(t *testing.T) {
 		check := func(when string) {
 			t.Helper()
 			for pg := 0; pg < pages; pg++ {
-				if len(nd.pending[pg]) > n-1 {
+				if len(nd.pages[pg].pending) > n-1 {
 					t.Fatalf("seed %d %s: page %d holds %d notices, more than one per remote owner: %+v",
-						seed, when, pg, len(nd.pending[pg]), nd.pending[pg])
+						seed, when, pg, len(nd.pages[pg].pending), nd.pages[pg].pending)
 				}
 				got, want := append([]int(nil), nd.responderFor(pg)...), responderForAppendAll(ref[pg])
 				if !slices.Equal(got, want) {
@@ -175,7 +175,7 @@ func TestPendingCompaction(t *testing.T) {
 				for k := rng.Intn(3); k > 0; k-- {
 					iv, idx := randomInterval(rng, pages, rng.Intn(4) == 0), nd.vc[o]+1
 					for _, r := range iv.Pages {
-						if nd.applied[r.Page][o] < idx {
+						if nd.pages[r.Page].applied[o] < idx {
 							ref[r.Page] = append(ref[r.Page], notice{owner: int32(o), idx: idx, whole: r.Whole})
 						}
 					}
@@ -186,9 +186,9 @@ func TestPendingCompaction(t *testing.T) {
 			// Some data arrives: a page's applied row advances for one owner
 			// and the satisfied notices are pruned from both lists.
 			pg, o := rng.Intn(pages), rng.Intn(n)
-			nd.applied[pg][o] = max(nd.applied[pg][o], int32(rng.Intn(int(nd.vc[o])+1)))
+			nd.pages[pg].applied[o] = max(nd.pages[pg].applied[o], int32(rng.Intn(int(nd.vc[o])+1)))
 			nd.prunePending(pg)
-			ref[pg] = slices.DeleteFunc(ref[pg], func(nt notice) bool { return nt.idx <= nd.applied[pg][nt.owner] })
+			ref[pg] = slices.DeleteFunc(ref[pg], func(nt notice) bool { return nt.idx <= nd.pages[pg].applied[nt.owner] })
 			check("after pruning")
 		}
 	}

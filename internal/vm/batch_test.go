@@ -53,6 +53,18 @@ func TestProtBatchCancelsChangeBack(t *testing.T) {
 		if p.Now() != before || m.Counters.ProtOps != 0 {
 			t.Errorf("change-back should be free: %d ops", m.Counters.ProtOps)
 		}
+		// Pages changed out of page order, one of them changed back: the
+		// flush finds its runs in page order whatever order the batch saw
+		// the pages in — {0} and {2}, not one run and not three.
+		m.BeginProtBatch()
+		for _, pg := range []int{2, 0, 1} {
+			m.SetProt(p, pg, ReadWrite)
+		}
+		m.SetProt(p, 1, NoAccess)
+		m.FlushProtBatch(p)
+		if m.Counters.ProtOps != 2 {
+			t.Errorf("pages 2, 0, 1 with 1 changed back: %d ops, want 2", m.Counters.ProtOps)
+		}
 	})
 }
 

@@ -8,11 +8,21 @@
 // exactly as a hardware trap would, with the fault, protection-change,
 // twinning and diffing costs of the paper's platform charged to virtual
 // time. The protocol layer (package tmk) is the fault handler.
+//
+// A Mem holds the MMU half of a page's state, every piece a dense slice
+// indexed by page number: contents (data), protection (prot), the twin
+// (twins, nil for a page that has none), the declared write extent
+// (extLo/extHi) and the open protection batch's pre-batch protection and
+// mark. The consistency half — applied timestamps, notices, diff chain —
+// is tmk's page table; a recovery record's wire.PageFrame is the two
+// halves of one page side by side. No field is a page-keyed Go map: a
+// page's state is found by index, and anything that must visit pages in
+// order walks a slice.
 package vm
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"sdsm/internal/host"
@@ -106,7 +116,7 @@ type Mem struct {
 
 	data    []float64
 	prot    []Prot
-	twins   map[int][]float64
+	twins   [][]float64 // twins[page]: the page's twin image; nil = no twin
 	handler FaultHandler
 
 	// extLo/extHi accumulate, per page, the union of the write regions
@@ -117,9 +127,14 @@ type Mem struct {
 	// write region touched the page.
 	extLo, extHi []int16
 
-	batchDepth   int
-	batched      map[int]Prot // page -> protection before the batch
-	batchScratch []int
+	// The open protection batch: batched lists the pages SetProt changed
+	// since the outermost BeginProtBatch, each once, in first-change order;
+	// inBatch[page] marks a listed page and preBatch[page] is its protection
+	// before the batch. Empty whenever batchDepth is 0.
+	batchDepth int
+	batched    []int
+	inBatch    []bool
+	preBatch   []Prot
 
 	// free recycles page-sized []float64 storage between twins, whole-page
 	// snapshots, and the protocol's pruned diff chains (RecyclePage): a
@@ -161,15 +176,17 @@ func NewWarm(node int, words int, costs model.Costs, handler FaultHandler, arena
 		data = make([]float64, pages*shm.PageWords)
 	}
 	return &Mem{
-		Node:    node,
-		costs:   costs,
-		data:    data,
-		prot:    make([]Prot, pages),
-		twins:   map[int][]float64{},
-		extLo:   make([]int16, pages),
-		extHi:   make([]int16, pages),
-		handler: handler,
-		arena:   arena,
+		Node:     node,
+		costs:    costs,
+		data:     data,
+		prot:     make([]Prot, pages),
+		twins:    make([][]float64, pages),
+		extLo:    make([]int16, pages),
+		extHi:    make([]int16, pages),
+		inBatch:  make([]bool, pages),
+		preBatch: make([]Prot, pages),
+		handler:  handler,
+		arena:    arena,
 	}
 }
 
@@ -185,9 +202,8 @@ func (m *Mem) Release() {
 	if m.arena == nil {
 		return
 	}
-	for pg, tw := range m.twins {
-		delete(m.twins, pg)
-		m.free = append(m.free, tw)
+	for pg := range m.twins {
+		m.DropTwin(pg)
 	}
 	m.arena.RecyclePages(m.free)
 	m.free = nil
@@ -221,8 +237,9 @@ func (m *Mem) SetProt(p host.Proc, page int, prot Prot) {
 		return
 	}
 	if m.batchDepth > 0 {
-		if _, seen := m.batched[page]; !seen {
-			m.batched[page] = m.prot[page] // remember the pre-batch state
+		if !m.inBatch[page] {
+			m.inBatch[page], m.preBatch[page] = true, m.prot[page]
+			m.batched = append(m.batched, page)
 		}
 		m.prot[page] = prot
 		return
@@ -232,18 +249,8 @@ func (m *Mem) SetProt(p host.Proc, page int, prot Prot) {
 	p.Charge(m.costs.ProtOp(m.Pages()))
 }
 
-// BeginProtBatch opens a (reentrant) protection batch. The batch map is
-// retained (emptied, not dropped) across batches.
-func (m *Mem) BeginProtBatch() {
-	if m.batchDepth == 0 {
-		if m.batched == nil {
-			m.batched = map[int]Prot{}
-		} else {
-			clear(m.batched)
-		}
-	}
-	m.batchDepth++
-}
+// BeginProtBatch opens a (reentrant) protection batch.
+func (m *Mem) BeginProtBatch() { m.batchDepth++ }
 
 // FlushProtBatch closes the batch, charging one protection operation per
 // contiguous run of pages with the same final protection.
@@ -252,16 +259,19 @@ func (m *Mem) FlushProtBatch(p host.Proc) {
 	if m.batchDepth > 0 {
 		return
 	}
-	if len(m.batched) == 0 {
-		return
-	}
-	pages := m.batchScratch[:0]
-	for pg, orig := range m.batched {
-		if m.prot[pg] != orig { // changed-back pages need no syscall
+	pages := m.batched[:0]
+	for _, pg := range m.batched {
+		m.inBatch[pg] = false
+		if m.prot[pg] != m.preBatch[pg] { // changed-back pages need no syscall
 			pages = append(pages, pg)
 		}
 	}
-	sort.Ints(pages)
+	m.batched = pages[:0]
+	if len(pages) == 0 {
+		return
+	}
+	// The list is in first-change order; runs are found in page order.
+	slices.Sort(pages)
 	runs := 0
 	for i, pg := range pages {
 		if i == 0 || pg != pages[i-1]+1 || m.prot[pg] != m.prot[pages[i-1]] {
@@ -270,8 +280,6 @@ func (m *Mem) FlushProtBatch(p host.Proc) {
 	}
 	m.Counters.ProtOps += int64(runs)
 	p.Charge(time.Duration(runs) * m.costs.ProtOp(m.Pages()))
-	m.batchScratch = pages[:0]
-	clear(m.batched)
 }
 
 // SetProtInit changes protection without cost, for pre-run initialization.
@@ -287,15 +295,15 @@ func (m *Mem) WipeForRestore() {
 	for pg := range m.prot {
 		m.prot[pg] = NoAccess
 	}
-	for pg, tw := range m.twins {
-		delete(m.twins, pg)
-		m.RecyclePage(tw)
+	for pg := range m.twins {
+		m.DropTwin(pg)
 	}
 	clear(m.extLo)
 	clear(m.extHi)
-	if m.batchDepth > 0 {
-		clear(m.batched)
+	for _, pg := range m.batched {
+		m.inBatch[pg] = false
 	}
+	m.batched = m.batched[:0]
 }
 
 // RestorePage installs a checkpointed page image: contents, protection,
@@ -408,10 +416,7 @@ func (m *Mem) fault(p host.Proc, page int, acc Access) {
 }
 
 // HasTwin reports whether page currently has a twin.
-func (m *Mem) HasTwin(page int) bool {
-	_, ok := m.twins[page]
-	return ok
-}
+func (m *Mem) HasTwin(page int) bool { return m.twins[page] != nil }
 
 // getPage returns a page-sized buffer from the freelist, the warm arena,
 // or a fresh allocation. Arena buffers are not zeroed; every consumer
@@ -443,7 +448,7 @@ func (m *Mem) RecyclePage(vals []float64) {
 
 // MakeTwin snapshots page for later diffing, charging the copy cost.
 func (m *Mem) MakeTwin(p host.Proc, page int) {
-	if _, ok := m.twins[page]; ok {
+	if m.twins[page] != nil {
 		panic(fmt.Sprintf("vm: page %d already has a twin", page))
 	}
 	tw := m.getPage()
@@ -461,8 +466,8 @@ func (m *Mem) MakeTwin(p host.Proc, page int) {
 
 // DropTwin discards the twin of page, if any, recycling its storage.
 func (m *Mem) DropTwin(page int) {
-	if tw, ok := m.twins[page]; ok {
-		delete(m.twins, page)
+	if tw := m.twins[page]; tw != nil {
+		m.twins[page] = nil
 		m.RecyclePage(tw)
 	}
 }
@@ -470,11 +475,11 @@ func (m *Mem) DropTwin(page int) {
 // DiffAgainstTwin compares page to its twin and returns the modified word
 // runs, charging the scan cost. The twin is consumed.
 func (m *Mem) DiffAgainstTwin(p host.Proc, page int) []Run {
-	tw, ok := m.twins[page]
-	if !ok {
+	tw := m.twins[page]
+	if tw == nil {
 		panic(fmt.Sprintf("vm: page %d has no twin to diff against", page))
 	}
-	delete(m.twins, page)
+	m.twins[page] = nil
 	cur := m.PageData(page)
 	var runs []Run
 	i := 0
@@ -526,7 +531,7 @@ func (m *Mem) ApplyRuns(p host.Proc, page int, runs []Run) {
 	}
 	// Applying must not corrupt an armed twin: if the page has a twin, the
 	// twin receives the same data so local modifications remain detectable.
-	if tw, ok := m.twins[page]; ok {
+	if tw := m.twins[page]; tw != nil {
 		for _, r := range runs {
 			copy(tw[r.Off:], r.Vals)
 		}
