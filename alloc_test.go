@@ -11,6 +11,7 @@ package sdsm_test
 
 import (
 	"testing"
+	"time"
 
 	"sdsm/internal/adapt"
 	"sdsm/internal/cluster"
@@ -64,20 +65,50 @@ func TestWireEncodePooledAllocs(t *testing.T) {
 
 // TestInterpInnerLoopAllocs pins the interpreter's vectorized inner loop
 // (execVector: resolve every reference of the assignment, ensure the
-// spans, run the tight loop) at zero allocations: the executor's scratch is
+// spans, call the kernel) at zero allocations: the executor's scratch is
 // sized when the program is lowered, so a 4-point stencil column costs
 // nothing per column, where resolving each reference through a fresh index
 // slice once cost one allocation per reference plus one per loop (6 here).
+// stagedProg is the same bar for the two operand forms the executor copies
+// into its scratch before the kernel runs — a broadcast element and a
+// strided traversal: the scratch grows to the longest loop once, not per
+// loop.
 func TestInterpInnerLoopAllocs(t *testing.T) {
-	prog := stencilProg()
-	per := allocsPerIter(t, 64, 1024, func(cols int) error {
-		interp.RunSeq(prog, rsd.Env{"m": 32, "cols": cols, "iters": 1})
-		return nil
-	})
-	// A regression costs at least one allocation per loop; the margin
-	// absorbs the handful of mallocs by which two runs of the process differ.
-	if per > 0.1 {
-		t.Fatalf("interp inner loop allocates %.2f/loop, want 0", per)
+	for name, prog := range map[string]*ir.Program{"stencil": stencilProg(), "staged": stagedProg()} {
+		per := allocsPerIter(t, 64, 1024, func(cols int) error {
+			interp.RunSeq(prog, rsd.Env{"m": 32, "cols": cols, "iters": 1})
+			return nil
+		})
+		// A regression costs at least one allocation per loop; the margin
+		// absorbs the handful of mallocs by which two runs of the process differ.
+		if per > 0.1 {
+			t.Fatalf("%s: interp inner loop allocates %.2f/loop, want 0", name, per)
+		}
+	}
+}
+
+// stagedProg is stencilProg's nest around an elimination step: every
+// element of a column of a less the column's first element of b (one word,
+// broadcast) times a row of the cols×m array c (a stride of cols words).
+func stagedProg() *ir.Program {
+	i, j, m, cols := rsd.Var("i"), rsd.Var("j"), rsd.Var("m"), rsd.Var("cols")
+	return &ir.Program{
+		Name:   "staged",
+		Arrays: []ir.ArrayDecl{{Name: "a", Dims: []rsd.Lin{m, cols}}, {Name: "b", Dims: []rsd.Lin{m, cols}}, {Name: "c", Dims: []rsd.Lin{cols, m}}},
+		Params: []rsd.Sym{"m", "cols", "iters"},
+		Body: []ir.Stmt{ir.Loop{Var: "j", Lo: rsd.Const(2), Hi: cols.Plus(-1), Body: []ir.Stmt{
+			ir.Loop{Var: "i", Lo: rsd.Const(2), Hi: m.Plus(-1), Body: []ir.Stmt{ir.Assign{
+				LHS: ir.At("a", i, j),
+				RHS: []ir.Ref{ir.At("a", i, j), ir.At("b", rsd.Const(1), j), ir.At("c", j, i)},
+				Fn: func(d []float64, s [][]float64) {
+					a, head, row := s[0][:len(d)], s[1][:len(d)], s[2][:len(d)]
+					for t := range d {
+						d[t] = a[t] - head[t]*row[t]
+					}
+				},
+				Cost: time.Nanosecond,
+			}}},
+		}}},
 	}
 }
 

@@ -104,9 +104,14 @@ func stencilProg() *ir.Program {
 		Body: []ir.Stmt{ir.Loop{Var: "it", Lo: rsd.Const(1), Hi: rsd.Var("iters"), Body: []ir.Stmt{
 			ir.Loop{Var: "j", Lo: rsd.Const(2), Hi: rsd.Var("cols").Plus(-1), Body: []ir.Stmt{
 				ir.Loop{Var: "i", Lo: rsd.Const(2), Hi: m.Plus(-1), Body: []ir.Stmt{ir.Assign{
-					LHS:  ir.At("a", i, j),
-					RHS:  []ir.Ref{ir.At("b", i.Plus(-1), j), ir.At("b", i.Plus(1), j), ir.At("b", i, j.Plus(-1)), ir.At("b", i, j.Plus(1))},
-					Fn:   func(s []float64) float64 { return 0.25 * (s[0] + s[1] + s[2] + s[3]) },
+					LHS: ir.At("a", i, j),
+					RHS: []ir.Ref{ir.At("b", i.Plus(-1), j), ir.At("b", i.Plus(1), j), ir.At("b", i, j.Plus(-1)), ir.At("b", i, j.Plus(1))},
+					Fn: func(d []float64, s [][]float64) {
+						up, down, left, right := s[0][:len(d)], s[1][:len(d)], s[2][:len(d)], s[3][:len(d)]
+						for t := range d {
+							d[t] = 0.25 * (up[t] + down[t] + left[t] + right[t])
+						}
+					},
 					Cost: time.Nanosecond,
 				}}},
 			}},

@@ -176,6 +176,19 @@ func Close(a, b float64) bool {
 func c(v int) rsd.Lin    { return rsd.Const(v) }
 func v(s string) rsd.Lin { return rsd.Var(rsd.Sym(s)) }
 
+// Span kernels more than one application assigns with (ir.Assign.Fn).
+
+// copySpan is `lhs = rhs`.
+func copySpan(d []float64, s [][]float64) { copy(d, s[0]) }
+
+// halfSumTimes is `lhs = 0.5·(s0 + s1)·s2`, shallow's two mass fluxes.
+func halfSumTimes(d []float64, s [][]float64) {
+	a, b, c := s[0][:len(d)], s[1][:len(d)], s[2][:len(d)]
+	for t := range d {
+		d[t] = 0.5 * (a[t] + b[t]) * c[t]
+	}
+}
+
 // blockLow returns 1-based lower bound of a block partition of m items
 // over n processors for processor p (0-based), expressed as a derived
 // parameter function.

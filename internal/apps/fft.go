@@ -235,21 +235,20 @@ func fftProg(nprocs int) *ir.Program {
 		},
 	}
 
-	copyFn := func(s []float64) float64 { return s[0] }
 	// Transpose: each processor builds its x-slab of re2/im2 by reading
 	// everyone's z-slabs of re/im.
 	transpose := []ir.Stmt{
 		ir.Loop{Var: "i", Lo: v("xb"), Hi: v("xe"), Body: []ir.Stmt{
 			ir.Loop{Var: "j", Lo: c(1), Hi: ny, Body: []ir.Stmt{
 				ir.Loop{Var: "k", Lo: c(1), Hi: nz, Body: []ir.Stmt{
-					ir.Assign{LHS: ir.At("re2", k, j, i), RHS: []ir.Ref{ir.At("re", i, j, k)}, Fn: copyFn, Cost: fftPointCost},
+					ir.Assign{LHS: ir.At("re2", k, j, i), RHS: []ir.Ref{ir.At("re", i, j, k)}, Fn: copySpan, Cost: fftPointCost},
 				}},
 			}},
 		}},
 		ir.Loop{Var: "i", Lo: v("xb"), Hi: v("xe"), Body: []ir.Stmt{
 			ir.Loop{Var: "j", Lo: c(1), Hi: ny, Body: []ir.Stmt{
 				ir.Loop{Var: "k", Lo: c(1), Hi: nz, Body: []ir.Stmt{
-					ir.Assign{LHS: ir.At("im2", k, j, i), RHS: []ir.Ref{ir.At("im", i, j, k)}, Fn: copyFn, Cost: fftPointCost},
+					ir.Assign{LHS: ir.At("im2", k, j, i), RHS: []ir.Ref{ir.At("im", i, j, k)}, Fn: copySpan, Cost: fftPointCost},
 				}},
 			}},
 		}},
@@ -259,14 +258,14 @@ func fftProg(nprocs int) *ir.Program {
 		ir.Loop{Var: "k", Lo: v("zb"), Hi: v("ze"), Body: []ir.Stmt{
 			ir.Loop{Var: "j", Lo: c(1), Hi: ny, Body: []ir.Stmt{
 				ir.Loop{Var: "i", Lo: c(1), Hi: nx, Body: []ir.Stmt{
-					ir.Assign{LHS: ir.At("re", i, j, k), RHS: []ir.Ref{ir.At("re2", k, j, i)}, Fn: copyFn, Cost: fftPointCost},
+					ir.Assign{LHS: ir.At("re", i, j, k), RHS: []ir.Ref{ir.At("re2", k, j, i)}, Fn: copySpan, Cost: fftPointCost},
 				}},
 			}},
 		}},
 		ir.Loop{Var: "k", Lo: v("zb"), Hi: v("ze"), Body: []ir.Stmt{
 			ir.Loop{Var: "j", Lo: c(1), Hi: ny, Body: []ir.Stmt{
 				ir.Loop{Var: "i", Lo: c(1), Hi: nx, Body: []ir.Stmt{
-					ir.Assign{LHS: ir.At("im", i, j, k), RHS: []ir.Ref{ir.At("im2", k, j, i)}, Fn: copyFn, Cost: fftPointCost},
+					ir.Assign{LHS: ir.At("im", i, j, k), RHS: []ir.Ref{ir.At("im2", k, j, i)}, Fn: copySpan, Cost: fftPointCost},
 				}},
 			}},
 		}},

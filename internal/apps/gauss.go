@@ -94,9 +94,14 @@ func gaussProg(nprocs int) *ir.Program {
 		Then: []ir.Stmt{
 			ir.Loop{Var: "i", Lo: k.Plus(1), Hi: m, Body: []ir.Stmt{
 				ir.Assign{
-					LHS:  ir.At("A", i, k),
-					RHS:  []ir.Ref{ir.At("A", i, k), ir.At("A", k, k)},
-					Fn:   func(s []float64) float64 { return s[0] / s[1] },
+					LHS: ir.At("A", i, k),
+					RHS: []ir.Ref{ir.At("A", i, k), ir.At("A", k, k)},
+					Fn: func(d []float64, s [][]float64) {
+						a, piv := s[0][:len(d)], s[1][:len(d)]
+						for t := range d {
+							d[t] = a[t] / piv[t]
+						}
+					},
 					Cost: gaussNormCost,
 				},
 			}},
@@ -106,9 +111,14 @@ func gaussProg(nprocs int) *ir.Program {
 	update := ir.Loop{Var: "j", Lo: v("jfirst"), Hi: m, Step: nprocs, Body: []ir.Stmt{
 		ir.Loop{Var: "i", Lo: k.Plus(1), Hi: m, Body: []ir.Stmt{
 			ir.Assign{
-				LHS:  ir.At("A", i, j),
-				RHS:  []ir.Ref{ir.At("A", i, j), ir.At("A", i, k), ir.At("A", k, j)},
-				Fn:   func(s []float64) float64 { return s[0] - s[1]*s[2] },
+				LHS: ir.At("A", i, j),
+				RHS: []ir.Ref{ir.At("A", i, j), ir.At("A", i, k), ir.At("A", k, j)},
+				Fn: func(d []float64, s [][]float64) {
+					a, l, u := s[0][:len(d)], s[1][:len(d)], s[2][:len(d)]
+					for t := range d {
+						d[t] = a[t] - l[t]*u[t]
+					}
+				},
 				Cost: gaussElimCost,
 			},
 		}},

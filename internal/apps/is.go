@@ -107,8 +107,13 @@ func isProg(nprocs int) *ir.Program {
 		},
 	}
 
-	addFn := func(s []float64) float64 { return s[0] + s[1] }
-	zeroFn := func([]float64) float64 { return 0 }
+	addFn := func(d []float64, s [][]float64) {
+		a, b := s[0][:len(d)], s[1][:len(d)]
+		for t := range d {
+			d[t] = a[t] + b[t]
+		}
+	}
+	zeroFn := func(d []float64, _ [][]float64) { clear(d) }
 
 	// Each processor clears its own section of the shared buckets; the
 	// barrier that follows makes the staggered accumulation order-free.

@@ -111,8 +111,12 @@ func jacobiProg() *ir.Program {
 		},
 	}
 
-	avg4 := func(s []float64) float64 { return 0.25 * (s[0] + s[1] + s[2] + s[3]) }
-	copy1 := func(s []float64) float64 { return s[0] }
+	avg4 := func(d []float64, s [][]float64) {
+		up, down, left, right := s[0][:len(d)], s[1][:len(d)], s[2][:len(d)], s[3][:len(d)]
+		for t := range d {
+			d[t] = 0.25 * (up[t] + down[t] + left[t] + right[t])
+		}
+	}
 
 	i, j := v("i"), v("j")
 	stencil := ir.Loop{Var: "j", Lo: v("begin"), Hi: v("end"), Body: []ir.Stmt{
@@ -135,7 +139,7 @@ func jacobiProg() *ir.Program {
 			ir.Assign{
 				LHS:  ir.At("b", i, j),
 				RHS:  []ir.Ref{ir.At("a", i, j)},
-				Fn:   copy1,
+				Fn:   copySpan,
 				Cost: jacCopyCost,
 			},
 		}},

@@ -104,35 +104,60 @@ func shallowProg() *ir.Program {
 	phase1 := []ir.Stmt{
 		nest(ir.Assign{LHS: ir.At("cu", i, j),
 			RHS: []ir.Ref{ir.At("p", i, j), ir.At("p", i.Plus(-1), j), ir.At("u", i, j)},
-			Fn:  func(s []float64) float64 { return 0.5 * (s[0] + s[1]) * s[2] }, Cost: shallowCost}),
+			Fn:  halfSumTimes, Cost: shallowCost}),
 		nest(ir.Assign{LHS: ir.At("cv", i, j),
 			RHS: []ir.Ref{ir.At("p", i, j), ir.At("p", i, j.Plus(-1)), ir.At("v", i, j)},
-			Fn:  func(s []float64) float64 { return 0.5 * (s[0] + s[1]) * s[2] }, Cost: shallowCost}),
+			Fn:  halfSumTimes, Cost: shallowCost}),
 		nest(ir.Assign{LHS: ir.At("z", i, j),
 			RHS: []ir.Ref{ir.At("v", i, j), ir.At("v", i.Plus(-1), j), ir.At("u", i, j), ir.At("u", i, j.Plus(-1)), ir.At("p", i, j)},
-			Fn:  func(s []float64) float64 { return (s[0] - s[1] + s[2] - s[3]) / (4 + s[4]) }, Cost: shallowCost}),
+			Fn: func(d []float64, s [][]float64) {
+				a, b, c, e, f := s[0][:len(d)], s[1][:len(d)], s[2][:len(d)], s[3][:len(d)], s[4][:len(d)]
+				for t := range d {
+					d[t] = (a[t] - b[t] + c[t] - e[t]) / (4 + f[t])
+				}
+			}, Cost: shallowCost}),
 		nest(ir.Assign{LHS: ir.At("h", i, j),
 			RHS: []ir.Ref{ir.At("p", i, j), ir.At("u", i, j), ir.At("v", i, j)},
-			Fn:  func(s []float64) float64 { return s[0] + 0.25*(s[1]*s[1]+s[2]*s[2]) }, Cost: shallowCost}),
+			Fn: func(d []float64, s [][]float64) {
+				a, b, c := s[0][:len(d)], s[1][:len(d)], s[2][:len(d)]
+				for t := range d {
+					d[t] = a[t] + 0.25*(b[t]*b[t]+c[t]*c[t])
+				}
+			}, Cost: shallowCost}),
 	}
 
 	// Phase 2: new fields from the fluxes (reads column j+1).
 	phase2 := []ir.Stmt{
 		nest(ir.Assign{LHS: ir.At("unew", i, j),
 			RHS: []ir.Ref{ir.At("u", i, j), ir.At("z", i, j.Plus(1)), ir.At("cv", i, j), ir.At("h", i, j), ir.At("h", i.Plus(-1), j)},
-			Fn:  func(s []float64) float64 { return 0.99*s[0] + 0.01*(s[1]*s[2]-(s[3]-s[4])) }, Cost: shallowCost}),
+			Fn: func(d []float64, s [][]float64) {
+				a, b, c, e, f := s[0][:len(d)], s[1][:len(d)], s[2][:len(d)], s[3][:len(d)], s[4][:len(d)]
+				for t := range d {
+					d[t] = 0.99*a[t] + 0.01*(b[t]*c[t]-(e[t]-f[t]))
+				}
+			}, Cost: shallowCost}),
 		nest(ir.Assign{LHS: ir.At("vnew", i, j),
 			RHS: []ir.Ref{ir.At("v", i, j), ir.At("z", i.Plus(1), j), ir.At("cu", i, j), ir.At("h", i, j), ir.At("h", i, j.Plus(1))},
-			Fn:  func(s []float64) float64 { return 0.99*s[0] - 0.01*(s[1]*s[2]+(s[3]-s[4])) }, Cost: shallowCost}),
+			Fn: func(d []float64, s [][]float64) {
+				a, b, c, e, f := s[0][:len(d)], s[1][:len(d)], s[2][:len(d)], s[3][:len(d)], s[4][:len(d)]
+				for t := range d {
+					d[t] = 0.99*a[t] - 0.01*(b[t]*c[t]+(e[t]-f[t]))
+				}
+			}, Cost: shallowCost}),
 		nest(ir.Assign{LHS: ir.At("pnew", i, j),
 			RHS: []ir.Ref{ir.At("p", i, j), ir.At("cu", i, j), ir.At("cu", i.Plus(-1), j), ir.At("cv", i, j), ir.At("cv", i, j.Plus(1))},
-			Fn:  func(s []float64) float64 { return s[0] - 0.01*(s[1]-s[2]+s[3]-s[4]) }, Cost: shallowCost}),
+			Fn: func(d []float64, s [][]float64) {
+				a, b, c, e, f := s[0][:len(d)], s[1][:len(d)], s[2][:len(d)], s[3][:len(d)], s[4][:len(d)]
+				for t := range d {
+					d[t] = a[t] - 0.01*(b[t]-c[t]+e[t]-f[t])
+				}
+			}, Cost: shallowCost}),
 	}
 
 	// Phase 3: copy back.
 	cp := func(dst, src string) ir.Stmt {
 		return nest(ir.Assign{LHS: ir.At(dst, i, j), RHS: []ir.Ref{ir.At(src, i, j)},
-			Fn: func(s []float64) float64 { return s[0] }, Cost: shallowCost})
+			Fn: copySpan, Cost: shallowCost})
 	}
 	phase3 := []ir.Stmt{cp("u", "unew"), cp("v", "vnew"), cp("p", "pnew")}
 

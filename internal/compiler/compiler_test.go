@@ -1,13 +1,21 @@
 package compiler_test
 
 import (
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"sdsm/internal/apps"
+	"sdsm/internal/cluster"
 	"sdsm/internal/compiler"
+	"sdsm/internal/interp"
 	"sdsm/internal/ir"
+	"sdsm/internal/model"
 	"sdsm/internal/rsd"
+	"sdsm/internal/shm"
+	"sdsm/internal/sim"
+	"sdsm/internal/tmk"
 )
 
 func opts(n int, params rsd.Env) compiler.Options {
@@ -256,7 +264,7 @@ func TestSectionsBoundInsideTheirRegionStayPut(t *testing.T) {
 	nest := func(rhs rsd.Lin) ir.Stmt {
 		return ir.Loop{Var: "j", Lo: rsd.Const(1), Hi: rsd.Const(8), Body: []ir.Stmt{
 			ir.Compute{Sym: "off", Fn: func(e rsd.Env) int { return e["j"] % 2 }},
-			ir.Assign{LHS: ir.At("a", j), RHS: []ir.Ref{ir.At("b", rhs)}, Fn: func(s []float64) float64 { return s[0] }},
+			ir.Assign{LHS: ir.At("a", j), RHS: []ir.Ref{ir.At("b", rhs)}, Fn: func(d []float64, s [][]float64) { copy(d, s[0]) }},
 		}}
 	}
 	prog := &ir.Program{
@@ -278,5 +286,88 @@ func TestSectionsBoundInsideTheirRegionStayPut(t *testing.T) {
 		if !strings.Contains(strings.Join(rep.Skipped, "\n"), want) {
 			t.Errorf("report does not skip %q:\n%s", want, rep)
 		}
+	}
+}
+
+// simImage runs prog on an nprocs-node sim machine and returns the whole
+// address space as node 0 sees it behind a closing barrier.
+func simImage(t *testing.T, prog *ir.Program, params rsd.Env, nprocs int) []float64 {
+	t.Helper()
+	layout := compiler.BuildLayout(prog, params)
+	e := sim.NewEngine(nprocs)
+	sys := tmk.New(e, cluster.New(e, model.SP2()), layout)
+	var image []float64
+	err := interp.RunDSM(prog, sys, params, func(nd *tmk.Node) {
+		nd.Barrier(1 << 20)
+		if nd.ID != 0 {
+			return
+		}
+		whole := shm.Region{Lo: 0, Hi: layout.Words()}
+		nd.Validate(tmk.AccRead, []shm.Region{whole}, false)
+		nd.Mem.EnsureRead(nd.Proc(), whole)
+		image = slices.Clone(nd.Mem.Data()[:layout.Words()])
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return image
+}
+
+// TestSubscriptOverTwoInductionVariables: a(i+4j), written and read under
+// loops i and j, used to panic the summarizer. It now gets the range of the
+// subscript over both loops as an inexact section — fetched by a Validate,
+// never WRITE_ALL, never pushed — and the program computes the same words
+// unmodified, at every optimisation level and sequentially, at 1, 3 and 8
+// ranks.
+func TestSubscriptOverTwoInductionVariables(t *testing.T) {
+	const blocks, width = 8, 4
+	i, j := rsd.Var("i"), rsd.Var("j")
+	own := func(body ...ir.Stmt) ir.Stmt {
+		return ir.Loop{Var: "j", Lo: rsd.Var("jlo"), Hi: rsd.Var("jhi"), Body: []ir.Stmt{
+			ir.Loop{Var: "i", Lo: rsd.Const(1), Hi: rsd.Const(width), Body: body},
+		}}
+	}
+	at := i.Add(j.Scale(width)).Plus(-width)              // 1..32, block j of width 4
+	mirrored := at.Scale(-1).Plus(blocks*width + 1)       // the same, from the far end: other ranks' blocks
+	sum := func(c float64) func([]float64, [][]float64) { // lhs = c + s0 + s1/2
+		return func(d []float64, s [][]float64) {
+			for t := range d {
+				d[t] = c + s[0][t] + 0.5*s[1][t]
+			}
+		}
+	}
+	words := []rsd.Lin{rsd.Const(blocks * width)}
+	prog := &ir.Program{
+		Name:   "two-ivs",
+		Arrays: []ir.ArrayDecl{{Name: "a", Dims: words}, {Name: "b", Dims: words}},
+		Derived: []ir.DerivedParam{
+			{Name: "jlo", Fn: func(e rsd.Env) int { return e["p"]*blocks/e["nprocs"] + 1 }},
+			{Name: "jhi", Fn: func(e rsd.Env) int { return (e["p"] + 1) * blocks / e["nprocs"] }},
+		},
+		Body: []ir.Stmt{
+			ir.Barrier{ID: 0},
+			ir.Loop{Var: "it", Lo: rsd.Const(1), Hi: rsd.Const(3), Body: []ir.Stmt{
+				own(ir.Assign{LHS: ir.At("a", at), RHS: []ir.Ref{ir.At("a", at), ir.At("b", mirrored)}, Fn: sum(1), Cost: time.Nanosecond}),
+				ir.Barrier{ID: 1},
+				own(ir.Assign{LHS: ir.At("b", at), RHS: []ir.Ref{ir.At("b", at), ir.At("a", mirrored)}, Fn: sum(0.25), Cost: time.Nanosecond}),
+				ir.Barrier{ID: 2},
+			}},
+		},
+	}
+	_, want := interp.RunSeq(prog, rsd.Env{})
+	for _, n := range []int{1, 3, 8} {
+		for l, level := range compiler.Levels(n, rsd.Env{}) {
+			opt, rep := compiler.Compile(prog, level)
+			if text := rep.String(); strings.Contains(text, "_ALL") || len(rep.Pushes) > 0 {
+				t.Errorf("%d ranks, level %d: an inexact section was trusted:\n%s", n, l, text)
+			}
+			if got := simImage(t, opt, rsd.Env{}, n); !slices.Equal(got, want) {
+				t.Errorf("%d ranks, level %d: image differs from the sequential run", n, l)
+			}
+		}
+	}
+	_, rep := compiler.Compile(prog, opts(3, rsd.Env{}))
+	if text := strings.Join(rep.Validates, "\n"); !strings.Contains(text, "a[4jlo-3:4jhi] READ&WRITE") {
+		t.Errorf("no Validate over the range of a(i+4j-4):\n%s", rep)
 	}
 }

@@ -48,6 +48,7 @@ type varBound struct {
 // summarizer accumulates accesses while walking a region.
 type summarizer struct {
 	bounds   map[rsd.Sym]varBound // loop variables opened inside the region
+	nest     []rsd.Sym            // the same variables, outermost first
 	computed []rsd.Sym            // symbols the region's own Computes bind
 	writes   []Access             // write sections seen so far, for write-first analysis
 	out      []Access
@@ -77,7 +78,9 @@ func (s *summarizer) walk(stmts []ir.Stmt, exact bool) {
 		switch st := st.(type) {
 		case ir.Loop:
 			s.bounds[st.Var] = varBound{lo: st.Lo, hi: st.Hi, step: st.StepOr1()}
+			s.nest = append(s.nest, st.Var)
 			s.walk(st.Body, exact)
+			s.nest = s.nest[:len(s.nest)-1]
 			delete(s.bounds, st.Var)
 		case ir.Compute:
 			// Binds an opaque symbol; contributes no accesses. Sections
@@ -107,7 +110,7 @@ func (s *summarizer) walk(stmts []ir.Stmt, exact bool) {
 // addRef converts an array reference under the current loop bounds into a
 // section and records it.
 func (s *summarizer) addRef(ref ir.Ref, tag rsd.Tag, exact bool) {
-	sec := s.refSection(ref)
+	sec, faithful := s.refSection(ref)
 	if tag == rsd.Read {
 		// Reaching-writes check: a read covered by an earlier write in the
 		// same region does not read stale data (Section 4.1 step 2d).
@@ -117,19 +120,24 @@ func (s *summarizer) addRef(ref ir.Ref, tag rsd.Tag, exact bool) {
 			}
 		}
 	}
-	acc := Access{Sec: sec, Tag: tag, Exact: exact}
-	if tag == rsd.Write {
+	acc := Access{Sec: sec, Tag: tag, Exact: exact && faithful}
+	if tag == rsd.Write && faithful {
+		// A bounding range covers no read: not all of it is written.
 		s.writes = append(s.writes, acc)
 	}
 	s.add(acc)
 }
 
 // refSection builds the regular section a reference touches across the
-// region's loop bounds. Subscripts may depend on at most one region-bound
-// induction variable (the paper's limitation); the programs are built in
-// package apps, so one that does not is a bug there, not input.
-func (s *summarizer) refSection(ref ir.Ref) rsd.Section {
-	sec := rsd.Section{Array: ref.Array, Dims: make([]rsd.Bound, len(ref.Idx))}
+// region's loop bounds, and reports whether it is faithful. A subscript
+// over one region-bound induction variable is (the paper's limitation); one
+// over several — a(i+j) — gets the range it takes over their bounds, each
+// variable at the end its coefficient's sign picks, innermost first since
+// an inner bound may mention an outer variable. That is a superset of what
+// is touched, so it is not faithful: good for fetching, never for
+// WRITE_ALL or a Push.
+func (s *summarizer) refSection(ref ir.Ref) (sec rsd.Section, faithful bool) {
+	sec, faithful = rsd.Section{Array: ref.Array, Dims: make([]rsd.Bound, len(ref.Idx))}, true
 	for d, idx := range ref.Idx {
 		var ivs []rsd.Sym
 		for _, sym := range idx.FreeSyms() {
@@ -153,10 +161,25 @@ func (s *summarizer) refSection(ref ir.Ref) rsd.Section {
 			}
 			sec.Dims[d] = rsd.Bound{Lo: lo, Hi: hi, Stride: stride}
 		default:
-			panic(fmt.Sprintf("compiler: subscript %d of %s depends on %d induction variables", d, ref.Array, len(ivs)))
+			lo, hi := idx, idx
+			for k := len(s.nest) - 1; k >= 0; k-- {
+				v, b := s.nest[k], s.bounds[s.nest[k]]
+				lo, hi = extreme(lo, v, b, false), extreme(hi, v, b, true)
+			}
+			sec.Dims[d] = rsd.Bound{Lo: lo, Hi: hi, Stride: 1}
+			faithful = false
 		}
 	}
-	return sec
+	return sec, faithful
+}
+
+// extreme returns l with v at the end of its range where l is greatest
+// (least if !greatest).
+func extreme(l rsd.Lin, v rsd.Sym, b varBound, greatest bool) rsd.Lin {
+	if (l.T[v] > 0) == greatest {
+		return l.Subst(v, b.hi)
+	}
+	return l.Subst(v, b.lo)
 }
 
 // mentioned returns the least symbol of syms that a bound of sec mentions

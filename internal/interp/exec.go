@@ -26,8 +26,9 @@ type executor struct {
 	view rsd.Env
 	seen []int
 
-	srcs []float64 // operand values of the assignment being run
-	movs []mov     // its references, resolved for a vectorized loop
+	movs  []mov       // the references of the assignment being run, resolved
+	src   [][]float64 // its operands as the kernel takes them (call)
+	stage []float64   // the operands call had to copy; grows to the longest loop's
 
 	memos  []memo // per Validate/Push statement (regionSets)
 	bounds []int  // the section bounds being compared with a memo's
@@ -40,8 +41,8 @@ func newExecutor(lp *program, rank int, tgt target) *executor {
 		rank:  rank,
 		env:   slices.Clone(lp.row(rank)),
 		tgt:   tgt,
-		srcs:  make([]float64, max(lp.maxRefs, 4)), // gather reads four abreast
 		movs:  make([]mov, lp.maxRefs),
+		src:   make([][]float64, lp.maxRefs),
 		memos: make([]memo, lp.memos),
 	}
 	x.kctx.x = x
@@ -269,62 +270,80 @@ func (x *executor) ensure(m mov, n int, write bool) {
 }
 
 // execVector runs the n iterations of `for v = lo..: lhs = fn(rhs...)`,
-// v's slot holding lo, as one ensured span per reference plus a tight loop.
+// v's slot holding lo, as one ensured span per reference plus the kernel.
 func (x *executor) execVector(a *assign, n int) {
 	movs := x.movs[:len(a.refs)]
 	for r := range a.refs {
 		movs[r] = mov{addr: a.refs[r].addr(x.env, n-1), step: a.refs[r].step}
 	}
-	dst, rhs := movs[0], movs[1:]
-	x.ensure(dst, n, true)
-	for _, m := range rhs {
+	x.ensure(movs[0], n, true)
+	for _, m := range movs[1:] {
 		x.ensure(m, n, false)
 	}
-	data := x.tgt.data()
-	srcs := x.srcs[:len(rhs)]
 	x.tgt.beginCompute()
-	gather(data, dst, rhs, srcs, n, a.fn)
+	x.call(a.fn, movs, n)
 	x.tgt.endCompute()
 	x.advance(time.Duration(n) * a.cost)
 }
 
-// gather is the tight loop of execVector: element t of dst from element t
-// of every operand. Two to four operands — the applications' stencils and
-// eliminations — are read four abreast, which keeps their addresses out of
-// an inner loop the call to fn would spill around; the missing ones of
-// fewer than four read word 0 and are not passed on.
-func gather(data []float64, dst mov, rhs []mov, srcs []float64, n int, fn func([]float64) float64) {
-	if len(rhs) < 2 || len(rhs) > 4 {
+// call runs the n elements movs describe — the destination, then the
+// operands — through fn, in one of three forms. When the destination is a
+// span of consecutive words and every operand either names those very
+// words or stays clear of them from first element to last, one call does
+// the span: fn gets the node's memory itself for the destination and the
+// unit-step operands, and a copy staged in scratch, made once, for the
+// operands that stand still (a broadcast) or stride. Any other overlap is
+// a dependence one iteration may carry to a later one, and a destination
+// that is not a span has nothing to slice: fn then runs once per element,
+// in iteration order, on one-word slices of memory.
+func (x *executor) call(fn func(dst []float64, src [][]float64), movs []mov, n int) {
+	data, dst, rhs := x.tgt.data(), movs[0], movs[1:]
+	src := x.src[:len(rhs)]
+	span := dst.step == 1
+	for _, m := range rhs {
+		same := m.step == 1 && m.addr == dst.addr
+		span = span && (same || m.addr >= dst.addr+n || m.addr+m.step*(n-1) < dst.addr)
+	}
+	if !span {
 		for t := 0; t < n; t++ {
 			for j, m := range rhs {
-				srcs[j] = data[m.addr+m.step*t]
+				at := m.addr + m.step*t
+				src[j] = data[at : at+1]
 			}
-			data[dst.addr+dst.step*t] = fn(srcs)
+			at := dst.addr + dst.step*t
+			fn(data[at:at+1], src)
 		}
 		return
 	}
-	var w [4]mov
-	copy(w[:], rhs)
-	a, b, c, d := w[0], w[1], w[2], w[3]
-	s4 := srcs[:4]
-	for t := 0; t < n; t++ {
-		s4[0], s4[1], s4[2], s4[3] = data[a.addr+a.step*t], data[b.addr+b.step*t], data[c.addr+c.step*t], data[d.addr+d.step*t]
-		data[dst.addr+dst.step*t] = fn(srcs)
+	stage := x.stage[:0]
+	for j, m := range rhs {
+		if m.step == 1 {
+			src[j] = data[m.addr : m.addr+n]
+			continue
+		}
+		// Growing leaves the operands staged so far where they are.
+		stage = slices.Grow(stage, n)[:len(stage)+n]
+		src[j] = stage[len(stage)-n:]
+		for t := range src[j] {
+			src[j][t] = data[m.addr+m.step*t]
+		}
 	}
+	x.stage = stage
+	fn(data[dst.addr:dst.addr+n], src)
 }
 
 // execScalar runs one instance of an assignment in the current environment.
 func (x *executor) execScalar(a *assign) {
-	lhs := a.refs[0].addr(x.env, 0)
-	srcs := x.srcs[:len(a.refs)-1]
-	for j := range srcs {
-		addr := a.refs[j+1].addr(x.env, 0)
-		x.tgt.ensureRead(addr, addr+1)
-		srcs[j] = x.tgt.data()[addr]
+	movs := x.movs[:len(a.refs)]
+	for r := range a.refs {
+		movs[r] = mov{addr: a.refs[r].addr(x.env, 0)}
 	}
-	x.tgt.ensureWrite(lhs, lhs+1)
+	for _, m := range movs[1:] {
+		x.tgt.ensureRead(m.addr, m.addr+1)
+	}
+	x.tgt.ensureWrite(movs[0].addr, movs[0].addr+1)
 	x.tgt.beginCompute()
-	x.tgt.data()[lhs] = a.fn(srcs)
+	x.call(a.fn, movs, 1)
 	x.tgt.endCompute()
 	x.advance(a.cost)
 }

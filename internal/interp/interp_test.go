@@ -30,15 +30,38 @@ func prog1d(body ...ir.Stmt) *ir.Program {
 	}
 }
 
+// fill is the span kernel of `lhs = v`.
+func fill(v float64) func([]float64, [][]float64) {
+	return func(d []float64, _ [][]float64) {
+		for t := range d {
+			d[t] = v
+		}
+	}
+}
+
+// weighted is the span kernel of `lhs = c + Σ w[k]·rhs[k]`, summed in
+// operand order.
+func weighted(c float64, w ...float64) func([]float64, [][]float64) {
+	return func(d []float64, s [][]float64) {
+		for t := range d {
+			v := c
+			for k, wk := range w {
+				v += wk * s[k][t]
+			}
+			d[t] = v
+		}
+	}
+}
+
 func TestSeqLoopAndAssign(t *testing.T) {
 	i := rsd.Var("i")
 	p := prog1d(
 		ir.Loop{Var: "i", Lo: rsd.Const(1), Hi: rsd.Var("n"), Body: []ir.Stmt{
-			ir.Assign{LHS: ir.At("x", i), Fn: func([]float64) float64 { return 7 }, Cost: time.Nanosecond},
+			ir.Assign{LHS: ir.At("x", i), Fn: fill(7), Cost: time.Nanosecond},
 		}},
 		ir.Loop{Var: "i", Lo: rsd.Const(2), Hi: rsd.Var("n"), Body: []ir.Stmt{
 			ir.Assign{LHS: ir.At("x", i), RHS: []ir.Ref{ir.At("x", i.Plus(-1)), ir.At("x", i)},
-				Fn: func(s []float64) float64 { return s[0] + s[1] }, Cost: time.Nanosecond},
+				Fn: weighted(0, 1, 1), Cost: time.Nanosecond},
 		}},
 	)
 	_, mem := RunSeq(p, rsd.Env{"n": 16})
@@ -54,7 +77,7 @@ func TestSeqTimeCountsCosts(t *testing.T) {
 	i := rsd.Var("i")
 	p := prog1d(
 		ir.Loop{Var: "i", Lo: rsd.Const(1), Hi: rsd.Var("n"), Body: []ir.Stmt{
-			ir.Assign{LHS: ir.At("x", i), Fn: func([]float64) float64 { return 1 }, Cost: 10 * time.Nanosecond},
+			ir.Assign{LHS: ir.At("x", i), Fn: fill(1), Cost: 10 * time.Nanosecond},
 		}},
 	)
 	if got := SeqTime(p, rsd.Env{"n": 100}); got != 1000*time.Nanosecond {
@@ -70,7 +93,7 @@ func TestComputeBindsSymbols(t *testing.T) {
 	p := prog1d(
 		ir.Compute{Sym: "start", Fn: func(e rsd.Env) int { return e["n"] / 2 }},
 		ir.Loop{Var: "i", Lo: rsd.Var("start"), Hi: rsd.Var("n"), Body: []ir.Stmt{
-			ir.Assign{LHS: ir.At("x", i), Fn: func([]float64) float64 { return 3 }, Cost: time.Nanosecond},
+			ir.Assign{LHS: ir.At("x", i), Fn: fill(3), Cost: time.Nanosecond},
 		}},
 	)
 	_, mem := RunSeq(p, rsd.Env{"n": 10})
@@ -91,9 +114,9 @@ func TestIfBranches(t *testing.T) {
 		ir.If{
 			Cond: func(e rsd.Env) bool { return e["n"] > 5 },
 			Then: []ir.Stmt{ir.Loop{Var: "i", Lo: rsd.Const(1), Hi: rsd.Const(1), Body: []ir.Stmt{
-				ir.Assign{LHS: ir.At("x", i), Fn: func([]float64) float64 { return 1 }, Cost: 0}}}},
+				ir.Assign{LHS: ir.At("x", i), Fn: fill(1), Cost: 0}}}},
 			Else: []ir.Stmt{ir.Loop{Var: "i", Lo: rsd.Const(1), Hi: rsd.Const(1), Body: []ir.Stmt{
-				ir.Assign{LHS: ir.At("x", i), Fn: func([]float64) float64 { return 2 }, Cost: 0}}}},
+				ir.Assign{LHS: ir.At("x", i), Fn: fill(2), Cost: 0}}}},
 		},
 	)
 	_, mem := RunSeq(p, rsd.Env{"n": 10})
@@ -110,7 +133,7 @@ func TestStridedLoop(t *testing.T) {
 	i := rsd.Var("i")
 	p := prog1d(
 		ir.Loop{Var: "i", Lo: rsd.Const(1), Hi: rsd.Var("n"), Step: 3, Body: []ir.Stmt{
-			ir.Assign{LHS: ir.At("x", i), Fn: func([]float64) float64 { return 1 }, Cost: 0},
+			ir.Assign{LHS: ir.At("x", i), Fn: fill(1), Cost: 0},
 		}},
 	)
 	_, mem := RunSeq(p, rsd.Env{"n": 10})
@@ -132,12 +155,12 @@ func TestDSMMatchesSeqForSPMDSum(t *testing.T) {
 	mk := func() *ir.Program {
 		return prog1d(
 			ir.Loop{Var: "i", Lo: rsd.Var("lo"), Hi: rsd.Var("hi"), Body: []ir.Stmt{
-				ir.Assign{LHS: ir.At("x", i), Fn: func([]float64) float64 { return 2 }, Cost: time.Nanosecond},
+				ir.Assign{LHS: ir.At("x", i), Fn: fill(2), Cost: time.Nanosecond},
 			}},
 			ir.Barrier{ID: 1},
 			ir.Loop{Var: "i", Lo: rsd.Var("lo"), Hi: rsd.Var("hi"), Body: []ir.Stmt{
 				ir.Assign{LHS: ir.At("x", i), RHS: []ir.Ref{ir.At("x", i)},
-					Fn: func(s []float64) float64 { return s[0] * 3 }, Cost: time.Nanosecond},
+					Fn: weighted(0, 3), Cost: time.Nanosecond},
 			}},
 			ir.Barrier{ID: 2},
 		)
@@ -266,7 +289,7 @@ func panicOf(f func()) (msg string) {
 // vectorized loop write into the next column.
 func TestRangeCheckEndpoints(t *testing.T) {
 	i, j := rsd.Var("i"), rsd.Var("j")
-	one := func([]float64) float64 { return 1 }
+	one := fill(1)
 	for _, tc := range []struct {
 		name string
 		ref  ir.Ref
@@ -294,5 +317,72 @@ func TestRangeCheckEndpoints(t *testing.T) {
 		if got := panicOf(func() { refRunSeq(scalar, rsd.Env{}) }); got != tc.want {
 			t.Errorf("%s, reference iteration by iteration: panic %q, want %q", tc.name, got, tc.want)
 		}
+	}
+}
+
+// TestCallForms counts the kernel calls of one 8-iteration loop over column
+// 5 of a 32×32 array for each shape that decides executor.call's form: one
+// call where a span is allowed — a rule that only ever answers "element by
+// element" is as wrong as one that never does — and eight, of one element
+// each, where an iteration may read what an earlier one wrote or the
+// destination is not a span. Each is also compared with the oracle.
+func TestCallForms(t *testing.T) {
+	const lo, n, col, m = 4, 8, 5, 32
+	i, j := rsd.Var("i"), rsd.Var("j")
+	a := func(row, col rsd.Lin) ir.Ref { return ir.At("a", row, col) }
+	for _, tc := range []struct {
+		name  string
+		lhs   ir.Ref
+		rhs   []ir.Ref
+		calls int
+	}{
+		{"another array", a(i, j), []ir.Ref{ir.At("b", i, j)}, 1},
+		{"exact alias", a(i, j), []ir.Ref{a(i, j), ir.At("b", i, j)}, 1},
+		{"one back", a(i, j), []ir.Ref{a(i.Plus(-1), j)}, n},
+		{"one forward", a(i, j), []ir.Ref{a(i.Plus(1), j)}, n},
+		{"a span ahead", a(i, j), []ir.Ref{a(i.Plus(n), j)}, 1},
+		{"broadcast from inside", a(i, j), []ir.Ref{a(i, j), a(rsd.Const(lo+n-1), j)}, n},
+		{"broadcast from outside", a(i, j), []ir.Ref{a(i, j), a(rsd.Const(lo-1), j)}, 1},
+		{"strided, crossing", a(i, j), []ir.Ref{a(j, i)}, n},
+		{"strided, clear", a(i, j), []ir.Ref{a(i.Scale(2).Plus(lo), j)}, 1},
+		{"strided, another array", a(i, j), []ir.Ref{ir.At("b", j, i)}, 1},
+		{"strided destination", a(i.Scale(2), j), []ir.Ref{ir.At("b", i, j)}, n},
+		{"fixed destination", a(rsd.Const(lo), j), []ir.Ref{ir.At("b", i, j)}, n},
+		{"no operand", a(i, j), nil, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			calls, elems := 0, 0
+			w := make([]float64, len(tc.rhs))
+			for k := range w {
+				w[k] = 0.5
+			}
+			sum := weighted(1, w...)
+			dims := []rsd.Lin{rsd.Const(m), rsd.Const(m)}
+			prog := &ir.Program{Name: "t", Arrays: []ir.ArrayDecl{{Name: "a", Dims: dims}, {Name: "b", Dims: dims}},
+				Body: []ir.Stmt{
+					// a and b start as their 1-based word numbers, b's negated.
+					ir.Kernel{Run: func(ctx ir.KernelCtx) {
+						a, b := ctx.Array("a").Base, ctx.Array("b").Base
+						data := ctx.WriteRegion(min(a, b), max(a, b)+m*m)
+						for w := 0; w < m*m; w++ {
+							data[a+w], data[b+w] = float64(w+1), -float64(w+1)
+						}
+					}},
+					ir.Loop{Var: "j", Lo: rsd.Const(col), Hi: rsd.Const(col), Body: []ir.Stmt{
+						ir.Loop{Var: "i", Lo: rsd.Const(lo), Hi: rsd.Const(lo + n - 1), Body: []ir.Stmt{
+							ir.Assign{LHS: tc.lhs, RHS: tc.rhs, Cost: time.Nanosecond, Fn: func(d []float64, s [][]float64) {
+								calls, elems = calls+1, elems+len(d)
+								sum(d, s)
+							}},
+						}},
+					}},
+				}}
+			_, got := RunSeq(prog, rsd.Env{})
+			if calls != tc.calls || elems != n {
+				t.Errorf("%d kernel calls over %d elements, want %d over %d", calls, elems, tc.calls, n)
+			}
+			_, want := refRunSeq(prog, rsd.Env{})
+			sameImage(t, got, want.mem)
+		})
 	}
 }

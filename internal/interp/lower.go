@@ -96,7 +96,7 @@ type ref struct {
 // right-hand sides in order.
 type assign struct {
 	refs []ref
-	fn   func(srcs []float64) float64
+	fn   func(dst []float64, src [][]float64)
 	cost time.Duration
 }
 

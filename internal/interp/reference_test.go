@@ -1,9 +1,11 @@
 package interp
 
 // The tree-walking executor that ran in production until the lowered one
-// (lower.go, exec.go) replaced it, kept verbatim as the differential test's
-// oracle: it evaluates every rsd.Lin, ir.Ref and rsd.Section symbolically,
-// against a map environment, each time a statement executes. It is slow
+// (lower.go, exec.go) replaced it, kept as the differential test's oracle
+// (verbatim but for apply, since an assignment became a span kernel): it
+// computes one element at a time from gathered operand values, and
+// evaluates every rsd.Lin, ir.Ref and rsd.Section symbolically, against a
+// map environment, each time a statement executes. It is slow
 // and obviously a direct reading of the ir — which is what an oracle wants.
 // Its one known defect is part of the record: the vector path range-checks
 // a reference at the first iteration only (TestRangeCheckEndpoints).
@@ -306,11 +308,26 @@ func (x *refExecutor) execAssignVector(v rsd.Sym, lo, hi int, a ir.Assign) bool 
 		for j, m := range refs[1:] {
 			srcs[j] = data[m.addr+m.step*t]
 		}
-		data[refs[0].addr+refs[0].step*t] = a.Fn(srcs)
+		data[refs[0].addr+refs[0].step*t] = x.apply(a, srcs)
 	}
 	x.tgt.endCompute()
 	x.advance(time.Duration(n) * a.Cost)
 	return true
+}
+
+// apply computes one element of a from operand values it has gathered: the
+// span kernel on one-word slices of buffers of the oracle's own, never of
+// memory. That every kernel is elementwise, and that the executor's three
+// call forms agree with element-by-element evaluation, is what comparing
+// the two then checks.
+func (x *refExecutor) apply(a ir.Assign, srcs []float64) float64 {
+	src := make([][]float64, len(srcs))
+	for j := range srcs {
+		src[j] = srcs[j : j+1]
+	}
+	var dst [1]float64
+	a.Fn(dst[:], src)
+	return dst[0]
 }
 
 // execAssignScalar runs one instance of an assignment with the current
@@ -328,7 +345,7 @@ func (x *refExecutor) execAssignScalar(a ir.Assign) {
 	}
 	x.tgt.ensureWrite(lhs, lhs+1)
 	x.tgt.beginCompute()
-	x.tgt.data()[lhs] = a.Fn(srcs)
+	x.tgt.data()[lhs] = x.apply(a, srcs)
 	x.tgt.endCompute()
 	x.advance(a.Cost)
 }

@@ -145,10 +145,34 @@ func At(array string, idx ...rsd.Lin) Ref { return Ref{Array: array, Idx: idx} }
 // Assign writes LHS elementwise from the RHS references combined by Fn.
 // Cost is the virtual compute time charged per element (the knob that
 // calibrates uniprocessor times against the paper's Table 1).
+//
+// Fn is a span kernel: one call computes a whole run of consecutive
+// instances of the assignment — the iterations of the innermost loop, or
+// a single instance — as "for every t, dst[t] from src[0][t], src[1][t],
+// …", src[j] holding the values of RHS[j]. The contract has two halves.
+//
+// The kernel (package apps, or whoever builds the program) guarantees
+// that it is elementwise and position-independent: it writes dst[t] for
+// every t in range of dst and nothing else, dst[t] depends on the
+// src[j][t] of the same t only — not on t, not on len(dst), not on how a
+// run was cut into calls — and it performs the same floating-point
+// operations in the same order for every element, so one call over n
+// elements and n calls over one element each leave the same bits. It may
+// visit the elements in any order.
+//
+// The caller (package interp) guarantees that len(src) == len(RHS), that
+// every src[j] has len(dst) elements, and that each src[j] either is
+// dst — the same words of memory, not a copy: the reference names
+// the very element being assigned, `a(i) = a(i) + …` — or does not
+// overlap dst at all. An operand that overlaps the destination without
+// being identical to it is a loop-carried dependence (`a(i) = a(i-1)`),
+// which no span call can honour; the caller then runs the kernel one
+// element per call, in iteration order. Operands may overlap each other,
+// and the kernel must not write to them.
 type Assign struct {
 	LHS  Ref
 	RHS  []Ref
-	Fn   func(srcs []float64) float64
+	Fn   func(dst []float64, src [][]float64)
 	Cost time.Duration
 }
 

@@ -7,8 +7,9 @@
 package shm
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 const (
@@ -55,21 +56,27 @@ func (r Region) Pages() (p0, p1 int) {
 }
 
 // Normalize sorts regions, drops empties, and merges overlapping or
-// adjacent ranges.
+// adjacent ranges, into one new slice: rs is not written. Input that is
+// already ascending — one section's regions — is not sorted again.
 func Normalize(rs []Region) []Region {
 	var out []Region
 	for _, r := range rs {
-		if !r.Empty() {
-			out = append(out, r)
+		if r.Empty() {
+			continue
 		}
+		if out == nil {
+			out = make([]Region, 0, len(rs))
+		}
+		out = append(out, r)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Lo < out[j].Lo })
+	byLo := func(a, b Region) int { return cmp.Compare(a.Lo, b.Lo) }
+	if !slices.IsSortedFunc(out, byLo) {
+		slices.SortFunc(out, byLo)
+	}
 	merged := out[:0]
 	for _, r := range out {
 		if n := len(merged); n > 0 && r.Lo <= merged[n-1].Hi {
-			if r.Hi > merged[n-1].Hi {
-				merged[n-1].Hi = r.Hi
-			}
+			merged[n-1].Hi = max(merged[n-1].Hi, r.Hi)
 			continue
 		}
 		merged = append(merged, r)

@@ -1,6 +1,9 @@
 package shm
 
 import (
+	"reflect"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -50,6 +53,63 @@ func TestNormalizeMerges(t *testing.T) {
 	want := []Region{{0, 25}}
 	if len(got) != 1 || got[0] != want[0] {
 		t.Fatalf("Normalize = %v, want %v", got, want)
+	}
+}
+
+// normalizeBySortSlice is Normalize as it was before it stopped allocating
+// per append and sorting sorted input, kept to say what "the same result"
+// means.
+func normalizeBySortSlice(rs []Region) []Region {
+	var out []Region
+	for _, r := range rs {
+		if !r.Empty() {
+			out = append(out, r)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Lo < out[j].Lo })
+	merged := out[:0]
+	for _, r := range out {
+		if n := len(merged); n > 0 && r.Lo <= merged[n-1].Hi {
+			if r.Hi > merged[n-1].Hi {
+				merged[n-1].Hi = r.Hi
+			}
+			continue
+		}
+		merged = append(merged, r)
+	}
+	return merged
+}
+
+// TestNormalizeMatchesSortSlice: unsorted, overlapping, adjacent, nested,
+// empty and already-normalized input gives what the old implementation
+// gave (nil included), in at most one allocation, and is left as it was.
+func TestNormalizeMatchesSortSlice(t *testing.T) {
+	for _, rs := range [][]Region{
+		nil,
+		{},
+		{{7, 7}, {9, 3}},
+		{{0, 512}},
+		{{0, 8}, {16, 24}, {32, 40}},
+		{{0, 8}, {8, 16}, {16, 24}},
+		{{0, 8}, {4, 12}, {12, 12}, {30, 40}},
+		{{32, 40}, {16, 24}, {0, 8}},
+		{{10, 20}, {0, 5}, {5, 10}, {30, 30}, {15, 25}},
+		{{0, 100}, {10, 20}, {5, 6}, {99, 101}},
+		{{5, 9}, {5, 7}, {5, 12}, {1, 2}, {2, 3}, {4, 4}},
+		{{40, 50}, {0, 0}, {10, 20}, {20, 20}, {45, 60}, {9, 10}},
+	} {
+		in := slices.Clone(rs)
+		var got []Region
+		allocs := testing.AllocsPerRun(10, func() { got = Normalize(in) })
+		if want := normalizeBySortSlice(slices.Clone(rs)); !reflect.DeepEqual(got, want) {
+			t.Errorf("Normalize(%v) = %v, want %v", rs, got, want)
+		}
+		if !reflect.DeepEqual(in, rs) {
+			t.Errorf("Normalize(%v) left its input as %v", rs, in)
+		}
+		if allocs > 1 {
+			t.Errorf("Normalize(%v): %v allocations", rs, allocs)
+		}
 	}
 }
 
