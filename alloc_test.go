@@ -10,11 +10,15 @@
 package sdsm_test
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
 	"sdsm/internal/adapt"
+	"sdsm/internal/apps"
 	"sdsm/internal/cluster"
+	"sdsm/internal/compiler"
+	"sdsm/internal/harness"
 	"sdsm/internal/interp"
 	"sdsm/internal/ir"
 	"sdsm/internal/model"
@@ -300,6 +304,38 @@ func TestCheckpointRecordAllocs(t *testing.T) {
 	if extra := float64(n * (large - small) * shm.PageWords * 8); bytesL-bytesS > extra/50 {
 		t.Errorf("a %d-page image costs %.0f B/epoch, a %d-page image %.0f: more than 2%% of the %.0f B of extra image",
 			large, bytesL, small, bytesS, extra)
+	}
+}
+
+// TestFreshRunReusesImages pins what a fresh harness.Run allocates for
+// its node images once harness's idle list holds arenas: nothing. The
+// second run of jacobi/small at 8 ranks on sim must allocate fewer bytes
+// than half of its 8 images. Measured: 1 555 KiB against 8 × 131 072
+// words × 8 B = 8 192 KiB of images (bar 4 096 KiB) — when every run made
+// its images (before PR 25) the same run allocated 10 758 KiB.
+func TestFreshRunReusesImages(t *testing.T) {
+	const procs = 8
+	app, err := apps.ByName("jacobi")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := harness.Config{App: app, Set: apps.Small, System: harness.Base, Procs: procs, Backend: harness.BackendSim}
+	prog := app.Build(procs)
+	images := procs * compiler.BuildLayout(prog, prog.Prepare(app.Sets[cfg.Set], procs)).Words() * 8
+	run := func() uint64 {
+		runtime.GC()
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		if _, err := harness.Run(cfg); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&m1)
+		return m1.TotalAlloc - m0.TotalAlloc
+	}
+	first, second := run(), run()
+	t.Logf("jacobi/small p%d: %d KiB of images; first run %d KiB, second %d KiB", procs, images>>10, first>>10, second>>10)
+	if second >= uint64(images/2) {
+		t.Fatalf("a second fresh run allocated %d KiB, at least half of its %d KiB of images: fresh runs make their images again", second>>10, images>>10)
 	}
 }
 

@@ -9,6 +9,8 @@ package harness
 import (
 	"errors"
 	"fmt"
+	"math"
+	"sync"
 	"time"
 
 	"sdsm/internal/adapt"
@@ -126,14 +128,16 @@ type Config struct {
 	// obs.DefaultRingCap). Older events beyond the capacity are dropped
 	// oldest-first and counted.
 	TraceCap int
-	// Arenas, when non-nil, backs rank i's node memory with warm pool
-	// storage Arenas[i] (the DSM-as-a-service path, internal/svc). The
-	// run borrows the storage, audits the arena guard words after the
-	// program finishes — a violation is a hard error, it means the job
-	// scribbled outside its address space — and releases everything back
-	// for the slot's next job. Arena-backed runs are bit-identical to
-	// fresh ones (vm.NewWarm). DSM systems only; ignored for
-	// message-passing systems, whose ranks are separate processes.
+	// Arenas backs rank i's node memory with warm storage Arenas[i]: a
+	// pool's slots (the DSM-as-a-service path, internal/svc), or — nil —
+	// Procs arenas from harness's own idle list, which every such run in
+	// the process shares. Either way the run borrows the storage, audits
+	// the arena guard words after the program finishes — a violation is a
+	// hard error, it means the run scribbled outside its address space —
+	// and releases everything back for the next run. Arena-backed memory
+	// is bit-identical to a make'd image (vm.NewWarm). DSM systems only;
+	// ignored for message-passing systems, whose ranks are separate
+	// processes.
 	Arenas []*vm.Arena
 }
 
@@ -243,32 +247,35 @@ func runDSM(cfg Config) (res *Result, err error) {
 		// clocks on the concurrent backends.
 		m = obs.NewMachine(cfg.Procs, cfg.TraceCap, cfg.Backend != BackendSim)
 	}
-	var sys *tmk.System
-	if cfg.Arenas != nil {
-		// Once the machine holds arena loans every exit path must end them:
-		// a job can fail, its slots cannot stay poisoned for the next
-		// tenant. Registered before the host exists so that a net backend
-		// is closed first — after a failed run its service loops may still
-		// be reading node memory. Guard audit before release: release ends
-		// the loans the audit inspects. A violation means this job overran
-		// its own address space — in a shared pool a cross-job hazard, so
-		// it fails the job loudly.
-		defer func() {
-			if sys == nil {
-				return
-			}
-			for i, ar := range cfg.Arenas {
-				if ar == nil {
-					continue
-				}
-				if gerr := ar.CheckGuards(); gerr != nil {
-					res, err = nil, errors.Join(err, fmt.Errorf("harness: %s/%s rank %d: %w", cfg.App.Name, cfg.Set, i, gerr))
-					break
-				}
-			}
-			sys.ReleaseWarm()
-		}()
+	arenas := cfg.Arenas
+	if arenas == nil {
+		arenas = borrowArenas(cfg.Procs)
+		defer returnArenas(arenas)
 	}
+	var sys *tmk.System
+	// Once the machine holds arena loans every exit path must end them: a
+	// run can fail, its arenas cannot stay poisoned for the next tenant.
+	// Registered before the host exists so that a net backend is closed
+	// first — after a failed run its service loops may still be reading
+	// node memory. Guard audit before release: release ends the loans the
+	// audit inspects. A violation means this run overran its own address
+	// space — with reused storage a cross-run hazard, so it fails the run
+	// loudly.
+	defer func() {
+		if sys == nil {
+			return
+		}
+		for i, ar := range arenas {
+			if ar == nil {
+				continue
+			}
+			if gerr := ar.CheckGuards(); gerr != nil {
+				res, err = nil, errors.Join(err, fmt.Errorf("harness: %s/%s rank %d: %w", cfg.App.Name, cfg.Set, i, gerr))
+				break
+			}
+		}
+		sys.ReleaseWarm()
+	}()
 	var h host.Host
 	var nw host.Transport
 	costs := model.SP2()
@@ -298,7 +305,7 @@ func runDSM(cfg Config) (res *Result, err error) {
 		h = e
 		nw = cluster.New(h, costs)
 	}
-	sys = tmk.NewWarm(h, nw, layout, cfg.Arenas)
+	sys = tmk.NewWarm(h, nw, layout, arenas)
 	if cfg.Adapt {
 		sys.EnableAdapt(adapt.Config{})
 	}
@@ -365,6 +372,50 @@ func runDSM(cfg Config) (res *Result, err error) {
 		ServeMax:  smax,
 		ServeMean: smean,
 	}, nil
+}
+
+// idle is the warm storage runs without Config.Arenas borrow: a stack of
+// the arenas finished runs gave back, shared by every such run in the
+// process (parallelDo's concurrent ones included). A run takes rank 0's
+// arena from the top and gives its arenas back so that rank 0's is on
+// top again, so each rank reuses the arena the last run of its size
+// grew for it, and the list retains about the largest machine's images
+// instead of the sum of every machine's. runs numbers the loans, for
+// the guard canaries.
+var idle struct {
+	sync.Mutex
+	arenas []*vm.Arena
+	runs   uint64
+}
+
+// borrowArenas takes n arenas off the idle list — new ones when it runs
+// short — and stamps them with a canary of this run's own, non-zero and
+// never NaN (svc's canaryFor rule), so a guard report names the run.
+func borrowArenas(n int) []*vm.Arena {
+	idle.Lock()
+	defer idle.Unlock()
+	idle.runs++
+	canary := math.Float64frombits(0x40FE5E0000000000 | idle.runs&0xFFFFFFFF)
+	out := make([]*vm.Arena, n)
+	for i := range out {
+		if k := len(idle.arenas) - 1; k >= 0 {
+			out[i], idle.arenas = idle.arenas[k], idle.arenas[:k]
+		} else {
+			out[i] = vm.NewArena()
+		}
+		out[i].SetCanary(canary)
+	}
+	return out
+}
+
+// returnArenas gives a run's arenas back to the idle list, last rank
+// first. The run must have released its loans (tmk.System.ReleaseWarm).
+func returnArenas(ars []*vm.Arena) {
+	idle.Lock()
+	defer idle.Unlock()
+	for i := len(ars) - 1; i >= 0; i-- {
+		idle.arenas = append(idle.arenas, ars[i])
+	}
 }
 
 // NodeBin names the worker binary used for the process-per-rank

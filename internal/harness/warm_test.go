@@ -1,7 +1,10 @@
 package harness
 
 import (
+	"fmt"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"unsafe"
 
@@ -9,31 +12,48 @@ import (
 	"sdsm/internal/ir"
 	"sdsm/internal/leaktest"
 	"sdsm/internal/rsd"
+	"sdsm/internal/shm"
 	"sdsm/internal/vm"
 )
 
-// hostileApp is a test-local application whose only statement is an
-// opaque kernel: rank 1 runs misbehave on its memory image, everyone then
-// meets at a barrier.
-func hostileApp(misbehave func(mem []float64)) *apps.App {
+// kernelApp is a test-local application over one n-word array: every
+// rank runs the opaque kernel run, then everyone meets at a barrier.
+func kernelApp(n int, run func(rank int, ctx ir.KernelCtx)) *apps.App {
 	prog := &ir.Program{
-		Name:   "hostile",
-		Arrays: []ir.ArrayDecl{{Name: "x", Dims: []rsd.Lin{rsd.Const(1024)}}},
+		Name:   "kernel",
+		Arrays: []ir.ArrayDecl{{Name: "x", Dims: []rsd.Lin{rsd.Const(n)}}},
 		Body: []ir.Stmt{
-			ir.Kernel{Name: "misbehave", Run: func(ctx ir.KernelCtx) {
-				if ctx.Env()["p"] == 1 {
-					misbehave(ctx.WriteRegion(0, 1))
-				}
-			}},
+			ir.Kernel{Name: "run", Run: func(ctx ir.KernelCtx) { run(ctx.Env()["p"], ctx) }},
 			ir.Barrier{ID: 1},
 		},
 	}
 	return &apps.App{
-		Name:       "hostile",
+		Name:       "kernel",
 		Build:      func(int) *ir.Program { return prog },
 		Sets:       map[apps.DataSet]rsd.Env{Small: {}},
 		CheckArray: "x",
 	}
+}
+
+// hostileApp runs misbehave on rank 1's memory image.
+func hostileApp(misbehave func(mem []float64)) *apps.App {
+	return kernelApp(1024, func(rank int, ctx ir.KernelCtx) {
+		if rank == 1 {
+			misbehave(ctx.WriteRegion(0, 1))
+		}
+	})
+}
+
+// idleLoans counts the data loans outstanding on harness's idle list,
+// which must be none: a run gives its arenas back only after release.
+func idleLoans() (n int) {
+	idle.Lock()
+	ars := slices.Clone(idle.arenas)
+	idle.Unlock()
+	for _, ar := range ars {
+		n += ar.Loans()
+	}
+	return n
 }
 
 // TestFailedJobReleasesArenas is "a job can fail; the pool cannot" at the
@@ -41,7 +61,9 @@ func hostileApp(misbehave func(mem []float64)) *apps.App {
 // a job that scribbles past its address space into the arena's guard
 // words, must each fail loudly AND hand every loan back — so that a clean
 // job scheduled on the same slots afterwards succeeds instead of
-// re-auditing the dead job's storage forever.
+// re-auditing the dead job's storage forever. Both columns: a pool's
+// arenas, and none (Arenas nil), where the run borrows from harness's
+// idle list and a clean fresh run afterwards must find it unpoisoned.
 func TestFailedJobReleasesArenas(t *testing.T) {
 	jac, err := apps.ByName("jacobi")
 	if err != nil {
@@ -67,37 +89,162 @@ func TestFailedJobReleasesArenas(t *testing.T) {
 	for _, backend := range []Backend{BackendSim, BackendNet} {
 		for _, c := range cases {
 			t.Run(string(backend)+"/"+c.name, func(t *testing.T) {
-				// Rank 0 is parked at the barrier when rank 1 dies: the
-				// backend must unwind it, not leave it pinning the node
-				// images (the sim engine used to).
-				leaktest.Check(t)
-				pool := []*vm.Arena{vm.NewArena(), vm.NewArena()}
-				loans := func() (n int) {
-					for _, ar := range pool {
-						n += ar.Loans()
+				for _, pooled := range []bool{true, false} {
+					col := "fresh"
+					if pooled {
+						col = "pool"
 					}
-					return n
-				}
-				_, err := Run(Config{App: hostileApp(c.misbehave), Set: Small, System: Base, Procs: 2, Backend: backend, Arenas: pool})
-				if err == nil || !strings.Contains(err.Error(), c.wantErr) {
-					t.Fatalf("hostile job: err = %v, want %q", err, c.wantErr)
-				}
-				if n := loans(); n != 0 {
-					t.Fatalf("failed job left %d arena loan(s) outstanding", n)
-				}
-				cfg := clean
-				cfg.Backend, cfg.Arenas = backend, pool
-				res, err := Run(cfg)
-				if err != nil {
-					t.Fatalf("clean job after a failed one: %v", err)
-				}
-				if res.Checksum != fresh.Checksum {
-					t.Errorf("clean job checksum %v, fresh run %v", res.Checksum, fresh.Checksum)
-				}
-				if n := loans(); n != 0 {
-					t.Errorf("clean job left %d arena loan(s) outstanding", n)
+					t.Run(col, func(t *testing.T) {
+						// Rank 0 is parked at the barrier when rank 1 dies: the
+						// backend must unwind it, not leave it pinning the node
+						// images (the sim engine used to).
+						leaktest.Check(t)
+						var pool []*vm.Arena
+						loans := idleLoans
+						if pooled {
+							pool = []*vm.Arena{vm.NewArena(), vm.NewArena()}
+							loans = func() (n int) {
+								for _, ar := range pool {
+									n += ar.Loans()
+								}
+								return n
+							}
+						}
+						_, err := Run(Config{App: hostileApp(c.misbehave), Set: Small, System: Base, Procs: 2, Backend: backend, Arenas: pool})
+						if err == nil || !strings.Contains(err.Error(), c.wantErr) {
+							t.Fatalf("hostile job: err = %v, want %q", err, c.wantErr)
+						}
+						if n := loans(); n != 0 {
+							t.Fatalf("failed job left %d arena loan(s) outstanding", n)
+						}
+						cfg := clean
+						cfg.Backend, cfg.Arenas = backend, pool
+						res, err := Run(cfg)
+						if err != nil {
+							t.Fatalf("clean job after a failed one: %v", err)
+						}
+						if res.Checksum != fresh.Checksum {
+							t.Errorf("clean job checksum %v, fresh run %v", res.Checksum, fresh.Checksum)
+						}
+						if n := loans(); n != 0 {
+							t.Errorf("clean job left %d arena loan(s) outstanding", n)
+						}
+					})
 				}
 			})
 		}
+	}
+}
+
+// TestFreshRunSeesNoPreviousRun is the idle list's isolation check: a
+// run whose every rank writes a non-zero pattern over its whole image —
+// through the image slice, far past the one page it validated, which
+// only zeroing the whole loan can hide — then a run whose every rank
+// reads its whole image at first touch and fails on any non-zero word,
+// on a smaller machine, the same one, and a larger one over a bigger
+// layout. A first 8-rank dirty run over the widest layout leaves every
+// idle arena a store wider than any later image and dirty to its end, so
+// every later take recycles a store and must clear all it lends.
+func TestFreshRunSeesNoPreviousRun(t *testing.T) {
+	const words = 4 * shm.PageWords
+	run := func(t *testing.T, procs, n int, kernel func(rank int, mem []float64)) {
+		t.Helper()
+		app := kernelApp(n, func(rank int, ctx ir.KernelCtx) { kernel(rank, ctx.ReadRegion(0, 1)) })
+		if _, err := Run(Config{App: app, Set: Small, System: Base, Procs: procs}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dirty := func(rank int, mem []float64) {
+		for i := range mem {
+			mem[i] = float64(rank*len(mem) + i + 1)
+		}
+	}
+	check := func(rank int, mem []float64) {
+		for i, v := range mem {
+			if v != 0 {
+				panic(fmt.Sprintf("rank %d word %d = %v: a previous run's word", rank, i, v))
+			}
+		}
+	}
+	run(t, 8, 4*words, dirty)
+	for _, c := range []struct {
+		name                   string
+		dirtyProcs, checkProcs int
+		checkWords             int
+	}{
+		{"smaller", 8, 2, words},
+		{"same", 8, 8, words},
+		{"larger", 2, 8, 2 * words},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			run(t, c.dirtyProcs, words, dirty)
+			run(t, c.checkProcs, c.checkWords, check)
+		})
+	}
+}
+
+// TestConcurrentFreshRunsReproduce is idle-list reuse under concurrency:
+// four goroutines run a mix of sim-base, sim-modes and net
+// configurations several times each, so machines of different sizes and
+// modes borrow and return one another's arenas, and every run must
+// reproduce its configuration's first run in this process — checksum,
+// virtual time and messages on sim; the checksum on net, whose schedule
+// is real.
+func TestConcurrentFreshRunsReproduce(t *testing.T) {
+	cfg := func(app string, set apps.DataSet, procs int, mod func(*Config)) Config {
+		a, err := apps.ByName(app)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := Config{App: a, Set: set, System: Base, Procs: procs, Backend: BackendSim, Verify: true}
+		if mod != nil {
+			mod(&c)
+		}
+		return c
+	}
+	cfgs := []Config{
+		cfg("jacobi", Small, 8, nil),
+		cfg("is", Small, 8, nil),
+		cfg("jacobi", "bound", 4, func(c *Config) { c.Adapt = true }),
+		cfg("spmv", Small, 4, func(c *Config) { c.Scale = true }),
+		cfg("jacobi", Small, 2, func(c *Config) { c.Recover = true }),
+		cfg("jacobi", Small, 4, func(c *Config) { c.Backend = BackendNet }),
+	}
+	want := make([]*Result, len(cfgs))
+	for i, c := range cfgs {
+		res, err := Run(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = res
+	}
+	rounds := 2
+	if testing.Short() {
+		rounds = 1
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < rounds*len(cfgs); r++ {
+				i := (g + r) % len(cfgs) // each goroutine its own rotation
+				c, w := cfgs[i], want[i]
+				label := fmt.Sprintf("goroutine %d: %s/%s/%s p%d", g, c.App.Name, c.Set, c.Backend, c.Procs)
+				res, err := Run(c)
+				switch {
+				case err != nil:
+					t.Errorf("%s: %v", label, err)
+				case res.Checksum != w.Checksum:
+					t.Errorf("%s: checksum %v, first run %v", label, res.Checksum, w.Checksum)
+				case c.Backend == BackendSim && (res.Time != w.Time || res.Msgs != w.Msgs):
+					t.Errorf("%s: time %v msgs %d, first run %v msgs %d", label, res.Time, res.Msgs, w.Time, w.Msgs)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if n := idleLoans(); n != 0 {
+		t.Errorf("%d arena loan(s) outstanding on the idle list after every run returned", n)
 	}
 }

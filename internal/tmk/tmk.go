@@ -221,8 +221,10 @@ func New(h host.Host, nw host.Transport, layout *shm.Layout) *System {
 }
 
 // NewWarm builds a machine whose node memories borrow storage from warm
-// pool arenas — arenas[i] backs rank i; nil entries (or a nil slice, the
-// New path) fall back to heap allocation. Arena-backed storage is zeroed
+// arenas — arenas[i] backs rank i; nil entries (or a nil slice, the New
+// path) fall back to heap allocation. An arena is warm storage for one
+// rank at a time: an svc pool slot, or a fresh run's loan from harness,
+// so no two ranks may share one. Arena-backed storage is zeroed
 // on loan, so a warm machine's protocol behavior and results are
 // bit-identical to a fresh one's; ReleaseWarm hands the storage back
 // after the run.
@@ -309,8 +311,8 @@ func (s *System) Run(body func(nd *Node)) error {
 	})
 }
 
-// ReleaseWarm hands every node's warm-arena storage back to its pool
-// slot: directory arrays first (they are arena loans too), then the
+// ReleaseWarm hands every node's warm-arena storage back to its arena:
+// directory arrays first (they are arena loans too), then the
 // Mem's data store, twins, and page freelist. Run CheckGuards on the
 // arenas BEFORE calling this — release ends the loans the audit needs.
 // A machine built without arenas ignores the call. The System must not

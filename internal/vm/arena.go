@@ -10,26 +10,19 @@ import "fmt"
 // guards before it lands in a neighbor's storage.
 const GuardWords = 16
 
-// loan records one data store currently lent to a running job: the full
-// backing array, the borrowed prefix length, and the canary value the
-// guard words held when the loan was made.
-type loan struct {
-	store  []float64
-	words  int
-	canary float64
-}
-
-// Arena is warm storage for one pool rank slot. A long-lived node daemon
-// keeps one Arena per slot and threads it through every job that runs on
-// the slot, so steady-state jobs reuse page frames, address-space
-// backing stores, and directory arrays instead of growing the heap per
-// job. An Arena is owned by exactly one job at a time (the pool's slot
-// discipline); it needs no locking.
+// Arena is warm storage for one rank at a time: an svc pool slot, or a
+// fresh run's loan from harness. Whoever owns it threads it through
+// every run on that rank, so steady-state runs reuse page frames, the
+// address-space backing store, and directory arrays instead of growing
+// the heap per run. An Arena backs one node of one machine at a time
+// (the pool's slot discipline, harness's idle list); it needs no
+// locking.
 //
 // Reuse rules, chosen so warm results stay bit-identical to fresh runs:
 //
-//   - Data stores (TakeData) are zeroed on every take, exactly like
-//     make: application memory starts blank.
+//   - The data store (TakeData) is zeroed on every take that recycles
+//     it, so it reads exactly like make: application memory starts
+//     blank.
 //   - Page buffers (TakePage) are NOT zeroed: every consumer in package
 //     vm fully overwrites the buffer before reading it (twin snapshots,
 //     whole-page runs), so stale content is unobservable. This mirrors
@@ -40,44 +33,39 @@ type loan struct {
 //     per-job rank-subset regression test poisons.
 type Arena struct {
 	canary float64
-	data   [][]float64 // idle data stores, guard capacity included
+	data   []float64   // the data store, guard capacity included
+	words  int         // the loan's length while lent
+	lent   bool        // data is out on loan
 	pages  [][]float64 // idle page-sized buffers
 	ints   [][]int32   // idle int32 arrays
-	loans  []loan
 }
 
 // NewArena returns an empty warm arena.
 func NewArena() *Arena { return &Arena{} }
 
-// SetCanary installs the canary value for subsequent loans. The pool
-// gives each job a distinct canary so a guard violation names which
-// job's storage was overrun.
+// SetCanary installs the canary value for the next loan; call it while
+// nothing is lent. The pool gives each job a distinct canary, and harness
+// each fresh run, so a guard violation names whose storage was overrun.
 func (a *Arena) SetCanary(c float64) { a.canary = c }
 
-// TakeData lends a zeroed data store of the given word count, backed by
-// recycled storage when a large-enough idle store exists. The returned
-// slice is capacity-capped at words: an append cannot silently grow into
-// the guard region.
+// TakeData lends a zeroed data store of the given word count: the idle
+// store, cleared, when its capacity fits, else a new one from make —
+// already zero — in its place, so an idle arena holds the largest image
+// it served. The returned slice is capacity-capped at words: an append
+// cannot silently grow into the guard region. An arena lends one store
+// at a time: call ReleaseData before the next take.
 func (a *Arena) TakeData(words int) []float64 {
-	var store []float64
-	for i, s := range a.data {
-		if cap(s) >= words+GuardWords {
-			store = s[:cap(s)]
-			a.data[i] = a.data[len(a.data)-1]
-			a.data[len(a.data)-1] = nil
-			a.data = a.data[:len(a.data)-1]
-			break
-		}
+	if cap(a.data) >= words+GuardWords {
+		a.data = a.data[:cap(a.data)]
+		clear(a.data[:words])
+	} else {
+		a.data = make([]float64, words+GuardWords)
 	}
-	if store == nil {
-		store = make([]float64, words+GuardWords)
-	}
-	clear(store[:words])
 	for i := words; i < words+GuardWords; i++ {
-		store[i] = a.canary
+		a.data[i] = a.canary
 	}
-	a.loans = append(a.loans, loan{store: store, words: words, canary: a.canary})
-	return store[:words:words]
+	a.words, a.lent = words, true
+	return a.data[:words:words]
 }
 
 // TakePage lends a page-sized buffer without zeroing it; the caller must
@@ -124,39 +112,41 @@ func (a *Arena) RecycleInt32(s []int32) {
 	}
 }
 
-// CheckGuards audits every outstanding loan's guard words against the
-// canary recorded at take time. It must run before ReleaseData returns
-// the stores to the idle list. A mismatch is cross-job bleed (or an
-// in-job overrun) and the pool treats it as fatal for the offending job.
+// CheckGuards audits the outstanding loan's guard words against the
+// canary. It must run before ReleaseData ends the loan. A mismatch is
+// cross-job bleed (or an in-job overrun) and harness treats it as fatal
+// for the offending run.
 func (a *Arena) CheckGuards() error {
-	for _, l := range a.loans {
-		g := l.store[l.words : l.words+GuardWords]
-		for i, v := range g {
-			if v != l.canary {
-				return fmt.Errorf("vm: arena guard word %d of %d-word store corrupted: got %v, want canary %v",
-					i, l.words, v, l.canary)
-			}
+	if !a.lent {
+		return nil
+	}
+	for i, v := range a.data[a.words : a.words+GuardWords] {
+		if v != a.canary {
+			return fmt.Errorf("vm: arena guard word %d of %d-word store corrupted: got %v, want canary %v",
+				i, a.words, v, a.canary)
 		}
 	}
 	return nil
 }
 
-// ReleaseData ends every outstanding data loan, returning the stores to
-// the idle list for the next job. Call CheckGuards first; release does
-// not audit.
-func (a *Arena) ReleaseData() {
-	for i := range a.loans {
-		a.data = append(a.data, a.loans[i].store)
-		a.loans[i] = loan{}
-	}
-	a.loans = a.loans[:0]
-}
+// ReleaseData ends the outstanding data loan, keeping the store idle for
+// the next run. Call CheckGuards first; release does not audit.
+func (a *Arena) ReleaseData() { a.lent = false }
 
-// Idle reports the arena's idle inventory (data stores, page buffers,
-// int32 arrays), for tests that pin warm reuse actually happening.
+// Idle reports the arena's idle inventory (data stores — 0 or 1 — page
+// buffers, int32 arrays), for tests that pin warm reuse actually
+// happening.
 func (a *Arena) Idle() (data, pages, ints int) {
-	return len(a.data), len(a.pages), len(a.ints)
+	if a.data != nil && !a.lent {
+		data = 1
+	}
+	return data, len(a.pages), len(a.ints)
 }
 
-// Loans reports the number of outstanding data loans.
-func (a *Arena) Loans() int { return len(a.loans) }
+// Loans reports the number of outstanding data loans: 0 or 1.
+func (a *Arena) Loans() int {
+	if a.lent {
+		return 1
+	}
+	return 0
+}

@@ -3,41 +3,55 @@ package vm
 import (
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"sdsm/internal/model"
 	"sdsm/internal/shm"
 )
 
-// TestArenaDataLoan pins the data-store contract: loans come back
-// zeroed regardless of what the previous tenant left, reuse actually
-// recycles storage, and append cannot reach the guard region.
+// TestArenaDataLoan pins the data-store contract: an arena holds one
+// store, loans come back zeroed regardless of what the previous tenant
+// left, a loan that fits recycles the idle store and one that does not
+// replaces it, and append cannot reach the guard region. Each loan is
+// dirtied over its whole length before release, so the next loan's
+// zeroing is what is under test.
 func TestArenaDataLoan(t *testing.T) {
 	a := NewArena()
-	a.SetCanary(1.5)
-	d1 := a.TakeData(64)
-	for i := range d1 {
-		d1[i] = float64(i + 1)
-	}
-	if err := a.CheckGuards(); err != nil {
-		t.Fatalf("guards after in-bounds writes: %v", err)
-	}
-	a.ReleaseData()
-	if n, _, _ := a.Idle(); n != 1 {
-		t.Fatalf("idle data stores after release: %d, want 1", n)
-	}
-
-	a.SetCanary(2.5)
-	d2 := a.TakeData(32) // fits in the recycled 64-word store
-	if n, _, _ := a.Idle(); n != 0 {
-		t.Fatal("second take did not reuse the idle store")
-	}
-	for i, v := range d2 {
-		if v != 0 {
-			t.Fatalf("reused store word %d = %v, want 0 (previous tenant visible)", i, v)
+	var prev *float64
+	for _, c := range []struct {
+		words  int
+		reused bool
+	}{
+		{64, false},
+		{32, true},   // fits in the idle 64-word store
+		{128, false}, // does not: a new store replaces it
+		{128, true},
+	} {
+		a.SetCanary(float64(c.words) + 0.5)
+		d := a.TakeData(c.words)
+		if n, _, _ := a.Idle(); n != 0 || a.Loans() != 1 {
+			t.Fatalf("%d words: idle %d, loans %d while lent, want 0 and 1", c.words, n, a.Loans())
 		}
-	}
-	if cap(d2) != len(d2) {
-		t.Fatalf("loan capacity %d > length %d: append could reach the guards", cap(d2), len(d2))
+		if got := unsafe.SliceData(d) == prev; got != c.reused {
+			t.Fatalf("%d words: store reused = %v, want %v", c.words, got, c.reused)
+		}
+		prev = unsafe.SliceData(d)
+		if len(d) != c.words || cap(d) != len(d) {
+			t.Fatalf("%d words: loan len %d cap %d: append could reach the guards", c.words, len(d), cap(d))
+		}
+		for i, v := range d {
+			if v != 0 {
+				t.Fatalf("%d words: word %d = %v, want 0 (previous tenant visible)", c.words, i, v)
+			}
+			d[i] = float64(i + 1)
+		}
+		if err := a.CheckGuards(); err != nil {
+			t.Fatalf("%d words: guards after in-bounds writes: %v", c.words, err)
+		}
+		a.ReleaseData()
+		if n, _, _ := a.Idle(); n != 1 || a.Loans() != 0 {
+			t.Fatalf("%d words: idle %d, loans %d after release, want 1 and 0", c.words, n, a.Loans())
+		}
 	}
 }
 
@@ -53,7 +67,7 @@ func TestArenaGuardCatchesOverrun(t *testing.T) {
 	if err := a.CheckGuards(); err != nil {
 		t.Fatalf("clean loan failed audit: %v", err)
 	}
-	a.loans[0].store[16] = 0 // first guard word, via the backing array
+	a.data[16] = 0 // first guard word, via the backing array
 	if err := a.CheckGuards(); err == nil {
 		t.Fatal("corrupted guard word passed the audit")
 	}
@@ -76,26 +90,30 @@ func TestArenaInt32Raw(t *testing.T) {
 }
 
 // TestWarmMemBitIdentical pins NewWarm's observable equality with New:
-// same zeroed data, same page count, and Release hands storage back.
+// same zeroed data — on the cold take and on the one that recycles the
+// store a dirtied Mem gave back — same page count, and Release hands the
+// store back.
 func TestWarmMemBitIdentical(t *testing.T) {
 	a := NewArena()
-	m := NewWarm(3, 3*shm.PageWords, model.SP2(), nil, a)
-	if m.Arena() != a {
-		t.Fatal("warm Mem lost its arena")
-	}
-	for i, v := range m.Data() {
-		if v != 0 {
-			t.Fatalf("warm data word %d = %v, want 0", i, v)
+	for round := 0; round < 2; round++ {
+		m := NewWarm(3, 3*shm.PageWords, model.SP2(), nil, a)
+		if m.Arena() != a {
+			t.Fatal("warm Mem lost its arena")
 		}
-	}
-	if m.Pages() != 3 {
-		t.Fatalf("pages %d, want 3", m.Pages())
-	}
-	m.Release()
-	a.ReleaseData()
-	data, _, _ := a.Idle()
-	if data != 1 {
-		t.Fatalf("idle data stores after release: %d, want 1", data)
+		for i, v := range m.Data() {
+			if v != 0 {
+				t.Fatalf("round %d: warm data word %d = %v, want 0", round, i, v)
+			}
+			m.Data()[i] = -1
+		}
+		if m.Pages() != 3 {
+			t.Fatalf("pages %d, want 3", m.Pages())
+		}
+		m.Release()
+		a.ReleaseData()
+		if data, _, _ := a.Idle(); data != 1 {
+			t.Fatalf("round %d: idle data stores after release: %d, want 1", round, data)
+		}
 	}
 }
 

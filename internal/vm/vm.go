@@ -143,9 +143,10 @@ type Mem struct {
 	// needs no synchronization.
 	free [][]float64
 
-	// arena, when non-nil, is the warm pool slot this Mem borrowed its
-	// storage from (NewWarm). Page buffers the freelist misses come from
-	// the arena, and Release hands everything back for the next job.
+	// arena, when non-nil, is the warm storage this Mem borrowed from
+	// (NewWarm): an svc pool slot's, or harness's loan to a fresh run.
+	// Page buffers the freelist misses come from the arena, and Release
+	// hands everything back for the next run.
 	arena *Arena
 
 	// Counters is exported for the statistics harness.
