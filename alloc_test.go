@@ -119,7 +119,7 @@ func stagedProg() *ir.Program {
 // TestPushMemoAllocs pins a repeated PushStmt whose section bounds do not
 // move at zero allocations per execution: the interpreter evaluates the
 // bounds into scratch, finds them unchanged and hands the runtime the
-// region sets it built the first time, where every execution used to cost
+// send lists it built the first time, where every execution used to cost
 // a fresh environment plus 2·nprocs Concrete.Regions/Normalize results
 // (internal/interp's TestPushMemo covers the bounds that do move).
 func TestPushMemoAllocs(t *testing.T) {
@@ -360,4 +360,72 @@ func TestMachineBuildAllocs(t *testing.T) {
 		t.Fatalf("tmk.New allocates %.0f objects over %d pages, %.0f over %d; want within %d", l, large, s, small, slack)
 	}
 	t.Logf("tmk.New at %d nodes: %.0f allocs over %d pages, %.0f over %d", n, s, small, l, large)
+}
+
+// TestPushGatherAllocs pins what one Push message allocates at a number
+// that does not grow with its chunks: the sender gathers every chunk out
+// of memory into one buffer sized to the message, beside one exactly sized
+// chunk list. Node 0 pushes k disjoint one-word chunks of one page to node
+// 1 every iteration. Measured: 3 allocations per message (the buffer, the
+// chunk list, the payload) at 32 chunks and at 256. When Push intersected
+// word lists and copied every chunk into a slice of its own, the same
+// message cost 53 at 32 chunks and 286 at 256.
+func TestPushGatherAllocs(t *testing.T) {
+	const ceiling = 4
+	perMsg := func(k int) float64 {
+		return allocsPerIter(t, 40, 160, func(iters int) error {
+			e := sim.NewEngine(2)
+			layout := shm.NewLayout()
+			arr := layout.Alloc("mem", shm.PageWords)
+			sys := tmk.New(e, cluster.New(e, model.SP2()), layout)
+			chunks := make([]shm.Region, k)
+			for c := range chunks {
+				chunks[c] = shm.Region{Lo: arr.Base + 2*c, Hi: arr.Base + 2*c + 1}
+			}
+			send := [][][]shm.Region{{nil, chunks}, {nil, nil}}
+			from := [][]bool{{false, false}, {true, false}}
+			return sys.Run(func(nd *tmk.Node) {
+				for it := 0; it < iters; it++ {
+					nd.Push(send[nd.ID], from[nd.ID])
+				}
+			})
+		})
+	}
+	few, many := perMsg(32), perMsg(256)
+	if few > ceiling || many > ceiling {
+		t.Fatalf("one Push message allocates %.1f at 32 chunks and %.1f at 256, ceiling %d whatever its chunks", few, many, ceiling)
+	}
+	t.Logf("one Push message: %.1f allocs at 32 chunks, %.1f at 256 (ceiling %d)", few, many, ceiling)
+}
+
+// TestValidateMovingBoundsAllocs pins a repeated ValidateStmt whose
+// bounds move on every execution at zero allocations once warmed, the
+// shape of gauss's A[k+1:m, jfirst:m:8]: the regions are rebuilt into the
+// memo's own storage, which the first execution grew to size, and one
+// section's regions are not normalized again. When every rebuild made a
+// fresh set — a Concrete, its region list grown by append, a Normalize —
+// this cost 9.0 objects per execution.
+func TestValidateMovingBoundsAllocs(t *testing.T) {
+	const steps = 16 // executions per iteration, every one at new bounds
+	m, k := rsd.Var("m"), rsd.Var("k")
+	sec := []rsd.Section{{Array: "a", Dims: []rsd.Bound{
+		rsd.Dense(k.Plus(1), m), {Lo: rsd.Const(3), Hi: m, Stride: 8},
+	}}}
+	prog := &ir.Program{
+		Name:   "validates",
+		Arrays: []ir.ArrayDecl{{Name: "a", Dims: []rsd.Lin{m, m}}},
+		Params: []rsd.Sym{"m", "iters"},
+		Body: []ir.Stmt{ir.Loop{Var: "it", Lo: rsd.Const(1), Hi: rsd.Var("iters"), Body: []ir.Stmt{
+			ir.Loop{Var: "k", Lo: rsd.Const(1), Hi: rsd.Const(steps), Body: []ir.Stmt{
+				ir.ValidateStmt{At: ir.ReadWrite, Secs: sec},
+			}},
+		}}},
+	}
+	per := allocsPerIter(t, 64, 1024, func(iters int) error {
+		interp.RunSeq(prog, rsd.Env{"m": 64, "iters": iters})
+		return nil
+	}) / steps
+	if per > 0.01 {
+		t.Fatalf("a Validate whose bounds move allocates %.2f/execution, want 0", per)
+	}
 }

@@ -549,29 +549,32 @@ func (c *compilation) movesWith(a Access) rsd.Sym {
 }
 
 // pushUseful evaluates a candidate Push numerically and reports whether
-// any processor would send data to another.
+// any processor would send data to another: whether some processor's write
+// section shares an element with another processor's read section.
 func (c *compilation) pushUseful(push *ir.PushStmt) bool {
 	n := c.opts.NProcs
-	reads := make([][]shm.Region, n)
-	writes := make([][]shm.Region, n)
+	reads := make([][]rsd.Concrete, n)
+	writes := make([][]rsd.Concrete, n)
 	for p := 0; p < n; p++ {
 		env := c.prog.Env(c.opts.Params, p, n)
 		for _, cp := range c.computes {
 			env[cp.Sym] = cp.Fn(env)
 		}
 		for _, sec := range push.Reads {
-			reads[p] = append(reads[p], sec.Eval(env).Regions(c.layout)...)
+			reads[p] = append(reads[p], sec.Eval(env))
 		}
 		for _, sec := range push.Writes {
-			writes[p] = append(writes[p], sec.Eval(env).Regions(c.layout)...)
+			writes[p] = append(writes[p], sec.Eval(env))
 		}
-		reads[p] = shm.Normalize(reads[p])
-		writes[p] = shm.Normalize(writes[p])
 	}
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
-			if i != j && len(shm.IntersectSets(writes[i], reads[j])) > 0 {
-				return true
+			for _, w := range writes[i] {
+				for _, r := range reads[j] {
+					if i != j && !w.Intersect(r).Empty() {
+						return true
+					}
+				}
 			}
 		}
 	}
@@ -619,7 +622,7 @@ func (c *compilation) contiguousSampled(sec rsd.Section, env rsd.Env, depth int)
 	if cc.Empty() {
 		return true
 	}
-	return cc.ContiguousIn(c.layout)
+	return cc.ContiguousIn(c.layout.Array(cc.Array))
 }
 
 func stmtName(st ir.Stmt) string {

@@ -30,9 +30,9 @@ type executor struct {
 	src   [][]float64 // its operands as the kernel takes them (call)
 	stage []float64   // the operands call had to copy; grows to the longest loop's
 
-	memos  []memo // per Validate/Push statement (regionSets)
-	bounds []int  // the section bounds being compared with a memo's
-	penv   []int  // another rank's environment, for Push (envOfRank)
+	memos  []memo       // per Validate/Push statement (lookup)
+	bounds []rsd.CBound // the section bounds being compared with a memo's
+	penv   []int        // another rank's environment, for Push (envOfRank)
 }
 
 func newExecutor(lp *program, rank int, tgt target) *executor {
@@ -105,21 +105,28 @@ func (x *executor) exec(stmts []stmt) {
 			st(&x.kctx)
 			x.tgt.endCompute()
 		case *validate:
-			if regions := x.regionSets(&st.sections)[0]; len(regions) > 0 {
+			if regions := x.validateRegions(st); len(regions) > 0 {
 				x.tgt.validate(st.at, regions, st.wsync, st.async)
 			}
 		case *push:
-			sets := x.regionSets(&st.sections)
-			x.tgt.push(sets[:x.lp.nprocs], sets[x.lp.nprocs:])
+			x.tgt.push(x.pushPlan(st))
 		}
 	}
 }
 
-// memo is what regionSets last built for one statement: the region sets
-// and the concrete section bounds they were built from.
+// memo is what the executor last built for one Validate or Push statement,
+// and the concrete section bounds it was built from: for every rank, list
+// and section, each dimension's bound. secs are those sections, carved from
+// bounds when the statement first runs; bounds keeps its length, so they
+// describe whatever bounds holds. A Validate's regions are sets[0]; a
+// Push's sets[i] is what it sends rank i, and from[i] whether rank i sends
+// it anything. A rebuild reuses the storage: the run-time only reads what
+// it is handed, and keeps none of it past the call.
 type memo struct {
-	bounds []int
+	bounds []rsd.CBound
+	secs   []rsd.Concrete
 	sets   [][]shm.Region
+	from   []bool
 }
 
 // envOfRank returns rank i's environment in the penv scratch: what the
@@ -137,52 +144,105 @@ func (x *executor) envOfRank(i int) []int {
 	return x.penv
 }
 
-// regionSets returns one normalized region set per section list of st (per
-// list and rank when st is a Push: list j of rank i at j·nprocs+i). Only
-// the bounds are evaluated each time; the sets are rebuilt when a bound
-// moved since the statement last ran and are otherwise the ones built then
-// — the run-time only reads them, and may hold them until the next barrier.
-func (x *executor) regionSets(st *sections) [][]shm.Region {
-	ranks := 1
-	if st.perRank {
-		ranks = x.lp.nprocs
-	}
+// lookup evaluates st's bounds into scratch — in every rank's environment
+// when ranks is nprocs, in this executor's when it is 1 — and returns st's
+// memo and whether it was built from these very bounds. On a miss the
+// bounds become the memo's, for the caller to build from.
+func (x *executor) lookup(st *sections, ranks int) (*memo, bool) {
 	b := x.bounds[:0]
 	for i := 0; i < ranks; i++ {
 		env := x.env
-		if st.perRank {
+		if ranks > 1 {
 			env = x.envOfRank(i)
 		}
 		for _, secs := range st.lists {
 			for s := range secs {
-				for d := range secs[s].dims {
-					b = append(b, secs[s].dims[d].lo.eval(env), secs[s].dims[d].hi.eval(env))
+				for _, d := range secs[s].dims {
+					b = append(b, rsd.CBound{Lo: d.lo.eval(env), Hi: d.hi.eval(env), Stride: d.stride})
 				}
 			}
 		}
 	}
 	x.bounds = b
 	m := &x.memos[st.memo]
-	if m.sets != nil && slices.Equal(b, m.bounds) {
-		return m.sets
+	if m.secs != nil && slices.Equal(b, m.bounds) {
+		return m, true
 	}
 	m.bounds = append(m.bounds[:0], b...)
-	m.sets = make([][]shm.Region, ranks*len(st.lists))
-	for i := 0; i < ranks; i++ {
-		for j, secs := range st.lists {
-			var out []shm.Region
-			for _, sec := range secs {
-				c := rsd.Concrete{Array: sec.array, Dims: make([]rsd.CBound, len(sec.dims))}
-				for d := range c.Dims {
-					c.Dims[d] = rsd.CBound{Lo: b[0], Hi: b[1], Stride: sec.dims[d].stride}
-					b = b[2:]
+	if m.secs == nil {
+		k := 0
+		for i := 0; i < ranks; i++ {
+			for _, secs := range st.lists {
+				for s := range secs {
+					n := len(secs[s].dims)
+					m.secs = append(m.secs, rsd.Concrete{Array: secs[s].arr.Name, Dims: m.bounds[k : k+n : k+n]})
+					k += n
 				}
-				out = append(out, c.Regions(x.lp.layout)...)
 			}
-			m.sets[j*ranks+i] = shm.Normalize(out)
+		}
+		m.sets, m.from = make([][]shm.Region, ranks), make([]bool, ranks)
+	}
+	return m, false
+}
+
+// validateRegions returns the normalized regions of a Validate's sections,
+// rebuilt into the memo's storage when a bound moved.
+func (x *executor) validateRegions(st *validate) []shm.Region {
+	m, hit := x.lookup(&st.sections, 1)
+	if !hit {
+		out := m.sets[0][:0]
+		for s, c := range m.secs {
+			out = c.AppendRegions(out, st.lists[0][s].arr)
+		}
+		m.sets[0] = normalized(out)
+	}
+	return m.sets[0]
+}
+
+// pushPlan returns what this rank's Push sends each rank i — the regions
+// its write sections share with i's read sections — and whether i sends it
+// anything: some write section of i shares an element with one of its read
+// sections. Sections are intersected pairwise and only what crosses is
+// expanded, each time a bound of any rank moved.
+func (x *executor) pushPlan(st *push) ([][]shm.Region, []bool) {
+	m, hit := x.lookup(&st.sections, x.lp.nprocs)
+	if hit {
+		return m.sets, m.from
+	}
+	// Rank i's sections are m.secs[i*per:][:per], its reads then its writes.
+	nr, per := len(st.lists[0]), len(st.lists[0])+len(st.lists[1])
+	mine := m.secs[x.rank*per:][:per]
+	for i := range m.sets {
+		m.sets[i], m.from[i] = m.sets[i][:0], false
+		if i == x.rank {
+			continue
+		}
+		theirs := m.secs[i*per:][:per]
+		for a, w := range mine[nr:] {
+			for _, r := range theirs[:nr] {
+				m.sets[i] = w.Intersect(r).AppendRegions(m.sets[i], st.lists[1][a].arr)
+			}
+		}
+		m.sets[i] = normalized(m.sets[i])
+		for _, w := range theirs[nr:] {
+			for _, r := range mine[:nr] {
+				m.from[i] = m.from[i] || !w.Intersect(r).Empty()
+			}
 		}
 	}
-	return m.sets
+	return m.sets, m.from
+}
+
+// normalized returns rs, the regions of sections appended one after
+// another, normalized in its own storage. Each section's are, so they
+// usually all are: only regions out of order or touching need Normalize.
+func normalized(rs []shm.Region) []shm.Region {
+	for i := 1; i < len(rs); i++ {
+		if rs[i].Lo <= rs[i-1].Hi {
+			return append(rs[:0], shm.Normalize(rs)...)
+		}
+	}
+	return rs
 }
 
 // execLoop runs a counted loop. The variable's slot goes back to zero —

@@ -8,8 +8,8 @@
 // representation — string symbols, map-backed affine expressions, arrays
 // by name — is lowered once per machine (lower.go: symbols to integer
 // slots, expressions to dense terms, references to arrays, strides and
-// per-iteration steps, Validate/Push sections to bounds keying one
-// region-set memo) into a program every rank's executor shares read-only
+// per-iteration steps, Validate/Push sections to bounds keying a memo of
+// what each builds) into a program every rank's executor shares read-only
 // (exec.go; DESIGN.md §1, "Analyse symbolically, run lowered"). The
 // callbacks that read the environment by name — Compute, If, kernels —
 // get a map view of the slots on demand (executor.envView).
@@ -50,7 +50,7 @@ type target interface {
 	acquire(id int)
 	release(id int)
 	validate(at ir.AccessType, regions []shm.Region, wsync, async bool)
-	push(reads, writes [][]shm.Region)
+	push(send [][]shm.Region, from []bool)
 }
 
 // RunDSM executes prog on every node of sys with the given problem
@@ -142,7 +142,7 @@ func (t *dsmTarget) validate(at ir.AccessType, regions []shm.Region, wsync, asyn
 	t.nd.Validate(acc, regions, async)
 }
 
-func (t *dsmTarget) push(reads, writes [][]shm.Region) { t.nd.Push(reads, writes) }
+func (t *dsmTarget) push(send [][]shm.Region, from []bool) { t.nd.Push(send, from) }
 
 // seqTarget is the cost-free sequential reference; it accumulates compute
 // charges for SeqTime.
@@ -161,4 +161,4 @@ func (t *seqTarget) barrier(int)                                      {}
 func (t *seqTarget) acquire(int)                                      {}
 func (t *seqTarget) release(int)                                      {}
 func (t *seqTarget) validate(ir.AccessType, []shm.Region, bool, bool) {}
-func (t *seqTarget) push(reads, writes [][]shm.Region)                {}
+func (t *seqTarget) push([][]shm.Region, []bool)                      {}

@@ -226,47 +226,88 @@ func TestKernelCtx(t *testing.T) {
 	}
 }
 
-// pushRecorder is a target that keeps what a Push hands the runtime.
+// pushRecorder is a target that keeps copies of what a Push hands the
+// runtime, and the send slices themselves.
 type pushRecorder struct {
 	seqTarget
-	reads, writes [][][]shm.Region
+	send  [][][]shm.Region
+	from  [][]bool
+	sends [][][]shm.Region
 }
 
-func (r *pushRecorder) push(reads, writes [][]shm.Region) {
-	r.reads, r.writes = append(r.reads, reads), append(r.writes, writes)
+func (r *pushRecorder) push(send [][]shm.Region, from []bool) {
+	clone := make([][]shm.Region, len(send))
+	for i := range send {
+		clone[i] = slices.Clone(send[i])
+	}
+	r.send, r.from, r.sends = append(r.send, clone), append(r.from, slices.Clone(from)), append(r.sends, send)
 }
 
-// TestPushMemo is the correctness half of regionSets' memo: a Push whose
-// section bounds move between executions gets the regions of the new
-// bounds every time — for every rank, not just the executor's — and one
-// whose bounds stand still is handed the very slices built the first time.
+// TestPushMemo is the correctness half of the Push memo. Every rank's
+// executor runs three Pushes four times: one whose read sections slide
+// with k across block boundaries, one whose sections stand still, and one
+// whose two write sections overlap, so that what it sends is right only
+// because the crossing regions are normalized. For every rank and peer,
+// what reaches the runtime must be what word-list intersection of every
+// rank's full region sets gives (refPlan), and the fixed Push must be
+// handed the very slices it was handed the first time.
 func TestPushMemo(t *testing.T) {
 	const nprocs, n, iters = 3, 48, 4
-	k := rsd.Var("k")
-	block := []rsd.Section{{Array: "x", Dims: []rsd.Bound{rsd.Dense(rsd.Var("lo"), rsd.Var("hi"))}}}
-	sliding := []rsd.Section{{Array: "x", Dims: []rsd.Bound{rsd.Dense(rsd.Var("lo").Add(k), rsd.Var("lo").Add(k).Plus(2))}}}
-	prog := prog1d(ir.Loop{Var: "k", Lo: rsd.Const(1), Hi: rsd.Const(iters), Body: []ir.Stmt{
-		ir.PushStmt{ReplacedBarrier: 1, Reads: sliding, Writes: block},
-		ir.PushStmt{ReplacedBarrier: 2, Reads: block, Writes: block},
-	}})
-	params := rsd.Env{"n": n}
-	rec := &pushRecorder{}
-	lp := lower(prog, compiler.BuildLayout(prog, params), params, nprocs)
-	newExecutor(lp, 1, rec).exec(lp.body)
-	if len(rec.reads) != 2*iters {
-		t.Fatalf("%d pushes reached the runtime, want %d", len(rec.reads), 2*iters)
+	k, p, lo := rsd.Var("k"), rsd.Var("p"), rsd.Var("lo")
+	x := func(lo, hi rsd.Lin) rsd.Section { return rsd.Section{Array: "x", Dims: []rsd.Bound{rsd.Dense(lo, hi)}} }
+	block := []rsd.Section{x(lo, rsd.Var("hi"))}
+	// Rank 0 reads into rank 1's block, rank 2 into its last words.
+	start := lo.Add(p.Scale(-8)).Plus(14)
+	sliding := []rsd.Section{x(start.Add(k), start.Add(k).Plus(2))}
+	fixed := []rsd.Section{x(start.Plus(1), start.Plus(3))}
+	// The second write section starts below the first: what the two share
+	// with a read section comes out of order and overlapping.
+	overlapping := []rsd.Section{x(lo.Plus(1), rsd.Var("hi")), x(lo, rsd.Var("hi"))}
+	pushes := [][2][]rsd.Section{{sliding, block}, {fixed, block}, {sliding, overlapping}}
+	body := []ir.Stmt{}
+	for b, rw := range pushes {
+		body = append(body, ir.PushStmt{ReplacedBarrier: b + 1, Reads: rw[0], Writes: rw[1]})
 	}
+	prog := prog1d(ir.Loop{Var: "k", Lo: rsd.Const(1), Hi: rsd.Const(iters), Body: body})
+	params := rsd.Env{"n": n}
+	layout := compiler.BuildLayout(prog, params)
+	lp := lower(prog, layout, params, nprocs)
+	recs := make([]*pushRecorder, nprocs)
+	for rank := range recs {
+		recs[rank] = &pushRecorder{}
+		newExecutor(lp, rank, recs[rank]).exec(lp.body)
+	}
+	crossed := 0
 	for it := 0; it < iters; it++ {
-		for p := 0; p < nprocs; p++ {
-			lo := p*n/nprocs + 1
-			want := []shm.Region{{Lo: lo + it, Hi: lo + it + 3}} // x is 1-based at word 0: x[lo+k .. lo+k+2], k = it+1
-			if got := rec.reads[2*it][p]; !slices.Equal(got, want) {
-				t.Fatalf("iteration %d rank %d: sliding reads %v, want %v", it+1, p, got, want)
+		for b, rw := range pushes {
+			reads, writes := make([][]shm.Region, nprocs), make([][]shm.Region, nprocs)
+			for i := range reads {
+				env := prog.Env(params, i, nprocs)
+				env["k"] = it + 1
+				ref := &refExecutor{layout: layout}
+				reads[i], writes[i] = ref.regions(rw[0], env), ref.regions(rw[1], env)
+			}
+			for rank, rec := range recs {
+				send, from := refPlan(rank, reads, writes)
+				got := len(pushes)*it + b
+				if !slices.EqualFunc(rec.send[got], send, slices.Equal) || !slices.Equal(rec.from[got], from) {
+					t.Fatalf("k=%d push %d rank %d: send %v from %v, want %v %v", it+1, b+1, rank, rec.send[got], rec.from[got], send, from)
+				}
+				for i := range send {
+					if len(send[i]) > 0 {
+						crossed++
+					}
+				}
+				for i := range send {
+					if b == 1 && it > 0 && len(send[i]) > 0 && &rec.sends[got][i][0] != &rec.sends[b][i][0] {
+						t.Fatalf("k=%d rank %d: the fixed Push was handed a new slice for rank %d", it+1, rank, i)
+					}
+				}
 			}
 		}
-		if it > 0 && &rec.reads[2*it+1][0][0] != &rec.reads[1][0][0] {
-			t.Fatalf("iteration %d: the fixed Push rebuilt its region sets", it+1)
-		}
+	}
+	if crossed < 2*iters {
+		t.Fatalf("only %d non-empty sends: the sections barely cross", crossed)
 	}
 }
 

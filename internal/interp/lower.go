@@ -124,18 +124,17 @@ type bound struct {
 }
 
 type section struct {
-	array string
-	dims  []bound
+	arr  *shm.Array
+	dims []bound
 }
 
 // sections is what Validate and Push share: lists of sections whose
-// concrete bounds key the region sets built from them (executor.regionSets).
+// concrete bounds key what the executor builds from them (executor.lookup).
 // A Validate has one list, evaluated in the executing rank's environment; a
 // Push has two, reads and writes, evaluated for every rank.
 type sections struct {
-	lists   [][]section
-	perRank bool
-	memo    int
+	lists [][]section
+	memo  int
 }
 
 type validate struct {
@@ -253,9 +252,9 @@ func (lw *lowerer) stmts(in []ir.Stmt) []stmt {
 		case ir.CallBoundary:
 			// Analysis boundary only; nothing happens at run time.
 		case ir.ValidateStmt:
-			out = append(out, &validate{sections: lw.sections(false, st.Secs), at: st.At, wsync: st.WSync, async: st.Async})
+			out = append(out, &validate{sections: lw.sections(st.Secs), at: st.At, wsync: st.WSync, async: st.Async})
 		case ir.PushStmt:
-			out = append(out, &push{lw.sections(true, st.Reads, st.Writes)})
+			out = append(out, &push{lw.sections(st.Reads, st.Writes)})
 		default:
 			panic(fmt.Sprintf("interp: unknown statement %T", st))
 		}
@@ -298,12 +297,12 @@ func (lw *lowerer) ref(r ir.Ref, v rsd.Sym) ref {
 	return out
 }
 
-func (lw *lowerer) sections(perRank bool, lists ...[]rsd.Section) sections {
-	out := sections{perRank: perRank, memo: lw.lp.memos, lists: make([][]section, len(lists))}
+func (lw *lowerer) sections(lists ...[]rsd.Section) sections {
+	out := sections{memo: lw.lp.memos, lists: make([][]section, len(lists))}
 	lw.lp.memos++
 	for j, secs := range lists {
 		for _, sec := range secs {
-			s := section{array: sec.Array}
+			s := section{arr: lw.lp.layout.Array(sec.Array)}
 			for _, d := range sec.Dims {
 				s.dims = append(s.dims, bound{lo: lw.lin(d.Lo), hi: lw.lin(d.Hi), stride: d.Stride})
 			}

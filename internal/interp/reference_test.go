@@ -31,6 +31,7 @@ func refRunDSM(prog *ir.Program, sys *tmk.System, params rsd.Env, epilogue ...fu
 			layout: sys.Layout,
 			params: params,
 			nprocs: sys.N(),
+			rank:   nd.ID,
 			env:    prog.Env(params, nd.ID, sys.N()),
 			tgt:    &dsmTarget{nd: nd},
 			scale:  costScale(params),
@@ -66,6 +67,7 @@ type refExecutor struct {
 	layout *shm.Layout
 	params rsd.Env
 	nprocs int
+	rank   int
 	env    rsd.Env
 	tgt    target
 	scale  int // compute cost multiplier (cscale parameter)
@@ -77,8 +79,9 @@ type refExecutor struct {
 	refs []refMov
 
 	// Push memo (execPush), built at the first PushStmt: per-statement
-	// region sets, every rank's parameter environment, and the scratch the
-	// bounds are evaluated with.
+	// region sets and what they make this rank send and receive, every
+	// rank's parameter environment, and the scratch the bounds are evaluated
+	// with.
 	pushes  map[int]refPushMemo
 	rankEnv []rsd.Env
 	pushEnv rsd.Env
@@ -137,17 +140,49 @@ func (x *refExecutor) exec(stmts []ir.Stmt) {
 }
 
 // refPushMemo is what execPush last built for one PushStmt: every rank's
-// region sets and the concrete section bounds they were built from.
+// region sets, the concrete section bounds they were built from, and what
+// this rank's Push sends and receives by them (refPlan).
 type refPushMemo struct {
 	bounds        []int
 	reads, writes [][]shm.Region
+	send          [][]shm.Region
+	from          []bool
+}
+
+// refPlan is what processor me's Push sends every processor and whether it
+// receives from each, derived from every processor's full read and write
+// region sets by intersecting word lists.
+func refPlan(me int, reads, writes [][]shm.Region) (send [][]shm.Region, from []bool) {
+	send, from = make([][]shm.Region, len(reads)), make([]bool, len(reads))
+	for i := range reads {
+		if i != me {
+			send[i] = intersectSets(writes[me], reads[i])
+			from[i] = len(intersectSets(writes[i], reads[me])) > 0
+		}
+	}
+	return send, from
+}
+
+// intersectSets is the intersection of two normalized region sets, region
+// pair by region pair.
+func intersectSets(a, b []shm.Region) []shm.Region {
+	var out []shm.Region
+	for _, ra := range a {
+		for _, rb := range b {
+			if x := ra.Intersect(rb); !x.Empty() {
+				out = append(out, x)
+			}
+		}
+	}
+	return shm.Normalize(out)
 }
 
 // regions evaluates sections in env to one normalized region set.
 func (x *refExecutor) regions(secs []rsd.Section, env rsd.Env) []shm.Region {
 	var out []shm.Region
 	for _, sec := range secs {
-		out = append(out, sec.Eval(env).Regions(x.layout)...)
+		c := sec.Eval(env)
+		out = c.AppendRegions(out, x.layout.Array(c.Array))
 	}
 	return shm.Normalize(out)
 }
@@ -162,9 +197,10 @@ func (x *refExecutor) envOfRank(i int) rsd.Env {
 	return x.pushEnv
 }
 
-// execPush evaluates the per-processor sections and invokes the runtime.
-// Only the section bounds of every rank are evaluated each time; the region
-// sets are rebuilt when a bound moved since this statement (identified by
+// execPush evaluates the per-processor sections and invokes the runtime
+// with what they make this processor send and receive. Only the section
+// bounds of every rank are evaluated each time; the region sets and the
+// plan are rebuilt when a bound moved since this statement (identified by
 // the barrier it replaced) last ran, and reused otherwise — the runtime
 // only reads them.
 func (x *refExecutor) execPush(st ir.PushStmt) {
@@ -194,9 +230,10 @@ func (x *refExecutor) execPush(st ir.PushStmt) {
 			env := x.envOfRank(i)
 			m.reads[i], m.writes[i] = x.regions(st.Reads, env), x.regions(st.Writes, env)
 		}
+		m.send, m.from = refPlan(x.rank, m.reads, m.writes)
 		x.pushes[st.ReplacedBarrier] = m
 	}
-	x.tgt.push(m.reads, m.writes)
+	x.tgt.push(m.send, m.from)
 }
 
 // execLoop runs a counted loop; a loop whose body is a single assignment

@@ -7,10 +7,12 @@
 // symbolic parameters (array extents, per-processor partition bounds, the
 // processor id) plus a constant stride. Sections support the operations the
 // paper's analysis needs: union (dimension-wise bounding box), symbolic
-// comparison, evaluation against a concrete environment, and conversion to
-// address regions for the run-time interface. Sections are never
-// intersected: Push gets every rank's read and write region sets from the
-// interpreter and tmk intersects those (shm.IntersectSets).
+// comparison, evaluation against a concrete environment, exact
+// intersection of concrete sections, and conversion to address regions for
+// the run-time interface. A Push is planned at the section level: each
+// rank intersects its write sections with the others' read sections and
+// expands only what the two share into regions (Concrete.Intersect, then
+// Concrete.AppendRegions).
 package rsd
 
 import (

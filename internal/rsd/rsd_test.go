@@ -108,40 +108,37 @@ func TestEvalAndElems(t *testing.T) {
 }
 
 func TestRegionsColumnMajor(t *testing.T) {
-	l := shm.NewLayout()
-	l.Alloc("b", 100, 50)
+	b := shm.NewLayout().Alloc("b", 100, 50)
 	// Full columns 3..4: one contiguous region of 200 words.
 	c := Concrete{Array: "b", Dims: []CBound{{1, 100, 1}, {3, 4, 1}}}
-	rs := c.Regions(l)
+	rs := c.AppendRegions(nil, b)
 	if len(rs) != 1 || rs[0].Words() != 200 {
 		t.Fatalf("regions = %v", rs)
 	}
 	// Partial columns: one region per column.
 	c = Concrete{Array: "b", Dims: []CBound{{2, 99, 1}, {3, 4, 1}}}
-	rs = c.Regions(l)
+	rs = c.AppendRegions(nil, b)
 	if len(rs) != 2 || rs[0].Words() != 98 {
 		t.Fatalf("regions = %v", rs)
 	}
 }
 
 func TestContiguity(t *testing.T) {
-	l := shm.NewLayout()
-	l.Alloc("b", 100, 50)
+	b := shm.NewLayout().Alloc("b", 100, 50)
 	full := Concrete{Array: "b", Dims: []CBound{{1, 100, 1}, {10, 20, 1}}}
-	if !full.ContiguousIn(l) {
+	if !full.ContiguousIn(b) {
 		t.Fatal("full columns must be contiguous (column-major)")
 	}
 	part := Concrete{Array: "b", Dims: []CBound{{1, 99, 1}, {10, 20, 1}}}
-	if part.ContiguousIn(l) {
+	if part.ContiguousIn(b) {
 		t.Fatal("partial columns must not be contiguous")
 	}
 }
 
 func TestRegionsElemCountProperty(t *testing.T) {
-	// Property: the total words of Regions equals Elems for stride-1
-	// sections (no overlap double-counting after Normalize).
-	l := shm.NewLayout()
-	l.Alloc("q", 64, 64)
+	// Property: the total words of AppendRegions equals Elems for stride-1
+	// sections (no overlap double-counting after merging).
+	q := shm.NewLayout().Alloc("q", 64, 64)
 	f := func(lo1, hi1, lo2, hi2 uint8) bool {
 		d1 := CBound{1 + int(lo1)%64, 1 + int(hi1)%64, 1}
 		d2 := CBound{1 + int(lo2)%64, 1 + int(hi2)%64, 1}
@@ -150,7 +147,7 @@ func TestRegionsElemCountProperty(t *testing.T) {
 			return true
 		}
 		words := 0
-		for _, r := range c.Regions(l) {
+		for _, r := range c.AppendRegions(nil, q) {
 			words += r.Words()
 		}
 		return words == c.Elems()

@@ -2,6 +2,7 @@ package rsd
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"sdsm/internal/shm"
@@ -149,12 +150,40 @@ type CBound struct {
 	Lo, Hi, Stride int
 }
 
-// Count returns the number of index values in the bound.
+// Count returns the number of index values in the bound. A stride below 1
+// describes no progression and panics.
 func (b CBound) Count() int {
+	if b.Stride < 1 {
+		panic(fmt.Sprintf("rsd: bound %d:%d has stride %d", b.Lo, b.Hi, b.Stride))
+	}
 	if b.Hi < b.Lo {
 		return 0
 	}
 	return (b.Hi-b.Lo)/b.Stride + 1
+}
+
+// intersect returns the index values b and o share: the arithmetic
+// progression from the first of them with the lcm of the two strides,
+// empty when there is none.
+func (b CBound) intersect(o CBound) CBound {
+	none := CBound{Lo: 1, Hi: 0, Stride: 1}
+	if b.Count() == 0 || o.Count() == 0 {
+		return none
+	}
+	step := b.Stride
+	for step%o.Stride != 0 {
+		step += b.Stride
+	}
+	// From b's first value at or above both starts, a value o shares, if
+	// there is one, is among the step/b.Stride values of b that follow.
+	x := b.Lo + (max(b.Lo, o.Lo)-b.Lo+b.Stride-1)/b.Stride*b.Stride
+	for n := step / b.Stride; (x-o.Lo)%o.Stride != 0; n-- {
+		if n == 1 {
+			return none
+		}
+		x += b.Stride
+	}
+	return CBound{Lo: x, Hi: min(b.Hi, o.Hi), Stride: step}
 }
 
 // Concrete is a section with all bounds resolved to integers.
@@ -185,43 +214,89 @@ func (c Concrete) Elems() int {
 	return n
 }
 
-// Regions converts the section to word-address regions under the layout.
-// Column-major: dimension 0 is contiguous when its stride is 1; outer
-// dimensions are enumerated. Adjacent or overlapping regions are merged.
-func (c Concrete) Regions(l *shm.Layout) []shm.Region {
-	if c.Empty() {
-		return nil
+// Intersect returns the elements c and o both select. Per dimension that is
+// the intersection of two arithmetic progressions, itself one with the lcm
+// of the strides, so the result is exact. Sections of different arrays
+// share nothing. Whether anything is shared is the result's Empty.
+func (c Concrete) Intersect(o Concrete) Concrete {
+	if c.Array != o.Array || len(c.Dims) != len(o.Dims) {
+		return Concrete{}
 	}
-	arr := l.Array(c.Array)
+	out := Concrete{Array: c.Array, Dims: make([]CBound, len(c.Dims))}
+	for d := range c.Dims {
+		out.Dims[d] = c.Dims[d].intersect(o.Dims[d])
+	}
+	return out
+}
+
+// AppendRegions appends the section's words in arr, c's array, to dst as
+// word-address regions and returns the extended slice. Column-major:
+// dimension 0 is contiguous when its stride is 1, the outer dimensions are
+// enumerated, and the walk ascends, merging each region into the previous
+// one it abuts — so what it appends is already normalized. dst grows at
+// most once, to room for one region per column (per element when
+// dimension 0 strides).
+func (c Concrete) AppendRegions(dst []shm.Region, arr *shm.Array) []shm.Region {
+	if c.Empty() {
+		return dst
+	}
 	if len(c.Dims) != len(arr.Dims) {
 		panic(fmt.Sprintf("rsd: section %s has %d dims, array has %d", c.Array, len(c.Dims), len(arr.Dims)))
 	}
-	var out []shm.Region
-	var walk func(dim int, base int)
-	walk = func(dim int, base int) {
-		d := c.Dims[dim]
-		stride := arr.Stride(dim)
-		if dim == 0 {
-			if d.Stride == 1 {
-				out = append(out, shm.Region{Lo: base + (d.Lo - 1), Hi: base + d.Hi})
-				return
-			}
-			for i := d.Lo; i <= d.Hi; i += d.Stride {
-				out = append(out, shm.Region{Lo: base + (i - 1), Hi: base + i})
-			}
-			return
-		}
-		for i := d.Lo; i <= d.Hi; i += d.Stride {
-			walk(dim-1, base+(i-1)*stride)
-		}
+	n := c.Elems()
+	if c.Dims[0].Stride == 1 {
+		n /= c.Dims[0].Count()
 	}
-	walk(len(c.Dims)-1, arr.Base)
-	return shm.Normalize(out)
+	return c.appendDim(slices.Grow(dst, n), arr, len(c.Dims)-1, arr.Base)
+}
+
+// appendDim appends the regions of dimension dim and those below it for
+// the outer indices that put dim's element 1 at word base.
+func (c Concrete) appendDim(dst []shm.Region, arr *shm.Array, dim, base int) []shm.Region {
+	d := c.Dims[dim]
+	if dim > 0 {
+		for i := d.Lo; i <= d.Hi; i += d.Stride {
+			dst = c.appendDim(dst, arr, dim-1, base+(i-1)*arr.Stride(dim))
+		}
+		return dst
+	}
+	if d.Stride == 1 {
+		return appendMerged(dst, shm.Region{Lo: base + d.Lo - 1, Hi: base + d.Hi})
+	}
+	for i := d.Lo; i <= d.Hi; i += d.Stride {
+		dst = appendMerged(dst, shm.Region{Lo: base + i - 1, Hi: base + i})
+	}
+	return dst
+}
+
+// appendMerged appends r to dst, or extends dst's last region by it when r
+// starts within or right after that region.
+func appendMerged(dst []shm.Region, r shm.Region) []shm.Region {
+	if n := len(dst); n > 0 && r.Lo >= dst[n-1].Lo && r.Lo <= dst[n-1].Hi {
+		dst[n-1].Hi = max(dst[n-1].Hi, r.Hi)
+		return dst
+	}
+	return append(dst, r)
 }
 
 // ContiguousIn reports whether the section maps to a single contiguous
-// address range under the layout, the condition the transformation rules
-// check before WRITE_ALL conversions (Section 4.2).
-func (c Concrete) ContiguousIn(l *shm.Layout) bool {
-	return len(c.Regions(l)) == 1
+// address range of arr, its array, the condition the transformation rules
+// check before WRITE_ALL conversions (Section 4.2). Column-major, that is
+// so when the dimensions below some k select their whole extent, dimension
+// k is dense or a single index, and every dimension above k a single
+// index. The bounds must lie within the array.
+func (c Concrete) ContiguousIn(arr *shm.Array) bool {
+	if c.Empty() {
+		return false
+	}
+	k := 0
+	for k < len(c.Dims) && c.Dims[k].Count() == arr.Dims[k] {
+		k++
+	}
+	for d := k; d < len(c.Dims); d++ {
+		if c.Dims[d].Count() != 1 && (d > k || c.Dims[d].Stride != 1) {
+			return false
+		}
+	}
+	return true
 }

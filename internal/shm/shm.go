@@ -84,19 +84,6 @@ func Normalize(rs []Region) []Region {
 	return merged
 }
 
-// IntersectSets returns the intersection of two normalized region sets.
-func IntersectSets(a, b []Region) []Region {
-	var out []Region
-	for _, ra := range a {
-		for _, rb := range b {
-			if x := ra.Intersect(rb); !x.Empty() {
-				out = append(out, x)
-			}
-		}
-	}
-	return Normalize(out)
-}
-
 // Array is a column-major array in the shared address space. Indices are
 // 1-based, following the Fortran programs in the paper.
 type Array struct {

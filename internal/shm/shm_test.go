@@ -113,6 +113,21 @@ func TestNormalizeMatchesSortSlice(t *testing.T) {
 	}
 }
 
+// IntersectSets returns the intersection of two normalized region sets:
+// the word-list intersection a Push was computed with before it intersected
+// sections, kept as the obvious version the property below pins.
+func IntersectSets(a, b []Region) []Region {
+	var out []Region
+	for _, ra := range a {
+		for _, rb := range b {
+			if x := ra.Intersect(rb); !x.Empty() {
+				out = append(out, x)
+			}
+		}
+	}
+	return Normalize(out)
+}
+
 func TestIntersectSets(t *testing.T) {
 	a := []Region{{0, 10}, {20, 30}}
 	b := []Region{{5, 25}}

@@ -1,6 +1,7 @@
 package tmk
 
 import (
+	"slices"
 	"time"
 
 	"sdsm/internal/shm"
@@ -11,9 +12,9 @@ import (
 // wsyncRequest is a registered Validate_w_sync awaiting the next
 // synchronization operation.
 type wsyncRequest struct {
-	at      AccessType
-	pages   []int
-	regions []shm.Region
+	at    AccessType
+	pages []int
+	full  map[int]bool // the pages a *_ALL request covers whole (fullyCovered)
 }
 
 // Validate informs the run-time that the calling processor is about to
@@ -29,7 +30,8 @@ func (nd *Node) Validate(at AccessType, regions []shm.Region, async bool) {
 	nd.Mem.BeginProtBatch()
 	defer nd.Mem.FlushProtBatch(nd.p)
 	nd.Stats.Validates++
-	pages := pagesOf(regions)
+	pages := pagesOf(nd.vpScratch[:0], regions)
+	nd.vpScratch = pages
 	nd.p.Charge(time.Duration(len(pages)) * nd.sys.Costs.ValidatePerPage)
 
 	fullCover := fullyCovered(at, regions, pages)
@@ -84,14 +86,18 @@ func (nd *Node) Validate(at AccessType, regions []shm.Region, async bool) {
 }
 
 // ValidateWSync registers a Validate whose data fetch is piggybacked on
-// the next synchronization operation (lock acquire or barrier).
+// the next synchronization operation (lock acquire or barrier). The
+// registration keeps its own page list and which of those pages the
+// regions cover whole, never the regions: the caller may reuse them as
+// soon as the call returns.
 func (nd *Node) ValidateWSync(at AccessType, regions []shm.Region) {
 	nd.p.Begin()
 	defer nd.p.End()
-	pages := pagesOf(regions)
+	nd.vpScratch = pagesOf(nd.vpScratch[:0], regions)
+	pages := slices.Clone(nd.vpScratch)
 	nd.p.Charge(time.Duration(len(pages)) * nd.sys.Costs.ValidatePerPage)
 	nd.Stats.Validates++
-	nd.wsync = append(nd.wsync, wsyncRequest{at: at, pages: pages, regions: regions})
+	nd.wsync = append(nd.wsync, wsyncRequest{at: at, pages: pages, full: fullyCovered(at, regions, pages)})
 }
 
 // fullyCovered returns the pages a *_ALL Validate's normalized regions cover
@@ -152,13 +158,12 @@ func (nd *Node) applyAccessType(pg int, at AccessType) {
 // dropped (their pages were never accessed in the phase).
 func (nd *Node) consumeWSync() {
 	for _, ws := range nd.wsync {
-		fullCover := fullyCovered(ws.at, ws.regions, ws.pages)
 		for _, pg := range ws.pages {
 			if len(nd.pages[pg].pending) > 0 {
 				continue
 			}
 			at := ws.at
-			if at.noTwin() && !fullCover[pg] {
+			if at.noTwin() && !ws.full[pg] {
 				at = AccReadWrite
 			}
 			nd.applyAccessType(pg, at)
@@ -172,15 +177,16 @@ func (nd *Node) consumeWSync() {
 
 const tagPush = 101
 
-// Push replaces a barrier with a point-to-point exchange (Section 3.1.2):
-// reads[i] and writes[i] are the regions processor i reads after,
-// respectively wrote before, the replaced barrier. Each processor sends
-// the intersections of its writes with the others' reads and receives the
-// converse, in place, without twinning or diffing. Only the received
-// sections are made consistent; the run-time records them as applied so
-// the write notices arriving at the next real barrier do not re-invalidate
-// them.
-func (nd *Node) Push(reads, writes [][]shm.Region) {
+// Push replaces a barrier with a point-to-point exchange (Section 3.1.2).
+// The caller has already intersected the sections: send[i] is what this
+// processor wrote before the replaced barrier that processor i reads after
+// it, as normalized regions, and from[i] says whether processor i sends
+// this one anything. Each message is gathered out of memory into one
+// buffer sized to it; what arrives is written in place, without twinning
+// or diffing. Only the received sections are made consistent; the run-time
+// records them as applied so the write notices arriving at the next real
+// barrier do not re-invalidate them. Push only reads send and from.
+func (nd *Node) Push(send [][]shm.Region, from []bool) {
 	nd.p.Begin()
 	defer nd.p.End()
 	nd.Mem.BeginProtBatch()
@@ -197,34 +203,28 @@ func (nd *Node) Push(reads, writes [][]shm.Region) {
 	myIvl := nd.vc[nd.ID]
 
 	// Send phase.
-	for i := 0; i < n; i++ {
-		if i == nd.ID {
+	for i, regions := range send {
+		if i == nd.ID || len(regions) == 0 {
 			continue
 		}
-		inter := shm.IntersectSets(writes[nd.ID], reads[i])
-		if len(inter) == 0 {
-			continue
-		}
-		pl := wire.Push{Ivl: myIvl}
-		bytes := 16
 		words := 0
-		for _, r := range inter {
-			vals := append([]float64(nil), nd.Mem.Data()[r.Lo:r.Hi]...)
-			pl.Chunks = append(pl.Chunks, wire.Chunk{Lo: int32(r.Lo), Vals: vals})
-			bytes += 16 + r.Bytes()
+		for _, r := range regions {
 			words += r.Words()
 		}
+		buf := make([]float64, words)
+		pl := wire.Push{Ivl: myIvl, Chunks: make([]wire.Chunk, len(regions))}
+		for k, r := range regions {
+			vals := buf[:r.Words():r.Words()]
+			buf = buf[copy(vals, nd.Mem.Data()[r.Lo:r.Hi]):]
+			pl.Chunks[k] = wire.Chunk{Lo: int32(r.Lo), Vals: vals}
+		}
 		nd.p.Charge(time.Duration(words) * s.Costs.TwinPerWord) // gather memcpy
-		s.NW.Send(nd.p, i, tagPush, pl, bytes)
+		s.NW.Send(nd.p, i, tagPush, pl, 16+16*len(regions)+words*shm.WordBytes)
 	}
 
 	// Receive phase, in sender order for determinism.
-	for i := 0; i < n; i++ {
-		if i == nd.ID {
-			continue
-		}
-		inter := shm.IntersectSets(writes[i], reads[nd.ID])
-		if len(inter) == 0 {
+	for i, sends := range from {
+		if i == nd.ID || !sends {
 			continue
 		}
 		m := s.NW.Recv(nd.p, i, tagPush)

@@ -57,7 +57,7 @@ func TestPushPartialPageKeepsObligations(t *testing.T) {
 		// Push only the first half of the page to node 1.
 		reads := [][]shm.Region{0: {}, 1: {{Lo: 0, Hi: half}}}
 		writes := [][]shm.Region{0: {{Lo: 0, Hi: half}}, 1: {}}
-		nd.Push(reads, writes)
+		pushAs(nd, reads, writes)
 		nd.Barrier(1)
 		if nd.ID == 1 {
 			// The pushed half is present; reading the other half must fault
@@ -91,7 +91,7 @@ func TestPushFullPageSkipsRefetch(t *testing.T) {
 			}
 		}
 		all := shm.Region{Lo: 0, Hi: shm.PageWords}
-		nd.Push([][]shm.Region{0: {}, 1: {all}}, [][]shm.Region{0: {all}, 1: {}})
+		pushAs(nd, [][]shm.Region{0: {}, 1: {all}}, [][]shm.Region{0: {all}, 1: {}})
 		nd.Barrier(1)
 		if nd.ID == 1 {
 			before := nd.Mem.Counters.ReadFaults

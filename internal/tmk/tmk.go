@@ -572,6 +572,8 @@ type Node struct {
 	ivScratch  []wire.OwnedInterval
 	depScratch []wire.OwnedInterval
 	pgScratch  []int
+	// vpScratch holds a Validate's page list (pagesOf) while the call runs.
+	vpScratch []int
 
 	Stats ProtocolStats
 }
@@ -607,20 +609,28 @@ func (nd *Node) popHeld(id int) []int {
 // Proc returns the processor the node runs on.
 func (nd *Node) Proc() host.Proc { return nd.p }
 
-// pagesOf expands regions to the set of overlapped page numbers, sorted,
-// each once. The compiler hands Validate and Push normalized ascending
-// regions, so the sort usually sees sorted input; nothing depends on that.
-func pagesOf(regions []shm.Region) []int {
-	var pages []int
+// pagesOf appends to dst the pages the regions overlap, ascending, each
+// once. The regions must be normalized (ascending and disjoint), as the
+// interpreter hands them to Validate, so one pass that skips a page equal
+// to the last one does it, and the pages lie between the first region's
+// and the last one's: dst grows once, to room for those.
+func pagesOf(dst []int, regions []shm.Region) []int {
+	if len(regions) == 0 {
+		return dst
+	}
+	lo, _ := regions[0].Pages()
+	_, hi := regions[len(regions)-1].Pages()
+	dst = slices.Grow(dst, hi-lo)
 	for _, r := range regions {
 		p0, p1 := r.Pages()
-		pages = slices.Grow(pages, p1-p0)
+		if len(dst) > 0 && dst[len(dst)-1] == p0 {
+			p0++
+		}
 		for pg := p0; pg < p1; pg++ {
-			pages = append(pages, pg)
+			dst = append(dst, pg)
 		}
 	}
-	slices.Sort(pages)
-	return slices.Compact(pages)
+	return dst
 }
 
 // sortedKeys returns m's keys in ascending order, nil for an empty map: the

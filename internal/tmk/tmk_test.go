@@ -28,6 +28,41 @@ func run(t *testing.T, s *System, body func(nd *Node)) {
 
 func region(lo, hi int) []shm.Region { return []shm.Region{{Lo: lo, Hi: hi}} }
 
+// pushAs runs nd's Push for a barrier around which processor i wrote
+// writes[i] before and reads reads[i] after (pushPlan).
+func pushAs(nd *Node, reads, writes [][]shm.Region) {
+	nd.Push(pushPlan(nd.ID, reads, writes))
+}
+
+// pushPlan derives what processor me's Push sends and receives from every
+// processor's normalized read and write region sets, by intersecting word
+// lists (intersectSets) as Push itself did before the interpreter began
+// intersecting sections.
+func pushPlan(me int, reads, writes [][]shm.Region) (send [][]shm.Region, from []bool) {
+	send, from = make([][]shm.Region, len(reads)), make([]bool, len(reads))
+	for i := range reads {
+		if i != me {
+			send[i] = intersectSets(writes[me], reads[i])
+			from[i] = len(intersectSets(writes[i], reads[me])) > 0
+		}
+	}
+	return send, from
+}
+
+// intersectSets is the intersection of two normalized region sets, region
+// pair by region pair: the word-list oracle.
+func intersectSets(a, b []shm.Region) []shm.Region {
+	var out []shm.Region
+	for _, ra := range a {
+		for _, rb := range b {
+			if x := ra.Intersect(rb); !x.Empty() {
+				out = append(out, x)
+			}
+		}
+	}
+	return shm.Normalize(out)
+}
+
 // w writes value v at word addr through the protection machinery.
 func w(nd *Node, addr int, v float64) {
 	nd.Mem.EnsureWrite(nd.p, shm.Region{Lo: addr, Hi: addr + 1})
@@ -294,7 +329,7 @@ func TestPushDeliversDataAndSkipsInvalidation(t *testing.T) {
 				d[i] = float64(i) + 0.5
 			}
 		}
-		nd.Push(reads, writes)
+		pushAs(nd, reads, writes)
 		if nd.ID == 1 {
 			if got := r(nd, 100); got != 100.5 {
 				t.Errorf("pushed word = %v, want 100.5", got)
@@ -503,7 +538,7 @@ func TestUniprocessorNoMessages(t *testing.T) {
 		nd.Barrier(1)
 		nd.Acquire(2)
 		nd.Release(2)
-		nd.Push([][]shm.Region{{}}, [][]shm.Region{{}})
+		nd.Push([][]shm.Region{{}}, []bool{false})
 		if got := r(nd, 50); got != 50 {
 			t.Errorf("read %v", got)
 		}

@@ -195,8 +195,8 @@ func TestPendingCompaction(t *testing.T) {
 }
 
 // TestPushReadsItsArguments pins what lets the interpreter hand Push the
-// same region sets again (interp's Push memo): Push and the set
-// intersection under it leave reads and writes exactly as passed.
+// same plan again (interp's Push memo): Push leaves send and from exactly
+// as passed.
 func TestPushReadsItsArguments(t *testing.T) {
 	const n = 3
 	s := testSystem(n, n*shm.PageWords)
@@ -205,33 +205,56 @@ func TestPushReadsItsArguments(t *testing.T) {
 		writes[i] = region(i*shm.PageWords, i*shm.PageWords+40)
 		reads[i] = shm.Normalize(append(region(0, 16), region((i+1)%n*shm.PageWords+8, (i+1)%n*shm.PageWords+24)...))
 	}
-	clone := func(sets [][]shm.Region) [][]shm.Region {
-		out := make([][]shm.Region, len(sets))
-		for i := range sets {
-			out[i] = slices.Clone(sets[i])
+	send, from := make([][][]shm.Region, n), make([][]bool, n)
+	wantSend, wantFrom := make([][][]shm.Region, n), make([][]bool, n)
+	for i := range send {
+		send[i], from[i] = pushPlan(i, reads, writes)
+		wantFrom[i] = slices.Clone(from[i])
+		for _, rs := range send[i] {
+			wantSend[i] = append(wantSend[i], slices.Clone(rs))
 		}
-		return out
 	}
-	wantR, wantW := clone(reads), clone(writes)
+	if len(send[1][0]) == 0 || !from[0][1] {
+		t.Fatal("test sections do not intersect")
+	}
 	run(t, s, func(nd *Node) {
 		for it := 0; it < 3; it++ {
 			w(nd, nd.ID*shm.PageWords+it, float64(it+1))
-			nd.Push(reads, writes)
+			nd.Push(send[nd.ID], from[nd.ID])
 			nd.Barrier(1)
 		}
 	})
-	for i := range reads {
-		if !slices.Equal(reads[i], wantR[i]) || !slices.Equal(writes[i], wantW[i]) {
-			t.Fatalf("Push changed its arguments for rank %d: reads %v (want %v), writes %v (want %v)",
-				i, reads[i], wantR[i], writes[i], wantW[i])
+	for i := range send {
+		if !slices.Equal(from[i], wantFrom[i]) || !slices.EqualFunc(send[i], wantSend[i], slices.Equal) {
+			t.Fatalf("Push changed its arguments for rank %d: send %v (want %v), from %v (want %v)",
+				i, send[i], wantSend[i], from[i], wantFrom[i])
 		}
 	}
-	inter := shm.IntersectSets(writes[0], reads[1])
-	if len(inter) == 0 {
-		t.Fatal("test sections do not intersect")
-	}
-	inter[0] = shm.Region{}
-	if !slices.Equal(writes[0], wantW[0]) || !slices.Equal(reads[1], wantR[1]) {
-		t.Fatal("IntersectSets returned a slice aliasing an argument")
-	}
+}
+
+// TestValidateWSyncOwnsItsRegistration: the interpreter rebuilds a
+// Validate's regions in the same storage when the statement runs again
+// with moved bounds, so a registration must not read the caller's regions
+// after ValidateWSync returns. Page 0 is registered READ&WRITE_ALL, whole;
+// the slice is then rewritten to name page 1 before the barrier. The
+// barrier must still enable page 0 without a twin and leave page 1 alone.
+func TestValidateWSyncOwnsItsRegistration(t *testing.T) {
+	s := testSystem(2, 2*shm.PageWords)
+	run(t, s, func(nd *Node) {
+		if nd.ID == 1 {
+			regions := region(0, shm.PageWords)
+			nd.ValidateWSync(AccReadWriteAll, regions)
+			regions[0] = shm.Region{Lo: shm.PageWords, Hi: 2 * shm.PageWords}
+		}
+		nd.Barrier(1)
+		if nd.ID == 1 {
+			if e := &nd.pages[0]; !e.dirty || !e.noTwin || nd.Mem.HasTwin(0) {
+				t.Errorf("page 0: dirty %v, WRITE_ALL mode %v, twin %v; want a twin-free writable page", e.dirty, e.noTwin, nd.Mem.HasTwin(0))
+			}
+			if nd.pages[1].dirty {
+				t.Error("page 1, named only after the registration, was enabled for writing")
+			}
+		}
+		nd.Barrier(2)
+	})
 }
