@@ -10,6 +10,7 @@
 package sdsm_test
 
 import (
+	"errors"
 	"runtime"
 	"testing"
 	"time"
@@ -25,6 +26,7 @@ import (
 	"sdsm/internal/rsd"
 	"sdsm/internal/shm"
 	"sdsm/internal/sim"
+	"sdsm/internal/svc"
 	"sdsm/internal/tmk"
 	"sdsm/internal/wire"
 )
@@ -307,12 +309,15 @@ func TestCheckpointRecordAllocs(t *testing.T) {
 	}
 }
 
-// TestFreshRunReusesImages pins what a fresh harness.Run allocates for
-// its node images once harness's idle list holds arenas: nothing. The
-// second run of jacobi/small at 8 ranks on sim must allocate fewer bytes
-// than half of its 8 images. Measured: 1 555 KiB against 8 × 131 072
-// words × 8 B = 8 192 KiB of images (bar 4 096 KiB) — when every run made
-// its images (before PR 25) the same run allocated 10 758 KiB.
+// TestFreshRunReusesImages pins what a DSM run allocates for its node
+// images once harness's idle list holds arenas: nothing, whether it is a
+// fresh harness.Run or an svc pool job, because both borrow from that one
+// list. After one fresh run of jacobi/small at 8 ranks on sim, a second
+// fresh run, and then the first and second jobs of the same spec through a
+// new 8-slot svc.Pool, must each allocate fewer bytes than half of its 8
+// images. Measured: 1 555 KiB against 8 × 131 072 words × 8 B = 8 192 KiB
+// of images (bar 4 096 KiB); a run that makes its images allocates about
+// 10 800 KiB, as the first fresh run here does.
 func TestFreshRunReusesImages(t *testing.T) {
 	const procs = 8
 	app, err := apps.ByName("jacobi")
@@ -322,20 +327,38 @@ func TestFreshRunReusesImages(t *testing.T) {
 	cfg := harness.Config{App: app, Set: apps.Small, System: harness.Base, Procs: procs, Backend: harness.BackendSim}
 	prog := app.Build(procs)
 	images := procs * compiler.BuildLayout(prog, prog.Prepare(app.Sets[cfg.Set], procs)).Words() * 8
-	run := func() uint64 {
+	alloc := func(run func() error) uint64 {
 		runtime.GC()
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
-		if _, err := harness.Run(cfg); err != nil {
+		if err := run(); err != nil {
 			t.Fatal(err)
 		}
 		runtime.ReadMemStats(&m1)
 		return m1.TotalAlloc - m0.TotalAlloc
 	}
-	first, second := run(), run()
-	t.Logf("jacobi/small p%d: %d KiB of images; first run %d KiB, second %d KiB", procs, images>>10, first>>10, second>>10)
-	if second >= uint64(images/2) {
-		t.Fatalf("a second fresh run allocated %d KiB, at least half of its %d KiB of images: fresh runs make their images again", second>>10, images>>10)
+	fresh := func() error {
+		_, err := harness.Run(cfg)
+		return err
+	}
+	pool := svc.NewPool(procs)
+	pooled := func() error {
+		if r := pool.Run(wire.JobSpec{App: "jacobi", Set: "small", Procs: procs, Backend: "sim"}); r.Err != "" {
+			return errors.New(r.Err)
+		}
+		return nil
+	}
+	first, second := alloc(fresh), alloc(fresh)
+	pool1, pool2 := alloc(pooled), alloc(pooled)
+	t.Logf("jacobi/small p%d: %d KiB of images; fresh runs %d then %d KiB, pool jobs %d then %d KiB",
+		procs, images>>10, first>>10, second>>10, pool1>>10, pool2>>10)
+	for _, c := range []struct {
+		name  string
+		bytes uint64
+	}{{"a second fresh run", second}, {"a first pool job", pool1}, {"a second pool job", pool2}} {
+		if c.bytes >= uint64(images/2) {
+			t.Errorf("%s allocated %d KiB, at least half of its %d KiB of images: it made its images again", c.name, c.bytes>>10, images>>10)
+		}
 	}
 }
 

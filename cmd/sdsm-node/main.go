@@ -11,10 +11,10 @@
 //	sdsm-node -network unix -addr /tmp/sdsm123/mp.sock -rank 2
 //
 // With -pool it instead becomes a long-lived DSM-as-a-service node
-// daemon (internal/svc): it attaches a warm pool of -slots rank slots
-// to a service coordinator and executes dispatched jobs until the
-// coordinator goes away, keeping page frames, arenas, and wire buffers
-// warm across jobs:
+// daemon (internal/svc): it attaches a pool of -slots rank slots to a
+// service coordinator and executes dispatched jobs until the
+// coordinator goes away, keeping node images (harness's idle list of
+// arenas) and wire buffers warm across jobs:
 //
 //	sdsm-node -pool -network unix -addr /tmp/sdsm456/switch.sock -slots 8
 package main

@@ -128,17 +128,6 @@ type Config struct {
 	// obs.DefaultRingCap). Older events beyond the capacity are dropped
 	// oldest-first and counted.
 	TraceCap int
-	// Arenas backs rank i's node memory with warm storage Arenas[i]: a
-	// pool's slots (the DSM-as-a-service path, internal/svc), or — nil —
-	// Procs arenas from harness's own idle list, which every such run in
-	// the process shares. Either way the run borrows the storage, audits
-	// the arena guard words after the program finishes — a violation is a
-	// hard error, it means the run scribbled outside its address space —
-	// and releases everything back for the next run. Arena-backed memory
-	// is bit-identical to a make'd image (vm.NewWarm). DSM systems only;
-	// ignored for message-passing systems, whose ranks are separate
-	// processes.
-	Arenas []*vm.Arena
 }
 
 // FaultPlan describes one injected failure (see Config.Fault).
@@ -247,11 +236,8 @@ func runDSM(cfg Config) (res *Result, err error) {
 		// clocks on the concurrent backends.
 		m = obs.NewMachine(cfg.Procs, cfg.TraceCap, cfg.Backend != BackendSim)
 	}
-	arenas := cfg.Arenas
-	if arenas == nil {
-		arenas = borrowArenas(cfg.Procs)
-		defer returnArenas(arenas)
-	}
+	arenas := borrowArenas(cfg.Procs)
+	defer returnArenas(arenas)
 	var sys *tmk.System
 	// Once the machine holds arena loans every exit path must end them: a
 	// run can fail, its arenas cannot stay poisoned for the next tenant.
@@ -266,9 +252,6 @@ func runDSM(cfg Config) (res *Result, err error) {
 			return
 		}
 		for i, ar := range arenas {
-			if ar == nil {
-				continue
-			}
 			if gerr := ar.CheckGuards(); gerr != nil {
 				res, err = nil, errors.Join(err, fmt.Errorf("harness: %s/%s rank %d: %w", cfg.App.Name, cfg.Set, i, gerr))
 				break
@@ -374,14 +357,15 @@ func runDSM(cfg Config) (res *Result, err error) {
 	}, nil
 }
 
-// idle is the warm storage runs without Config.Arenas borrow: a stack of
-// the arenas finished runs gave back, shared by every such run in the
-// process (parallelDo's concurrent ones included). A run takes rank 0's
-// arena from the top and gives its arenas back so that rank 0's is on
-// top again, so each rank reuses the arena the last run of its size
-// grew for it, and the list retains about the largest machine's images
-// instead of the sum of every machine's. runs numbers the loans, for
-// the guard canaries.
+// idle is the one owner of warm storage in the process: a stack of the
+// arenas finished DSM runs gave back, which every DSM run borrows from —
+// one-shot runs, parallelDo's concurrent ones and svc pool jobs alike. A
+// run takes rank 0's arena from the top and gives its arenas back so
+// that rank 0's is on top again, so each rank reuses the arena the last
+// run of its size grew for it, and the list retains about the largest
+// machine's images instead of the sum of every machine's. Each arena is
+// lent to one run at a time, so concurrent runs never share storage.
+// runs numbers the loans, for the guard canaries.
 var idle struct {
 	sync.Mutex
 	arenas []*vm.Arena
@@ -390,7 +374,8 @@ var idle struct {
 
 // borrowArenas takes n arenas off the idle list — new ones when it runs
 // short — and stamps them with a canary of this run's own, non-zero and
-// never NaN (svc's canaryFor rule), so a guard report names the run.
+// never NaN (a NaN canary would fail every audit), so a guard report
+// names the run.
 func borrowArenas(n int) []*vm.Arena {
 	idle.Lock()
 	defer idle.Unlock()

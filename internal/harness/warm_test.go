@@ -13,7 +13,6 @@ import (
 	"sdsm/internal/leaktest"
 	"sdsm/internal/rsd"
 	"sdsm/internal/shm"
-	"sdsm/internal/vm"
 )
 
 // kernelApp is a test-local application over one n-word array: every
@@ -59,11 +58,10 @@ func idleLoans() (n int) {
 // TestFailedJobReleasesArenas is "a job can fail; the pool cannot" at the
 // layer that owns the loans: a job whose program faults on one rank, and
 // a job that scribbles past its address space into the arena's guard
-// words, must each fail loudly AND hand every loan back — so that a clean
-// job scheduled on the same slots afterwards succeeds instead of
-// re-auditing the dead job's storage forever. Both columns: a pool's
-// arenas, and none (Arenas nil), where the run borrows from harness's
-// idle list and a clean fresh run afterwards must find it unpoisoned.
+// words, must each fail loudly AND hand every loan back to harness's idle
+// list — so that a clean run borrowing the same arenas afterwards
+// succeeds and finds them unpoisoned instead of re-auditing the dead
+// job's storage forever.
 func TestFailedJobReleasesArenas(t *testing.T) {
 	jac, err := apps.ByName("jacobi")
 	if err != nil {
@@ -89,50 +87,83 @@ func TestFailedJobReleasesArenas(t *testing.T) {
 	for _, backend := range []Backend{BackendSim, BackendNet} {
 		for _, c := range cases {
 			t.Run(string(backend)+"/"+c.name, func(t *testing.T) {
-				for _, pooled := range []bool{true, false} {
-					col := "fresh"
-					if pooled {
-						col = "pool"
+				t.Run("fresh", func(t *testing.T) {
+					// Rank 0 is parked at the barrier when rank 1 dies: the
+					// backend must unwind it, not leave it pinning the node
+					// images (the sim engine used to).
+					leaktest.Check(t)
+					_, err := Run(Config{App: hostileApp(c.misbehave), Set: Small, System: Base, Procs: 2, Backend: backend})
+					if err == nil || !strings.Contains(err.Error(), c.wantErr) {
+						t.Fatalf("hostile job: err = %v, want %q", err, c.wantErr)
 					}
-					t.Run(col, func(t *testing.T) {
-						// Rank 0 is parked at the barrier when rank 1 dies: the
-						// backend must unwind it, not leave it pinning the node
-						// images (the sim engine used to).
-						leaktest.Check(t)
-						var pool []*vm.Arena
-						loans := idleLoans
-						if pooled {
-							pool = []*vm.Arena{vm.NewArena(), vm.NewArena()}
-							loans = func() (n int) {
-								for _, ar := range pool {
-									n += ar.Loans()
-								}
-								return n
-							}
-						}
-						_, err := Run(Config{App: hostileApp(c.misbehave), Set: Small, System: Base, Procs: 2, Backend: backend, Arenas: pool})
-						if err == nil || !strings.Contains(err.Error(), c.wantErr) {
-							t.Fatalf("hostile job: err = %v, want %q", err, c.wantErr)
-						}
-						if n := loans(); n != 0 {
-							t.Fatalf("failed job left %d arena loan(s) outstanding", n)
-						}
-						cfg := clean
-						cfg.Backend, cfg.Arenas = backend, pool
-						res, err := Run(cfg)
-						if err != nil {
-							t.Fatalf("clean job after a failed one: %v", err)
-						}
-						if res.Checksum != fresh.Checksum {
-							t.Errorf("clean job checksum %v, fresh run %v", res.Checksum, fresh.Checksum)
-						}
-						if n := loans(); n != 0 {
-							t.Errorf("clean job left %d arena loan(s) outstanding", n)
-						}
-					})
-				}
+					if n := idleLoans(); n != 0 {
+						t.Fatalf("failed job left %d arena loan(s) outstanding", n)
+					}
+					cfg := clean
+					cfg.Backend = backend
+					res, err := Run(cfg)
+					if err != nil {
+						t.Fatalf("clean job after a failed one: %v", err)
+					}
+					if res.Checksum != fresh.Checksum {
+						t.Errorf("clean job checksum %v, fresh run %v", res.Checksum, fresh.Checksum)
+					}
+					if n := idleLoans(); n != 0 {
+						t.Errorf("clean job left %d arena loan(s) outstanding", n)
+					}
+				})
 			})
 		}
+	}
+}
+
+// poisonIdle leaves the idle list at least procs arenas deep and every
+// idle arena holding exactly two int32 arrays of n entries, each entry v:
+// the directory arrays the next scale-mode run's EnableScale takes.
+func poisonIdle(procs, n int, v int32) {
+	returnArenas(borrowArenas(procs))
+	idle.Lock()
+	defer idle.Unlock()
+	for _, ar := range idle.arenas {
+		for _, _, ints := ar.Idle(); ints > 0; _, _, ints = ar.Idle() {
+			ar.TakeInt32(0)
+		}
+		for range 2 {
+			s := make([]int32, n)
+			for i := range s {
+				s[i] = v
+			}
+			ar.RecycleInt32(s)
+		}
+	}
+}
+
+// TestIdleDirectoryStaleHints pins EnableScale's -1 sweep at the layer
+// that lends the arrays: a scale-mode run must not inherit a previous
+// run's directory. The same 4-rank spmv scale run, with recovery records
+// on, borrows directory arrays poisoned first with -1 (no hint, what the
+// sweep writes) and then with rank 113 (a much wider previous tenant);
+// both must match bit for bit, record bytes included. Without the sweep,
+// every page the first epoch does not touch keeps rank 113 as its owner
+// hint, and the first barrier's record carries it.
+func TestIdleDirectoryStaleHints(t *testing.T) {
+	spmv, err := apps.ByName("spmv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{App: spmv, Set: Small, System: Base, Procs: 4, Verify: true, Scale: true, Recover: true}
+	run := func(v int32) *Result {
+		poisonIdle(cfg.Procs, 1<<14, v)
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	clean, stale := run(-1), run(113)
+	if stale.Checksum != clean.Checksum || stale.Time != clean.Time || stale.Msgs != clean.Msgs || stale.Recovery != clean.Recovery {
+		t.Fatalf("stale directory arrays changed the run: checksum %v time %v msgs %d %+v; clean arrays: %v %v %d %+v",
+			stale.Checksum, stale.Time, stale.Msgs, stale.Recovery, clean.Checksum, clean.Time, clean.Msgs, clean.Recovery)
 	}
 }
 

@@ -28,7 +28,7 @@ var ErrQueueFull = errors.New(queueFullReason)
 
 // Config shapes one coordinator.
 type Config struct {
-	// Slots is the local warm pool size; 0 runs a pure control plane
+	// Slots is the local pool's rank slot count; 0 runs a pure control plane
 	// that only dispatches to attached daemons.
 	Slots int
 	// QueueCap bounds the pending-job queue (0 = DefaultQueueCap).
@@ -83,7 +83,7 @@ func newLink(c net.Conn) *host.Link {
 
 // Coordinator is the multi-job control plane: it owns the bounded job
 // queue, admits or rejects submissions, and dispatches accepted jobs to
-// its executors — the local warm pool and any attached pool daemons. A
+// its executors — the local pool and any attached pool daemons. A
 // pool daemon is itself a Coordinator: one without a listener, serving
 // the single link it dialed (RunPoolDaemon).
 type Coordinator struct {
@@ -150,10 +150,6 @@ func Start(cfg Config) (*Coordinator, error) {
 func (co *Coordinator) Addr() (network, addr string) {
 	return co.ln.Addr().Network(), co.ln.Addr().String()
 }
-
-// LocalPool exposes the coordinator's warm pool (nil when Slots was 0),
-// for tests that inspect or poison warm slot state.
-func (co *Coordinator) LocalPool() *Pool { return co.pool }
 
 // Snapshot copies the service counters.
 func (co *Coordinator) Snapshot() StatsSnapshot {

@@ -2,7 +2,9 @@ package svc
 
 import (
 	"fmt"
+	"sync"
 	"testing"
+	"time"
 
 	"sdsm/internal/apps"
 	"sdsm/internal/harness"
@@ -100,14 +102,14 @@ func TestPoolVsFreshEquivalence(t *testing.T) {
 }
 
 // TestPoolReuseResets is the back-to-back case: the same job run twice
-// on the same warm slots must produce bit-identical results — arena,
-// detector, and directory state fully reset between jobs — and the
-// second run must actually reuse warm storage, not quietly reallocate.
-// Adaptive and scale modes ride along: their detectors and directory
-// arrays are exactly the state that would leak if reset were partial.
+// through the pool, on warm storage the first run gave back, must
+// produce bit-identical results — arena, detector, and directory state
+// fully reset between jobs. Adaptive and scale modes ride along: their
+// detectors and directory arrays are exactly the state that would leak
+// if reset were partial.
 func TestPoolReuseResets(t *testing.T) {
 	leaktest.Check(t)
-	co, cl := startService(t, Config{Slots: 4})
+	_, cl := startService(t, Config{Slots: 4})
 	specs := []wire.JobSpec{
 		{App: "jacobi", Set: "small", Procs: 4, Verify: true},
 		{App: "jacobi", Set: "bound", Procs: 4, Verify: true, Adapt: true},
@@ -126,66 +128,47 @@ func TestPoolReuseResets(t *testing.T) {
 		checkBitIdentical(t, label+"/first", mustDo(t, cl, spec), fresh)
 		checkBitIdentical(t, label+"/reused", mustDo(t, cl, spec), fresh)
 	}
-	// Warm inventory must exist after the jobs released their storage:
-	// every slot ran 4-rank jobs, so every arena holds its one idle data
-	// store again.
-	pool := co.LocalPool()
-	for i := 0; i < pool.Slots(); i++ {
-		if data, _, _ := pool.Arena(i).Idle(); data != 1 {
-			t.Errorf("slot %d: %d idle data stores after the jobs, want 1 — the pool is not actually reusing memory", i, data)
-		}
-		if loans := pool.Arena(i).Loans(); loans != 0 {
-			t.Errorf("slot %d: %d data loans still outstanding after all jobs finished", i, loans)
-		}
-	}
 }
 
-// TestWarmDirectoryRankSubset pins the rank-subset fix: a pool job
-// using fewer ranks than the previous tenant must not inherit stale
-// owner hints. An 8-rank scale job seeds the slots' directory arrays
-// with owners up to 7; the arrays are then additionally poisoned with
-// an absurd rank so any missed re-initialization routes a fetch off the
-// machine (a panic or a wrong result, not a quiet pass). A following
-// 4-rank scale job must be bit-identical to a fresh 4-rank run.
-func TestWarmDirectoryRankSubset(t *testing.T) {
-	leaktest.Check(t)
-	co, cl := startService(t, Config{Slots: 8})
-	wide := wire.JobSpec{App: "spmv", Set: "small", Procs: 8, Verify: true, Scale: true}
-	mustDo(t, cl, wide)
-
-	// Poison every arena's idle int32 arrays with an out-of-range rank,
-	// simulating a much wider previous tenant. TakeInt32 hands these
-	// back raw; only EnableScale's mandatory -1 sweep stands between
-	// this value and the fetch router.
-	pool := co.LocalPool()
-	for i := 0; i < pool.Slots(); i++ {
-		ar := pool.Arena(i)
-		var taken [][]int32
-		for {
-			_, _, ints := ar.Idle()
-			if ints == 0 {
-				break
+// TestPoolBoundsRanksInFlight pins what the pool is: an all-or-nothing
+// count of rank slots. Jobs of 3, 2 and 4 ranks contend for a 4-slot
+// pool several times each; the ranks held at once never exceed 4, and
+// every job gets its slots and finishes.
+func TestPoolBoundsRanksInFlight(t *testing.T) {
+	const slots, rounds = 4, 20
+	p := NewPool(slots)
+	var mu sync.Mutex
+	held, peak := 0, 0
+	var wg sync.WaitGroup
+	for _, n := range []int{3, 2, 4} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				p.acquire(n)
+				mu.Lock()
+				held += n
+				peak = max(peak, held)
+				mu.Unlock()
+				time.Sleep(100 * time.Microsecond)
+				mu.Lock()
+				held -= n
+				mu.Unlock()
+				p.release(n)
 			}
-			s := ar.TakeInt32(1)
-			s = s[:cap(s)]
-			for k := range s {
-				s[k] = 113 // rank 113 of a 4-rank machine
-			}
-			taken = append(taken, s)
-		}
-		for _, s := range taken {
-			ar.RecycleInt32(s)
-		}
+		}()
 	}
-
-	narrow := wire.JobSpec{App: "spmv", Set: "small", Procs: 4, Verify: true, Scale: true}
-	cfg, err := JobConfig(narrow)
-	if err != nil {
-		t.Fatal(err)
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(time.Minute):
+		t.Fatal("jobs still waiting for slots after a minute")
 	}
-	fresh, err := harness.Run(cfg)
-	if err != nil {
-		t.Fatalf("fresh 4-rank scale run: %v", err)
+	if peak > slots {
+		t.Fatalf("%d ranks held at once on a %d-slot pool", peak, slots)
 	}
-	checkBitIdentical(t, "spmv/rank-subset", mustDo(t, cl, narrow), fresh)
+	if p.nfree != slots {
+		t.Fatalf("%d slots free after every job released, want %d", p.nfree, slots)
+	}
 }

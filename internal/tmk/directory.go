@@ -61,21 +61,16 @@ import (
 func (s *System) EnableScale() {
 	s.scale = true
 	for _, nd := range s.Nodes {
-		pages := nd.Mem.Pages()
-		if ar := nd.Mem.Arena(); ar != nil {
-			// Warm pool slot: the arrays are recycled from whatever job ran
-			// here last, contents unspecified (vm.Arena.TakeInt32). The -1
-			// sweep below is therefore load-bearing, not belt-and-braces:
-			// a previous job may have run with MORE ranks than this one,
-			// and a stale hint naming rank >= N would route a fetch off
-			// the machine. The rank-subset regression test poisons these
-			// arrays to pin the sweep.
-			nd.dirOwner = ar.TakeInt32(pages)
-			nd.dirNext = ar.TakeInt32(pages)
-		} else {
-			nd.dirOwner = make([]int32, pages)
-			nd.dirNext = make([]int32, pages)
-		}
+		// The arrays are recycled from whatever run this arena served
+		// last, contents unspecified (vm.Arena.TakeInt32). The -1 sweep
+		// below is therefore load-bearing, not belt-and-braces: a previous
+		// run may have had MORE ranks than this one, and a stale hint
+		// naming rank >= N would route a fetch off the machine, or ride
+		// the first recovery record. The stale-directory regression tests
+		// poison these arrays to pin the sweep.
+		ar := nd.Mem.Arena()
+		nd.dirOwner = ar.TakeInt32(nd.Mem.Pages())
+		nd.dirNext = ar.TakeInt32(nd.Mem.Pages())
 		nd.forgetDirectory()
 	}
 }
@@ -89,9 +84,8 @@ func (nd *Node) forgetDirectory() {
 	}
 }
 
-// releaseDirectory hands the directory arrays of a warm-pool node back to
-// its arena (they are arena loans, see EnableScale). Nothing to return off
-// scale.
+// releaseDirectory hands the node's directory arrays back to its arena
+// (they are arena loans, see EnableScale). Nothing to return off scale.
 func (nd *Node) releaseDirectory(ar *vm.Arena) {
 	if nd.dirOwner != nil {
 		ar.RecycleInt32(nd.dirOwner)
@@ -156,8 +150,8 @@ func (nd *Node) chaseRedirects(redirs []wire.PageOwner) {
 			}
 			if owner < 0 || owner >= nd.sys.N() {
 				// A hint naming a rank outside this job's set — possible
-				// only from stale directory state (a warm slot's previous
-				// job ran wider) — must not become a request to a rank
+				// only from stale directory state (the arena's previous
+				// run was wider) — must not become a request to a rank
 				// that does not exist. Leave the page to the Direct
 				// fallback, which asks the noticed owner.
 				nd.Stats.DirFallbacks++

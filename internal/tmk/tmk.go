@@ -220,14 +220,13 @@ func New(h host.Host, nw host.Transport, layout *shm.Layout) *System {
 	return NewWarm(h, nw, layout, nil)
 }
 
-// NewWarm builds a machine whose node memories borrow storage from warm
-// arenas — arenas[i] backs rank i; nil entries (or a nil slice, the New
-// path) fall back to heap allocation. An arena is warm storage for one
-// rank at a time: an svc pool slot, or a fresh run's loan from harness,
-// so no two ranks may share one. Arena-backed storage is zeroed
-// on loan, so a warm machine's protocol behavior and results are
-// bit-identical to a fresh one's; ReleaseWarm hands the storage back
-// after the run.
+// NewWarm builds a machine whose node memories borrow storage from
+// arenas — arenas[i] backs rank i. A nil slice (the New path) gives each
+// node a private cold vm.Arena. An arena is storage for one rank at a
+// time (harness lends a run its arenas from its idle list), so no two
+// ranks may share one. Arena-backed storage is zeroed on loan, so a warm
+// machine's protocol behavior and results are bit-identical to a fresh
+// one's; ReleaseWarm hands the storage back after the run.
 func NewWarm(h host.Host, nw host.Transport, layout *shm.Layout, arenas []*vm.Arena) *System {
 	s := &System{
 		H:        h,
@@ -238,6 +237,12 @@ func NewWarm(h host.Host, nw host.Transport, layout *shm.Layout, arenas []*vm.Ar
 		barriers: map[int]*barrier{},
 	}
 	n := h.N()
+	if arenas == nil {
+		arenas = make([]*vm.Arena, n)
+		for i := range arenas {
+			arenas[i] = vm.NewArena()
+		}
+	}
 	for i := 0; i < n; i++ {
 		nd := &Node{
 			ID:      i,
@@ -250,11 +255,7 @@ func NewWarm(h host.Host, nw host.Transport, layout *shm.Layout, arenas []*vm.Ar
 		// Wake a peer whose body has not started yet (a first acquire of a
 		// remotely homed lock on the concurrent backends).
 		nd.p = h.Proc(i)
-		var ar *vm.Arena
-		if i < len(arenas) {
-			ar = arenas[i]
-		}
-		nd.Mem = vm.NewWarm(i, layout.Words(), s.Costs, nd, ar)
+		nd.Mem = vm.NewWarm(i, layout.Words(), s.Costs, nd, arenas[i])
 		nd.pages = newPageTable(nd.Mem.Pages(), n)
 		// The serve body is prebuilt per node so the hot request path does
 		// not allocate a closure per exchange; arguments and results pass
@@ -311,18 +312,14 @@ func (s *System) Run(body func(nd *Node)) error {
 	})
 }
 
-// ReleaseWarm hands every node's warm-arena storage back to its arena:
-// directory arrays first (they are arena loans too), then the
-// Mem's data store, twins, and page freelist. Run CheckGuards on the
-// arenas BEFORE calling this — release ends the loans the audit needs.
-// A machine built without arenas ignores the call. The System must not
-// be used afterwards.
+// ReleaseWarm hands every node's storage back to its arena: directory
+// arrays first (they are arena loans too), then the Mem's twins and data
+// store. Run CheckGuards on the arenas BEFORE calling this — release
+// ends the loans the audit needs. The System must not be used
+// afterwards.
 func (s *System) ReleaseWarm() {
 	for _, nd := range s.Nodes {
 		ar := nd.Mem.Arena()
-		if ar == nil {
-			continue
-		}
 		nd.releaseDirectory(ar)
 		nd.Mem.Release()
 		ar.ReleaseData()

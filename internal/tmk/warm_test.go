@@ -24,8 +24,8 @@ func warmScaleSystem(n int, arenas []*vm.Arena) *System {
 }
 
 // TestWarmEnableScaleReinit is the rank-subset regression test at the
-// protocol layer: a warm pool slot's recycled directory arrays arrive
-// with a previous (possibly wider) job's owner hints still in them, and
+// protocol layer: an arena's recycled directory arrays arrive with a
+// previous (possibly wider) run's owner hints still in them, and
 // EnableScale must re-initialize every entry to -1 — a hint naming a
 // rank outside the new job's set would otherwise route the first
 // epoch's fetches to a node that does not exist. The arenas here are
@@ -45,9 +45,8 @@ func TestWarmEnableScaleReinit(t *testing.T) {
 	}
 	sys := warmScaleSystem(2, arenas)
 	for _, nd := range sys.Nodes {
-		reused := nd.Mem.Arena() != nil
-		if !reused {
-			t.Fatalf("node %d: memory is not arena-backed", nd.ID)
+		if nd.Mem.Arena() != arenas[nd.ID] {
+			t.Fatalf("node %d: memory is not backed by the arena it was given", nd.ID)
 		}
 		for pg := 0; pg < nd.Mem.Pages(); pg++ {
 			if got := nd.OwnerHint(pg); got != -1 {

@@ -1,21 +1,25 @@
 package vm
 
-import "fmt"
+import (
+	"fmt"
+
+	"sdsm/internal/shm"
+)
 
 // GuardWords is the number of canary words an Arena keeps beyond each
 // loaned data store. The guards are invisible to the borrower (the loan
 // is capacity-capped before them) and are audited by CheckGuards after
 // the job releases its memory: a job that scribbles past its address
-// space — the cross-job bleed a warm pool must fear — lands in the
+// space — the cross-job bleed warm reuse must fear — lands in the
 // guards before it lands in a neighbor's storage.
 const GuardWords = 16
 
-// Arena is warm storage for one rank at a time: an svc pool slot, or a
-// fresh run's loan from harness. Whoever owns it threads it through
-// every run on that rank, so steady-state runs reuse page frames, the
-// address-space backing store, and directory arrays instead of growing
-// the heap per run. An Arena backs one node of one machine at a time
-// (the pool's slot discipline, harness's idle list); it needs no
+// Arena is the storage behind one node memory: the address-space backing
+// store, page buffers and directory arrays. Every Mem has one (NewWarm;
+// New makes a private one). A DSM run borrows its arenas from harness's
+// idle list, the one owner of warm storage in the process, so
+// steady-state runs reuse that storage instead of growing the heap per
+// run. An Arena backs one node of one machine at a time; it needs no
 // locking.
 //
 // Reuse rules, chosen so warm results stay bit-identical to fresh runs:
@@ -25,12 +29,12 @@ const GuardWords = 16
 //     blank.
 //   - Page buffers (TakePage) are NOT zeroed: every consumer in package
 //     vm fully overwrites the buffer before reading it (twin snapshots,
-//     whole-page runs), so stale content is unobservable. This mirrors
-//     the intra-run freelist Mem.free already trusts.
+//     whole-page runs), so stale content is unobservable, whether the
+//     buffer was recycled earlier in the same run or by a previous one.
 //   - Int32 arrays (TakeInt32) are NOT zeroed: the directory layer must
 //     reinitialize every entry itself. Handing back stale owner hints
 //     uninitialized is deliberate — it is exactly the surface the
-//     per-job rank-subset regression test poisons.
+//     stale-directory regression tests poison.
 type Arena struct {
 	canary float64
 	data   []float64   // the data store, guard capacity included
@@ -44,8 +48,8 @@ type Arena struct {
 func NewArena() *Arena { return &Arena{} }
 
 // SetCanary installs the canary value for the next loan; call it while
-// nothing is lent. The pool gives each job a distinct canary, and harness
-// each fresh run, so a guard violation names whose storage was overrun.
+// nothing is lent. Harness gives each run a distinct canary, so a guard
+// violation names whose storage was overrun.
 func (a *Arena) SetCanary(c float64) { a.canary = c }
 
 // TakeData lends a zeroed data store of the given word count: the idle
@@ -69,26 +73,17 @@ func (a *Arena) TakeData(words int) []float64 {
 }
 
 // TakePage lends a page-sized buffer without zeroing it; the caller must
-// fully overwrite it before reading (see the Arena reuse rules).
-func (a *Arena) TakePage(n int) []float64 {
+// fully overwrite it before reading (see the Arena reuse rules). The idle
+// buffers are the one page freelist: Mem.RecyclePage pushes onto it
+// within a run as well as across runs.
+func (a *Arena) TakePage() []float64 {
 	if l := len(a.pages); l > 0 {
 		pg := a.pages[l-1]
 		a.pages[l-1] = nil
 		a.pages = a.pages[:l-1]
-		if cap(pg) >= n {
-			return pg[:n]
-		}
+		return pg
 	}
-	return make([]float64, n)
-}
-
-// RecyclePages accepts a batch of idle page buffers back into the arena.
-func (a *Arena) RecyclePages(bufs [][]float64) {
-	for _, b := range bufs {
-		if b != nil {
-			a.pages = append(a.pages, b)
-		}
-	}
+	return make([]float64, shm.PageWords)
 }
 
 // TakeInt32 lends an int32 array of length n with UNSPECIFIED contents —

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"sdsm/internal/host"
 	"sdsm/internal/model"
 	"sdsm/internal/shm"
 )
@@ -137,4 +138,28 @@ func TestWarmMemReusesDataStore(t *testing.T) {
 	if got := after.TotalAlloc - before.TotalAlloc; got > words*8/4 {
 		t.Errorf("warm NewWarm allocated %d bytes for a %d-byte store it already had", got, words*8)
 	}
+}
+
+// TestRecycledPageServesNextTwin pins the one page freelist: the buffer
+// a consumed twin hands back (RecyclePage) serves the next MakeTwin, in
+// the same Mem and — after Release — in a new Mem over the same arena.
+func TestRecycledPageServesNextTwin(t *testing.T) {
+	a := NewArena()
+	m := NewWarm(0, 2*shm.PageWords, model.SP2(), nil, a)
+	runOne(t, func(p host.Proc) {
+		m.MakeTwin(p, 0)
+		buf := unsafe.SliceData(m.TwinData(0))
+		m.DiffAgainstTwin(p, 0)
+		m.MakeTwin(p, 1)
+		if unsafe.SliceData(m.TwinData(1)) != buf {
+			t.Fatal("the next twin did not reuse the buffer the diff recycled")
+		}
+		m.Release()
+		a.ReleaseData()
+		next := NewWarm(1, 2*shm.PageWords, model.SP2(), nil, a)
+		next.MakeTwin(p, 0)
+		if unsafe.SliceData(next.TwinData(0)) != buf {
+			t.Fatal("a new Mem on the same arena did not reuse the buffer Release gave back")
+		}
+	})
 }

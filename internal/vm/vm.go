@@ -109,7 +109,8 @@ type Counters struct {
 	DiffWords   int64 `obs:"vm.diff.words"`
 }
 
-// Mem is one node's view of the shared address space.
+// Mem is one node's view of the shared address space. Its image and its
+// page buffers are always on loan from an Arena.
 type Mem struct {
 	Node  int
 	costs model.Costs
@@ -136,17 +137,12 @@ type Mem struct {
 	inBatch    []bool
 	preBatch   []Prot
 
-	// free recycles page-sized []float64 storage between twins, whole-page
-	// snapshots, and the protocol's pruned diff chains (RecyclePage): a
-	// steady-state epoch's twin/diff cycle allocates no page storage. The
-	// Mem is driven under the node's protocol exclusion, so the freelist
-	// needs no synchronization.
-	free [][]float64
-
-	// arena, when non-nil, is the warm storage this Mem borrowed from
-	// (NewWarm): an svc pool slot's, or harness's loan to a fresh run.
-	// Page buffers the freelist misses come from the arena, and Release
-	// hands everything back for the next run.
+	// arena is the storage this Mem borrowed (NewWarm). Its idle page
+	// buffers are the one freelist for twins, whole-page snapshots and the
+	// protocol's pruned diff chains (RecyclePage), so a steady-state
+	// epoch's twin/diff cycle allocates no page storage, and neither does
+	// the next run's. The Mem is driven under the node's protocol
+	// exclusion, so the arena needs no synchronization.
 	arena *Arena
 
 	// Counters is exported for the statistics harness.
@@ -158,28 +154,22 @@ type Mem struct {
 	Trace *obs.NodeTracer
 }
 
-// New creates a node memory of the given size with all pages NoAccess.
+// New creates a node memory of the given size with all pages NoAccess,
+// over a private cold arena.
 func New(node int, words int, costs model.Costs, handler FaultHandler) *Mem {
-	return NewWarm(node, words, costs, handler, nil)
+	return NewWarm(node, words, costs, handler, NewArena())
 }
 
-// NewWarm creates a node memory backed by a warm arena's recycled
-// storage. The data store comes zeroed from the arena (observably
-// identical to make), so a warm run's memory contents are bit-identical
-// to a fresh run's. A nil arena gives a plain heap-backed Mem — New is
-// exactly NewWarm with nil.
+// NewWarm creates a node memory backed by an arena's storage, warm or
+// cold. The data store comes zeroed from the arena (observably identical
+// to make), so a warm run's memory contents are bit-identical to a fresh
+// run's.
 func NewWarm(node int, words int, costs model.Costs, handler FaultHandler, arena *Arena) *Mem {
 	pages := (words + shm.PageWords - 1) / shm.PageWords
-	var data []float64
-	if arena != nil {
-		data = arena.TakeData(pages * shm.PageWords)
-	} else {
-		data = make([]float64, pages*shm.PageWords)
-	}
 	return &Mem{
 		Node:     node,
 		costs:    costs,
-		data:     data,
+		data:     arena.TakeData(pages * shm.PageWords),
 		prot:     make([]Prot, pages),
 		twins:    make([][]float64, pages),
 		extLo:    make([]int16, pages),
@@ -191,23 +181,16 @@ func NewWarm(node int, words int, costs model.Costs, handler FaultHandler, arena
 	}
 }
 
-// Arena returns the warm arena backing this Mem, or nil for a
-// heap-backed one.
+// Arena returns the arena backing this Mem.
 func (m *Mem) Arena() *Arena { return m.arena }
 
-// Release hands the Mem's reusable storage — live twins and the page
-// freelist — back to its arena and drops the references, ending the
-// job's loan of the data store. A heap-backed Mem ignores Release. The
-// Mem must not be used afterwards.
+// Release hands the Mem's live twins back to its arena's page freelist
+// and drops its reference to the data store; the arena's owner then ends
+// the loan (Arena.ReleaseData). The Mem must not be used afterwards.
 func (m *Mem) Release() {
-	if m.arena == nil {
-		return
-	}
 	for pg := range m.twins {
 		m.DropTwin(pg)
 	}
-	m.arena.RecyclePages(m.free)
-	m.free = nil
 	m.data = nil
 }
 
@@ -319,7 +302,7 @@ func (m *Mem) RestorePage(page int, vals []float64, prot Prot, twin []float64) {
 	m.prot[page] = prot
 	m.DropTwin(page)
 	if twin != nil {
-		tw := m.getPage()
+		tw := m.arena.TakePage()
 		copy(tw, twin)
 		m.twins[page] = tw
 	}
@@ -419,32 +402,15 @@ func (m *Mem) fault(p host.Proc, page int, acc Access) {
 // HasTwin reports whether page currently has a twin.
 func (m *Mem) HasTwin(page int) bool { return m.twins[page] != nil }
 
-// getPage returns a page-sized buffer from the freelist, the warm arena,
-// or a fresh allocation. Arena buffers are not zeroed; every consumer
-// fully overwrites the buffer before reading it, same as the intra-run
-// freelist.
-func (m *Mem) getPage() []float64 {
-	if n := len(m.free); n > 0 {
-		pg := m.free[n-1]
-		m.free[n-1] = nil
-		m.free = m.free[:n-1]
-		return pg
-	}
-	if m.arena != nil {
-		return m.arena.TakePage(shm.PageWords)
-	}
-	return make([]float64, shm.PageWords)
-}
-
 // RecyclePage returns a page-sized value buffer (a consumed twin, a
-// whole-page snapshot pruned from a diff chain) to the freelist. Buffers
-// of any other size — diff run values are exact-size — are left to the
-// garbage collector.
+// whole-page snapshot pruned from a diff chain) to the arena's page
+// freelist, where the next TakePage finds it. Buffers of any other size —
+// diff run values are exact-size — are left to the garbage collector.
 func (m *Mem) RecyclePage(vals []float64) {
 	if cap(vals) != shm.PageWords {
 		return
 	}
-	m.free = append(m.free, vals[:shm.PageWords])
+	m.arena.pages = append(m.arena.pages, vals[:shm.PageWords])
 }
 
 // MakeTwin snapshots page for later diffing, charging the copy cost.
@@ -452,7 +418,7 @@ func (m *Mem) MakeTwin(p host.Proc, page int) {
 	if m.twins[page] != nil {
 		panic(fmt.Sprintf("vm: page %d already has a twin", page))
 	}
-	tw := m.getPage()
+	tw := m.arena.TakePage()
 	copy(tw, m.PageData(page))
 	m.twins[page] = tw
 	m.Counters.Twins++
@@ -515,7 +481,7 @@ func (m *Mem) DiffAgainstTwin(p host.Proc, page int) []Run {
 // run's values are freelist storage: when the snapshot is pruned from
 // its diff chain the protocol hands them back via RecyclePage.
 func (m *Mem) WholePageRuns(p host.Proc, page int) []Run {
-	vals := m.getPage()
+	vals := m.arena.TakePage()
 	copy(vals, m.PageData(page))
 	p.Charge(time.Duration(shm.PageWords) * m.costs.TwinPerWord)
 	return []Run{{Off: 0, Vals: vals}}
