@@ -194,20 +194,6 @@ func (nw *Network) SendShared(p host.Proc, tos []int, tag host.Tag, payload any,
 	}
 }
 
-// Await advances p to the completion of one in-flight exchange and charges
-// the receive overhead.
-func (nw *Network) Await(p host.Proc, pd *host.Pending) {
-	pd.Resolve(p)
-	p.SetClock(pd.Arrival)
-	p.Charge(nw.costs.RecvOverhead)
-}
-
-// AwaitAll completes a set of in-flight exchanges, processing replies in
-// arrival order (the receive overheads serialize at the requester).
-func (nw *Network) AwaitAll(p host.Proc, pds []*host.Pending) {
-	host.AwaitInArrivalOrder(p, pds, nw.Await)
-}
-
 // Hand stages a protocol payload for node to (lock grants, barrier
 // departures); the recipient consumes it with TakeHand after being woken.
 // Delivery is immediate in-process; cost accounting is the caller's

@@ -143,7 +143,7 @@ func TestRequestChargesBothSides(t *testing.T) {
 	err := e.Run(func(p host.Proc) {
 		if p.ID() == 0 {
 			pd := nw.StartRequest(p, 1, nil, 16)
-			nw.Await(p, pd)
+			host.Await(p, pd, costs)
 			reqDone = p.Now()
 		} else {
 			p.Advance(50 * time.Millisecond) // busy computing
@@ -174,7 +174,7 @@ func TestAwaitAllSerializesReceives(t *testing.T) {
 		case 0:
 			c1 := nw.StartRequest(p, 1, nil, 0)
 			c2 := nw.StartRequest(p, 2, nil, 0)
-			nw.AwaitAll(p, []*host.Pending{c1, c2})
+			host.AwaitAll(p, []*host.Pending{c1, c2}, costs)
 			done = p.Now()
 		default:
 			p.Advance(time.Millisecond)
@@ -211,10 +211,10 @@ func TestAsyncOverlapsComputation(t *testing.T) {
 				if async {
 					c := nw.StartRequest(p, 1, nil, 0)
 					p.Advance(300 * time.Microsecond) // overlapped compute
-					nw.Await(p, c)
+					host.Await(p, c, costs)
 				} else {
 					c := nw.StartRequest(p, 1, nil, 0)
-					nw.Await(p, c)
+					host.Await(p, c, costs)
 					p.Advance(300 * time.Microsecond)
 				}
 				done = p.Now()

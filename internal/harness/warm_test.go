@@ -117,56 +117,6 @@ func TestFailedJobReleasesArenas(t *testing.T) {
 	}
 }
 
-// poisonIdle leaves the idle list at least procs arenas deep and every
-// idle arena holding exactly two int32 arrays of n entries, each entry v:
-// the directory arrays the next scale-mode run's EnableScale takes.
-func poisonIdle(procs, n int, v int32) {
-	returnArenas(borrowArenas(procs))
-	idle.Lock()
-	defer idle.Unlock()
-	for _, ar := range idle.arenas {
-		for _, _, ints := ar.Idle(); ints > 0; _, _, ints = ar.Idle() {
-			ar.TakeInt32(0)
-		}
-		for range 2 {
-			s := make([]int32, n)
-			for i := range s {
-				s[i] = v
-			}
-			ar.RecycleInt32(s)
-		}
-	}
-}
-
-// TestIdleDirectoryStaleHints pins EnableScale's -1 sweep at the layer
-// that lends the arrays: a scale-mode run must not inherit a previous
-// run's directory. The same 4-rank spmv scale run, with recovery records
-// on, borrows directory arrays poisoned first with -1 (no hint, what the
-// sweep writes) and then with rank 113 (a much wider previous tenant);
-// both must match bit for bit, record bytes included. Without the sweep,
-// every page the first epoch does not touch keeps rank 113 as its owner
-// hint, and the first barrier's record carries it.
-func TestIdleDirectoryStaleHints(t *testing.T) {
-	spmv, err := apps.ByName("spmv")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := Config{App: spmv, Set: Small, System: Base, Procs: 4, Verify: true, Scale: true, Recover: true}
-	run := func(v int32) *Result {
-		poisonIdle(cfg.Procs, 1<<14, v)
-		res, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	clean, stale := run(-1), run(113)
-	if stale.Checksum != clean.Checksum || stale.Time != clean.Time || stale.Msgs != clean.Msgs || stale.Recovery != clean.Recovery {
-		t.Fatalf("stale directory arrays changed the run: checksum %v time %v msgs %d %+v; clean arrays: %v %v %d %+v",
-			stale.Checksum, stale.Time, stale.Msgs, stale.Recovery, clean.Checksum, clean.Time, clean.Msgs, clean.Recovery)
-	}
-}
-
 // TestFreshRunSeesNoPreviousRun is the idle list's isolation check: a
 // run whose every rank writes a non-zero pattern over its whole image —
 // through the image slice, far past the one page it validated, which

@@ -137,7 +137,7 @@ type Msg struct {
 type Server func(p Proc, at int, req any) (resp any, respBytes int)
 
 // Pending is an in-flight request/reply exchange. Reply, Arrival, and
-// Bytes are valid after Await/AwaitAll returns it.
+// Bytes are valid after Await or AwaitAll returns.
 type Pending struct {
 	// Reply is the decoded reply payload.
 	Reply any
@@ -197,11 +197,22 @@ func TakeMatch(box []Msg, from int, tag Tag) (Msg, []Msg, bool) {
 	return m, append(box[:best], box[best+1:]...), true
 }
 
-// AwaitInArrivalOrder completes a set of pending exchanges in ascending
-// virtual-arrival order via await (the receive overheads serialize at
-// the requester). Exchanges must already be resolved where resolution is
-// asynchronous.
-func AwaitInArrivalOrder(p Proc, pds []*Pending, await func(Proc, *Pending)) {
+// Await advances p to the completion of one in-flight exchange and charges
+// the receive overhead; the Pending's reply fields are valid afterwards.
+func Await(p Proc, pd *Pending, costs model.Costs) {
+	pd.Resolve(p)
+	p.SetClock(pd.Arrival)
+	p.Charge(costs.RecvOverhead)
+}
+
+// AwaitAll completes a set of in-flight exchanges: every reply is resolved
+// first, then p's clock moves to each arrival and is charged the receive
+// overhead in ascending arrival order (the overheads serialize at the
+// requester). It is the one completion rule every transport shares.
+func AwaitAll(p Proc, pds []*Pending, costs model.Costs) {
+	for _, pd := range pds {
+		pd.Resolve(p)
+	}
 	// The scratch copy (the caller's order must be preserved) lives on the
 	// stack for the common small fan-outs.
 	var stack [16]*Pending
@@ -218,7 +229,7 @@ func AwaitInArrivalOrder(p Proc, pds []*Pending, await func(Proc, *Pending)) {
 				best = i
 			}
 		}
-		await(p, rest[best])
+		Await(p, rest[best], costs)
 		rest = append(rest[:best], rest[best+1:]...)
 	}
 }
@@ -305,13 +316,9 @@ type Transport interface {
 	Serve(fn Server)
 	// StartRequest issues a request/reply exchange to node to and returns
 	// without waiting for the requester's side of the reply (asynchronous
-	// data fetching). The request payload must be a wire value.
+	// data fetching); Await and AwaitAll complete it. The request payload
+	// must be a wire value.
 	StartRequest(p Proc, to int, req any, reqBytes int) *Pending
-	// Await advances p to the completion of one in-flight exchange; the
-	// Pending's reply fields are valid afterwards.
-	Await(p Proc, pd *Pending)
-	// AwaitAll completes a set of in-flight exchanges in arrival order.
-	AwaitAll(p Proc, pds []*Pending)
 
 	// Hand stages a protocol payload for node to, out of band of the
 	// mailbox: lock grants and barrier departures are constructed by the

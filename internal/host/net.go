@@ -531,22 +531,6 @@ func (nw *Net) StartRequest(p Proc, to int, req any, reqBytes int) *Pending {
 	return &rs.pd
 }
 
-// Await resolves one exchange and advances p to the reply's arrival.
-func (nw *Net) Await(p Proc, pd *Pending) {
-	pd.Resolve(p)
-	p.SetClock(pd.Arrival)
-	p.Charge(nw.costs.RecvOverhead)
-}
-
-// AwaitAll resolves a set of exchanges and charges their receive
-// overheads in (virtual) arrival order.
-func (nw *Net) AwaitAll(p Proc, pds []*Pending) {
-	for _, pd := range pds {
-		pd.Resolve(p)
-	}
-	AwaitInArrivalOrder(p, pds, nw.Await)
-}
-
 // Hand ships a staged protocol payload (lock grant, barrier departure) to
 // node to over the wire.
 func (nw *Net) Hand(p Proc, to int, slot Tag, payload any) {

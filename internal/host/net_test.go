@@ -102,7 +102,7 @@ func TestNetRequestReply(t *testing.T) {
 		}
 		p.Begin()
 		pd := nw.StartRequest(p, 1, wire.DiffRequest{Req: 0, Pages: []int32{4}, Applied: [][]int32{{0, 0}}}, 16)
-		nw.Await(p, pd)
+		Await(p, pd, nw.Costs())
 		p.End()
 		reply := pd.Reply.(wire.DiffReply)
 		if len(reply.Diffs) != 1 || reply.Diffs[0].Page != 4 || reply.Diffs[0].Creator != 1 {

@@ -48,71 +48,6 @@ func TestCoalescePanicsOnUnsorted(t *testing.T) {
 	Coalesce([]int{5, 4}, nil)
 }
 
-// TestSpanPageListRoundTrip is the lossless-compression property behind
-// the wire codec's version-7 relay encoding: for every sorted,
-// duplicate-free page list — sparse, dense, or adjacent-run-structured —
-// PageList(SpansOfSorted(ps)) == ps. Randomized over a deterministic
-// generator so sim/real/net see the same cases.
-func TestSpanPageListRoundTrip(t *testing.T) {
-	rng := uint64(0x9E3779B97F4A7C15)
-	next := func(n int) int {
-		rng ^= rng << 13
-		rng ^= rng >> 7
-		rng ^= rng << 17
-		return int(rng % uint64(n))
-	}
-	for trial := 0; trial < 500; trial++ {
-		// Mix regimes: sparse isolated pages, dense blocks, and mixed
-		// adjacent runs, over a small universe so adjacency is common.
-		var pages []int32
-		p := 0
-		for len(pages) < next(40)+1 {
-			switch next(3) {
-			case 0: // isolated page
-				p += 2 + next(10)
-				pages = append(pages, int32(p))
-			case 1: // short run
-				p += 2 + next(5)
-				for k := 0; k <= next(4); k++ {
-					pages = append(pages, int32(p))
-					p++
-				}
-			case 2: // long dense block
-				p += 2
-				for k := 0; k <= 8+next(8); k++ {
-					pages = append(pages, int32(p))
-					p++
-				}
-			}
-		}
-		spans := SpansOfSorted(pages)
-		for i, s := range spans {
-			if s.Hi <= s.Lo {
-				t.Fatalf("trial %d: empty span %v", trial, s)
-			}
-			if i > 0 && s.Lo <= spans[i-1].Hi {
-				t.Fatalf("trial %d: spans %v and %v not separated", trial, spans[i-1], s)
-			}
-		}
-		back := PageList(spans)
-		if !reflect.DeepEqual(back, pages) {
-			t.Fatalf("trial %d: round trip %v -> %v -> %v", trial, pages, spans, back)
-		}
-	}
-	if PageList(SpansOfSorted(nil)) != nil {
-		t.Fatal("nil list must round-trip to nil")
-	}
-}
-
-func TestSpansOfSortedPanicsOnUnsorted(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("SpansOfSorted accepted an unsorted page list")
-		}
-	}()
-	SpansOfSorted([]int32{5, 5})
-}
-
 func TestSpanHelpers(t *testing.T) {
 	s := Span{Lo: 2, Hi: 5}
 	if s.Pages() != 3 {

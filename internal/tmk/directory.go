@@ -4,7 +4,7 @@ import (
 	"math/bits"
 	"slices"
 
-	"sdsm/internal/vm"
+	"sdsm/internal/host"
 	"sdsm/internal/wire"
 )
 
@@ -61,16 +61,8 @@ import (
 func (s *System) EnableScale() {
 	s.scale = true
 	for _, nd := range s.Nodes {
-		// The arrays are recycled from whatever run this arena served
-		// last, contents unspecified (vm.Arena.TakeInt32). The -1 sweep
-		// below is therefore load-bearing, not belt-and-braces: a previous
-		// run may have had MORE ranks than this one, and a stale hint
-		// naming rank >= N would route a fetch off the machine, or ride
-		// the first recovery record. The stale-directory regression tests
-		// poison these arrays to pin the sweep.
-		ar := nd.Mem.Arena()
-		nd.dirOwner = ar.TakeInt32(nd.Mem.Pages())
-		nd.dirNext = ar.TakeInt32(nd.Mem.Pages())
+		nd.dirOwner = make([]int32, nd.Mem.Pages())
+		nd.dirNext = make([]int32, nd.Mem.Pages())
 		nd.forgetDirectory()
 	}
 }
@@ -81,16 +73,6 @@ func (nd *Node) forgetDirectory() {
 	for pg := range nd.dirOwner {
 		nd.dirOwner[pg] = -1
 		nd.dirNext[pg] = -1
-	}
-}
-
-// releaseDirectory hands the node's directory arrays back to its arena
-// (they are arena loans, see EnableScale). Nothing to return off scale.
-func (nd *Node) releaseDirectory(ar *vm.Arena) {
-	if nd.dirOwner != nil {
-		ar.RecycleInt32(nd.dirOwner)
-		ar.RecycleInt32(nd.dirNext)
-		nd.dirOwner, nd.dirNext = nil, nil
 	}
 }
 
@@ -149,11 +131,11 @@ func (nd *Node) chaseRedirects(redirs []wire.PageOwner) {
 				continue
 			}
 			if owner < 0 || owner >= nd.sys.N() {
-				// A hint naming a rank outside this job's set — possible
-				// only from stale directory state (the arena's previous
-				// run was wider) — must not become a request to a rank
-				// that does not exist. Leave the page to the Direct
-				// fallback, which asks the noticed owner.
+				// A redirect is a wire value: one naming a rank outside
+				// this job's set can only come from a corrupt reply, and
+				// must not become a request to a rank that does not exist.
+				// Leave the page to the Direct fallback, which asks the
+				// noticed owner.
 				nd.Stats.DirFallbacks++
 				continue
 			}
@@ -175,7 +157,7 @@ func (nd *Node) chaseRedirects(redirs []wire.PageOwner) {
 		for _, r := range sortedKeys(reqs) {
 			slices.Sort(reqs[r])
 			pd := nd.startFetch(r, slices.Compact(reqs[r]), false)
-			nd.sys.NW.Await(nd.p, pd)
+			host.Await(nd.p, pd, nd.sys.Costs)
 			nd.Stats.DirHops++
 			rep := pd.Reply.(wire.DiffReply)
 			round = append(round, rep.Diffs...)

@@ -31,18 +31,16 @@ import (
 // A stored diff is immutable: nothing writes through Covers, Runs or a
 // run's Vals after creation. That is what makes aliasing sound — the
 // cached value is the value served (toWire), and on the in-process
-// backends every receiver's cache entry shares the creator's arrays. The
-// one exception is storage, not content: see pooled.
+// backends every receiver's cache entry shares the creator's arrays.
 type storedDiff struct {
 	wire.Diff
 
 	// pooled marks a locally created whole-page snapshot whose run values
-	// are vm freelist storage: when the snapshot is pruned from the cache
-	// the page is handed back (vm.RecyclePage) and overwritten, so what a
-	// requester is handed must be a copy (served). Diffs received from a
-	// peer are never pooled.
-	pooled bool
-	served []wire.Run // a pooled snapshot's served copy of Runs, built on first serve
+	// are vm freelist storage; diffs received from a peer are never
+	// pooled. shared marks a diff toWire has handed out. A pooled snapshot
+	// goes back to the freelist when it is pruned only if it was never
+	// shared: a receiver may alias its page for as long as it likes.
+	pooled, shared bool
 
 	coverSum int64 // cached ordering key: sum of Covers
 }
@@ -76,22 +74,10 @@ func (d *storedDiff) helps(applied []int32) bool {
 func (d *storedDiff) wireBytes() int { return 16 + vm.RunsBytes(d.Runs) }
 
 // toWire returns the value a requester is handed: the cached diff itself,
-// except for a pooled snapshot, whose page values are copied once (every
-// requester shares the copy) because the original storage is recycled on
-// prune while the served value may long outlive it at a receiver.
+// marked shared so its storage is never recycled (recycle).
 func (d *storedDiff) toWire() wire.Diff {
-	if !d.pooled {
-		return d.Diff
-	}
-	if d.served == nil {
-		d.served = make([]wire.Run, len(d.Runs))
-		for i, r := range d.Runs {
-			d.served[i] = wire.Run{Off: r.Off, Vals: append([]float64(nil), r.Vals...)}
-		}
-	}
-	w := d.Diff
-	w.Runs = d.served
-	return w
+	d.shared = true
+	return d.Diff
 }
 
 // diffKey identifies a diff by content — (creator, page, coverage) is
@@ -254,8 +240,8 @@ func (nd *Node) storeOwnDiff(page int, to int32, whole bool, runs []wire.Run) {
 // storeDiff adds d to the diff cache, dropping any older diffs a whole
 // snapshot subsumes (bounding memory: a page that is repeatedly
 // WRITE_ALL-validated keeps only its newest snapshot). A pruned pooled
-// snapshot's page storage goes back to the vm freelist — what requesters
-// were handed is a separate copy (toWire), so receivers are unaffected.
+// snapshot's page goes back to the vm freelist unless it was ever handed
+// out (recycle), so what receivers hold never moves.
 func (nd *Node) storeDiff(d *storedDiff) {
 	pg := int(d.Page)
 	nd.touch(pg) // the page's diff chain (and, on the apply path, its image) moved
@@ -275,9 +261,10 @@ func (nd *Node) storeDiff(d *storedDiff) {
 }
 
 // recycle hands a pooled snapshot's page storage back to the vm freelist
-// as it leaves the cache.
+// as it leaves the cache, if nobody else was ever handed it: a shared
+// snapshot's page is left to the garbage collector.
 func (nd *Node) recycle(d *storedDiff) {
-	if d.pooled {
+	if d.pooled && !d.shared {
 		for _, r := range d.Runs {
 			nd.Mem.RecyclePage(r.Vals)
 		}
@@ -590,7 +577,7 @@ func (nd *Node) completeInflight() {
 		pds = append(pds, fetches[i].pd)
 	}
 	nd.pdScratch = pds
-	nd.sys.NW.AwaitAll(nd.p, pds)
+	host.AwaitAll(nd.p, pds, nd.sys.Costs)
 	// Apply every reply of the round together: diffs from different
 	// responders may overlap (migratory and falsely shared pages), and
 	// only a global sort preserves vector-time order. The scratch is
@@ -635,7 +622,7 @@ func (nd *Node) completeInflight() {
 		var round []wire.Diff
 		for _, r := range sortedKeys(reqs) {
 			pd := nd.startFetch(r, reqs[r], true)
-			nd.sys.NW.Await(nd.p, pd)
+			host.Await(nd.p, pd, nd.sys.Costs)
 			round = append(round, pd.Reply.(wire.DiffReply).Diffs...)
 		}
 		nd.applyDiffs(round)

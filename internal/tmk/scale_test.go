@@ -9,6 +9,7 @@ import (
 	"sdsm/internal/host"
 	"sdsm/internal/model"
 	"sdsm/internal/shm"
+	"sdsm/internal/wire"
 )
 
 // TestScaleHotPageServeBalance pins the ownership directory's reason to
@@ -231,5 +232,27 @@ func TestScaleRandomMigrationNet(t *testing.T) {
 				t.Fatalf("chase accounting out of bounds: %d hops > %d redirects issued", ps.DirHops, ps.DirRedirects)
 			}
 		})
+	}
+}
+
+// TestChaseGuardOutOfRange pins the fetch router's defense in depth: a
+// forwarding hint naming a rank outside the machine must be dropped to
+// the Direct fallback, not turned into a request. The guard is
+// exercised directly — redirect lists are wire values, so a corrupt hint
+// can arrive however the local directory was initialized.
+func TestChaseGuardOutOfRange(t *testing.T) {
+	sys := testSystem(2, 4*shm.PageWords)
+	sys.EnableScale()
+	nd := sys.Nodes[0]
+	// A pending notice for page 1 makes the chase consider it; the hint
+	// names rank 99. The guard must skip it without issuing a request —
+	// if it tried, the transport would be asked for a node the host does
+	// not have and the test would die rather than fail gracefully.
+	nd.pages[1].pending = []notice{{owner: 1, idx: 1}}
+	before := nd.Stats.DirFallbacks
+	nd.chaseRedirects([]wire.PageOwner{{Page: 1, Owner: 99}})
+	if nd.Stats.DirFallbacks != before+1 {
+		t.Errorf("out-of-range redirect: DirFallbacks %d, want %d (hint should fall back, not route)",
+			nd.Stats.DirFallbacks, before+1)
 	}
 }

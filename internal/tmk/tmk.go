@@ -54,10 +54,10 @@
 // a page costs bytes and never an allocation, and an append that outgrows
 // its share reallocates instead of writing into the neighbouring page's.
 // Four page-indexed things stay outside, on purpose: the scale directory's
-// dirOwner/dirNext, which are warm-arena loans with a reuse protocol of
-// their own (EnableScale); the barrier master's wsLast index, built lazily
-// and only at node 0; adapt's per-epoch tally, which belongs to the mode;
-// and the sets a single call builds and drops.
+// dirOwner/dirNext and adapt's per-epoch tally, which belong to their
+// modes and are made when the mode is enabled; the barrier master's wsLast
+// index, built lazily and only at node 0; and the sets a single call
+// builds and drops.
 //
 // Three invariants are load-bearing for every feature that moves diffs,
 // learned from lost updates the cross-backend stress tests found:
@@ -312,17 +312,14 @@ func (s *System) Run(body func(nd *Node)) error {
 	})
 }
 
-// ReleaseWarm hands every node's storage back to its arena: directory
-// arrays first (they are arena loans too), then the Mem's twins and data
-// store. Run CheckGuards on the arenas BEFORE calling this — release
-// ends the loans the audit needs. The System must not be used
+// ReleaseWarm hands every node's storage back to its arena: the Mem's
+// twins and data store. Run CheckGuards on the arenas BEFORE calling this
+// — release ends the loans the audit needs. The System must not be used
 // afterwards.
 func (s *System) ReleaseWarm() {
 	for _, nd := range s.Nodes {
-		ar := nd.Mem.Arena()
-		nd.releaseDirectory(ar)
 		nd.Mem.Release()
-		ar.ReleaseData()
+		nd.Mem.Arena().ReleaseData()
 	}
 }
 

@@ -568,12 +568,13 @@ func TestReacquireOwnLockIsCheap(t *testing.T) {
 	})
 }
 
-// A pooled whole-page snapshot's storage is recycled when a newer snapshot
-// subsumes it, so what a requester was handed must be a copy — the one
-// copy the serve path still makes. Serve a snapshot, let a newer one prune
-// it, let the next one take the recycled page and overwrite it: the served
-// value must not move.
-func TestServedSnapshotSurvivesRecycle(t *testing.T) {
+// A pooled whole-page snapshot is served without a copy, so once handed
+// out its page must never return to the freelist: a receiver aliases it
+// for as long as it likes. Serve a snapshot and check the served runs are
+// the cached ones; let a newer snapshot prune it and check the next
+// snapshot does not get its page and the served words do not move. A
+// pruned snapshot nobody was handed still gives its page to the next one.
+func TestSharedSnapshotIsNeverRecycled(t *testing.T) {
 	s := testSystem(2, shm.PageWords)
 	nd := s.Nodes[0]
 	snapshot := func(base float64) *storedDiff {
@@ -587,21 +588,29 @@ func TestServedSnapshotSurvivesRecycle(t *testing.T) {
 		}
 		return nd.pages[0].diffs[0]
 	}
+	page := func(d *storedDiff) *float64 { return &d.Runs[0].Vals[0] }
+
 	first := snapshot(1000)
 	out, _, _ := nd.serveDiffs(1, []int{0}, [][]int32{make([]int32, 2)}, false)
 	if len(out) != 1 || !out[0].Whole {
 		t.Fatalf("served %+v, want the one whole-page snapshot", out)
 	}
 	handed := out[0].Runs[0].Vals
+	if &handed[0] != page(first) {
+		t.Fatal("the served runs are a copy, not the cached snapshot")
+	}
 
-	snapshot(2000) // subsumes and prunes first: its page returns to the freelist
-	third := snapshot(3000)
-	if &third.Runs[0].Vals[0] != &first.Runs[0].Vals[0] {
-		t.Fatal("third snapshot did not reuse the pruned snapshot's page; the test no longer exercises recycling")
+	second := snapshot(2000) // prunes first, which was shared: its page stays out
+	third := snapshot(3000)  // prunes second, which nobody was handed
+	if page(second) == page(first) || page(third) == page(first) {
+		t.Fatal("a later snapshot got the page of one that was handed out")
 	}
 	for i, v := range handed {
 		if v != 1000+float64(i) {
-			t.Fatalf("served word %d = %v after the snapshot's page was recycled, want %v", i, v, 1000+float64(i))
+			t.Fatalf("served word %d = %v after the snapshot was pruned, want %v", i, v, 1000+float64(i))
 		}
+	}
+	if fourth := snapshot(4000); page(fourth) != page(second) {
+		t.Fatal("a pruned snapshot that was never shared did not hand its page to the next one")
 	}
 }

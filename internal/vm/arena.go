@@ -15,14 +15,14 @@ import (
 const GuardWords = 16
 
 // Arena is the storage behind one node memory: the address-space backing
-// store, page buffers and directory arrays. Every Mem has one (NewWarm;
-// New makes a private one). A DSM run borrows its arenas from harness's
-// idle list, the one owner of warm storage in the process, so
-// steady-state runs reuse that storage instead of growing the heap per
-// run. An Arena backs one node of one machine at a time; it needs no
-// locking.
+// store and page buffers. Every Mem has one (NewWarm; New makes a private
+// one). A DSM run borrows its arenas from harness's idle list, the one
+// owner of warm storage in the process, so steady-state runs reuse that
+// storage instead of growing the heap per run. An Arena backs one node of
+// one machine at a time; it needs no locking.
 //
-// Reuse rules, chosen so warm results stay bit-identical to fresh runs:
+// An arena lends only what its borrower overwrites, under two reuse
+// rules chosen so warm results stay bit-identical to fresh runs:
 //
 //   - The data store (TakeData) is zeroed on every take that recycles
 //     it, so it reads exactly like make: application memory starts
@@ -31,17 +31,15 @@ const GuardWords = 16
 //     vm fully overwrites the buffer before reading it (twin snapshots,
 //     whole-page runs), so stale content is unobservable, whether the
 //     buffer was recycled earlier in the same run or by a previous one.
-//   - Int32 arrays (TakeInt32) are NOT zeroed: the directory layer must
-//     reinitialize every entry itself. Handing back stale owner hints
-//     uninitialized is deliberate — it is exactly the surface the
-//     stale-directory regression tests poison.
+//
+// State a borrower would have to initialize itself, such as tmk's scale
+// directory, is made by the mode that owns it, never lent.
 type Arena struct {
 	canary float64
 	data   []float64   // the data store, guard capacity included
 	words  int         // the loan's length while lent
 	lent   bool        // data is out on loan
 	pages  [][]float64 // idle page-sized buffers
-	ints   [][]int32   // idle int32 arrays
 }
 
 // NewArena returns an empty warm arena.
@@ -86,27 +84,6 @@ func (a *Arena) TakePage() []float64 {
 	return make([]float64, shm.PageWords)
 }
 
-// TakeInt32 lends an int32 array of length n with UNSPECIFIED contents —
-// possibly a previous job's values. Callers own initialization.
-func (a *Arena) TakeInt32(n int) []int32 {
-	for i, s := range a.ints {
-		if cap(s) >= n {
-			a.ints[i] = a.ints[len(a.ints)-1]
-			a.ints[len(a.ints)-1] = nil
-			a.ints = a.ints[:len(a.ints)-1]
-			return s[:n]
-		}
-	}
-	return make([]int32, n)
-}
-
-// RecycleInt32 accepts an int32 array back into the arena.
-func (a *Arena) RecycleInt32(s []int32) {
-	if s != nil {
-		a.ints = append(a.ints, s)
-	}
-}
-
 // CheckGuards audits the outstanding loan's guard words against the
 // canary. It must run before ReleaseData ends the loan. A mismatch is
 // cross-job bleed (or an in-job overrun) and harness treats it as fatal
@@ -128,14 +105,13 @@ func (a *Arena) CheckGuards() error {
 // the next run. Call CheckGuards first; release does not audit.
 func (a *Arena) ReleaseData() { a.lent = false }
 
-// Idle reports the arena's idle inventory (data stores — 0 or 1 — page
-// buffers, int32 arrays), for tests that pin warm reuse actually
-// happening.
-func (a *Arena) Idle() (data, pages, ints int) {
+// Idle reports the arena's idle inventory (data stores — 0 or 1 — and
+// page buffers), for tests that pin warm reuse actually happening.
+func (a *Arena) Idle() (data, pages int) {
 	if a.data != nil && !a.lent {
 		data = 1
 	}
-	return data, len(a.pages), len(a.ints)
+	return data, len(a.pages)
 }
 
 // Loans reports the number of outstanding data loans: 0 or 1.

@@ -30,7 +30,7 @@ func TestArenaDataLoan(t *testing.T) {
 	} {
 		a.SetCanary(float64(c.words) + 0.5)
 		d := a.TakeData(c.words)
-		if n, _, _ := a.Idle(); n != 0 || a.Loans() != 1 {
+		if n, _ := a.Idle(); n != 0 || a.Loans() != 1 {
 			t.Fatalf("%d words: idle %d, loans %d while lent, want 0 and 1", c.words, n, a.Loans())
 		}
 		if got := unsafe.SliceData(d) == prev; got != c.reused {
@@ -50,7 +50,7 @@ func TestArenaDataLoan(t *testing.T) {
 			t.Fatalf("%d words: guards after in-bounds writes: %v", c.words, err)
 		}
 		a.ReleaseData()
-		if n, _, _ := a.Idle(); n != 1 || a.Loans() != 0 {
+		if n, _ := a.Idle(); n != 1 || a.Loans() != 0 {
 			t.Fatalf("%d words: idle %d, loans %d after release, want 1 and 0", c.words, n, a.Loans())
 		}
 	}
@@ -71,22 +71,6 @@ func TestArenaGuardCatchesOverrun(t *testing.T) {
 	a.data[16] = 0 // first guard word, via the backing array
 	if err := a.CheckGuards(); err == nil {
 		t.Fatal("corrupted guard word passed the audit")
-	}
-}
-
-// TestArenaInt32Raw pins that int32 loans are deliberately raw: stale
-// contents survive recycling (the directory layer owns initialization —
-// tmk's warm EnableScale test covers that side).
-func TestArenaInt32Raw(t *testing.T) {
-	a := NewArena()
-	s := a.TakeInt32(8)
-	for i := range s {
-		s[i] = 42
-	}
-	a.RecycleInt32(s)
-	s2 := a.TakeInt32(8)
-	if s2[0] != 42 {
-		t.Fatal("int32 loan was scrubbed; the warm-reuse contract hands it back raw")
 	}
 }
 
@@ -112,7 +96,7 @@ func TestWarmMemBitIdentical(t *testing.T) {
 		}
 		m.Release()
 		a.ReleaseData()
-		if data, _, _ := a.Idle(); data != 1 {
+		if data, _ := a.Idle(); data != 1 {
 			t.Fatalf("round %d: idle data stores after release: %d, want 1", round, data)
 		}
 	}

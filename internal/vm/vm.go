@@ -138,8 +138,8 @@ type Mem struct {
 	preBatch   []Prot
 
 	// arena is the storage this Mem borrowed (NewWarm). Its idle page
-	// buffers are the one freelist for twins, whole-page snapshots and the
-	// protocol's pruned diff chains (RecyclePage), so a steady-state
+	// buffers are the one freelist for twins and the whole-page snapshots
+	// the protocol prunes unserved (RecyclePage), so a steady-state
 	// epoch's twin/diff cycle allocates no page storage, and neither does
 	// the next run's. The Mem is driven under the node's protocol
 	// exclusion, so the arena needs no synchronization.
@@ -403,9 +403,11 @@ func (m *Mem) fault(p host.Proc, page int, acc Access) {
 func (m *Mem) HasTwin(page int) bool { return m.twins[page] != nil }
 
 // RecyclePage returns a page-sized value buffer (a consumed twin, a
-// whole-page snapshot pruned from a diff chain) to the arena's page
-// freelist, where the next TakePage finds it. Buffers of any other size —
-// diff run values are exact-size — are left to the garbage collector.
+// whole-page snapshot pruned from a diff chain that was never handed
+// out) to the arena's page freelist, where the next TakePage finds and
+// overwrites it: the caller must hold the only reference. Buffers of any
+// other size — diff run values are exact-size — are left to the garbage
+// collector.
 func (m *Mem) RecyclePage(vals []float64) {
 	if cap(vals) != shm.PageWords {
 		return
@@ -479,7 +481,9 @@ func (m *Mem) DiffAgainstTwin(p host.Proc, page int) []Run {
 // when modifications must be shipped but no twin exists (WRITE_ALL pages).
 // It is a memcpy, not a compare, so it costs the twin rate per word. The
 // run's values are freelist storage: when the snapshot is pruned from
-// its diff chain the protocol hands them back via RecyclePage.
+// its diff chain the protocol hands them back via RecyclePage — unless
+// it was ever served, in which case a receiver may still alias them and
+// they are left to the garbage collector.
 func (m *Mem) WholePageRuns(p host.Proc, page int) []Run {
 	vals := m.arena.TakePage()
 	copy(vals, m.PageData(page))
