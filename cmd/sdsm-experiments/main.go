@@ -36,7 +36,6 @@ import (
 	"syscall"
 	"time"
 
-	"sdsm/internal/apps"
 	"sdsm/internal/harness"
 	"sdsm/internal/mpnet"
 	"sdsm/internal/obs"
@@ -47,7 +46,6 @@ func main() {
 	mpnet.MaybeWorker() // worker re-exec path; does not return if spawned
 	var (
 		all       = flag.Bool("all", false, "run every experiment")
-		trOvh     = flag.Bool("trace-overhead", false, "run jacobi/large traced and untraced; verify virtual times are identical and report the wall cost of tracing")
 		serve     = flag.Bool("serve", false, "run the DSM-as-a-service load experiment and print Table D")
 		srvListen = flag.Bool("serve-listen", false, "with -serve: skip the load run, print the coordinator address, and serve sdsm-client/sdsm-node -pool peers until interrupted")
 		srvJobs   = flag.Int("serve-jobs", 200, "total jobs for the -serve load run")
@@ -86,7 +84,7 @@ func main() {
 		fmt.Printf("note: %s backend — virtual times are scheduling-dependent; the paper's\n"+
 			"deterministic numbers require the sim backend (the default).\n\n", *backend)
 	}
-	chosen := *all || *trOvh || *serve
+	chosen := *all || *serve
 	for _, on := range picked {
 		chosen = chosen || *on
 	}
@@ -183,46 +181,6 @@ func main() {
 		}
 	}
 
-	if *trOvh {
-		// The observability contract made measurable: tracing must not
-		// perturb the simulation. Both runs execute jacobi/large on the sim
-		// backend; their virtual times must match to the nanosecond, and
-		// the wall-clock delta is the entire cost of recording the trace.
-		a, err := apps.ByName("jacobi")
-		if err != nil {
-			fail(err)
-		}
-		cfg := harness.Config{App: a, Set: harness.Large, System: harness.Base, Procs: *procs}
-		w0 := time.Now()
-		plain, err := harness.Run(cfg)
-		if err != nil {
-			fail(err)
-		}
-		plainWall := time.Since(w0)
-		cfg.Trace = true
-		w1 := time.Now()
-		traced, err := harness.Run(cfg)
-		if err != nil {
-			fail(err)
-		}
-		tracedWall := time.Since(w1)
-		events, dropped := 0, int64(0)
-		for _, nt := range traced.Trace.Nodes {
-			events += nt.Len()
-			dropped += nt.Dropped()
-		}
-		fmt.Printf("tracing overhead (%s, %s set, %d processors, sim backend)\n", a.Name, harness.Large, *procs)
-		fmt.Printf("  virtual time untraced:  %v\n", plain.Time)
-		fmt.Printf("  virtual time traced:    %v\n", traced.Time)
-		fmt.Printf("  events recorded:        %d (%d dropped)\n", events, dropped)
-		fmt.Printf("  wall untraced / traced: %v / %v\n", plainWall.Round(time.Millisecond), tracedWall.Round(time.Millisecond))
-		if plain.Time != traced.Time {
-			fmt.Fprintln(os.Stderr, "sdsm-experiments: VIRTUAL TIME PERTURBED — tracing leaked into the cost model")
-			os.Exit(1)
-		}
-		fmt.Println("  virtual times identical: tracing is invisible to the cost model")
-		fmt.Println()
-	}
 	for _, e := range harness.Experiments {
 		if *all || *picked[cmp.Or(e.With, e.Name)] {
 			out, err := e.Run(*procs, workers)

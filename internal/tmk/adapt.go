@@ -374,9 +374,7 @@ func (nd *Node) adaptStep(oldBar []int32, fetched []wire.NodePages) {
 		}
 		ds := ad.ds[:0]
 		for _, pg := range pages {
-			if nd.pages[pg].dirty {
-				nd.flushLocalDiff(pg, false)
-			}
+			nd.flushLocalDiff(pg, false)
 			for _, d := range nd.pages[pg].diffs {
 				if int(d.Creator) == nd.ID && d.To > oldBar[nd.ID] {
 					ds = append(ds, d.toWire())

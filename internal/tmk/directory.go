@@ -2,9 +2,7 @@ package tmk
 
 import (
 	"math/bits"
-	"slices"
 
-	"sdsm/internal/host"
 	"sdsm/internal/wire"
 )
 
@@ -124,7 +122,7 @@ func (nd *Node) chaseRedirects(redirs []wire.PageOwner) {
 	hopCap := nd.dirHopCap()
 	visited := map[int]map[int]bool{} // page -> responders already asked
 	for hop := 0; hop < hopCap && len(redirs) > 0; hop++ {
-		reqs := map[int][]int{} // responder -> pages
+		pairs := nd.pairScratch[:0]
 		for _, po := range redirs {
 			pg, owner := int(po.Page), int(po.Owner)
 			if len(nd.pages[pg].pending) == 0 || owner == nd.ID {
@@ -147,23 +145,15 @@ func (nd *Node) chaseRedirects(redirs []wire.PageOwner) {
 			}
 			visited[pg][owner] = true
 			nd.dirOwner[pg] = po.Owner
-			reqs[owner] = append(reqs[owner], pg)
+			pairs = append(pairs, fetchPair{owner, pg})
 		}
-		if len(reqs) == 0 {
+		nd.pairScratch = pairs
+		if len(pairs) == 0 {
 			break
 		}
-		redirs = redirs[:0]
-		var round []wire.Diff
-		for _, r := range sortedKeys(reqs) {
-			slices.Sort(reqs[r])
-			pd := nd.startFetch(r, slices.Compact(reqs[r]), false)
-			host.Await(nd.p, pd, nd.sys.Costs)
-			nd.Stats.DirHops++
-			rep := pd.Reply.(wire.DiffReply)
-			round = append(round, rep.Diffs...)
-			redirs = append(redirs, rep.Redirects...)
-		}
-		nd.applyDiffs(round)
+		pds := nd.request(pairs, false, true)
+		nd.Stats.DirHops += int64(len(pds))
+		redirs = nd.applyReplies(pds)
 	}
 	for pg := range visited {
 		if len(nd.pages[pg].pending) > 0 {

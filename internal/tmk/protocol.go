@@ -328,9 +328,7 @@ func (nd *Node) addNotice(pg int, nt notice) {
 // invalidate removes access to a page. Local modifications are saved as a
 // diff first so they can still be served (diff on invalidate).
 func (nd *Node) invalidate(page int) {
-	if nd.pages[page].dirty {
-		nd.flushLocalDiff(page, true)
-	}
+	nd.flushLocalDiff(page, true)
 	if nd.Mem.Prot(page) != vm.NoAccess {
 		nd.Mem.SetProt(nd.p, page, vm.NoAccess)
 		nd.Stats.Invalidations++
@@ -338,7 +336,8 @@ func (nd *Node) invalidate(page int) {
 }
 
 // flushLocalDiff captures the node's own outstanding modifications to a
-// dirty page into the diff cache.
+// dirty page into the diff cache; on a clean page it does nothing, so
+// callers need not test the dirty bit first.
 //
 // When every closed interval of this page has already been diffed
 // (lastDiffed == vc), any captured modifications belong to the still-open
@@ -472,13 +471,18 @@ func (nd *Node) pageRefFor(pg int, whole, consume bool) wire.PageRef {
 	return ref
 }
 
-// responderFor picks who to ask for a page's outstanding diffs: if the
-// most recent notice is a whole-page overwrite, its owner alone suffices;
-// otherwise every noticed owner is asked for its own diffs.
-func (nd *Node) responderFor(page int) []int {
-	pend := nd.pages[page].pending
+// fetchPair asks responder r for page pg's outstanding diffs: the unit in
+// which every fetch round is planned (responders, request).
+type fetchPair struct{ r, pg int }
+
+// responders appends to pairs one pair per node page pg must ask for its
+// outstanding diffs: if the most recent notice is a whole-page overwrite,
+// its owner alone suffices; otherwise every noticed owner is asked for its
+// own diffs.
+func (nd *Node) responders(pairs []fetchPair, pg int) []fetchPair {
+	pend := nd.pages[pg].pending
 	if len(pend) == 0 {
-		return nil
+		return pairs
 	}
 	latest := pend[0]
 	for _, n := range pend[1:] {
@@ -486,32 +490,47 @@ func (nd *Node) responderFor(page int) []int {
 			latest = n
 		}
 	}
-	if latest.whole || len(pend) == 1 {
-		// One responder (the steady-state case); the result is consumed
-		// before the next call, so the per-node scratch slot avoids an
-		// allocation per fault.
-		nd.respScratch[0] = int(latest.owner)
-		return nd.respScratch[:1]
+	if latest.whole {
+		return append(pairs, fetchPair{int(latest.owner), pg})
 	}
-	out := make([]int, len(pend)) // one notice per owner
-	for i, n := range pend {
-		out[i] = int(n.owner)
+	for _, n := range pend { // one notice per owner
+		pairs = append(pairs, fetchPair{int(n.owner), pg})
 	}
-	slices.Sort(out)
-	return out
+	return pairs
 }
 
-// inflightFetch is a started but unapplied diff exchange.
-type inflightFetch struct {
-	pd    *host.Pending
-	pg    int   // the requested page when pages is nil (single-page fast path)
-	pages []int // nil for a single-page fetch
+// request issues the diff exchanges pairs plans, sorting pairs in place:
+// one exchange per responder, responders ascending, each asked for its
+// pages ascending, a repeated page once. Without wait the exchanges are
+// started together and join the in-flight round (completeInflight); with
+// wait each completes before the next starts, and the completed exchanges
+// are returned. direct forbids a directory redirect in the answers.
+func (nd *Node) request(pairs []fetchPair, direct, wait bool) []*host.Pending {
+	slices.SortFunc(pairs, func(a, b fetchPair) int {
+		return cmp.Or(cmp.Compare(a.r, b.r), cmp.Compare(a.pg, b.pg))
+	})
+	pairs = slices.Compact(pairs)
+	var done []*host.Pending
+	for i := 0; i < len(pairs); {
+		r, pgs := pairs[i].r, nd.reqPages[:0]
+		for ; i < len(pairs) && pairs[i].r == r; i++ {
+			pgs = append(pgs, pairs[i].pg)
+		}
+		nd.reqPages = pgs
+		pd := nd.startFetch(r, pgs, direct)
+		if !wait {
+			nd.inflight = append(nd.inflight, pd)
+			continue
+		}
+		host.Await(nd.p, pd, nd.sys.Costs)
+		done = append(done, pd)
+	}
+	return done
 }
 
 // startFetch launches one diff exchange: it asks responder r for pages pgs.
 // The requester's applied timestamps travel with the pages (appliedRows),
-// so the responder needs nothing from the requester's memory. direct
-// forbids a directory redirect in the answer (see completeInflight).
+// so the responder needs nothing from the requester's memory.
 func (nd *Node) startFetch(r int, pgs []int, direct bool) *host.Pending {
 	nd.traceFetchReq(r, pgs)
 	nd.Stats.DiffFetches++
@@ -522,111 +541,56 @@ func (nd *Node) startFetch(r int, pgs []int, direct bool) *host.Pending {
 
 // fetchPages retrieves outstanding modifications for the given pages,
 // aggregating all pages per responder into one exchange (the communication
-// aggregation optimization; the base fault path passes a single page, so
-// aggregation degenerates to TreadMarks behaviour there). With async, the
-// exchanges are left in flight and completed at the next fault on an
-// affected page or at the next synchronization point.
+// aggregation optimization; a fault passes its one page, so aggregation
+// degenerates to TreadMarks behaviour there). With async, the exchanges are
+// left in flight and completed at the next fault on an affected page or at
+// the next synchronization point.
 func (nd *Node) fetchPages(pages []int, async bool) {
-	started := len(nd.inflight)
-	if len(pages) == 1 {
-		// Fast path for the base fault case: one page needs no
-		// responder-aggregation map, responders are already sorted
-		// (responderFor returns ascending ids), and the in-flight record
-		// names the page without retaining the caller's slice.
-		pg := pages[0]
-		rs := nd.responderFor(pg)
-		if len(rs) > 0 {
-			nd.noteFetch(pg)
-		}
-		for _, r := range rs {
-			nd.inflight = append(nd.inflight, inflightFetch{pd: nd.startFetch(r, pages, false), pg: pg})
-		}
-	} else {
-		reqs := map[int][]int{} // responder -> pages
-		for _, pg := range pages {
-			rs := nd.responderFor(pg)
-			if len(rs) > 0 {
-				nd.noteFetch(pg) // adaptive profiling: this page cost a demand fetch
-			}
-			for _, r := range rs {
-				reqs[r] = append(reqs[r], pg)
-			}
-		}
-		for _, r := range sortedKeys(reqs) {
-			nd.inflight = append(nd.inflight, inflightFetch{pd: nd.startFetch(r, reqs[r], false), pages: reqs[r]})
+	pairs := nd.pairScratch[:0]
+	for _, pg := range pages {
+		k := len(pairs)
+		if pairs = nd.responders(pairs, pg); len(pairs) > k {
+			nd.noteFetch(pg) // adaptive profiling: this page cost a demand fetch
+			nd.inflightPages = append(nd.inflightPages, pg)
 		}
 	}
-	if !async && len(nd.inflight) > started {
+	nd.pairScratch = pairs
+	nd.request(pairs, false, false)
+	if !async && len(pairs) > 0 {
 		nd.completeInflight()
 	}
 }
 
-// completeInflight waits for all in-flight fetches and applies their
-// replies. Pages still missing diffs afterwards (a responder lacked some
-// other owner's diff) are re-fetched synchronously per owner, mirroring
-// the paper's "other diffs cause an access miss and are faulted in".
-// Nothing it calls starts an asynchronous fetch (the follow-ups are
-// startFetch+Await), so the in-flight list is emptied in place.
+// completeInflight waits for the in-flight round's exchanges and applies
+// their replies. Redirected pages are chased (chaseRedirects); pages still
+// missing diffs afterwards (a responder lacked some other owner's diff, or
+// a chase dead-ended) are re-fetched from each noticed owner, mirroring the
+// paper's "other diffs cause an access miss and are faulted in". Chase hops
+// and this Direct retry wait for each exchange before starting the next and
+// never join the round, so the in-flight lists are emptied in place.
 func (nd *Node) completeInflight() {
 	if len(nd.inflight) == 0 {
 		return
 	}
-	fetches := nd.inflight
-	pds := nd.pdScratch[:0]
-	for i := range fetches {
-		pds = append(pds, fetches[i].pd)
-	}
-	nd.pdScratch = pds
-	host.AwaitAll(nd.p, pds, nd.sys.Costs)
-	// Apply every reply of the round together: diffs from different
-	// responders may overlap (migratory and falsely shared pages), and
-	// only a global sort preserves vector-time order. The scratch is
-	// consumed by applyDiffs before this node issues another fetch.
-	all := nd.dfScratch[:0]
-	var redirs []wire.PageOwner // nil off scale: replies never carry redirects
-	for _, f := range fetches {
-		rep := f.pd.Reply.(wire.DiffReply)
-		all = append(all, rep.Diffs...)
-		redirs = append(redirs, rep.Redirects...)
-	}
-	nd.dfScratch = all
-	nd.applyDiffs(all)
-	if len(redirs) > 0 {
+	host.AwaitAll(nd.p, nd.inflight, nd.sys.Costs)
+	if redirs := nd.applyReplies(nd.inflight); len(redirs) > 0 {
 		nd.chaseRedirects(redirs)
 	}
-	var pages []int // pages still owing diffs; the steady state has none
-	for _, f := range fetches {
-		pgs := f.pages
-		if pgs == nil {
-			pgs = []int{f.pg}
-		}
-		for _, pg := range pgs {
-			if len(nd.pages[pg].pending) > 0 {
-				pages = append(pages, pg)
-			}
+	// Ask each remaining owner of a page still owing diffs directly (the
+	// steady state has none); owners can always serve their own diffs.
+	// Direct forbids directory redirects — this is the forwarding chain's
+	// backstop, so the owner must answer with payload even when its
+	// delegation pointer says otherwise.
+	pairs := nd.pairScratch[:0]
+	for _, pg := range nd.inflightPages {
+		for _, n := range nd.pages[pg].pending {
+			pairs = append(pairs, fetchPair{int(n.owner), pg})
 		}
 	}
-	if len(pages) > 0 {
-		slices.Sort(pages)
-		pages = slices.Compact(pages)
-		// Ask each remaining owner directly; owners can always serve
-		// their own diffs. Direct forbids directory redirects — this is
-		// the forwarding chain's backstop, so the owner must answer with
-		// payload even when its delegation pointer says otherwise.
-		reqs := map[int][]int{} // owner -> pages, ascending, each once
-		for _, pg := range pages {
-			for _, n := range nd.pages[pg].pending {
-				reqs[int(n.owner)] = append(reqs[int(n.owner)], pg)
-			}
-		}
-		var round []wire.Diff
-		for _, r := range sortedKeys(reqs) {
-			pd := nd.startFetch(r, reqs[r], true)
-			host.Await(nd.p, pd, nd.sys.Costs)
-			round = append(round, pd.Reply.(wire.DiffReply).Diffs...)
-		}
-		nd.applyDiffs(round)
-		for _, pg := range pages {
+	nd.pairScratch = pairs
+	if len(pairs) > 0 {
+		nd.applyReplies(nd.request(pairs, true, true))
+		for _, pg := range nd.inflightPages {
 			if pend := nd.pages[pg].pending; len(pend) > 0 {
 				panic(fmt.Sprintf("tmk: node %d cannot resolve notices for page %d: %+v",
 					nd.ID, pg, pend))
@@ -635,8 +599,26 @@ func (nd *Node) completeInflight() {
 	}
 	// Drop the round's pointers so the recycled array does not keep
 	// replies alive until its next use.
-	clear(fetches)
-	nd.inflight = fetches[:0]
+	clear(nd.inflight)
+	nd.inflight, nd.inflightPages = nd.inflight[:0], nd.inflightPages[:0]
+}
+
+// applyReplies applies every diff of the completed exchanges pds in one
+// pass and returns the redirects they carried (none off scale). Diffs
+// from different responders may overlap (migratory and falsely shared
+// pages), and only a global sort preserves vector-time order. The merge
+// buffer is consumed by applyDiffs before this node issues another fetch.
+func (nd *Node) applyReplies(pds []*host.Pending) []wire.PageOwner {
+	all := nd.dfScratch[:0]
+	var redirs []wire.PageOwner
+	for _, pd := range pds {
+		rep := pd.Reply.(wire.DiffReply)
+		all = append(all, rep.Diffs...)
+		redirs = append(redirs, rep.Redirects...)
+	}
+	nd.dfScratch = all
+	nd.applyDiffs(all)
+	return redirs
 }
 
 // serveDiffs runs at the responder (inside the transport's request
@@ -700,9 +682,7 @@ func (nd *Node) serveDiffs(reqID int, pages []int, reqApplied [][]int32, direct 
 // prunes notices by applied coverage, so a chain gap would silently drop
 // the missing intervals' content.
 func (nd *Node) collectDiffs(reqID, pg int, applied []int32) []*storedDiff {
-	if nd.pages[pg].dirty {
-		nd.flushLocalDiff(pg, false)
-	}
+	nd.flushLocalDiff(pg, false)
 	// The candidate list is consumed by the caller before the next
 	// collectDiffs call on this node, so one scratch buffer suffices (the
 	// pointers it holds are cache entries, retained by the page table anyway).

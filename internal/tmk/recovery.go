@@ -162,29 +162,21 @@ func (nd *Node) injectFault(b *barrier) {
 // throughout, so nothing the view names can move under the encoder; the
 // sink sees only the encoded bytes.
 func (nd *Node) writeRecord() {
-	s := nd.sys
-	r := s.rec
+	r := nd.sys.rec
 	if r == nil {
 		return
 	}
-	n := s.N()
 	nd.recEpoch++
 	full := nd.recLast == nil || r.Every <= 1 || (int(nd.recEpoch)-1)%r.Every == 0
 	ck := wire.Checkpoint{
 		Node: int32(nd.ID), Epoch: nd.recEpoch, Full: full, VC: nd.vc, LastBar: nd.lastBar,
 		Intervals: nd.recIvs[:0], Frames: nd.recFrames[:0], Diffs: nd.recDiffs[:0],
 	}
-	for o := 0; o < n; o++ {
-		var from int32 // a full record carries the whole log
-		if !full {
-			from = nd.recLast[o]
-		}
-		for idx := from + 1; idx <= nd.vc[o]; idx++ {
-			ck.Intervals = append(ck.Intervals, wire.OwnedInterval{
-				Owner: int32(o), Idx: idx, IV: nd.know[o][idx-1],
-			})
-		}
+	base := nd.recLast // a full record carries the whole log
+	if full {
+		base = nil
 	}
+	ck.Intervals = nd.appendIntervals(ck.Intervals, base)
 	for _, pg := range nd.recordPages(full) {
 		e := &nd.pages[pg]
 		ck.Frames = append(ck.Frames, wire.PageFrame{
@@ -325,7 +317,7 @@ func (nd *Node) wipe() {
 	clear(nd.lastBar)
 	clear(nd.know)
 	nd.wsLast, nd.wsSeen = nil, nil // the responder index dies with the log it indexes
-	nd.inflight = nd.inflight[:0]
+	nd.inflight, nd.inflightPages = nd.inflight[:0], nd.inflightPages[:0]
 	nd.forgetDirectory()
 }
 

@@ -235,6 +235,49 @@ func TestScaleRandomMigrationNet(t *testing.T) {
 	}
 }
 
+// TestScaleDeadEndChaseRetries pins the virtual time of the Direct retry on
+// the deterministic backend, the one fetch round no table reaches. Nodes 1
+// and 2 write their own pages; node 0 then points both writers' delegations
+// at each other for both pages, and Validates the two pages. Each writer
+// redirects node 0 to the other, the chase hop finds no diffs there (the
+// delegation already names node 0, so the hop is answered from a cache that
+// lacks the page), both pages fall back, and the retry asks owners 1 and 2
+// directly, one exchange at a time. Concurrent retry or hop exchanges would
+// finish sooner and fail the time pinned here.
+func TestScaleDeadEndChaseRetries(t *testing.T) {
+	s := testSystem(3, 4*shm.PageWords)
+	s.EnableScale()
+	run(t, s, func(nd *Node) {
+		if nd.ID > 0 {
+			for a := nd.ID * shm.PageWords; a < nd.ID*shm.PageWords+8; a++ {
+				w(nd, a, float64(a))
+			}
+		}
+		nd.Barrier(1)
+		if nd.ID == 0 {
+			s.Nodes[1].dirNext[1], s.Nodes[2].dirNext[1] = 2, 0
+			s.Nodes[2].dirNext[2], s.Nodes[1].dirNext[2] = 1, 0
+			nd.Validate(AccRead, region(shm.PageWords, 3*shm.PageWords), false)
+			for _, a := range []int{515, 1027} {
+				if got := nd.Mem.Data()[a]; got != float64(a) {
+					t.Errorf("word %d: read %v, want %d", a, got, a)
+				}
+			}
+		}
+		nd.Barrier(2)
+	})
+	_, ps := s.Stats()
+	if got, want := s.MaxTime(), 2806464*time.Nanosecond; got != want {
+		t.Errorf("MaxTime %v, want %v", got, want)
+	}
+	if got := s.Nodes[0].Stats.DiffFetches; got != 6 {
+		t.Errorf("node 0 DiffFetches %d, want 6 (2 redirected, 2 chase hops, 2 Direct retries)", got)
+	}
+	if ps.DirRedirects != 2 || ps.DirHops != 2 || ps.DirFallbacks != 2 {
+		t.Errorf("DirRedirects/DirHops/DirFallbacks %d/%d/%d, want 2/2/2", ps.DirRedirects, ps.DirHops, ps.DirFallbacks)
+	}
+}
+
 // TestChaseGuardOutOfRange pins the fetch router's defense in depth: a
 // forwarding hint naming a rank outside the machine must be dropped to
 // the Direct fallback, not turned into a request. The guard is

@@ -77,21 +77,15 @@ func (s *System) lock(id int) *lock {
 // compiler's Validate_w_sync data, riding the same message. The result
 // references this node's cached (immutable) diffs and intervals directly.
 func (nd *Node) buildGrant(reqID int, info wire.SyncInfo, pushPages []int) wire.Grant {
-	g := wire.Grant{}
-	for o := range nd.vc {
-		for idx := info.VC[o] + 1; idx <= nd.vc[o]; idx++ {
-			iv := nd.know[o][idx-1]
-			g.Intervals = append(g.Intervals, wire.OwnedInterval{Owner: int32(o), Idx: idx, IV: iv})
-			g.Bytes += int32(iv.AccountedBytes(nd.sys.adaptOn(), shm.PageWords))
-		}
+	g := wire.Grant{Intervals: nd.appendIntervals(nil, info.VC)}
+	for _, oi := range g.Intervals {
+		g.Bytes += int32(oi.IV.AccountedBytes(nd.sys.adaptOn(), shm.PageWords))
 	}
 	for _, need := range info.Needs {
 		for i, pg32 := range need.Pages {
 			pg := int(pg32)
 			nd.p.Charge(nd.sys.Costs.SectionScanPerPage)
-			if nd.pages[pg].dirty {
-				nd.flushLocalDiff(pg, false)
-			}
+			nd.flushLocalDiff(pg, false)
 			for _, d := range nd.pages[pg].diffs {
 				if int(d.Creator) == reqID {
 					continue
@@ -456,8 +450,9 @@ func (nd *Node) Barrier(id int) {
 	avt, awt := nd.traceBarArrive(id)
 	if s.N() > 1 {
 		info := nd.syncInfo()
+		nd.ivScratch = nd.appendIntervals(nd.ivScratch[:0], nd.lastBar)
 		b.arrivals = append(b.arrivals, barrierArrival{id: nd.ID, p: nd.p, at: nd.p.Now(), arr: wire.Arrival{
-			VC: info.VC, Intervals: nd.intervalsSince(nd.lastBar), Needs: info.Needs, Fetched: nd.fetchedSorted(),
+			VC: info.VC, Intervals: nd.ivScratch, Needs: info.Needs, Fetched: nd.fetchedSorted(),
 		}})
 		if len(b.arrivals) < s.N() {
 			nd.p.Block("barrier")
@@ -551,9 +546,7 @@ func (s *System) runBarrier(b *barrier, executor *Node) {
 			for _, r := range master.wsyncResponder(a.id, wp.applied, wp.pg) {
 				resp := s.Nodes[r]
 				resp.p.Charge(c.SectionScanPerPage)
-				if resp.pages[wp.pg].dirty {
-					resp.flushLocalDiff(wp.pg, false)
-				}
+				resp.flushLocalDiff(wp.pg, false)
 				var nServed int32
 				for _, d := range resp.pages[wp.pg].diffs {
 					if int(d.Creator) == a.id || (int(d.Creator) != r && !d.Whole) {
@@ -618,7 +611,8 @@ func (s *System) runBarrier(b *barrier, executor *Node) {
 		if a.id == master.ID {
 			continue
 		}
-		ivs := s.Nodes[a.id].depScratch[:0]
+		ivs := master.appendIntervals(s.Nodes[a.id].depScratch[:0], a.arr.VC)
+		s.Nodes[a.id].depScratch = ivs
 		bytes := 16
 		if !s.scale || !relayCharged {
 			// Off scale every departure re-carries the fetch-list relay —
@@ -630,14 +624,9 @@ func (s *System) runBarrier(b *barrier, executor *Node) {
 			relayCharged = true
 			master.Stats.AdaptRelayBytes += int64(fetchedBytes)
 		}
-		for o := range master.vc {
-			for idx := a.arr.VC[o] + 1; idx <= master.vc[o]; idx++ {
-				iv := master.know[o][idx-1]
-				ivs = append(ivs, wire.OwnedInterval{Owner: int32(o), Idx: idx, IV: iv})
-				bytes += iv.AccountedBytes(adaptOn, shm.PageWords)
-			}
+		for _, oi := range ivs {
+			bytes += oi.IV.AccountedBytes(adaptOn, shm.PageWords)
 		}
-		s.Nodes[a.id].depScratch = ivs
 		served, wsBytes := servedFor(allWS, a.id)
 		bytes += wsBytes
 		h := s.NW.Message(master.ID, a.id, dep, bytes)

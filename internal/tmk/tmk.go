@@ -91,10 +91,10 @@
 // And one rule keeps the notice bookkeeping small: page.pending holds at
 // most one unapplied write notice per owner — its newest (addNotice
 // replaces) — because every reader asks only for maxima: who
-// the newest writer is and whether it overwrote the page (responderFor),
+// the newest writer is and whether it overwrote the page (responders),
 // whether an owner's newest interval is covered yet (prunePending,
-// usablePushed), which owners remain (completeInflight). A page nobody
-// reads holds N-1 notices however many barriers pass.
+// usablePushed), which owners remain (completeInflight's Direct retry). A
+// page nobody reads holds N-1 notices however many barriers pass.
 package tmk
 
 import (
@@ -440,24 +440,24 @@ func (nd *Node) undefer(pg int) {
 	}
 }
 
-// intervalsSince collects, as write notices, every interval this node
-// knows beyond base, sorted by (owner, index) — what a barrier arrival
-// message carries (base = the vector time at the last barrier departure,
-// which every node shares, so the master deduplicates what lock transfers
-// already taught it).
-// The result lives in the node's ivScratch: it is valid until this node's
-// next arrival (the master consumes it while the arrivers wait).
-func (nd *Node) intervalsSince(base []int32) []wire.OwnedInterval {
-	out := nd.ivScratch[:0]
-	for o := range nd.vc {
-		for idx := base[o] + 1; idx <= nd.vc[o]; idx++ {
-			out = append(out, wire.OwnedInterval{
-				Owner: int32(o), Idx: idx, IV: nd.know[o][idx-1],
-			})
+// appendIntervals appends to dst, as write notices sorted by (owner,
+// index), every interval this node knows beyond the vector time base: the
+// notice delta a peer at base lacks. A nil base is the zero vector time,
+// the whole log. It is what a barrier arrival (base: the last departure),
+// a lock grant (the acquirer's vector time), a barrier departure (the
+// arriver's) and a recovery record (the previous record's, or nil for a
+// full one) carry.
+func (nd *Node) appendIntervals(dst []wire.OwnedInterval, base []int32) []wire.OwnedInterval {
+	for o, last := range nd.vc {
+		var from int32
+		if base != nil {
+			from = base[o]
+		}
+		for idx := from + 1; idx <= last; idx++ {
+			dst = append(dst, wire.OwnedInterval{Owner: int32(o), Idx: idx, IV: nd.know[o][idx-1]})
 		}
 	}
-	nd.ivScratch = out
-	return out
+	return dst
 }
 
 // syncInfo snapshots what an acquirer presents at a synchronization
@@ -525,18 +525,24 @@ type Node struct {
 	dirOwner []int32
 	dirNext  []int32
 
-	inflight []inflightFetch // asynchronous fetches not yet completed
-	wsync    []wsyncRequest  // Validate_w_sync registrations for the next sync
-	ad       *adaptNode      // adaptive protocol state; nil unless EnableAdapt
-	held     []heldLock      // locks currently held, innermost last
-	tr       *obs.NodeTracer // event ring; nil unless EnableTrace (trace.go)
+	// The fetch round in flight (fetchPages, completeInflight): its started
+	// exchanges and the pages it asked for, in the order asked, a page
+	// named again if a later Validate asked for it before completion.
+	inflight      []*host.Pending
+	inflightPages []int
+
+	wsync []wsyncRequest  // Validate_w_sync registrations for the next sync
+	ad    *adaptNode      // adaptive protocol state; nil unless EnableAdapt
+	held  []heldLock      // locks currently held, innermost last
+	tr    *obs.NodeTracer // event ring; nil unless EnableTrace (trace.go)
 
 	recoveryState // checkpoint/restore bookkeeping (recovery.go)
 	RecStats      RecoveryStats
 
-	respScratch [1]int        // responderFor's single-responder result slot
 	sortScratch []*storedDiff // applyDiffs' reusable sort buffer
 	cdScratch   []*storedDiff // collectDiffs' candidate buffer
+	pairScratch []fetchPair   // a fetch round's plan, consumed by request
+	reqPages    []int         // request's page list for one exchange
 
 	// The barrier master's Validate_w_sync responder index (wsyncResponder),
 	// nil until a request is first resolved: wsLast[pg*N+o] packs the last
@@ -552,8 +558,7 @@ type Node struct {
 	srvOut    []wire.Diff
 	srvRedir  []wire.PageOwner
 	srvBytes  int
-	pdScratch []*host.Pending // completeInflight's await list
-	dfScratch []wire.Diff     // completeInflight's merged-reply buffer
+	dfScratch []wire.Diff // applyReplies' merged-reply buffer
 
 	// Epoch-lifetime scratch: each slice is rebuilt at one synchronization
 	// operation and fully consumed before this node's next one (the

@@ -117,10 +117,10 @@ func TestWSyncResponderMatchesLogScan(t *testing.T) {
 	}
 }
 
-// responderForAppendAll is responderFor over a pending list that keeps
-// every unapplied notice (what learnInterval used to append), the
-// reference for the compacted per-owner form.
-func responderForAppendAll(pend []notice) []int {
+// respondersAppendAll is the responders rule, as an ascending owner list,
+// over a pending list that keeps every unapplied notice (what learnInterval
+// used to append): the reference for the compacted per-owner form.
+func respondersAppendAll(pend []notice) []int {
 	if len(pend) == 0 {
 		return nil
 	}
@@ -146,7 +146,7 @@ func responderForAppendAll(pend []notice) []int {
 // TestPendingCompaction feeds a node k barriers' worth of notices it never
 // fetches, with a reference that appends every one: a page holds at most
 // one notice per remote owner however long it goes unread, and the readers
-// — responderFor, and prunePending's emptiness after applied timestamps
+// — responders, and prunePending's emptiness after applied timestamps
 // advance — agree with the append-everything list throughout.
 func TestPendingCompaction(t *testing.T) {
 	const n, pages, me = 4, 5, 2
@@ -161,8 +161,12 @@ func TestPendingCompaction(t *testing.T) {
 					t.Fatalf("seed %d %s: page %d holds %d notices, more than one per remote owner: %+v",
 						seed, when, pg, len(nd.pages[pg].pending), nd.pages[pg].pending)
 				}
-				got, want := append([]int(nil), nd.responderFor(pg)...), responderForAppendAll(ref[pg])
-				if !slices.Equal(got, want) {
+				var got []int
+				for _, p := range nd.responders(nil, pg) {
+					got = append(got, p.r)
+				}
+				slices.Sort(got)
+				if want := respondersAppendAll(ref[pg]); !slices.Equal(got, want) {
 					t.Fatalf("seed %d %s: page %d responders %v, append-everything reference %v", seed, when, pg, got, want)
 				}
 			}
