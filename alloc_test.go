@@ -17,9 +17,9 @@ import (
 
 	"sdsm/internal/adapt"
 	"sdsm/internal/apps"
-	"sdsm/internal/cluster"
 	"sdsm/internal/compiler"
 	"sdsm/internal/harness"
+	"sdsm/internal/host"
 	"sdsm/internal/interp"
 	"sdsm/internal/ir"
 	"sdsm/internal/model"
@@ -188,7 +188,7 @@ func TestWSyncBarrierAllocs(t *testing.T) {
 		e := sim.NewEngine(n)
 		layout := shm.NewLayout()
 		arr := layout.Alloc("mem", n*shm.PageWords)
-		sys := tmk.New(e, cluster.New(e, model.SP2()), layout)
+		sys := tmk.New(e, host.NewNetwork(e, model.SP2()), layout)
 		return sys.Run(func(nd *tmk.Node) {
 			for it := 0; it < iters; it++ {
 				lo := arr.Base + nd.ID*shm.PageWords
@@ -219,7 +219,7 @@ func TestFetchRoundAllocs(t *testing.T) {
 		e := sim.NewEngine(n)
 		layout := shm.NewLayout()
 		arr := layout.Alloc("mem", n*pages*shm.PageWords)
-		sys := tmk.New(e, cluster.New(e, model.SP2()), layout)
+		sys := tmk.New(e, host.NewNetwork(e, model.SP2()), layout)
 		return sys.Run(func(nd *tmk.Node) {
 			for it := 0; it < iters; it++ {
 				for pg := 0; nd.ID > 0 && pg < pages; pg++ {
@@ -254,7 +254,7 @@ func adaptEpochAllocs(t *testing.T, pages int, consumed, armed bool) float64 {
 		e := sim.NewEngine(n)
 		layout := shm.NewLayout()
 		arr := layout.Alloc("mem", n*pages*shm.PageWords)
-		sys := tmk.New(e, cluster.New(e, model.SP2()), layout)
+		sys := tmk.New(e, host.NewNetwork(e, model.SP2()), layout)
 		if armed {
 			sys.EnableAdapt(adapt.Config{})
 		}
@@ -320,7 +320,7 @@ func TestCheckpointRecordAllocs(t *testing.T) {
 			e := sim.NewEngine(n)
 			layout := shm.NewLayout()
 			arr := layout.Alloc("mem", pages*shm.PageWords)
-			sys := tmk.New(e, cluster.New(e, model.SP2()), layout)
+			sys := tmk.New(e, host.NewNetwork(e, model.SP2()), layout)
 			sys.EnableRecovery(tmk.RecoveryConfig{})
 			return sys.Run(func(nd *tmk.Node) {
 				nd.Mem.EnsureRead(nd.Proc(), arr.Whole()) // every page valid: every full record frames it
@@ -411,7 +411,7 @@ func TestMachineBuildAllocs(t *testing.T) {
 		layout.Alloc("mem", pages*shm.PageWords)
 		return testing.AllocsPerRun(5, func() {
 			e := sim.NewEngine(n) // with its network, the same at any size
-			tmk.New(e, cluster.New(e, model.SP2()), layout)
+			tmk.New(e, host.NewNetwork(e, model.SP2()), layout)
 		})
 	}
 	s, l := build(small), build(large)
@@ -436,7 +436,7 @@ func TestPushGatherAllocs(t *testing.T) {
 			e := sim.NewEngine(2)
 			layout := shm.NewLayout()
 			arr := layout.Alloc("mem", shm.PageWords)
-			sys := tmk.New(e, cluster.New(e, model.SP2()), layout)
+			sys := tmk.New(e, host.NewNetwork(e, model.SP2()), layout)
 			chunks := make([]shm.Region, k)
 			for c := range chunks {
 				chunks[c] = shm.Region{Lo: arr.Base + 2*c, Hi: arr.Base + 2*c + 1}

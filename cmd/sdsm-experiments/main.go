@@ -140,7 +140,6 @@ func main() {
 		rep, err := svc.RunLoad(cl, svc.LoadConfig{
 			Jobs:        *srvJobs,
 			Concurrency: *srvConc,
-			Mix:         svc.TableDMix(),
 		})
 		snap := co.Snapshot()
 		cl.Close()

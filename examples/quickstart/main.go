@@ -14,7 +14,7 @@ package main
 import (
 	"fmt"
 
-	"sdsm/internal/cluster"
+	"sdsm/internal/host"
 	"sdsm/internal/model"
 	"sdsm/internal/shm"
 	"sdsm/internal/sim"
@@ -25,7 +25,7 @@ func main() {
 	const n = 4
 	run := func(useValidate bool) {
 		e := sim.NewEngine(n)
-		nw := cluster.New(e, model.SP2())
+		nw := host.NewNetwork(e, model.SP2())
 		layout := shm.NewLayout()
 		arr := layout.Alloc("counters", 8*shm.PageWords)
 		sys := tmk.New(e, nw, layout)

@@ -7,8 +7,8 @@ import (
 	"time"
 
 	"sdsm/internal/apps"
-	"sdsm/internal/cluster"
 	"sdsm/internal/compiler"
+	"sdsm/internal/host"
 	"sdsm/internal/interp"
 	"sdsm/internal/ir"
 	"sdsm/internal/model"
@@ -295,7 +295,7 @@ func simImage(t *testing.T, prog *ir.Program, params rsd.Env, nprocs int) []floa
 	t.Helper()
 	layout := compiler.BuildLayout(prog, params)
 	e := sim.NewEngine(nprocs)
-	sys := tmk.New(e, cluster.New(e, model.SP2()), layout)
+	sys := tmk.New(e, host.NewNetwork(e, model.SP2()), layout)
 	var image []float64
 	err := interp.RunDSM(prog, sys, params, func(nd *tmk.Node) {
 		nd.Barrier(1 << 20)

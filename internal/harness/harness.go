@@ -15,7 +15,6 @@ import (
 
 	"sdsm/internal/adapt"
 	"sdsm/internal/apps"
-	"sdsm/internal/cluster"
 	"sdsm/internal/compiler"
 	"sdsm/internal/host"
 	"sdsm/internal/interp"
@@ -269,7 +268,7 @@ func runDSM(cfg Config) (res *Result, err error) {
 			r.EnableObs(m.Reg)
 		}
 		h = r
-		nw = cluster.New(h, costs)
+		nw = host.NewNetwork(h, costs)
 	case BackendNet:
 		n, err := host.NewNet(cfg.Procs, costs)
 		if err != nil {
@@ -286,7 +285,7 @@ func runDSM(cfg Config) (res *Result, err error) {
 			e.EnableObs(m.Reg)
 		}
 		h = e
-		nw = cluster.New(h, costs)
+		nw = host.NewNetwork(h, costs)
 	}
 	sys = tmk.NewWarm(h, nw, layout, arenas)
 	if cfg.Adapt {

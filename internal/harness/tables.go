@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"sdsm/internal/apps"
-	"sdsm/internal/cluster"
 	"sdsm/internal/compiler"
 	"sdsm/internal/host"
 	"sdsm/internal/model"
@@ -475,7 +474,7 @@ func Micro() (*MicroResult, error) {
 	// Roundtrip.
 	{
 		e := sim.NewEngine(2)
-		nw := cluster.New(e, costs)
+		nw := host.NewNetwork(e, costs)
 		err := e.Run(func(p host.Proc) {
 			const tag = 1
 			if p.ID() == 0 {
@@ -495,7 +494,7 @@ func Micro() (*MicroResult, error) {
 	// Free lock acquire.
 	{
 		e := sim.NewEngine(2)
-		nw := cluster.New(e, costs)
+		nw := host.NewNetwork(e, costs)
 		layout := shm.NewLayout()
 		layout.Alloc("x", shm.PageWords)
 		sys := tmk.New(e, nw, layout)
@@ -514,7 +513,7 @@ func Micro() (*MicroResult, error) {
 	// 8-processor barrier.
 	{
 		e := sim.NewEngine(8)
-		nw := cluster.New(e, costs)
+		nw := host.NewNetwork(e, costs)
 		layout := shm.NewLayout()
 		layout.Alloc("x", shm.PageWords)
 		sys := tmk.New(e, nw, layout)

@@ -9,8 +9,8 @@
 //     (Advance/Charge, Block/Wake).
 //   - A Transport: the interconnect carrying mailbox messages and
 //     request/reply (RPC) exchanges with latency, bandwidth, and CPU
-//     overhead accounting (package cluster is the reference
-//     implementation, usable on any Host).
+//     overhead accounting. Network is the one implementation, usable on
+//     any Host; Net files what its sockets deliver into a Network.
 //
 // Two hosts exist:
 //
@@ -292,9 +292,8 @@ type Mailbox interface {
 // Stats, Send and Recv with Mailbox by signature, not by embedding: tmk
 // never multicasts, so a DSM transport owes no SendShared. Every payload
 // that crosses it must be a wire value — never a pointer into another
-// node's protocol state. Package cluster implements both halves
-// in-process over any Host; NewNet implements this one over loopback
-// sockets.
+// node's protocol state. Network implements both halves in-process over
+// any Host; Net implements this one over loopback sockets.
 //
 // Transport methods must be called inside a protocol section.
 type Transport interface {

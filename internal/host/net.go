@@ -31,10 +31,10 @@ import (
 //     vectored write), and blocks — releasing the protocol token — when
 //     it needs an inbound frame (Recv, TakeHand, Await).
 //   - A delivery goroutine reads node i's endpoint, decodes frames, and
-//     files them (mailbox, hand slots, reply table) under the transport
-//     mutex, waking the blocked processor when a frame matches its wait.
-//     It never takes the protocol token, so delivery cannot deadlock
-//     against a section in progress.
+//     files them into the machine's Network (mailbox, hand slots) or the
+//     reply table under the Network's mutex, waking the blocked processor
+//     when a frame matches its wait. It never takes the protocol token, so
+//     delivery cannot deadlock against a section in progress.
 //   - A service goroutine fields incoming requests (diff fetches): it
 //     enters the protocol token, holds node i's compute lock (the Hold
 //     exclusion of the in-process backends), runs the registered server,
@@ -52,9 +52,16 @@ import (
 // Virtual times are scheduling-dependent exactly as on the Real host;
 // application results are bit-identical to the sim backend for the
 // data-race-free programs the protocol serves (TestBackendEquivalence).
+//
+// Everything but the socket legs is the in-process Network's: Net holds
+// one and forwards to it, keeping only Send, StartRequest with its reply
+// table, Hand, and a TakeHand that waits for a hand still in flight. The
+// Network is a named field, not an embedded one, so Net implements
+// Transport and never Mailbox's SendShared, which would bypass the
+// sockets.
 type Net struct {
 	*Real
-	costs model.Costs
+	in *Network
 
 	sw  *Switch
 	eps []*Endpoint // per node; replaced by Reattach
@@ -62,15 +69,8 @@ type Net struct {
 	// exited; every loop is launched with a fresh one (startDelivery).
 	delivered []chan struct{}
 
-	nmu    sync.Mutex // guards boxes, hands, waits, reqs, stats
-	boxes  [][]Msg
-	hands  []map[Tag]any
-	waits  []*netWait
-	wslots []netWait             // per node: reusable wait record (one receiver per node)
-	reqs   []map[int32]*reqState // per requester node: id -> state
+	reqs   []map[int32]*reqState // per requester node: id -> state; guarded by in.mu
 	nextID []int32
-	server Server
-	stats  Stats
 
 	svcMu   sync.Mutex
 	svcCond []*sync.Cond
@@ -91,30 +91,6 @@ type Net struct {
 	wg sync.WaitGroup // delivery and service loops
 }
 
-// netWait is what a node's blocked protocol goroutine is waiting for.
-// Waits are filed through the node's reusable wslots entry: a node has at
-// most one outstanding wait (enforced by the two-receivers panic), and
-// the delivery loop drops its pointer under nmu before the waiter can
-// file the next one, so recycling the record never aliases a live wait.
-type netWait struct {
-	p    Proc
-	kind byte // 'm' mailbox, 'h' hand, 'r' reply
-	from int
-	tag  Tag
-	slot Tag
-	rs   *reqState
-}
-
-// fileWait records what node id's protocol goroutine is about to block
-// on. Caller holds nmu.
-func (nw *Net) fileWait(id int, w netWait) {
-	if nw.waits[id] != nil {
-		panic(fmt.Sprintf("host: node %d has two concurrent receivers", id))
-	}
-	nw.wslots[id] = w
-	nw.waits[id] = &nw.wslots[id]
-}
-
 // reqState tracks one in-flight request at the requester. The Pending
 // handed to the caller is embedded and reqState itself is the Pending's
 // Resolver, so one allocation covers the exchange's whole bookkeeping.
@@ -131,41 +107,34 @@ type reqState struct {
 // ResolveReply blocks until the reply frame has been filed, then fills
 // the embedded Pending (Pending's Resolver hook).
 func (rs *reqState) ResolveReply(p Proc) {
-	nw := rs.nw
-	nw.nmu.Lock()
+	in := rs.nw.in
+	in.mu.Lock()
 	for !rs.done {
-		nw.fileWait(p.ID(), netWait{p: p, kind: 'r', rs: rs})
-		nw.nmu.Unlock()
-		p.Block("net rpc reply")
-		nw.nmu.Lock()
+		in.park(p, netWait{kind: 'r', rs: rs}, "reply")
+		in.mu.Lock()
 	}
-	nw.nmu.Unlock()
+	in.mu.Unlock()
 	rs.pd.Reply = rs.reply
 	rs.pd.Bytes = rs.respBytes
-	rs.pd.Arrival = rs.reqArrival + rs.service + nw.costs.OneWay(rs.respBytes)
+	rs.pd.Arrival = rs.reqArrival + rs.service + in.costs.OneWay(rs.respBytes)
 }
 
 // NewNet creates a wire-backend machine of n nodes: a loopback switch (a
 // Unix socket, falling back to TCP on 127.0.0.1) with every node
 // connected. Close must be called when done.
 func NewNet(n int, costs model.Costs) (*Net, error) {
+	r := NewReal(n)
 	nw := &Net{
-		Real:      NewReal(n),
-		costs:     costs,
-		boxes:     make([][]Msg, n),
-		hands:     make([]map[Tag]any, n),
-		waits:     make([]*netWait, n),
-		wslots:    make([]netWait, n),
+		Real:      r,
+		in:        NewNetwork(r, costs),
 		reqs:      make([]map[int32]*reqState, n),
 		nextID:    make([]int32, n),
 		eps:       make([]*Endpoint, n),
 		delivered: make([]chan struct{}, n),
 		svcQ:      make([][]*wire.Frame, n),
 		svcHead:   make([]int, n),
-		stats:     Stats{Node: make([]NodeStats, n)},
 	}
 	for i := 0; i < n; i++ {
-		nw.hands[i] = map[Tag]any{}
 		nw.reqs[i] = map[int32]*reqState{}
 		nw.svcCond = append(nw.svcCond, sync.NewCond(&nw.svcMu))
 	}
@@ -212,7 +181,7 @@ func (nw *Net) dial(i int) (*Endpoint, error) {
 	if err != nil {
 		return nil, fmt.Errorf("host: net backend dial: %w", err)
 	}
-	ep, err := NewEndpoint(c, i, nw.costs, func(err error) { nw.linkDown(i, err) })
+	ep, err := NewEndpoint(c, i, nw.in.costs, func(err error) { nw.linkDown(i, err) })
 	if err != nil {
 		c.Close()
 		return nil, err
@@ -329,22 +298,12 @@ func (nw *Net) deliveryLoop(i int, ep *Endpoint, done chan struct{}) {
 		}
 		switch f.Kind {
 		case wire.FMsg:
-			m := ep.Msg(&f)
-			nw.nmu.Lock()
-			nw.boxes[i] = append(nw.boxes[i], m)
-			if w := nw.waits[i]; w != nil && w.kind == 'm' && (w.from == AnySender || w.from == m.From) && w.tag == m.Tag {
-				nw.waits[i] = nil
-				nw.wake(w.p, m.Arrival)
-			}
-			nw.nmu.Unlock()
+			nw.in.file(ep.Msg(&f))
 		case wire.FHand:
-			nw.nmu.Lock()
-			nw.hands[i][Tag(f.Tag)] = f.Payload
-			if w := nw.waits[i]; w != nil && w.kind == 'h' && w.slot == Tag(f.Tag) {
-				nw.waits[i] = nil
-				nw.wake(w.p, 0)
+			if !nw.in.fileHand(i, Tag(f.Tag), f.Payload) {
+				nw.linkDown(i, fmt.Errorf("hand slot %d staged twice", f.Tag))
+				return
 			}
-			nw.nmu.Unlock()
 		case wire.FReq:
 			fc := new(wire.Frame)
 			*fc = f
@@ -353,10 +312,11 @@ func (nw *Net) deliveryLoop(i int, ep *Endpoint, done chan struct{}) {
 			nw.svcCond[i].Signal()
 			nw.svcMu.Unlock()
 		case wire.FReply:
-			nw.nmu.Lock()
+			in := nw.in
+			in.mu.Lock()
 			rs := nw.reqs[i][f.Tag]
 			if rs == nil {
-				nw.nmu.Unlock()
+				in.mu.Unlock()
 				nw.linkDown(i, fmt.Errorf("reply for unknown request %d", f.Tag))
 				return
 			}
@@ -365,12 +325,11 @@ func (nw *Net) deliveryLoop(i int, ep *Endpoint, done chan struct{}) {
 			rs.reply = f.Payload
 			rs.respBytes = int(f.Bytes)
 			rs.service = time.Duration(f.Time)
-			nw.stats.Account(int(f.From), i, rs.respBytes)
-			if w := nw.waits[i]; w != nil && w.kind == 'r' && w.rs == rs {
-				nw.waits[i] = nil
-				nw.wake(w.p, 0)
+			in.stats.Account(int(f.From), i, rs.respBytes)
+			if w := in.waits[i]; w != nil && w.kind == 'r' && w.rs == rs {
+				in.release(i, 0)
 			}
-			nw.nmu.Unlock()
+			in.mu.Unlock()
 		default:
 			nw.linkDown(i, fmt.Errorf("unexpected frame kind %d", f.Kind))
 			return
@@ -407,10 +366,7 @@ func (nw *Net) serviceLoop(i int) {
 
 		nw.Real.mu.Lock() // the protocol-section token
 		rp.compMu.Lock()  // the Hold exclusion against i's compute
-		before := rp.Now()
-		resp, respBytes := nw.server(rp, i, f.Payload)
-		rp.Charge(nw.costs.RecvOverhead + nw.costs.RequestService + nw.costs.SendOverhead)
-		service := rp.Now() - before
+		resp, respBytes, service := nw.in.serveAt(rp, rp, f.Payload)
 		rp.compMu.Unlock()
 		nw.Real.mu.Unlock()
 
@@ -425,13 +381,6 @@ func (nw *Net) serviceLoop(i int) {
 	}
 }
 
-// wake makes a blocked processor runnable (delivery-side; any Real proc
-// handle works as the Wake receiver).
-func (nw *Net) wake(p Proc, at time.Duration) {
-	rp := p.(*RealProc)
-	rp.Wake(rp, at)
-}
-
 // must is the protocol-goroutine check on node i's endpoint writes: a
 // link failure panics (unwinding the processor), matching the failure
 // contract.
@@ -444,84 +393,33 @@ func (nw *Net) must(i int, err error) {
 
 // ---- Transport implementation ----
 
-// Costs returns the cost model in force.
-func (nw *Net) Costs() model.Costs { return nw.costs }
-
-// Stats returns a snapshot of the traffic counters.
-func (nw *Net) Stats() Stats {
-	nw.nmu.Lock()
-	defer nw.nmu.Unlock()
-	s := nw.stats
-	s.Node = append([]NodeStats(nil), nw.stats.Node...)
-	return s
-}
-
-// Serve registers the request handler run by the service loops.
-func (nw *Net) Serve(fn Server) {
-	if nw.server != nil {
-		panic("host: net server already registered")
-	}
-	nw.server = fn
+// Costs, Stats, Serve, Recv and Message are the Network's: every frame
+// the delivery loops decode is filed into it, and the service loops run
+// its server.
+func (nw *Net) Costs() model.Costs                 { return nw.in.Costs() }
+func (nw *Net) Stats() Stats                       { return nw.in.Stats() }
+func (nw *Net) Serve(fn Server)                    { nw.in.Serve(fn) }
+func (nw *Net) Recv(p Proc, from int, tag Tag) Msg { return nw.in.Recv(p, from, tag) }
+func (nw *Net) Message(from, to int, depart time.Duration, bytes int) time.Duration {
+	return nw.in.Message(from, to, depart, bytes)
 }
 
 // Send transmits payload to node to over the wire; the sender pays send
 // overhead and the message arrives after wire latency plus bandwidth time.
 func (nw *Net) Send(p Proc, to int, tag Tag, payload any, bytes int) {
-	nw.nmu.Lock()
-	nw.stats.Account(p.ID(), to, bytes)
-	nw.nmu.Unlock()
+	nw.in.account(p.ID(), to, bytes)
 	nw.must(p.ID(), nw.eps[p.ID()].Send(p, to, tag, payload, bytes))
-}
-
-// Recv blocks until a matching message has been delivered off the wire,
-// then delivers the earliest-arriving match.
-func (nw *Net) Recv(p Proc, from int, tag Tag) Msg {
-	for {
-		nw.nmu.Lock()
-		if m, rest, ok := TakeMatch(nw.boxes[p.ID()], from, tag); ok {
-			nw.boxes[p.ID()] = rest
-			nw.nmu.Unlock()
-			p.SetClock(m.Arrival)
-			p.Charge(nw.costs.RecvOverhead)
-			return m
-		}
-		nw.fileWait(p.ID(), netWait{p: p, kind: 'm', from: from, tag: tag})
-		nw.nmu.Unlock()
-		p.Block("net recv")
-	}
-}
-
-// Message accounts for a protocol control message between two nodes (lock
-// forwarding legs); nothing crosses the wire — the exchanges that carry
-// data do so via Send, Hand, and StartRequest.
-func (nw *Net) Message(from, to int, depart time.Duration, bytes int) time.Duration {
-	if from == to {
-		panic("host: net message to self")
-	}
-	nw.Proc(from).Charge(nw.costs.SendOverhead)
-	nw.Proc(to).Charge(nw.costs.RecvOverhead)
-	nw.nmu.Lock()
-	nw.stats.Account(from, to, bytes)
-	nw.nmu.Unlock()
-	return depart + nw.costs.SendOverhead + nw.costs.OneWay(bytes) + nw.costs.RecvOverhead
 }
 
 // StartRequest ships the encoded request to the target's service loop and
 // returns a Pending whose resolver waits for the reply frame.
 func (nw *Net) StartRequest(p Proc, to int, req any, reqBytes int) *Pending {
-	if to == p.ID() {
-		panic("host: net request to self")
-	}
-	p.Charge(nw.costs.SendOverhead)
-	reqArrival := p.Now() + nw.costs.OneWay(reqBytes)
-
-	rs := &reqState{nw: nw, reqArrival: reqArrival}
-	nw.nmu.Lock()
-	nw.stats.Account(p.ID(), to, reqBytes)
+	rs := &reqState{nw: nw, reqArrival: nw.in.issue(p, to, reqBytes)}
+	nw.in.mu.Lock()
 	nw.nextID[p.ID()]++
 	id := nw.nextID[p.ID()]
 	nw.reqs[p.ID()][id] = rs
-	nw.nmu.Unlock()
+	nw.in.mu.Unlock()
 	nw.must(p.ID(), nw.eps[p.ID()].Write(&wire.Frame{
 		Kind: wire.FReq, From: int32(p.ID()), To: int32(to), Tag: id,
 		Bytes: int32(reqBytes), Payload: req,
@@ -532,7 +430,7 @@ func (nw *Net) StartRequest(p Proc, to int, req any, reqBytes int) *Pending {
 }
 
 // Hand ships a staged protocol payload (lock grant, barrier departure) to
-// node to over the wire.
+// node to over the wire; the destination's delivery loop files it.
 func (nw *Net) Hand(p Proc, to int, slot Tag, payload any) {
 	nw.must(p.ID(), nw.eps[p.ID()].Write(&wire.Frame{
 		Kind: wire.FHand, From: int32(p.ID()), To: int32(to), Tag: int32(slot),
@@ -542,19 +440,7 @@ func (nw *Net) Hand(p Proc, to int, slot Tag, payload any) {
 
 // TakeHand retrieves the payload staged for the caller in slot, waiting
 // for the frame if it is still in flight.
-func (nw *Net) TakeHand(p Proc, slot Tag) any {
-	for {
-		nw.nmu.Lock()
-		if payload, ok := nw.hands[p.ID()][slot]; ok {
-			delete(nw.hands[p.ID()], slot)
-			nw.nmu.Unlock()
-			return payload
-		}
-		nw.fileWait(p.ID(), netWait{p: p, kind: 'h', slot: slot})
-		nw.nmu.Unlock()
-		p.Block("net hand")
-	}
-}
+func (nw *Net) TakeHand(p Proc, slot Tag) any { return nw.in.takeHand(p, slot, true) }
 
 // ---- Recovery (tmk.Recoverer) ----
 

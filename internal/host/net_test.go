@@ -151,6 +151,30 @@ func TestNetHand(t *testing.T) {
 	}
 }
 
+// TestNetHandStagedTwiceFails pins that a hand slot filled twice before
+// its take is a link error on the wire, as it is a panic in-process:
+// overwriting the slot would lose the first grant or departure silently.
+// Each hander sends a message behind its hand on the same link, so once
+// the taker has received both messages both hands have been filed.
+func TestNetHandStagedTwiceFails(t *testing.T) {
+	nw := newTestNet(t, 3)
+	err := nw.Run(func(p Proc) {
+		p.Begin()
+		defer p.End()
+		if p.ID() < 2 {
+			nw.Hand(p, 2, 5, wire.Grant{Bytes: int32(p.ID())})
+			nw.Send(p, 2, 1, nil, 0)
+			return
+		}
+		nw.Recv(p, 0, 1)
+		nw.Recv(p, 1, 1)
+		nw.TakeHand(p, 5)
+	})
+	if err == nil || !strings.Contains(err.Error(), "hand slot 5 staged twice") {
+		t.Fatalf("Run error = %v, want the doubly staged hand slot", err)
+	}
+}
+
 // TestNetPeerFailure checks the failure contract: a node panicking aborts
 // the machine and unwinds peers blocked on the wire.
 func TestNetPeerFailure(t *testing.T) {

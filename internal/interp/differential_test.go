@@ -8,8 +8,8 @@ import (
 	"time"
 
 	"sdsm/internal/apps"
-	"sdsm/internal/cluster"
 	"sdsm/internal/compiler"
+	"sdsm/internal/host"
 	"sdsm/internal/ir"
 	"sdsm/internal/model"
 	"sdsm/internal/rsd"
@@ -43,7 +43,7 @@ func runSim(t *testing.T, run dsmRunner, prog *ir.Program, params rsd.Env, nproc
 	t.Helper()
 	layout := compiler.BuildLayout(prog, params)
 	e := sim.NewEngine(nprocs)
-	nw := cluster.New(e, model.SP2())
+	nw := host.NewNetwork(e, model.SP2())
 	sys := tmk.New(e, nw, layout)
 	var out outcome
 	err := run(prog, sys, params, func(nd *tmk.Node) {

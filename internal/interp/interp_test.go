@@ -6,8 +6,8 @@ import (
 	"testing"
 	"time"
 
-	"sdsm/internal/cluster"
 	"sdsm/internal/compiler"
+	"sdsm/internal/host"
 	"sdsm/internal/ir"
 	"sdsm/internal/model"
 	"sdsm/internal/rsd"
@@ -171,7 +171,7 @@ func TestDSMMatchesSeqForSPMDSum(t *testing.T) {
 	prog := mk()
 	layout := compiler.BuildLayout(prog, params)
 	e := sim.NewEngine(4)
-	nw := cluster.New(e, model.SP2())
+	nw := host.NewNetwork(e, model.SP2())
 	sys := tmk.New(e, nw, layout)
 	var got []float64
 	err := RunDSM(prog, sys, params, func(nd *tmk.Node) {

@@ -1,5 +1,5 @@
-// Package model defines the virtual-time cost model for the simulated
-// cluster. The default model is calibrated against the IBM SP/2 numbers the
+// Package model defines the virtual-time cost model every host.Network
+// charges. The default model is calibrated against the IBM SP/2 numbers the
 // paper reports in Section 5:
 //
 //   - minimum user-space roundtrip (send/receive + interrupt): 365 µs

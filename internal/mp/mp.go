@@ -2,14 +2,14 @@
 // stand-in for the PVMe versions the paper compares against (and, with a
 // per-phase distribution overhead, for the Forge XHPF compiler-generated
 // versions). Programs written against it own their data as private slices
-// and communicate explicitly over the simulated network, paying the same
-// message costs as the DSM runtime but none of its consistency machinery.
+// and communicate explicitly over a host.Mailbox (a host.Network
+// in-process, an Endpoint per rank under mpnet), paying the same message
+// costs as the DSM runtime but none of its consistency machinery.
 package mp
 
 import (
 	"time"
 
-	"sdsm/internal/cluster"
 	"sdsm/internal/host"
 	"sdsm/internal/model"
 	"sdsm/internal/shm"
@@ -30,7 +30,7 @@ func NewWorld(n int, costs model.Costs) *World {
 
 // NewWorldOn creates a world over an existing host backend.
 func NewWorldOn(h host.Host, costs model.Costs) *World {
-	return &World{H: h, NW: cluster.New(h, costs)}
+	return &World{H: h, NW: host.NewNetwork(h, costs)}
 }
 
 // Run executes body once per rank.

@@ -15,14 +15,13 @@ var updateGolden = flag.Bool("update", false, "rewrite the Table D golden")
 // mix through the warm pool must aggregate to byte-identical job
 // counts, checksums, and virtual times on every machine and every pool
 // topology (wall-clock latency is reported by FormatTableD but never
-// pinned). The mix is the CI load smoke's (TableDMix).
+// pinned). The mix is the CI load smoke's (tableDMix).
 func TestTableDGolden(t *testing.T) {
 	leaktest.Check(t)
 	_, cl := startService(t, Config{Slots: 8, QueueCap: 64})
 	rep, err := RunLoad(cl, LoadConfig{
 		Jobs:        24,
 		Concurrency: 6,
-		Mix:         TableDMix(),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -18,21 +18,16 @@ type LoadConfig struct {
 	// Concurrency is the number of in-flight submissions (client-side
 	// open-loop width). <=0 means 8.
 	Concurrency int
-	// Mix is the set of job shapes, assigned round-robin by job index:
-	// job i runs Mix[i%len(Mix)]. Spec IDs are assigned by the service.
-	Mix []wire.JobSpec
 }
 
-// TableDMix is Table D's job mix: mixed apps, mixed rank counts, protocol
-// modes on and off. The load smoke (sdsm-experiments -serve) and the
-// Table D golden run the same four shapes.
-func TableDMix() []wire.JobSpec {
-	return []wire.JobSpec{
-		{App: "jacobi", Set: "small", Procs: 2, Verify: true},
-		{App: "spmv", Set: "small", Procs: 4, Verify: true, Scale: true},
-		{App: "tsp", Set: "small", Procs: 2, Verify: true},
-		{App: "jacobi", Set: "bound", Procs: 2, Verify: true, Adapt: true},
-	}
+// tableDMix is Table D's job mix: mixed apps, mixed rank counts, protocol
+// modes on and off, all on the sim backend. Job i runs entry
+// i%len(tableDMix); spec IDs are assigned by the service.
+var tableDMix = []wire.JobSpec{
+	{App: "jacobi", Set: "small", Procs: 2, Verify: true},
+	{App: "spmv", Set: "small", Procs: 4, Verify: true, Scale: true},
+	{App: "tsp", Set: "small", Procs: 2, Verify: true},
+	{App: "jacobi", Set: "bound", Procs: 2, Verify: true, Adapt: true},
 }
 
 // MixRow aggregates every completed job of one mix entry. The
@@ -50,13 +45,8 @@ type MixRow struct {
 	VirtualNS int64   // the entry's common virtual time (first seen)
 	// Consistent reports that every successful job of this entry returned
 	// the same checksum and virtual time — the service-level statement of
-	// the repo's equivalence discipline. Only meaningful for entries whose
-	// backend is deterministic (sim); net entries pin checksum alone.
+	// the repo's equivalence discipline.
 	Consistent bool
-	// ChecksumOnly marks entries on a concurrency-dependent backend whose
-	// virtual time is not expected to be reproducible; Consistent then
-	// covers checksums only.
-	ChecksumOnly bool
 }
 
 // LoadReport is the outcome of one load run: Table D's data.
@@ -74,14 +64,11 @@ type LoadReport struct {
 	Rejected   int64
 }
 
-// RunLoad drives cfg.Jobs jobs through the client and aggregates
-// Table D. Queue-full rejections back off and retry (the load generator
-// is a patient client); any other rejection fails the run — it means
-// the mix itself is invalid.
+// RunLoad drives cfg.Jobs jobs of Table D's mix through the client and
+// aggregates Table D. Queue-full rejections back off and retry (the load
+// generator is a patient client); any other rejection fails the run — it
+// means the mix itself is invalid.
 func RunLoad(cl *Client, cfg LoadConfig) (*LoadReport, error) {
-	if len(cfg.Mix) == 0 {
-		return nil, fmt.Errorf("svc: load mix is empty")
-	}
 	conc := cfg.Concurrency
 	if conc <= 0 {
 		conc = 8
@@ -112,13 +99,13 @@ func RunLoad(cl *Client, cfg LoadConfig) (*LoadReport, error) {
 				if failed {
 					continue // drain the channel so the dispatcher never blocks
 				}
-				mi := i % len(cfg.Mix)
+				mi := i % len(tableDMix)
 				t0 := time.Now()
 				retries := 0
 				var res wire.JobResult
 				ok := true
 				for {
-					j, err := cl.Submit(cfg.Mix[mi])
+					j, err := cl.Submit(tableDMix[mi])
 					if err != nil {
 						if errors.Is(err, ErrQueueFull) {
 							retries++
@@ -159,16 +146,15 @@ func RunLoad(cl *Client, cfg LoadConfig) (*LoadReport, error) {
 	wall := time.Since(start)
 
 	rep := &LoadReport{Jobs: cfg.Jobs, WallNS: int64(wall)}
-	rows := make([]MixRow, len(cfg.Mix))
-	for mi, spec := range cfg.Mix {
+	rows := make([]MixRow, len(tableDMix))
+	for mi, spec := range tableDMix {
 		sys := spec.System
 		if sys == "" {
 			sys = "tmk"
 		}
 		rows[mi] = MixRow{
 			App: spec.App, Set: spec.Set, System: sys, Procs: spec.Procs,
-			Consistent:   true,
-			ChecksumOnly: spec.Backend != "" && spec.Backend != "sim",
+			Consistent: true,
 		}
 	}
 	lats := make([]time.Duration, 0, cfg.Jobs)
@@ -188,10 +174,7 @@ func RunLoad(cl *Client, cfg LoadConfig) (*LoadReport, error) {
 			r.Checksum, r.VirtualNS = o.res.Checksum, o.res.VirtualNS
 			continue
 		}
-		if o.res.Checksum != r.Checksum {
-			r.Consistent = false
-		}
-		if !r.ChecksumOnly && o.res.VirtualNS != r.VirtualNS {
+		if o.res.Checksum != r.Checksum || o.res.VirtualNS != r.VirtualNS {
 			r.Consistent = false
 		}
 	}
@@ -232,7 +215,7 @@ func FormatTableD(rep *LoadReport) string {
 
 // FormatTableDGolden renders only Table D's deterministic columns: mix
 // shape, completed job count, per-entry checksum, per-entry virtual
-// time (sim entries), and the consistency verdict. Byte-stable across
+// time, and the consistency verdict. Byte-stable across
 // runs, machines, and pool topologies — the svc golden test pins it.
 func FormatTableDGolden(rep *LoadReport) string {
 	var b strings.Builder
@@ -240,12 +223,8 @@ func FormatTableDGolden(rep *LoadReport) string {
 	fmt.Fprintf(&b, "%-8s %-6s %-8s %5s %6s %6s %18s %14s %s\n",
 		"app", "set", "system", "procs", "jobs", "errs", "checksum", "virtual", "consistent")
 	for _, r := range rep.Rows {
-		virt := fmt.Sprintf("%d", r.VirtualNS)
-		if r.ChecksumOnly {
-			virt = "-" // wall-scheduled backend: virtual time not reproducible
-		}
-		fmt.Fprintf(&b, "%-8s %-6s %-8s %5d %6d %6d %18.6f %14s %t\n",
-			r.App, r.Set, r.System, r.Procs, r.Jobs, r.Errs, r.Checksum, virt, r.Consistent)
+		fmt.Fprintf(&b, "%-8s %-6s %-8s %5d %6d %6d %18.6f %14d %t\n",
+			r.App, r.Set, r.System, r.Procs, r.Jobs, r.Errs, r.Checksum, r.VirtualNS, r.Consistent)
 	}
 	return b.String()
 }

@@ -11,8 +11,8 @@ import (
 
 	"sdsm/internal/adapt"
 	"sdsm/internal/apps"
-	"sdsm/internal/cluster"
 	"sdsm/internal/compiler"
+	"sdsm/internal/host"
 	"sdsm/internal/interp"
 	"sdsm/internal/model"
 	"sdsm/internal/sim"
@@ -81,7 +81,7 @@ func TestRecordBytesMatchReference(t *testing.T) {
 			prog := app.Build(c.procs)
 			params := prog.Prepare(app.Sets[apps.DataSet(c.set)], c.procs)
 			e := sim.NewEngine(c.procs)
-			sys := tmk.New(e, cluster.New(e, model.SP2()), compiler.BuildLayout(prog, params))
+			sys := tmk.New(e, host.NewNetwork(e, model.SP2()), compiler.BuildLayout(prog, params))
 			if c.adapt {
 				sys.EnableAdapt(adapt.Config{})
 			}

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"sdsm/internal/cluster"
 	"sdsm/internal/host"
 	"sdsm/internal/model"
 	"sdsm/internal/shm"
@@ -134,7 +133,7 @@ func TestScaleDirectoryDeterminism(t *testing.T) {
 
 	for trial := 0; trial < 3; trial++ {
 		h := host.NewReal(n)
-		nw := cluster.New(h, model.SP2())
+		nw := host.NewNetwork(h, model.SP2())
 		layout := shm.NewLayout()
 		layout.Alloc("mem", words)
 		s := New(h, nw, layout)

@@ -4,7 +4,7 @@ import (
 	"testing"
 	"time"
 
-	"sdsm/internal/cluster"
+	"sdsm/internal/host"
 	"sdsm/internal/model"
 	"sdsm/internal/shm"
 	"sdsm/internal/sim"
@@ -13,7 +13,7 @@ import (
 // testSystem builds an n-node DSM over `words` words of shared memory.
 func testSystem(n, words int) *System {
 	e := sim.NewEngine(n)
-	nw := cluster.New(e, model.SP2())
+	nw := host.NewNetwork(e, model.SP2())
 	layout := shm.NewLayout()
 	layout.Alloc("mem", words)
 	return New(e, nw, layout)
