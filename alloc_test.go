@@ -304,6 +304,45 @@ func TestAdaptEpochAllocs(t *testing.T) {
 	}
 }
 
+// TestWriteAllCloseAllocs pins a steady-state WRITE_ALL epoch — Validate
+// WRITE_ALL, overwrite every page, close the interval (a Push that sends
+// nothing) — at a small constant that does not grow with the pages
+// snapshotted: the interval record's page list and vector time, and its
+// log append. Node 0 of 2 works alone. Each close snapshots every page
+// whole, and a snapshot nobody was handed is re-taken into its own
+// storage. Measured: 2 allocations per epoch at 8 pages and at 64. When
+// every close made a new cache entry, coverage row and run list per page,
+// and every Validate a map of the pages it covered whole, the same epoch
+// cost 28 at 8 pages and 205 at 64.
+func TestWriteAllCloseAllocs(t *testing.T) {
+	const ceiling = 4
+	perEpoch := func(pages int) float64 {
+		return allocsPerIter(t, 40, 160, func(iters int) error {
+			e := sim.NewEngine(2)
+			layout := shm.NewLayout()
+			arr := layout.Alloc("mem", pages*shm.PageWords)
+			sys := tmk.New(e, host.NewNetwork(e, model.SP2()), layout)
+			whole := []shm.Region{arr.Whole()}
+			send, from := make([][]shm.Region, 2), make([]bool, 2)
+			return sys.Run(func(nd *tmk.Node) {
+				for it := 0; nd.ID == 0 && it < iters; it++ {
+					nd.Validate(tmk.AccWriteAll, whole, false)
+					nd.Mem.EnsureWrite(nd.Proc(), arr.Whole())
+					for w := arr.Base; w < arr.Base+arr.Words(); w += 64 {
+						nd.Mem.Data()[w] = float64(it)
+					}
+					nd.Push(send, from)
+				}
+			})
+		})
+	}
+	few, many := perEpoch(8), perEpoch(64)
+	t.Logf("WRITE_ALL close epoch: %.1f allocs at 8 pages, %.1f at 64 (ceiling %d)", few, many, ceiling)
+	if few > ceiling || many > ceiling {
+		t.Fatalf("a WRITE_ALL close epoch allocates %.1f at 8 pages and %.1f at 64, ceiling %d whatever its pages", few, many, ceiling)
+	}
+}
+
 // TestCheckpointRecordAllocs pins a steady-state full recovery record into
 // MemSink at O(1) allocations and no bytes proportional to the image: the
 // record aliases the live pages, is encoded into the node's reused buffer,
@@ -353,7 +392,15 @@ func TestCheckpointRecordAllocs(t *testing.T) {
 // new 8-slot svc.Pool, must each allocate fewer bytes than half of its 8
 // images. Measured: 1 555 KiB against 8 × 131 072 words × 8 B = 8 192 KiB
 // of images (bar 4 096 KiB); a run that makes its images allocates about
-// 10 800 KiB, as the first fresh run here does.
+// 10 800 KiB, as the first fresh run here does. The opt column holds a
+// compiler-optimised run to the same for its whole-page snapshot pages:
+// a second fresh opt run makes none, because releasing the first gave
+// every cached snapshot page back to its arena. It may allocate what the
+// second base run does plus less than 192 pages (768 KiB): measured
+// 1 982 KiB against 1 533, the compiler and the Validates making up the
+// difference. A release that left the final Verify gather's shared
+// snapshots to the garbage collector made about 127 pages again per run
+// (2 490 KiB); before snapshots were re-taken in place too, 3 150 KiB.
 func TestFreshRunReusesImages(t *testing.T) {
 	const procs = 8
 	app, err := apps.ByName("jacobi")
@@ -377,6 +424,12 @@ func TestFreshRunReusesImages(t *testing.T) {
 		_, err := harness.Run(cfg)
 		return err
 	}
+	opt := cfg
+	opt.System = harness.Opt
+	freshOpt := func() error {
+		_, err := harness.Run(opt)
+		return err
+	}
 	pool := svc.NewPool(procs)
 	pooled := func() error {
 		if r := pool.Run(wire.JobSpec{App: "jacobi", Set: "small", Procs: procs, Backend: "sim"}); r.Err != "" {
@@ -386,8 +439,9 @@ func TestFreshRunReusesImages(t *testing.T) {
 	}
 	first, second := alloc(fresh), alloc(fresh)
 	pool1, pool2 := alloc(pooled), alloc(pooled)
-	t.Logf("jacobi/small p%d: %d KiB of images; fresh runs %d then %d KiB, pool jobs %d then %d KiB",
-		procs, images>>10, first>>10, second>>10, pool1>>10, pool2>>10)
+	opt1, opt2 := alloc(freshOpt), alloc(freshOpt)
+	t.Logf("jacobi/small p%d: %d KiB of images; fresh runs %d then %d KiB, pool jobs %d then %d KiB, opt runs %d then %d KiB",
+		procs, images>>10, first>>10, second>>10, pool1>>10, pool2>>10, opt1>>10, opt2>>10)
 	for _, c := range []struct {
 		name  string
 		bytes uint64
@@ -395,6 +449,9 @@ func TestFreshRunReusesImages(t *testing.T) {
 		if c.bytes >= uint64(images/2) {
 			t.Errorf("%s allocated %d KiB, at least half of its %d KiB of images: it made its images again", c.name, c.bytes>>10, images>>10)
 		}
+	}
+	if bar := second + 192*shm.PageWords*8; opt2 >= bar {
+		t.Errorf("a second opt run allocated %d KiB, at least 192 pages more than the second base run's %d KiB: it made its snapshot pages again", opt2>>10, second>>10)
 	}
 }
 

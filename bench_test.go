@@ -2,7 +2,8 @@
 // backend's hot paths. runBarrierFlurry, allocsPerIter and benchDiffReply
 // are the fixtures alloc_test.go pins allocation counts with; the
 // BenchmarkWire* benchmarks beside them time the wire codec (diff payload
-// encode/decode, grant round trips). Whole-run host time, per-layer
+// encode/decode, grant round trips), and BenchmarkAppRun times and counts
+// the allocations of whole runs of the paper's applications. Per-layer
 // timings and the paper's tables are measured by the benchmark in bench/
 // (bash bench/run.sh) and printed by cmd/sdsm-experiments.
 package sdsm_test
@@ -13,6 +14,7 @@ import (
 	"time"
 
 	"sdsm/internal/apps"
+	"sdsm/internal/harness"
 	"sdsm/internal/host"
 	"sdsm/internal/interp"
 	"sdsm/internal/ir"
@@ -150,6 +152,32 @@ func BenchmarkInterpSeqJacobi(b *testing.B) {
 	params := prog.Prepare(app.Sets[apps.Small], 1)
 	for i := 0; i < b.N; i++ {
 		interp.RunSeq(prog, params)
+	}
+}
+
+// BenchmarkAppRun times one verified harness.Run per iteration for the
+// five paper applications the benchmark's sim workloads run (jacobi at its
+// large set, the others small), base and compiler-optimised, on sim at 8
+// ranks: the whole-run host cost of each cell, allocations included. Every
+// iteration borrows warm arenas from harness's idle list, as a steady
+// stream of runs does.
+func BenchmarkAppRun(b *testing.B) {
+	for _, as := range [][2]string{{"jacobi", "large"}, {"gauss", "small"}, {"is", "small"}, {"shallow", "small"}, {"fft", "small"}} {
+		app, err := apps.ByName(as[0])
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, sys := range []harness.SystemKind{harness.Base, harness.Opt} {
+			cfg := harness.Config{App: app, Set: apps.DataSet(as[1]), System: sys, Procs: 8, Backend: harness.BackendSim, Verify: true}
+			b.Run(as[0]+"/"+string(sys), func(b *testing.B) {
+				b.ReportAllocs()
+				for b.Loop() {
+					if _, err := harness.Run(cfg); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }
 

@@ -14,11 +14,12 @@ import (
 type wsyncRequest struct {
 	at    AccessType
 	pages []int
-	full  map[int]bool // the pages a *_ALL request covers whole (fullyCovered)
+	full  []bool // parallel to pages: which a *_ALL request covers whole (fullyCovered)
 }
 
 // Validate informs the run-time that the calling processor is about to
-// access the given regions with the declared pattern (Section 3.1.1).
+// access the given regions, normalized (shm.Normalize), with the declared
+// pattern (Section 3.1.1).
 // Outstanding diffs for all named pages are fetched in one exchange per
 // responder (communication aggregation); the consistency actions depend on
 // the access type (consistency overhead elimination for the *_ALL types).
@@ -34,9 +35,10 @@ func (nd *Node) Validate(at AccessType, regions []shm.Region, async bool) {
 	nd.vpScratch = pages
 	nd.p.Charge(time.Duration(len(pages)) * nd.sys.Costs.ValidatePerPage)
 
-	fullCover := fullyCovered(at, regions, pages)
-	effective := func(pg int) AccessType {
-		if at.noTwin() && !fullCover[pg] {
+	full := fullyCovered(nd.fcScratch[:0], at, regions, pages)
+	nd.fcScratch = full
+	effective := func(i int) AccessType {
+		if at.noTwin() && !full[i] {
 			return AccReadWrite
 		}
 		return at
@@ -44,8 +46,8 @@ func (nd *Node) Validate(at AccessType, regions []shm.Region, async bool) {
 
 	if !at.fetches() {
 		var partial []int
-		for _, pg := range pages {
-			if fullCover[pg] {
+		for i, pg := range pages {
+			if full[i] {
 				nd.discardObligations(pg)
 				nd.applyAccessType(pg, at)
 			} else {
@@ -68,20 +70,22 @@ func (nd *Node) Validate(at AccessType, regions []shm.Region, async bool) {
 		}
 	}
 	if async {
-		for _, pg := range need {
-			nd.deferMode(pg, effective(pg))
+		for i, pg := range pages {
+			if len(nd.pages[pg].pending) > 0 {
+				nd.deferMode(pg, effective(i))
+			}
 		}
 		nd.fetchPages(need, true)
-		for _, pg := range pages {
+		for i, pg := range pages {
 			if !nd.pages[pg].deferred {
-				nd.applyAccessType(pg, effective(pg))
+				nd.applyAccessType(pg, effective(i))
 			}
 		}
 		return
 	}
 	nd.fetchPages(need, false)
-	for _, pg := range pages {
-		nd.applyAccessType(pg, effective(pg))
+	for i, pg := range pages {
+		nd.applyAccessType(pg, effective(i))
 	}
 }
 
@@ -97,31 +101,31 @@ func (nd *Node) ValidateWSync(at AccessType, regions []shm.Region) {
 	pages := slices.Clone(nd.vpScratch)
 	nd.p.Charge(time.Duration(len(pages)) * nd.sys.Costs.ValidatePerPage)
 	nd.Stats.Validates++
-	nd.wsync = append(nd.wsync, wsyncRequest{at: at, pages: pages, full: fullyCovered(at, regions, pages)})
+	nd.wsync = append(nd.wsync, wsyncRequest{at: at, pages: pages, full: fullyCovered(nil, at, regions, pages)})
 }
 
-// fullyCovered returns the pages a *_ALL Validate's normalized regions cover
-// completely. The consistency-disabling treatment (no fetch for WRITE_ALL,
-// no twin for both *_ALL types) is sound only for those: a page shared with
-// another processor's data keeps twin-based detection so its foreign words
-// are never misattributed. Nil for the other access types, which never
-// consult it.
-func fullyCovered(at AccessType, regions []shm.Region, pages []int) map[int]bool {
+// fullyCovered appends to dst, for each of pages in turn, whether a *_ALL
+// Validate's normalized regions cover it completely. The
+// consistency-disabling treatment (no fetch for WRITE_ALL, no twin for
+// both *_ALL types) is sound only for those: a page shared with another
+// processor's data keeps twin-based detection so its foreign words are
+// never misattributed. Normalized regions ascend and neither overlap nor
+// touch, so a page is covered only by one region holding all of it, and
+// one ascending walk over pages and regions finds it. dst is returned
+// unchanged for the other access types, which never consult it.
+func fullyCovered(dst []bool, at AccessType, regions []shm.Region, pages []int) []bool {
 	if !at.noTwin() {
-		return nil
+		return dst
 	}
-	full := map[int]bool{}
+	r := 0
 	for _, pg := range pages {
-		page := shm.Region{Lo: pg * shm.PageWords, Hi: (pg + 1) * shm.PageWords}
-		covered := 0
-		for _, r := range regions {
-			covered += r.Intersect(page).Words()
+		end := (pg + 1) * shm.PageWords
+		for r < len(regions) && regions[r].Hi < end {
+			r++
 		}
-		if covered >= shm.PageWords {
-			full[pg] = true
-		}
+		dst = append(dst, r < len(regions) && regions[r].Lo <= pg*shm.PageWords)
 	}
-	return full
+	return dst
 }
 
 // discardObligations marks every known remote interval as applied for a
@@ -158,18 +162,19 @@ func (nd *Node) applyAccessType(pg int, at AccessType) {
 // dropped (their pages were never accessed in the phase).
 func (nd *Node) consumeWSync() {
 	for _, ws := range nd.wsync {
-		for _, pg := range ws.pages {
+		for i, pg := range ws.pages {
 			if len(nd.pages[pg].pending) > 0 {
 				continue
 			}
 			at := ws.at
-			if at.noTwin() && !ws.full[pg] {
+			if at.noTwin() && !ws.full[i] {
 				at = AccReadWrite
 			}
 			nd.applyAccessType(pg, at)
 		}
 	}
-	nd.wsync = nil
+	clear(nd.wsync) // drop the registrations' page lists; the list itself is reused
+	nd.wsync = nd.wsync[:0]
 	for pg := 0; nd.ndeferred > 0; pg++ {
 		nd.undefer(pg)
 	}

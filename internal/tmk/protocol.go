@@ -28,10 +28,13 @@ import (
 // long after its writes (a lazy flush can span epochs, giving it a closing
 // time that postdates a fresher concurrent diff).
 //
-// A stored diff is immutable: nothing writes through Covers, Runs or a
-// run's Vals after creation. That is what makes aliasing sound — the
-// cached value is the value served (toWire), and on the in-process
-// backends every receiver's cache entry shares the creator's arrays.
+// A stored diff is immutable once shared: after toWire, the only way its
+// storage escapes the cache, nothing writes through Covers, Runs or a
+// run's Vals. That is what makes aliasing sound — the cached value is the
+// value served, and on the in-process backends every receiver's cache
+// entry shares the creator's arrays. The one diff ever written again is
+// this node's own pooled snapshot that nobody was handed: the next
+// snapshot of its page is re-taken into it (snapshot).
 type storedDiff struct {
 	wire.Diff
 
@@ -39,7 +42,9 @@ type storedDiff struct {
 	// are vm freelist storage; diffs received from a peer are never
 	// pooled. shared marks a diff toWire has handed out. A pooled snapshot
 	// goes back to the freelist when it is pruned only if it was never
-	// shared: a receiver may alias its page for as long as it likes.
+	// shared: a receiver may alias its page for as long as it likes. When
+	// the machine is released nobody reads it again, and every pooled
+	// snapshot still cached goes back (System.ReleaseWarm).
 	pooled, shared bool
 
 	coverSum int64 // cached ordering key: sum of Covers
@@ -74,7 +79,8 @@ func (d *storedDiff) helps(applied []int32) bool {
 func (d *storedDiff) wireBytes() int { return 16 + vm.RunsBytes(d.Runs) }
 
 // toWire returns the value a requester is handed: the cached diff itself,
-// marked shared so its storage is never recycled (recycle).
+// marked shared so its storage is never written (snapshot) or recycled
+// (recycle) again while the machine runs.
 func (d *storedDiff) toWire() wire.Diff {
 	d.shared = true
 	return d.Diff
@@ -212,36 +218,49 @@ func (nd *Node) closeInterval() {
 // from the dirty set. The page stays write-enabled (no protection cost):
 // exact analysis guarantees the next writer re-Validates first.
 func (nd *Node) snapshotWholePage(pg int) {
-	nd.storeOwnDiff(pg, nd.vc[nd.ID], true, nd.Mem.WholePageRuns(nd.p, pg))
+	nd.snapshot(pg, nd.vc[nd.ID])
 	nd.setDirty(pg, false)
 }
 
-// storeOwnDiff caches this node's own modifications of page for its
-// intervals (lastDiffed, to] — twin-diff runs, or a whole-page snapshot
-// when whole — and advances lastDiffed. Covers is the page's applied row
-// with the node's own entry raised to to (the ordering timestamp, see
-// storedDiff). A local whole snapshot's values are always vm freelist
-// storage (WholePageRuns), hence pooled.
-func (nd *Node) storeOwnDiff(page int, to int32, whole bool, runs []wire.Run) {
+// snapshot caches page's whole content as this node's own diff of its
+// intervals (lastDiffed, to]. The page's cache holds at most one pooled
+// snapshot, since each prunes the one before, and while toWire never
+// handed it out nobody else holds its storage: it is re-taken in place,
+// the page copied into its own buffer and the entry re-filed. A shared
+// snapshot is never touched again; a fresh one from the vm freelist
+// (WholePageRuns) replaces it, and so starts a page's first.
+func (nd *Node) snapshot(page int, to int32) {
+	for _, d := range nd.pages[page].diffs {
+		if d.pooled && !d.shared {
+			nd.Mem.CopyPage(nd.p, page, d.Runs[0].Vals)
+			nd.fileOwnDiff(page, to, d)
+			return
+		}
+	}
+	nd.fileOwnDiff(page, to, &storedDiff{Diff: wire.Diff{Whole: true, Runs: nd.Mem.WholePageRuns(nd.p, page)}, pooled: true})
+}
+
+// fileOwnDiff stamps d as this node's own diff of page for its intervals
+// (lastDiffed, to], files it in the cache and advances lastDiffed. Covers
+// is the page's applied row with the node's own entry raised to to (the
+// ordering timestamp, see storedDiff), written into d's own array when it
+// has one: only an unshared snapshot re-taken in place does.
+func (nd *Node) fileOwnDiff(page int, to int32, d *storedDiff) {
 	e := &nd.pages[page]
-	covers := slices.Clone(e.applied)
-	covers[nd.ID] = to
-	nd.storeDiff(&storedDiff{
-		Diff: wire.Diff{
-			Page: int32(page), Creator: int32(nd.ID),
-			From: e.lastDiffed, To: to,
-			Whole: whole, Covers: covers, Runs: runs,
-		},
-		pooled: whole,
-	})
+	d.Page, d.Creator, d.From, d.To = int32(page), int32(nd.ID), e.lastDiffed, to
+	d.Covers = append(d.Covers[:0], e.applied...)
+	d.Covers[nd.ID] = to
+	d.coverSum = 0
+	nd.storeDiff(d)
 	e.lastDiffed = to
 }
 
-// storeDiff adds d to the diff cache, dropping any older diffs a whole
-// snapshot subsumes (bounding memory: a page that is repeatedly
-// WRITE_ALL-validated keeps only its newest snapshot). A pruned pooled
-// snapshot's page goes back to the vm freelist unless it was ever handed
-// out (recycle), so what receivers hold never moves.
+// storeDiff adds d to the tail of the diff cache, dropping any older
+// diffs a whole snapshot subsumes (bounding memory: a page that is
+// repeatedly WRITE_ALL-validated keeps only its newest snapshot). A
+// snapshot re-taken in place moves from its old position to the tail. A
+// pruned pooled snapshot's page goes back to the vm freelist unless it was
+// ever handed out (recycle), so what receivers hold never moves.
 func (nd *Node) storeDiff(d *storedDiff) {
 	pg := int(d.Page)
 	nd.touch(pg) // the page's diff chain (and, on the apply path, its image) moved
@@ -249,11 +268,13 @@ func (nd *Node) storeDiff(d *storedDiff) {
 	if d.Whole {
 		kept := cache[:0]
 		for _, old := range cache {
-			if subsumes(d, old) {
+			switch {
+			case old == d: // re-taken in place: re-filed at the tail
+			case subsumes(d, old):
 				nd.recycle(old)
-				continue
+			default:
+				kept = append(kept, old)
 			}
-			kept = append(kept, old)
 		}
 		cache = kept
 	}
@@ -374,7 +395,7 @@ func (nd *Node) flushLocalDiff(page int, disarm bool) {
 			to = nd.splitInterval(page, true)
 		}
 		// Snapshot an open WRITE_ALL page so the content stays servable.
-		nd.storeOwnDiff(page, to, true, nd.Mem.WholePageRuns(nd.p, page))
+		nd.snapshot(page, to)
 		if disarm {
 			nd.setDirty(page, false)
 			nd.Mem.TakeWriteExtent(page)
@@ -388,7 +409,7 @@ func (nd *Node) flushLocalDiff(page int, disarm bool) {
 			to = nd.splitInterval(page, false)
 		}
 		if len(runs) > 0 || e.lastDiffed < to {
-			nd.storeOwnDiff(page, to, false, runs)
+			nd.fileOwnDiff(page, to, &storedDiff{Diff: wire.Diff{Runs: runs}})
 		}
 	}
 	e.lastDiffed = to

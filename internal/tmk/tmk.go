@@ -312,12 +312,20 @@ func (s *System) Run(body func(nd *Node)) error {
 	})
 }
 
-// ReleaseWarm hands every node's storage back to its arena: the Mem's
-// twins and data store. Run CheckGuards on the arenas BEFORE calling this
-// — release ends the loans the audit needs. The System must not be used
-// afterwards.
+// ReleaseWarm hands every node's storage back to its arena: the page of
+// every pooled snapshot still in the node's diff cache, shared or not —
+// nothing reads a released machine again — then the Mem's twins and data
+// store. Run CheckGuards on the arenas BEFORE calling this — release ends
+// the loans the audit needs. The System must not be used afterwards.
 func (s *System) ReleaseWarm() {
 	for _, nd := range s.Nodes {
+		for pg := range nd.pages {
+			for _, d := range nd.pages[pg].diffs {
+				if d.pooled {
+					nd.Mem.RecyclePage(d.Runs[0].Vals)
+				}
+			}
+		}
 		nd.Mem.Release()
 		nd.Mem.Arena().ReleaseData()
 	}
@@ -571,8 +579,10 @@ type Node struct {
 	ivScratch  []wire.OwnedInterval
 	depScratch []wire.OwnedInterval
 	pgScratch  []int
-	// vpScratch holds a Validate's page list (pagesOf) while the call runs.
+	// vpScratch holds a Validate's page list (pagesOf) while the call runs,
+	// and fcScratch, parallel to it, which of those pages it covers whole.
 	vpScratch []int
+	fcScratch []bool
 
 	Stats ProtocolStats
 }

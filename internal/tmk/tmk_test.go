@@ -1,6 +1,7 @@
 package tmk
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -568,49 +569,91 @@ func TestReacquireOwnLockIsCheap(t *testing.T) {
 	})
 }
 
-// A pooled whole-page snapshot is served without a copy, so once handed
-// out its page must never return to the freelist: a receiver aliases it
-// for as long as it likes. Serve a snapshot and check the served runs are
-// the cached ones; let a newer snapshot prune it and check the next
-// snapshot does not get its page and the served words do not move. A
-// pruned snapshot nobody was handed still gives its page to the next one.
+// A whole-page snapshot's lifecycle: immutable once shared, and only
+// then. (a) A snapshot nobody was handed is re-taken in place by the next
+// one: the same cache entry and page, its coverage advanced and its order
+// key recomputed, alone in the cache. (b) A served snapshot is handed out
+// uncopied, so its values and coverage must never change again: a newer
+// snapshot prunes it, takes a page of its own, and the served words stay
+// put. (c) Releasing the machine gives the page of every pooled snapshot
+// still cached, shared or not, back to its node's arena.
 func TestSharedSnapshotIsNeverRecycled(t *testing.T) {
-	s := testSystem(2, shm.PageWords)
+	s := testSystem(2, 2*shm.PageWords)
 	nd := s.Nodes[0]
-	snapshot := func(base float64) *storedDiff {
-		nd.Validate(AccWriteAll, region(0, shm.PageWords), false)
-		for i, d := 0, nd.Mem.PageData(0); i < len(d); i++ {
+	snapshot := func(nd *Node, pg int, base float64) *storedDiff {
+		nd.Validate(AccWriteAll, region(pg*shm.PageWords, (pg+1)*shm.PageWords), false)
+		for i, d := 0, nd.Mem.PageData(pg); i < len(d); i++ {
 			d[i] = base + float64(i)
 		}
 		nd.closeInterval() // a WRITE_ALL page is snapshotted at the release point
-		if c := nd.pages[0].diffs; len(c) != 1 || !c[0].Whole || !c[0].pooled {
+		if c := nd.pages[pg].diffs; len(c) != 1 || !c[0].Whole || !c[0].pooled {
 			t.Fatalf("cache after snapshot %v: %+v, want exactly one pooled whole-page diff", base, c)
 		}
-		return nd.pages[0].diffs[0]
+		return nd.pages[pg].diffs[0]
 	}
 	page := func(d *storedDiff) *float64 { return &d.Runs[0].Vals[0] }
+	serve := func() []float64 {
+		out, _, _ := nd.serveDiffs(1, []int{0}, [][]int32{make([]int32, 2)}, false)
+		if len(out) != 1 || !out[0].Whole {
+			t.Fatalf("served %+v, want the one whole-page snapshot", out)
+		}
+		if &out[0].Runs[0].Vals[0] != page(nd.pages[0].diffs[0]) {
+			t.Fatal("the served runs are a copy, not the cached snapshot")
+		}
+		return out[0].Runs[0].Vals
+	}
 
-	first := snapshot(1000)
-	out, _, _ := nd.serveDiffs(1, []int{0}, [][]int32{make([]int32, 2)}, false)
-	if len(out) != 1 || !out[0].Whole {
-		t.Fatalf("served %+v, want the one whole-page snapshot", out)
+	// (a)
+	first := snapshot(nd, 0, 1000)
+	to, key, buf := first.To, first.orderKey(), page(first)
+	if second := snapshot(nd, 0, 2000); second != first || page(second) != buf {
+		t.Fatal("an unshared snapshot was not re-taken in place")
 	}
-	handed := out[0].Runs[0].Vals
-	if &handed[0] != page(first) {
-		t.Fatal("the served runs are a copy, not the cached snapshot")
+	if first.From != to || first.To <= to || first.Covers[0] != first.To {
+		t.Fatalf("re-taken snapshot covers (%d, %d] with Covers %v, want (%d, >%d] with its own entry at To", first.From, first.To, first.Covers, to, to)
+	}
+	if first.orderKey() != key+int64(first.To-to) || first.Runs[0].Vals[5] != 2005 {
+		t.Fatalf("re-taken snapshot: order key %d, word 5 = %v; want %d and 2005", first.orderKey(), first.Runs[0].Vals[5], key+int64(first.To-to))
 	}
 
-	second := snapshot(2000) // prunes first, which was shared: its page stays out
-	third := snapshot(3000)  // prunes second, which nobody was handed
-	if page(second) == page(first) || page(third) == page(first) {
-		t.Fatal("a later snapshot got the page of one that was handed out")
+	// (b) The fifth snapshot is fresh, taking a page off the freelist,
+	// where a recycled served page would be found.
+	served := serve()
+	covers, to := slices.Clone(first.Covers), first.To
+	third := snapshot(nd, 0, 3000) // prunes the served snapshot
+	if third == first || page(third) == page(first) {
+		t.Fatal("a later snapshot was re-taken into one that was handed out")
 	}
-	for i, v := range handed {
-		if v != 1000+float64(i) {
-			t.Fatalf("served word %d = %v after the snapshot was pruned, want %v", i, v, 1000+float64(i))
+	if fourth := snapshot(nd, 0, 4000); fourth != third {
+		t.Fatal("the snapshot after a share was not re-taken in place by the next")
+	}
+	served2 := serve()
+	fifth := snapshot(nd, 0, 5000)
+	if page(fifth) == page(first) || page(fifth) == page(third) {
+		t.Fatal("a fresh snapshot got the page of one that was handed out")
+	}
+	for i := range served {
+		if served[i] != 2000+float64(i) || served2[i] != 4000+float64(i) {
+			t.Fatalf("served words %d = %v, %v after newer snapshots, want %v, %v", i, served[i], served2[i], 2000+float64(i), 4000+float64(i))
 		}
 	}
-	if fourth := snapshot(4000); page(fourth) != page(second) {
-		t.Fatal("a pruned snapshot that was never shared did not hand its page to the next one")
+	if !slices.Equal(first.Covers, covers) || first.To != to {
+		t.Fatalf("served snapshot now covers %v up to %d, was %v up to %d", first.Covers, first.To, covers, to)
+	}
+
+	// (c) Node 0's cached snapshot is shared, node 1's is not.
+	serve()
+	other := snapshot(s.Nodes[1], 1, 6000)
+	idle := func(nd *Node) int { _, pages := nd.Mem.Arena().Idle(); return pages }
+	before := []int{idle(s.Nodes[0]), idle(s.Nodes[1])}
+	s.ReleaseWarm()
+	for i, d := range []*storedDiff{fifth, other} {
+		ar := s.Nodes[i].Mem.Arena()
+		if got := idle(s.Nodes[i]); got != before[i]+1 {
+			t.Fatalf("node %d's arena holds %d idle pages after release, want %d", i, got, before[i]+1)
+		}
+		if &ar.TakePage()[0] != page(d) {
+			t.Fatalf("node %d's cached snapshot page did not go back to its arena", i)
+		}
 	}
 }

@@ -138,11 +138,12 @@ type Mem struct {
 	preBatch   []Prot
 
 	// arena is the storage this Mem borrowed (NewWarm). Its idle page
-	// buffers are the one freelist for twins and the whole-page snapshots
-	// the protocol prunes unserved (RecyclePage), so a steady-state
-	// epoch's twin/diff cycle allocates no page storage, and neither does
-	// the next run's. The Mem is driven under the node's protocol
-	// exclusion, so the arena needs no synchronization.
+	// buffers are the one freelist for twins and for the whole-page
+	// snapshots the protocol prunes unserved or holds when its machine is
+	// released (RecyclePage), so a steady-state epoch's twin/diff cycle
+	// allocates no page storage, and neither does the next run's. The Mem
+	// is driven under the node's protocol exclusion, so the arena needs no
+	// synchronization.
 	arena *Arena
 
 	// Counters is exported for the statistics harness.
@@ -404,10 +405,10 @@ func (m *Mem) HasTwin(page int) bool { return m.twins[page] != nil }
 
 // RecyclePage returns a page-sized value buffer (a consumed twin, a
 // whole-page snapshot pruned from a diff chain that was never handed
-// out) to the arena's page freelist, where the next TakePage finds and
-// overwrites it: the caller must hold the only reference. Buffers of any
-// other size — diff run values are exact-size — are left to the garbage
-// collector.
+// out, or any snapshot of a released machine) to the arena's page
+// freelist, where the next TakePage finds and overwrites it: nobody may
+// read the buffer afterwards. Buffers of any other size — diff run values
+// are exact-size — are left to the garbage collector.
 func (m *Mem) RecyclePage(vals []float64) {
 	if cap(vals) != shm.PageWords {
 		return
@@ -480,15 +481,23 @@ func (m *Mem) DiffAgainstTwin(p host.Proc, page int) []Run {
 // WholePageRuns returns the full contents of page as a single run, used
 // when modifications must be shipped but no twin exists (WRITE_ALL pages).
 // It is a memcpy, not a compare, so it costs the twin rate per word. The
-// run's values are freelist storage: when the snapshot is pruned from
-// its diff chain the protocol hands them back via RecyclePage — unless
-// it was ever served, in which case a receiver may still alias them and
-// they are left to the garbage collector.
+// run's values are freelist storage. The protocol re-takes the snapshot
+// into the same buffer (CopyPage) while nobody was handed it, and hands
+// the buffer back via RecyclePage when the snapshot is pruned unserved or
+// its machine is released; a served snapshot pruned mid-run may still be
+// aliased by a receiver, and is left to the garbage collector.
 func (m *Mem) WholePageRuns(p host.Proc, page int) []Run {
 	vals := m.arena.TakePage()
+	m.CopyPage(p, page, vals)
+	return []Run{{Off: 0, Vals: vals}}
+}
+
+// CopyPage copies the full contents of page into vals, a page-sized
+// buffer, charging the twin rate per word: a whole-page snapshot re-taken
+// in storage its caller already holds.
+func (m *Mem) CopyPage(p host.Proc, page int, vals []float64) {
 	copy(vals, m.PageData(page))
 	p.Charge(time.Duration(shm.PageWords) * m.costs.TwinPerWord)
-	return []Run{{Off: 0, Vals: vals}}
 }
 
 // ApplyRuns merges received modification runs into page, charging the
