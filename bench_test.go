@@ -315,7 +315,7 @@ func benchPushedGrant() *wire.Frame {
 	}
 	// The two pages share one header: they coalesce into a single section
 	// span, as buildGrant ships them since wire version 4.
-	g.Pushed = wire.CoalesceDiffs(pushed)
+	g.Pushed = wire.CoalesceDiffs(nil, pushed)
 	return &wire.Frame{Kind: wire.FHand, From: 2, To: 5, Tag: 1, Payload: g}
 }
 

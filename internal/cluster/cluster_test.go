@@ -7,6 +7,7 @@ import (
 	"sdsm/internal/host"
 	"sdsm/internal/model"
 	"sdsm/internal/sim"
+	"sdsm/internal/wire"
 )
 
 const tagData host.Tag = 1
@@ -135,15 +136,16 @@ func TestRequestChargesBothSides(t *testing.T) {
 	e := sim.NewEngine(2)
 	costs := model.SP2()
 	nw := New(e, costs)
-	nw.Serve(func(p host.Proc, at int, req any) (any, int) {
+	nw.Serve(func(p host.Proc, at int, req *wire.DiffRequest, rep *wire.DiffReply) int {
 		e.Proc(at).Charge(5 * time.Microsecond)
-		return req, 64
+		return 64
 	})
 	var reqDone, targetClock time.Duration
 	err := e.Run(func(p host.Proc) {
 		if p.ID() == 0 {
-			pd := nw.StartRequest(p, 1, nil, 16)
-			host.Await(p, pd, costs)
+			var pd host.Pending
+			nw.StartRequest(p, 1, &wire.DiffRequest{}, 16, &pd)
+			host.Await(p, &pd, costs)
 			reqDone = p.Now()
 		} else {
 			p.Advance(50 * time.Millisecond) // busy computing
@@ -167,14 +169,15 @@ func TestAwaitAllSerializesReceives(t *testing.T) {
 	e := sim.NewEngine(3)
 	costs := model.SP2()
 	nw := New(e, costs)
-	nw.Serve(func(p host.Proc, at int, req any) (any, int) { return nil, 0 })
+	nw.Serve(func(p host.Proc, at int, req *wire.DiffRequest, rep *wire.DiffReply) int { return 0 })
 	var done time.Duration
 	err := e.Run(func(p host.Proc) {
 		switch p.ID() {
 		case 0:
-			c1 := nw.StartRequest(p, 1, nil, 0)
-			c2 := nw.StartRequest(p, 2, nil, 0)
-			host.AwaitAll(p, []*host.Pending{c1, c2}, costs)
+			var c1, c2 host.Pending
+			nw.StartRequest(p, 1, &wire.DiffRequest{}, 0, &c1)
+			nw.StartRequest(p, 2, &wire.DiffRequest{}, 0, &c2)
+			host.AwaitAll(p, []*host.Pending{&c1, &c2}, costs)
 			done = p.Now()
 		default:
 			p.Advance(time.Millisecond)
@@ -204,17 +207,19 @@ func TestAsyncOverlapsComputation(t *testing.T) {
 	run := func(async bool) time.Duration {
 		e := sim.NewEngine(2)
 		nw := New(e, costs)
-		nw.Serve(func(p host.Proc, at int, req any) (any, int) { return nil, 4096 })
+		nw.Serve(func(p host.Proc, at int, req *wire.DiffRequest, rep *wire.DiffReply) int { return 4096 })
 		var done time.Duration
 		err := e.Run(func(p host.Proc) {
 			if p.ID() == 0 {
 				if async {
-					c := nw.StartRequest(p, 1, nil, 0)
+					var c host.Pending
+					nw.StartRequest(p, 1, &wire.DiffRequest{}, 0, &c)
 					p.Advance(300 * time.Microsecond) // overlapped compute
-					host.Await(p, c, costs)
+					host.Await(p, &c, costs)
 				} else {
-					c := nw.StartRequest(p, 1, nil, 0)
-					host.Await(p, c, costs)
+					var c host.Pending
+					nw.StartRequest(p, 1, &wire.DiffRequest{}, 0, &c)
+					host.Await(p, &c, costs)
 					p.Advance(300 * time.Microsecond)
 				}
 				done = p.Now()

@@ -10,7 +10,11 @@
 //   - A Transport: the interconnect carrying mailbox messages and
 //     request/reply (RPC) exchanges with latency, bandwidth, and CPU
 //     overhead accounting. Network is the one implementation, usable on
-//     any Host; Net files what its sockets deliver into a Network.
+//     any Host; Net files what its sockets deliver into a Network. An
+//     exchange is typed — a wire.DiffRequest answered by a wire.DiffReply
+//     — and its storage is the requester's: StartRequest consumes the
+//     request before it returns and fills a Pending the caller owns, so a
+//     requester that reuses both allocates nothing per exchange in-process.
 //
 // Two hosts exist:
 //
@@ -57,6 +61,7 @@ import (
 	"time"
 
 	"sdsm/internal/model"
+	"sdsm/internal/wire"
 )
 
 // Proc is one virtual processor as seen by the protocol stack and the
@@ -127,20 +132,25 @@ type Msg struct {
 }
 
 // Server handles request/reply exchanges at a target node: it receives
-// the destination node id and the decoded request payload (a wire value,
-// never a pointer into the requester's state) and returns the reply
-// payload with its accounted size. The DSM run-time registers exactly one
-// server per transport (tmk's diff server). p is a processor handle the
-// server may use for Hold; on in-process transports it is the requesting
-// processor, on socket transports the target's own (whose compute
-// exclusion the service loop already holds).
-type Server func(p Proc, at int, req any) (resp any, respBytes int)
+// the destination node id and the request, and fills rep, returning the
+// reply's accounted size. In-process req and rep are the requester's own
+// storage: the server reads req only during the call and never writes it,
+// and rep's slices arrive with length zero and whatever capacity the
+// requester left in them, for the server to append into. The DSM run-time registers exactly one server per
+// transport (tmk's diff server). p is a processor handle the server may
+// use for Hold; on in-process transports it is the requesting processor,
+// on socket transports the target's own (whose compute exclusion the
+// service loop already holds).
+type Server func(p Proc, at int, req *wire.DiffRequest, rep *wire.DiffReply) (respBytes int)
 
-// Pending is an in-flight request/reply exchange. Reply, Arrival, and
-// Bytes are valid after Await or AwaitAll returns.
+// Pending is an in-flight request/reply exchange, in storage the
+// requester owns: StartRequest fills it, and Reply, Arrival, and Bytes are
+// valid after Await or AwaitAll returns. A requester may reuse a Pending,
+// and the capacity of its Reply's slices, once it has consumed the reply.
 type Pending struct {
-	// Reply is the decoded reply payload.
-	Reply any
+	// Reply is the reply payload. In-process its Diffs share the
+	// responder's cached arrays; on sockets it is the decoded value.
+	Reply wire.DiffReply
 	// Arrival is the virtual time the reply reaches the requester.
 	Arrival time.Duration
 	// Bytes is the accounted reply size.
@@ -148,8 +158,7 @@ type Pending struct {
 	// resolver, when non-nil, blocks until the reply is available and
 	// fills the fields above (socket transports; nil when the exchange
 	// completed at StartRequest). An interface rather than a closure so
-	// transports embedding Pending in their request state install it
-	// without allocating.
+	// transports install their request state without allocating.
 	resolver Resolver
 }
 
@@ -315,9 +324,11 @@ type Transport interface {
 	Serve(fn Server)
 	// StartRequest issues a request/reply exchange to node to and returns
 	// without waiting for the requester's side of the reply (asynchronous
-	// data fetching); Await and AwaitAll complete it. The request payload
-	// must be a wire value.
-	StartRequest(p Proc, to int, req any, reqBytes int) *Pending
+	// data fetching); Await and AwaitAll complete it into pd, which the
+	// caller owns. StartRequest consumes req before it returns — served
+	// inline in-process, encoded inline on sockets — so the caller may
+	// rebuild it in the same storage for its next exchange.
+	StartRequest(p Proc, to int, req *wire.DiffRequest, reqBytes int, pd *Pending)
 
 	// Hand stages a protocol payload for node to, out of band of the
 	// mailbox: lock grants and barrier departures are constructed by the

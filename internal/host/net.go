@@ -91,21 +91,21 @@ type Net struct {
 	wg sync.WaitGroup // delivery and service loops
 }
 
-// reqState tracks one in-flight request at the requester. The Pending
-// handed to the caller is embedded and reqState itself is the Pending's
-// Resolver, so one allocation covers the exchange's whole bookkeeping.
+// reqState tracks one in-flight request at the requester: it points at
+// the caller's Pending and is that Pending's Resolver, so one allocation
+// covers the exchange's bookkeeping.
 type reqState struct {
-	pd         Pending
+	pd         *Pending
 	nw         *Net
 	reqArrival time.Duration
 	done       bool
-	reply      any
+	reply      wire.DiffReply
 	respBytes  int
 	service    time.Duration
 }
 
 // ResolveReply blocks until the reply frame has been filed, then fills
-// the embedded Pending (Pending's Resolver hook).
+// the caller's Pending (Pending's Resolver hook).
 func (rs *reqState) ResolveReply(p Proc) {
 	in := rs.nw.in
 	in.mu.Lock()
@@ -312,6 +312,11 @@ func (nw *Net) deliveryLoop(i int, ep *Endpoint, done chan struct{}) {
 			nw.svcCond[i].Signal()
 			nw.svcMu.Unlock()
 		case wire.FReply:
+			rep, ok := f.Payload.(wire.DiffReply)
+			if !ok {
+				nw.linkDown(i, fmt.Errorf("reply %d carries a %T payload, not a wire.DiffReply", f.Tag, f.Payload))
+				return
+			}
 			in := nw.in
 			in.mu.Lock()
 			rs := nw.reqs[i][f.Tag]
@@ -322,7 +327,7 @@ func (nw *Net) deliveryLoop(i int, ep *Endpoint, done chan struct{}) {
 			}
 			delete(nw.reqs[i], f.Tag)
 			rs.done = true
-			rs.reply = f.Payload
+			rs.reply = rep
 			rs.respBytes = int(f.Bytes)
 			rs.service = time.Duration(f.Time)
 			in.stats.Account(int(f.From), i, rs.respBytes)
@@ -340,10 +345,13 @@ func (nw *Net) deliveryLoop(i int, ep *Endpoint, done chan struct{}) {
 // serviceLoop fields requests addressed to node i: it takes the protocol
 // token and node i's compute lock (re-establishing exactly the exclusion
 // the in-process backends get from Begin + Hold), runs the registered
-// server, and ships the reply back through the switch.
+// server, and ships the reply back through the switch. The server fills
+// one reply the loop reuses: Write encodes it before returning. A request
+// frame whose payload is not a wire.DiffRequest is a link error.
 func (nw *Net) serviceLoop(i int) {
 	defer nw.wg.Done()
 	rp := nw.Real.procs[i]
+	var rep wire.DiffReply
 	for {
 		nw.svcMu.Lock()
 		for nw.svcHead[i] == len(nw.svcQ[i]) && !nw.sw.Closing() {
@@ -363,17 +371,23 @@ func (nw *Net) serviceLoop(i int) {
 			nw.svcHead[i] = 0
 		}
 		nw.svcMu.Unlock()
+		req, ok := f.Payload.(wire.DiffRequest)
+		if !ok {
+			nw.linkDown(i, fmt.Errorf("request %d carries a %T payload, not a wire.DiffRequest", f.Tag, f.Payload))
+			continue
+		}
 
 		nw.Real.mu.Lock() // the protocol-section token
 		rp.compMu.Lock()  // the Hold exclusion against i's compute
-		resp, respBytes, service := nw.in.serveAt(rp, rp, f.Payload)
+		respBytes, service := nw.in.serveAt(rp, rp, &req, &rep)
 		rp.compMu.Unlock()
 		nw.Real.mu.Unlock()
 
 		err := nw.eps[i].Write(&wire.Frame{
 			Kind: wire.FReply, From: int32(i), To: f.From, Tag: f.Tag,
-			Bytes: int32(respBytes), Time: int64(service), Payload: resp,
+			Bytes: int32(respBytes), Time: int64(service), Payload: rep,
 		})
+		clear(rep.Diffs) // encoded: keep no cached arrays alive until the next serve
 		if err != nil {
 			nw.linkDown(i, err)
 			return
@@ -412,9 +426,10 @@ func (nw *Net) Send(p Proc, to int, tag Tag, payload any, bytes int) {
 }
 
 // StartRequest ships the encoded request to the target's service loop and
-// returns a Pending whose resolver waits for the reply frame.
-func (nw *Net) StartRequest(p Proc, to int, req any, reqBytes int) *Pending {
-	rs := &reqState{nw: nw, reqArrival: nw.in.issue(p, to, reqBytes)}
+// installs on pd a resolver that waits for the reply frame. req is encoded
+// before the frame is queued.
+func (nw *Net) StartRequest(p Proc, to int, req *wire.DiffRequest, reqBytes int, pd *Pending) {
+	rs := &reqState{nw: nw, pd: pd, reqArrival: nw.in.issue(p, to, reqBytes)}
 	nw.in.mu.Lock()
 	nw.nextID[p.ID()]++
 	id := nw.nextID[p.ID()]
@@ -422,11 +437,9 @@ func (nw *Net) StartRequest(p Proc, to int, req any, reqBytes int) *Pending {
 	nw.in.mu.Unlock()
 	nw.must(p.ID(), nw.eps[p.ID()].Write(&wire.Frame{
 		Kind: wire.FReq, From: int32(p.ID()), To: int32(to), Tag: id,
-		Bytes: int32(reqBytes), Payload: req,
+		Bytes: int32(reqBytes), Payload: *req,
 	}))
-
-	rs.pd.SetResolver(rs)
-	return &rs.pd
+	pd.SetResolver(rs)
 }
 
 // Hand ships a staged protocol payload (lock grant, barrier departure) to

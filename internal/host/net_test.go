@@ -83,13 +83,13 @@ func TestNetMailbox(t *testing.T) {
 // its reply (plus service charges) reaches the requester.
 func TestNetRequestReply(t *testing.T) {
 	nw := newTestNet(t, 2)
-	nw.Serve(func(p Proc, at int, req any) (any, int) {
-		r := req.(wire.DiffRequest)
-		if at != 1 || r.Req != 0 {
-			t.Errorf("server saw at=%d req=%d", at, r.Req)
+	nw.Serve(func(p Proc, at int, req *wire.DiffRequest, rep *wire.DiffReply) int {
+		if at != 1 || req.Req != 0 {
+			t.Errorf("server saw at=%d req=%d", at, req.Req)
 		}
 		p.Charge(5 * time.Microsecond)
-		return wire.DiffReply{Diffs: []wire.Diff{{Page: r.Pages[0], Creator: 1, To: 3}}}, 64
+		rep.Diffs = append(rep.Diffs, wire.Diff{Page: req.Pages[0], Creator: 1, To: 3})
+		return 64
 	})
 	err := nw.Run(func(p Proc) {
 		if p.ID() != 0 {
@@ -101,10 +101,11 @@ func TestNetRequestReply(t *testing.T) {
 			return
 		}
 		p.Begin()
-		pd := nw.StartRequest(p, 1, wire.DiffRequest{Req: 0, Pages: []int32{4}, Applied: [][]int32{{0, 0}}}, 16)
-		Await(p, pd, nw.Costs())
+		var pd Pending
+		nw.StartRequest(p, 1, &wire.DiffRequest{Req: 0, Pages: []int32{4}, Applied: [][]int32{{0, 0}}}, 16, &pd)
+		Await(p, &pd, nw.Costs())
 		p.End()
-		reply := pd.Reply.(wire.DiffReply)
+		reply := pd.Reply
 		if len(reply.Diffs) != 1 || reply.Diffs[0].Page != 4 || reply.Diffs[0].Creator != 1 {
 			t.Errorf("bad reply %+v", reply)
 		}
@@ -172,6 +173,36 @@ func TestNetHandStagedTwiceFails(t *testing.T) {
 	})
 	if err == nil || !strings.Contains(err.Error(), "hand slot 5 staged twice") {
 		t.Fatalf("Run error = %v, want the doubly staged hand slot", err)
+	}
+}
+
+// TestNetForeignPayloadIsLinkError pins that a request or reply frame
+// whose payload is not the diff exchange's type fails Run with a link
+// error naming the type, instead of reaching the protocol: the service
+// loop checks a request before it serves, the delivery loop a reply
+// before it files it. Node 0 writes the raw frame to node 1; both nodes
+// then wait for a message that never comes, and the link error unwinds
+// them.
+func TestNetForeignPayloadIsLinkError(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		kind byte
+	}{{"request", wire.FReq}, {"reply", wire.FReply}} {
+		t.Run(tc.name, func(t *testing.T) {
+			nw := newTestNet(t, 2)
+			err := nw.Run(func(p Proc) {
+				p.Begin()
+				defer p.End()
+				if p.ID() == 0 {
+					nw.must(0, nw.eps[0].Write(&wire.Frame{Kind: tc.kind, From: 0, To: 1, Tag: 1, Payload: wire.Float64s{1}}))
+				}
+				nw.Recv(p, AnySender, 9)
+			})
+			want := tc.name + " 1 carries a wire.Float64s payload"
+			if err == nil || !strings.Contains(err.Error(), "node 1 link lost") || !strings.Contains(err.Error(), want) {
+				t.Fatalf("Run error = %v, want node 1's link error %q", err, want)
+			}
+		})
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"sdsm/internal/model"
+	"sdsm/internal/wire"
 )
 
 // Network is the interconnect of a distributed-memory machine over any
@@ -239,32 +240,31 @@ func (nw *Network) issue(p Proc, to int, reqBytes int) time.Duration {
 	return p.Now() + nw.costs.OneWay(reqBytes)
 }
 
-// serveAt runs the registered server for req at target and charges the
-// target interrupt, service and reply-injection overheads on top of any
-// CPU time the server charged itself. service is the target's whole clock
-// advance, which extends the reply's arrival. p is the handle the server
-// may use for Hold.
-func (nw *Network) serveAt(p, target Proc, req any) (resp any, respBytes int, service time.Duration) {
+// serveAt runs the registered server for req at target, filling rep, and
+// charges the target interrupt, service and reply-injection overheads on
+// top of any CPU time the server charged itself. service is the target's
+// whole clock advance, which extends the reply's arrival. p is the handle
+// the server may use for Hold.
+func (nw *Network) serveAt(p, target Proc, req *wire.DiffRequest, rep *wire.DiffReply) (respBytes int, service time.Duration) {
 	before := target.Now()
-	resp, respBytes = nw.server(p, target.ID(), req)
+	rep.Diffs, rep.Redirects = rep.Diffs[:0], rep.Redirects[:0]
+	respBytes = nw.server(p, target.ID(), req, rep)
 	target.Charge(nw.costs.RecvOverhead + nw.costs.RequestService + nw.costs.SendOverhead)
-	return resp, respBytes, target.Now() - before
+	return respBytes, target.Now() - before
 }
 
-// StartRequest issues a request/reply exchange and returns without
+// StartRequest issues a request/reply exchange into pd and returns without
 // waiting. The server still runs immediately against the target's current
 // state (the protocol state transition is deterministic; see DESIGN.md
-// §2); only the requester's time accounting is deferred, which models
-// asynchronous data fetching (Section 3.2.3 of the paper).
-func (nw *Network) StartRequest(p Proc, to int, req any, reqBytes int) *Pending {
+// §2), appending its reply into pd's, so req is consumed on return; only
+// the requester's time accounting is deferred, which models asynchronous
+// data fetching (Section 3.2.3 of the paper).
+func (nw *Network) StartRequest(p Proc, to int, req *wire.DiffRequest, reqBytes int, pd *Pending) {
 	reqArrival := nw.issue(p, to, reqBytes)
-	resp, respBytes, service := nw.serveAt(p, nw.h.Proc(to), req)
+	respBytes, service := nw.serveAt(p, nw.h.Proc(to), req, &pd.Reply)
 	nw.account(to, p.ID(), respBytes)
-	return &Pending{
-		Reply:   resp,
-		Arrival: reqArrival + service + nw.costs.OneWay(respBytes),
-		Bytes:   respBytes,
-	}
+	pd.Arrival = reqArrival + service + nw.costs.OneWay(respBytes)
+	pd.Bytes = respBytes
 }
 
 // Hand stages a protocol payload for node to (lock grants, barrier

@@ -24,8 +24,9 @@ var (
 func exchange(t *testing.T, h host.Host, tr host.Transport) [5]any {
 	t.Helper()
 	const tagA, tagB host.Tag = 7, 8
-	tr.Serve(func(p host.Proc, at int, req any) (any, int) {
-		return wire.Float64s{float64(at), req.(wire.Float64s)[0]}, 24
+	tr.Serve(func(p host.Proc, at int, req *wire.DiffRequest, rep *wire.DiffReply) int {
+		rep.Redirects = append(rep.Redirects, wire.PageOwner{Page: req.Pages[0], Owner: int32(at)})
+		return 24
 	})
 	var got [5]any // each element written by one node
 	err := h.Run(func(p host.Proc) {
@@ -35,10 +36,9 @@ func exchange(t *testing.T, h host.Host, tr host.Transport) [5]any {
 		case 0:
 			tr.Send(p, 1, tagA, []float64{1.5}, 8)
 			tr.Send(p, 2, tagA, []float64{2.5, 3.5}, 16)
-			pds := []*host.Pending{
-				tr.StartRequest(p, 1, wire.Float64s{10}, 16),
-				tr.StartRequest(p, 2, wire.Float64s{20}, 16),
-			}
+			pds := []*host.Pending{{}, {}}
+			tr.StartRequest(p, 1, &wire.DiffRequest{Pages: []int32{10}}, 16, pds[0])
+			tr.StartRequest(p, 2, &wire.DiffRequest{Pages: []int32{20}}, 16, pds[1])
 			host.AwaitAll(p, pds, tr.Costs())
 			got[0] = []any{pds[0].Reply, pds[0].Bytes, pds[1].Reply, pds[1].Bytes}
 			tr.Message(1, 2, p.Now(), 32)
@@ -86,4 +86,47 @@ func TestNetworkAndNetAccountAlike(t *testing.T) {
 	if _, ok := any(n).(host.Mailbox); ok {
 		t.Error("host.Net implements Mailbox: its SendShared would bypass the sockets")
 	}
+}
+
+// TestStartRequestConsumesRequest pins the transport contract that lets a
+// requester build every request in the same storage: StartRequest consumes
+// req before it returns — Network serves it inline, Net encodes it into
+// the frame — so overwriting the request afterwards cannot change what the
+// server sees. The server echoes the request's page and applied entry.
+func TestStartRequestConsumesRequest(t *testing.T) {
+	leaktest.Check(t)
+	check := func(name string, h host.Host, tr host.Transport) {
+		tr.Serve(func(p host.Proc, at int, req *wire.DiffRequest, rep *wire.DiffReply) int {
+			rep.Redirects = append(rep.Redirects, wire.PageOwner{Page: req.Pages[0], Owner: req.Applied[0][1]})
+			return 24
+		})
+		var got []wire.PageOwner
+		err := h.Run(func(p host.Proc) {
+			if p.ID() != 0 {
+				return
+			}
+			p.Begin()
+			defer p.End()
+			req := wire.DiffRequest{Pages: []int32{7}, Applied: [][]int32{{0, 3}}}
+			var pd host.Pending
+			tr.StartRequest(p, 1, &req, 16, &pd)
+			req.Pages[0], req.Applied[0][1] = 99, 99
+			host.Await(p, &pd, tr.Costs())
+			got = pd.Reply.Redirects
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if want := []wire.PageOwner{{Page: 7, Owner: 3}}; !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: the server saw %v, want the request as issued, %v", name, got, want)
+		}
+	}
+	r := host.NewReal(2)
+	check("Network", r, host.NewNetwork(r, model.SP2()))
+	n, err := host.NewNet(2, model.SP2())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	check("Net", n, n)
 }

@@ -25,8 +25,9 @@ type adaptNode struct {
 	// observation itself — obs, page-ascending, its writer and reader lists
 	// carved out of wbuf and rbuf — the page-indexed tally it is laid out
 	// from, the exchange schedule (sends[c]: pages pushed to consumer c;
-	// recvs[q]: a push is due from producer q), one message's diffs, and
-	// the arrival's copy of the last departure's vector time.
+	// recvs[q]: a push is due from producer q), one message's diffs, a
+	// received update's expansion, and the arrival's copy of the last
+	// departure's vector time.
 	obs    []adapt.PageObs
 	wbuf   []adapt.WriteExt
 	rbuf   []int
@@ -35,7 +36,15 @@ type adaptNode struct {
 	sends  [][]int
 	recvs  []bool
 	ds     []wire.Diff
+	ex     []wire.Diff
 	oldBar []int32
+	// spans[c] backs the spans of the update sent to consumer c. It lives
+	// an epoch longer than the scratch above: c reads the message after
+	// this step returns, and the barrier that ends the epoch orders that
+	// read before the next update to c rebuilds the buffer. One buffer per
+	// consumer, because a shared one would be rebuilt for the next
+	// consumer's message before the first has read its own.
+	spans [][]wire.DiffSpan
 }
 
 // pageTally is one page's entry in the table observe lays an epoch's
@@ -69,6 +78,7 @@ func (s *System) EnableAdapt(cfg adapt.Config) {
 			det: adapt.New(cfg), fetched: map[int32]bool{},
 			tally: make([]pageTally, nd.Mem.Pages()),
 			sends: make([][]int, s.N()), recvs: make([]bool, s.N()),
+			spans: make([][]wire.DiffSpan, s.N()),
 		}
 	}
 }
@@ -139,7 +149,7 @@ func (nd *Node) acquireFloors(l *lock) ([]wire.WSyncNeed, int) {
 	if !ok || len(pages) == 0 {
 		return nil, 0
 	}
-	return []wire.WSyncNeed{nd.appliedRows(pages)}, wire.FloorBytes(len(pages), nd.sys.N())
+	return []wire.WSyncNeed{nd.appliedRows(nil, pages)}, wire.FloorBytes(len(pages), nd.sys.N())
 }
 
 // newFetchSet returns the page set a newly held lock collects its
@@ -367,7 +377,8 @@ func (nd *Node) adaptStep(oldBar []int32, fetched []wire.NodePages) {
 	// modifications (the same lazy flush a serve would trigger) and ship
 	// every own diff the epoch produced, coalesced into one section span per
 	// contiguous run of compatible headers (wire.CoalesceDiffs, which copies
-	// the headers out of ds), one message per bound consumer.
+	// the headers out of ds into the consumer's span buffer), one message
+	// per bound consumer.
 	for c, pages := range ad.sends {
 		if len(pages) == 0 {
 			continue
@@ -383,7 +394,8 @@ func (nd *Node) adaptStep(oldBar []int32, fetched []wire.NodePages) {
 			nd.Stats.AdaptPagesPushed++
 		}
 		ad.ds = ds
-		u := wire.Update{Epoch: int32(nd.Stats.Barriers), Spans: wire.CoalesceDiffs(ds)}
+		ad.spans[c] = wire.CoalesceDiffs(ad.spans[c][:0], ds)
+		u := wire.Update{Epoch: int32(nd.Stats.Barriers), Spans: ad.spans[c]}
 		bytes := 16
 		for _, sp := range u.Spans {
 			bytes += sp.WireBytes()
@@ -405,7 +417,9 @@ func (nd *Node) adaptStep(oldBar []int32, fetched []wire.NodePages) {
 	for q, due := range ad.recvs {
 		if due {
 			m := s.NW.Recv(nd.p, q, tagAdapt)
-			nd.applyDiffs(wire.ExpandSpans(m.Payload.(wire.Update).Spans))
+			ad.ex = wire.ExpandSpans(ad.ex[:0], m.Payload.(wire.Update).Spans)
+			nd.applyDiffs(ad.ex)
+			clear(ad.ex) // the applied entries hold their own headers
 		}
 	}
 	clear(ad.fetched)

@@ -37,6 +37,12 @@ import (
 // stale one, is never filed. The one diff ever written again is
 // this node's own pooled snapshot that nobody was handed: the next
 // snapshot of its page is re-taken into it (snapshot).
+//
+// An entry lives in a node-owned chunk (newEntry), and an own diff's Covers
+// in another (coverRow), so filing a diff allocates nothing in steady
+// state. Neither chunk is ever resized, so no entry moves; a pruned entry
+// keeps its value, and with it its arrays, until its whole chunk is
+// garbage.
 type storedDiff struct {
 	wire.Diff
 
@@ -189,10 +195,8 @@ func (nd *Node) closeInterval() {
 	idx := nd.vc[nd.ID] + 1
 	nd.vc[nd.ID] = idx
 	// The dirty pages in page order: an ascending walk of the table that
-	// stops at the last dirty entry. pgScratch is safe to borrow here: its
-	// other user (serve) runs under the protocol token too, so the two can
-	// never interleave, and the slice is fully consumed before this
-	// function returns.
+	// stops at the last dirty entry, into node scratch the interval record
+	// is fully built from before this function returns.
 	pages := nd.pgScratch[:0]
 	for pg := 0; len(pages) < nd.ndirty; pg++ {
 		if nd.pages[pg].dirty {
@@ -239,18 +243,19 @@ func (nd *Node) snapshot(page int, to int32) {
 			return
 		}
 	}
-	nd.fileOwnDiff(page, to, &storedDiff{Diff: wire.Diff{Whole: true, Runs: nd.Mem.WholePageRuns(nd.p, page)}, pooled: true})
+	nd.fileOwnDiff(page, to, nd.newEntry(storedDiff{Diff: wire.Diff{Whole: true, Covers: nd.coverRow(), Runs: nd.Mem.WholePageRuns(nd.p, page)}, pooled: true}))
 }
 
 // fileOwnDiff stamps d as this node's own diff of page for its intervals
 // (lastDiffed, to], files it in the cache and advances lastDiffed. Covers
 // is the page's applied row with the node's own entry raised to to (the
-// ordering timestamp, see storedDiff), written into d's own array when it
-// has one: only an unshared snapshot re-taken in place does.
+// ordering timestamp, see storedDiff), written into d's own row: a fresh
+// entry's coverRow, or the row an unshared snapshot re-taken in place
+// already has.
 func (nd *Node) fileOwnDiff(page int, to int32, d *storedDiff) {
 	e := &nd.pages[page]
 	d.Page, d.Creator, d.From, d.To = int32(page), int32(nd.ID), e.lastDiffed, to
-	d.Covers = append(d.Covers[:0], e.applied...)
+	copy(d.Covers, e.applied)
 	d.Covers[nd.ID] = to
 	d.coverSum = 0
 	nd.storeDiff(d)
@@ -293,6 +298,43 @@ func (nd *Node) recycle(d *storedDiff) {
 		}
 	}
 }
+
+// chunkMin and chunkMax bound the size, in carves, of the chunks newEntry
+// and coverRow carve from: a node's first chunk holds chunkMin, and each
+// next one twice its predecessor up to chunkMax, so a short job's cache
+// costs little and a long one's a chunk per chunkMax diffs.
+const chunkMin, chunkMax = 4, 64
+
+// chunk is node-owned storage carved n elements at a time. It is never
+// resized: when it runs out a fresh chunk is started, so nothing carved
+// from it ever moves, and every carve is capped at its own n elements.
+type chunk[T any] struct {
+	free   []T
+	carves int // size of the current chunk, in carves
+}
+
+// take carves the next n elements; every take from one chunk asks for the
+// same n.
+func (c *chunk[T]) take(n int) []T {
+	if len(c.free) < n {
+		c.carves = min(max(2*c.carves, chunkMin), chunkMax)
+		c.free = make([]T, c.carves*n)
+	}
+	s := c.free[:n:n]
+	c.free = c.free[n:]
+	return s
+}
+
+// newEntry files d's value in the node's entry chunk and returns the
+// cache entry.
+func (nd *Node) newEntry(d storedDiff) *storedDiff {
+	e := &nd.entries.take(1)[0]
+	*e = d
+	return e
+}
+
+// coverRow carves an own diff's Covers row from the node's row chunk.
+func (nd *Node) coverRow() []int32 { return nd.covers.take(nd.sys.N()) }
 
 // subsumes reports whether whole snapshot w makes diff d redundant.
 func subsumes(w, d *storedDiff) bool {
@@ -411,7 +453,7 @@ func (nd *Node) flushLocalDiff(page int, disarm bool) {
 			to = nd.splitInterval(page, false)
 		}
 		if len(runs) > 0 || e.lastDiffed < to {
-			nd.fileOwnDiff(page, to, &storedDiff{Diff: wire.Diff{Runs: runs}})
+			nd.fileOwnDiff(page, to, nd.newEntry(storedDiff{Diff: wire.Diff{Covers: nd.coverRow(), Runs: runs}}))
 		}
 	}
 	e.lastDiffed = to
@@ -553,13 +595,22 @@ func (nd *Node) request(pairs []fetchPair, direct, wait bool) []*host.Pending {
 
 // startFetch launches one diff exchange: it asks responder r for pages pgs.
 // The requester's applied timestamps travel with the pages (appliedRows),
-// so the responder needs nothing from the requester's memory.
+// so the responder needs nothing from the requester's memory. StartRequest
+// consumes the request before it returns, so the request and its rows are
+// node scratch, and the exchange completes into a Pending from the node's
+// free list (applyReplies returns it).
 func (nd *Node) startFetch(r int, pgs []int, direct bool) *host.Pending {
 	nd.traceFetchReq(r, pgs)
 	nd.Stats.DiffFetches++
-	rows := nd.appliedRows(pgs)
-	req := wire.DiffRequest{Req: int32(nd.ID), Pages: rows.Pages, Applied: rows.Applied, Direct: direct}
-	return nd.sys.NW.StartRequest(nd.p, r, req, 16+8*len(pgs))
+	rows := nd.appliedRows(&nd.reqRows, pgs)
+	nd.fetchReq = wire.DiffRequest{Req: int32(nd.ID), Pages: rows.Pages, Applied: rows.Applied, Direct: direct}
+	if len(nd.pdFree) == 0 {
+		nd.pdFree = append(nd.pdFree, new(host.Pending))
+	}
+	pd := nd.pdFree[len(nd.pdFree)-1]
+	nd.pdFree = nd.pdFree[:len(nd.pdFree)-1]
+	nd.sys.NW.StartRequest(nd.p, r, &nd.fetchReq, 16+8*len(pgs), pd)
+	return pd
 }
 
 // fetchPages retrieves outstanding modifications for the given pages,
@@ -627,20 +678,28 @@ func (nd *Node) completeInflight() {
 }
 
 // applyReplies applies every diff of the completed exchanges pds in one
-// pass and returns the redirects they carried (none off scale). Diffs
-// from different responders may overlap (migratory and falsely shared
-// pages), and only a global sort preserves vector-time order. The merge
-// buffer is consumed by applyDiffs before this node issues another fetch.
+// pass and returns the redirects they carried (none off scale), in a list
+// of their own. Diffs from different responders may overlap (migratory and
+// falsely shared pages), and only a global sort preserves vector-time
+// order. The merge buffer is consumed by applyDiffs before this node
+// issues another fetch. Each Pending then goes back to the node's free
+// list, its reply keeping its capacity for the next serve (which starts
+// it at length zero) and its Diffs cleared first, so no cached array
+// outlives its exchange there.
 func (nd *Node) applyReplies(pds []*host.Pending) []wire.PageOwner {
 	all := nd.dfScratch[:0]
 	var redirs []wire.PageOwner
 	for _, pd := range pds {
-		rep := pd.Reply.(wire.DiffReply)
-		all = append(all, rep.Diffs...)
-		redirs = append(redirs, rep.Redirects...)
+		all = append(all, pd.Reply.Diffs...)
+		redirs = append(redirs, pd.Reply.Redirects...)
 	}
-	nd.dfScratch = all
 	nd.applyDiffs(all)
+	clear(all)
+	nd.dfScratch = all[:0]
+	for _, pd := range pds {
+		clear(pd.Reply.Diffs)
+		nd.pdFree = append(nd.pdFree, pd)
+	}
 	return redirs
 }
 
@@ -661,39 +720,35 @@ func (nd *Node) applyReplies(pds []*host.Pending) []wire.PageOwner {
 // requester before the pointer moves past it) and consecutive readers of
 // a hot page serve each other instead of queueing on the writer.
 //
-// Every page's selection is gathered into node scratch first, so the reply
-// is made once at its exact length.
-func (nd *Node) serveDiffs(reqID int, pages []int, reqApplied [][]int32, direct bool) ([]wire.Diff, []wire.PageOwner, int) {
-	sel := nd.sdScratch[:0]
-	var redir []wire.PageOwner
-	bytes := 16
-	for i, pg := range pages {
-		if nd.sys.scale && !direct {
+// Every page's selection and redirect is appended straight into rep, the
+// requester's reply (see host.Server), reusing its capacity; the reply's
+// accounted size is returned.
+func (nd *Node) serveDiffs(req *wire.DiffRequest, rep *wire.DiffReply) int {
+	reqID, bytes := int(req.Req), 16
+	for i, p32 := range req.Pages {
+		pg := int(p32)
+		if nd.sys.scale && !req.Direct {
 			if nxt := nd.dirNext[pg]; nxt >= 0 && int(nxt) != reqID {
-				redir = append(redir, wire.PageOwner{Page: int32(pg), Owner: nxt})
+				rep.Redirects = append(rep.Redirects, wire.PageOwner{Page: int32(pg), Owner: nxt})
 				nd.dirNext[pg] = int32(reqID)
 				nd.Stats.DirRedirects++
 				bytes += 8
 				continue
 			}
 		}
-		k := len(sel)
-		for _, d := range nd.collectDiffs(reqID, pg, reqApplied[i]) {
-			sel = append(sel, d.toWire())
+		k := len(rep.Diffs)
+		for _, d := range nd.collectDiffs(reqID, pg, req.Applied[i]) {
+			rep.Diffs = append(rep.Diffs, d.toWire())
 			bytes += d.wireBytes()
 		}
-		if len(sel) > k && nd.dirNext != nil {
+		if len(rep.Diffs) > k && nd.dirNext != nil {
 			nd.dirNext[pg] = int32(reqID)
 		}
 	}
-	var out []wire.Diff
-	if len(sel) > 0 {
+	if len(rep.Diffs) > 0 {
 		nd.Stats.DiffServes++
-		out = slices.Clone(sel)
 	}
-	clear(sel) // keep no run or cover arrays alive through the scratch
-	nd.sdScratch = sel[:0]
-	return out, redir, bytes
+	return bytes
 }
 
 // collectDiffs flushes page pg if locally dirty and returns every cached
@@ -747,8 +802,8 @@ func (nd *Node) collectDiffs(reqID, pg int, applied []int32) []*storedDiff {
 // The diffs are sorted as (wire value, order key) pairs in node scratch,
 // each key computed once. A received diff is filed only if it is applied:
 // a diff that still helps when its turn comes is copied into a cache entry
-// of its own, sharing the wire value's arrays (see storedDiff for why that
-// is sound), and a duplicate or stale one allocates nothing.
+// of its own (newEntry), sharing the wire value's arrays (see storedDiff
+// for why that is sound), and a duplicate or stale one is never filed.
 func (nd *Node) applyDiffs(in []wire.Diff) {
 	reply := nd.sortScratch[:0]
 	for i := range in {
@@ -771,8 +826,7 @@ func (nd *Node) applyDiffs(in []wire.Diff) {
 			continue
 		}
 		nd.Mem.ApplyRuns(nd.p, pg, d.Runs)
-		entry := d // the one allocation, made only for a diff that applies
-		nd.recordApplied(&entry)
+		nd.recordApplied(nd.newEntry(d))
 		if pg != lastTouched {
 			if lastTouched >= 0 {
 				nd.prunePending(lastTouched)

@@ -146,7 +146,7 @@ func (nd *Node) buildGrant(reqID int, info wire.SyncInfo, pushPages []int) wire.
 		// same headers page after page; section-coalescing them
 		// (wire.CoalesceDiffs) ships each shared header once — the byte
 		// economy Table B's IS rows measure.
-		g.Pushed = wire.CoalesceDiffs(pushed)
+		g.Pushed = wire.CoalesceDiffs(nil, pushed)
 		for _, sp := range g.Pushed {
 			g.Bytes += int32(sp.WireBytes())
 		}
@@ -177,7 +177,7 @@ func (nd *Node) applyGrant(g wire.Grant) {
 		// they encode: the span form is a header economy on the wire, and
 		// the apply path — complete-or-nothing filtering included — stays
 		// the version-3 per-page path unchanged.
-		diffs = append(append([]wire.Diff(nil), g.Served...), nd.usablePushed(g.Served, wire.ExpandSpans(g.Pushed))...)
+		diffs = append(append([]wire.Diff(nil), g.Served...), nd.usablePushed(g.Served, wire.ExpandSpans(nil, g.Pushed))...)
 	}
 	nd.applyDiffs(diffs)
 	nd.consumeWSync()

@@ -99,7 +99,6 @@ package tmk
 
 import (
 	"cmp"
-	"fmt"
 	"maps"
 	"slices"
 	"time"
@@ -261,14 +260,7 @@ func NewWarm(h host.Host, nw host.Transport, layout *shm.Layout, arenas []*vm.Ar
 		// not allocate a closure per exchange; arguments and results pass
 		// through the srv* fields (safe: serves hold the protocol token,
 		// so at most one runs machine-wide).
-		nd.srvFn = func() {
-			pages := nd.pgScratch[:0]
-			for _, pg := range nd.srvReq.Pages {
-				pages = append(pages, int(pg))
-			}
-			nd.pgScratch = pages
-			nd.srvOut, nd.srvRedir, nd.srvBytes = nd.serveDiffs(int(nd.srvReq.Req), pages, nd.srvReq.Applied, nd.srvReq.Direct)
-		}
+		nd.srvFn = func() { nd.srvBytes = nd.serveDiffs(nd.srvReq, nd.srvRep) }
 		s.Nodes = append(s.Nodes, nd)
 	}
 	nw.Serve(s.serve)
@@ -276,28 +268,22 @@ func NewWarm(h host.Host, nw host.Transport, layout *shm.Layout, arenas []*vm.Ar
 }
 
 // serve is the transport's request handler: it runs at (or against, see
-// host.Server) the target node and answers diff requests from the
+// host.Server) the target node and answers a diff request from the
 // request's own wire payload — the requester's applied timestamps travel
-// in the message, never through shared memory. p provides the compute
-// exclusion for the in-process transports; socket transports hold the
-// target's compute lock in their service loop.
-func (s *System) serve(p host.Proc, at int, req any) (any, int) {
-	r, ok := req.(wire.DiffRequest)
-	if !ok {
-		panic(fmt.Sprintf("tmk: unexpected request payload %T", req))
-	}
+// in the message, never through shared memory — appending the reply into
+// rep. p provides the compute exclusion for the in-process transports;
+// socket transports hold the target's compute lock in their service loop.
+func (s *System) serve(p host.Proc, at int, req *wire.DiffRequest, rep *wire.DiffReply) int {
 	nd := s.Nodes[at]
 	// Serves are serialized machine-wide (every caller holds the protocol
 	// token), so the per-node argument/result slots cannot race; Hold
 	// provides the exclusion — and the happens-before edge — against nd's
 	// compute sections.
-	nd.srvReq = r
+	nd.srvReq, nd.srvRep = req, rep
 	svt, swt := nd.traceStart()
 	p.Hold(nd.p, nd.srvFn)
-	out, redir, bytes := nd.srvOut, nd.srvRedir, nd.srvBytes
-	nd.traceServe(int(r.Req), r.Pages, out, bytes, svt, swt)
-	nd.srvReq, nd.srvOut, nd.srvRedir = wire.DiffRequest{}, nil, nil
-	return wire.DiffReply{Diffs: out, Redirects: redir}, bytes
+	nd.traceServe(int(req.Req), req.Pages, rep.Diffs, nd.srvBytes, svt, swt)
+	return nd.srvBytes
 }
 
 // N returns the number of nodes.
@@ -481,23 +467,36 @@ func (nd *Node) syncInfo() wire.SyncInfo {
 	copy(nd.vcScratch, nd.vc)
 	info := wire.SyncInfo{VC: nd.vcScratch}
 	for _, ws := range nd.wsync {
-		info.Needs = append(info.Needs, nd.appliedRows(ws.pages))
+		info.Needs = append(info.Needs, nd.appliedRows(nil, ws.pages))
 	}
 	return info
+}
+
+// rowBuf is the storage appliedRows carves a page list and its applied rows
+// from: one slab holding the pages and then every row, and the row list.
+type rowBuf struct {
+	slab []int32
+	rows [][]int32
 }
 
 // appliedRows pairs pages with a copy of each one's applied row: the form in
 // which a requester presents what it already has — Validate_w_sync needs,
 // lock-grant floors, diff requests — so the responder filters against the
-// message and never reads the requester's memory. The request owns its
-// copy (an asynchronous Validate can advance the rows before the responder
-// serves): one slab, carved into the page list and every row with
-// three-index slices, plus the row list — two allocations whatever the
-// page count.
-func (nd *Node) appliedRows(pages []int) wire.WSyncNeed {
+// message and never reads the requester's memory. The copy is carved from
+// b's slab into the page list and every row, each a three-index slice
+// capped at its own share, and b's row list, both grown when short. A diff
+// request passes the node's reqRows, since StartRequest consumes the
+// request before it returns; a nil b makes a fresh copy, two allocations
+// whatever the page count, for a SyncInfo, which outlives the call (an
+// asynchronous Validate can advance the rows before the responder serves).
+func (nd *Node) appliedRows(b *rowBuf, pages []int) wire.WSyncNeed {
+	if b == nil {
+		b = &rowBuf{}
+	}
 	n, k := nd.sys.N(), len(pages)
-	slab := make([]int32, k*(n+1))
-	need := wire.WSyncNeed{Pages: slab[:k:k], Applied: make([][]int32, k)}
+	b.slab, b.rows = slices.Grow(b.slab[:0], k*(n+1)), slices.Grow(b.rows[:0], k)
+	slab := b.slab[:k*(n+1)]
+	need := wire.WSyncNeed{Pages: slab[:k:k], Applied: b.rows[:k:k]}
 	for i, pg := range pages {
 		need.Pages[i] = int32(pg)
 		row := slab[k+i*n : k+(i+1)*n : k+(i+1)*n]
@@ -554,9 +553,20 @@ type Node struct {
 
 	sortScratch []stagedDiff  // applyDiffs' sort buffer
 	cdScratch   []*storedDiff // collectDiffs' candidate buffer
-	sdScratch   []wire.Diff   // serveDiffs' selections for every page
 	pairScratch []fetchPair   // a fetch round's plan, consumed by request
 	reqPages    []int         // request's page list for one exchange
+
+	// A diff exchange's requester-side storage (startFetch): the request
+	// and its applied rows, rebuilt for every exchange because StartRequest
+	// consumes them, and the free list of Pendings applyReplies returns.
+	fetchReq wire.DiffRequest
+	reqRows  rowBuf
+	pdFree   []*host.Pending
+
+	// The chunks cache entries and their cover rows are carved from
+	// (newEntry, coverRow).
+	entries chunk[storedDiff]
+	covers  chunk[int32]
 
 	// The barrier master's Validate_w_sync responder index (wsyncResponder),
 	// nil until a request is first resolved: wsLast[pg*N+o] packs the last
@@ -568,9 +578,8 @@ type Node struct {
 	// Prebuilt serve body with its argument/result slots; serves hold the
 	// protocol token, so the slots cannot race (see System.serve).
 	srvFn     func()
-	srvReq    wire.DiffRequest
-	srvOut    []wire.Diff
-	srvRedir  []wire.PageOwner
+	srvReq    *wire.DiffRequest
+	srvRep    *wire.DiffReply
 	srvBytes  int
 	dfScratch []wire.Diff // applyReplies' merged-reply buffer
 
@@ -580,7 +589,7 @@ type Node struct {
 	// token), so one buffer per node suffices. vcScratch backs syncInfo's
 	// presented vector time, ivScratch the barrier arrival's interval
 	// delta, depScratch the departure the master builds for this node,
-	// pgScratch the page list of a diff request served at this node.
+	// pgScratch the dirty pages of the interval it closes.
 	vcScratch  []int32
 	ivScratch  []wire.OwnedInterval
 	depScratch []wire.OwnedInterval

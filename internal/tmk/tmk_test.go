@@ -9,6 +9,7 @@ import (
 	"sdsm/internal/model"
 	"sdsm/internal/shm"
 	"sdsm/internal/sim"
+	"sdsm/internal/wire"
 )
 
 // testSystem builds an n-node DSM over `words` words of shared memory.
@@ -593,7 +594,9 @@ func TestSharedSnapshotIsNeverRecycled(t *testing.T) {
 	}
 	page := func(d *storedDiff) *float64 { return &d.Runs[0].Vals[0] }
 	serve := func() []float64 {
-		out, _, _ := nd.serveDiffs(1, []int{0}, [][]int32{make([]int32, 2)}, false)
+		var rep wire.DiffReply
+		nd.serveDiffs(&wire.DiffRequest{Req: 1, Pages: []int32{0}, Applied: [][]int32{make([]int32, 2)}}, &rep)
+		out := rep.Diffs
 		if len(out) != 1 || !out[0].Whole {
 			t.Fatalf("served %+v, want the one whole-page snapshot", out)
 		}
@@ -655,5 +658,48 @@ func TestSharedSnapshotIsNeverRecycled(t *testing.T) {
 		if &ar.TakePage()[0] != page(d) {
 			t.Fatalf("node %d's cached snapshot page did not go back to its arena", i)
 		}
+	}
+}
+
+// TestExchangeStorageReused pins the requester's storage for a diff
+// exchange: it completes into a Pending from the node's free list, and
+// applyReplies hands it back with its reply emptied and cleared. Over two
+// fault rounds the second exchange reuses the first's Pending and its
+// reply array, and after each round no reply slot points at a diff's
+// arrays.
+func TestExchangeStorageReused(t *testing.T) {
+	s := testSystem(2, shm.PageWords)
+	var pds []*host.Pending
+	var arrays []*wire.Diff
+	run(t, s, func(nd *Node) {
+		for round := 0; round < 2; round++ {
+			if nd.ID == 0 {
+				w(nd, round, float64(round+1))
+			}
+			nd.Barrier(1)
+			if nd.ID == 1 {
+				fetches := nd.Stats.DiffFetches
+				if got := r(nd, round); got != float64(round+1) {
+					t.Errorf("round %d: read %v, want %v", round, got, round+1)
+				}
+				if nd.Stats.DiffFetches != fetches+1 || len(nd.pdFree) != 1 {
+					t.Errorf("round %d: %d exchanges, %d free Pendings; want one of each", round, nd.Stats.DiffFetches-fetches, len(nd.pdFree))
+				} else if pd := nd.pdFree[0]; cap(pd.Reply.Diffs) == 0 {
+					t.Errorf("round %d: the returned reply never carried the diff", round)
+				} else {
+					slots := pd.Reply.Diffs[:cap(pd.Reply.Diffs)]
+					for i, d := range slots {
+						if d.Covers != nil || d.Runs != nil {
+							t.Errorf("round %d: reply slot %d still points at a diff's arrays", round, i)
+						}
+					}
+					pds, arrays = append(pds, pd), append(arrays, &slots[0])
+				}
+			}
+			nd.Barrier(2)
+		}
+	})
+	if len(pds) != 2 || pds[1] != pds[0] || arrays[1] != arrays[0] {
+		t.Fatalf("the second exchange did not reuse the first's Pending and reply array (Pendings %v, arrays %v)", pds, arrays)
 	}
 }

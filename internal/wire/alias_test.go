@@ -39,7 +39,7 @@ func aliasFrames() []*Frame {
 						IV: Interval{Pages: []PageRef{{Page: seed}, {Page: seed + 1, Whole: seed%2 == 0}},
 							VC: []int32{seed, 2, 3, 4}}}},
 					Served: []Diff{mkDiff(20+seed, seed+2)},
-					Pushed: CoalesceDiffs([]Diff{mkDiff(30+seed, seed+3), mkDiff(31+seed, seed+3)})}},
+					Pushed: CoalesceDiffs(nil, []Diff{mkDiff(30+seed, seed+3), mkDiff(31+seed, seed+3)})}},
 		)
 	}
 	return frames

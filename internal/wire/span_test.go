@@ -16,11 +16,11 @@ func TestSinglePageSpanRoundTrip(t *testing.T) {
 		Page: 42, Creator: 3, From: 7, To: 9, Covers: []int32{1, 0, 9, 2},
 		Runs: []Run{{Off: 16, Vals: []float64{1, 2, 3}}, {Off: 200, Vals: []float64{-4}}},
 	}
-	spans := CoalesceDiffs([]Diff{d})
+	spans := CoalesceDiffs(nil, []Diff{d})
 	if len(spans) != 1 || len(spans[0].Pages) != 1 {
 		t.Fatalf("single diff coalesced to %+v", spans)
 	}
-	back := ExpandSpans(spans)
+	back := ExpandSpans(nil, spans)
 	if len(back) != 1 || !reflect.DeepEqual(back[0], d) {
 		t.Fatalf("round trip: got %+v, want %+v", back, d)
 	}
@@ -53,7 +53,7 @@ func TestCoalesceDiffsSpans(t *testing.T) {
 		// Page 9: same creator/range as 8 but different coverage — split.
 		mk(9, 1, 1, 2, covA),
 	}
-	spans := CoalesceDiffs(ds)
+	spans := CoalesceDiffs(nil, ds)
 	type key struct {
 		pg, n   int32
 		creator int32
@@ -71,7 +71,7 @@ func TestCoalesceDiffsSpans(t *testing.T) {
 		t.Fatalf("spans = %+v, want %+v", got, want)
 	}
 	// Lossless: expansion yields the same diff set.
-	back := ExpandSpans(spans)
+	back := ExpandSpans(nil, spans)
 	if len(back) != len(ds) {
 		t.Fatalf("expanded %d diffs, want %d", len(back), len(ds))
 	}
@@ -88,6 +88,52 @@ func TestCoalesceDiffsSpans(t *testing.T) {
 	// entries, less than three separate version-3 headers.
 	if got, want := spans[0].WireBytes(), 16+2*4+3*8*2; got != want {
 		t.Errorf("3-page span WireBytes = %d, want %d", got, want)
+	}
+}
+
+// TestSpansIntoUsedDst pins the reuse contract of CoalesceDiffs and
+// ExpandSpans: appended into a used dst — a previous result's storage,
+// cut to length zero — each produces exactly what it produces into nil,
+// appended after a non-empty dst it leaves dst's elements alone (no diff
+// joins a span it did not make), and a span built in a reused slot keeps
+// a Pages array of its own: appending to one span's Pages never writes
+// another's.
+func TestSpansIntoUsedDst(t *testing.T) {
+	covA, covB := []int32{4, 0}, []int32{0, 7}
+	mk := func(pg, creator int32, cov []int32) Diff {
+		return Diff{Page: pg, Creator: creator, From: 1, To: 2, Covers: cov,
+			Runs: []Run{{Off: pg, Vals: []float64{float64(100*creator + pg)}}}}
+	}
+	// The first list makes a 3-page and a 2-page span; the second puts a
+	// 1-page span in the slot of the 3-page one and a 4-page span in the
+	// slot of the 2-page one.
+	first := []Diff{mk(3, 0, covA), mk(4, 0, covA), mk(5, 0, covA), mk(9, 1, covB), mk(10, 1, covB)}
+	second := []Diff{mk(7, 1, covB), mk(1, 0, covA), mk(2, 0, covA), mk(3, 0, covA), mk(4, 0, covA)}
+	used := CoalesceDiffs(nil, first)
+	got, want := CoalesceDiffs(used[:0], second), CoalesceDiffs(nil, second)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("coalesced into a used dst: %+v, want %+v", got, want)
+	}
+	kept := CoalesceDiffs(nil, first)
+	if after := CoalesceDiffs(kept, second); !reflect.DeepEqual(after[:2], CoalesceDiffs(nil, first)) || !reflect.DeepEqual(after[2:], want) {
+		t.Fatalf("coalesced after a non-empty dst: %+v, want its spans then %+v", after, want)
+	}
+	for i := range got {
+		got[i].Pages = append(got[i].Pages, []Run{{Off: int32(-1 - i)}})
+	}
+	for i := range got {
+		if n := len(got[i].Pages); !reflect.DeepEqual(got[i].Pages[:n-1], want[i].Pages) || got[i].Pages[n-1][0].Off != int32(-1-i) {
+			t.Fatalf("span %d's pages after every span was appended to: %+v, want %+v then its own marker", i, got[i].Pages, want[i].Pages)
+		}
+	}
+
+	firstDiffs := ExpandSpans(nil, CoalesceDiffs(nil, first))
+	if got, exp := ExpandSpans(firstDiffs[:0], want), ExpandSpans(nil, want); !reflect.DeepEqual(got, exp) {
+		t.Fatalf("expanded into a used dst: %+v, want %+v", got, exp)
+	}
+	prefix := ExpandSpans(nil, CoalesceDiffs(nil, first))
+	if after := ExpandSpans(prefix, want); !reflect.DeepEqual(after[:len(first)], ExpandSpans(nil, CoalesceDiffs(nil, first))) || !reflect.DeepEqual(after[len(first):], ExpandSpans(nil, want)) {
+		t.Fatalf("expanded after a non-empty dst: %+v", after)
 	}
 }
 
@@ -114,7 +160,7 @@ func BenchmarkCoalesceDiffs(b *testing.B) {
 		b.Run(fmt.Sprintf("headers=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				CoalesceDiffs(ds)
+				CoalesceDiffs(nil, ds)
 			}
 		})
 	}

@@ -456,20 +456,22 @@ func (s DiffSpan) WireBytes() int {
 	return n
 }
 
-// ExpandSpans expands a span list into the flat diff list of the
-// version-3 per-page form. Covers is copied per page — expanded diffs are
-// independent values, and receivers cache them separately — into windows
-// of one backing array, each capped at its own length.
-func ExpandSpans(spans []DiffSpan) []Diff {
+// ExpandSpans appends to dst the flat diff list of the version-3 per-page
+// form a span list encodes, and returns the extended list. Covers is
+// copied per page — expanded diffs are independent values, and receivers
+// cache them separately — into windows of one fresh backing array, each
+// capped at its own length; dst holds only the Diff headers, so a caller
+// may reuse it once it has consumed them.
+func ExpandSpans(dst []Diff, spans []DiffSpan) []Diff {
 	pages, words := 0, 0
 	for _, s := range spans {
 		pages += len(s.Pages)
 		words += len(s.Pages) * len(s.Covers)
 	}
 	if pages == 0 {
-		return nil
+		return dst
 	}
-	out, covers := make([]Diff, 0, pages), make([]int32, 0, words)
+	out, covers := slices.Grow(dst, pages), make([]int32, 0, words)
 	for _, s := range spans {
 		for i, runs := range s.Pages {
 			at := len(covers)
@@ -485,13 +487,19 @@ func ExpandSpans(spans []DiffSpan) []Diff {
 	return out
 }
 
-// CoalesceDiffs groups a diff list into maximal section spans: a diff
-// joins the span of the preceding page when everything but its page and
-// runs matches (creator, interval range, whole flag, coverage). Diffs
-// that share a page with different headers — a chain — start parallel
-// spans, so chains of adjacent pages coalesce link-wise. The encoding is
-// lossless: ExpandSpans(CoalesceDiffs(ds)) contains exactly the diffs of
+// CoalesceDiffs appends to dst the maximal section spans a diff list
+// groups into, and returns the extended list: a diff joins the span of the
+// preceding page when everything but its page and runs matches (creator,
+// interval range, whole flag, coverage). Diffs that share a page with
+// different headers — a chain — start parallel spans, so chains of
+// adjacent pages coalesce link-wise. The encoding is lossless:
+// ExpandSpans(nil, CoalesceDiffs(nil, ds)) contains exactly the diffs of
 // ds (order may interleave across chains; receivers order by coverage).
+//
+// A span appended within dst's capacity reuses the Pages array the slot
+// held, so a caller that passes its previous result back as dst[:0] grows
+// nothing in steady state. Every span's Pages is an array of its own:
+// appending to one never writes another's.
 //
 // The join search looks at the newest span with the diff's header only:
 // callers emit a header group's diffs in ascending page order (diff caches
@@ -502,11 +510,11 @@ func ExpandSpans(spans []DiffSpan) []Diff {
 // updates carry 1–2, 8-proc lock grants up to 10, 32-proc -scale grants up
 // to 60 (is/large: 47 over 94 diffs). BenchmarkCoalesceDiffs has the shape;
 // a map keyed on the scalar fields overtakes the walk near 200 headers.
-func CoalesceDiffs(ds []Diff) []DiffSpan {
-	var out []DiffSpan
+func CoalesceDiffs(dst []DiffSpan, ds []Diff) []DiffSpan {
+	out, base := dst, len(dst)
 next:
 	for _, d := range ds {
-		for i := len(out) - 1; i >= 0; i-- {
+		for i := len(out) - 1; i >= base; i-- {
 			s := &out[i]
 			if s.Creator != d.Creator || s.From != d.From || s.To != d.To || s.Whole != d.Whole || !slices.Equal(s.Covers, d.Covers) {
 				continue
@@ -517,9 +525,13 @@ next:
 			}
 			break
 		}
+		var pages [][]Run
+		if len(out) < cap(out) {
+			pages = out[:len(out)+1][len(out)].Pages[:0]
+		}
 		out = append(out, DiffSpan{
 			Page: d.Page, Creator: d.Creator, From: d.From, To: d.To,
-			Whole: d.Whole, Covers: d.Covers, Pages: [][]Run{d.Runs},
+			Whole: d.Whole, Covers: d.Covers, Pages: append(pages, d.Runs),
 		})
 	}
 	return out
