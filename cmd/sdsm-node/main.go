@@ -13,8 +13,8 @@
 // With -pool it instead becomes a long-lived DSM-as-a-service node
 // daemon (internal/svc): it attaches a pool of -slots rank slots to a
 // service coordinator and executes dispatched jobs until the
-// coordinator goes away, keeping node images (harness's idle list of
-// arenas) and wire buffers warm across jobs:
+// coordinator goes away, keeping node images and protocol logs
+// (harness's idle list of stores) and wire buffers warm across jobs:
 //
 //	sdsm-node -pool -network unix -addr /tmp/sdsm456/switch.sock -slots 8
 package main

@@ -235,11 +235,11 @@ func runDSM(cfg Config) (res *Result, err error) {
 		// clocks on the concurrent backends.
 		m = obs.NewMachine(cfg.Procs, cfg.TraceCap, cfg.Backend != BackendSim)
 	}
-	arenas := borrowArenas(cfg.Procs)
-	defer returnArenas(arenas)
+	stores := borrowStores(cfg.Procs)
+	defer returnStores(stores)
 	var sys *tmk.System
-	// Once the machine holds arena loans every exit path must end them: a
-	// run can fail, its arenas cannot stay poisoned for the next tenant.
+	// Once the machine holds store loans every exit path must end them: a
+	// run can fail, its stores cannot stay poisoned for the next tenant.
 	// Registered before the host exists so that a net backend is closed
 	// first — after a failed run its service loops may still be reading
 	// node memory. Guard audit before release: release ends the loans the
@@ -250,8 +250,8 @@ func runDSM(cfg Config) (res *Result, err error) {
 		if sys == nil {
 			return
 		}
-		for i, ar := range arenas {
-			if gerr := ar.CheckGuards(); gerr != nil {
+		for i, st := range stores {
+			if gerr := st.Arena().CheckGuards(); gerr != nil {
 				res, err = nil, errors.Join(err, fmt.Errorf("harness: %s/%s rank %d: %w", cfg.App.Name, cfg.Set, i, gerr))
 				break
 			}
@@ -287,7 +287,7 @@ func runDSM(cfg Config) (res *Result, err error) {
 		h = e
 		nw = host.NewNetwork(h, costs)
 	}
-	sys = tmk.NewWarm(h, nw, layout, arenas)
+	sys = tmk.NewWarm(h, nw, layout, stores)
 	if cfg.Adapt {
 		sys.EnableAdapt(adapt.Config{})
 	}
@@ -357,48 +357,49 @@ func runDSM(cfg Config) (res *Result, err error) {
 }
 
 // idle is the one owner of warm storage in the process: a stack of the
-// arenas finished DSM runs gave back, which every DSM run borrows from —
-// one-shot runs, parallelDo's concurrent ones and svc pool jobs alike. A
-// run takes rank 0's arena from the top and gives its arenas back so
-// that rank 0's is on top again, so each rank reuses the arena the last
-// run of its size grew for it, and the list retains about the largest
-// machine's images instead of the sum of every machine's. Each arena is
-// lent to one run at a time, so concurrent runs never share storage.
-// runs numbers the loans, for the guard canaries.
+// tmk.Stores finished DSM runs gave back — each a rank's arena and
+// protocol log — which every DSM run borrows from: one-shot runs,
+// parallelDo's concurrent ones and svc pool jobs alike. A run takes rank
+// 0's store from the top and gives its stores back so that rank 0's is on
+// top again, so each rank reuses the store the last run of its size grew
+// for it, and the list retains about the largest machine's images and
+// logs instead of the sum of every machine's. Each store is lent to one
+// run at a time, so concurrent runs never share storage. runs numbers the
+// loans, for the guard canaries.
 var idle struct {
 	sync.Mutex
-	arenas []*vm.Arena
+	stores []*tmk.Store
 	runs   uint64
 }
 
-// borrowArenas takes n arenas off the idle list — new ones when it runs
-// short — and stamps them with a canary of this run's own, non-zero and
-// never NaN (a NaN canary would fail every audit), so a guard report
-// names the run.
-func borrowArenas(n int) []*vm.Arena {
+// borrowStores takes n stores off the idle list — new ones when it runs
+// short — and stamps their arenas with a canary of this run's own,
+// non-zero and never NaN (a NaN canary would fail every audit), so a
+// guard report names the run.
+func borrowStores(n int) []*tmk.Store {
 	idle.Lock()
 	defer idle.Unlock()
 	idle.runs++
 	canary := math.Float64frombits(0x40FE5E0000000000 | idle.runs&0xFFFFFFFF)
-	out := make([]*vm.Arena, n)
+	out := make([]*tmk.Store, n)
 	for i := range out {
-		if k := len(idle.arenas) - 1; k >= 0 {
-			out[i], idle.arenas = idle.arenas[k], idle.arenas[:k]
+		if k := len(idle.stores) - 1; k >= 0 {
+			out[i], idle.stores = idle.stores[k], idle.stores[:k]
 		} else {
-			out[i] = vm.NewArena()
+			out[i] = tmk.NewStore()
 		}
-		out[i].SetCanary(canary)
+		out[i].Arena().SetCanary(canary)
 	}
 	return out
 }
 
-// returnArenas gives a run's arenas back to the idle list, last rank
+// returnStores gives a run's stores back to the idle list, last rank
 // first. The run must have released its loans (tmk.System.ReleaseWarm).
-func returnArenas(ars []*vm.Arena) {
+func returnStores(sts []*tmk.Store) {
 	idle.Lock()
 	defer idle.Unlock()
-	for i := len(ars) - 1; i >= 0; i-- {
-		idle.arenas = append(idle.arenas, ars[i])
+	for i := len(sts) - 1; i >= 0; i-- {
+		idle.stores = append(idle.stores, sts[i])
 	}
 }
 

@@ -44,13 +44,13 @@ func hostileApp(misbehave func(mem []float64)) *apps.App {
 }
 
 // idleLoans counts the data loans outstanding on harness's idle list,
-// which must be none: a run gives its arenas back only after release.
+// which must be none: a run gives its stores back only after release.
 func idleLoans() (n int) {
 	idle.Lock()
-	ars := slices.Clone(idle.arenas)
+	sts := slices.Clone(idle.stores)
 	idle.Unlock()
-	for _, ar := range ars {
-		n += ar.Loans()
+	for _, st := range sts {
+		n += st.Arena().Loans()
 	}
 	return n
 }
@@ -227,5 +227,85 @@ func TestConcurrentFreshRunsReproduce(t *testing.T) {
 	wg.Wait()
 	if n := idleLoans(); n != 0 {
 		t.Errorf("%d arena loan(s) outstanding on the idle list after every run returned", n)
+	}
+}
+
+// TestWarmStoresAreInvisible is the stores' reuse rules at work: a store
+// a larger, different run grew — jacobi/large compiler-optimised, spmv
+// under the adaptive protocol, then mgs compiler-optimised, whose
+// Validate_w_sync builds the barrier master's responder index, all at 8
+// ranks — must leave no trace
+// in the runs that borrow it next. is/small base and gauss/small opt on
+// sim and jacobi/small base on net each match a run on cold stores, made
+// for it alone with the idle list set aside, bit for bit: checksum,
+// messages, bytes, and every protocol and vm counter, and on sim the
+// virtual time. (On net the virtual time follows the real schedule and
+// differs between two cold runs as well.)
+func TestWarmStoresAreInvisible(t *testing.T) {
+	cfg := func(app string, set apps.DataSet, sys SystemKind, procs int, mod func(*Config)) Config {
+		a, err := apps.ByName(app)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := Config{App: a, Set: set, System: sys, Procs: procs, Backend: BackendSim, Verify: true}
+		if mod != nil {
+			mod(&c)
+		}
+		return c
+	}
+	run := func(c Config) *Result {
+		t.Helper()
+		res, err := Run(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	cold := func(c Config) *Result {
+		t.Helper()
+		idle.Lock()
+		kept := idle.stores
+		idle.stores = nil
+		idle.Unlock()
+		defer func() {
+			idle.Lock()
+			idle.stores = kept
+			idle.Unlock()
+		}()
+		return run(c)
+	}
+	cfgs := []Config{
+		cfg("is", Small, Base, 8, nil),
+		cfg("gauss", Small, Opt, 8, nil),
+		cfg("jacobi", Small, Base, 4, func(c *Config) { c.Backend = BackendNet }),
+	}
+	want := make([]*Result, len(cfgs))
+	for i, c := range cfgs {
+		want[i] = cold(c)
+	}
+	run(cfg("jacobi", Large, Opt, 8, nil))
+	run(cfg("spmv", Large, Base, 8, func(c *Config) { c.Adapt = true }))
+	run(cfg("mgs", Small, Opt, 8, nil)) // leaves the masters' Validate_w_sync index built
+	idle.Lock()
+	warm := len(idle.stores)
+	idle.Unlock()
+	for i, c := range cfgs {
+		got, w := run(c), want[i]
+		label := fmt.Sprintf("%s/%s/%s/%s p%d", c.App.Name, c.Set, c.System, c.Backend, c.Procs)
+		if got.Checksum != w.Checksum || got.Msgs != w.Msgs || got.Bytes != w.Bytes {
+			t.Errorf("%s on warm stores: checksum %v, %d msgs, %d bytes; on cold ones %v, %d, %d",
+				label, got.Checksum, got.Msgs, got.Bytes, w.Checksum, w.Msgs, w.Bytes)
+		}
+		if got.Protocol != w.Protocol || got.VM != w.VM {
+			t.Errorf("%s on warm stores: counters\n%+v\n%+v\non cold ones\n%+v\n%+v", label, got.Protocol, got.VM, w.Protocol, w.VM)
+		}
+		if c.Backend == BackendSim && got.Time != w.Time {
+			t.Errorf("%s on warm stores: virtual time %v, on cold ones %v", label, got.Time, w.Time)
+		}
+	}
+	idle.Lock()
+	defer idle.Unlock()
+	if len(idle.stores) != warm {
+		t.Errorf("the idle list holds %d stores after the warm runs, %d before: a run made stores of its own", len(idle.stores), warm)
 	}
 }

@@ -12,7 +12,7 @@ import (
 // RunPoolDaemon is the body of `sdsm-node -pool`: a long-lived node
 // daemon that attaches a pool of the given slot count to a coordinator
 // and executes the jobs dispatched to it until the connection closes or
-// stop fires. The process's warm storage — harness's idle list of arenas
+// stop fires. The process's warm storage — harness's idle list of stores
 // — survives every job; only daemon death discards it.
 //
 // The attach handshake is one FPoolHello frame with the slot count in

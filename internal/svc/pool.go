@@ -11,12 +11,14 @@
 //   - The pool counts rank slots: a job of p ranks holds p of them,
 //     all-or-nothing, so the ranks in flight never exceed the slots an
 //     executor declared. It holds no storage. Warm reuse is harness's:
-//     every run, pool job or not, borrows its node images from harness's
-//     one idle list of vm.Arenas, and the isolation rules are the ones
-//     every run gets — an arena is lent to one run at a time, each data
-//     loan is zeroed and carries guard words with a per-run canary that
-//     harness audits (cross-job bleed fails the job, not the pool), and
-//     the directory arrays are re-initialized per run so a narrow job
+//     every run, pool job or not, borrows its node images and protocol
+//     logs from harness's one idle list of tmk.Stores — each a rank's
+//     vm.Arena and the slabs its log is carved from — and the isolation
+//     rules are the ones every run gets: a store is lent to one run at a
+//     time, each data loan is zeroed and carries guard words with a
+//     per-run canary that harness audits (cross-job bleed fails the job,
+//     not the pool), what a node reads before writing is zeroed on loan,
+//     and the directory arrays are re-initialized per run so a narrow job
 //     cannot inherit a wider one's stale owner hints.
 //
 //   - Admission control is a bounded queue: a submit either enters the
@@ -46,8 +48,8 @@ import (
 // Pool is a count of rank slots living in one process: a job of p ranks
 // holds p slots while it runs, so the ranks in flight never exceed the
 // pool's size. The slots own no storage — every run borrows its node
-// images from harness's idle list — and the pool never runs protocol
-// code itself: it admits harness runs onto its slots.
+// images and protocol logs from harness's idle list — and the pool never
+// runs protocol code itself: it admits harness runs onto its slots.
 type Pool struct {
 	mu    sync.Mutex
 	cond  *sync.Cond

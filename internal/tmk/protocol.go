@@ -38,11 +38,11 @@ import (
 // this node's own pooled snapshot that nobody was handed: the next
 // snapshot of its page is re-taken into it (snapshot).
 //
-// An entry lives in a node-owned chunk (newEntry), and an own diff's Covers
-// in another (coverRow), so filing a diff allocates nothing in steady
-// state. Neither chunk is ever resized, so no entry moves; a pruned entry
-// keeps its value, and with it its arrays, until its whole chunk is
-// garbage.
+// An entry is carved from the rank's Store (newEntry), and so is an own
+// diff's Covers (coverRow), so filing a diff allocates nothing in steady
+// state. A slab block is never resized, so no entry moves; a pruned entry
+// keeps its value, and with it its arrays, until its machine is released
+// and the store rewinds, clearing it.
 type storedDiff struct {
 	wire.Diff
 
@@ -196,7 +196,8 @@ func (nd *Node) closeInterval() {
 	nd.vc[nd.ID] = idx
 	// The dirty pages in page order: an ascending walk of the table that
 	// stops at the last dirty entry, into node scratch the interval record
-	// is fully built from before this function returns.
+	// — its page list and vector time carved from the store — is fully
+	// built from before this function returns.
 	pages := nd.pgScratch[:0]
 	for pg := 0; len(pages) < nd.ndirty; pg++ {
 		if nd.pages[pg].dirty {
@@ -204,7 +205,7 @@ func (nd *Node) closeInterval() {
 		}
 	}
 	nd.pgScratch = pages
-	iv := wire.Interval{Pages: make([]wire.PageRef, len(pages)), VC: append([]int32(nil), nd.vc...)}
+	iv := wire.Interval{Pages: nd.st.refs.Take(len(pages)), VC: nd.vcCopy()}
 	for i, pg := range pages {
 		iv.Pages[i] = nd.pageRefFor(pg, nd.pages[pg].noTwin, true)
 	}
@@ -267,7 +268,9 @@ func (nd *Node) fileOwnDiff(page int, to int32, d *storedDiff) {
 // repeatedly WRITE_ALL-validated keeps only its newest snapshot). A
 // snapshot re-taken in place moves from its old position to the tail. A
 // pruned pooled snapshot's page goes back to the vm freelist unless it was
-// ever handed out (recycle), so what receivers hold never moves.
+// ever handed out (recycle), so what receivers hold never moves. A cache
+// list that is full moves to one of twice its capacity carved from the
+// store (grown).
 func (nd *Node) storeDiff(d *storedDiff) {
 	pg := int(d.Page)
 	nd.touch(pg) // the page's diff chain (and, on the apply path, its image) moved
@@ -285,7 +288,7 @@ func (nd *Node) storeDiff(d *storedDiff) {
 		}
 		cache = kept
 	}
-	nd.pages[pg].diffs = append(cache, d)
+	nd.pages[pg].diffs = append(grown(&nd.st.lists, cache), d)
 }
 
 // recycle hands a pooled snapshot's page storage back to the vm freelist
@@ -298,43 +301,6 @@ func (nd *Node) recycle(d *storedDiff) {
 		}
 	}
 }
-
-// chunkMin and chunkMax bound the size, in carves, of the chunks newEntry
-// and coverRow carve from: a node's first chunk holds chunkMin, and each
-// next one twice its predecessor up to chunkMax, so a short job's cache
-// costs little and a long one's a chunk per chunkMax diffs.
-const chunkMin, chunkMax = 4, 64
-
-// chunk is node-owned storage carved n elements at a time. It is never
-// resized: when it runs out a fresh chunk is started, so nothing carved
-// from it ever moves, and every carve is capped at its own n elements.
-type chunk[T any] struct {
-	free   []T
-	carves int // size of the current chunk, in carves
-}
-
-// take carves the next n elements; every take from one chunk asks for the
-// same n.
-func (c *chunk[T]) take(n int) []T {
-	if len(c.free) < n {
-		c.carves = min(max(2*c.carves, chunkMin), chunkMax)
-		c.free = make([]T, c.carves*n)
-	}
-	s := c.free[:n:n]
-	c.free = c.free[n:]
-	return s
-}
-
-// newEntry files d's value in the node's entry chunk and returns the
-// cache entry.
-func (nd *Node) newEntry(d storedDiff) *storedDiff {
-	e := &nd.entries.take(1)[0]
-	*e = d
-	return e
-}
-
-// coverRow carves an own diff's Covers row from the node's row chunk.
-func (nd *Node) coverRow() []int32 { return nd.covers.take(nd.sys.N()) }
 
 // subsumes reports whether whole snapshot w makes diff d redundant.
 func subsumes(w, d *storedDiff) bool {
@@ -378,7 +344,8 @@ func (nd *Node) learnInterval(owner int, idx int32, iv wire.Interval) {
 
 // addNotice records an unapplied write notice for pg, newer than any the
 // page holds from the same owner, which it replaces: every reader of
-// pending asks only for each owner's newest notice (package doc).
+// pending asks only for each owner's newest notice (package doc). A full
+// list moves to one of twice its capacity carved from the store (grown).
 func (nd *Node) addNotice(pg int, nt notice) {
 	pend := nd.pages[pg].pending
 	for i := range pend {
@@ -387,7 +354,7 @@ func (nd *Node) addNotice(pg int, nt notice) {
 			return
 		}
 	}
-	nd.pages[pg].pending = append(pend, nt)
+	nd.pages[pg].pending = append(grown(&nd.st.notices, pend), nt)
 }
 
 // invalidate removes access to a page. Local modifications are saved as a
@@ -495,11 +462,9 @@ func (nd *Node) noticedSince(page int, since int32) bool {
 func (nd *Node) splitInterval(page int, whole bool) int32 {
 	idx := nd.vc[nd.ID] + 1
 	nd.vc[nd.ID] = idx
-	nd.know[nd.ID] = append(nd.know[nd.ID], wire.Interval{
-		Pages: []wire.PageRef{nd.pageRefFor(page, whole, false)},
-		VC:    append([]int32(nil), nd.vc...),
-		Split: true,
-	})
+	refs := nd.st.refs.Take(1)
+	refs[0] = nd.pageRefFor(page, whole, false)
+	nd.know[nd.ID] = append(nd.know[nd.ID], wire.Interval{Pages: refs, VC: nd.vcCopy(), Split: true})
 	nd.noteWritten(page)
 	nd.touch(page)
 	return idx

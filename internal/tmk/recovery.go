@@ -315,8 +315,10 @@ func (nd *Node) wipe() {
 	nd.Mem.WipeForRestore()
 	clear(nd.vc)
 	clear(nd.lastBar)
-	clear(nd.know)
-	nd.wsLast, nd.wsSeen = nil, nil // the responder index dies with the log it indexes
+	for o := range nd.know {
+		nd.know[o] = truncated(nd.know[o])
+	}
+	nd.wsLast, nd.wsSeen = nd.wsLast[:0], nd.wsSeen[:0] // the responder index dies with the log it indexes
 	nd.inflight, nd.inflightPages = nd.inflight[:0], nd.inflightPages[:0]
 	nd.forgetDirectory()
 }
@@ -362,11 +364,11 @@ func (nd *Node) restore() {
 			nd.setDirty(pg, fr.Dirty)
 			// The record's diff chain (appended below) supersedes whatever
 			// an earlier record in the chain restored for this page.
-			e.diffs = nil
+			e.diffs = e.diffs[:0]
 		}
 		for _, wd := range ck.Diffs {
 			e := &nd.pages[wd.Page]
-			e.diffs = append(e.diffs, &storedDiff{Diff: wd})
+			e.diffs = append(grown(&nd.st.lists, e.diffs), nd.newEntry(storedDiff{Diff: wd}))
 		}
 		last = ck
 	}

@@ -688,9 +688,11 @@ func (nd *Node) postBarrier() wire.Depart {
 // result is the node's wsResp scratch, ascending, valid until the next call.
 func (nd *Node) wsyncResponder(req int, appliedPg []int32, pg int) []int {
 	n := len(nd.vc)
-	if nd.wsLast == nil {
-		nd.wsLast = make([]int32, len(nd.pages)*n)
-		nd.wsSeen = make([]int32, n)
+	if len(nd.wsLast) == 0 {
+		nd.wsLast = slices.Grow(nd.wsLast, len(nd.pages)*n)[:len(nd.pages)*n]
+		nd.wsSeen = slices.Grow(nd.wsSeen, n)[:n]
+		clear(nd.wsLast)
+		clear(nd.wsSeen)
 	}
 	for o, seen := range nd.wsSeen {
 		for ; seen < nd.vc[o]; seen++ {

@@ -26,19 +26,20 @@
 //
 // The protocol lives in protocol.go (intervals, twins and diffs, fetch and
 // serve), sync.go (locks and barriers), augment.go (the compiler calls) and
-// this file. The four opt-in modes stand beside it, one file each: adapt.go
-// (EnableAdapt), directory.go (EnableScale), recovery.go (EnableRecovery)
-// and trace.go (EnableTrace). The protocol files call a mode's functions
-// unconditionally at the points it attaches to — a page demand-fetched, an
-// interval closed, a barrier arrival and departure, a grant being built, a
-// diff stored — and the mode's own file holds the one test of whether the
-// mode is armed, returning at once when it is not. What remains in the
-// protocol files of any mode is a choice of byte formula the goldens pin
-// (adaptOn for Interval.AccountedBytes and the fetch-list relay, scale for
-// relay-once pricing and the redirect answer in serveDiffs), never whether
-// a mode runs. That a call into an unarmed mode is free is measured, not
-// assumed: the allocation gates (root alloc_test.go) and the benchmark's
-// sim-base row.
+// this file; store.go holds the warm storage a node's protocol log is
+// carved from (Store). The four opt-in modes stand beside it, one file
+// each: adapt.go (EnableAdapt), directory.go (EnableScale), recovery.go
+// (EnableRecovery) and trace.go (EnableTrace). The protocol files call a
+// mode's functions unconditionally at the points it attaches to — a page
+// demand-fetched, an interval closed, a barrier arrival and departure, a
+// grant being built, a diff stored — and the mode's own file holds the one
+// test of whether the mode is armed, returning at once when it is not.
+// What remains in the protocol files of any mode is a choice of byte
+// formula the goldens pin (adaptOn for Interval.AccountedBytes and the
+// fetch-list relay, scale for relay-once pricing and the redirect answer
+// in serveDiffs), never whether a mode runs. That a call into an unarmed
+// mode is free is measured, not assumed: the allocation gates (root
+// alloc_test.go) and the benchmark's sim-base row.
 //
 // A page has one entry. Everything a node knows about a shared page beyond
 // its contents lives in Node.pages[pg], the page table TreadMarks keeps: the
@@ -48,16 +49,17 @@
 // record bits. Set membership is a bit, a visit in protocol order is an
 // ascending walk of the table (closing an interval, resuming deferred
 // Validates, framing a recovery record, wiping for a restore), and a
-// wire.PageFrame is an entry beside its vm half. The table is built once
-// (newPageTable) from two slabs — every applied row, and room for each
-// page's first notice — carved with capacity-capped three-index slices, so
-// a page costs bytes and never an allocation, and an append that outgrows
-// its share reallocates instead of writing into the neighbouring page's.
-// Four page-indexed things stay outside, on purpose: the scale directory's
+// wire.PageFrame is an entry beside its vm half. The table is carved once
+// per machine from the rank's Store (Store.lend), zeroed, with every
+// applied row and room for each page's first notice, all carved with
+// capacity-capped three-index slices, so a page costs bytes and never an
+// allocation, and a list that outgrows its share moves to a larger carve
+// (grown) instead of writing into the neighbouring page's. Four
+// page-indexed things stay outside, on purpose: the scale directory's
 // dirOwner/dirNext and adapt's per-epoch tally, which belong to their
 // modes and are made when the mode is enabled; the barrier master's wsLast
-// index, built lazily and only at node 0; and the sets a single call
-// builds and drops.
+// index, built lazily and only at node 0, in the store's scratch; and the
+// sets a single call builds and drops.
 //
 // Three invariants are load-bearing for every feature that moves diffs,
 // learned from lost updates the cross-backend stress tests found:
@@ -219,14 +221,15 @@ func New(h host.Host, nw host.Transport, layout *shm.Layout) *System {
 	return NewWarm(h, nw, layout, nil)
 }
 
-// NewWarm builds a machine whose node memories borrow storage from
-// arenas — arenas[i] backs rank i. A nil slice (the New path) gives each
-// node a private cold vm.Arena. An arena is storage for one rank at a
-// time (harness lends a run its arenas from its idle list), so no two
-// ranks may share one. Arena-backed storage is zeroed on loan, so a warm
-// machine's protocol behavior and results are bit-identical to a fresh
-// one's; ReleaseWarm hands the storage back after the run.
-func NewWarm(h host.Host, nw host.Transport, layout *shm.Layout, arenas []*vm.Arena) *System {
+// NewWarm builds a machine whose nodes borrow their storage from stores —
+// stores[i] backs rank i: its memory's arena, its protocol log and its
+// scratch. A nil slice (the New path) gives each node a private cold
+// Store. A store is storage for one rank at a time (harness lends a run
+// its stores from its idle list), so no two ranks may share one. What a
+// node reads before writing is zeroed on loan, so a warm machine's
+// protocol behavior and results are bit-identical to a fresh one's;
+// ReleaseWarm hands the storage back after the run.
+func NewWarm(h host.Host, nw host.Transport, layout *shm.Layout, stores []*Store) *System {
 	s := &System{
 		H:        h,
 		NW:       nw,
@@ -236,26 +239,28 @@ func NewWarm(h host.Host, nw host.Transport, layout *shm.Layout, arenas []*vm.Ar
 		barriers: map[int]*barrier{},
 	}
 	n := h.N()
-	if arenas == nil {
-		arenas = make([]*vm.Arena, n)
-		for i := range arenas {
-			arenas[i] = vm.NewArena()
+	if stores == nil {
+		stores = make([]*Store, n)
+		for i := range stores {
+			stores[i] = NewStore()
 		}
 	}
 	for i := 0; i < n; i++ {
+		st := stores[i]
 		nd := &Node{
 			ID:      i,
 			sys:     s,
 			vc:      make([]int32, n),
 			lastBar: make([]int32, n),
-			know:    make([][]wire.Interval, n),
+			st:      st,
+			scratch: &st.scratch,
 		}
 		// Bind the processor now, not at Run: protocol code may Hold or
 		// Wake a peer whose body has not started yet (a first acquire of a
 		// remotely homed lock on the concurrent backends).
 		nd.p = h.Proc(i)
-		nd.Mem = vm.NewWarm(i, layout.Words(), s.Costs, nd, arenas[i])
-		nd.pages = newPageTable(nd.Mem.Pages(), n)
+		nd.Mem = vm.NewWarm(i, layout.Words(), s.Costs, nd, st.arena)
+		nd.pages, nd.know = st.lend(nd.Mem.Pages(), n)
 		// The serve body is prebuilt per node so the hot request path does
 		// not allocate a closure per exchange; arguments and results pass
 		// through the srv* fields (safe: serves hold the protocol token,
@@ -298,22 +303,14 @@ func (s *System) Run(body func(nd *Node)) error {
 	})
 }
 
-// ReleaseWarm hands every node's storage back to its arena: the page of
-// every pooled snapshot still in the node's diff cache, shared or not —
-// nothing reads a released machine again — then the Mem's twins and data
-// store. Run CheckGuards on the arenas BEFORE calling this — release ends
-// the loans the audit needs. The System must not be used afterwards.
+// ReleaseWarm hands every node's storage back to its Store: snapshot
+// pages and twins to the arena's freelist, the arena's loans ended, the
+// slabs rewound. Run CheckGuards on the arenas BEFORE calling
+// this — release ends the loans the audit needs. The System must not be
+// used afterwards.
 func (s *System) ReleaseWarm() {
 	for _, nd := range s.Nodes {
-		for pg := range nd.pages {
-			for _, d := range nd.pages[pg].diffs {
-				if d.pooled {
-					nd.Mem.RecyclePage(d.Runs[0].Vals)
-				}
-			}
-		}
-		nd.Mem.Release()
-		nd.Mem.Arena().ReleaseData()
+		nd.st.release(nd)
 	}
 }
 
@@ -380,25 +377,6 @@ type page struct {
 	touched    bool // named by an own interval, or image or diff chain moved, since the last recovery record (touch)
 }
 
-// newPageTable builds the page table of an n-node machine's node. It is the
-// only place page-table storage is allocated, and it allocates three
-// objects whatever the page count: the table, one slab holding every
-// applied row, and one holding room for each page's first pending notice.
-// Every slice is carved with its capacity capped at its own share
-// (s[lo:hi:hi]), so an append past that share reallocates instead of
-// writing into the neighbouring page's — a page's second concurrent notice
-// moves its list to the heap, and most pages never see one.
-func newPageTable(pages, n int) []page {
-	tab := make([]page, pages)
-	rows := make([]int32, pages*n)
-	first := make([]notice, pages)
-	for pg := range tab {
-		tab[pg].applied = rows[pg*n : (pg+1)*n : (pg+1)*n]
-		tab[pg].pending = first[pg : pg : pg+1]
-	}
-	return tab
-}
-
 // setDirty sets or clears a page's dirty bit, keeping ndirty in step. A page
 // that leaves the dirty set leaves WRITE_ALL mode with it.
 func (nd *Node) setDirty(pg int, on bool) {
@@ -461,10 +439,7 @@ func (nd *Node) appendIntervals(dst []wire.OwnedInterval, base []int32) []wire.O
 // grant builder, the barrier master) finishes with it before this node
 // can reach its next synchronization operation.
 func (nd *Node) syncInfo() wire.SyncInfo {
-	if nd.vcScratch == nil {
-		nd.vcScratch = make([]int32, len(nd.vc))
-	}
-	copy(nd.vcScratch, nd.vc)
+	nd.vcScratch = append(nd.vcScratch[:0], nd.vc...)
 	info := wire.SyncInfo{VC: nd.vcScratch}
 	for _, ws := range nd.wsync {
 		info.Needs = append(info.Needs, nd.appliedRows(nil, ws.pages))
@@ -551,53 +526,17 @@ type Node struct {
 	recoveryState // checkpoint/restore bookkeeping (recovery.go)
 	RecStats      RecoveryStats
 
-	sortScratch []stagedDiff  // applyDiffs' sort buffer
-	cdScratch   []*storedDiff // collectDiffs' candidate buffer
-	pairScratch []fetchPair   // a fetch round's plan, consumed by request
-	reqPages    []int         // request's page list for one exchange
-
-	// A diff exchange's requester-side storage (startFetch): the request
-	// and its applied rows, rebuilt for every exchange because StartRequest
-	// consumes them, and the free list of Pendings applyReplies returns.
-	fetchReq wire.DiffRequest
-	reqRows  rowBuf
-	pdFree   []*host.Pending
-
-	// The chunks cache entries and their cover rows are carved from
-	// (newEntry, coverRow).
-	entries chunk[storedDiff]
-	covers  chunk[int32]
-
-	// The barrier master's Validate_w_sync responder index (wsyncResponder),
-	// nil until a request is first resolved: wsLast[pg*N+o] packs the last
-	// interval of owner o naming pg (idx<<1 | whole) among
-	// know[o][:wsSeen[o]]. wsResp is the result scratch.
-	wsLast, wsSeen []int32
-	wsResp         []int
+	// st is the rank's warm storage the node carves from; the scratch is
+	// st's, so a new machine starts with the scratch already grown.
+	st *Store
+	*scratch
 
 	// Prebuilt serve body with its argument/result slots; serves hold the
 	// protocol token, so the slots cannot race (see System.serve).
-	srvFn     func()
-	srvReq    *wire.DiffRequest
-	srvRep    *wire.DiffReply
-	srvBytes  int
-	dfScratch []wire.Diff // applyReplies' merged-reply buffer
-
-	// Epoch-lifetime scratch: each slice is rebuilt at one synchronization
-	// operation and fully consumed before this node's next one (the
-	// consumer runs while this node is blocked or holding the protocol
-	// token), so one buffer per node suffices. vcScratch backs syncInfo's
-	// presented vector time, ivScratch the barrier arrival's interval
-	// delta, depScratch the departure the master builds for this node,
-	// pgScratch the dirty pages of the interval it closes.
-	vcScratch  []int32
-	ivScratch  []wire.OwnedInterval
-	depScratch []wire.OwnedInterval
-	pgScratch  []int
-	// vpScratch holds a Validate's page list (pagesOf) while the call runs,
-	// and fcScratch, parallel to it, which of those pages it covers whole.
-	vpScratch []int
-	fcScratch []bool
+	srvFn    func()
+	srvReq   *wire.DiffRequest
+	srvRep   *wire.DiffReply
+	srvBytes int
 
 	Stats ProtocolStats
 }

@@ -649,13 +649,14 @@ func TestSharedSnapshotIsNeverRecycled(t *testing.T) {
 	other := snapshot(s.Nodes[1], 1, 6000)
 	idle := func(nd *Node) int { _, pages := nd.Mem.Arena().Idle(); return pages }
 	before := []int{idle(s.Nodes[0]), idle(s.Nodes[1])}
+	cached := []*float64{page(fifth), page(other)} // release clears the entries
 	s.ReleaseWarm()
-	for i, d := range []*storedDiff{fifth, other} {
+	for i, pg := range cached {
 		ar := s.Nodes[i].Mem.Arena()
 		if got := idle(s.Nodes[i]); got != before[i]+1 {
 			t.Fatalf("node %d's arena holds %d idle pages after release, want %d", i, got, before[i]+1)
 		}
-		if &ar.TakePage()[0] != page(d) {
+		if &ar.TakePage()[0] != pg {
 			t.Fatalf("node %d's cached snapshot page did not go back to its arena", i)
 		}
 	}

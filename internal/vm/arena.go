@@ -15,22 +15,29 @@ import (
 const GuardWords = 16
 
 // Arena is the storage behind one node memory: the address-space backing
-// store and page buffers. Every Mem has one (NewWarm; New makes a private
-// one). A DSM run borrows its arenas from harness's idle list, the one
-// owner of warm storage in the process, so steady-state runs reuse that
-// storage instead of growing the heap per run. An Arena backs one node of
-// one machine at a time; it needs no locking.
+// store, page buffers, the Mem's per-page tables and the slabs a diff's
+// runs are carved from. Every Mem has one (NewWarm; New makes a private
+// one). A DSM run borrows its arenas, inside its ranks' tmk.Stores, from
+// harness's idle list, the one owner of warm storage in the process, so
+// steady-state runs reuse that storage instead of growing the heap per
+// run. An Arena backs one node of one machine at a time; it needs no
+// locking.
 //
-// An arena lends only what its borrower overwrites, under two reuse
-// rules chosen so warm results stay bit-identical to fresh runs:
+// An arena lends only what its borrower overwrites or what it zeroes on
+// loan, under three reuse rules chosen so warm results stay bit-identical
+// to fresh runs:
 //
-//   - The data store (TakeData) is zeroed on every take that recycles
-//     it, so it reads exactly like make: application memory starts
-//     blank.
-//   - Page buffers (TakePage) are NOT zeroed: every consumer in package
-//     vm fully overwrites the buffer before reading it (twin snapshots,
-//     whole-page runs), so stale content is unobservable, whether the
-//     buffer was recycled earlier in the same run or by a previous one.
+//   - The data store (TakeData) and the per-page tables (NewWarm) are
+//     zeroed on every loan, so they read exactly like make: application
+//     memory starts blank and every page NoAccess, twinless, unbatched.
+//   - Page buffers (TakePage) and slab carves (Slab.Take) are NOT zeroed:
+//     every consumer fully overwrites its buffer or carve before reading
+//     it (twin snapshots, whole-page runs, a diff's runs and values), so
+//     stale content is unobservable, whether it was left earlier in the
+//     same run or by a previous one.
+//   - Release rewinds the slabs, first clearing what was carved from each
+//     one whose values hold pointers (run lists, twins), so a released
+//     machine keeps no storage alive through its arena.
 //
 // State a borrower would have to initialize itself, such as tmk's scale
 // directory, is made by the mode that owns it, never lent.
@@ -40,6 +47,16 @@ type Arena struct {
 	words  int         // the loan's length while lent
 	lent   bool        // data is out on loan
 	pages  [][]float64 // idle page-sized buffers
+
+	// What a Mem carves: its diffs' run lists and values (DiffAgainstTwin,
+	// WholePageRuns) and its per-page tables (NewWarm).
+	runs  Slab[Run]
+	vals  Slab[float64]
+	prots Slab[Prot] // protection and pre-batch protection
+	twins Slab[[]float64]
+	exts  Slab[int16] // write extents, low and high
+	marks Slab[bool]  // in-batch marks
+	batch Slab[int]   // the batch's page list, room for every page
 }
 
 // NewArena returns an empty warm arena.
@@ -55,7 +72,7 @@ func (a *Arena) SetCanary(c float64) { a.canary = c }
 // already zero — in its place, so an idle arena holds the largest image
 // it served. The returned slice is capacity-capped at words: an append
 // cannot silently grow into the guard region. An arena lends one store
-// at a time: call ReleaseData before the next take.
+// at a time: call Release before the next take.
 func (a *Arena) TakeData(words int) []float64 {
 	if cap(a.data) >= words+GuardWords {
 		a.data = a.data[:cap(a.data)]
@@ -85,7 +102,7 @@ func (a *Arena) TakePage() []float64 {
 }
 
 // CheckGuards audits the outstanding loan's guard words against the
-// canary. It must run before ReleaseData ends the loan. A mismatch is
+// canary. It must run before Release ends the loan. A mismatch is
 // cross-job bleed (or an in-job overrun) and harness treats it as fatal
 // for the offending run.
 func (a *Arena) CheckGuards() error {
@@ -101,9 +118,19 @@ func (a *Arena) CheckGuards() error {
 	return nil
 }
 
-// ReleaseData ends the outstanding data loan, keeping the store idle for
-// the next run. Call CheckGuards first; release does not audit.
-func (a *Arena) ReleaseData() { a.lent = false }
+// Release ends the outstanding data loan, keeping the store idle for the
+// next run, and rewinds the slabs the loan's Mem carved from. Call
+// CheckGuards first; release does not audit.
+func (a *Arena) Release() {
+	a.lent = false
+	a.runs.Rewind(true)
+	a.twins.Rewind(true)
+	a.vals.Rewind(false)
+	a.prots.Rewind(false)
+	a.exts.Rewind(false)
+	a.marks.Rewind(false)
+	a.batch.Rewind(false)
+}
 
 // Idle reports the arena's idle inventory (data stores — 0 or 1 — and
 // page buffers), for tests that pin warm reuse actually happening.

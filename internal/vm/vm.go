@@ -162,21 +162,22 @@ func New(node int, words int, costs model.Costs, handler FaultHandler) *Mem {
 }
 
 // NewWarm creates a node memory backed by an arena's storage, warm or
-// cold. The data store comes zeroed from the arena (observably identical
-// to make), so a warm run's memory contents are bit-identical to a fresh
-// run's.
+// cold. The data store and the per-page tables come zeroed from the arena
+// (observably identical to make), so a warm run's memory contents are
+// bit-identical to a fresh run's.
 func NewWarm(node int, words int, costs model.Costs, handler FaultHandler, arena *Arena) *Mem {
 	pages := (words + shm.PageWords - 1) / shm.PageWords
 	return &Mem{
 		Node:     node,
 		costs:    costs,
 		data:     arena.TakeData(pages * shm.PageWords),
-		prot:     make([]Prot, pages),
-		twins:    make([][]float64, pages),
-		extLo:    make([]int16, pages),
-		extHi:    make([]int16, pages),
-		inBatch:  make([]bool, pages),
-		preBatch: make([]Prot, pages),
+		prot:     arena.prots.TakeZeroed(pages),
+		twins:    arena.twins.TakeZeroed(pages),
+		extLo:    arena.exts.TakeZeroed(pages),
+		extHi:    arena.exts.TakeZeroed(pages),
+		batched:  arena.batch.Take(pages)[:0],
+		inBatch:  arena.marks.TakeZeroed(pages),
+		preBatch: arena.prots.TakeZeroed(pages),
 		handler:  handler,
 		arena:    arena,
 	}
@@ -187,7 +188,8 @@ func (m *Mem) Arena() *Arena { return m.arena }
 
 // Release hands the Mem's live twins back to its arena's page freelist
 // and drops its reference to the data store; the arena's owner then ends
-// the loan (Arena.ReleaseData). The Mem must not be used afterwards.
+// the loan (Arena.Release), which rewinds the slabs the Mem's tables and
+// diffs were carved from. The Mem must not be used afterwards.
 func (m *Mem) Release() {
 	for pg := range m.twins {
 		m.DropTwin(pg)
@@ -408,9 +410,8 @@ func (m *Mem) HasTwin(page int) bool { return m.twins[page] != nil }
 // out, or any snapshot of a released machine) to the arena's page
 // freelist, where the next TakePage finds and overwrites it: nobody may
 // read the buffer afterwards. Buffers of any other capacity are left to
-// the garbage collector, among them a twin diff's run values: carved from
-// one buffer per diff, each run is capped at its own length
-// (DiffAgainstTwin), so its capacity never claims a neighbour's words.
+// the garbage collector. A twin diff's run values are slab carves and are
+// never handed here: a run of every word of a page has a page's capacity.
 func (m *Mem) RecyclePage(vals []float64) {
 	if cap(vals) != shm.PageWords {
 		return
@@ -456,11 +457,12 @@ func nextRun(cur, tw []float64, i int) (lo, hi int) {
 }
 
 // DiffAgainstTwin compares page to its twin and returns the modified word
-// runs, charging the scan cost. The twin is consumed. A diff is two
-// allocations whatever its runs: one exact run list, and one buffer of
-// every changed word that the runs' values are carved from, each capped at
-// its own length, so neither an append nor RecyclePage's capacity test
-// reaches a neighbour's words.
+// runs, charging the scan cost. The twin is consumed. A diff is two carves
+// from the arena's slabs whatever its runs: one exact run list, and one
+// buffer of every changed word that the runs' values are cut from, each
+// capped at its own length, so an append never reaches a neighbour's
+// words. The runs live until the arena is released: nothing of a diff
+// outlives its machine.
 func (m *Mem) DiffAgainstTwin(p host.Proc, page int) []Run {
 	tw := m.twins[page]
 	if tw == nil {
@@ -472,24 +474,24 @@ func (m *Mem) DiffAgainstTwin(p host.Proc, page int) []Run {
 	for lo, hi := nextRun(cur, tw, 0); lo < hi; lo, hi = nextRun(cur, tw, hi) {
 		nruns, words = nruns+1, words+hi-lo
 	}
-	var runs []Run
+	runs := m.arena.runs.Take(nruns)
 	if nruns > 0 {
-		runs = make([]Run, 0, nruns)
-		vals := make([]float64, words)
+		vals := m.arena.vals.Take(words)
+		i := 0
 		for lo, hi := nextRun(cur, tw, 0); lo < hi; lo, hi = nextRun(cur, tw, hi) {
 			n := copy(vals, cur[lo:hi])
-			runs = append(runs, Run{Off: int32(lo), Vals: vals[:n:n]})
-			vals = vals[n:]
+			runs[i] = Run{Off: int32(lo), Vals: vals[:n:n]}
+			vals, i = vals[n:], i+1
 		}
 	}
 	m.Counters.Diffs++
-	m.Counters.DiffWords += int64(RunsWords(runs))
+	m.Counters.DiffWords += int64(words)
 	p.Charge(time.Duration(shm.PageWords) * m.costs.DiffScanPerWord)
 	m.RecyclePage(tw)
 	if m.Trace != nil {
 		m.Trace.Emit(obs.Event{
 			Kind: obs.EvDiff, VT: int64(p.Now()), WT: m.Trace.WallNow(),
-			Page: int32(page), A: int32(RunsWords(runs)),
+			Page: int32(page), A: int32(words),
 		})
 	}
 	return runs
@@ -498,15 +500,18 @@ func (m *Mem) DiffAgainstTwin(p host.Proc, page int) []Run {
 // WholePageRuns returns the full contents of page as a single run, used
 // when modifications must be shipped but no twin exists (WRITE_ALL pages).
 // It is a memcpy, not a compare, so it costs the twin rate per word. The
-// run's values are freelist storage. The protocol re-takes the snapshot
-// into the same buffer (CopyPage) while nobody was handed it, and hands
-// the buffer back via RecyclePage when the snapshot is pruned unserved or
-// its machine is released; a served snapshot pruned mid-run may still be
-// aliased by a receiver, and is left to the garbage collector.
+// one-run list is a slab carve, and the run's values are freelist
+// storage. The protocol re-takes the snapshot into the same buffer
+// (CopyPage) while nobody was handed it, and hands the buffer back via
+// RecyclePage when the snapshot is pruned unserved or its machine is
+// released; a served snapshot pruned mid-run may still be aliased by a
+// receiver, and is left to the garbage collector.
 func (m *Mem) WholePageRuns(p host.Proc, page int) []Run {
 	vals := m.arena.TakePage()
 	m.CopyPage(p, page, vals)
-	return []Run{{Off: 0, Vals: vals}}
+	runs := m.arena.runs.Take(1)
+	runs[0] = Run{Off: 0, Vals: vals}
+	return runs
 }
 
 // CopyPage copies the full contents of page into vals, a page-sized
