@@ -270,7 +270,6 @@ func BenchmarkWireGrantRoundTrip(b *testing.B) {
 			Owner: idx % 8, Idx: idx,
 			IV: wire.Interval{
 				Pages: []wire.PageRef{{Page: idx}, {Page: idx + 1, Whole: idx%3 == 0}},
-				VC:    []int32{1, 2, 3, 4, 5, 6, 7, 8},
 			},
 		})
 	}
@@ -298,7 +297,6 @@ func benchPushedGrant() *wire.Frame {
 			Owner: idx % 8, Idx: idx,
 			IV: wire.Interval{
 				Pages: []wire.PageRef{{Page: idx}, {Page: idx + 1}},
-				VC:    []int32{1, 2, 3, 4, 5, 6, 7, 8},
 			},
 		})
 	}

@@ -39,7 +39,7 @@ func main() {
 		verify  = flag.Bool("verify", false, "verify the result against the sequential reference")
 		sync    = flag.Bool("sync", false, "force synchronous data fetching (opt-tmk only)")
 		adaptOn = flag.Bool("adapt", false, "enable the run-time adaptive update protocol, barrier- and lock-scope (tmk/opt-tmk)")
-		scaleOn = flag.Bool("scale", false, "enable scale mode: per-page ownership directory + span-compressed barrier relay (tmk/opt-tmk)")
+		scaleOn = flag.Bool("scale", false, "enable scale mode: per-page serve delegation + span-compressed barrier relay (tmk/opt-tmk)")
 		backend = flag.String("backend", "sim", "host backend: sim (deterministic), real (goroutine per node), net (wire transport over loopback sockets; process per rank for pvme/xhpf)")
 		nodeBin = flag.String("node-bin", "", "worker binary for -backend net message-passing runs (default: re-exec this binary)")
 		recov   = flag.Bool("recover", false, "arm checkpoint/restore: DSM nodes checkpoint at every barrier, net message-passing runs log frames for replay")

@@ -50,10 +50,9 @@ type App struct {
 	// and section strides; the sequential reference uses Build(1)).
 	Build func(nprocs int) *ir.Program
 
-	// Sets maps data-set name to problem parameters (scaled defaults).
+	// Sets maps data-set name to problem parameters (scaled defaults; each
+	// application's constructor notes the paper's original sizes).
 	Sets map[DataSet]rsd.Env
-	// PaperSets documents the paper's original sizes for reference.
-	PaperSets map[DataSet]rsd.Env
 
 	// CheckArray is the array whose contents verify the run.
 	CheckArray string

@@ -72,10 +72,10 @@ func ilog2(n int) int {
 // observations.
 func FFT3D() *App {
 	return &App{
-		Name:            "fft",
-		Build:           fftProg,
-		Sets:            map[DataSet]rsd.Env{Large: {"nx": 32, "ny": 32, "nz": 32, "iters": 3, "cscale": 6}, Small: {"nx": 16, "ny": 32, "nz": 16, "iters": 3, "cscale": 4}},
-		PaperSets:       map[DataSet]rsd.Env{Large: {"nx": 64, "ny": 64, "nz": 64, "iters": 6}, Small: {"nx": 32, "ny": 64, "nz": 32, "iters": 6}},
+		Name:  "fft",
+		Build: fftProg,
+		Sets:  map[DataSet]rsd.Env{Large: {"nx": 32, "ny": 32, "nz": 32, "iters": 3, "cscale": 6}, Small: {"nx": 16, "ny": 32, "nz": 16, "iters": 3, "cscale": 4}},
+		// The paper's sizes: large nx=64 ny=64 nz=64 iters=6, small nx=32 ny=64 nz=32 iters=6.
 		CheckArray:      "re",
 		WSyncApplicable: true,
 		WSyncProfitable: false, // "no additional gains: the bottleneck is data volume"

@@ -35,10 +35,10 @@ func gaussInit(i, j, m int) float64 {
 // synchronization pays off via broadcast.
 func Gauss() *App {
 	return &App{
-		Name:            "gauss",
-		Build:           gaussProg,
-		Sets:            map[DataSet]rsd.Env{Large: {"m": 384, "mpad": 512, "cscale": 5}, Small: {"m": 256, "mpad": 512, "cscale": 4}},
-		PaperSets:       map[DataSet]rsd.Env{Large: {"m": 2048, "mpad": 2048}, Small: {"m": 1024, "mpad": 1024}},
+		Name:  "gauss",
+		Build: gaussProg,
+		Sets:  map[DataSet]rsd.Env{Large: {"m": 384, "mpad": 512, "cscale": 5}, Small: {"m": 256, "mpad": 512, "cscale": 4}},
+		// The paper's sizes: large m=2048 mpad=2048, small m=1024 mpad=1024.
 		CheckArray:      "A",
 		WSyncApplicable: true,
 		WSyncProfitable: true, // broadcast of the pivot column at the barrier

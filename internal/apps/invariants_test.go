@@ -79,14 +79,11 @@ func TestOddProcessorCounts(t *testing.T) {
 	}
 }
 
-// TestPaperSetsDeclared: every application documents the paper's original
-// parameters alongside its scaled defaults.
-func TestPaperSetsDeclared(t *testing.T) {
+// TestSetsDeclared: every application declares its scaled parameters for
+// both evaluation data sets.
+func TestSetsDeclared(t *testing.T) {
 	for _, a := range apps.Registry() {
 		for _, set := range []apps.DataSet{apps.Large, apps.Small} {
-			if len(a.PaperSets[set]) == 0 {
-				t.Errorf("%s/%s: no paper parameters declared", a.Name, set)
-			}
 			if len(a.Sets[set]) == 0 {
 				t.Errorf("%s/%s: no scaled parameters declared", a.Name, set)
 			}

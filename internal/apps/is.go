@@ -51,10 +51,7 @@ func IS() *App {
 			Large: {"keys": 1 << 16, "buckets": 1 << 15, "iters": 4, "cscale": 8},
 			Small: {"keys": 1 << 14, "buckets": 1 << 13, "iters": 4, "cscale": 16},
 		},
-		PaperSets: map[DataSet]rsd.Env{
-			Large: {"keys": 1 << 23, "buckets": 1 << 19, "iters": 10},
-			Small: {"keys": 1 << 20, "buckets": 1 << 15, "iters": 10},
-		},
+		// The paper's sizes: large keys=1<<23 buckets=1<<19 iters=10, small keys=1<<20 buckets=1<<15 iters=10.
 		CheckArray:      "ranks",
 		WSyncApplicable: true,
 		WSyncProfitable: false, // merging made IS worse (page-list scan overhead)

@@ -50,10 +50,7 @@ func Jacobi() *App {
 			// loop whole-page adaptation cannot break.
 			Bound: {"m": 264, "iters": 24, "cscale": 4},
 		},
-		PaperSets: map[DataSet]rsd.Env{
-			Large: {"m": 4096, "iters": 100},
-			Small: {"m": 1024, "iters": 100},
-		},
+		// The paper's sizes: large m=4096 iters=100, small m=1024 iters=100.
 		CheckArray:      "b",
 		WSyncApplicable: true,
 		WSyncProfitable: false, // "no gain from merging data with synchronization"

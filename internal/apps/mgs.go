@@ -31,10 +31,7 @@ func MGS() *App {
 			Large: {"m": 512, "nvec": 192, "mpad": 512, "cscale": 11},
 			Small: {"m": 512, "nvec": 96, "mpad": 512, "cscale": 11},
 		},
-		PaperSets: map[DataSet]rsd.Env{
-			Large: {"m": 2048, "nvec": 2048, "mpad": 2048},
-			Small: {"m": 1024, "nvec": 1024, "mpad": 1024},
-		},
+		// The paper's sizes: large m=2048 nvec=2048 mpad=2048, small m=1024 nvec=1024 mpad=1024.
 		CheckArray:      "V",
 		WSyncApplicable: true,
 		WSyncProfitable: true, // broadcast of the normalized vector

@@ -31,10 +31,7 @@ func Shallow() *App {
 			Large: {"m": 512, "mc": 128, "iters": 16, "cscale": 8},
 			Small: {"m": 512, "mc": 64, "iters": 16, "cscale": 8},
 		},
-		PaperSets: map[DataSet]rsd.Env{
-			Large: {"m": 1024, "mc": 1024, "iters": 100},
-			Small: {"m": 1024, "mc": 512, "iters": 100},
-		},
+		// The paper's sizes: large m=1024 mc=1024 iters=100, small m=1024 mc=512 iters=100.
 		CheckArray:      "p",
 		WSyncApplicable: false, // would require interprocedural analysis
 		PushApplicable:  false, // likewise

@@ -127,9 +127,6 @@ func TestStatsCount(t *testing.T) {
 	if s.Bytes != 200 {
 		t.Fatalf("bytes = %d, want 200", s.Bytes)
 	}
-	if s.Node[0].MsgsSent != 2 || s.Node[1].MsgsRecv != 1 {
-		t.Fatalf("per-node stats wrong: %+v", s.Node)
-	}
 }
 
 func TestRequestChargesBothSides(t *testing.T) {

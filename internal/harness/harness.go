@@ -88,8 +88,8 @@ type Config struct {
 	// pages' diffs on lock grants.
 	Adapt bool
 	// Scale enables the large-machine protocol mode (tmk.EnableScale):
-	// the distributed per-page ownership directory spreads diff serving
-	// across readers instead of queueing on the last writer, and the
+	// per-page serve delegation spreads diff serving across readers
+	// instead of queueing on the last writer, and the
 	// barrier fetch-list relay is priced span-compressed and
 	// broadcast-once. Off by default — the paper's 8-node tables pin the
 	// unscaled protocol bit for bit.
@@ -421,7 +421,7 @@ func runMP(cfg Config, overhead time.Duration) (*Result, error) {
 	case cfg.Adapt:
 		return nil, fmt.Errorf("harness: Adapt is a DSM protocol mode; %s moves no pages to adapt", cfg.System)
 	case cfg.Scale:
-		return nil, fmt.Errorf("harness: Scale is a DSM protocol mode; %s has no ownership directory", cfg.System)
+		return nil, fmt.Errorf("harness: Scale is a DSM protocol mode; %s serves no diffs to delegate", cfg.System)
 	case cfg.Fault != nil && cfg.Backend != BackendNet:
 		return nil, fmt.Errorf("harness: Fault on %s kills a rank's process, which only Backend %q has (got %q): the fault could never fire",
 			cfg.System, BackendNet, cfg.Backend)

@@ -181,14 +181,12 @@ func TestRecoveryMatrix(t *testing.T) {
 	}
 }
 
-// TestRecoveryScale kills a node on a 16-rank scale-mode machine: the
-// restored replica's ownership directory comes back from the checkpoint
-// record's owner map (wire.Checkpoint.Owners), so its post-restore
-// hints agree with the survivors' and the forwarding chains keep
-// resolving — a replica that rebooted with a cold directory would route
-// every fault through the Direct fallback and, worse, answer other
-// nodes' chases with stale hints. Checksums must match the uninterrupted
-// scale run on both the sim and the wire backend.
+// TestRecoveryScale kills a node on a 16-rank scale-mode machine. A
+// restore drops the replica's delegations, as every barrier departure
+// does, so nothing of scale mode is in the record: the survivors' fetches
+// keep routing by write notices, their redirects and chases resolve
+// around the restored replica, and checksums must match the
+// uninterrupted scale run on both the sim and the wire backend.
 func TestRecoveryScale(t *testing.T) {
 	for _, name := range []string{"tsps", "jacobi"} {
 		name := name

@@ -13,12 +13,12 @@ import (
 // directory's churn path and its steady-state path.
 var scaleEquivApps = []string{"tsps", "jacobi"}
 
-// TestBackendEquivalenceScale asserts that scale mode — the per-page
-// ownership directory plus span-compressed relay — preserves the
-// protocol's cross-backend bit-identity at machine sizes where the
-// directory actually routes traffic: 16 and 32 nodes on the
+// TestBackendEquivalenceScale asserts that scale mode — per-page serve
+// delegation plus span-compressed relay — preserves the
+// protocol's cross-backend bit-identity at machine sizes where
+// delegation actually routes traffic: 16 and 32 nodes on the
 // real-concurrency and wire backends against the deterministic sim, all
-// checked against the sequential reference. The directory only picks who
+// checked against the sequential reference. Delegation only picks who
 // serves an identical diff chain, so scheduling may reorder forwarding
 // chases and redirects but must never change memory content.
 func TestBackendEquivalenceScale(t *testing.T) {

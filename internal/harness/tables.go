@@ -422,11 +422,11 @@ func scaleGrid() []appSet {
 
 // ScaleTable runs the scaling matrix (Table C) on the deterministic sim
 // backend, one (application, node count) cell per row, in scale mode
-// (distributed ownership directory + span-compressed, broadcast-once
-// barrier relay) with the adaptive protocol armed so the fetch-list relay
-// traffic it compresses actually flows. Every run verifies its checksum
-// against the sequential reference, so the table doubles as a correctness
-// matrix for the directory at sizes the equivalence tests' concurrent
+// (serve delegation + span-compressed, broadcast-once barrier relay) with
+// the adaptive protocol armed so the fetch-list relay traffic it
+// compresses actually flows. Every run verifies its checksum against the
+// sequential reference, so the table doubles as a correctness matrix for
+// delegation at sizes the equivalence tests' concurrent
 // backends cannot reach.
 func ScaleTable(workers int) ([]RunRow, error) {
 	var cells []gridCell
@@ -768,7 +768,7 @@ var Experiments = []Experiment{
 	// The scaling matrix ignores procs: its node-count axis is the
 	// experiment (8 through 128 on the sim backend, every run verified
 	// against the sequential reference).
-	{Name: "scale", Help: "large-machine scaling matrix: ownership directory + compressed relay at 8..128 nodes", Slow: true, Run: func(_, w int) (string, error) {
+	{Name: "scale", Help: "large-machine scaling matrix: serve delegation + compressed relay at 8..128 nodes", Slow: true, Run: func(_, w int) (string, error) {
 		rows, err := ScaleTable(w)
 		return FormatScaleTable(rows), err
 	}},

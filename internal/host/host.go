@@ -243,31 +243,20 @@ func AwaitAll(p Proc, pds []*Pending, costs model.Costs) {
 	}
 }
 
-// NodeStats counts traffic at one node.
-type NodeStats struct {
-	MsgsSent, MsgsRecv   int64
-	BytesSent, BytesRecv int64
-}
-
 // Stats aggregates network traffic. The DSM statistics the paper reports
 // ("msg" and "data" in Table 2) are derived from these counters.
 type Stats struct {
 	Msgs  int64
 	Bytes int64
-	Node  []NodeStats
 }
 
-// Account tallies one message from node from to node to. It is the one
+// Account tallies one message of the given accounted size. It is the one
 // accounting rule every transport shares, so the backends' traffic
 // numbers cannot drift apart; callers synchronize where counters are
 // shared between goroutines.
-func (s *Stats) Account(from, to, bytes int) {
+func (s *Stats) Account(bytes int) {
 	s.Msgs++
 	s.Bytes += int64(bytes)
-	s.Node[from].MsgsSent++
-	s.Node[from].BytesSent += int64(bytes)
-	s.Node[to].MsgsRecv++
-	s.Node[to].BytesRecv += int64(bytes)
 }
 
 // Mailbox is the message-passing half of the interconnect seam: selective

@@ -330,7 +330,7 @@ func (nw *Net) deliveryLoop(i int, ep *Endpoint, done chan struct{}) {
 			rs.reply = rep
 			rs.respBytes = int(f.Bytes)
 			rs.service = time.Duration(f.Time)
-			in.stats.Account(int(f.From), i, rs.respBytes)
+			in.stats.Account(rs.respBytes)
 			if w := in.waits[i]; w != nil && w.kind == 'r' && w.rs == rs {
 				in.release(i, 0)
 			}
@@ -421,7 +421,7 @@ func (nw *Net) Message(from, to int, depart time.Duration, bytes int) time.Durat
 // Send transmits payload to node to over the wire; the sender pays send
 // overhead and the message arrives after wire latency plus bandwidth time.
 func (nw *Net) Send(p Proc, to int, tag Tag, payload any, bytes int) {
-	nw.in.account(p.ID(), to, bytes)
+	nw.in.account(bytes)
 	nw.must(p.ID(), nw.eps[p.ID()].Send(p, to, tag, payload, bytes))
 }
 

@@ -73,9 +73,6 @@ func TestNetMailbox(t *testing.T) {
 	if s.Msgs != 3 || s.Bytes != 24 {
 		t.Errorf("stats = %d msgs %d bytes, want 3/24", s.Msgs, s.Bytes)
 	}
-	if s.Node[2].MsgsRecv != 3 || s.Node[0].MsgsSent != 2 {
-		t.Errorf("per-node stats wrong: %+v", s.Node)
-	}
 }
 
 // TestNetRequestReply runs request/reply exchanges through the service

@@ -63,7 +63,6 @@ func NewNetwork(h Host, costs model.Costs) *Network {
 		hands:  map[handKey]any{},
 		waits:  make([]*netWait, n),
 		wslots: make([]netWait, n),
-		stats:  Stats{Node: make([]NodeStats, n)},
 	}
 }
 
@@ -74,14 +73,12 @@ func (nw *Network) Costs() model.Costs { return nw.costs }
 func (nw *Network) Stats() Stats {
 	nw.mu.Lock()
 	defer nw.mu.Unlock()
-	s := nw.stats
-	s.Node = append([]NodeStats(nil), nw.stats.Node...)
-	return s
+	return nw.stats
 }
 
-func (nw *Network) account(from, to, bytes int) {
+func (nw *Network) account(bytes int) {
 	nw.mu.Lock()
-	nw.stats.Account(from, to, bytes)
+	nw.stats.Account(bytes)
 	nw.mu.Unlock()
 }
 
@@ -180,7 +177,7 @@ func (nw *Network) deliver(p Proc, to int, tag Tag, payload any, bytes int) {
 	if to == p.ID() {
 		panic("host: send to self")
 	}
-	nw.account(p.ID(), to, bytes)
+	nw.account(bytes)
 	nw.file(Msg{
 		From: p.ID(), To: to, Tag: tag, Payload: payload, Bytes: bytes,
 		Arrival: p.Now() + nw.costs.OneWay(bytes),
@@ -216,7 +213,7 @@ func (nw *Network) Message(from, to int, depart time.Duration, bytes int) time.D
 	}
 	nw.h.Proc(from).Charge(nw.costs.SendOverhead)
 	nw.h.Proc(to).Charge(nw.costs.RecvOverhead)
-	nw.account(from, to, bytes)
+	nw.account(bytes)
 	return depart + nw.costs.SendOverhead + nw.costs.OneWay(bytes) + nw.costs.RecvOverhead
 }
 
@@ -236,7 +233,7 @@ func (nw *Network) issue(p Proc, to int, reqBytes int) time.Duration {
 		panic("host: request to self")
 	}
 	p.Charge(nw.costs.SendOverhead)
-	nw.account(p.ID(), to, reqBytes)
+	nw.account(reqBytes)
 	return p.Now() + nw.costs.OneWay(reqBytes)
 }
 
@@ -262,7 +259,7 @@ func (nw *Network) serveAt(p, target Proc, req *wire.DiffRequest, rep *wire.Diff
 func (nw *Network) StartRequest(p Proc, to int, req *wire.DiffRequest, reqBytes int, pd *Pending) {
 	reqArrival := nw.issue(p, to, reqBytes)
 	respBytes, service := nw.serveAt(p, nw.h.Proc(to), req, &pd.Reply)
-	nw.account(to, p.ID(), respBytes)
+	nw.account(respBytes)
 	pd.Arrival = reqArrival + service + nw.costs.OneWay(respBytes)
 	pd.Bytes = respBytes
 }

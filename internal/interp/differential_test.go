@@ -222,17 +222,25 @@ func (g *generator) assign(w, r string, rowStep int, syms []rsd.Sym) ir.Assign {
 	return a
 }
 
-// phase builds one loop nest writing w from r: the rank's own columns, in
-// blocks or cyclically, around one to three statements — row loops
-// (vectorized when alone in the column loop and not backwards), a middle
-// loop k around a row loop, a Compute binding "off" from the live column
-// variable, a single-element assignment.
-func (g *generator) phase(w, r string) ir.Stmt {
-	cols := ir.Loop{Var: "j", Lo: rsd.Var("begin"), Hi: rsd.Var("end")}
+// columns draws a phase's column distribution: the loop over the rank's own
+// columns, in blocks or cyclically, with an empty body. Phases that may
+// run in one barrier epoch on different ranks must share one draw, or one
+// rank writes block columns while another writes cyclic ones — a
+// write-write race whose image depends on diff order.
+func (g *generator) columns() ir.Loop {
 	if g.rnd.Intn(2) == 0 {
-		cols = ir.Loop{Var: "j", Lo: rsd.Var("p").Plus(1), Hi: rsd.Const(genCols), Step: g.nprocs}
 		g.shapes["cyclic"]++
+		return ir.Loop{Var: "j", Lo: rsd.Var("p").Plus(1), Hi: rsd.Const(genCols), Step: g.nprocs}
 	}
+	return ir.Loop{Var: "j", Lo: rsd.Var("begin"), Hi: rsd.Var("end")}
+}
+
+// phase builds one loop nest writing w from r over the column loop cols
+// (columns), around one to three statements — row loops (vectorized when
+// alone in the column loop and not backwards), a middle loop k around a row
+// loop, a Compute binding "off" from the live column variable, a
+// single-element assignment.
+func (g *generator) phase(w, r string, cols ir.Loop) ir.Stmt {
 	syms := []rsd.Sym{"i", "j", "p", "begin", "end"}
 	if _, ok := g.ranges["it"]; ok {
 		syms = append(syms, "it")
@@ -432,15 +440,19 @@ func (g *generator) program() (*ir.Program, rsd.Env) {
 
 	if g.rnd.Intn(4) == 0 {
 		// No iteration loop: the phases alone, nests of depth up to 3.
-		prog.Body = append(prog.Body, g.phase("a", "b"), ir.Barrier{ID: 1}, g.phase("b", "a"), ir.Barrier{ID: 2})
+		prog.Body = append(prog.Body, g.phase("a", "b", g.columns()), ir.Barrier{ID: 1}, g.phase("b", "a", g.columns()), ir.Barrier{ID: 2})
 		return prog, params
 	}
 	g.ranges["it"] = span{1, params["iters"]}
 	odd := func(e rsd.Env) bool { return (e["it"]+e["p"])%2 == 1 }
+	first := g.phase("a", "b", g.columns())
+	// The branches run in the same epoch on different ranks: one column
+	// distribution, rows and operands drawn apart.
+	cols := g.columns()
 	body := []ir.Stmt{
-		g.phase("a", "b"),
+		first,
 		ir.Barrier{ID: 1},
-		ir.If{Cond: odd, Then: []ir.Stmt{g.phase("b", "a")}, Else: []ir.Stmt{g.phase("b", "a")}},
+		ir.If{Cond: odd, Then: []ir.Stmt{g.phase("b", "a", cols)}, Else: []ir.Stmt{g.phase("b", "a", cols)}},
 		ir.Barrier{ID: 2},
 	}
 	if g.rnd.Intn(2) == 0 {
@@ -455,19 +467,32 @@ func (g *generator) program() (*ir.Program, rsd.Env) {
 	return prog, params
 }
 
+// sameCompiled holds prog, compiled at each of the four levels, to the
+// image base it leaves unmodified at nprocs ranks. A data-race-free program
+// leaves one image however its fetches are aggregated, merged or pushed.
+func sameCompiled(t *testing.T, prog *ir.Program, params rsd.Env, nprocs int, base []float64) {
+	t.Helper()
+	for l, level := range compiler.Levels(nprocs, params)[1:] {
+		opt, _ := compiler.Compile(prog, level)
+		if !slices.Equal(runSim(t, RunDSM, opt, params, nprocs).image, base) {
+			t.Errorf("level %d: the compiled program leaves a different image than the unmodified one", l+1)
+		}
+	}
+}
+
 // TestLoweredMatchesReferenceGenerated: 120 seeded programs, each run
 // sequentially and on 2 to 4 ranks; every other one is also run through
 // the compiler, at a level the seed picks (subscripts over several loop
 // variables included: the compiler bounds them). A program holds no state
 // outside the environment, so both executors run the very same ir.Program
-// value. Then the dependence programs, which must also leave the same
-// image compiled as unmodified — the 120 are not held to that yet: some 8 %
-// of the compiled ones differ in a few words, with subscripts over one
-// variable only just as with several (ROADMAP, differential testing).
+// value. Every seed's program, compiled at all four levels, must leave the
+// image it leaves unmodified — at the generated rank count and, outside
+// short mode, as generated for 1, 3 and 8 ranks. Then the dependence
+// programs, compiled at a level the seed picks, held to the same.
 func TestLoweredMatchesReferenceGenerated(t *testing.T) {
-	seeds := 120
+	seeds, ranks := 120, []int{1, 3, 8}
 	if testing.Short() {
-		seeds = 30
+		seeds, ranks = 30, nil
 	}
 	shapes := map[string]int{}
 	for seed := 0; seed < seeds; seed++ {
@@ -478,7 +503,7 @@ func TestLoweredMatchesReferenceGenerated(t *testing.T) {
 			prog, params := g.program()
 			same := func() (*ir.Program, rsd.Env) { return prog, params }
 			sameSeq(t, func() (*ir.Program, rsd.Env) { return prog, prog.Prepare(params, 1) })
-			sameOnSim(t, same, nprocs)
+			sameCompiled(t, prog, params, nprocs, sameOnSim(t, same, nprocs))
 			if seed%2 == 1 {
 				return
 			}
@@ -486,6 +511,17 @@ func TestLoweredMatchesReferenceGenerated(t *testing.T) {
 			opt, _ := compiler.Compile(prog, level)
 			sameOnSim(t, func() (*ir.Program, rsd.Env) { return opt, params }, nprocs)
 		})
+		for _, n := range ranks {
+			t.Run(fmt.Sprintf("seed%d/%d", seed, n), func(t *testing.T) {
+				// The seed's program as generated for n ranks: the same
+				// stream after the rank count the seed drew.
+				rnd := rand.New(rand.NewSource(int64(seed)))
+				rnd.Intn(3)
+				g := &generator{rnd: rnd, nprocs: n, shapes: map[string]int{}}
+				prog, params := g.program()
+				sameCompiled(t, prog, params, n, runSim(t, RunDSM, prog, params, n).image)
+			})
+		}
 	}
 	// The shapes that decide the executor's call form, at the rank counts
 	// the applications run at: unmodified, sequentially, and compiled.

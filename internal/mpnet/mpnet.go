@@ -179,7 +179,7 @@ func RunOpts(app *apps.App, set apps.DataSet, procs int, opts Options) (*Result,
 		log:    make([][][]byte, procs),
 		doneCh: make(chan doneMsg, procs), // every rank reports at most once
 		cmds:   make([]*exec.Cmd, procs),
-		res:    &Result{Stats: host.Stats{Node: make([]host.NodeStats, procs)}},
+		res:    &Result{},
 	}
 	// Reap every worker on exit — normally-exited children are waited,
 	// stragglers killed first. Registered before the switch's Close below
@@ -340,7 +340,7 @@ func (co *coordinator) tap(from int, raw []byte, kind byte, to, bytes int32) boo
 		// verbatim, never decoded here. One router goroutine runs per
 		// sending rank, so the shared counters need the lock.
 		co.statsMu.Lock()
-		co.res.Stats.Account(from, int(to), int(bytes))
+		co.res.Stats.Account(int(bytes))
 		co.statsMu.Unlock()
 	}
 	if co.opts.Recover {

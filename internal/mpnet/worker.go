@@ -22,7 +22,7 @@ type workerWorld struct {
 func newWorkerWorld(ep *host.Endpoint, rank, n int) *workerWorld {
 	w := &workerWorld{proc: &workerProc{id: rank}}
 	h := &workerHost{proc: w.proc, n: n}
-	w.world = &mp.World{H: h, NW: &workerTransport{ep: ep, rank: rank, n: n}}
+	w.world = &mp.World{H: h, NW: &workerTransport{ep: ep, rank: rank}}
 	return w
 }
 
@@ -99,12 +99,11 @@ func (h *workerHost) Run(body func(p host.Proc)) (err error) {
 type workerTransport struct {
 	ep   *host.Endpoint
 	rank int
-	n    int
 	box  []host.Msg
 }
 
 // Stats are accounted at the coordinator, which sees every frame.
-func (t *workerTransport) Stats() host.Stats { return host.Stats{Node: make([]host.NodeStats, t.n)} }
+func (t *workerTransport) Stats() host.Stats { return host.Stats{} }
 
 // must turns a lost link into the rank's death.
 func (t *workerTransport) must(err error) {

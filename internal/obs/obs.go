@@ -90,7 +90,7 @@ type Event struct {
 	Kind Kind
 }
 
-// NodeTracer collects events for one DSM node into a fixed ring. Emit is
+// NodeTracer collects events for one DSM node into a bounded ring. Emit is
 // safe for concurrent use (protocol sections serialize emits on every
 // backend, but wsync serves on the real backend run on the responder's
 // behalf from another goroutine, and the -race suite hammers exactly that).
@@ -99,9 +99,9 @@ type NodeTracer struct {
 	id int32
 
 	mu      sync.Mutex
-	ring    []Event
+	ring    []Event // grown by append up to max, then overwritten from start
+	max     int
 	start   int
-	n       int
 	dropped int64
 
 	// Flow sequence counters for fetch request→serve arrows, one per peer
@@ -153,7 +153,7 @@ func NewMachine(n, cap int, wall bool) *Machine {
 		m.Nodes[i] = &NodeTracer{
 			m:        m,
 			id:       int32(i),
-			ring:     make([]Event, cap),
+			max:      cap,
 			fetchSeq: make([]int32, n),
 			serveSeq: make([]int32, n),
 		}
@@ -162,8 +162,9 @@ func NewMachine(n, cap int, wall bool) *Machine {
 }
 
 // DefaultRingCap is the per-node event capacity when none is configured:
-// large enough to hold every event of the experiment-table runs, small
-// enough that an 8-node machine stays under a few MB.
+// large enough to hold every event of the experiment-table runs. A ring
+// grows as events arrive, so a run pays for what it records (fft/small's
+// 688 events take 44 KB); a full one is 4 MiB of 64-byte events.
 const DefaultRingCap = 1 << 16
 
 // Virtual reports whether the machine records on the virtual timeline
@@ -180,12 +181,13 @@ func (t *NodeTracer) WallNow() int64 {
 }
 
 // Emit appends e to the ring, dropping (and counting) the oldest record on
-// overflow. It never allocates.
+// overflow. It allocates only while the ring is still growing toward its
+// capacity (append's amortized doubling); a full ring is overwritten in
+// place.
 func (t *NodeTracer) Emit(e Event) {
 	t.mu.Lock()
-	if t.n < len(t.ring) {
-		t.ring[(t.start+t.n)%len(t.ring)] = e
-		t.n++
+	if len(t.ring) < t.max {
+		t.ring = append(t.ring, e)
 	} else {
 		t.ring[t.start] = e
 		t.start = (t.start + 1) % len(t.ring)
@@ -226,7 +228,7 @@ func (t *NodeTracer) Dropped() int64 {
 // Len reports how many records the ring currently holds.
 func (t *NodeTracer) Len() int {
 	t.mu.Lock()
-	n := t.n
+	n := len(t.ring)
 	t.mu.Unlock()
 	return n
 }
@@ -234,8 +236,8 @@ func (t *NodeTracer) Len() int {
 // Events copies the ring's records oldest-first into a fresh slice.
 func (t *NodeTracer) Events() []Event {
 	t.mu.Lock()
-	out := make([]Event, t.n)
-	for i := 0; i < t.n; i++ {
+	out := make([]Event, len(t.ring))
+	for i := range out {
 		out[i] = t.ring[(t.start+i)%len(t.ring)]
 	}
 	t.mu.Unlock()

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -29,6 +30,22 @@ func TestRingWraparoundDropsOldest(t *testing.T) {
 			t.Fatalf("event %d has VT %d, want %d (oldest must go first)", i, e.VT, want)
 		}
 	}
+}
+
+// A ring grows with what it records: building an 8-node machine at the
+// default capacity allocates well under 1 MiB, not the 32 MiB of eight
+// rings made at full size.
+func TestNewMachineAllocatesLittle(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	m := NewMachine(8, 0, false)
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(m)
+	got := after.TotalAlloc - before.TotalAlloc
+	if got >= 1<<20 {
+		t.Fatalf("NewMachine(8, 0, false) allocated %d bytes, want under 1 MiB", got)
+	}
+	t.Logf("NewMachine(8, 0, false) allocated %d bytes", got)
 }
 
 // Histogram boundaries are inclusive upper bounds; values above the last

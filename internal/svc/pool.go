@@ -18,8 +18,8 @@
 //     time, each data loan is zeroed and carries guard words with a
 //     per-run canary that harness audits (cross-job bleed fails the job,
 //     not the pool), what a node reads before writing is zeroed on loan,
-//     and the directory arrays are re-initialized per run so a narrow job
-//     cannot inherit a wider one's stale owner hints.
+//     and scale mode's delegation array is made per run so a narrow job
+//     cannot inherit a wider one's stale delegations.
 //
 //   - Admission control is a bounded queue: a submit either enters the
 //     queue (FJobAccept) or is rejected immediately (FJobReject,

@@ -32,7 +32,7 @@ func ReferenceRecord(s *System, node int, full bool) []byte {
 		for idx := base[o] + 1; idx <= nd.vc[o]; idx++ {
 			iv := nd.know[o][idx-1]
 			ck.Intervals = append(ck.Intervals, wire.OwnedInterval{Owner: int32(o), Idx: idx, IV: wire.Interval{
-				Pages: append([]wire.PageRef(nil), iv.Pages...), VC: append([]int32(nil), iv.VC...), Split: iv.Split,
+				Pages: append([]wire.PageRef(nil), iv.Pages...),
 			}})
 		}
 	}
@@ -82,11 +82,6 @@ func ReferenceRecord(s *System, node int, full bool) []byte {
 	}
 	if nd.ad != nil {
 		ck.Fetched, ck.Adapt = sortedKeys(nd.ad.fetched), nd.ad.det.Snapshot()
-	}
-	for pg, o := range nd.dirOwner {
-		if o >= 0 {
-			ck.Owners = append(ck.Owners, wire.PageOwner{Page: int32(pg), Owner: o})
-		}
 	}
 	blob, err := wire.AppendFrame(nil, &wire.Frame{Kind: wire.FCkpt, From: int32(nd.ID), Payload: ck})
 	if err != nil {

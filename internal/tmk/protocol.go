@@ -196,8 +196,8 @@ func (nd *Node) closeInterval() {
 	nd.vc[nd.ID] = idx
 	// The dirty pages in page order: an ascending walk of the table that
 	// stops at the last dirty entry, into node scratch the interval record
-	// — its page list and vector time carved from the store — is fully
-	// built from before this function returns.
+	// — its page list carved from the store — is fully built from before
+	// this function returns.
 	pages := nd.pgScratch[:0]
 	for pg := 0; len(pages) < nd.ndirty; pg++ {
 		if nd.pages[pg].dirty {
@@ -205,7 +205,7 @@ func (nd *Node) closeInterval() {
 		}
 	}
 	nd.pgScratch = pages
-	iv := wire.Interval{Pages: nd.st.refs.Take(len(pages)), VC: nd.vcCopy()}
+	iv := wire.Interval{Pages: nd.st.refs.Take(len(pages))}
 	for i, pg := range pages {
 		iv.Pages[i] = nd.pageRefFor(pg, nd.pages[pg].noTwin, true)
 	}
@@ -333,7 +333,7 @@ func (nd *Node) learnInterval(owner int, idx int32, iv wire.Interval) {
 	nd.vc[owner] = idx
 	for _, ref := range iv.Pages {
 		pg := int(ref.Page)
-		nd.noteRemoteWrite(pg, owner)
+		nd.noteWritten(pg)
 		if nd.pages[pg].applied[owner] >= idx {
 			continue
 		}
@@ -464,7 +464,7 @@ func (nd *Node) splitInterval(page int, whole bool) int32 {
 	nd.vc[nd.ID] = idx
 	refs := nd.st.refs.Take(1)
 	refs[0] = nd.pageRefFor(page, whole, false)
-	nd.know[nd.ID] = append(nd.know[nd.ID], wire.Interval{Pages: refs, VC: nd.vcCopy(), Split: true})
+	nd.know[nd.ID] = append(nd.know[nd.ID], wire.Interval{Pages: refs})
 	nd.noteWritten(page)
 	nd.touch(page)
 	return idx

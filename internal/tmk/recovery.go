@@ -198,14 +198,6 @@ func (nd *Node) writeRecord() {
 	}
 	nd.recIvs, nd.recFrames, nd.recDiffs = ck.Intervals, ck.Frames, ck.Diffs
 	nd.checkpointAdapt(&ck)
-	// The complete probable-owner map rides every record (it is small: one
-	// pair per hinted page; none off scale), so a restore takes the newest
-	// record's map alone instead of merging increments.
-	for pg, o := range nd.dirOwner {
-		if o >= 0 {
-			ck.Owners = append(ck.Owners, wire.PageOwner{Page: int32(pg), Owner: o})
-		}
-	}
 	blob, err := wire.AppendFrame(nd.recBuf[:0], &wire.Frame{Kind: wire.FCkpt, From: int32(nd.ID), Payload: ck})
 	if err != nil {
 		panic(fmt.Sprintf("tmk: encoding checkpoint record: %v", err))
@@ -407,14 +399,6 @@ func (nd *Node) restore() {
 		nd.Mem.SetProtInit(pg, vm.NoAccess)
 	}
 	nd.restoreAdapt(last)
-	// wipe reset both directory arrays; the newest record carries the
-	// complete probable-owner map (empty off scale), so no merge across the
-	// chain. The delegation pointers (dirNext) restart empty — they are
-	// routing hints whose loss only costs the first post-restore requester
-	// a payload serve from this node instead of a redirect.
-	for _, po := range last.Owners {
-		nd.dirOwner[po.Page] = po.Owner
-	}
 	nd.recLast = append(nd.recLast[:0], last.VC...)
 	nd.recEpoch = last.Epoch
 }

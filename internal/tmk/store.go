@@ -29,7 +29,7 @@ type Store struct {
 	entries vm.Slab[storedDiff]   // cache entries (newEntry)
 	lists   vm.Slab[*storedDiff]  // cache lists that outgrew theirs (storeDiff)
 	notices vm.Slab[notice]       // each page's first notice, and pending lists that outgrew theirs
-	rows    vm.Slab[int32]        // applied rows, cover rows, interval vector times
+	rows    vm.Slab[int32]        // applied rows and cover rows
 	refs    vm.Slab[wire.PageRef] // interval page lists
 	table   vm.Slab[page]         // the page table
 	know    [][]wire.Interval     // per-owner interval lists, kept with their capacity
@@ -161,11 +161,3 @@ func (nd *Node) newEntry(d storedDiff) *storedDiff {
 
 // coverRow carves an own diff's Covers row from the store.
 func (nd *Node) coverRow() []int32 { return nd.st.rows.Take(nd.sys.N()) }
-
-// vcCopy carves a copy of the node's vector time from the store: a closing
-// interval's record.
-func (nd *Node) vcCopy() []int32 {
-	vc := nd.st.rows.Take(len(nd.vc))
-	copy(vc, nd.vc)
-	return vc
-}

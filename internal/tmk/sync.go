@@ -666,10 +666,8 @@ func (nd *Node) postBarrier() wire.Depart {
 	}
 	nd.applyDiffs(d.Served)
 	nd.consumeWSync()
-	// Rebuild the ownership directory from the merged notice set before the
-	// epoch base advances: mid-epoch hints depend on serve order, which the
-	// concurrent backends do not reproduce (directory.go).
-	nd.resetDirectory()
+	// The next epoch starts with no scale-mode delegation (directory.go).
+	nd.forgetDirectory()
 	// After a departure every node holds the same merged vector time; the
 	// snapshot bounds the next arrival's interval delta.
 	copy(nd.lastBar, nd.vc)

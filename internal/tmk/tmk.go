@@ -55,8 +55,8 @@
 // capacity-capped three-index slices, so a page costs bytes and never an
 // allocation, and a list that outgrows its share moves to a larger carve
 // (grown) instead of writing into the neighbouring page's. Four
-// page-indexed things stay outside, on purpose: the scale directory's
-// dirOwner/dirNext and adapt's per-epoch tally, which belong to their
+// page-indexed things stay outside, on purpose: scale mode's delegations
+// (dirNext) and adapt's per-epoch tally, which belong to their
 // modes and are made when the mode is enabled; the barrier master's wsLast
 // index, built lazily and only at node 0, in the store's scratch; and the
 // sets a single call builds and drops.
@@ -177,12 +177,12 @@ type ProtocolStats struct {
 	AdaptLockProbes     int64 `obs:"adapt.lock.probes"`      // piggybacks withheld for a staleness re-probe
 	AdaptLockStaleDrops int64 `obs:"adapt.lock.stale.drops"` // bindings dropped because a re-probe went unread
 
-	// Ownership-directory counters (directory.go). DiffServes is
+	// Scale-mode counters (directory.go). DiffServes is
 	// maintained unconditionally — it is the serve-balance numerator the
 	// scaling table reports; the Dir* counters and the relay accounting
 	// only move in scale mode (EnableScale).
 	DiffServes      int64 `obs:"protocol.diff.serves"` // diff requests answered with at least one diff payload
-	DirRedirects    int64 `obs:"scale.dir.redirects"`  // diff requests answered with a forwarding hint instead
+	DirRedirects    int64 `obs:"scale.dir.redirects"`  // diff requests answered with a redirect to a delegate instead
 	DirHops         int64 `obs:"scale.dir.hops"`       // forwarding hops followed while chasing redirects
 	DirFallbacks    int64 `obs:"scale.dir.fallbacks"`  // chases that exhausted and left pages to the Direct retry
 	AdaptRelayBytes int64 `obs:"scale.relay.bytes"`    // accounted bytes of the barrier fetch-list relay (master)
@@ -204,7 +204,7 @@ type System struct {
 	adaptCfg adapt.Config    // detector tuning; meaningful once EnableAdapt ran
 	rec      *RecoveryConfig // checkpoint/restore; nil unless EnableRecovery ran
 	trace    *obs.Machine    // observability; nil unless EnableTrace ran
-	scale    bool            // ownership directory + relay compression; EnableScale
+	scale    bool            // serve delegation + relay compression; EnableScale
 
 	// departScratch backs runBarrier's departure-time table. Barriers are
 	// serialized by the protocol token, so one machine-wide buffer works.
@@ -491,11 +491,11 @@ type Node struct {
 	vc      []int32 // vc[o]: latest interval of owner o known here
 	lastBar []int32 // vc at the last barrier departure (arrival deltas)
 	// know[o][i] is interval i+1 of owner o: the pages it modified (page
-	// number, whole-page overwrite flag, declared write extent) and o's
-	// vector time when it closed. A closed interval is immutable, which is
-	// why the record is the wire value itself and is sent and learned
-	// without a copy: every holder — the creator, the transport, any
-	// number of in-process receivers — reads the same frozen arrays.
+	// number, whole-page overwrite flag, declared write extent). A closed
+	// interval is immutable, which is why the record is the wire value
+	// itself and is sent and learned without a copy: every holder — the
+	// creator, the transport, any number of in-process receivers — reads
+	// the same frozen arrays.
 	know [][]wire.Interval
 	// pages is the page table: one entry per shared page, indexed by page
 	// number, holding all of the page's consistency state. ndirty and
@@ -506,11 +506,10 @@ type Node struct {
 	ndirty    int
 	ndeferred int
 
-	// Ownership directory (directory.go); nil unless EnableScale ran.
-	// dirOwner[pg] is this node's probable-owner hint, dirNext[pg] the
-	// node it last delegated pg's chain to (-1 for none in both).
-	dirOwner []int32
-	dirNext  []int32
+	// Serve delegation (directory.go); nil unless EnableScale ran.
+	// dirNext[pg] is the node this node last delegated pg's chain to (-1
+	// for none).
+	dirNext []int32
 
 	// The fetch round in flight (fetchPages, completeInflight): its started
 	// exchanges and the pages it asked for, in the order asked, a page

@@ -53,7 +53,7 @@ func wsyncResponderLogScan(nd *Node, req int, appliedPg []int32, pg int) []int {
 // randomInterval builds a closed interval over a random sorted page set
 // (one page when split), each reference Whole with probability 1/3.
 func randomInterval(rng *rand.Rand, pages int, split bool) wire.Interval {
-	iv := wire.Interval{Split: split}
+	var iv wire.Interval
 	for pg := 0; pg < pages; pg++ {
 		if !split && rng.Intn(3) == 0 {
 			iv.Pages = append(iv.Pages, wire.PageRef{Page: int32(pg), Whole: rng.Intn(3) == 0})

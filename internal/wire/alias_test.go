@@ -36,8 +36,7 @@ func aliasFrames() []*Frame {
 			&Frame{Kind: FHand, From: (seed + 1) % 4, To: seed % 4, Tag: 1,
 				Payload: Grant{Bytes: 300 + seed,
 					Intervals: []OwnedInterval{{Owner: seed % 4, Idx: seed + 1,
-						IV: Interval{Pages: []PageRef{{Page: seed}, {Page: seed + 1, Whole: seed%2 == 0}},
-							VC: []int32{seed, 2, 3, 4}}}},
+						IV: Interval{Pages: []PageRef{{Page: seed}, {Page: seed + 1, Whole: seed%2 == 0}}}}},
 					Served: []Diff{mkDiff(20+seed, seed+2)},
 					Pushed: CoalesceDiffs(nil, []Diff{mkDiff(30+seed, seed+3), mkDiff(31+seed, seed+3)})}},
 		)

@@ -51,7 +51,7 @@ type decArena struct {
 }
 
 // arenaMin is the chunk size (in elements) of the decode arenas: small
-// enough that a long-retained slice (a learned interval's vector time)
+// enough that a long-retained slice (a learned interval's page list)
 // pins little dead space, large enough to absorb a whole payload's worth
 // of short slices in one allocation.
 const arenaMin = 128
@@ -511,7 +511,6 @@ func (c *coder) checkpoint(v *Checkpoint) {
 	c.diffs(&v.Diffs)
 	c.pageSet(&v.Fetched)
 	c.bytes(&v.Adapt)
-	c.pageOwners(&v.Owners)
 }
 
 func (c *coder) jobSpec(v *JobSpec) {
@@ -588,7 +587,7 @@ func (c *coder) spans(vs *[]DiffSpan) {
 }
 
 func (c *coder) intervals(vs *[]OwnedInterval) {
-	ivs := list(c, vs, 10, &c.ar.iv)
+	ivs := list(c, vs, 9, &c.ar.iv)
 	for i := range ivs {
 		oi := &ivs[i]
 		c.i32(&oi.Owner)
@@ -601,8 +600,6 @@ func (c *coder) intervals(vs *[]OwnedInterval) {
 			c.i32(&pr.ExtLo)
 			c.i32(&pr.ExtHi)
 		}
-		c.i32s(&oi.IV.VC)
-		c.bool(&oi.IV.Split)
 	}
 }
 

@@ -36,7 +36,7 @@ import "slices"
 // Version is the wire-format version carried by every frame. Peers reject
 // frames with any other version (the format has no negotiation; both ends
 // of a machine are the same build).
-const Version = 9
+const Version = 10
 
 // MaxFrame bounds the encoded size of one frame (64 MiB), a sanity limit
 // protecting the decoder from corrupt length prefixes.
@@ -170,21 +170,17 @@ type DiffRequest struct {
 }
 
 // DiffReply returns the diffs a responder served for a DiffRequest.
-// Redirects carry the ownership directory's probable-owner forwarding
-// hints for requested pages the responder could not serve (it no longer
-// holds the page's chain head): "ask Owner". The requester — never the
-// responder — follows the chain, so serve handlers stay request-free and
-// deadlock-free; each hop rewrites the requester's hint, shortening the
-// chain for every later fault (IVY path compression). Empty except in
-// scale mode.
+// Redirects name, for requested pages the responder has delegated, the
+// node it delegated each page's chain to: "ask Owner". The requester —
+// never the responder — follows the chain, so serve handlers stay
+// request-free and deadlock-free. Empty except in scale mode.
 type DiffReply struct {
 	Diffs     []Diff
 	Redirects []PageOwner
 }
 
-// PageOwner is one ownership-directory fact: the probable owner (last
-// known writer, the node to ask for the page's diff-chain head) of one
-// page. The unit of DiffReply redirects and of the Checkpoint owner map.
+// PageOwner names the node to ask for one page's diff chain: the unit of
+// DiffReply redirects.
 type PageOwner struct {
 	Page  int32
 	Owner int32
@@ -207,17 +203,9 @@ type PageRef struct {
 	ExtLo, ExtHi int32
 }
 
-// Interval records the pages one owner modified in one interval, plus the
-// owner's vector time when the interval closed. Split marks a mid-epoch
-// serve-path split (tmk.splitInterval): such intervals exist at
-// schedule-dependent positions in a creator's chain, so replicated
-// decisions — the ownership directory's post-barrier reset — must skip
-// them and count only closing intervals, which every backend produces at
-// the same synchronization points.
+// Interval records the pages one owner modified in one interval.
 type Interval struct {
 	Pages []PageRef
-	VC    []int32
-	Split bool
 }
 
 // NoticeBytes is the accounted size of a write notice covering n pages —
@@ -617,13 +605,6 @@ type Checkpoint struct {
 	// replica must agree with the survivors without negotiation.
 	Fetched []int32
 	Adapt   []byte
-	// Owners is the node's ownership-directory hint map (page → probable
-	// owner) at the record point, present only in scale mode. Without it
-	// a restored victim would fall back to "ask the creator" while the
-	// survivors' directories still point at migrated owners — correct
-	// (the retry path always recovers) but a recovery-time hot spot the
-	// directory exists to avoid.
-	Owners []PageOwner
 }
 
 // JobSpec describes one job submitted to the DSM service (internal/svc):

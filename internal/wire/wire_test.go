@@ -49,7 +49,6 @@ func sampleFrames() []*Frame {
 		{Kind: FHand, From: 2, To: 1, Tag: 1, Payload: Grant{
 			Intervals: []OwnedInterval{{Owner: 2, Idx: 5, IV: Interval{
 				Pages: []PageRef{{Page: 3, ExtLo: 12, ExtHi: 200}, {Page: 4, Whole: true, ExtLo: 0, ExtHi: 512}},
-				VC:    []int32{1, 2, 5},
 			}}},
 			Served: []Diff{{Page: 4, Creator: 2, From: 4, To: 5, Covers: []int32{0, 0, 5}}},
 			Bytes:  60,
@@ -57,8 +56,6 @@ func sampleFrames() []*Frame {
 		{Kind: FHand, From: 1, To: 2, Tag: 1, Payload: Grant{
 			Intervals: []OwnedInterval{{Owner: 1, Idx: 6, IV: Interval{
 				Pages: []PageRef{{Page: 9}},
-				VC:    []int32{2, 6, 5},
-				Split: true,
 			}}},
 			Pushed: []DiffSpan{
 				{Page: 9, Creator: 1, From: 5, To: 6, Covers: []int32{2, 6, 5},
@@ -73,12 +70,19 @@ func sampleFrames() []*Frame {
 		}},
 		{Kind: FHand, From: 0, To: 2, Tag: 2, Payload: Depart{
 			Time:      987654321,
-			Intervals: []OwnedInterval{{Owner: 1, Idx: 2, IV: Interval{VC: []int32{0, 2, 0}}}},
+			Intervals: []OwnedInterval{{Owner: 1, Idx: 2}},
 			Fetched:   []NodePages{{Node: 0, Pages: []int32{7, 8}}, {Node: 2, Pages: []int32{7}}},
+		}},
+		// Page-less intervals only: each is 9 bytes on the wire (owner,
+		// index, page count), the least an interval list's count may
+		// assume of what follows it.
+		{Kind: FHand, From: 0, To: 3, Tag: 2, Payload: Depart{
+			Time:      5,
+			Intervals: []OwnedInterval{{Owner: 1, Idx: 2}, {Owner: 2, Idx: 7}, {Owner: 3, Idx: 1}},
 		}},
 		{Kind: FHand, From: 0, To: 1, Tag: 2, Payload: Depart{
 			Time:      123123123,
-			Intervals: []OwnedInterval{{Owner: 2, Idx: 3, IV: Interval{VC: []int32{0, 0, 3}}}},
+			Intervals: []OwnedInterval{{Owner: 2, Idx: 3}},
 			Fetched: []NodePages{
 				// Dense list: span mode (two runs beat seven raw words).
 				{Node: 1, Pages: []int32{4, 5, 6, 7, 20, 21, 22}},
@@ -87,7 +91,7 @@ func sampleFrames() []*Frame {
 		}},
 		{Kind: FMsg, From: 0, To: 1, Tag: 5, Payload: Arrival{
 			VC:        []int32{4, 5, 6},
-			Intervals: []OwnedInterval{{Owner: 0, Idx: 4, IV: Interval{Pages: []PageRef{{Page: 11}}, VC: []int32{4, 0, 0}}}},
+			Intervals: []OwnedInterval{{Owner: 0, Idx: 4, IV: Interval{Pages: []PageRef{{Page: 11}}}}},
 			Needs:     []WSyncNeed{{Pages: []int32{11}, Applied: [][]int32{{1, 2, 3}}}},
 			Fetched:   []int32{11, 12},
 		}},
@@ -120,8 +124,8 @@ func sampleFrames() []*Frame {
 			Node: 2, Epoch: 4, Full: true,
 			VC: []int32{3, 1, 4}, LastBar: []int32{3, 1, 3},
 			Intervals: []OwnedInterval{
-				{Owner: 2, Idx: 4, IV: Interval{Pages: []PageRef{{Page: 5, ExtLo: 0, ExtHi: 512}}, VC: []int32{3, 1, 4}}},
-				{Owner: 0, Idx: 3, IV: Interval{Pages: []PageRef{{Page: 5}, {Page: 6, Whole: true}}, VC: []int32{3, 0, 2}}},
+				{Owner: 2, Idx: 4, IV: Interval{Pages: []PageRef{{Page: 5, ExtLo: 0, ExtHi: 512}}}},
+				{Owner: 0, Idx: 3, IV: Interval{Pages: []PageRef{{Page: 5}, {Page: 6, Whole: true}}}},
 			},
 			Frames: []PageFrame{
 				{Page: 5, Prot: 2, Dirty: true, LastDiffed: 4, Applied: []int32{3, 0, 4},
@@ -136,7 +140,6 @@ func sampleFrames() []*Frame {
 			},
 			Fetched: []int32{5, 6},
 			Adapt:   []byte{1, 0, 9, 255},
-			Owners:  []PageOwner{{Page: 5, Owner: 2}, {Page: 6, Owner: 0}},
 		}},
 		{Kind: FCkpt, From: 1, Tag: 5, Payload: Checkpoint{
 			Node: 1, Epoch: 5,
