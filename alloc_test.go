@@ -15,6 +15,7 @@ import (
 	"runtime"
 	"testing"
 	"time"
+	"unsafe"
 
 	"sdsm/internal/adapt"
 	"sdsm/internal/apps"
@@ -24,6 +25,7 @@ import (
 	"sdsm/internal/interp"
 	"sdsm/internal/ir"
 	"sdsm/internal/model"
+	"sdsm/internal/obs"
 	"sdsm/internal/rsd"
 	"sdsm/internal/shm"
 	"sdsm/internal/sim"
@@ -448,10 +450,11 @@ func TestWriteAllCloseAllocs(t *testing.T) {
 	}
 }
 
-// TestCheckpointRecordAllocs pins a steady-state full recovery record into
-// MemSink at O(1) allocations and no bytes proportional to the image: the
-// record aliases the live pages, is encoded into the node's reused buffer,
-// and lands in a buffer the sink recycled from the chain it retires. Two
+// TestCheckpointRecordAllocs pins a steady-state full recovery record at
+// O(1) allocations and no bytes proportional to the image: the record
+// aliases the live pages and is encoded straight into the buffer of the
+// chain the previous full record retired in the rank's store, where it
+// stays uncopied. Two
 // nodes checkpoint an image of `pages` valid pages at every barrier; eight
 // times the image must cost the same allocations and — within a fiftieth of
 // the extra image, which amortised buffer regrowth stays far below — the
@@ -594,6 +597,55 @@ func TestWarmRunAllocs(t *testing.T) {
 	t.Logf("a warm jacobi/small p8 run: %d allocs, %d B (ceilings %d, %d B)", allocs, bytes, allocsCeiling, bytesCeiling)
 	if allocs > allocsCeiling || bytes > bytesCeiling {
 		t.Fatalf("a warm jacobi/small p8 run allocates %d objects and %d B, ceilings %d and %d B", allocs, bytes, allocsCeiling, bytesCeiling)
+	}
+}
+
+// TestWarmRecoverRunAllocs pins a warm jacobi/small run at 8 ranks with
+// checkpointing armed, a full record at every barrier: each record is
+// encoded into a buffer its store's chain retired, so what the run adds to
+// TestWarmRunAllocs' is about one boxed wire.Checkpoint per record.
+// Measured: 1 204 allocations and 151 000 B; 1 690 and 31 648 248 B while
+// every run made an in-memory sink that copied each record into buffers
+// regrown as full records grew. The ceilings leave under 5 %.
+func TestWarmRecoverRunAllocs(t *testing.T) {
+	const allocsCeiling, bytesCeiling = 1_264, 158_500
+	allocs, bytes := warmRunAllocs(t, "jacobi", harness.Config{Procs: 8, Recover: true})
+	t.Logf("a warm recovering jacobi/small p8 run: %d allocs, %d B (ceilings %d, %d B)", allocs, bytes, allocsCeiling, bytesCeiling)
+	if allocs > allocsCeiling || bytes > bytesCeiling {
+		t.Fatalf("a warm recovering jacobi/small p8 run allocates %d objects and %d B, ceilings %d and %d B", allocs, bytes, allocsCeiling, bytesCeiling)
+	}
+}
+
+// TestTracedRunAllocs pins what tracing adds to a warm jacobi/small run at
+// 8 ranks: the events it records, each a 64-byte obs.Event, times a small
+// factor for each node's ring growing by append. Measured: 2 830 448 B
+// traced against 75 448 B untraced, for 15 392 events (985 088 B of
+// events), a factor of 2.8 — most of it the ring's doubling, whose arrays
+// add up to twice its final capacity. The bar is a factor of 3. A
+// tracer that made its whole ring up front allocated 32 MiB here.
+func TestTracedRunAllocs(t *testing.T) {
+	const factor = 3
+	cfg := harness.Config{Procs: 8}
+	_, plain := warmRunAllocs(t, "jacobi", cfg)
+	cfg.Trace = true
+	_, traced := warmRunAllocs(t, "jacobi", cfg)
+	app, err := apps.ByName("jacobi")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.App, cfg.Set, cfg.System, cfg.Backend = app, apps.Small, harness.Base, harness.BackendSim
+	res, err := harness.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var events uint64
+	for _, n := range res.Trace.Nodes {
+		events += uint64(n.Len()) + uint64(n.Dropped())
+	}
+	bar := plain + events*uint64(unsafe.Sizeof(obs.Event{}))*factor
+	t.Logf("jacobi/small p8: %d B untraced, %d B traced for %d events (bar %d B)", plain, traced, events, bar)
+	if events == 0 || traced > bar {
+		t.Fatalf("a traced jacobi/small p8 run allocates %d B for %d events, more than %d B untraced plus %d× the events", traced, events, plain, factor)
 	}
 }
 

@@ -12,8 +12,11 @@ import (
 const snapshotVersion = 1
 
 // maxSnapshotPage bounds the page numbers a snapshot may name, so a corrupt
-// blob cannot size the page table.
-const maxSnapshotPage = 1 << 24
+// blob cannot size the page table: a restore grows it to the largest page
+// named, at 160 bytes a page, about 10 MiB at this bound — 256 MiB of
+// shared memory, 51 times the largest data set here (shallow/large, 1 280
+// pages).
+const maxSnapshotPage = 1 << 16
 
 // snapCoder walks the snapshot blob in one direction: Snapshot appends
 // varints to b, RestoreSnapshot (restore true) consumes them into the same

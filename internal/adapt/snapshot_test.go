@@ -1,6 +1,9 @@
 package adapt
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+)
 
 // TestSnapshotRoundTrip drives a detector through promotion, split, and
 // decay transitions, snapshots it mid-stream, restores the blob into a
@@ -12,12 +15,9 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		advance(t, d, Epoch{Writers: writers, Readers: readers})
 	}
 	d := New(Config{K: 2})
-	for i := 0; i < 3; i++ {
-		ep(d, map[int][]WriteExt{4: {{Node: 0, Lo: 0, Hi: 512}}}, map[int][]int{4: {1, 2}})
-		ep(d, map[int][]WriteExt{7: {{Node: 1, Lo: 0, Hi: 256}, {Node: 2, Lo: 256, Hi: 512}}},
-			map[int][]int{7: {0}})
+	for _, e := range roundTripEpochs() {
+		advance(t, d, e)
 	}
-	ep(d, map[int][]WriteExt{4: {{Node: 3, Lo: 0, Hi: 512}}}, nil) // decay page 4
 
 	blob := d.Snapshot()
 	r := New(Config{K: 2})
@@ -38,6 +38,45 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 	if err := r.RestoreSnapshot(blob[:len(blob)/2]); err == nil {
 		t.Fatal("truncated snapshot accepted")
+	}
+}
+
+// roundTripEpochs is TestSnapshotRoundTrip's epoch stream: page 4 promoted
+// by one producer, page 7 split between two writers, then page 4 decayed.
+func roundTripEpochs() []Epoch {
+	var eps []Epoch
+	for i := 0; i < 3; i++ {
+		eps = append(eps,
+			Epoch{Writers: map[int][]WriteExt{4: {{Node: 0, Lo: 0, Hi: 512}}}, Readers: map[int][]int{4: {1, 2}}},
+			Epoch{Writers: map[int][]WriteExt{7: {{Node: 1, Lo: 0, Hi: 256}, {Node: 2, Lo: 256, Hi: 512}}}, Readers: map[int][]int{7: {0}}})
+	}
+	return append(eps, Epoch{Writers: map[int][]WriteExt{4: {{Node: 3, Lo: 0, Hi: 512}}}})
+}
+
+// TestRestoreSnapshotBoundsPageTable pins what a snapshot naming a far page
+// costs to restore: the largest page a snapshot may name restores with a
+// page table of about 10 MiB, and the next one is rejected before the table
+// grows. A bound of 1 << 24 let a five-byte edit of any snapshot cost
+// 2.7 GB.
+func TestRestoreSnapshotBoundsPageTable(t *testing.T) {
+	far := func(pg int) []byte {
+		d := New(Config{K: 2})
+		d.grow(pg)
+		d.page(pg)
+		return d.Snapshot()
+	}
+	blob := far(maxSnapshotPage)
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	if err := New(Config{K: 2}).RestoreSnapshot(blob); err != nil {
+		t.Fatalf("a snapshot naming page %d: %v", maxSnapshotPage, err)
+	}
+	runtime.ReadMemStats(&m1)
+	if b := m1.TotalAlloc - m0.TotalAlloc; b > 12<<20 {
+		t.Fatalf("restoring a snapshot naming page %d allocated %d MiB", maxSnapshotPage, b>>20)
+	}
+	if err := New(Config{K: 2}).RestoreSnapshot(far(maxSnapshotPage + 1)); err == nil {
+		t.Fatalf("a snapshot naming page %d was accepted", maxSnapshotPage+1)
 	}
 }
 

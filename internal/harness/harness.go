@@ -102,8 +102,8 @@ type Config struct {
 	// CheckpointEvery is the full-record period in barriers (≤1: every
 	// record is full). Meaningful with Recover.
 	CheckpointEvery int
-	// CheckpointDir spills records to disk (tmk.FileSink) instead of the
-	// default in-memory sink. Meaningful with Recover.
+	// CheckpointDir spills records to disk (tmk.FileSink) instead of each
+	// rank's store. Meaningful with Recover.
 	CheckpointDir string
 	// Fault injects one failure; implies Recover for DSM runs. For DSM
 	// systems, rank Rank dies at its Epoch-th barrier arrival and

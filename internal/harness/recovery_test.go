@@ -213,7 +213,7 @@ func TestRecoveryScale(t *testing.T) {
 }
 
 // TestRecoveryFileSink spills records to disk and restores from them:
-// the FileSink path must behave exactly like the in-memory sink.
+// the FileSink path must behave exactly like the chain kept in the stores.
 func TestRecoveryFileSink(t *testing.T) {
 	a, err := apps.ByName("gauss")
 	if err != nil {

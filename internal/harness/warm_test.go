@@ -234,13 +234,17 @@ func TestConcurrentFreshRunsReproduce(t *testing.T) {
 // a larger, different run grew — jacobi/large compiler-optimised, spmv
 // under the adaptive protocol, then mgs compiler-optimised, whose
 // Validate_w_sync builds the barrier master's responder index, all at 8
-// ranks — must leave no trace
-// in the runs that borrow it next. is/small base and gauss/small opt on
-// sim and jacobi/small base on net each match a run on cold stores, made
-// for it alone with the idle list set aside, bit for bit: checksum,
-// messages, bytes, and every protocol and vm counter, and on sim the
-// virtual time. (On net the virtual time follows the real schedule and
-// differs between two cold runs as well.)
+// ranks — and a gauss/small run checkpointing with a full record every
+// third barrier, after which every store holds a retired record chain, must
+// leave no trace in the runs that borrow it next. is/small base and
+// gauss/small opt on sim, jacobi/small base on net, and jacobi/small base
+// on sim checkpointing with rank 3 killed and restored at its fifth
+// barrier each match a run on cold stores, made for it alone with the idle
+// list set aside, bit for bit: checksum, messages, bytes, every protocol
+// and vm counter and the recovery counters, and on sim the virtual time.
+// (On net the virtual time follows the real schedule and differs between
+// two cold runs as well.) A release that left a record chain in its store
+// fails the restoring run: its rank's first record finds the chain there.
 func TestWarmStoresAreInvisible(t *testing.T) {
 	cfg := func(app string, set apps.DataSet, sys SystemKind, procs int, mod func(*Config)) Config {
 		a, err := apps.ByName(app)
@@ -278,6 +282,7 @@ func TestWarmStoresAreInvisible(t *testing.T) {
 		cfg("is", Small, Base, 8, nil),
 		cfg("gauss", Small, Opt, 8, nil),
 		cfg("jacobi", Small, Base, 4, func(c *Config) { c.Backend = BackendNet }),
+		cfg("jacobi", Small, Base, 8, func(c *Config) { c.Recover, c.Fault = true, &FaultPlan{Rank: 3, Epoch: 5} }),
 	}
 	want := make([]*Result, len(cfgs))
 	for i, c := range cfgs {
@@ -286,6 +291,7 @@ func TestWarmStoresAreInvisible(t *testing.T) {
 	run(cfg("jacobi", Large, Opt, 8, nil))
 	run(cfg("spmv", Large, Base, 8, func(c *Config) { c.Adapt = true }))
 	run(cfg("mgs", Small, Opt, 8, nil)) // leaves the masters' Validate_w_sync index built
+	run(cfg("gauss", Small, Base, 8, func(c *Config) { c.Recover, c.CheckpointEvery = true, 3 }))
 	idle.Lock()
 	warm := len(idle.stores)
 	idle.Unlock()
@@ -298,6 +304,9 @@ func TestWarmStoresAreInvisible(t *testing.T) {
 		}
 		if got.Protocol != w.Protocol || got.VM != w.VM {
 			t.Errorf("%s on warm stores: counters\n%+v\n%+v\non cold ones\n%+v\n%+v", label, got.Protocol, got.VM, w.Protocol, w.VM)
+		}
+		if got.Recovery != w.Recovery || (c.Recover && got.Recovery.Restores != 1) {
+			t.Errorf("%s on warm stores: recovery %+v, on cold ones %+v", label, got.Recovery, w.Recovery)
 		}
 		if c.Backend == BackendSim && got.Time != w.Time {
 			t.Errorf("%s on warm stores: virtual time %v, on cold ones %v", label, got.Time, w.Time)

@@ -3,6 +3,7 @@ package tmk
 import (
 	"fmt"
 	"slices"
+	"sync"
 
 	"sdsm/internal/vm"
 	"sdsm/internal/wire"
@@ -88,4 +89,30 @@ func ReferenceRecord(s *System, node int, full bool) []byte {
 		panic(fmt.Sprintf("tmk: encoding the reference record: %v", err))
 	}
 	return blob
+}
+
+// ChainSink is the tests' in-memory SnapshotSink: a copy of every record
+// in one chain per node, a full record dropping the chain before it.
+type ChainSink struct {
+	mu     sync.Mutex
+	Chains map[int][][]byte
+}
+
+func (c *ChainSink) Put(node int, epoch int32, full bool, rec []byte) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.Chains == nil {
+		c.Chains = map[int][][]byte{}
+	}
+	if full {
+		c.Chains[node] = nil
+	}
+	c.Chains[node] = append(c.Chains[node], slices.Clone(rec))
+	return nil
+}
+
+func (c *ChainSink) Records(node int) ([][]byte, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return slices.Clone(c.Chains[node]), nil
 }

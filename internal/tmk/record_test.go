@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"sync"
 	"testing"
 
 	"sdsm/internal/adapt"
@@ -17,15 +16,14 @@ import (
 	"sdsm/internal/model"
 	"sdsm/internal/sim"
 	"sdsm/internal/tmk"
-	"sdsm/internal/wire"
 )
 
-// checkingSink is a MemSink that compares every record it is handed with
+// checkingSink is a ChainSink that compares every record it is handed with
 // tmk.ReferenceRecord of the writing node's state at that moment (Put runs
 // inside writeRecord, under the protocol token, so the state is the one
 // the record was encoded from).
 type checkingSink struct {
-	*tmk.MemSink
+	tmk.ChainSink
 	t     *testing.T
 	sys   *tmk.System
 	recs  int
@@ -43,7 +41,7 @@ func (c *checkingSink) Put(node int, epoch int32, full bool, rec []byte) error {
 		c.t.Errorf("node %d record %d (full=%v): %d bytes differ from the deep-copied reference's %d",
 			node, epoch, full, len(rec), len(want))
 	}
-	return c.MemSink.Put(node, epoch, full, rec)
+	return c.ChainSink.Put(node, epoch, full, rec)
 }
 
 // TestRecordBytesMatchReference runs whole applications with checkpointing
@@ -88,7 +86,7 @@ func TestRecordBytesMatchReference(t *testing.T) {
 			if c.scale {
 				sys.EnableScale()
 			}
-			sink := &checkingSink{MemSink: tmk.NewMemSink(), t: t, sys: sys}
+			sink := &checkingSink{t: t, sys: sys}
 			sys.EnableRecovery(tmk.RecoveryConfig{Sink: sink, Every: c.every, Fault: c.fault})
 			if err := interp.RunDSM(prog, sys, params); err != nil {
 				t.Fatal(err)
@@ -113,82 +111,6 @@ func TestRecordBytesMatchReference(t *testing.T) {
 				t.Fatalf("fault %+v: %d restores", *c.fault, rs.Restores)
 			}
 		})
-	}
-}
-
-// TestMemSinkRecordsSurvivePuts pins both halves of the SnapshotSink
-// ownership rule on MemSink with buffer recycling on: Put keeps nothing of
-// the caller's buffer (the caller overwrites it after every Put, as
-// writeRecord does), and a chain Records returned stays intact across any
-// number of later Puts — here 100 full records per node from concurrent
-// writers — although each of them retires a chain into the free list.
-func TestMemSinkRecordsSurvivePuts(t *testing.T) {
-	const nodes, puts = 4, 100
-	record := func(node int, epoch int32, buf []byte) []byte {
-		words := make([]float64, 64+epoch) // every record a little larger than the last, as full records are
-		for i := range words {
-			words[i] = float64(epoch)
-		}
-		buf, err := wire.AppendFrame(buf[:0], &wire.Frame{Kind: wire.FCkpt, From: int32(node), Payload: wire.Checkpoint{
-			Node: int32(node), Epoch: epoch, Full: epoch != 2, Frames: []wire.PageFrame{{Page: epoch, Words: words}},
-		}})
-		if err != nil {
-			panic(err) // a Checkpoint always encodes; record runs off the test goroutine too
-		}
-		return buf
-	}
-	m := tmk.NewMemSink()
-	held := make([][][]byte, nodes)
-	for node := range held {
-		buf := record(node, 1, nil)
-		if err := m.Put(node, 1, true, buf); err != nil {
-			t.Fatal(err)
-		}
-		buf = record(node, 2, buf)
-		if err := m.Put(node, 2, false, buf); err != nil {
-			t.Fatal(err)
-		}
-		clear(buf)
-		var err error
-		if held[node], err = m.Records(node); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var wg sync.WaitGroup
-	for node := 0; node < nodes; node++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var buf []byte
-			for epoch := int32(3); epoch < 3+puts; epoch++ {
-				buf = record(node, epoch, buf)
-				if err := m.Put(node, epoch, true, buf); err != nil {
-					t.Error(err)
-					return
-				}
-				got, err := m.Records(node)
-				if err != nil || len(got) != 1 || !bytes.Equal(got[0], buf) {
-					t.Errorf("node %d epoch %d: live chain %q, err %v", node, epoch, got, err)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	for node, chain := range held {
-		if len(chain) != 2 {
-			t.Fatalf("node %d: held chain has %d records", node, len(chain))
-		}
-		for i, blob := range chain {
-			f, _, err := wire.ParseFrame(blob)
-			if err != nil {
-				t.Fatalf("node %d: record %d held across %d full Puts no longer parses: %v", node, i+1, puts, err)
-			}
-			ck := f.Payload.(wire.Checkpoint)
-			if int(ck.Node) != node || int(ck.Epoch) != i+1 || !bytes.Equal(blob, record(node, int32(i+1), nil)) {
-				t.Fatalf("node %d: record %d held across %d full Puts changed (now node %d epoch %d)", node, i+1, puts, ck.Node, ck.Epoch)
-			}
-		}
 	}
 }
 

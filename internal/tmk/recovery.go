@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"slices"
 	"sort"
-	"sync"
 	"time"
 
 	"sdsm/internal/vm"
@@ -25,9 +24,9 @@ import (
 // page frames — content, twin, protection, applied row — for every
 // page whose image or bookkeeping moved, the cached diff chains of the
 // framed pages, and the adaptive detector's snapshot. Records are
-// encoded wire frames (kind FCkpt) handed to a pluggable SnapshotSink
-// — in-memory, local disk, or a socket streaming to the mpnet
-// coordinator — so a restore exercises the same codec a remote restore
+// encoded wire frames (kind FCkpt), kept as a chain in the rank's Store
+// or, with a SnapshotSink configured, handed to it (local disk under
+// FileSink), so a restore exercises the same codec a remote restore
 // would.
 //
 // A restore rebuilds the node's entire DSM state from the newest full
@@ -68,10 +67,11 @@ type Fault struct {
 	Epoch int
 }
 
-// RecoveryConfig arms checkpointing. Every is the full-record period in
-// barriers (≤1: every record is full; k: one full record every k-th).
-// Fault, if set, injects one failure and the in-place recovery that
-// follows it.
+// RecoveryConfig arms checkpointing. Sink, if set, receives every record;
+// with none, each node keeps its chain in its Store. Every is the
+// full-record period in barriers (≤1: every record is full; k: one full
+// record every k-th). Fault, if set, injects one failure and the in-place
+// recovery that follows it.
 type RecoveryConfig struct {
 	Sink  SnapshotSink
 	Every int
@@ -100,18 +100,10 @@ type RecoveryStats struct {
 // recoveryState is a node's checkpoint bookkeeping: recLast is the vector
 // clock of its previous record (nil before the first), recEpoch the record
 // counter; which pages moved since that record is the page table's touched
-// bit. The rest is writeRecord's scratch, reused from record to record: the
-// frame set, the checkpoint's three lists, and the encoded frame (a record
-// is dead to the node once the sink's Put returns).
+// bit. writeRecord's scratch and the record chain are the Store's.
 type recoveryState struct {
 	recLast  []int32
 	recEpoch int32
-
-	recPages  []int
-	recIvs    []wire.OwnedInterval
-	recFrames []wire.PageFrame
-	recDiffs  []wire.Diff
-	recBuf    []byte
 }
 
 // recoveryPoll is the virtual time a failed node burns per check while
@@ -120,11 +112,8 @@ const recoveryPoll = time.Microsecond
 
 // EnableRecovery arms barrier-point checkpointing (and, if cfg.Fault is
 // set, one injected failure). Must be called after New and before Run.
-// With a nil Sink, records go to a fresh in-memory sink.
+// With a nil Sink, every node keeps its records in its Store.
 func (s *System) EnableRecovery(cfg RecoveryConfig) {
-	if cfg.Sink == nil {
-		cfg.Sink = NewMemSink()
-	}
 	s.rec = &cfg
 }
 
@@ -145,22 +134,23 @@ func (nd *Node) injectFault(b *barrier) {
 	}
 }
 
-// writeRecord serializes one recovery record and hands it to the sink.
-// Full records carry the whole interval log and a frame for every page
-// with any history; incremental records carry the per-owner interval
-// delta since the previous record and frames only for pages whose
-// image, diff cache, or bookkeeping could have moved since — dirty pages
-// and touched ones (a diff store or push, an own interval closed since:
-// touch). A page absent from every frame set is
-// provably still zero-filled and untouched, so a restore needs no
-// frame for it. A no-op unless recovery is armed.
+// writeRecord serializes one recovery record into a retired buffer of the
+// node's Store and keeps it in the store's chain or, with a Sink set, hands
+// it to the sink and retires the buffer again. Full records carry the
+// whole interval log and a frame for every page with any history;
+// incremental records carry the per-owner interval delta since the
+// previous record and frames only for pages whose image, diff cache, or
+// bookkeeping could have moved since — dirty pages and touched ones (a
+// diff store or push, an own interval closed since: touch). A page absent
+// from every frame set is provably still zero-filled and untouched, so a
+// restore needs no frame for it. A no-op unless recovery is armed.
 //
 // The wire.Checkpoint is a view, not a copy: its vector times, applied
 // rows, page images, twins and diff runs alias the node's live state. That
-// is safe because the record is encoded — into the node's reused buffer —
-// before this function returns, and the caller holds the protocol token
-// throughout, so nothing the view names can move under the encoder; the
-// sink sees only the encoded bytes.
+// is safe because the record is encoded — into a retired buffer of the
+// store — before this function returns, and the caller holds the protocol
+// token throughout, so nothing the view names can move under the encoder;
+// the chain and the sink hold only the encoded bytes.
 func (nd *Node) writeRecord() {
 	r := nd.sys.rec
 	if r == nil {
@@ -198,13 +188,21 @@ func (nd *Node) writeRecord() {
 	}
 	nd.recIvs, nd.recFrames, nd.recDiffs = ck.Intervals, ck.Frames, ck.Diffs
 	nd.checkpointAdapt(&ck)
-	blob, err := wire.AppendFrame(nd.recBuf[:0], &wire.Frame{Kind: wire.FCkpt, From: int32(nd.ID), Payload: ck})
+	if nd.recLast == nil && len(nd.st.records) > 0 {
+		panic(fmt.Sprintf("tmk: node %d's store holds a previous machine's record chain", nd.ID))
+	}
+	blob, err := wire.AppendFrame(nd.st.recordBuf(), &wire.Frame{Kind: wire.FCkpt, From: int32(nd.ID), Payload: ck})
 	if err != nil {
 		panic(fmt.Sprintf("tmk: encoding checkpoint record: %v", err))
 	}
-	nd.recBuf = blob
-	if err := r.Sink.Put(nd.ID, ck.Epoch, full, blob); err != nil {
-		panic(fmt.Sprintf("tmk: storing checkpoint record: %v", err))
+	if r.Sink == nil {
+		nd.st.keepRecord(blob, full)
+	} else {
+		err := r.Sink.Put(nd.ID, ck.Epoch, full, blob)
+		nd.st.recFree = append(nd.st.recFree, blob)
+		if err != nil {
+			panic(fmt.Sprintf("tmk: storing checkpoint record: %v", err))
+		}
 	}
 	nd.recLast = append(nd.recLast[:0], nd.vc...)
 	// Only now, with the record stored: a sink may look at the node from
@@ -315,13 +313,20 @@ func (nd *Node) wipe() {
 	nd.forgetDirectory()
 }
 
-// restore replays the node's record chain from the sink. See the file
+// restore replays the node's record chain — its store's, decoded in place
+// (wire.ParseFrame never aliases its input), or the sink's. See the file
 // comment for what each piece is rebuilt from.
 func (nd *Node) restore() {
 	s := nd.sys
-	recs, err := s.rec.Sink.Records(nd.ID)
-	if err != nil {
-		panic(fmt.Sprintf("tmk: reading checkpoint records for node %d: %v", nd.ID, err))
+	recs := nd.st.records
+	if s.rec.Sink != nil {
+		var err error
+		if recs, err = s.rec.Sink.Records(nd.ID); err != nil {
+			panic(fmt.Sprintf("tmk: reading checkpoint records for node %d: %v", nd.ID, err))
+		}
+	}
+	if len(recs) == 0 {
+		panic(fmt.Sprintf("tmk: no checkpoint records for node %d", nd.ID))
 	}
 	var last wire.Checkpoint
 	for i, blob := range recs {
@@ -401,71 +406,6 @@ func (nd *Node) restore() {
 	nd.restoreAdapt(last)
 	nd.recLast = append(nd.recLast[:0], last.VC...)
 	nd.recEpoch = last.Epoch
-}
-
-// MemSink is the in-memory SnapshotSink: one live record chain per
-// node, a full record dropping the chain before it. The dropped chain's
-// buffers are recycled for later records (Records hands out copies, so no
-// caller can be holding one), which is what keeps a steady-state record
-// from allocating anything proportional to the image.
-type MemSink struct {
-	mu     sync.Mutex
-	chains map[int][][]byte
-	free   [][]byte
-}
-
-// NewMemSink returns an empty in-memory sink.
-func NewMemSink() *MemSink { return &MemSink{chains: map[int][][]byte{}} }
-
-// Put appends a copy of the record, compacting on full records.
-func (m *MemSink) Put(node int, epoch int32, full bool, rec []byte) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	buf := append(m.buffer(len(rec)), rec...)
-	if full {
-		m.free = append(m.free, m.chains[node]...)
-		m.chains[node] = m.chains[node][:0]
-	}
-	m.chains[node] = append(m.chains[node], buf)
-	return nil
-}
-
-// buffer takes a recycled buffer for an n-byte record off the free list:
-// the smallest that holds it or, with none large enough, the largest, which
-// append then regrows with room to spare (full records grow with the
-// interval log, so each is a little larger than the buffer its predecessor
-// left). Nil when nothing has been retired yet.
-func (m *MemSink) buffer(n int) []byte {
-	if len(m.free) == 0 {
-		return nil
-	}
-	best := 0
-	for i, b := range m.free {
-		c, bc := cap(b), cap(m.free[best])
-		if (c >= n && (bc < n || c < bc)) || (bc < n && c > bc) {
-			best = i
-		}
-	}
-	buf := m.free[best]
-	last := len(m.free) - 1
-	m.free[best], m.free[last] = m.free[last], nil
-	m.free = m.free[:last]
-	return buf[:0]
-}
-
-// Records returns a deep copy of the node's live chain.
-func (m *MemSink) Records(node int) ([][]byte, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	c := m.chains[node]
-	if len(c) == 0 {
-		return nil, fmt.Errorf("tmk: no checkpoint records for node %d", node)
-	}
-	out := make([][]byte, len(c))
-	for i, rec := range c {
-		out[i] = slices.Clone(rec)
-	}
-	return out, nil
 }
 
 // FileSink spills records to Dir, one file per record, named so a

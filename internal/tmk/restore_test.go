@@ -39,13 +39,13 @@ func imageOf(nd *Node) []pageImage {
 	return out
 }
 
-// restoringSink is a MemSink that, once node's record is stored, wipes the
+// restoringSink is a ChainSink that, once node's record is stored, wipes the
 // node and restores it from the chain on the spot — Put runs inside
 // writeRecord, under the protocol token, so the node's state is exactly the
 // one just recorded — and requires the rebuilt page table to equal the
 // wiped one entry for entry.
 type restoringSink struct {
-	*MemSink
+	ChainSink
 	t        *testing.T
 	nd       *Node
 	restores int
@@ -57,7 +57,7 @@ type restoringSink struct {
 }
 
 func (s *restoringSink) Put(node int, epoch int32, full bool, rec []byte) error {
-	if err := s.MemSink.Put(node, epoch, full, rec); err != nil || node != s.nd.ID {
+	if err := s.ChainSink.Put(node, epoch, full, rec); err != nil || node != s.nd.ID {
 		return err
 	}
 	nd := s.nd
@@ -78,7 +78,7 @@ func (s *restoringSink) Put(node int, epoch int32, full bool, rec []byte) error 
 	}
 	nd.restore()
 	s.restores++
-	s.chainMax = max(s.chainMax, len(s.chains[node]))
+	s.chainMax = max(s.chainMax, len(s.Chains[node]))
 	if nd.ndirty != wantDirty {
 		s.t.Errorf("epoch %d: restored ndirty %d, was %d", epoch, nd.ndirty, wantDirty)
 	}
@@ -105,7 +105,7 @@ func (s *restoringSink) Put(node int, epoch int32, full bool, rec []byte) error 
 func TestRestoreRebuildsPageTable(t *testing.T) {
 	const n, epochs = 4, 8
 	s := testSystem(n, (1+n)*shm.PageWords)
-	sink := &restoringSink{MemSink: NewMemSink(), t: t, nd: s.Nodes[2]}
+	sink := &restoringSink{t: t, nd: s.Nodes[2]}
 	s.EnableRecovery(RecoveryConfig{Sink: sink, Every: 3})
 	quarter := shm.PageWords / n
 	own := func(id int) shm.Region { return shm.Region{Lo: (1 + id) * shm.PageWords, Hi: (2 + id) * shm.PageWords} }

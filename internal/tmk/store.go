@@ -9,21 +9,23 @@ import (
 // Store is one rank's warm storage: the vm.Arena behind its memory, the
 // slabs its protocol log is carved from — cache entries and lists, pending
 // lists, interval records, the page table — the per-owner interval lists,
-// and the node's run-lifetime scratch. A DSM run borrows its stores from
-// harness's idle list, so a steady stream of runs builds its log in the
-// storage the previous run left behind; NewStore makes a cold one. A Store
-// backs one node of one machine at a time.
+// the recovery record chain, and the node's run-lifetime scratch. A DSM
+// run borrows its stores from harness's idle list, so a steady stream of
+// runs builds its log in the storage the previous run left behind;
+// NewStore makes a cold one. A Store backs one node of one machine at a
+// time.
 //
 // A store lends under the arena's reuse rules (vm.Arena): every carve is
 // fully written by its consumer before anything reads it, what the node
 // would otherwise initialize itself (the page table, its applied rows) is
 // zeroed on loan, and release clears what was carved from every slab
 // whose values hold pointers — entries, lists, the interval lists and the
-// scratch that holds intervals — so a released machine's heap arrays
+// scratch that holds intervals, frames or diffs — so a released machine's heap arrays
 // (Net-decoded diffs, restored records) stay alive through none of it.
-// Nothing carved outlives the machine: a Result, a trace and a recovery
-// record (encoded bytes) hold no carve. A store keeps the largest run's
-// log, as an arena keeps the largest image.
+// Nothing carved outlives the machine: a Result and a trace hold no carve,
+// and a recovery record is plain bytes the store owns — release retires
+// the chain, so no later machine restores from it. A store keeps the
+// largest run's log, as an arena keeps the largest image.
 type Store struct {
 	arena   *vm.Arena
 	entries vm.Slab[storedDiff]   // cache entries (newEntry)
@@ -33,6 +35,10 @@ type Store struct {
 	refs    vm.Slab[wire.PageRef] // interval page lists
 	table   vm.Slab[page]         // the page table
 	know    [][]wire.Interval     // per-owner interval lists, kept with their capacity
+	// The node's recovery records (writeRecord) when no SnapshotSink takes
+	// them: the live chain, newest full record first, and the retired
+	// buffers the next records are encoded into.
+	records, recFree [][]byte
 	scratch
 }
 
@@ -82,6 +88,12 @@ type scratch struct {
 	// and fcScratch, parallel to it, which of those pages it covers whole.
 	vpScratch []int
 	fcScratch []bool
+
+	// writeRecord's scratch: the frame set and the checkpoint's three lists.
+	recPages  []int
+	recIvs    []wire.OwnedInterval
+	recFrames []wire.PageFrame
+	recDiffs  []wire.Diff
 }
 
 // lend returns the page table of a node of an n-rank machine over pages
@@ -132,6 +144,34 @@ func (st *Store) release(nd *Node) {
 	st.dfScratch = truncated(st.dfScratch)
 	st.ivScratch, st.depScratch = truncated(st.ivScratch), truncated(st.depScratch)
 	st.wsLast, st.wsSeen = st.wsLast[:0], st.wsSeen[:0]
+	st.recIvs, st.recFrames, st.recDiffs = truncated(st.recIvs), truncated(st.recFrames), truncated(st.recDiffs)
+	st.recFree = append(st.recFree, st.records...)
+	st.records = st.records[:0]
+}
+
+// recordBuf returns an empty buffer for the next record: the last one
+// retired, or nil before any was. A chain is retired in write order, its
+// full record first, so with incremental records between full ones the
+// incremental records take incremental buffers and a full record a full
+// one.
+func (st *Store) recordBuf() []byte {
+	k := len(st.recFree) - 1
+	if k < 0 {
+		return nil
+	}
+	buf := st.recFree[k]
+	st.recFree = st.recFree[:k]
+	return buf[:0]
+}
+
+// keepRecord appends an encoded record to the chain. A full record retires
+// the chain before it, which stays intact until the new record is encoded.
+func (st *Store) keepRecord(rec []byte, full bool) {
+	if full {
+		st.recFree = append(st.recFree, st.records...)
+		st.records = st.records[:0]
+	}
+	st.records = append(st.records, rec)
 }
 
 // truncated returns s emptied, its whole capacity cleared first so none of

@@ -191,7 +191,8 @@ func list[T any](c *coder, vs *[]T, min int, chunk *[]T) []T {
 }
 
 // i32s and f64s are the bulk word lists: one count, then the words copied
-// in a single sized step in either direction.
+// in a single sized step in either direction. f64s encodes four words per
+// iteration: page images and diff runs are most of a record's bytes.
 func (c *coder) i32s(vs *[]int32) {
 	n := c.count(len(*vs), 4)
 	if !c.dec {
@@ -210,9 +211,16 @@ func (c *coder) i32s(vs *[]int32) {
 func (c *coder) f64s(vs *[]float64) {
 	n := c.count(len(*vs), 8)
 	if !c.dec {
-		dst := c.reserve(8 * n)
-		for i, v := range *vs {
-			binary.LittleEndian.PutUint64(dst[8*i:], math.Float64bits(v))
+		dst, src, i := c.reserve(8*n), *vs, 0
+		for ; i+4 <= n; i += 4 {
+			d, w := dst[8*i:8*i+32:8*i+32], src[i:i+4:i+4]
+			binary.LittleEndian.PutUint64(d, math.Float64bits(w[0]))
+			binary.LittleEndian.PutUint64(d[8:], math.Float64bits(w[1]))
+			binary.LittleEndian.PutUint64(d[16:], math.Float64bits(w[2]))
+			binary.LittleEndian.PutUint64(d[24:], math.Float64bits(w[3]))
+		}
+		for ; i < n; i++ {
+			binary.LittleEndian.PutUint64(dst[8*i:], math.Float64bits(src[i]))
 		}
 	} else if src := c.take(8 * n); n > 0 && src != nil {
 		*vs = arenaAlloc(&c.ar.f64, n)
@@ -593,6 +601,19 @@ func (c *coder) intervals(vs *[]OwnedInterval) {
 		c.i32(&oi.Owner)
 		c.i32(&oi.Idx)
 		refs := list(c, &oi.IV.Pages, 13, &c.ar.ref)
+		if !c.dec {
+			// The page refs in one reserved step, each laid out as the
+			// decoding walk below reads it.
+			dst := c.reserve(13 * len(refs))
+			for j, pr := range refs {
+				d := dst[13*j : 13*j+13 : 13*j+13]
+				binary.LittleEndian.PutUint32(d, uint32(pr.Page))
+				d[4] = b2u(pr.Whole)
+				binary.LittleEndian.PutUint32(d[5:], uint32(pr.ExtLo))
+				binary.LittleEndian.PutUint32(d[9:], uint32(pr.ExtHi))
+			}
+			continue
+		}
 		for j := range refs {
 			pr := &refs[j]
 			c.i32(&pr.Page)
