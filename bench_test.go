@@ -2,10 +2,12 @@
 // backend's hot paths. runBarrierFlurry, allocsPerIter and benchDiffReply
 // are the fixtures alloc_test.go pins allocation counts with; the
 // BenchmarkWire* benchmarks beside them time the wire codec (diff payload
-// encode/decode, grant round trips), and BenchmarkAppRun times and counts
-// the allocations of whole runs of the paper's applications. Per-layer
-// timings and the paper's tables are measured by the benchmark in bench/
-// (bash bench/run.sh) and printed by cmd/sdsm-experiments.
+// encode/decode, grant round trips), and BenchmarkAppRun and
+// BenchmarkModeRun time and count the allocations of whole runs of the
+// paper's applications and of the configurations that arm the opt-in
+// modes. Per-layer timings and the paper's tables are measured by the
+// benchmark in bench/ (bash bench/run.sh) and printed by
+// cmd/sdsm-experiments.
 package sdsm_test
 
 import (
@@ -178,6 +180,46 @@ func BenchmarkAppRun(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// BenchmarkModeRun is BenchmarkAppRun for the configurations that arm the
+// opt-in modes: the seven of the benchmark's sim-modes workload and the
+// four job specs of its svc-mix workload, each a verified harness.Run on
+// sim over warm stores, named as the benchmark names them so a cell lines
+// up with its harness.run_p50_ms.<name> row. The service's coordinator and
+// pool are not in it: the cell is the job's run.
+func BenchmarkModeRun(b *testing.B) {
+	for _, m := range []struct {
+		name, app, set string
+		cfg            harness.Config
+	}{
+		{"jacobi-large-adapt", "jacobi", "large", harness.Config{Procs: 8, Adapt: true}},
+		{"spmv-large-adapt", "spmv", "large", harness.Config{Procs: 8, Adapt: true}},
+		{"jacobi-bound-adapt", "jacobi", "bound", harness.Config{Procs: 8, Adapt: true}},
+		{"tsp-large-adapt", "tsp", "large", harness.Config{Procs: 8, Adapt: true}},
+		{"is-small-adapt", "is", "small", harness.Config{Procs: 8, Adapt: true}},
+		{"tsps-small-adapt-scale-p32", "tsps", "small", harness.Config{Procs: 32, Adapt: true, Scale: true}},
+		{"jacobi-small-ckpt", "jacobi", "small", harness.Config{Procs: 8, Recover: true}},
+		{"jacobi-small-p2", "jacobi", "small", harness.Config{Procs: 2}},
+		{"spmv-small-scale-p4", "spmv", "small", harness.Config{Procs: 4, Scale: true}},
+		{"tsp-small-p2", "tsp", "small", harness.Config{Procs: 2}},
+		{"jacobi-bound-adapt-p2", "jacobi", "bound", harness.Config{Procs: 2, Adapt: true}},
+	} {
+		app, err := apps.ByName(m.app)
+		if err != nil {
+			b.Fatal(err)
+		}
+		cfg := m.cfg
+		cfg.App, cfg.Set, cfg.System, cfg.Backend, cfg.Verify = app, apps.DataSet(m.set), harness.Base, harness.BackendSim, true
+		b.Run(m.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := harness.Run(cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

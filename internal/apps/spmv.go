@@ -1,7 +1,7 @@
 package apps
 
 import (
-	"sort"
+	"math/bits"
 	"time"
 
 	"sdsm/internal/ir"
@@ -30,28 +30,45 @@ const (
 	spmvCopyCost  = 60 * time.Nanosecond
 )
 
-// spmvNbr returns the j-th neighbor (0..3) of 0-based element g in a ring
-// of n elements: the two adjacent elements plus two hash-derived jumps of
-// up to one and two pages. Deterministic and fixed across iterations; no
-// affine summary exists.
-func spmvNbr(g, j, n int) int {
-	switch j {
-	case 0:
-		return (g - 1 + n) % n
-	case 1:
-		return (g + 1) % n
+// spmvNbrs returns the four neighbors of 0-based element g in a ring of n
+// elements: the two adjacent elements plus two hash-derived jumps of up to
+// one and two pages. Deterministic and fixed across iterations; no affine
+// summary exists.
+func spmvNbrs(g, n int) (prev, next, near, far int) {
+	prev, next = g-1, g+1
+	if g == 0 {
+		prev = n - 1
 	}
+	if next == n {
+		next = 0
+	}
+	return prev, next, spmvJump(g, 2, shm.PageWords, n), spmvJump(g, 3, 2*shm.PageWords, n)
+}
+
+// spmvJump is neighbor j of g, up to reach elements away either side. It
+// divides nothing: the offset is the hash masked to [0, 2·reach), 2·reach
+// being a power of two, and once n > reach the jumped-to g+d lies in
+// (-n, 2n), so one add or subtract of n wraps it.
+func spmvJump(g, j, reach, n int) int {
 	x := uint64(g)*0x9E3779B97F4A7C15 + uint64(j)*0xBF58476D1CE4E5B9
 	x ^= x >> 29
 	x *= 0x94D049BB133111EB
 	x ^= x >> 32
-	reach := shm.PageWords // ±1 page
-	if j == 3 {
-		reach = 2 * shm.PageWords // ±2 pages
+	r := g + int(x&uint64(2*reach-1)) - reach
+	switch {
+	case n <= reach:
+		return (r%n + n) % n
+	case r < 0:
+		return r + n
+	case r >= n:
+		return r - n
 	}
-	d := int(x%uint64(2*reach)) - reach
-	return ((g+d)%n + n) % n
+	return r
 }
+
+// The mask in spmvJump is x mod 2·reach only if a page is a power of two
+// words; this fails to compile otherwise.
+const _ = uint(-(shm.PageWords & (shm.PageWords - 1)))
 
 // spmvInit seeds element g with a varied deterministic value.
 func spmvInit(g int) float64 { return float64((g*131+17)%251) / 251 }
@@ -114,6 +131,7 @@ func spmvProg(nprocs int) *ir.Program {
 		},
 	}
 
+	memo := make([]spmvPages, nprocs) // rank p's touched pages, written by rank p only
 	relaxKernel := ir.Kernel{
 		Name: "relax",
 		Accesses: []ir.TaggedSection{
@@ -140,25 +158,36 @@ func spmvProg(nprocs int) *ir.Program {
 			// Establish read access over exactly the pages the owned
 			// elements' neighbors touch, one Ensure per contiguous page run
 			// (the irregular analogue of a regular app's section validate).
-			touched := map[int]bool{}
-			for g := lo - 1; g <= hi-1; g++ {
-				for j := 0; j < 4; j++ {
-					touched[(vbase+spmvNbr(g, j, n))/shm.PageWords] = true
-				}
+			// The set is a bitset over val's pages: a few dozen at every
+			// size the suite runs, so four words hold it, and walking it in
+			// page order yields the runs already sorted, with nothing to
+			// hash and nothing to sort. The neighbor graph is fixed, so the
+			// set depends on (n, lo, hi, vbase) alone and each rank keeps
+			// its own from one iteration to the next. Every neighbor wraps
+			// with a compare, not a division (spmvJump says why one
+			// suffices).
+			var own spmvPages
+			m := &own
+			if p := e["p"]; p < len(memo) {
+				m = &memo[p]
 			}
+			first := uint(vbase) / shm.PageWords
+			touched := m.touched(n, lo, hi, vbase)
 			var data []float64
-			for _, run := range pageRuns(touched) {
-				rlo := max(run[0]*shm.PageWords, vbase)
-				rhi := min(run[1]*shm.PageWords, vbase+n)
+			for plo, phi := touched.run(0); plo < phi; plo, phi = touched.run(phi) {
+				rlo := max(int(first+plo)*shm.PageWords, vbase)
+				rhi := min(int(first+phi)*shm.PageWords, vbase+n)
 				data = ctx.ReadRegion(rlo, rhi)
 			}
 			wbase := ctx.Array("nval").Index(1)
 			out := ctx.WriteRegion(wbase+lo-1, wbase+hi)
 			for g := lo - 1; g <= hi-1; g++ {
+				prev, next, near, far := spmvNbrs(g, n)
 				s := 0.0
-				for j := 0; j < 4; j++ {
-					s += data[vbase+spmvNbr(g, j, n)]
-				}
+				s += data[vbase+prev]
+				s += data[vbase+next]
+				s += data[vbase+near]
+				s += data[vbase+far]
 				out[wbase+g] = 0.25 * s
 			}
 			ctx.Charge(time.Duration(hi-lo+1) * spmvRelaxCost)
@@ -208,25 +237,73 @@ func spmvProg(nprocs int) *ir.Program {
 	return prog
 }
 
-// pageRuns converts a touched-page set into sorted [first, last+1) page
-// runs.
-func pageRuns(pages map[int]bool) [][2]int {
-	ps := make([]int, 0, len(pages))
-	for pg := range pages {
-		ps = append(ps, pg)
+// spmvPages is one rank's set of touched pages of val, relative to val's
+// first page, and the (n, lo, hi, vbase) it was made for.
+type spmvPages struct {
+	key   [4]int
+	words int // 0 until made
+	set   [4]uint64
+}
+
+// touched returns the pages val's elements lo..hi (1-based) read as
+// neighbors, made again only when the key differs from the last call's; a
+// set too large for the memo is made afresh on every call.
+func (m *spmvPages) touched(n, lo, hi, vbase int) pageSet {
+	key := [4]int{n, lo, hi, vbase}
+	if m.words > 0 && m.key == key {
+		return m.set[:m.words]
 	}
-	if len(ps) == 0 {
-		return nil
-	}
-	sort.Ints(ps)
-	var out [][2]int
-	start, prev := ps[0], ps[0]
-	for _, pg := range ps[1:] {
-		if pg != prev+1 {
-			out = append(out, [2]int{start, prev + 1})
-			start = pg
+	first := uint(vbase) / shm.PageWords
+	set := newPageSet(m.set[:], (uint(vbase+n)+shm.PageWords-1)/shm.PageWords-first)
+	for g := lo - 1; g <= hi-1; g++ {
+		prev, next, near, far := spmvNbrs(g, n)
+		for _, nb := range [4]int{prev, next, near, far} {
+			set.add(uint(vbase+nb)/shm.PageWords - first)
 		}
-		prev = pg
 	}
-	return append(out, [2]int{start, prev + 1})
+	if len(set) <= len(m.set) {
+		m.key, m.words = key, len(set)
+	}
+	return set
+}
+
+// pageSet is a set of page indices, one bit each.
+type pageSet []uint64
+
+// newPageSet returns an empty set of pages 0..pages-1 in buf, or in a new
+// slice when buf is too short.
+func newPageSet(buf []uint64, pages uint) pageSet {
+	words := (pages + 63) / 64
+	if words > uint(len(buf)) {
+		return make(pageSet, words)
+	}
+	clear(buf[:words])
+	return buf[:words]
+}
+
+func (s pageSet) add(pg uint) { s[pg/64] |= 1 << (pg % 64) }
+
+// run returns the first maximal run [lo, hi) of set pages at or after from;
+// lo == hi when none is left.
+func (s pageSet) run(from uint) (lo, hi uint) {
+	lo = s.next(from, 0)
+	return lo, s.next(lo, ^uint64(0))
+}
+
+// next returns the first page at or after from that is in the set when
+// flip is 0, or not in it when flip is all ones; the set's capacity, a
+// multiple of 64, when there is none.
+func (s pageSet) next(from uint, flip uint64) uint {
+	w := from / 64
+	if w >= uint(len(s)) {
+		return uint(len(s)) * 64
+	}
+	x := (s[w] ^ flip) >> (from % 64) << (from % 64)
+	for x == 0 {
+		if w++; w == uint(len(s)) {
+			return w * 64
+		}
+		x = s[w] ^ flip
+	}
+	return w*64 + uint(bits.TrailingZeros64(x))
 }
