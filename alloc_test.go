@@ -46,16 +46,38 @@ import (
 // records and diffs carved from the rank's store. The ceiling leaves under
 // 5% for runtime noise, so a regression on the encode buffers, decode
 // arena, frame reuse, or protocol scratch paths fails loudly.
+//
+// Bytes are pinned twice, each ceiling 5% above its measured value on a
+// 2-core Xeon. Per epoch, 12 280–12 430 B (12 350–12 470 B while every
+// frame took two reads and a writer wakeup): a frame buffer that escapes
+// the pool fails it. Per machine — NewNet, one epoch, Close — 300–308 KB
+// (334–341 KB while a FrameReader kept its buffer when its stream ended):
+// the eight read-ahead buffers of a 4-rank machine are the pool's, and a
+// reader that makes its own, or keeps it, fails it.
 func TestNetBarrierFlurryAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation pinning needs the long flurry run")
 	}
-	const ceiling = 49
-	per := allocsPerIter(t, 40, 160, func(iters int) error { return runBarrierFlurry(4, iters) })
+	const ceiling, byteCeiling, machineCeiling = 49, 12950, 323000
+	per, bytes := memPerIter(t, 40, 160, func(iters int) error { return runBarrierFlurry(4, iters) })
 	if per > ceiling {
 		t.Fatalf("net barrier flurry allocates %.1f/epoch, ceiling %d (was ~636 before pooling; the wire path regressed)", per, ceiling)
 	}
-	t.Logf("net barrier flurry: %.1f allocs/epoch (ceiling %d)", per, ceiling)
+	if bytes > byteCeiling {
+		t.Fatalf("net barrier flurry allocates %.0f B/epoch, ceiling %d (a frame buffer escapes the pool)", bytes, byteCeiling)
+	}
+	_, machine := memPerIter(t, 5, 20, func(machines int) error {
+		for range machines {
+			if err := runBarrierFlurry(4, 1); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if machine > machineCeiling {
+		t.Fatalf("a net machine allocates %.0f B, ceiling %d (a read-ahead buffer escapes the pool)", machine, machineCeiling)
+	}
+	t.Logf("net barrier flurry: %.1f allocs, %.0f B per epoch, %.0f B per machine (ceilings %d, %d B, %d B)", per, bytes, machine, ceiling, byteCeiling, machineCeiling)
 }
 
 // TestWireEncodePooledAllocs pins the encode path proper at zero

@@ -2,12 +2,12 @@
 // backend's hot paths. runBarrierFlurry, allocsPerIter and benchDiffReply
 // are the fixtures alloc_test.go pins allocation counts with; the
 // BenchmarkWire* benchmarks beside them time the wire codec (diff payload
-// encode/decode, grant round trips), and BenchmarkAppRun and
-// BenchmarkModeRun time and count the allocations of whole runs of the
-// paper's applications and of the configurations that arm the opt-in
-// modes. Per-layer timings and the paper's tables are measured by the
-// benchmark in bench/ (bash bench/run.sh) and printed by
-// cmd/sdsm-experiments.
+// encode/decode, grant round trips), and BenchmarkAppRun,
+// BenchmarkModeRun and BenchmarkNetRun time and count the allocations of
+// whole runs of the paper's applications, of the configurations that arm
+// the opt-in modes, and of the applications on the wire backend.
+// Per-layer timings and the paper's tables are measured by the benchmark
+// in bench/ (bash bench/run.sh) and printed by cmd/sdsm-experiments.
 package sdsm_test
 
 import (
@@ -213,6 +213,30 @@ func BenchmarkModeRun(b *testing.B) {
 		cfg := m.cfg
 		cfg.App, cfg.Set, cfg.System, cfg.Backend, cfg.Verify = app, apps.DataSet(m.set), harness.Base, harness.BackendSim, true
 		b.Run(m.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := harness.Run(cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkNetRun is BenchmarkAppRun for the benchmark's net-base
+// workload: the same five cells, base TreadMarks only, on the wire
+// backend at 4 ranks, named as the benchmark names them. Every iteration
+// builds a fresh host.Net — a switch, 4 endpoints, 8 sockets — as a run
+// on that backend does, so the cell is where the socket path (wire
+// framing, FrameQueue, the switch's routers, netpoll) shows in a profile.
+func BenchmarkNetRun(b *testing.B) {
+	for _, as := range [][2]string{{"jacobi", "large"}, {"gauss", "small"}, {"is", "small"}, {"shallow", "small"}, {"fft", "small"}} {
+		app, err := apps.ByName(as[0])
+		if err != nil {
+			b.Fatal(err)
+		}
+		cfg := harness.Config{App: app, Set: apps.DataSet(as[1]), System: harness.Base, Procs: 4, Backend: harness.BackendNet, Verify: true}
+		b.Run(as[0]+"-"+as[1]+"-tmk", func(b *testing.B) {
 			b.ReportAllocs()
 			for b.Loop() {
 				if _, err := harness.Run(cfg); err != nil {

@@ -6,34 +6,43 @@ import (
 	"io"
 	"net"
 	"sync"
+	"syscall"
 
 	"sdsm/internal/obs"
 	"sdsm/internal/wire"
 )
 
 // FrameQueue is the per-connection outbound half of the zero-allocation
-// wire path: an unbounded FIFO of encoded frames drained by a single
-// writer goroutine. A barrier or lock release produces a flurry of
-// frames for the same connection (grants, departures, diff replies,
-// adaptive updates); enqueuing is a mutex-guarded append, and the writer
-// coalesces everything queued at wakeup into one scatter-gather write
-// (net.Buffers, a writev on socket conns) — one syscall per flush
-// instead of one per frame.
+// wire path: an unbounded FIFO of encoded frames. A frame enqueued on an
+// idle queue — nothing queued, nothing in flight — is written inline, on
+// the caller's goroutine, by one non-blocking write to the socket; a
+// frame that finds a backlog, or that the socket did not take whole,
+// goes to the queue's writer goroutine, which coalesces everything queued
+// at its wakeup into one scatter-gather write (net.Buffers, a writev on
+// socket conns). So an idle connection costs one syscall per frame and
+// wakes no goroutine, and a flurry (grants, departures, diff replies,
+// adaptive updates queued behind a full socket buffer) costs one syscall
+// per flush.
 //
 // Contract:
 //
 //   - Enqueue takes ownership of raw: the queue recycles it with
 //     wire.PutBuf after the write, so callers must encode into pooled
 //     storage (wire.GetBuf) and never touch the slice again.
-//   - Frames enqueued on one queue are written in FIFO order; the
-//     coalesced flush preserves per-connection ordering exactly. No
-//     cross-queue ordering is promised.
+//   - Enqueue never blocks on a full socket buffer: the inline write is
+//     non-blocking, and what it leaves is the writer's.
+//   - Frames enqueued on one queue are written in FIFO order: an inline
+//     write happens only on an idle queue, and the unwritten rest of a
+//     frame it starts goes to the head of the queue. No cross-queue
+//     ordering is promised.
 //   - Coalescing moves bytes, not time: all virtual-time charges and
 //     arrival stamps are fixed by the sender before Enqueue, so batching
 //     is invisible to the cost model (DESIGN.md, "Zero-allocation wire
 //     path").
 //
-// Failure: the first write error is latched; the queue calls onErr once
+// Failure: the first write error is latched — by the writer goroutine
+// only: an inline write that fails for any reason leaves its frame to the
+// writer, whose own write meets the error. The queue calls onErr once
 // (from the writer goroutine), drops subsequent frames, and every later
 // Enqueue returns the latched error so protocol callers can unwind. A
 // short vectored write without an error — which would leave a frame
@@ -41,22 +50,36 @@ import (
 // io.ErrShortWrite the same way. Frames dropped after a failure are
 // counted, and Close reports the count: a shutdown that lost frames is
 // loud, never silent.
+//
+// A connection that is not a syscall.Conn (net.Pipe, test doubles), or
+// any connection off unix (writeFD), has no inline path: every frame goes
+// through the writer goroutine.
 type FrameQueue struct {
 	w     net.Conn
 	onErr func(error)
 
+	// rc is w's raw connection, nil when w is not a syscall.Conn. The
+	// inline write hands it writeOnce, made once per queue, which writes
+	// inbuf with one attempt and leaves the bytes written in inN (0 on any
+	// error); both are guarded by mu.
+	rc        syscall.RawConn
+	writeOnce func(fd uintptr) bool
+	inbuf     []byte
+	inN       int
+
 	mu       sync.Mutex
 	cond     *sync.Cond
 	q        [][]byte
+	headOff  int // bytes of q[0] an inline write already put on the wire
 	inflight int
 	err      error
 	dropped  int // frames recycled unwritten after err latched
 	closed   bool
 	done     chan struct{}
 
-	// frames/flushes, when non-nil, count written frames and coalesced
-	// flushes for the observability layer (SetObs). Nil when tracing is
-	// off: the writer loop then performs no extra work.
+	// frames/flushes, when non-nil, count written frames and flushes (an
+	// inline write is one of each) for the observability layer (SetObs).
+	// Nil when tracing is off: the write paths then perform no extra work.
 	frames  *obs.Counter
 	flushes *obs.Counter
 }
@@ -76,13 +99,26 @@ var errQueueClosed = errors.New("host: frame queue closed")
 func NewFrameQueue(w net.Conn, onErr func(error)) *FrameQueue {
 	fq := &FrameQueue{w: w, onErr: onErr, done: make(chan struct{})}
 	fq.cond = sync.NewCond(&fq.mu)
+	if sc, ok := w.(syscall.Conn); ok {
+		if rc, err := sc.SyscallConn(); err == nil {
+			fq.rc = rc
+			fq.writeOnce = func(fd uintptr) bool {
+				if n, err := writeFD(fd, fq.inbuf); err == nil {
+					fq.inN = n
+				}
+				return true // one attempt: never wait for the socket to drain
+			}
+		}
+	}
 	go fq.writerLoop()
 	return fq
 }
 
-// Enqueue appends one encoded frame to the outbound queue, transferring
-// ownership of raw to the queue. It returns the latched write error, if
-// any — the frame is dropped (and recycled) in that case.
+// Enqueue hands one encoded frame to the connection, transferring
+// ownership of raw to the queue: written inline when the queue is idle
+// and the socket takes it whole, queued for the writer goroutine
+// otherwise. It returns the latched write error, if any — the frame is
+// dropped (and recycled) in that case.
 func (fq *FrameQueue) Enqueue(raw []byte) error {
 	fq.mu.Lock()
 	if fq.err != nil || fq.closed {
@@ -93,6 +129,21 @@ func (fq *FrameQueue) Enqueue(raw []byte) error {
 			err = errQueueClosed
 		}
 		return err
+	}
+	if fq.rc != nil && len(fq.q) == 0 && fq.inflight == 0 {
+		// One non-blocking write. What it leaves — the whole frame on a
+		// full socket buffer or any error, the rest after a partial
+		// write — is the writer goroutine's, which meets the same error
+		// and latches it.
+		fq.inbuf, fq.inN = raw, 0
+		if fq.rc.Write(fq.writeOnce) == nil && fq.inN == len(raw) {
+			fq.frames.Inc()
+			fq.flushes.Inc()
+			fq.mu.Unlock()
+			wire.PutBuf(raw)
+			return nil
+		}
+		fq.headOff = fq.inN
 	}
 	fq.q = append(fq.q, raw)
 	fq.cond.Signal()
@@ -155,6 +206,8 @@ func (fq *FrameQueue) writerLoop() {
 			return
 		}
 		batch, fq.q = fq.q, batch[:0]
+		off := fq.headOff
+		fq.headOff = 0
 		fq.inflight = len(batch)
 		fq.frames.Add(int64(len(batch)))
 		fq.flushes.Inc()
@@ -167,6 +220,7 @@ func (fq *FrameQueue) writerLoop() {
 			// scratch copy of the headers; batch keeps the originals
 			// for recycling.
 			scratch = append(scratch[:0], batch...)
+			scratch[0] = scratch[0][off:]
 			var total int64
 			for _, b := range scratch {
 				total += int64(len(b))

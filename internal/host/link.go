@@ -10,10 +10,11 @@ import (
 )
 
 // Link is one framed connection, the part of a socket deployment that
-// knows nothing about ranks: the connection, a frame reader, and an
-// unbounded outbound FrameQueue — a sender never blocks on a full socket
-// buffer, so a peer that stops draining parks only the queue's writer
-// goroutine, never the caller. A rank's Endpoint is a Link plus the
+// knows nothing about ranks: the connection, a read-ahead frame reader
+// (whose pooled buffer goes back to the pool when the stream ends), and
+// an unbounded outbound FrameQueue — a sender never blocks on a full
+// socket buffer, so a peer that stops draining parks only the queue's
+// writer goroutine, never the caller. A rank's Endpoint is a Link plus the
 // mailbox sends; svc's client, coordinator and pool-daemon connections
 // are bare Links (DESIGN.md §3).
 //
@@ -55,7 +56,8 @@ func (l *Link) ReadHandshake(f *wire.Frame) error {
 }
 
 // Write encodes f into pooled storage and hands it to the outbound queue
-// (which recycles the buffer after the coalesced write).
+// (which writes it inline when idle and recycles the buffer after the
+// write).
 func (l *Link) Write(f *wire.Frame) error {
 	raw, err := wire.AppendFrame(wire.GetBuf(), f)
 	if err != nil {

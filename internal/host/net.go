@@ -27,10 +27,12 @@ import (
 //
 //   - The app/protocol goroutine (a Real processor) encodes outbound
 //     frames into pooled buffers and enqueues them on the node's
-//     endpoint (whose writer goroutine coalesces a flurry into one
+//     endpoint (which writes a frame inline when its queue is idle, and
+//     leaves a backlog to its writer goroutine to coalesce into one
 //     vectored write), and blocks — releasing the protocol token — when
 //     it needs an inbound frame (Recv, TakeHand, Await).
-//   - A delivery goroutine reads node i's endpoint, decodes frames, and
+//   - A delivery goroutine reads node i's endpoint, taking every frame
+//     that has arrived in one read (wire.FrameReader), decodes frames, and
 //     files them into the machine's Network (mailbox, hand slots) or the
 //     reply table under the Network's mutex, waking the blocked processor
 //     when a frame matches its wait. It never takes the protocol token, so

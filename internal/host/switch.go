@@ -85,7 +85,9 @@ type LinkDown func(rank int, err error)
 var handshakeTimeout = 30 * time.Second
 
 // readHello reads one hello frame from a fresh connection under the
-// handshake deadline and returns the sender's rank.
+// handshake deadline and returns the sender's rank. The read is exact
+// (wire.ReadFrame): a rank may send frames right behind its hello, and
+// they belong to the router that starts reading the socket later.
 func readHello(c net.Conn, n int) (int, error) {
 	c.SetReadDeadline(time.Now().Add(handshakeTimeout))
 	f, err := wire.ReadFrame(c)
@@ -228,18 +230,20 @@ func (sw *Switch) Enqueue(to int, raw []byte) error {
 	return lk.q.Enqueue(raw)
 }
 
-// route is rank r's router. Each frame is read into pooled storage it
-// owns (the destination queue recycles it after the write), so routing a
-// frame allocates nothing in steady state. The connection is captured at
-// launch: a router outliving its rank's re-pairing must keep reading the
-// dead socket, never the replacement one. done is closed on exit.
+// route is rank r's router. It reads ahead through a FrameReader of its
+// own and hands the destination queue a pooled copy of each frame (the
+// queue recycles it after the write), so routing a frame allocates
+// nothing in steady state. The connection is captured at launch: a router
+// outliving its rank's re-pairing must keep reading the dead socket, never
+// the replacement one. done is closed on exit.
 func (sw *Switch) route(r int, c net.Conn, done chan struct{}) {
 	defer sw.wg.Done()
 	defer close(done)
+	fr := wire.NewFrameReader(c)
 	for {
-		raw, err := wire.ReadRawFrameInto(c, wire.GetBuf())
+		raw, err := fr.ReadRaw()
 		if err == nil {
-			err = sw.forward(r, raw)
+			err = sw.forward(r, append(wire.GetBuf(), raw...))
 		}
 		if err != nil {
 			sw.down(r, err)

@@ -730,13 +730,16 @@ func (c *coder) parseFrame(f *Frame, b []byte) (int, error) {
 	return 4 + int(body), nil
 }
 
-// ReadRawFrame reads one length-prefixed frame from r without decoding
-// it, returning the full encoded bytes (length prefix included) in fresh
-// storage. Switches use it to route frames by destination without
-// re-encoding payloads; hot paths use ReadRawFrameInto with a pooled
-// buffer instead.
+// ReadRawFrame reads exactly one length-prefixed frame from r without
+// decoding it, returning the full encoded bytes (length prefix included)
+// in fresh storage. It reads no byte past the frame, so a stream's later
+// frames are left for whoever reads it next (a handshake hands the
+// connection on to a FrameReader): a reader that starts with no buffer
+// grows one to exactly what each step needs — the length, then the
+// frame — and never asks the stream for more.
 func ReadRawFrame(r io.Reader) ([]byte, error) {
-	return ReadRawFrameInto(r, nil)
+	fr := FrameReader{r: r}
+	return fr.next()
 }
 
 // RawFields returns the kind, source, destination, and accounted byte

@@ -13,9 +13,8 @@ import (
 // per frame dominated the allocation profile of the net backend's
 // steady-state barrier path. The pool amortizes both: encoders append
 // into a pooled buffer and the transport returns it after the write
-// syscall; readers either own a pooled buffer per frame (when the raw
-// bytes outlive the read call, e.g. queued for routing) or reuse one
-// buffer across frames (FrameReader, safe because decoding copies).
+// syscall; a reader borrows one buffer for the life of its stream and
+// reads ahead into it (FrameReader, safe because decoding copies).
 //
 // The codec itself is untouched: pooling changes where bytes live, never
 // what they are — encodings stay canonical and byte-identical
@@ -38,9 +37,14 @@ var (
 // for the garbage collector.
 const maxPooledBufs = 1024
 
+// bufSize is the capacity of a fresh pooled buffer, and so the read-ahead
+// of a FrameReader until a larger frame grows its buffer. PutBuf drops
+// anything smaller, so the pool never hands out less.
+const bufSize = 4096
+
 // GetBuf returns an empty buffer with pooled capacity. Append to it
-// (AppendFrame, ReadRawFrameInto) and return the result with PutBuf when
-// the bytes are dead.
+// (AppendFrame) and return the result with PutBuf when the bytes are
+// dead.
 func GetBuf() []byte {
 	bufMu.Lock()
 	if n := len(bufFree); n > 0 {
@@ -51,13 +55,13 @@ func GetBuf() []byte {
 		return b
 	}
 	bufMu.Unlock()
-	return make([]byte, 0, 4096)
+	return make([]byte, 0, bufSize)
 }
 
 // PutBuf recycles a buffer obtained from GetBuf (or grown from one).
 // The caller must not touch b afterwards.
 func PutBuf(b []byte) {
-	if cap(b) == 0 {
+	if cap(b) < bufSize {
 		return
 	}
 	bufMu.Lock()
@@ -67,45 +71,29 @@ func PutBuf(b []byte) {
 	bufMu.Unlock()
 }
 
-// ReadRawFrameInto reads one length-prefixed frame from r without
-// decoding it, appending onto buf (which may be nil) and returning the
-// full encoded bytes, length prefix included. The result aliases buf's
-// storage when capacity suffices — callers own the returned slice and
-// may recycle it with PutBuf.
-func ReadRawFrameInto(r io.Reader, buf []byte) ([]byte, error) {
-	buf = append(buf[:0], 0, 0, 0, 0)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, err
-	}
-	body := binary.LittleEndian.Uint32(buf)
-	if body > MaxFrame {
-		return nil, fmt.Errorf("wire: frame length %d exceeds MaxFrame", body)
-	}
-	if cap(buf) < 4+int(body) {
-		grown := make([]byte, 4+int(body))
-		copy(grown, buf)
-		buf = grown
-	} else {
-		buf = buf[:4+body]
-	}
-	if _, err := io.ReadFull(r, buf[4:]); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return nil, fmt.Errorf("wire: reading frame body: %w", err)
-	}
-	return buf, nil
-}
-
-// FrameReader reads frames from one stream reusing a single raw buffer
-// across calls: the steady-state read path allocates nothing for frame
-// storage. Reuse is safe for decoded frames — the decoder copies every
-// slice, so a *Frame fully owns its storage and stays valid across any
-// number of later reads (TestFrameReaderAliasing) — but the raw bytes
-// returned by ReadRaw are valid only until the next call on the reader.
+// FrameReader cuts frames out of one stream through a read-ahead buffer:
+// each Read takes whatever the stream holds, up to the buffer's capacity,
+// so frames that arrived together cost one read between them, and a frame
+// needs more than one read only when it has not fully arrived. The buffer
+// is borrowed from the pool (GetBuf) and returned when the stream ends —
+// the first read error is latched and returned by every later call — so a
+// reader per connection costs no storage of its own. Its MaxFrame check
+// runs on the length prefix before any body byte is waited for.
+//
+// The raw bytes ReadRaw returns alias the buffer and are valid only until
+// the next call on the reader. Decoded frames own their storage — the
+// decoder copies every slice — so a *Frame stays valid across any number
+// of later reads (TestFrameReaderAliasing).
+//
+// Read-ahead must not start on a stream whose later bytes another reader
+// will consume: bytes buffered here are this reader's. A handshake read
+// before the stream is handed to a FrameReader uses ReadFrame, which
+// reads exactly one frame.
 type FrameReader struct {
 	r   io.Reader
-	buf []byte
+	buf []byte // pooled; buf[off:] is read ahead and not yet returned
+	off int
+	err error // latched: the stream has ended and buf is back in the pool
 	c   coder // its arena persists across frames, amortizing chunk refills
 }
 
@@ -114,16 +102,69 @@ func NewFrameReader(r io.Reader) *FrameReader {
 	return &FrameReader{r: r, buf: GetBuf()}
 }
 
-// ReadRaw reads one frame and returns its raw encoded bytes. The slice
-// aliases the reader's internal buffer: it is invalidated by the next
-// ReadRaw or ReadInto call.
+// ReadRaw reads one frame and returns its raw encoded bytes, length
+// prefix included. The slice aliases the reader's buffer: it is
+// invalidated by the next ReadRaw or ReadInto call. A stream that ends
+// cleanly at a frame boundary returns io.EOF; one that ends inside a
+// frame returns an error wrapping io.ErrUnexpectedEOF.
 func (fr *FrameReader) ReadRaw() ([]byte, error) {
-	raw, err := ReadRawFrameInto(fr.r, fr.buf)
+	if fr.err != nil {
+		return nil, fr.err
+	}
+	raw, err := fr.next()
 	if err != nil {
+		fr.err = err
+		PutBuf(fr.buf)
+		fr.buf, fr.off = nil, 0
+	}
+	return raw, err
+}
+
+// next cuts the next frame out of the buffer, reading as it must.
+func (fr *FrameReader) next() ([]byte, error) {
+	if err := fr.fill(4); err != nil {
+		if err == io.EOF && len(fr.buf) > fr.off {
+			err = fmt.Errorf("wire: reading frame length: %w", io.ErrUnexpectedEOF)
+		}
 		return nil, err
 	}
-	fr.buf = raw
+	body := binary.LittleEndian.Uint32(fr.buf[fr.off:])
+	if body > MaxFrame {
+		return nil, fmt.Errorf("wire: frame length %d exceeds MaxFrame", body)
+	}
+	n := 4 + int(body)
+	if err := fr.fill(n); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return nil, fmt.Errorf("wire: reading frame body: %w", err)
+	}
+	raw := fr.buf[fr.off : fr.off+n : fr.off+n]
+	fr.off += n
 	return raw, nil
+}
+
+// fill reads until at least n unreturned bytes are buffered. Before each
+// read it moves the unreturned bytes (less than one frame) to the front,
+// so the read may fill the rest of the buffer, and it grows the buffer
+// only for a frame larger than it.
+func (fr *FrameReader) fill(n int) error {
+	for len(fr.buf)-fr.off < n {
+		have := copy(fr.buf, fr.buf[fr.off:])
+		fr.buf, fr.off = fr.buf[:have], 0
+		if cap(fr.buf) < n {
+			grown := make([]byte, have, n)
+			copy(grown, fr.buf)
+			PutBuf(fr.buf)
+			fr.buf = grown
+		}
+		m, err := fr.r.Read(fr.buf[have:cap(fr.buf)])
+		fr.buf = fr.buf[:have+m]
+		if err != nil && len(fr.buf) < n {
+			return err
+		}
+	}
+	return nil
 }
 
 // ReadInto reads and decodes one frame into *f, reusing the struct. The

@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # The host-CPU ledger: where a whole run's CPU goes, layer by layer.
 #
-# Runs each cell of the root package's BenchmarkAppRun and BenchmarkModeRun
-# on its own with a CPU profile, sums the profile's flat samples by layer
-# (go tool pprof -top) and prints one markdown table per cell in CPU ms per
-# op. With -base DIR every cell also runs in the checkout DIR, which must
+# Runs each cell of the root package's BenchmarkAppRun, BenchmarkModeRun
+# and BenchmarkNetRun on its own with a CPU profile, sums the profile's
+# flat samples by layer (go tool pprof -top) and prints one markdown table
+# per cell in CPU ms per op. With -base DIR every cell also runs in the checkout DIR, which must
 # have the same benchmarks, and the table shows base → this checkout.
 # Nothing but Go is needed. Run from the repository root:
 #
@@ -28,7 +28,7 @@ head="$PWD"
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 
-layers=("app kernels" "interp" "tmk" "adapt" "vm" "sim + coroutine switch" "wire/host" "memmove/memclr" "GC + malloc" "maps + sort" "other")
+layers=("app kernels" "interp" "tmk" "adapt" "vm" "sim + coroutine switch" "wire/host" "memmove/memclr" "GC + malloc" "maps + sort" "syscalls + netpoll" "Go scheduler" "other")
 
 # layer sums one pprof -top listing (ms) by layer: "layer<TAB>ms" lines.
 layer() {
@@ -46,6 +46,8 @@ layer() {
 		else if (fn ~ /^runtime\.(mallocgc|newobject|makeslice|growslice|nextFree|gc|bgsweep|bgscavenge|sweep|scan|grey|mark|findObject|heapBits|typePointers|bulkBarrier|wbBuf)/ ||
 			fn ~ /^runtime\.\(\*(mspan|mheap|mcache|mcentral|gcWork|gcBits|gcControllerState|sweepLocked|pageAlloc|scavengerState|spanSet)\)/) l = "GC + malloc"
 		else if (fn ~ /^(runtime\.(map|aeshash|memhash)|internal\/runtime\/maps\.|sort\.|slices\.)/) l = "maps + sort"
+		else if (fn ~ /^(internal\/runtime\/syscall\.|syscall\.|runtime\.netpoll|runtime\.(enter|exit)syscall)/) l = "syscalls + netpoll"
+		else if (fn ~ /^runtime\.(schedule|findRunnable|park_m|ready|goready|wakep|futex|notewakeup|notesleep|stopm|startm)/) l = "Go scheduler"
 		else l = "other"
 		sum[l] += ms
 	}
@@ -79,7 +81,7 @@ share() { awk -v v="$1" -v t="$2" 'BEGIN { if (t > 0 && v != "-") printf "%.0f %
 build "$head" "$tmp/head.test"
 [ -n "$base" ] && build "$base" "$tmp/base.test"
 gmp="${GOMAXPROCS:-$(nproc)}"
-list="$(cd "$head" && "$tmp/head.test" -test.run '^$' -test.bench '^Benchmark(AppRun|ModeRun)$' -test.benchtime 1x)"
+list="$(cd "$head" && "$tmp/head.test" -test.run '^$' -test.bench '^Benchmark(AppRun|ModeRun|NetRun)$' -test.benchtime 1x)"
 names="$(awk -v s="-$gmp" '/^Benchmark/ { n = $1; if (s != "-1" && substr(n, length(n) - length(s) + 1) == s) n = substr(n, 1, length(n) - length(s)); print n }' <<<"$list" | grep -E -- "$cells")"
 cpu="$(awk '/^cpu: / { sub(/^cpu: /, ""); print; exit }' <<<"$list")"
 rev() { git -C "$1" rev-parse --short HEAD 2>/dev/null | tr -d '\n' || printf unknown; [ -n "$(git -C "$1" status --porcelain 2>/dev/null)" ] && printf '+changes'; true; }
