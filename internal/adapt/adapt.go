@@ -15,16 +15,16 @@
 // departure instead of leaving them to fault, and decays straight back to
 // invalidate when the pattern breaks.
 //
-// The binding unit is a section, not a page: bound pages with the same
-// producer and consumer set cluster into maximal contiguous spans
-// (Sections, rsd.Coalesce), the producer ships one run-length-encoded
-// diff span per (consumer, section), and hysteresis acts section-shaped —
-// a page whose pattern matches an adjacent bound page joins its section
-// without re-serving the full K-cycle warm-up, and a pattern break on one
-// page splits or shrinks the section it sits in instead of decaying the
-// neighbors (the decay asymmetry: whole sections never fall as a unit,
-// they erode page by page, while every page's own promotion remains
-// individually hysteresis-guarded).
+// Bindings are per page, but hysteresis acts section-shaped: a page whose
+// pattern matches an adjacent bound page joins that binding without
+// re-serving the full K-cycle warm-up, and a pattern break on one page
+// decays that page alone, so a run of bound pages splits or shrinks
+// around it instead of decaying its neighbors (the decay asymmetry: runs
+// never fall as a unit, they erode page by page, while every page's own
+// promotion remains individually hysteresis-guarded). Spans are the
+// wire's business, not the detector's: the producer's update to one
+// consumer coalesces its diffs into run-length spans (wire.CoalesceDiffs),
+// so a span cannot cross consumers by construction.
 //
 // Two-writer pages get a second chance the page-granular protocol cannot
 // offer: when exactly two nodes write disjoint extents of one page, cycle
@@ -59,9 +59,6 @@ package adapt
 import (
 	"fmt"
 	"slices"
-	"strings"
-
-	"sdsm/internal/rsd"
 )
 
 // DefaultK is the default number of consecutive stable production cycles
@@ -483,83 +480,6 @@ func (d *Detector) Split(page int) (pair [2]int, cut int, consumers []int, ok bo
 	}
 	p := &d.pages[page]
 	return [2]int{p.pairLo, p.pairHi}, p.cut, p.bound, true
-}
-
-// Mode returns the page's current protocol.
-func (d *Detector) Mode(page int) Mode {
-	if page < len(d.pages) {
-		return d.pages[page].mode
-	}
-	return Invalidate
-}
-
-// Section is a maximal contiguous span of pages bound to the same
-// producer (or writer pair) and consumer set — the adaptive protocol's
-// binding unit, and the granularity the producer's update spans ship at.
-type Section struct {
-	Span      rsd.Span
-	Split     bool
-	Producer  int    // single producer; -1 for split sections
-	Pair      [2]int // split sections only
-	Consumers []int
-}
-
-// Sections clusters the currently bound pages into sections. Adjacent
-// bound pages merge only when mode, producer (or pair), and consumer set
-// all agree — adjacent spans bound to different consumers stay separate
-// sections.
-func (d *Detector) Sections() []Section {
-	var pages []int
-	for pg := range d.pages {
-		if d.pages[pg].mode != Invalidate {
-			pages = append(pages, pg)
-		}
-	}
-	same := func(a, b int) bool {
-		pa, pb := &d.pages[a], &d.pages[b]
-		if pa.mode != pb.mode || !slices.Equal(pa.bound, pb.bound) {
-			return false
-		}
-		if pa.mode == Split {
-			return pa.pairLo == pb.pairLo && pa.pairHi == pb.pairHi
-		}
-		return pa.producer == pb.producer
-	}
-	var out []Section
-	for _, sp := range rsd.Coalesce(pages, same) {
-		p := &d.pages[sp.Lo]
-		sec := Section{Span: sp, Consumers: p.bound, Producer: p.producer}
-		if p.mode == Split {
-			sec.Split = true
-			sec.Producer = -1
-			sec.Pair = [2]int{p.pairLo, p.pairHi}
-		}
-		out = append(out, sec)
-	}
-	return out
-}
-
-// Fingerprint returns a canonical rendering of the full detector state,
-// used by the determinism tests: two replicas that consumed the same
-// global observation stream — regardless of how each epoch's maps and
-// reader lists were assembled — must return byte-identical fingerprints.
-func (d *Detector) Fingerprint() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "k=%d stats=%+v\n", d.cfg.k(), d.Stats)
-	for pg := range d.pages {
-		p := &d.pages[pg]
-		if !p.seen {
-			continue
-		}
-		fmt.Fprintf(&b, "%d prod=%d cons=%v cur=%v streak=%d mode=%d bound=%v pair=%d/%d@%d cons=%v/%d\n",
-			pg, p.producer, p.consumers, p.cur, p.streak, p.mode, p.bound,
-			p.pairLo, p.pairHi, p.cut, p.pairCons, p.pairStreak)
-	}
-	for _, s := range d.Sections() {
-		fmt.Fprintf(&b, "section %v split=%v prod=%d pair=%v cons=%v\n",
-			s.Span, s.Split, s.Producer, s.Pair, s.Consumers)
-	}
-	return b.String()
 }
 
 // grow extends the page table to hold page pg.

@@ -202,7 +202,7 @@ func TestReadOnlyAndPrivatePages(t *testing.T) {
 	if _, _, ok := d.Push(2); ok {
 		t.Fatal("promoted a never-read page")
 	}
-	if d.Mode(1) != Invalidate || d.Mode(2) != Invalidate {
+	if d.pages[1].mode != Invalidate || d.pages[2].mode != Invalidate {
 		t.Fatal("modes drifted from invalidate")
 	}
 }

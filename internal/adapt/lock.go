@@ -1,10 +1,8 @@
 package adapt
 
 import (
-	"fmt"
 	"slices"
 	"sort"
-	"strings"
 )
 
 // Lock-scope pattern detection.
@@ -233,31 +231,6 @@ func (ld *LockDetector) edge(e lockEdge) *edgeState {
 		ld.edges[e] = es
 	}
 	return es
-}
-
-// Fingerprint returns a canonical rendering of the full detector state,
-// used by the determinism tests: two replicas that consumed the same
-// serialized observation stream must return byte-identical fingerprints.
-func (ld *LockDetector) Fingerprint() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "k=%d m=%d started=%v cur=%d>%d\n", ld.k, ld.m, ld.started, ld.cur.From, ld.cur.To)
-	keys := make([]lockEdge, 0, len(ld.edges))
-	for e := range ld.edges {
-		keys = append(keys, e)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].From != keys[j].From {
-			return keys[i].From < keys[j].From
-		}
-		return keys[i].To < keys[j].To
-	})
-	for _, e := range keys {
-		es := ld.edges[e]
-		fmt.Fprintf(&b, "%d>%d next=%d/%d want=%v/%d bound=%v pushes=%d probing=%v\n",
-			e.From, e.To, es.next, es.nextRun, es.want, es.wantRun, es.bound, es.pushes, es.probing)
-	}
-	fmt.Fprintf(&b, "stats=%+v\n", ld.Stats)
-	return b.String()
 }
 
 // intersect returns the sorted intersection of two sorted sets.

@@ -3,8 +3,6 @@ package adapt
 import (
 	"reflect"
 	"testing"
-
-	"sdsm/internal/rsd"
 )
 
 // pairWrite returns an epoch in which page pg is written by two nodes
@@ -246,10 +244,10 @@ func TestSectionsClustering(t *testing.T) {
 	}
 	got := d.Sections()
 	want := []Section{
-		{Span: rsd.Span{Lo: 4, Hi: 6}, Producer: 0, Consumers: []int{1}},
-		{Span: rsd.Span{Lo: 6, Hi: 7}, Producer: 0, Consumers: []int{2}},
-		{Span: rsd.Span{Lo: 7, Hi: 8}, Producer: 3, Consumers: []int{2}},
-		{Span: rsd.Span{Lo: 9, Hi: 10}, Split: true, Producer: -1, Pair: [2]int{0, 1}, Consumers: []int{0, 1}},
+		{Lo: 4, Hi: 6, Producer: 0, Consumers: []int{1}},
+		{Lo: 6, Hi: 7, Producer: 0, Consumers: []int{2}},
+		{Lo: 7, Hi: 8, Producer: 3, Consumers: []int{2}},
+		{Lo: 9, Hi: 10, Split: true, Producer: -1, Pair: [2]int{0, 1}, Consumers: []int{0, 1}},
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("Sections() = %+v,\nwant %+v", got, want)
@@ -264,7 +262,7 @@ func TestSectionsClustering(t *testing.T) {
 		t.Fatal("broken page kept its binding")
 	}
 	secs := d.Sections()
-	if len(secs) == 0 || secs[0].Span != (rsd.Span{Lo: 4, Hi: 5}) {
+	if len(secs) == 0 || secs[0].Lo != 4 || secs[0].Hi != 5 {
 		t.Fatalf("section did not shrink around the break: %+v", secs)
 	}
 }

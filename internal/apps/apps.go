@@ -139,6 +139,19 @@ func (a *App) BestOptions(n int, params rsd.Env) compiler.Options {
 	}
 }
 
+// RunMP is one rank's body of the message-passing version on any host:
+// the problem parameters are a pure function of (app, set, ranks), so
+// every rank derives them itself, applies the data set's cost scale and
+// runs MP. It returns the rank's contribution to the checksum (only when
+// verify).
+func (a *App) RunMP(r *mp.Rank, set DataSet, overhead time.Duration, verify bool) float64 {
+	params := a.Build(r.N).Prepare(a.Sets[set], r.N)
+	if cs, ok := params["cscale"]; ok {
+		r.SetCostScale(cs)
+	}
+	return a.MP(r, params, overhead, verify)
+}
+
 // Checksum computes a position-weighted checksum of the app's result
 // array in a memory image.
 func Checksum(layout *shm.Layout, mem []float64, array string) float64 {

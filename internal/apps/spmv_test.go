@@ -159,7 +159,8 @@ func newRelaxCtx(env rsd.Env, pad int) *recordingCtx {
 	layout.Alloc("pad", pad)
 	layout.Alloc("val", env["n"])
 	layout.Alloc("nval", env["n"])
-	mem := make([]float64, layout.Pages()*shm.PageWords)
+	pages := (layout.Words() + shm.PageWords - 1) / shm.PageWords
+	mem := make([]float64, pages*shm.PageWords)
 	rnd := rand.New(rand.NewSource(int64(env["p"])))
 	for w := range mem {
 		mem[w] = rnd.Float64()

@@ -9,19 +9,19 @@ import (
 )
 
 func TestFormatters(t *testing.T) {
-	t1 := FormatTable1([]Table1Row{{App: "jacobi", Set: Large, Params: "m=512", Measured: time.Second, Paper: 288 * time.Second}})
+	t1 := FormatTable1([]Table1Row{{App: "jacobi", Set: apps.Large, Params: "m=512", Measured: time.Second, Paper: 288 * time.Second}})
 	if !strings.Contains(t1, "jacobi") || !strings.Contains(t1, "288.00s") {
 		t.Errorf("Table1 formatting:\n%s", t1)
 	}
-	t2 := FormatTable2([]Table2Row{{App: "is", Set: Small, SegvPct: 90, MsgPct: 60, DataPct: 66, PaperSegv: 90.1, PaperMsg: 60.7, PaperData: 66.3}})
+	t2 := FormatTable2([]Table2Row{{App: "is", Set: apps.Small, SegvPct: 90, MsgPct: 60, DataPct: 66, PaperSegv: 90.1, PaperMsg: 60.7, PaperData: 66.3}})
 	if !strings.Contains(t2, "is") || !strings.Contains(t2, "66.3") {
 		t.Errorf("Table2 formatting:\n%s", t2)
 	}
-	f5 := FormatFig5([]Fig5Row{{App: "is", Set: Large, Base: 1.8, Opt: 3.9, PVMe: 4.5}}, 8)
+	f5 := FormatFig5([]Fig5Row{{App: "is", Set: apps.Large, Base: 1.8, Opt: 3.9, PVMe: 4.5}}, 8)
 	if !strings.Contains(f5, "is") || !strings.Contains(f5, "-") {
 		t.Errorf("Fig5 must blank XHPF for IS:\n%s", f5)
 	}
-	f6 := FormatFig6([]Fig6Row{{App: "shallow", Set: Large, Levels: [5]float64{5, 6, 6, 6, 6}, Applies: [5]bool{true, true, true, false, false}}}, 8)
+	f6 := FormatFig6([]Fig6Row{{App: "shallow", Set: apps.Large, Levels: [5]float64{5, 6, 6, 6, 6}, Applies: [5]bool{true, true, true, false, false}}}, 8)
 	if !strings.Contains(f6, "n/a") {
 		t.Errorf("Fig6 must mark inapplicable levels:\n%s", f6)
 	}
@@ -40,7 +40,7 @@ func TestFormatters(t *testing.T) {
 
 func TestRunRejectsUnknownSystem(t *testing.T) {
 	a, _ := apps.ByName("jacobi")
-	if _, err := Run(Config{App: a, Set: Small, System: "bogus", Procs: 2}); err == nil {
+	if _, err := Run(Config{App: a, Set: apps.Small, System: "bogus", Procs: 2}); err == nil {
 		t.Fatal("unknown system must error")
 	}
 }
@@ -83,13 +83,13 @@ func TestRunRejectsUnknownBackend(t *testing.T) {
 				continue
 			}
 			cfg := tc.cfg
-			cfg.App, cfg.Set, cfg.System = a, Small, sys
+			cfg.App, cfg.Set, cfg.System = a, apps.Small, sys
 			if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Errorf("%s/%s: error = %v, want one mentioning %s", tc.name, sys, err, tc.want)
 			}
 		}
 	}
-	noEpoch := Config{App: a, Set: Small, System: Base, Procs: 3, Fault: &FaultPlan{Rank: 1}}
+	noEpoch := Config{App: a, Set: apps.Small, System: Base, Procs: 3, Fault: &FaultPlan{Rank: 1}}
 	if _, err := Run(noEpoch); err == nil || !strings.Contains(err.Error(), "Fault.Epoch") {
 		t.Errorf("DSM fault without an epoch: error = %v, want one mentioning Fault.Epoch", err)
 	}

@@ -145,7 +145,6 @@ type Result struct {
 	Segv     int64
 	Protocol tmk.ProtocolStats
 	VM       vm.Counters
-	Report   *compiler.Report
 	// Recovery sums every node's checkpoint/restore counters; zero value
 	// unless the run had Recover set.
 	Recovery tmk.RecoveryStats
@@ -214,7 +213,6 @@ func runDSM(cfg Config) (res *Result, err error) {
 	prog := cfg.App.Build(cfg.Procs)
 	params := prog.Prepare(cfg.App.Sets[cfg.Set], cfg.Procs)
 
-	var rep *compiler.Report
 	if cfg.System == Opt {
 		opts := cfg.App.BestOptions(cfg.Procs, params)
 		if cfg.Level != nil {
@@ -225,7 +223,7 @@ func runDSM(cfg Config) (res *Result, err error) {
 		if cfg.SyncFetch {
 			opts.Async = false
 		}
-		prog, rep = compiler.Compile(prog, opts)
+		prog, _ = compiler.Compile(prog, opts)
 	}
 
 	layout := compiler.BuildLayout(prog, params)
@@ -348,7 +346,6 @@ func runDSM(cfg Config) (res *Result, err error) {
 		Segv:      vmc.ReadFaults + vmc.WriteFaults,
 		Protocol:  ps,
 		VM:        vmc,
-		Report:    rep,
 		Recovery:  rs,
 		Trace:     m,
 		ServeMax:  smax,
@@ -456,12 +453,7 @@ func runMP(cfg Config, overhead time.Duration) (*Result, error) {
 	w := mp.NewWorld(cfg.Procs, model.SP2())
 	var checksum float64
 	err := w.Run(func(r *mp.Rank) {
-		prog := cfg.App.Build(cfg.Procs)
-		params := prog.Prepare(cfg.App.Sets[cfg.Set], cfg.Procs)
-		if cs, ok := params["cscale"]; ok {
-			r.SetCostScale(cs)
-		}
-		if sum := cfg.App.MP(r, params, overhead, cfg.Verify); r.ID == 0 && cfg.Verify {
+		if sum := cfg.App.RunMP(r, cfg.Set, overhead, cfg.Verify); r.ID == 0 && cfg.Verify {
 			checksum = sum
 		}
 	})

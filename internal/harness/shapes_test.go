@@ -68,7 +68,7 @@ func TestPaperShapeFig5(t *testing.T) {
 	// Claim: the biggest gains are for IS and 3D-FFT, the programs where
 	// base TreadMarks performs poorly (48-59% in the paper).
 	for _, name := range []string{"fft", "is"} {
-		for _, set := range []apps.DataSet{Large, Small} {
+		for _, set := range []apps.DataSet{apps.Large, apps.Small} {
 			r := row(t, rows, name, set)
 			if impr := 1 - r.Base/r.Opt; impr < 0.25 {
 				t.Errorf("%s/%s: improvement only %.0f%%, expected large (paper: 48-59%%)", name, set, impr*100)
@@ -78,14 +78,14 @@ func TestPaperShapeFig5(t *testing.T) {
 	// Claim: for programs with good base speedups the improvements are
 	// moderate but present.
 	for _, name := range []string{"jacobi", "shallow", "gauss", "mgs"} {
-		r := row(t, rows, name, Large)
+		r := row(t, rows, name, apps.Large)
 		if r.Base < 4 {
 			t.Errorf("%s/large: base speedup %.2f; paper has these codes performing well", name, r.Base)
 		}
 	}
 	// Claim: IS stays noticeably behind PVMe even optimized (17-29% in the
 	// paper, because PVMe pipelines the transfer).
-	r := row(t, rows, "is", Large)
+	r := row(t, rows, "is", apps.Large)
 	if r.Opt > r.PVMe*0.95 {
 		t.Errorf("is/large: opt (%.2f) too close to PVMe (%.2f); the pipelined MP version must win clearly", r.Opt, r.PVMe)
 	}
@@ -93,7 +93,7 @@ func TestPaperShapeFig5(t *testing.T) {
 
 func TestPaperShapeXHPFRejectsIS(t *testing.T) {
 	a, _ := apps.ByName("is")
-	_, err := Run(Config{App: a, Set: Small, System: XHPF, Procs: 4})
+	_, err := Run(Config{App: a, Set: apps.Small, System: XHPF, Procs: 4})
 	if err == nil {
 		t.Fatal("XHPF must reject IS (indirect access to the main array)")
 	}
@@ -102,7 +102,7 @@ func TestPaperShapeXHPFRejectsIS(t *testing.T) {
 	}
 	for _, name := range []string{"jacobi", "fft", "shallow", "gauss", "mgs"} {
 		a, _ := apps.ByName(name)
-		if _, err := Run(Config{App: a, Set: Small, System: XHPF, Procs: 4}); err != nil {
+		if _, err := Run(Config{App: a, Set: apps.Small, System: XHPF, Procs: 4}); err != nil {
 			t.Errorf("%s should be parallelizable: %v", name, err)
 		}
 	}
@@ -181,7 +181,7 @@ func TestPaperShapeFig6(t *testing.T) {
 	}
 	// Push helps Jacobi's small set (barrier cost proportionally higher).
 	for _, r := range rows {
-		if r.App == "jacobi" && r.Set == Small && r.Levels[4] <= r.Levels[3] {
+		if r.App == "jacobi" && r.Set == apps.Small && r.Levels[4] <= r.Levels[3] {
 			t.Errorf("jacobi/small: push should help (%.2f -> %.2f)", r.Levels[3], r.Levels[4])
 		}
 		if r.App == "fft" && r.Levels[4] < r.Levels[2]*0.99 {
@@ -213,10 +213,10 @@ func TestSpeedupScalesWithProcs(t *testing.T) {
 	// Extension: speedups grow with processor count for the well-behaved
 	// codes (the paper's evaluation stops at 8; this guards monotonicity).
 	a, _ := apps.ByName("jacobi")
-	uni := UniTime(a, Large)
+	uni := UniTime(a, apps.Large)
 	prev := 0.0
 	for _, n := range []int{2, 4, 8} {
-		res, err := Run(Config{App: a, Set: Large, System: Opt, Procs: n})
+		res, err := Run(Config{App: a, Set: apps.Large, System: Opt, Procs: n})
 		if err != nil {
 			t.Fatal(err)
 		}

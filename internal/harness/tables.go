@@ -50,7 +50,7 @@ type appSet struct {
 func appSets() []appSet {
 	var out []appSet
 	for _, a := range apps.Registry() {
-		for _, set := range []apps.DataSet{Large, Small} {
+		for _, set := range []apps.DataSet{apps.Large, apps.Small} {
 			out = append(out, appSet{a, set})
 		}
 	}
@@ -86,13 +86,6 @@ func uniTimes(cases []appSet, workers int) []time.Duration {
 	})
 	return out
 }
-
-// Large/Small/Bound aliases re-exported for callers of the harness.
-const (
-	Large = apps.Large
-	Small = apps.Small
-	Bound = apps.Bound
-)
 
 func paramString(a *apps.App, set apps.DataSet) string {
 	env := a.Sets[set]
@@ -268,8 +261,8 @@ func Fig7(procs, workers int) ([]Fig7Row, error) {
 	var cases []appSet
 	var cells []gridCell
 	for _, a := range apps.Registry() {
-		cases = append(cases, appSet{a, Large})
-		base := Config{App: a, Set: Large, System: Base, Procs: procs}
+		cases = append(cases, appSet{a, apps.Large})
+		base := Config{App: a, Set: apps.Large, System: Base, Procs: procs}
 		async := base
 		async.System = Opt
 		syncFetch := async
@@ -346,10 +339,10 @@ func adaptGrid() []appSet {
 			// the app set the adapt golden has carried since PR 4.
 			continue
 		}
-		out = append(out, appSet{a, Small}, appSet{a, Large})
+		out = append(out, appSet{a, apps.Small}, appSet{a, apps.Large})
 	}
 	j, _ := apps.ByName("jacobi")
-	out = append(out, appSet{j, Small}, appSet{j, Large}, appSet{j, Bound})
+	out = append(out, appSet{j, apps.Small}, appSet{j, apps.Large}, appSet{j, apps.Bound})
 	return out
 }
 
@@ -381,7 +374,7 @@ func lockGrid() []appSet {
 	var out []appSet
 	for _, name := range []string{"tsp", "is"} {
 		a, _ := apps.ByName(name)
-		out = append(out, appSet{a, Small}, appSet{a, Large})
+		out = append(out, appSet{a, apps.Small}, appSet{a, apps.Large})
 	}
 	return out
 }
@@ -417,7 +410,7 @@ var ScaleProcs = []int{8, 16, 32, 64, 128}
 func scaleGrid() []appSet {
 	ts, _ := apps.ByName("tsps")
 	j, _ := apps.ByName("jacobi")
-	return []appSet{{ts, Small}, {j, Small}}
+	return []appSet{{ts, apps.Small}, {j, apps.Small}}
 }
 
 // ScaleTable runs the scaling matrix (Table C) on the deterministic sim

@@ -22,7 +22,7 @@ func traceConfig(t *testing.T) Config {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return Config{App: a, Set: Small, System: Base, Procs: 4, Trace: true, TraceCap: 160}
+	return Config{App: a, Set: apps.Small, System: Base, Procs: 4, Trace: true, TraceCap: 160}
 }
 
 func traceJSON(t *testing.T, cfg Config) (*Result, []byte) {
@@ -124,7 +124,7 @@ func TestTraceLockContention(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, js := traceJSON(t, Config{App: a, Set: Small, System: Base, Procs: 4, Trace: true})
+	_, js := traceJSON(t, Config{App: a, Set: apps.Small, System: Base, Procs: 4, Trace: true})
 	rep, err := obs.Analyze(js, 5)
 	if err != nil {
 		t.Fatal(err)
@@ -160,7 +160,7 @@ func TestTraceRecovery(t *testing.T) {
 		t.Run(string(be), func(t *testing.T) {
 			const victim = 1
 			res := runRecovery(t, Config{
-				App: a, Set: Small, System: Base, Procs: 3, Backend: be,
+				App: a, Set: apps.Small, System: Base, Procs: 3, Backend: be,
 				Recover: true, Fault: &FaultPlan{Rank: victim, Epoch: 2}, Trace: true,
 			})
 			for i, nt := range res.Trace.Nodes {

@@ -29,7 +29,7 @@ func kernelApp(n int, run func(rank int, ctx ir.KernelCtx)) *apps.App {
 	return &apps.App{
 		Name:       "kernel",
 		Build:      func(int) *ir.Program { return prog },
-		Sets:       map[apps.DataSet]rsd.Env{Small: {}},
+		Sets:       map[apps.DataSet]rsd.Env{apps.Small: {}},
 		CheckArray: "x",
 	}
 }
@@ -67,7 +67,7 @@ func TestFailedJobReleasesArenas(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clean := Config{App: jac, Set: Small, System: Base, Procs: 2, Verify: true}
+	clean := Config{App: jac, Set: apps.Small, System: Base, Procs: 2, Verify: true}
 	fresh, err := Run(clean)
 	if err != nil {
 		t.Fatal(err)
@@ -92,7 +92,7 @@ func TestFailedJobReleasesArenas(t *testing.T) {
 					// backend must unwind it, not leave it pinning the node
 					// images (the sim engine used to).
 					leaktest.Check(t)
-					_, err := Run(Config{App: hostileApp(c.misbehave), Set: Small, System: Base, Procs: 2, Backend: backend})
+					_, err := Run(Config{App: hostileApp(c.misbehave), Set: apps.Small, System: Base, Procs: 2, Backend: backend})
 					if err == nil || !strings.Contains(err.Error(), c.wantErr) {
 						t.Fatalf("hostile job: err = %v, want %q", err, c.wantErr)
 					}
@@ -131,7 +131,7 @@ func TestFreshRunSeesNoPreviousRun(t *testing.T) {
 	run := func(t *testing.T, procs, n int, kernel func(rank int, mem []float64)) {
 		t.Helper()
 		app := kernelApp(n, func(rank int, ctx ir.KernelCtx) { kernel(rank, ctx.ReadRegion(0, 1)) })
-		if _, err := Run(Config{App: app, Set: Small, System: Base, Procs: procs}); err != nil {
+		if _, err := Run(Config{App: app, Set: apps.Small, System: Base, Procs: procs}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -184,12 +184,12 @@ func TestConcurrentFreshRunsReproduce(t *testing.T) {
 		return c
 	}
 	cfgs := []Config{
-		cfg("jacobi", Small, 8, nil),
-		cfg("is", Small, 8, nil),
+		cfg("jacobi", apps.Small, 8, nil),
+		cfg("is", apps.Small, 8, nil),
 		cfg("jacobi", "bound", 4, func(c *Config) { c.Adapt = true }),
-		cfg("spmv", Small, 4, func(c *Config) { c.Scale = true }),
-		cfg("jacobi", Small, 2, func(c *Config) { c.Recover = true }),
-		cfg("jacobi", Small, 4, func(c *Config) { c.Backend = BackendNet }),
+		cfg("spmv", apps.Small, 4, func(c *Config) { c.Scale = true }),
+		cfg("jacobi", apps.Small, 2, func(c *Config) { c.Recover = true }),
+		cfg("jacobi", apps.Small, 4, func(c *Config) { c.Backend = BackendNet }),
 	}
 	want := make([]*Result, len(cfgs))
 	for i, c := range cfgs {
@@ -279,19 +279,19 @@ func TestWarmStoresAreInvisible(t *testing.T) {
 		return run(c)
 	}
 	cfgs := []Config{
-		cfg("is", Small, Base, 8, nil),
-		cfg("gauss", Small, Opt, 8, nil),
-		cfg("jacobi", Small, Base, 4, func(c *Config) { c.Backend = BackendNet }),
-		cfg("jacobi", Small, Base, 8, func(c *Config) { c.Recover, c.Fault = true, &FaultPlan{Rank: 3, Epoch: 5} }),
+		cfg("is", apps.Small, Base, 8, nil),
+		cfg("gauss", apps.Small, Opt, 8, nil),
+		cfg("jacobi", apps.Small, Base, 4, func(c *Config) { c.Backend = BackendNet }),
+		cfg("jacobi", apps.Small, Base, 8, func(c *Config) { c.Recover, c.Fault = true, &FaultPlan{Rank: 3, Epoch: 5} }),
 	}
 	want := make([]*Result, len(cfgs))
 	for i, c := range cfgs {
 		want[i] = cold(c)
 	}
-	run(cfg("jacobi", Large, Opt, 8, nil))
-	run(cfg("spmv", Large, Base, 8, func(c *Config) { c.Adapt = true }))
-	run(cfg("mgs", Small, Opt, 8, nil)) // leaves the masters' Validate_w_sync index built
-	run(cfg("gauss", Small, Base, 8, func(c *Config) { c.Recover, c.CheckpointEvery = true, 3 }))
+	run(cfg("jacobi", apps.Large, Opt, 8, nil))
+	run(cfg("spmv", apps.Large, Base, 8, func(c *Config) { c.Adapt = true }))
+	run(cfg("mgs", apps.Small, Opt, 8, nil)) // leaves the masters' Validate_w_sync index built
+	run(cfg("gauss", apps.Small, Base, 8, func(c *Config) { c.Recover, c.CheckpointEvery = true, 3 }))
 	idle.Lock()
 	warm := len(idle.stores)
 	idle.Unlock()

@@ -169,7 +169,7 @@ func intersectSets(a, b []shm.Region) []shm.Region {
 	var out []shm.Region
 	for _, ra := range a {
 		for _, rb := range b {
-			if x := ra.Intersect(rb); !x.Empty() {
+			if x := (shm.Region{Lo: max(ra.Lo, rb.Lo), Hi: min(ra.Hi, rb.Hi)}); !x.Empty() {
 				out = append(out, x)
 			}
 		}

@@ -72,10 +72,7 @@ func (r *Rank) SetCostScale(s int) {
 	r.scale = s
 }
 
-const (
-	tagData host.Tag = iota + 1
-	tagBarrier
-)
+const tagData host.Tag = 1
 
 // Advance charges compute time, scaled by the cost multiplier.
 func (r *Rank) Advance(d time.Duration) {
@@ -87,9 +84,6 @@ func (r *Rank) Advance(d time.Duration) {
 
 // AdvanceFixed charges unscaled time (per-phase overheads).
 func (r *Rank) AdvanceFixed(d time.Duration) { r.p.Advance(d) }
-
-// Now returns the rank's virtual time.
-func (r *Rank) Now() time.Duration { return r.p.Now() }
 
 // Send transmits a copy of data to rank `to`.
 func (r *Rank) Send(to int, data []float64) {
@@ -125,28 +119,6 @@ func (r *Rank) Bcast(root int, data []float64) []float64 {
 	}
 	m := r.w.NW.Recv(r.p, root, tagData)
 	return m.Payload.([]float64)
-}
-
-// Barrier synchronizes all ranks: gather at rank 0, which then releases
-// the others in ascending rank order, paying the send overhead per
-// release (how MPL broadcast behaves for small n).
-func (r *Rank) Barrier() {
-	if r.N == 1 {
-		return
-	}
-	r.p.Begin()
-	defer r.p.End()
-	if r.ID == 0 {
-		for i := 1; i < r.N; i++ {
-			r.w.NW.Recv(r.p, host.AnySender, tagBarrier)
-		}
-		for i := 1; i < r.N; i++ {
-			r.w.NW.Send(r.p, i, tagBarrier, nil, 0)
-		}
-		return
-	}
-	r.w.NW.Send(r.p, 0, tagBarrier, nil, 0)
-	r.w.NW.Recv(r.p, 0, tagBarrier)
 }
 
 // Gather collects per-rank slices at root; root receives them indexed by

@@ -445,21 +445,12 @@ func RunWorker(network, addr string, rank int) error {
 		return fmt.Errorf("unknown data set %q", start.Set)
 	}
 
-	// Re-derive the problem parameters exactly as the in-process harness
-	// does; they are a pure function of (app, set, n).
-	n := int(start.N)
-	prog := app.Build(n)
-	params := prog.Prepare(app.Sets[set], n)
-
-	w := newWorkerWorld(ep, rank, n)
+	w := newWorkerWorld(ep, rank, int(start.N))
 	// A panic in the rank body — a lost link included — comes back as
 	// Run's error (workerHost.Run) and travels in the done report.
 	var done wire.Done
 	runErr := w.world.Run(func(r *mp.Rank) {
-		if cs, ok := params["cscale"]; ok {
-			r.SetCostScale(cs)
-		}
-		done.Checksum = app.MP(r, params, time.Duration(start.Overhead), start.Verify)
+		done.Checksum = app.RunMP(r, set, time.Duration(start.Overhead), start.Verify)
 	})
 	if runErr != nil {
 		done.Err = runErr.Error()

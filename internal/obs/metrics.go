@@ -2,6 +2,7 @@ package obs
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"sort"
 	"strings"
@@ -12,8 +13,9 @@ import (
 // The unified metrics registry. Counters are atomic int64s; histograms have
 // fixed bucket bounds chosen at registration, so observation never
 // allocates. A Snapshot is the single reporting surface: the harness folds
-// the protocol/VM/host/recovery aggregates into it after a run, commands
-// print it through FormatSnapshot, and sdsm-node serves it as JSON.
+// the protocol/VM/host/recovery aggregates into it after a run,
+// sdsm-run and sdsm-compile print it through FormatSnapshot, and the
+// benchmark's traced pass reads its histograms' quantiles.
 
 // Counter is a monotonically increasing metric. A nil *Counter is the
 // counter of an unobserved run: it counts nothing and reads zero, so
@@ -136,10 +138,9 @@ func (h HistSnap) Quantile(q float64) int64 {
 	if h.N == 0 {
 		return 0
 	}
-	want := int64(q * float64(h.N))
-	if want < 1 {
-		want = 1
-	}
+	// The rank rounds up: rounding down could stop a bucket short of the
+	// quantile and break the upper bound.
+	want := max(int64(math.Ceil(q*float64(h.N))), 1)
 	var cum int64
 	for i, c := range h.Counts {
 		cum += c

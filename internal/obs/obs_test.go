@@ -74,6 +74,26 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 	}
 }
 
+// TestQuantileRoundsRankUp: p99 of ten observations is the tenth
+// smallest, so nine in the low bucket and one in the next must report the
+// next bucket's bound — the rank q·N rounds up, or the estimate falls
+// below the quantile it bounds.
+func TestQuantileRoundsRankUp(t *testing.T) {
+	r := NewRegistry()
+	h := r.NewHistogram("h", []int64{10, 100})
+	for i := 0; i < 9; i++ {
+		h.Observe(5)
+	}
+	h.Observe(50)
+	s := r.Snapshot().Histograms["h"]
+	if q := s.Quantile(0.99); q != 100 {
+		t.Fatalf("p99 = %d, want 100", q)
+	}
+	if q := s.Quantile(0.5); q != 10 {
+		t.Fatalf("p50 = %d, want 10", q)
+	}
+}
+
 // Concurrent emits, counter adds, and histogram observes must be safe: the
 // real backend serves wsync fetches from other nodes' goroutines, so the
 // tracer sees genuine concurrency. Run under -race.

@@ -32,20 +32,8 @@ func (r Region) Words() int {
 	return r.Hi - r.Lo
 }
 
-// Bytes returns the size of r in bytes.
-func (r Region) Bytes() int { return r.Words() * WordBytes }
-
 // Empty reports whether r contains no words.
 func (r Region) Empty() bool { return r.Hi <= r.Lo }
-
-// Intersect returns the overlap of r and s (possibly empty).
-func (r Region) Intersect(s Region) Region {
-	lo, hi := max(r.Lo, s.Lo), min(r.Hi, s.Hi)
-	if hi < lo {
-		hi = lo
-	}
-	return Region{lo, hi}
-}
 
 // Pages returns the page index range [p0, p1) overlapped by r.
 func (r Region) Pages() (p0, p1 int) {
@@ -164,6 +152,3 @@ func (l *Layout) Array(name string) *Array {
 
 // Words returns the total size of the address space in words.
 func (l *Layout) Words() int { return l.words }
-
-// Pages returns the total number of pages in the address space.
-func (l *Layout) Pages() int { return (l.words + PageWords - 1) / PageWords }

@@ -30,8 +30,7 @@ type Client struct {
 
 // Job is one accepted submission.
 type Job struct {
-	ID   int64
-	Spec wire.JobSpec
+	ID int64
 
 	decided chan struct{} // accept or reject read
 	reason  string        // non-empty: rejected
@@ -128,7 +127,6 @@ func (cl *Client) reader() {
 // Rejection is a per-job verdict — the client stays usable.
 func (cl *Client) Submit(spec wire.JobSpec) (*Job, error) {
 	j := &Job{
-		Spec:    spec,
 		decided: make(chan struct{}),
 		result:  make(chan wire.JobResult, 1),
 	}

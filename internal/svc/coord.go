@@ -359,9 +359,10 @@ func (co *Coordinator) worker(run func(wire.JobSpec) wire.JobResult, gone <-chan
 // result. When the link ends the Client fails whatever was in flight on
 // it (those jobs' results carry Err), the workers leave, and the bound
 // shrinks; jobs still queued that another executor can hold stay queued.
-// The pool survives its daemons.
+// The pool survives its daemons. A hello outside [1, maxRanks] slots
+// attaches nothing and ends the link.
 func (co *Coordinator) attach(l *host.Link, slots int) {
-	if slots < 1 {
+	if slots < 1 || slots > maxRanks {
 		return
 	}
 	cl := newClient(l, "pool daemon")

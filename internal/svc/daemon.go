@@ -22,8 +22,8 @@ import (
 // workers. The far side keeps at most `slots` jobs in flight, so the
 // daemon's queue of that size never rejects.
 func RunPoolDaemon(network, addr string, slots int, stop <-chan struct{}) error {
-	if slots < 1 {
-		return fmt.Errorf("svc: pool daemon needs at least 1 slot, got %d", slots)
+	if slots < 1 || slots > maxRanks {
+		return fmt.Errorf("svc: pool daemon needs 1 to %d slots, got %d", maxRanks, slots)
 	}
 	c, err := net.Dial(network, addr)
 	if err != nil {

@@ -87,6 +87,11 @@ func (p *Pool) release(n int) {
 	p.cond.Broadcast()
 }
 
+// maxRanks bounds both the ranks of one job and the rank slots one pool
+// daemon may attach with: the coordinator starts a worker per slot, so a
+// hello's slot count is untrusted input it must not size goroutines by.
+const maxRanks = 1024
+
 // JobConfig validates a job spec and maps it to the harness
 // configuration it denotes. Validation is the coordinator's admission
 // check: an error here is a per-job rejection, never a pool fault.
@@ -115,8 +120,8 @@ func JobConfig(spec wire.JobSpec) (harness.Config, error) {
 	default:
 		return cfg, fmt.Errorf("svc: unknown backend %q", spec.Backend)
 	}
-	if spec.Procs < 1 || spec.Procs > 1024 {
-		return cfg, fmt.Errorf("svc: procs %d out of range [1, 1024]", spec.Procs)
+	if spec.Procs < 1 || spec.Procs > maxRanks {
+		return cfg, fmt.Errorf("svc: procs %d out of range [1, %d]", spec.Procs, maxRanks)
 	}
 	return harness.Config{
 		App:     app,

@@ -57,7 +57,7 @@ func intersectSets(a, b []shm.Region) []shm.Region {
 	var out []shm.Region
 	for _, ra := range a {
 		for _, rb := range b {
-			if x := ra.Intersect(rb); !x.Empty() {
+			if x := (shm.Region{Lo: max(ra.Lo, rb.Lo), Hi: min(ra.Hi, rb.Hi)}); !x.Empty() {
 				out = append(out, x)
 			}
 		}
@@ -647,17 +647,23 @@ func TestSharedSnapshotIsNeverRecycled(t *testing.T) {
 	// (c) Node 0's cached snapshot is shared, node 1's is not.
 	serve()
 	other := snapshot(s.Nodes[1], 1, 6000)
-	idle := func(nd *Node) int { _, pages := nd.Mem.Arena().Idle(); return pages }
-	before := []int{idle(s.Nodes[0]), idle(s.Nodes[1])}
+	// A sentinel page on top of each freelist: release must push exactly
+	// the cached snapshot's page above it.
+	var sentinels []*float64
+	for _, nd := range s.Nodes[:2] {
+		buf := make([]float64, shm.PageWords)
+		nd.Mem.RecyclePage(buf)
+		sentinels = append(sentinels, &buf[0])
+	}
 	cached := []*float64{page(fifth), page(other)} // release clears the entries
 	s.ReleaseWarm()
 	for i, pg := range cached {
-		ar := s.Nodes[i].Mem.Arena()
-		if got := idle(s.Nodes[i]); got != before[i]+1 {
-			t.Fatalf("node %d's arena holds %d idle pages after release, want %d", i, got, before[i]+1)
-		}
+		ar := s.Nodes[i].st.arena
 		if &ar.TakePage()[0] != pg {
 			t.Fatalf("node %d's cached snapshot page did not go back to its arena", i)
+		}
+		if &ar.TakePage()[0] != sentinels[i] {
+			t.Fatalf("release gave node %d's arena more than its cached snapshot page", i)
 		}
 	}
 }

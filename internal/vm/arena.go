@@ -132,15 +132,6 @@ func (a *Arena) Release() {
 	a.batch.Rewind(false)
 }
 
-// Idle reports the arena's idle inventory (data stores — 0 or 1 — and
-// page buffers), for tests that pin warm reuse actually happening.
-func (a *Arena) Idle() (data, pages int) {
-	if a.data != nil && !a.lent {
-		data = 1
-	}
-	return data, len(a.pages)
-}
-
 // Loans reports the number of outstanding data loans: 0 or 1.
 func (a *Arena) Loans() int {
 	if a.lent {

@@ -10,6 +10,15 @@ import (
 	"sdsm/internal/shm"
 )
 
+// Idle reports the arena's idle inventory (data stores — 0 or 1 — and
+// page buffers), for tests that pin warm reuse actually happening.
+func (a *Arena) Idle() (data, pages int) {
+	if a.data != nil && !a.lent {
+		data = 1
+	}
+	return data, len(a.pages)
+}
+
 // TestArenaDataLoan pins the data-store contract: an arena holds one
 // store, loans come back zeroed regardless of what the previous tenant
 // left, a loan that fits recycles the idle store and one that does not
@@ -82,7 +91,7 @@ func TestWarmMemBitIdentical(t *testing.T) {
 	a := NewArena()
 	for round := 0; round < 2; round++ {
 		m := NewWarm(3, 3*shm.PageWords, model.SP2(), nil, a)
-		if m.Arena() != a {
+		if m.arena != a {
 			t.Fatal("warm Mem lost its arena")
 		}
 		for i, v := range m.Data() {

@@ -183,9 +183,6 @@ func NewWarm(node int, words int, costs model.Costs, handler FaultHandler, arena
 	}
 }
 
-// Arena returns the arena backing this Mem.
-func (m *Mem) Arena() *Arena { return m.arena }
-
 // Release hands the Mem's live twins back to its arena's page freelist
 // and drops its reference to the data store; the arena's owner then ends
 // the loan (Arena.Release), which rewinds the slabs the Mem's tables and

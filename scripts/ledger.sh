@@ -28,20 +28,72 @@ head="$PWD"
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 
-layers=("app kernels" "interp" "tmk" "adapt" "vm" "sim + coroutine switch" "wire/host" "memmove/memclr" "GC + malloc" "maps + sort" "syscalls + netpoll" "Go scheduler" "other")
+layers=("app kernels" "interp" "tmk close" "tmk fetch/serve" "tmk barrier" "tmk lock" "tmk record" "tmk other" "adapt" "vm copy" "vm clear" "vm twin" "vm diff" "vm fault/prot" "sim + coroutine switch" "wire codec" "host transport" "memmove/memclr" "GC + malloc" "maps + sort" "syscalls + netpoll" "Go scheduler" "other")
+
+# The tmk and vm rows split those packages by function (the method name,
+# type arguments, receiver and closure suffixes stripped); a function in neither list of
+# its package falls to "tmk other" or "vm fault/prot". Write-notice intake
+# counts as barrier work, the augmented interface (Validate, Push) and
+# scale mode's redirects as fetch/serve. "vm copy" writes a page from
+# elsewhere (applied runs, a snapshot, a restore); "vm clear" lends and
+# rewinds storage; runtime memmove/memclr keep their own row whoever
+# calls them.
+tmk_close="closeInterval enableWrite setDirty deferMode undefer snapshotWholePage snapshot fileOwnDiff storeDiff recycle subsumes flushLocalDiff splitInterval pageRefFor newEntry coverRow noteWritten"
+tmk_fetch="Fault request responders startFetch fetchPages completeInflight applyReplies serve serveDiffs collectDiffs applyDiffs recordApplied prunePending orderKey helps wireBytes toWire keyOf noticedSince chaseRedirects relayFetchedBytes dirHopCap Validate ValidateWSync fullyCovered discardObligations applyAccessType consumeWSync Push applyPushChunk"
+tmk_barrier="barrier Barrier runBarrier postBarrier wsyncResponder appendIntervals syncInfo learnInterval addNotice invalidate appliedRows"
+tmk_lock="lock buildGrant applyGrant usablePushed Acquire grantTo Release servedFor pushHeld popHeld handOff released acquireFloors"
+tmk_record="EnableRecovery touch injectFault writeRecord recordPages failAndRecover wipe restore name Put Records files recordBuf keepRecord checkpointAdapt restoreAdapt"
+vm_copy="CopyPage ApplyRuns RestorePage PageData Data"
+vm_clear="NewArena SetCanary TakeData TakePage CheckGuards Release Take TakeZeroed next Rewind New NewWarm WipeForRestore"
+vm_twin="MakeTwin DropTwin RecyclePage HasTwin TwinData"
+vm_diff="DiffAgainstTwin WholePageRuns nextRun RunsBytes RunsWords"
 
 # layer sums one pprof -top listing (ms) by layer: "layer<TAB>ms" lines.
 layer() {
-	awk '
+	awk -v tc="$tmk_close" -v tf="$tmk_fetch" -v tb="$tmk_barrier" -v tl="$tmk_lock" -v tr="$tmk_record" \
+		-v vc="$vm_copy" -v vz="$vm_clear" -v vt="$vm_twin" -v vd="$vm_diff" '
+	function set(list, row,   n, i, w) { n = split(list, w, " "); for (i = 1; i <= n; i++) rows[row, w[i]] = 1 }
+	function unbracket(s,   out, c, i, depth) {
+		for (i = 1; i <= length(s); i++) {
+			c = substr(s, i, 1)
+			if (c == "[") depth++
+			else if (c == "]" && depth > 0) depth--
+			else if (depth == 0) out = out c
+		}
+		return out
+	}
+	function method(fn, pkg) {
+		fn = unbracket(fn)
+		sub(/ .*$/, "", fn)
+		sub("^sdsm/internal/" pkg "\\.", "", fn)
+		sub(/^\([*][^)]*\)\./, "", fn)
+		sub(/^AccessType\./, "", fn)
+		sub(/\..*$/, "", fn)
+		return fn
+	}
+	function split_row(fn, pkg, names, fallback,   m, i) {
+		m = method(fn, pkg)
+		for (i = 1; i in names; i++) if ((names[i], m) in rows) return names[i]
+		return fallback
+	}
+	BEGIN {
+		set(tc, "tmk close"); set(tf, "tmk fetch/serve"); set(tb, "tmk barrier"); set(tl, "tmk lock"); set(tr, "tmk record")
+		set(vc, "vm copy"); set(vz, "vm clear"); set(vt, "vm twin"); set(vd, "vm diff")
+		split("tmk close|tmk fetch/serve|tmk barrier|tmk lock|tmk record", tmkrows, "|")
+		split("vm copy|vm clear|vm twin|vm diff", vmrows, "|")
+	}
 	$1 ~ /ms$/ && $6 != "" {
-		ms = $1; sub(/ms$/, "", ms); fn = $6
+		ms = $1; sub(/ms$/, "", ms)
+		fn = $6; for (i = 7; i <= NF; i++) fn = fn " " $i # type arguments may hold spaces
 		if (fn ~ /^sdsm\/internal\/apps\./) l = "app kernels"
 		else if (fn ~ /^sdsm\/internal\/(interp|ir|rsd|compiler)\./) l = "interp"
-		else if (fn ~ /^sdsm\/internal\/tmk\./) l = "tmk"
+		else if (fn ~ /^sdsm\/internal\/tmk\./) l = split_row(fn, "tmk", tmkrows, "tmk other")
 		else if (fn ~ /^sdsm\/internal\/adapt\./) l = "adapt"
-		else if (fn ~ /^sdsm\/internal\/(vm|shm)\./) l = "vm"
+		else if (fn ~ /^sdsm\/internal\/vm\./) l = split_row(fn, "vm", vmrows, "vm fault/prot")
+		else if (fn ~ /^sdsm\/internal\/shm\./) l = "vm fault/prot"
 		else if (fn ~ /^sdsm\/internal\/sim\./ || fn ~ /^iter\.Pull/ || fn ~ /^runtime\.(coro|gogo|mcall)/) l = "sim + coroutine switch"
-		else if (fn ~ /^sdsm\/internal\/(wire|host|cluster|mpnet|svc)\./) l = "wire/host"
+		else if (fn ~ /^sdsm\/internal\/wire\./) l = "wire codec"
+		else if (fn ~ /^sdsm\/internal\/(host|cluster|mpnet|svc)\./) l = "host transport"
 		else if (fn ~ /^runtime\.(memmove|memclr)/) l = "memmove/memclr"
 		else if (fn ~ /^runtime\.(mallocgc|newobject|makeslice|growslice|nextFree|gc|bgsweep|bgscavenge|sweep|scan|grey|mark|findObject|heapBits|typePointers|bulkBarrier|wbBuf)/ ||
 			fn ~ /^runtime\.\(\*(mspan|mheap|mcache|mcentral|gcWork|gcBits|gcControllerState|sweepLocked|pageAlloc|scavengerState|spanSet)\)/) l = "GC + malloc"
