@@ -472,31 +472,47 @@ func TestWriteAllCloseAllocs(t *testing.T) {
 	}
 }
 
-// TestCheckpointRecordAllocs pins a steady-state full recovery record at
-// O(1) allocations and no bytes proportional to the image: the record
-// aliases the live pages and is encoded straight into the buffer of the
-// chain the previous full record retired in the rank's store, where it
-// stays uncopied. Two
-// nodes checkpoint an image of `pages` valid pages at every barrier; eight
-// times the image must cost the same allocations and — within a fiftieth of
-// the extra image, which amortised buffer regrowth stays far below — the
-// same bytes. Copying each frame and encoding from nil used to allocate
-// several times the image per record: 3.5 MB an epoch at 64 pages.
+// TestCheckpointRecordAllocs pins a steady-state recovery record at O(1)
+// allocations and no bytes proportional to the image: the record aliases
+// the live pages and is encoded straight into a buffer of the rank's
+// store, where it stays uncopied. Two nodes each hold `pages` valid pages
+// of their own and overwrite one eighth of them per barrier epoch
+// (WRITE_ALL, so a page is clean again once its interval closes), so every
+// incremental record frames an eighth of the image and, once the
+// incremental records add up to a full one, the next is full: about one
+// record in nine frames the whole image, at both sizes. Eight times the image must cost the same
+// allocations and — within a fiftieth of the extra image, which amortised
+// buffer regrowth stays far below — the same bytes. One allocation per
+// framed page of a full record costs 16.9 allocations an epoch at 64 pages
+// against 5.7 at 8 and fails it; when every epoch wrote one page, full
+// records came once per image-size of epochs and the same allocation
+// hid under the slack (7.3 against 6.5). Copying each frame and encoding
+// from nil used to allocate several times the image per record: 3.5 MB an
+// epoch at 64 pages.
 func TestCheckpointRecordAllocs(t *testing.T) {
 	const n, small, large = 2, 8, 64
 	epoch := func(pages int) (allocs, bytes float64) {
 		return memPerIter(t, 40, 160, func(iters int) error {
 			e := sim.NewEngine(n)
 			layout := shm.NewLayout()
-			arr := layout.Alloc("mem", pages*shm.PageWords)
+			arr := layout.Alloc("mem", n*pages*shm.PageWords)
 			sys := tmk.New(e, host.NewNetwork(e, model.SP2()), layout)
 			sys.EnableRecovery(tmk.RecoveryConfig{})
 			return sys.Run(func(nd *tmk.Node) {
-				nd.Mem.EnsureRead(nd.Proc(), arr.Whole()) // every page valid: every full record frames it
+				own := arr.Base + nd.ID*pages*shm.PageWords
+				nd.Mem.EnsureRead(nd.Proc(), shm.Region{Lo: own, Hi: own + pages*shm.PageWords}) // every full record frames every own page
+				eighths := make([][]shm.Region, 8)
+				for k := range eighths {
+					lo := own + k*pages/8*shm.PageWords
+					eighths[k] = []shm.Region{{Lo: lo, Hi: lo + pages/8*shm.PageWords}}
+				}
 				for it := 0; it < iters; it++ {
-					lo := arr.Base + nd.ID*shm.PageWords
-					nd.Mem.EnsureWrite(nd.Proc(), shm.Region{Lo: lo, Hi: lo + 8})
-					nd.Mem.Data()[lo+it%8] = float64(it)
+					part := eighths[it%8]
+					nd.Validate(tmk.AccWriteAll, part, false)
+					nd.Mem.EnsureWrite(nd.Proc(), part[0])
+					for a := part[0].Lo; a < part[0].Hi; a += shm.PageWords {
+						nd.Mem.Data()[a+it%8] = float64(it)
+					}
 					nd.Barrier(1)
 				}
 			})
@@ -623,12 +639,14 @@ func TestWarmRunAllocs(t *testing.T) {
 }
 
 // TestWarmRecoverRunAllocs pins a warm jacobi/small run at 8 ranks with
-// checkpointing armed, a full record at every barrier: each record is
-// encoded into a buffer its store's chain retired, so what the run adds to
-// TestWarmRunAllocs' is about one boxed wire.Checkpoint per record.
-// Measured: 1 204 allocations and 151 000 B; 1 690 and 31 648 248 B while
-// every run made an in-memory sink that copied each record into buffers
-// regrown as full records grew. The ceilings leave under 5 %.
+// checkpointing armed: each record is encoded into one of its store's
+// record buffers — a full record into the spare, an incremental one after
+// the chain's last — so what the run adds to TestWarmRunAllocs' is about
+// one boxed wire.Checkpoint per record. Measured: 1 203 allocations and
+// 150 816 B; 1 204 and 150 968 B while every record was full and a free
+// list of buffers held the chain; 1 690 and 31 648 248 B while every run
+// made an in-memory sink that copied each record into buffers regrown as
+// full records grew. The ceilings leave under 5 %.
 func TestWarmRecoverRunAllocs(t *testing.T) {
 	const allocsCeiling, bytesCeiling = 1_264, 158_500
 	allocs, bytes := warmRunAllocs(t, "jacobi", harness.Config{Procs: 8, Recover: true})

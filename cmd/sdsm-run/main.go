@@ -6,7 +6,7 @@
 //	sdsm-run -app fft -backend real -verify
 //	sdsm-run -app gauss -backend net -procs 5 -verify
 //	sdsm-run -app is -system pvme -backend net -verify
-//	sdsm-run -app jacobi -recover -checkpoint-every 4 -verify
+//	sdsm-run -app jacobi -recover -checkpoint-dir ckpt -verify
 //	sdsm-run -app gauss -recover -fail-rank 1 -fail-epoch 2 -verify
 //	sdsm-run -app gauss -set small -cpuprofile cpu.pprof -memprofile heap.pprof -exectrace exec.trace
 //
@@ -43,7 +43,6 @@ func main() {
 		backend = flag.String("backend", "sim", "host backend: sim (deterministic), real (goroutine per node), net (wire transport over loopback sockets; process per rank for pvme/xhpf)")
 		nodeBin = flag.String("node-bin", "", "worker binary for -backend net message-passing runs (default: re-exec this binary)")
 		recov   = flag.Bool("recover", false, "arm checkpoint/restore: DSM nodes checkpoint at every barrier, net message-passing runs log frames for replay")
-		ckEvery = flag.Int("checkpoint-every", 0, "full-checkpoint period in barriers; records in between are incremental (<=1: every record full; with -recover)")
 		ckDir   = flag.String("checkpoint-dir", "", "spill checkpoint records to this directory instead of holding them in memory (with -recover)")
 		failAt  = flag.Int("fail-rank", -1, "inject a failure: kill this rank (-1 = no fault; implies -recover)")
 		failEp  = flag.Int("fail-epoch", 1, "barrier epoch at which -fail-rank dies (DSM systems)")
@@ -74,7 +73,7 @@ func main() {
 		Procs: *procs, Verify: *verify, SyncFetch: *sync,
 		Backend: harness.Backend(*backend),
 		Adapt:   *adaptOn, Scale: *scaleOn,
-		Recover: *recov, CheckpointEvery: *ckEvery, CheckpointDir: *ckDir,
+		Recover: *recov, CheckpointDir: *ckDir,
 		Trace: *trace || *trOut != "", TraceCap: *trCap,
 	}
 	if *failAt >= 0 {

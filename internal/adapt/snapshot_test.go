@@ -1,9 +1,6 @@
 package adapt
 
-import (
-	"runtime"
-	"testing"
-)
+import "testing"
 
 // TestSnapshotRoundTrip drives a detector through promotion, split, and
 // decay transitions, snapshots it mid-stream, restores the blob into a
@@ -53,31 +50,24 @@ func roundTripEpochs() []Epoch {
 	return append(eps, Epoch{Writers: map[int][]WriteExt{4: {{Node: 3, Lo: 0, Hi: 512}}}})
 }
 
-// TestRestoreSnapshotBoundsPageTable pins what a snapshot naming a far page
-// costs to restore: the largest page a snapshot may name restores with a
-// page table of about 10 MiB, and the next one is rejected before the table
-// grows. A bound of 1 << 24 let a five-byte edit of any snapshot cost
-// 2.7 GB.
+// TestRestoreSnapshotBoundsPageTable pins the largest page a snapshot may
+// name: that one restores, and the next one is rejected before the table
+// grows. What the largest costs is TestRestoreSnapshotPageTableBytes'.
 func TestRestoreSnapshotBoundsPageTable(t *testing.T) {
-	far := func(pg int) []byte {
-		d := New(Config{K: 2})
-		d.grow(pg)
-		d.page(pg)
-		return d.Snapshot()
-	}
-	blob := far(maxSnapshotPage)
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	if err := New(Config{K: 2}).RestoreSnapshot(blob); err != nil {
+	if err := New(Config{K: 2}).RestoreSnapshot(farSnapshot(maxSnapshotPage)); err != nil {
 		t.Fatalf("a snapshot naming page %d: %v", maxSnapshotPage, err)
 	}
-	runtime.ReadMemStats(&m1)
-	if b := m1.TotalAlloc - m0.TotalAlloc; b > 12<<20 {
-		t.Fatalf("restoring a snapshot naming page %d allocated %d MiB", maxSnapshotPage, b>>20)
-	}
-	if err := New(Config{K: 2}).RestoreSnapshot(far(maxSnapshotPage + 1)); err == nil {
+	if err := New(Config{K: 2}).RestoreSnapshot(farSnapshot(maxSnapshotPage + 1)); err == nil {
 		t.Fatalf("a snapshot naming page %d was accepted", maxSnapshotPage+1)
 	}
+}
+
+// farSnapshot returns the snapshot of a detector whose one page is pg.
+func farSnapshot(pg int) []byte {
+	d := New(Config{K: 2})
+	d.grow(pg)
+	d.page(pg)
+	return d.Snapshot()
 }
 
 // TestRestoreSnapshotTotal pins that restoring is total over damaged

@@ -69,12 +69,10 @@ type Config struct {
 	Procs  int
 	Verify bool
 	// Backend picks the host backend; empty means DefaultBackend.
-	// Message-passing systems run on the sim backend (their receive-any
-	// and reduction orders are only deterministic there) except under
+	// Message-passing systems run on the sim backend except under
 	// BackendNet, which runs them as one OS process per rank via
-	// internal/mpnet (approximate verification: real arrival order makes
-	// reduction order, and therefore the last float ulps, scheduling-
-	// dependent).
+	// internal/mpnet; every receive names its sender, so no match depends
+	// on arrival order, but verification there stays approximate.
 	Backend Backend
 	// Level overrides the per-app best compiler options (for the Figure 6
 	// sweep); nil means BestOptions for Opt.
@@ -99,9 +97,6 @@ type Config struct {
 	// — peer death becomes a recoverable event instead of a run abort.
 	// Off by default: the paper's tables run with no recovery machinery.
 	Recover bool
-	// CheckpointEvery is the full-record period in barriers (≤1: every
-	// record is full). Meaningful with Recover.
-	CheckpointEvery int
 	// CheckpointDir spills records to disk (tmk.FileSink) instead of each
 	// rank's store. Meaningful with Recover.
 	CheckpointDir string
@@ -293,7 +288,7 @@ func runDSM(cfg Config) (res *Result, err error) {
 		sys.EnableScale()
 	}
 	if cfg.Recover || cfg.Fault != nil {
-		rc := tmk.RecoveryConfig{Every: cfg.CheckpointEvery}
+		var rc tmk.RecoveryConfig
 		if cfg.CheckpointDir != "" {
 			rc.Sink = &tmk.FileSink{Dir: cfg.CheckpointDir}
 		}

@@ -128,7 +128,7 @@ func TestRecoveryOpt(t *testing.T) {
 			for _, rank := range []int{0, 2} {
 				for _, epoch := range epochs {
 					res := runRecovery(t, Config{App: a, Set: apps.Small, System: Opt, Procs: 4, Verify: true,
-						CheckpointEvery: 3, Fault: &FaultPlan{Rank: rank, Epoch: epoch}})
+						Fault: &FaultPlan{Rank: rank, Epoch: epoch}})
 					if res.Checksum != ref.Checksum {
 						t.Errorf("rank %d epoch %d: recovery checksum %v != reference %v", rank, epoch, res.Checksum, ref.Checksum)
 					}
@@ -139,10 +139,16 @@ func TestRecoveryOpt(t *testing.T) {
 }
 
 // TestRecoveryMatrix sweeps the fault space: first and last killable
-// rank, at each of the first barrier epochs, across node counts, with
-// both always-full and periodic-incremental record cadences. Checksums
-// must match the uninterrupted run everywhere. The full sweep runs one
-// app; -short samples it.
+// rank, at each of the first barrier epochs, across node counts. The fault
+// epoch decides the chain the victim restores from — its drain record
+// (failAndRecover) ends it — and jacobi/small writes F i F i i F … at every
+// node count, so e1 restores the machine's first full record and one
+// incremental, e2 and e5 a lone full record that is not the first, e3 a
+// later full record and one incremental; the -short list keeps e2 and e3.
+// kN runs the fault N times back to back, the later runs restoring into
+// stores an earlier machine's chain was kept in: checksums must match the
+// uninterrupted run everywhere, and record counts and bytes the first run.
+// The full sweep runs one app; -short samples it.
 func TestRecoveryMatrix(t *testing.T) {
 	a, err := apps.ByName("jacobi")
 	if err != nil {
@@ -150,11 +156,11 @@ func TestRecoveryMatrix(t *testing.T) {
 	}
 	procsList := []int{2, 3, 5, 8}
 	epochs := []int{1, 2, 3, 5}
-	everies := []int{1, 3}
+	runs := []int{1, 3}
 	if testing.Short() {
 		procsList = []int{3, 5}
 		epochs = []int{2, 3}
-		everies = []int{3}
+		runs = []int{1}
 	}
 	for _, procs := range procsList {
 		procs := procs
@@ -164,15 +170,22 @@ func TestRecoveryMatrix(t *testing.T) {
 		}
 		for _, rank := range []int{1, procs - 1} {
 			for _, epoch := range epochs {
-				for _, every := range everies {
-					rank, epoch, every := rank, epoch, every
-					t.Run(fmt.Sprintf("p%d/r%d/e%d/k%d", procs, rank, epoch, every), func(t *testing.T) {
+				for _, k := range runs {
+					rank, epoch, k := rank, epoch, k
+					t.Run(fmt.Sprintf("p%d/r%d/e%d/k%d", procs, rank, epoch, k), func(t *testing.T) {
 						t.Parallel()
-						res := runRecovery(t, Config{App: a, Set: apps.Small, System: Base, Procs: procs,
-							Verify: true, CheckpointEvery: every,
-							Fault: &FaultPlan{Rank: rank, Epoch: epoch}})
-						if res.Checksum != ref.Checksum {
-							t.Errorf("recovery checksum %v != reference %v", res.Checksum, ref.Checksum)
+						var first *Result
+						for range k {
+							res := runRecovery(t, Config{App: a, Set: apps.Small, System: Base, Procs: procs,
+								Verify: true, Fault: &FaultPlan{Rank: rank, Epoch: epoch}})
+							if res.Checksum != ref.Checksum {
+								t.Errorf("recovery checksum %v != reference %v", res.Checksum, ref.Checksum)
+							}
+							if first == nil {
+								first = res
+							} else if res.Recovery != first.Recovery {
+								t.Errorf("recovery %+v, the first run's %+v", res.Recovery, first.Recovery)
+							}
 						}
 					})
 				}
@@ -203,7 +216,7 @@ func TestRecoveryScale(t *testing.T) {
 			}
 			for _, backend := range []Backend{BackendSim, BackendNet} {
 				res := runRecovery(t, Config{App: a, Set: apps.Small, System: Base, Procs: procs, Verify: true,
-					Scale: true, CheckpointEvery: 2, Backend: backend, Fault: &FaultPlan{Rank: 5, Epoch: 3}})
+					Scale: true, Backend: backend, Fault: &FaultPlan{Rank: 5, Epoch: 3}})
 				if res.Checksum != ref.Checksum {
 					t.Errorf("%s scale recovery checksum %v != reference %v", backend, res.Checksum, ref.Checksum)
 				}
@@ -214,6 +227,8 @@ func TestRecoveryScale(t *testing.T) {
 
 // TestRecoveryFileSink spills records to disk and restores from them:
 // the FileSink path must behave exactly like the chain kept in the stores.
+// The victim dies at its sixth record, after the full records at its third
+// and sixth have each pruned the chain before them.
 func TestRecoveryFileSink(t *testing.T) {
 	a, err := apps.ByName("gauss")
 	if err != nil {
@@ -224,8 +239,8 @@ func TestRecoveryFileSink(t *testing.T) {
 		t.Fatalf("reference run: %v", err)
 	}
 	res := runRecovery(t, Config{App: a, Set: apps.Small, System: Base, Procs: 3, Verify: true,
-		CheckpointEvery: 4, CheckpointDir: t.TempDir(),
-		Fault: &FaultPlan{Rank: 2, Epoch: 6}})
+		CheckpointDir: t.TempDir(),
+		Fault:         &FaultPlan{Rank: 2, Epoch: 6}})
 	if res.Checksum != ref.Checksum {
 		t.Errorf("file-sink recovery checksum %v != reference %v", res.Checksum, ref.Checksum)
 	}

@@ -234,8 +234,8 @@ func TestConcurrentFreshRunsReproduce(t *testing.T) {
 // a larger, different run grew — jacobi/large compiler-optimised, spmv
 // under the adaptive protocol, then mgs compiler-optimised, whose
 // Validate_w_sync builds the barrier master's responder index, all at 8
-// ranks — and a gauss/small run checkpointing with a full record every
-// third barrier, after which every store holds a retired record chain, must
+// ranks — and a gauss/small run checkpointing, full and incremental
+// records, after which every store holds a released record chain, must
 // leave no trace in the runs that borrow it next. is/small base and
 // gauss/small opt on sim, jacobi/small base on net, and jacobi/small base
 // on sim checkpointing with rank 3 killed and restored at its fifth
@@ -291,7 +291,7 @@ func TestWarmStoresAreInvisible(t *testing.T) {
 	run(cfg("jacobi", apps.Large, Opt, 8, nil))
 	run(cfg("spmv", apps.Large, Base, 8, func(c *Config) { c.Adapt = true }))
 	run(cfg("mgs", apps.Small, Opt, 8, nil)) // leaves the masters' Validate_w_sync index built
-	run(cfg("gauss", apps.Small, Base, 8, func(c *Config) { c.Recover, c.CheckpointEvery = true, 3 }))
+	run(cfg("gauss", apps.Small, Base, 8, func(c *Config) { c.Recover = true }))
 	idle.Lock()
 	warm := len(idle.stores)
 	idle.Unlock()

@@ -40,13 +40,9 @@ func (e *Endpoint) Costs() model.Costs { return e.costs }
 
 // Msg converts a received FMsg frame to the mailbox message it carries.
 func (e *Endpoint) Msg(f *wire.Frame) Msg {
-	payload := f.Payload
-	if fs, ok := payload.(wire.Float64s); ok {
-		payload = []float64(fs) // mp's native payload type
-	}
 	return Msg{
 		From: int(f.From), To: e.rank, Tag: Tag(f.Tag),
-		Payload: payload, Bytes: int(f.Bytes), Arrival: time.Duration(f.Time),
+		Payload: f.Payload, Bytes: int(f.Bytes), Arrival: time.Duration(f.Time),
 	}
 }
 

@@ -45,7 +45,7 @@ func unixPair(t *testing.T) (a, b *net.UnixConn) {
 // write into a nearly full socket is cut short.
 func seqFrame(t *testing.T, seq int) []byte {
 	t.Helper()
-	vals := make(wire.Float64s, 1000)
+	vals := make([]float64, 1000)
 	for i := range vals {
 		vals[i] = float64(seq*1000 + i)
 	}
@@ -288,7 +288,7 @@ func TestSwitchRoutesFramesBehindHello(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < n; i++ {
-		burst, err = wire.AppendFrame(burst, &wire.Frame{Kind: wire.FMsg, From: 0, To: 1, Tag: int32(i), Payload: wire.Float64s{float64(i)}})
+		burst, err = wire.AppendFrame(burst, &wire.Frame{Kind: wire.FMsg, From: 0, To: 1, Tag: int32(i), Payload: []float64{float64(i)}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -349,7 +349,7 @@ func TestFrameQueueConcurrentEnqueue(t *testing.T) {
 				return
 			}
 			s, seq := f.From, f.Tag
-			if vals, ok := f.Payload.(wire.Float64s); !ok || len(vals) != 300 || vals[299] != float64(seq) {
+			if vals, ok := f.Payload.([]float64); !ok || len(vals) != 300 || vals[299] != float64(seq) {
 				t.Errorf("frame %d of sender %d arrived damaged", seq, s)
 			}
 			if seq != next[s] {
@@ -365,7 +365,7 @@ func TestFrameQueueConcurrentEnqueue(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			vals := make(wire.Float64s, 300)
+			vals := make([]float64, 300)
 			for i := 0; i < each; i++ {
 				vals[299] = float64(i)
 				raw, err := wire.AppendFrame(wire.GetBuf(), &wire.Frame{Kind: wire.FMsg, From: int32(s), To: 1, Tag: int32(i), Payload: vals})

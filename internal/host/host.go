@@ -119,9 +119,6 @@ type Host interface {
 // Tag distinguishes message classes within a mailbox.
 type Tag int
 
-// AnySender matches messages from every sender in Recv.
-const AnySender = -1
-
 // Msg is a delivered mailbox message.
 type Msg struct {
 	From, To int
@@ -187,12 +184,12 @@ func (pd *Pending) SetResolver(r Resolver) { pd.resolver = r }
 // TakeMatch removes the earliest-arriving message matching (from, tag)
 // from box, returning the message and the shortened box. It is the one
 // mailbox-matching rule every transport shares — selective receive by
-// sender and tag, ties broken by buffer order — so receive-any semantics
-// cannot drift between backends.
+// sender and tag, ties broken by buffer order — so matching cannot drift
+// between backends.
 func TakeMatch(box []Msg, from int, tag Tag) (Msg, []Msg, bool) {
 	best := -1
 	for i, m := range box {
-		if m.Tag != tag || (from != AnySender && m.From != from) {
+		if m.Tag != tag || m.From != from {
 			continue
 		}
 		if best == -1 || m.Arrival < box[best].Arrival {

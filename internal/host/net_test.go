@@ -191,11 +191,11 @@ func TestNetForeignPayloadIsLinkError(t *testing.T) {
 				p.Begin()
 				defer p.End()
 				if p.ID() == 0 {
-					nw.must(0, nw.eps[0].Write(&wire.Frame{Kind: tc.kind, From: 0, To: 1, Tag: 1, Payload: wire.Float64s{1}}))
+					nw.must(0, nw.eps[0].Write(&wire.Frame{Kind: tc.kind, From: 0, To: 1, Tag: 1, Payload: []float64{1}}))
 				}
-				nw.Recv(p, AnySender, 9)
+				nw.Recv(p, 0, 9)
 			})
-			want := tc.name + " 1 carries a wire.Float64s payload"
+			want := tc.name + " 1 carries a []float64 payload"
 			if err == nil || !strings.Contains(err.Error(), "node 1 link lost") || !strings.Contains(err.Error(), want) {
 				t.Fatalf("Run error = %v, want node 1's link error %q", err, want)
 			}
@@ -399,8 +399,9 @@ func TestDetachJoinsLinkReaders(t *testing.T) {
 		p.Begin()
 		defer p.End()
 		next := (p.ID() + 1) % n
-		nw.Send(p, next, 1, wire.Float64s{float64(p.ID())}, 8)
-		if m := nw.Recv(p, AnySender, 1); m.From != (p.ID()+n-1)%n {
+		nw.Send(p, next, 1, []float64{float64(p.ID())}, 8)
+		prev := (p.ID() + n - 1) % n
+		if m := nw.Recv(p, prev, 1); m.From != prev {
 			panic("message from the wrong rank")
 		}
 	})

@@ -110,7 +110,7 @@ func (nw *Network) release(id int, at time.Duration) {
 func (nw *Network) file(m Msg) {
 	nw.mu.Lock()
 	nw.boxes[m.To] = append(nw.boxes[m.To], m)
-	if w := nw.waits[m.To]; w != nil && w.kind == 'm' && (w.from == AnySender || w.from == m.From) && w.tag == m.Tag {
+	if w := nw.waits[m.To]; w != nil && w.kind == 'm' && w.from == m.From && w.tag == m.Tag {
 		nw.release(m.To, m.Arrival)
 	}
 	nw.mu.Unlock()
@@ -184,8 +184,8 @@ func (nw *Network) deliver(p Proc, to int, tag Tag, payload any, bytes int) {
 	})
 }
 
-// Recv blocks p until a message with the given tag (and sender, unless
-// AnySender) is available, then delivers the earliest-arriving match.
+// Recv blocks p until a message with the given sender and tag is
+// available, then delivers the earliest-arriving match.
 // Receiving charges the interrupt/dispatch overhead.
 func (nw *Network) Recv(p Proc, from int, tag Tag) Msg {
 	for {

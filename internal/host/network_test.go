@@ -17,10 +17,9 @@ var (
 )
 
 // exchange runs one scripted exchange on three nodes of tr and returns
-// what the script received: two replies completed by one AwaitAll, a
-// message received by sender and tag, one received from AnySender, a
-// message that waited behind another tag, and a hand taken after a
-// message sent behind it.
+// what the script received: two replies completed by one AwaitAll, two
+// messages received by sender and tag, a message that waited behind
+// another tag, and a hand taken after a message sent behind it.
 func exchange(t *testing.T, h host.Host, tr host.Transport) [5]any {
 	t.Helper()
 	const tagA, tagB host.Tag = 7, 8
@@ -50,7 +49,7 @@ func exchange(t *testing.T, h host.Host, tr host.Transport) [5]any {
 			tr.Recv(p, 0, tagB)
 			got[4] = tr.TakeHand(p, 3)
 		case 2:
-			got[2] = tr.Recv(p, host.AnySender, tagB).Payload
+			got[2] = tr.Recv(p, 1, tagB).Payload
 			got[3] = tr.Recv(p, 0, tagA).Payload
 		}
 	})

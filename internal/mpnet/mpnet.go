@@ -37,11 +37,11 @@
 // including the frames it had already sent (DESIGN.md §10).
 //
 // Timing note: virtual clocks are maintained per worker with the same
-// cost model as in-process runs, but receive-any matching follows real
-// frame arrival order, so reported times (and floating-point reduction
-// orders) are scheduling-dependent. Verification therefore uses the
-// approximate checksum comparison, and the deterministic tables always
-// use the sim backend.
+// cost model as in-process runs, and every receive names its sender, so
+// no match depends on frame arrival order. Nothing here pins a worker's
+// clock to the sim backend's, though: verification uses the approximate
+// checksum comparison, and the deterministic tables always use the sim
+// backend.
 package mpnet
 
 import (

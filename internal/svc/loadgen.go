@@ -3,6 +3,7 @@ package svc
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -179,14 +180,7 @@ func RunLoad(cl *Client, cfg LoadConfig) (*LoadReport, error) {
 		}
 	}
 	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	pct := func(p float64) int64 {
-		if len(lats) == 0 {
-			return 0
-		}
-		i := int(p * float64(len(lats)-1))
-		return int64(lats[i])
-	}
-	rep.P50NS, rep.P99NS = pct(0.50), pct(0.99)
+	rep.P50NS, rep.P99NS = quantile(lats, 0.50), quantile(lats, 0.99)
 	if len(lats) > 0 {
 		rep.MeanNS = int64(latSum) / int64(len(lats))
 	}
@@ -195,6 +189,15 @@ func RunLoad(cl *Client, cfg LoadConfig) (*LoadReport, error) {
 	}
 	rep.Rows = rows
 	return rep, nil
+}
+
+// quantile returns the ⌈q·n⌉-th smallest of n sorted latencies, the rank
+// rule of obs.HistSnap.Quantile, or 0 for none.
+func quantile(sorted []time.Duration, q float64) int64 {
+	if len(sorted) == 0 {
+		return 0
+	}
+	return int64(sorted[max(int(math.Ceil(q*float64(len(sorted)))), 1)-1])
 }
 
 // FormatTableD renders the service load table: the deterministic

@@ -172,3 +172,33 @@ func TestPoolBoundsRanksInFlight(t *testing.T) {
 		t.Fatalf("%d slots free after every job released, want %d", p.nfree, slots)
 	}
 }
+
+// TestQuantileRoundsRankUp pins RunLoad's percentiles to the ⌈q·n⌉-th
+// smallest latency: of ten jobs taking 1..10 ms, p99 is the slowest and
+// p50 the fifth (int(q·(n−1)) named 9 ms for p99), and of 200 jobs p99 is
+// the 198th, the latency CI's 200-job -serve-p99-max smoke has always read.
+func TestQuantileRoundsRankUp(t *testing.T) {
+	ms := func(n int) []time.Duration {
+		lats := make([]time.Duration, n)
+		for i := range lats {
+			lats[i] = time.Duration(i+1) * time.Millisecond
+		}
+		return lats
+	}
+	ten, many := ms(10), ms(200)
+	for _, c := range []struct {
+		lats []time.Duration
+		q    float64
+		want time.Duration
+	}{
+		{ten, 0.99, 10 * time.Millisecond},
+		{ten, 0.50, 5 * time.Millisecond},
+		{many, 0.99, 198 * time.Millisecond},
+		{many, 0.50, 100 * time.Millisecond},
+		{nil, 0.99, 0},
+	} {
+		if got := time.Duration(quantile(c.lats, c.q)); got != c.want {
+			t.Errorf("quantile %.2f of %d latencies = %v, want %v", c.q, len(c.lats), got, c.want)
+		}
+	}
+}

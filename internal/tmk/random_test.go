@@ -142,7 +142,7 @@ func TestRandomizedBarrierPrograms(t *testing.T) {
 				{"adapt", func(s *System) { s.EnableAdapt(adapt.Config{K: 2}) }},
 				{"scale", func(s *System) { s.EnableScale() }},
 				{"adapt+scale", func(s *System) { s.EnableAdapt(adapt.Config{K: 2}); s.EnableScale() }},
-				{"recovery", func(s *System) { s.EnableRecovery(RecoveryConfig{Every: 3, Fault: fault}) }},
+				{"recovery", func(s *System) { s.EnableRecovery(RecoveryConfig{Fault: fault}) }},
 				{"trace", func(s *System) { s.EnableTrace(obs.NewMachine(n, 0, false)) }},
 			}
 			var base *System

@@ -48,26 +48,26 @@ func (c *checkingSink) Put(node int, epoch int32, full bool, rec []byte) error {
 // armed and requires every blob the sink receives to be byte-equal to the
 // frame encoded from nil out of a deep copy of the same state: aliasing
 // live pages, reusing the list and encode scratch, and the map-free frame
-// set change no byte of any record. The fault case restores mid-run, so the
-// records after it are written from restored state into reused scratch.
+// set change no byte of any record. Every case writes full and incremental
+// records. The fault case restores mid-run, so the records after it are
+// written from restored state into reused scratch.
 func TestRecordBytesMatchReference(t *testing.T) {
 	cases := []struct {
 		app, set     string
-		procs, every int
+		procs        int
 		adapt, scale bool
 		fault        *tmk.Fault
 		wantBytes    int64 // 0: not pinned
 	}{
 		// sdsm-run -system tmk -app jacobi -set small -recover prints this
-		// recovery.bytes; it is the fixed point for the record format.
-		{app: "jacobi", set: "small", procs: 8, every: 0, wantBytes: 142004504},
-		{app: "jacobi", set: "small", procs: 8, every: 4},
-		{app: "spmv", set: "small", procs: 8, every: 0},
-		{app: "spmv", set: "small", procs: 8, every: 4},
-		{app: "spmv", set: "small", procs: 8, every: 3, adapt: true, scale: true, fault: &tmk.Fault{Rank: 2, Epoch: 5}},
+		// recovery.bytes; it is the fixed point for the record format and
+		// the full-record rule.
+		{app: "jacobi", set: "small", procs: 8, wantBytes: 119980556},
+		{app: "spmv", set: "small", procs: 8},
+		{app: "spmv", set: "small", procs: 8, adapt: true, scale: true, fault: &tmk.Fault{Rank: 2, Epoch: 5}},
 	}
 	for _, c := range cases {
-		name := fmt.Sprintf("%s-%s-every%d", c.app, c.set, c.every)
+		name := c.app + "-" + c.set
 		if c.adapt {
 			name += "-adapt-scale-fault"
 		}
@@ -87,7 +87,7 @@ func TestRecordBytesMatchReference(t *testing.T) {
 				sys.EnableScale()
 			}
 			sink := &checkingSink{t: t, sys: sys}
-			sys.EnableRecovery(tmk.RecoveryConfig{Sink: sink, Every: c.every, Fault: c.fault})
+			sys.EnableRecovery(tmk.RecoveryConfig{Sink: sink, Fault: c.fault})
 			if err := interp.RunDSM(prog, sys, params); err != nil {
 				t.Fatal(err)
 			}
@@ -101,8 +101,8 @@ func TestRecordBytesMatchReference(t *testing.T) {
 			if sink.recs == 0 || int64(sink.recs) != rs.Checkpoints || int64(sink.fulls) != rs.FullCheckpoints || sink.bytes != rs.CheckpointBytes {
 				t.Fatalf("sink saw %d records (%d full, %d bytes), stats say %+v", sink.recs, sink.fulls, sink.bytes, rs)
 			}
-			if c.every > 1 && sink.fulls == sink.recs {
-				t.Fatal("no incremental record was written")
+			if sink.fulls == 0 || sink.fulls == sink.recs {
+				t.Fatalf("%d of %d records full: the run did not write both kinds", sink.fulls, sink.recs)
 			}
 			if c.wantBytes != 0 && sink.bytes != c.wantBytes {
 				t.Fatalf("recovery.bytes %d, want %d", sink.bytes, c.wantBytes)

@@ -68,13 +68,11 @@ type Fault struct {
 }
 
 // RecoveryConfig arms checkpointing. Sink, if set, receives every record;
-// with none, each node keeps its chain in its Store. Every is the
-// full-record period in barriers (≤1: every record is full; k: one full
-// record every k-th). Fault, if set, injects one failure and the in-place
-// recovery that follows it.
+// with none, each node keeps its chain in its Store. Fault, if set, injects
+// one failure and the in-place recovery that follows it. Which records are
+// full the node decides alone (writeRecord).
 type RecoveryConfig struct {
 	Sink  SnapshotSink
-	Every int
 	Fault *Fault
 }
 
@@ -99,11 +97,14 @@ type RecoveryStats struct {
 
 // recoveryState is a node's checkpoint bookkeeping: recLast is the vector
 // clock of its previous record (nil before the first), recEpoch the record
-// counter; which pages moved since that record is the page table's touched
-// bit. writeRecord's scratch and the record chain are the Store's.
+// counter, recFullLen the encoded length of the chain's full record and
+// recIncLen that of the incremental records after it, summed; which pages
+// moved since the last record is the page table's touched bit.
+// writeRecord's scratch and the record chain are the Store's.
 type recoveryState struct {
-	recLast  []int32
-	recEpoch int32
+	recLast               []int32
+	recEpoch              int32
+	recFullLen, recIncLen int
 }
 
 // recoveryPoll is the virtual time a failed node burns per check while
@@ -134,9 +135,11 @@ func (nd *Node) injectFault(b *barrier) {
 	}
 }
 
-// writeRecord serializes one recovery record into a retired buffer of the
-// node's Store and keeps it in the store's chain or, with a Sink set, hands
-// it to the sink and retires the buffer again. Full records carry the
+// writeRecord serializes one recovery record and keeps it in the node's
+// Store or, with a Sink set, hands it to the sink. A record is full when it
+// is the machine's first, or when the incremental records since the last
+// full one add up to at least that record's length, so a restore reads less
+// than two full records and one incremental. Full records carry the
 // whole interval log and a frame for every page with any history;
 // incremental records carry the per-owner interval delta since the
 // previous record and frames only for pages whose image, diff cache, or
@@ -147,8 +150,8 @@ func (nd *Node) injectFault(b *barrier) {
 //
 // The wire.Checkpoint is a view, not a copy: its vector times, applied
 // rows, page images, twins and diff runs alias the node's live state. That
-// is safe because the record is encoded — into a retired buffer of the
-// store — before this function returns, and the caller holds the protocol
+// is safe because the record is encoded — into a buffer of the store —
+// before this function returns, and the caller holds the protocol
 // token throughout, so nothing the view names can move under the encoder;
 // the chain and the sink hold only the encoded bytes.
 func (nd *Node) writeRecord() {
@@ -157,7 +160,7 @@ func (nd *Node) writeRecord() {
 		return
 	}
 	nd.recEpoch++
-	full := nd.recLast == nil || r.Every <= 1 || (int(nd.recEpoch)-1)%r.Every == 0
+	full := nd.recLast == nil || nd.recIncLen >= nd.recFullLen
 	ck := wire.Checkpoint{
 		Node: int32(nd.ID), Epoch: nd.recEpoch, Full: full, VC: nd.vc, LastBar: nd.lastBar,
 		Intervals: nd.recIvs[:0], Frames: nd.recFrames[:0], Diffs: nd.recDiffs[:0],
@@ -188,21 +191,40 @@ func (nd *Node) writeRecord() {
 	}
 	nd.recIvs, nd.recFrames, nd.recDiffs = ck.Intervals, ck.Frames, ck.Diffs
 	nd.checkpointAdapt(&ck)
-	if nd.recLast == nil && len(nd.st.records) > 0 {
+	st := nd.st
+	if nd.recLast == nil && len(st.recFull) > 0 {
 		panic(fmt.Sprintf("tmk: node %d's store holds a previous machine's record chain", nd.ID))
 	}
-	blob, err := wire.AppendFrame(nd.st.recordBuf(), &wire.Frame{Kind: wire.FCkpt, From: int32(nd.ID), Payload: ck})
+	// An incremental record the store keeps is appended to the chain's
+	// incremental buffer; a full one, and every record a sink takes, is
+	// encoded into the spare, so the chain stays intact until the new full
+	// record is complete.
+	buf := st.recSpare[:0]
+	if r.Sink == nil && !full {
+		buf = st.recIncs
+	}
+	n := len(buf)
+	buf, err := wire.AppendFrame(buf, &wire.Frame{Kind: wire.FCkpt, From: int32(nd.ID), Payload: ck})
 	if err != nil {
 		panic(fmt.Sprintf("tmk: encoding checkpoint record: %v", err))
 	}
-	if r.Sink == nil {
-		nd.st.keepRecord(blob, full)
-	} else {
-		err := r.Sink.Put(nd.ID, ck.Epoch, full, blob)
-		nd.st.recFree = append(nd.st.recFree, blob)
-		if err != nil {
+	blob := buf[n:]
+	// Counted before Put: a sink may restore the node from inside it, and a
+	// restore takes both lengths back from the chain this record now ends.
+	nd.recIncLen += len(blob)
+	if full {
+		nd.recFullLen, nd.recIncLen = len(blob), 0
+	}
+	switch {
+	case r.Sink != nil:
+		st.recSpare = buf
+		if err := r.Sink.Put(nd.ID, ck.Epoch, full, blob); err != nil {
 			panic(fmt.Sprintf("tmk: storing checkpoint record: %v", err))
 		}
+	case full:
+		st.recFull, st.recSpare, st.recIncs = buf, st.recFull, st.recIncs[:0]
+	default:
+		st.recIncs = buf
 	}
 	nd.recLast = append(nd.recLast[:0], nd.vc...)
 	// Only now, with the record stored: a sink may look at the node from
@@ -314,60 +336,71 @@ func (nd *Node) wipe() {
 }
 
 // restore replays the node's record chain — its store's, decoded in place
-// (wire.ParseFrame never aliases its input), or the sink's. See the file
+// (wire.ParseFrame never aliases its input) and walked frame by frame, or
+// the sink's — and takes the chain's lengths back, so the next record is
+// full exactly when it would have been without the fault. See the file
 // comment for what each piece is rebuilt from.
 func (nd *Node) restore() {
 	s := nd.sys
-	recs := nd.st.records
+	recs := [][]byte{nd.st.recFull, nd.st.recIncs}
 	if s.rec.Sink != nil {
 		var err error
 		if recs, err = s.rec.Sink.Records(nd.ID); err != nil {
 			panic(fmt.Sprintf("tmk: reading checkpoint records for node %d: %v", nd.ID, err))
 		}
 	}
-	if len(recs) == 0 {
-		panic(fmt.Sprintf("tmk: no checkpoint records for node %d", nd.ID))
-	}
 	var last wire.Checkpoint
-	for i, blob := range recs {
-		f, _, err := wire.ParseFrame(blob)
-		if err != nil {
-			panic(fmt.Sprintf("tmk: decoding checkpoint record %d of node %d: %v", i, nd.ID, err))
-		}
-		ck, ok := f.Payload.(wire.Checkpoint)
-		if !ok || int(ck.Node) != nd.ID {
-			panic(fmt.Sprintf("tmk: record %d of node %d is not this node's checkpoint", i, nd.ID))
-		}
-		if i == 0 && !ck.Full {
-			panic(fmt.Sprintf("tmk: record chain of node %d does not start at a full checkpoint", nd.ID))
-		}
-		for _, oi := range ck.Intervals {
-			o := int(oi.Owner)
-			if int32(len(nd.know[o]))+1 != oi.Idx {
-				panic(fmt.Sprintf("tmk: node %d record gap: owner %d at %d, next record %d",
-					nd.ID, o, len(nd.know[o]), oi.Idx))
+	i := 0
+	for _, blob := range recs {
+		for len(blob) > 0 {
+			f, n, err := wire.ParseFrame(blob)
+			if err != nil {
+				panic(fmt.Sprintf("tmk: decoding checkpoint record %d of node %d: %v", i, nd.ID, err))
 			}
-			nd.know[o] = append(nd.know[o], oi.IV)
-		}
-		for _, fr := range ck.Frames {
-			pg := int(fr.Page)
-			if fr.Dirty && fr.Twin == nil {
-				panic(fmt.Sprintf("tmk: node %d record frames dirty page %d without a twin", nd.ID, pg))
+			blob = blob[n:]
+			ck, ok := f.Payload.(wire.Checkpoint)
+			if !ok || int(ck.Node) != nd.ID {
+				panic(fmt.Sprintf("tmk: record %d of node %d is not this node's checkpoint", i, nd.ID))
 			}
-			nd.Mem.RestorePage(pg, fr.Words, vm.Prot(fr.Prot), fr.Twin)
-			e := &nd.pages[pg]
-			copy(e.applied, fr.Applied)
-			e.lastDiffed = fr.LastDiffed
-			nd.setDirty(pg, fr.Dirty)
-			// The record's diff chain (appended below) supersedes whatever
-			// an earlier record in the chain restored for this page.
-			e.diffs = e.diffs[:0]
+			if i == 0 && !ck.Full {
+				panic(fmt.Sprintf("tmk: record chain of node %d does not start at a full checkpoint", nd.ID))
+			}
+			for _, oi := range ck.Intervals {
+				o := int(oi.Owner)
+				if int32(len(nd.know[o]))+1 != oi.Idx {
+					panic(fmt.Sprintf("tmk: node %d record gap: owner %d at %d, next record %d",
+						nd.ID, o, len(nd.know[o]), oi.Idx))
+				}
+				nd.know[o] = append(nd.know[o], oi.IV)
+			}
+			for _, fr := range ck.Frames {
+				pg := int(fr.Page)
+				if fr.Dirty && fr.Twin == nil {
+					panic(fmt.Sprintf("tmk: node %d record frames dirty page %d without a twin", nd.ID, pg))
+				}
+				nd.Mem.RestorePage(pg, fr.Words, vm.Prot(fr.Prot), fr.Twin)
+				e := &nd.pages[pg]
+				copy(e.applied, fr.Applied)
+				e.lastDiffed = fr.LastDiffed
+				nd.setDirty(pg, fr.Dirty)
+				// The record's diff chain (appended below) supersedes whatever
+				// an earlier record in the chain restored for this page.
+				e.diffs = e.diffs[:0]
+			}
+			for _, wd := range ck.Diffs {
+				e := &nd.pages[wd.Page]
+				e.diffs = append(grown(&nd.st.lists, e.diffs), nd.newEntry(storedDiff{Diff: wd}))
+			}
+			nd.recIncLen += n
+			if i == 0 {
+				nd.recFullLen, nd.recIncLen = n, 0
+			}
+			last = ck
+			i++
 		}
-		for _, wd := range ck.Diffs {
-			e := &nd.pages[wd.Page]
-			e.diffs = append(grown(&nd.st.lists, e.diffs), nd.newEntry(storedDiff{Diff: wd}))
-		}
-		last = ck
+	}
+	if i == 0 {
+		panic(fmt.Sprintf("tmk: no checkpoint records for node %d", nd.ID))
 	}
 	copy(nd.vc, last.VC)
 	copy(nd.lastBar, last.LastBar)

@@ -43,7 +43,8 @@ func imageOf(nd *Node) []pageImage {
 // node and restores it from the chain on the spot — Put runs inside
 // writeRecord, under the protocol token, so the node's state is exactly the
 // one just recorded — and requires the rebuilt page table to equal the
-// wiped one entry for entry.
+// wiped one entry for entry, and the chain lengths the next record's kind
+// is decided from to equal the node's.
 type restoringSink struct {
 	ChainSink
 	t        *testing.T
@@ -62,6 +63,7 @@ func (s *restoringSink) Put(node int, epoch int32, full bool, rec []byte) error 
 	}
 	nd := s.nd
 	want, wantDirty := imageOf(nd), nd.ndirty
+	fullLen, incLen := nd.recFullLen, nd.recIncLen
 	for pg, e := range nd.pages {
 		s.pending += len(e.pending)
 		if nd.Mem.HasTwin(pg) {
@@ -76,8 +78,13 @@ func (s *restoringSink) Put(node int, epoch int32, full bool, rec []byte) error 
 			s.t.Fatalf("epoch %d: wipe left page %d at %+v", epoch, pg, e)
 		}
 	}
+	nd.recFullLen, nd.recIncLen = -1, -1 // restore takes both back from the chain
 	nd.restore()
 	s.restores++
+	if nd.recFullLen != fullLen || nd.recIncLen != incLen {
+		s.t.Errorf("epoch %d: restored chain lengths %d full, %d incremental; recorded %d, %d",
+			epoch, nd.recFullLen, nd.recIncLen, fullLen, incLen)
+	}
 	s.chainMax = max(s.chainMax, len(s.Chains[node]))
 	if nd.ndirty != wantDirty {
 		s.t.Errorf("epoch %d: restored ndirty %d, was %d", epoch, nd.ndirty, wantDirty)
@@ -101,12 +108,13 @@ func (s *restoringSink) Put(node int, epoch int32, full bool, rec []byte) error 
 // and a multi-creator diff chain) and own one WRITE_ALL page each (whole
 // snapshots, pruned chains), read a neighbour's page late (notices that stay
 // pending across records), and node 2 is wiped and restored at every one of
-// its records: full ones, and incremental chains up to three records long.
+// its records: full ones, and chains of a full record and up to three
+// incremental ones.
 func TestRestoreRebuildsPageTable(t *testing.T) {
 	const n, epochs = 4, 8
 	s := testSystem(n, (1+n)*shm.PageWords)
 	sink := &restoringSink{t: t, nd: s.Nodes[2]}
-	s.EnableRecovery(RecoveryConfig{Sink: sink, Every: 3})
+	s.EnableRecovery(RecoveryConfig{Sink: sink})
 	quarter := shm.PageWords / n
 	own := func(id int) shm.Region { return shm.Region{Lo: (1 + id) * shm.PageWords, Hi: (2 + id) * shm.PageWords} }
 	run(t, s, func(nd *Node) {
@@ -128,8 +136,8 @@ func TestRestoreRebuildsPageTable(t *testing.T) {
 			nd.Barrier(2)
 		}
 	})
-	if sink.restores != 2*epochs || sink.chainMax != 3 {
-		t.Fatalf("%d restores, longest chain %d records; want %d and 3", sink.restores, sink.chainMax, 2*epochs)
+	if sink.restores != 2*epochs || sink.chainMax != 4 {
+		t.Fatalf("%d restores, longest chain %d records; want %d and 4", sink.restores, sink.chainMax, 2*epochs)
 	}
 	if sink.pending == 0 || sink.twins == 0 || sink.creators < n {
 		t.Fatalf("the wiped states held %d pending notices, %d twins, chains of at most %d diffs: the program no longer exercises restore",

@@ -23,7 +23,7 @@ import (
 // scratch that holds intervals, frames or diffs — so a released machine's heap arrays
 // (Net-decoded diffs, restored records) stay alive through none of it.
 // Nothing carved outlives the machine: a Result and a trace hold no carve,
-// and a recovery record is plain bytes the store owns — release retires
+// and a recovery record is plain bytes the store owns — release empties
 // the chain, so no later machine restores from it. A store keeps the
 // largest run's log, as an arena keeps the largest image.
 type Store struct {
@@ -35,10 +35,11 @@ type Store struct {
 	refs    vm.Slab[wire.PageRef] // interval page lists
 	table   vm.Slab[page]         // the page table
 	know    [][]wire.Interval     // per-owner interval lists, kept with their capacity
-	// The node's recovery records (writeRecord) when no SnapshotSink takes
-	// them: the live chain, newest full record first, and the retired
-	// buffers the next records are encoded into.
-	records, recFree [][]byte
+	// The node's recovery record chain (writeRecord) when no SnapshotSink
+	// takes it: the full record, the incremental records after it back to
+	// back (wire frames carry their length), and the spare the next full
+	// record — or every record, with a sink — is encoded into.
+	recFull, recIncs, recSpare []byte
 	scratch
 }
 
@@ -145,33 +146,7 @@ func (st *Store) release(nd *Node) {
 	st.ivScratch, st.depScratch = truncated(st.ivScratch), truncated(st.depScratch)
 	st.wsLast, st.wsSeen = st.wsLast[:0], st.wsSeen[:0]
 	st.recIvs, st.recFrames, st.recDiffs = truncated(st.recIvs), truncated(st.recFrames), truncated(st.recDiffs)
-	st.recFree = append(st.recFree, st.records...)
-	st.records = st.records[:0]
-}
-
-// recordBuf returns an empty buffer for the next record: the last one
-// retired, or nil before any was. A chain is retired in write order, its
-// full record first, so with incremental records between full ones the
-// incremental records take incremental buffers and a full record a full
-// one.
-func (st *Store) recordBuf() []byte {
-	k := len(st.recFree) - 1
-	if k < 0 {
-		return nil
-	}
-	buf := st.recFree[k]
-	st.recFree = st.recFree[:k]
-	return buf[:0]
-}
-
-// keepRecord appends an encoded record to the chain. A full record retires
-// the chain before it, which stays intact until the new record is encoded.
-func (st *Store) keepRecord(rec []byte, full bool) {
-	if full {
-		st.recFree = append(st.recFree, st.records...)
-		st.records = st.records[:0]
-	}
-	st.records = append(st.records, rec)
+	st.recFull, st.recIncs = st.recFull[:0], st.recIncs[:0]
 }
 
 // truncated returns s emptied, its whole capacity cleared first so none of

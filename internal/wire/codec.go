@@ -342,10 +342,7 @@ func (c *coder) payload(p *any) {
 	switch v := (*p).(type) {
 	case nil:
 		c.kind(pNil)
-	case Float64s:
-		c.kind(pFloat64s).float64s(&v)
 	case []float64:
-		// The mp layer's native payload type; decodes as Float64s.
 		c.kind(pFloat64s).f64s(&v)
 	case DiffRequest:
 		c.kind(pDiffRequest).diffRequest(&v)
@@ -386,7 +383,7 @@ func (c *coder) decoded(k byte) any {
 	case pNil:
 		return nil
 	case pFloat64s:
-		return walked(c, (*coder).float64s)
+		return walked(c, (*coder).f64s)
 	case pDiffRequest:
 		return walked(c, (*coder).diffRequest)
 	case pDiffReply:
@@ -428,8 +425,6 @@ func walked[T any](c *coder, walk func(*coder, *T)) any {
 	walk(c, &v)
 	return v
 }
-
-func (c *coder) float64s(v *Float64s) { c.f64s((*[]float64)(v)) }
 
 func (c *coder) diffRequest(v *DiffRequest) {
 	c.i32(&v.Req)

@@ -16,7 +16,7 @@ import (
 // buffer.
 func readerFrames(t *testing.T) (stream []byte, frames [][]byte) {
 	t.Helper()
-	big := make(Float64s, 3000)
+	big := make([]float64, 3000)
 	for i := range big {
 		big[i] = float64(i) / 7
 	}
@@ -119,7 +119,7 @@ func TestFrameReaderReadsAhead(t *testing.T) {
 	var stream []byte
 	const n = 20
 	for i := range n {
-		enc, err := AppendFrame(nil, &Frame{Kind: FMsg, From: 0, To: 1, Tag: int32(i), Payload: Float64s{float64(i)}})
+		enc, err := AppendFrame(nil, &Frame{Kind: FMsg, From: 0, To: 1, Tag: int32(i), Payload: []float64{float64(i)}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -154,7 +154,7 @@ func TestFrameReaderReadsAhead(t *testing.T) {
 // alone, and a stream cut inside a frame — in its length or in its body —
 // is an io.ErrUnexpectedEOF error, not a clean io.EOF.
 func TestFrameReaderErrors(t *testing.T) {
-	enc, err := AppendFrame(nil, &Frame{Kind: FMsg, From: 0, To: 1, Tag: 7, Payload: Float64s{1, 2, 3}})
+	enc, err := AppendFrame(nil, &Frame{Kind: FMsg, From: 0, To: 1, Tag: 7, Payload: []float64{1, 2, 3}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -525,10 +525,6 @@ next:
 	return out
 }
 
-// Float64s is a message-passing data payload ([]float64 sends of the mp
-// layer).
-type Float64s []float64
-
 // Start configures a spawned worker process: which application to run on
 // which rank of how many, with the harness's distribution overhead and
 // verification switch. Workers re-derive problem parameters from

@@ -17,7 +17,7 @@ import (
 func sampleFrames() []*Frame {
 	return []*Frame{
 		{Kind: FHello, From: 3},
-		{Kind: FMsg, From: 1, To: 2, Tag: 7, Bytes: 128, Time: 123456, Payload: Float64s{1.5, -2.25, 0}},
+		{Kind: FMsg, From: 1, To: 2, Tag: 7, Bytes: 128, Time: 123456, Payload: []float64{1.5, -2.25, 0}},
 		{Kind: FMsg, From: 0, To: 4, Tag: 2, Bytes: 0, Time: 1},
 		{Kind: FMsg, From: 2, To: 0, Tag: 101, Bytes: 4112, Time: 99, Payload: Push{
 			Ivl:    9,
@@ -209,7 +209,7 @@ func TestFrameStream(t *testing.T) {
 }
 
 func TestRawRouting(t *testing.T) {
-	f := &Frame{Kind: FMsg, From: 5, To: 9, Tag: 1, Payload: Float64s{1}}
+	f := &Frame{Kind: FMsg, From: 5, To: 9, Tag: 1, Payload: []float64{1}}
 	b, err := AppendFrame(nil, f)
 	if err != nil {
 		t.Fatal(err)
@@ -303,7 +303,7 @@ func awkwardFrames() []*Frame {
 		vals[i] = math.Float64frombits(w)
 	}
 	return []*Frame{
-		{Kind: FMsg, From: 1, To: 2, Payload: Float64s(vals)},
+		{Kind: FMsg, From: 1, To: 2, Payload: vals},
 		{Kind: FReply, Payload: DiffReply{Diffs: []Diff{{Page: 1, Covers: []int32{1, -1}, Runs: []Run{{Off: 3, Vals: vals}}}}}},
 		{Kind: FCkpt, Payload: Checkpoint{VC: []int32{math.MinInt32, math.MaxInt32}, Frames: []PageFrame{
 			{Page: 2, Applied: []int32{0, -7}, Words: vals, Twin: vals[:4]},
@@ -333,7 +333,7 @@ func TestWordListsBitExact(t *testing.T) {
 		}
 		var vals []float64
 		switch p := got.Payload.(type) {
-		case Float64s:
+		case []float64:
 			vals = p
 		case DiffReply:
 			vals = p.Diffs[0].Runs[0].Vals
