@@ -138,6 +138,7 @@ func isProg(nprocs int) *ir.Program {
 		ir.LockRelease{ID: v("sec")},
 	}}
 
+	prefixes := make([][]float64, nprocs) // rank p's prefix sums, written by rank p only
 	rankKernel := ir.Kernel{
 		Name: "rank",
 		Accesses: []ir.TaggedSection{
@@ -159,8 +160,18 @@ func isProg(nprocs int) *ir.Program {
 			nb, klo, khi := e["buckets"], e["klo"], e["khi"]
 			blo := ctx.Array("buckets").Index(1)
 			bdata := ctx.ReadRegion(blo, blo+nb)
-			// Prefix sums: rank of a key k is the number of keys < k.
-			prefix := make([]float64, nb)
+			// Prefix sums: rank of a key k is the number of keys < k. Each
+			// rank keeps its buffer from one iteration to the next; every
+			// element is written before it is read.
+			var own []float64
+			buf := &own
+			if p := e["p"]; p < len(prefixes) {
+				buf = &prefixes[p]
+			}
+			if cap(*buf) < nb {
+				*buf = make([]float64, nb)
+			}
+			prefix := (*buf)[:nb]
 			run := 0.0
 			for t := 0; t < nb; t++ {
 				prefix[t] = run

@@ -1,7 +1,6 @@
 package tmk
 
 import (
-	"slices"
 	"time"
 
 	"sdsm/internal/shm"
@@ -93,15 +92,19 @@ func (nd *Node) Validate(at AccessType, regions []shm.Region, async bool) {
 // the next synchronization operation (lock acquire or barrier). The
 // registration keeps its own page list and which of those pages the
 // regions cover whole, never the regions: the caller may reuse them as
-// soon as the call returns.
+// soon as the call returns. Both lists are carved from the node's
+// wsRegPages and wsRegFull, which live until consumeWSync rewinds them.
 func (nd *Node) ValidateWSync(at AccessType, regions []shm.Region) {
 	nd.p.Begin()
 	defer nd.p.End()
-	nd.vpScratch = pagesOf(nd.vpScratch[:0], regions)
-	pages := slices.Clone(nd.vpScratch)
+	k, f := len(nd.wsRegPages), len(nd.wsRegFull)
+	nd.wsRegPages = pagesOf(nd.wsRegPages, regions)
+	pages := nd.wsRegPages[k:len(nd.wsRegPages):len(nd.wsRegPages)]
+	nd.wsRegFull = fullyCovered(nd.wsRegFull, at, regions, pages)
+	full := nd.wsRegFull[f:len(nd.wsRegFull):len(nd.wsRegFull)]
 	nd.p.Charge(time.Duration(len(pages)) * nd.sys.Costs.ValidatePerPage)
 	nd.Stats.Validates++
-	nd.wsync = append(nd.wsync, wsyncRequest{at: at, pages: pages, full: fullyCovered(nil, at, regions, pages)})
+	nd.wsync = append(nd.wsync, wsyncRequest{at: at, pages: pages, full: full})
 }
 
 // fullyCovered appends to dst, for each of pages in turn, whether a *_ALL
@@ -173,8 +176,8 @@ func (nd *Node) consumeWSync() {
 			nd.applyAccessType(pg, at)
 		}
 	}
-	clear(nd.wsync) // drop the registrations' page lists; the list itself is reused
 	nd.wsync = nd.wsync[:0]
+	nd.wsRegPages, nd.wsRegFull = nd.wsRegPages[:0], nd.wsRegFull[:0]
 	for pg := 0; nd.ndeferred > 0; pg++ {
 		nd.undefer(pg)
 	}
@@ -186,8 +189,11 @@ const tagPush = 101
 // The caller has already intersected the sections: send[i] is what this
 // processor wrote before the replaced barrier that processor i reads after
 // it, as normalized regions, and from[i] says whether processor i sends
-// this one anything. Each message is gathered out of memory into one
-// buffer sized to it; what arrives is written in place, without twinning
+// this one anything. Each message is gathered out of memory into a buffer
+// and chunk list from the sender's store (takePushBuf), which stay the
+// sender's: the receiver reads them in place on the in-process transports
+// and hands them back to the sender's free list once it has applied the
+// message (pushApplied). What arrives is written in place, without twinning
 // or diffing. Only the received sections are made consistent; the run-time
 // records them as applied so the write notices arriving at the next real
 // barrier do not re-invalidate them. Push only reads send and from.
@@ -208,6 +214,9 @@ func (nd *Node) Push(send [][]shm.Region, from []bool) {
 	myIvl := nd.vc[nd.ID]
 
 	// Send phase.
+	for len(nd.pushSent) < n {
+		nd.pushSent = append(nd.pushSent, nil)
+	}
 	for i, regions := range send {
 		if i == nd.ID || len(regions) == 0 {
 			continue
@@ -216,15 +225,16 @@ func (nd *Node) Push(send [][]shm.Region, from []bool) {
 		for _, r := range regions {
 			words += r.Words()
 		}
-		buf := make([]float64, words)
-		pl := wire.Push{Ivl: myIvl, Chunks: make([]wire.Chunk, len(regions))}
+		b := nd.st.takePushBuf(words, len(regions))
+		buf := b.vals
 		for k, r := range regions {
 			vals := buf[:r.Words():r.Words()]
 			buf = buf[copy(vals, nd.Mem.Data()[r.Lo:r.Hi]):]
-			pl.Chunks[k] = wire.Chunk{Lo: int32(r.Lo), Vals: vals}
+			b.chunks[k] = wire.Chunk{Lo: int32(r.Lo), Vals: vals}
 		}
+		nd.pushSent[i] = append(nd.pushSent[i], b)
 		nd.p.Charge(time.Duration(words) * s.Costs.TwinPerWord) // gather memcpy
-		s.NW.Send(nd.p, i, tagPush, pl, 16+16*len(regions)+words*shm.WordBytes)
+		s.NW.Send(nd.p, i, tagPush, wire.Push{Ivl: myIvl, Chunks: b.chunks}, 16+16*len(regions)+words*shm.WordBytes)
 	}
 
 	// Receive phase, in sender order for determinism.
@@ -237,8 +247,62 @@ func (nd *Node) Push(send [][]shm.Region, from []bool) {
 		for _, ch := range pl.Chunks {
 			nd.applyPushChunk(i, pl.Ivl, ch)
 		}
+		s.Nodes[i].st.pushApplied(nd.ID)
 	}
 	nd.consumeWSync()
+}
+
+// pushBuf is the storage one Push message is gathered into: its values
+// and the chunk list that slices them.
+type pushBuf struct {
+	vals   []float64
+	chunks []wire.Chunk
+}
+
+// takePushBuf returns a gather buffer sized to words values and k chunks,
+// taken off the free list: the smallest free one large enough, or else a
+// free one given new storage for what it lacks, so a free list that holds
+// a buffer for every message in flight makes none.
+func (st *Store) takePushBuf(words, k int) pushBuf {
+	pick := -1
+	for i, b := range st.pushFree {
+		if cap(b.vals) >= words && (pick < 0 || cap(b.vals) < cap(st.pushFree[pick].vals)) {
+			pick = i
+		}
+	}
+	if pick < 0 {
+		pick = len(st.pushFree) - 1 // none is large enough: regrow one, if there is one
+	}
+	var b pushBuf
+	if pick >= 0 {
+		b = st.pushFree[pick]
+		last := len(st.pushFree) - 1
+		st.pushFree[pick], st.pushFree[last] = st.pushFree[last], pushBuf{}
+		st.pushFree = st.pushFree[:last]
+	}
+	if cap(b.vals) < words {
+		b.vals = make([]float64, words)
+	}
+	if cap(b.chunks) < k {
+		b.chunks = make([]wire.Chunk, k)
+	}
+	return pushBuf{vals: b.vals[:words], chunks: b.chunks[:k]}
+}
+
+// pushApplied returns to the free list the oldest buffer this store's node
+// sent to receiver to, which has just applied that message. A sender may
+// run several Pushes ahead of a receiver, so its buffers queue per
+// receiver; messages from one sender to one receiver are applied in the
+// order sent, so the oldest is the one applied. The receiver calls it under
+// the protocol token, as the sender takes and queues buffers. On a socket
+// transport the receiver applied a decoded copy and the sender's buffer
+// was free once the frame was encoded, but the same rule returns it.
+func (st *Store) pushApplied(to int) {
+	q := st.pushSent[to]
+	st.pushFree = append(st.pushFree, q[0])
+	copy(q, q[1:])
+	q[len(q)-1] = pushBuf{}
+	st.pushSent[to] = q[:len(q)-1]
 }
 
 // applyPushChunk writes received data in place, page by page, marking the

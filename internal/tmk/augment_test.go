@@ -4,7 +4,10 @@ import (
 	"testing"
 	"time"
 
+	"sdsm/internal/host"
+	"sdsm/internal/model"
 	"sdsm/internal/shm"
+	"sdsm/internal/sim"
 )
 
 // TestAsyncValidateSingleFaultDrainsAllModes: the paper's asynchronous
@@ -104,6 +107,67 @@ func TestPushFullPageSkipsRefetch(t *testing.T) {
 		}
 		nd.Barrier(2)
 	})
+}
+
+// TestPushBuffersWaitForTheirReceiver: the receiver of a Push reads the
+// sender's gathered buffer in place, so the sender may gather into it again
+// only once the receiver has applied it, not at its own next Push. Rank 0
+// pushes a pattern of the epoch to rank 1 every epoch and receives nothing;
+// rank 1 computes for long before every receive, so rank 0 runs several
+// epochs ahead. Every epoch's words must arrive as they were sent, on sim
+// and on the real-concurrency host, and every buffer must be back on rank
+// 0's free list at the end.
+func TestPushBuffersWaitForTheirReceiver(t *testing.T) {
+	const epochs = 12
+	chunks := []shm.Region{{Lo: 3, Hi: 40}, {Lo: 100, Hi: 101}, {Lo: 300, Hi: shm.PageWords}}
+	want := func(it, addr int) float64 { return float64(1000*(it+1) + addr) }
+	send := [][][]shm.Region{{nil, chunks}, {nil, nil}}
+	from := [][]bool{{false, false}, {true, false}}
+	for _, backend := range []string{"sim", "real"} {
+		t.Run(backend, func(t *testing.T) {
+			var h host.Host = sim.NewEngine(2)
+			if backend == "real" {
+				h = host.NewReal(2)
+			}
+			layout := shm.NewLayout()
+			layout.Alloc("mem", shm.PageWords)
+			s := New(h, host.NewNetwork(h, model.SP2()), layout)
+			run(t, s, func(nd *Node) {
+				for it := 0; it < epochs; it++ {
+					if nd.ID == 0 {
+						for _, c := range chunks {
+							nd.Mem.EnsureWrite(nd.p, c)
+							for a := c.Lo; a < c.Hi; a++ {
+								nd.Mem.Data()[a] = want(it, a)
+							}
+						}
+					} else {
+						nd.p.Advance(10 * time.Millisecond)
+						time.Sleep(time.Millisecond) // the real host does not schedule by virtual time
+					}
+					nd.Push(send[nd.ID], from[nd.ID])
+					if nd.ID == 0 {
+						continue
+					}
+					for _, c := range chunks {
+						for a := c.Lo; a < c.Hi; a++ {
+							if got := nd.Mem.Data()[a]; got != want(it, a) {
+								t.Errorf("epoch %d, word %d: got %v, want %v", it, a, got, want(it, a))
+								return
+							}
+						}
+					}
+				}
+			})
+			st := s.Nodes[0].st
+			if len(st.pushSent[1]) != 0 {
+				t.Errorf("%d buffers still queued for rank 1 after it applied every message", len(st.pushSent[1]))
+			}
+			if backend == "sim" && len(st.pushFree) < 2 {
+				t.Errorf("rank 0 holds %d free buffers; the test wants it several Pushes ahead of rank 1", len(st.pushFree))
+			}
+		})
+	}
 }
 
 // TestWriteAllPartialPageFallsBackToTwin: WRITE_ALL on a section that only

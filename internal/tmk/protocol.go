@@ -567,6 +567,7 @@ func (nd *Node) request(pairs []fetchPair, direct, wait bool) []*host.Pending {
 func (nd *Node) startFetch(r int, pgs []int, direct bool) *host.Pending {
 	nd.traceFetchReq(r, pgs)
 	nd.Stats.DiffFetches++
+	nd.reqRows.rewind()
 	rows := nd.appliedRows(&nd.reqRows, pgs)
 	nd.fetchReq = wire.DiffRequest{Req: int32(nd.ID), Pages: rows.Pages, Applied: rows.Applied, Direct: direct}
 	if len(nd.pdFree) == 0 {

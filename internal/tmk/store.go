@@ -89,6 +89,28 @@ type scratch struct {
 	// and fcScratch, parallel to it, which of those pages it covers whole.
 	vpScratch []int
 	fcScratch []bool
+	// Validate_w_sync's epoch-lifetime storage. wsRegPages and wsRegFull
+	// are the slabs the registrations' page lists and full flags are carved
+	// from, rewound by consumeWSync; needRows and needList back the needs
+	// syncInfo presents, rewound at its next call.
+	wsRegPages []int
+	wsRegFull  []bool
+	needRows   rowBuf
+	needList   []wire.WSyncNeed
+	// The barrier master's Validate_w_sync resolution (runBarrier), rebuilt
+	// at every barrier in node 0's store: the merged page list of one
+	// requester, every requester's served diffs back to back, the
+	// per-requester lists carved from them, and the broadcast tally.
+	wsPages  []wsyncPage
+	wsServed []wire.Diff
+	wsAll    []remoteWSync
+	wsFanout map[diffKey]int
+
+	// Push's gather storage: the free buffers, and, per receiver, the
+	// buffers sent to it that it has not yet applied, oldest first. The
+	// receiver hands a buffer back to this free list (pushApplied).
+	pushFree []pushBuf
+	pushSent [][]pushBuf
 
 	// writeRecord's scratch: the frame set and the checkpoint's three lists.
 	recPages  []int
@@ -145,6 +167,11 @@ func (st *Store) release(nd *Node) {
 	st.dfScratch = truncated(st.dfScratch)
 	st.ivScratch, st.depScratch = truncated(st.ivScratch), truncated(st.depScratch)
 	st.wsLast, st.wsSeen = st.wsLast[:0], st.wsSeen[:0]
+	st.wsPages, st.wsServed, st.wsAll = truncated(st.wsPages), truncated(st.wsServed), truncated(st.wsAll)
+	for to, sent := range st.pushSent { // buffers a receiver never applied
+		st.pushFree = append(st.pushFree, sent...)
+		st.pushSent[to] = truncated(sent)
+	}
 	st.recIvs, st.recFrames, st.recDiffs = truncated(st.recIvs), truncated(st.recFrames), truncated(st.recDiffs)
 	st.recFull, st.recIncs = st.recFull[:0], st.recIncs[:0]
 }

@@ -522,7 +522,10 @@ func (s *System) runBarrier(b *barrier, executor *Node) {
 	// the departure messages. The requesters are described entirely by
 	// their arrival messages. Identical payloads to every requester count
 	// as a broadcast.
-	var allWS []remoteWSync
+	// The requesters' lists are carved from the master's scratch: a
+	// departure's Served is read by its recipient's postBarrier before the
+	// recipient can arrive here again.
+	allWS, served := master.wsAll[:0], master.wsServed[:0]
 	for _, a := range b.arrivals {
 		if len(a.arr.Needs) == 0 {
 			continue
@@ -530,18 +533,19 @@ func (s *System) runBarrier(b *barrier, executor *Node) {
 		// The requested pages in ascending order, each once: one need's
 		// pages already are, several needs may interleave or overlap (every
 		// row for a page is the same snapshot, so which one survives is moot).
-		pages := s.wsPages[:0]
+		pages := master.wsPages[:0]
 		for _, need := range a.arr.Needs {
 			for i, pg := range need.Pages {
 				pages = append(pages, wsyncPage{pg: int(pg), applied: need.Applied[i]})
 			}
 		}
-		s.wsPages = pages
+		master.wsPages = pages
 		if len(a.arr.Needs) > 1 {
 			slices.SortStableFunc(pages, func(x, y wsyncPage) int { return x.pg - y.pg })
 			pages = slices.CompactFunc(pages, func(x, y wsyncPage) bool { return x.pg == y.pg })
 		}
 		rw := remoteWSync{req: a.id}
+		first := len(served)
 		for _, wp := range pages {
 			for _, r := range master.wsyncResponder(a.id, wp.applied, wp.pg) {
 				resp := s.Nodes[r]
@@ -553,7 +557,7 @@ func (s *System) runBarrier(b *barrier, executor *Node) {
 						continue
 					}
 					if d.helps(wp.applied) {
-						rw.served = append(rw.served, d.toWire())
+						served = append(served, d.toWire())
 						rw.bytes += d.wireBytes()
 						resp.Stats.WSyncServes++
 						nServed++
@@ -562,13 +566,19 @@ func (s *System) runBarrier(b *barrier, executor *Node) {
 				resp.traceWSync(wp.pg, a.id, nServed)
 			}
 		}
+		rw.served = served[first:len(served):len(served)]
 		allWS = append(allWS, rw)
 	}
+	master.wsAll, master.wsServed = allWS, served
 	// Broadcast accounting: a diff delivered to every other processor is a
 	// broadcast. Diffs are identified by content key now that they cross
 	// the transport as values.
 	if len(allWS) > 0 {
-		fanout := map[diffKey]int{}
+		if master.wsFanout == nil {
+			master.wsFanout = map[diffKey]int{}
+		}
+		fanout := master.wsFanout
+		clear(fanout)
 		for _, rw := range allWS {
 			for _, d := range rw.served {
 				fanout[keyOf(d)]++

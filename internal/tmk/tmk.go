@@ -209,8 +209,6 @@ type System struct {
 	// departScratch backs runBarrier's departure-time table. Barriers are
 	// serialized by the protocol token, so one machine-wide buffer works.
 	departScratch []time.Duration
-	// wsPages backs runBarrier's per-requester Validate_w_sync page list.
-	wsPages []wsyncPage
 }
 
 // New builds a DSM system for every processor of h. All pages start
@@ -434,44 +432,60 @@ func (nd *Node) appendIntervals(dst []wire.OwnedInterval, base []int32) []wire.O
 
 // syncInfo snapshots what an acquirer presents at a synchronization
 // operation: its vector time and its pending Validate_w_sync needs, with
-// the per-page applied timestamps the responders filter against. The
-// presented vector time lives in the node's vcScratch: every consumer (a
-// grant builder, the barrier master) finishes with it before this node
-// can reach its next synchronization operation.
+// the per-page applied timestamps the responders filter against. Both live
+// in the node's scratch — the vector time in vcScratch, the needs in
+// needList over needRows — and are rebuilt at its next call: every
+// consumer (a grant builder, a queued lockWaiter's eventual granter, the
+// barrier master) finishes with them before this node can reach its next
+// synchronization operation. The rows stay copies, since an asynchronous
+// Validate can advance the live rows before the responder serves.
 func (nd *Node) syncInfo() wire.SyncInfo {
 	nd.vcScratch = append(nd.vcScratch[:0], nd.vc...)
 	info := wire.SyncInfo{VC: nd.vcScratch}
-	for _, ws := range nd.wsync {
-		info.Needs = append(info.Needs, nd.appliedRows(nil, ws.pages))
+	if len(nd.wsync) == 0 {
+		return info
 	}
+	nd.needRows.rewind()
+	needs := nd.needList[:0]
+	for _, ws := range nd.wsync {
+		needs = append(needs, nd.appliedRows(&nd.needRows, ws.pages))
+	}
+	nd.needList, info.Needs = needs, needs
 	return info
 }
 
-// rowBuf is the storage appliedRows carves a page list and its applied rows
-// from: one slab holding the pages and then every row, and the row list.
+// rowBuf is the storage appliedRows carves page lists and their applied
+// rows from: one slab holding, for each carve, the pages and then every
+// row, and the row list.
 type rowBuf struct {
 	slab []int32
 	rows [][]int32
 }
 
+// rewind empties b for a new set of carves.
+func (b *rowBuf) rewind() { b.slab, b.rows = b.slab[:0], b.rows[:0] }
+
 // appliedRows pairs pages with a copy of each one's applied row: the form in
 // which a requester presents what it already has — Validate_w_sync needs,
 // lock-grant floors, diff requests — so the responder filters against the
-// message and never reads the requester's memory. The copy is carved from
-// b's slab into the page list and every row, each a three-index slice
-// capped at its own share, and b's row list, both grown when short. A diff
-// request passes the node's reqRows, since StartRequest consumes the
-// request before it returns; a nil b makes a fresh copy, two allocations
-// whatever the page count, for a SyncInfo, which outlives the call (an
-// asynchronous Validate can advance the rows before the responder serves).
+// message and never reads the requester's memory. The copy is carved after
+// what b already holds, from its slab into the page list and every row,
+// each a three-index slice capped at its own share, and from its row list,
+// both grown when short (an earlier carve keeps the storage it was made
+// in). The caller rewinds b when its carves are dead: a diff request passes
+// the node's reqRows, since StartRequest consumes the request before it
+// returns, and syncInfo its needRows. A nil b makes a fresh copy, for the
+// lock floors adapt presents.
 func (nd *Node) appliedRows(b *rowBuf, pages []int) wire.WSyncNeed {
 	if b == nil {
 		b = &rowBuf{}
 	}
 	n, k := nd.sys.N(), len(pages)
-	b.slab, b.rows = slices.Grow(b.slab[:0], k*(n+1)), slices.Grow(b.rows[:0], k)
-	slab := b.slab[:k*(n+1)]
-	need := wire.WSyncNeed{Pages: slab[:k:k], Applied: b.rows[:k:k]}
+	s0, r0 := len(b.slab), len(b.rows)
+	b.slab = slices.Grow(b.slab, k*(n+1))[:s0+k*(n+1)]
+	b.rows = slices.Grow(b.rows, k)[:r0+k]
+	slab := b.slab[s0:]
+	need := wire.WSyncNeed{Pages: slab[:k:k], Applied: b.rows[r0 : r0+k : r0+k]}
 	for i, pg := range pages {
 		need.Pages[i] = int32(pg)
 		row := slab[k+i*n : k+(i+1)*n : k+(i+1)*n]
@@ -574,8 +588,8 @@ func (nd *Node) Proc() host.Proc { return nd.p }
 // pagesOf appends to dst the pages the regions overlap, ascending, each
 // once. The regions must be normalized (ascending and disjoint), as the
 // interpreter hands them to Validate, so one pass that skips a page equal
-// to the last one does it, and the pages lie between the first region's
-// and the last one's: dst grows once, to room for those.
+// to the last one it appended does it, and the pages lie between the first
+// region's and the last one's: dst grows once, to room for those.
 func pagesOf(dst []int, regions []shm.Region) []int {
 	if len(regions) == 0 {
 		return dst
@@ -583,9 +597,10 @@ func pagesOf(dst []int, regions []shm.Region) []int {
 	lo, _ := regions[0].Pages()
 	_, hi := regions[len(regions)-1].Pages()
 	dst = slices.Grow(dst, hi-lo)
+	d0 := len(dst)
 	for _, r := range regions {
 		p0, p1 := r.Pages()
-		if len(dst) > 0 && dst[len(dst)-1] == p0 {
+		if len(dst) > d0 && dst[len(dst)-1] == p0 {
 			p0++
 		}
 		for pg := p0; pg < p1; pg++ {

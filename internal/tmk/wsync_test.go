@@ -262,3 +262,27 @@ func TestValidateWSyncOwnsItsRegistration(t *testing.T) {
 		nd.Barrier(2)
 	})
 }
+
+// TestValidateWSyncRegistrationsShareAPage: registrations of one epoch
+// carve their page lists from one slab, so the second, whose first page is
+// the page the first one ended on, must still list that page. Page 1 is
+// registered for reading, then READ&WRITE_ALL with page 2: the barrier
+// must leave it enabled for writing without a twin.
+func TestValidateWSyncRegistrationsShareAPage(t *testing.T) {
+	s := testSystem(2, 3*shm.PageWords)
+	run(t, s, func(nd *Node) {
+		if nd.ID == 1 {
+			nd.ValidateWSync(AccRead, region(0, 2*shm.PageWords))
+			nd.ValidateWSync(AccReadWriteAll, region(shm.PageWords, 3*shm.PageWords))
+		}
+		nd.Barrier(1)
+		if nd.ID == 1 {
+			for pg := 1; pg < 3; pg++ {
+				if e := &nd.pages[pg]; !e.dirty || !e.noTwin {
+					t.Errorf("page %d: dirty %v, WRITE_ALL mode %v; want it writable without a twin", pg, e.dirty, e.noTwin)
+				}
+			}
+		}
+		nd.Barrier(2)
+	})
+}

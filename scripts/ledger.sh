@@ -6,24 +6,43 @@
 # flat samples by layer (go tool pprof -top) and prints one markdown table
 # per cell in CPU ms per op. With -base DIR every cell also runs in the checkout DIR, which must
 # have the same benchmarks, and the table shows base → this checkout.
+# With -alloc the ledger counts bytes instead: each cell runs twice with
+# every allocation profiled (-memprofilerate 1), at N/4 and at N ops, and
+# the table sums the difference of the two profiles' alloc_space by the
+# same layers, in KiB per op — a run's steady state, the first runs that
+# grow the warm stores cancelled out. Generic slices and maps helpers are
+# hidden, so what they allocate counts for their caller.
 # Nothing but Go is needed. Run from the repository root:
 #
 #   bash scripts/ledger.sh > LEDGER.md
 #   bash scripts/ledger.sh -base ../parent -cells 'spmv' -benchtime 3s
+#   bash scripts/ledger.sh -alloc -base ../parent -cells 'AppRun/.*/opt-tmk'
 #
 # -cells REGEX keeps the cells whose name (BenchmarkModeRun/spmv-large-adapt)
-# matches; -benchtime is go test's (default 2s).
+# matches; -benchtime is go test's (default 2s; with -alloc a count Nx,
+# default 40x).
 set -euo pipefail
 
-base="" cells="." benchtime="2s"
+base="" cells="." benchtime="" alloc=""
 while [ $# -gt 0 ]; do
 	case "$1" in
 	-base) base="$(cd "$2" && pwd)"; shift 2 ;;
 	-cells) cells="$2"; shift 2 ;;
 	-benchtime) benchtime="$2"; shift 2 ;;
-	*) echo "usage: bash scripts/ledger.sh [-base DIR] [-cells REGEX] [-benchtime T]" >&2; exit 2 ;;
+	-alloc) alloc=1; shift ;;
+	*) echo "usage: bash scripts/ledger.sh [-alloc] [-base DIR] [-cells REGEX] [-benchtime T]" >&2; exit 2 ;;
 	esac
 done
+if [ -z "$alloc" ]; then
+	benchtime="${benchtime:-2s}" unit="ms" what="CPU ms/op" sum="CPU total"
+else
+	benchtime="${benchtime:-40x}" unit="kB" what="KiB/op" sum="alloc total"
+	n="${benchtime%x}"
+	if [ "$n" = "$benchtime" ] || ! [ "$n" -ge 2 ] 2>/dev/null; then
+		echo "ledger: -alloc wants -benchtime Nx with N >= 2" >&2
+		exit 2
+	fi
+fi
 head="$PWD"
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
@@ -48,9 +67,10 @@ vm_clear="NewArena SetCanary TakeData TakePage CheckGuards Release Take TakeZero
 vm_twin="MakeTwin DropTwin RecyclePage HasTwin TwinData"
 vm_diff="DiffAgainstTwin WholePageRuns nextRun RunsBytes RunsWords"
 
-# layer sums one pprof -top listing (ms) by layer: "layer<TAB>ms" lines.
+# layer sums one pprof -top listing in $unit by layer: "layer<TAB>value"
+# lines.
 layer() {
-	awk -v tc="$tmk_close" -v tf="$tmk_fetch" -v tb="$tmk_barrier" -v tl="$tmk_lock" -v tr="$tmk_record" \
+	awk -v unit="$unit" -v tc="$tmk_close" -v tf="$tmk_fetch" -v tb="$tmk_barrier" -v tl="$tmk_lock" -v tr="$tmk_record" \
 		-v vc="$vm_copy" -v vz="$vm_clear" -v vt="$vm_twin" -v vd="$vm_diff" '
 	function set(list, row,   n, i, w) { n = split(list, w, " "); for (i = 1; i <= n; i++) rows[row, w[i]] = 1 }
 	function unbracket(s,   out, c, i, depth) {
@@ -82,8 +102,8 @@ layer() {
 		split("tmk close|tmk fetch/serve|tmk barrier|tmk lock|tmk record", tmkrows, "|")
 		split("vm copy|vm clear|vm twin|vm diff", vmrows, "|")
 	}
-	$1 ~ /ms$/ && $6 != "" {
-		ms = $1; sub(/ms$/, "", ms)
+	$1 ~ (unit "$") && $6 != "" {
+		ms = $1; sub(unit "$", "", ms)
 		fn = $6; for (i = 7; i <= NF; i++) fn = fn " " $i # type arguments may hold spaces
 		if (fn ~ /^sdsm\/internal\/apps\./) l = "app kernels"
 		else if (fn ~ /^sdsm\/internal\/(interp|ir|rsd|compiler)\./) l = "interp"
@@ -121,6 +141,20 @@ profile() {
 	go tool pprof -top -nodecount=1000000 -nodefraction=0 -unit=ms "$1" "$tmp/cpu.pprof" 2>/dev/null | layer >>"$4"
 }
 
+# profile_alloc runs cell $2 of test binary $1 from checkout $3 at N/4 and
+# at N ops, every allocation profiled, and writes "ops<TAB>" (the N - N/4
+# ops between them) then the layer sums of the profiles' difference to $4.
+profile_alloc() {
+	local pat="" part short=$((n / 4 > 0 ? n / 4 : 1))
+	IFS=/ read -ra parts <<<"$2"
+	for part in "${parts[@]}"; do pat="$pat${pat:+/}^$part\$"; done
+	(cd "$3" && "$1" -test.run '^$' -test.bench "$pat" -test.benchtime "${short}x" -test.memprofilerate 1 -test.memprofile "$tmp/short.pprof" >/dev/null)
+	(cd "$3" && "$1" -test.run '^$' -test.bench "$pat" -test.benchtime "${n}x" -test.memprofilerate 1 -test.memprofile "$tmp/long.pprof" >/dev/null)
+	printf '%s\t\n' "$((n - short))" >"$4"
+	go tool pprof -top -nodecount=1000000 -nodefraction=0 -sample_index=alloc_space -unit=kB -hide '^(slices|maps)\.' \
+		-diff_base "$tmp/short.pprof" "$1" "$tmp/long.pprof" 2>/dev/null | layer >>"$4"
+}
+
 # value prints the per-op ms of layer $2 in summary file $1 ("-" if absent).
 value() {
 	awk -F'\t' -v l="$2" 'NR == 1 { ops = $1; next } $1 == l { v = $2 } END { if (ops) printf "%.2f", v / ops; else printf "-" }' "$1"
@@ -138,39 +172,51 @@ names="$(awk -v s="-$gmp" '/^Benchmark/ { n = $1; if (s != "-1" && substr(n, len
 cpu="$(awk '/^cpu: / { sub(/^cpu: /, ""); print; exit }' <<<"$list")"
 rev() { git -C "$1" rev-parse --short HEAD 2>/dev/null | tr -d '\n' || printf unknown; [ -n "$(git -C "$1" status --porcelain 2>/dev/null)" ] && printf '+changes'; true; }
 
-echo "# Host CPU ledger"
-echo
-echo "Written by \`bash scripts/ledger.sh\`$([ -n "$base" ] && printf ' with `-base`') at benchtime $benchtime: head $(rev "$head")$([ -n "$base" ] && printf ', base %s' "$(rev "$base")"); $(go env GOVERSION), GOMAXPROCS $gmp${cpu:+, $cpu}."
-echo "Each cell is one sub-benchmark run alone under \`-cpuprofile\`: the profile's flat samples summed by layer and divided by the op count, in CPU ms per op."
-echo "CPU counts every thread, the GC's on the other cores too, so a cell's CPU total can exceed its wall time per op."
-echo "The profiler samples at 100 Hz: a layer of k samples moves by about √k from run to run, so read small rows as noise."
+if [ -z "$alloc" ]; then
+	echo "# Host CPU ledger"
+	echo
+	echo "Written by \`bash scripts/ledger.sh\`$([ -n "$base" ] && printf ' with `-base`') at benchtime $benchtime: head $(rev "$head")$([ -n "$base" ] && printf ', base %s' "$(rev "$base")"); $(go env GOVERSION), GOMAXPROCS $gmp${cpu:+, $cpu}."
+	echo "Each cell is one sub-benchmark run alone under \`-cpuprofile\`: the profile's flat samples summed by layer and divided by the op count, in CPU ms per op."
+	echo "CPU counts every thread, the GC's on the other cores too, so a cell's CPU total can exceed its wall time per op."
+	echo "The profiler samples at 100 Hz: a layer of k samples moves by about √k from run to run, so read small rows as noise."
+else
+	echo "# Host allocation ledger"
+	echo
+	echo "Written by \`bash scripts/ledger.sh -alloc\`$([ -n "$base" ] && printf ' with `-base`') at benchtime $benchtime: head $(rev "$head")$([ -n "$base" ] && printf ', base %s' "$(rev "$base")"); $(go env GOVERSION), GOMAXPROCS $gmp${cpu:+, $cpu}."
+	echo "Each cell is one sub-benchmark run alone at N/4 and at N ops under \`-memprofile\` with every allocation sampled: the difference of the two profiles' alloc_space summed by layer and divided by the ops between them, in KiB per op."
+fi
+run() { if [ -z "$alloc" ]; then profile "$@"; else profile_alloc "$@"; fi; }
 for name in $names; do
-	profile "$tmp/head.test" "$name" "$head" "$tmp/head.sum"
+	run "$tmp/head.test" "$name" "$head" "$tmp/head.sum"
 	echo
 	echo "## ${name#Benchmark}"
 	echo
 	if [ -n "$base" ]; then
-		profile "$tmp/base.test" "$name" "$base" "$tmp/base.sum"
+		run "$tmp/base.test" "$name" "$base" "$tmp/base.sum"
 		bt="$(total "$tmp/base.sum")" ht="$(total "$tmp/head.sum")"
-		echo "| layer | base CPU ms/op | head CPU ms/op | base share | head share |"
+		echo "| layer | base $what | head $what | base share | head share |"
 		echo "|---|---:|---:|---:|---:|"
 		for l in "${layers[@]}"; do
 			b="$(value "$tmp/base.sum" "$l")" h="$(value "$tmp/head.sum" "$l")"
 			echo "| $l | $b | $h | $(share "$b" "$bt") | $(share "$h" "$ht") |"
 		done
-		echo "| **CPU total** | $bt | $ht | | |"
-		echo "| profile samples | $(samples "$tmp/base.sum") | $(samples "$tmp/head.sum") | | |"
-		echo "| wall ms/op | $(wall "$tmp/base.sum") | $(wall "$tmp/head.sum") | | |"
+		echo "| **$sum** | $bt | $ht | | |"
+		if [ -z "$alloc" ]; then
+			echo "| profile samples | $(samples "$tmp/base.sum") | $(samples "$tmp/head.sum") | | |"
+			echo "| wall ms/op | $(wall "$tmp/base.sum") | $(wall "$tmp/head.sum") | | |"
+		fi
 	else
 		ht="$(total "$tmp/head.sum")"
-		echo "| layer | CPU ms/op | share |"
+		echo "| layer | $what | share |"
 		echo "|---|---:|---:|"
 		for l in "${layers[@]}"; do
 			h="$(value "$tmp/head.sum" "$l")"
 			echo "| $l | $h | $(share "$h" "$ht") |"
 		done
-		echo "| **CPU total** | $ht | |"
-		echo "| profile samples | $(samples "$tmp/head.sum") | |"
-		echo "| wall ms/op | $(wall "$tmp/head.sum") | |"
+		echo "| **$sum** | $ht | |"
+		if [ -z "$alloc" ]; then
+			echo "| profile samples | $(samples "$tmp/head.sum") | |"
+			echo "| wall ms/op | $(wall "$tmp/head.sum") | |"
+		fi
 	fi
 done
