@@ -41,24 +41,32 @@ import (
 // while every twin-diff run was an append of its own and every received
 // diff a cache entry, 91.0–91.2 while every exchange boxed its request and
 // made its Pending and applied rows, and every filed diff its entry and
-// cover row, and 71.2–71.6 while every closed interval made its page list
-// and vector time and every diff its runs; measured 47.5 now, the interval
-// records and diffs carved from the rank's store. The ceiling leaves under
-// 5% for runtime noise, so a regression on the encode buffers, decode
-// arena, frame reuse, or protocol scratch paths fails loudly.
+// cover row, 71.2–71.6 while every closed interval made its page list
+// and vector time and every diff its runs, and 46.9–47.5 while a decode
+// arena refilled in chunks of 128 elements and every request made its
+// record, map entry and queued frame and boxed copies of its request and
+// reply; measured 24.6–24.8 now, the decode arena a slab whose blocks
+// double. The fixture's readers are lent no arena, so each decodes into
+// one of its own, never rewound. The ceiling leaves under 5% for runtime
+// noise, so a regression on the encode buffers, decode arena, frame
+// reuse, or protocol scratch paths fails loudly.
 //
-// Bytes are pinned twice, each ceiling 5% above its measured value on a
-// 2-core Xeon. Per epoch, 12 280–12 430 B (12 350–12 470 B while every
-// frame took two reads and a writer wakeup): a frame buffer that escapes
-// the pool fails it. Per machine — NewNet, one epoch, Close — 300–308 KB
-// (334–341 KB while a FrameReader kept its buffer when its stream ended):
-// the eight read-ahead buffers of a 4-rank machine are the pool's, and a
-// reader that makes its own, or keeps it, fails it.
+// Bytes are pinned twice on a 2-core Xeon. Per epoch, 12 730–12 790 B
+// (12 280–12 430 B while the arena refilled in chunks of 128 elements,
+// 12 350–12 470 B while every frame took two reads and a writer wakeup):
+// a frame buffer that escapes the pool fails it. The figure rose with the
+// slab, whose blocks grow to 8 192 elements, so the difference of a 160-
+// and a 40-epoch machine holds a larger unused tail; the ceiling stays
+// where it was, 1.3 % above the highest. Per machine — NewNet, one epoch,
+// Close — 262–265 KB, ceiling 5 % above (300–310 KB before, 334–341 KB
+// while a FrameReader kept its buffer when its stream ended): the eight
+// read-ahead buffers of a 4-rank machine are the pool's, and a reader
+// that makes its own, or keeps it, fails it.
 func TestNetBarrierFlurryAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation pinning needs the long flurry run")
 	}
-	const ceiling, byteCeiling, machineCeiling = 49, 12950, 323000
+	const ceiling, byteCeiling, machineCeiling = 26, 12950, 277000
 	per, bytes := memPerIter(t, 40, 160, func(iters int) error { return runBarrierFlurry(4, iters) })
 	if per > ceiling {
 		t.Fatalf("net barrier flurry allocates %.1f/epoch, ceiling %d (was ~636 before pooling; the wire path regressed)", per, ceiling)
@@ -709,17 +717,21 @@ func TestWarmScaleRunAllocs(t *testing.T) {
 	}
 }
 
-// warmRunAllocs runs app's small set as system on sim under cfg's rank
-// count and modes four times and returns the least allocation count and
-// bytes of the last three, warm, runs: the first grows the stores, and now
-// and then a run pays a few objects the runtime makes on its own account.
+// warmRunAllocs runs app's small set as system under cfg's rank count,
+// modes and backend (sim when it names none) four times and returns the
+// least allocation count and bytes of the last three, warm, runs: the
+// first grows the stores, and now and then a run pays a few objects the
+// runtime makes on its own account.
 func warmRunAllocs(t *testing.T, name string, system harness.SystemKind, cfg harness.Config) (allocs, bytes uint64) {
 	t.Helper()
 	app, err := apps.ByName(name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.App, cfg.Set, cfg.System, cfg.Backend = app, apps.Small, system, harness.BackendSim
+	cfg.App, cfg.Set, cfg.System = app, apps.Small, system
+	if cfg.Backend == "" {
+		cfg.Backend = harness.BackendSim
+	}
 	allocs, bytes = math.MaxUint64, math.MaxUint64
 	for i := range 4 {
 		runtime.GC()
@@ -734,6 +746,24 @@ func warmRunAllocs(t *testing.T, name string, system harness.SystemKind, cfg har
 		}
 	}
 	return allocs, bytes
+}
+
+// TestWarmNetRunAllocs pins a warm gauss/small p4 base run on net, the
+// socket path: its diffs, intervals and page refs are decoded into the
+// decode arenas of the ranks' stores, its requests' records and queued
+// request frames are reused, and what is left is the net machine itself
+// (sockets, queues, goroutines) and a boxed payload per frame. Measured:
+// 4 086 allocations and 301 704 B on a 2-core Xeon; 9 920 and 4 748 216 B
+// while every connection decoded into arena chunks of its own and every
+// request made its record, its map entry, its queued frame and the boxed
+// copies of its request and reply. The ceilings leave under 5 %.
+func TestWarmNetRunAllocs(t *testing.T) {
+	const allocsCeiling, bytesCeiling = 4_290, 316_700
+	allocs, bytes := warmRunAllocs(t, "gauss", harness.Base, harness.Config{Procs: 4, Backend: harness.BackendNet})
+	t.Logf("a warm gauss/small p4 net run: %d allocs, %d B (ceilings %d, %d B)", allocs, bytes, allocsCeiling, bytesCeiling)
+	if allocs > allocsCeiling || bytes > bytesCeiling {
+		t.Fatalf("a warm gauss/small p4 net run allocates %d objects and %d B, ceilings %d and %d B", allocs, bytes, allocsCeiling, bytesCeiling)
+	}
 }
 
 // TestMachineBuildAllocs pins machine construction at a number of

@@ -26,6 +26,7 @@ import (
 	"sdsm/internal/sim"
 	"sdsm/internal/tmk"
 	"sdsm/internal/vm"
+	"sdsm/internal/wire"
 )
 
 // SystemKind selects one of the four systems the paper compares.
@@ -263,7 +264,11 @@ func runDSM(cfg Config) (res *Result, err error) {
 		h = r
 		nw = host.NewNetwork(h, costs)
 	case BackendNet:
-		n, err := host.NewNet(cfg.Procs, costs)
+		arenas := make([]*wire.Arena, len(stores))
+		for i, st := range stores {
+			arenas[i] = st.DecodeArena()
+		}
+		n, err := host.NewNet(cfg.Procs, costs, arenas...)
 		if err != nil {
 			return nil, fmt.Errorf("harness: net backend: %w", err)
 		}

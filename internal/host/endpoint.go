@@ -26,13 +26,14 @@ type Endpoint struct {
 }
 
 // NewEndpoint says hello as rank on c, a fresh connection to a switch,
-// and frames it (NewLink). On error the connection is still the caller's
-// to close.
-func NewEndpoint(c net.Conn, rank int, costs model.Costs, onErr func(error)) (*Endpoint, error) {
+// and frames it (NewLink), decoding inbound frames into ar (nil: an arena
+// of the reader's own). On error the connection is still the caller's to
+// close.
+func NewEndpoint(c net.Conn, rank int, costs model.Costs, ar *wire.Arena, onErr func(error)) (*Endpoint, error) {
 	if err := writeHello(c, rank); err != nil {
 		return nil, err
 	}
-	return &Endpoint{Link: NewLink(c, onErr), rank: rank, costs: costs}, nil
+	return &Endpoint{Link: NewLink(c, ar, onErr), rank: rank, costs: costs}, nil
 }
 
 // Costs returns the cost model the endpoint charges its sends with.

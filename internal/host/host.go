@@ -145,8 +145,9 @@ type Server func(p Proc, at int, req *wire.DiffRequest, rep *wire.DiffReply) (re
 // valid after Await or AwaitAll returns. A requester may reuse a Pending,
 // and the capacity of its Reply's slices, once it has consumed the reply.
 type Pending struct {
-	// Reply is the reply payload. In-process its Diffs share the
-	// responder's cached arrays; on sockets it is the decoded value.
+	// Reply is the reply payload, in lists the Pending owns. In-process
+	// its Diffs share the responder's cached arrays; on sockets they are
+	// the decoded diffs, copied out of the frame.
 	Reply wire.DiffReply
 	// Arrival is the virtual time the reply reaches the requester.
 	Arrival time.Duration

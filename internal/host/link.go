@@ -26,11 +26,12 @@ type Link struct {
 	q    *FrameQueue
 }
 
-// NewLink frames c and starts its outbound queue. onErr (optional) is
-// the queue's: called once, from its writer goroutine, when a write
-// first fails.
-func NewLink(c net.Conn, onErr func(error)) *Link {
-	return &Link{conn: c, fr: wire.NewFrameReader(c), q: NewFrameQueue(c, onErr)}
+// NewLink frames c and starts its outbound queue. Inbound frames are
+// decoded into ar, or into the reader's own arena when ar is nil
+// (wire.NewFrameReaderOn). onErr (optional) is the queue's: called once,
+// from its writer goroutine, when a write first fails.
+func NewLink(c net.Conn, ar *wire.Arena, onErr func(error)) *Link {
+	return &Link{conn: c, fr: wire.NewFrameReaderOn(c, ar), q: NewFrameQueue(c, onErr)}
 }
 
 // SetObs attaches frame/flush counters to the outbound queue

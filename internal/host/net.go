@@ -65,19 +65,23 @@ type Net struct {
 	*Real
 	in *Network
 
-	sw  *Switch
-	eps []*Endpoint // per node; replaced by Reattach
+	sw     *Switch
+	eps    []*Endpoint   // per node; replaced by Reattach
+	arenas []*wire.Arena // per node, what its delivery loop decodes into; nil: each reader's own
 	// delivered[i] is closed when the delivery loop reading eps[i] has
 	// exited; every loop is launched with a fresh one (startDelivery).
 	delivered []chan struct{}
 
-	reqs   []map[int32]*reqState // per requester node: id -> state; guarded by in.mu
-	nextID []int32
+	// Per requester node, guarded by in.mu: its request records, the
+	// request ID a record's index, and the free list of those not in
+	// flight, so a steady stream of exchanges makes no record.
+	reqs    [][]*reqState
+	reqFree [][]*reqState
 
 	svcMu   sync.Mutex
 	svcCond []*sync.Cond
-	svcQ    [][]*wire.Frame
-	svcHead []int // per-node index of the next unserviced svcQ entry
+	svcQ    [][]wire.Frame // queued request frames, by value, the slices reused
+	svcHead []int          // per-node index of the next unserviced svcQ entry
 
 	// detaching (EnableRecovery) marks a node whose links are being
 	// dropped on purpose: linkDown tolerates them.
@@ -93,12 +97,15 @@ type Net struct {
 	wg sync.WaitGroup // delivery and service loops
 }
 
-// reqState tracks one in-flight request at the requester: it points at
-// the caller's Pending and is that Pending's Resolver, so one allocation
-// covers the exchange's bookkeeping.
+// reqState is a requester's record of one exchange: while the exchange is
+// in flight (pd set) it points at the caller's Pending and is that
+// Pending's Resolver. id is its index in the requester's records and the
+// request frame's tag; once resolved the record goes back to its
+// requester's free list.
 type reqState struct {
-	pd         *Pending
 	nw         *Net
+	id         int32
+	pd         *Pending
 	reqArrival time.Duration
 	done       bool
 	reply      wire.DiffReply
@@ -107,37 +114,49 @@ type reqState struct {
 }
 
 // ResolveReply blocks until the reply frame has been filed, then fills
-// the caller's Pending (Pending's Resolver hook).
+// the caller's Pending and frees the record (Pending's Resolver hook).
 func (rs *reqState) ResolveReply(p Proc) {
-	in := rs.nw.in
+	nw, in := rs.nw, rs.nw.in
 	in.mu.Lock()
 	for !rs.done {
 		in.park(p, netWait{kind: 'r', rs: rs}, "reply")
 		in.mu.Lock()
 	}
-	in.mu.Unlock()
-	rs.pd.Reply = rs.reply
+	// The reply's lists are copied into the Pending's own: the decoded
+	// diffs are carves of this node's decode arena, and a Pending outlives
+	// the run in its store, where an in-process exchange appends into it.
+	rs.pd.Reply.Diffs = append(rs.pd.Reply.Diffs[:0], rs.reply.Diffs...)
+	rs.pd.Reply.Redirects = append(rs.pd.Reply.Redirects[:0], rs.reply.Redirects...)
 	rs.pd.Bytes = rs.respBytes
 	rs.pd.Arrival = rs.reqArrival + rs.service + in.costs.OneWay(rs.respBytes)
+	*rs = reqState{nw: nw, id: rs.id}
+	nw.reqFree[p.ID()] = append(nw.reqFree[p.ID()], rs)
+	in.mu.Unlock()
 }
 
 // NewNet creates a wire-backend machine of n nodes: a loopback switch (a
 // Unix socket, falling back to TCP on 127.0.0.1) with every node
-// connected. Close must be called when done.
-func NewNet(n int, costs model.Costs) (*Net, error) {
+// connected. arenas, when given, holds one arena per node: node i's
+// delivery loop decodes into arenas[i] (its tmk.Store's), and is its only
+// writer until Close has returned; without them every reader decodes into
+// an arena of its own. Close must be called when done.
+func NewNet(n int, costs model.Costs, arenas ...*wire.Arena) (*Net, error) {
+	if len(arenas) != 0 && len(arenas) != n {
+		return nil, fmt.Errorf("host: net backend: %d decode arenas for %d nodes", len(arenas), n)
+	}
 	r := NewReal(n)
 	nw := &Net{
 		Real:      r,
 		in:        NewNetwork(r, costs),
-		reqs:      make([]map[int32]*reqState, n),
-		nextID:    make([]int32, n),
+		reqs:      make([][]*reqState, n),
+		reqFree:   make([][]*reqState, n),
 		eps:       make([]*Endpoint, n),
+		arenas:    arenas,
 		delivered: make([]chan struct{}, n),
-		svcQ:      make([][]*wire.Frame, n),
+		svcQ:      make([][]wire.Frame, n),
 		svcHead:   make([]int, n),
 	}
 	for i := 0; i < n; i++ {
-		nw.reqs[i] = map[int32]*reqState{}
 		nw.svcCond = append(nw.svcCond, sync.NewCond(&nw.svcMu))
 	}
 
@@ -177,13 +196,19 @@ func (nw *Net) startDelivery(i int) {
 	go nw.deliveryLoop(i, nw.eps[i], nw.delivered[i])
 }
 
-// dial connects node i's endpoint to the switch.
+// dial connects node i's endpoint to the switch, decoding into node i's
+// arena: a reattached endpoint carves on where the dropped one stopped,
+// as the arena is rewound only when its store is released.
 func (nw *Net) dial(i int) (*Endpoint, error) {
 	c, err := net.Dial(nw.sw.Addr().Network(), nw.sw.Addr().String())
 	if err != nil {
 		return nil, fmt.Errorf("host: net backend dial: %w", err)
 	}
-	ep, err := NewEndpoint(c, i, nw.in.costs, func(err error) { nw.linkDown(i, err) })
+	var ar *wire.Arena
+	if nw.arenas != nil {
+		ar = nw.arenas[i]
+	}
+	ep, err := NewEndpoint(c, i, nw.in.costs, ar, func(err error) { nw.linkDown(i, err) })
 	if err != nil {
 		c.Close()
 		return nil, err
@@ -290,8 +315,8 @@ func (nw *Net) deliveryLoop(i int, ep *Endpoint, done chan struct{}) {
 	defer nw.wg.Done()
 	defer close(done)
 	// One Frame struct serves every delivery: the decoded payloads own
-	// their storage, so filing them does not retain f. Only the FReq path
-	// queues the whole frame and clones it first.
+	// their storage, so filing them does not retain f. The FReq path
+	// queues a copy of the whole frame, by value.
 	var f wire.Frame
 	for {
 		if err := ep.ReadInto(&f); err != nil {
@@ -307,10 +332,8 @@ func (nw *Net) deliveryLoop(i int, ep *Endpoint, done chan struct{}) {
 				return
 			}
 		case wire.FReq:
-			fc := new(wire.Frame)
-			*fc = f
 			nw.svcMu.Lock()
-			nw.svcQ[i] = append(nw.svcQ[i], fc)
+			nw.svcQ[i] = append(nw.svcQ[i], f)
 			nw.svcCond[i].Signal()
 			nw.svcMu.Unlock()
 		case wire.FReply:
@@ -321,13 +344,15 @@ func (nw *Net) deliveryLoop(i int, ep *Endpoint, done chan struct{}) {
 			}
 			in := nw.in
 			in.mu.Lock()
-			rs := nw.reqs[i][f.Tag]
-			if rs == nil {
+			var rs *reqState
+			if f.Tag >= 0 && int(f.Tag) < len(nw.reqs[i]) {
+				rs = nw.reqs[i][f.Tag]
+			}
+			if rs == nil || rs.pd == nil || rs.done {
 				in.mu.Unlock()
 				nw.linkDown(i, fmt.Errorf("reply for unknown request %d", f.Tag))
 				return
 			}
-			delete(nw.reqs[i], f.Tag)
 			rs.done = true
 			rs.reply = rep
 			rs.respBytes = int(f.Bytes)
@@ -347,12 +372,14 @@ func (nw *Net) deliveryLoop(i int, ep *Endpoint, done chan struct{}) {
 // serviceLoop fields requests addressed to node i: it takes the protocol
 // token and node i's compute lock (re-establishing exactly the exclusion
 // the in-process backends get from Begin + Hold), runs the registered
-// server, and ships the reply back through the switch. The server fills
-// one reply the loop reuses: Write encodes it before returning. A request
-// frame whose payload is not a wire.DiffRequest is a link error.
+// server, and ships the reply back through the switch. The server reads
+// one request and fills one reply the loop reuses: Write encodes the
+// reply, through its pointer, before returning. A request frame whose
+// payload is not a wire.DiffRequest is a link error.
 func (nw *Net) serviceLoop(i int) {
 	defer nw.wg.Done()
 	rp := nw.Real.procs[i]
+	var req wire.DiffRequest
 	var rep wire.DiffReply
 	for {
 		nw.svcMu.Lock()
@@ -366,15 +393,15 @@ func (nw *Net) serviceLoop(i int) {
 		// Pop by head index so the queue keeps its capacity: slicing off
 		// the front would leave append growing a fresh array per request.
 		f := nw.svcQ[i][nw.svcHead[i]]
-		nw.svcQ[i][nw.svcHead[i]] = nil
+		nw.svcQ[i][nw.svcHead[i]] = wire.Frame{}
 		nw.svcHead[i]++
 		if nw.svcHead[i] == len(nw.svcQ[i]) {
 			nw.svcQ[i] = nw.svcQ[i][:0]
 			nw.svcHead[i] = 0
 		}
 		nw.svcMu.Unlock()
-		req, ok := f.Payload.(wire.DiffRequest)
-		if !ok {
+		var ok bool
+		if req, ok = f.Payload.(wire.DiffRequest); !ok {
 			nw.linkDown(i, fmt.Errorf("request %d carries a %T payload, not a wire.DiffRequest", f.Tag, f.Payload))
 			continue
 		}
@@ -387,7 +414,7 @@ func (nw *Net) serviceLoop(i int) {
 
 		err := nw.eps[i].Write(&wire.Frame{
 			Kind: wire.FReply, From: int32(i), To: f.From, Tag: f.Tag,
-			Bytes: int32(respBytes), Time: int64(service), Payload: rep,
+			Bytes: int32(respBytes), Time: int64(service), Payload: &rep,
 		})
 		clear(rep.Diffs) // encoded: keep no cached arrays alive until the next serve
 		if err != nil {
@@ -428,18 +455,24 @@ func (nw *Net) Send(p Proc, to int, tag Tag, payload any, bytes int) {
 }
 
 // StartRequest ships the encoded request to the target's service loop and
-// installs on pd a resolver that waits for the reply frame. req is encoded
-// before the frame is queued.
+// installs on pd a resolver that waits for the reply frame. req is encoded,
+// through its pointer, before the frame is queued.
 func (nw *Net) StartRequest(p Proc, to int, req *wire.DiffRequest, reqBytes int, pd *Pending) {
-	rs := &reqState{nw: nw, pd: pd, reqArrival: nw.in.issue(p, to, reqBytes)}
+	reqArrival := nw.in.issue(p, to, reqBytes)
+	i := p.ID()
 	nw.in.mu.Lock()
-	nw.nextID[p.ID()]++
-	id := nw.nextID[p.ID()]
-	nw.reqs[p.ID()][id] = rs
+	var rs *reqState
+	if k := len(nw.reqFree[i]) - 1; k >= 0 {
+		rs, nw.reqFree[i] = nw.reqFree[i][k], nw.reqFree[i][:k]
+	} else {
+		rs = &reqState{nw: nw, id: int32(len(nw.reqs[i]))}
+		nw.reqs[i] = append(nw.reqs[i], rs)
+	}
+	rs.pd, rs.reqArrival = pd, reqArrival
 	nw.in.mu.Unlock()
-	nw.must(p.ID(), nw.eps[p.ID()].Write(&wire.Frame{
-		Kind: wire.FReq, From: int32(p.ID()), To: int32(to), Tag: id,
-		Bytes: int32(reqBytes), Payload: *req,
+	nw.must(i, nw.eps[i].Write(&wire.Frame{
+		Kind: wire.FReq, From: int32(i), To: int32(to), Tag: rs.id,
+		Bytes: int32(reqBytes), Payload: req,
 	}))
 	pd.SetResolver(rs)
 }

@@ -2,6 +2,7 @@ package host_test
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"sdsm/internal/host"
@@ -128,4 +129,61 @@ func TestStartRequestConsumesRequest(t *testing.T) {
 	}
 	defer n.Close()
 	check("Net", n, n)
+}
+
+// TestNetReplyOwnsItsLists pins that a Pending a Net exchange resolves
+// holds its reply in lists of its own, never in the decode arena's
+// carves: a requester keeps its Pendings across machines (tmk.Store) and
+// an in-process exchange appends its next reply into them, which would
+// write into whatever the rewound arena hands the next machine's decoder.
+// One Pending is resolved on a Net decoding into a lent arena, reused for
+// a larger in-process reply, and the arena, rewound, decodes a second
+// Net's reply whose diff has no covers: that diff must arrive with none.
+func TestNetReplyOwnsItsLists(t *testing.T) {
+	leaktest.Check(t)
+	var ars [2]wire.Arena
+	var pd host.Pending
+	fetch := func(h host.Host, tr host.Transport, diffs int, covers []int32) []wire.Diff {
+		tr.Serve(func(p host.Proc, at int, req *wire.DiffRequest, rep *wire.DiffReply) int {
+			for i := range diffs {
+				rep.Diffs = append(rep.Diffs, wire.Diff{Page: int32(i), Creator: 1, To: 1, Covers: covers})
+			}
+			return 24
+		})
+		var got []wire.Diff
+		err := h.Run(func(p host.Proc) {
+			if p.ID() != 0 {
+				return
+			}
+			p.Begin()
+			defer p.End()
+			tr.StartRequest(p, 1, &wire.DiffRequest{Pages: []int32{0}, Applied: [][]int32{{0, 0}}}, 16, &pd)
+			host.Await(p, &pd, tr.Costs())
+			got = slices.Clone(pd.Reply.Diffs)
+			clear(pd.Reply.Diffs)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	onNet := func(covers []int32) []wire.Diff {
+		n, err := host.NewNet(2, model.SP2(), &ars[0], &ars[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := fetch(n, n, 1, covers)
+		if err := n.Close(); err != nil {
+			t.Fatal(err)
+		}
+		ars[0].Rewind()
+		ars[1].Rewind()
+		return got
+	}
+	onNet([]int32{1, 1})
+	r := host.NewReal(2)
+	fetch(r, host.NewNetwork(r, model.SP2()), 3, []int32{5, 5})
+	if got := onNet(nil); len(got) != 1 || got[0].Covers != nil {
+		t.Fatalf("the second machine's reply arrived as %+v, want one diff without covers", got)
+	}
 }

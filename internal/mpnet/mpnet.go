@@ -422,7 +422,7 @@ func RunWorker(network, addr string, rank int) error {
 	if err != nil {
 		return fmt.Errorf("dialing coordinator: %w", err)
 	}
-	ep, err := host.NewEndpoint(conn, rank, model.SP2(), nil)
+	ep, err := host.NewEndpoint(conn, rank, model.SP2(), nil, nil)
 	if err != nil {
 		conn.Close()
 		return err

@@ -38,7 +38,7 @@ func TestWorkerShortWrite(t *testing.T) {
 	defer c2.Close()
 	go io.Copy(io.Discard, c2) // the coordinator side: drain whatever arrives
 
-	ep, err := host.NewEndpoint(&shortAfterHello{Conn: c1}, 0, model.SP2(), nil)
+	ep, err := host.NewEndpoint(&shortAfterHello{Conn: c1}, 0, model.SP2(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,4 +1,9 @@
-package vm
+// Package slab is the resettable carve storage every warm structure of a
+// run is built in: a vm.Arena's diff runs and page tables, a tmk.Store's
+// protocol log, and the decode arena (wire.Arena) a rank's socket reader
+// decodes its frames into. It sits below both vm and wire, so the three
+// share one implementation.
+package slab
 
 // slabMin and slabMax bound a slab block's size in elements: a slab's first
 // block holds slabMin, or the carve that starts it if that is larger, and
@@ -11,7 +16,7 @@ const slabMin, slabMax = 64, 8192
 // and every carve is capped at its own n elements (s[lo:hi:hi]), so an
 // append past it reallocates instead of writing into a neighbour's carve.
 // Rewind makes every block free for the next machine's carves: a slab
-// keeps the blocks of the largest run it served, as an arena keeps the
+// keeps the blocks of the largest run it served, as a vm.Arena keeps the
 // largest image. A Slab's zero value is empty and ready.
 type Slab[T any] struct {
 	blocks [][]T
@@ -21,7 +26,7 @@ type Slab[T any] struct {
 
 // Take carves the next n elements. They are NOT zeroed: after a rewind
 // they hold what the previous machine left there, so the caller must
-// write every element before reading it (see the Arena reuse rules).
+// write every element before reading it (see vm.Arena's reuse rules).
 func (s *Slab[T]) Take(n int) []T {
 	if n == 0 {
 		return nil

@@ -78,7 +78,7 @@ func (s *session) result(tag int32, res wire.JobResult) {
 // socket, so the loss surfaces where every other loss does: at the
 // link's one reader.
 func newLink(c net.Conn) *host.Link {
-	return host.NewLink(c, func(error) { c.Close() })
+	return host.NewLink(c, nil, func(error) { c.Close() })
 }
 
 // Coordinator is the multi-job control plane: it owns the bounded job

@@ -2,6 +2,7 @@ package tmk
 
 import (
 	"sdsm/internal/host"
+	"sdsm/internal/slab"
 	"sdsm/internal/vm"
 	"sdsm/internal/wire"
 )
@@ -28,13 +29,17 @@ import (
 // largest run's log, as an arena keeps the largest image.
 type Store struct {
 	arena   *vm.Arena
-	entries vm.Slab[storedDiff]   // cache entries (newEntry)
-	lists   vm.Slab[*storedDiff]  // cache lists that outgrew theirs (storeDiff)
-	notices vm.Slab[notice]       // each page's first notice, and pending lists that outgrew theirs
-	rows    vm.Slab[int32]        // applied rows and cover rows
-	refs    vm.Slab[wire.PageRef] // interval page lists
-	table   vm.Slab[page]         // the page table
-	know    [][]wire.Interval     // per-owner interval lists, kept with their capacity
+	entries slab.Slab[storedDiff]   // cache entries (newEntry)
+	lists   slab.Slab[*storedDiff]  // cache lists that outgrew theirs (storeDiff)
+	notices slab.Slab[notice]       // each page's first notice, and pending lists that outgrew theirs
+	rows    slab.Slab[int32]        // applied rows and cover rows
+	refs    slab.Slab[wire.PageRef] // interval page lists
+	table   slab.Slab[page]         // the page table
+	know    [][]wire.Interval       // per-owner interval lists, kept with their capacity
+	// What the rank's socket reader decodes into on the net backend
+	// (DecodeArena). It is kept apart from the slabs above because its
+	// writer is the reader's goroutine, not the node's.
+	dec wire.Arena
 	// The node's recovery record chain (writeRecord) when no SnapshotSink
 	// takes it: the full record, the incremental records after it back to
 	// back (wire frames carry their length), and the spare the next full
@@ -48,6 +53,12 @@ func NewStore() *Store { return &Store{arena: vm.NewArena()} }
 
 // Arena returns the arena backing the store's node memory.
 func (st *Store) Arena() *vm.Arena { return st.arena }
+
+// DecodeArena returns the arena the rank's frames are decoded into on the
+// net backend (host.NewNet): the decoded diffs, intervals and page refs
+// the node files live there until release rewinds it, after the Net has
+// been closed.
+func (st *Store) DecodeArena() *wire.Arena { return &st.dec }
 
 // scratch is a node's run-lifetime scratch. Every buffer is rebuilt from
 // length zero at its use, so a new machine starts with what the previous
@@ -143,7 +154,8 @@ func (st *Store) lend(pages, n int) ([]page, [][]wire.Interval) {
 // release takes nd's storage back: the page of every pooled snapshot still
 // in the node's diff cache, shared or not — nothing reads a released
 // machine again — then the Mem's twins and the arena's loans, and last the
-// store's own slabs, rewound.
+// store's own slabs and its decode arena, rewound. On net the machine's
+// Net is closed by then, so no reader still decodes into the arena.
 func (st *Store) release(nd *Node) {
 	for pg := range nd.pages {
 		for _, d := range nd.pages[pg].diffs {
@@ -160,6 +172,7 @@ func (st *Store) release(nd *Node) {
 	st.notices.Rewind(false)
 	st.rows.Rewind(false)
 	st.refs.Rewind(false)
+	st.dec.Rewind()
 	for o := range st.know {
 		st.know[o] = truncated(st.know[o])
 	}
@@ -186,7 +199,7 @@ func truncated[T any](s []T) []T {
 // grown returns list with room for one more element: list itself while it
 // has that room, else a copy in a list of twice its capacity carved from
 // s. The outgrown list stays in its slab until the store is rewound.
-func grown[T any](s *vm.Slab[T], list []T) []T {
+func grown[T any](s *slab.Slab[T], list []T) []T {
 	if len(list) < cap(list) {
 		return list
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"sdsm/internal/shm"
+	"sdsm/internal/slab"
 )
 
 // GuardWords is the number of canary words an Arena keeps beyond each
@@ -30,7 +31,7 @@ const GuardWords = 16
 //   - The data store (TakeData) and the per-page tables (NewWarm) are
 //     zeroed on every loan, so they read exactly like make: application
 //     memory starts blank and every page NoAccess, twinless, unbatched.
-//   - Page buffers (TakePage) and slab carves (Slab.Take) are NOT zeroed:
+//   - Page buffers (TakePage) and slab carves (slab.Slab.Take) are NOT zeroed:
 //     every consumer fully overwrites its buffer or carve before reading
 //     it (twin snapshots, whole-page runs, a diff's runs and values), so
 //     stale content is unobservable, whether it was left earlier in the
@@ -50,13 +51,13 @@ type Arena struct {
 
 	// What a Mem carves: its diffs' run lists and values (DiffAgainstTwin,
 	// WholePageRuns) and its per-page tables (NewWarm).
-	runs  Slab[Run]
-	vals  Slab[float64]
-	prots Slab[Prot] // protection and pre-batch protection
-	twins Slab[[]float64]
-	exts  Slab[int16] // write extents, low and high
-	marks Slab[bool]  // in-batch marks
-	batch Slab[int]   // the batch's page list, room for every page
+	runs  slab.Slab[Run]
+	vals  slab.Slab[float64]
+	prots slab.Slab[Prot] // protection and pre-batch protection
+	twins slab.Slab[[]float64]
+	exts  slab.Slab[int16] // write extents, low and high
+	marks slab.Slab[bool]  // in-batch marks
+	batch slab.Slab[int]   // the batch's page list, room for every page
 }
 
 // NewArena returns an empty warm arena.

@@ -7,6 +7,8 @@ import (
 	"io"
 	"math"
 	"slices"
+
+	"sdsm/internal/slab"
 )
 
 // ErrTruncated reports input that ended inside a frame or field.
@@ -26,53 +28,67 @@ type coder struct {
 	b   []byte
 	dec bool
 	err error
-	ar  decArena
+	ar  *Arena // what decoding carves from; made on first use when none was lent
 }
 
-// decArena is the chunked allocation state behind a decoding coder.
-// Composite decode results (vector times, covers rows, run lists, diff
-// lists, page refs) are carved out of per-type chunks rather than
-// allocated one make per field: a departure or diff-reply frame carries
-// dozens of tiny slices, and the arena collapses them into a handful of
-// allocations. Every handed-out slice is capacity-capped (three-index),
-// so each decoded frame still fully owns disjoint storage — nothing
-// aliases, and appending to a decoded slice cannot clobber a neighbour.
-// An arena may therefore also persist across frames (FrameReader's coder
-// keeps its own), which amortizes chunk refills over an entire
-// connection.
-type decArena struct {
-	i32 []int32
-	f64 []float64
-	ref []PageRef
-	run []Run
-	df  []Diff
-	iv  []OwnedInterval
-	row [][]int32
+// encoding is the arena of every encoding coder: encoding carves nothing,
+// and the walkers name their decode slabs (list's argument) in both
+// directions, so it stays empty and is only ever read.
+var encoding Arena
+
+// Arena is the storage decoded frames are carved from. Composite decode
+// results (vector times, covers rows, run lists, diff lists, page refs,
+// float payloads) come from per-type slabs rather than one make per
+// field: a departure or diff-reply frame carries dozens of tiny slices,
+// and the slabs collapse them into a handful of blocks. Every carve is
+// capacity-capped (three-index), so each decoded frame owns disjoint
+// storage — nothing aliases, and appending to a decoded slice cannot
+// clobber a neighbour — and a carve never moves, so a frame stays valid
+// across any number of later decodes.
+//
+// An Arena is run-lifetime storage: decoded frames own their storage
+// until the arena's owner calls Rewind, and not beyond. A rank's socket
+// reader decodes into an arena its tmk.Store lends (host.NewNet), which
+// the store rewinds when the run is over, so a steady stream of runs
+// decodes into the blocks the previous run grew. A reader lent none
+// (NewFrameReader, ParseFrame) makes its own and never rewinds it: its
+// frames own their storage for as long as anything holds them, and the
+// arena keeps every block it carved for as long as the reader lives. An Arena
+// has one writer at a time, the goroutine decoding into it; its zero
+// value is empty and ready.
+type Arena struct {
+	i32 slab.Slab[int32]
+	f64 slab.Slab[float64]
+	ref slab.Slab[PageRef]
+	run slab.Slab[Run]
+	df  slab.Slab[Diff]
+	iv  slab.Slab[OwnedInterval]
+	row slab.Slab[[]int32]
 }
 
-// arenaMin is the chunk size (in elements) of the decode arenas: small
-// enough that a long-retained slice (a learned interval's page list)
-// pins little dead space, large enough to absorb a whole payload's worth
-// of short slices in one allocation.
-const arenaMin = 128
+// Rewind makes every block free for the next run's frames. The slabs
+// whose values hold pointers are cleared first, so a rewound arena keeps
+// nothing a previous frame pointed at alive, and their next carves start
+// zeroed, as a make would (the decoder leaves an empty list nil). The
+// word slabs are not cleared: the decoder writes every word it carves.
+// The caller must hold no frame decoded into the arena.
+func (a *Arena) Rewind() {
+	a.i32.Rewind(false)
+	a.f64.Rewind(false)
+	a.ref.Rewind(false)
+	a.run.Rewind(true)
+	a.df.Rewind(true)
+	a.iv.Rewind(true)
+	a.row.Rewind(true)
+}
 
-// arenaAlloc carves an owned n-element slice off the chunk *a, refilling
-// the chunk when it runs dry. A type without a chunk (a nil a: the rare or
-// large lists) gets one exact make.
-func arenaAlloc[T any](a *[]T, n int) []T {
-	if a == nil {
+// carve takes n elements from s, or makes them when the type has no slab
+// (a nil s: the rare or large lists).
+func carve[T any](s *slab.Slab[T], n int) []T {
+	if s == nil {
 		return make([]T, n)
 	}
-	if n > len(*a) {
-		c := n
-		if c < arenaMin {
-			c = arenaMin
-		}
-		*a = make([]T, c)
-	}
-	out := (*a)[:n:n]
-	*a = (*a)[n:]
-	return out
+	return s.Take(n)
 }
 
 // fail latches the first error and drops the rest of the input, so every
@@ -181,11 +197,11 @@ func (c *coder) count(n, min int) int {
 
 // list opens a counted list of composite elements, each at least min
 // bytes on the wire, and returns the elements for the caller to walk in
-// place. Decoding sizes *vs first, from the type's arena chunk (nil if it
+// place. Decoding sizes *vs first, from the type's arena slab (nil if it
 // has none), and leaves it nil for an empty list.
-func list[T any](c *coder, vs *[]T, min int, chunk *[]T) []T {
+func list[T any](c *coder, vs *[]T, min int, s *slab.Slab[T]) []T {
 	if n := c.count(len(*vs), min); c.dec && n > 0 {
-		*vs = arenaAlloc(chunk, n)
+		*vs = carve(s, n)
 	}
 	return *vs
 }
@@ -201,7 +217,7 @@ func (c *coder) i32s(vs *[]int32) {
 			binary.LittleEndian.PutUint32(dst[4*i:], uint32(v))
 		}
 	} else if src := c.take(4 * n); n > 0 && src != nil {
-		*vs = arenaAlloc(&c.ar.i32, n)
+		*vs = carve(&c.ar.i32, n)
 		for i := range *vs {
 			(*vs)[i] = int32(binary.LittleEndian.Uint32(src[4*i:]))
 		}
@@ -223,7 +239,7 @@ func (c *coder) f64s(vs *[]float64) {
 			binary.LittleEndian.PutUint64(dst[8*i:], math.Float64bits(src[i]))
 		}
 	} else if src := c.take(8 * n); n > 0 && src != nil {
-		*vs = arenaAlloc(&c.ar.f64, n)
+		*vs = carve(&c.ar.f64, n)
 		for i := range *vs {
 			(*vs)[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
 		}
@@ -286,7 +302,7 @@ func (c *coder) expandSpans(vs *[]int32) {
 			return
 		}
 	}
-	out := arenaAlloc(&c.ar.i32, total)[:0]
+	out := carve(&c.ar.i32, total)[:0]
 	for i := 0; i < n; i++ {
 		lo := int32(binary.LittleEndian.Uint32(spans[8*i:]))
 		hi := int32(binary.LittleEndian.Uint32(spans[8*i+4:]))
@@ -346,8 +362,12 @@ func (c *coder) payload(p *any) {
 		c.kind(pFloat64s).f64s(&v)
 	case DiffRequest:
 		c.kind(pDiffRequest).diffRequest(&v)
+	case *DiffRequest: // a reused request or reply, encoded without boxing a copy
+		c.kind(pDiffRequest).diffRequest(v)
 	case DiffReply:
 		c.kind(pDiffReply).diffReply(&v)
+	case *DiffReply:
+		c.kind(pDiffReply).diffReply(v)
 	case Grant:
 		c.kind(pGrant).grant(&v)
 	case Arrival:
@@ -666,7 +686,7 @@ func (c *coder) frame(f *Frame) {
 // extended slice. It fails only on an unencodable payload type or an
 // oversized frame.
 func AppendFrame(dst []byte, f *Frame) ([]byte, error) {
-	c := coder{b: dst}
+	c := coder{b: dst, ar: &encoding}
 	c.reserve(4) // length prefix, patched below
 	c.frame(f)
 	if c.err != nil {
@@ -681,7 +701,8 @@ func AppendFrame(dst []byte, f *Frame) ([]byte, error) {
 }
 
 // ParseFrame decodes one frame from b, returning the frame and the number
-// of bytes consumed.
+// of bytes consumed. The frame is carved from an arena of its own, so it
+// owns its storage for as long as anything holds it.
 func ParseFrame(b []byte) (*Frame, int, error) {
 	f := new(Frame)
 	var c coder
@@ -693,9 +714,10 @@ func ParseFrame(b []byte) (*Frame, int, error) {
 }
 
 // parseFrame decodes one frame from b into *f, drawing slice storage from
-// c's arena. The decoded frame fully owns its storage (the arena never
-// reuses handed-out chunks), so c may be reused across frames and f may
-// be reused once its previous contents are dead.
+// c's arena, which it makes if c has none. The decoded frame owns its
+// storage until the arena is rewound (a carve is never handed out twice
+// before that), so c may be reused across frames and f may be reused
+// once its previous contents are dead.
 func (c *coder) parseFrame(f *Frame, b []byte) (int, error) {
 	if len(b) < 4 {
 		return 0, ErrTruncated
@@ -708,6 +730,9 @@ func (c *coder) parseFrame(f *Frame, b []byte) (int, error) {
 		return 0, ErrTruncated
 	}
 	c.b, c.dec, c.err = b[4:4+body], true, nil
+	if c.ar == nil {
+		c.ar = new(Arena)
+	}
 	*f = Frame{}
 	c.frame(f)
 	if c.err != nil {

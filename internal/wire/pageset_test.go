@@ -65,7 +65,7 @@ func encodePageSet(t *testing.T, mode byte, pages []int32) []byte {
 
 func decodePageSet(t *testing.T, b []byte) []int32 {
 	t.Helper()
-	d := coder{b: b, dec: true}
+	d := coder{b: b, dec: true, ar: new(Arena)}
 	var out []int32
 	d.pageSet(&out)
 	if d.err != nil {
@@ -150,7 +150,7 @@ func TestPageSetRejectsMalformedSpans(t *testing.T) {
 	for name, build := range cases {
 		e := &enc{}
 		build(e)
-		d := coder{b: e.b, dec: true}
+		d := coder{b: e.b, dec: true, ar: new(Arena)}
 		var out []int32
 		d.pageSet(&out)
 		if d.err == nil {

@@ -14,7 +14,8 @@ import (
 // steady-state barrier path. The pool amortizes both: encoders append
 // into a pooled buffer and the transport returns it after the write
 // syscall; a reader borrows one buffer for the life of its stream and
-// reads ahead into it (FrameReader, safe because decoding copies).
+// reads ahead into it (FrameReader, safe because decoding copies out of
+// it, into the reader's Arena).
 //
 // The codec itself is untouched: pooling changes where bytes live, never
 // what they are — encodings stay canonical and byte-identical
@@ -81,9 +82,11 @@ func PutBuf(b []byte) {
 // runs on the length prefix before any body byte is waited for.
 //
 // The raw bytes ReadRaw returns alias the buffer and are valid only until
-// the next call on the reader. Decoded frames own their storage — the
-// decoder copies every slice — so a *Frame stays valid across any number
-// of later reads (TestFrameReaderAliasing).
+// the next call on the reader. Decoded frames are carved from the
+// reader's Arena and own that storage until the arena is rewound — within
+// a run for a rank's reader, whose arena its store lends and rewinds at
+// release, for good for a reader lent none — so a *Frame stays valid
+// across any number of later reads (TestFrameReaderAliasing).
 //
 // Read-ahead must not start on a stream whose later bytes another reader
 // will consume: bytes buffered here are this reader's. A handshake read
@@ -94,12 +97,18 @@ type FrameReader struct {
 	buf []byte // pooled; buf[off:] is read ahead and not yet returned
 	off int
 	err error // latched: the stream has ended and buf is back in the pool
-	c   coder // its arena persists across frames, amortizing chunk refills
+	c   coder // its arena persists across frames
 }
 
-// NewFrameReader returns a FrameReader over r.
-func NewFrameReader(r io.Reader) *FrameReader {
-	return &FrameReader{r: r, buf: GetBuf()}
+// NewFrameReader returns a FrameReader over r that decodes into an arena
+// of its own, made at its first decode and never rewound.
+func NewFrameReader(r io.Reader) *FrameReader { return NewFrameReaderOn(r, nil) }
+
+// NewFrameReaderOn returns a FrameReader over r that decodes into ar, or
+// into an arena of its own when ar is nil. The reader is ar's writer
+// until the stream ends: its owner rewinds ar only after that.
+func NewFrameReaderOn(r io.Reader, ar *Arena) *FrameReader {
+	return &FrameReader{r: r, buf: GetBuf(), c: coder{ar: ar}}
 }
 
 // ReadRaw reads one frame and returns its raw encoded bytes, length
@@ -168,10 +177,10 @@ func (fr *FrameReader) fill(n int) error {
 }
 
 // ReadInto reads and decodes one frame into *f, reusing the struct. The
-// decoded contents own their storage (slices come from arena chunks that
-// are never handed out twice), so anything extracted from a previous
-// decode stays valid; only *f itself is overwritten. On a cleanly closed
-// stream it returns io.EOF.
+// decoded contents own their storage until the reader's arena is rewound
+// (a carve is never handed out twice before that), so anything extracted
+// from a previous decode stays valid; only *f itself is overwritten. On a
+// cleanly closed stream it returns io.EOF.
 func (fr *FrameReader) ReadInto(f *Frame) error {
 	raw, err := fr.ReadRaw()
 	if err != nil {

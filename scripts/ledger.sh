@@ -10,8 +10,9 @@
 # every allocation profiled (-memprofilerate 1), at N/4 and at N ops, and
 # the table sums the difference of the two profiles' alloc_space by the
 # same layers, in KiB per op — a run's steady state, the first runs that
-# grow the warm stores cancelled out. Generic slices and maps helpers are
-# hidden, so what they allocate counts for their caller.
+# grow the warm stores cancelled out. Generic slices and maps helpers and
+# the slab package are hidden, so what they allocate counts for their
+# caller.
 # Nothing but Go is needed. Run from the repository root:
 #
 #   bash scripts/ledger.sh > LEDGER.md
@@ -56,7 +57,10 @@ layers=("app kernels" "interp" "tmk close" "tmk fetch/serve" "tmk barrier" "tmk 
 # scale mode's redirects as fetch/serve. "vm copy" writes a page from
 # elsewhere (applied runs, a snapshot, a restore); "vm clear" lends and
 # rewinds storage; runtime memmove/memclr keep their own row whoever
-# calls them.
+# calls them. The slab package's carve and rewind work counts as "vm
+# clear" in CPU; with -alloc it is hidden like slices and maps, so the
+# blocks a slab grows count for the layer that carves from it (a decode
+# arena's for "wire codec", a store's for its tmk row).
 tmk_close="closeInterval enableWrite setDirty deferMode undefer snapshotWholePage snapshot fileOwnDiff storeDiff recycle subsumes flushLocalDiff splitInterval pageRefFor newEntry coverRow noteWritten"
 tmk_fetch="Fault request responders startFetch fetchPages completeInflight applyReplies serve serveDiffs collectDiffs applyDiffs recordApplied prunePending orderKey helps wireBytes toWire keyOf noticedSince chaseRedirects relayFetchedBytes dirHopCap Validate ValidateWSync fullyCovered discardObligations applyAccessType consumeWSync Push applyPushChunk"
 tmk_barrier="barrier Barrier runBarrier postBarrier wsyncResponder appendIntervals syncInfo learnInterval addNotice invalidate appliedRows"
@@ -111,6 +115,7 @@ layer() {
 		else if (fn ~ /^sdsm\/internal\/adapt\./) l = "adapt"
 		else if (fn ~ /^sdsm\/internal\/vm\./) l = split_row(fn, "vm", vmrows, "vm fault/prot")
 		else if (fn ~ /^sdsm\/internal\/shm\./) l = "vm fault/prot"
+		else if (fn ~ /^sdsm\/internal\/slab\./) l = "vm clear"
 		else if (fn ~ /^sdsm\/internal\/sim\./ || fn ~ /^iter\.Pull/ || fn ~ /^runtime\.(coro|gogo|mcall)/) l = "sim + coroutine switch"
 		else if (fn ~ /^sdsm\/internal\/wire\./) l = "wire codec"
 		else if (fn ~ /^sdsm\/internal\/(host|cluster|mpnet|svc)\./) l = "host transport"
@@ -151,7 +156,7 @@ profile_alloc() {
 	(cd "$3" && "$1" -test.run '^$' -test.bench "$pat" -test.benchtime "${short}x" -test.memprofilerate 1 -test.memprofile "$tmp/short.pprof" >/dev/null)
 	(cd "$3" && "$1" -test.run '^$' -test.bench "$pat" -test.benchtime "${n}x" -test.memprofilerate 1 -test.memprofile "$tmp/long.pprof" >/dev/null)
 	printf '%s\t\n' "$((n - short))" >"$4"
-	go tool pprof -top -nodecount=1000000 -nodefraction=0 -sample_index=alloc_space -unit=kB -hide '^(slices|maps)\.' \
+	go tool pprof -top -nodecount=1000000 -nodefraction=0 -sample_index=alloc_space -unit=kB -hide '^(slices|maps|sdsm/internal/slab)\.' \
 		-diff_base "$tmp/short.pprof" "$1" "$tmp/long.pprof" 2>/dev/null | layer >>"$4"
 }
 
