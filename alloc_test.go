@@ -45,20 +45,23 @@ import (
 // and vector time and every diff its runs, and 46.9–47.5 while a decode
 // arena refilled in chunks of 128 elements and every request made its
 // record, map entry and queued frame and boxed copies of its request and
-// reply; measured 24.6–24.8 now, the decode arena a slab whose blocks
-// double. The fixture's readers are lent no arena, so each decodes into
-// one of its own, never rewound. The ceiling leaves under 5% for runtime
-// noise, so a regression on the encode buffers, decode arena, frame
-// reuse, or protocol scratch paths fails loudly.
+// reply, and 24.6–24.8 while the barrier master boxed every departure it
+// handed; measured 16.7–16.9 now, a departure handed by pointer. The
+// fixture's readers are lent no arena, so each decodes into one of its
+// own, never rewound, and makes each departure, request and reply it
+// decodes on the heap. The ceiling leaves about 5% for runtime noise, so
+// a regression on the encode buffers, decode arena, frame reuse, or
+// protocol scratch paths fails loudly.
 //
-// Bytes are pinned twice on a 2-core Xeon. Per epoch, 12 730–12 790 B
-// (12 280–12 430 B while the arena refilled in chunks of 128 elements,
-// 12 350–12 470 B while every frame took two reads and a writer wakeup):
+// Bytes are pinned twice on a 2-core Xeon. Per epoch, 12 060–12 220 B
+// (12 730–12 790 B while departures were boxed, 12 280–12 430 B while
+// the arena refilled in chunks of 128 elements, 12 350–12 470 B while
+// every frame took two reads and a writer wakeup):
 // a frame buffer that escapes the pool fails it. The figure rose with the
 // slab, whose blocks grow to 8 192 elements, so the difference of a 160-
-// and a 40-epoch machine holds a larger unused tail; the ceiling stays
-// where it was, 1.3 % above the highest. Per machine — NewNet, one epoch,
-// Close — 262–265 KB, ceiling 5 % above (300–310 KB before, 334–341 KB
+// and a 40-epoch machine holds a larger unused tail; the ceiling is 4 %
+// above the highest. Per machine — NewNet, one epoch,
+// Close — 262–266 KB, ceiling 5 % above (300–310 KB before, 334–341 KB
 // while a FrameReader kept its buffer when its stream ended): the eight
 // read-ahead buffers of a 4-rank machine are the pool's, and a reader
 // that makes its own, or keeps it, fails it.
@@ -66,7 +69,7 @@ func TestNetBarrierFlurryAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation pinning needs the long flurry run")
 	}
-	const ceiling, byteCeiling, machineCeiling = 26, 12950, 277000
+	const ceiling, byteCeiling, machineCeiling = 18, 12700, 277000
 	per, bytes := memPerIter(t, 40, 160, func(iters int) error { return runBarrierFlurry(4, iters) })
 	if per > ceiling {
 		t.Fatalf("net barrier flurry allocates %.1f/epoch, ceiling %d (was ~636 before pooling; the wire path regressed)", per, ceiling)
@@ -635,14 +638,17 @@ func TestFreshRunReusesImages(t *testing.T) {
 // its images, protocol log and scratch are all warm, so what is left is
 // the program, the machine's own objects and the messages. The least of
 // three warm runs is taken, since now and then one pays about 8 objects
-// and 4 KiB more that the runtime makes on its own account. Measured: 803
-// allocations and 75 960 B; 805 and 77 528 B while interval records
-// carried vector times and the interconnect counted traffic per node;
-// while every run made its log afresh — interval records, diffs, cache
-// entries and lists, the page table and the scratch — 3 210 and
-// 1 454 504 B. The ceilings leave under 5 %.
+// and 4 KiB more that the runtime makes on its own account. Measured: 336
+// allocations and 37 640 B, and 342 and 41 224 B once in 14 when all
+// three paid those; 803 and 75 960 B while every run built its program
+// and laid it out again and the barrier master boxed every departure;
+// 805 and 77 528 B while interval records carried vector times and the
+// interconnect counted traffic per node; while every run made its log
+// afresh — interval records, diffs, cache entries and lists, the page
+// table and the scratch — 3 210 and 1 454 504 B. The ceilings leave
+// under 5 % over the higher.
 func TestWarmRunAllocs(t *testing.T) {
-	const allocsCeiling, bytesCeiling = 843, 79_750
+	const allocsCeiling, bytesCeiling = 359, 43_250
 	allocs, bytes := warmRunAllocs(t, "jacobi", harness.Base, harness.Config{Procs: 8})
 	t.Logf("a warm jacobi/small p8 run: %d allocs, %d B (ceilings %d, %d B)", allocs, bytes, allocsCeiling, bytesCeiling)
 	if allocs > allocsCeiling || bytes > bytesCeiling {
@@ -654,13 +660,15 @@ func TestWarmRunAllocs(t *testing.T) {
 // checkpointing armed: each record is encoded into one of its store's
 // record buffers — a full record into the spare, an incremental one after
 // the chain's last — so what the run adds to TestWarmRunAllocs' is about
-// one boxed wire.Checkpoint per record. Measured: 1 203 allocations and
-// 150 816 B; 1 204 and 150 968 B while every record was full and a free
-// list of buffers held the chain; 1 690 and 31 648 248 B while every run
-// made an in-memory sink that copied each record into buffers regrown as
-// full records grew. The ceilings leave under 5 %.
+// one boxed wire.Checkpoint per record. Measured: 737 allocations and
+// 113 184 B, and 740 and 117 280 B once in 6; 1 203 and 150 816 B while
+// every run built its program and boxed its departures; 1 204 and
+// 150 968 B while every record was full and a free list of buffers held
+// the chain; 1 690 and 31 648 248 B while every run made an in-memory
+// sink that copied each record into buffers regrown as full records grew.
+// The ceilings leave under 5 % over the higher.
 func TestWarmRecoverRunAllocs(t *testing.T) {
-	const allocsCeiling, bytesCeiling = 1_264, 158_500
+	const allocsCeiling, bytesCeiling = 777, 123_150
 	allocs, bytes := warmRunAllocs(t, "jacobi", harness.Base, harness.Config{Procs: 8, Recover: true})
 	t.Logf("a warm recovering jacobi/small p8 run: %d allocs, %d B (ceilings %d, %d B)", allocs, bytes, allocsCeiling, bytesCeiling)
 	if allocs > allocsCeiling || bytes > bytesCeiling {
@@ -703,13 +711,15 @@ func TestTracedRunAllocs(t *testing.T) {
 
 // TestWarmScaleRunAllocs pins a warm spmv/small run at 4 ranks in scale
 // mode, the scale job of the service mix, by its allocation count and
-// bytes. Measured: 396 allocations and 35 744 B; 834 and 69 344 B while
+// bytes. Measured: 176 allocations and 17 536 B; 396 and 35 744 B while
+// every run built its program and laid it out again and the barrier
+// master boxed every departure; 834 and 69 344 B while
 // the relax kernel made a map of its touched pages and a sorted list of
 // them on every call; 24 892 (6 840 864 B) while every node kept a
 // probable-owner map and re-elected it from its whole interval log at
 // every barrier departure. The ceilings leave under 5 %.
 func TestWarmScaleRunAllocs(t *testing.T) {
-	const allocsCeiling, bytesCeiling = 415, 37_500
+	const allocsCeiling, bytesCeiling = 184, 18_400
 	allocs, bytes := warmRunAllocs(t, "spmv", harness.Base, harness.Config{Procs: 4, Scale: true})
 	t.Logf("a warm spmv/small p4 scale run: %d allocs, %d B (ceilings %d, %d B)", allocs, bytes, allocsCeiling, bytesCeiling)
 	if allocs > allocsCeiling || bytes > bytesCeiling {
@@ -752,13 +762,18 @@ func warmRunAllocs(t *testing.T, name string, system harness.SystemKind, cfg har
 // socket path: its diffs, intervals and page refs are decoded into the
 // decode arenas of the ranks' stores, its requests' records and queued
 // request frames are reused, and what is left is the net machine itself
-// (sockets, queues, goroutines) and a boxed payload per frame. Measured:
-// 4 086 allocations and 301 704 B on a 2-core Xeon; 9 920 and 4 748 216 B
-// while every connection decoded into arena chunks of its own and every
-// request made its record, its map entry, its queued frame and the boxed
-// copies of its request and reply. The ceilings leave under 5 %.
+// (sockets, queues, goroutines): a departure, a diff request and a diff
+// reply are carved whole from the decode arena, and each rank serves into
+// the reply its store lends. Measured on a 2-core Xeon, over 13 runs:
+// 435–451 allocations and 46 512–53 328 B, the real schedule moving
+// them; 4 086 and 301 704 B while every run built its program, every
+// decoded departure, request and reply was boxed and every Net's service
+// loops regrew their replies; 9 920 and 4 748 216 B while every
+// connection decoded into arena chunks of its own and every request made
+// its record, its map entry, its queued frame and the boxed copies of its
+// request and reply. The ceilings leave under 5 % over the highest.
 func TestWarmNetRunAllocs(t *testing.T) {
-	const allocsCeiling, bytesCeiling = 4_290, 316_700
+	const allocsCeiling, bytesCeiling = 473, 55_950
 	allocs, bytes := warmRunAllocs(t, "gauss", harness.Base, harness.Config{Procs: 4, Backend: harness.BackendNet})
 	t.Logf("a warm gauss/small p4 net run: %d allocs, %d B (ceilings %d, %d B)", allocs, bytes, allocsCeiling, bytesCeiling)
 	if allocs > allocsCeiling || bytes > bytesCeiling {
@@ -884,18 +899,21 @@ func TestValidateMovingBoundsAllocs(t *testing.T) {
 // small (a Validate_w_sync at every barrier) and fft/small (Push). Push
 // gathers into buffers its receivers hand back, and the Validate_w_sync
 // registrations, the needs they present and the master's served lists are
-// carved from node scratch. Measured: gauss 3 029 allocations and
-// 263 192 B, fft 4 511 and 898 584 B; 14 000 and 3 141 320 B, 5 183 and
-// 3 221 048 B while every Push made its buffer and chunk list and every
-// barrier made its needs' rows, registrations' page lists and served lists
-// afresh. The ceilings leave under 5 %.
+// carved from node scratch, and the program comes built, compiled and
+// laid out from harness's memo. Measured: gauss 564 allocations and
+// 74 144 B, fft 1 871 and 707 520 B; 3 029 and 263 192 B, 4 511 and
+// 898 584 B while every run built and compiled its program and laid it
+// out again and the barrier master boxed every departure; 14 000 and
+// 3 141 320 B, 5 183 and 3 221 048 B while every Push made its buffer and
+// chunk list and every barrier made its needs' rows, registrations' page
+// lists and served lists afresh. The ceilings leave under 5 %.
 func TestWarmOptRunAllocs(t *testing.T) {
 	for _, c := range []struct {
 		app                  string
 		allocsCeiling, bCeil uint64
 	}{
-		{"gauss", 3_180, 276_300},
-		{"fft", 4_730, 943_500},
+		{"gauss", 592, 77_850},
+		{"fft", 1_964, 742_850},
 	} {
 		allocs, bytes := warmRunAllocs(t, c.app, harness.Opt, harness.Config{Procs: 8})
 		t.Logf("a warm %s/small p8 opt run: %d allocs, %d B (ceilings %d, %d B)", c.app, allocs, bytes, c.allocsCeiling, c.bCeil)

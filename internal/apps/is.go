@@ -138,7 +138,8 @@ func isProg(nprocs int) *ir.Program {
 		ir.LockRelease{ID: v("sec")},
 	}}
 
-	prefixes := make([][]float64, nprocs) // rank p's prefix sums, written by rank p only
+	// Each rank's prefix sums (rankKernel) are its private state.
+	prog.Local = func() any { return new([]float64) }
 	rankKernel := ir.Kernel{
 		Name: "rank",
 		Accesses: []ir.TaggedSection{
@@ -163,11 +164,7 @@ func isProg(nprocs int) *ir.Program {
 			// Prefix sums: rank of a key k is the number of keys < k. Each
 			// rank keeps its buffer from one iteration to the next; every
 			// element is written before it is read.
-			var own []float64
-			buf := &own
-			if p := e["p"]; p < len(prefixes) {
-				buf = &prefixes[p]
-			}
+			buf := ctx.Local().(*[]float64)
 			if cap(*buf) < nb {
 				*buf = make([]float64, nb)
 			}

@@ -131,7 +131,8 @@ func spmvProg(nprocs int) *ir.Program {
 		},
 	}
 
-	memo := make([]spmvPages, nprocs) // rank p's touched pages, written by rank p only
+	// Each rank's touched pages of val (relaxKernel) are its private state.
+	prog.Local = func() any { return new(spmvPages) }
 	relaxKernel := ir.Kernel{
 		Name: "relax",
 		Accesses: []ir.TaggedSection{
@@ -163,14 +164,10 @@ func spmvProg(nprocs int) *ir.Program {
 			// page order yields the runs already sorted, with nothing to
 			// hash and nothing to sort. The neighbor graph is fixed, so the
 			// set depends on (n, lo, hi, vbase) alone and each rank keeps
-			// its own from one iteration to the next. Every neighbor wraps
-			// with a compare, not a division (spmvJump says why one
-			// suffices).
-			var own spmvPages
-			m := &own
-			if p := e["p"]; p < len(memo) {
-				m = &memo[p]
-			}
+			// its own, in its private state, from one iteration to the next.
+			// Every neighbor wraps with a compare, not a division (spmvJump
+			// says why one suffices).
+			m := ctx.Local().(*spmvPages)
 			first := uint(vbase) / shm.PageWords
 			touched := m.touched(n, lo, hi, vbase)
 			var data []float64

@@ -114,12 +114,14 @@ type kernelCall struct {
 }
 
 // recordingCtx is a kernel context over a private image that logs every
-// access and charge in order.
+// access and charge in order; local is the private state it hands the
+// kernel.
 type recordingCtx struct {
 	env    rsd.Env
 	layout *shm.Layout
 	mem    []float64
 	log    []kernelCall
+	local  any
 }
 
 func (c *recordingCtx) Env() rsd.Env                 { return c.env }
@@ -135,6 +137,7 @@ func (c *recordingCtx) WriteRegion(lo, hi int) []float64 {
 func (c *recordingCtx) Charge(d time.Duration) {
 	c.log = append(c.log, kernelCall{op: "charge", d: d})
 }
+func (c *recordingCtx) Local() any { return c.local }
 
 // relaxKernel returns the relax kernel of spmv's program for nprocs.
 func relaxKernel(t testing.TB, nprocs int) ir.Kernel {
@@ -153,8 +156,9 @@ func relaxKernel(t testing.TB, nprocs int) ir.Kernel {
 }
 
 // newRelaxCtx lays val out behind pad words of another array, so its
-// first page is pad rounded up to pages, and seeds the image.
-func newRelaxCtx(env rsd.Env, pad int) *recordingCtx {
+// first page is pad rounded up to pages, and seeds the image; the kernel
+// gets local as its private state.
+func newRelaxCtx(env rsd.Env, pad int, local any) *recordingCtx {
 	layout := shm.NewLayout()
 	layout.Alloc("pad", pad)
 	layout.Alloc("val", env["n"])
@@ -165,17 +169,17 @@ func newRelaxCtx(env rsd.Env, pad int) *recordingCtx {
 	for w := range mem {
 		mem[w] = rnd.Float64()
 	}
-	return &recordingCtx{env: env, layout: layout, mem: mem}
+	return &recordingCtx{env: env, layout: layout, mem: mem, local: local}
 }
 
-// relaxMatches runs kernel twice and relaxOracle once on fresh contexts of
-// env and reports the first call of either run, or word of its image, that
-// differs from the oracle's.
-func relaxMatches(kernel ir.Kernel, env rsd.Env, pad int) error {
-	want := newRelaxCtx(env, pad)
+// relaxMatches runs kernel twice, on fresh contexts of env handing it the
+// private state local, and relaxOracle once, and reports the first call of
+// either run, or word of its image, that differs from the oracle's.
+func relaxMatches(kernel ir.Kernel, local any, env rsd.Env, pad int) error {
+	want := newRelaxCtx(env, pad, nil)
 	relaxOracle(want)
 	for call := range 2 {
-		got := newRelaxCtx(env, pad)
+		got := newRelaxCtx(env, pad, local)
 		kernel.Run(got)
 		if !reflect.DeepEqual(got.log, want.log) {
 			return fmt.Errorf("call %d: the kernel calls\n%v\nthe oracle\n%v", call, got.log, want.log)
@@ -193,9 +197,10 @@ func relaxMatches(kernel ir.Kernel, env rsd.Env, pad int) error {
 // every rank of spmv small and large at every rank count the suite pins,
 // and of rings smaller than a page and than a jump, with val's first page
 // at 4 and at 70, and requires the same reads, write and charge in the
-// same order and the same values written, bit for bit. Each program runs
-// every size, and each rank twice, so a call that its rank's remembered
-// page set serves is held to the oracle too, after a change of size.
+// same order and the same values written, bit for bit. Each rank keeps
+// its private state across every size and runs each twice, so a call that
+// its remembered page set serves is held to the oracle too, after a change
+// of size.
 func TestSpmvRelaxMatchesOracle(t *testing.T) {
 	var sizes []rsd.Env
 	for _, set := range []DataSet{Small, Large} {
@@ -204,10 +209,14 @@ func TestSpmvRelaxMatchesOracle(t *testing.T) {
 	sizes = append(sizes, rsd.Env{"n": 300}, rsd.Env{"n": 1000}, rsd.Env{"n": 5000})
 	for _, nprocs := range []int{1, 2, 3, 4, 5, 8, 16, 32} {
 		kernel, prog := relaxKernel(t, nprocs), spmvProg(nprocs)
+		locals := make([]any, nprocs)
+		for p := range locals {
+			locals[p] = prog.Local()
+		}
 		for _, params := range sizes {
 			for _, pad := range []int{3*shm.PageWords + 1, 70 * shm.PageWords} {
 				for p := range nprocs {
-					if err := relaxMatches(kernel, prog.Env(params, p, nprocs), pad); err != nil {
+					if err := relaxMatches(kernel, locals[p], prog.Env(params, p, nprocs), pad); err != nil {
 						t.Fatalf("n=%d pad=%d p=%d/%d: %v", params["n"], pad, p, nprocs, err)
 					}
 				}
@@ -216,23 +225,24 @@ func TestSpmvRelaxMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestSpmvRelaxMemoKey runs rank 0 of one program over blocks that agree
-// with the call before in all but one of n, lo and hi, so a page set
-// remembered without any one of them would serve a call the last one's
-// pages.
+// TestSpmvRelaxMemoKey runs rank 0 of one program, with one private state,
+// over blocks that agree with the call before in all but one of n, lo and
+// hi, so a page set remembered without any one of them would serve a call
+// the last one's pages.
 func TestSpmvRelaxMemoKey(t *testing.T) {
-	kernel := relaxKernel(t, 1)
+	kernel, local := relaxKernel(t, 1), spmvProg(1).Local()
 	for _, b := range [][3]int{{8192, 1, 1000}, {32768, 1, 1000}, {32768, 1, 20000}, {32768, 19001, 20000}, {8192, 1, 1000}} {
 		env := rsd.Env{"p": 0, "n": b[0], "lo": b[1], "hi": b[2]}
-		if err := relaxMatches(kernel, env, shm.PageWords); err != nil {
+		if err := relaxMatches(kernel, local, env, shm.PageWords); err != nil {
 			t.Fatalf("n=%d, elements %d..%d: %v", b[0], b[1], b[2], err)
 		}
 	}
 }
 
 // TestSpmvRelaxConcurrentRanks runs every rank of one program at once, as
-// the real and net backends do, each three times: under the race detector
-// it fails if ranks share anything they write between calls.
+// the real and net backends do, each three times with the private state
+// its executor would make: under the race detector it fails if the kernel
+// writes anything between calls that is not that state.
 func TestSpmvRelaxConcurrentRanks(t *testing.T) {
 	const nprocs = 8
 	kernel, prog := relaxKernel(t, nprocs), spmvProg(nprocs)
@@ -243,9 +253,10 @@ func TestSpmvRelaxConcurrentRanks(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			local := prog.Local()
 			for range 3 {
 				if errs[p] == nil {
-					errs[p] = relaxMatches(kernel, prog.Env(params, p, nprocs), shm.PageWords)
+					errs[p] = relaxMatches(kernel, local, prog.Env(params, p, nprocs), shm.PageWords)
 				}
 			}
 		}()

@@ -70,13 +70,25 @@ func tspLexLess(a, b []int) bool {
 	return false
 }
 
+// tspLocal is one processor's private state, carried between the kernels
+// of a round and from round to round (ir.Program.Local): its candidate
+// tour (cost 0 = none) and the incumbent cost it saw at its last merge,
+// the bound of its next expansion (0 = none).
+type tspLocal struct {
+	candCost int
+	candTour []int
+	view     int
+}
+
+func newTSPLocal() any { return new(tspLocal) }
+
 // tspMergeKernel is the incumbent update both TSP programs run under the
-// lock guarding "best": processor p's candidate (candCost[p], candTour[p];
-// cost 0 = none) replaces the shared incumbent when it is cheaper, or
-// equally cheap and lexicographically smaller — the tie-break that makes
-// the result independent of merge order — and view[p] records the
-// incumbent cost p saw, the bound of its next expansion.
-func tspMergeKernel(candCost []int, candTour [][]int, view []int) ir.Kernel {
+// lock guarding "best": the processor's candidate replaces the shared
+// incumbent when it is cheaper, or equally cheap and lexicographically
+// smaller — the tie-break that makes the result independent of merge
+// order — and its view records the incumbent cost it saw, the bound of its
+// next expansion.
+func tspMergeKernel() ir.Kernel {
 	return ir.Kernel{
 		Name: "merge",
 		Accesses: []ir.TaggedSection{{
@@ -85,28 +97,28 @@ func tspMergeKernel(candCost []int, candTour [][]int, view []int) ir.Kernel {
 			Exact: false,
 		}},
 		Run: func(ctx ir.KernelCtx) {
-			e := ctx.Env()
-			p, cities := e["p"], e["cities"]
+			cities := ctx.Env()["cities"]
+			l := ctx.Local().(*tspLocal)
 			base := ctx.Array("best").Index(1)
 			data := ctx.ReadRegion(base, base+1+cities)
 			data = ctx.WriteRegion(base, base+1+cities)
 			cur := int(data[base])
-			better := candCost[p] != 0 && (cur == 0 || candCost[p] < cur)
-			if !better && candCost[p] != 0 && candCost[p] == cur {
+			better := l.candCost != 0 && (cur == 0 || l.candCost < cur)
+			if !better && l.candCost != 0 && l.candCost == cur {
 				curTour := make([]int, cities)
 				for i := range curTour {
 					curTour[i] = int(data[base+1+i])
 				}
-				better = tspLexLess(candTour[p], curTour)
+				better = tspLexLess(l.candTour, curTour)
 			}
 			if better {
-				data[base] = float64(candCost[p])
-				for i, city := range candTour[p] {
+				data[base] = float64(l.candCost)
+				for i, city := range l.candTour {
 					data[base+1+i] = float64(city)
 				}
-				cur = candCost[p]
+				cur = l.candCost
 			}
-			view[p] = cur
+			l.view = cur
 			ctx.Charge(tspMergeCost)
 		},
 	}
@@ -199,13 +211,7 @@ func tspProg(nprocs int) *ir.Program {
 		},
 	}
 
-	// Per-processor private state carried between the kernels of a round.
-	// The program value is shared by every node's interpreter, so the
-	// state is indexed by the processor id; distinct indices make this
-	// race-free on the concurrent backends.
-	candCost := make([]int, nprocs)
-	candTour := make([][]int, nprocs)
-	view := make([]int, nprocs) // incumbent cost as of the last merge; 0 = none
+	prog.Local = newTSPLocal
 
 	takeKernel := ir.Kernel{
 		Name: "take",
@@ -230,13 +236,12 @@ func tspProg(nprocs int) *ir.Program {
 		Name: "expand",
 		Run: func(ctx ir.KernelCtx) {
 			e := ctx.Env()
-			p, cities, tasks := e["p"], e["cities"], e["tasks"]
-			t := e["mytask"]
-			candCost[p] = 0
-			candTour[p] = nil
+			cities, tasks, t := e["cities"], e["tasks"], e["mytask"]
+			l := ctx.Local().(*tspLocal)
+			l.candCost, l.candTour = 0, nil
 			if t < tasks {
 				second, third := tspTask(t, cities)
-				candCost[p], candTour[p] = tspExpand(cities, second, third, view[p])
+				l.candCost, l.candTour = tspExpand(cities, second, third, l.view)
 			}
 			ctx.Charge(time.Duration(cities) * tspExpandCost)
 		},
@@ -250,7 +255,7 @@ func tspProg(nprocs int) *ir.Program {
 			ir.LockRelease{ID: c(0)},
 			expandKernel,
 			ir.LockAcquire{ID: c(1)},
-			tspMergeKernel(candCost, candTour, view),
+			tspMergeKernel(),
 			ir.LockRelease{ID: c(1)},
 		}},
 		ir.Barrier{ID: 1},

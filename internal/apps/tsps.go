@@ -99,11 +99,7 @@ func tspsProg(nprocs int) *ir.Program {
 		},
 	}
 
-	// Per-processor private state carried between the kernels of a round,
-	// indexed by processor id (see tsp.go for why this is race-free).
-	candCost := make([]int, nprocs)
-	candTour := make([][]int, nprocs)
-	view := make([]int, nprocs) // incumbent cost as of the last merge; 0 = none
+	prog.Local = newTSPLocal
 
 	wholeDeq := rsd.Section{Array: "deq", Dims: []rsd.Bound{
 		rsd.Dense(c(1), c(shm.PageWords)),
@@ -192,12 +188,12 @@ func tspsProg(nprocs int) *ir.Program {
 		Name: "expand",
 		Run: func(ctx ir.KernelCtx) {
 			e := ctx.Env()
-			p, cities := e["p"], e["cities"]
-			candCost[p] = 0
-			candTour[p] = nil
+			cities := e["cities"]
+			l := ctx.Local().(*tspLocal)
+			l.candCost, l.candTour = 0, nil
 			if e["got"] == 1 {
 				second, third := tspTask(e["mytask"], cities)
-				candCost[p], candTour[p] = tspExpand(cities, second, third, view[p])
+				l.candCost, l.candTour = tspExpand(cities, second, third, l.view)
 			}
 			ctx.Charge(time.Duration(cities) * tspExpandCost)
 		},
@@ -233,7 +229,7 @@ func tspsProg(nprocs int) *ir.Program {
 			},
 			expandKernel,
 			ir.LockAcquire{ID: c(1)},
-			tspMergeKernel(candCost, candTour, view),
+			tspMergeKernel(),
 			ir.LockRelease{ID: c(1)},
 		}},
 		ir.Barrier{ID: 1},

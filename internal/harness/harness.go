@@ -9,7 +9,9 @@ package harness
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math"
+	"reflect"
 	"sync"
 	"time"
 
@@ -18,15 +20,16 @@ import (
 	"sdsm/internal/compiler"
 	"sdsm/internal/host"
 	"sdsm/internal/interp"
+	"sdsm/internal/ir"
 	"sdsm/internal/model"
 	"sdsm/internal/mp"
 	"sdsm/internal/mpnet"
 	"sdsm/internal/obs"
+	"sdsm/internal/rsd"
 	"sdsm/internal/shm"
 	"sdsm/internal/sim"
 	"sdsm/internal/tmk"
 	"sdsm/internal/vm"
-	"sdsm/internal/wire"
 )
 
 // SystemKind selects one of the four systems the paper compares.
@@ -179,7 +182,7 @@ func Run(cfg Config) (*Result, error) {
 	}
 	switch cfg.System {
 	case Base, Opt:
-		return runDSM(cfg)
+		return runDSM(cfg, runnableFor(cfg))
 	case PVMe:
 		return runMP(cfg, 0)
 	case XHPF:
@@ -205,24 +208,9 @@ func xhpfRejection(app string) string {
 	return ""
 }
 
-func runDSM(cfg Config) (res *Result, err error) {
-	prog := cfg.App.Build(cfg.Procs)
-	params := prog.Prepare(cfg.App.Sets[cfg.Set], cfg.Procs)
-
-	if cfg.System == Opt {
-		opts := cfg.App.BestOptions(cfg.Procs, params)
-		if cfg.Level != nil {
-			opts = *cfg.Level
-			opts.NProcs = cfg.Procs
-			opts.Params = params
-		}
-		if cfg.SyncFetch {
-			opts.Async = false
-		}
-		prog, _ = compiler.Compile(prog, opts)
-	}
-
-	layout := compiler.BuildLayout(prog, params)
+// runDSM runs cfg's program, rp, on a machine of its own.
+func runDSM(cfg Config, rp *runnable) (res *Result, err error) {
+	prog, params, layout := rp.prog, rp.params, rp.layout
 	var m *obs.Machine
 	if cfg.Trace {
 		// Virtual timeline on sim (deterministic, WT pinned to zero), wall
@@ -264,11 +252,11 @@ func runDSM(cfg Config) (res *Result, err error) {
 		h = r
 		nw = host.NewNetwork(h, costs)
 	case BackendNet:
-		arenas := make([]*wire.Arena, len(stores))
+		lent := make([]host.RankStorage, len(stores))
 		for i, st := range stores {
-			arenas[i] = st.DecodeArena()
+			lent[i] = st
 		}
-		n, err := host.NewNet(cfg.Procs, costs, arenas...)
+		n, err := host.NewNet(cfg.Procs, costs, lent...)
 		if err != nil {
 			return nil, fmt.Errorf("harness: net backend: %w", err)
 		}
@@ -351,6 +339,110 @@ func runDSM(cfg Config) (res *Result, err error) {
 		ServeMax:  smax,
 		ServeMean: smean,
 	}, nil
+}
+
+// shape is what the program of a DSM run depends on: the application,
+// its data set, the rank count, the system and, for Opt, the compiler's
+// switches as Level and SyncFetch leave them.
+type shape struct {
+	app    string
+	set    apps.DataSet
+	procs  int
+	system SystemKind
+
+	// The compiler's switches (Opt only).
+	aggregate, consElim, syncMerge, push, async bool
+}
+
+// runnable is one shape's program as a run executes it: built for the rank
+// count, prepared for the data set and, for Opt, compiled; its parameters
+// and its layout. sets is the data set's parameters it was made from.
+type runnable struct {
+	shape  shape
+	sets   rsd.Env
+	prog   *ir.Program
+	params rsd.Env
+	layout *shm.Layout
+}
+
+// programs is the process-wide memo of runnables, at most 32, oldest
+// first: one-shot runs, parallelDo's concurrent ones and svc pool jobs of
+// one shape share one entry. An entry is never written once made: a
+// program keeps no per-run state (its kernels' is the executor's,
+// ir.Program.Local), the executor lowers it per machine, and a layout is
+// only read. Only a registry application's programs are kept, since only
+// its name says what its Build makes; a data set is matched by its
+// parameters, which a caller may rebind under the same name.
+var programs struct {
+	sync.Mutex
+	entries []*runnable
+}
+
+// registry maps each registry application's name to its Build function's
+// code address.
+var registry = sync.OnceValue(func() map[string]uintptr {
+	out := map[string]uintptr{}
+	for _, a := range apps.All() {
+		out[a.Name] = reflect.ValueOf(a.Build).Pointer()
+	}
+	return out
+})
+
+// runnableFor returns cfg's runnable, from the memo when a run of the same
+// shape made it. A first run of a shape builds it under the memo's lock.
+func runnableFor(cfg Config) *runnable {
+	if registry()[cfg.App.Name] != reflect.ValueOf(cfg.App.Build).Pointer() {
+		return build(cfg)
+	}
+	k := shapeOf(cfg)
+	programs.Lock()
+	defer programs.Unlock()
+	for _, r := range programs.entries {
+		if r.shape == k && maps.Equal(r.sets, cfg.App.Sets[cfg.Set]) {
+			return r
+		}
+	}
+	r := build(cfg)
+	if len(programs.entries) == 32 {
+		programs.entries = append(programs.entries[:0], programs.entries[1:]...)
+	}
+	programs.entries = append(programs.entries, r)
+	return r
+}
+
+// shapeOf returns cfg's shape.
+func shapeOf(cfg Config) shape {
+	k := shape{app: cfg.App.Name, set: cfg.Set, procs: cfg.Procs, system: cfg.System}
+	if cfg.System == Opt {
+		o := compilerOptions(cfg, nil)
+		k.aggregate, k.consElim, k.syncMerge, k.push, k.async = o.Aggregate, o.ConsElim, o.SyncMerge, o.Push, o.Async
+	}
+	return k
+}
+
+// compilerOptions returns the options an Opt run compiles with: the
+// application's best, or Level, with SyncFetch's fetch mode.
+func compilerOptions(cfg Config, params rsd.Env) compiler.Options {
+	opts := cfg.App.BestOptions(cfg.Procs, params)
+	if cfg.Level != nil {
+		opts = *cfg.Level
+		opts.NProcs, opts.Params = cfg.Procs, params
+	}
+	opts.Async = opts.Async && !cfg.SyncFetch
+	return opts
+}
+
+// build makes cfg's runnable: builds, prepares and, for Opt, compiles its
+// program, and lays out its arrays.
+func build(cfg Config) *runnable {
+	sets := cfg.App.Sets[cfg.Set]
+	r := &runnable{shape: shapeOf(cfg), sets: maps.Clone(sets), prog: cfg.App.Build(cfg.Procs)}
+	r.params = r.prog.Prepare(sets, cfg.Procs)
+	if cfg.System == Opt {
+		r.prog, _ = compiler.Compile(r.prog, compilerOptions(cfg, r.params))
+	}
+	r.layout = compiler.BuildLayout(r.prog, r.params)
+	return r
 }
 
 // idle is the one owner of warm storage in the process: a stack of the

@@ -17,10 +17,19 @@ import (
 	"sdsm/internal/wire"
 )
 
-// deliveryArenas are the decode arenas FuzzNetDelivery lends its machines,
-// rewound after each one closes, so every input decodes into storage the
-// inputs before it grew.
-var deliveryArenas [3]wire.Arena
+// lentStorage is one rank's storage as a tmk.Store lends it to a Net.
+type lentStorage struct {
+	ar  wire.Arena
+	rep wire.DiffReply
+}
+
+func (s *lentStorage) DecodeArena() *wire.Arena    { return &s.ar }
+func (s *lentStorage) ServeReply() *wire.DiffReply { return &s.rep }
+
+// deliveryStores are the storage FuzzNetDelivery lends its machines, the
+// arenas rewound after each one closes, so every input decodes into
+// storage the inputs before it grew.
+var deliveryStores [3]lentStorage
 
 // FuzzNetDelivery drives rank 2's socket of a 3-rank Net with arbitrary
 // frames: the input is cut into frame bodies (frameBodies), each sent on
@@ -107,14 +116,14 @@ func checkDelivery(t *testing.T, data []byte) {
 	leaktest.Check(t)
 	bodies := frameBodies(data)
 	want, tag := deliveryVerdict(bodies)
-	nw, err := NewNet(3, model.SP2(), &deliveryArenas[0], &deliveryArenas[1], &deliveryArenas[2])
+	nw, err := NewNet(3, model.SP2(), &deliveryStores[0], &deliveryStores[1], &deliveryStores[2])
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() {
 		nw.Close()
-		for i := range deliveryArenas {
-			deliveryArenas[i].Rewind()
+		for i := range deliveryStores {
+			deliveryStores[i].ar.Rewind()
 		}
 	}()
 	nw.Serve(func(p Proc, at int, req *wire.DiffRequest, rep *wire.DiffReply) int { return 0 })
@@ -187,7 +196,7 @@ func deliverySeeds(tb testing.TB) [][]byte {
 		{Page: 3, Creator: 1, From: 0, To: 2, Covers: []int32{2, 0, 0}, Runs: []wire.Run{{Off: 4, Vals: []float64{1, 2}}, {Off: 90, Vals: []float64{3}}}},
 		{Page: 4, Creator: 0, To: 1, Whole: true, Runs: []wire.Run{{Vals: []float64{5}}}},
 	}}})
-	hand := body(&wire.Frame{Kind: wire.FHand, From: 0, To: 2, Tag: 5, Payload: wire.Depart{Time: 12, Intervals: []wire.OwnedInterval{
+	hand := body(&wire.Frame{Kind: wire.FHand, From: 0, To: 2, Tag: 5, Payload: &wire.Depart{Time: 12, Intervals: []wire.OwnedInterval{
 		{Owner: 1, Idx: 2, IV: wire.Interval{Pages: []wire.PageRef{{Page: 3, ExtLo: 4, ExtHi: 6}, {Page: 9, Whole: true}}}},
 	}}})
 	reply := body(&wire.Frame{Kind: wire.FReply, From: 0, To: 2, Tag: 0, Payload: wire.DiffReply{}})

@@ -65,9 +65,9 @@ type Net struct {
 	*Real
 	in *Network
 
-	sw     *Switch
-	eps    []*Endpoint   // per node; replaced by Reattach
-	arenas []*wire.Arena // per node, what its delivery loop decodes into; nil: each reader's own
+	sw   *Switch
+	eps  []*Endpoint   // per node; replaced by Reattach
+	lent []RankStorage // per node, what its loops decode and serve into; nil: their own
 	// delivered[i] is closed when the delivery loop reading eps[i] has
 	// exited; every loop is launched with a fresh one (startDelivery).
 	delivered []chan struct{}
@@ -134,15 +134,24 @@ func (rs *reqState) ResolveReply(p Proc) {
 	in.mu.Unlock()
 }
 
+// RankStorage is what a rank's warm storage (its tmk.Store) lends a Net
+// for one machine: the arena the rank's delivery loop decodes into and the
+// reply its service loop serves into, each with one writer, that loop,
+// until Close has returned.
+type RankStorage interface {
+	DecodeArena() *wire.Arena
+	ServeReply() *wire.DiffReply
+}
+
 // NewNet creates a wire-backend machine of n nodes: a loopback switch (a
 // Unix socket, falling back to TCP on 127.0.0.1) with every node
-// connected. arenas, when given, holds one arena per node: node i's
-// delivery loop decodes into arenas[i] (its tmk.Store's), and is its only
-// writer until Close has returned; without them every reader decodes into
-// an arena of its own. Close must be called when done.
-func NewNet(n int, costs model.Costs, arenas ...*wire.Arena) (*Net, error) {
-	if len(arenas) != 0 && len(arenas) != n {
-		return nil, fmt.Errorf("host: net backend: %d decode arenas for %d nodes", len(arenas), n)
+// connected. lent, when given, holds one RankStorage per node, which node
+// i's delivery and service loops decode and serve into; without it every
+// reader decodes into an arena of its own and every service loop serves
+// into a reply of its own. Close must be called when done.
+func NewNet(n int, costs model.Costs, lent ...RankStorage) (*Net, error) {
+	if len(lent) != 0 && len(lent) != n {
+		return nil, fmt.Errorf("host: net backend: %d lent stores for %d nodes", len(lent), n)
 	}
 	r := NewReal(n)
 	nw := &Net{
@@ -151,7 +160,7 @@ func NewNet(n int, costs model.Costs, arenas ...*wire.Arena) (*Net, error) {
 		reqs:      make([][]*reqState, n),
 		reqFree:   make([][]*reqState, n),
 		eps:       make([]*Endpoint, n),
-		arenas:    arenas,
+		lent:      lent,
 		delivered: make([]chan struct{}, n),
 		svcQ:      make([][]wire.Frame, n),
 		svcHead:   make([]int, n),
@@ -205,8 +214,8 @@ func (nw *Net) dial(i int) (*Endpoint, error) {
 		return nil, fmt.Errorf("host: net backend dial: %w", err)
 	}
 	var ar *wire.Arena
-	if nw.arenas != nil {
-		ar = nw.arenas[i]
+	if nw.lent != nil {
+		ar = nw.lent[i].DecodeArena()
 	}
 	ep, err := NewEndpoint(c, i, nw.in.costs, ar, func(err error) { nw.linkDown(i, err) })
 	if err != nil {
@@ -337,7 +346,7 @@ func (nw *Net) deliveryLoop(i int, ep *Endpoint, done chan struct{}) {
 			nw.svcCond[i].Signal()
 			nw.svcMu.Unlock()
 		case wire.FReply:
-			rep, ok := f.Payload.(wire.DiffReply)
+			rep, ok := f.Payload.(*wire.DiffReply)
 			if !ok {
 				nw.linkDown(i, fmt.Errorf("reply %d carries a %T payload, not a wire.DiffReply", f.Tag, f.Payload))
 				return
@@ -354,7 +363,7 @@ func (nw *Net) deliveryLoop(i int, ep *Endpoint, done chan struct{}) {
 				return
 			}
 			rs.done = true
-			rs.reply = rep
+			rs.reply = *rep
 			rs.respBytes = int(f.Bytes)
 			rs.service = time.Duration(f.Time)
 			in.stats.Account(rs.respBytes)
@@ -373,14 +382,17 @@ func (nw *Net) deliveryLoop(i int, ep *Endpoint, done chan struct{}) {
 // token and node i's compute lock (re-establishing exactly the exclusion
 // the in-process backends get from Begin + Hold), runs the registered
 // server, and ships the reply back through the switch. The server reads
-// one request and fills one reply the loop reuses: Write encodes the
-// reply, through its pointer, before returning. A request frame whose
-// payload is not a wire.DiffRequest is a link error.
+// one decoded request and fills one reply the loop reuses — the one node
+// i's storage lends, so its lists keep the capacity earlier machines grew:
+// Write encodes the reply, through its pointer, before returning. A
+// request frame whose payload is not a wire.DiffRequest is a link error.
 func (nw *Net) serviceLoop(i int) {
 	defer nw.wg.Done()
 	rp := nw.Real.procs[i]
-	var req wire.DiffRequest
-	var rep wire.DiffReply
+	rep := new(wire.DiffReply)
+	if nw.lent != nil {
+		rep = nw.lent[i].ServeReply()
+	}
 	for {
 		nw.svcMu.Lock()
 		for nw.svcHead[i] == len(nw.svcQ[i]) && !nw.sw.Closing() {
@@ -400,21 +412,21 @@ func (nw *Net) serviceLoop(i int) {
 			nw.svcHead[i] = 0
 		}
 		nw.svcMu.Unlock()
-		var ok bool
-		if req, ok = f.Payload.(wire.DiffRequest); !ok {
+		req, ok := f.Payload.(*wire.DiffRequest)
+		if !ok {
 			nw.linkDown(i, fmt.Errorf("request %d carries a %T payload, not a wire.DiffRequest", f.Tag, f.Payload))
 			continue
 		}
 
 		nw.Real.mu.Lock() // the protocol-section token
 		rp.compMu.Lock()  // the Hold exclusion against i's compute
-		respBytes, service := nw.in.serveAt(rp, rp, &req, &rep)
+		respBytes, service := nw.in.serveAt(rp, rp, req, rep)
 		rp.compMu.Unlock()
 		nw.Real.mu.Unlock()
 
 		err := nw.eps[i].Write(&wire.Frame{
 			Kind: wire.FReply, From: int32(i), To: f.From, Tag: f.Tag,
-			Bytes: int32(respBytes), Time: int64(service), Payload: &rep,
+			Bytes: int32(respBytes), Time: int64(service), Payload: rep,
 		})
 		clear(rep.Diffs) // encoded: keep no cached arrays alive until the next serve
 		if err != nil {

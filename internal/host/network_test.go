@@ -131,6 +131,15 @@ func TestStartRequestConsumesRequest(t *testing.T) {
 	check("Net", n, n)
 }
 
+// storage is one rank's storage as a tmk.Store lends it to a Net.
+type storage struct {
+	ar  wire.Arena
+	rep wire.DiffReply
+}
+
+func (s *storage) DecodeArena() *wire.Arena    { return &s.ar }
+func (s *storage) ServeReply() *wire.DiffReply { return &s.rep }
+
 // TestNetReplyOwnsItsLists pins that a Pending a Net exchange resolves
 // holds its reply in lists of its own, never in the decode arena's
 // carves: a requester keeps its Pendings across machines (tmk.Store) and
@@ -141,7 +150,7 @@ func TestStartRequestConsumesRequest(t *testing.T) {
 // Net's reply whose diff has no covers: that diff must arrive with none.
 func TestNetReplyOwnsItsLists(t *testing.T) {
 	leaktest.Check(t)
-	var ars [2]wire.Arena
+	var lent [2]storage
 	var pd host.Pending
 	fetch := func(h host.Host, tr host.Transport, diffs int, covers []int32) []wire.Diff {
 		tr.Serve(func(p host.Proc, at int, req *wire.DiffRequest, rep *wire.DiffReply) int {
@@ -168,7 +177,7 @@ func TestNetReplyOwnsItsLists(t *testing.T) {
 		return got
 	}
 	onNet := func(covers []int32) []wire.Diff {
-		n, err := host.NewNet(2, model.SP2(), &ars[0], &ars[1])
+		n, err := host.NewNet(2, model.SP2(), &lent[0], &lent[1])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -176,8 +185,8 @@ func TestNetReplyOwnsItsLists(t *testing.T) {
 		if err := n.Close(); err != nil {
 			t.Fatal(err)
 		}
-		ars[0].Rewind()
-		ars[1].Rewind()
+		lent[0].ar.Rewind()
+		lent[1].ar.Rewind()
 		return got
 	}
 	onNet([]int32{1, 1})

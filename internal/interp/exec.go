@@ -20,6 +20,9 @@ type executor struct {
 	env  []int
 	tgt  target
 	kctx kernelCtx
+	// The program's private state for this rank and run (ir.Program.Local),
+	// made at a kernel's first Local call.
+	local any
 
 	// The map the opaque callbacks read the environment through (envView),
 	// and the slot values it was last brought up to.
@@ -434,3 +437,10 @@ func (k *kernelCtx) WriteRegion(lo, hi int) []float64 {
 func (k *kernelCtx) Array(name string) *shm.Array { return k.x.lp.array(name) }
 
 func (k *kernelCtx) Charge(d time.Duration) { k.x.advance(d) }
+
+func (k *kernelCtx) Local() any {
+	if k.x.local == nil && k.x.lp.prog.Local != nil {
+		k.x.local = k.x.lp.prog.Local()
+	}
+	return k.x.local
+}

@@ -82,6 +82,7 @@ type refExecutor struct {
 	// region sets and what they make this rank send and receive, every
 	// rank's parameter environment, and the scratch the bounds are evaluated
 	// with.
+	local   any // the program's private state (ir.Program.Local)
 	pushes  map[int]refPushMemo
 	rankEnv []rsd.Env
 	pushEnv rsd.Env
@@ -413,3 +414,10 @@ func (k *refKernelCtx) WriteRegion(lo, hi int) []float64 {
 func (k *refKernelCtx) Array(name string) *shm.Array { return k.x.layout.Array(name) }
 
 func (k *refKernelCtx) Charge(d time.Duration) { k.x.advance(d) }
+
+func (k *refKernelCtx) Local() any {
+	if k.x.local == nil && k.x.prog.Local != nil {
+		k.x.local = k.x.prog.Local()
+	}
+	return k.x.local
+}

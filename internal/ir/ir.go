@@ -75,6 +75,13 @@ type Program struct {
 	// depend on the processor count (for example per-processor key counts).
 	Setup func(params rsd.Env, nprocs int)
 	Body  []Stmt
+	// Local, if set, makes the private state one processor's kernels carry
+	// between calls (a buffer grown once, a bound seen at the last merge).
+	// The executor calls it once per processor and run and hands the value
+	// to every kernel through KernelCtx.Local, so the program itself holds
+	// no per-run state: one Program can run on any number of machines at
+	// once, and again afterwards, with nothing left over.
+	Local func() any
 }
 
 // Prepare returns a copy of params augmented by Setup for nprocs. The
@@ -217,6 +224,9 @@ type KernelCtx interface {
 	Array(name string) *shm.Array
 	// Charge adds virtual compute time.
 	Charge(d time.Duration)
+	// Local returns this processor's private state for this run, made by
+	// Program.Local at the first call (nil when the program declares none).
+	Local() any
 }
 
 // Kernel is opaque code with a declared access summary, standing in for

@@ -40,6 +40,9 @@ type Store struct {
 	// (DecodeArena). It is kept apart from the slabs above because its
 	// writer is the reader's goroutine, not the node's.
 	dec wire.Arena
+	// The reply the rank's service loop serves into on the net backend
+	// (ServeReply), its writer that loop. It is cleared after each encode.
+	serveRep wire.DiffReply
 	// The node's recovery record chain (writeRecord) when no SnapshotSink
 	// takes it: the full record, the incremental records after it back to
 	// back (wire frames carry their length), and the spare the next full
@@ -59,6 +62,11 @@ func (st *Store) Arena() *vm.Arena { return st.arena }
 // the node files live there until release rewinds it, after the Net has
 // been closed.
 func (st *Store) DecodeArena() *wire.Arena { return &st.dec }
+
+// ServeReply returns the reply the rank's requests are served into on the
+// net backend (host.NewNet), so a stream of machines regrows none of its
+// lists.
+func (st *Store) ServeReply() *wire.DiffReply { return &st.serveRep }
 
 // scratch is a node's run-lifetime scratch. Every buffer is rebuilt from
 // length zero at its use, so a new machine starts with what the previous
@@ -90,11 +98,13 @@ type scratch struct {
 	// consumer runs while this node is blocked or holding the protocol
 	// token), so one buffer per node suffices. vcScratch backs syncInfo's
 	// presented vector time, ivScratch the barrier arrival's interval
-	// delta, depScratch the departure the master builds for this node,
+	// delta, depScratch the departure's interval list the master builds
+	// for this node and depart the departure itself, handed by pointer,
 	// pgScratch the dirty pages of the interval it closes.
 	vcScratch  []int32
 	ivScratch  []wire.OwnedInterval
 	depScratch []wire.OwnedInterval
+	depart     wire.Depart
 	pgScratch  []int
 	// vpScratch holds a Validate's page list (pagesOf) while the call runs,
 	// and fcScratch, parallel to it, which of those pages it covers whole.
@@ -179,6 +189,7 @@ func (st *Store) release(nd *Node) {
 	st.sortScratch, st.cdScratch = truncated(st.sortScratch), truncated(st.cdScratch)
 	st.dfScratch = truncated(st.dfScratch)
 	st.ivScratch, st.depScratch = truncated(st.ivScratch), truncated(st.depScratch)
+	st.depart = wire.Depart{}
 	st.wsLast, st.wsSeen = st.wsLast[:0], st.wsSeen[:0]
 	st.wsPages, st.wsServed, st.wsAll = truncated(st.wsPages), truncated(st.wsServed), truncated(st.wsAll)
 	for to, sent := range st.pushSent { // buffers a receiver never applied

@@ -608,9 +608,10 @@ func (s *System) runBarrier(b *barrier, executor *Node) {
 
 	// Departure messages, serialized at the master; Validate_w_sync
 	// payloads ride along. Each node's departure is staged through the
-	// transport before the node is woken. The interval list is built in
-	// the recipient's depScratch: the recipient consumed its previous
-	// departure (postBarrier) before it could arrive here.
+	// transport before the node is woken, handed by pointer to its depart
+	// slot, with the interval list built in its depScratch: the recipient
+	// consumed its previous departure (postBarrier) before it could arrive
+	// here.
 	if cap(s.departScratch) < n {
 		s.departScratch = make([]time.Duration, n)
 	}
@@ -642,11 +643,14 @@ func (s *System) runBarrier(b *barrier, executor *Node) {
 		h := s.NW.Message(master.ID, a.id, dep, bytes)
 		dep += c.SendOverhead
 		departAt[a.id] = h
-		s.NW.Hand(executor.p, a.id, slotDepart, wire.Depart{Time: int64(h), Intervals: ivs, Served: served, Fetched: fetched})
+		d := &s.Nodes[a.id].depart
+		*d = wire.Depart{Time: int64(h), Intervals: ivs, Served: served, Fetched: fetched}
+		s.NW.Hand(executor.p, a.id, slotDepart, d)
 	}
 	mServed, _ := servedFor(allWS, master.ID)
 	departAt[master.ID] = tDep + time.Duration(n-1)*c.SendOverhead
-	s.NW.Hand(executor.p, master.ID, slotDepart, wire.Depart{Time: int64(departAt[master.ID]), Served: mServed, Fetched: fetched})
+	master.depart = wire.Depart{Time: int64(departAt[master.ID]), Served: mServed, Fetched: fetched}
+	s.NW.Hand(executor.p, master.ID, slotDepart, &master.depart)
 
 	for _, a := range b.arrivals {
 		if a.id == executor.ID {
@@ -665,7 +669,7 @@ func (s *System) runBarrier(b *barrier, executor *Node) {
 func (nd *Node) postBarrier() wire.Depart {
 	var d wire.Depart
 	if nd.sys.N() > 1 {
-		d = nd.sys.NW.TakeHand(nd.p, slotDepart).(wire.Depart)
+		d = *nd.sys.NW.TakeHand(nd.p, slotDepart).(*wire.Depart)
 		nd.p.SetClock(time.Duration(d.Time))
 	}
 	for _, oi := range d.Intervals {

@@ -209,7 +209,7 @@ func TestDiffRoundTripProperty(t *testing.T) {
 			if err != nil {
 				t.Fatalf("decoding the diff: %v", err)
 			}
-			decoded := f.Payload.(wire.DiffReply).Diffs[0].Runs
+			decoded := f.Payload.(*wire.DiffReply).Diffs[0].Runs
 
 			// Reconstruct from the original plus runs.
 			for _, rs := range [][]Run{runs, decoded} {

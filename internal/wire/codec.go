@@ -64,6 +64,13 @@ type Arena struct {
 	df  slab.Slab[Diff]
 	iv  slab.Slab[OwnedInterval]
 	row slab.Slab[[]int32]
+	// The payloads a rank decodes most, carved whole (one): a frame's
+	// payload is then a pointer into the arena, not a boxed copy.
+	dreq slab.Slab[DiffRequest]
+	drep slab.Slab[DiffReply]
+	dep  slab.Slab[Depart]
+	// own marks an arena its reader made, which is never rewound.
+	own bool
 }
 
 // Rewind makes every block free for the next run's frames. The slabs
@@ -80,6 +87,19 @@ func (a *Arena) Rewind() {
 	a.df.Rewind(true)
 	a.iv.Rewind(true)
 	a.row.Rewind(true)
+	a.dreq.Rewind(true)
+	a.drep.Rewind(true)
+	a.dep.Rewind(true)
+}
+
+// one returns the value a whole payload is decoded into: carved from s
+// when the arena is lent, made on the heap when it is a reader's own, where
+// a block would be kept for the few payloads that reader ever decodes.
+func one[T any](ar *Arena, s *slab.Slab[T]) *T {
+	if ar.own {
+		return new(T)
+	}
+	return &s.Take(1)[0]
 }
 
 // carve takes n elements from s, or makes them when the type has no slab
@@ -372,8 +392,8 @@ func (c *coder) payload(p *any) {
 		c.kind(pGrant).grant(&v)
 	case Arrival:
 		c.kind(pArrival).arrival(&v)
-	case Depart:
-		c.kind(pDepart).depart(&v)
+	case *Depart: // handed by pointer from the recipient's store
+		c.kind(pDepart).depart(v)
 	case Push:
 		c.kind(pPush).push(&v)
 	case SyncInfo:
@@ -405,15 +425,15 @@ func (c *coder) decoded(k byte) any {
 	case pFloat64s:
 		return walked(c, (*coder).f64s)
 	case pDiffRequest:
-		return walked(c, (*coder).diffRequest)
+		return carved(c, one(c.ar, &c.ar.dreq), (*coder).diffRequest)
 	case pDiffReply:
-		return walked(c, (*coder).diffReply)
+		return carved(c, one(c.ar, &c.ar.drep), (*coder).diffReply)
 	case pGrant:
 		return walked(c, (*coder).grant)
 	case pArrival:
 		return walked(c, (*coder).arrival)
 	case pDepart:
-		return walked(c, (*coder).depart)
+		return carved(c, one(c.ar, &c.ar.dep), (*coder).depart)
 	case pPush:
 		return walked(c, (*coder).push)
 	case pSyncInfo:
@@ -443,6 +463,14 @@ func (c *coder) decoded(k byte) any {
 func walked[T any](c *coder, walk func(*coder, *T)) any {
 	var v T
 	walk(c, &v)
+	return v
+}
+
+// carved decodes one T with its walker into v (one) and returns v: a
+// *DiffRequest, *DiffReply or *Depart payload lives in a lent arena, as
+// its lists do. (Inlined like walked.)
+func carved[T any](c *coder, v *T, walk func(*coder, *T)) any {
+	walk(c, v)
 	return v
 }
 
@@ -731,7 +759,7 @@ func (c *coder) parseFrame(f *Frame, b []byte) (int, error) {
 	}
 	c.b, c.dec, c.err = b[4:4+body], true, nil
 	if c.ar == nil {
-		c.ar = new(Arena)
+		c.ar = &Arena{own: true}
 	}
 	*f = Frame{}
 	c.frame(f)

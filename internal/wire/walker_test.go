@@ -9,15 +9,16 @@ import (
 )
 
 // payloadKinds is the kind table the walker test ranges over: for every
-// payload kind byte, the zero value of the type that kind decodes to.
+// payload kind byte, the zero value of the type that kind decodes to (a
+// pointer for the kinds carved whole from the decode arena).
 var payloadKinds = []any{
 	pNil:         nil,
 	pFloat64s:    []float64(nil),
-	pDiffRequest: DiffRequest{},
-	pDiffReply:   DiffReply{},
+	pDiffRequest: (*DiffRequest)(nil),
+	pDiffReply:   (*DiffReply)(nil),
 	pGrant:       Grant{},
 	pArrival:     Arrival{},
-	pDepart:      Depart{},
+	pDepart:      (*Depart)(nil),
 	pPush:        Push{},
 	pSyncInfo:    SyncInfo{},
 	pStart:       Start{},
@@ -89,7 +90,12 @@ func TestWalkersRoundTripEveryPayload(t *testing.T) {
 			continue
 		}
 		v := reflect.New(reflect.TypeOf(zero)).Elem()
-		fill(v, &n)
+		if v.Kind() == reflect.Pointer {
+			v = reflect.New(v.Type().Elem())
+			fill(v.Elem(), &n)
+		} else {
+			fill(v, &n)
+		}
 		f := &Frame{Kind: FMsg, From: 1, To: 2, Tag: 3, Bytes: 4, Time: 5, Payload: v.Interface()}
 		b, err := AppendFrame(nil, f)
 		if err != nil {

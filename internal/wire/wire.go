@@ -105,7 +105,9 @@ type Frame struct {
 	// Time carries virtual nanoseconds: arrival (FMsg), service (FReply),
 	// final clock (FDone).
 	Time int64
-	// Payload is one of the payload types below, or nil.
+	// Payload is one of the payload types below, or nil. A DiffRequest
+	// or DiffReply may be sent as a value or a pointer, a Depart as a
+	// pointer; the three decode to pointers into the reader's arena.
 	Payload any
 }
 

@@ -23,18 +23,18 @@ func sampleFrames() []*Frame {
 			Ivl:    9,
 			Chunks: []Chunk{{Lo: 512, Vals: []float64{3.5, 4.5}}, {Lo: 1024, Vals: []float64{-1}}},
 		}},
-		{Kind: FReq, From: 1, To: 0, Tag: 44, Bytes: 32, Payload: DiffRequest{
+		{Kind: FReq, From: 1, To: 0, Tag: 44, Bytes: 32, Payload: &DiffRequest{
 			Req:     1,
 			Pages:   []int32{3, 9},
 			Applied: [][]int32{{1, 0, 2}, {0, 0, 5}},
 		}},
-		{Kind: FReq, From: 2, To: 0, Tag: 45, Bytes: 24, Payload: DiffRequest{
+		{Kind: FReq, From: 2, To: 0, Tag: 45, Bytes: 24, Payload: &DiffRequest{
 			Req:     2,
 			Pages:   []int32{14},
 			Applied: [][]int32{{0, 1, 0}},
 			Direct:  true,
 		}},
-		{Kind: FReply, From: 0, To: 1, Tag: 44, Bytes: 4128, Time: 5555, Payload: DiffReply{
+		{Kind: FReply, From: 0, To: 1, Tag: 44, Bytes: 4128, Time: 5555, Payload: &DiffReply{
 			Diffs: []Diff{
 				{Page: 3, Creator: 0, From: 1, To: 4, Covers: []int32{4, 0, 2},
 					Runs: []Run{{Off: 16, Vals: []float64{7, 8, 9}}}},
@@ -42,7 +42,7 @@ func sampleFrames() []*Frame {
 					Runs: []Run{{Off: 0, Vals: []float64{1, 2}}}},
 			},
 		}},
-		{Kind: FReply, From: 2, To: 1, Tag: 45, Bytes: 24, Time: 500, Payload: DiffReply{
+		{Kind: FReply, From: 2, To: 1, Tag: 45, Bytes: 24, Time: 500, Payload: &DiffReply{
 			Diffs:     []Diff{{Page: 7, Creator: 2, From: 2, To: 3, Covers: []int32{0, 1, 3}}},
 			Redirects: []PageOwner{{Page: 8, Owner: 0}, {Page: 14, Owner: 1}},
 		}},
@@ -68,7 +68,7 @@ func sampleFrames() []*Frame {
 			},
 			Bytes: 96,
 		}},
-		{Kind: FHand, From: 0, To: 2, Tag: 2, Payload: Depart{
+		{Kind: FHand, From: 0, To: 2, Tag: 2, Payload: &Depart{
 			Time:      987654321,
 			Intervals: []OwnedInterval{{Owner: 1, Idx: 2}},
 			Fetched:   []NodePages{{Node: 0, Pages: []int32{7, 8}}, {Node: 2, Pages: []int32{7}}},
@@ -76,11 +76,11 @@ func sampleFrames() []*Frame {
 		// Page-less intervals only: each is 9 bytes on the wire (owner,
 		// index, page count), the least an interval list's count may
 		// assume of what follows it.
-		{Kind: FHand, From: 0, To: 3, Tag: 2, Payload: Depart{
+		{Kind: FHand, From: 0, To: 3, Tag: 2, Payload: &Depart{
 			Time:      5,
 			Intervals: []OwnedInterval{{Owner: 1, Idx: 2}, {Owner: 2, Idx: 7}, {Owner: 3, Idx: 1}},
 		}},
-		{Kind: FHand, From: 0, To: 1, Tag: 2, Payload: Depart{
+		{Kind: FHand, From: 0, To: 1, Tag: 2, Payload: &Depart{
 			Time:      123123123,
 			Intervals: []OwnedInterval{{Owner: 2, Idx: 3}},
 			Fetched: []NodePages{
@@ -335,7 +335,7 @@ func TestWordListsBitExact(t *testing.T) {
 		switch p := got.Payload.(type) {
 		case []float64:
 			vals = p
-		case DiffReply:
+		case *DiffReply:
 			vals = p.Diffs[0].Runs[0].Vals
 		case Checkpoint:
 			vals = p.Frames[0].Words
