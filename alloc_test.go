@@ -636,19 +636,22 @@ func TestFreshRunReusesImages(t *testing.T) {
 // TestWarmRunAllocs pins what a warm run of jacobi/small at 8 ranks on sim
 // allocates once harness's idle list holds the stores a first run grew:
 // its images, protocol log and scratch are all warm, so what is left is
-// the program, the machine's own objects and the messages. The least of
-// three warm runs is taken, since now and then one pays about 8 objects
-// and 4 KiB more that the runtime makes on its own account. Measured: 336
-// allocations and 37 640 B, and 342 and 41 224 B once in 14 when all
-// three paid those; 803 and 75 960 B while every run built its program
+// the machine's own objects and the messages; the program comes lowered
+// from harness's memo and runs on executors the last run gave back. The
+// least of three warm runs is taken, since now and then one pays about 8
+// objects and 4 KiB more that the runtime makes on its own account.
+// Measured: 201 allocations and 22 672 B in each of 24 runs; 336 and
+// 37 640 B (342 and 41 224 B once in 14 when all three paid the runtime's
+// objects) while every machine lowered the program again and started its
+// executors cold; 803 and 75 960 B while every run built its program
 // and laid it out again and the barrier master boxed every departure;
 // 805 and 77 528 B while interval records carried vector times and the
 // interconnect counted traffic per node; while every run made its log
 // afresh — interval records, diffs, cache entries and lists, the page
 // table and the scratch — 3 210 and 1 454 504 B. The ceilings leave
-// under 5 % over the higher.
+// under 5 % over a 209 / 26 768 B run, one that pays the runtime's own.
 func TestWarmRunAllocs(t *testing.T) {
-	const allocsCeiling, bytesCeiling = 359, 43_250
+	const allocsCeiling, bytesCeiling = 219, 28_100
 	allocs, bytes := warmRunAllocs(t, "jacobi", harness.Base, harness.Config{Procs: 8})
 	t.Logf("a warm jacobi/small p8 run: %d allocs, %d B (ceilings %d, %d B)", allocs, bytes, allocsCeiling, bytesCeiling)
 	if allocs > allocsCeiling || bytes > bytesCeiling {
@@ -660,15 +663,17 @@ func TestWarmRunAllocs(t *testing.T) {
 // checkpointing armed: each record is encoded into one of its store's
 // record buffers — a full record into the spare, an incremental one after
 // the chain's last — so what the run adds to TestWarmRunAllocs' is about
-// one boxed wire.Checkpoint per record. Measured: 737 allocations and
-// 113 184 B, and 740 and 117 280 B once in 6; 1 203 and 150 816 B while
+// one boxed wire.Checkpoint per record. Measured over 24 runs: 602–604
+// allocations and 98 216–102 328 B; 737 and 113 184 B (740 and
+// 117 280 B once in 6) while every machine lowered the program again and
+// started its executors cold; 1 203 and 150 816 B while
 // every run built its program and boxed its departures; 1 204 and
 // 150 968 B while every record was full and a free list of buffers held
 // the chain; 1 690 and 31 648 248 B while every run made an in-memory
 // sink that copied each record into buffers regrown as full records grew.
 // The ceilings leave under 5 % over the higher.
 func TestWarmRecoverRunAllocs(t *testing.T) {
-	const allocsCeiling, bytesCeiling = 777, 123_150
+	const allocsCeiling, bytesCeiling = 634, 107_400
 	allocs, bytes := warmRunAllocs(t, "jacobi", harness.Base, harness.Config{Procs: 8, Recover: true})
 	t.Logf("a warm recovering jacobi/small p8 run: %d allocs, %d B (ceilings %d, %d B)", allocs, bytes, allocsCeiling, bytesCeiling)
 	if allocs > allocsCeiling || bytes > bytesCeiling {
@@ -711,7 +716,9 @@ func TestTracedRunAllocs(t *testing.T) {
 
 // TestWarmScaleRunAllocs pins a warm spmv/small run at 4 ranks in scale
 // mode, the scale job of the service mix, by its allocation count and
-// bytes. Measured: 176 allocations and 17 536 B; 396 and 35 744 B while
+// bytes. Measured: 124 allocations and 12 528 B; 176 and 17 536 B while
+// every machine lowered the program again and started its executors
+// cold; 396 and 35 744 B while
 // every run built its program and laid it out again and the barrier
 // master boxed every departure; 834 and 69 344 B while
 // the relax kernel made a map of its touched pages and a sorted list of
@@ -719,7 +726,7 @@ func TestTracedRunAllocs(t *testing.T) {
 // probable-owner map and re-elected it from its whole interval log at
 // every barrier departure. The ceilings leave under 5 %.
 func TestWarmScaleRunAllocs(t *testing.T) {
-	const allocsCeiling, bytesCeiling = 184, 18_400
+	const allocsCeiling, bytesCeiling = 130, 13_150
 	allocs, bytes := warmRunAllocs(t, "spmv", harness.Base, harness.Config{Procs: 4, Scale: true})
 	t.Logf("a warm spmv/small p4 scale run: %d allocs, %d B (ceilings %d, %d B)", allocs, bytes, allocsCeiling, bytesCeiling)
 	if allocs > allocsCeiling || bytes > bytesCeiling {
@@ -764,16 +771,18 @@ func warmRunAllocs(t *testing.T, name string, system harness.SystemKind, cfg har
 // request frames are reused, and what is left is the net machine itself
 // (sockets, queues, goroutines): a departure, a diff request and a diff
 // reply are carved whole from the decode arena, and each rank serves into
-// the reply its store lends. Measured on a 2-core Xeon, over 13 runs:
-// 435–451 allocations and 46 512–53 328 B, the real schedule moving
-// them; 4 086 and 301 704 B while every run built its program, every
+// the reply its store lends. Measured on a 2-core Xeon, over 14 runs:
+// 344–368 allocations and 29 488–36 624 B, the real schedule moving
+// them; 435–451 and 46 512–53 328 B while every machine lowered the
+// program again and started its executors cold; 4 086 and 301 704 B
+// while every run built its program, every
 // decoded departure, request and reply was boxed and every Net's service
 // loops regrew their replies; 9 920 and 4 748 216 B while every
 // connection decoded into arena chunks of its own and every request made
 // its record, its map entry, its queued frame and the boxed copies of its
 // request and reply. The ceilings leave under 5 % over the highest.
 func TestWarmNetRunAllocs(t *testing.T) {
-	const allocsCeiling, bytesCeiling = 473, 55_950
+	const allocsCeiling, bytesCeiling = 386, 38_450
 	allocs, bytes := warmRunAllocs(t, "gauss", harness.Base, harness.Config{Procs: 4, Backend: harness.BackendNet})
 	t.Logf("a warm gauss/small p4 net run: %d allocs, %d B (ceilings %d, %d B)", allocs, bytes, allocsCeiling, bytesCeiling)
 	if allocs > allocsCeiling || bytes > bytesCeiling {
@@ -899,9 +908,12 @@ func TestValidateMovingBoundsAllocs(t *testing.T) {
 // small (a Validate_w_sync at every barrier) and fft/small (Push). Push
 // gathers into buffers its receivers hand back, and the Validate_w_sync
 // registrations, the needs they present and the master's served lists are
-// carved from node scratch, and the program comes built, compiled and
-// laid out from harness's memo. Measured: gauss 564 allocations and
-// 74 144 B, fft 1 871 and 707 520 B; 3 029 and 263 192 B, 4 511 and
+// carved from node scratch, and the program comes built, compiled, laid
+// out and lowered from harness's memo, its executors' Validate/Push memos
+// warm from the last run. Measured: gauss 193 allocations and 23 056 B,
+// fft 600 and 51 920 B; 564 and 74 144 B, 1 871 and 707 520 B while every
+// machine lowered the program again and rebuilt every plan, and a
+// Validate and a queued acquire allocated; 3 029 and 263 192 B, 4 511 and
 // 898 584 B while every run built and compiled its program and laid it
 // out again and the barrier master boxed every departure; 14 000 and
 // 3 141 320 B, 5 183 and 3 221 048 B while every Push made its buffer and
@@ -912,8 +924,8 @@ func TestWarmOptRunAllocs(t *testing.T) {
 		app                  string
 		allocsCeiling, bCeil uint64
 	}{
-		{"gauss", 592, 77_850},
-		{"fft", 1_964, 742_850},
+		{"gauss", 202, 24_200},
+		{"fft", 630, 54_500},
 	} {
 		allocs, bytes := warmRunAllocs(t, c.app, harness.Opt, harness.Config{Procs: 8})
 		t.Logf("a warm %s/small p8 opt run: %d allocs, %d B (ceilings %d, %d B)", c.app, allocs, bytes, c.allocsCeiling, c.bCeil)

@@ -571,7 +571,7 @@ func (c *compilation) pushUseful(push *ir.PushStmt) bool {
 		for j := 0; j < n; j++ {
 			for _, w := range writes[i] {
 				for _, r := range reads[j] {
-					if i != j && !w.Intersect(r).Empty() {
+					if i != j && !w.Intersect(r, nil).Empty() {
 						return true
 					}
 				}

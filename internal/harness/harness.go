@@ -20,7 +20,6 @@ import (
 	"sdsm/internal/compiler"
 	"sdsm/internal/host"
 	"sdsm/internal/interp"
-	"sdsm/internal/ir"
 	"sdsm/internal/model"
 	"sdsm/internal/mp"
 	"sdsm/internal/mpnet"
@@ -210,7 +209,7 @@ func xhpfRejection(app string) string {
 
 // runDSM runs cfg's program, rp, on a machine of its own.
 func runDSM(cfg Config, rp *runnable) (res *Result, err error) {
-	prog, params, layout := rp.prog, rp.params, rp.layout
+	layout := rp.layout
 	var m *obs.Machine
 	if cfg.Trace {
 		// Virtual timeline on sim (deterministic, WT pinned to zero), wall
@@ -315,7 +314,7 @@ func runDSM(cfg Config, rp *runnable) (res *Result, err error) {
 			checksum = apps.Checksum(layout, nd.Mem.Data(), cfg.App.CheckArray)
 		})
 	}
-	if err := interp.RunDSM(prog, sys, params, epilogue...); err != nil {
+	if err := rp.lowered.Run(sys, epilogue...); err != nil {
 		return nil, fmt.Errorf("harness: %s/%s/%s: %w", cfg.App.Name, cfg.Set, cfg.System, err)
 	}
 
@@ -355,22 +354,22 @@ type shape struct {
 }
 
 // runnable is one shape's program as a run executes it: built for the rank
-// count, prepared for the data set and, for Opt, compiled; its parameters
-// and its layout. sets is the data set's parameters it was made from.
+// count, prepared for the data set, for Opt compiled, and lowered over its
+// layout. sets is the data set's parameters it was made from.
 type runnable struct {
-	shape  shape
-	sets   rsd.Env
-	prog   *ir.Program
-	params rsd.Env
-	layout *shm.Layout
+	shape   shape
+	sets    rsd.Env
+	layout  *shm.Layout
+	lowered *interp.Lowered
 }
 
 // programs is the process-wide memo of runnables, at most 32, oldest
 // first: one-shot runs, parallelDo's concurrent ones and svc pool jobs of
-// one shape share one entry. An entry is never written once made: a
-// program keeps no per-run state (its kernels' is the executor's,
-// ir.Program.Local), the executor lowers it per machine, and a layout is
-// only read. Only a registry application's programs are kept, since only
+// one shape share one entry. An entry is never written once made but for
+// its lowered program's idle executor sets: a program keeps no per-run
+// state (its kernels' is the executor's, ir.Program.Local), it is lowered
+// once, each machine runs it on executors of its own, and a layout is only
+// read. Only a registry application's programs are kept, since only
 // its name says what its Build makes; a data set is matched by its
 // parameters, which a caller may rebind under the same name.
 var programs struct {
@@ -433,16 +432,16 @@ func compilerOptions(cfg Config, params rsd.Env) compiler.Options {
 }
 
 // build makes cfg's runnable: builds, prepares and, for Opt, compiles its
-// program, and lays out its arrays.
+// program, lays out its arrays and lowers it.
 func build(cfg Config) *runnable {
 	sets := cfg.App.Sets[cfg.Set]
-	r := &runnable{shape: shapeOf(cfg), sets: maps.Clone(sets), prog: cfg.App.Build(cfg.Procs)}
-	r.params = r.prog.Prepare(sets, cfg.Procs)
+	prog := cfg.App.Build(cfg.Procs)
+	params := prog.Prepare(sets, cfg.Procs)
 	if cfg.System == Opt {
-		r.prog, _ = compiler.Compile(r.prog, compilerOptions(cfg, r.params))
+		prog, _ = compiler.Compile(prog, compilerOptions(cfg, params))
 	}
-	r.layout = compiler.BuildLayout(r.prog, r.params)
-	return r
+	layout := compiler.BuildLayout(prog, params)
+	return &runnable{shape: shapeOf(cfg), sets: maps.Clone(sets), layout: layout, lowered: interp.Lower(prog, layout, params, cfg.Procs)}
 }
 
 // idle is the one owner of warm storage in the process: a stack of the

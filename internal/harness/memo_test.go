@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
@@ -15,10 +16,15 @@ import (
 // options, on a fresh build and on the memo's entry. (a) The entry run
 // twice in sequence on sim must give the fresh build's Result both times —
 // checksum, virtual time and every protocol counter; a kernel that kept a
-// bound from the last run would start the next one pruned. (b) The entry
-// run on two real machines at once must give the fresh checksum on both,
-// and under the race detector a kernel writing state the two machines
-// share fails it.
+// bound from the last run would start the next one pruned, and the second
+// run is the first on an executor set a finished machine gave back. (b) A
+// run that fails — a fault whose records cannot be stored — drops its set,
+// and a third and a fourth run, on recycled sets, must still give the
+// fresh Result: an executor that kept its environment view, its private
+// state or a memo that its bounds do not determine would differ. (c) The
+// entry run on two real machines at once must give the fresh checksum on
+// both, and under the race detector a kernel writing state the two
+// machines share, or two machines handed one executor set, fails it.
 func TestMemoisedProgramIsReentrant(t *testing.T) {
 	const procs = 4
 	for _, a := range apps.All() {
@@ -33,15 +39,26 @@ func TestMemoisedProgramIsReentrant(t *testing.T) {
 				if again := runnableFor(cfg); again != rp {
 					t.Fatalf("a second lookup of one shape built its program again")
 				}
-				for i := range 2 {
+				simRun := func(i int) {
+					t.Helper()
 					res, err := runDSM(cfg, rp)
 					if err != nil {
 						t.Fatal(err)
 					}
 					if !reflect.DeepEqual(res, fresh) {
-						t.Fatalf("sim run %d of the memoised program:\n got %+v\nwant %+v (a fresh build's)", i+1, res, fresh)
+						t.Fatalf("sim run %d of the memoised program:\n got %+v\nwant %+v (a fresh build's)", i, res, fresh)
 					}
 				}
+				simRun(1)
+				simRun(2)
+				failing := cfg
+				failing.Fault = &FaultPlan{Rank: 1, Epoch: 2}
+				failing.CheckpointDir = filepath.Join(t.TempDir(), "missing")
+				if _, err := runDSM(failing, rp); err == nil {
+					t.Fatalf("a run whose checkpoint directory does not exist returned no error")
+				}
+				simRun(3)
+				simRun(4)
 
 				onReal := cfg
 				onReal.Backend = BackendReal

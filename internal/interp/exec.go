@@ -8,17 +8,21 @@ import (
 	"sdsm/internal/ir"
 	"sdsm/internal/rsd"
 	"sdsm/internal/shm"
+	"sdsm/internal/tmk"
 )
 
 // executor runs a lowered program for one processor. Its environment is
 // the slot vector env; everything else is scratch sized once from the
 // program, so a warmed statement allocates nothing (pinned by the root
-// alloc_test.go).
+// alloc_test.go). On a DSM machine it is one of a set that outlives the
+// machine (Lowered.Run): reset brings it back to the start of a run, and
+// its memos and scratch stay warm.
 type executor struct {
-	lp   *program
+	lp   *Lowered
 	rank int
 	env  []int
 	tgt  target
+	dsm  dsmTarget // tgt on a DSM machine
 	kctx kernelCtx
 	// The program's private state for this rank and run (ir.Program.Local),
 	// made at a kernel's first Local call.
@@ -36,9 +40,10 @@ type executor struct {
 	memos  []memo       // per Validate/Push statement (lookup)
 	bounds []rsd.CBound // the section bounds being compared with a memo's
 	penv   []int        // another rank's environment, for Push (envOfRank)
+	isect  []rsd.CBound // the bounds of pushPlan's last intersection
 }
 
-func newExecutor(lp *program, rank int, tgt target) *executor {
+func newExecutor(lp *Lowered, rank int, tgt target) *executor {
 	x := &executor{
 		lp:    lp,
 		rank:  rank,
@@ -50,6 +55,27 @@ func newExecutor(lp *program, rank int, tgt target) *executor {
 	}
 	x.kctx.x = x
 	return x
+}
+
+// reset makes the executor start a run on node nd: the rank's initial
+// environment, a view that holds nothing a callback of the last run stored
+// (tsp's "mytask"), and no private state, so ir.Program.Local makes it
+// afresh.
+func (x *executor) reset(nd *tmk.Node) {
+	x.dsm.nd, x.tgt = nd, &x.dsm
+	copy(x.env, x.lp.row(x.rank))
+	if x.view != nil {
+		x.fillView()
+	}
+	x.local = nil
+}
+
+// park drops what ties the executor to the machine that ran it — the
+// node, the run's private state, operand slices of the node's memory — so
+// that an idle set keeps none of it alive.
+func (x *executor) park() {
+	x.dsm.nd, x.local = nil, nil
+	clear(x.src)
 }
 
 // advance charges scaled compute time.
@@ -65,17 +91,25 @@ func (x *executor) advance(d time.Duration) {
 // stays for the next callback (tsp hands "mytask" from kernel to kernel);
 // a store under a name the program binds does not reach the slot.
 func (x *executor) envView() rsd.Env {
-	fresh := x.view == nil
-	if fresh {
-		x.view = x.lp.prog.Env(x.lp.params, x.rank, x.lp.nprocs)
-		x.seen = make([]int, len(x.env))
+	if x.view == nil {
+		x.view, x.seen = rsd.Env{}, make([]int, len(x.env))
+		x.fillView()
 	}
 	for s, v := range x.env {
-		if fresh || v != x.seen[s] {
+		if v != x.seen[s] {
 			x.seen[s], x.view[x.lp.syms[s]] = v, v
 		}
 	}
 	return x.view
+}
+
+// fillView makes the view, in its own storage, ir.Program.Env's map for
+// this rank with every slot's value written over it.
+func (x *executor) fillView() {
+	x.lp.prog.FillEnv(x.view, x.lp.params, x.rank, x.lp.nprocs)
+	for s, v := range x.env {
+		x.seen[s], x.view[x.lp.syms[s]] = v, v
+	}
 }
 
 func (x *executor) exec(stmts []stmt) {
@@ -223,17 +257,25 @@ func (x *executor) pushPlan(st *push) ([][]shm.Region, []bool) {
 		theirs := m.secs[i*per:][:per]
 		for a, w := range mine[nr:] {
 			for _, r := range theirs[:nr] {
-				m.sets[i] = w.Intersect(r).AppendRegions(m.sets[i], st.lists[1][a].arr)
+				m.sets[i] = x.intersect(w, r).AppendRegions(m.sets[i], st.lists[1][a].arr)
 			}
 		}
 		m.sets[i] = normalized(m.sets[i])
 		for _, w := range theirs[nr:] {
 			for _, r := range mine[:nr] {
-				m.from[i] = m.from[i] || !w.Intersect(r).Empty()
+				m.from[i] = m.from[i] || !x.intersect(w, r).Empty()
 			}
 		}
 	}
 	return m.sets, m.from
+}
+
+// intersect returns w ∩ r with its bounds in the executor's scratch, valid
+// until the next call.
+func (x *executor) intersect(w, r rsd.Concrete) rsd.Concrete {
+	c := w.Intersect(r, x.isect)
+	x.isect = c.Dims
+	return c
 }
 
 // normalized returns rs, the regions of sections appended one after

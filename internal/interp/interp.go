@@ -6,13 +6,16 @@
 //
 // It analyses nothing and runs nothing symbolic. The compiler's
 // representation — string symbols, map-backed affine expressions, arrays
-// by name — is lowered once per machine (lower.go: symbols to integer
-// slots, expressions to dense terms, references to arrays, strides and
-// per-iteration steps, Validate/Push sections to bounds keying a memo of
-// what each builds) into a program every rank's executor shares read-only
-// (exec.go; DESIGN.md §1, "Analyse symbolically, run lowered"). The
-// callbacks that read the environment by name — Compute, If, kernels —
-// get a map view of the slots on demand (executor.envView).
+// by name — is lowered once per shape of machine (Lower, lower.go: symbols
+// to integer slots, expressions to dense terms, references to arrays,
+// strides and per-iteration steps, Validate/Push sections to bounds keying
+// a memo of what each builds) into a program every rank's executor, on
+// every machine that runs it, shares read-only (exec.go; DESIGN.md §1,
+// "Analyse symbolically, run lowered"). The executors, their memos
+// included, outlive the machine: a finished run hands its set back to the
+// program for the next machine (Lowered.Run). The callbacks that read the
+// environment by name — Compute, If, kernels — get a map view of the
+// slots on demand (executor.envView).
 //
 // Accesses are established at region granularity: for an innermost loop,
 // the executor resolves each array reference to an address span, checks
@@ -23,6 +26,7 @@
 package interp
 
 import (
+	"fmt"
 	"time"
 
 	"sdsm/internal/compiler"
@@ -57,16 +61,53 @@ type target interface {
 // parameters (already passed through Program.Prepare). The layout of sys
 // must have been built from prog (see compiler.BuildLayout). Optional
 // epilogues run on every node after the program finishes, for gathering
-// results.
+// results. It lowers prog for this one machine; a caller that runs a shape
+// again and again lowers it once (Lower) and runs that.
 func RunDSM(prog *ir.Program, sys *tmk.System, params rsd.Env, epilogue ...func(nd *tmk.Node)) error {
-	lp := lower(prog, sys.Layout, params, sys.N())
-	return sys.Run(func(nd *tmk.Node) {
-		x := newExecutor(lp, nd.ID, &dsmTarget{nd: nd})
+	return Lower(prog, sys.Layout, params, sys.N()).Run(sys, epilogue...)
+}
+
+// Run executes the program on every node of sys, which must have been
+// built over the layout and rank count it was lowered for, then the
+// epilogues, as RunDSM does. Several machines may run it at once: each
+// takes an executor set of its own off the idle list, or makes one, and a
+// run that returns no error gives it back.
+func (lp *Lowered) Run(sys *tmk.System, epilogue ...func(nd *tmk.Node)) error {
+	if sys.Layout != lp.layout || sys.N() != lp.nprocs {
+		return fmt.Errorf("interp: %s lowered for %d ranks runs on a machine of %d or over another layout", lp.prog.Name, lp.nprocs, sys.N())
+	}
+	xs := lp.take()
+	err := sys.Run(func(nd *tmk.Node) {
+		x := xs[nd.ID]
+		x.reset(nd)
 		x.exec(lp.body)
 		for _, ep := range epilogue {
 			ep(nd)
 		}
+		x.park()
 	})
+	if err == nil {
+		lp.idle.Lock()
+		lp.idle.sets = append(lp.idle.sets, xs)
+		lp.idle.Unlock()
+	}
+	return err
+}
+
+// take returns an idle executor set, or a new one.
+func (lp *Lowered) take() []*executor {
+	lp.idle.Lock()
+	defer lp.idle.Unlock()
+	if n := len(lp.idle.sets); n > 0 {
+		xs := lp.idle.sets[n-1]
+		lp.idle.sets[n-1], lp.idle.sets = nil, lp.idle.sets[:n-1]
+		return xs
+	}
+	xs := make([]*executor, lp.nprocs)
+	for i := range xs {
+		xs[i] = newExecutor(lp, i, nil)
+	}
+	return xs
 }
 
 // SeqTime returns the pure-compute execution time of prog: the sum of all
@@ -99,7 +140,7 @@ func RunSeq(prog *ir.Program, params rsd.Env) (*shm.Layout, []float64) {
 func runSeq(prog *ir.Program, params rsd.Env) (*shm.Layout, *seqTarget) {
 	layout := compiler.BuildLayout(prog, params)
 	t := &seqTarget{mem: make([]float64, layout.Words())}
-	lp := lower(prog, layout, params, 1)
+	lp := Lower(prog, layout, params, 1)
 	newExecutor(lp, 0, t).exec(lp.body)
 	return layout, t
 }

@@ -193,6 +193,68 @@ func TestDSMMatchesSeqForSPMDSum(t *testing.T) {
 	}
 }
 
+// TestLoweredRunRecyclesExecutors pins the idle list of a lowered
+// program's executor sets: a machine that finishes hands its set to the
+// next, which starts from the rank's environment with nothing a callback
+// stored and no private state; a run that fails drops its set; and a
+// machine of another shape is refused before it takes one.
+func TestLoweredRunRecyclesExecutors(t *testing.T) {
+	const procs = 4
+	p := prog1d(
+		ir.Compute{Sym: "k", Fn: func(e rsd.Env) int { return e["lo"] + 1 }},
+		ir.Kernel{Name: "mark", Run: func(ctx ir.KernelCtx) {
+			e, runs := ctx.Env(), ctx.Local().(*int)
+			if _, ok := e["mark"]; ok || *runs != 0 || e["k"] != e["lo"]+1 {
+				panic(fmt.Sprintf("a run starts from the last one's state: view %v, private state %d", e, *runs))
+			}
+			e["mark"], *runs = 1, 1
+		}},
+		ir.Barrier{ID: 1},
+	)
+	p.Local = func() any { return new(int) }
+	params := rsd.Env{"n": 4096}
+	layout := compiler.BuildLayout(p, params)
+	lp := Lower(p, layout, params, procs)
+	machine := func(n int) *tmk.System {
+		e := sim.NewEngine(n)
+		return tmk.New(e, host.NewNetwork(e, model.SP2()), layout)
+	}
+	idle := func() [][]*executor {
+		lp.idle.Lock()
+		defer lp.idle.Unlock()
+		return slices.Clone(lp.idle.sets)
+	}
+
+	if err := lp.Run(machine(procs)); err != nil {
+		t.Fatal(err)
+	}
+	first := idle()
+	if len(first) != 1 {
+		t.Fatalf("after one machine the idle list holds %d sets, want 1", len(first))
+	}
+	if err := lp.Run(machine(procs)); err != nil {
+		t.Fatalf("a machine on a recycled set: %v", err)
+	}
+	if again := idle(); len(again) != 1 || again[0][0] != first[0][0] {
+		t.Fatalf("a second machine in sequence did not run on the first one's set")
+	}
+	if err := lp.Run(machine(procs), func(nd *tmk.Node) { panic("epilogue fails") }); err == nil {
+		t.Fatal("a run whose epilogue panics returned no error")
+	}
+	if n := len(idle()); n != 0 {
+		t.Fatalf("a failed run gave its set back: %d idle", n)
+	}
+	if err := lp.Run(machine(procs - 1)); err == nil {
+		t.Fatal("a program lowered for 4 ranks ran on 3")
+	}
+	if err := lp.Run(machine(procs)); err != nil {
+		t.Fatal(err)
+	}
+	if sets := idle(); len(sets) != 1 || sets[0][0] == first[0][0] {
+		t.Fatalf("after a failed run the next machine did not make a set of its own")
+	}
+}
+
 func TestKernelCtx(t *testing.T) {
 	p := prog1d(
 		ir.Kernel{
@@ -271,7 +333,7 @@ func TestPushMemo(t *testing.T) {
 	prog := prog1d(ir.Loop{Var: "k", Lo: rsd.Const(1), Hi: rsd.Const(iters), Body: body})
 	params := rsd.Env{"n": n}
 	layout := compiler.BuildLayout(prog, params)
-	lp := lower(prog, layout, params, nprocs)
+	lp := Lower(prog, layout, params, nprocs)
 	recs := make([]*pushRecorder, nprocs)
 	for rank := range recs {
 		recs[rank] = &pushRecorder{}

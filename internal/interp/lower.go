@@ -2,8 +2,8 @@ package interp
 
 import (
 	"fmt"
-	"maps"
 	"slices"
+	"sync"
 	"time"
 
 	"sdsm/internal/ir"
@@ -11,13 +11,14 @@ import (
 	"sdsm/internal/shm"
 )
 
-// program is an ir.Program lowered for one machine: one layout, one
-// parameter binding, one processor count. Every symbol a bound, subscript
-// or lock id mentions is an integer slot of the environment, every array
-// a *shm.Array, every affine expression a constant plus dense terms.
-// Nothing in it is written after lower returns, so the executors of all
-// ranks — goroutines of their own on the real and net backends — share one.
-type program struct {
+// Lowered is an ir.Program lowered for one shape of machine: one layout,
+// one parameter binding, one processor count. Every symbol a bound,
+// subscript or lock id mentions is an integer slot of the environment,
+// every array a *shm.Array, every affine expression a constant plus dense
+// terms. Nothing of it but the idle list is written after Lower returns,
+// so the executors of all ranks — goroutines of their own on the real and
+// net backends — and of every machine that runs it share one.
+type Lowered struct {
 	prog   *ir.Program
 	params rsd.Env
 	nprocs int
@@ -35,13 +36,23 @@ type program struct {
 
 	memos   int // Validate and Push statements, each the index of a memo
 	maxRefs int // references of the widest assignment
+
+	// idle holds the executor sets — one executor per rank, with its
+	// Validate/Push memos and scratch — of the machines that ran the
+	// program to the end without an error. A machine takes one (Run), or
+	// makes one when there is none, so the list grows only to the most
+	// machines of this shape that ran at once.
+	idle struct {
+		sync.Mutex
+		sets [][]*executor
+	}
 }
 
 // row returns rank i's initial environment.
-func (lp *program) row(i int) []int { return lp.init[i*len(lp.syms) : (i+1)*len(lp.syms)] }
+func (lp *Lowered) row(i int) []int { return lp.init[i*len(lp.syms) : (i+1)*len(lp.syms)] }
 
 // array looks up a shared array for a kernel, which names it at run time.
-func (lp *program) array(name string) *shm.Array { return lp.layout.Array(name) }
+func (lp *Lowered) array(name string) *shm.Array { return lp.layout.Array(name) }
 
 // stmt is a lowered statement: *loop, *assign, *compute, *cond, *lock,
 // *validate, *push, kernel or ir.Barrier.
@@ -147,17 +158,20 @@ type push struct{ sections }
 
 // lowerer carries the symbol table while a program is lowered.
 type lowerer struct {
-	lp    *program
+	lp    *Lowered
 	slots map[rsd.Sym]int
 	binds map[int]bool // slots a loop or a Compute binds
 	keys  []rsd.Sym    // scratch of lin
 	terms []term       // the array every lin's terms are a piece of
 }
 
-// lower builds the executable form of prog. Its cost, allocations included,
-// does not depend on nprocs beyond the size of the init table.
-func lower(prog *ir.Program, layout *shm.Layout, params rsd.Env, nprocs int) *program {
-	lp := &program{prog: prog, params: params, nprocs: nprocs, layout: layout, scale: costScale(params)}
+// Lower builds the executable form of prog for nprocs ranks over layout,
+// which must have been built from prog (see compiler.BuildLayout), with
+// the given problem parameters (already passed through Program.Prepare).
+// Its cost, allocations included, does not depend on nprocs beyond the
+// size of the init table.
+func Lower(prog *ir.Program, layout *shm.Layout, params rsd.Env, nprocs int) *Lowered {
+	lp := &Lowered{prog: prog, params: params, nprocs: nprocs, layout: layout, scale: costScale(params)}
 	lw := &lowerer{lp: lp, slots: map[rsd.Sym]int{}, binds: map[int]bool{}}
 	lp.body = lw.stmts(prog.Body)
 
@@ -166,12 +180,7 @@ func lower(prog *ir.Program, layout *shm.Layout, params rsd.Env, nprocs int) *pr
 	lp.init = make([]int, nprocs*n)
 	env := rsd.Env{}
 	for i := 0; i < nprocs; i++ {
-		clear(env)
-		env["p"], env["nprocs"] = i, nprocs
-		maps.Copy(env, params)
-		for _, d := range prog.Derived {
-			env[d.Name] = d.Fn(env)
-		}
+		prog.FillEnv(env, params, i, nprocs)
 		for s, sym := range lp.syms {
 			lp.init[i*n+s] = env[sym]
 		}

@@ -87,7 +87,7 @@ func TestPushPlanMatchesWordLists(t *testing.T) {
 				env := prog.Env(params, i, nprocs)
 				reads[i], writes[i] = ref.regions(st.Reads, env), ref.regions(st.Writes, env)
 			}
-			lp := lower(prog, layout, params, nprocs)
+			lp := Lower(prog, layout, params, nprocs)
 			for rank := 0; rank < nprocs; rank++ {
 				rec := &pushRecorder{}
 				newExecutor(lp, rank, rec).exec(lp.body)

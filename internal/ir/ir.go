@@ -16,6 +16,7 @@
 package ir
 
 import (
+	"maps"
 	"time"
 
 	"sdsm/internal/rsd"
@@ -100,14 +101,20 @@ func (pr *Program) Prepare(params rsd.Env, nprocs int) rsd.Env {
 // Env builds the evaluation environment for processor p of nprocs given
 // problem parameter bindings.
 func (pr *Program) Env(params rsd.Env, p, nprocs int) rsd.Env {
-	env := rsd.Env{"p": p, "nprocs": nprocs}
-	for k, v := range params {
-		env[k] = v
-	}
+	env := rsd.Env{}
+	pr.FillEnv(env, params, p, nprocs)
+	return env
+}
+
+// FillEnv makes env, whatever it held, the environment Env builds, in the
+// map's own storage.
+func (pr *Program) FillEnv(env, params rsd.Env, p, nprocs int) {
+	clear(env)
+	env["p"], env["nprocs"] = p, nprocs
+	maps.Copy(env, params)
 	for _, d := range pr.Derived {
 		env[d.Name] = d.Fn(env)
 	}
-	return env
 }
 
 // Stmt is a program statement.

@@ -101,13 +101,16 @@ func (g *sectionGen) section() Concrete {
 
 // TestIntersectMatchesWordSets: the words of a ∩ b are the words a's
 // expansion and b's expansion share, for sections of the same array and of
-// different arrays.
+// different arrays. Every intersection is written into the storage of the
+// one before, as a caller reusing its scratch does.
 func TestIntersectMatchesWordSets(t *testing.T) {
+	var into []CBound
 	for seed := int64(0); seed < 300; seed++ {
 		g := newSectionGen(seed)
 		for k := 0; k < 20; k++ {
 			a, b := g.section(), g.section()
-			x := a.Intersect(b)
+			x := a.Intersect(b, into)
+			into = x.Dims
 			got := words(oracleRegions(x, g.layout))
 			wa, wb := words(oracleRegions(a, g.layout)), words(oracleRegions(b, g.layout))
 			for w := range wa {
@@ -179,7 +182,7 @@ func TestNonPositiveStridePanics(t *testing.T) {
 		ok := Concrete{Array: "a", Dims: []CBound{good, good}}
 		for name, f := range map[string]func(){
 			"Count":         func() { bad.Dims[1].Count() },
-			"Intersect":     func() { ok.Intersect(bad) },
+			"Intersect":     func() { ok.Intersect(bad, nil) },
 			"AppendRegions": func() { bad.AppendRegions(nil, arr) },
 			"ContiguousIn":  func() { bad.ContiguousIn(arr) },
 		} {

@@ -217,14 +217,16 @@ func (c Concrete) Elems() int {
 // Intersect returns the elements c and o both select. Per dimension that is
 // the intersection of two arithmetic progressions, itself one with the lcm
 // of the strides, so the result is exact. Sections of different arrays
-// share nothing. Whether anything is shared is the result's Empty.
-func (c Concrete) Intersect(o Concrete) Concrete {
+// share nothing. Whether anything is shared is the result's Empty. The
+// result's bounds are appended to into[:0], so a caller that intersects
+// again and again passes the last result's Dims; nil makes them afresh.
+func (c Concrete) Intersect(o Concrete, into []CBound) Concrete {
 	if c.Array != o.Array || len(c.Dims) != len(o.Dims) {
-		return Concrete{}
+		return Concrete{Dims: into[:0]}
 	}
-	out := Concrete{Array: c.Array, Dims: make([]CBound, len(c.Dims))}
+	out := Concrete{Array: c.Array, Dims: into[:0]}
 	for d := range c.Dims {
-		out.Dims[d] = c.Dims[d].intersect(o.Dims[d])
+		out.Dims = append(out.Dims, c.Dims[d].intersect(o.Dims[d]))
 	}
 	return out
 }

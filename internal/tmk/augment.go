@@ -44,7 +44,7 @@ func (nd *Node) Validate(at AccessType, regions []shm.Region, async bool) {
 	}
 
 	if !at.fetches() {
-		var partial []int
+		partial := nd.vnScratch[:0]
 		for i, pg := range pages {
 			if full[i] {
 				nd.discardObligations(pg)
@@ -53,6 +53,7 @@ func (nd *Node) Validate(at AccessType, regions []shm.Region, async bool) {
 				partial = append(partial, pg)
 			}
 		}
+		nd.vnScratch = partial
 		if len(partial) > 0 {
 			nd.fetchPages(partial, false)
 			for _, pg := range partial {
@@ -62,12 +63,13 @@ func (nd *Node) Validate(at AccessType, regions []shm.Region, async bool) {
 		return
 	}
 
-	var need []int
+	need := nd.vnScratch[:0]
 	for _, pg := range pages {
 		if len(nd.pages[pg].pending) > 0 {
 			need = append(need, pg)
 		}
 	}
+	nd.vnScratch = need
 	if async {
 		for i, pg := range pages {
 			if len(nd.pages[pg].pending) > 0 {

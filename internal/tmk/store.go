@@ -107,9 +107,11 @@ type scratch struct {
 	depart     wire.Depart
 	pgScratch  []int
 	// vpScratch holds a Validate's page list (pagesOf) while the call runs,
-	// and fcScratch, parallel to it, which of those pages it covers whole.
+	// fcScratch, parallel to it, which of those pages it covers whole, and
+	// vnScratch the pages it fetches (fetchPages copies what it keeps).
 	vpScratch []int
 	fcScratch []bool
+	vnScratch []int
 	// Validate_w_sync's epoch-lifetime storage. wsRegPages and wsRegFull
 	// are the slabs the registrations' page lists and full flags are carved
 	// from, rewound by consumeWSync; needRows and needList back the needs
@@ -126,6 +128,9 @@ type scratch struct {
 	wsServed []wire.Diff
 	wsAll    []remoteWSync
 	wsFanout map[diffKey]int
+
+	// A free acquire's grant construction, run at the granter (Acquire).
+	hold heldGrant
 
 	// Push's gather storage: the free buffers, and, per receiver, the
 	// buffers sent to it that it has not yet applied, oldest first. The

@@ -297,7 +297,10 @@ func (nd *Node) Acquire(id int) {
 			info := nd.syncInfo()
 			info.Floors = floors
 			if l.holder != -1 {
-				l.queue = append(l.queue, &lockWaiter{id: nd.ID, p: nd.p, info: info, tAtHolder: t})
+				// The queue holds the node's own slot until Release pops
+				// it: a node waits for one lock at a time.
+				nd.waiter = lockWaiter{id: nd.ID, p: nd.p, info: info, tAtHolder: t}
+				l.queue = append(l.queue, &nd.waiter)
 				nd.p.Block("lock")
 				g = s.NW.TakeHand(nd.p, slotGrant).(wire.Grant)
 			} else {
@@ -305,10 +308,14 @@ func (nd *Node) Acquire(id int) {
 				// host; Hold serializes the grant construction (which may
 				// flush its diffs) against its compute section.
 				l.holder = nd.ID
-				from := s.Nodes[granter]
-				var built wire.Grant // the closure's own variable: g stays off the heap on the other paths
-				nd.p.Hold(from.p, func() { built = from.grantTo(l, nd.ID, info) })
-				g = built
+				h := &nd.hold
+				if h.run == nil {
+					h.run = h.build
+				}
+				h.from, h.l, h.to, h.info = s.Nodes[granter], l, nd.ID, info
+				nd.p.Hold(h.from.p, h.run)
+				g = h.g
+				*h = heldGrant{run: h.run} // holds nothing of this machine
 				s.H.Proc(granter).Charge(c.LockMgmt)
 				t += c.LockMgmt
 				nd.p.SetClock(s.NW.Message(granter, nd.ID, t, int(g.Bytes)))
@@ -333,6 +340,21 @@ func (nd *Node) grantTo(l *lock, to int, info wire.SyncInfo) wire.Grant {
 	nd.traceGrant(l, to, g)
 	return g
 }
+
+// heldGrant is the grant construction a free acquire runs at the granter
+// under Hold: its arguments, its result, and run, the one func value that
+// calls build, made at the store's first such acquire, so an acquire moves
+// nothing to the heap.
+type heldGrant struct {
+	from *Node
+	l    *lock
+	to   int
+	info wire.SyncInfo
+	g    wire.Grant
+	run  func()
+}
+
+func (h *heldGrant) build() { h.g = h.from.grantTo(h.l, h.to, h.info) }
 
 // Release ends the critical section: the open interval closes (a release
 // point) and a queued waiter, if any, is granted the lock directly — the
@@ -363,7 +385,9 @@ func (nd *Node) Release(id int) {
 		return
 	}
 	w := l.queue[0]
-	l.queue = l.queue[1:]
+	n := copy(l.queue, l.queue[1:])
+	l.queue[n] = nil
+	l.queue = l.queue[:n]
 	l.holder = w.id
 	g := nd.grantTo(l, w.id, w.info)
 	t := max(nd.p.Now(), w.tAtHolder) + s.Costs.LockMgmt

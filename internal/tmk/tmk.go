@@ -535,6 +535,9 @@ type Node struct {
 	ad    *adaptNode      // adaptive protocol state; nil unless EnableAdapt
 	held  []heldLock      // locks currently held, innermost last
 	tr    *obs.NodeTracer // event ring; nil unless EnableTrace (trace.go)
+	// waiter is this node's queued acquire while it waits for a lock: the
+	// lock's queue points to it until Release pops it.
+	waiter lockWaiter
 
 	recoveryState // checkpoint/restore bookkeeping (recovery.go)
 	RecStats      RecoveryStats
