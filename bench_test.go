@@ -272,7 +272,7 @@ func benchDiffReply() *wire.Frame {
 	}
 	return &wire.Frame{
 		Kind: wire.FReply, From: 1, To: 0, Tag: 9, Bytes: 1552, Time: 123456,
-		Payload: wire.DiffReply{Diffs: []wire.Diff{mk(3, 1), mk(4, 1)}},
+		Payload: &wire.DiffReply{Diffs: []wire.Diff{mk(3, 1), mk(4, 1)}},
 	}
 }
 
@@ -330,7 +330,7 @@ func BenchmarkWireDecodeDiffReply(b *testing.B) {
 // BenchmarkWireGrantRoundTrip measures encode+decode of a lock grant with
 // write notices, the per-synchronization payload of the wire backend.
 func BenchmarkWireGrantRoundTrip(b *testing.B) {
-	g := wire.Grant{Bytes: 440}
+	g := &wire.Grant{Bytes: 440}
 	for idx := int32(1); idx <= 10; idx++ {
 		g.Intervals = append(g.Intervals, wire.OwnedInterval{
 			Owner: idx % 8, Idx: idx,
@@ -357,7 +357,7 @@ func BenchmarkWireGrantRoundTrip(b *testing.B) {
 // piggybacked diffs for the predicted critical-section working set
 // (~two pages of short runs).
 func benchPushedGrant() *wire.Frame {
-	g := wire.Grant{Bytes: 2160}
+	g := &wire.Grant{Bytes: 2160}
 	for idx := int32(1); idx <= 4; idx++ {
 		g.Intervals = append(g.Intervals, wire.OwnedInterval{
 			Owner: idx % 8, Idx: idx,

@@ -192,15 +192,15 @@ func deliverySeeds(tb testing.TB) [][]byte {
 		return in
 	}
 	msg := body(&wire.Frame{Kind: wire.FMsg, From: 0, To: 2, Tag: 1, Bytes: 16, Payload: []float64{7, 8}})
-	diffs := body(&wire.Frame{Kind: wire.FMsg, From: 1, To: 2, Tag: 9, Payload: wire.DiffReply{Diffs: []wire.Diff{
+	diffs := body(&wire.Frame{Kind: wire.FMsg, From: 1, To: 2, Tag: 9, Payload: &wire.DiffReply{Diffs: []wire.Diff{
 		{Page: 3, Creator: 1, From: 0, To: 2, Covers: []int32{2, 0, 0}, Runs: []wire.Run{{Off: 4, Vals: []float64{1, 2}}, {Off: 90, Vals: []float64{3}}}},
 		{Page: 4, Creator: 0, To: 1, Whole: true, Runs: []wire.Run{{Vals: []float64{5}}}},
 	}}})
 	hand := body(&wire.Frame{Kind: wire.FHand, From: 0, To: 2, Tag: 5, Payload: &wire.Depart{Time: 12, Intervals: []wire.OwnedInterval{
 		{Owner: 1, Idx: 2, IV: wire.Interval{Pages: []wire.PageRef{{Page: 3, ExtLo: 4, ExtHi: 6}, {Page: 9, Whole: true}}}},
 	}}})
-	reply := body(&wire.Frame{Kind: wire.FReply, From: 0, To: 2, Tag: 0, Payload: wire.DiffReply{}})
-	req := body(&wire.Frame{Kind: wire.FReq, From: 0, To: 2, Tag: 3, Payload: wire.DiffRequest{Req: 0, Pages: []int32{1, 2}, Applied: [][]int32{{0, 0, 0}, {1, 0, 0}}}})
+	reply := body(&wire.Frame{Kind: wire.FReply, From: 0, To: 2, Tag: 0, Payload: &wire.DiffReply{}})
+	req := body(&wire.Frame{Kind: wire.FReq, From: 0, To: 2, Tag: 3, Payload: &wire.DiffRequest{Req: 0, Pages: []int32{1, 2}, Applied: [][]int32{{0, 0, 0}, {1, 0, 0}}}})
 	badReq := body(&wire.Frame{Kind: wire.FReq, From: 1, To: 2, Tag: 4, Payload: []float64{1}})
 	version := bytes.Clone(msg)
 	version[0] = wire.Version + 1

@@ -287,9 +287,10 @@ type Mailbox interface {
 // out-of-band protocol payloads, and multi-hop accounting. It shares
 // Stats, Send and Recv with Mailbox by signature, not by embedding: tmk
 // never multicasts, so a DSM transport owes no SendShared. Every payload
-// that crosses it must be a wire value — never a pointer into another
-// node's protocol state. Network implements both halves in-process over
-// any Host; Net implements this one over loopback sockets.
+// that crosses it must be a wire payload, in the one form
+// wire.Frame.Payload states — never one of the run-time's own protocol
+// structures. Network implements both halves in-process over any Host;
+// Net implements this one over loopback sockets.
 //
 // Transport methods must be called inside a protocol section.
 type Transport interface {
@@ -319,9 +320,9 @@ type Transport interface {
 
 	// Hand stages a protocol payload for node to, out of band of the
 	// mailbox: lock grants and barrier departures are constructed by the
-	// protocol (which accounts their cost via Message) and consumed by the
-	// recipient after it is woken. On socket transports the payload
-	// crosses the wire encoded.
+	// protocol (which accounts their cost via Message), handed by pointer
+	// (wire.Frame.Payload) and consumed by the recipient after it is
+	// woken. On socket transports the payload crosses the wire encoded.
 	Hand(p Proc, to int, slot Tag, payload any)
 	// TakeHand retrieves the payload staged for the caller in slot,
 	// waiting for it to arrive where delivery is asynchronous.

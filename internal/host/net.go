@@ -14,14 +14,16 @@ import (
 // Net is the wire backend: a Real host whose Transport carries every
 // payload over OS sockets on loopback in the versioned wire format
 // (package wire). Each node owns one Endpoint connected to a central
-// Switch; a mailbox send, a diff request/reply, a lock grant, or a barrier
-// departure is encoded, written to the node's socket, routed by the
-// switch, and decoded by the destination's delivery loop before the
-// protocol sees it — the deployment shape of a process-per-node DSM,
-// with the node bodies still hosted in-process (see DESIGN.md §3 for the
-// contract and cmd/sdsm-node for the genuinely multi-process
+// Switch; a mailbox send, a diff request or reply, a queued acquire's lock
+// grant, or a barrier departure is encoded, written to the node's socket,
+// routed by the switch, and decoded by the destination's delivery loop
+// before the protocol sees it — the deployment shape of a process-per-node
+// DSM, with the node bodies still hosted in-process (see DESIGN.md §3 for
+// the contract and cmd/sdsm-node for the genuinely multi-process
 // message-passing deployment, the same switch with its endpoints in
-// other processes).
+// other processes). What the run-time shares in-process crosses no
+// socket: a free acquire's grant is built at the granter under Hold, and
+// the barrier master reads every arrival from the barrier's control state.
 //
 // Concurrency structure, per node i:
 //
@@ -489,8 +491,9 @@ func (nw *Net) StartRequest(p Proc, to int, req *wire.DiffRequest, reqBytes int,
 	pd.SetResolver(rs)
 }
 
-// Hand ships a staged protocol payload (lock grant, barrier departure) to
-// node to over the wire; the destination's delivery loop files it.
+// Hand ships a staged protocol payload (a queued acquire's lock grant, a
+// barrier departure) to node to over the wire, encoded before it returns;
+// the destination's delivery loop files it.
 func (nw *Net) Hand(p Proc, to int, slot Tag, payload any) {
 	nw.must(p.ID(), nw.eps[p.ID()].Write(&wire.Frame{
 		Kind: wire.FHand, From: int32(p.ID()), To: int32(to), Tag: int32(slot),

@@ -128,16 +128,16 @@ func TestNetHand(t *testing.T) {
 	err := nw.Run(func(p Proc) {
 		if p.ID() == 0 {
 			p.Begin()
-			nw.Hand(p, 1, 3, wire.Grant{Bytes: 12})
-			nw.Hand(p, 0, 3, wire.Grant{Bytes: 99})
-			g := nw.TakeHand(p, 3).(wire.Grant)
+			nw.Hand(p, 1, 3, &wire.Grant{Bytes: 12})
+			nw.Hand(p, 0, 3, &wire.Grant{Bytes: 99})
+			g := nw.TakeHand(p, 3).(*wire.Grant)
 			p.End()
 			if g.Bytes != 99 {
 				t.Errorf("self hand = %+v", g)
 			}
 		} else {
 			p.Begin()
-			g := nw.TakeHand(p, 3).(wire.Grant)
+			g := nw.TakeHand(p, 3).(*wire.Grant)
 			p.End()
 			if g.Bytes != 12 {
 				t.Errorf("hand = %+v", g)
@@ -160,7 +160,7 @@ func TestNetHandStagedTwiceFails(t *testing.T) {
 		p.Begin()
 		defer p.End()
 		if p.ID() < 2 {
-			nw.Hand(p, 2, 5, wire.Grant{Bytes: int32(p.ID())})
+			nw.Hand(p, 2, 5, &wire.Grant{Bytes: int32(p.ID())})
 			nw.Send(p, 2, 1, nil, 0)
 			return
 		}

@@ -42,7 +42,7 @@ func exchange(t *testing.T, h host.Host, tr host.Transport) [5]any {
 			host.AwaitAll(p, pds, tr.Costs())
 			got[0] = []any{pds[0].Reply, pds[0].Bytes, pds[1].Reply, pds[1].Bytes}
 			tr.Message(1, 2, p.Now(), 32)
-			tr.Hand(p, 1, 3, wire.Grant{Bytes: 12})
+			tr.Hand(p, 1, 3, &wire.Grant{Bytes: 12})
 			tr.Send(p, 1, tagB, nil, 0)
 		case 1:
 			got[1] = tr.Recv(p, 0, tagA).Payload

@@ -215,7 +215,7 @@ func RunOpts(app *apps.App, set apps.DataSet, procs int, opts Options) (*Result,
 	// one.
 	start := wire.Start{App: app.Name, Set: string(set), N: int32(procs), Overhead: int64(opts.Overhead), Verify: opts.Verify}
 	for r := 0; r < procs; r++ {
-		blob, err := wire.AppendFrame(nil, &wire.Frame{Kind: wire.FStart, To: int32(r), Payload: start})
+		blob, err := wire.AppendFrame(nil, &wire.Frame{Kind: wire.FStart, To: int32(r), Payload: &start})
 		if err != nil {
 			return nil, fmt.Errorf("mpnet: encoding start frame: %w", err)
 		}
@@ -327,7 +327,7 @@ func (co *coordinator) tap(from int, raw []byte, kind byte, to, bytes int32) boo
 		f, _, err := wire.ParseFrame(raw)
 		if err != nil {
 			d.err = err
-		} else if res := f.Payload.(wire.Done); res.Err != "" {
+		} else if res := f.Payload.(*wire.Done); res.Err != "" {
 			d.err = fmt.Errorf("mpnet: rank %d failed: %s", from, res.Err)
 		} else {
 			d.clock, d.sum = time.Duration(f.Time), res.Checksum
@@ -432,7 +432,7 @@ func RunWorker(network, addr string, rank int) error {
 	if err := ep.ReadHandshake(&f); err != nil {
 		return fmt.Errorf("reading start frame: %w", err)
 	}
-	start, ok := f.Payload.(wire.Start)
+	start, ok := f.Payload.(*wire.Start)
 	if !ok || f.Kind != wire.FStart {
 		return fmt.Errorf("expected start frame, got kind %d", f.Kind)
 	}
@@ -457,7 +457,7 @@ func RunWorker(network, addr string, rank int) error {
 	}
 	// The done report rides the same outbound queue as the data frames so
 	// it cannot overtake them, then the queue is drained to the socket.
-	err = ep.Write(&wire.Frame{Kind: wire.FDone, From: int32(rank), Time: int64(w.proc.clock), Payload: done})
+	err = ep.Write(&wire.Frame{Kind: wire.FDone, From: int32(rank), Time: int64(w.proc.clock), Payload: &done})
 	if err != nil {
 		return err
 	}

@@ -100,7 +100,7 @@ func (cl *Client) reader() {
 		// result (it leaves its table on the first).
 		cl.mu.Lock()
 		switch p := f.Payload.(type) {
-		case wire.JobDecision:
+		case *wire.JobDecision:
 			if j := cl.pending[f.Tag]; j != nil {
 				delete(cl.pending, f.Tag)
 				if f.Kind == wire.FJobAccept {
@@ -111,10 +111,10 @@ func (cl *Client) reader() {
 				}
 				close(j.decided)
 			}
-		case wire.JobResult:
+		case *wire.JobResult:
 			if j := cl.active[p.ID]; j != nil {
 				delete(cl.active, p.ID)
-				j.result <- p
+				j.result <- *p
 			}
 		}
 		cl.mu.Unlock()
@@ -136,7 +136,7 @@ func (cl *Client) Submit(spec wire.JobSpec) (*Job, error) {
 	err := cl.err
 	if err == nil {
 		cl.nextTag++
-		err = cl.l.Write(&wire.Frame{Kind: wire.FJob, Tag: cl.nextTag, Payload: spec})
+		err = cl.l.Write(&wire.Frame{Kind: wire.FJob, Tag: cl.nextTag, Payload: &spec})
 	}
 	if err == nil {
 		cl.pending[cl.nextTag] = j

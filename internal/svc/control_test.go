@@ -171,8 +171,8 @@ func TestQueueFullRejected(t *testing.T) {
 	// daemon's own job ID — so shutdown is clean.
 	const daemonID = 7
 	for _, f := range []*wire.Frame{
-		{Kind: wire.FJobAccept, Tag: df.Tag, Payload: wire.JobDecision{ID: daemonID}},
-		{Kind: wire.FJobResult, Tag: df.Tag, Payload: wire.JobResult{ID: daemonID}},
+		{Kind: wire.FJobAccept, Tag: df.Tag, Payload: &wire.JobDecision{ID: daemonID}},
+		{Kind: wire.FJobResult, Tag: df.Tag, Payload: &wire.JobResult{ID: daemonID}},
 	} {
 		if err := wire.WriteFrame(dc, f); err != nil {
 			t.Fatal(err)
@@ -233,7 +233,7 @@ func TestDaemonDeathMidJob(t *testing.T) {
 	dispatched := make(chan int64, 1)
 	go func() {
 		if df, err := wire.ReadFrame(dc); err == nil {
-			dispatched <- df.Payload.(wire.JobSpec).ID
+			dispatched <- df.Payload.(*wire.JobSpec).ID
 		}
 	}()
 

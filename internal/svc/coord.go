@@ -71,7 +71,7 @@ type session struct {
 func (s *session) result(tag int32, res wire.JobResult) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	_ = s.l.Write(&wire.Frame{Kind: wire.FJobResult, Tag: tag, Payload: res})
+	_ = s.l.Write(&wire.Frame{Kind: wire.FJobResult, Tag: tag, Payload: &res})
 }
 
 // newLink frames a control-plane connection. A failed write closes the
@@ -289,11 +289,12 @@ func (co *Coordinator) serveJobs(l *host.Link, f *wire.Frame) error {
 // session's admission lock, so accept and reject frames are ordered
 // before any worker traffic for the job.
 func (co *Coordinator) submit(s *session, f *wire.Frame) {
-	spec, ok := f.Payload.(wire.JobSpec)
+	spec, ok := f.Payload.(*wire.JobSpec)
 	var reason string
 	if !ok {
 		reason = "svc: job frame carries no spec"
-	} else if _, err := JobConfig(spec); err != nil {
+		spec = new(wire.JobSpec)
+	} else if _, err := JobConfig(*spec); err != nil {
 		reason = err.Error()
 	}
 	spec.ID = co.nextID.Add(1)
@@ -305,7 +306,7 @@ func (co *Coordinator) submit(s *session, f *wire.Frame) {
 			reason = fmt.Sprintf("svc: no executor with %d ranks (max capacity %d)", spec.Procs, co.bound)
 		} else {
 			select {
-			case co.jobs <- &job{spec: spec, tag: f.Tag, s: s}:
+			case co.jobs <- &job{spec: *spec, tag: f.Tag, s: s}:
 			default:
 				reason = queueFullReason
 			}
@@ -314,11 +315,11 @@ func (co *Coordinator) submit(s *session, f *wire.Frame) {
 	}
 	if reason != "" {
 		co.rejected.Add(1)
-		_ = s.l.Write(&wire.Frame{Kind: wire.FJobReject, Tag: f.Tag, Payload: wire.JobDecision{Reason: reason}})
+		_ = s.l.Write(&wire.Frame{Kind: wire.FJobReject, Tag: f.Tag, Payload: &wire.JobDecision{Reason: reason}})
 		return
 	}
 	co.accepted.Add(1)
-	_ = s.l.Write(&wire.Frame{Kind: wire.FJobAccept, Tag: f.Tag, Payload: wire.JobDecision{ID: spec.ID}})
+	_ = s.l.Write(&wire.Frame{Kind: wire.FJobAccept, Tag: f.Tag, Payload: &wire.JobDecision{ID: spec.ID}})
 }
 
 // finish delivers a job's result to its submitter and counts it.

@@ -54,7 +54,7 @@ func checkCoordinatorInput(t *testing.T, data []byte) {
 		t.Fatalf("%d frames back for a session of %d jobs: %+v", len(verdicts), len(want), verdicts)
 	}
 	for i, v := range verdicts {
-		d, ok := v.Payload.(wire.JobDecision)
+		d, ok := v.Payload.(*wire.JobDecision)
 		if v.Kind != wire.FJobReject || v.Tag != want[i] || !ok || d.Reason == "" {
 			t.Fatalf("frame %d back: kind %d tag %d payload %+v, want a rejection of job tag %d", i, v.Kind, v.Tag, v.Payload, want[i])
 		}
@@ -134,7 +134,7 @@ func coordinatorSeeds(tb testing.TB) [][]byte {
 		return b
 	}
 	job := func(tag int32) *wire.Frame {
-		return &wire.Frame{Kind: wire.FJob, Tag: tag, Payload: wire.JobSpec{App: "jacobi", Set: "small", Procs: 2, Verify: true}}
+		return &wire.Frame{Kind: wire.FJob, Tag: tag, Payload: &wire.JobSpec{App: "jacobi", Set: "small", Procs: 2, Verify: true}}
 	}
 	valid := frame(nil, job(7))
 	two := frame(frame(frame(nil, job(1)), job(2)), &wire.Frame{Kind: wire.FPoolHello, Tag: 1})

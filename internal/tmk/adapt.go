@@ -38,13 +38,13 @@ type adaptNode struct {
 	ds     []wire.Diff
 	ex     []wire.Diff
 	oldBar []int32
-	// spans[c] backs the spans of the update sent to consumer c. It lives
-	// an epoch longer than the scratch above: c reads the message after
-	// this step returns, and the barrier that ends the epoch orders that
-	// read before the next update to c rebuilds the buffer. One buffer per
+	// updates[c] is the update sent to consumer c, its spans in their own
+	// buffer. It lives an epoch longer than the scratch above: c reads the
+	// message after this step returns, and the barrier that ends the epoch
+	// orders that read before the next update to c rebuilds it. One per
 	// consumer, because a shared one would be rebuilt for the next
 	// consumer's message before the first has read its own.
-	spans [][]wire.DiffSpan
+	updates []wire.Update
 }
 
 // pageTally is one page's entry in the table observe lays an epoch's
@@ -78,7 +78,7 @@ func (s *System) EnableAdapt(cfg adapt.Config) {
 			det: adapt.New(cfg), fetched: map[int32]bool{},
 			tally: make([]pageTally, nd.Mem.Pages()),
 			sends: make([][]int, s.N()), recvs: make([]bool, s.N()),
-			spans: make([][]wire.DiffSpan, s.N()),
+			updates: make([]wire.Update, s.N()),
 		}
 	}
 }
@@ -207,7 +207,7 @@ func (nd *Node) checkpointAdapt(ck *wire.Checkpoint) {
 }
 
 // restoreAdapt rebuilds the adaptive state from the newest recovery record.
-func (nd *Node) restoreAdapt(ck wire.Checkpoint) {
+func (nd *Node) restoreAdapt(ck *wire.Checkpoint) {
 	if nd.ad == nil {
 		return
 	}
@@ -394,8 +394,8 @@ func (nd *Node) adaptStep(oldBar []int32, fetched []wire.NodePages) {
 			nd.Stats.AdaptPagesPushed++
 		}
 		ad.ds = ds
-		ad.spans[c] = wire.CoalesceDiffs(ad.spans[c][:0], ds)
-		u := wire.Update{Epoch: int32(nd.Stats.Barriers), Spans: ad.spans[c]}
+		u := &ad.updates[c]
+		u.Epoch, u.Spans = int32(nd.Stats.Barriers), wire.CoalesceDiffs(u.Spans[:0], ds)
 		bytes := 16
 		for _, sp := range u.Spans {
 			bytes += sp.WireBytes()
@@ -417,7 +417,7 @@ func (nd *Node) adaptStep(oldBar []int32, fetched []wire.NodePages) {
 	for q, due := range ad.recvs {
 		if due {
 			m := s.NW.Recv(nd.p, q, tagAdapt)
-			ad.ex = wire.ExpandSpans(ad.ex[:0], m.Payload.(wire.Update).Spans)
+			ad.ex = wire.ExpandSpans(ad.ex[:0], m.Payload.(*wire.Update).Spans)
 			nd.applyDiffs(ad.ex)
 			clear(ad.ex) // the applied entries hold their own headers
 		}

@@ -191,14 +191,15 @@ const tagPush = 101
 // The caller has already intersected the sections: send[i] is what this
 // processor wrote before the replaced barrier that processor i reads after
 // it, as normalized regions, and from[i] says whether processor i sends
-// this one anything. Each message is gathered out of memory into a buffer
-// and chunk list from the sender's store (takePushBuf), which stay the
-// sender's: the receiver reads them in place on the in-process transports
-// and hands them back to the sender's free list once it has applied the
-// message (pushApplied). What arrives is written in place, without twinning
-// or diffing. Only the received sections are made consistent; the run-time
-// records them as applied so the write notices arriving at the next real
-// barrier do not re-invalidate them. Push only reads send and from.
+// this one anything. Each message is gathered out of memory into a buffer,
+// chunk list and header from the sender's store (takePushBuf), which stay
+// the sender's: the receiver reads them in place on the in-process
+// transports and hands them back to the sender's free list once it has
+// applied the message (pushApplied). What arrives is written in place,
+// without twinning or diffing. Only the received sections are made
+// consistent; the run-time records them as applied so the write notices
+// arriving at the next real barrier do not re-invalidate them. Push only
+// reads send and from.
 func (nd *Node) Push(send [][]shm.Region, from []bool) {
 	nd.p.Begin()
 	defer nd.p.End()
@@ -234,9 +235,10 @@ func (nd *Node) Push(send [][]shm.Region, from []bool) {
 			buf = buf[copy(vals, nd.Mem.Data()[r.Lo:r.Hi]):]
 			b.chunks[k] = wire.Chunk{Lo: int32(r.Lo), Vals: vals}
 		}
+		b.msg = wire.Push{Ivl: myIvl, Chunks: b.chunks}
 		nd.pushSent[i] = append(nd.pushSent[i], b)
 		nd.p.Charge(time.Duration(words) * s.Costs.TwinPerWord) // gather memcpy
-		s.NW.Send(nd.p, i, tagPush, wire.Push{Ivl: myIvl, Chunks: b.chunks}, 16+16*len(regions)+words*shm.WordBytes)
+		s.NW.Send(nd.p, i, tagPush, &b.msg, 16+16*len(regions)+words*shm.WordBytes)
 	}
 
 	// Receive phase, in sender order for determinism.
@@ -245,7 +247,7 @@ func (nd *Node) Push(send [][]shm.Region, from []bool) {
 			continue
 		}
 		m := s.NW.Recv(nd.p, i, tagPush)
-		pl := m.Payload.(wire.Push)
+		pl := m.Payload.(*wire.Push)
 		for _, ch := range pl.Chunks {
 			nd.applyPushChunk(i, pl.Ivl, ch)
 		}
@@ -254,18 +256,20 @@ func (nd *Node) Push(send [][]shm.Region, from []bool) {
 	nd.consumeWSync()
 }
 
-// pushBuf is the storage one Push message is gathered into: its values
-// and the chunk list that slices them.
+// pushBuf is the storage one Push message is gathered into: its values,
+// the chunk list that slices them, and the message header the payload
+// points to, which stays where it is until the receiver has applied it.
 type pushBuf struct {
 	vals   []float64
 	chunks []wire.Chunk
+	msg    wire.Push
 }
 
 // takePushBuf returns a gather buffer sized to words values and k chunks,
 // taken off the free list: the smallest free one large enough, or else a
 // free one given new storage for what it lacks, so a free list that holds
 // a buffer for every message in flight makes none.
-func (st *Store) takePushBuf(words, k int) pushBuf {
+func (st *Store) takePushBuf(words, k int) *pushBuf {
 	pick := -1
 	for i, b := range st.pushFree {
 		if cap(b.vals) >= words && (pick < 0 || cap(b.vals) < cap(st.pushFree[pick].vals)) {
@@ -275,12 +279,14 @@ func (st *Store) takePushBuf(words, k int) pushBuf {
 	if pick < 0 {
 		pick = len(st.pushFree) - 1 // none is large enough: regrow one, if there is one
 	}
-	var b pushBuf
+	var b *pushBuf
 	if pick >= 0 {
 		b = st.pushFree[pick]
 		last := len(st.pushFree) - 1
-		st.pushFree[pick], st.pushFree[last] = st.pushFree[last], pushBuf{}
+		st.pushFree[pick], st.pushFree[last] = st.pushFree[last], nil
 		st.pushFree = st.pushFree[:last]
+	} else {
+		b = new(pushBuf)
 	}
 	if cap(b.vals) < words {
 		b.vals = make([]float64, words)
@@ -288,7 +294,8 @@ func (st *Store) takePushBuf(words, k int) pushBuf {
 	if cap(b.chunks) < k {
 		b.chunks = make([]wire.Chunk, k)
 	}
-	return pushBuf{vals: b.vals[:words], chunks: b.chunks[:k]}
+	b.vals, b.chunks = b.vals[:words], b.chunks[:k]
+	return b
 }
 
 // pushApplied returns to the free list the oldest buffer this store's node
@@ -303,7 +310,7 @@ func (st *Store) pushApplied(to int) {
 	q := st.pushSent[to]
 	st.pushFree = append(st.pushFree, q[0])
 	copy(q, q[1:])
-	q[len(q)-1] = pushBuf{}
+	q[len(q)-1] = nil
 	st.pushSent[to] = q[:len(q)-1]
 }
 

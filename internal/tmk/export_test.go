@@ -84,7 +84,7 @@ func ReferenceRecord(s *System, node int, full bool) []byte {
 	if nd.ad != nil {
 		ck.Fetched, ck.Adapt = sortedKeys(nd.ad.fetched), nd.ad.det.Snapshot()
 	}
-	blob, err := wire.AppendFrame(nil, &wire.Frame{Kind: wire.FCkpt, From: int32(nd.ID), Payload: ck})
+	blob, err := wire.AppendFrame(nil, &wire.Frame{Kind: wire.FCkpt, From: int32(nd.ID), Payload: &ck})
 	if err != nil {
 		panic(fmt.Sprintf("tmk: encoding the reference record: %v", err))
 	}

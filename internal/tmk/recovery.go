@@ -148,12 +148,13 @@ func (nd *Node) injectFault(b *barrier) {
 // from every frame set is provably still zero-filled and untouched, so a
 // restore needs no frame for it. A no-op unless recovery is armed.
 //
-// The wire.Checkpoint is a view, not a copy: its vector times, applied
-// rows, page images, twins and diff runs alias the node's live state. That
-// is safe because the record is encoded — into a buffer of the store —
-// before this function returns, and the caller holds the protocol
-// token throughout, so nothing the view names can move under the encoder;
-// the chain and the sink hold only the encoded bytes.
+// The wire.Checkpoint, rebuilt in the node's scratch (record), is a view,
+// not a copy: its vector times, applied rows, page images, twins and diff
+// runs alias the node's live state. That is safe because the record is
+// encoded — into a buffer of the store — before this function returns,
+// and the caller holds the protocol token throughout, so nothing the view
+// names can move under the encoder; the chain and the sink hold only the
+// encoded bytes.
 func (nd *Node) writeRecord() {
 	r := nd.sys.rec
 	if r == nil {
@@ -161,9 +162,10 @@ func (nd *Node) writeRecord() {
 	}
 	nd.recEpoch++
 	full := nd.recLast == nil || nd.recIncLen >= nd.recFullLen
-	ck := wire.Checkpoint{
+	ck := &nd.record
+	*ck = wire.Checkpoint{
 		Node: int32(nd.ID), Epoch: nd.recEpoch, Full: full, VC: nd.vc, LastBar: nd.lastBar,
-		Intervals: nd.recIvs[:0], Frames: nd.recFrames[:0], Diffs: nd.recDiffs[:0],
+		Intervals: ck.Intervals[:0], Frames: ck.Frames[:0], Diffs: ck.Diffs[:0],
 	}
 	base := nd.recLast // a full record carries the whole log
 	if full {
@@ -189,8 +191,7 @@ func (nd *Node) writeRecord() {
 			ck.Diffs = append(ck.Diffs, d.Diff)
 		}
 	}
-	nd.recIvs, nd.recFrames, nd.recDiffs = ck.Intervals, ck.Frames, ck.Diffs
-	nd.checkpointAdapt(&ck)
+	nd.checkpointAdapt(ck)
 	st := nd.st
 	if nd.recLast == nil && len(st.recFull) > 0 {
 		panic(fmt.Sprintf("tmk: node %d's store holds a previous machine's record chain", nd.ID))
@@ -349,7 +350,7 @@ func (nd *Node) restore() {
 			panic(fmt.Sprintf("tmk: reading checkpoint records for node %d: %v", nd.ID, err))
 		}
 	}
-	var last wire.Checkpoint
+	var last *wire.Checkpoint
 	i := 0
 	for _, blob := range recs {
 		for len(blob) > 0 {
@@ -358,7 +359,7 @@ func (nd *Node) restore() {
 				panic(fmt.Sprintf("tmk: decoding checkpoint record %d of node %d: %v", i, nd.ID, err))
 			}
 			blob = blob[n:]
-			ck, ok := f.Payload.(wire.Checkpoint)
+			ck, ok := f.Payload.(*wire.Checkpoint)
 			if !ok || int(ck.Node) != nd.ID {
 				panic(fmt.Sprintf("tmk: record %d of node %d is not this node's checkpoint", i, nd.ID))
 			}

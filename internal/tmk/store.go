@@ -99,12 +99,14 @@ type scratch struct {
 	// token), so one buffer per node suffices. vcScratch backs syncInfo's
 	// presented vector time, ivScratch the barrier arrival's interval
 	// delta, depScratch the departure's interval list the master builds
-	// for this node and depart the departure itself, handed by pointer,
-	// pgScratch the dirty pages of the interval it closes.
+	// for this node and depart the departure itself, grant the lock grant
+	// a granter builds for this node into its own lists (both handed by
+	// pointer), pgScratch the dirty pages of the interval it closes.
 	vcScratch  []int32
 	ivScratch  []wire.OwnedInterval
 	depScratch []wire.OwnedInterval
 	depart     wire.Depart
+	grant      wire.Grant
 	pgScratch  []int
 	// vpScratch holds a Validate's page list (pagesOf) while the call runs,
 	// fcScratch, parallel to it, which of those pages it covers whole, and
@@ -135,14 +137,13 @@ type scratch struct {
 	// Push's gather storage: the free buffers, and, per receiver, the
 	// buffers sent to it that it has not yet applied, oldest first. The
 	// receiver hands a buffer back to this free list (pushApplied).
-	pushFree []pushBuf
-	pushSent [][]pushBuf
+	pushFree []*pushBuf
+	pushSent [][]*pushBuf
 
-	// writeRecord's scratch: the frame set and the checkpoint's three lists.
-	recPages  []int
-	recIvs    []wire.OwnedInterval
-	recFrames []wire.PageFrame
-	recDiffs  []wire.Diff
+	// writeRecord's scratch: the frame set, and the record itself, its
+	// three lists rebuilt in place.
+	recPages []int
+	record   wire.Checkpoint
 }
 
 // lend returns the page table of a node of an n-rank machine over pages
@@ -195,13 +196,14 @@ func (st *Store) release(nd *Node) {
 	st.dfScratch = truncated(st.dfScratch)
 	st.ivScratch, st.depScratch = truncated(st.ivScratch), truncated(st.depScratch)
 	st.depart = wire.Depart{}
+	st.grant = wire.Grant{Intervals: truncated(st.grant.Intervals), Served: truncated(st.grant.Served)}
 	st.wsLast, st.wsSeen = st.wsLast[:0], st.wsSeen[:0]
 	st.wsPages, st.wsServed, st.wsAll = truncated(st.wsPages), truncated(st.wsServed), truncated(st.wsAll)
 	for to, sent := range st.pushSent { // buffers a receiver never applied
 		st.pushFree = append(st.pushFree, sent...)
 		st.pushSent[to] = truncated(sent)
 	}
-	st.recIvs, st.recFrames, st.recDiffs = truncated(st.recIvs), truncated(st.recFrames), truncated(st.recDiffs)
+	st.record = wire.Checkpoint{Intervals: truncated(st.record.Intervals), Frames: truncated(st.record.Frames), Diffs: truncated(st.record.Diffs)}
 	st.recFull, st.recIncs = st.recFull[:0], st.recIncs[:0]
 }
 

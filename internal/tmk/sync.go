@@ -74,10 +74,12 @@ func (s *System) lock(id int) *lock {
 // the acquirer will fault on these pages in its critical section, so the
 // releaser flushes them and attaches every diff the acquirer's presented
 // vector time proves it cannot have seen — the run-time analogue of the
-// compiler's Validate_w_sync data, riding the same message. The result
-// references this node's cached (immutable) diffs and intervals directly.
-func (nd *Node) buildGrant(reqID int, info wire.SyncInfo, pushPages []int) wire.Grant {
-	g := wire.Grant{Intervals: nd.appendIntervals(nil, info.VC)}
+// compiler's Validate_w_sync data, riding the same message. The grant is
+// built into g, the acquirer's grant slot, its notice and served lists
+// appended into the slot's own; it references this node's cached
+// (immutable) diffs and intervals directly.
+func (nd *Node) buildGrant(g *wire.Grant, reqID int, info wire.SyncInfo, pushPages []int) {
+	*g = wire.Grant{Intervals: nd.appendIntervals(g.Intervals[:0], info.VC), Served: g.Served[:0]}
 	for _, oi := range g.Intervals {
 		g.Bytes += int32(oi.IV.AccountedBytes(nd.sys.adaptOn(), shm.PageWords))
 	}
@@ -158,7 +160,6 @@ func (nd *Node) buildGrant(reqID int, info wire.SyncInfo, pushPages []int) wire.
 			nd.Stats.AdaptLockPagesPush += pagesPushed
 		}
 	}
-	return g
 }
 
 // applyGrant merges a grant at the acquirer. Served and usable Pushed
@@ -167,7 +168,7 @@ func (nd *Node) buildGrant(reqID int, info wire.SyncInfo, pushPages []int) wire.
 // identical path a demand fetch would — ordering, applied-timestamp
 // advancement, notice pruning, revalidation — which is why adapt-on and
 // adapt-off runs produce bit-identical memory images.
-func (nd *Node) applyGrant(g wire.Grant) {
+func (nd *Node) applyGrant(g *wire.Grant) {
 	for _, oi := range g.Intervals {
 		nd.learnInterval(int(oi.Owner), oi.Idx, oi.IV)
 	}
@@ -180,7 +181,6 @@ func (nd *Node) applyGrant(g wire.Grant) {
 		diffs = append(append([]wire.Diff(nil), g.Served...), nd.usablePushed(g.Served, wire.ExpandSpans(nil, g.Pushed))...)
 	}
 	nd.applyDiffs(diffs)
-	nd.consumeWSync()
 }
 
 // usablePushed filters piggybacked diffs down to the pages the grant
@@ -258,9 +258,9 @@ func (nd *Node) Acquire(id int) {
 	avt, awt := nd.traceStart()
 	s := nd.sys
 	c := s.Costs
-	// The grant stays empty, and its trace sequence zero, when none crosses
+	// The grant stays nil, and its trace sequence zero, when none crosses
 	// nodes: a single node, or re-acquiring a lock this node released last.
-	var g wire.Grant
+	var g *wire.Grant
 	var seq int32
 	if s.N() == 1 {
 		nd.p.Charge(c.LockMgmt)
@@ -302,11 +302,12 @@ func (nd *Node) Acquire(id int) {
 				nd.waiter = lockWaiter{id: nd.ID, p: nd.p, info: info, tAtHolder: t}
 				l.queue = append(l.queue, &nd.waiter)
 				nd.p.Block("lock")
-				g = s.NW.TakeHand(nd.p, slotGrant).(wire.Grant)
+				g = s.NW.TakeHand(nd.p, slotGrant).(*wire.Grant)
 			} else {
 				// The last releaser may be mid-computation on the real
 				// host; Hold serializes the grant construction (which may
-				// flush its diffs) against its compute section.
+				// flush its diffs) against its compute section. The grant
+				// is built into this node's slot and read there.
 				l.holder = nd.ID
 				h := &nd.hold
 				if h.run == nil {
@@ -314,8 +315,8 @@ func (nd *Node) Acquire(id int) {
 				}
 				h.from, h.l, h.to, h.info = s.Nodes[granter], l, nd.ID, info
 				nd.p.Hold(h.from.p, h.run)
-				g = h.g
 				*h = heldGrant{run: h.run} // holds nothing of this machine
+				g = &nd.grant
 				s.H.Proc(granter).Charge(c.LockMgmt)
 				t += c.LockMgmt
 				nd.p.SetClock(s.NW.Message(granter, nd.ID, t, int(g.Bytes)))
@@ -324,41 +325,44 @@ func (nd *Node) Acquire(id int) {
 			seq = l.grantSeq
 		}
 	}
-	nd.applyGrant(g)
+	if g != nil {
+		nd.applyGrant(g)
+	}
+	nd.consumeWSync()
 	nd.pushHeld(id)
 	nd.traceLockAcq(id, seq, avt, awt)
 }
 
 // grantTo builds, at the granting node, the grant that hands lock l to
-// acquirer to, from the synchronization info the acquirer presented — a
-// wire value either way, staged or returned by the caller. The lock
-// detector's hand-off record and piggyback decision happen here: both
-// callers run under the protocol-section token, in the lock's serialized
-// order.
-func (nd *Node) grantTo(l *lock, to int, info wire.SyncInfo) wire.Grant {
-	g := nd.buildGrant(to, info, l.handOff(nd.sys, nd.ID, to))
+// acquirer to, from the synchronization info the acquirer presented, into
+// the acquirer's grant slot, and returns the slot. The lock detector's
+// hand-off record and piggyback decision happen here: both callers run
+// under the protocol-section token, in the lock's serialized order.
+func (nd *Node) grantTo(l *lock, to int, info wire.SyncInfo) *wire.Grant {
+	g := &nd.sys.Nodes[to].grant
+	nd.buildGrant(g, to, info, l.handOff(nd.sys, nd.ID, to))
 	nd.traceGrant(l, to, g)
 	return g
 }
 
 // heldGrant is the grant construction a free acquire runs at the granter
-// under Hold: its arguments, its result, and run, the one func value that
-// calls build, made at the store's first such acquire, so an acquire moves
-// nothing to the heap.
+// under Hold: its arguments, and run, the one func value that calls build,
+// made at the store's first such acquire, so an acquire moves nothing to
+// the heap.
 type heldGrant struct {
 	from *Node
 	l    *lock
 	to   int
 	info wire.SyncInfo
-	g    wire.Grant
 	run  func()
 }
 
-func (h *heldGrant) build() { h.g = h.from.grantTo(h.l, h.to, h.info) }
+func (h *heldGrant) build() { h.from.grantTo(h.l, h.to, h.info) }
 
 // Release ends the critical section: the open interval closes (a release
 // point) and a queued waiter, if any, is granted the lock directly — the
-// grant is staged through the transport and the waiter woken.
+// grant is built into the waiter's slot, handed by pointer through the
+// transport, and the waiter woken.
 func (nd *Node) Release(id int) {
 	nd.p.Begin()
 	defer nd.p.End()

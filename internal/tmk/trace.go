@@ -170,7 +170,7 @@ func (nd *Node) traceWSync(pg, req int, served int32) {
 // may be a peer of the acquirer running this code) and feeds the
 // grant-bytes histogram. It numbers the grant: l.grantSeq is the flow
 // sequence the acquirer's EvLockAcq reads back.
-func (nd *Node) traceGrant(l *lock, to int, g wire.Grant) {
+func (nd *Node) traceGrant(l *lock, to int, g *wire.Grant) {
 	if nd.tr == nil {
 		return
 	}

@@ -200,7 +200,7 @@ func TestDiffRoundTripProperty(t *testing.T) {
 			runs := m.DiffAgainstTwin(p, 0)
 
 			frame, err := wire.AppendFrame(nil, &wire.Frame{
-				Kind: wire.FReply, Payload: wire.DiffReply{Diffs: []wire.Diff{{To: 1, Runs: runs}}},
+				Kind: wire.FReply, Payload: &wire.DiffReply{Diffs: []wire.Diff{{To: 1, Runs: runs}}},
 			})
 			if err != nil {
 				t.Fatalf("encoding the diff: %v", err)

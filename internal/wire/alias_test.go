@@ -9,7 +9,7 @@ import (
 // aliasFrames builds a deterministic set of frames whose payloads draw on
 // every decode-arena slice class (int32, float64, PageRef, Run, Diff,
 // OwnedInterval, and the [][]int32 rows): diff replies, grants with
-// piggybacked spans, sync infos with needs and floors, and diff requests.
+// piggybacked spans, and diff requests.
 func aliasFrames() []*Frame {
 	mkDiff := func(page, seed int32) Diff {
 		d := Diff{
@@ -25,16 +25,12 @@ func aliasFrames() []*Frame {
 	for seed := int32(0); seed < 8; seed++ {
 		frames = append(frames,
 			&Frame{Kind: FReply, From: seed % 4, To: (seed + 1) % 4, Tag: 100 + seed, Bytes: 512, Time: int64(seed) * 1000,
-				Payload: DiffReply{Diffs: []Diff{mkDiff(3+seed, seed), mkDiff(11+seed, seed+1)}}},
+				Payload: &DiffReply{Diffs: []Diff{mkDiff(3+seed, seed), mkDiff(11+seed, seed+1)}}},
 			&Frame{Kind: FReq, From: seed % 4, To: (seed + 2) % 4, Tag: 200 + seed, Bytes: 24,
-				Payload: DiffRequest{Req: seed % 4, Pages: []int32{seed, seed + 7},
+				Payload: &DiffRequest{Req: seed % 4, Pages: []int32{seed, seed + 7},
 					Applied: [][]int32{{seed, 1, 2, 3}, {0, seed, 0, 1}}}},
-			&Frame{Kind: FMsg, From: seed % 4, To: (seed + 3) % 4, Tag: 7, Bytes: 96, Time: int64(seed),
-				Payload: SyncInfo{VC: []int32{seed, seed + 1, 0, 9},
-					Needs:  []WSyncNeed{{Pages: []int32{seed + 2}, Applied: [][]int32{{1, seed, 0, 0}}}},
-					Floors: []WSyncNeed{{Pages: []int32{seed, seed + 1}, Applied: [][]int32{{seed, 0, 1, 2}, {0, 0, seed, 4}}}}}},
 			&Frame{Kind: FHand, From: (seed + 1) % 4, To: seed % 4, Tag: 1,
-				Payload: Grant{Bytes: 300 + seed,
+				Payload: &Grant{Bytes: 300 + seed,
 					Intervals: []OwnedInterval{{Owner: seed % 4, Idx: seed + 1,
 						IV: Interval{Pages: []PageRef{{Page: seed}, {Page: seed + 1, Whole: seed%2 == 0}}}}},
 					Served: []Diff{mkDiff(20+seed, seed+2)},

@@ -64,11 +64,12 @@ type Arena struct {
 	df  slab.Slab[Diff]
 	iv  slab.Slab[OwnedInterval]
 	row slab.Slab[[]int32]
-	// The payloads a rank decodes most, carved whole (one): a frame's
-	// payload is then a pointer into the arena, not a boxed copy.
-	dreq slab.Slab[DiffRequest]
-	drep slab.Slab[DiffReply]
-	dep  slab.Slab[Depart]
+	// The payloads a rank decodes most, carved whole (one), so a frame's
+	// payload is a pointer into the arena.
+	dreq  slab.Slab[DiffRequest]
+	drep  slab.Slab[DiffReply]
+	grant slab.Slab[Grant]
+	dep   slab.Slab[Depart]
 	// own marks an arena its reader made, which is never rewound.
 	own bool
 }
@@ -89,6 +90,7 @@ func (a *Arena) Rewind() {
 	a.row.Rewind(true)
 	a.dreq.Rewind(true)
 	a.drep.Rewind(true)
+	a.grant.Rewind(true)
 	a.dep.Rewind(true)
 }
 
@@ -369,7 +371,9 @@ func b2u(v bool) byte {
 
 // payload walks a frame's payload: the kind byte, then the kind's walker.
 // The two switches below are the only place a payload type and its kind
-// meet; a kind's field order lives in its walker alone.
+// meet; a kind's field order lives in its walker alone. Every struct
+// payload crosses as a pointer (see Frame.Payload), but for the one value
+// case marked below.
 func (c *coder) payload(p *any) {
 	if c.dec {
 		*p = c.decoded(c.tag(pNil))
@@ -380,95 +384,81 @@ func (c *coder) payload(p *any) {
 		c.kind(pNil)
 	case []float64:
 		c.kind(pFloat64s).f64s(&v)
-	case DiffRequest:
-		c.kind(pDiffRequest).diffRequest(&v)
-	case *DiffRequest: // a reused request or reply, encoded without boxing a copy
+	case *DiffRequest:
 		c.kind(pDiffRequest).diffRequest(v)
-	case DiffReply:
-		c.kind(pDiffReply).diffReply(&v)
 	case *DiffReply:
 		c.kind(pDiffReply).diffReply(v)
-	case Grant:
-		c.kind(pGrant).grant(&v)
-	case Arrival:
-		c.kind(pArrival).arrival(&v)
-	case *Depart: // handed by pointer from the recipient's store
+	case DiffReply: // bench/probes.go encodes its diff-reply frame by value
+		c.kind(pDiffReply).diffReply(&v)
+	case *Grant:
+		c.kind(pGrant).grant(v)
+	case *Depart:
 		c.kind(pDepart).depart(v)
-	case Push:
-		c.kind(pPush).push(&v)
-	case SyncInfo:
-		c.kind(pSyncInfo).syncInfo(&v)
-	case Start:
-		c.kind(pStart).start(&v)
-	case Done:
-		c.kind(pDone).done(&v)
-	case Update:
-		c.kind(pUpdate).update(&v)
-	case Checkpoint:
-		c.kind(pCheckpoint).checkpoint(&v)
-	case JobSpec:
-		c.kind(pJobSpec).jobSpec(&v)
-	case JobDecision:
-		c.kind(pJobDecision).jobDecision(&v)
-	case JobResult:
-		c.kind(pJobResult).jobResult(&v)
+	case *Push:
+		c.kind(pPush).push(v)
+	case *Start:
+		c.kind(pStart).start(v)
+	case *Done:
+		c.kind(pDone).done(v)
+	case *Update:
+		c.kind(pUpdate).update(v)
+	case *Checkpoint:
+		c.kind(pCheckpoint).checkpoint(v)
+	case *JobSpec:
+		c.kind(pJobSpec).jobSpec(v)
+	case *JobDecision:
+		c.kind(pJobDecision).jobDecision(v)
+	case *JobResult:
+		c.kind(pJobResult).jobResult(v)
 	default:
 		c.fail(fmt.Errorf("wire: unencodable payload type %T", v))
 	}
 }
 
-// decoded builds the payload of kind k from the input.
+// decoded builds the payload of kind k from the input: a struct kind into
+// a value of its own, carved whole from a lent arena for the kinds a rank
+// decodes on every synchronisation, made on the heap for the rest.
 func (c *coder) decoded(k byte) any {
 	switch k {
 	case pNil:
 		return nil
 	case pFloat64s:
-		return walked(c, (*coder).f64s)
+		var v []float64
+		c.f64s(&v)
+		return v
 	case pDiffRequest:
 		return carved(c, one(c.ar, &c.ar.dreq), (*coder).diffRequest)
 	case pDiffReply:
 		return carved(c, one(c.ar, &c.ar.drep), (*coder).diffReply)
 	case pGrant:
-		return walked(c, (*coder).grant)
-	case pArrival:
-		return walked(c, (*coder).arrival)
+		return carved(c, one(c.ar, &c.ar.grant), (*coder).grant)
 	case pDepart:
 		return carved(c, one(c.ar, &c.ar.dep), (*coder).depart)
 	case pPush:
-		return walked(c, (*coder).push)
-	case pSyncInfo:
-		return walked(c, (*coder).syncInfo)
+		return carved(c, new(Push), (*coder).push)
 	case pStart:
-		return walked(c, (*coder).start)
+		return carved(c, new(Start), (*coder).start)
 	case pDone:
-		return walked(c, (*coder).done)
+		return carved(c, new(Done), (*coder).done)
 	case pUpdate:
-		return walked(c, (*coder).update)
+		return carved(c, new(Update), (*coder).update)
 	case pCheckpoint:
-		return walked(c, (*coder).checkpoint)
+		return carved(c, new(Checkpoint), (*coder).checkpoint)
 	case pJobSpec:
-		return walked(c, (*coder).jobSpec)
+		return carved(c, new(JobSpec), (*coder).jobSpec)
 	case pJobDecision:
-		return walked(c, (*coder).jobDecision)
+		return carved(c, new(JobDecision), (*coder).jobDecision)
 	case pJobResult:
-		return walked(c, (*coder).jobResult)
+		return carved(c, new(JobResult), (*coder).jobResult)
 	default:
 		c.fail(fmt.Errorf("wire: unknown payload kind %d", k))
 		return nil
 	}
 }
 
-// walked decodes one T with its walker. (Inlined at each case above, the
-// walker is a static call and c stays on ParseFrame's stack.)
-func walked[T any](c *coder, walk func(*coder, *T)) any {
-	var v T
-	walk(c, &v)
-	return v
-}
-
-// carved decodes one T with its walker into v (one) and returns v: a
-// *DiffRequest, *DiffReply or *Depart payload lives in a lent arena, as
-// its lists do. (Inlined like walked.)
+// carved decodes one T with its walker into v and returns v. (Inlined at
+// each case above, the walker is a static call and c stays on ParseFrame's
+// stack.)
 func carved[T any](c *coder, v *T, walk func(*coder, *T)) any {
 	walk(c, v)
 	return v
@@ -493,13 +483,6 @@ func (c *coder) grant(v *Grant) {
 	c.i32(&v.Bytes)
 }
 
-func (c *coder) arrival(v *Arrival) {
-	c.i32s(&v.VC)
-	c.intervals(&v.Intervals)
-	c.needs(&v.Needs)
-	c.pageSet(&v.Fetched)
-}
-
 func (c *coder) depart(v *Depart) {
 	c.i64(&v.Time)
 	c.intervals(&v.Intervals)
@@ -515,12 +498,6 @@ func (c *coder) push(v *Push) {
 		c.i32(&ch.Lo)
 		c.f64s(&ch.Vals)
 	}
-}
-
-func (c *coder) syncInfo(v *SyncInfo) {
-	c.i32s(&v.VC)
-	c.needs(&v.Needs)
-	c.needs(&v.Floors)
 }
 
 func (c *coder) start(v *Start) {
@@ -682,15 +659,6 @@ func (c *coder) pageOwners(vs *[]PageOwner) {
 		o := &owners[i]
 		c.i32(&o.Page)
 		c.i32(&o.Owner)
-	}
-}
-
-func (c *coder) needs(vs *[]WSyncNeed) {
-	needs := list(c, vs, 2, nil)
-	for i := range needs {
-		n := &needs[i]
-		c.i32s(&n.Pages)
-		c.rows(&n.Applied)
 	}
 }
 

@@ -19,7 +19,9 @@ import (
 //     is canonical: non-minimal varints in the input normalize away).
 //
 // The seed corpus under testdata/fuzz covers every frame kind and payload
-// type (regenerate with -write-corpus after a format change).
+// type (regenerate with -write-corpus after a format change); its seeds of
+// the two reserved payload kinds, written before those kinds lost their
+// types, now take the unknown-kind path.
 func FuzzWireRoundTrip(f *testing.F) {
 	// awkwardFrames seeds NaN-payload and signed-zero words; it is not part
 	// of the checked-in corpus, which sampleFrames alone generates.
@@ -32,6 +34,9 @@ func FuzzWireRoundTrip(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0})
+	for _, b := range reservedKindFrames(f) {
+		f.Add(b)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fr, n, err := ParseFrame(data)
 		if err != nil {
@@ -61,6 +66,27 @@ func FuzzWireRoundTrip(f *testing.F) {
 			t.Fatalf("decode/encode/decode not canonical:\n first %x\nsecond %x", enc, enc2)
 		}
 	})
+}
+
+// reservedKindFrames returns frames under the two reserved payload kinds,
+// each once with no body and once ahead of a body an old sender would have
+// written there: the decoder must refuse all four without reading on.
+func reservedKindFrames(f *testing.F) [][]byte {
+	var out [][]byte
+	for _, k := range []byte{5, 8} {
+		for _, payload := range []any{nil, []float64{4, 5, 6}} {
+			b, err := AppendFrame(nil, &Frame{Kind: FMsg, From: 1, To: 0, Tag: 5, Payload: payload})
+			if err != nil {
+				f.Fatal(err)
+			}
+			b[payloadKindAt] = k
+			if _, _, err := ParseFrame(b); err == nil {
+				f.Fatalf("payload kind %d decoded", k)
+			}
+			out = append(out, b)
+		}
+	}
+	return out
 }
 
 var writeCorpus = flag.Bool("write-corpus", false, "regenerate the checked-in fuzz seed corpus")

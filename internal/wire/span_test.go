@@ -138,7 +138,7 @@ func TestSpansIntoUsedDst(t *testing.T) {
 }
 
 func diffKey(d Diff) string {
-	b, err := AppendFrame(nil, &Frame{Kind: FMsg, Payload: DiffReply{Diffs: []Diff{d}}})
+	b, err := AppendFrame(nil, &Frame{Kind: FMsg, Payload: &DiffReply{Diffs: []Diff{d}}})
 	if err != nil {
 		panic(err)
 	}

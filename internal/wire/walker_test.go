@@ -9,26 +9,30 @@ import (
 )
 
 // payloadKinds is the kind table the walker test ranges over: for every
-// payload kind byte, the zero value of the type that kind decodes to (a
-// pointer for the kinds carved whole from the decode arena).
+// payload kind byte, the zero value of the type that kind decodes to — a
+// pointer for every struct kind. The two reserved kinds are refused like
+// any kind past the table's end.
 var payloadKinds = []any{
 	pNil:         nil,
 	pFloat64s:    []float64(nil),
 	pDiffRequest: (*DiffRequest)(nil),
 	pDiffReply:   (*DiffReply)(nil),
-	pGrant:       Grant{},
-	pArrival:     Arrival{},
+	pGrant:       (*Grant)(nil),
+	5:            reserved{},
 	pDepart:      (*Depart)(nil),
-	pPush:        Push{},
-	pSyncInfo:    SyncInfo{},
-	pStart:       Start{},
-	pDone:        Done{},
-	pUpdate:      Update{},
-	pCheckpoint:  Checkpoint{},
-	pJobSpec:     JobSpec{},
-	pJobDecision: JobDecision{},
-	pJobResult:   JobResult{},
+	pPush:        (*Push)(nil),
+	8:            reserved{},
+	pStart:       (*Start)(nil),
+	pDone:        (*Done)(nil),
+	pUpdate:      (*Update)(nil),
+	pCheckpoint:  (*Checkpoint)(nil),
+	pJobSpec:     (*JobSpec)(nil),
+	pJobDecision: (*JobDecision)(nil),
+	pJobResult:   (*JobResult)(nil),
 }
+
+// reserved marks a kind byte no payload type has.
+type reserved struct{}
 
 // payloadKindAt is the offset of the payload kind byte in an encoded
 // frame: len(4) version(1) kind(1) from(4) to(4) tag(4) bytes(4) time(8).
@@ -69,8 +73,9 @@ func fill(v reflect.Value, n *int64) {
 // payload kind the decoder knows, a value with every field set — built by
 // reflection, so a field added to a type without a line in its walker
 // comes back zero — encodes under its kind byte, decodes equal, and
-// re-encodes to the same bytes. The kind table must cover the decoder: a
-// kind added without a table entry fails the probe below.
+// re-encodes to the same bytes, and a struct kind decodes to a pointer.
+// The kind table must cover the decoder: a kind added without a table
+// entry, or a reserved one decoded, fails the probe below.
 func TestWalkersRoundTripEveryPayload(t *testing.T) {
 	probe, err := AppendFrame(nil, &Frame{Kind: FMsg})
 	if err != nil {
@@ -80,13 +85,13 @@ func TestWalkersRoundTripEveryPayload(t *testing.T) {
 		probe[payloadKindAt] = byte(k)
 		_, _, err := ParseFrame(probe)
 		unknown := err != nil && strings.Contains(err.Error(), "unknown payload kind")
-		if known := k < len(payloadKinds); known == unknown {
+		if known := k < len(payloadKinds) && payloadKinds[k] != (reserved{}); known == unknown {
 			t.Fatalf("payload kind %d: decoder says %v, the test's kind table has %d kinds", k, err, len(payloadKinds))
 		}
 	}
 	var n int64
 	for k, zero := range payloadKinds {
-		if zero == nil {
+		if zero == nil || zero == (reserved{}) {
 			continue
 		}
 		v := reflect.New(reflect.TypeOf(zero)).Elem()
@@ -107,6 +112,9 @@ func TestWalkersRoundTripEveryPayload(t *testing.T) {
 		got, m, err := ParseFrame(b)
 		if err != nil || m != len(b) {
 			t.Fatalf("%T: decode consumed %d of %d bytes: %v", zero, m, len(b), err)
+		}
+		if reflect.TypeOf(got.Payload).Kind() == reflect.Struct {
+			t.Fatalf("%T: decoded by value, not as a pointer", got.Payload)
 		}
 		if !reflect.DeepEqual(got, f) {
 			t.Fatalf("%T: a field is missing from the walker:\n got %+v\nwant %+v", zero, got.Payload, f.Payload)

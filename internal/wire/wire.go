@@ -1,8 +1,8 @@
 // Package wire defines the versioned wire format of the DSM machine: the
 // message vocabulary the protocol layers exchange (mp sends, lock grants
-// with write notices, barrier arrivals and departures with interval
-// metadata, diff requests and diff payloads, Push sections), and a binary
-// codec with length-prefixed framing for carrying them over a byte stream.
+// with write notices, barrier departures with interval metadata, diff
+// requests and diff payloads, Push sections), and a binary codec with
+// length-prefixed framing for carrying them over a byte stream.
 //
 // The types here are pure values — plain structs of integers, flags, and
 // float slices, with no pointers into any node's protocol state. That is
@@ -11,10 +11,11 @@
 // cached at one node was the same object at every node), which made a
 // process-per-node deployment impossible. Everything that crosses the seam
 // is now expressible as a wire value; the in-process transports pass the
-// values directly, the socket transports encode them. The layers above
-// hold their protocol data in these types too — vm's diff runs, tmk's
-// interval log and diff cache — so there is no second representation to
-// convert to or from (DESIGN.md §1).
+// values directly, the socket transports encode them — a struct payload
+// by pointer either way, under the one ownership rule Frame.Payload
+// states. The layers above hold their protocol data in these types too —
+// vm's diff runs, tmk's interval log and diff cache — so there is no
+// second representation to convert to or from (DESIGN.md §1).
 //
 // Encoding rules: frames are length-prefixed (u32 little-endian) and carry
 // a one-byte format version, a one-byte frame kind, fixed-width routing
@@ -105,23 +106,31 @@ type Frame struct {
 	// Time carries virtual nanoseconds: arrival (FMsg), service (FReply),
 	// final clock (FDone).
 	Time int64
-	// Payload is one of the payload types below, or nil. A DiffRequest
-	// or DiffReply may be sent as a value or a pointer, a Depart as a
-	// pointer; the three decode to pointers into the reader's arena.
+	// Payload is nil, a []float64, or a pointer to one of the payload
+	// structs below: every struct payload crosses in that one form. The
+	// pointer names storage its sender owns — a node's scratch or store,
+	// a reused buffer, a caller's local — and the sender leaves it alone
+	// until the recipient has consumed the payload (on a socket transport,
+	// until the frame is encoded). A decoded struct payload is a pointer
+	// too: into the reader's arena for a diff request, diff reply, grant
+	// or departure, fresh heap for the rest. (The encoder still takes one
+	// value, a DiffReply, for bench/probes.go alone.)
 	Payload any
 }
 
-// Payload kinds.
+// Payload kinds. Kinds 5 and 8 are reserved: they were barrier arrivals
+// and acquire info, which no frame carries (Arrival, SyncInfo), and the
+// kinds after them keep their numbers.
 const (
 	pNil byte = iota
 	pFloat64s
 	pDiffRequest
 	pDiffReply
 	pGrant
-	pArrival
+	_ // reserved
 	pDepart
 	pPush
-	pSyncInfo
+	_ // reserved
 	pStart
 	pDone
 	pUpdate
@@ -320,7 +329,8 @@ type WSyncNeed struct {
 // remote serve path never touches another node's applied state). Empty
 // when adaptation is off or the predicted edge is unbound, and accounted
 // (FloorBytes) only when adaptation is on — adapt-off request accounting
-// never includes them.
+// never includes them. No frame carries one: the granter reads it from the
+// lock's shared control state, where the acquire left it.
 type SyncInfo struct {
 	VC     []int32
 	Needs  []WSyncNeed
@@ -358,7 +368,8 @@ type Grant struct {
 // plus its Validate_w_sync registrations. Fetched lists the pages the
 // arriver demand-fetched remote data for during the ending epoch — the
 // access-pattern observation the adaptive protocol aggregates (empty when
-// adaptation is disabled).
+// adaptation is disabled). No frame carries one: the barrier master reads
+// every arrival from the barrier's shared control state.
 type Arrival struct {
 	VC        []int32
 	Intervals []OwnedInterval

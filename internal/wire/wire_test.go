@@ -19,7 +19,7 @@ func sampleFrames() []*Frame {
 		{Kind: FHello, From: 3},
 		{Kind: FMsg, From: 1, To: 2, Tag: 7, Bytes: 128, Time: 123456, Payload: []float64{1.5, -2.25, 0}},
 		{Kind: FMsg, From: 0, To: 4, Tag: 2, Bytes: 0, Time: 1},
-		{Kind: FMsg, From: 2, To: 0, Tag: 101, Bytes: 4112, Time: 99, Payload: Push{
+		{Kind: FMsg, From: 2, To: 0, Tag: 101, Bytes: 4112, Time: 99, Payload: &Push{
 			Ivl:    9,
 			Chunks: []Chunk{{Lo: 512, Vals: []float64{3.5, 4.5}}, {Lo: 1024, Vals: []float64{-1}}},
 		}},
@@ -46,14 +46,14 @@ func sampleFrames() []*Frame {
 			Diffs:     []Diff{{Page: 7, Creator: 2, From: 2, To: 3, Covers: []int32{0, 1, 3}}},
 			Redirects: []PageOwner{{Page: 8, Owner: 0}, {Page: 14, Owner: 1}},
 		}},
-		{Kind: FHand, From: 2, To: 1, Tag: 1, Payload: Grant{
+		{Kind: FHand, From: 2, To: 1, Tag: 1, Payload: &Grant{
 			Intervals: []OwnedInterval{{Owner: 2, Idx: 5, IV: Interval{
 				Pages: []PageRef{{Page: 3, ExtLo: 12, ExtHi: 200}, {Page: 4, Whole: true, ExtLo: 0, ExtHi: 512}},
 			}}},
 			Served: []Diff{{Page: 4, Creator: 2, From: 4, To: 5, Covers: []int32{0, 0, 5}}},
 			Bytes:  60,
 		}},
-		{Kind: FHand, From: 1, To: 2, Tag: 1, Payload: Grant{
+		{Kind: FHand, From: 1, To: 2, Tag: 1, Payload: &Grant{
 			Intervals: []OwnedInterval{{Owner: 1, Idx: 6, IV: Interval{
 				Pages: []PageRef{{Page: 9}},
 			}}},
@@ -89,18 +89,7 @@ func sampleFrames() []*Frame {
 				{Node: 2, Pages: []int32{3, 30}},
 			},
 		}},
-		{Kind: FMsg, From: 0, To: 1, Tag: 5, Payload: Arrival{
-			VC:        []int32{4, 5, 6},
-			Intervals: []OwnedInterval{{Owner: 0, Idx: 4, IV: Interval{Pages: []PageRef{{Page: 11}}}}},
-			Needs:     []WSyncNeed{{Pages: []int32{11}, Applied: [][]int32{{1, 2, 3}}}},
-			Fetched:   []int32{11, 12},
-		}},
-		{Kind: FMsg, From: 1, To: 0, Tag: 5, Payload: Arrival{
-			VC: []int32{7, 8, 9},
-			// Dense fetch set: one run, span mode.
-			Fetched: []int32{40, 41, 42, 43, 44, 45, 46, 47},
-		}},
-		{Kind: FMsg, From: 2, To: 1, Tag: 102, Bytes: 4144, Time: 777, Payload: Update{
+		{Kind: FMsg, From: 2, To: 1, Tag: 102, Bytes: 4144, Time: 777, Payload: &Update{
 			Epoch: 6,
 			Spans: []DiffSpan{
 				{Page: 7, Creator: 2, From: 5, To: 6, Covers: []int32{1, 3, 6},
@@ -111,16 +100,10 @@ func sampleFrames() []*Frame {
 					}},
 			},
 		}},
-		{Kind: FMsg, From: 1, To: 0, Tag: 6, Payload: SyncInfo{VC: []int32{9, 9, 9}}},
-		{Kind: FMsg, From: 2, To: 1, Tag: 6, Payload: SyncInfo{
-			VC:     []int32{3, 7, 2},
-			Needs:  []WSyncNeed{{Pages: []int32{4}, Applied: [][]int32{{1, 0, 2}}}},
-			Floors: []WSyncNeed{{Pages: []int32{8, 9}, Applied: [][]int32{{3, 1, 0}, {0, 1, 2}}}},
-		}},
-		{Kind: FStart, To: 3, Payload: Start{App: "jacobi", Set: "small", N: 8, Overhead: 1500, Verify: true}},
-		{Kind: FDone, From: 3, Time: 42424242, Payload: Done{Checksum: 40399.25, Err: ""}},
-		{Kind: FDone, From: 1, Payload: Done{Err: "rank 1 panicked: boom"}},
-		{Kind: FCkpt, From: 2, Tag: 4, Payload: Checkpoint{
+		{Kind: FStart, To: 3, Payload: &Start{App: "jacobi", Set: "small", N: 8, Overhead: 1500, Verify: true}},
+		{Kind: FDone, From: 3, Time: 42424242, Payload: &Done{Checksum: 40399.25, Err: ""}},
+		{Kind: FDone, From: 1, Payload: &Done{Err: "rank 1 panicked: boom"}},
+		{Kind: FCkpt, From: 2, Tag: 4, Payload: &Checkpoint{
 			Node: 2, Epoch: 4, Full: true,
 			VC: []int32{3, 1, 4}, LastBar: []int32{3, 1, 3},
 			Intervals: []OwnedInterval{
@@ -141,26 +124,26 @@ func sampleFrames() []*Frame {
 			Fetched: []int32{5, 6},
 			Adapt:   []byte{1, 0, 9, 255},
 		}},
-		{Kind: FCkpt, From: 1, Tag: 5, Payload: Checkpoint{
+		{Kind: FCkpt, From: 1, Tag: 5, Payload: &Checkpoint{
 			Node: 1, Epoch: 5,
 			VC: []int32{4, 6, 4}, LastBar: []int32{4, 5, 4},
 		}},
-		{Kind: FJob, Tag: 17, Payload: JobSpec{
+		{Kind: FJob, Tag: 17, Payload: &JobSpec{
 			App: "jacobi", Set: "small", System: "tmk", Procs: 4,
 			Adapt: true, Verify: true,
 		}},
-		{Kind: FJob, To: 1, Tag: 9, Payload: JobSpec{
+		{Kind: FJob, To: 1, Tag: 9, Payload: &JobSpec{
 			ID: 42, App: "spmv", Set: "bound", Backend: "net", Procs: 8, Scale: true,
 		}},
-		{Kind: FJobAccept, Tag: 17, Payload: JobDecision{ID: 42}},
-		{Kind: FJobReject, Tag: 18, Payload: JobDecision{Reason: "queue full"}},
-		{Kind: FJobReject, Tag: 19, Payload: JobDecision{Reason: "svc: no executor with 8 ranks (max capacity 4)"}},
-		{Kind: FJobResult, From: 1, Tag: 17, Payload: JobResult{
+		{Kind: FJobAccept, Tag: 17, Payload: &JobDecision{ID: 42}},
+		{Kind: FJobReject, Tag: 18, Payload: &JobDecision{Reason: "queue full"}},
+		{Kind: FJobReject, Tag: 19, Payload: &JobDecision{Reason: "svc: no executor with 8 ranks (max capacity 4)"}},
+		{Kind: FJobResult, From: 1, Tag: 17, Payload: &JobResult{
 			ID: 42, Checksum: 40399.25, VirtualNS: 123456789, WallNS: 987654,
 			Msgs: 320, Bytes: 81920, Segv: 12, DiffFetches: 7,
 			Barriers: 33, LockAcquires: 5,
 		}},
-		{Kind: FJobResult, From: 2, Tag: 3, Payload: JobResult{
+		{Kind: FJobResult, From: 2, Tag: 3, Payload: &JobResult{
 			ID: 43, Err: "unknown app \"nope\"",
 		}},
 		{Kind: FPoolHello, From: 1, Tag: 8},
@@ -304,8 +287,8 @@ func awkwardFrames() []*Frame {
 	}
 	return []*Frame{
 		{Kind: FMsg, From: 1, To: 2, Payload: vals},
-		{Kind: FReply, Payload: DiffReply{Diffs: []Diff{{Page: 1, Covers: []int32{1, -1}, Runs: []Run{{Off: 3, Vals: vals}}}}}},
-		{Kind: FCkpt, Payload: Checkpoint{VC: []int32{math.MinInt32, math.MaxInt32}, Frames: []PageFrame{
+		{Kind: FReply, Payload: &DiffReply{Diffs: []Diff{{Page: 1, Covers: []int32{1, -1}, Runs: []Run{{Off: 3, Vals: vals}}}}}},
+		{Kind: FCkpt, Payload: &Checkpoint{VC: []int32{math.MinInt32, math.MaxInt32}, Frames: []PageFrame{
 			{Page: 2, Applied: []int32{0, -7}, Words: vals, Twin: vals[:4]},
 		}}},
 	}
@@ -337,7 +320,7 @@ func TestWordListsBitExact(t *testing.T) {
 			vals = p
 		case *DiffReply:
 			vals = p.Diffs[0].Runs[0].Vals
-		case Checkpoint:
+		case *Checkpoint:
 			vals = p.Frames[0].Words
 			if a, w := p.Frames[0].Applied, p.VC; a[1] != -7 || w[0] != math.MinInt32 || w[1] != math.MaxInt32 {
 				t.Fatalf("frame %d: i32 lists decoded as %v, %v", i, a, w)
