@@ -138,8 +138,15 @@ func isProg(nprocs int) *ir.Program {
 		ir.LockRelease{ID: v("sec")},
 	}}
 
-	// Each rank's prefix sums (rankKernel) are its private state.
-	prog.Local = func() any { return new([]float64) }
+	// Each rank's prefix sums (rankKernel) are its private state, the
+	// buffer handed back zeroed from the rank's last run.
+	prog.Local = func(prev any) any {
+		if buf, ok := prev.(*[]float64); ok {
+			clear(*buf)
+			return buf
+		}
+		return new([]float64)
+	}
 	rankKernel := ir.Kernel{
 		Name: "rank",
 		Accesses: []ir.TaggedSection{

@@ -132,7 +132,7 @@ func spmvProg(nprocs int) *ir.Program {
 	}
 
 	// Each rank's touched pages of val (relaxKernel) are its private state.
-	prog.Local = func() any { return new(spmvPages) }
+	prog.Local = func(any) any { return new(spmvPages) }
 	relaxKernel := ir.Kernel{
 		Name: "relax",
 		Accesses: []ir.TaggedSection{

@@ -18,7 +18,7 @@ func TestSpmvRelaxAllocs(t *testing.T) {
 		for _, nprocs := range []int{1, 4, 8, 32} {
 			prog := spmvProg(nprocs)
 			kernel := relaxKernel(t, nprocs)
-			ctx := newRelaxCtx(prog.Env(params, nprocs-1, nprocs), shm.PageWords, prog.Local())
+			ctx := newRelaxCtx(prog.Env(params, nprocs-1, nprocs), shm.PageWords, prog.Local(nil))
 			ctx.log = make([]kernelCall, 0, 1<<10)
 			if a := testing.AllocsPerRun(10, func() { ctx.log = ctx.log[:0]; kernel.Run(ctx) }); a != 0 {
 				t.Errorf("%s p%d/%d: the relax kernel allocates %.1f objects per call, want 0", set, nprocs-1, nprocs, a)

@@ -211,7 +211,7 @@ func TestSpmvRelaxMatchesOracle(t *testing.T) {
 		kernel, prog := relaxKernel(t, nprocs), spmvProg(nprocs)
 		locals := make([]any, nprocs)
 		for p := range locals {
-			locals[p] = prog.Local()
+			locals[p] = prog.Local(nil)
 		}
 		for _, params := range sizes {
 			for _, pad := range []int{3*shm.PageWords + 1, 70 * shm.PageWords} {
@@ -230,7 +230,7 @@ func TestSpmvRelaxMatchesOracle(t *testing.T) {
 // hi, so a page set remembered without any one of them would serve a call
 // the last one's pages.
 func TestSpmvRelaxMemoKey(t *testing.T) {
-	kernel, local := relaxKernel(t, 1), spmvProg(1).Local()
+	kernel, local := relaxKernel(t, 1), spmvProg(1).Local(nil)
 	for _, b := range [][3]int{{8192, 1, 1000}, {32768, 1, 1000}, {32768, 1, 20000}, {32768, 19001, 20000}, {8192, 1, 1000}} {
 		env := rsd.Env{"p": 0, "n": b[0], "lo": b[1], "hi": b[2]}
 		if err := relaxMatches(kernel, local, env, shm.PageWords); err != nil {
@@ -253,7 +253,7 @@ func TestSpmvRelaxConcurrentRanks(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			local := prog.Local()
+			local := prog.Local(nil)
 			for range 3 {
 				if errs[p] == nil {
 					errs[p] = relaxMatches(kernel, local, prog.Env(params, p, nprocs), shm.PageWords)

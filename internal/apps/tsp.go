@@ -80,7 +80,7 @@ type tspLocal struct {
 	view     int
 }
 
-func newTSPLocal() any { return new(tspLocal) }
+func newTSPLocal(any) any { return new(tspLocal) }
 
 // tspMergeKernel is the incumbent update both TSP programs run under the
 // lock guarding "best": the processor's candidate replaces the shared

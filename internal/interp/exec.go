@@ -24,9 +24,11 @@ type executor struct {
 	tgt  target
 	dsm  dsmTarget // tgt on a DSM machine
 	kctx kernelCtx
-	// The program's private state for this rank and run (ir.Program.Local),
-	// made at a kernel's first Local call.
+	// The program's private state for this rank (ir.Program.Local), kept
+	// from run to run and handed back to Local at a run's first call; made
+	// says that call happened in this run.
 	local any
+	made  bool
 
 	// The map the opaque callbacks read the environment through (envView),
 	// and the slot values it was last brought up to.
@@ -59,22 +61,22 @@ func newExecutor(lp *Lowered, rank int, tgt target) *executor {
 
 // reset makes the executor start a run on node nd: the rank's initial
 // environment, a view that holds nothing a callback of the last run stored
-// (tsp's "mytask"), and no private state, so ir.Program.Local makes it
-// afresh.
+// (tsp's "mytask"), and private state that ir.Program.Local has yet to hand
+// back zeroed.
 func (x *executor) reset(nd *tmk.Node) {
 	x.dsm.nd, x.tgt = nd, &x.dsm
 	copy(x.env, x.lp.row(x.rank))
 	if x.view != nil {
 		x.fillView()
 	}
-	x.local = nil
+	x.made = false
 }
 
 // park drops what ties the executor to the machine that ran it — the
-// node, the run's private state, operand slices of the node's memory — so
-// that an idle set keeps none of it alive.
+// node, operand slices of the node's memory — so that an idle set keeps
+// none of it alive. The private state is the rank's, not the machine's.
 func (x *executor) park() {
-	x.dsm.nd, x.local = nil, nil
+	x.dsm.nd = nil
 	clear(x.src)
 }
 
@@ -396,8 +398,8 @@ func (x *executor) execVector(a *assign, n int) {
 // span of consecutive words and every operand either names those very
 // words or stays clear of them from first element to last, one call does
 // the span: fn gets the node's memory itself for the destination and the
-// unit-step operands, and a copy staged in scratch, made once, for the
-// operands that stand still (a broadcast) or stride. Any other overlap is
+// unit-step operands, and a copy staged in scratch, made once (staged), for
+// the operands that stand still (a broadcast) or stride. Any other overlap is
 // a dependence one iteration may carry to a later one, and a destination
 // that is not a span has nothing to slice: fn then runs once per element,
 // in iteration order, on one-word slices of memory.
@@ -429,12 +431,27 @@ func (x *executor) call(fn func(dst []float64, src [][]float64), movs []mov, n i
 		// Growing leaves the operands staged so far where they are.
 		stage = slices.Grow(stage, n)[:len(stage)+n]
 		src[j] = stage[len(stage)-n:]
-		for t := range src[j] {
-			src[j][t] = data[m.addr+m.step*t]
-		}
+		staged(src[j], data, m)
 	}
 	x.stage = stage
 	fn(data[dst.addr:dst.addr+n], src)
+}
+
+// staged copies into s the len(s) words m visits in data. An operand that
+// stands still is one word, doubled into place by copies; a stride is
+// gathered word by word. It is a variable so that the differential test
+// can put the word-by-word gather of every operand back, as its oracle.
+var staged = func(s, data []float64, m mov) {
+	if m.step == 0 {
+		s[0] = data[m.addr]
+		for k := 1; k < len(s); k *= 2 {
+			copy(s[k:], s[:k])
+		}
+		return
+	}
+	for t := range s {
+		s[t] = data[m.addr+m.step*t]
+	}
 }
 
 // execScalar runs one instance of an assignment in the current environment.
@@ -481,8 +498,8 @@ func (k *kernelCtx) Array(name string) *shm.Array { return k.x.lp.array(name) }
 func (k *kernelCtx) Charge(d time.Duration) { k.x.advance(d) }
 
 func (k *kernelCtx) Local() any {
-	if k.x.local == nil && k.x.lp.prog.Local != nil {
-		k.x.local = k.x.lp.prog.Local()
+	if x := k.x; !x.made && x.lp.prog.Local != nil {
+		x.local, x.made = x.lp.prog.Local(x.local), true
 	}
 	return k.x.local
 }

@@ -196,10 +196,12 @@ func TestDSMMatchesSeqForSPMDSum(t *testing.T) {
 // TestLoweredRunRecyclesExecutors pins the idle list of a lowered
 // program's executor sets: a machine that finishes hands its set to the
 // next, which starts from the rank's environment with nothing a callback
-// stored and no private state; a run that fails drops its set; and a
-// machine of another shape is refused before it takes one.
+// stored and its private state handed back to ir.Program.Local, which
+// zeroes it; a run that fails drops its set; and a machine of another shape
+// is refused before it takes one.
 func TestLoweredRunRecyclesExecutors(t *testing.T) {
 	const procs = 4
+	handed, made := 0, 0 // Local calls given a last run's state, and calls in all
 	p := prog1d(
 		ir.Compute{Sym: "k", Fn: func(e rsd.Env) int { return e["lo"] + 1 }},
 		ir.Kernel{Name: "mark", Run: func(ctx ir.KernelCtx) {
@@ -211,7 +213,15 @@ func TestLoweredRunRecyclesExecutors(t *testing.T) {
 		}},
 		ir.Barrier{ID: 1},
 	)
-	p.Local = func() any { return new(int) }
+	p.Local = func(prev any) any {
+		made++
+		if runs, ok := prev.(*int); ok {
+			handed++
+			*runs = 0
+			return runs
+		}
+		return new(int)
+	}
 	params := rsd.Env{"n": 4096}
 	layout := compiler.BuildLayout(p, params)
 	lp := Lower(p, layout, params, procs)
@@ -237,6 +247,10 @@ func TestLoweredRunRecyclesExecutors(t *testing.T) {
 	}
 	if again := idle(); len(again) != 1 || again[0][0] != first[0][0] {
 		t.Fatalf("a second machine in sequence did not run on the first one's set")
+	}
+	if made != 2*procs || handed != procs {
+		t.Fatalf("two machines called Local %d times, %d of them with the last run's state; want %d and %d",
+			made, handed, 2*procs, procs)
 	}
 	if err := lp.Run(machine(procs), func(nd *tmk.Node) { panic("epilogue fails") }); err == nil {
 		t.Fatal("a run whose epilogue panics returned no error")

@@ -417,7 +417,7 @@ func (k *refKernelCtx) Charge(d time.Duration) { k.x.advance(d) }
 
 func (k *refKernelCtx) Local() any {
 	if k.x.local == nil && k.x.prog.Local != nil {
-		k.x.local = k.x.prog.Local()
+		k.x.local = k.x.prog.Local(nil)
 	}
 	return k.x.local
 }

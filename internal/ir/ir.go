@@ -81,8 +81,11 @@ type Program struct {
 	// The executor calls it once per processor and run and hands the value
 	// to every kernel through KernelCtx.Local, so the program itself holds
 	// no per-run state: one Program can run on any number of machines at
-	// once, and again afterwards, with nothing left over.
-	Local func() any
+	// once, and again afterwards, with nothing left over. prev is what the
+	// call made for the same processor's last run on the same executor, nil
+	// at the first: Local may hand it back, zeroed as a new value would be,
+	// so the storage it grew outlives the run and nothing else does.
+	Local func(prev any) any
 }
 
 // Prepare returns a copy of params augmented by Setup for nprocs. The
@@ -231,8 +234,9 @@ type KernelCtx interface {
 	Array(name string) *shm.Array
 	// Charge adds virtual compute time.
 	Charge(d time.Duration)
-	// Local returns this processor's private state for this run, made by
-	// Program.Local at the first call (nil when the program declares none).
+	// Local returns this processor's private state for this run, made or
+	// handed back by Program.Local at the first call (nil when the program
+	// declares none).
 	Local() any
 }
 

@@ -245,7 +245,7 @@ func (nd *Node) observe(oldBar []int32, fetched []wire.NodePages) []adapt.PageOb
 	}
 	for o := range nd.vc {
 		for idx := oldBar[o] + 1; idx <= nd.vc[o]; idx++ {
-			for _, ref := range nd.know[o][idx-1].Pages {
+			for _, ref := range nd.know[o].at(idx).Pages {
 				count(ref.Page).w++
 				nw++
 			}
@@ -272,7 +272,7 @@ func (nd *Node) observe(oldBar []int32, fetched []wire.NodePages) []adapt.PageOb
 	ad.obs = obs
 	for o := range nd.vc {
 		for idx := oldBar[o] + 1; idx <= nd.vc[o]; idx++ {
-			for _, ref := range nd.know[o][idx-1].Pages {
+			for _, ref := range nd.know[o].at(idx).Pages {
 				ob := &obs[ad.tally[ref.Page].slot]
 				ext := adapt.WriteExt{Node: o, Lo: int(ref.ExtLo), Hi: int(ref.ExtHi)}
 				if n := len(ob.Writers); n > 0 && ob.Writers[n-1].Node == o {

@@ -31,7 +31,7 @@ func ReferenceRecord(s *System, node int, full bool) []byte {
 	}
 	for o := 0; o < n; o++ {
 		for idx := base[o] + 1; idx <= nd.vc[o]; idx++ {
-			iv := nd.know[o][idx-1]
+			iv := nd.know[o].at(idx)
 			ck.Intervals = append(ck.Intervals, wire.OwnedInterval{Owner: int32(o), Idx: idx, IV: wire.Interval{
 				Pages: append([]wire.PageRef(nil), iv.Pages...),
 			}})
@@ -52,7 +52,7 @@ func ReferenceRecord(s *System, node int, full bool) []byte {
 			}
 		}
 		for idx := base[nd.ID] + 1; idx <= nd.vc[nd.ID]; idx++ {
-			for _, ref := range nd.know[nd.ID][idx-1].Pages {
+			for _, ref := range nd.know[nd.ID].at(idx).Pages {
 				set[int(ref.Page)] = true
 			}
 		}
@@ -115,4 +115,22 @@ func (c *ChainSink) Records(node int) ([][]byte, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return slices.Clone(c.Chains[node]), nil
+}
+
+// WatchCloses hands f, at every interval close on every node until the
+// returned function is called, the node, the page list closeInterval's walk
+// of the dirty bitset found, and the dirty pages a walk of the page table —
+// the walk the bitset replaced, here without its stop at ndirty entries —
+// finds at the same moment.
+func WatchCloses(f func(nd *Node, walked, table []int)) (unwatch func()) {
+	closeWatch = func(nd *Node, pages []int) {
+		var table []int
+		for pg := range nd.pages {
+			if nd.pages[pg].dirty {
+				table = append(table, pg)
+			}
+		}
+		f(nd, pages, table)
+	}
+	return func() { closeWatch = nil }
 }

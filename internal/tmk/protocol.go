@@ -3,6 +3,7 @@ package tmk
 import (
 	"cmp"
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"sdsm/internal/host"
@@ -178,6 +179,11 @@ func (nd *Node) enableWrite(page int, noTwin bool) {
 	nd.setDirty(page, true)
 }
 
+// closeWatch, when set, is handed each interval's page list as
+// closeInterval found it, before the close acts on it: the differential
+// test holds the bitset walk to a walk of the page table through it.
+var closeWatch func(nd *Node, pages []int)
+
 // closeInterval ends the node's open interval at a release point (lock
 // release, barrier arrival, Push), publishing write notices for every
 // dirty page.
@@ -194,22 +200,25 @@ func (nd *Node) closeInterval() {
 	}
 	idx := nd.vc[nd.ID] + 1
 	nd.vc[nd.ID] = idx
-	// The dirty pages in page order: an ascending walk of the table that
-	// stops at the last dirty entry, into node scratch the interval record
-	// — its page list carved from the store — is fully built from before
-	// this function returns.
+	// The dirty pages in page order: an ascending walk of the dirty bitset
+	// that stops at the word of the last dirty page, into node scratch the
+	// interval record — its page list carved from the store — is fully
+	// built from before this function returns.
 	pages := nd.pgScratch[:0]
-	for pg := 0; len(pages) < nd.ndirty; pg++ {
-		if nd.pages[pg].dirty {
-			pages = append(pages, pg)
+	for w := 0; len(pages) < nd.ndirty; w++ {
+		for b := nd.st.dirty[w]; b != 0; b &= b - 1 {
+			pages = append(pages, w*64+bits.TrailingZeros64(b))
 		}
 	}
 	nd.pgScratch = pages
+	if closeWatch != nil {
+		closeWatch(nd, pages)
+	}
 	iv := wire.Interval{Pages: nd.st.refs.Take(len(pages))}
 	for i, pg := range pages {
 		iv.Pages[i] = nd.pageRefFor(pg, nd.pages[pg].noTwin, true)
 	}
-	nd.know[nd.ID] = append(nd.know[nd.ID], iv)
+	nd.know[nd.ID].push(iv)
 	nd.traceNotices(iv, idx)
 	for _, pg := range pages {
 		nd.noteWritten(pg)
@@ -325,11 +334,11 @@ func (nd *Node) learnInterval(owner int, idx int32, iv wire.Interval) {
 	if owner == nd.ID {
 		panic("tmk: node taught its own interval")
 	}
-	if int32(len(nd.know[owner]))+1 != idx {
+	if nd.know[owner].n+1 != idx {
 		panic(fmt.Sprintf("tmk: node %d learning interval %d of %d out of order (knows %d)",
-			nd.ID, idx, owner, len(nd.know[owner])))
+			nd.ID, idx, owner, nd.know[owner].n))
 	}
-	nd.know[owner] = append(nd.know[owner], iv)
+	nd.know[owner].push(iv)
 	nd.vc[owner] = idx
 	for _, ref := range iv.Pages {
 		pg := int(ref.Page)
@@ -445,9 +454,9 @@ func (nd *Node) flushLocalDiff(page int, disarm bool) {
 // are re-noticed at every close), so the walk from the newest interval
 // usually ends at once.
 func (nd *Node) noticedSince(page int, since int32) bool {
-	own := nd.know[nd.ID]
-	for i := len(own) - 1; i >= int(since); i-- {
-		_, found := slices.BinarySearchFunc(own[i].Pages, int32(page), func(r wire.PageRef, pg int32) int {
+	own := &nd.know[nd.ID]
+	for idx := own.n; idx > since; idx-- {
+		_, found := slices.BinarySearchFunc(own.at(idx).Pages, int32(page), func(r wire.PageRef, pg int32) int {
 			return cmp.Compare(r.Page, pg)
 		})
 		if found {
@@ -464,7 +473,7 @@ func (nd *Node) splitInterval(page int, whole bool) int32 {
 	nd.vc[nd.ID] = idx
 	refs := nd.st.refs.Take(1)
 	refs[0] = nd.pageRefFor(page, whole, false)
-	nd.know[nd.ID] = append(nd.know[nd.ID], wire.Interval{Pages: refs})
+	nd.know[nd.ID].push(wire.Interval{Pages: refs})
 	nd.noteWritten(page)
 	nd.touch(page)
 	return idx

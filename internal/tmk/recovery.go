@@ -325,11 +325,12 @@ func (nd *Node) wipe() {
 		*e = page{applied: e.applied, pending: e.pending[:0], mode: e.mode, deferred: e.deferred}
 	}
 	nd.ndirty = 0
+	clear(nd.st.dirty)
 	nd.Mem.WipeForRestore()
 	clear(nd.vc)
 	clear(nd.lastBar)
 	for o := range nd.know {
-		nd.know[o] = truncated(nd.know[o])
+		nd.know[o].reset()
 	}
 	nd.wsLast, nd.wsSeen = nd.wsLast[:0], nd.wsSeen[:0] // the responder index dies with the log it indexes
 	nd.inflight, nd.inflightPages = nd.inflight[:0], nd.inflightPages[:0]
@@ -368,11 +369,11 @@ func (nd *Node) restore() {
 			}
 			for _, oi := range ck.Intervals {
 				o := int(oi.Owner)
-				if int32(len(nd.know[o]))+1 != oi.Idx {
+				if nd.know[o].n+1 != oi.Idx {
 					panic(fmt.Sprintf("tmk: node %d record gap: owner %d at %d, next record %d",
-						nd.ID, o, len(nd.know[o]), oi.Idx))
+						nd.ID, o, nd.know[o].n, oi.Idx))
 				}
-				nd.know[o] = append(nd.know[o], oi.IV)
+				nd.know[o].push(oi.IV)
 			}
 			for _, fr := range ck.Frames {
 				pg := int(fr.Page)
@@ -406,9 +407,9 @@ func (nd *Node) restore() {
 	copy(nd.vc, last.VC)
 	copy(nd.lastBar, last.LastBar)
 	for o := 0; o < s.N(); o++ {
-		if int32(len(nd.know[o])) != nd.vc[o] {
+		if nd.know[o].n != nd.vc[o] {
 			panic(fmt.Sprintf("tmk: node %d restored log of owner %d has %d intervals, clock says %d",
-				nd.ID, o, len(nd.know[o]), nd.vc[o]))
+				nd.ID, o, nd.know[o].n, nd.vc[o]))
 		}
 	}
 	// Pending notices: every restored interval not yet reflected in the
@@ -419,7 +420,7 @@ func (nd *Node) restore() {
 			continue
 		}
 		for idx := int32(1); idx <= nd.vc[o]; idx++ {
-			for _, ref := range nd.know[o][idx-1].Pages {
+			for _, ref := range nd.know[o].at(idx).Pages {
 				pg := int(ref.Page)
 				if nd.pages[pg].applied[o] >= idx {
 					continue

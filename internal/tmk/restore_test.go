@@ -72,6 +72,9 @@ func (s *restoringSink) Put(node int, epoch int32, full bool, rec []byte) error 
 		s.creators = max(s.creators, len(e.diffs))
 	}
 	nd.wipe()
+	if slices.ContainsFunc(nd.st.dirty, func(w uint64) bool { return w != 0 }) {
+		s.t.Fatalf("epoch %d: wipe left dirty bits %x", epoch, nd.st.dirty)
+	}
 	for pg, e := range nd.pages {
 		if e.dirty || e.noTwin || e.touched || e.lastDiffed != 0 || len(e.diffs) != 0 || len(e.pending) != 0 ||
 			slices.ContainsFunc(e.applied, func(x int32) bool { return x != 0 }) || len(e.applied) != len(nd.vc) {
@@ -88,6 +91,11 @@ func (s *restoringSink) Put(node int, epoch int32, full bool, rec []byte) error 
 	s.chainMax = max(s.chainMax, len(s.Chains[node]))
 	if nd.ndirty != wantDirty {
 		s.t.Errorf("epoch %d: restored ndirty %d, was %d", epoch, nd.ndirty, wantDirty)
+	}
+	for pg, e := range nd.pages {
+		if bit := nd.st.dirty[pg/64]>>(pg%64)&1 == 1; bit != e.dirty {
+			s.t.Errorf("epoch %d: restored page %d dirty %v, its bit %v", epoch, pg, e.dirty, bit)
+		}
 	}
 	for pg, got := range imageOf(nd) {
 		w := want[pg]

@@ -1,6 +1,8 @@
 package tmk
 
 import (
+	"math/bits"
+
 	"sdsm/internal/host"
 	"sdsm/internal/slab"
 	"sdsm/internal/vm"
@@ -9,7 +11,7 @@ import (
 
 // Store is one rank's warm storage: the vm.Arena behind its memory, the
 // slabs its protocol log is carved from — cache entries and lists, pending
-// lists, interval records, the page table — the per-owner interval lists,
+// lists, interval records, the page table — the per-owner interval logs,
 // the recovery record chain, and the node's run-lifetime scratch. A DSM
 // run borrows its stores from harness's idle list, so a steady stream of
 // runs builds its log in the storage the previous run left behind;
@@ -20,7 +22,7 @@ import (
 // fully written by its consumer before anything reads it, what the node
 // would otherwise initialize itself (the page table, its applied rows) is
 // zeroed on loan, and release clears what was carved from every slab
-// whose values hold pointers — entries, lists, the interval lists and the
+// whose values hold pointers — entries, lists, the interval logs and the
 // scratch that holds intervals, frames or diffs — so a released machine's heap arrays
 // (Net-decoded diffs, restored records) stay alive through none of it.
 // Nothing carved outlives the machine: a Result and a trace hold no carve,
@@ -35,7 +37,11 @@ type Store struct {
 	rows    slab.Slab[int32]        // applied rows and cover rows
 	refs    slab.Slab[wire.PageRef] // interval page lists
 	table   slab.Slab[page]         // the page table
-	know    [][]wire.Interval       // per-owner interval lists, kept with their capacity
+	// The page table's dirty bits again, bit pg%64 of word pg/64, so that
+	// closeInterval finds the dirty pages without reading the table
+	// (setDirty keeps them in step).
+	dirty []uint64
+	know  []ivLog // per-owner interval logs, kept with their chunks
 	// What the rank's socket reader decodes into on the net backend
 	// (DecodeArena). It is kept apart from the slabs above because its
 	// writer is the reader's goroutine, not the node's.
@@ -147,14 +153,15 @@ type scratch struct {
 }
 
 // lend returns the page table of a node of an n-rank machine over pages
-// shared pages, and its n interval lists, empty. The table and its applied
-// rows are zeroed, and each page's pending list starts with room for one
-// notice. Every slice is carved with its capacity capped at its own share
-// (s[lo:hi:hi]), so an append past that share moves the list (grown)
-// instead of writing into the neighbouring page's — a page's second
-// concurrent notice does, and most pages never see one.
-func (st *Store) lend(pages, n int) ([]page, [][]wire.Interval) {
+// shared pages, and its n interval logs, empty. The table, its applied
+// rows and its dirty bits are zeroed, and each page's pending list starts
+// with room for one notice. Every slice is carved with its capacity capped
+// at its own share (s[lo:hi:hi]), so an append past that share moves the
+// list (grown) instead of writing into the neighbouring page's — a page's
+// second concurrent notice does, and most pages never see one.
+func (st *Store) lend(pages, n int) ([]page, []ivLog) {
 	tab := st.table.TakeZeroed(pages)
+	st.dirty = append(st.dirty[:0], make([]uint64, (pages+63)/64)...)
 	rows := st.rows.TakeZeroed(pages * n)
 	first := st.notices.Take(pages)
 	for pg := range tab {
@@ -162,7 +169,7 @@ func (st *Store) lend(pages, n int) ([]page, [][]wire.Interval) {
 		tab[pg].pending = first[pg : pg : pg+1]
 	}
 	for len(st.know) < n {
-		st.know = append(st.know, nil)
+		st.know = append(st.know, ivLog{})
 	}
 	return tab, st.know[:n:n]
 }
@@ -190,7 +197,7 @@ func (st *Store) release(nd *Node) {
 	st.refs.Rewind(false)
 	st.dec.Rewind()
 	for o := range st.know {
-		st.know[o] = truncated(st.know[o])
+		st.know[o].reset()
 	}
 	st.sortScratch, st.cdScratch = truncated(st.sortScratch), truncated(st.cdScratch)
 	st.dfScratch = truncated(st.dfScratch)
@@ -205,6 +212,38 @@ func (st *Store) release(nd *Node) {
 	}
 	st.record = wire.Checkpoint{Intervals: truncated(st.record.Intervals), Frames: truncated(st.record.Frames), Diffs: truncated(st.record.Diffs)}
 	st.recFull, st.recIncs = st.recFull[:0], st.recIncs[:0]
+}
+
+// ivLog is what a node knows of one owner's intervals, interval idx at
+// at(idx). It is stored in chunks of 1, 2, 4, ... intervals, chunk k
+// holding intervals 2^k to 2^(k+1)−1, so a log that grows never copies
+// what it holds, and a store keeps the chunks for its next machine.
+type ivLog struct {
+	chunks [][]wire.Interval
+	n      int32 // the intervals held: 1 to n
+}
+
+func (l *ivLog) at(idx int32) wire.Interval {
+	k := bits.Len32(uint32(idx)) - 1
+	return l.chunks[k][idx-1<<k]
+}
+
+func (l *ivLog) push(iv wire.Interval) {
+	l.n++
+	k := bits.Len32(uint32(l.n)) - 1
+	if k == len(l.chunks) {
+		l.chunks = append(l.chunks, make([]wire.Interval, 1<<k))
+	}
+	l.chunks[k][l.n-1<<k] = iv
+}
+
+// reset empties the log, keeping its chunks, cleared so that none of
+// what it held stays reachable through them.
+func (l *ivLog) reset() {
+	for _, c := range l.chunks {
+		clear(c)
+	}
+	l.n = 0
 }
 
 // truncated returns s emptied, its whole capacity cleared first so none of

@@ -723,9 +723,10 @@ func (nd *Node) postBarrier() wire.Depart {
 // floor, or the latest such writer alone when it overwrote the whole page.
 // Only each owner's last interval naming pg matters, so the answer is read
 // off wsLast, which is first brought up to vc: the table is a function of
-// know[..vc] alone (splits a responder's flush appended a moment ago
-// included) and needs no hook where intervals are learned or closed. The
-// result is the node's wsResp scratch, ascending, valid until the next call.
+// the logs up to vc alone (splits a responder's flush appended a moment
+// ago included) and needs no hook where intervals are learned or closed.
+// The result is the node's wsResp scratch, ascending, valid until the next
+// call.
 func (nd *Node) wsyncResponder(req int, appliedPg []int32, pg int) []int {
 	n := len(nd.vc)
 	if len(nd.wsLast) == 0 {
@@ -736,7 +737,7 @@ func (nd *Node) wsyncResponder(req int, appliedPg []int32, pg int) []int {
 	}
 	for o, seen := range nd.wsSeen {
 		for ; seen < nd.vc[o]; seen++ {
-			for _, ref := range nd.know[o][seen].Pages {
+			for _, ref := range nd.know[o].at(seen + 1).Pages {
 				v := (seen + 1) << 1
 				if ref.Whole {
 					v |= 1

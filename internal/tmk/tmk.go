@@ -370,23 +370,27 @@ type page struct {
 	mode       AccessType
 	lastDiffed int32 // own modifications diffed up to this interval
 	deferred   bool
-	dirty      bool // writable in the current/open interval
+	dirty      bool // writable in the current/open interval; Store.dirty holds it too (setDirty, wipe)
 	noTwin     bool // dirty in WRITE_ALL mode: no twin, snapshotted at the close
 	touched    bool // named by an own interval, or image or diff chain moved, since the last recovery record (touch)
 }
 
-// setDirty sets or clears a page's dirty bit, keeping ndirty in step. A page
-// that leaves the dirty set leaves WRITE_ALL mode with it.
+// setDirty sets or clears a page's dirty bit, keeping ndirty and the dirty
+// bitset in step. A page that leaves the dirty set leaves WRITE_ALL mode
+// with it.
 func (nd *Node) setDirty(pg int, on bool) {
 	e := &nd.pages[pg]
 	if e.dirty == on {
 		return
 	}
 	e.dirty = on
+	bit := uint64(1) << (pg % 64)
 	if on {
 		nd.ndirty++
+		nd.st.dirty[pg/64] |= bit
 	} else {
 		nd.ndirty--
+		nd.st.dirty[pg/64] &^= bit
 		e.noTwin = false
 	}
 }
@@ -424,7 +428,7 @@ func (nd *Node) appendIntervals(dst []wire.OwnedInterval, base []int32) []wire.O
 			from = base[o]
 		}
 		for idx := from + 1; idx <= last; idx++ {
-			dst = append(dst, wire.OwnedInterval{Owner: int32(o), Idx: idx, IV: nd.know[o][idx-1]})
+			dst = append(dst, wire.OwnedInterval{Owner: int32(o), Idx: idx, IV: nd.know[o].at(idx)})
 		}
 	}
 	return dst
@@ -504,18 +508,19 @@ type Node struct {
 
 	vc      []int32 // vc[o]: latest interval of owner o known here
 	lastBar []int32 // vc at the last barrier departure (arrival deltas)
-	// know[o][i] is interval i+1 of owner o: the pages it modified (page
-	// number, whole-page overwrite flag, declared write extent). A closed
+	// know[o].at(idx) is interval idx of owner o: the pages it modified
+	// (page number, whole-page overwrite flag, declared write extent). A closed
 	// interval is immutable, which is why the record is the wire value
 	// itself and is sent and learned without a copy: every holder — the
 	// creator, the transport, any number of in-process receivers — reads
 	// the same frozen arrays.
-	know [][]wire.Interval
+	know []ivLog
 	// pages is the page table: one entry per shared page, indexed by page
-	// number, holding all of the page's consistency state. ndirty and
-	// ndeferred count the entries with the dirty and the deferred bit set —
-	// what lets closeInterval, Fault and consumeWSync return at once, or
-	// stop their ascending walk early, when few pages are marked.
+	// number, holding all of the page's consistency state (st.dirty holds
+	// its dirty bits again). ndirty and ndeferred count the entries with
+	// the dirty and the deferred bit set — what lets closeInterval, Fault
+	// and consumeWSync return at once, or stop their ascending walk early,
+	// when few pages are marked.
 	pages     []page
 	ndirty    int
 	ndeferred int

@@ -29,7 +29,7 @@ func wsyncResponderLogScan(nd *Node, req int, appliedPg []int32, pg int) []int {
 			continue
 		}
 		for idx := appliedPg[o] + 1; idx <= nd.vc[o]; idx++ {
-			ref, ok := find(nd.know[o][idx-1])
+			ref, ok := find(nd.know[o].at(idx))
 			if !ok {
 				continue
 			}
@@ -71,7 +71,7 @@ func randomInterval(rng *rand.Rand, pages int, split bool) wire.Interval {
 func appendRandomLog(rng *rand.Rand, nd *Node, pages int) {
 	for o := range nd.vc {
 		for k := rng.Intn(4); k > 0; k-- {
-			nd.know[o] = append(nd.know[o], randomInterval(rng, pages, rng.Intn(4) == 0))
+			nd.know[o].push(randomInterval(rng, pages, rng.Intn(4) == 0))
 			nd.vc[o]++
 		}
 	}
@@ -109,7 +109,7 @@ func TestWSyncResponderMatchesLogScan(t *testing.T) {
 					// A responder's flush may split an interval between two
 					// calls of one resolution; the table must see it.
 					o := rng.Intn(n)
-					nd.know[o] = append(nd.know[o], randomInterval(rng, pages, true))
+					nd.know[o].push(randomInterval(rng, pages, true))
 					nd.vc[o]++
 				}
 			}

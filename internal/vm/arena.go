@@ -58,6 +58,9 @@ type Arena struct {
 	exts  slab.Slab[int16] // write extents, low and high
 	marks slab.Slab[bool]  // in-batch marks
 	batch slab.Slab[int]   // the batch's page list, room for every page
+	// DiffAgainstTwin's scratch: the bounds of the runs of the page it
+	// scans, lo and hi in pairs, rebuilt from empty at every diff.
+	bounds []int32
 }
 
 // NewArena returns an empty warm arena.

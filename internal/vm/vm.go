@@ -22,6 +22,7 @@ package vm
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"time"
 
@@ -442,19 +443,34 @@ func (m *Mem) DropTwin(page int) {
 	}
 }
 
-// nextRun returns the first run of words at or after i where cur differs
-// from tw, as [lo, hi); lo == hi == len(cur) when there is none.
+// nextRun returns the first run of words at or after i whose bits differ
+// between cur and tw, as [lo, hi); lo == hi == len(cur) when there is none.
+// Equality is of bits, not of values: a word rewritten from +0 to -0 is a
+// change, and a NaN left as it was is none. Equal stretches are skipped
+// four words at a time.
 func nextRun(cur, tw []float64, i int) (lo, hi int) {
-	for i < len(cur) && cur[i] == tw[i] {
+	tw = tw[:len(cur)]
+	for ; i+4 <= len(cur); i += 4 {
+		c, t := cur[i:i+4:i+4], tw[i:i+4:i+4]
+		x0 := math.Float64bits(c[0]) ^ math.Float64bits(t[0])
+		x1 := math.Float64bits(c[1]) ^ math.Float64bits(t[1])
+		x2 := math.Float64bits(c[2]) ^ math.Float64bits(t[2])
+		x3 := math.Float64bits(c[3]) ^ math.Float64bits(t[3])
+		if x0|x1|x2|x3 != 0 {
+			break
+		}
+	}
+	for i < len(cur) && math.Float64bits(cur[i]) == math.Float64bits(tw[i]) {
 		i++
 	}
-	for hi = i; hi < len(cur) && cur[hi] != tw[hi]; hi++ {
+	for hi = i; hi < len(cur) && math.Float64bits(cur[hi]) != math.Float64bits(tw[hi]); hi++ {
 	}
 	return i, hi
 }
 
 // DiffAgainstTwin compares page to its twin and returns the modified word
-// runs, charging the scan cost. The twin is consumed. A diff is two carves
+// runs, charging the scan cost. The twin is consumed. The page is scanned
+// once, the runs' bounds kept in the arena's scratch. A diff is two carves
 // from the arena's slabs whatever its runs: one exact run list, and one
 // buffer of every changed word that the runs' values are cut from, each
 // capped at its own length, so an append never reaches a neighbour's
@@ -467,18 +483,18 @@ func (m *Mem) DiffAgainstTwin(p host.Proc, page int) []Run {
 	}
 	m.twins[page] = nil
 	cur := m.PageData(page)
-	nruns, words := 0, 0
+	bounds, words := m.arena.bounds[:0], 0
 	for lo, hi := nextRun(cur, tw, 0); lo < hi; lo, hi = nextRun(cur, tw, hi) {
-		nruns, words = nruns+1, words+hi-lo
+		bounds, words = append(bounds, int32(lo), int32(hi)), words+hi-lo
 	}
-	runs := m.arena.runs.Take(nruns)
-	if nruns > 0 {
+	m.arena.bounds = bounds
+	runs := m.arena.runs.Take(len(bounds) / 2)
+	if len(runs) > 0 {
 		vals := m.arena.vals.Take(words)
-		i := 0
-		for lo, hi := nextRun(cur, tw, 0); lo < hi; lo, hi = nextRun(cur, tw, hi) {
-			n := copy(vals, cur[lo:hi])
-			runs[i] = Run{Off: int32(lo), Vals: vals[:n:n]}
-			vals, i = vals[n:], i+1
+		for i := range runs {
+			n := copy(vals, cur[bounds[2*i]:bounds[2*i+1]])
+			runs[i] = Run{Off: bounds[2*i], Vals: vals[:n:n]}
+			vals = vals[n:]
 		}
 	}
 	m.Counters.Diffs++

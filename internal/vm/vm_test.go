@@ -1,6 +1,8 @@
 package vm
 
 import (
+	"math"
+	"math/rand"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -154,6 +156,62 @@ func TestDiffRunsOwnTheirValues(t *testing.T) {
 		for _, r := range runs {
 			if !slices.Equal(want[r.Off], r.Vals) {
 				t.Fatalf("run at %d = %v after later writes, want %v", r.Off, r.Vals, want[r.Off])
+			}
+		}
+	})
+}
+
+// A diff compares bits, not values: a word rewritten from +0 to -0, or
+// back, is a change the readers must see, and a NaN left as it was is none
+// (== would skip the first and re-send the second in every diff). Then
+// random pages, their changes in clusters that start and end at every
+// offset of the four-word skip, against a word-by-word scan of the bits.
+func TestDiffComparesBits(t *testing.T) {
+	m := newMem(shm.PageWords)
+	negZero, nan, otherNaN := math.Copysign(0, -1), math.NaN(), math.Float64frombits(0x7ff8000000000002)
+	runOne(t, func(p host.Proc) {
+		d := m.PageData(0)
+		d[5], d[9], d[20], d[30], d[40] = 0, negZero, nan, nan, nan
+		m.MakeTwin(p, 0)
+		d[5], d[9], d[30], d[40] = negZero, 0, nan, otherNaN
+		runs := m.DiffAgainstTwin(p, 0)
+		var offs []int32
+		for _, r := range runs {
+			offs = append(offs, r.Off)
+		}
+		if !slices.Equal(offs, []int32{5, 9, 40}) {
+			t.Fatalf("diff runs at %v, want [5 9 40]: the two signed zeros and the NaN whose bits changed", offs)
+		}
+		if math.Float64bits(runs[0].Vals[0]) != math.Float64bits(negZero) || math.Float64bits(runs[1].Vals[0]) != 0 {
+			t.Fatalf("signed zeros carried as %v, %v", runs[0].Vals[0], runs[1].Vals[0])
+		}
+
+		rnd := rand.New(rand.NewSource(1))
+		for trial := 0; trial < 200; trial++ {
+			for i := range d {
+				d[i] = float64(i)
+			}
+			m.MakeTwin(p, 0)
+			for c := rnd.Intn(12); c > 0; c-- {
+				lo := rnd.Intn(shm.PageWords)
+				for w := lo; w < min(lo+1+rnd.Intn(9), shm.PageWords); w++ {
+					d[w] = -d[w] - 1
+				}
+			}
+			var want []Run
+			for w := 0; w < shm.PageWords; w++ {
+				if d[w] == float64(w) {
+					continue
+				}
+				if n := len(want); n > 0 && int(want[n-1].Off)+len(want[n-1].Vals) == w {
+					want[n-1].Vals = append(want[n-1].Vals, d[w])
+				} else {
+					want = append(want, Run{Off: int32(w), Vals: []float64{d[w]}})
+				}
+			}
+			got := m.DiffAgainstTwin(p, 0)
+			if !slices.EqualFunc(got, want, func(a, b Run) bool { return a.Off == b.Off && slices.Equal(a.Vals, b.Vals) }) {
+				t.Fatalf("trial %d: runs %v, word-by-word %v", trial, got, want)
 			}
 		}
 	})
